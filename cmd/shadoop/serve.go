@@ -52,7 +52,6 @@ func runServe(args []string) error {
 		jobDeadline = fs.Duration("job-deadline", 30*time.Second, "per-job execution deadline (0 = none)")
 		memTier     = fs.Int64("memtier-bytes", 0, "in-memory partition tier budget in bytes (0 = 64 MiB default, negative disables)")
 		planner     = fs.String("planner", serve.PlannerAuto, "query engine routing: auto|local|mapreduce|sharded")
-		engine      = fs.String("engine", "", "alias for -planner (wins when both are set)")
 		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		accessLog   = fs.String("accesslog", "", "append one JSON line per request to this file (- for stdout)")
 		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off when empty")
@@ -60,9 +59,6 @@ func runServe(args []string) error {
 	mf := registerMasterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *engine != "" {
-		*planner = *engine
 	}
 	if !serve.ValidPlanner(*planner) {
 		return fmt.Errorf("serve: unknown engine %q (want auto, local, mapreduce or sharded)", *planner)

@@ -11,6 +11,7 @@ import (
 	"spatialhadoop/internal/cg"
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/fault"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/ops"
 	"spatialhadoop/internal/sindex"
@@ -94,7 +95,7 @@ func TestOperationsSurviveTaskFailures(t *testing.T) {
 	if _, err := sys.LoadPoints("pts", pts, sindex.Grid); err != nil {
 		t.Fatal(err)
 	}
-	sys.Cluster().InjectFailures(4) // every 4th task attempt dies once
+	sys.Cluster().SetFault(fault.Plan{FailEveryKth: 4}) // every 4th task attempt dies once
 
 	sky, _, err := cg.SkylineOutputSensitive(sys, "pts", true)
 	if err != nil {

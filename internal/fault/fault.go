@@ -88,10 +88,9 @@ type Plan struct {
 	// the first seeded decision point reached.
 	KillBudget int `json:"kill_budget,omitempty"`
 
-	// FailEveryKth is the legacy counter-based mode kept for
-	// Cluster.InjectFailures: every k-th map attempt (counted across the
-	// injector's lifetime) fails once with a transient error. It
-	// composes with the rate-based fields above.
+	// FailEveryKth is the counter-based mode: every k-th map attempt
+	// (counted across the injector's lifetime) fails once with a
+	// transient error. It composes with the rate-based fields above.
 	FailEveryKth int `json:"fail_every_kth,omitempty"`
 }
 

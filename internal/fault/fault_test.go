@@ -130,7 +130,7 @@ func TestUniformDistribution(t *testing.T) {
 	}
 }
 
-// TestEveryKthMode pins the legacy InjectFailures semantics: every k-th
+// TestEveryKthMode pins the FailEveryKth semantics: every k-th
 // map attempt fails once, counted across the injector's lifetime.
 func TestEveryKthMode(t *testing.T) {
 	in := NewInjector(Plan{FailEveryKth: 3})

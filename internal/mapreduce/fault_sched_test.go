@@ -332,8 +332,9 @@ func TestAllSpansFinishedUnderChaos(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyRoundTrip pins the accessor pair and the shim semantics:
-// InjectFailures installs a legacy every-k-th plan and 0 clears it.
+// TestRetryPolicyRoundTrip pins the accessor pairs: the retry policy
+// reads back, SetFault installs a plan on the injector and the zero plan
+// clears it.
 func TestRetryPolicyRoundTrip(t *testing.T) {
 	c := newTestCluster(t, 1<<20, 2)
 	pol := fault.RetryPolicy{MaxAttempts: 7, BaseBackoff: time.Millisecond}
@@ -341,13 +342,13 @@ func TestRetryPolicyRoundTrip(t *testing.T) {
 	if got := c.RetryPolicy(); got != pol {
 		t.Errorf("RetryPolicy = %+v, want %+v", got, pol)
 	}
-	c.InjectFailures(3)
+	c.SetFault(fault.Plan{FailEveryKth: 3})
 	in := c.Injector()
 	if in == nil || in.Plan().FailEveryKth != 3 {
-		t.Fatalf("InjectFailures(3) installed %+v", in.Plan())
+		t.Fatalf("SetFault(FailEveryKth: 3) installed %+v", in.Plan())
 	}
-	c.InjectFailures(0)
+	c.SetFault(fault.Plan{})
 	if c.Injector() != nil {
-		t.Error("InjectFailures(0) must clear the injector")
+		t.Error("SetFault(fault.Plan{}) must clear the injector")
 	}
 }

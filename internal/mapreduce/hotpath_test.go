@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"spatialhadoop/internal/dfs"
+	"spatialhadoop/internal/fault"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 )
@@ -236,7 +237,7 @@ func TestRetriedAttemptObservesDecodeCache(t *testing.T) {
 	f, _ := flaky.FS().Open("pts")
 	nblocks := int64(len(f.Blocks))
 	decodes.Store(0)
-	flaky.InjectFailures(2)
+	flaky.SetFault(fault.Plan{FailEveryKth: 2})
 	rep, err := flaky.Run(job("out"))
 	if err != nil {
 		t.Fatal(err)

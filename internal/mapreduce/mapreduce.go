@@ -510,19 +510,6 @@ func (c *Cluster) RetryPolicy() fault.RetryPolicy {
 	return c.policy
 }
 
-// InjectFailures makes every k-th map task attempt fail once with a
-// transient error (0 disables).
-//
-// Deprecated: InjectFailures is a shim over SetFault, kept for callers of
-// the original knob; new code should install a fault.Plan directly.
-func (c *Cluster) InjectFailures(k int) {
-	if k <= 0 {
-		c.SetFault(fault.Plan{})
-		return
-	}
-	c.SetFault(fault.Plan{FailEveryKth: k})
-}
-
 type runningJob struct {
 	job   *Job
 	reg   *obs.Registry

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spatialhadoop/internal/dfs"
+	"spatialhadoop/internal/fault"
 	"spatialhadoop/internal/geom"
 )
 
@@ -264,7 +265,7 @@ func TestFailureInjectionRetries(t *testing.T) {
 		recs = append(recs, fmt.Sprintf("%012d", i))
 	}
 	c.FS().WriteFile("in", recs)
-	c.InjectFailures(3) // every third attempt dies once
+	c.SetFault(fault.Plan{FailEveryKth: 3}) // every third attempt dies once
 	rep, err := c.Run(&Job{
 		Name:  "flaky",
 		Input: []string{"in"},

@@ -167,7 +167,7 @@ func TestRetriedAttemptsAppearInTrace(t *testing.T) {
 		recs = append(recs, fmt.Sprintf("%012d", i))
 	}
 	c.FS().WriteFile("in", recs)
-	c.InjectFailures(3)
+	c.SetFault(fault.Plan{FailEveryKth: 3})
 	rep, err := c.Run(&Job{
 		Name:  "flaky-trace",
 		Input: []string{"in"},

@@ -5,6 +5,7 @@ import (
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/mapreduce"
+	"spatialhadoop/internal/sindex"
 )
 
 // Hot-partition accounting for the query operations. Scan/prune decisions
@@ -30,19 +31,22 @@ const (
 func withHeat(sys *core.System, file string, inner mapreduce.FilterFunc) mapreduce.FilterFunc {
 	return func(splits []*mapreduce.Split) []*mapreduce.Split {
 		kept := inner(splits)
-		hot := sys.Hotness()
-		keptSet := make(map[*mapreduce.Split]bool, len(kept))
-		for _, s := range kept {
-			keptSet[s] = true
-		}
-		for _, s := range splits {
-			if keptSet[s] {
-				hot.RecordScan(file, s.Partition)
-			} else {
-				hot.RecordPrune(file, s.Partition)
-			}
-		}
+		recordFilterHeat(sys.Hotness(), file, splits, kept)
 		return kept
+	}
+}
+
+// recordFilterHeat counts one filter step: a scan for every kept split, a
+// prune for every other. kept must be a subsequence of splits, which is
+// what every pruning filter returns.
+func recordFilterHeat(hot *sindex.Hotness, file string, splits, kept []*mapreduce.Split) {
+	for _, s := range splits {
+		if len(kept) > 0 && kept[0] == s {
+			hot.RecordScan(file, s.Partition)
+			kept = kept[1:]
+		} else {
+			hot.RecordPrune(file, s.Partition)
+		}
 	}
 }
 

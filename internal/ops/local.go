@@ -1,8 +1,8 @@
 package ops
 
 import (
+	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"spatialhadoop/internal/core"
@@ -14,14 +14,12 @@ import (
 )
 
 // Local executors: the serving layer's in-memory fast path for range and
-// kNN queries over indexed files. They walk the same splits, apply the
-// same pruning geometry (Split.Cover), follow the same two-round kNN
-// protocol, and sort candidates with the same canonical comparator as the
-// MapReduce jobs in this package — so a query answered locally is
-// byte-identical to one answered by a job, and the planner is free to
-// route per request. What differs is the execution substrate: records come
-// from pinned memory-resident partitions (LocalPartition) supplied by a
-// LocalSource instead of from scheduled map tasks.
+// kNN queries over indexed files. They are drivers of the query plan
+// (plan.go), so a query answered locally is byte-identical to one answered
+// by a job and the planner is free to route per request. What differs is
+// the execution substrate: records come from pinned memory-resident
+// partitions (LocalPartition) supplied by a LocalSource instead of from
+// scheduled map tasks, searched in split order on the calling goroutine.
 
 // LocalPartition is one partition's records decoded and indexed in memory:
 // the unit the serving layer's memory tier pins, evicts, and invalidates.
@@ -142,27 +140,6 @@ type LocalSource interface {
 	Filter() *sindex.SFilter
 }
 
-// LocalStats describes one local execution for explain output and the
-// hot-partition report. Mirroring the MapReduce report, the partition
-// counts describe the final round (so consulted+pruned == total); sFilter
-// counts accumulate across rounds.
-type LocalStats struct {
-	// PartitionsTotal/Consulted/Pruned partition the final round's splits:
-	// every split was either searched or pruned (by geometry or filter).
-	PartitionsTotal     int
-	PartitionsConsulted int
-	PartitionsPruned    int
-	// SFilterHits counts bitmap probes that passed (partition searched);
-	// SFilterSkips counts partitions the bitmap proved empty for the
-	// query — pruning the Cover test alone would have missed.
-	SFilterHits  int
-	SFilterSkips int
-	// Matches counts candidate records the executor touched.
-	Matches int
-	// Rounds is 1 or 2 (kNN protocol); always 1 for range.
-	Rounds int
-}
-
 // localIndexed opens the file and requires a global index: the local
 // executors rely on per-partition splits and partition keys.
 func localIndexed(sys *core.System, file string) (*core.IndexedFile, error) {
@@ -187,200 +164,82 @@ type LocalMatch struct {
 }
 
 // LocalRangeMatches answers a range query from pinned partitions,
-// byte-equivalent to RangeQueryPoints: same Cover pruning, plus bitmap
+// byte-equivalent to RangeQueryPoints: the same filter step plus bitmap
 // pruning, and exactly one owner per point record (the loader assigns each
 // point to a single cell), so no dedup is needed. Partitions with no
 // matches are omitted.
 func LocalRangeMatches(sys *core.System, file string, src LocalSource, query geom.Rect) ([]LocalMatch, *LocalStats, error) {
+	return LocalRangeMatchesCtx(context.Background(), sys, file, src, query)
+}
+
+// LocalRangeMatchesCtx is LocalRangeMatches under a context: a cancelled
+// request pins nothing.
+func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, file string, src LocalSource, query geom.Rect) ([]LocalMatch, *LocalStats, error) {
 	f, err := localIndexed(sys, file)
 	if err != nil {
 		return nil, nil, err
 	}
-	splits := f.Splits()
-	stats := &LocalStats{PartitionsTotal: len(splits), Rounds: 1}
-	hot := sys.Hotness()
-	sf := src.Filter()
+	plan := NewPlan(sys, f, src.Filter())
+	kept, err := plan.Range(ctx, query)
+	if err != nil {
+		return nil, nil, err
+	}
 	var out []LocalMatch
-	for _, sp := range splits {
-		if !sp.Cover().Intersects(query) {
-			stats.PartitionsPruned++
-			hot.RecordPrune(file, sp.Partition)
-			continue
-		}
-		if sf != nil {
-			if !sf.MayIntersect(sp.Partition, query) {
-				stats.PartitionsPruned++
-				stats.SFilterSkips++
-				hot.RecordPrune(file, sp.Partition)
-				continue
-			}
-			stats.SFilterHits++
-		}
+	for _, sp := range kept {
 		part, err := src.Pin(sp)
 		if err != nil {
 			return nil, nil, err
 		}
-		stats.PartitionsConsulted++
-		hot.RecordScan(file, sp.Partition)
-		hot.AddRecords(file, sp.Partition, int64(len(part.Recs)))
-		ids := part.Tree.Search(query, nil)
-		slices.Sort(ids)
-		stats.Matches += len(ids)
-		hot.AddMatches(file, sp.Partition, int64(len(ids)))
+		ids := partitionRangeIDs(part, query)
+		plan.Searched(sp, len(part.Recs), len(ids))
 		if len(ids) > 0 {
 			out = append(out, LocalMatch{Part: part, IDs: ids})
 		}
 	}
-	return out, stats, nil
+	return out, &plan.Stats, nil
 }
 
-// LocalRangePoints is LocalRangeMatches materialized to points (partition
-// order, each partition's matches in canonical order).
-func LocalRangePoints(sys *core.System, file string, src LocalSource, query geom.Rect) ([]geom.Point, *LocalStats, error) {
-	matches, stats, err := LocalRangeMatches(sys, file, src, query)
-	if err != nil {
-		return nil, nil, err
-	}
+// MatchPoints materializes range matches to points (partition order, each
+// partition's matches in canonical order).
+func MatchPoints(matches []LocalMatch) []geom.Point {
 	var out []geom.Point
 	for _, m := range matches {
 		for _, id := range m.IDs {
 			out = append(out, m.Part.Pts[id])
 		}
 	}
-	return out, stats, nil
+	return out
 }
 
-// LocalKNNPoints answers a kNN query from pinned partitions with the same
-// two-round protocol as KNNCtx: round one searches the smallest partition
-// whose cover contains q; if the correctness circle escapes it (or fewer
-// than k candidates were found) a second round searches every partition
-// the circle may reach. Candidates are tie-complete (NearestWithTies) and
-// sorted with the canonical (dist, record) comparator before truncation,
-// exactly as the job's reduce does, so both engines pick the same k points.
+// LocalKNNPoints answers a kNN query from pinned partitions, picking the
+// same k points in the same order as KNNCtx.
 func LocalKNNPoints(sys *core.System, file string, src LocalSource, q geom.Point, k int) ([]geom.Point, *LocalStats, error) {
+	return LocalKNNPointsCtx(context.Background(), sys, file, src, q, k)
+}
+
+// LocalKNNPointsCtx is LocalKNNPoints under a context, checked before
+// each round.
+func LocalKNNPointsCtx(ctx context.Context, sys *core.System, file string, src LocalSource, q geom.Point, k int) ([]geom.Point, *LocalStats, error) {
 	f, err := localIndexed(sys, file)
 	if err != nil {
 		return nil, nil, err
 	}
-	splits := f.Splits()
-	stats := &LocalStats{}
-	hot := sys.Hotness()
-	sf := src.Filter()
-
-	// round searches the kept splits, recording scan/prune hotness for
-	// every split exactly as withHeat does per job, and returns the
-	// canonically sorted, k-truncated candidates.
-	round := func(kept map[*mapreduce.Split]bool, probe geom.Rect, useProbe bool) ([]knnCandidate, error) {
-		stats.Rounds++
-		stats.PartitionsTotal = len(splits)
-		stats.PartitionsConsulted, stats.PartitionsPruned = 0, 0
-		var cands []knnCandidate
-		for _, sp := range splits {
-			if !kept[sp] {
-				stats.PartitionsPruned++
-				hot.RecordPrune(file, sp.Partition)
-				continue
-			}
-			if useProbe && sf != nil {
-				if !sf.MayIntersect(sp.Partition, probe) {
-					stats.PartitionsPruned++
-					stats.SFilterSkips++
-					hot.RecordPrune(file, sp.Partition)
-					continue
-				}
-				stats.SFilterHits++
-			}
+	plan := NewPlan(sys, f, src.Filter())
+	pts, err := plan.KNN(ctx, q, k, func(_ context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error) {
+		var cands []KNNCandidate
+		for _, sp := range kept {
 			part, err := src.Pin(sp)
 			if err != nil {
 				return nil, err
 			}
-			stats.PartitionsConsulted++
-			hot.RecordScan(file, sp.Partition)
-			hot.AddRecords(file, sp.Partition, int64(len(part.Recs)))
-			var matched int64
-			for _, nb := range part.Tree.NearestWithTies(q, k) {
-				cands = append(cands, knnCandidate{dist: nb.Dist, rec: part.Recs[nb.Entry.ID]})
-				matched++
-			}
-			stats.Matches += int(matched)
-			hot.AddMatches(file, sp.Partition, matched)
-		}
-		sort.Slice(cands, func(i, j int) bool { return lessCandidate(cands[i], cands[j]) })
-		if len(cands) > k {
-			cands = cands[:k]
+			frag := PartitionKNNCandidates(part, q, k)
+			plan.Searched(sp, len(part.Recs), len(frag))
+			cands = append(cands, frag...)
 		}
 		return cands, nil
-	}
-
-	// Round 1: the smallest-area partition covering q, or everything.
-	round1 := func() map[*mapreduce.Split]bool {
-		var best *mapreduce.Split
-		for _, s := range splits {
-			if s.Cover().ContainsPoint(q) && (best == nil || s.Cover().Area() < best.Cover().Area()) {
-				best = s
-			}
-		}
-		kept := make(map[*mapreduce.Split]bool, len(splits))
-		if best == nil {
-			for _, s := range splits {
-				kept[s] = true
-			}
-		} else {
-			kept[best] = true
-		}
-		return kept
-	}
-	r1 := round1()
-	cands, err := round(r1, geom.Rect{}, false)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	needSecond := len(cands) < k && k > 0
-	if !needSecond && len(cands) > 0 {
-		radius := cands[min(k, len(cands))-1].dist
-		circle := geom.Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
-		scannedAll := len(r1) == len(splits)
-		ownsCircle := false
-		if f.Index.Disjoint() && len(r1) == 1 {
-			for sp := range r1 {
-				ownsCircle = sp.MBR.ContainsRect(circle)
-			}
-		}
-		if !scannedAll && !ownsCircle {
-			needSecond = true
-		}
-	}
-	if needSecond {
-		radius := 0.0
-		if len(cands) >= k && k > 0 {
-			radius = cands[k-1].dist
-		}
-		kept := make(map[*mapreduce.Split]bool, len(splits))
-		circle := geom.Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
-		for _, s := range splits {
-			if radius == 0 || s.Cover().MinDistPoint(q) <= radius {
-				kept[s] = true
-			}
-		}
-		// The bitmap probe rectangle is the circle's bounding box: a
-		// record within radius of q lies inside it, so an empty bitmap
-		// range proves the partition contributes nothing.
-		cands, err = round(kept, circle, radius > 0)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	pts := make([]geom.Point, len(cands))
-	for i, c := range cands {
-		p, err := geomio.DecodePoint(c.rec)
-		if err != nil {
-			return nil, nil, err
-		}
-		pts[i] = p
-	}
-	return pts, stats, nil
+	return pts, &plan.Stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
@@ -77,7 +78,7 @@ func TestLocalRangeMatchesMapReduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := LocalRangePoints(sys, "pts", src, q)
+			got, stats, err := localRangePoints(sys, "pts", src, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestLocalRangeMatchesMapReduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := LocalRangePoints(sys, "pts", src, q)
+			got, _, err := localRangePoints(sys, "pts", src, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,6 +104,11 @@ func TestLocalRangeMatchesMapReduce(t *testing.T) {
 			}
 		}
 	}
+}
+
+func localRangePoints(sys *core.System, file string, src LocalSource, q geom.Rect) ([]geom.Point, *LocalStats, error) {
+	matches, stats, err := LocalRangeMatches(sys, file, src, q)
+	return MatchPoints(matches), stats, err
 }
 
 func samePointSet(a, b []geom.Point) bool {
@@ -177,7 +183,7 @@ func TestLocalHeapRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &testSource{}
-	if _, _, err := LocalRangePoints(sys, "heap", src, geom.NewRect(0, 0, 5, 5)); err == nil {
+	if _, _, err := LocalRangeMatches(sys, "heap", src, geom.NewRect(0, 0, 5, 5)); err == nil {
 		t.Fatal("local range over a heap file must error")
 	}
 	if _, _, err := LocalKNNPoints(sys, "heap", src, geom.Pt(1, 1), 3); err == nil {

@@ -80,13 +80,7 @@ func PlotCtx(ctx context.Context, sys *core.System, file string, cfg PlotConfig)
 		Name:   "plot",
 		Splits: f.Splits(),
 		Filter: withHeat(sys, file, func(splits []*mapreduce.Split) []*mapreduce.Split {
-			var keep []*mapreduce.Split
-			for _, s := range splits {
-				if s.Cover().Intersects(extent) {
-					keep = append(keep, s)
-				}
-			}
-			return keep
+			return RangeCandidates(splits, nil, extent).Kept
 		}),
 		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 			// Render the partition into a sparse partial raster and ship

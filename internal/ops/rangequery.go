@@ -8,7 +8,6 @@ package ops
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -64,15 +63,7 @@ func RangeQueryPointsCtx(ctx context.Context, sys *core.System, file string, que
 		Conf:   map[string]string{confRangeQuery: geomio.EncodeRect(query)},
 		Splits: f.Splits(),
 		Filter: withHeat(sys, file, func(splits []*mapreduce.Split) []*mapreduce.Split {
-			var keep []*mapreduce.Split
-			for _, s := range splits {
-				// Cover, not MBR: overlapping techniques hold records
-				// outside their sample-derived boundary.
-				if s.Cover().Intersects(query) {
-					keep = append(keep, s)
-				}
-			}
-			return keep
+			return RangeCandidates(splits, nil, query).Kept
 		}),
 		// Same body a worker rebuilds from the kind, resolving local
 		// indexes through the system's per-block cache.
@@ -111,15 +102,7 @@ func RangeQueryRegions(sys *core.System, file string, query geom.Rect) ([]geom.R
 		Name:   "range-regions",
 		Splits: f.Splits(),
 		Filter: func(splits []*mapreduce.Split) []*mapreduce.Split {
-			var keep []*mapreduce.Split
-			for _, s := range splits {
-				// Cover, not MBR: a region assigned by least enlargement
-				// can extend past the sample-derived boundary.
-				if s.Cover().Intersects(query) {
-					keep = append(keep, s)
-				}
-			}
-			return keep
+			return RangeCandidates(splits, nil, query).Kept
 		},
 		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 			for _, blk := range split.Blocks {
@@ -197,46 +180,25 @@ func ownsRef(cell, space geom.Rect, p geom.Point) bool {
 	return xOK && yOK
 }
 
-// knnCandidate pairs a point record with its distance for shuffling.
-type knnCandidate struct {
-	dist float64
-	rec  string
+func encodeCandidate(c KNNCandidate) string {
+	return strconv.FormatFloat(c.Dist, 'g', 17, 64) + ";" + c.Rec
 }
 
-func encodeCandidate(c knnCandidate) string {
-	return strconv.FormatFloat(c.dist, 'g', 17, 64) + ";" + c.rec
-}
-
-// lessCandidate is the canonical kNN candidate order: by distance, ties by
-// record text. Every consumer of candidate sets — the MR reduce, the final
-// merge, and the serving layer's local executor — must sort with this
-// exact comparator before truncating to k, so the chosen top-k never
-// depends on which R-tree shape (per-block or per-partition) produced the
-// candidates.
-func lessCandidate(a, b knnCandidate) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.rec < b.rec
-}
-
-func decodeCandidate(s string) (knnCandidate, error) {
+func decodeCandidate(s string) (KNNCandidate, error) {
 	i := strings.IndexByte(s, ';')
 	if i < 0 {
-		return knnCandidate{}, fmt.Errorf("ops: bad knn candidate %q", s)
+		return KNNCandidate{}, fmt.Errorf("ops: bad knn candidate %q", s)
 	}
 	d, err := strconv.ParseFloat(s[:i], 64)
 	if err != nil {
-		return knnCandidate{}, err
+		return KNNCandidate{}, err
 	}
-	return knnCandidate{dist: d, rec: s[i+1:]}, nil
+	return KNNCandidate{Dist: d, Rec: s[i+1:]}, nil
 }
 
 // KNN returns the k nearest points to q in the file, with the two-round
-// protocol of SpatialHadoop: round one processes only the partition
-// containing q; if the k-th distance reaches beyond that partition's
-// boundary, a second round processes every partition intersecting the
-// correctness circle. The returned report is from the final round.
+// protocol of SpatialHadoop (planKNN), one MapReduce job per round. The
+// returned report is from the final round.
 func KNN(sys *core.System, file string, q geom.Point, k int) ([]geom.Point, *mapreduce.Report, error) {
 	return KNNTo(sys, file, q, k, file+".knn")
 }
@@ -250,13 +212,21 @@ func KNNTo(sys *core.System, file string, q geom.Point, k int, outPrefix string)
 
 // KNNCtx is KNNTo under a context: both rounds run through RunCtx
 // (admission, cancellation, request-trace spans) and feed the system's
-// hot-partition telemetry.
+// hot-partition telemetry. A heap file plans like an indexed one whose
+// splits all cover everything: no pruning information, no bitmap filter.
 func KNNCtx(ctx context.Context, sys *core.System, file string, q geom.Point, k int, outPrefix string) ([]geom.Point, *mapreduce.Report, error) {
 	f, err := sys.Open(file)
 	if err != nil {
 		return nil, nil, err
 	}
-	run := func(filter mapreduce.FilterFunc, out string) (*mapreduce.Report, []knnCandidate, error) {
+	splits := f.Splits()
+	var (
+		rep    *mapreduce.Report
+		rounds int
+	)
+	pts, err := planKNN(ctx, splits, f.Index != nil && f.Index.Disjoint(), nil, q, k, func(ctx context.Context, sel Selection) ([]KNNCandidate, error) {
+		rounds++
+		out := outPrefix + ".r" + strconv.Itoa(rounds)
 		job := &mapreduce.Job{
 			Name: "knn",
 			Kind: "knn",
@@ -264,112 +234,31 @@ func KNNCtx(ctx context.Context, sys *core.System, file string, q geom.Point, k 
 				confKNNQ: geomio.EncodePoint(q),
 				confKNNK: strconv.Itoa(k),
 			},
-			Splits: f.Splits(),
-			Filter: withHeat(sys, file, filter),
+			Splits: splits,
+			Filter: withHeat(sys, file, func([]*mapreduce.Split) []*mapreduce.Split { return sel.Kept }),
 			Map:    knnMap(q, k, sys.LocalIndex),
 			Reduce: knnReduce(k),
 			Output: out,
 		}
-		rep, err := sys.Cluster().RunCtx(ctx, job)
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if rep, err = sys.Cluster().RunCtx(ctx, job); err != nil {
+			return nil, err
 		}
 		foldPartitionHeat(sys, file, rep)
 		recs, err := sys.FS().ReadAllCtx(ctx, out)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cands := make([]knnCandidate, 0, len(recs))
-		for _, r := range recs {
-			c, err := decodeCandidate(r)
-			if err != nil {
-				return nil, nil, err
-			}
-			cands = append(cands, c)
-		}
-		sort.Slice(cands, func(i, j int) bool { return lessCandidate(cands[i], cands[j]) })
-		return rep, cands, nil
-	}
-
-	// Round 1: only the partition containing q (or, for a heap file, all
-	// blocks — there is no pruning information).
-	round1 := func(splits []*mapreduce.Split) []*mapreduce.Split {
-		var best *mapreduce.Split
-		for _, s := range splits {
-			if s.Cover().ContainsPoint(q) && (best == nil || s.Cover().Area() < best.Cover().Area()) {
-				best = s
+		cands := make([]KNNCandidate, len(recs))
+		for i, r := range recs {
+			if cands[i], err = decodeCandidate(r); err != nil {
+				return nil, err
 			}
 		}
-		if best == nil {
-			return splits
-		}
-		return []*mapreduce.Split{best}
-	}
-	rep, cands, err := run(round1, outPrefix+".r1")
+		return cands, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	needSecond := len(cands) < k
-	if !needSecond && len(cands) > 0 {
-		radius := cands[min(k, len(cands))-1].dist
-		// If the correctness circle escapes the round-1 partition, other
-		// partitions may hold closer points.
-		circle := geom.Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
-		splits := f.Splits()
-		r1 := round1(splits)
-		// Round one is final only if it already scanned everything, or if
-		// a single disjoint partition owns the whole correctness circle.
-		// The ownership argument needs the boundary tiling (MBR) and only
-		// holds for disjoint techniques: an overlapping partition's
-		// rectangle containing the circle says nothing about which
-		// partition holds the points inside it.
-		scannedAll := len(r1) == len(splits)
-		ownsCircle := f.Index != nil && f.Index.Disjoint() &&
-			len(r1) == 1 && r1[0].MBR.ContainsRect(circle)
-		if !scannedAll && !ownsCircle {
-			needSecond = true
-		}
-	}
-	if needSecond {
-		radius := 0.0
-		if len(cands) >= k {
-			radius = cands[k-1].dist
-		}
-		filter := func(splits []*mapreduce.Split) []*mapreduce.Split {
-			if radius == 0 {
-				return splits
-			}
-			var keep []*mapreduce.Split
-			for _, s := range splits {
-				if s.Cover().MinDistPoint(q) <= radius {
-					keep = append(keep, s)
-				}
-			}
-			return keep
-		}
-		rep, cands, err = run(filter, outPrefix+".r2")
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	pts := make([]geom.Point, len(cands))
-	for i, c := range cands {
-		p, err := geomio.DecodePoint(c.rec)
-		if err != nil {
-			return nil, nil, err
-		}
-		pts[i] = p
-	}
 	return pts, rep, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -81,7 +80,7 @@ func knnMap(q geom.Point, k int, localIndex localIndexFn) mapreduce.MapFunc {
 			recs := b.Records()
 			for _, nb := range idx.NearestWithTies(q, k) {
 				countPartitionMatches(ctx, split, 1)
-				ctx.Emit("k", encodeCandidate(knnCandidate{dist: nb.Dist, rec: recs[nb.Entry.ID]}))
+				ctx.Emit("k", encodeCandidate(KNNCandidate{Dist: nb.Dist, Rec: recs[nb.Entry.ID]}))
 			}
 		}
 		return nil
@@ -92,19 +91,14 @@ func knnMap(q geom.Point, k int, localIndex localIndexFn) mapreduce.MapFunc {
 // canonical candidate order.
 func knnReduce(k int) mapreduce.ReduceFunc {
 	return func(ctx *mapreduce.TaskContext, key string, values []string) error {
-		cands := make([]knnCandidate, 0, len(values))
-		for _, v := range values {
-			c, err := decodeCandidate(v)
-			if err != nil {
+		cands := make([]KNNCandidate, len(values))
+		for i, v := range values {
+			var err error
+			if cands[i], err = decodeCandidate(v); err != nil {
 				return err
 			}
-			cands = append(cands, c)
 		}
-		sort.Slice(cands, func(i, j int) bool { return lessCandidate(cands[i], cands[j]) })
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		for _, c := range cands {
+		for _, c := range sortCandidates(cands, k) {
 			ctx.Write(encodeCandidate(c))
 		}
 		return nil

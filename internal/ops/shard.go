@@ -2,48 +2,28 @@ package ops
 
 import (
 	"slices"
-	"sort"
 
 	"spatialhadoop/internal/geom"
 )
 
-// Partition-level executors for the sharded serving engine: a worker
-// holding a pinned replica answers one partition's share of a range or
-// kNN query and ships the fragment back; the master merges fragments
-// with the same canonical comparators the local and MapReduce engines
-// use, so all three produce byte-identical responses.
+// The per-partition step of the query plan: what a driver computes from
+// one pinned partition, wherever it is pinned — on the request goroutine
+// (local engine), on a worker holding a replica, or on the master at the
+// bottom of the sharded engine's fallback ladder.
 
-// KNNCandidate is the exported (dist, record) candidate form exchanged
-// between serving shards. Dist carries the exact squared-free distance a
-// partition's R-tree computed; Rec the record text, which breaks ties.
-type KNNCandidate struct {
-	Dist float64
-	Rec  string
-}
-
-// LessKNNCandidate is the canonical (dist, record) comparator shared with
-// the kNN reduce and the local engine: nearer first, record text breaking
-// ties, so every engine picks the same k points.
-func LessKNNCandidate(a, b KNNCandidate) bool {
-	return lessCandidate(knnCandidate{dist: a.Dist, rec: a.Rec}, knnCandidate{dist: b.Dist, rec: b.Rec})
-}
-
-// SortKNNCandidates sorts candidates canonically and truncates to k,
-// exactly as the job's reduce and the local engine's round closure do.
-func SortKNNCandidates(cands []KNNCandidate, k int) []KNNCandidate {
-	sort.Slice(cands, func(i, j int) bool { return LessKNNCandidate(cands[i], cands[j]) })
-	if k >= 0 && len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
+// partitionRangeIDs returns the entry IDs of the partition's points inside
+// query, ascending. Pinned points are canonically sorted, so ascending IDs
+// stream out in (X, then Y) order.
+func partitionRangeIDs(part *LocalPartition, query geom.Rect) []int {
+	ids := part.Tree.Search(query, nil)
+	slices.Sort(ids)
+	return ids
 }
 
 // PartitionRangePoints returns the pinned partition's points inside query
-// in ascending entry-ID order. Pinned points are canonically sorted, so
-// the fragment is already in (X, then Y) order.
+// in canonical (X, then Y) order.
 func PartitionRangePoints(part *LocalPartition, query geom.Rect) []geom.Point {
-	ids := part.Tree.Search(query, nil)
-	slices.Sort(ids)
+	ids := partitionRangeIDs(part, query)
 	out := make([]geom.Point, len(ids))
 	for i, id := range ids {
 		out[i] = part.Pts[id]
@@ -51,14 +31,14 @@ func PartitionRangePoints(part *LocalPartition, query geom.Rect) []geom.Point {
 	return out
 }
 
-// PartitionKNNCandidates returns the partition's tie-complete k-nearest
-// candidate set for q, mirroring the per-partition step of the two-round
-// kNN protocol (LocalKNNPoints and the kNN map task).
+// PartitionKNNCandidates returns the partition's k nearest candidates for
+// q: tie-complete from the R-tree (NearestWithTies), then canonically
+// sorted and truncated to k.
 func PartitionKNNCandidates(part *LocalPartition, q geom.Point, k int) []KNNCandidate {
 	nbs := part.Tree.NearestWithTies(q, k)
 	out := make([]KNNCandidate, len(nbs))
 	for i, nb := range nbs {
 		out[i] = KNNCandidate{Dist: nb.Dist, Rec: part.Recs[nb.Entry.ID]}
 	}
-	return out
+	return sortCandidates(out, k)
 }

@@ -68,22 +68,19 @@ func (s *Server) planRange(mode, file string, epoch int64, rect geom.Rect) *tier
 	if mode == PlannerLocal {
 		return src
 	}
-	candidates, pinned := 0, 0
+	kept := ops.RangeCandidates(f.Splits(), src.sf, rect).Kept
+	if len(kept) > plannerLocalMaxParts {
+		return nil
+	}
+	pinned := 0
 	estRecords := 0.0
-	for _, sp := range f.Splits() {
-		if !sp.Cover().Intersects(rect) || !src.sf.MayIntersect(sp.Partition, rect) {
-			continue
-		}
-		candidates++
+	for _, sp := range kept {
 		estRecords += float64(sp.NumRecords()) * src.sf.EstimateFraction(sp.Partition, rect)
 		if s.mt.Pinned(file, epoch, sp.Partition) {
 			pinned++
 		}
 	}
-	if candidates > plannerLocalMaxParts {
-		return nil
-	}
-	if estRecords <= plannerLocalMaxRecords || pinned == candidates {
+	if estRecords <= plannerLocalMaxRecords || pinned == len(kept) {
 		return src
 	}
 	return nil

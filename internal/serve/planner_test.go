@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -191,4 +193,27 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestShardedCancelled: a request whose context is already cancelled
+// stops before the plan runs — no pin, no scatter, nothing observed.
+func TestShardedCancelled(t *testing.T) {
+	sys := newServeSystem(t)
+	srv := New(sys, Config{CacheSize: -1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	epoch := sys.FS().FileEpoch("pts1")
+	if _, _, err := srv.shardedRange(ctx, "pts1", epoch, geom.NewRect(0, 0, 10000, 10000)); !errors.Is(err, context.Canceled) {
+		t.Errorf("shardedRange err = %v, want context.Canceled", err)
+	}
+	if _, _, err := srv.shardedKNN(ctx, "pts1", epoch, geom.Pt(5000, 5000), 5); !errors.Is(err, context.Canceled) {
+		t.Errorf("shardedKNN err = %v, want context.Canceled", err)
+	}
+	snap := srv.Metrics().Snapshot()
+	if h := snap.Histograms["serve.shard.fanout"]; h.Count != 0 {
+		t.Errorf("serve.shard.fanout observed %d times under a cancelled context", h.Count)
+	}
+	if pinned, _ := srv.mt.Stats(); pinned != 0 {
+		t.Errorf("cancelled queries pinned %d partitions", pinned)
+	}
 }

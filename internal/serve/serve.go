@@ -668,20 +668,17 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 			meta *execMeta
 		)
 		if mode == PlannerSharded {
-			spts, smeta, ok, err := s.shardedRange(file, epoch, rect)
-			if err != nil {
+			// A heap file has no partitions to scatter: meta stays nil and
+			// the query falls through to MapReduce (planRange below returns
+			// nil for unindexed files).
+			var err error
+			if pts, meta, err = s.shardedRange(ctx, file, epoch, rect); err != nil {
 				return nil, nil, err
 			}
-			if ok {
-				s.reg.Inc("serve.planner.sharded", 1)
-				pts, meta = spts, smeta
-			}
-			// A heap file has no partitions to scatter: fall through to
-			// MapReduce (planRange below returns nil for unindexed files).
 		}
 		if meta == nil {
 			if src := s.planRange(mode, file, epoch, rect); src != nil {
-				matches, stats, err := ops.LocalRangeMatches(s.sys, file, src, rect)
+				matches, stats, err := ops.LocalRangeMatchesCtx(ctx, s.sys, file, src, rect)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -692,11 +689,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 				if body, ok := encodeRangeBodyMatches(file, canon, matches); ok {
 					return body, meta, nil
 				}
-				for _, m := range matches {
-					for _, id := range m.IDs {
-						pts = append(pts, m.Part.Pts[id])
-					}
-				}
+				pts = ops.MatchPoints(matches)
 			} else {
 				out := s.tempOut(file)
 				defer s.sys.FS().Delete(out)
@@ -754,18 +747,14 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 			meta *execMeta
 		)
 		if mode == PlannerSharded {
-			spts, smeta, ok, err := s.shardedKNN(file, epoch, q, k)
-			if err != nil {
+			var err error
+			if pts, meta, err = s.shardedKNN(ctx, file, epoch, q, k); err != nil {
 				return nil, nil, err
-			}
-			if ok {
-				s.reg.Inc("serve.planner.sharded", 1)
-				pts, meta = spts, smeta
 			}
 		}
 		if meta == nil {
 			if src := s.planKNN(mode, file, epoch); src != nil {
-				lpts, stats, err := ops.LocalKNNPoints(s.sys, file, src, q, k)
+				lpts, stats, err := ops.LocalKNNPointsCtx(ctx, s.sys, file, src, q, k)
 				if err != nil {
 					return nil, nil, err
 				}

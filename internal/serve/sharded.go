@@ -1,28 +1,26 @@
 package serve
 
 import (
+	"context"
 	"net/rpc"
 	"sync"
 	"time"
 
 	"spatialhadoop/internal/geom"
-	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/ops"
 	"spatialhadoop/internal/sindex"
 )
 
-// The sharded engine: the master stays a thin router. It prunes candidate
-// partitions with the same geometry (Split.Cover) and bitmap filters the
-// local engine uses, then scatters each surviving partition to the worker
-// holding its replica (rendezvous-first), falling back down a ladder —
-// remaining replica holders, then pin-and-execute on the master — when a
-// holder is lost mid-query. Workers answer from per-worker memory tiers
-// keyed by (file, epoch, partition); the gather merges the sorted
-// fragments with the canonical comparators, so the body is byte-identical
-// to the local and MapReduce engines. kNN runs the existing two-round
-// protocol with per-worker candidate sets and the (dist, record)
-// tie-break; only the per-partition search moves to the shards.
+// The sharded engine: the master stays a thin router. It runs the query
+// plan (ops.Plan — the same filter steps, rounds and merge as the local
+// engine) and, as the plan's driver, scatters each kept partition to the
+// worker holding its replica (rendezvous-first), falling back down a
+// ladder — remaining replica holders, then pin-and-execute on the master
+// — when a holder is lost mid-query. Workers answer from per-worker
+// memory tiers keyed by (file, epoch, partition) with the plan's
+// per-partition step, so the body is byte-identical to the local and
+// MapReduce engines.
 
 // shardStats is one sharded query's scatter/gather accounting, surfaced
 // through ?explain=1 and the serve.shard.* metric families.
@@ -34,21 +32,24 @@ type shardStats struct {
 	fallbackLocal int // local executions forced by holder loss
 }
 
-// shardOutcome describes how one partition's fragment was obtained.
-type shardOutcome struct {
-	remote   bool
-	fellBack bool // at least one holder failed before the answer
+// shardFrag is one partition's fragment and how the ladder obtained it.
+type shardFrag struct {
+	pts      []geom.Point       // range: canonical (X, then Y) order
+	cands    []ops.KNNCandidate // kNN: canonically sorted, truncated to k
+	records  int64              // the partition's record count
+	remote   bool               // answered by a worker executor
+	fellBack bool               // at least one holder failed before the answer
 }
 
-func (sh *shardStats) tally(o shardOutcome) {
-	if o.remote {
+func (sh *shardStats) tally(f shardFrag) {
+	if f.remote {
 		sh.remote++
-		if o.fellBack {
+		if f.fellBack {
 			sh.fallbackPeer++
 		}
 	} else {
 		sh.localExec++
-		if o.fellBack {
+		if f.fellBack {
 			sh.fallbackLocal++
 		}
 	}
@@ -156,276 +157,184 @@ func (s *Server) pinLocal(file string, epoch int64, sp *mapreduce.Split) (*ops.L
 	return ops.PinSplit(sp)
 }
 
-// observeShard publishes one query's scatter accounting.
-func (s *Server) observeShard(sh *shardStats) {
-	s.reg.Observe("serve.shard.fanout", float64(sh.fanout))
-	if sh.remote > 0 {
-		s.reg.Inc("serve.shard.exec.remote", int64(sh.remote))
-	}
-	if sh.localExec > 0 {
-		s.reg.Inc("serve.shard.exec.local", int64(sh.localExec))
-	}
-	if sh.fallbackPeer > 0 {
-		s.reg.Inc("serve.shard.fallback.peer", int64(sh.fallbackPeer))
-	}
-	if sh.fallbackLocal > 0 {
-		s.reg.Inc("serve.shard.fallback.local", int64(sh.fallbackLocal))
+// shardCall is the per-query half of the ladder: how to ask a holder for
+// a partition's fragment, and the same step over a master-side pin.
+type shardCall struct {
+	remote func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error)
+	local  func(part *ops.LocalPartition) shardFrag
+}
+
+func (s *Server) rangeCall(file string, epoch int64, rect geom.Rect) shardCall {
+	return shardCall{
+		remote: func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
+			var reply mapreduce.ExecRangeReply
+			err := s.callShard(addr, mapreduce.ShardService+".ExecRange",
+				mapreduce.ExecRangeArgs{File: file, Epoch: epoch, Meta: meta, Query: rect}, &reply)
+			return shardFrag{pts: reply.Points, records: reply.Records}, err
+		},
+		local: func(part *ops.LocalPartition) shardFrag {
+			return shardFrag{pts: ops.PartitionRangePoints(part, rect), records: int64(len(part.Recs))}
+		},
 	}
 }
 
-// execRangeShard obtains one partition's range fragment down the ladder:
-// each holder in placement order, then master-local execution.
-func (s *Server) execRangeShard(tgt shardTarget, file string, epoch int64, sp *mapreduce.Split, rect geom.Rect) ([]geom.Point, int64, shardOutcome, error) {
-	var out shardOutcome
-	args := mapreduce.ExecRangeArgs{File: file, Epoch: epoch, Meta: tgt.meta, Query: rect}
-	for hi, addr := range tgt.holders {
-		start := time.Now()
-		var reply mapreduce.ExecRangeReply
-		if err := s.callShard(addr, mapreduce.ShardService+".ExecRange", args, &reply); err != nil {
-			s.reg.Inc("serve.shard.rpc.errors", 1)
-			continue
-		}
-		s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "remote")
-		out.remote, out.fellBack = true, hi > 0
-		return reply.Points, reply.Records, out, nil
+func (s *Server) knnCall(file string, epoch int64, q geom.Point, k int) shardCall {
+	return shardCall{
+		remote: func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
+			var reply mapreduce.ExecKNNReply
+			err := s.callShard(addr, mapreduce.ShardService+".ExecKNN",
+				mapreduce.ExecKNNArgs{File: file, Epoch: epoch, Meta: meta, Q: q, K: k}, &reply)
+			return shardFrag{cands: reply.Cands, records: reply.Records}, err
+		},
+		local: func(part *ops.LocalPartition) shardFrag {
+			return shardFrag{cands: ops.PartitionKNNCandidates(part, q, k), records: int64(len(part.Recs))}
+		},
 	}
-	start := time.Now()
-	part, err := s.pinLocal(file, epoch, sp)
-	if err != nil {
-		return nil, 0, out, err
-	}
-	s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "local")
-	out.fellBack = len(tgt.holders) > 0
-	return ops.PartitionRangePoints(part, rect), int64(len(part.Recs)), out, nil
 }
 
-// execKNNShard obtains one partition's sorted, k-truncated candidate set
-// down the same ladder.
-func (s *Server) execKNNShard(tgt shardTarget, file string, epoch int64, sp *mapreduce.Split, q geom.Point, k int) ([]ops.KNNCandidate, int64, shardOutcome, error) {
-	var out shardOutcome
-	args := mapreduce.ExecKNNArgs{File: file, Epoch: epoch, Meta: tgt.meta, Q: q, K: k}
-	for hi, addr := range tgt.holders {
-		start := time.Now()
-		var reply mapreduce.ExecKNNReply
-		if err := s.callShard(addr, mapreduce.ShardService+".ExecKNN", args, &reply); err != nil {
-			s.reg.Inc("serve.shard.rpc.errors", 1)
-			continue
-		}
-		s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "remote")
-		out.remote, out.fellBack = true, hi > 0
-		cands := make([]ops.KNNCandidate, len(reply.Cands))
-		for i, c := range reply.Cands {
-			cands[i] = ops.KNNCandidate{Dist: c.Dist, Rec: c.Rec}
-		}
-		return cands, reply.Records, out, nil
-	}
-	start := time.Now()
-	part, err := s.pinLocal(file, epoch, sp)
-	if err != nil {
-		return nil, 0, out, err
-	}
-	s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "local")
-	out.fellBack = len(tgt.holders) > 0
-	return ops.SortKNNCandidates(ops.PartitionKNNCandidates(part, q, k), k), int64(len(part.Recs)), out, nil
+// shardQuery is one sharded query: the plan it drives, where its
+// fragments come from, and its scatter accounting.
+type shardQuery struct {
+	s     *Server
+	m     *mapreduce.Master
+	file  string
+	epoch int64
+	plan  *ops.Plan
+	stats shardStats
 }
 
-// shardedRange executes a range query with the sharded engine. ok=false
-// (with nil error) means the file is a heap — no partitions to scatter —
-// and the caller should fall through to MapReduce.
-func (s *Server) shardedRange(file string, epoch int64, rect geom.Rect) ([]geom.Point, *execMeta, bool, error) {
+// newShardQuery opens the file and binds the plan. A nil query (with nil
+// error) means the file is a heap — no partitions to scatter — and the
+// caller should fall through to MapReduce.
+func (s *Server) newShardQuery(file string, epoch int64) (*shardQuery, error) {
 	f, err := s.sys.Open(file)
-	if err != nil {
-		return nil, nil, false, err
+	if err != nil || f.Index == nil {
+		return nil, err
 	}
-	if f.Index == nil {
-		return nil, nil, false, nil
-	}
-	m := s.masterForServe()
-	splits := f.Splits()
-	stats := &ops.LocalStats{PartitionsTotal: len(splits), Rounds: 1}
-	sh := &shardStats{}
-	hot := s.sys.Hotness()
 	var sf *sindex.SFilter
 	if s.mt != nil {
 		sf = s.mt.Source(file, epoch, f.Index).sf
 	}
-	var cand []*mapreduce.Split
-	for _, sp := range splits {
-		if !sp.Cover().Intersects(rect) {
-			stats.PartitionsPruned++
-			hot.RecordPrune(file, sp.Partition)
+	return &shardQuery{s: s, m: s.masterForServe(), file: file, epoch: epoch, plan: ops.NewPlan(s.sys, f, sf)}, nil
+}
+
+// fragment obtains one partition's fragment down the ladder: each holder
+// in placement order, then master-local execution.
+func (sq *shardQuery) fragment(tgt shardTarget, sp *mapreduce.Split, call shardCall) (shardFrag, error) {
+	s := sq.s
+	for hi, addr := range tgt.holders {
+		start := time.Now()
+		frag, err := call.remote(addr, tgt.meta)
+		if err != nil {
+			s.reg.Inc("serve.shard.rpc.errors", 1)
 			continue
 		}
-		if sf != nil {
-			if !sf.MayIntersect(sp.Partition, rect) {
-				stats.PartitionsPruned++
-				stats.SFilterSkips++
-				hot.RecordPrune(file, sp.Partition)
-				continue
-			}
-			stats.SFilterHits++
-		}
-		cand = append(cand, sp)
+		s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "remote")
+		frag.remote, frag.fellBack = true, hi > 0
+		return frag, nil
 	}
-	sh.fanout = len(cand)
-	targets := s.scatterTargets(m, cand)
-	frags := make([][]geom.Point, len(cand))
-	recs := make([]int64, len(cand))
-	outs := make([]shardOutcome, len(cand))
-	errs := make([]error, len(cand))
+	start := time.Now()
+	part, err := s.pinLocal(sq.file, sq.epoch, sp)
+	if err != nil {
+		return shardFrag{}, err
+	}
+	s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "local")
+	frag := call.local(part)
+	frag.fellBack = len(tgt.holders) > 0
+	return frag, nil
+}
+
+// scatter obtains the fragments of the plan's kept partitions, one ladder
+// goroutine per partition, and reports them to the plan in split order. A
+// cancelled request launches nothing.
+func (sq *shardQuery) scatter(ctx context.Context, kept []*mapreduce.Split, call shardCall) ([]shardFrag, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sq.stats.fanout += len(kept)
+	targets := sq.s.scatterTargets(sq.m, kept)
+	frags := make([]shardFrag, len(kept))
+	errs := make([]error, len(kept))
 	var wg sync.WaitGroup
-	for i, sp := range cand {
+	for i, sp := range kept {
 		wg.Add(1)
 		go func(i int, sp *mapreduce.Split) {
 			defer wg.Done()
-			frags[i], recs[i], outs[i], errs[i] = s.execRangeShard(targets[i], file, epoch, sp, rect)
+			frags[i], errs[i] = sq.fragment(targets[i], sp, call)
 		}(i, sp)
 	}
 	wg.Wait()
-	var pts []geom.Point
-	for i, sp := range cand {
+	for i, sp := range kept {
 		if errs[i] != nil {
-			return nil, nil, false, errs[i]
+			return nil, errs[i]
 		}
-		stats.PartitionsConsulted++
-		hot.RecordScan(file, sp.Partition)
-		hot.AddRecords(file, sp.Partition, recs[i])
-		stats.Matches += len(frags[i])
-		hot.AddMatches(file, sp.Partition, int64(len(frags[i])))
-		sh.tally(outs[i])
-		pts = append(pts, frags[i]...)
+		sq.plan.Searched(sp, int(frags[i].records), len(frags[i].pts)+len(frags[i].cands))
+		sq.stats.tally(frags[i])
 	}
-	s.observeShard(sh)
-	return pts, &execMeta{engine: PlannerSharded, local: stats, shard: sh}, true, nil
+	return frags, nil
 }
 
-// shardedKNN executes a kNN query with the sharded engine: the same
-// two-round protocol as LocalKNNPoints, with the per-partition search
-// scattered to replica holders. ok=false means heap file.
-func (s *Server) shardedKNN(file string, epoch int64, q geom.Point, k int) ([]geom.Point, *execMeta, bool, error) {
-	f, err := s.sys.Open(file)
+// done publishes the query's scatter accounting and describes the
+// execution.
+func (sq *shardQuery) done() *execMeta {
+	reg, sh := sq.s.reg, &sq.stats
+	reg.Inc("serve.planner.sharded", 1)
+	reg.Observe("serve.shard.fanout", float64(sh.fanout))
+	if sh.remote > 0 {
+		reg.Inc("serve.shard.exec.remote", int64(sh.remote))
+	}
+	if sh.localExec > 0 {
+		reg.Inc("serve.shard.exec.local", int64(sh.localExec))
+	}
+	if sh.fallbackPeer > 0 {
+		reg.Inc("serve.shard.fallback.peer", int64(sh.fallbackPeer))
+	}
+	if sh.fallbackLocal > 0 {
+		reg.Inc("serve.shard.fallback.local", int64(sh.fallbackLocal))
+	}
+	return &execMeta{engine: PlannerSharded, local: &sq.plan.Stats, shard: sh}
+}
+
+// shardedRange executes a range query with the sharded engine. A nil
+// execMeta (with nil error) means heap file.
+func (s *Server) shardedRange(ctx context.Context, file string, epoch int64, rect geom.Rect) ([]geom.Point, *execMeta, error) {
+	sq, err := s.newShardQuery(file, epoch)
+	if sq == nil {
+		return nil, nil, err
+	}
+	kept, err := sq.plan.Range(ctx, rect)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	if f.Index == nil {
-		return nil, nil, false, nil
-	}
-	m := s.masterForServe()
-	splits := f.Splits()
-	stats := &ops.LocalStats{}
-	sh := &shardStats{}
-	hot := s.sys.Hotness()
-
-	// round scatters the kept splits and merges their candidate sets with
-	// the canonical comparator, mirroring the local engine's bookkeeping.
-	round := func(kept map[*mapreduce.Split]bool) ([]ops.KNNCandidate, error) {
-		stats.Rounds++
-		stats.PartitionsTotal = len(splits)
-		stats.PartitionsConsulted, stats.PartitionsPruned = 0, 0
-		var cand []*mapreduce.Split
-		for _, sp := range splits {
-			if !kept[sp] {
-				stats.PartitionsPruned++
-				hot.RecordPrune(file, sp.Partition)
-				continue
-			}
-			cand = append(cand, sp)
-		}
-		sh.fanout += len(cand)
-		targets := s.scatterTargets(m, cand)
-		frags := make([][]ops.KNNCandidate, len(cand))
-		recs := make([]int64, len(cand))
-		outs := make([]shardOutcome, len(cand))
-		errs := make([]error, len(cand))
-		var wg sync.WaitGroup
-		for i, sp := range cand {
-			wg.Add(1)
-			go func(i int, sp *mapreduce.Split) {
-				defer wg.Done()
-				frags[i], recs[i], outs[i], errs[i] = s.execKNNShard(targets[i], file, epoch, sp, q, k)
-			}(i, sp)
-		}
-		wg.Wait()
-		var all []ops.KNNCandidate
-		for i, sp := range cand {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			stats.PartitionsConsulted++
-			hot.RecordScan(file, sp.Partition)
-			hot.AddRecords(file, sp.Partition, recs[i])
-			stats.Matches += len(frags[i])
-			hot.AddMatches(file, sp.Partition, int64(len(frags[i])))
-			sh.tally(outs[i])
-			all = append(all, frags[i]...)
-		}
-		return ops.SortKNNCandidates(all, k), nil
-	}
-
-	// Round 1: the smallest-area partition covering q, or everything —
-	// identical to the local engine, so both engines keep the same splits
-	// and the correctness-circle decision below matches bit for bit.
-	r1 := make(map[*mapreduce.Split]bool, len(splits))
-	var best *mapreduce.Split
-	for _, sp := range splits {
-		if sp.Cover().ContainsPoint(q) && (best == nil || sp.Cover().Area() < best.Cover().Area()) {
-			best = sp
-		}
-	}
-	if best == nil {
-		for _, sp := range splits {
-			r1[sp] = true
-		}
-	} else {
-		r1[best] = true
-	}
-	cands, err := round(r1)
+	frags, err := sq.scatter(ctx, kept, s.rangeCall(file, epoch, rect))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
+	var pts []geom.Point
+	for _, f := range frags {
+		pts = append(pts, f.pts...)
+	}
+	return pts, sq.done(), nil
+}
 
-	needSecond := len(cands) < k && k > 0
-	if !needSecond && len(cands) > 0 {
-		radius := cands[min(k, len(cands))-1].Dist
-		circle := geom.Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
-		scannedAll := len(r1) == len(splits)
-		ownsCircle := false
-		if f.Index.Disjoint() && len(r1) == 1 {
-			for sp := range r1 {
-				ownsCircle = sp.MBR.ContainsRect(circle)
-			}
-		}
-		if !scannedAll && !ownsCircle {
-			needSecond = true
-		}
+// shardedKNN executes a kNN query with the sharded engine: each round of
+// the plan is one scatter. A nil execMeta (with nil error) means heap file.
+func (s *Server) shardedKNN(ctx context.Context, file string, epoch int64, q geom.Point, k int) ([]geom.Point, *execMeta, error) {
+	sq, err := s.newShardQuery(file, epoch)
+	if sq == nil {
+		return nil, nil, err
 	}
-	if needSecond {
-		radius := 0.0
-		if len(cands) >= k && k > 0 {
-			radius = cands[k-1].Dist
+	call := s.knnCall(file, epoch, q, k)
+	pts, err := sq.plan.KNN(ctx, q, k, func(ctx context.Context, kept []*mapreduce.Split) ([]ops.KNNCandidate, error) {
+		frags, err := sq.scatter(ctx, kept, call)
+		var cands []ops.KNNCandidate
+		for _, f := range frags {
+			cands = append(cands, f.cands...)
 		}
-		kept := make(map[*mapreduce.Split]bool, len(splits))
-		for _, sp := range splits {
-			if radius == 0 || sp.Cover().MinDistPoint(q) <= radius {
-				kept[sp] = true
-			}
-		}
-		cands, err = round(kept)
-		if err != nil {
-			return nil, nil, false, err
-		}
+		return cands, err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	pts := make([]geom.Point, len(cands))
-	for i, c := range cands {
-		p, err := geomio.DecodePoint(c.Rec)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		pts[i] = p
-	}
-	s.observeShard(sh)
-	return pts, &execMeta{engine: PlannerSharded, local: stats, shard: sh}, true, nil
+	return pts, sq.done(), nil
 }

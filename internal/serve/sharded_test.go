@@ -7,6 +7,7 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -284,5 +285,63 @@ func TestShardedEpochInterleaving(t *testing.T) {
 			t.FailNow()
 		}
 		load(wave + 1)
+	}
+}
+
+// TestExplainAgreesAcrossEngines: the local and sharded engines drive the
+// same plan, so on one server — one bitmap filter — they report the same
+// partition and sFilter accounting for the same query, including a kNN
+// over an overlapping index (STR), which always needs round 2 and probes
+// the bitmaps there.
+func TestExplainAgreesAcrossEngines(t *testing.T) {
+	sys := core.New(core.Config{BlockSize: 2048, Workers: 4, Seed: 7})
+	area := geom.NewRect(0, 0, 1000, 1000)
+	if _, err := sys.LoadPoints("pts", datagen.Points(datagen.Clustered, 3000, area, 5), sindex.STR); err != nil {
+		t.Fatal(err)
+	}
+	_, stop := startServeWorkers(t, sys, 2)
+	defer stop()
+	srv := serve.New(sys, serve.Config{CacheSize: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	type explain struct {
+		Engine            string `json:"engine"`
+		PartitionsTotal   int    `json:"partitions_total"`
+		PartitionsScanned int    `json:"partitions_scanned"`
+		PartitionsPruned  int    `json:"partitions_pruned"`
+		SFilterHits       int    `json:"sfilter_hits"`
+		SFilterSkips      int    `json:"sfilter_skips"`
+	}
+	run := func(path, engine string) explain {
+		var body struct {
+			Explain explain `json:"explain"`
+		}
+		raw := getBody(t, ts.URL+path+"&explain=1&engine="+engine)
+		if err := json.Unmarshal([]byte(raw), &body); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if body.Explain.Engine != engine {
+			t.Fatalf("%s: served by %q, want %q", path, body.Explain.Engine, engine)
+		}
+		body.Explain.Engine = ""
+		return body.Explain
+	}
+	for _, path := range []string{
+		"/rangequery?file=pts&rect=300,300,420,380",
+		"/knn?file=pts&point=500,500&k=25",
+	} {
+		// The first local run pins the partitions it searches, which
+		// refines their bitmaps; the second sees the settled filter the
+		// sharded run (which pins on workers, not the master) also sees.
+		run(path, serve.PlannerLocal)
+		local := run(path, serve.PlannerLocal)
+		sharded := run(path, serve.PlannerSharded)
+		if local != sharded {
+			t.Errorf("%s:\n  local   %+v\n  sharded %+v", path, local, sharded)
+		}
+		if local.SFilterHits == 0 || local.PartitionsScanned+local.PartitionsPruned != local.PartitionsTotal {
+			t.Errorf("%s: explain %+v: want bitmap probes and scanned+pruned == total", path, local)
+		}
 	}
 }

@@ -12,9 +12,8 @@ import (
 // partition (with its replica-aware descriptor); the worker pins the
 // partition into its memory tier — assembled from its own replica store,
 // peer holders, or the master, exactly like a map task's input — and
-// executes the partition-level half of the range or kNN protocol against
-// the pinned R-tree. Results ship back as canonical fragments; the
-// master's gather merges them into the same body the local engine builds.
+// runs the query plan's per-partition step (ops/shard.go) against the
+// pinned R-tree. The fragment ships back to the plan on the master.
 
 // pinServePartition resolves one exec call to a pinned partition.
 func (w *Worker) pinServePartition(file string, epoch int64, meta *mapreduce.WireSplitMeta) (*ops.LocalPartition, error) {
@@ -59,20 +58,14 @@ func (s *shardServer) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.E
 	return nil
 }
 
-// ExecKNN answers one partition's tie-complete candidate set, sorted with
-// the canonical (dist, record) comparator and truncated to k. Truncating
-// per shard is safe: a candidate outside a shard's own top k can never be
-// in the merged top k.
+// ExecKNN answers one partition's fragment of a sharded kNN round: its
+// canonically sorted k nearest candidates.
 func (s *shardServer) ExecKNN(args mapreduce.ExecKNNArgs, reply *mapreduce.ExecKNNReply) error {
 	part, err := s.w.pinServePartition(args.File, args.Epoch, args.Meta)
 	if err != nil {
 		return err
 	}
-	cands := ops.SortKNNCandidates(ops.PartitionKNNCandidates(part, args.Q, args.K), args.K)
-	reply.Cands = make([]mapreduce.WireKNNCandidate, len(cands))
-	for i, c := range cands {
-		reply.Cands[i] = mapreduce.WireKNNCandidate{Dist: c.Dist, Rec: c.Rec}
-	}
+	reply.Cands = ops.PartitionKNNCandidates(part, args.Q, args.K)
 	reply.Records = int64(len(part.Recs))
 	return nil
 }
