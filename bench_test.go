@@ -1,24 +1,18 @@
 // Benchmarks: one testing.B target per table/figure of the paper's
 // evaluation (backed by the same workloads as cmd/shbench, at reduced
 // size), plus micro-benchmarks of the geometry kernel the operations rest
-// on. Regenerate the full figures with cmd/shbench; these targets track
-// relative performance per commit.
+// on. Regenerate the full figures with cmd/shbench. System-level timings
+// (load, range, kNN, skyline, shuffle, block decode) are not here: they
+// are rows of the per-layer ledger that `bash benchmark/run.sh` prints.
 package spatialhadoop_test
 
 import (
-	"fmt"
 	"io"
-	"strconv"
 	"testing"
 
 	"spatialhadoop/internal/bench"
-	"spatialhadoop/internal/cg"
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
 	"spatialhadoop/internal/geom"
-	"spatialhadoop/internal/mapreduce"
-	"spatialhadoop/internal/ops"
-	"spatialhadoop/internal/sindex"
 	"spatialhadoop/internal/voronoi"
 )
 
@@ -109,138 +103,5 @@ func BenchmarkKernelUnionArrangement(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		geom.UnionRegions(regions)
-	}
-}
-
-// ---- system micro-benchmarks ----
-
-func BenchmarkSystemLoadSTRPlus(b *testing.B) {
-	pts := points(50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys := core.New(core.Config{BlockSize: 256 << 10, Workers: 8, Seed: 1})
-		if _, err := sys.LoadPoints("pts", pts, sindex.STRPlus); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSystemRangeQuery(b *testing.B) {
-	sys := core.New(core.Config{BlockSize: 256 << 10, Workers: 8, Seed: 1})
-	if _, err := sys.LoadPoints("pts", points(200000), sindex.STRPlus); err != nil {
-		b.Fatal(err)
-	}
-	q := geom.NewRect(4e5, 4e5, 4.5e5, 4.5e5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ops.RangeQueryPoints(sys, "pts", q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSystemKNN(b *testing.B) {
-	sys := core.New(core.Config{BlockSize: 256 << 10, Workers: 8, Seed: 1})
-	if _, err := sys.LoadPoints("pts", points(200000), sindex.STRPlus); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ops.KNN(sys, "pts", geom.Pt(5e5, 5e5), 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSystemSkylineSHadoop(b *testing.B) {
-	sys := core.New(core.Config{BlockSize: 256 << 10, Workers: 8, Seed: 1})
-	if _, err := sys.LoadPoints("pts", points(200000), sindex.STRPlus); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cg.SkylineSHadoop(sys, "pts"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotpathShuffle drives a shuffle-heavy job (every record emits
-// one pair) through the full runtime at several reducer counts, exercising
-// the map-side partitioned shuffle and its parallel per-reducer merge.
-func BenchmarkHotpathShuffle(b *testing.B) {
-	for _, numRed := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("r=%d", numRed), func(b *testing.B) {
-			sys := core.New(core.Config{BlockSize: 64 << 10, Workers: 8, Seed: 1})
-			var recs []string
-			for i := 0; i < 50000; i++ {
-				recs = append(recs, "cell-"+strconv.Itoa(i%512))
-			}
-			if err := sys.FS().WriteFile("in", recs); err != nil {
-				b.Fatal(err)
-			}
-			job := func(out string) *mapreduce.Job {
-				return &mapreduce.Job{
-					Name:  "bench-shuffle",
-					Input: []string{"in"},
-					Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-						for _, r := range split.Records() {
-							ctx.Emit(r, "1")
-						}
-						return nil
-					},
-					Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-						ctx.Write(key + "=" + strconv.Itoa(len(values)))
-						return nil
-					},
-					NumReducers: numRed,
-					Output:      out,
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Cluster().Run(job("out")); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHotpathRangeQueryRepeated measures a repeated range query on a
-// warm system: after the first query populates the decoded-block caches,
-// every iteration is served without re-parsing records.
-func BenchmarkHotpathRangeQueryRepeated(b *testing.B) {
-	sys := core.New(core.Config{BlockSize: 256 << 10, Workers: 8, Seed: 1})
-	if _, err := sys.LoadPoints("pts", points(200000), sindex.STRPlus); err != nil {
-		b.Fatal(err)
-	}
-	q := geom.NewRect(4e5, 4e5, 5e5, 5e5)
-	if _, _, err := ops.RangeQueryPoints(sys, "pts", q); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ops.RangeQueryPoints(sys, "pts", q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotpathSkylineRepeated is the cached-decode end-to-end skyline:
-// the first run parses every block once, the measured runs hit the cache.
-func BenchmarkHotpathSkylineRepeated(b *testing.B) {
-	sys := core.New(core.Config{BlockSize: 256 << 10, Workers: 8, Seed: 1})
-	if _, err := sys.LoadPoints("pts", points(200000), sindex.STRPlus); err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := cg.SkylineSHadoop(sys, "pts"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cg.SkylineSHadoop(sys, "pts"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -24,25 +24,6 @@
 // the worker-kill family -chaos-worker-kill / -chaos-kill-phase /
 // -chaos-kill-holder / -chaos-kill-budget) and must produce the same
 // tables as the fault-free run; only timings move.
-//
-// Benchmark baseline:
-//
-//	-benchjson BENCH_hotpath.json   run the hot-path suite (decode cache,
-//	                                partitioned shuffle, e2e queries) and
-//	                                write machine-readable results
-//
-// Serving-layer load benchmark:
-//
-//	-serveload 30s -clients 8       drive the query mix over HTTP against
-//	                                an in-process server at three
-//	                                concurrency levels (clients/4, clients,
-//	                                2x clients); any non-200 or any body
-//	                                diverging from its serial oracle fails
-//	                                the run
-//	-servejson BENCH_serve.json     write the QPS / p50 / p99 trajectory
-//	                                as machine-readable JSON
-//	-servebaseline BENCH_serve.json fail if any level's p99 exceeds 3x the
-//	                                baseline report's matching level
 package main
 
 import (
@@ -57,6 +38,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "shbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command; returning (rather than exiting) lets the
+// deferred profile teardown happen on the failure path too.
+func run() (err error) {
 	var (
 		exp        = flag.String("exp", "all", "experiment to run (see -list)")
 		scale      = flag.Float64("scale", 1.0, "dataset size multiplier")
@@ -67,42 +57,42 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		obsDir     = flag.String("obsdir", "", "persist job traces and metric snapshots into this directory")
-		benchJSON  = flag.String("benchjson", "", "run the hot-path benchmark suite and write JSON results to this file")
-		serveLoad  = flag.Duration("serveload", 0, "run the serving-layer load benchmark for this total duration instead of experiments")
-		clients    = flag.Int("clients", 8, "mid-level concurrent HTTP clients for -serveload (levels are clients/4, clients, 2x)")
-		serveJSON  = flag.String("servejson", "", "write the -serveload QPS/p50/p99 trajectory to this JSON file")
-		serveBase  = flag.String("servebaseline", "", "compare the -serveload run against this baseline JSON; fail on >3x p99 regression")
 	)
 	chaosPlan := fault.PlanFlags(flag.CommandLine)
 	flag.Parse()
-
-	fatal := func(err error) {
-		fmt.Fprintln(os.Stderr, "shbench:", err)
-		os.Exit(1)
-	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-22s %s\n", e.Name, e.Title)
 		}
-		return
+		return nil
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
+	// keep records a teardown failure unless the run already failed.
+	keep := func(e error) {
+		if err == nil {
+			err = e
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+	}
+	if *cpuProfile != "" {
+		var f *os.File
+		if f, err = os.Create(*cpuProfile); err != nil {
+			return err
+		}
+		if err = pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			keep(f.Close())
 		}()
 	}
+	if *memProfile != "" {
+		defer func() { keep(writeHeapProfile(*memProfile)) }()
+	}
 
-	cfg := bench.Config{
+	return bench.Run(*exp, bench.Config{
 		Scale:     *scale,
 		Workers:   *workers,
 		BlockSize: *blockSize,
@@ -110,32 +100,18 @@ func main() {
 		W:         os.Stdout,
 		ObsDir:    *obsDir,
 		Chaos:     chaosPlan(),
-	}
-	if *serveLoad > 0 {
-		if err := bench.ServeLoad(cfg, *serveLoad, *clients, *serveJSON, *serveBase); err != nil {
-			fatal(err)
-		}
-	} else if *benchJSON != "" {
-		if err := bench.WriteHotpathJSON(cfg, *benchJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "shbench: wrote", *benchJSON)
-	} else if err := bench.Run(*exp, cfg); err != nil {
-		if *cpuProfile != "" {
-			pprof.StopCPUProfile()
-		}
-		fatal(err)
-	}
+	})
+}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC() // up-to-date allocation statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	runtime.GC() // up-to-date allocation statistics
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -91,25 +91,28 @@ func Experiments() []Experiment {
 	return out
 }
 
-// Run executes the named experiment ("all" runs every one).
+// Run executes the named experiment ("all" runs every one, sorted by name).
 func Run(name string, cfg Config) error {
 	cfg = cfg.withDefaults()
-	if name == "all" {
-		for _, e := range Experiments() {
-			fmt.Fprintf(cfg.W, "\n================ %s — %s ================\n", e.Name, e.Title)
-			if err := e.Run(cfg); err != nil {
-				return fmt.Errorf("bench %s: %w", e.Name, err)
+	selected := Experiments()
+	if name != "all" {
+		selected = nil
+		for _, e := range registry {
+			if e.Name == name {
+				selected = []Experiment{e}
 			}
 		}
-		return nil
-	}
-	for _, e := range registry {
-		if e.Name == name {
-			fmt.Fprintf(cfg.W, "\n================ %s — %s ================\n", e.Name, e.Title)
-			return e.Run(cfg)
+		if selected == nil {
+			return fmt.Errorf("bench: unknown experiment %q (try \"all\")", name)
 		}
 	}
-	return fmt.Errorf("bench: unknown experiment %q (try \"all\")", name)
+	for _, e := range selected {
+		fmt.Fprintf(cfg.W, "\n================ %s — %s ================\n", e.Name, e.Title)
+		if err := e.Run(cfg); err != nil {
+			return fmt.Errorf("bench %s: %w", e.Name, err)
+		}
+	}
+	return nil
 }
 
 // table is a tiny fixed-width table printer.

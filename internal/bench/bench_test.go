@@ -2,28 +2,44 @@ package bench
 
 import (
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
-// TestRegistryCoversEvaluation checks every table/figure of the paper's
-// evaluation has a registered experiment.
-func TestRegistryCoversEvaluation(t *testing.T) {
-	want := []string{
-		"table1", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25",
-		"fig26", "fig27", "fig28", "fig29", "fig30", "fig31", "sigmod14",
+// TestRegistryMatchesRecord checks the experiment registry and the
+// recorded reproduction (bench_results.txt, one section per experiment)
+// name the same set: every table/figure of the paper's evaluation is
+// registered, and nothing is registered without a recorded result.
+func TestRegistryMatchesRecord(t *testing.T) {
+	data, err := os.ReadFile("../../bench_results.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	have := map[string]bool{}
+	recorded := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		rest, ok := strings.CutPrefix(line, "================ ")
+		if !ok {
+			continue
+		}
+		name, _, ok := strings.Cut(rest, " — ")
+		if !ok {
+			t.Errorf("malformed section header %q", line)
+			continue
+		}
+		recorded[name] = true
+	}
 	for _, e := range Experiments() {
-		have[e.Name] = true
 		if e.Title == "" || e.Run == nil {
 			t.Errorf("experiment %q incomplete", e.Name)
 		}
-	}
-	for _, name := range want {
-		if !have[name] {
-			t.Errorf("missing experiment %q", name)
+		if !recorded[e.Name] {
+			t.Errorf("experiment %q is registered but has no section in bench_results.txt", e.Name)
 		}
+		delete(recorded, e.Name)
+	}
+	for name := range recorded {
+		t.Errorf("bench_results.txt records %q but no such experiment is registered", name)
 	}
 }
 
