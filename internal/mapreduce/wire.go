@@ -409,11 +409,17 @@ type ExecRangeArgs struct {
 	Query geom.Rect
 }
 
-// ExecRangeReply carries the partition's matched points in canonical
-// (X, then Y) order plus the partition's record count (the master mirrors
-// the local engine's hotness and stats accounting with it).
+// ExecRangeReply carries the partition's matches as one sorted stream, the
+// only shape a range fragment takes on the wire: Keys holds the merge keys
+// x0,y0,x1,y1,… in canonical (X, then Y) order, Frag the same points' JSON
+// objects ({"x":..,"y":..} as encoding/json renders them, copied from the
+// pin-time arena) comma-joined — an object ends at its first '}', so no
+// offset table ships. Records is the partition's record count (the master
+// mirrors the local engine's hotness and stats accounting with it). gob
+// omits zero-valued fields: reset all three before reusing a reply.
 type ExecRangeReply struct {
-	Points  []geom.Point
+	Keys    []float64
+	Frag    []byte
 	Records int64
 }
 

@@ -114,18 +114,27 @@ func buildFragments(pts []geom.Point) ([]byte, []int32) {
 	off := make([]int32, len(pts)+1)
 	var err error
 	for i, p := range pts {
-		frag = append(frag, `{"x":`...)
-		if frag, err = geomio.AppendJSONFloat(frag, p.X); err != nil {
+		if frag, err = AppendPointJSON(frag, p); err != nil {
 			return nil, nil
 		}
-		frag = append(frag, `,"y":`...)
-		if frag, err = geomio.AppendJSONFloat(frag, p.Y); err != nil {
-			return nil, nil
-		}
-		frag = append(frag, '}')
 		off[i+1] = int32(len(frag))
 	}
 	return frag, off
+}
+
+// AppendPointJSON appends p's response object, {"x":..,"y":..}, exactly as
+// encoding/json renders it (or fails on a NaN/Inf coordinate, as it does).
+func AppendPointJSON(b []byte, p geom.Point) ([]byte, error) {
+	var err error
+	b = append(b, `{"x":`...)
+	if b, err = geomio.AppendJSONFloat(b, p.X); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"y":`...)
+	if b, err = geomio.AppendJSONFloat(b, p.Y); err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // LocalSource supplies the executors with pinned partitions and the
@@ -140,9 +149,9 @@ type LocalSource interface {
 	Filter() *sindex.SFilter
 }
 
-// localIndexed opens the file and requires a global index: the local
-// executors rely on per-partition splits and partition keys.
-func localIndexed(sys *core.System, file string) (*core.IndexedFile, error) {
+// localIndexed opens the file for the local executors, which rely on
+// per-partition splits and partition keys and so require a global index.
+func localIndexed(sys *core.System, file string) (*Indexed, error) {
 	f, err := sys.Open(file)
 	if err != nil {
 		return nil, err
@@ -150,7 +159,7 @@ func localIndexed(sys *core.System, file string) (*core.IndexedFile, error) {
 	if f.Index == nil {
 		return nil, fmt.Errorf("ops: local execution needs an indexed file, %q is a heap", file)
 	}
-	return f, nil
+	return NewIndexed(f), nil
 }
 
 // LocalMatch is one partition's contribution to a range query: the pinned
@@ -169,16 +178,16 @@ type LocalMatch struct {
 // point to a single cell), so no dedup is needed. Partitions with no
 // matches are omitted.
 func LocalRangeMatches(sys *core.System, file string, src LocalSource, query geom.Rect) ([]LocalMatch, *LocalStats, error) {
-	return LocalRangeMatchesCtx(context.Background(), sys, file, src, query)
-}
-
-// LocalRangeMatchesCtx is LocalRangeMatches under a context: a cancelled
-// request pins nothing.
-func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, file string, src LocalSource, query geom.Rect) ([]LocalMatch, *LocalStats, error) {
 	f, err := localIndexed(sys, file)
 	if err != nil {
 		return nil, nil, err
 	}
+	return LocalRangeMatchesCtx(context.Background(), sys, f, src, query)
+}
+
+// LocalRangeMatchesCtx is LocalRangeMatches over an already opened file and
+// under a context: a cancelled request pins nothing.
+func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, f *Indexed, src LocalSource, query geom.Rect) ([]LocalMatch, *LocalStats, error) {
 	plan := NewPlan(sys, f, src.Filter())
 	kept, err := plan.Range(ctx, query)
 	if err != nil {
@@ -190,7 +199,7 @@ func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, file string, sr
 		if err != nil {
 			return nil, nil, err
 		}
-		ids := partitionRangeIDs(part, query)
+		ids := partitionRangeIDs(part, query, nil)
 		plan.Searched(sp, len(part.Recs), len(ids))
 		if len(ids) > 0 {
 			out = append(out, LocalMatch{Part: part, IDs: ids})
@@ -199,31 +208,19 @@ func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, file string, sr
 	return out, &plan.Stats, nil
 }
 
-// MatchPoints materializes range matches to points (partition order, each
-// partition's matches in canonical order).
-func MatchPoints(matches []LocalMatch) []geom.Point {
-	var out []geom.Point
-	for _, m := range matches {
-		for _, id := range m.IDs {
-			out = append(out, m.Part.Pts[id])
-		}
-	}
-	return out
-}
-
 // LocalKNNPoints answers a kNN query from pinned partitions, picking the
 // same k points in the same order as KNNCtx.
 func LocalKNNPoints(sys *core.System, file string, src LocalSource, q geom.Point, k int) ([]geom.Point, *LocalStats, error) {
-	return LocalKNNPointsCtx(context.Background(), sys, file, src, q, k)
-}
-
-// LocalKNNPointsCtx is LocalKNNPoints under a context, checked before
-// each round.
-func LocalKNNPointsCtx(ctx context.Context, sys *core.System, file string, src LocalSource, q geom.Point, k int) ([]geom.Point, *LocalStats, error) {
 	f, err := localIndexed(sys, file)
 	if err != nil {
 		return nil, nil, err
 	}
+	return LocalKNNPointsCtx(context.Background(), sys, f, src, q, k)
+}
+
+// LocalKNNPointsCtx is LocalKNNPoints over an already opened file and under
+// a context, checked before each round.
+func LocalKNNPointsCtx(ctx context.Context, sys *core.System, f *Indexed, src LocalSource, q geom.Point, k int) ([]geom.Point, *LocalStats, error) {
 	plan := NewPlan(sys, f, src.Filter())
 	pts, err := plan.KNN(ctx, q, k, func(_ context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error) {
 		var cands []KNNCandidate

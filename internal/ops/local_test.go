@@ -108,7 +108,13 @@ func TestLocalRangeMatchesMapReduce(t *testing.T) {
 
 func localRangePoints(sys *core.System, file string, src LocalSource, q geom.Rect) ([]geom.Point, *LocalStats, error) {
 	matches, stats, err := LocalRangeMatches(sys, file, src, q)
-	return MatchPoints(matches), stats, err
+	var pts []geom.Point
+	for _, m := range matches {
+		for _, id := range m.IDs {
+			pts = append(pts, m.Part.Pts[id])
+		}
+	}
+	return pts, stats, err
 }
 
 func samePointSet(a, b []geom.Point) bool {

@@ -185,37 +185,51 @@ type LocalStats struct {
 type Plan struct {
 	Stats LocalStats
 
-	file     string
-	splits   []*mapreduce.Split
-	disjoint bool
-	sf       *sindex.SFilter
-	hot      *sindex.Hotness
+	f   *Indexed
+	sf  *sindex.SFilter
+	hot *sindex.Hotness
 }
 
-// NewPlan plans queries over an open indexed file (f.Index must be set).
-// sf is the file generation's bitmap filter, or nil when none is kept.
-func NewPlan(sys *core.System, f *core.IndexedFile, sf *sindex.SFilter) *Plan {
-	return &Plan{file: f.Name, splits: f.Splits(), disjoint: f.Index.Disjoint(), sf: sf, hot: sys.Hotness()}
+// Indexed is an indexed file opened for planning: its name, its partition
+// splits and whether the index tiles space disjointly. Opening decodes the
+// index text and groups the blocks into splits, so a caller answering many
+// queries over one file generation resolves it once (the serving layer
+// keys it by DFS epoch) and binds a Plan per query. Read-only once built.
+type Indexed struct {
+	Name     string
+	Splits   []*mapreduce.Split
+	Disjoint bool
+}
+
+// NewIndexed resolves an open indexed file (f.Index must be set).
+func NewIndexed(f *core.IndexedFile) *Indexed {
+	return &Indexed{Name: f.Name, Splits: f.Splits(), Disjoint: f.Index.Disjoint()}
+}
+
+// NewPlan plans one query over f. sf is the file generation's bitmap
+// filter, or nil when none is kept.
+func NewPlan(sys *core.System, f *Indexed, sf *sindex.SFilter) *Plan {
+	return &Plan{f: f, sf: sf, hot: sys.Hotness()}
 }
 
 // filtered records one round's filter step: its scan/prune decisions feed
 // the hotness aggregator exactly once per round, as withHeat does per job.
 func (p *Plan) filtered(sel Selection) {
 	p.Stats.Rounds++
-	p.Stats.PartitionsTotal = len(p.splits)
+	p.Stats.PartitionsTotal = len(p.f.Splits)
 	p.Stats.PartitionsConsulted = len(sel.Kept)
-	p.Stats.PartitionsPruned = len(p.splits) - len(sel.Kept)
+	p.Stats.PartitionsPruned = len(p.f.Splits) - len(sel.Kept)
 	p.Stats.SFilterHits += sel.SFilterHits
 	p.Stats.SFilterSkips += sel.SFilterSkips
-	recordFilterHeat(p.hot, p.file, p.splits, sel.Kept)
+	recordFilterHeat(p.hot, p.f.Name, p.f.Splits, sel.Kept)
 }
 
 // Searched records one kept partition's fragment: the records it holds and
 // how many of them the search returned. Drivers call it once per fragment,
 // from the goroutine that gathers them.
 func (p *Plan) Searched(sp *mapreduce.Split, records, matches int) {
-	p.hot.AddRecords(p.file, sp.Partition, int64(records))
-	p.hot.AddMatches(p.file, sp.Partition, int64(matches))
+	p.hot.AddRecords(p.f.Name, sp.Partition, int64(records))
+	p.hot.AddMatches(p.f.Name, sp.Partition, int64(matches))
 }
 
 // Range runs a range query's filter step and returns the partitions the
@@ -224,7 +238,7 @@ func (p *Plan) Range(ctx context.Context, query geom.Rect) ([]*mapreduce.Split, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sel := RangeCandidates(p.splits, p.sf, query)
+	sel := RangeCandidates(p.f.Splits, p.sf, query)
 	p.filtered(sel)
 	return sel.Kept, nil
 }
@@ -232,7 +246,7 @@ func (p *Plan) Range(ctx context.Context, query geom.Rect) ([]*mapreduce.Split, 
 // KNN runs the kNN protocol; fetch returns the PartitionKNNCandidates of
 // every kept partition (reporting each through Searched), in any order.
 func (p *Plan) KNN(ctx context.Context, q geom.Point, k int, fetch func(ctx context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error)) ([]geom.Point, error) {
-	return planKNN(ctx, p.splits, p.disjoint, p.sf, q, k, func(ctx context.Context, sel Selection) ([]KNNCandidate, error) {
+	return planKNN(ctx, p.f.Splits, p.f.Disjoint, p.sf, q, k, func(ctx context.Context, sel Selection) ([]KNNCandidate, error) {
 		p.filtered(sel)
 		return fetch(ctx, sel.Kept)
 	})

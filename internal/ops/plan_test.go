@@ -159,7 +159,7 @@ func TestPlanKNNRounds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newPlanFixture()
 			hot := sindex.NewHotness()
-			plan := &Plan{file: "f", splits: fx.splits, disjoint: tc.disjoint, hot: hot}
+			plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits, Disjoint: tc.disjoint}, hot: hot}
 			if tc.filter {
 				plan.sf = fx.exactFilter()
 			}
@@ -214,7 +214,7 @@ func TestPlanRangeCandidates(t *testing.T) {
 		t.Errorf("with bitmap: kept %v, hits %d skips %d", keys(sel), sel.SFilterHits, sel.SFilterSkips)
 	}
 
-	plan := &Plan{file: "f", splits: fx.splits, sf: fx.exactFilter(), hot: sindex.NewHotness()}
+	plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits}, sf: fx.exactFilter(), hot: sindex.NewHotness()}
 	if _, err := plan.Range(context.Background(), query); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestPlanRangeCandidates(t *testing.T) {
 func TestPlanCancelled(t *testing.T) {
 	fx := newPlanFixture()
 	hot := sindex.NewHotness()
-	plan := &Plan{file: "f", splits: fx.splits, disjoint: true, hot: hot}
+	plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits, Disjoint: true}, hot: hot}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	drv := &fakeDriver{fx: fx, plan: plan, q: geom.Pt(11, 10)}

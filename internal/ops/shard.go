@@ -2,8 +2,10 @@ package ops
 
 import (
 	"slices"
+	"sync"
 
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/mapreduce"
 )
 
 // The per-partition step of the query plan: what a driver computes from
@@ -11,24 +13,58 @@ import (
 // (local engine), on a worker holding a replica, or on the master at the
 // bottom of the sharded engine's fallback ladder.
 
-// partitionRangeIDs returns the entry IDs of the partition's points inside
-// query, ascending. Pinned points are canonically sorted, so ascending IDs
-// stream out in (X, then Y) order.
-func partitionRangeIDs(part *LocalPartition, query geom.Rect) []int {
-	ids := part.Tree.Search(query, nil)
+// partitionRangeIDs appends to buf the entry IDs of the partition's points
+// inside query, ascending. Pinned points are canonically sorted, so
+// ascending IDs stream out in (X, then Y) order.
+func partitionRangeIDs(part *LocalPartition, query geom.Rect, buf []int) []int {
+	ids := part.Tree.Search(query, buf)
 	slices.Sort(ids)
 	return ids
 }
 
+// RangeFragment is one partition's sorted match stream — merge keys plus
+// the points' JSON objects; it is the wire type.
+type RangeFragment = mapreduce.ExecRangeReply
+
+// idScratch pools PartitionRangePoints' ID buffers: the IDs die once the
+// stream is built.
+var idScratch = sync.Pool{New: func() any { return new([]int) }}
+
 // PartitionRangePoints returns the pinned partition's points inside query
-// in canonical (X, then Y) order.
-func PartitionRangePoints(part *LocalPartition, query geom.Rect) []geom.Point {
-	ids := partitionRangeIDs(part, query)
-	out := make([]geom.Point, len(ids))
-	for i, id := range ids {
-		out[i] = part.Pts[id]
+// as one sorted stream: what a serving worker ships and what the master
+// computes itself at the bottom of the fallback ladder. The objects are
+// copied out of the pin-time fragment arena; a partition without one
+// formats its matches into the same shape, failing like encoding/json on a
+// coordinate JSON cannot carry.
+func PartitionRangePoints(part *LocalPartition, query geom.Rect) (out RangeFragment, err error) {
+	out.Records = int64(len(part.Recs))
+	scratch := idScratch.Get().(*[]int)
+	ids := partitionRangeIDs(part, query, (*scratch)[:0])
+	if len(ids) > 0 {
+		size := 48 * len(ids)
+		if part.Frag != nil {
+			size = len(ids) - 1 // commas
+			for _, id := range ids {
+				size += int(part.FragOff[id+1] - part.FragOff[id])
+			}
+		}
+		out.Keys, out.Frag = make([]float64, 0, 2*len(ids)), make([]byte, 0, size)
 	}
-	return out
+	for i, id := range ids {
+		p := part.Pts[id]
+		out.Keys = append(out.Keys, p.X, p.Y)
+		if i > 0 {
+			out.Frag = append(out.Frag, ',')
+		}
+		if part.Frag != nil {
+			out.Frag = append(out.Frag, part.Frag[part.FragOff[id]:part.FragOff[id+1]]...)
+		} else if out.Frag, err = AppendPointJSON(out.Frag, p); err != nil {
+			break
+		}
+	}
+	*scratch = ids
+	idScratch.Put(scratch)
+	return out, err
 }
 
 // PartitionKNNCandidates returns the partition's k nearest candidates for

@@ -3,14 +3,38 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/ops"
 )
+
+// The response bodies as encoding/json would render them: the mirror
+// structs every hand-rolled encoder is pinned to, byte for byte.
+type pointJSON struct {
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
+}
+
+type rangeResponse struct {
+	File   string      `json:"file"`
+	Rect   string      `json:"rect"`
+	Count  int         `json:"count"`
+	Points []pointJSON `json:"points"`
+}
+
+type knnResponse struct {
+	File      string         `json:"file"`
+	Point     string         `json:"point"`
+	K         int            `json:"k"`
+	Count     int            `json:"count"`
+	Neighbors []neighborJSON `json:"neighbors"`
+}
 
 // TestAppendJSONFloatMatchesEncodingJSON: the hand-rolled float encoder
 // must agree with encoding/json bit for bit across magnitude regimes —
@@ -109,11 +133,89 @@ func TestEncodeBodiesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestEncodeRangeBodyMatchesMergesIdentically pins the fragment-merge
-// fast path to the sort-then-encode slow path over real pinned
-// partitions: for every query, merging the partitions' pre-encoded
-// sorted streams must produce the same bytes as materializing, globally
-// sorting and float-formatting the points.
+// pinHeap pins pts as one memory-resident partition: a one-block heap file
+// is a single split, and PinSplit does not care where a split came from.
+func pinHeap(t *testing.T, sys *core.System, name string, pts []geom.Point) *ops.LocalPartition {
+	t.Helper()
+	if err := sys.LoadPointsHeap(name, pts); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Splits()) != 1 {
+		t.Fatalf("%s: %d splits, want one block", name, len(f.Splits()))
+	}
+	part, err := ops.PinSplit(f.Splits()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
+// checkRangeBodies renders one range answer over pinned partitions every
+// way the server can — the sharded engine's stream merge, the local
+// engine's fragment merge, the sort-then-format slow path — and requires
+// each to equal encoding/json over the mirror struct.
+func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q geom.Rect) {
+	t.Helper()
+	canon := canonicalRect(q)
+	var (
+		matches []ops.LocalMatch
+		streams []shardFrag
+		pts     []geom.Point
+	)
+	for _, part := range parts {
+		ids := part.Tree.Search(q, nil)
+		slices.Sort(ids)
+		if len(ids) > 0 {
+			matches = append(matches, ops.LocalMatch{Part: part, IDs: ids})
+		}
+		for _, id := range ids {
+			pts = append(pts, part.Pts[id])
+		}
+		// Every partition ships a stream, matches or not: empty streams
+		// are part of a real gather.
+		st, err := ops.PartitionRangePoints(part, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(st.Records) != len(part.Recs) || len(st.Keys) != 2*len(ids) {
+			t.Fatalf("rect %s: stream of %d keys over %d records, want %d over %d", canon, len(st.Keys), st.Records, 2*len(ids), len(part.Recs))
+		}
+		streams = append(streams, shardFrag{stream: &st, matches: len(st.Keys) / 2})
+	}
+	out := map[string][]byte{"streams": encodeRangeBodyStreams(file, canon, streams)}
+	var err error
+	if out["matches"], err = encodeRangeBodyMatches(file, canon, matches); err != nil {
+		t.Fatal(err)
+	}
+	geom.SortPointsXY(pts)
+	if out["sorted"], err = encodeRangeBody(file, canon, pts); err != nil {
+		t.Fatal(err)
+	}
+	resp := rangeResponse{File: file, Rect: canon, Count: len(pts), Points: make([]pointJSON, len(pts))}
+	for i, p := range pts {
+		resp.Points[i] = pointJSON{X: p.X, Y: p.Y}
+	}
+	if out["marshal"], err = marshalBody(resp); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range out {
+		if !bytes.Equal(body, out["marshal"]) {
+			t.Fatalf("file %q rect %s: %s body diverges from encoding/json\n got %.300q\nwant %.300q", file, canon, name, body, out["marshal"])
+		}
+	}
+}
+
+// TestEncodeRangeBodyMatchesMergesIdentically pins both fragment-merge
+// fast paths — the local engine's (LocalMatch IDs into the arena) and the
+// sharded engine's (shipped streams) — to the sort-then-encode slow path
+// and to encoding/json over real pinned partitions: for every query,
+// merging the partitions' pre-encoded sorted streams must produce the
+// same bytes as materializing, globally sorting and float-formatting the
+// points.
 func TestEncodeRangeBodyMatchesMergesIdentically(t *testing.T) {
 	sys := newServeSystem(t)
 	f, err := sys.Open("pts1")
@@ -156,35 +258,66 @@ func TestEncodeRangeBodyMatchesMergesIdentically(t *testing.T) {
 		rects = append(rects, geom.NewRect(x, y, x+rng.Float64()*4000, y+rng.Float64()*4000))
 	}
 	for _, q := range rects {
-		var matches []ops.LocalMatch
-		var pts []geom.Point
-		for _, part := range parts {
-			ids := part.Tree.Search(q, nil)
-			slices.Sort(ids)
-			if len(ids) == 0 {
-				continue
+		checkRangeBodies(t, "pts1", parts, q)
+	}
+	// A file name that needs JSON escaping takes encoding/json's escaper
+	// in every encoder.
+	checkRangeBodies(t, "a<b&\"c\"\u00e9\n", parts, rects[0])
+}
+
+// TestEncodeRangeBodyStreamsRandomized drives the same four-way identity
+// over randomized partitions built to hit the merge's edges: coordinates
+// from a small lattice, so streams tie across partitions on X and on
+// (X, Y); negative and exponent-form values (1e-7, 1e21); partitions with
+// no match (empty streams); a single partition (the whole body is one
+// copy); and a partition without a fragment arena, whose matches both
+// merges format at query time.
+func TestEncodeRangeBodyStreamsRandomized(t *testing.T) {
+	sys := core.New(core.Config{BlockSize: 1 << 20, Workers: 2, Seed: 1})
+	rng := rand.New(rand.NewSource(17))
+	lattice := []float64{-2.5e21, -1234.5, -1e-7, 0, 1e-7, 0.125, 3, 3.5, 1e6, 1e21}
+	for trial := 0; trial < 60; trial++ {
+		parts := make([]*ops.LocalPartition, 1+trial%5)
+		for i := range parts {
+			pts := make([]geom.Point, 1+rng.Intn(40))
+			for j := range pts {
+				pts[j] = geom.Pt(lattice[rng.Intn(len(lattice))], lattice[rng.Intn(len(lattice))])
 			}
-			matches = append(matches, ops.LocalMatch{Part: part, IDs: ids})
-			for _, id := range ids {
-				pts = append(pts, part.Pts[id])
+			parts[i] = pinHeap(t, sys, fmt.Sprintf("t%d.p%d", trial, i), pts)
+			if parts[i].Frag == nil {
+				t.Fatal("finite points pinned without fragments")
 			}
 		}
-		canon := canonicalRect(q)
-		got, ok := encodeRangeBodyMatches("pts1", canon, matches)
-		if !ok {
-			t.Fatalf("rect %s: merge path unexpectedly refused", canon)
+		if trial%3 == 0 { // a Frag-less partition among (or instead of) the others
+			parts[0].Frag, parts[0].FragOff = nil, nil
 		}
-		geom.SortPointsXY(pts)
-		want, err := encodeRangeBody("pts1", canon, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("rect %s: merged body diverges from sort-then-encode\n got %.200q\nwant %.200q", canon, got, want)
+		corner := func() float64 { return lattice[rng.Intn(len(lattice))] }
+		for _, q := range []geom.Rect{
+			geom.NewRect(-1e22, -1e22, 1e22, 1e22),
+			geom.NewRect(corner(), corner(), corner(), corner()),
+			geom.NewRect(corner(), -1e22, corner(), 1e22),
+			geom.NewRect(2, 2, 2.5, 2.5), // between lattice values: every stream empty
+		} {
+			checkRangeBodies(t, "pts", parts, q)
 		}
 	}
-	// Non-plain strings must route to the fallback.
-	if _, ok := encodeRangeBodyMatches("a<b", "0,0,1,1", nil); ok {
-		t.Error("merge path accepted a file name that needs JSON escaping")
+}
+
+// TestRangeStreamUnencodable: a partition without a fragment arena holds a
+// coordinate JSON cannot carry; matching it fails both merges the way
+// encoding/json fails the slow path, and not matching it costs nothing.
+func TestRangeStreamUnencodable(t *testing.T) {
+	sys := core.New(core.Config{BlockSize: 1 << 20, Workers: 2, Seed: 1})
+	part := pinHeap(t, sys, "inf", []geom.Point{geom.Pt(1, 1), geom.Pt(2, math.Inf(1))})
+	if part.Frag != nil {
+		t.Fatal("a partition holding +Inf built a fragment arena")
 	}
+	all := geom.NewRect(0, 0, 3, math.Inf(1))
+	if _, err := ops.PartitionRangePoints(part, all); err == nil {
+		t.Error("streaming a +Inf match succeeded")
+	}
+	if _, err := encodeRangeBodyMatches("inf", canonicalRect(all), []ops.LocalMatch{{Part: part, IDs: []int{0, 1}}}); err == nil {
+		t.Error("merging a +Inf match succeeded")
+	}
+	checkRangeBodies(t, "inf", []*ops.LocalPartition{part}, geom.NewRect(0, 0, 3, 3))
 }

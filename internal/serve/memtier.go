@@ -2,10 +2,11 @@ package serve
 
 import (
 	"container/list"
+	"math"
 	"strconv"
-	"strings"
 	"sync"
 
+	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/obs"
 	"spatialhadoop/internal/ops"
@@ -14,9 +15,10 @@ import (
 
 // MemTier is the serving layer's memory-resident read tier: partitions
 // pinned as decoded points + per-partition R-trees (ops.LocalPartition),
-// under a byte budget with LRU eviction, plus one spatial bitmap filter
-// (sindex.SFilter) per file generation. Everything is keyed by
-// (file, DFS mutation epoch): a write to the file mints a new epoch, so
+// under a byte budget with LRU eviction, plus one handle per file — the
+// newest generation's opened index, splits and spatial bitmap filter
+// (tierSource), resolved once instead of per request. Everything is keyed
+// by (file, DFS mutation epoch): a write to the file mints a new epoch, so
 // stale pinned data can never answer a fresh query even if the eager
 // invalidation signal (the DFS epoch hook) were lost. The hook just frees
 // the memory sooner.
@@ -28,13 +30,15 @@ type MemTier struct {
 	lru     *list.List               // front = most recently used
 	entries map[string]*list.Element // "file@epoch|partition" → *tierEntry
 	pending map[string]*pinCall      // same key; pins in flight
-	filters map[string]*sindex.SFilter
+	gens    map[string]*tierSource   // file → its newest generation's handle
 	bytes   int64
 }
 
 type tierEntry struct {
-	key  string
-	part *ops.LocalPartition
+	key   string
+	file  string
+	epoch int64
+	part  *ops.LocalPartition
 }
 
 // pinCall deduplicates concurrent pins of the same partition: one loader
@@ -53,38 +57,47 @@ func NewMemTier(budget int64, reg *obs.Registry) *MemTier {
 		lru:     list.New(),
 		entries: make(map[string]*list.Element),
 		pending: make(map[string]*pinCall),
-		filters: make(map[string]*sindex.SFilter),
+		gens:    make(map[string]*tierSource),
 	}
 }
 
 func tierKey(file string, epoch int64, partition string) string {
-	return fileKey(file, epoch) + "|" + partition
+	return file + "@" + strconv.FormatInt(epoch, 10) + "|" + partition
 }
 
-func fileKey(file string, epoch int64) string {
-	return file + "@" + strconv.FormatInt(epoch, 10)
-}
-
-// Source returns an ops.LocalSource bound to one (file, epoch, index):
-// what the local executors pin through. The bitmap filter is created from
-// the master index on first use of the generation and refined as
-// partitions get pinned.
-func (t *MemTier) Source(file string, epoch int64, gi *sindex.GlobalIndex) *tierSource {
-	fk := fileKey(file, epoch)
+// Source returns the handle of one file generation — the opened index and
+// splits the plan binds to, and the ops.LocalSource the local executors pin
+// through — resolving it with open on the generation's first request. The
+// bitmap filter is created from the master index then and refined as
+// partitions get pinned. (nil, nil) means a heap file. A handle is kept
+// only while the file still is at the epoch the request read, and never
+// displaces a newer generation's.
+func (t *MemTier) Source(file string, epoch int64, open func(string) (*core.IndexedFile, error)) (*tierSource, error) {
 	t.mu.Lock()
-	sf, ok := t.filters[fk]
-	if !ok {
-		t.mu.Unlock()
-		// Build outside the lock (O(cells) bitmap fills), then publish.
-		built := sindex.NewSFilter(gi, 0)
-		t.mu.Lock()
-		if sf, ok = t.filters[fk]; !ok {
-			t.filters[fk] = built
-			sf = built
-		}
+	src := t.gens[file]
+	t.mu.Unlock()
+	if src != nil && src.epoch == epoch {
+		return src, nil
+	}
+	// Build outside the lock (index decode, O(cells) bitmap fills), then
+	// publish.
+	f, err := open(file)
+	if err != nil || f.Index == nil {
+		return nil, err
+	}
+	src = &tierSource{t: t, file: file, epoch: epoch, idx: ops.NewIndexed(f), sf: sindex.NewSFilter(f.Index, 0)}
+	if f.File.Epoch() != epoch {
+		return src, nil
+	}
+	t.mu.Lock()
+	switch cur := t.gens[file]; {
+	case cur == nil || cur.epoch < epoch:
+		t.gens[file] = src
+	case cur.epoch == epoch:
+		src = cur // lost the race: share the winner's filter
 	}
 	t.mu.Unlock()
-	return &tierSource{t: t, file: file, epoch: epoch, sf: sf}
+	return src, nil
 }
 
 // pin returns the partition's memory-resident form, loading and refining
@@ -125,7 +138,7 @@ func (t *MemTier) pin(file string, epoch int64, sf *sindex.SFilter, sp *mapreduc
 	delete(t.pending, key)
 	c.part, c.err = part, err
 	if err == nil {
-		t.entries[key] = t.lru.PushFront(&tierEntry{key: key, part: part})
+		t.entries[key] = t.lru.PushFront(&tierEntry{key: key, file: file, epoch: epoch, part: part})
 		t.bytes += part.Bytes
 		t.evictLocked()
 	}
@@ -148,36 +161,12 @@ func (t *MemTier) evictLocked() {
 	}
 }
 
-// Invalidate eagerly drops every pinned partition and filter of the file,
-// across all epochs. It is the DFS epoch hook target and must therefore
-// never call back into the file system — it only touches the tier's own
-// maps. Correctness does not depend on it running: epoch-keyed lookups
-// already miss stale generations.
-func (t *MemTier) Invalidate(file string) {
-	prefix := file + "@"
-	t.mu.Lock()
-	var drop []*list.Element
-	for key, el := range t.entries {
-		if strings.HasPrefix(key, prefix) {
-			drop = append(drop, el)
-		}
-	}
-	for _, el := range drop {
-		e := el.Value.(*tierEntry)
-		t.lru.Remove(el)
-		delete(t.entries, e.key)
-		t.bytes -= e.part.Bytes
-	}
-	for fk := range t.filters {
-		if strings.HasPrefix(fk, prefix) {
-			delete(t.filters, fk)
-		}
-	}
-	t.mu.Unlock()
-	if len(drop) > 0 {
-		t.reg.Inc("serve.memtier.invalidations", int64(len(drop)))
-	}
-}
+// Invalidate eagerly drops every pinned partition of the file, across all
+// epochs, and its generation handle. It is the DFS epoch hook target and
+// must therefore never call back into the file system — it only touches
+// the tier's own maps. Correctness does not depend on it running:
+// epoch-keyed lookups already miss stale generations.
+func (t *MemTier) Invalidate(file string) { t.DropStale(file, math.MaxInt64) }
 
 // Lookup returns the partition when resident, touching LRU order — the
 // worker executor's fast path, checked before it assembles blocks.
@@ -199,43 +188,26 @@ func (t *MemTier) PinPartition(file string, epoch int64, sp *mapreduce.Split) (*
 	return t.pin(file, epoch, nil, sp)
 }
 
-// DropStale drops every pinned partition and filter of the file whose
+// DropStale drops every pinned partition and handle of the file whose
 // epoch is older than epoch — the heartbeat-driven half of cross-worker
 // invalidation (the master's heartbeat reply carries current epochs).
 func (t *MemTier) DropStale(file string, epoch int64) {
-	prefix := file + "@"
-	stale := func(key string) bool {
-		rest, ok := strings.CutPrefix(key, prefix)
-		if !ok {
-			return false
-		}
-		if i := strings.IndexByte(rest, '|'); i >= 0 {
-			rest = rest[:i]
-		}
-		e, err := strconv.ParseInt(rest, 10, 64)
-		return err == nil && e < epoch
-	}
+	dropped := 0
 	t.mu.Lock()
-	var drop []*list.Element
 	for key, el := range t.entries {
-		if stale(key) {
-			drop = append(drop, el)
+		if e := el.Value.(*tierEntry); e.file == file && e.epoch < epoch {
+			t.lru.Remove(el)
+			delete(t.entries, key)
+			t.bytes -= e.part.Bytes
+			dropped++
 		}
 	}
-	for _, el := range drop {
-		e := el.Value.(*tierEntry)
-		t.lru.Remove(el)
-		delete(t.entries, e.key)
-		t.bytes -= e.part.Bytes
-	}
-	for fk := range t.filters {
-		if stale(fk) {
-			delete(t.filters, fk)
-		}
+	if g := t.gens[file]; g != nil && g.epoch < epoch {
+		delete(t.gens, file)
 	}
 	t.mu.Unlock()
-	if len(drop) > 0 {
-		t.reg.Inc("serve.memtier.invalidations", int64(len(drop)))
+	if dropped > 0 {
+		t.reg.Inc("serve.memtier.invalidations", int64(dropped))
 	}
 }
 
@@ -255,15 +227,24 @@ func (t *MemTier) Stats() (partitions int, bytes int64) {
 	return t.lru.Len(), t.bytes
 }
 
-// tierSource adapts the tier to ops.LocalSource for one file generation.
+// tierSource is one file generation resolved once: what a query plans
+// over (idx, sf) and pins through (ops.LocalSource). A server without a
+// memory tier builds one per request, with no tier and no filter.
 type tierSource struct {
 	t     *MemTier
 	file  string
 	epoch int64
+	idx   *ops.Indexed
 	sf    *sindex.SFilter
 }
 
+// Pin returns the split's partition from the tier — cached, deduplicated
+// and refining the bitmap filter on a miss — or decodes it per call when
+// there is no tier.
 func (src *tierSource) Pin(sp *mapreduce.Split) (*ops.LocalPartition, error) {
+	if src.t == nil {
+		return ops.PinSplit(sp)
+	}
 	return src.t.pin(src.file, src.epoch, src.sf, sp)
 }
 

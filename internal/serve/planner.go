@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/ops"
@@ -61,14 +60,11 @@ type execMeta struct {
 // mode (the per-request engine override or Config.Planner). A non-nil
 // source means local execution through it; nil means MapReduce.
 func (s *Server) planRange(mode, file string, epoch int64, rect geom.Rect) *tierSource {
-	src, f := s.localSource(mode, file, epoch)
-	if src == nil {
-		return nil
-	}
-	if mode == PlannerLocal {
+	src := s.localSource(mode, file, epoch)
+	if src == nil || mode == PlannerLocal {
 		return src
 	}
-	kept := ops.RangeCandidates(f.Splits(), src.sf, rect).Kept
+	kept := ops.RangeCandidates(src.idx.Splits, src.sf, rect).Kept
 	if len(kept) > plannerLocalMaxParts {
 		return nil
 	}
@@ -86,25 +82,29 @@ func (s *Server) planRange(mode, file string, epoch int64, rect geom.Rect) *tier
 	return nil
 }
 
-// planKNN decides the engine for a kNN query. The kNN protocol is
-// selective by construction (round one touches a single partition, round
-// two only the correctness circle), so any indexed file runs locally when
-// the tier is on.
-func (s *Server) planKNN(mode, file string, epoch int64) *tierSource {
-	src, _ := s.localSource(mode, file, epoch)
+// localSource returns the file generation's handle for local execution, or
+// nil when that is impossible (tier disabled, planner forced to MapReduce,
+// file missing or unindexed).
+func (s *Server) localSource(mode, file string, epoch int64) *tierSource {
+	if s.mt == nil || mode == PlannerMapReduce {
+		return nil
+	}
+	src, _ := s.generation(file, epoch)
 	return src
 }
 
-// localSource returns the memory-tier source for the file generation, or
-// (nil, nil) when local execution is impossible (tier disabled, planner
-// forced to MapReduce, file missing or unindexed).
-func (s *Server) localSource(mode, file string, epoch int64) (*tierSource, *core.IndexedFile) {
-	if s.mt == nil || mode == PlannerMapReduce {
-		return nil, nil
+// generation resolves one file generation — opened index, splits, bitmap
+// filter — for the engines that plan themselves: once per generation
+// through the memory tier, per request without one (a handle must never
+// outlive its epoch, and only the tier hears the DFS epoch hook). (nil,
+// nil) means a heap file.
+func (s *Server) generation(file string, epoch int64) (*tierSource, error) {
+	if s.mt != nil {
+		return s.mt.Source(file, epoch, s.sys.Open)
 	}
 	f, err := s.sys.Open(file)
 	if err != nil || f.Index == nil {
-		return nil, nil
+		return nil, err
 	}
-	return s.mt.Source(file, epoch, f.Index), f
+	return &tierSource{file: file, epoch: epoch, idx: ops.NewIndexed(f)}, nil
 }

@@ -203,7 +203,7 @@ func TestShardedCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	epoch := sys.FS().FileEpoch("pts1")
-	if _, _, err := srv.shardedRange(ctx, "pts1", epoch, geom.NewRect(0, 0, 10000, 10000)); !errors.Is(err, context.Canceled) {
+	if _, _, err := srv.shardedRange(ctx, "pts1", "0,0,10000,10000", epoch, geom.NewRect(0, 0, 10000, 10000)); !errors.Is(err, context.Canceled) {
 		t.Errorf("shardedRange err = %v, want context.Canceled", err)
 	}
 	if _, _, err := srv.shardedKNN(ctx, "pts1", epoch, geom.Pt(5000, 5000), 5); !errors.Is(err, context.Canceled) {

@@ -631,18 +631,6 @@ func (s *Server) plannerFor(r *http.Request) (string, error) {
 	return v, nil
 }
 
-type pointJSON struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-type rangeResponse struct {
-	File   string      `json:"file"`
-	Rect   string      `json:"rect"`
-	Count  int         `json:"count"`
-	Points []pointJSON `json:"points"`
-}
-
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 	file := r.URL.Query().Get("file")
 	if file == "" {
@@ -663,47 +651,35 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 	// engine cached.
 	key := fmt.Sprintf("range|%s@%d|%s", file, epoch, canon)
 	return s.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, *execMeta, error) {
-		var (
-			pts  []geom.Point
-			meta *execMeta
-		)
 		if mode == PlannerSharded {
 			// A heap file has no partitions to scatter: meta stays nil and
 			// the query falls through to MapReduce (planRange below returns
 			// nil for unindexed files).
-			var err error
-			if pts, meta, err = s.shardedRange(ctx, file, epoch, rect); err != nil {
+			if body, meta, err := s.shardedRange(ctx, file, canon, epoch, rect); err != nil || meta != nil {
+				return body, meta, err
+			}
+		}
+		if src := s.planRange(mode, file, epoch, rect); src != nil {
+			matches, stats, err := ops.LocalRangeMatchesCtx(ctx, s.sys, src.idx, src, rect)
+			if err != nil {
 				return nil, nil, err
 			}
+			s.reg.Inc("serve.planner.local", 1)
+			// Merge the partitions' sorted streams, copying pre-encoded
+			// fragments — no global sort, no float formatting.
+			body, err := encodeRangeBodyMatches(file, canon, matches)
+			return body, &execMeta{engine: PlannerLocal, local: stats}, err
 		}
-		if meta == nil {
-			if src := s.planRange(mode, file, epoch, rect); src != nil {
-				matches, stats, err := ops.LocalRangeMatchesCtx(ctx, s.sys, file, src, rect)
-				if err != nil {
-					return nil, nil, err
-				}
-				s.reg.Inc("serve.planner.local", 1)
-				meta = &execMeta{engine: PlannerLocal, local: stats}
-				// Fast path: merge the partitions' sorted streams, copying
-				// pre-encoded fragments — no global sort, no float formatting.
-				if body, ok := encodeRangeBodyMatches(file, canon, matches); ok {
-					return body, meta, nil
-				}
-				pts = ops.MatchPoints(matches)
-			} else {
-				out := s.tempOut(file)
-				defer s.sys.FS().Delete(out)
-				mpts, rep, err := ops.RangeQueryPointsCtx(ctx, s.sys, file, rect, out)
-				if err != nil {
-					return nil, nil, err
-				}
-				s.reg.Inc("serve.planner.mapreduce", 1)
-				pts, meta = mpts, &execMeta{engine: PlannerMapReduce, rep: rep}
-			}
+		out := s.tempOut(file)
+		defer s.sys.FS().Delete(out)
+		pts, rep, err := ops.RangeQueryPointsCtx(ctx, s.sys, file, rect, out)
+		if err != nil {
+			return nil, nil, err
 		}
+		s.reg.Inc("serve.planner.mapreduce", 1)
 		geom.SortPointsXY(pts)
 		body, err := encodeRangeBody(file, canon, pts)
-		return body, meta, err
+		return body, &execMeta{engine: PlannerMapReduce, rep: rep}, err
 	})
 }
 
@@ -711,14 +687,6 @@ type neighborJSON struct {
 	X    float64 `json:"x"`
 	Y    float64 `json:"y"`
 	Dist float64 `json:"dist"`
-}
-
-type knnResponse struct {
-	File      string         `json:"file"`
-	Point     string         `json:"point"`
-	K         int            `json:"k"`
-	Count     int            `json:"count"`
-	Neighbors []neighborJSON `json:"neighbors"`
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
@@ -753,8 +721,11 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 			}
 		}
 		if meta == nil {
-			if src := s.planKNN(mode, file, epoch); src != nil {
-				lpts, stats, err := ops.LocalKNNPointsCtx(ctx, s.sys, file, src, q, k)
+			// The kNN protocol is selective by construction (one partition,
+			// then only the correctness circle), so any indexed file runs
+			// locally when the tier is on.
+			if src := s.localSource(mode, file, epoch); src != nil {
+				lpts, stats, err := ops.LocalKNNPointsCtx(ctx, s.sys, src.idx, src, q, k)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net/rpc"
 	"sync"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/ops"
-	"spatialhadoop/internal/sindex"
 )
 
 // The sharded engine: the master stays a thin router. It runs the query
@@ -20,7 +20,9 @@ import (
 // — when a holder is lost mid-query. Workers answer from per-worker
 // memory tiers keyed by (file, epoch, partition) with the plan's
 // per-partition step, so the body is byte-identical to the local and
-// MapReduce engines.
+// MapReduce engines. A range fragment arrives as a finished piece of the
+// body — the matches' pin-time JSON objects with their merge keys — and
+// the gather is a k-way merge that copies bytes (encodeRangeBodyStreams).
 
 // shardStats is one sharded query's scatter/gather accounting, surfaced
 // through ?explain=1 and the serve.shard.* metric families.
@@ -34,9 +36,10 @@ type shardStats struct {
 
 // shardFrag is one partition's fragment and how the ladder obtained it.
 type shardFrag struct {
-	pts      []geom.Point       // range: canonical (X, then Y) order
+	stream   *ops.RangeFragment // range: the partition's sorted match stream
 	cands    []ops.KNNCandidate // kNN: canonically sorted, truncated to k
 	records  int64              // the partition's record count
+	matches  int                // how many of them the fragment holds
 	remote   bool               // answered by a worker executor
 	fellBack bool               // at least one holder failed before the answer
 }
@@ -122,7 +125,7 @@ func (s *Server) shardClient(addr string) (*rpc.Client, error) {
 	return c, nil
 }
 
-// dropShardClient discards a cached client after a failed call (the
+// dropShardClient discards a cached client after a transport failure (the
 // worker likely died; the next query redials or falls back).
 func (s *Server) dropShardClient(addr string, c *rpc.Client) {
 	s.shardMu.Lock()
@@ -134,46 +137,49 @@ func (s *Server) dropShardClient(addr string, c *rpc.Client) {
 }
 
 // callShard performs one exec RPC against a holder through the client
-// cache.
+// cache. Only a transport error drops the client: an error the worker's
+// handler returned (rpc.ServerError) arrived over a healthy connection
+// that other fragments are using right now, and closing it would fail
+// every one of them with ErrShutdown.
 func (s *Server) callShard(addr, method string, args, reply any) error {
 	c, err := s.shardClient(addr)
 	if err != nil {
 		return err
 	}
-	if err := c.Call(method, args, reply); err != nil {
+	err = c.Call(method, args, reply)
+	if err != nil && !errors.As(err, new(rpc.ServerError)) {
 		s.dropShardClient(addr, c)
-		return err
 	}
-	return nil
-}
-
-// pinLocal pins one split on the master — the bottom of the fallback
-// ladder. With the memory tier on, the pin is cached and deduplicated;
-// without it the split is decoded per call.
-func (s *Server) pinLocal(file string, epoch int64, sp *mapreduce.Split) (*ops.LocalPartition, error) {
-	if s.mt != nil {
-		return s.mt.PinPartition(file, epoch, sp)
-	}
-	return ops.PinSplit(sp)
+	return err
 }
 
 // shardCall is the per-query half of the ladder: how to ask a holder for
 // a partition's fragment, and the same step over a master-side pin.
 type shardCall struct {
 	remote func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error)
-	local  func(part *ops.LocalPartition) shardFrag
+	local  func(part *ops.LocalPartition) (shardFrag, error)
 }
+
+// rangeReplies recycles range replies between queries — gob decodes into
+// a reused reply's slice capacity, which is most of a fragment's cost on
+// the master. A reply is taken per exec call and released once the body
+// that copies from it is encoded.
+var rangeReplies = sync.Pool{New: func() any { return new(mapreduce.ExecRangeReply) }}
 
 func (s *Server) rangeCall(file string, epoch int64, rect geom.Rect) shardCall {
 	return shardCall{
 		remote: func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
-			var reply mapreduce.ExecRangeReply
+			// gob omits zero-valued fields, so anything left in a reused
+			// reply would pass for this fragment's: reset all of it.
+			reply := rangeReplies.Get().(*mapreduce.ExecRangeReply)
+			reply.Keys, reply.Frag, reply.Records = reply.Keys[:0], reply.Frag[:0], 0
 			err := s.callShard(addr, mapreduce.ShardService+".ExecRange",
-				mapreduce.ExecRangeArgs{File: file, Epoch: epoch, Meta: meta, Query: rect}, &reply)
-			return shardFrag{pts: reply.Points, records: reply.Records}, err
+				mapreduce.ExecRangeArgs{File: file, Epoch: epoch, Meta: meta, Query: rect}, reply)
+			return shardFrag{stream: reply, records: reply.Records, matches: len(reply.Keys) / 2}, err
 		},
-		local: func(part *ops.LocalPartition) shardFrag {
-			return shardFrag{pts: ops.PartitionRangePoints(part, rect), records: int64(len(part.Recs))}
+		local: func(part *ops.LocalPartition) (shardFrag, error) {
+			stream, err := ops.PartitionRangePoints(part, rect)
+			return shardFrag{stream: &stream, records: stream.Records, matches: len(stream.Keys) / 2}, err
 		},
 	}
 }
@@ -184,10 +190,11 @@ func (s *Server) knnCall(file string, epoch int64, q geom.Point, k int) shardCal
 			var reply mapreduce.ExecKNNReply
 			err := s.callShard(addr, mapreduce.ShardService+".ExecKNN",
 				mapreduce.ExecKNNArgs{File: file, Epoch: epoch, Meta: meta, Q: q, K: k}, &reply)
-			return shardFrag{cands: reply.Cands, records: reply.Records}, err
+			return shardFrag{cands: reply.Cands, records: reply.Records, matches: len(reply.Cands)}, err
 		},
-		local: func(part *ops.LocalPartition) shardFrag {
-			return shardFrag{cands: ops.PartitionKNNCandidates(part, q, k), records: int64(len(part.Recs))}
+		local: func(part *ops.LocalPartition) (shardFrag, error) {
+			cands := ops.PartitionKNNCandidates(part, q, k)
+			return shardFrag{cands: cands, records: int64(len(part.Recs)), matches: len(cands)}, nil
 		},
 	}
 }
@@ -197,25 +204,20 @@ func (s *Server) knnCall(file string, epoch int64, q geom.Point, k int) shardCal
 type shardQuery struct {
 	s     *Server
 	m     *mapreduce.Master
-	file  string
-	epoch int64
+	gen   *tierSource
 	plan  *ops.Plan
 	stats shardStats
 }
 
-// newShardQuery opens the file and binds the plan. A nil query (with nil
-// error) means the file is a heap — no partitions to scatter — and the
+// newShardQuery binds the plan to the file generation. A nil query (with
+// nil error) means the file is a heap — no partitions to scatter — and the
 // caller should fall through to MapReduce.
 func (s *Server) newShardQuery(file string, epoch int64) (*shardQuery, error) {
-	f, err := s.sys.Open(file)
-	if err != nil || f.Index == nil {
+	gen, err := s.generation(file, epoch)
+	if gen == nil {
 		return nil, err
 	}
-	var sf *sindex.SFilter
-	if s.mt != nil {
-		sf = s.mt.Source(file, epoch, f.Index).sf
-	}
-	return &shardQuery{s: s, m: s.masterForServe(), file: file, epoch: epoch, plan: ops.NewPlan(s.sys, f, sf)}, nil
+	return &shardQuery{s: s, m: s.masterForServe(), gen: gen, plan: ops.NewPlan(s.sys, gen.idx, gen.sf)}, nil
 }
 
 // fragment obtains one partition's fragment down the ladder: each holder
@@ -234,14 +236,14 @@ func (sq *shardQuery) fragment(tgt shardTarget, sp *mapreduce.Split, call shardC
 		return frag, nil
 	}
 	start := time.Now()
-	part, err := s.pinLocal(sq.file, sq.epoch, sp)
+	part, err := sq.gen.Pin(sp)
 	if err != nil {
 		return shardFrag{}, err
 	}
 	s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "local")
-	frag := call.local(part)
+	frag, err := call.local(part)
 	frag.fellBack = len(tgt.holders) > 0
-	return frag, nil
+	return frag, err
 }
 
 // scatter obtains the fragments of the plan's kept partitions, one ladder
@@ -268,7 +270,7 @@ func (sq *shardQuery) scatter(ctx context.Context, kept []*mapreduce.Split, call
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		sq.plan.Searched(sp, int(frags[i].records), len(frags[i].pts)+len(frags[i].cands))
+		sq.plan.Searched(sp, int(frags[i].records), frags[i].matches)
 		sq.stats.tally(frags[i])
 	}
 	return frags, nil
@@ -295,9 +297,10 @@ func (sq *shardQuery) done() *execMeta {
 	return &execMeta{engine: PlannerSharded, local: &sq.plan.Stats, shard: sh}
 }
 
-// shardedRange executes a range query with the sharded engine. A nil
-// execMeta (with nil error) means heap file.
-func (s *Server) shardedRange(ctx context.Context, file string, epoch int64, rect geom.Rect) ([]geom.Point, *execMeta, error) {
+// shardedRange executes a range query with the sharded engine and renders
+// its body (canon is the rect's canonical text). A nil execMeta (with nil
+// error) means heap file.
+func (s *Server) shardedRange(ctx context.Context, file, canon string, epoch int64, rect geom.Rect) ([]byte, *execMeta, error) {
 	sq, err := s.newShardQuery(file, epoch)
 	if sq == nil {
 		return nil, nil, err
@@ -310,11 +313,11 @@ func (s *Server) shardedRange(ctx context.Context, file string, epoch int64, rec
 	if err != nil {
 		return nil, nil, err
 	}
-	var pts []geom.Point
+	body := encodeRangeBodyStreams(file, canon, frags)
 	for _, f := range frags {
-		pts = append(pts, f.pts...)
+		rangeReplies.Put(f.stream)
 	}
-	return pts, sq.done(), nil
+	return body, sq.done(), nil
 }
 
 // shardedKNN executes a kNN query with the sharded engine: each round of

@@ -13,7 +13,10 @@ import (
 // partition into its memory tier — assembled from its own replica store,
 // peer holders, or the master, exactly like a map task's input — and
 // runs the query plan's per-partition step (ops/shard.go) against the
-// pinned R-tree. The fragment ships back to the plan on the master.
+// pinned R-tree. The step's result is the wire reply, unconverted: a
+// range fragment ships as a finished piece of the response body (the
+// matches' pin-time JSON objects plus their merge keys), a kNN fragment as
+// (dist, record) candidates; the master only merges.
 
 // pinServePartition resolves one exec call to a pinned partition.
 func (w *Worker) pinServePartition(file string, epoch int64, meta *mapreduce.WireSplitMeta) (*ops.LocalPartition, error) {
@@ -47,15 +50,14 @@ func (w *Worker) ServeTierStats() (partitions int, bytes int64) {
 }
 
 // ExecRange answers one partition's fragment of a sharded range query:
-// the pinned partition's matching points in canonical (X, then Y) order.
+// the pinned partition's matches as one sorted stream.
 func (s *shardServer) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
 	part, err := s.w.pinServePartition(args.File, args.Epoch, args.Meta)
 	if err != nil {
 		return err
 	}
-	reply.Points = ops.PartitionRangePoints(part, args.Query)
-	reply.Records = int64(len(part.Recs))
-	return nil
+	*reply, err = ops.PartitionRangePoints(part, args.Query)
+	return err
 }
 
 // ExecKNN answers one partition's fragment of a sharded kNN round: its

@@ -1,8 +1,12 @@
 package worker
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/rpc"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +21,10 @@ import (
 // TestExecMatchesPartitionStep: a serve-capable worker's ExecRange and
 // ExecKNN replies are exactly the query plan's per-partition step run on
 // the master over the same split — the worker adds transport and a pin
-// tier, never a different answer. A call it cannot serve (no split
+// tier, never a different answer. The range reply is additionally checked
+// against first principles: its keys are the partition's points inside
+// the query in canonical order, and its Frag is encoding/json's rendering
+// of those points, comma-joined. A call it cannot serve (no split
 // descriptor, or a worker started without ServeTasks) is an error, never
 // an empty reply the gather would mistake for "no matches".
 func TestExecMatchesPartitionStep(t *testing.T) {
@@ -60,6 +67,7 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 	m.EnsureServeReplicas(splits)
 	epoch := sys.FS().FileEpoch("pts")
 	query, q, k := geom.NewRect(200, 200, 700, 650), geom.Pt(480, 510), 7
+	matched := 0
 	for _, sp := range splits {
 		part, err := ops.PinSplit(sp)
 		if err != nil {
@@ -71,8 +79,31 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 		if err := server.Call(mapreduce.ShardService+".ExecRange", mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}, &rr); err != nil {
 			t.Fatalf("%s ExecRange: %v", sp.Partition, err)
 		}
-		if want := ops.PartitionRangePoints(part, query); rr.Records != int64(len(part.Recs)) || !samePoints(rr.Points, want) {
-			t.Errorf("%s ExecRange: %d points of %d records, want %d of %d", sp.Partition, len(rr.Points), rr.Records, len(want), len(part.Recs))
+		want, err := ops.PartitionRangePoints(part, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Records != int64(len(part.Recs)) || !slices.Equal(rr.Keys, want.Keys) || !bytes.Equal(rr.Frag, want.Frag) {
+			t.Errorf("%s ExecRange: %d keys, %d bytes of %d records, want %d, %d of %d",
+				sp.Partition, len(rr.Keys), len(rr.Frag), rr.Records, len(want.Keys), len(want.Frag), len(part.Recs))
+		}
+		var keys []float64
+		var objs []string
+		for _, p := range part.Pts { // canonically sorted by PinSplit
+			if query.ContainsPoint(p) {
+				obj, err := json.Marshal(struct {
+					X float64 `json:"x"`
+					Y float64 `json:"y"`
+				}{p.X, p.Y})
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys, objs = append(keys, p.X, p.Y), append(objs, string(obj))
+			}
+		}
+		matched += len(objs)
+		if !slices.Equal(rr.Keys, keys) || string(rr.Frag) != strings.Join(objs, ",") {
+			t.Errorf("%s ExecRange: stream is not the partition's matches in canonical order:\n keys %v\n want %v\n frag %.200q", sp.Partition, rr.Keys, keys, rr.Frag)
 		}
 
 		var kr mapreduce.ExecKNNReply
@@ -82,6 +113,10 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 		if want := ops.PartitionKNNCandidates(part, q, k); kr.Records != int64(len(part.Recs)) || !reflect.DeepEqual(kr.Cands, want) {
 			t.Errorf("%s ExecKNN: %v, want %v", sp.Partition, kr.Cands, want)
 		}
+	}
+
+	if matched == 0 {
+		t.Fatal("the range query matched nothing: the stream checks were vacuous")
 	}
 
 	meta := m.ServeMeta(splits[0])
@@ -103,10 +138,4 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 			t.Errorf("%s: got a reply, want an error", name)
 		}
 	}
-}
-
-// samePoints compares fragments treating nil and empty alike (gob does
-// not transmit empty slices).
-func samePoints(a, b []geom.Point) bool {
-	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
