@@ -30,7 +30,7 @@ type killMode struct {
 	phase         string
 	holder        bool
 	replicaHolder bool // kill the replica holder of the map split's input
-	replication   int  // data-plane replication factor (0 = plane off)
+	replication   int  // data-plane replication factor (0 = no replicas)
 }
 
 func killModes() []killMode {

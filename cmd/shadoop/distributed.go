@@ -39,7 +39,7 @@ func registerMasterFlags(fs *flag.FlagSet) *masterFlags {
 		workersWait: fs.Duration("workers-wait", 30*time.Second, "how long to wait for -min-workers"),
 		heartbeat:   fs.Duration("heartbeat", 100*time.Millisecond, "worker heartbeat interval"),
 		lease:       fs.Duration("lease", 0, "worker lease duration (0 = 10x heartbeat)"),
-		replication: fs.Int("replication", 0, "push this many replicas of each input block onto workers so maps read locally (0 = off, all input served by the master)"),
+		replication: fs.Int("replication", 0, "push this many replicas of each input block onto workers so maps read locally (0 = no replicas, every block read from the master)"),
 		eventsFile:  fs.String("master-events", "", "write the master's fault events (registrations, lease expiries, kills, re-issues, replica placement) as JSONL to this file"),
 		hbFile:      fs.String("heartbeat-log", "", "write one JSONL event per worker heartbeat to this file"),
 	}

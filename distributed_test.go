@@ -334,7 +334,7 @@ func TestDistributedSIGKILLMidJob(t *testing.T) {
 // local replicas (the counters behind shadoop_dfs_local_reads_total /
 // shadoop_dfs_remote_reads_total prove it), stay byte-identical to the
 // in-process run, and ship fewer bytes out of the master than the same
-// workload with the plane off. With DATAPLANE_ARTIFACT_DIR set, the
+// workload at replication 0. With DATAPLANE_ARTIFACT_DIR set, the
 // replica-placement and master fault-event logs are written there as
 // JSONL (CI uploads them).
 func TestDistributedLocality(t *testing.T) {
@@ -424,12 +424,12 @@ func TestDistributedLocality(t *testing.T) {
 	base, _ := startCluster(0)
 	gotBase := runWorkload(base)
 	for i := range want {
-		requireIdentical(t, gotBase[i], want[i], fmt.Sprintf("workload job %d with the plane off", i))
+		requireIdentical(t, gotBase[i], want[i], fmt.Sprintf("workload job %d at replication 0", i))
 	}
 	egressBase := base.Metrics().Counter(mapreduce.MetricMasterEgress)
-	t.Logf("master egress: %d bytes with replication 2 vs %d with the plane off", egressRepl, egressBase)
+	t.Logf("master egress: %d bytes with replication 2 vs %d at replication 0", egressRepl, egressBase)
 	if egressRepl >= egressBase {
-		t.Fatalf("replication did not cut master egress: %d bytes vs %d with the plane off", egressRepl, egressBase)
+		t.Fatalf("replication did not cut master egress: %d bytes vs %d at replication 0", egressRepl, egressBase)
 	}
 
 	if dir := os.Getenv("DATAPLANE_ARTIFACT_DIR"); dir != "" {

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"net/rpc"
 	"sort"
 	"sync"
@@ -11,12 +12,13 @@ import (
 
 // The master-side data plane: which worker holds a sealed replica of
 // which DFS block. When a job starts on the worker pool, every block of
-// its splits is pushed (once — block ids are monotone and blocks are
-// immutable once sealed) to Replication workers chosen by rendezvous
-// placement, spatial-partition groups co-locating. Map dispatches then
-// carry the holder set, the dispatch queue prefers holders, and workers
-// read input locally or peer-to-peer; the master serves a block itself
-// only as the last fallback. When a worker's lease expires, the blocks
+// its splits is registered and pushed (once — block ids are monotone and
+// blocks are immutable once sealed) to Replication workers chosen by
+// rendezvous placement, spatial-partition groups co-locating. Map
+// dispatches then carry the holder set, the dispatch queue prefers
+// holders, and workers read input locally or peer-to-peer; the master
+// serves a block itself as the last rung — the only one at replication
+// 0, which places no replicas. When a worker's lease expires, the blocks
 // it held are re-replicated onto the survivors so the replica factor
 // recovers without touching the job path.
 
@@ -26,16 +28,15 @@ import (
 const (
 	// MetricDFSLocalReads / MetricDFSLocalBytes count map-input blocks
 	// (and their record bytes) served from the reading worker's own
-	// replica store; the Remote pair counts peer and master reads,
-	// including whole-split fallbacks. Exported as
-	// shadoop_dfs_local_reads_total etc.
+	// replica store; the Remote pair counts peer and master reads.
+	// Exported as shadoop_dfs_local_reads_total etc.
 	MetricDFSLocalReads  = "dfs.local.reads"
 	MetricDFSLocalBytes  = "dfs.local.read.bytes"
 	MetricDFSRemoteReads = "dfs.remote.reads"
 	MetricDFSRemoteBytes = "dfs.remote.read.bytes"
 	// MetricMasterEgress totals data bytes the master itself shipped:
-	// split records, block frames, shard chunks, replica pushes. The
-	// number the data plane exists to shrink.
+	// block frames, shard chunks, replica pushes. The number replication
+	// exists to shrink.
 	MetricMasterEgress = "dfs.master.egress.bytes"
 	// MetricRereplications counts replicas re-pushed after worker loss.
 	MetricRereplications = "dfs.rereplications"
@@ -47,12 +48,12 @@ const (
 	MetricDispatchNonlocal = "mr.dispatch.nonlocal"
 )
 
-// planeBlock is the data plane's record of one replicated block.
+// planeBlock is the data plane's record of one block. It keeps the block
+// it was shown, not a sealed copy: a frame is sealed when one is pushed
+// or served, so the master never retains a second encoding of its DFS.
 type planeBlock struct {
-	partition string
-	frame     []byte // sealed records, what PushBlock ships and ReadBlock serves
-	bytes     int64  // decoded record bytes, for egress accounting
-	holders   []int64
+	block   *dfs.Block
+	holders []int64
 }
 
 // dataPlane tracks replica placement for one master.
@@ -72,14 +73,11 @@ func newDataPlane(m *Master, replication int, seed int64) *dataPlane {
 	}
 }
 
-// ensureReplicated pushes replicas of every not-yet-placed block of the
-// given splits, called once per job at run registration. Push failures
-// are tolerated: a holder that never got its replica simply isn't
-// recorded, and readers fall through to the master.
+// ensureReplicated registers every not-yet-seen block of the given splits
+// and pushes its replicas, called once per job at run registration. Push
+// failures are tolerated: a holder that never got its replica simply
+// isn't recorded, and readers fall through to the master.
 func (p *dataPlane) ensureReplicated(splits []*Split) {
-	if p == nil {
-		return
-	}
 	for _, s := range splits {
 		for _, b := range s.Blocks {
 			p.ensureBlock(b)
@@ -97,21 +95,20 @@ func (p *dataPlane) ensureBlock(b *dfs.Block) {
 		p.mu.Unlock()
 		return
 	}
-	pb := &planeBlock{partition: b.Partition, bytes: b.Bytes}
+	pb := &planeBlock{block: b}
 	p.blocks[b.ID] = pb
 	p.mu.Unlock()
 
+	targets := p.policy.Place(dfs.PlacementGroup(b.Partition, b.ID), p.m.liveWorkerIDs())
+	if len(targets) == 0 {
+		return // replication 0: the master serves the block
+	}
 	frame, err := EncodeBlockFrame(b.Records())
 	if err != nil {
 		return // unencodable records never happen; leave the block master-served
 	}
-	group := dfs.PlacementGroup(b.Partition, b.ID)
-	targets := p.policy.Place(group, p.m.liveWorkerIDs())
-	p.mu.Lock()
-	pb.frame = frame
-	p.mu.Unlock()
 	for _, id := range targets {
-		if p.pushTo(id, b.ID, b.Partition, frame) {
+		if p.pushTo(id, b.ID, frame) {
 			p.mu.Lock()
 			pb.holders = append(pb.holders, id)
 			p.mu.Unlock()
@@ -121,7 +118,7 @@ func (p *dataPlane) ensureBlock(b *dfs.Block) {
 }
 
 // pushTo installs one replica on one worker, best-effort.
-func (p *dataPlane) pushTo(workerID int64, id dfs.BlockID, partition string, frame []byte) bool {
+func (p *dataPlane) pushTo(workerID int64, id dfs.BlockID, frame []byte) bool {
 	addr := p.m.workerAddr(workerID)
 	if addr == "" {
 		return false
@@ -131,7 +128,7 @@ func (p *dataPlane) pushTo(workerID int64, id dfs.BlockID, partition string, fra
 		return false
 	}
 	defer client.Close()
-	args := PushBlockArgs{ID: int64(id), Partition: partition, Frame: frame}
+	args := PushBlockArgs{ID: int64(id), Frame: frame}
 	var reply PushBlockReply
 	if err := client.Call(ShardService+".PushBlock", args, &reply); err != nil {
 		return false
@@ -145,9 +142,6 @@ func (p *dataPlane) pushTo(workerID int64, id dfs.BlockID, partition string, fra
 // holdersFor returns the ids of every worker holding a replica of some
 // block of the split — the dispatch queue's locality set.
 func (p *dataPlane) holdersFor(s *Split) []int64 {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	set := map[int64]bool{}
@@ -204,19 +198,16 @@ func (p *dataPlane) blockRefs(s *Split) []WireBlockRef {
 	return refs
 }
 
-// readFrame serves one replicated block's sealed frame from the master —
-// the fallback source for a worker that reached no replica.
-func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, bool) {
-	if p == nil {
-		return nil, false
-	}
+// readFrame seals one registered block for the master's ReadBlock — the
+// source for a worker that reached no replica.
+func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	pb := p.blocks[id]
-	if pb == nil || pb.frame == nil {
-		return nil, false
+	p.mu.Unlock()
+	if pb == nil {
+		return nil, fmt.Errorf("mapreduce: master holds no block %d", id)
 	}
-	return pb.frame, true
+	return EncodeBlockFrame(pb.block.Records())
 }
 
 // onWorkerLost re-replicates every block the dead worker held onto
@@ -224,24 +215,13 @@ func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, bool) {
 // monitor's path, after the worker was already marked dead, so the
 // placement excludes it naturally.
 func (p *dataPlane) onWorkerLost(workerID int64) {
-	if p == nil {
-		return
-	}
-	type repush struct {
-		id        dfs.BlockID
-		pb        *planeBlock
-		partition string
-		frame     []byte
-	}
-	var lost []repush
+	var lost []*planeBlock
 	p.mu.Lock()
-	for id, pb := range p.blocks {
+	for _, pb := range p.blocks {
 		for i, h := range pb.holders {
 			if h == workerID {
 				pb.holders = append(pb.holders[:i], pb.holders[i+1:]...)
-				if pb.frame != nil {
-					lost = append(lost, repush{id: id, pb: pb, partition: pb.partition, frame: pb.frame})
-				}
+				lost = append(lost, pb)
 				break
 			}
 		}
@@ -249,36 +229,40 @@ func (p *dataPlane) onWorkerLost(workerID int64) {
 	p.mu.Unlock()
 
 	live := p.m.liveWorkerIDs()
-	for _, r := range lost {
+	for _, pb := range lost {
+		b := pb.block
 		p.mu.Lock()
-		missing := p.policy.Factor - len(r.pb.holders)
+		missing := p.policy.Factor - len(pb.holders)
 		current := map[int64]bool{}
-		for _, h := range r.pb.holders {
+		for _, h := range pb.holders {
 			current[h] = true
 		}
 		p.mu.Unlock()
-		if missing <= 0 {
-			continue
-		}
 		// Rank the survivors for this block's group; the first non-holders
 		// are the re-replication targets, so placement stays deterministic.
-		ranked := p.policy.Place(dfs.PlacementGroup(r.partition, r.id), live)
-		for _, id := range ranked {
+		var frame []byte
+		for _, id := range p.policy.Place(dfs.PlacementGroup(b.Partition, b.ID), live) {
 			if missing <= 0 {
 				break
 			}
 			if current[id] {
 				continue
 			}
-			if p.pushTo(id, r.id, r.partition, r.frame) {
+			if frame == nil {
+				var err error
+				if frame, err = EncodeBlockFrame(b.Records()); err != nil {
+					break
+				}
+			}
+			if p.pushTo(id, b.ID, frame) {
 				p.mu.Lock()
-				r.pb.holders = append(r.pb.holders, id)
+				pb.holders = append(pb.holders, id)
 				p.mu.Unlock()
 				missing--
 				if reg := p.m.opts.Metrics; reg != nil {
 					reg.Inc(MetricRereplications, 1)
 				}
-				p.m.flog.Append(fault.Event{Phase: "dfs", Task: int(r.id), Kind: "re-replicate", Worker: id})
+				p.m.flog.Append(fault.Event{Phase: "dfs", Task: int(b.ID), Kind: "re-replicate", Worker: id})
 			}
 		}
 	}

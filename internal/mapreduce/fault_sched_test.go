@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -183,6 +184,120 @@ func TestCommitRetries(t *testing.T) {
 	}
 	if commits != 2 {
 		t.Errorf("commit spans = %d, want 2 (failed attempt + winner)", commits)
+	}
+}
+
+// slowBackoffPolicy backs off for seconds (jitter keeps it >= 2.5s), so a
+// test can tell a backoff that wakes on cancellation from one slept out.
+func slowBackoffPolicy() fault.RetryPolicy {
+	p := fault.DefaultRetryPolicy()
+	p.BaseBackoff = 5 * time.Second
+	p.MaxBackoff = 5 * time.Second
+	return p
+}
+
+// TestCommitBackoffHonoursCancel: a job cancelled while its commit step
+// backs off after a transient failure must return at once, not after the
+// backoff — the commit step's wait is the scheduler's timer, not a sleep.
+func TestCommitBackoffHonoursCancel(t *testing.T) {
+	seed := int64(-1)
+	for s := int64(0); s < 10_000; s++ {
+		if fault.Uniform(s, fault.PhaseCommit, 0, 0) < 0.6 {
+			seed = s
+			break
+		}
+	}
+	if seed < 0 {
+		t.Fatal("no suitable seed found")
+	}
+	c := newTestCluster(t, 1<<20, 4)
+	c.FS().WriteFile("in", []string{"a", "b"})
+	c.SetRetryPolicy(slowBackoffPolicy())
+	c.SetFault(fault.Plan{Seed: seed, ReduceFailRate: 0.6}) // drives commit injection only: the job has no reduce
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunCtx(ctx, identityJob("commit-cancel"))
+		done <- err
+	}()
+	// The injector logs the commit attempt's drawn failure; the backoff
+	// follows it.
+	for len(c.Injector().Events()) == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	cancelled := time.Now()
+	select {
+	case err := <-done:
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("RunCtx = %v, want the injected commit failure", err)
+		}
+		if waited := time.Since(cancelled); waited > 500*time.Millisecond {
+			t.Fatalf("RunCtx returned %v after cancel; the commit backoff was slept out", waited)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunCtx never returned")
+	}
+}
+
+// TestReissueBackoffHonoursClose is the shard re-issue analogue: a
+// re-issue backing off after a failed attempt must stop when its run
+// closes. The pool is one scripted worker driven through the master's
+// RPC handlers: it takes the re-issued map and reports a transient
+// failure.
+func TestReissueBackoffHonoursClose(t *testing.T) {
+	c := newTestCluster(t, 1<<20, 4)
+	c.FS().WriteFile("in", []string{"a", "b"})
+	c.SetRetryPolicy(slowBackoffPolicy())
+	m, err := c.StartMaster(MasterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	svc := &masterService{m: m}
+	var reg RegisterReply
+	if err := svc.Register(RegisterArgs{}, &reg); err != nil {
+		t.Fatal(err)
+	}
+
+	job := identityJob("reissue-close")
+	rj := &runningJob{job: job, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: 1}
+	splits, err := c.MakeSplits(job.Input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
+	r := startRemote(context.Background(), m, local, 0)
+	done := make(chan error, 1)
+	go func() { done <- r.ensureShards(0) }()
+
+	var task TaskAssignment
+	for task.Phase != TaskMap {
+		if err := svc.GetTask(GetTaskArgs{WorkerID: reg.WorkerID}, &task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if task.Attempt <= reissueAttempt {
+		t.Fatalf("re-issue dispatched as attempt %d, want the %d+ range", task.Attempt, reissueAttempt)
+	}
+	failed := TaskDoneArgs{WorkerID: reg.WorkerID, DispatchID: task.DispatchID, Err: "scripted failure", Transient: true}
+	if err := svc.TaskDone(failed, &TaskDoneReply{}); err != nil {
+		t.Fatal(err)
+	}
+	r.close()
+	closed := time.Now()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("ensureShards = nil, want the failed attempt's error")
+		}
+		if waited := time.Since(closed); waited > 500*time.Millisecond {
+			t.Fatalf("re-issue returned %v after close; its backoff was slept out", waited)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("re-issue never returned")
 	}
 }
 

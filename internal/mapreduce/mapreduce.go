@@ -295,24 +295,6 @@ type Job struct {
 	Conf map[string]string
 }
 
-// Counters is a compatibility shim over the job's obs.Registry, retained
-// for callers written against the original flat counter map. Increments
-// take the registry mutex (they are mutex-based, not atomics), which is
-// why the runtime's hot paths use per-task obs.TaskMetrics buffers merged
-// once per task instead of this type.
-type Counters struct {
-	reg *obs.Registry
-}
-
-// Inc adds delta to counter name.
-func (c *Counters) Inc(name string, delta int64) { c.reg.Inc(name, delta) }
-
-// Get returns the value of counter name.
-func (c *Counters) Get(name string) int64 { return c.reg.Counter(name) }
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]int64 { return c.reg.Snapshot().Counters }
-
 // Standard counter names maintained by the runtime.
 const (
 	CounterSplitsTotal    = "splits.total"
@@ -550,7 +532,40 @@ func (c *Cluster) RunCtx(ctx context.Context, job *Job) (*Report, error) {
 	return c.runJob(ctx, job)
 }
 
-// runJob executes one admitted job.
+// jobRun is the state one admitted job threads through its phases: plan
+// → map → shuffle → reduce → commit. Every phase asks the runner (the
+// attempt seam) to execute attempts and does the bookkeeping itself, so
+// counters, histograms and spans are written once for both runners.
+type jobRun struct {
+	c    *Cluster
+	rj   *runningJob
+	pol  fault.RetryPolicy
+	root *obs.Span
+	run  runner
+
+	splits []*Split
+	total  int // splits before filtering
+
+	// maps holds each map task's winning attempt as the later phases need
+	// it: direct output, shuffle totals, duration.
+	maps      []mapResult
+	reduceOut [][]string
+	reduceDur []time.Duration
+	outCount  int64
+}
+
+type mapResult struct {
+	out []string
+	// pairs/bytes are the task's shuffle totals, computed once per attempt
+	// and reused by both the task counters and the shuffle span, so the two
+	// never disagree.
+	pairs int64
+	bytes int64
+	dur   time.Duration
+}
+
+// runJob executes one admitted job: it drives the phases and assembles
+// the report.
 func (c *Cluster) runJob(ctx context.Context, job *Job) (*Report, error) {
 	if job.Map == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no map function", job.Name)
@@ -571,349 +586,245 @@ func (c *Cluster) runJob(ctx context.Context, job *Job) (*Report, error) {
 	ctx, jspan := obs.StartSpan(ctx, "job")
 	jspan.SetAttr("name", job.Name)
 	defer jspan.End()
-	root := rj.trace.Start(job.Name, obs.PhaseJob, 0, -1)
-	// fail finishes the root span on every error path so traces never
-	// leak open spans.
-	fail := func(err error) (*Report, error) {
-		root.Finish(obs.OutcomeFailed)
+	j := &jobRun{c: c, rj: rj, pol: c.RetryPolicy()}
+	j.root = rj.trace.Start(job.Name, obs.PhaseJob, 0, -1)
+	rep := &Report{Job: job.Name, ReduceTasks: numRed, OutputFile: job.Output, WorkersUsed: c.workers, Trace: rj.trace}
+	if err := j.phases(ctx, rep); err != nil {
+		// The root span is finished on every error path so traces never
+		// leak open spans.
+		j.root.Finish(obs.OutcomeFailed)
 		return nil, err
 	}
-	pol := c.RetryPolicy()
+	j.root.RecordsOut = j.outCount
+	j.root.Finish(obs.OutcomeOK)
 
+	rep.Splits, rep.SplitsTotal, rep.MapTasks = len(j.splits), j.total, len(j.splits)
+	rep.OutputCount = j.outCount
+	for _, r := range j.maps {
+		rep.MapWorkSum += r.dur
+		rep.MapTaskMax = max(rep.MapTaskMax, r.dur)
+	}
+	for _, d := range j.reduceDur {
+		rep.ReduceWorkSum += d
+		rep.ReduceTaskMax = max(rep.ReduceTaskMax, d)
+	}
+	rep.Metrics = rj.reg.Snapshot()
+	rep.Counters = rep.Metrics.Counters
+	rep.Total = time.Since(start)
+	return rep, nil
+}
+
+// phases plans the job, picks its runner and runs the four timed phases
+// in order, stopping at the first that fails.
+func (j *jobRun) phases(ctx context.Context, rep *Report) error {
+	if err := j.plan(ctx); err != nil {
+		return err
+	}
+	j.run = j.c.newRunner(ctx, j.rj, j.splits, j.root.ID)
+	defer j.run.close()
+	for _, ph := range []struct {
+		wall *time.Duration
+		run  func(context.Context) error
+	}{
+		{&rep.MapTime, j.mapPhase},
+		{&rep.ShuffleTime, j.shufflePhase},
+		{&rep.ReduceTime, j.reducePhase},
+		{&rep.CommitTime, j.commitPhase},
+	} {
+		start := time.Now()
+		if err := ph.run(ctx); err != nil {
+			return err
+		}
+		*ph.wall = time.Since(start)
+	}
+	return nil
+}
+
+// plan derives the job's splits and runs its filter function — the
+// SpatialFileSplitter step.
+func (j *jobRun) plan(ctx context.Context) error {
+	job, reg := j.rj.job, j.rj.reg
 	splits := job.Splits
 	if splits == nil {
 		var err error
-		splits, err = c.MakeSplits(job.Input)
-		if err != nil {
-			return fail(err)
+		if splits, err = j.c.MakeSplits(job.Input); err != nil {
+			return err
 		}
 	}
-	total := len(splits)
-	rj.reg.Inc(CounterSplitsTotal, int64(total))
+	j.total = len(splits)
+	reg.Inc(CounterSplitsTotal, int64(j.total))
 	if job.Filter != nil {
-		fspan := rj.trace.Start("filter", obs.PhaseFilter, root.ID, -1)
-		fspan.RecordsIn = int64(total)
+		fspan := j.rj.trace.Start("filter", obs.PhaseFilter, j.root.ID, -1)
+		fspan.RecordsIn = int64(j.total)
 		_, frs := obs.StartSpan(ctx, "phase.filter")
 		splits = job.Filter(splits)
-		frs.SetAttr("splits_in", fmt.Sprint(total))
+		frs.SetAttr("splits_in", fmt.Sprint(j.total))
 		frs.SetAttr("splits_out", fmt.Sprint(len(splits)))
 		frs.End()
 		fspan.RecordsOut = int64(len(splits))
 		fspan.Finish(obs.OutcomeOK)
-		rj.reg.Inc(CounterSplitsFiltered, int64(total-len(splits)))
+		reg.Inc(CounterSplitsFiltered, int64(j.total-len(splits)))
 	}
-	rj.reg.Inc(CounterSplitsMapped, int64(len(splits)))
-	if total > 0 {
-		rj.reg.SetGauge(GaugeFilterPruneRatio, float64(total-len(splits))/float64(total))
+	reg.Inc(CounterSplitsMapped, int64(len(splits)))
+	if j.total > 0 {
+		reg.SetGauge(GaugeFilterPruneRatio, float64(j.total-len(splits))/float64(j.total))
 	}
+	j.splits = splits
+	return nil
+}
 
-	// When a master runtime is up with live workers and the job carries a
-	// registered kind, tasks execute on remote worker processes; rem stays
-	// nil otherwise and everything below runs in process as before.
-	rem := c.startRemote(rj, job, splits, numRed, root.ID)
-	if rem != nil {
-		defer rem.close()
-	}
-
-	// ---- Map phase ----
-	mapStart := time.Now()
+// mapPhase runs one scheduled task per split. The attempt bookkeeping —
+// shuffle counters, per-task histograms, the win-gated publish — lives
+// here, once, whichever runner executed the attempt.
+func (j *jobRun) mapPhase(ctx context.Context) error {
+	rj := j.rj
 	mapCtx, mapSpan := obs.StartSpan(ctx, "phase.map")
-	mapSpan.SetAttr("tasks", fmt.Sprint(len(splits)))
-	type mapResult struct {
-		// shards holds the task's emitted pairs pre-bucketed by reducer.
-		shards [][]Pair
-		out    []string
-		// pairs/bytes are the task's shuffle totals, computed once here and
-		// reused by both the task counters and the shuffle span, so the two
-		// never disagree.
-		pairs int64
-		bytes int64
-		dur   time.Duration
-	}
-	results := make([]mapResult, len(splits))
-	ms := newSched(c, rj, obs.PhaseMap, root.ID, pol, CounterRetryMap)
-	for i := range splits {
-		i, split := i, splits[i]
+	mapSpan.SetAttr("tasks", fmt.Sprint(len(j.splits)))
+	j.maps = make([]mapResult, len(j.splits))
+	ms := newSched(j.c, rj, obs.PhaseMap, j.root.ID, j.pol, CounterRetryMap)
+	for i, split := range j.splits {
 		var blk *dfs.Block
 		if len(split.Blocks) > 0 {
 			blk = split.Blocks[0]
 		}
 		ms.addTask(i, fmt.Sprintf("map-%d", i), split.Partition, blk, func(attempt int) (attemptOut, error) {
-			if rem != nil {
-				res, err := rem.mapAttempt(split, i, attempt)
-				if err != nil {
-					return attemptOut{}, err
-				}
-				// Mirror the in-process bookkeeping onto the shipped metrics
-				// buffer so counters and histograms are identical either way.
-				tm := res.tm
-				tm.Inc(CounterShuffleBytes, res.bytes)
-				tm.Inc(CounterShufflePairs, res.pairs)
-				tm.Observe(HistMapTaskRecordsIn, float64(res.recordsIn))
-				tm.Observe(HistMapTaskShuffleBytes, float64(res.bytes))
-				return attemptOut{
-					recordsIn:  res.recordsIn,
-					recordsOut: res.pairs + int64(len(res.out)),
-					bytes:      res.bytes,
-					apply: func(dur time.Duration) {
-						tm.Observe(HistMapTaskDurationUS, float64(dur.Microseconds()))
-						rj.reg.Merge(tm)
-						// Publishing the shard location under the win gate
-						// guarantees reducers fetch exactly one attempt's
-						// shards, whichever attempt won.
-						res.publish()
-						results[i] = mapResult{out: res.out, pairs: res.pairs, bytes: res.bytes, dur: dur}
-					},
-				}, nil
-			}
-			shards, out, tm, err := runMapAttempt(rj, split, attempt)
+			res, err := j.run.mapAttempt(i, attempt)
 			if err != nil {
 				// The attempt's metric buffer is dropped with the attempt.
 				return attemptOut{}, err
 			}
-			// Shuffle totals are summed here, once per successful task,
+			// Shuffle totals are counted here, once per successful task,
 			// instead of under a registry mutex per pair.
-			var pairs, bytes int64
-			for _, shard := range shards {
-				pairs += int64(len(shard))
-				for _, p := range shard {
-					bytes += int64(len(p.Key) + len(p.Value))
-				}
-			}
-			tm.Inc(CounterShuffleBytes, bytes)
-			tm.Inc(CounterShufflePairs, pairs)
-			tm.Observe(HistMapTaskRecordsIn, float64(split.NumRecords()))
-			tm.Observe(HistMapTaskShuffleBytes, float64(bytes))
+			tm := res.tm
+			tm.Inc(CounterShuffleBytes, res.bytes)
+			tm.Inc(CounterShufflePairs, res.pairs)
+			tm.Observe(HistMapTaskRecordsIn, float64(res.recordsIn))
+			tm.Observe(HistMapTaskShuffleBytes, float64(res.bytes))
 			return attemptOut{
-				recordsIn:  int64(split.NumRecords()),
-				recordsOut: pairs + int64(len(out)),
-				bytes:      bytes,
+				recordsIn:  res.recordsIn,
+				recordsOut: res.pairs + int64(len(res.out)),
+				bytes:      res.bytes,
 				apply: func(dur time.Duration) {
 					tm.Observe(HistMapTaskDurationUS, float64(dur.Microseconds()))
 					rj.reg.Merge(tm)
-					results[i] = mapResult{shards: shards, out: out, pairs: pairs, bytes: bytes, dur: dur}
+					// Publishing the shards under the win gate guarantees
+					// reducers read exactly one attempt's shards, whichever
+					// attempt won.
+					res.publish()
+					j.maps[i] = mapResult{out: res.out, pairs: res.pairs, bytes: res.bytes, dur: dur}
 				},
 			}, nil
 		})
 	}
-	mapErrs := ms.runAll(mapCtx)
+	errs := ms.runAll(mapCtx)
 	mapSpan.End()
-	for _, e := range mapErrs {
-		if e != nil {
-			return fail(fmt.Errorf("mapreduce: job %q map failed: %w", job.Name, e))
-		}
-	}
-	mapTime := time.Since(mapStart)
-	var mapWorkSum, mapTaskMax time.Duration
-	for _, r := range results {
-		mapWorkSum += r.dur
-		if r.dur > mapTaskMax {
-			mapTaskMax = r.dur
-		}
-	}
-
-	// ---- Shuffle ----
-	// Map tasks already bucketed their pairs by reducer, so the merge is
-	// embarrassingly parallel: one goroutine per reducer concatenates that
-	// reducer's shard from every task, in task order (which keeps the
-	// grouped value order identical to the old sequential loop). The totals
-	// come from the per-task sums recorded in the map phase — the same
-	// numbers already merged into the task counters — rather than a second
-	// walk over every pair.
-	shuffleStart := time.Now()
-	_, shReq := obs.StartSpan(ctx, "phase.shuffle")
-	shSpan := rj.trace.Start("shuffle", obs.PhaseShuffle, root.ID, -1)
-	groups := make([]map[string][]string, numRed)
-	var swg sync.WaitGroup
-	if rem == nil {
-		for ri := 0; ri < numRed; ri++ {
-			swg.Add(1)
-			go func(ri int) {
-				defer swg.Done()
-				// Merge work is bounded and must complete even when ctx is
-				// cancelled (the job fails later with complete state), so the
-				// acquire does not take the job context.
-				_ = c.slots.Acquire(context.Background())
-				defer c.slots.Release()
-				g := make(map[string][]string)
-				for _, r := range results {
-					if ri >= len(r.shards) {
-						continue // task emitted nothing
-					}
-					for _, p := range r.shards[ri] {
-						g[p.Key] = append(g[p.Key], p.Value)
-					}
-				}
-				groups[ri] = g
-			}(ri)
-		}
-	}
-	// Under remote execution the map shards never pass through the master:
-	// they sit spilled on the workers (or in the master shard store) and
-	// each reducer fetches its shard directly from every holder. The
-	// shuffle span still records the job-wide totals.
-	var directOut []string
-	var shufflePairs, shuffleBytes int64
-	for _, r := range results {
-		directOut = append(directOut, r.out...)
-		shufflePairs += r.pairs
-		shuffleBytes += r.bytes
-	}
-	swg.Wait()
-	shSpan.RecordsIn = shufflePairs
-	shSpan.Bytes = shuffleBytes
-	shSpan.Finish(obs.OutcomeOK)
-	shReq.SetAttr("bytes", fmt.Sprint(shuffleBytes))
-	shReq.End()
-	shuffleTime := time.Since(shuffleStart)
-
-	// ---- Reduce phase ----
-	reduceStart := time.Now()
-	reduceOut := make([][]string, numRed)
-	reduceDur := make([]time.Duration, numRed)
-	if job.Reduce != nil {
-		redCtx, redSpan := obs.StartSpan(ctx, "phase.reduce")
-		redSpan.SetAttr("tasks", fmt.Sprint(numRed))
-		rs := newSched(c, rj, obs.PhaseReduce, root.ID, pol, CounterRetryReduce)
-		for ri := 0; ri < numRed; ri++ {
-			ri := ri
-			rs.addTask(ri, fmt.Sprintf("reduce-%d", ri), "", nil, func(attempt int) (attemptOut, error) {
-				var out []string
-				var valuesIn int64
-				var tm *obs.TaskMetrics
-				var err error
-				if rem != nil {
-					var res remoteReduceResult
-					res, err = rem.reduceAttempt(ri, attempt)
-					out, valuesIn, tm = res.out, res.recordsIn, res.tm
-				} else {
-					out, valuesIn, tm, err = runReduceAttempt(rj, groups[ri], attempt)
-				}
-				if err != nil {
-					return attemptOut{}, err
-				}
-				return attemptOut{
-					recordsIn:  valuesIn,
-					recordsOut: int64(len(out)),
-					apply: func(dur time.Duration) {
-						tm.Observe(HistReduceTaskDurationUS, float64(dur.Microseconds()))
-						rj.reg.Merge(tm)
-						reduceOut[ri] = out
-						reduceDur[ri] = dur
-					},
-				}, nil
-			})
-		}
-		redErrs := rs.runAll(redCtx)
-		redSpan.End()
-		for _, e := range redErrs {
-			if e != nil {
-				return fail(fmt.Errorf("mapreduce: job %q reduce failed: %w", job.Name, e))
-			}
-		}
-	}
-	reduceTime := time.Since(reduceStart)
-	var reduceWorkSum, reduceTaskMax time.Duration
-	for _, d := range reduceDur {
-		reduceWorkSum += d
-		if d > reduceTaskMax {
-			reduceTaskMax = d
-		}
-	}
-
-	// ---- Output + commit ----
-	// The commit step (final output write plus the job's Commit hook) runs
-	// under the same retry policy as tasks. Every attempt rewrites the
-	// output file from scratch (CreateOrReplace truncates), so a retried
-	// commit never duplicates records, and every attempt's span is
-	// finished on every path — success, retry and failure alike.
-	commitStart := time.Now()
-	_, commitReq := obs.StartSpan(ctx, "phase.commit")
-	var outCount int64
-	injector := c.Injector()
-	var commitErr error
-	for attempt := 0; ; attempt++ {
-		cSpan := rj.trace.Start("commit", obs.PhaseCommit, root.ID, -1)
-		cSpan.Attempt = attempt
-		outCount = 0
-		err := c.attemptCommit(injector, job, directOut, reduceOut, attempt, &outCount)
-		if err == nil {
-			cSpan.RecordsOut = outCount
-			cSpan.Finish(obs.OutcomeOK)
-			break
-		}
-		if pol.ShouldRetry(err, attempt) && ctx.Err() == nil {
-			cSpan.Finish(obs.OutcomeRetry)
-			rj.reg.Inc(CounterTaskRetries, 1)
-			rj.reg.Inc(CounterRetryCommit, 1)
-			var seed int64
-			if injector != nil {
-				seed = injector.Plan().Seed
-			}
-			if d := pol.Backoff(seed, obs.PhaseCommit, 0, attempt); d > 0 {
-				time.Sleep(d)
-			}
-			continue
-		}
-		cSpan.Finish(obs.OutcomeFailed)
-		commitErr = err
-		break
-	}
-	commitReq.End()
-	if commitErr != nil {
-		return fail(fmt.Errorf("mapreduce: job %q commit failed: %w", job.Name, commitErr))
-	}
-	rj.reg.Inc(CounterOutputRecords, outCount)
-	commitTime := time.Since(commitStart)
-	root.RecordsOut = outCount
-	root.Finish(obs.OutcomeOK)
-
-	snap := rj.reg.Snapshot()
-	return &Report{
-		Job:         job.Name,
-		Splits:      len(splits),
-		SplitsTotal: total,
-		MapTasks:    len(splits),
-		ReduceTasks: numRed,
-		Counters:    snap.Counters,
-		MapTime:     mapTime,
-		ShuffleTime: shuffleTime,
-		ReduceTime:  reduceTime,
-		CommitTime:  commitTime,
-		Total:       time.Since(start),
-		OutputFile:  job.Output,
-		OutputCount: outCount,
-		WorkersUsed: c.workers,
-
-		MapWorkSum:    mapWorkSum,
-		MapTaskMax:    mapTaskMax,
-		ReduceWorkSum: reduceWorkSum,
-		ReduceTaskMax: reduceTaskMax,
-
-		Metrics: snap,
-		Trace:   rj.trace,
-	}, nil
+	return firstErr(errs, rj.job.Name, "map")
 }
 
-// attemptCommit runs one attempt of the commit step: it (re)creates the
-// output file, writes the buffered map/reduce output and runs the job's
-// Commit hook. The injector may fail the attempt before any write.
-func (c *Cluster) attemptCommit(in *fault.Injector, job *Job, directOut []string, reduceOut [][]string, attempt int, outCount *int64) error {
-	if in != nil {
-		switch in.Decide(fault.PhaseCommit, 0, attempt).Kind {
-		case fault.KindTransient:
-			return &fault.InjectedError{Phase: fault.PhaseCommit, Task: 0, Attempt: attempt}
-		case fault.KindPermanent:
-			return &fault.InjectedError{Phase: fault.PhaseCommit, Task: 0, Attempt: attempt, Permanent: true}
+// firstErr wraps a phase's first task error (nil when every task won).
+func firstErr(errs []error, job, phase string) error {
+	for _, e := range errs {
+		if e != nil {
+			return fmt.Errorf("mapreduce: job %q %s failed: %w", job, phase, e)
 		}
 	}
+	return nil
+}
+
+// shufflePhase makes the winning map shards reachable by the reducers
+// (the runner's business) and records the job-wide shuffle totals — the
+// per-task sums already merged into the task counters, not a second walk
+// over every pair.
+func (j *jobRun) shufflePhase(ctx context.Context) error {
+	_, shReq := obs.StartSpan(ctx, "phase.shuffle")
+	shSpan := j.rj.trace.Start("shuffle", obs.PhaseShuffle, j.root.ID, -1)
+	j.run.shuffle()
+	for _, r := range j.maps {
+		shSpan.RecordsIn += r.pairs
+		shSpan.Bytes += r.bytes
+	}
+	shSpan.Finish(obs.OutcomeOK)
+	shReq.SetAttr("bytes", fmt.Sprint(shSpan.Bytes))
+	shReq.End()
+	return nil
+}
+
+// reducePhase runs one scheduled task per reducer (none for a map-only
+// job).
+func (j *jobRun) reducePhase(ctx context.Context) error {
+	rj, numRed := j.rj, j.rj.nshards
+	j.reduceOut = make([][]string, numRed)
+	j.reduceDur = make([]time.Duration, numRed)
+	if rj.job.Reduce == nil {
+		return nil
+	}
+	redCtx, redSpan := obs.StartSpan(ctx, "phase.reduce")
+	redSpan.SetAttr("tasks", fmt.Sprint(numRed))
+	rs := newSched(j.c, rj, obs.PhaseReduce, j.root.ID, j.pol, CounterRetryReduce)
+	for ri := 0; ri < numRed; ri++ {
+		rs.addTask(ri, fmt.Sprintf("reduce-%d", ri), "", nil, func(attempt int) (attemptOut, error) {
+			res, err := j.run.reduceAttempt(ri, attempt)
+			if err != nil {
+				return attemptOut{}, err
+			}
+			return attemptOut{
+				recordsIn:  res.recordsIn,
+				recordsOut: int64(len(res.out)),
+				apply: func(dur time.Duration) {
+					res.tm.Observe(HistReduceTaskDurationUS, float64(dur.Microseconds()))
+					rj.reg.Merge(res.tm)
+					j.reduceOut[ri] = res.out
+					j.reduceDur[ri] = dur
+				},
+			}, nil
+		})
+	}
+	errs := rs.runAll(redCtx)
+	redSpan.End()
+	return firstErr(errs, rj.job.Name, "reduce")
+}
+
+// commitPhase writes the final output and runs the job's Commit hook,
+// under the same retry loop as tasks but without taking a slot. Every
+// attempt rewrites the output file from scratch (CreateOrReplace
+// truncates), so a retried commit never duplicates records.
+func (j *jobRun) commitPhase(ctx context.Context) error {
+	_, commitReq := obs.StartSpan(ctx, "phase.commit")
+	defer commitReq.End()
+	var directOut []string
+	for _, r := range j.maps {
+		directOut = append(directOut, r.out...)
+	}
+	cs := newSched(j.c, j.rj, obs.PhaseCommit, j.root.ID, j.pol, CounterRetryCommit)
+	err := cs.retry(ctx, newSchedTask(0, "commit", ""), func(span *obs.Span, _ int, _ fault.Decision) error {
+		n, err := j.c.writeOutput(j.rj.job, directOut, j.reduceOut)
+		if err != nil {
+			return err
+		}
+		j.outCount = n
+		span.RecordsOut = n
+		span.Finish(obs.OutcomeOK)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("mapreduce: job %q commit failed: %w", j.rj.job.Name, err)
+	}
+	j.rj.reg.Inc(CounterOutputRecords, j.outCount)
+	return nil
+}
+
+// writeOutput is one attempt of the commit step: it (re)creates the
+// output file, writes the buffered map/reduce output, runs the job's
+// Commit hook and returns the record count.
+func (c *Cluster) writeOutput(job *Job, directOut []string, reduceOut [][]string) (int64, error) {
 	w, err := c.fs.CreateOrReplace(job.Output)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	var n int64
 	writeRec := func(rec string) {
 		w.WriteRecord(rec)
-		*outCount++
+		n++
 	}
 	for _, rec := range directOut {
 		writeRec(rec)
@@ -925,11 +836,123 @@ func (c *Cluster) attemptCommit(in *fault.Injector, job *Job, directOut []string
 	}
 	if job.Commit != nil {
 		if err := job.Commit(c, writeRec); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return w.Close()
+	return n, w.Close()
 }
+
+// attemptResult is one successful map or reduce attempt as the phase
+// functions see it, before the win gate — the same shape whichever
+// runner executed it.
+type attemptResult struct {
+	// out is a map attempt's direct (early-flush) output, or a reduce
+	// attempt's partition output.
+	out []string
+	// pairs/bytes are a map attempt's shuffle totals.
+	pairs, bytes int64
+	// recordsIn is the attempt's input record (map) or value (reduce) count.
+	recordsIn int64
+	tm        *obs.TaskMetrics
+	// publish makes a map attempt's shards the ones reducers read; the
+	// phase calls it for the winning attempt only. Nil for reduce attempts.
+	publish func()
+}
+
+// runner is the attempt seam: where a job's map and reduce attempts
+// execute and where the shards between them live. There are exactly two:
+// localRunner (this process) and remoteRun (the worker pool).
+type runner interface {
+	mapAttempt(task, attempt int) (attemptResult, error)
+	// shuffle runs between the phases, after every map task has won.
+	shuffle()
+	reduceAttempt(ri, attempt int) (attemptResult, error)
+	close()
+}
+
+// newRunner picks the job's runner: the worker pool when a master runtime
+// is up with live workers and the job carries a registered kind (its
+// functions can be rebuilt remotely), this process otherwise.
+func (c *Cluster) newRunner(ctx context.Context, rj *runningJob, splits []*Split, root int64) runner {
+	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
+	if m := c.Master(); m != nil && m.LiveWorkers() > 0 && HasKind(rj.job.Kind) {
+		return startRemote(ctx, m, local, root)
+	}
+	return local
+}
+
+// localRunner executes attempts in this process and keeps the shards in
+// memory.
+type localRunner struct {
+	rj     *runningJob
+	splits []*Split
+	slots  *SlotPool
+	// shards holds, per map task, the winning attempt's pairs bucketed by
+	// reducer; shuffle regroups them into one key → values map per reducer.
+	shards [][][]Pair
+	groups []map[string][]string
+}
+
+// execMap runs one map attempt and returns its result (unpublished) with
+// the emitted shards.
+func (l *localRunner) execMap(task, attempt int) (attemptResult, [][]Pair, error) {
+	split := l.splits[task]
+	shards, out, tm, err := runMapAttempt(l.rj, split, attempt)
+	if err != nil {
+		return attemptResult{}, nil, err
+	}
+	pairs, bytes := ShardTotals(shards)
+	return attemptResult{out: out, pairs: pairs, bytes: bytes, recordsIn: int64(split.NumRecords()), tm: tm}, shards, nil
+}
+
+func (l *localRunner) mapAttempt(task, attempt int) (attemptResult, error) {
+	res, shards, err := l.execMap(task, attempt)
+	if err != nil {
+		return attemptResult{}, err
+	}
+	res.publish = func() { l.shards[task] = shards }
+	return res, nil
+}
+
+// shuffle regroups the map shards by reducer. Map tasks already bucketed
+// their pairs, so the merge is embarrassingly parallel: one goroutine per
+// reducer concatenates that reducer's shard from every task, in task
+// order (which fixes the grouped value order).
+func (l *localRunner) shuffle() {
+	l.groups = make([]map[string][]string, l.rj.nshards)
+	var wg sync.WaitGroup
+	for ri := range l.groups {
+		wg.Add(1)
+		go func(ri int) {
+			defer wg.Done()
+			// Merge work is bounded and must complete even when the job's
+			// context is cancelled (the job fails later with complete
+			// state), so the acquire does not take it.
+			_ = l.slots.Acquire(context.Background())
+			defer l.slots.Release()
+			g := make(map[string][]string)
+			for _, shards := range l.shards {
+				if ri < len(shards) { // else the task emitted nothing
+					MergePairs(g, shards[ri])
+				}
+			}
+			l.groups[ri] = g
+		}(ri)
+	}
+	wg.Wait()
+}
+
+// execReduce runs one reduce attempt over grouped values.
+func (l *localRunner) execReduce(groups map[string][]string, attempt int) (attemptResult, error) {
+	out, valuesIn, tm, err := runReduceAttempt(l.rj, groups, attempt)
+	return attemptResult{out: out, recordsIn: valuesIn, tm: tm}, err
+}
+
+func (l *localRunner) reduceAttempt(ri, attempt int) (attemptResult, error) {
+	return l.execReduce(l.groups[ri], attempt)
+}
+
+func (l *localRunner) close() {}
 
 // runMapAttempt executes one map attempt, applying the combiner to its
 // output, and returns the task's emitted pairs bucketed by reducer shard.

@@ -78,12 +78,11 @@ type MasterOptions struct {
 	// heartbeat log (see HeartbeatLog) — the JSONL artifact the CI e2e
 	// step uploads. Off by default: a busy pool heartbeats constantly.
 	RecordHeartbeats bool
-	// Replication, when positive, turns on the data plane: each job's
+	// Replication is the replica factor of the data plane: each job's
 	// input blocks are pushed to this many workers before its maps run,
 	// map dispatches prefer replica holders, and workers read input
 	// locally or peer-to-peer instead of from the master. Zero (the
-	// default) keeps the PR-8 behavior: every split ships from the
-	// master via ReadSplit.
+	// default) places no replicas: every block is read from the master.
 	Replication int
 	// PlacementSeed seeds rendezvous replica placement (default 1), so
 	// a replayed run places identically.
@@ -150,9 +149,8 @@ type dispatch struct {
 	// holders are the worker ids holding a replica of this map task's
 	// split — the locality set the pending queue matches pollers against.
 	holders []int64
-	// meta is the replica-aware split descriptor shipped in the
-	// assignment (nil when the data plane is off: the worker falls back
-	// to a whole-split ReadSplit from the master).
+	// meta is the replica-aware split descriptor shipped in a map
+	// assignment.
 	meta *WireSplitMeta
 
 	resultCh chan dispatchResult
@@ -192,8 +190,7 @@ type Master struct {
 	flog  *fault.Log
 	hblog *fault.Log
 
-	// plane is the block-replica data plane, nil unless
-	// MasterOptions.Replication is positive.
+	// plane is the block-replica data plane.
 	plane *dataPlane
 
 	mu           sync.Mutex
@@ -217,6 +214,9 @@ type Master struct {
 	epochSrc func() map[string]int64
 
 	stop chan struct{}
+	// drops tracks the end-of-job DropJob broadcasts so Stop can wait for
+	// them.
+	drops sync.WaitGroup
 }
 
 // maxPending bounds the dispatch queue, matching the old channel buffer.
@@ -245,9 +245,7 @@ func (c *Cluster) StartMaster(opts MasterOptions) (*Master, error) {
 		waitCh:     make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
-	if opts.Replication > 0 {
-		m.plane = newDataPlane(m, opts.Replication, opts.PlacementSeed)
-	}
+	m.plane = newDataPlane(m, opts.Replication, opts.PlacementSeed)
 	if err := m.srv.RegisterName(MasterService, &masterService{m: m}); err != nil {
 		ln.Close()
 		return nil, err
@@ -285,7 +283,8 @@ func (m *Master) HeartbeatLog() *fault.Log { return m.hblog }
 
 // Stop shuts the master down: the listener closes, queued and in-flight
 // dispatches fail transiently (jobs still running fall back in process),
-// and the cluster reverts to in-process execution.
+// the cluster reverts to in-process execution, and Stop returns once the
+// DropJob broadcasts of finished jobs have completed.
 func (m *Master) Stop() {
 	m.mu.Lock()
 	if m.closed {
@@ -314,6 +313,39 @@ func (m *Master) Stop() {
 		m.c.master = nil
 	}
 	m.c.mu.Unlock()
+	m.drops.Wait()
+}
+
+// dropJob tells every live worker to garbage-collect a finished job's
+// spill files — best-effort and in the background: a worker that misses
+// the drop only leaks until its own teardown.
+func (m *Master) dropJob(jobID int64) {
+	addrs := make(map[string]bool)
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	for _, ws := range m.workers {
+		if ws.live {
+			addrs[ws.addr] = true
+		}
+	}
+	// Added under the lock Stop takes to close, so no Add races its Wait.
+	m.drops.Add(len(addrs))
+	m.mu.Unlock()
+	for addr := range addrs {
+		go func(addr string) {
+			defer m.drops.Done()
+			client, err := rpc.Dial("tcp", addr)
+			if err != nil {
+				return
+			}
+			defer client.Close()
+			var reply DropJobReply
+			_ = client.Call(ShardService+".DropJob", DropJobArgs{JobID: jobID}, &reply) // best-effort
+		}(addr)
+	}
 }
 
 // LiveWorkers returns the number of workers currently under lease.
@@ -701,7 +733,7 @@ func (s *masterService) GetTask(args GetTaskArgs, reply *TaskAssignment) error {
 			m.mu.Unlock()
 			if r := m.opts.Metrics; r != nil {
 				r.Inc(MetricTasksDispatched, 1)
-				if m.plane != nil && d.phase == TaskMap {
+				if d.phase == TaskMap {
 					if d.holds(args.WorkerID) {
 						r.Inc(MetricDispatchLocal, 1)
 					} else {
@@ -735,31 +767,6 @@ func (s *masterService) GetTask(args GetTaskArgs, reply *TaskAssignment) error {
 			return nil
 		}
 	}
-}
-
-// ReadSplit ships a map task's split records to the worker — the remote
-// DFS read path.
-func (s *masterService) ReadSplit(args ReadSplitArgs, reply *WireSplit) error {
-	r := s.m.run(args.JobID)
-	if r == nil {
-		return fmt.Errorf("mapreduce: no active run %d", args.JobID)
-	}
-	if args.Task < 0 || args.Task >= len(r.splits) {
-		return fmt.Errorf("mapreduce: run %d has no task %d", args.JobID, args.Task)
-	}
-	sp := r.splits[args.Task]
-	*reply = *sp.ToWire()
-	if reg := s.m.opts.Metrics; reg != nil {
-		var n int64
-		for _, b := range sp.Blocks {
-			n += b.Bytes
-		}
-		for _, b := range sp.Extra {
-			n += b.Bytes
-		}
-		reg.Inc(MetricMasterEgress, n)
-	}
-	return nil
 }
 
 // TaskDone receives an attempt's outcome and routes it to the waiting
@@ -818,8 +825,8 @@ func (s *masterService) TaskDone(args TaskDoneArgs, reply *TaskDoneReply) error 
 
 // masterShards serves shards produced by in-process (fallback or
 // re-issued) map attempts — under the same Shards.FetchChunk contract
-// workers serve their spill files with — and replicated block frames for
-// workers that reached no replica.
+// workers serve their spill files with — and block frames for workers
+// that reached no replica.
 type masterShards struct {
 	m *Master
 }
@@ -849,17 +856,13 @@ func (s *masterShards) FetchChunk(args FetchChunkArgs, reply *FetchChunkReply) e
 	return nil
 }
 
-// ReadBlock serves a replicated block's sealed frame from the master —
-// the terminal fallback of the worker read chain (own replica, peers,
-// master).
+// ReadBlock serves a block's sealed frame from the master — the terminal
+// rung of the worker read chain (own replica, peers, master), and at
+// replication 0 the only one.
 func (s *masterShards) ReadBlock(args ReadBlockArgs, reply *ReadBlockReply) error {
-	p := s.m.plane
-	if p == nil {
-		return fmt.Errorf("mapreduce: data plane is off")
-	}
-	frame, ok := p.readFrame(dfs.BlockID(args.ID))
-	if !ok {
-		return fmt.Errorf("mapreduce: master holds no block %d", args.ID)
+	frame, err := s.m.plane.readFrame(dfs.BlockID(args.ID))
+	if err != nil {
+		return err
 	}
 	reply.Frame = frame
 	if reg := s.m.opts.Metrics; reg != nil {

@@ -315,26 +315,6 @@ func TestMakeSplitsUsesMasterIndexMBR(t *testing.T) {
 	}
 }
 
-// TestCountersShim checks the compatibility shim over the registry.
-func TestCountersShim(t *testing.T) {
-	reg := obs.NewRegistry()
-	cs := NewCounters(reg)
-	cs.Inc("x", 5)
-	cs.Inc("x", 2)
-	if cs.Get("x") != 7 {
-		t.Errorf("Get = %d", cs.Get("x"))
-	}
-	snap := cs.Snapshot()
-	if snap["x"] != 7 {
-		t.Errorf("Snapshot = %v", snap)
-	}
-	// The shim shares the registry; registry-side increments show through.
-	reg.Inc("x", 3)
-	if cs.Get("x") != 10 {
-		t.Errorf("Get after registry inc = %d", cs.Get("x"))
-	}
-}
-
 // TestWriteSummary smoke-tests the human-readable summary rendering.
 func TestWriteSummary(t *testing.T) {
 	c := newTestCluster(t, 256, 4)

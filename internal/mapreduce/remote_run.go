@@ -1,39 +1,38 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
-	"net/rpc"
 	"sync"
-	"time"
 
 	"spatialhadoop/internal/fault"
 	"spatialhadoop/internal/obs"
 )
 
-// remoteRun is the per-job state of remote execution: the job's splits
-// (served to workers via ReadSplit), the shard-location table naming the
-// worker holding each map task's winning spill, the master-held shard
-// store for attempts that ran in process (fallback and re-issues), and
-// the shard-loss recovery path — a singleflight re-run of a map task
-// whose shards died with their worker, published under the reissue
-// attempt range with its metrics suppressed so the task still counts
-// exactly once.
+// remoteRun is the worker-pool runner: the per-job state of remote
+// execution. It holds the shard-location table naming the worker behind
+// each map task's winning spill, the master-held shard store for attempts
+// that ran in process (no live worker, and re-issues then), and the
+// shard-loss recovery path — a singleflight re-run of a map task whose
+// shards died with their worker, published under the reissue attempt
+// range with its metrics suppressed so the task still counts exactly
+// once. With no worker live an attempt is the in-process runner's, plus
+// "keep the shard frames on the master".
 type remoteRun struct {
-	m       *Master
-	c       *Cluster
-	rj      *runningJob
-	job     *Job
-	id      int64
-	root    int64
-	splits  []*Split
-	nshards int
+	m     *Master
+	local *localRunner
+	id    int64
+	root  int64
+	// ctx ends when the job's context does or the run closes; recovery
+	// work (re-issues, their backoffs) stops with it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu           sync.Mutex
 	locs         []shardLoc
 	masterShards map[shardKey][]byte
 	reissue      map[int]*reissueCall
 	reissueNext  int
-	closed       bool
 }
 
 // shardLoc names the holder of one map task's winning shards.
@@ -53,86 +52,34 @@ type reissueCall struct {
 	err  error
 }
 
-// remoteMapResult is one successful remote (or fallback-local) map
-// attempt, before the win gate: publish records the shard location and
-// runs only for the winning attempt.
-type remoteMapResult struct {
-	out       []string
-	pairs     int64
-	bytes     int64
-	recordsIn int64
-	tm        *obs.TaskMetrics
-	publish   func()
-}
-
-// remoteReduceResult is one successful remote reduce attempt.
-type remoteReduceResult struct {
-	out       []string
-	recordsIn int64
-	tm        *obs.TaskMetrics
-}
-
-// startRemote decides whether the job runs on the worker pool and, if so,
-// registers a run with the master. It returns nil — in-process execution
-// — when no master is running, no worker is live, or the job carries no
-// registered kind (its functions cannot be rebuilt remotely).
-func (c *Cluster) startRemote(rj *runningJob, job *Job, splits []*Split, nshards int, root int64) *remoteRun {
-	m := c.Master()
-	if m == nil || m.LiveWorkers() == 0 {
-		return nil
-	}
-	if job.Kind == "" || !HasKind(job.Kind) {
-		return nil
-	}
+// startRemote registers a pool run with the master, replicating the job's
+// input blocks first so locality-aware assignment has holders to match.
+func startRemote(ctx context.Context, m *Master, local *localRunner, root int64) *remoteRun {
 	r := &remoteRun{
-		m: m, c: c, rj: rj, job: job, root: root,
-		splits: splits, nshards: nshards,
-		locs:         make([]shardLoc, len(splits)),
+		m: m, local: local, root: root,
+		locs:         make([]shardLoc, len(local.splits)),
 		masterShards: make(map[shardKey][]byte),
 		reissue:      make(map[int]*reissueCall),
 	}
-	// Replicate the job's input blocks onto the pool before any map
-	// dispatch, so locality-aware assignment has holders to match.
-	m.plane.ensureReplicated(splits)
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	m.plane.ensureReplicated(local.splits)
 	m.registerRun(r)
 	return r
 }
 
-// close detaches the run from the master; outstanding dispatches fail so
-// nothing blocks on a job that already ended, and workers are told to
-// drop the job's spill files (best-effort, in the background — a worker
-// that misses the drop only leaks until its own teardown).
+// close detaches the run from the master: recovery stops, outstanding
+// dispatches fail so nothing blocks on a job that already ended, and
+// workers are told to drop the job's spill files.
 func (r *remoteRun) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
+	r.cancel()
 	r.m.unregisterRun(r)
-	addrs := make(map[string]bool)
-	r.m.mu.Lock()
-	for _, ws := range r.m.workers {
-		if ws.live {
-			addrs[ws.addr] = true
-		}
-	}
-	r.m.mu.Unlock()
-	for addr := range addrs {
-		go func(addr string) {
-			client, err := rpc.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
-			defer client.Close()
-			var reply DropJobReply
-			_ = client.Call(ShardService+".DropJob", DropJobArgs{JobID: r.id}, &reply)
-		}(addr)
-	}
+	r.m.dropJob(r.id)
 }
 
-func (r *remoteRun) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
+// shuffle is a no-op: map shards never pass through the master. They sit
+// spilled on the workers (or in the master shard store) and each reducer
+// fetches its shard directly from every holder.
+func (r *remoteRun) shuffle() {}
 
 // setLoc records the winning attempt's shard holder for a map task.
 func (r *remoteRun) setLoc(task int, loc shardLoc) {
@@ -172,57 +119,52 @@ func (r *remoteRun) sources() []ShardSource {
 	return out
 }
 
-// mapAttempt executes one map attempt remotely — or in process when no
-// worker is live (total worker loss mid-job; the shards are then held by
-// the master). The returned publish callback is deferred to the win gate.
-func (r *remoteRun) mapAttempt(split *Split, task, attempt int) (remoteMapResult, error) {
-	if r.m.LiveWorkers() == 0 {
-		shards, out, tm, err := runMapAttempt(r.rj, split, attempt)
-		if err != nil {
-			return remoteMapResult{}, err
-		}
-		pairs, bytes := ShardTotals(shards)
-		frames := make([][]byte, len(shards))
-		for ri, shard := range shards {
-			frame, err := EncodeShard(shard)
-			if err != nil {
-				return remoteMapResult{}, err
-			}
-			frames[ri] = frame
-		}
-		return remoteMapResult{
-			out: out, pairs: pairs, bytes: bytes,
-			recordsIn: int64(split.NumRecords()), tm: tm,
-			publish: func() {
-				r.storeMasterShards(task, attempt, frames)
-				r.setLoc(task, shardLoc{addr: r.m.Addr(), attempt: attempt})
-			},
-		}, nil
-	}
-	d := &dispatch{
-		jobID: r.id, phase: TaskMap, task: task, attempt: attempt,
-		jobKind: r.job.Kind, conf: r.job.Conf, nshards: r.nshards,
-		resultCh: make(chan dispatchResult, 1),
-	}
-	if p := r.m.plane; p != nil {
-		d.holders = p.holdersFor(split)
-		d.meta = &WireSplitMeta{
-			Partition: split.Partition, MBR: split.MBR,
-			ContentMBR: split.ContentMBR, Tag: split.Tag,
-			Blocks: p.blockRefs(split),
-		}
-	}
+// send submits one attempt to the pool and waits for its outcome.
+func (r *remoteRun) send(d *dispatch) (dispatchResult, error) {
+	rj := r.local.rj
+	d.jobID, d.jobKind, d.conf, d.nshards = r.id, rj.job.Kind, rj.job.Conf, rj.nshards
+	d.resultCh = make(chan dispatchResult, 1)
 	if err := r.m.submit(d); err != nil {
-		return remoteMapResult{}, err
+		return dispatchResult{}, err
 	}
 	res := <-d.resultCh
-	if res.err != nil {
-		if res.workerLost {
-			r.rj.reg.Inc(CounterWorkerLost, 1)
-		}
-		return remoteMapResult{}, res.err
+	if res.workerLost {
+		rj.reg.Inc(CounterWorkerLost, 1)
 	}
-	return remoteMapResult{
+	return res, res.err
+}
+
+// mapAttempt executes one map attempt on a worker — or, when none is live
+// (total worker loss mid-job), through the in-process runner with the
+// shards sealed into the master's store.
+func (r *remoteRun) mapAttempt(task, attempt int) (attemptResult, error) {
+	if r.m.LiveWorkers() == 0 {
+		res, shards, err := r.local.execMap(task, attempt)
+		if err != nil {
+			return attemptResult{}, err
+		}
+		frames := make([][]byte, len(shards))
+		for ri, shard := range shards {
+			if frames[ri], err = EncodeShard(shard); err != nil {
+				return attemptResult{}, err
+			}
+		}
+		res.publish = func() {
+			r.storeMasterShards(task, attempt, frames)
+			r.setLoc(task, shardLoc{addr: r.m.Addr(), attempt: attempt})
+		}
+		return res, nil
+	}
+	split := r.local.splits[task]
+	res, err := r.send(&dispatch{
+		phase: TaskMap, task: task, attempt: attempt,
+		holders: r.m.plane.holdersFor(split),
+		meta:    r.m.ServeMeta(split),
+	})
+	if err != nil {
+		return attemptResult{}, err
+	}
+	return attemptResult{
 		out: res.out, pairs: res.pairs, bytes: res.bytes,
 		recordsIn: res.recordsIn, tm: obs.ImportTaskMetrics(res.metrics),
 		publish: func() {
@@ -231,11 +173,12 @@ func (r *remoteRun) mapAttempt(split *Split, task, attempt int) (remoteMapResult
 	}, nil
 }
 
-// reduceAttempt executes one reduce attempt remotely — or in process when
-// no worker is live, fetching worker-held shards itself. A fetch failure
-// (dead holder, torn spill) triggers shard recovery and fails the attempt
-// transiently; the scheduler's retry then reads the re-issued locations.
-func (r *remoteRun) reduceAttempt(ri, attempt int) (remoteReduceResult, error) {
+// reduceAttempt executes one reduce attempt on a worker — or, when none
+// is live, through the in-process runner over shards the master fetches
+// itself. A fetch failure (dead holder, torn spill) triggers shard
+// recovery and fails the attempt transiently; the scheduler's retry then
+// reads the re-issued locations.
+func (r *remoteRun) reduceAttempt(ri, attempt int) (attemptResult, error) {
 	sources := r.sources()
 	if r.m.LiveWorkers() == 0 {
 		taskShards := make([][]Pair, len(sources))
@@ -250,34 +193,18 @@ func (r *remoteRun) reduceAttempt(ri, attempt int) (remoteReduceResult, error) {
 		}
 		if len(lost) > 0 {
 			r.recoverMaps(lost)
-			return remoteReduceResult{}, fault.Transientf("mapreduce: reduce %d lost shards of %d map task(s)", ri, len(lost))
+			return attemptResult{}, fault.Transientf("mapreduce: reduce %d lost shards of %d map task(s)", ri, len(lost))
 		}
-		out, valuesIn, tm, err := runReduceAttempt(r.rj, GroupShards(taskShards), attempt)
-		if err != nil {
-			return remoteReduceResult{}, err
-		}
-		return remoteReduceResult{out: out, recordsIn: valuesIn, tm: tm}, nil
+		return r.local.execReduce(GroupShards(taskShards), attempt)
 	}
-	d := &dispatch{
-		jobID: r.id, phase: TaskReduce, task: ri, attempt: attempt,
-		jobKind: r.job.Kind, conf: r.job.Conf, nshards: r.nshards,
-		sources:  sources,
-		resultCh: make(chan dispatchResult, 1),
-	}
-	if err := r.m.submit(d); err != nil {
-		return remoteReduceResult{}, err
-	}
-	res := <-d.resultCh
-	if res.err != nil {
-		if res.workerLost {
-			r.rj.reg.Inc(CounterWorkerLost, 1)
-		}
+	res, err := r.send(&dispatch{phase: TaskReduce, task: ri, attempt: attempt, sources: sources})
+	if err != nil {
 		if len(res.lostMaps) > 0 {
 			r.recoverMaps(res.lostMaps)
 		}
-		return remoteReduceResult{}, res.err
+		return attemptResult{}, err
 	}
-	return remoteReduceResult{out: res.out, recordsIn: res.recordsIn, tm: obs.ImportTaskMetrics(res.metrics)}, nil
+	return attemptResult{out: res.out, recordsIn: res.recordsIn, tm: obs.ImportTaskMetrics(res.metrics)}, nil
 }
 
 // fetchShard reads one map shard for the master's own (fallback) reduce:
@@ -301,7 +228,7 @@ func (r *remoteRun) fetchShard(src ShardSource, reduce int) ([]Pair, error) {
 // on the dead worker. Map-only jobs skip it: their direct output is
 // already on the master and their shards are never fetched.
 func (r *remoteRun) onWorkerLost(workerID int64) {
-	if r.job.Reduce == nil || r.isClosed() {
+	if r.local.rj.job.Reduce == nil || r.ctx.Err() != nil {
 		return
 	}
 	r.mu.Lock()
@@ -335,11 +262,10 @@ func (r *remoteRun) recoverMaps(tasks []int) {
 
 // ensureShards re-runs one map task under singleflight.
 func (r *remoteRun) ensureShards(task int) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if r.ctx.Err() != nil {
 		return nil
 	}
+	r.mu.Lock()
 	if call, ok := r.reissue[task]; ok {
 		r.mu.Unlock()
 		<-call.done
@@ -359,46 +285,34 @@ func (r *remoteRun) ensureShards(task int) error {
 }
 
 // reissueMap re-executes one already-won map task because its shards were
-// lost. The re-run publishes new shards and a span with OutcomeReissue,
-// but its metrics buffer is dropped: the task's counters were merged when
-// its original attempt won, and merging the re-run would double-count it.
+// lost, under the scheduler's retry loop but with no injected fate and
+// attempts numbered from the run's reissue range. The re-run publishes
+// new shards and a span with OutcomeReissue, but its metrics buffer is
+// dropped: the task's counters were merged when its original attempt won,
+// and merging the re-run would double-count it.
 func (r *remoteRun) reissueMap(task int) error {
-	split := r.splits[task]
-	pol := r.c.RetryPolicy()
-	seed := int64(0)
-	if in := r.c.Injector(); in != nil {
-		seed = in.Plan().Seed
-	}
-	var lastErr error
-	for try := 0; ; try++ {
-		if r.isClosed() {
-			return fault.Transientf("mapreduce: run ended during shard recovery")
-		}
+	rj := r.local.rj
+	s := newSched(r.m.c, rj, obs.PhaseMap, r.root, r.m.c.RetryPolicy(), "")
+	s.in = nil // a re-issue draws no fate of its own; it keeps the seed for its backoff jitter
+	ts := newSchedTask(task, fmt.Sprintf("map-%d", task), r.local.splits[task].Partition)
+	ts.nextAttempt = func() int {
 		r.mu.Lock()
+		defer r.mu.Unlock()
 		r.reissueNext++
-		attempt := reissueAttempt + r.reissueNext
-		r.mu.Unlock()
-		span := r.rj.trace.Start(fmt.Sprintf("map-%d", task), obs.PhaseMap, r.root, task)
-		span.Partition = split.Partition
-		span.Attempt = attempt
-		res, err := r.mapAttempt(split, task, attempt)
-		if err == nil {
-			res.publish()
-			span.RecordsIn = res.recordsIn
-			span.RecordsOut = res.pairs + int64(len(res.out))
-			span.Bytes = res.bytes
-			span.Finish(obs.OutcomeReissue)
-			r.rj.reg.Inc(CounterReissuedMaps, 1)
-			r.m.flog.Append(fault.Event{Phase: TaskMap, Task: task, Attempt: attempt, Kind: "reissue"})
-			return nil
-		}
-		span.Finish(obs.OutcomeFailed)
-		lastErr = err
-		if !pol.ShouldRetry(err, try) {
-			return lastErr
-		}
-		if d := pol.Backoff(seed, TaskMap, task, attempt); d > 0 {
-			time.Sleep(d)
-		}
+		return reissueAttempt + r.reissueNext
 	}
+	return s.retry(r.ctx, ts, func(span *obs.Span, attempt int, _ fault.Decision) error {
+		res, err := r.mapAttempt(task, attempt)
+		if err != nil {
+			return err
+		}
+		res.publish()
+		span.RecordsIn = res.recordsIn
+		span.RecordsOut = res.pairs + int64(len(res.out))
+		span.Bytes = res.bytes
+		span.Finish(obs.OutcomeReissue)
+		rj.reg.Inc(CounterReissuedMaps, 1)
+		r.m.flog.Append(fault.Event{Phase: TaskMap, Task: task, Attempt: attempt, Kind: "reissue"})
+		return nil
+	})
 }

@@ -7,9 +7,12 @@
 package mapreduce_test
 
 import (
+	"errors"
 	"fmt"
 	iofs "io/fs"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,35 +264,89 @@ func TestWorkerPoolLifecycle(t *testing.T) {
 	}
 }
 
-// TestRemoteByteIdentity is the core contract: the same job on real
-// workers produces byte-identical output to the in-process run, and it
-// genuinely ran remotely (tasks were dispatched to workers). Spill files
-// are no evidence anymore — end-of-job GC removes them.
+// TestRemoteByteIdentity is the core contract of the attempt seam: the
+// same registered-kind job run in process, on a 2-worker pool at
+// replication 0 and at replication 2, and on a pool whose workers all
+// died, produces byte-identical output, identical Report.Counters maps
+// and identical histogram observation counts (the observed durations
+// differ, nothing else may) — and the pool rows genuinely ran remotely
+// (tasks were dispatched to workers). Spill files are no evidence
+// anymore — end-of-job GC removes them.
 func TestRemoteByteIdentity(t *testing.T) {
 	want, wantRep := inProcessOracle(t)
-
-	reg := obs.NewRegistry()
-	c, _, _ := startDistributed(t, 2, reg)
-	writeDistText(t, c)
-	rep, err := c.Run(kindWordCountJob())
-	if err != nil {
-		t.Fatal(err)
+	histCounts := func(rep *mapreduce.Report) map[string]int64 {
+		out := map[string]int64{}
+		for name, h := range rep.Metrics.Histograms {
+			out[name] = h.Count
+		}
+		return out
 	}
-	assertSameRecords(t, readOut(t, c), want, "remote wordcount")
-
-	// The data counters must agree exactly with the in-process run.
-	for _, name := range []string{
-		mapreduce.CounterMapRecordsIn, mapreduce.CounterMapRecordsOut,
-		mapreduce.CounterShufflePairs, mapreduce.CounterReduceGroups,
-		mapreduce.CounterOutputRecords,
+	for _, tc := range []struct {
+		name        string
+		replication int
+		loseWorkers bool
+	}{
+		{"replication-0", 0, false},
+		{"replication-2", 2, false},
+		{"workers-lost", 0, true},
 	} {
-		if rep.Counters[name] != wantRep.Counters[name] {
-			t.Errorf("counter %s = %d remotely, %d in process", name, rep.Counters[name], wantRep.Counters[name])
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			c, m, pool := startDistributedRepl(t, 2, reg, tc.replication)
+			writeDistText(t, c)
+			if tc.loseWorkers {
+				pool.stopAll()
+				waitFor(t, time.Second, func() bool { return m.LiveWorkers() == 0 })
+			}
+			rep, err := c.Run(kindWordCountJob())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRecords(t, readOut(t, c), want, tc.name+" wordcount")
+			if !reflect.DeepEqual(rep.Counters, wantRep.Counters) {
+				t.Errorf("Report.Counters diverged from the in-process run:\n got %v\nwant %v", rep.Counters, wantRep.Counters)
+			}
+			if got, want := histCounts(rep), histCounts(wantRep); !reflect.DeepEqual(got, want) {
+				t.Errorf("histogram observation counts diverged from the in-process run:\n got %v\nwant %v", got, want)
+			}
+			if dispatched := reg.Counter(mapreduce.MetricTasksDispatched); (dispatched > 0) == tc.loseWorkers {
+				t.Fatalf("%d tasks dispatched to workers with loseWorkers=%v", dispatched, tc.loseWorkers)
+			}
+			if replicated := countFaultEvents(m.FaultLog())["replicate"]; (replicated > 0) != (tc.replication > 0) {
+				t.Fatalf("%d replicas pushed at replication %d", replicated, tc.replication)
+			}
+		})
+	}
+}
+
+// TestMasterStopLeavesNoGoroutines: every job's close broadcasts DropJob
+// to the workers in the background; Master.Stop must wait those calls
+// out, so that after 20 jobs and a teardown the process is back at its
+// pre-StartMaster goroutine count (the rpc transport's per-connection
+// goroutines unwind asynchronously after their sockets close, hence the
+// short poll).
+func TestMasterStopLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, m, pool := startDistributed(t, 2, obs.NewRegistry())
+	writeDistText(t, c)
+	for i := 0; i < 20; i++ {
+		if _, err := c.Run(kindWordCountJob()); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	if reg.Counter(mapreduce.MetricTasksDispatched) == 0 {
-		t.Fatal("no task was dispatched to a worker; the job did not run remotely")
+	pool.stopAll()
+	for _, w := range pool.workers {
+		w.Wait()
+	}
+	m.Stop()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Stop, %d before StartMaster:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -297,6 +354,9 @@ func countSpillFiles(t *testing.T, dir string) int {
 	t.Helper()
 	n := 0
 	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+		if errors.Is(err, iofs.ErrNotExist) {
+			return nil // the asynchronous drop removed it mid-walk
+		}
 		if err != nil {
 			return err
 		}

@@ -12,12 +12,14 @@ import (
 	"spatialhadoop/internal/obs"
 )
 
-// This file is the task scheduler shared by the map and reduce phases:
-// every task attempt runs under the cluster's fault.RetryPolicy (attempt
-// budget, capped exponential backoff with seeded jitter, optional
-// per-attempt deadline), failures are classified transient/permanent via
-// fault.IsTransient, and a speculation monitor launches duplicate
-// attempts against stragglers with first-finisher-wins semantics.
+// This file is the task scheduler shared by the map and reduce phases —
+// and the one retry loop (sched.retry) that the commit step and shard
+// re-issues run under too: every attempt runs under the cluster's
+// fault.RetryPolicy (attempt budget, capped exponential backoff with
+// seeded jitter, optional per-attempt deadline), failures are classified
+// transient/permanent via fault.IsTransient, and a speculation monitor
+// launches duplicate attempts against stragglers with
+// first-finisher-wins semantics.
 //
 // Determinism contract: an attempt's result depends only on its task
 // (map functions are pure in their split, reduce functions in their key
@@ -52,6 +54,8 @@ type attemptFn func(attempt int) (attemptOut, error)
 
 // schedTask is the scheduler's per-task state.
 type schedTask struct {
+	// idx is the task ordinal: with the phase it is the coordinate of the
+	// task's injection and backoff-jitter draws.
 	idx       int
 	name      string
 	partition string
@@ -59,6 +63,9 @@ type schedTask struct {
 	// errors (nil for reduce tasks).
 	block *dfs.Block
 	run   attemptFn
+	// nextAttempt, when set, numbers the task's attempts instead of the
+	// try ordinal (shard re-issues draw from their run's 2000+ range).
+	nextAttempt func() int
 
 	mu           sync.Mutex
 	running      bool
@@ -93,12 +100,18 @@ func (ts *schedTask) isDone() bool {
 
 // sched coordinates the tasks of one phase.
 type sched struct {
-	c            *Cluster
-	rj           *runningJob
-	phase        string // obs.PhaseMap or obs.PhaseReduce
-	root         int64
-	pol          fault.RetryPolicy
-	in           *fault.Injector
+	c     *Cluster
+	rj    *runningJob
+	phase string // obs.PhaseMap, PhaseReduce or PhaseCommit
+	root  int64
+	pol   fault.RetryPolicy
+	// in draws every attempt's injected fate (nil: none); seed is the chaos
+	// seed behind the backoff jitter (0 without a plan).
+	in   *fault.Injector
+	seed int64
+	// retryCounter is the per-phase counter incremented alongside
+	// CounterTaskRetries. Empty marks shard re-issues, whose failed tries
+	// are not task retries: they stay uncounted and finish as failed.
 	retryCounter string
 
 	mu        sync.Mutex
@@ -109,30 +122,28 @@ type sched struct {
 	helpers sync.WaitGroup // monitor + speculative attempts
 }
 
-// newSched creates a scheduler for one phase. retryCounter is the
-// per-phase retry counter incremented alongside CounterTaskRetries.
+// newSched creates a scheduler for one phase.
 func newSched(c *Cluster, rj *runningJob, phase string, root int64, pol fault.RetryPolicy, retryCounter string) *sched {
-	return &sched{
+	s := &sched{
 		c: c, rj: rj, phase: phase, root: root, pol: pol, retryCounter: retryCounter,
 		in:   c.Injector(),
 		stop: make(chan struct{}),
 	}
+	if s.in != nil {
+		s.seed = s.in.Plan().Seed
+	}
+	return s
+}
+
+func newSchedTask(idx int, name, partition string) *schedTask {
+	return &schedTask{idx: idx, name: name, partition: partition, doneCh: make(chan struct{})}
 }
 
 // addTask registers a task; call before start.
 func (s *sched) addTask(idx int, name, partition string, block *dfs.Block, run attemptFn) {
-	s.tasks = append(s.tasks, &schedTask{
-		idx: idx, name: name, partition: partition, block: block, run: run,
-		doneCh: make(chan struct{}),
-	})
-}
-
-// seed returns the chaos seed driving backoff jitter (0 without a plan).
-func (s *sched) seed() int64 {
-	if s.in != nil {
-		return s.in.Plan().Seed
-	}
-	return 0
+	ts := newSchedTask(idx, name, partition)
+	ts.block, ts.run = block, run
+	s.tasks = append(s.tasks, ts)
 }
 
 // start launches the speculation monitor (when enabled).
@@ -196,7 +207,9 @@ func (s *sched) runAll(ctx context.Context) []error {
 				return
 			}
 			defer s.c.slots.Release()
-			errs[ts.idx] = s.runTask(ctx, ts)
+			errs[ts.idx] = s.retry(ctx, ts, func(span *obs.Span, attempt int, d fault.Decision) error {
+				return s.attempt(ctx, ts, span, attempt, false, d)
+			})
 		}(ts)
 	}
 	wg.Wait()
@@ -262,7 +275,11 @@ func (s *sched) scanStragglers(ctx context.Context) {
 			defer s.c.slots.Release()
 			defer close(ts.specDone)
 			span := s.startSpan(ts, specAttempt, true)
-			if err := s.attempt(ctx, ts, span, specAttempt, true); err != nil {
+			d, err := s.inject(ts, specAttempt)
+			if err == nil {
+				err = s.attempt(ctx, ts, span, specAttempt, true, d)
+			}
+			if err != nil {
 				// A failed duplicate is abandoned, never retried: the
 				// primary attempt still owns the task.
 				span.Finish(obs.OutcomeFailed)
@@ -273,62 +290,99 @@ func (s *sched) scanStragglers(ctx context.Context) {
 
 // startSpan opens the trace span for one attempt.
 func (s *sched) startSpan(ts *schedTask, attempt int, spec bool) *obs.Span {
-	span := s.rj.trace.Start(ts.name, s.phase, s.root, ts.idx)
+	task := ts.idx
+	if s.phase == obs.PhaseCommit {
+		task = -1 // the commit step is not task-scoped
+	}
+	span := s.rj.trace.Start(ts.name, s.phase, s.root, task)
 	span.Partition = ts.partition
 	span.Attempt = attempt
 	span.Speculative = spec
 	return span
 }
 
-// runTask drives one task to completion under the retry policy: attempts
-// run until one wins (possibly a speculative duplicate), the budget is
-// exhausted, or a permanent error surfaces.
-func (s *sched) runTask(ctx context.Context, ts *schedTask) error {
-	for attempt := 0; ; attempt++ {
+// inject draws an attempt's seeded fate. Injected transient and permanent
+// failures become the attempt's error here, for every phase; the other
+// kinds (corrupt read, straggle) are returned for sched.attempt to act on.
+func (s *sched) inject(ts *schedTask, attempt int) (fault.Decision, error) {
+	d := s.in.Decide(s.phase, ts.idx, attempt)
+	switch d.Kind {
+	case fault.KindTransient:
+		return d, &fault.InjectedError{Phase: s.phase, Task: ts.idx, Attempt: attempt}
+	case fault.KindPermanent:
+		return d, &fault.InjectedError{Phase: s.phase, Task: ts.idx, Attempt: attempt, Permanent: true}
+	}
+	return d, nil
+}
+
+// retry is the runtime's one retry loop: map and reduce tasks, the commit
+// step and shard re-issues all drive their attempts through it. Each try
+// opens a span, draws the attempt's injected fate and runs body, which
+// finishes the span itself on success; on failure the loop finishes it
+// and either retries after the policy's seeded backoff or gives up —
+// budget exhausted, permanent error, or ctx done. The backoff is a timer
+// that also wakes when a speculative duplicate wins or ctx ends; a job
+// cancelled while backing off starts no further attempt.
+func (s *sched) retry(ctx context.Context, ts *schedTask, body func(span *obs.Span, attempt int, d fault.Decision) error) error {
+	for try := 0; ; try++ {
 		if ts.isDone() {
 			return nil // a speculative duplicate won during our backoff
 		}
+		attempt := try
+		if ts.nextAttempt != nil {
+			attempt = ts.nextAttempt()
+		}
 		span := s.startSpan(ts, attempt, false)
-		err := s.attempt(ctx, ts, span, attempt, false)
+		d, err := s.inject(ts, attempt)
+		if err == nil {
+			err = body(span, attempt, d)
+		}
 		if err == nil {
 			return nil
 		}
-		if s.pol.ShouldRetry(err, attempt) && ctx.Err() == nil {
+		if !s.pol.ShouldRetry(err, try) || ctx.Err() != nil {
+			span.Finish(obs.OutcomeFailed)
+			// If a speculative duplicate is still in flight it may yet save
+			// the task; wait for it before declaring failure.
+			ts.mu.Lock()
+			specDone := ts.specDone
+			ts.mu.Unlock()
+			if specDone != nil {
+				<-specDone
+				if ts.isDone() {
+					return nil
+				}
+			}
+			return err
+		}
+		if s.retryCounter == "" {
+			span.Finish(obs.OutcomeFailed)
+		} else {
 			span.Finish(obs.OutcomeRetry)
 			s.rj.reg.Inc(CounterTaskRetries, 1)
 			s.rj.reg.Inc(s.retryCounter, 1)
-			if d := s.pol.Backoff(s.seed(), s.phase, ts.idx, attempt); d > 0 {
-				timer := time.NewTimer(d)
-				select {
-				case <-timer.C:
-				case <-ts.doneCh: // a duplicate won; stop retrying
-				case <-ctx.Done():
-				}
-				timer.Stop()
-			}
-			continue
 		}
-		span.Finish(obs.OutcomeFailed)
-		// If a speculative duplicate is still in flight it may yet save
-		// the task; wait for it before declaring failure.
-		ts.mu.Lock()
-		specDone := ts.specDone
-		ts.mu.Unlock()
-		if specDone != nil {
-			<-specDone
-			if ts.isDone() {
-				return nil
+		if wait := s.pol.Backoff(s.seed, s.phase, ts.idx, attempt); wait > 0 {
+			timer := time.NewTimer(wait)
+			select {
+			case <-timer.C:
+			case <-ts.doneCh: // a duplicate won; stop retrying
+			case <-ctx.Done():
 			}
+			timer.Stop()
 		}
-		return err
+		if ctx.Err() != nil {
+			return err
+		}
 	}
 }
 
-// attempt runs one attempt of ts: injects the seeded fault plan's fate,
-// enforces the per-attempt deadline, and publishes the result through the
-// win gate. A nil return means the task is decided (this attempt won, or
-// finished as a suppressed duplicate).
-func (s *sched) attempt(ctx context.Context, ts *schedTask, span *obs.Span, attempt int, spec bool) error {
+// attempt runs one map or reduce attempt of ts under its drawn fate d:
+// acts out an injected corrupt read or straggle, enforces the per-attempt
+// deadline, and publishes the result through the win gate. A nil return
+// means the task is decided (this attempt won, or finished as a
+// suppressed duplicate).
+func (s *sched) attempt(ctx context.Context, ts *schedTask, span *obs.Span, attempt int, spec bool, d fault.Decision) error {
 	if !spec {
 		ts.mu.Lock()
 		ts.running = true
@@ -342,34 +396,28 @@ func (s *sched) attempt(ctx context.Context, ts *schedTask, span *obs.Span, atte
 	}
 	start := time.Now()
 
-	if in := s.in; in != nil {
-		switch d := in.Decide(s.phase, ts.idx, attempt); d.Kind {
-		case fault.KindTransient:
-			return &fault.InjectedError{Phase: s.phase, Task: ts.idx, Attempt: attempt}
-		case fault.KindPermanent:
-			return &fault.InjectedError{Phase: s.phase, Task: ts.idx, Attempt: attempt, Permanent: true}
-		case fault.KindCorrupt:
-			// A corrupted block read: the DFS returned bytes whose CRC
-			// does not match. Retryable — the next read models a healthy
-			// replica.
-			s.rj.reg.Inc(CounterChecksumFailures, 1)
-			if b := ts.block; b != nil {
-				return &dfs.ChecksumError{Block: b.ID, Want: b.Checksum(), Got: ^b.Checksum()}
+	switch d.Kind {
+	case fault.KindCorrupt:
+		// A corrupted block read: the DFS returned bytes whose CRC
+		// does not match. Retryable — the next read models a healthy
+		// replica.
+		s.rj.reg.Inc(CounterChecksumFailures, 1)
+		if b := ts.block; b != nil {
+			return &dfs.ChecksumError{Block: b.ID, Want: b.Checksum(), Got: ^b.Checksum()}
+		}
+		return fault.Transientf("fault: injected corrupt read (%s task %d attempt %d)", s.phase, ts.idx, attempt)
+	case fault.KindStraggle:
+		// Straggle relative to the speculation threshold so injected
+		// stragglers reliably cross it: sleep Slowdown x threshold.
+		s.rj.reg.Inc(CounterStragglersInjected, 1)
+		delay := time.Duration(float64(s.pol.StragglerThreshold(s.median())) * d.Slowdown)
+		if delay > 0 {
+			timer := time.NewTimer(delay)
+			select {
+			case <-timer.C:
+			case <-ctx.Done():
 			}
-			return fault.Transientf("fault: injected corrupt read (%s task %d attempt %d)", s.phase, ts.idx, attempt)
-		case fault.KindStraggle:
-			// Straggle relative to the speculation threshold so injected
-			// stragglers reliably cross it: sleep Slowdown x threshold.
-			s.rj.reg.Inc(CounterStragglersInjected, 1)
-			delay := time.Duration(float64(s.pol.StragglerThreshold(s.median())) * d.Slowdown)
-			if delay > 0 {
-				timer := time.NewTimer(delay)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-				}
-				timer.Stop()
-			}
+			timer.Stop()
 		}
 	}
 

@@ -17,20 +17,17 @@ import (
 // EnsureServeReplicas places replicas of the splits' blocks on live
 // workers (idempotent; blocks already placed are skipped). The serving
 // engine calls it before scattering so a freshly indexed file gets its
-// replicas on first query rather than first batch job. No-op when the
-// data plane is off (replication 0).
+// replicas on first query rather than first batch job. At replication 0
+// it only registers the blocks, so the master can serve them.
 func (m *Master) EnsureServeReplicas(splits []*Split) {
 	m.plane.ensureReplicated(splits)
 }
 
-// ServeMeta builds the replica-aware split descriptor a serving worker
-// needs to assemble the partition from its replica store (falling through
-// to peers and the master exactly like a map task). Nil when the data
-// plane is off.
+// ServeMeta builds the replica-aware split descriptor a worker needs to
+// assemble the split from its replica store, falling through to peers and
+// the master — what every map assignment and every serving exec call
+// carries.
 func (m *Master) ServeMeta(s *Split) *WireSplitMeta {
-	if m.plane == nil {
-		return nil
-	}
 	return &WireSplitMeta{
 		Partition:  s.Partition,
 		MBR:        s.MBR,
@@ -44,9 +41,6 @@ func (m *Master) ServeMeta(s *Split) *WireSplitMeta {
 // workers holding the split's replicas, in placement (rendezvous) order:
 // the first entry is the scatter target, the rest the fallback ladder.
 func (m *Master) ServeHolders(s *Split) []string {
-	if m.plane == nil {
-		return nil
-	}
 	ids := m.plane.serveHolderIDs(s)
 	out := make([]string, 0, len(ids))
 	m.mu.Lock()
@@ -65,9 +59,6 @@ func (m *Master) ServeHolders(s *Split) []string {
 // holdersFor — which sorts by id for the locality set — order matters
 // here: the rendezvous-first holder is the scatter target.
 func (p *dataPlane) serveHolderIDs(s *Split) []int64 {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []int64

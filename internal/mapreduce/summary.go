@@ -9,9 +9,6 @@ import (
 	"spatialhadoop/internal/obs"
 )
 
-// NewCounters wraps a registry in the compatibility counter interface.
-func NewCounters(reg *obs.Registry) *Counters { return &Counters{reg: reg} }
-
 // WriteSummary renders a human-readable job summary: the per-phase time
 // table (wall time, work sum, longest task), the top-N slowest tasks, the
 // most skewed reduce partitions, the runtime gauges (filter prune ratio)

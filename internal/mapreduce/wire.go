@@ -117,10 +117,8 @@ type TaskAssignment struct {
 	// Sources lists, for reduce tasks, the shard holders of every map
 	// task in task order — the order the in-process shuffle merges in.
 	Sources []ShardSource
-	// Meta, for map tasks on a replicated data plane, describes the
-	// split's blocks and their replica holders so the worker assembles
-	// its input from local or peer replicas. Nil means replication is
-	// off and the worker reads the whole split from the master.
+	// Meta, for map tasks, describes the split's blocks and their replica
+	// holders; the worker assembles its input from them block by block.
 	Meta *WireSplitMeta
 }
 
@@ -145,58 +143,6 @@ type WireSplitMeta struct {
 	ContentMBR geom.Rect
 	Tag        string
 	Blocks     []WireBlockRef
-}
-
-// ReadSplitArgs fetches the records of a map task's split from the
-// master — the DFS read path of a remote map attempt.
-type ReadSplitArgs struct {
-	JobID int64
-	Task  int
-}
-
-// WireSplit is a Split flattened for the wire. Records are shipped per
-// block (not concatenated) because map output order depends on per-block
-// iteration, and blocks are re-sealed worker-side so the checksum scrub
-// covers shipped data too.
-type WireSplit struct {
-	Partition  string
-	MBR        geom.Rect
-	ContentMBR geom.Rect
-	Tag        string
-	// BlockParts/BlockRecords describe the primary block group, one entry
-	// per block; ExtraParts/ExtraRecords the secondary group (pair splits).
-	BlockParts   []string
-	BlockRecords [][]string
-	ExtraParts   []string
-	ExtraRecords [][]string
-}
-
-// ToWire flattens a split for shipping.
-func (s *Split) ToWire() *WireSplit {
-	w := &WireSplit{Partition: s.Partition, MBR: s.MBR, ContentMBR: s.ContentMBR, Tag: s.Tag}
-	for _, b := range s.Blocks {
-		w.BlockParts = append(w.BlockParts, b.Partition)
-		w.BlockRecords = append(w.BlockRecords, b.Records())
-	}
-	for _, b := range s.Extra {
-		w.ExtraParts = append(w.ExtraParts, b.Partition)
-		w.ExtraRecords = append(w.ExtraRecords, b.Records())
-	}
-	return w
-}
-
-// Split reconstructs the split worker-side, sealing each block so record
-// iteration order, local-index construction and checksum verification
-// match the in-process path exactly.
-func (w *WireSplit) Split() *Split {
-	s := &Split{Partition: w.Partition, MBR: w.MBR, ContentMBR: w.ContentMBR, Tag: w.Tag}
-	for i, recs := range w.BlockRecords {
-		s.Blocks = append(s.Blocks, dfs.NewBlockFromRecords(w.BlockParts[i], recs))
-	}
-	for i, recs := range w.ExtraRecords {
-		s.Extra = append(s.Extra, dfs.NewBlockFromRecords(w.ExtraParts[i], recs))
-	}
-	return s
 }
 
 // TaskDoneArgs reports an attempt's outcome. Exactly one of Err/"success
@@ -228,8 +174,8 @@ type TaskDoneArgs struct {
 
 	// Input-read locality of a map attempt, in block reads and record
 	// bytes: Local counts blocks served from the worker's own replica
-	// store, Remote counts peer and master reads (including a whole-split
-	// fallback). The master folds these into its system registry — they
+	// store, Remote counts peer and master reads. The master folds these
+	// into its system registry — they
 	// are runtime traffic metrics, never job counters, so remote and
 	// in-process runs keep identical job counter sets.
 	LocalReads  int64
@@ -380,9 +326,8 @@ type ReadBlockReply struct {
 // PushBlockArgs installs one sealed block replica on a worker — the
 // master's replication (and re-replication) write path.
 type PushBlockArgs struct {
-	ID        int64
-	Partition string
-	Frame     []byte
+	ID    int64
+	Frame []byte
 }
 
 // PushBlockReply acknowledges a replica installation.

@@ -61,7 +61,7 @@ func (sh *shardStats) tally(f shardFrag) {
 // shardTarget is one candidate partition's routing: its fallback ladder
 // of holder addresses (placement order) and the replica-aware descriptor
 // shipped with the exec call. Empty holders means master-local execution
-// (no master runtime, data plane off, or no serve-capable holders).
+// (no master runtime, replication 0, or no serve-capable holders).
 type shardTarget struct {
 	holders []string
 	meta    *mapreduce.WireSplitMeta

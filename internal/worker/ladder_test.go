@@ -1,0 +1,163 @@
+package worker
+
+import (
+	"fmt"
+	"net"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"spatialhadoop/internal/dfs"
+	"spatialhadoop/internal/fault"
+	"spatialhadoop/internal/mapreduce"
+	"spatialhadoop/internal/obs"
+)
+
+// TestBlockLadder pins the worker's only input path, block by block: own
+// replica → peer holder → master, each rung verified by the reader, a
+// block no rung produces failing transiently by name, and the assembled
+// split keeping the descriptor's block order and Extra grouping. The
+// master runs at replication 0, so the test places every replica itself
+// and the master's egress counter tells which rung served a read.
+func TestBlockLadder(t *testing.T) {
+	fs := dfs.New(dfs.Config{BlockSize: 64, DataNodes: 2})
+	c := mapreduce.NewCluster(fs, 2)
+	recs := make([]string, 40)
+	for i := range recs {
+		recs[i] = fmt.Sprintf("record-%02d", i)
+	}
+	if err := fs.WriteFile("in", recs); err != nil {
+		t.Fatal(err)
+	}
+	splits, err := c.MakeSplits([]string{"in"})
+	if err != nil || len(splits) < 3 {
+		t.Fatalf("MakeSplits = %d splits, %v; want >= 3 one-block splits", len(splits), err)
+	}
+	reg := obs.NewRegistry()
+	m, err := c.StartMaster(mapreduce.MasterOptions{HeartbeatEvery: 5 * time.Millisecond, Lease: time.Second, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	start := func(pid int) *Worker {
+		w, err := Start(Config{Master: m.Addr(), Dir: t.TempDir(), FakePID: pid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Stop)
+		return w
+	}
+	w, peer := start(9401), start(9402)
+	m.EnsureServeReplicas(splits) // factor 0: registers the blocks with the master, pushes nothing
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadPeer := ln.Addr().String()
+	ln.Close()
+
+	blocks := []*dfs.Block{splits[0].Blocks[0], splits[1].Blocks[0], splits[2].Blocks[0]}
+	ref := func(i int, extra bool, holders ...string) mapreduce.WireBlockRef {
+		return mapreduce.WireBlockRef{ID: int64(blocks[i].ID), Extra: extra, Holders: holders}
+	}
+	install := func(on *Worker, i int) {
+		frame, err := mapreduce.EncodeBlockFrame(blocks[i].Records())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := on.writeReplica(int64(blocks[i].ID), frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(w, 0)
+	install(w, 1)
+	if err := os.WriteFile(w.replicaPath(int64(blocks[1].ID)), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	install(peer, 1)
+	unknown := mapreduce.WireBlockRef{ID: 1 << 40}
+
+	for _, tc := range []struct {
+		name string
+		refs []mapreduce.WireBlockRef
+		// Expected Blocks and Extra groups, and which blocks were read from
+		// the own store and which remotely, all as indexes into blocks.
+		primary, extra, local, remote []int
+		fromMaster                    bool // the master served at least one read
+		wantErr                       string
+	}{
+		{name: "own replica hit", refs: []mapreduce.WireBlockRef{ref(0, false, w.Addr())},
+			primary: []int{0}, local: []int{0}},
+		{name: "torn own replica falls to a peer", refs: []mapreduce.WireBlockRef{ref(1, false, w.Addr(), peer.Addr())},
+			primary: []int{1}, remote: []int{1}},
+		{name: "dead peer falls to the master", refs: []mapreduce.WireBlockRef{ref(2, false, deadPeer)},
+			primary: []int{2}, remote: []int{2}, fromMaster: true},
+		{name: "block unknown to the master", refs: []mapreduce.WireBlockRef{ref(0, false), unknown},
+			wantErr: fmt.Sprintf("block %d", unknown.ID)},
+		{name: "order and Extra grouping", refs: []mapreduce.WireBlockRef{ref(2, false), ref(0, true), ref(1, false, peer.Addr())},
+			primary: []int{2, 1}, extra: []int{0}, local: []int{0}, remote: []int{2, 1}, fromMaster: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			master, _, _ := w.session()
+			egress := reg.Counter(mapreduce.MetricMasterEgress)
+			sp, st, err := w.assembleSplit(master, &mapreduce.WireSplitMeta{Partition: "p", Tag: "tag", Blocks: tc.refs})
+			if tc.wantErr != "" {
+				if err == nil || !fault.IsTransient(err) || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("assembleSplit = %v, want a transient error naming %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.Partition != "p" || sp.Tag != "tag" {
+				t.Errorf("split shape = %q/%q, want the descriptor's", sp.Partition, sp.Tag)
+			}
+			check := func(got []*dfs.Block, want []int, group string) {
+				if len(got) != len(want) {
+					t.Fatalf("%s has %d blocks, want %d", group, len(got), len(want))
+				}
+				for i, bi := range want {
+					if !reflect.DeepEqual(got[i].Records(), blocks[bi].Records()) {
+						t.Errorf("%s[%d] is not block %d's records", group, i, bi)
+					}
+				}
+			}
+			check(sp.Blocks, tc.primary, "Blocks")
+			check(sp.Extra, tc.extra, "Extra")
+			want := readStats{localReads: int64(len(tc.local)), remoteReads: int64(len(tc.remote))}
+			for _, bi := range tc.local {
+				want.localBytes += blocks[bi].Bytes
+			}
+			for _, bi := range tc.remote {
+				want.remoteBytes += blocks[bi].Bytes
+			}
+			if st != want {
+				t.Errorf("readStats = %+v, want %+v", st, want)
+			}
+			if served := reg.Counter(mapreduce.MetricMasterEgress) - egress; (served > 0) != tc.fromMaster {
+				t.Errorf("master shipped %d bytes, want a master-served read = %v", served, tc.fromMaster)
+			}
+		})
+	}
+
+	// A worker holding nothing — the whole pool at replication 0 — reads
+	// every block from the master: all remote, byte for byte.
+	t.Run("replication 0 is all remote", func(t *testing.T) {
+		empty := start(9403)
+		master, _, _ := empty.session()
+		whole := &mapreduce.Split{Blocks: []*dfs.Block{blocks[0], blocks[2]}, Extra: blocks[1:2]}
+		sp, st, err := empty.assembleSplit(master, m.ServeMeta(whole))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (readStats{remoteReads: 3, remoteBytes: blocks[0].Bytes + blocks[1].Bytes + blocks[2].Bytes}); st != want {
+			t.Errorf("readStats = %+v, want %+v", st, want)
+		}
+		if !reflect.DeepEqual(sp.Records(), whole.Records()) || !reflect.DeepEqual(sp.ExtraRecords(), whole.ExtraRecords()) {
+			t.Error("assembled split differs from the master's")
+		}
+	})
+}

@@ -1,8 +1,9 @@
 // Package worker implements the worker side of the distributed runtime:
 // a process that registers with a master over RPC, heartbeats under a
 // lease, long-polls for map and reduce tasks, executes them against split
-// records shipped from the master's DFS, spills intermediate shards to a
-// local directory, and serves those spills to reducers. A worker holds no
+// blocks read from its own replica store, a peer or the master, spills
+// intermediate shards to a local directory, and serves those spills to
+// reducers. A worker holds no
 // job state of its own — everything it needs to run a task arrives in the
 // assignment (job kind, configuration, shard sources), so a worker that
 // dies is replaced by re-issuing its tasks elsewhere, exactly as in
@@ -351,33 +352,15 @@ func fail(res *mapreduce.TaskDoneArgs, err error) mapreduce.TaskDoneArgs {
 // read path's local/remote traffic split.
 func (w *Worker) runMap(client *rpc.Client, id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDoneArgs {
 	res := mapreduce.TaskDoneArgs{WorkerID: id, DispatchID: t.DispatchID}
-	var split *mapreduce.Split
-	if t.Meta != nil {
-		if sp, st, err := w.assembleSplit(client, t.Meta); err == nil {
-			split = sp
-			res.LocalReads, res.LocalBytes = st.localReads, st.localBytes
-			res.RemoteReads, res.RemoteBytes = st.remoteReads, st.remoteBytes
-		}
+	if t.Meta == nil {
+		return fail(&res, fmt.Errorf("worker: map assignment without a split descriptor"))
 	}
-	if split == nil {
-		// No replica directory (data plane off) or block assembly failed:
-		// whole-split read from the master, every byte remote.
-		var ws mapreduce.WireSplit
-		args := mapreduce.ReadSplitArgs{JobID: t.JobID, Task: t.Task}
-		if err := client.Call(mapreduce.MasterService+".ReadSplit", args, &ws); err != nil {
-			return fail(&res, fault.Transient(err))
-		}
-		split = ws.Split()
-		res.LocalReads, res.LocalBytes = 0, 0
-		res.RemoteReads = int64(len(split.Blocks) + len(split.Extra))
-		res.RemoteBytes = 0
-		for _, b := range split.Blocks {
-			res.RemoteBytes += b.Bytes
-		}
-		for _, b := range split.Extra {
-			res.RemoteBytes += b.Bytes
-		}
+	split, st, err := w.assembleSplit(client, t.Meta)
+	if err != nil {
+		return fail(&res, err)
 	}
+	res.LocalReads, res.LocalBytes = st.localReads, st.localBytes
+	res.RemoteReads, res.RemoteBytes = st.remoteReads, st.remoteBytes
 	kf, err := mapreduce.BuildKind(t.JobKind, t.Conf)
 	if err != nil {
 		return fail(&res, err) // permanent: the worker cannot run this kind
@@ -503,7 +486,8 @@ func (w *Worker) assembleSplit(master *rpc.Client, meta *mapreduce.WireSplitMeta
 
 // readBlock reads one block's records through the locality chain: own
 // replica file, peer holders, master. The bool result reports whether
-// the read was local.
+// the read was local. A block no rung can produce fails the read
+// transiently — the scheduler retries the attempt.
 func (w *Worker) readBlock(master *rpc.Client, peers map[string]*rpc.Client, ref mapreduce.WireBlockRef) ([]string, bool, error) {
 	if frame, err := os.ReadFile(w.replicaPath(ref.ID)); err == nil {
 		if records, err := mapreduce.DecodeBlockFrame(frame); err == nil {
@@ -533,14 +517,14 @@ func (w *Worker) readBlock(master *rpc.Client, peers map[string]*rpc.Client, ref
 		}
 	}
 	var reply mapreduce.ReadBlockReply
-	if err := master.Call(mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &reply); err != nil {
-		return nil, false, fault.Transient(err)
+	err := master.Call(mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &reply)
+	if err == nil {
+		var records []string
+		if records, err = mapreduce.DecodeBlockFrame(reply.Frame); err == nil {
+			return records, false, nil
+		}
 	}
-	records, err := mapreduce.DecodeBlockFrame(reply.Frame)
-	if err != nil {
-		return nil, false, fault.Transient(err)
-	}
-	return records, false, nil
+	return nil, false, fault.Transient(fmt.Errorf("worker: block %d unreadable on every rung: %w", ref.ID, err))
 }
 
 // spillPath lays the spill directory out as job<J>/m<task>.a<attempt>.r<reducer>.
