@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -454,5 +455,131 @@ func TestDistributedLocality(t *testing.T) {
 		}
 		writeLog("placement-events.jsonl", placement)
 		writeLog("master-events.jsonl", m.FaultLog())
+	}
+}
+
+// TestDistributedHeapRangeAndTiedKNN covers the two shapes
+// TestDistributedRealProcesses does not, on a two-worker pool against the
+// in-process run of the same system: a range job over a heap file (every
+// block probed, none pruned) and a kNN whose k-th distance is tied by
+// points in different blocks. A worker scans each block where the master
+// probes its persisted local index, so identical raw output files —
+// record for record, in order — and identical counters are the evidence
+// that the two probes are one definition. The range job is map-only: no
+// worker may be left holding a spill directory for it.
+func TestDistributedHeapRangeAndTiedKNN(t *testing.T) {
+	q, k := geom.Pt(0, 0), 4
+	area := geom.NewRect(100, 100, 5_000, 5_000) // everything random is far from q
+	pts := datagen.Points(datagen.Uniform, 3000, area, 5)
+	// Two points nearer than 5 and six at exactly 5: the 4th nearest is a
+	// six-way tie. Five of the eight sit side by side, so one block's own
+	// 4th distance is tied too; the rest are spread through the file.
+	for i, p := range []geom.Point{{X: 1, Y: 0}, {X: 0, Y: -1}, {X: 3, Y: 4}, {X: -4, Y: 3}, {X: 4, Y: -3}} {
+		pts[7+i] = p
+	}
+	for i, p := range []geom.Point{{X: 5, Y: 0}, {X: 0, Y: -5}, {X: -3, Y: -4}} {
+		pts[(i+1)*700] = p
+	}
+	// The query's max corner is a data point and two of the tied points lie
+	// on its min edges, so the boundary is inclusive on every side or the
+	// outputs differ.
+	rect := geom.NewRect(-4, -5, pts[1500].X, pts[1500].Y)
+	newSys := func() *core.System {
+		sys := core.New(core.Config{Workers: 6, BlockSize: 8 << 10, Seed: 1})
+		if err := sys.LoadPointsHeap("heap", pts); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	type result struct {
+		rangeOut, knnOut []string
+		knn              []geom.Point
+		rangeCounters    map[string]int64
+		knnCounters      map[string]int64
+	}
+	run := func(sys *core.System, afterRange func()) result {
+		var r result
+		_, rep, err := ops.RangeQueryPoints(sys, "heap", rect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if afterRange != nil {
+			afterRange()
+		}
+		r.rangeOut, r.rangeCounters = readOutput(t, sys, rep), rep.Counters
+		if r.knn, rep, err = ops.KNN(sys, "heap", q, k); err != nil {
+			t.Fatal(err)
+		}
+		r.knnOut, r.knnCounters = readOutput(t, sys, rep), rep.Counters
+		return r
+	}
+
+	ref := newSys()
+	f, err := ref.FS().Open("heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiedBlocks := 0
+	for _, b := range f.Blocks {
+		bpts, err := b.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range bpts {
+			if p.Dist(q) == 5 {
+				tiedBlocks++
+				break
+			}
+		}
+	}
+	if tiedBlocks < 2 {
+		t.Fatalf("the tie at distance 5 sits in %d block(s); the corpus must spread it over >= 2", tiedBlocks)
+	}
+	want := run(ref, nil)
+	if len(want.rangeOut) == 0 || len(want.knn) != k || want.knn[k-1].Dist(q) != 5 {
+		t.Fatalf("oracle: %d range records, kNN %v; want matches and a k-th neighbour at distance 5", len(want.rangeOut), want.knn)
+	}
+
+	sys := newSys()
+	m, err := sys.Cluster().StartMaster(mapreduce.MasterOptions{
+		HeartbeatEvery: 5 * time.Millisecond,
+		Lease:          time.Second,
+		Metrics:        sys.Metrics(),
+		Replication:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	var dirs []string
+	for i := 0; i < 2; i++ {
+		w, err := worker.Start(worker.Config{Master: m.Addr(), Dir: t.TempDir(), Tasks: 2, FakePID: 9500 + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Stop()
+		dirs = append(dirs, w.Dir())
+	}
+	waitLive(t, m, 2)
+	got := run(sys, func() {
+		for _, dir := range dirs {
+			if left, _ := filepath.Glob(filepath.Join(dir, "job*")); len(left) > 0 {
+				t.Errorf("map-only range job left %v on a worker", left)
+			}
+		}
+	})
+	if sys.Metrics().Counter(mapreduce.MetricTasksDispatched) == 0 {
+		t.Fatal("no task reached a worker; the jobs ran in process")
+	}
+	requireIdentical(t, got.rangeOut, want.rangeOut, "heap range on a worker pool")
+	requireIdentical(t, got.knnOut, want.knnOut, "tied kNN on a worker pool")
+	if !reflect.DeepEqual(got.knn, want.knn) {
+		t.Fatalf("kNN answer diverged:\n distributed: %v\n in-process:  %v", got.knn, want.knn)
+	}
+	if !reflect.DeepEqual(got.rangeCounters, want.rangeCounters) {
+		t.Fatalf("range counters diverged:\n distributed: %v\n in-process:  %v", got.rangeCounters, want.rangeCounters)
+	}
+	if !reflect.DeepEqual(got.knnCounters, want.knnCounters) {
+		t.Fatalf("kNN counters diverged:\n distributed: %v\n in-process:  %v", got.knnCounters, want.knnCounters)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"spatialhadoop/internal/dfs"
@@ -19,7 +18,6 @@ import (
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/obs"
-	"spatialhadoop/internal/rtree"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -67,10 +65,6 @@ type System struct {
 	// records, matches) across query jobs — the hot-partition telemetry
 	// the skew report and a future repartitioner read.
 	hot *sindex.Hotness
-
-	// localIndexes caches per-block R-trees, modelling SpatialHadoop's
-	// persisted local indexes.
-	localIndexes sync.Map // *dfs.Block -> *rtree.Tree
 }
 
 // New creates a System.
@@ -334,22 +328,6 @@ func (f *IndexedFile) Splits() []*mapreduce.Split {
 		})
 	}
 	return splits
-}
-
-// LocalIndex returns the cached R-tree local index over a block's records
-// (points files only). The first request builds the index, modelling the
-// local index SpatialHadoop persists alongside each block.
-func (s *System) LocalIndex(b *dfs.Block) (*rtree.Tree, error) {
-	if t, ok := s.localIndexes.Load(b); ok {
-		return t.(*rtree.Tree), nil
-	}
-	pts, err := b.Points() // served from the block's decode cache
-	if err != nil {
-		return nil, err
-	}
-	t := rtree.BulkPoints(pts, rtree.DefaultFanout)
-	s.localIndexes.Store(b, t)
-	return t, nil
 }
 
 // ReadPoints decodes every point record of a file.

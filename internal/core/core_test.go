@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"spatialhadoop/internal/datagen"
 	"spatialhadoop/internal/dfs"
@@ -154,11 +156,11 @@ func TestLocalIndexCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := f.File.Blocks[0]
-	t1, err := sys.LocalIndex(b)
+	t1, err := b.LocalIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := sys.LocalIndex(b)
+	t2, err := b.LocalIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,4 +232,42 @@ func TestReadBackPointsAndRegions(t *testing.T) {
 	if err != nil || len(regs) != 1 || regs[0].VertexCount() != 3 {
 		t.Fatalf("ReadRegions: %v, %v", regs, err)
 	}
+}
+
+// TestLocalIndexDiesWithItsBlock: a block's local index is memoised on the
+// block, not in a table the System keeps, so replacing a file releases the
+// old blocks with their records, decoded points and trees.
+func TestLocalIndexDiesWithItsBlock(t *testing.T) {
+	pts := datagen.Points(datagen.Uniform, 1000, geom.NewRect(0, 0, 100, 100), 11)
+	sys := New(Config{BlockSize: 4 << 10, Workers: 2, Seed: 1})
+	defer runtime.KeepAlive(sys) // the block must go while its System lives on
+	collected := make(chan struct{})
+	func() { // no reference to the old file survives this scope
+		f, err := sys.LoadPoints("pts", pts, sindex.Grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := f.File.Blocks[0]
+		if _, err := b.LocalIndex(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(b, func(*dfs.Block) { close(collected) })
+	}()
+	w, err := sys.FS().CreateOrReplace("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WriteRecord("1,1")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a replaced file's block with a built local index is still reachable")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // Block integrity: every block carries a CRC32 (IEEE) checksum over its
@@ -40,18 +41,40 @@ func (e *ChecksumError) Unwrap() error { return ErrChecksum }
 // re-read models fetching the block from another replica.
 func (e *ChecksumError) Transient() bool { return true }
 
+// crcChunk is the staging buffer of checksumRecords. It is pooled, not
+// on the stack: crc32 dispatches to its kernel through a function
+// variable, so any buffer handed to it escapes.
+type crcChunk [4096]byte
+
+var crcChunks = sync.Pool{New: func() any { return new(crcChunk) }}
+
 // checksumRecords computes the CRC32 over the records as they would be
-// laid out on disk (record bytes plus a newline each), reusing one
-// scratch buffer so sealing a block allocates at most once.
+// laid out on disk (record bytes plus a newline each). Records are staged
+// through a fixed buffer and fed to the CRC a few KiB at a time: one
+// crc32.Update per few-dozen-byte record never leaves the table-driven
+// path, while KiB-sized chunks run the vectorised kernel, and the value is
+// the same since CRC32 is a function of the byte stream alone. A call
+// allocates nothing (seal and VerifyCached run it once per block per map
+// attempt on a worker).
 func checksumRecords(records []string) uint32 {
+	buf := crcChunks.Get().(*crcChunk)
+	defer crcChunks.Put(buf)
 	var crc uint32
-	var buf []byte
+	n := 0
 	for _, r := range records {
-		buf = append(buf[:0], r...)
-		buf = append(buf, '\n')
-		crc = crc32.Update(crc, crc32.IEEETable, buf)
+		for {
+			c := copy(buf[n:], r)
+			n, r = n+c, r[c:]
+			if n < len(buf) {
+				break // r is spent and its newline still fits
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, buf[:])
+			n = 0
+		}
+		buf[n] = '\n'
+		n++
 	}
-	return crc
+	return crc32.Update(crc, crc32.IEEETable, buf[:n])
 }
 
 // seal stamps the block's checksum; the writer calls it exactly once,

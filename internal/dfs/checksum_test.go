@@ -3,6 +3,8 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"path/filepath"
 	"testing"
 )
@@ -149,5 +151,47 @@ func TestUnsealedBlockVerifiesTrivially(t *testing.T) {
 	}
 	if !f.Blocks[0].Sealed() {
 		t.Error("block not sealed by Close")
+	}
+}
+
+// TestChecksumRecordsMatchesPerRecordReference pins the chunked CRC
+// kernel to the definition it replaced — one crc32.Update per record plus
+// its newline — on the shapes where the staging buffer could go wrong
+// (empty block, empty records, a record longer than the buffer, records
+// ending exactly on the buffer edge), and pins that it does not allocate.
+func TestChecksumRecordsMatchesPerRecordReference(t *testing.T) {
+	reference := func(records []string) uint32 {
+		var crc uint32
+		for _, r := range records {
+			crc = crc32.Update(crc, crc32.IEEETable, []byte(r+"\n"))
+		}
+		return crc
+	}
+	rng := rand.New(rand.NewSource(3))
+	random := func(n int) string {
+		b := make([]byte, n)
+		rng.Read(b)
+		return string(b)
+	}
+	many := make([]string, 5000)
+	for i := range many {
+		many[i] = random(rng.Intn(60))
+	}
+	cases := map[string][]string{
+		"empty block":            nil,
+		"one empty record":       {""},
+		"empty records":          {"", "", ""},
+		"short":                  {"1,2", "3.5,4.5"},
+		"longer than the buffer": {"a", random(3 * 4096), "b"},
+		"fills the buffer":       {random(4095), random(4096), random(4097), random(8191), ""},
+		"many small":             many,
+	}
+	for name, recs := range cases {
+		if got, want := checksumRecords(recs), reference(recs); got != want {
+			t.Errorf("%s: checksumRecords = %08x, per-record reference = %08x", name, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { checksumRecords(many) }); n != 0 {
+		t.Errorf("checksumRecords allocates %v times per call, want 0", n)
 	}
 }

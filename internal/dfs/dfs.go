@@ -20,6 +20,7 @@ import (
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/obs"
+	"spatialhadoop/internal/rtree"
 )
 
 // DefaultBlockSize is the default block capacity in bytes. The paper uses
@@ -78,6 +79,10 @@ type blockCache struct {
 	payload     any
 	payloadErr  error
 
+	idxOnce sync.Once
+	idx     *rtree.Tree
+	idxErr  error
+
 	verifyOnce sync.Once
 	verifyErr  error
 }
@@ -112,8 +117,9 @@ func (b *Block) invalidate() { b.cache.Store(nil) }
 // the dominant per-visit cost). The returned slice is shared between all
 // callers and must not be modified — every geometry kernel copies before
 // sorting.
-func (b *Block) Points() ([]geom.Point, error) {
-	c := b.cacheSlot()
+func (b *Block) Points() ([]geom.Point, error) { return b.cacheSlot().points(b) }
+
+func (c *blockCache) points(b *Block) ([]geom.Point, error) {
 	c.ptsOnce.Do(func() { c.pts, c.ptsErr = geomio.DecodePoints(b.records) })
 	return c.pts, c.ptsErr
 }
@@ -128,6 +134,22 @@ func (b *Block) Payload(build func(records []string) (any, error)) (any, error) 
 	c := b.cacheSlot()
 	c.payloadOnce.Do(func() { c.payload, c.payloadErr = build(b.records) })
 	return c.payload, c.payloadErr
+}
+
+// LocalIndex returns the R-tree local index over the block's points,
+// bulk-loaded on first use — the local index SpatialHadoop persists beside
+// each block. It lives in the block's cache generation beside the decoded
+// points it is built from, so it is dropped when the block is written and
+// dies with the block when its file is replaced or deleted.
+func (b *Block) LocalIndex() (*rtree.Tree, error) {
+	c := b.cacheSlot()
+	c.idxOnce.Do(func() {
+		var pts []geom.Point
+		if pts, c.idxErr = c.points(b); c.idxErr == nil {
+			c.idx = rtree.BulkPoints(pts, rtree.DefaultFanout)
+		}
+	})
+	return c.idx, c.idxErr
 }
 
 // File is the name-node metadata for one file.

@@ -123,6 +123,9 @@ func (r *remoteRun) sources() []ShardSource {
 func (r *remoteRun) send(d *dispatch) (dispatchResult, error) {
 	rj := r.local.rj
 	d.jobID, d.jobKind, d.conf, d.nshards = r.id, rj.job.Kind, rj.job.Conf, rj.nshards
+	if rj.job.Reduce == nil {
+		d.nshards = 0 // map-only: no reducer will fetch a shard, so the worker spills none
+	}
 	d.resultCh = make(chan dispatchResult, 1)
 	if err := r.m.submit(d); err != nil {
 		return dispatchResult{}, err

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -29,6 +30,15 @@ import (
 // The test job kind: word count, the canonical exercise of the full
 // map/combine/shuffle/reduce pipeline. Registered once for the package.
 func init() {
+	mapreduce.RegisterKind("test-upper", func(conf map[string]string) (mapreduce.KindFuncs, error) {
+		return mapreduce.KindFuncs{Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+			for _, rec := range split.Records() {
+				ctx.Inc("test.upper.records", 1)
+				ctx.Write(strings.ToUpper(rec))
+			}
+			return nil
+		}}, nil
+	})
 	mapreduce.RegisterKind("test-wordcount", func(conf map[string]string) (mapreduce.KindFuncs, error) {
 		return mapreduce.KindFuncs{
 			Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
@@ -57,6 +67,16 @@ func init() {
 			},
 		}, nil
 	})
+}
+
+// mapOnlyJob is a registered-kind job without a Reduce: every record goes
+// upper-cased straight to the output.
+func mapOnlyJob() *mapreduce.Job {
+	kf, err := mapreduce.BuildKind("test-upper", nil)
+	if err != nil {
+		panic(err)
+	}
+	return &mapreduce.Job{Name: "upper", Kind: "test-upper", Input: []string{"text"}, Map: kf.Map, Output: "out"}
 }
 
 func kindWordCountJob() *mapreduce.Job {
@@ -524,6 +544,48 @@ func TestSpillGC(t *testing.T) {
 		}
 		return total == 0
 	})
+}
+
+// TestMapOnlyJobSpillsNothing: a job without a Reduce has no reducer to
+// fetch a shard, so its map attempts must not touch the spill directory at
+// all. End-of-job GC makes "no job directory afterwards" no evidence, so
+// the test makes the directory impossible instead: the first job of a
+// master is job 1, and a regular file of that name sits where each worker
+// would create it. An attempt that spills fails its MkdirAll on every try.
+func TestMapOnlyJobSpillsNothing(t *testing.T) {
+	fs := dfs.New(dfs.Config{BlockSize: 256, DataNodes: 4})
+	ref := mapreduce.NewCluster(fs, 4)
+	writeDistText(t, ref)
+	wantRep, err := ref.Run(mapOnlyJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readOut(t, ref)
+
+	reg := obs.NewRegistry()
+	c, _, pool := startDistributedRepl(t, 2, reg, 2)
+	writeDistText(t, c)
+	pool.mu.Lock()
+	for _, w := range pool.workers {
+		if err := os.WriteFile(filepath.Join(w.Dir(), "job1"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.mu.Unlock()
+	rep, err := c.Run(mapOnlyJob())
+	if err != nil {
+		t.Fatalf("map-only job on a pool that cannot spill: %v", err)
+	}
+	assertSameRecords(t, readOut(t, c), want, "map-only job")
+	if !reflect.DeepEqual(rep.Counters, wantRep.Counters) {
+		t.Fatalf("counters diverged:\n remote:     %v\n in-process: %v", rep.Counters, wantRep.Counters)
+	}
+	if reg.Counter(mapreduce.MetricTasksDispatched) == 0 {
+		t.Fatal("no task was dispatched to a worker; the job ran in process")
+	}
+	if n := rep.Counters[mapreduce.CounterTaskRetries]; n != 0 {
+		t.Fatalf("%d task retries; a map attempt tried to spill", n)
+	}
 }
 
 // TestLocalityMetrics: with the data plane on, map input is read from

@@ -44,7 +44,7 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 				return err
 			}
 			for i, p := range pts {
-				best, ok := localNN(sys, split, p)
+				best, ok := localNN(split, p)
 				// The uncertainty radius: a foreign point can be closer
 				// only if the current best circle leaves the partition.
 				if ok && split.MBR.Buffer(-best.Dist).ContainsPoint(p) {
@@ -147,7 +147,7 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 				if err != nil {
 					return err
 				}
-				if best, ok := localNN(sys, split, r.Point); ok {
+				if best, ok := localNN(split, r.Point); ok {
 					ctx.Emit(geomio.EncodePoint(r.Point), encodeANN(ANNResult{
 						Point: r.Point, Neighbor: best.P, Dist: best.Dist,
 					}))
@@ -205,12 +205,12 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 // localNN finds the nearest point to p among the split's records,
 // excluding p itself (one coincident duplicate still counts as a
 // neighbour at distance zero).
-func localNN(sys *core.System, split *mapreduce.Split, p geom.Point) (geom.PointPair, bool) {
+func localNN(split *mapreduce.Split, p geom.Point) (geom.PointPair, bool) {
 	bestD := -1.0
 	var bestP geom.Point
 	selfSkipped := false
 	for _, b := range split.Blocks {
-		idx, err := sys.LocalIndex(b)
+		idx, err := b.LocalIndex()
 		if err != nil {
 			return geom.PointPair{}, false
 		}

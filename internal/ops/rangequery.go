@@ -65,9 +65,9 @@ func RangeQueryPointsCtx(ctx context.Context, sys *core.System, file string, que
 		Filter: withHeat(sys, file, func(splits []*mapreduce.Split) []*mapreduce.Split {
 			return RangeCandidates(splits, nil, query).Kept
 		}),
-		// Same body a worker rebuilds from the kind, resolving local
-		// indexes through the system's per-block cache.
-		Map:    rangePointsMap(query, sys.LocalIndex),
+		// Same body a worker rebuilds from the kind, probing each block's
+		// persisted local index where the worker scans.
+		Map:    rangePointsMap(query, indexProbe{}),
 		Output: out,
 	}
 	rep, err := sys.Cluster().RunCtx(ctx, job)
@@ -236,7 +236,7 @@ func KNNCtx(ctx context.Context, sys *core.System, file string, q geom.Point, k 
 			},
 			Splits: splits,
 			Filter: withHeat(sys, file, func([]*mapreduce.Split) []*mapreduce.Split { return sel.Kept }),
-			Map:    knnMap(q, k, sys.LocalIndex),
+			Map:    knnMap(q, k, indexProbe{}),
 			Reduce: knnReduce(k),
 			Output: out,
 		}

@@ -4,21 +4,21 @@ import (
 	"strconv"
 	"strings"
 
-	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
-	"spatialhadoop/internal/rtree"
 )
 
 // This file makes the core query operations runnable on remote worker
 // processes. A worker cannot receive Go closures, so each operation's
 // task-side functions are built from a registered job kind plus the job's
 // Conf (the broadcast configuration); the in-process path shares the same
-// builders, with one difference: it resolves local indexes through the
-// System's per-block cache, while a worker (which has no System) bulk-
-// loads a fresh R-tree per block. BulkPoints is deterministic, so both
-// paths probe identical trees and produce byte-identical output.
+// builders, with one difference: how a block is probed (probe.go). The
+// master's blocks persist and carry a memoised R-tree; a worker, which has
+// no System and drops its input with the attempt, scans the block once.
+// Both probes return the same ids in the same order and the same
+// tie-complete kNN nominations, so the two paths produce byte-identical
+// output.
 
 // Conf keys broadcast to remote tasks.
 const (
@@ -31,33 +31,18 @@ const (
 	confJoinRSpace    = "ops.join.rspace"
 )
 
-// localIndexFn resolves the R-tree local index of a points block. The
-// master passes System.LocalIndex (cached); workers pass freshLocalIndex.
-type localIndexFn func(*dfs.Block) (*rtree.Tree, error)
-
-// freshLocalIndex bulk-loads a block's local index from scratch — the
-// worker-side path, where no System cache exists. Same records, same
-// deterministic bulk load, same tree shape as the master's cache.
-func freshLocalIndex(b *dfs.Block) (*rtree.Tree, error) {
-	pts, err := b.Points()
-	if err != nil {
-		return nil, err
-	}
-	return rtree.BulkPoints(pts, rtree.DefaultFanout), nil
-}
-
 // rangePointsMap is the map body of the range-points job.
-func rangePointsMap(query geom.Rect, localIndex localIndexFn) mapreduce.MapFunc {
+func rangePointsMap(query geom.Rect, probe blockProbe) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		countPartitionRecords(ctx, split)
 		for _, b := range split.Blocks {
-			idx, err := localIndex(b)
+			ids, err := probe.rangeIDs(b, query)
 			if err != nil {
 				return err
 			}
 			ctx.Inc(CounterRangeBlocksScanned, 1)
 			recs := b.Records()
-			for _, id := range idx.Search(query, nil) {
+			for _, id := range ids {
 				ctx.Inc(CounterRangeMatches, 1)
 				countPartitionMatches(ctx, split, 1)
 				ctx.Write(recs[id])
@@ -67,20 +52,19 @@ func rangePointsMap(query geom.Rect, localIndex localIndexFn) mapreduce.MapFunc 
 	}
 }
 
-// knnMap is the map body of one kNN round: each block's local index
-// nominates its k nearest (with ties), shuffled under a single key.
-func knnMap(q geom.Point, k int, localIndex localIndexFn) mapreduce.MapFunc {
+// knnMap is the map body of one kNN round: each block nominates its k
+// nearest (with ties), shuffled under a single key.
+func knnMap(q geom.Point, k int, probe blockProbe) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		countPartitionRecords(ctx, split)
 		for _, b := range split.Blocks {
-			idx, err := localIndex(b)
+			cands, err := probe.nearest(b, q, k)
 			if err != nil {
 				return err
 			}
-			recs := b.Records()
-			for _, nb := range idx.NearestWithTies(q, k) {
+			for _, c := range cands {
 				countPartitionMatches(ctx, split, 1)
-				ctx.Emit("k", encodeCandidate(KNNCandidate{Dist: nb.Dist, Rec: recs[nb.Entry.ID]}))
+				ctx.Emit("k", encodeCandidate(c))
 			}
 		}
 		return nil
@@ -157,7 +141,7 @@ func init() {
 		if err != nil {
 			return mapreduce.KindFuncs{}, err
 		}
-		return mapreduce.KindFuncs{Map: rangePointsMap(query, freshLocalIndex)}, nil
+		return mapreduce.KindFuncs{Map: rangePointsMap(query, scanProbe{})}, nil
 	})
 	mapreduce.RegisterKind("knn", func(conf map[string]string) (mapreduce.KindFuncs, error) {
 		q, err := geomio.DecodePoint(conf[confKNNQ])
@@ -168,7 +152,7 @@ func init() {
 		if err != nil {
 			return mapreduce.KindFuncs{}, err
 		}
-		return mapreduce.KindFuncs{Map: knnMap(q, k, freshLocalIndex), Reduce: knnReduce(k)}, nil
+		return mapreduce.KindFuncs{Map: knnMap(q, k, scanProbe{}), Reduce: knnReduce(k)}, nil
 	})
 	mapreduce.RegisterKind("spatial-join", func(conf map[string]string) (mapreduce.KindFuncs, error) {
 		var lSpace, rSpace geom.Rect

@@ -89,12 +89,34 @@ func packLeaves(es []Entry, fanout int) []*node {
 			n := &node{leaf: true, entries: append([]Entry(nil), slice[clo:chi]...)}
 			n.mbr = geom.EmptyRect()
 			for _, e := range n.entries {
-				n.mbr = n.mbr.Union(e.MBR)
+				n.mbr = cover(n.mbr, e.MBR)
 			}
 			leaves = append(leaves, n)
 		}
 	}
 	return leaves
+}
+
+// cover grows a node MBR (seeded with geom.EmptyRect) over one member's
+// MBR. A NaN coordinate fails every comparison and is skipped, where
+// Rect.Union's math.Min/Max would carry it up to the root and hide the
+// whole tree from Search: an entry with a NaN coordinate intersects no
+// query anyway, so leaving it out of its ancestors loses no match and
+// keeps its siblings reachable.
+func cover(r, s geom.Rect) geom.Rect {
+	if s.MinX < r.MinX {
+		r.MinX = s.MinX
+	}
+	if s.MinY < r.MinY {
+		r.MinY = s.MinY
+	}
+	if s.MaxX > r.MaxX {
+		r.MaxX = s.MaxX
+	}
+	if s.MaxY > r.MaxY {
+		r.MaxY = s.MaxY
+	}
+	return r
 }
 
 func packUp(nodes []*node, fanout int) *node {
@@ -112,7 +134,7 @@ func packUp(nodes []*node, fanout int) *node {
 			n := &node{children: append([]*node(nil), nodes[lo:hi]...)}
 			n.mbr = geom.EmptyRect()
 			for _, ch := range n.children {
-				n.mbr = n.mbr.Union(ch.mbr)
+				n.mbr = cover(n.mbr, ch.mbr)
 			}
 			next = append(next, n)
 		}

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -176,5 +178,43 @@ func TestNearestWithTiesCompleteness(t *testing.T) {
 	var empty Tree
 	if got := empty.NearestWithTies(geom.Pt(0, 0), 3); got != nil {
 		t.Fatal("empty tree must return nil")
+	}
+}
+
+// TestNaNEntryDoesNotHideSiblings: geomio.DecodePoint accepts "NaN", so a
+// block can hold a point no query can match. It must stay a non-match of
+// its own; it must not poison its leaf, every ancestor and the root MBR
+// and so hide the finite points stored beside it.
+func TestNaNEntryDoesNotHideSiblings(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]geom.Point, 300)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+	}
+	nan := math.NaN()
+	pts[17] = geom.Point{X: nan, Y: 50}
+	pts[170] = geom.Point{X: 50, Y: nan}
+	pts[299] = geom.Point{X: nan, Y: nan}
+	tr := BulkPoints(pts, 8)
+	if b := tr.Bounds(); b.MinX != b.MinX || b.MinY != b.MinY || b.MaxX != b.MaxX || b.MaxY != b.MaxY {
+		t.Fatalf("root MBR %v carries a NaN", b)
+	}
+	for _, query := range []geom.Rect{geom.NewRect(20, 20, 70, 70), geom.NewRect(0, 0, 100, 100), geom.WorldRect()} {
+		var want []int
+		for i, p := range pts {
+			if query.ContainsPoint(p) {
+				want = append(want, i)
+			}
+		}
+		got := tr.Search(query, nil)
+		sort.Ints(got)
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %v: index found %d entries, a linear scan %d", query, len(got), len(want))
+		}
+		visited := 0
+		tr.Visit(query, func(Entry) bool { visited++; return true })
+		if visited != len(want) {
+			t.Fatalf("query %v: Visit saw %d entries, want %d", query, visited, len(want))
+		}
 	}
 }

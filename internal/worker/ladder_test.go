@@ -32,8 +32,8 @@ func TestBlockLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	splits, err := c.MakeSplits([]string{"in"})
-	if err != nil || len(splits) < 3 {
-		t.Fatalf("MakeSplits = %d splits, %v; want >= 3 one-block splits", len(splits), err)
+	if err != nil || len(splits) < 4 {
+		t.Fatalf("MakeSplits = %d splits, %v; want >= 4 one-block splits", len(splits), err)
 	}
 	reg := obs.NewRegistry()
 	m, err := c.StartMaster(mapreduce.MasterOptions{HeartbeatEvery: 5 * time.Millisecond, Lease: time.Second, Metrics: reg})
@@ -58,7 +58,7 @@ func TestBlockLadder(t *testing.T) {
 	deadPeer := ln.Addr().String()
 	ln.Close()
 
-	blocks := []*dfs.Block{splits[0].Blocks[0], splits[1].Blocks[0], splits[2].Blocks[0]}
+	blocks := []*dfs.Block{splits[0].Blocks[0], splits[1].Blocks[0], splits[2].Blocks[0], splits[3].Blocks[0]}
 	ref := func(i int, extra bool, holders ...string) mapreduce.WireBlockRef {
 		return mapreduce.WireBlockRef{ID: int64(blocks[i].ID), Extra: extra, Holders: holders}
 	}
@@ -77,6 +77,21 @@ func TestBlockLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	install(peer, 1)
+	// Block 3's own replica is cut inside its length table and sealed
+	// again: the CRC holds, only the layout check can tell.
+	install(w, 3)
+	install(peer, 3)
+	whole, err := os.ReadFile(w.replicaPath(int64(blocks[3].ID)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := dfs.UnsealShard(whole)
+	if err != nil || blocks[3].NumRecords() < 3 {
+		t.Fatalf("block 3: unseal = %v, %d records; want a table of >= 3 lengths", err, blocks[3].NumRecords())
+	}
+	if err := os.WriteFile(w.replicaPath(int64(blocks[3].ID)), dfs.SealShard(payload[:3]), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	unknown := mapreduce.WireBlockRef{ID: 1 << 40}
 
 	for _, tc := range []struct {
@@ -92,6 +107,8 @@ func TestBlockLadder(t *testing.T) {
 			primary: []int{0}, local: []int{0}},
 		{name: "torn own replica falls to a peer", refs: []mapreduce.WireBlockRef{ref(1, false, w.Addr(), peer.Addr())},
 			primary: []int{1}, remote: []int{1}},
+		{name: "own replica cut inside its length table falls to a peer", refs: []mapreduce.WireBlockRef{ref(3, false, w.Addr(), peer.Addr())},
+			primary: []int{3}, remote: []int{3}},
 		{name: "dead peer falls to the master", refs: []mapreduce.WireBlockRef{ref(2, false, deadPeer)},
 			primary: []int{2}, remote: []int{2}, fromMaster: true},
 		{name: "block unknown to the master", refs: []mapreduce.WireBlockRef{ref(0, false), unknown},

@@ -348,8 +348,8 @@ func fail(res *mapreduce.TaskDoneArgs, err error) mapreduce.TaskDoneArgs {
 // runMap executes one map attempt: assemble the split — from the local
 // replica store, peer holders, or the master, in that order — rebuild
 // the job kind, run the shared attempt body, spill one sealed shard
-// frame per reducer, and report totals plus the metrics buffer and the
-// read path's local/remote traffic split.
+// stream per reducer (none for a map-only job), and report totals plus
+// the metrics buffer and the read path's local/remote traffic split.
 func (w *Worker) runMap(client *rpc.Client, id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDoneArgs {
 	res := mapreduce.TaskDoneArgs{WorkerID: id, DispatchID: t.DispatchID}
 	if t.Meta == nil {
@@ -370,7 +370,8 @@ func (w *Worker) runMap(client *rpc.Client, id int64, t *mapreduce.TaskAssignmen
 		return fail(&res, err)
 	}
 	// Every reducer's shard file is written, even when empty, so a fetch
-	// never has to distinguish "no pairs" from "spill lost".
+	// never has to distinguish "no pairs" from "spill lost". A map-only
+	// job has no reducers (NumShards 0) and leaves no file behind.
 	for ri := 0; ri < t.NumShards; ri++ {
 		var pairs []mapreduce.Pair
 		if ri < len(shards) {
@@ -449,8 +450,8 @@ type readStats struct {
 // assembleSplit rebuilds a map task's split from the replica-aware
 // descriptor: each block from this worker's own replica store when
 // present, else from a peer holder, else from the master. Block order —
-// and so record iteration order, local-index construction and output —
-// is exactly the descriptor's order, which is the in-process split's.
+// and so record iteration order, record ids and output — is exactly the
+// descriptor's order, which is the in-process split's.
 func (w *Worker) assembleSplit(master *rpc.Client, meta *mapreduce.WireSplitMeta) (*mapreduce.Split, readStats, error) {
 	s := &mapreduce.Split{Partition: meta.Partition, MBR: meta.MBR, ContentMBR: meta.ContentMBR, Tag: meta.Tag}
 	var st readStats
