@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"net/rpc"
 	"sort"
 	"sync"
 
@@ -117,20 +116,16 @@ func (p *dataPlane) ensureBlock(b *dfs.Block) {
 	}
 }
 
-// pushTo installs one replica on one worker, best-effort.
+// pushTo installs one replica on one worker, best-effort — under the
+// master's lifetime, not the job's or request's that first showed it the
+// block: a block is placed once, and nothing retries a cancelled push.
 func (p *dataPlane) pushTo(workerID int64, id dfs.BlockID, frame []byte) bool {
 	addr := p.m.workerAddr(workerID)
 	if addr == "" {
 		return false
 	}
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		return false
-	}
-	defer client.Close()
 	args := PushBlockArgs{ID: int64(id), Frame: frame}
-	var reply PushBlockReply
-	if err := client.Call(ShardService+".PushBlock", args, &reply); err != nil {
+	if err := p.m.peers.Call(p.m.ctx, addr, ShardService+".PushBlock", args, &PushBlockReply{}); err != nil {
 		return false
 	}
 	if r := p.m.opts.Metrics; r != nil {

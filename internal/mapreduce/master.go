@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -186,12 +187,18 @@ type Master struct {
 	c     *Cluster
 	opts  MasterOptions
 	ln    net.Listener
-	srv   *rpc.Server
 	flog  *fault.Log
 	hblog *fault.Log
 
 	// plane is the block-replica data plane.
 	plane *dataPlane
+
+	// ctx is the master's lifetime: Stop cancels it, which ends the loops
+	// and every call the master itself has in flight through peers
+	// (replica pushes, DropJob broadcasts).
+	ctx    context.Context
+	cancel context.CancelFunc
+	peers  *Peers
 
 	mu           sync.Mutex
 	workers      map[int64]*workerState
@@ -213,7 +220,6 @@ type Master struct {
 	// workers drop stale pinned partitions (see SetEpochSource).
 	epochSrc func() map[string]int64
 
-	stop chan struct{}
 	// drops tracks the end-of-job DropJob broadcasts so Stop can wait for
 	// them.
 	drops sync.WaitGroup
@@ -236,25 +242,26 @@ func (c *Cluster) StartMaster(opts MasterOptions) (*Master, error) {
 		c:          c,
 		opts:       opts,
 		ln:         ln,
-		srv:        rpc.NewServer(),
 		flog:       &fault.Log{},
 		hblog:      &fault.Log{},
 		workers:    make(map[int64]*workerState),
 		dispatches: make(map[int64]*dispatch),
 		runs:       make(map[int64]*remoteRun),
 		waitCh:     make(chan struct{}),
-		stop:       make(chan struct{}),
+		peers:      NewPeers(),
 	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.plane = newDataPlane(m, opts.Replication, opts.PlacementSeed)
-	if err := m.srv.RegisterName(MasterService, &masterService{m: m}); err != nil {
+	srv := rpc.NewServer()
+	if err := srv.RegisterName(MasterService, &masterService{m: m}); err != nil {
 		ln.Close()
 		return nil, err
 	}
-	if err := m.srv.RegisterName(ShardService, &masterShards{m: m}); err != nil {
+	if err := srv.RegisterName(ShardService, &masterShards{m: m}); err != nil {
 		ln.Close()
 		return nil, err
 	}
-	go m.acceptLoop()
+	go ServeRPC(m.ctx, ln, srv)
 	go m.leaseMonitor()
 	c.mu.Lock()
 	c.master = m
@@ -273,6 +280,10 @@ func (c *Cluster) Master() *Master {
 // Addr returns the master's listen address, the value workers dial.
 func (m *Master) Addr() string { return m.ln.Addr().String() }
 
+// Peers returns the master's connection pool — how the serving layer
+// reaches the workers the master placed replicas on.
+func (m *Master) Peers() *Peers { return m.peers }
+
 // FaultLog returns the master's runtime fault-event log: registrations,
 // lease expiries, kills and re-issues.
 func (m *Master) FaultLog() *fault.Log { return m.flog }
@@ -283,8 +294,9 @@ func (m *Master) HeartbeatLog() *fault.Log { return m.hblog }
 
 // Stop shuts the master down: the listener closes, queued and in-flight
 // dispatches fail transiently (jobs still running fall back in process),
-// the cluster reverts to in-process execution, and Stop returns once the
-// DropJob broadcasts of finished jobs have completed.
+// the cluster reverts to in-process execution, and the master's own calls
+// in flight (DropJob broadcasts, replica pushes) are cancelled — Stop
+// waits for their goroutines, never for a worker to answer.
 func (m *Master) Stop() {
 	m.mu.Lock()
 	if m.closed {
@@ -303,7 +315,7 @@ func (m *Master) Stop() {
 		ws.live = false
 	}
 	m.mu.Unlock()
-	close(m.stop)
+	m.cancel()
 	m.ln.Close()
 	for _, d := range pending {
 		d.finish(dispatchResult{err: fault.Transientf("mapreduce: master stopped"), workerLost: true})
@@ -314,6 +326,7 @@ func (m *Master) Stop() {
 	}
 	m.c.mu.Unlock()
 	m.drops.Wait()
+	m.peers.Close()
 }
 
 // dropJob tells every live worker to garbage-collect a finished job's
@@ -337,13 +350,7 @@ func (m *Master) dropJob(jobID int64) {
 	for addr := range addrs {
 		go func(addr string) {
 			defer m.drops.Done()
-			client, err := rpc.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
-			defer client.Close()
-			var reply DropJobReply
-			_ = client.Call(ShardService+".DropJob", DropJobArgs{JobID: jobID}, &reply) // best-effort
+			_ = m.peers.Call(m.ctx, addr, ShardService+".DropJob", DropJobArgs{JobID: jobID}, &DropJobReply{}) // best-effort
 		}(addr)
 	}
 }
@@ -388,16 +395,6 @@ func (m *Master) workerAddr(id int64) string {
 	return ws.addr
 }
 
-func (m *Master) acceptLoop() {
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go m.srv.ServeConn(conn)
-	}
-}
-
 // leaseMonitor expires workers that stopped heartbeating and maintains
 // the live/missed gauges.
 func (m *Master) leaseMonitor() {
@@ -409,7 +406,7 @@ func (m *Master) leaseMonitor() {
 	defer t.Stop()
 	for {
 		select {
-		case <-m.stop:
+		case <-m.ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -762,7 +759,7 @@ func (s *masterService) GetTask(args GetTaskArgs, reply *TaskAssignment) error {
 		case <-deadline.C:
 			reply.Phase = TaskNone
 			return nil
-		case <-m.stop:
+		case <-m.ctx.Done():
 			reply.Phase = TaskNone
 			return nil
 		}
@@ -841,15 +838,11 @@ func (s *masterShards) FetchChunk(args FetchChunkArgs, reply *FetchChunkReply) e
 	if !ok {
 		return fmt.Errorf("mapreduce: master holds no shard j%d/m%d.a%d.r%d", args.JobID, args.Task, args.Attempt, args.Reduce)
 	}
-	if args.Offset < 0 || args.Offset > int64(len(frame)) {
-		return fmt.Errorf("mapreduce: chunk offset %d outside shard of %d bytes", args.Offset, len(frame))
+	n, eof, err := ChunkWindow(int64(len(frame)), args.Offset, args.MaxBytes)
+	if err != nil {
+		return err
 	}
-	end := int64(len(frame))
-	if args.MaxBytes > 0 && args.Offset+int64(args.MaxBytes) < end {
-		end = args.Offset + int64(args.MaxBytes)
-	}
-	reply.Data = frame[args.Offset:end]
-	reply.EOF = end == int64(len(frame))
+	reply.Data, reply.EOF = frame[args.Offset:args.Offset+n], eof
 	if reg := s.m.opts.Metrics; reg != nil {
 		reg.Inc(MetricMasterEgress, int64(len(reply.Data)))
 	}

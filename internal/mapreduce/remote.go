@@ -1,8 +1,8 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
-	"net/rpc"
 	"sort"
 	"sync"
 
@@ -165,12 +165,7 @@ func ShardTotals(shards [][]Pair) (pairs, bytes int64) {
 // while the rest of the shard is still in flight. Connection failures,
 // torn frames, truncation (no end-of-stream marker) and gob damage all
 // surface as errors the caller treats as a lost shard.
-func StreamShardFrom(addr string, jobID int64, task, attempt, reduce int, sink func([]Pair) error) error {
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
+func StreamShardFrom(ctx context.Context, peers *Peers, addr string, jobID int64, task, attempt, reduce int, sink func([]Pair) error) error {
 	var st ShardStream
 	offset := int64(0)
 	for {
@@ -179,7 +174,7 @@ func StreamShardFrom(addr string, jobID int64, task, attempt, reduce int, sink f
 			JobID: jobID, Task: task, Attempt: attempt, Reduce: reduce,
 			Offset: offset, MaxBytes: ShuffleChunkBytes,
 		}
-		if err := client.Call(ShardService+".FetchChunk", args, &reply); err != nil {
+		if err := peers.Call(ctx, addr, ShardService+".FetchChunk", args, &reply); err != nil {
 			return err
 		}
 		pairs, err := st.Feed(reply.Data)
@@ -205,16 +200,17 @@ func StreamShardFrom(addr string, jobID int64, task, attempt, reduce int, sink f
 	return nil
 }
 
-// FetchShardFrom streams and collects one whole map shard — the
-// non-incremental convenience used by the master's fallback reduce path.
-func FetchShardFrom(addr string, jobID int64, task, attempt, reduce int) ([]Pair, error) {
-	var all []Pair
-	err := StreamShardFrom(addr, jobID, task, attempt, reduce, func(batch []Pair) error {
-		all = append(all, batch...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// ChunkWindow is the serving half of the same protocol: the window of a
+// size-byte shard stream one FetchChunk call gets — n bytes from offset,
+// and whether they reach the stream's end. An offset exactly at the end is
+// a valid, empty, final chunk; a non-positive maxBytes means "the rest".
+func ChunkWindow(size, offset int64, maxBytes int) (n int64, eof bool, err error) {
+	if offset < 0 || offset > size {
+		return 0, false, fmt.Errorf("mapreduce: chunk offset %d outside shard stream of %d bytes", offset, size)
 	}
-	return all, nil
+	n = size - offset
+	if maxBytes > 0 && int64(maxBytes) < n {
+		n = int64(maxBytes)
+	}
+	return n, offset+n == size, nil
 }

@@ -224,7 +224,12 @@ func (r *remoteRun) fetchShard(src ShardSource, reduce int) ([]Pair, error) {
 		}
 		return DecodeShard(frame)
 	}
-	return FetchShardFrom(src.Addr, r.id, src.Task, src.Attempt, reduce)
+	var all []Pair
+	err := StreamShardFrom(r.ctx, r.m.peers, src.Addr, r.id, src.Task, src.Attempt, reduce, func(batch []Pair) error {
+		all = append(all, batch...)
+		return nil
+	})
+	return all, err
 }
 
 // onWorkerLost re-runs the completed map tasks whose winning shards lived

@@ -2,20 +2,16 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/rpc"
 	"sync"
 	"testing"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
 	"spatialhadoop/internal/geom"
-	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -188,82 +184,5 @@ func TestGenerationHeapMissingTierless(t *testing.T) {
 		if code, _, eng := get(tts, "/knn?file=pts&point=500,500&k=5"); code != http.StatusOK || eng != PlannerSharded {
 			t.Errorf("tierless generation %d kNN: status %d by %q", g, code, eng)
 		}
-	}
-}
-
-// gatedShard is a ShardService whose ExecRange parks the query named
-// "hold" until released and rejects the one named "reject".
-type gatedShard struct {
-	held, release chan struct{}
-}
-
-func (g *gatedShard) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
-	switch args.File {
-	case "hold":
-		close(g.held)
-		<-g.release
-	case "reject":
-		return errors.New("worker: no master session")
-	}
-	reply.Records = 1
-	return nil
-}
-
-// TestCallShardKeepsClientOnHandlerError: an error returned by the
-// worker's handler travels over a healthy connection; dropping the shared
-// client for it would fail every fragment in flight on that connection
-// with ErrShutdown. Only a transport failure drops the client.
-func TestCallShardKeepsClientOnHandlerError(t *testing.T) {
-	shard := &gatedShard{held: make(chan struct{}), release: make(chan struct{})}
-	rs := rpc.NewServer()
-	if err := rs.RegisterName(mapreduce.ShardService, shard); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go rs.Accept(ln)
-
-	srv := New(core.New(core.Config{Workers: 1}), Config{CacheSize: -1})
-	addr, method := ln.Addr().String(), mapreduce.ShardService+".ExecRange"
-	held := make(chan error, 1)
-	go func() {
-		var reply mapreduce.ExecRangeReply
-		err := srv.callShard(addr, method, mapreduce.ExecRangeArgs{File: "hold"}, &reply)
-		if err == nil && reply.Records != 1 {
-			err = errors.New("empty reply")
-		}
-		held <- err
-	}()
-	<-shard.held // the first call is inside the handler, on the shared client
-
-	err = srv.callShard(addr, method, mapreduce.ExecRangeArgs{File: "reject"}, &mapreduce.ExecRangeReply{})
-	if !errors.As(err, new(rpc.ServerError)) {
-		t.Fatalf("rejected call: err = %v, want the handler's rpc.ServerError", err)
-	}
-	srv.shardMu.Lock()
-	cached := srv.shardClients[addr]
-	srv.shardMu.Unlock()
-	close(shard.release)
-	if err := <-held; err != nil {
-		t.Errorf("the in-flight call on the same connection failed: %v", err)
-	}
-	if cached == nil {
-		t.Fatal("a handler error dropped the shared client")
-	}
-
-	// A transport failure still drops it, so the ladder redials.
-	ln.Close()
-	cached.Close()
-	if err := srv.callShard(addr, method, mapreduce.ExecRangeArgs{}, &mapreduce.ExecRangeReply{}); err == nil {
-		t.Fatal("call on a closed connection succeeded")
-	}
-	srv.shardMu.Lock()
-	cached = srv.shardClients[addr]
-	srv.shardMu.Unlock()
-	if cached != nil {
-		t.Error("a transport error left the dead client cached")
 	}
 }

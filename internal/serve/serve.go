@@ -10,7 +10,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/rpc"
 	"runtime"
 	"slices"
 	"strconv"
@@ -109,12 +108,6 @@ type Server struct {
 	winMu sync.Mutex
 	wins  map[string]*obs.SampleWindow
 
-	// shardClients caches RPC clients to serving workers, keyed by shard
-	// address; a failed call drops the entry so the fallback ladder
-	// redials fresh workers instead of dead sockets.
-	shardMu      sync.Mutex
-	shardClients map[string]*rpc.Client
-
 	logMu sync.Mutex // serializes AccessLog writes
 }
 
@@ -128,13 +121,12 @@ func New(sys *core.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
 	s := &Server{
-		sys:          sys,
-		cfg:          cfg,
-		cache:        NewCache(cfg.CacheSize, reg),
-		reg:          reg,
-		ring:         obs.NewTraceRing(cfg.TraceRingSize),
-		wins:         make(map[string]*obs.SampleWindow),
-		shardClients: make(map[string]*rpc.Client),
+		sys:   sys,
+		cfg:   cfg,
+		cache: NewCache(cfg.CacheSize, reg),
+		reg:   reg,
+		ring:  obs.NewTraceRing(cfg.TraceRingSize),
+		wins:  make(map[string]*obs.SampleWindow),
 	}
 	if cfg.MemTierBytes > 0 {
 		s.mt = NewMemTier(cfg.MemTierBytes, reg)
@@ -213,12 +205,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if derr := s.sys.Cluster().Drain(ctx); err == nil {
 		err = derr
 	}
-	s.shardMu.Lock()
-	for addr, c := range s.shardClients {
-		c.Close()
-		delete(s.shardClients, addr)
-	}
-	s.shardMu.Unlock()
 	s.reg.SetGauge("serve.draining", 1)
 	return err
 }

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -99,81 +97,28 @@ func (s *Server) scatterTargets(m *mapreduce.Master, cand []*mapreduce.Split) []
 	return out
 }
 
-// shardClient returns a cached RPC client for a worker's shard address.
-func (s *Server) shardClient(addr string) (*rpc.Client, error) {
-	s.shardMu.Lock()
-	if c, ok := s.shardClients[addr]; ok {
-		s.shardMu.Unlock()
-		return c, nil
-	}
-	s.shardMu.Unlock()
-	c, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.shardMu.Lock()
-	if prev, ok := s.shardClients[addr]; ok {
-		s.shardMu.Unlock()
-		c.Close()
-		return prev, nil
-	}
-	if s.shardClients == nil {
-		s.shardClients = make(map[string]*rpc.Client)
-	}
-	s.shardClients[addr] = c
-	s.shardMu.Unlock()
-	return c, nil
-}
-
-// dropShardClient discards a cached client after a transport failure (the
-// worker likely died; the next query redials or falls back).
-func (s *Server) dropShardClient(addr string, c *rpc.Client) {
-	s.shardMu.Lock()
-	if s.shardClients[addr] == c {
-		delete(s.shardClients, addr)
-	}
-	s.shardMu.Unlock()
-	c.Close()
-}
-
-// callShard performs one exec RPC against a holder through the client
-// cache. Only a transport error drops the client: an error the worker's
-// handler returned (rpc.ServerError) arrived over a healthy connection
-// that other fragments are using right now, and closing it would fail
-// every one of them with ErrShutdown.
-func (s *Server) callShard(addr, method string, args, reply any) error {
-	c, err := s.shardClient(addr)
-	if err != nil {
-		return err
-	}
-	err = c.Call(method, args, reply)
-	if err != nil && !errors.As(err, new(rpc.ServerError)) {
-		s.dropShardClient(addr, c)
-	}
-	return err
-}
-
 // shardCall is the per-query half of the ladder: how to ask a holder for
 // a partition's fragment, and the same step over a master-side pin.
 type shardCall struct {
-	remote func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error)
+	remote func(ctx context.Context, addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error)
 	local  func(part *ops.LocalPartition) (shardFrag, error)
 }
 
 // rangeReplies recycles range replies between queries — gob decodes into
 // a reused reply's slice capacity, which is most of a fragment's cost on
 // the master. A reply is taken per exec call and released once the body
-// that copies from it is encoded.
+// that copies from it is encoded; the reply of a call that failed or was
+// cancelled is never released — an abandoned call may still decode into it.
 var rangeReplies = sync.Pool{New: func() any { return new(mapreduce.ExecRangeReply) }}
 
-func (s *Server) rangeCall(file string, epoch int64, rect geom.Rect) shardCall {
+func (sq *shardQuery) rangeCall(file string, epoch int64, rect geom.Rect) shardCall {
 	return shardCall{
-		remote: func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
+		remote: func(ctx context.Context, addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
 			// gob omits zero-valued fields, so anything left in a reused
 			// reply would pass for this fragment's: reset all of it.
 			reply := rangeReplies.Get().(*mapreduce.ExecRangeReply)
 			reply.Keys, reply.Frag, reply.Records = reply.Keys[:0], reply.Frag[:0], 0
-			err := s.callShard(addr, mapreduce.ShardService+".ExecRange",
+			err := sq.m.Peers().Call(ctx, addr, mapreduce.ShardService+".ExecRange",
 				mapreduce.ExecRangeArgs{File: file, Epoch: epoch, Meta: meta, Query: rect}, reply)
 			return shardFrag{stream: reply, records: reply.Records, matches: len(reply.Keys) / 2}, err
 		},
@@ -184,11 +129,11 @@ func (s *Server) rangeCall(file string, epoch int64, rect geom.Rect) shardCall {
 	}
 }
 
-func (s *Server) knnCall(file string, epoch int64, q geom.Point, k int) shardCall {
+func (sq *shardQuery) knnCall(file string, epoch int64, q geom.Point, k int) shardCall {
 	return shardCall{
-		remote: func(addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
+		remote: func(ctx context.Context, addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
 			var reply mapreduce.ExecKNNReply
-			err := s.callShard(addr, mapreduce.ShardService+".ExecKNN",
+			err := sq.m.Peers().Call(ctx, addr, mapreduce.ShardService+".ExecKNN",
 				mapreduce.ExecKNNArgs{File: file, Epoch: epoch, Meta: meta, Q: q, K: k}, &reply)
 			return shardFrag{cands: reply.Cands, records: reply.Records, matches: len(reply.Cands)}, err
 		},
@@ -221,12 +166,18 @@ func (s *Server) newShardQuery(file string, epoch int64) (*shardQuery, error) {
 }
 
 // fragment obtains one partition's fragment down the ladder: each holder
-// in placement order, then master-local execution.
-func (sq *shardQuery) fragment(tgt shardTarget, sp *mapreduce.Split, call shardCall) (shardFrag, error) {
+// in placement order, then master-local execution. A cancelled request
+// stops where it is: its calls fail because the request ended, not because
+// a holder died, so it neither counts an RPC error nor walks on to pin the
+// partition on the master.
+func (sq *shardQuery) fragment(ctx context.Context, tgt shardTarget, sp *mapreduce.Split, call shardCall) (shardFrag, error) {
 	s := sq.s
 	for hi, addr := range tgt.holders {
 		start := time.Now()
-		frag, err := call.remote(addr, tgt.meta)
+		frag, err := call.remote(ctx, addr, tgt.meta)
+		if ctx.Err() != nil {
+			return shardFrag{}, ctx.Err()
+		}
 		if err != nil {
 			s.reg.Inc("serve.shard.rpc.errors", 1)
 			continue
@@ -262,7 +213,7 @@ func (sq *shardQuery) scatter(ctx context.Context, kept []*mapreduce.Split, call
 		wg.Add(1)
 		go func(i int, sp *mapreduce.Split) {
 			defer wg.Done()
-			frags[i], errs[i] = sq.fragment(targets[i], sp, call)
+			frags[i], errs[i] = sq.fragment(ctx, targets[i], sp, call)
 		}(i, sp)
 	}
 	wg.Wait()
@@ -309,7 +260,7 @@ func (s *Server) shardedRange(ctx context.Context, file, canon string, epoch int
 	if err != nil {
 		return nil, nil, err
 	}
-	frags, err := sq.scatter(ctx, kept, s.rangeCall(file, epoch, rect))
+	frags, err := sq.scatter(ctx, kept, sq.rangeCall(file, epoch, rect))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -327,7 +278,7 @@ func (s *Server) shardedKNN(ctx context.Context, file string, epoch int64, q geo
 	if sq == nil {
 		return nil, nil, err
 	}
-	call := s.knnCall(file, epoch, q, k)
+	call := sq.knnCall(file, epoch, q, k)
 	pts, err := sq.plan.KNN(ctx, q, k, func(ctx context.Context, kept []*mapreduce.Split) ([]ops.KNNCandidate, error) {
 		frags, err := sq.scatter(ctx, kept, call)
 		var cands []ops.KNNCandidate

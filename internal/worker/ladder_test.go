@@ -117,9 +117,8 @@ func TestBlockLadder(t *testing.T) {
 			primary: []int{2, 1}, extra: []int{0}, local: []int{0}, remote: []int{2, 1}, fromMaster: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			master, _, _ := w.session()
 			egress := reg.Counter(mapreduce.MetricMasterEgress)
-			sp, st, err := w.assembleSplit(master, &mapreduce.WireSplitMeta{Partition: "p", Tag: "tag", Blocks: tc.refs})
+			sp, st, err := w.assembleSplit(&mapreduce.WireSplitMeta{Partition: "p", Tag: "tag", Blocks: tc.refs})
 			if tc.wantErr != "" {
 				if err == nil || !fault.IsTransient(err) || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("assembleSplit = %v, want a transient error naming %q", err, tc.wantErr)
@@ -164,9 +163,8 @@ func TestBlockLadder(t *testing.T) {
 	// every block from the master: all remote, byte for byte.
 	t.Run("replication 0 is all remote", func(t *testing.T) {
 		empty := start(9403)
-		master, _, _ := empty.session()
 		whole := &mapreduce.Split{Blocks: []*dfs.Block{blocks[0], blocks[2]}, Extra: blocks[1:2]}
-		sp, st, err := empty.assembleSplit(master, m.ServeMeta(whole))
+		sp, st, err := empty.assembleSplit(m.ServeMeta(whole))
 		if err != nil {
 			t.Fatal(err)
 		}

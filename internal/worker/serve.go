@@ -29,11 +29,7 @@ func (w *Worker) pinServePartition(file string, epoch int64, meta *mapreduce.Wir
 	if part, ok := w.tier.Lookup(file, epoch, meta.Partition); ok {
 		return part, nil
 	}
-	client, _, _ := w.session()
-	if client == nil {
-		return nil, fmt.Errorf("worker: no master session")
-	}
-	sp, _, err := w.assembleSplit(client, meta)
+	sp, _, err := w.assembleSplit(meta)
 	if err != nil {
 		return nil, err
 	}

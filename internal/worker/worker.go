@@ -11,12 +11,13 @@
 package worker
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/rpc"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,16 +77,21 @@ type Worker struct {
 	// from a stale pin.
 	tier *serve.MemTier
 
-	mu     sync.Mutex
-	client *rpc.Client
-	id     int64
-	hb     time.Duration
+	// ctx is the worker's lifetime: Stop cancels it, which ends the loops
+	// and every call in flight through peers — to the master, and to the
+	// peers whose replicas and spills this worker's tasks read.
+	ctx    context.Context
+	cancel context.CancelFunc
+	peers  *mapreduce.Peers
+
+	mu sync.Mutex
+	id int64
+	hb time.Duration
 	// dropped marks jobs whose spills were garbage-collected; a late
 	// spill from a straggler attempt of a dropped job is re-removed
 	// instead of resurrecting the job directory.
 	dropped map[int64]bool
 
-	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
@@ -115,32 +121,19 @@ func Start(cfg Config) (*Worker, error) {
 		}
 		return nil, err
 	}
-	w := &Worker{cfg: cfg, ln: ln, dir: dir, ownsDir: ownsDir, stop: make(chan struct{})}
+	w := &Worker{cfg: cfg, ln: ln, dir: dir, ownsDir: ownsDir, peers: mapreduce.NewPeers()}
+	w.ctx, w.cancel = context.WithCancel(context.Background())
 	if cfg.ServeTasks {
 		w.tier = serve.NewMemTier(cfg.ServeTierBytes, obs.NewRegistry())
 	}
 	srv := rpc.NewServer()
-	if err := srv.RegisterName(mapreduce.ShardService, &shardServer{w: w}); err != nil {
-		ln.Close()
-		if ownsDir {
-			os.RemoveAll(dir)
-		}
-		return nil, err
+	err = srv.RegisterName(mapreduce.ShardService, &shardServer{w: w})
+	if err == nil {
+		go mapreduce.ServeRPC(w.ctx, ln, srv)
+		err = w.register()
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	if err := w.connect(); err != nil {
-		ln.Close()
-		if ownsDir {
-			os.RemoveAll(dir)
-		}
+	if err != nil {
+		w.Stop()
 		return nil, err
 	}
 	w.wg.Add(1)
@@ -172,14 +165,9 @@ func (w *Worker) Dir() string { return w.dir }
 // lease expires and the task is re-issued.
 func (w *Worker) Stop() {
 	w.stopOnce.Do(func() {
-		close(w.stop)
+		w.cancel()
 		w.ln.Close()
-		w.mu.Lock()
-		if w.client != nil {
-			w.client.Close()
-			w.client = nil
-		}
-		w.mu.Unlock()
+		w.peers.Close()
 		if w.ownsDir {
 			os.RemoveAll(w.dir)
 		}
@@ -189,62 +177,60 @@ func (w *Worker) Stop() {
 // Wait blocks until the worker's loops have exited (after Stop).
 func (w *Worker) Wait() { w.wg.Wait() }
 
-// connect dials the master and registers, replacing any previous client.
-func (w *Worker) connect() error {
-	client, err := rpc.Dial("tcp", w.cfg.Master)
-	if err != nil {
-		return err
-	}
+// callMaster is one control-plane call to the master.
+func (w *Worker) callMaster(method string, args, reply any) error {
+	return w.peers.Call(w.ctx, w.cfg.Master, mapreduce.MasterService+"."+method, args, reply)
+}
+
+// register (re-)registers with the master, taking a fresh worker id.
+func (w *Worker) register() error {
 	pid := w.cfg.FakePID
 	if pid == 0 {
 		pid = os.Getpid()
 	}
 	var reply mapreduce.RegisterReply
 	args := mapreduce.RegisterArgs{Addr: w.Addr(), PID: pid, CanServe: w.cfg.ServeTasks}
-	if err := client.Call(mapreduce.MasterService+".Register", args, &reply); err != nil {
-		client.Close()
+	if err := w.callMaster("Register", args, &reply); err != nil {
 		return err
 	}
-	w.mu.Lock()
-	if w.client != nil {
-		w.client.Close()
+	if reply.HeartbeatEvery <= 0 {
+		reply.HeartbeatEvery = 100 * time.Millisecond
 	}
-	w.client = client
-	w.id = reply.WorkerID
-	w.hb = reply.HeartbeatEvery
+	w.mu.Lock()
+	w.id, w.hb = reply.WorkerID, reply.HeartbeatEvery
 	w.mu.Unlock()
 	return nil
 }
 
-// session snapshots the current client and worker id.
-func (w *Worker) session() (*rpc.Client, int64, time.Duration) {
+// session snapshots the worker id and heartbeat interval of the current
+// registration.
+func (w *Worker) session() (int64, time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.client, w.id, w.hb
+	return w.id, w.hb
 }
 
 // reconnect re-establishes the master session after a connection failure
 // or a lease the master expired, retrying until it succeeds or the worker
 // stops.
 func (w *Worker) reconnect() {
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
-		if err := w.connect(); err == nil {
+	for w.register() != nil {
+		_, hb := w.session()
+		if !w.sleep(hb) {
 			return
 		}
-		_, _, hb := w.session()
-		if hb <= 0 {
-			hb = 100 * time.Millisecond
-		}
-		select {
-		case <-w.stop:
-			return
-		case <-time.After(hb):
-		}
+	}
+}
+
+// sleep waits d out; false means the worker stopped first.
+func (w *Worker) sleep(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-w.ctx.Done():
+		return false
+	case <-t.C:
+		return true
 	}
 }
 
@@ -254,36 +240,23 @@ func (w *Worker) reconnect() {
 func (w *Worker) heartbeatLoop() {
 	defer w.wg.Done()
 	for {
-		client, id, hb := w.session()
-		if hb <= 0 {
-			hb = 100 * time.Millisecond
-		}
-		select {
-		case <-w.stop:
+		id, hb := w.session()
+		if !w.sleep(hb) {
 			return
-		case <-time.After(hb):
 		}
-		if client == nil {
+		var reply mapreduce.HeartbeatReply
+		err := w.callMaster("Heartbeat", mapreduce.HeartbeatArgs{WorkerID: id}, &reply)
+		if err != nil || !reply.OK {
 			w.reconnect()
 			continue
 		}
-		var reply mapreduce.HeartbeatReply
-		err := client.Call(mapreduce.MasterService+".Heartbeat", mapreduce.HeartbeatArgs{WorkerID: id}, &reply)
-		if err == nil && reply.OK && w.tier != nil {
+		if w.tier != nil {
 			// Epoch push: drop serving pins a DFS rewrite obsoleted. The
 			// epoch-keyed tier already guarantees correctness; this frees
 			// the memory before LRU pressure would.
 			for file, epoch := range reply.Epochs {
 				w.tier.DropStale(file, epoch)
 			}
-		}
-		if err != nil || !reply.OK {
-			select {
-			case <-w.stop:
-				return
-			default:
-			}
-			w.reconnect()
 		}
 	}
 }
@@ -293,48 +266,24 @@ func (w *Worker) heartbeatLoop() {
 // its next task never expires.
 func (w *Worker) executorLoop() {
 	defer w.wg.Done()
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
-		client, id, hb := w.session()
-		if client == nil {
-			if hb <= 0 {
-				hb = 100 * time.Millisecond
-			}
-			select {
-			case <-w.stop:
-				return
-			case <-time.After(hb):
-			}
-			continue
-		}
+	for w.ctx.Err() == nil {
+		id, _ := w.session()
 		var t mapreduce.TaskAssignment
-		if err := client.Call(mapreduce.MasterService+".GetTask", mapreduce.GetTaskArgs{WorkerID: id}, &t); err != nil {
+		if err := w.callMaster("GetTask", mapreduce.GetTaskArgs{WorkerID: id}, &t); err != nil {
 			// The heartbeat loop owns reconnection; just back off.
-			select {
-			case <-w.stop:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-			continue
-		}
-		if t.Phase == mapreduce.TaskNone {
+			w.sleep(10 * time.Millisecond)
 			continue
 		}
 		var res mapreduce.TaskDoneArgs
 		switch t.Phase {
 		case mapreduce.TaskMap:
-			res = w.runMap(client, id, &t)
+			res = w.runMap(id, &t)
 		case mapreduce.TaskReduce:
 			res = w.runReduce(id, &t)
 		default:
 			continue
 		}
-		var ack mapreduce.TaskDoneReply
-		_ = client.Call(mapreduce.MasterService+".TaskDone", res, &ack)
+		_ = w.callMaster("TaskDone", res, &mapreduce.TaskDoneReply{})
 	}
 }
 
@@ -350,12 +299,12 @@ func fail(res *mapreduce.TaskDoneArgs, err error) mapreduce.TaskDoneArgs {
 // the job kind, run the shared attempt body, spill one sealed shard
 // stream per reducer (none for a map-only job), and report totals plus
 // the metrics buffer and the read path's local/remote traffic split.
-func (w *Worker) runMap(client *rpc.Client, id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDoneArgs {
+func (w *Worker) runMap(id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDoneArgs {
 	res := mapreduce.TaskDoneArgs{WorkerID: id, DispatchID: t.DispatchID}
 	if t.Meta == nil {
 		return fail(&res, fmt.Errorf("worker: map assignment without a split descriptor"))
 	}
-	split, st, err := w.assembleSplit(client, t.Meta)
+	split, st, err := w.assembleSplit(t.Meta)
 	if err != nil {
 		return fail(&res, err)
 	}
@@ -419,7 +368,7 @@ func (w *Worker) runReduce(id int64, t *mapreduce.TaskAssignment) mapreduce.Task
 			mapreduce.MergePairs(groups, pairs)
 			continue
 		}
-		err := mapreduce.StreamShardFrom(src.Addr, t.JobID, src.Task, src.Attempt, t.Task,
+		err := mapreduce.StreamShardFrom(w.ctx, w.peers, src.Addr, t.JobID, src.Task, src.Attempt, t.Task,
 			func(batch []mapreduce.Pair) error {
 				mapreduce.MergePairs(groups, batch)
 				return nil
@@ -452,19 +401,11 @@ type readStats struct {
 // present, else from a peer holder, else from the master. Block order —
 // and so record iteration order, record ids and output — is exactly the
 // descriptor's order, which is the in-process split's.
-func (w *Worker) assembleSplit(master *rpc.Client, meta *mapreduce.WireSplitMeta) (*mapreduce.Split, readStats, error) {
+func (w *Worker) assembleSplit(meta *mapreduce.WireSplitMeta) (*mapreduce.Split, readStats, error) {
 	s := &mapreduce.Split{Partition: meta.Partition, MBR: meta.MBR, ContentMBR: meta.ContentMBR, Tag: meta.Tag}
 	var st readStats
-	peers := make(map[string]*rpc.Client)
-	defer func() {
-		for _, c := range peers {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
 	for _, ref := range meta.Blocks {
-		records, local, err := w.readBlock(master, peers, ref)
+		records, local, err := w.readBlock(ref)
 		if err != nil {
 			return nil, readStats{}, err
 		}
@@ -489,37 +430,23 @@ func (w *Worker) assembleSplit(master *rpc.Client, meta *mapreduce.WireSplitMeta
 // replica file, peer holders, master. The bool result reports whether
 // the read was local. A block no rung can produce fails the read
 // transiently — the scheduler retries the attempt.
-func (w *Worker) readBlock(master *rpc.Client, peers map[string]*rpc.Client, ref mapreduce.WireBlockRef) ([]string, bool, error) {
+func (w *Worker) readBlock(ref mapreduce.WireBlockRef) ([]string, bool, error) {
 	if frame, err := os.ReadFile(w.replicaPath(ref.ID)); err == nil {
 		if records, err := mapreduce.DecodeBlockFrame(frame); err == nil {
 			return records, true, nil
 		}
 		// A torn replica is not fatal — fall through to a remote copy.
 	}
-	self := w.Addr()
-	for _, addr := range ref.Holders {
-		if addr == self {
-			continue
-		}
-		c, ok := peers[addr]
-		if !ok {
-			c, _ = rpc.Dial("tcp", addr)
-			peers[addr] = c // nil caches the dial failure for this split
-		}
-		if c == nil {
+	// The remote rungs in order: peer holders, then the master.
+	var err error
+	for _, addr := range append(slices.Clip(ref.Holders), w.cfg.Master) {
+		if addr == w.Addr() {
 			continue
 		}
 		var reply mapreduce.ReadBlockReply
-		if err := c.Call(mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &reply); err != nil {
+		if err = w.peers.Call(w.ctx, addr, mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &reply); err != nil {
 			continue
 		}
-		if records, err := mapreduce.DecodeBlockFrame(reply.Frame); err == nil {
-			return records, false, nil
-		}
-	}
-	var reply mapreduce.ReadBlockReply
-	err := master.Call(mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &reply)
-	if err == nil {
 		var records []string
 		if records, err = mapreduce.DecodeBlockFrame(reply.Frame); err == nil {
 			return records, false, nil
@@ -619,21 +546,15 @@ func (s *shardServer) FetchChunk(args mapreduce.FetchChunkArgs, reply *mapreduce
 	if err != nil {
 		return err
 	}
-	size := fi.Size()
-	if args.Offset < 0 || args.Offset > size {
-		return fmt.Errorf("worker: chunk offset %d outside spill of %d bytes", args.Offset, size)
-	}
-	max := args.MaxBytes
-	if max <= 0 || int64(max) > size-args.Offset {
-		max = int(size - args.Offset)
-	}
-	buf := make([]byte, max)
-	n, err := f.ReadAt(buf, args.Offset)
-	if err != nil && err != io.EOF {
+	n, eof, err := mapreduce.ChunkWindow(fi.Size(), args.Offset, args.MaxBytes)
+	if err != nil {
 		return err
 	}
-	reply.Data = buf[:n]
-	reply.EOF = args.Offset+int64(n) >= size
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, args.Offset); err != nil {
+		return err // the window lies inside the file, so a short read is a fault
+	}
+	reply.Data, reply.EOF = buf, eof
 	return nil
 }
 
