@@ -252,7 +252,10 @@ func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]string) {
 	s.metrics.SetGauge(GaugePartitionImbalance, ps.Imbalance())
 }
 
-// writeIndexed writes the partitioned records and the master index.
+// writeIndexed writes the partitioned records and the master index. Queries
+// meet the previous generation until Close publishes this one; the writer is
+// created only here, after partitioning, so the two overlap in memory for
+// the write loop alone.
 func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]string) (*IndexedFile, error) {
 	s.recordFill(gi, byCell)
 	w, err := s.fs.CreateOrReplace(name)
@@ -267,6 +270,7 @@ func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]st
 		for _, r := range cellRecs {
 			w.WriteRecord(r)
 		}
+		byCell[ci] = nil // written: free it while the replaced generation is still live
 	}
 	w.SetMaster(gi.Encode())
 	if err := w.Close(); err != nil {
@@ -282,11 +286,17 @@ func (s *System) Open(name string) (*IndexedFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &IndexedFile{Name: name, File: f}
+	return OpenFile(f)
+}
+
+// OpenFile is Open over a generation the caller already holds, for callers
+// that must plan, key and read one and the same generation.
+func OpenFile(f *dfs.File) (*IndexedFile, error) {
+	out := &IndexedFile{Name: f.Name, File: f}
 	if len(f.Master) > 0 {
 		gi, err := sindex.Decode(f.Master)
 		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
+			return nil, fmt.Errorf("core: %s: %w", f.Name, err)
 		}
 		out.Index = gi
 	}

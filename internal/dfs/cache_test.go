@@ -1,7 +1,9 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"spatialhadoop/internal/geom"
@@ -56,30 +58,46 @@ func TestBlockPointsCached(t *testing.T) {
 	}
 }
 
+// TestBlockPointsInvalidatedOnWrite: no decoded view can go stale,
+// because no block is decoded while it is written. Until Close the file
+// cannot be opened; after it every block decodes all of its records.
 func TestBlockPointsInvalidatedOnWrite(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
+	fs := New(Config{BlockSize: 64, DataNodes: 2})
 	w, err := fs.Create("pts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.WriteRecord(geomio.EncodePoint(geom.Pt(1, 1)))
-	f, _ := fs.Open("pts")
-	b := f.Blocks[0]
-	pts, err := b.Points()
-	if err != nil || len(pts) != 1 {
-		t.Fatalf("Points = %v, %v; want one point", pts, err)
-	}
-	// Appending to the open block must drop the decoded view.
-	w.WriteRecord(geomio.EncodePoint(geom.Pt(2, 2)))
-	pts, err = b.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[1] != geom.Pt(2, 2) {
-		t.Fatalf("Points after write = %v, want both points (stale cache?)", pts)
+	var want []geom.Point
+	for i := 0; i < 40; i++ {
+		want = append(want, geom.Pt(float64(i), float64(i)))
+		w.WriteRecord(geomio.EncodePoint(want[i]))
+		if _, err := fs.Open("pts"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Open after %d records, before Close = %v, want ErrNotFound", i+1, err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	f, err := fs.Open("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Blocks) < 2 {
+		t.Fatalf("blocks = %d, want several", len(f.Blocks))
+	}
+	var got []geom.Point
+	for _, b := range f.Blocks {
+		pts, err := b.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != b.NumRecords() {
+			t.Fatalf("block %d decodes %d of its %d records", b.ID, len(pts), b.NumRecords())
+		}
+		got = append(got, pts...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("decoded %v, want %v", got, want)
 	}
 }
 
@@ -137,14 +155,14 @@ func TestBlockPointsError(t *testing.T) {
 	}
 }
 
+// TestBlockPayloadCachedAndInvalidated: a block's payload is built once
+// for the block's lifetime; the only way its records change is a
+// replacement, whose blocks are new and build their own.
 func TestBlockPayloadCachedAndInvalidated(t *testing.T) {
 	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
-	w, err := fs.Create("f")
-	if err != nil {
+	if err := fs.WriteFile("f", []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	w.WriteRecord("a")
-	w.WriteRecord("b")
 	f, _ := fs.Open("f")
 	b := f.Blocks[0]
 
@@ -166,19 +184,20 @@ func TestBlockPayloadCachedAndInvalidated(t *testing.T) {
 		t.Fatalf("payload built %d times, want 1", builds)
 	}
 
-	w.WriteRecord("c") // invalidates
-	v, err := b.Payload(build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != "decoded:3" {
-		t.Fatalf("payload after write = %v, want decoded:3", v)
-	}
-	if builds != 2 {
-		t.Fatalf("payload built %d times after invalidation, want 2", builds)
+	w, _ := fs.CreateOrReplace("f")
+	for _, rec := range []string{"a", "b", "c"} {
+		w.WriteRecord(rec)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	nf, _ := fs.Open("f")
+	if v, err := nf.Blocks[0].Payload(build); err != nil || v != "decoded:3" || builds != 2 {
+		t.Fatalf("replacement payload = %v, %v after %d builds, want decoded:3 on the second", v, err, builds)
+	}
+	// The replaced generation still answers whoever holds it.
+	if v, _ := b.Payload(build); v != "decoded:2" || builds != 2 {
+		t.Fatalf("held generation payload = %v after %d builds, want the cached decoded:2", v, builds)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 )
 
@@ -12,11 +13,12 @@ import (
 // to the next block, changes partition, or closes the file) — mirroring
 // HDFS, which checksums blocks on write and verifies them on read. Read
 // paths verify through VerifyCached, which recomputes at most once per
-// block generation (the same amortization as the decode cache), so a
-// block scanned by many jobs pays the CRC pass once. A mismatch surfaces
-// as a *ChecksumError wrapping ErrChecksum; the error is transient in the
-// fault-classification sense because in a replicated DFS a re-read can be
-// served by a healthy replica.
+// block (the same amortization as the decode cache), so a block scanned
+// by many jobs pays the CRC pass once. Only sealed blocks are ever
+// reachable: a file is published whole, by its writer's Close. A mismatch
+// surfaces as a *ChecksumError wrapping ErrChecksum; the error is
+// transient in the fault-classification sense because in a replicated DFS
+// a re-read can be served by a healthy replica.
 
 // ErrChecksum is the sentinel wrapped by every block checksum mismatch.
 var ErrChecksum = errors.New("dfs: block checksum mismatch")
@@ -79,37 +81,25 @@ func checksumRecords(records []string) uint32 {
 
 // seal stamps the block's checksum; the writer calls it exactly once,
 // after the last record lands in the block.
-func (b *Block) seal() {
-	b.crc = checksumRecords(b.records)
-	b.sealed = true
-}
+func (b *Block) seal() { b.crc = checksumRecords(b.records) }
 
-// Checksum returns the checksum stored when the block was sealed (0 for
-// a block still under construction).
+// Checksum returns the checksum stored when the block was sealed.
 func (b *Block) Checksum() uint32 { return b.crc }
 
-// Sealed reports whether the block has been finalized and checksummed.
-func (b *Block) Sealed() bool { return b.sealed }
-
 // Verify recomputes the block's checksum and compares it against the
-// stored value, returning a *ChecksumError on mismatch. Blocks still
-// under construction verify trivially.
+// stored value, returning a *ChecksumError on mismatch.
 func (b *Block) Verify() error {
-	if !b.sealed {
-		return nil
-	}
 	if got := checksumRecords(b.records); got != b.crc {
 		return &ChecksumError{Block: b.ID, Want: b.crc, Got: got}
 	}
 	return nil
 }
 
-// VerifyCached is Verify amortized to one recompute per block generation:
-// the result is cached alongside the decoded views and dropped whenever
-// the block's records change, so repeated reads (map attempts, retries,
-// multi-job pipelines) skip the CRC pass entirely.
+// VerifyCached is Verify amortized to one recompute per block: the result
+// is cached alongside the decoded views, so repeated reads (map attempts,
+// retries, multi-job pipelines) skip the CRC pass entirely.
 func (b *Block) VerifyCached() error {
-	c := b.cacheSlot()
+	c := &b.cache
 	c.verifyOnce.Do(func() { c.verifyErr = b.Verify() })
 	return c.verifyErr
 }
@@ -122,11 +112,10 @@ type ScrubIssue struct {
 	Got   uint32
 }
 
-// Scrub recomputes the checksum of every sealed block in the file system
+// Scrub recomputes the checksum of every block in the file system
 // and reports the corrupt ones — the background integrity pass HDFS data
-// nodes run. Scrub always recomputes (it does not trust the cached
-// verification) so it also catches corruption introduced after a block
-// was last read.
+// nodes run. Scrub always recomputes rather than trust the cached
+// verification.
 func (fs *FileSystem) Scrub() []ScrubIssue {
 	fs.mu.RLock()
 	type blockRef struct {
@@ -154,14 +143,17 @@ func (fs *FileSystem) Scrub() []ScrubIssue {
 	return issues
 }
 
-// CorruptBlock flips one byte in block i of the named file without
-// updating the stored checksum — the corruption hook used by fault
-// injection and integrity tests. The decode cache is invalidated so the
-// next verification sees the damage.
+// CorruptBlock models a data node damaging block i of the named file:
+// it publishes, under a fresh epoch, a generation identical to the
+// current one except that block i is a copy — same BlockID, placement and
+// stored checksum — with one byte of one record flipped. It is the
+// corruption hook used by fault injection and integrity tests. The
+// generation it replaced, and any reader still holding it, is untouched;
+// everyone who opens the file afterwards sees the damage.
 func (fs *FileSystem) CorruptBlock(name string, i int) error {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
-	fs.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
@@ -169,16 +161,16 @@ func (fs *FileSystem) CorruptBlock(name string, i int) error {
 		return fmt.Errorf("dfs: %s has no block %d", name, i)
 	}
 	b := f.Blocks[i]
-	for ri, rec := range b.records {
-		if len(rec) == 0 {
-			continue
-		}
-		buf := []byte(rec)
-		buf[0] ^= 0x20 // flip one bit of the first byte
-		b.records[ri] = string(buf)
-		b.invalidate()
-		fs.stamp(f)
-		return nil
+	ri := slices.IndexFunc(b.records, func(rec string) bool { return rec != "" })
+	if ri < 0 {
+		return fmt.Errorf("dfs: %s block %d has no corruptible record", name, i)
 	}
-	return fmt.Errorf("dfs: %s block %d has no corruptible record", name, i)
+	bad := &Block{ID: b.ID, Node: b.Node, Partition: b.Partition, Bytes: b.Bytes, records: slices.Clone(b.records), crc: b.crc}
+	buf := []byte(bad.records[ri])
+	buf[0] ^= 0x20 // flip one bit of the first byte
+	bad.records[ri] = string(buf)
+	next := &File{Name: name, Blocks: slices.Clone(f.Blocks), Bytes: f.Bytes, Records: f.Records, Master: f.Master}
+	next.Blocks[i] = bad
+	fs.publish(name, next)
+	return nil
 }

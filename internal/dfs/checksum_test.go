@@ -34,9 +34,6 @@ func TestChecksumRoundTrip(t *testing.T) {
 		t.Fatalf("blocks = %d, want several", len(f.Blocks))
 	}
 	for i, b := range f.Blocks {
-		if !b.Sealed() {
-			t.Fatalf("block %d not sealed after Close", i)
-		}
 		if b.Checksum() == 0 {
 			t.Errorf("block %d has zero checksum", i)
 		}
@@ -74,7 +71,10 @@ func TestChecksumRoundTrip(t *testing.T) {
 }
 
 // TestChecksumDetectsCorruption: a flipped byte is caught by Verify,
-// VerifyCached, ReadAll and Scrub, with the typed ErrChecksum sentinel.
+// VerifyCached, ReadAll and Scrub, with the typed ErrChecksum sentinel, by
+// everyone who opens the file after the corruption — which publishes a
+// damaged copy of the block under its old ID and checksum and leaves the
+// generation a reader already holds alone.
 func TestChecksumDetectsCorruption(t *testing.T) {
 	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
 	if err := fs.WriteFile("f", []string{"alpha", "beta", "gamma"}); err != nil {
@@ -84,12 +84,19 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if _, err := fs.ReadAll("f"); err != nil {
 		t.Fatal(err)
 	}
+	held, _ := fs.Open("f")
 	if err := fs.CorruptBlock("f", 0); err != nil {
 		t.Fatal(err)
+	}
+	if err := held.Blocks[0].Verify(); err != nil || held.Blocks[0].Records()[0] != "alpha" {
+		t.Fatalf("corruption reached a generation opened before it: %v, %q", err, held.Blocks[0].Records())
 	}
 
 	f, _ := fs.Open("f")
 	b := f.Blocks[0]
+	if b == held.Blocks[0] || b.ID != held.Blocks[0].ID || b.Checksum() != held.Blocks[0].Checksum() || f.Epoch() <= held.Epoch() {
+		t.Fatalf("corrupt generation must carry a copy of the block under its ID and checksum at a later epoch")
+	}
 	err := b.Verify()
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("Verify after corruption = %v, want ErrChecksum", err)
@@ -101,7 +108,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if !cerr.Transient() {
 		t.Error("checksum failures must classify as transient (replica re-read)")
 	}
-	// The corruption invalidated the cached verification.
+	// The damaged copy starts with no cached verification.
 	if err := b.VerifyCached(); !errors.Is(err, ErrChecksum) {
 		t.Errorf("VerifyCached after corruption = %v", err)
 	}
@@ -130,27 +137,43 @@ func TestCorruptBlockArgs(t *testing.T) {
 	}
 }
 
-// TestUnsealedBlockVerifiesTrivially: a file mid-write has an unsealed
-// current block that must not fail verification.
+// TestUnsealedBlockVerifiesTrivially: there is no unsealed block to
+// verify. A file mid-write is not reachable at all — Open and ReadAll
+// report ErrNotFound, Scrub has nothing to look at — and once Close has
+// published it every block, the last one included, carries its checksum
+// and verifies.
 func TestUnsealedBlockVerifiesTrivially(t *testing.T) {
-	fs := New(Config{})
+	fs := New(Config{BlockSize: 16})
 	w, _ := fs.Create("f")
-	w.WriteRecord("partial")
-	f, _ := fs.Open("f")
-	if len(f.Blocks) != 1 {
-		t.Fatalf("blocks = %d", len(f.Blocks))
+	for i := 0; i < 5; i++ {
+		w.WriteRecord("partial-record")
 	}
-	if f.Blocks[0].Sealed() {
-		t.Fatal("block sealed before Close")
+	if _, err := fs.Open("f"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Open before Close = %v, want ErrNotFound", err)
 	}
-	if err := f.Blocks[0].Verify(); err != nil {
-		t.Errorf("unsealed Verify = %v", err)
+	if _, err := fs.ReadAll("f"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadAll before Close = %v, want ErrNotFound", err)
+	}
+	if fs.Exists("f") || len(fs.List()) != 0 || len(fs.Scrub()) != 0 {
+		t.Fatal("a file under construction is visible")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Blocks[0].Sealed() {
-		t.Error("block not sealed by Close")
+	f, err := fs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Blocks) != 5 {
+		t.Fatalf("blocks = %d, want 5", len(f.Blocks))
+	}
+	for i, b := range f.Blocks {
+		if b.Checksum() != checksumRecords(b.Records()) {
+			t.Errorf("block %d published without its checksum", i)
+		}
+		if err := b.Verify(); err != nil {
+			t.Errorf("block %d: %v", i, err)
+		}
 	}
 }
 

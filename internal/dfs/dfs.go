@@ -7,6 +7,12 @@
 //
 // Files may carry a "master" attachment, mirroring SpatialHadoop's _master
 // index file that describes the spatial partitioning of the data blocks.
+//
+// Like an HDFS file, a file is written once: a Writer builds a generation
+// nobody else can reach, and Close publishes it — over a missing name, or
+// in place of the previous generation — in one step under the name-node
+// lock. Whatever Open returns is complete and never changes afterwards, so
+// readers need no synchronisation with writers of the same name.
 package dfs
 
 import (
@@ -15,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
@@ -54,22 +59,18 @@ type Block struct {
 
 	records []string
 
-	// crc is the CRC32 checksum stamped when the block was sealed;
-	// sealed distinguishes a finished block from one still being
-	// written (see checksum.go).
-	crc    uint32
-	sealed bool
+	// crc is the CRC32 checksum stamped when the writer sealed the block
+	// (see checksum.go).
+	crc uint32
 
 	// cache holds lazily decoded views of the records (parsed points, an
-	// operation-chosen payload). It is swapped out wholesale on write, so
-	// a reader that already holds a slot keeps a consistent snapshot.
-	cache atomic.Pointer[blockCache]
+	// operation-chosen payload). A block reachable by readers never
+	// changes, so the views live exactly as long as the block.
+	cache blockCache
 }
 
-// blockCache is one generation of decoded views over a block's records.
-// Each view is built at most once per generation under its own sync.Once;
-// writes install a fresh generation rather than resetting, keeping the
-// fast path a single atomic load.
+// blockCache holds the decoded views over a block's records, each built
+// at most once under its own sync.Once.
 type blockCache struct {
 	ptsOnce sync.Once
 	pts     []geom.Point
@@ -94,32 +95,14 @@ func (b *Block) Records() []string { return b.records }
 // NumRecords returns the number of records in the block.
 func (b *Block) NumRecords() int { return len(b.records) }
 
-// cacheSlot returns the current cache generation, installing one if the
-// block has never been decoded.
-func (b *Block) cacheSlot() *blockCache {
-	for {
-		if c := b.cache.Load(); c != nil {
-			return c
-		}
-		if b.cache.CompareAndSwap(nil, &blockCache{}) {
-			continue // reload the slot we just installed
-		}
-	}
-}
-
-// invalidate drops all decoded views; the writer calls it whenever the
-// block's records change so no reader ever sees stale decodes.
-func (b *Block) invalidate() { b.cache.Store(nil) }
-
 // Points returns the block's records decoded as points, parsing them at
 // most once per block lifetime (SpatialHadoop re-reads the same blocks
 // across map attempts and across the jobs of a pipeline; the text parse is
 // the dominant per-visit cost). The returned slice is shared between all
 // callers and must not be modified — every geometry kernel copies before
 // sorting.
-func (b *Block) Points() ([]geom.Point, error) { return b.cacheSlot().points(b) }
-
-func (c *blockCache) points(b *Block) ([]geom.Point, error) {
+func (b *Block) Points() ([]geom.Point, error) {
+	c := &b.cache
 	c.ptsOnce.Do(func() { c.pts, c.ptsErr = geomio.DecodePoints(b.records) })
 	return c.pts, c.ptsErr
 }
@@ -128,31 +111,32 @@ func (c *blockCache) points(b *Block) ([]geom.Point, error) {
 // first use and caching it for the block's lifetime — the generic slot for
 // non-point record types (regions, segments). All callers of a block must
 // agree on the payload type; the returned value is shared and must be
-// treated as read-only. Like Points, the cache is dropped when the block
-// is written.
+// treated as read-only.
 func (b *Block) Payload(build func(records []string) (any, error)) (any, error) {
-	c := b.cacheSlot()
+	c := &b.cache
 	c.payloadOnce.Do(func() { c.payload, c.payloadErr = build(b.records) })
 	return c.payload, c.payloadErr
 }
 
 // LocalIndex returns the R-tree local index over the block's points,
 // bulk-loaded on first use — the local index SpatialHadoop persists beside
-// each block. It lives in the block's cache generation beside the decoded
-// points it is built from, so it is dropped when the block is written and
-// dies with the block when its file is replaced or deleted.
+// each block. It lives in the block's cache beside the decoded points it
+// is built from and dies with the block when its file is replaced or
+// deleted.
 func (b *Block) LocalIndex() (*rtree.Tree, error) {
-	c := b.cacheSlot()
+	c := &b.cache
 	c.idxOnce.Do(func() {
 		var pts []geom.Point
-		if pts, c.idxErr = c.points(b); c.idxErr == nil {
+		if pts, c.idxErr = b.Points(); c.idxErr == nil {
 			c.idx = rtree.BulkPoints(pts, rtree.DefaultFanout)
 		}
 	})
 	return c.idx, c.idxErr
 }
 
-// File is the name-node metadata for one file.
+// File is the name-node metadata for one generation of a file: what one
+// Writer built and its Close published. It never changes afterwards —
+// replacing, deleting or corrupting the name leaves this File untouched.
 type File struct {
 	Name    string
 	Blocks  []*Block
@@ -162,17 +146,15 @@ type File struct {
 	// _master file). The spatial layer serializes its global index here.
 	Master []byte
 
-	// epoch is the file's mutation epoch: the value of the file system's
-	// monotone clock at the file's most recent mutation (creation, record
-	// write, master attachment). Because the clock is global, a file that
+	// epoch is the value of the file system's monotone clock when this
+	// generation was published. Because the clock is global, a file that
 	// is deleted and re-created never reuses an epoch, so (name, epoch)
-	// uniquely identifies one immutable state of a file's contents —
-	// exactly what result caches key on to invalidate correctly.
-	epoch atomic.Int64
+	// names exactly one generation — what result caches key on.
+	epoch int64
 }
 
-// Epoch returns the file's current mutation epoch.
-func (f *File) Epoch() int64 { return f.epoch.Load() }
+// Epoch returns the epoch this generation was published under.
+func (f *File) Epoch() int64 { return f.epoch }
 
 // Sink receives file-system metrics. obs.Registry satisfies it; the
 // narrow interface keeps dfs free of an observability dependency.
@@ -200,51 +182,69 @@ type FileSystem struct {
 	nodeBytes []int64
 	metrics   Sink
 
-	// clock is the monotone mutation clock driving file epochs: every
-	// mutation stamps the touched file with clock+1.
-	clock atomic.Int64
+	// clock is the monotone publication clock driving file epochs: each
+	// published generation is stamped clock+1.
+	clock int64
 
-	// epochHook, when installed, observes every stamp (see SetEpochHook).
-	epochHook atomic.Pointer[func(name string, epoch int64)]
+	// epochHook, when installed, observes every publish (see SetEpochHook).
+	epochHook func(name string, epoch int64)
 }
 
-// stamp advances the mutation clock and records the new epoch on f.
-func (fs *FileSystem) stamp(f *File) {
-	e := fs.clock.Add(1)
-	f.epoch.Store(e)
-	if hook := fs.epochHook.Load(); hook != nil {
-		(*hook)(f.Name, e)
+// publish is the one place the namespace changes: it swaps the name's
+// generation for next (nil deletes the name), settles data-node usage,
+// stamps next with a fresh epoch and fires the epoch hook. The caller holds
+// fs.mu for writing, so an Open sees the old generation or the new one and
+// never anything in between.
+func (fs *FileSystem) publish(name string, next *File) {
+	if old, ok := fs.files[name]; ok {
+		for _, b := range old.Blocks {
+			fs.nodeBytes[b.Node] -= b.Bytes
+		}
+	}
+	var epoch int64
+	if next == nil {
+		delete(fs.files, name)
+	} else {
+		fs.clock++
+		epoch = fs.clock
+		next.epoch = epoch
+		for _, b := range next.Blocks {
+			fs.nodeBytes[b.Node] += b.Bytes
+		}
+		fs.files[name] = next
+	}
+	if fs.epochHook != nil {
+		fs.epochHook(name, epoch)
 	}
 }
 
-// SetEpochHook installs fn, called synchronously after every file mutation
-// with the file's name and new epoch — the eager invalidation signal for
-// caches keyed on (name, epoch), such as the serving layer's memory tier.
-// One hook slot exists; nil uninstalls. The hook may run under file-system
-// locks and therefore must not call back into the FileSystem; it should
-// only flip its own state (epoch-keyed caches stay correct even with no
-// hook at all, because a stale epoch never matches a fresh key).
+// SetEpochHook installs fn, called synchronously once per change of a
+// name — a Writer's Close, Delete of an existing file, CorruptBlock — with
+// the name and the epoch FileEpoch reports from then on (0 after Delete).
+// It is the eager invalidation signal for caches keyed on (name, epoch),
+// such as the serving layer's memory tier. One hook slot exists; nil
+// uninstalls. The hook runs under the name-node lock and therefore must
+// not call back into the FileSystem; it should only flip its own state
+// (epoch-keyed caches stay correct even with no hook at all, because a
+// stale epoch never matches a fresh key).
 func (fs *FileSystem) SetEpochHook(fn func(name string, epoch int64)) {
-	if fn == nil {
-		fs.epochHook.Store(nil)
-		return
-	}
-	fs.epochHook.Store(&fn)
+	fs.mu.Lock()
+	fs.epochHook = fn
+	fs.mu.Unlock()
 }
 
-// FileEpoch returns the named file's mutation epoch, or 0 when the file
-// does not exist (epochs of live files start at 1).
+// FileEpoch returns the epoch of the named file's published generation,
+// or 0 when the file does not exist (epochs of live files start at 1).
 func (fs *FileSystem) FileEpoch(name string) int64 {
 	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
-	if !ok {
-		return 0
+	defer fs.mu.RUnlock()
+	if f, ok := fs.files[name]; ok {
+		return f.epoch
 	}
-	return f.Epoch()
+	return 0
 }
 
-// Epochs snapshots the mutation epoch of every live file. Masters embed
+// Epochs snapshots the epoch of every live file. Masters embed
 // the snapshot in heartbeat replies so workers holding pinned partitions
 // learn about rewrites and drop stale tiers without a second RPC channel.
 func (fs *FileSystem) Epochs() map[string]int64 {
@@ -252,7 +252,7 @@ func (fs *FileSystem) Epochs() map[string]int64 {
 	defer fs.mu.RUnlock()
 	out := make(map[string]int64, len(fs.files))
 	for name, f := range fs.files {
-		out[name] = f.Epoch()
+		out[name] = f.epoch
 	}
 	return out
 }
@@ -299,34 +299,34 @@ var ErrNotFound = errors.New("dfs: file not found")
 // ErrExists is returned when creating a file that already exists.
 var ErrExists = errors.New("dfs: file already exists")
 
-// Writer appends records to a file under construction, cutting a new block
-// whenever the current one reaches capacity. Writers are not safe for
-// concurrent use.
+// Writer builds one generation of a file in private, cutting a new block
+// whenever the current one reaches capacity; Close publishes it, and a
+// writer that is never closed leaves nothing behind. Writers are not safe
+// for concurrent use.
 type Writer struct {
 	fs        *FileSystem
 	file      *File
+	replace   bool // Close may take the name from a published file
 	partition string
 	cur       *Block
 	closed    bool
 }
 
-// Create creates a new file and returns a writer for it.
+// Create returns a writer for a new file. It fails fast with ErrExists
+// when the name is already published; Close checks again, so of two
+// unclosed writers racing for one new name the second to close loses.
 func (fs *FileSystem) Create(name string) (*Writer, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; ok {
+	if fs.Exists(name) {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	f := &File{Name: name}
-	fs.stamp(f)
-	fs.files[name] = f
-	return &Writer{fs: fs, file: f}, nil
+	return &Writer{fs: fs, file: &File{Name: name}}, nil
 }
 
-// CreateOrReplace is Create, deleting any existing file first.
+// CreateOrReplace returns a writer whose Close publishes over whatever
+// the name holds then; until it does the previous generation stays readable.
+// Neither call can fail; concurrent replacements are last-Close-wins.
 func (fs *FileSystem) CreateOrReplace(name string) (*Writer, error) {
-	fs.Delete(name)
-	return fs.Create(name)
+	return &Writer{fs: fs, file: &File{Name: name}, replace: true}, nil
 }
 
 // SetPartition directs subsequent records to blocks tagged with the given
@@ -353,10 +353,6 @@ func (w *Writer) WriteRecord(rec string) {
 	w.cur.Bytes += sz
 	w.file.Bytes += sz
 	w.file.Records++
-	w.fs.stamp(w.file)
-	if w.cur.cache.Load() != nil { // skip the store barrier on the common path
-		w.cur.invalidate()
-	}
 }
 
 // cut seals the current block and starts a new one on the next data node
@@ -377,7 +373,9 @@ func (w *Writer) cut() {
 	w.file.Blocks = append(w.file.Blocks, b)
 }
 
-// Close finalizes the file and records data-node usage.
+// Close seals the last block and publishes the file. A Create writer
+// returns ErrExists, publishing nothing, when the name was taken in the
+// meantime; a CreateOrReplace writer cannot fail.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -387,25 +385,25 @@ func (w *Writer) Close() error {
 		w.cur.seal()
 	}
 	fs := w.fs
-	if s := fs.sink(); s != nil {
+	fs.mu.Lock()
+	if _, ok := fs.files[w.file.Name]; ok && !w.replace {
+		fs.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrExists, w.file.Name)
+	}
+	fs.publish(w.file.Name, w.file)
+	s := fs.metrics
+	fs.mu.Unlock()
+	if s != nil {
 		s.Inc(MetricBlocksWritten, int64(len(w.file.Blocks)))
 		s.Inc(MetricRecordsWritten, w.file.Records)
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for _, b := range w.file.Blocks {
-		fs.nodeBytes[b.Node] += b.Bytes
 	}
 	return nil
 }
 
 // SetMaster attaches index metadata to the file being written.
-func (w *Writer) SetMaster(master []byte) {
-	w.file.Master = master
-	w.fs.stamp(w.file)
-}
+func (w *Writer) SetMaster(master []byte) { w.file.Master = master }
 
-// Open returns the metadata for a file.
+// Open returns the file's published generation.
 func (fs *FileSystem) Open(name string) (*File, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -417,26 +415,16 @@ func (fs *FileSystem) Open(name string) (*File, error) {
 }
 
 // Exists reports whether the file exists.
-func (fs *FileSystem) Exists(name string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[name]
-	return ok
-}
+func (fs *FileSystem) Exists(name string) bool { return fs.FileEpoch(name) != 0 }
 
 // Delete removes a file, releasing its blocks. Deleting a missing file is
 // not an error.
 func (fs *FileSystem) Delete(name string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return
+	if _, ok := fs.files[name]; ok {
+		fs.publish(name, nil)
 	}
-	for _, b := range f.Blocks {
-		fs.nodeBytes[b.Node] -= b.Bytes
-	}
-	delete(fs.files, name)
 }
 
 // List returns the names of all files in sorted order.
@@ -452,8 +440,8 @@ func (fs *FileSystem) List() []string {
 }
 
 // ReadAll returns every record of the file in block order, verifying
-// each block's checksum on the way (amortized to one CRC pass per block
-// generation). A corrupted block surfaces as a *ChecksumError wrapping
+// each block's checksum on the way (amortized to one CRC pass per
+// block). A corrupted block surfaces as a *ChecksumError wrapping
 // ErrChecksum.
 func (fs *FileSystem) ReadAll(name string) ([]string, error) {
 	return fs.ReadAllCtx(context.Background(), name)

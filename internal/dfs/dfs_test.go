@@ -95,7 +95,7 @@ func TestErrors(t *testing.T) {
 	if _, err := fs.Open("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("open missing: %v", err)
 	}
-	if _, err := fs.Create("f"); err != nil {
+	if err := fs.WriteFile("f", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.Create("f"); !errors.Is(err, ErrExists) {

@@ -1,10 +1,9 @@
 // Package mapreduce implements the MapReduce runtime the paper's
 // algorithms run on: a master that turns a job into map and reduce tasks,
-// a pool of simulated worker nodes, a hash shuffle, combiners, job metrics,
-// and a CommitJob hook (used by the Voronoi H-merge step). The spatial
-// extensions of SpatialHadoop plug in through the Filter hook, which plays
-// the role of the SpatialFileSplitter: it sees the global index of the
-// input and decides which splits become map tasks.
+// a pool of simulated worker nodes, a hash shuffle, combiners and job
+// metrics. The spatial extensions of SpatialHadoop plug in through the
+// Filter hook, which plays the role of the SpatialFileSplitter: it sees
+// the global index of the input and decides which splits become map tasks.
 //
 // Every job run is observed: an obs.Trace records one span per map
 // attempt, shuffle, reduce partition and commit, and an obs.Registry
@@ -256,10 +255,6 @@ type ReduceFunc func(ctx *TaskContext, key string, values []string) error
 // answer.
 type FilterFunc func(splits []*Split) []*Split
 
-// CommitFunc runs once on the master after all reducers finish. It may
-// read files and append final output records (the Voronoi H-merge step).
-type CommitFunc func(cluster *Cluster, addOutput func(record string)) error
-
 // Job describes one MapReduce job.
 type Job struct {
 	Name string
@@ -287,8 +282,6 @@ type Job struct {
 	// NumReducers defaults to 1 (the single-reducer merge bottleneck the
 	// paper's enhanced algorithms eliminate).
 	NumReducers int
-	// Commit optionally post-processes on the master.
-	Commit CommitFunc
 	// Output is the output file name (required).
 	Output string
 	// Conf carries broadcast configuration values.
@@ -784,10 +777,10 @@ func (j *jobRun) reducePhase(ctx context.Context) error {
 	return firstErr(errs, rj.job.Name, "reduce")
 }
 
-// commitPhase writes the final output and runs the job's Commit hook,
-// under the same retry loop as tasks but without taking a slot. Every
-// attempt rewrites the output file from scratch (CreateOrReplace
-// truncates), so a retried commit never duplicates records.
+// commitPhase writes the final output, under the same retry loop as tasks
+// but without taking a slot. Every attempt builds the output file from
+// scratch and publishes it on Close, so a retried commit publishes one
+// complete file or none.
 func (j *jobRun) commitPhase(ctx context.Context) error {
 	_, commitReq := obs.StartSpan(ctx, "phase.commit")
 	defer commitReq.End()
@@ -813,33 +806,25 @@ func (j *jobRun) commitPhase(ctx context.Context) error {
 	return nil
 }
 
-// writeOutput is one attempt of the commit step: it (re)creates the
-// output file, writes the buffered map/reduce output, runs the job's
-// Commit hook and returns the record count.
+// writeOutput is one attempt of the commit step: it writes the buffered
+// map/reduce output to a new generation of the output file, publishes it
+// and returns the record count.
 func (c *Cluster) writeOutput(job *Job, directOut []string, reduceOut [][]string) (int64, error) {
 	w, err := c.fs.CreateOrReplace(job.Output)
 	if err != nil {
 		return 0, err
 	}
-	var n int64
-	writeRec := func(rec string) {
-		w.WriteRecord(rec)
-		n++
-	}
+	n := len(directOut)
 	for _, rec := range directOut {
-		writeRec(rec)
+		w.WriteRecord(rec)
 	}
 	for _, part := range reduceOut {
+		n += len(part)
 		for _, rec := range part {
-			writeRec(rec)
+			w.WriteRecord(rec)
 		}
 	}
-	if job.Commit != nil {
-		if err := job.Commit(c, writeRec); err != nil {
-			return 0, err
-		}
-	}
-	return n, w.Close()
+	return int64(n), w.Close()
 }
 
 // attemptResult is one successful map or reduce attempt as the phase

@@ -202,38 +202,6 @@ func TestExplicitSplitsAndTags(t *testing.T) {
 	}
 }
 
-func TestCommitHook(t *testing.T) {
-	c := newTestCluster(t, 1024, 2)
-	c.FS().WriteFile("in", []string{"1", "2", "3"})
-	_, err := c.Run(&Job{
-		Name:  "commit",
-		Input: []string{"in"},
-		Map: func(ctx *TaskContext, split *Split) error {
-			for _, r := range split.Records() {
-				ctx.Emit("k", r)
-			}
-			return nil
-		},
-		Reduce: func(ctx *TaskContext, key string, values []string) error {
-			ctx.Write("reduced:" + strconv.Itoa(len(values)))
-			return nil
-		},
-		Commit: func(cluster *Cluster, addOutput func(string)) error {
-			addOutput("committed")
-			return nil
-		},
-		Output: "out",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := c.FS().ReadAll("out")
-	joined := strings.Join(out, ";")
-	if !strings.Contains(joined, "reduced:3") || !strings.Contains(joined, "committed") {
-		t.Errorf("out = %v", out)
-	}
-}
-
 func TestConfBroadcast(t *testing.T) {
 	c := newTestCluster(t, 1024, 2)
 	c.FS().WriteFile("in", []string{"r"})

@@ -80,12 +80,7 @@ func TestRetryDoesNotDoubleCountCounters(t *testing.T) {
 func TestTraceSpansPerPhase(t *testing.T) {
 	c := newTestCluster(t, 256, 4)
 	writeText(t, c)
-	job := wordCountJob("out")
-	job.Commit = func(cluster *Cluster, addOutput func(string)) error {
-		addOutput("committed")
-		return nil
-	}
-	rep, err := c.Run(job)
+	rep, err := c.Run(wordCountJob("out"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // was registered for — always run in process.
 
 // KindFuncs is the set of task-side functions a kind builder produces.
-// Filter and Commit hooks are master-only and never rebuilt remotely.
+// The Filter hook is master-only and never rebuilt remotely.
 type KindFuncs struct {
 	Map     MapFunc
 	Combine ReduceFunc

@@ -39,13 +39,13 @@ func GenCase(op string, tech sindex.Technique, shape Shape, seed int64) Case {
 	c := Case{Op: op, Tech: tech, Shape: shape, Seed: seed}
 	const n = 96
 	switch op {
-	case "range", "knn", "ann", "plot", "skyline", "hull", "closest-pair", "farthest-pair", "serve-planner", "serve-sharded":
+	case "range", "knn", "ann", "plot", "skyline", "hull", "closest-pair", "farthest-pair", "serve-planner", "serve-sharded", "serve-replace":
 		c.Pts = GenPoints(shape, n, seed)
 	}
 	switch op {
 	case "range":
 		c.Queries = GenQueryRects(seed)
-	case "serve-planner", "serve-sharded":
+	case "serve-planner", "serve-sharded", "serve-replace":
 		c.Queries = GenQueryRects(seed)
 		c.KNNs = GenKNNQueries(len(c.Pts), seed)
 	case "range-regions":

@@ -96,6 +96,7 @@ var Checks = map[string]Check{
 	"union":         CheckUnion,
 	"serve-planner": CheckServePlanner,
 	"serve-sharded": CheckServeSharded,
+	"serve-replace": CheckReplaceWhileQuery,
 }
 
 // CheckOrder is the deterministic iteration order of Checks. New
@@ -105,7 +106,7 @@ var Checks = map[string]Check{
 var CheckOrder = []string{
 	"range", "range-regions", "knn", "join", "ann", "plot",
 	"skyline", "hull", "closest-pair", "farthest-pair", "union",
-	"serve-planner", "serve-sharded",
+	"serve-planner", "serve-sharded", "serve-replace",
 }
 
 // loadPoints stands up a fresh system with the case's point file indexed

@@ -36,6 +36,19 @@ func TestPropertyMatrix(t *testing.T) {
 	}
 }
 
+// TestReplaceWhileQuery runs the serve-replace invariant — a file replaced
+// under local, sharded and MapReduce clients only ever answers as one whole
+// generation — over every technique. TestPropertyMatrix covers it too; this
+// entry gives CI's repeated -race stress step a name to select.
+func TestReplaceWhileQuery(t *testing.T) {
+	for ti, tech := range proptest.Techniques {
+		c := proptest.GenCase("serve-replace", tech, proptest.Shapes[ti%len(proptest.Shapes)], int64(40+ti))
+		if f := proptest.RunCase(c); f != nil {
+			t.Fatal(f.Report())
+		}
+	}
+}
+
 // TestPropertyReplay re-runs exactly one case from its packed seed — the
 // one-liner printed by every failure report. With no seed it is a no-op.
 func TestPropertyReplay(t *testing.T) {

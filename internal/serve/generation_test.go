@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spatialhadoop/internal/core"
@@ -32,7 +34,7 @@ func genCorpus(t testing.TB, sys *core.System, file string, base []geom.Point, g
 // generation, so replacing a live file (LoadPoints over an existing name)
 // must make the very next request — local or sharded — plan from the new
 // index, and must free the old generation's handle: one entry per file
-// however many generations went by.
+// however many generations went by, and none once the file is deleted.
 func TestGenerationFollowsReplacement(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 1024, Workers: 4, Seed: 9})
 	base := datagen.Points(datagen.Clustered, 400, geom.NewRect(0, 0, 1000, 1000), 31)
@@ -58,48 +60,55 @@ func TestGenerationFollowsReplacement(t *testing.T) {
 				t.Fatalf("generation %d engine %s: status %d, body diverges from this generation's oracle: %.80q", g, engine, code, body)
 			}
 		}
-		src := srv.mt.gens["pts"]
-		if len(srv.mt.gens) != 1 || src == nil || src.epoch != sys.FS().FileEpoch("pts") {
-			t.Fatalf("generation %d: handles %v, want exactly the live epoch %d", g, srv.mt.gens, sys.FS().FileEpoch("pts"))
+		live, err := sys.FS().Open("pts")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if again, err := srv.generation("pts", src.epoch); err != nil || again != src {
+		src := srv.mt.gens["pts"]
+		if len(srv.mt.gens) != 1 || src == nil || src.f != live {
+			t.Fatalf("generation %d: handles %v, want exactly the live generation (epoch %d)", g, srv.mt.gens, live.Epoch())
+		}
+		if again, err := srv.mt.Source(live); err != nil || again != src {
 			t.Fatalf("generation %d: the handle was resolved again within one generation (%v)", g, err)
+		}
+	}
+
+	if parts, _ := srv.mt.Stats(); parts == 0 {
+		t.Fatal("the last generation pinned nothing; the delete step below would prove nothing")
+	}
+	sys.FS().Delete("pts")
+	if parts, bytes := srv.mt.Stats(); len(srv.mt.gens) != 0 || parts != 0 || bytes != 0 {
+		t.Fatalf("deleted file keeps %d handles and %d pinned partitions (%d bytes)", len(srv.mt.gens), parts, bytes)
+	}
+	for _, engine := range []string{PlannerLocal, PlannerSharded, PlannerMapReduce} {
+		if code, body, _ := fetch(t, ts.Client(), ts.URL+query+"&engine="+engine); code != http.StatusNotFound {
+			t.Fatalf("deleted file, engine %s: status %d (%.80q), want 404", engine, code, body)
 		}
 	}
 }
 
-// TestGenerationReplaceRace interleaves replacements with local and
-// sharded queries. The file system does not synchronise a reader with a
-// writer of the same file, so the two sides alternate files: while one
-// file is replaced — every record stamping an epoch and firing the hook —
-// four clients query the other, and each response must carry exactly its
-// file's current generation. Run under -race this exercises
-// resolve/publish/invalidate on the handle map.
+// TestGenerationReplaceRace replaces a file while local and sharded clients
+// query that same file: each response must carry, whole, the generation
+// that was live when the wave began or the one the wave publishes. Run
+// under -race this exercises resolve/publish/invalidate on the handle map.
 func TestGenerationReplaceRace(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 1024, Workers: 4, Seed: 9})
 	base := datagen.Points(datagen.Clustered, 300, geom.NewRect(0, 0, 1000, 1000), 31)
-	files := []string{"a", "b"}
-	gen := map[string]int{}
-	load := func(file string) {
-		gen[file]++
-		genCorpus(t, sys, file, base, gen[file])
-	}
-	load("a")
-	load("b")
+	genCorpus(t, sys, "pts", base, 0)
 	srv := New(sys, Config{CacheSize: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for wave := 0; wave < 10; wave++ {
-		written, queried := files[wave%2], files[1-wave%2]
-		want := []byte(fmt.Sprintf(`"count":%d,`, len(base)+gen[queried]))
+		before := []byte(fmt.Sprintf(`"count":%d,`, len(base)+wave))
+		after := []byte(fmt.Sprintf(`"count":%d,`, len(base)+wave+1))
 		var wg sync.WaitGroup
 		for _, engine := range []string{PlannerLocal, PlannerSharded, PlannerLocal, PlannerSharded} {
 			wg.Add(1)
 			go func(engine string) {
 				defer wg.Done()
 				get := func(path string) (int, []byte) {
-					resp, err := ts.Client().Get(ts.URL + path + "&file=" + queried + "&engine=" + engine)
+					resp, err := ts.Client().Get(ts.URL + path + "&file=pts&engine=" + engine)
 					if err != nil {
 						t.Error(err)
 						return 0, nil
@@ -112,27 +121,126 @@ func TestGenerationReplaceRace(t *testing.T) {
 					return resp.StatusCode, body
 				}
 				for i := 0; i < 6; i++ {
-					if code, body := get("/rangequery?rect=0,0,1000,1000"); code != http.StatusOK || !bytes.Contains(body, want) {
-						t.Errorf("wave %d %s by %s: status %d, body %.80q, want %s", wave, queried, engine, code, body, want)
+					if code, body := get("/rangequery?rect=0,0,1000,1000"); code != http.StatusOK || !bytes.Contains(body, before) && !bytes.Contains(body, after) {
+						t.Errorf("wave %d by %s: status %d, body %.80q, want %s or %s", wave, engine, code, body, before, after)
 					}
 					if code, body := get("/knn?point=500,500&k=7"); code != http.StatusOK {
-						t.Errorf("wave %d %s kNN by %s: status %d: %.80q", wave, queried, engine, code, body)
+						t.Errorf("wave %d kNN by %s: status %d: %.80q", wave, engine, code, body)
 					}
 				}
 			}(engine)
 		}
-		load(written)
+		genCorpus(t, sys, "pts", base, wave+1)
 		wg.Wait()
 		if t.Failed() {
 			t.FailNow()
 		}
+		// A request that held the replaced generation may have left its
+		// handle behind; the next request displaces it with the live one.
+		if code, body, _ := fetch(t, ts.Client(), ts.URL+"/rangequery?rect=0,0,1000,1000&file=pts&engine=local"); code != http.StatusOK || !bytes.Contains(body, after) {
+			t.Fatalf("wave %d: after the replacement status %d, body %.80q, want %s", wave, code, body, after)
+		}
+		live, _ := sys.FS().Open("pts")
 		srv.mt.mu.Lock()
-		q, w := srv.mt.gens[queried], srv.mt.gens[written]
+		n, src := len(srv.mt.gens), srv.mt.gens["pts"]
 		srv.mt.mu.Unlock()
-		if q == nil || q.epoch != sys.FS().FileEpoch(queried) || w != nil {
-			t.Fatalf("wave %d: handles queried=%v written=%v, want the queried file's live epoch %d and none for the replaced file", wave, q, w, sys.FS().FileEpoch(queried))
+		if n != 1 || src == nil || src.f != live {
+			t.Fatalf("wave %d: %d handles, pts → %v, want exactly the live generation (epoch %d)", wave, n, src, live.Epoch())
 		}
 	}
+}
+
+// TestReplaceWhileQuery replaces one file forty times while a local, a
+// sharded and a MapReduce client query it. Every response is 200 and
+// byte-identical to one generation's oracle body — never a mixture, never a
+// partial file, never a 404 between two generations — and no client sees
+// the generations go backwards.
+func TestReplaceWhileQuery(t *testing.T) {
+	const generations = 40
+	cfg := core.Config{BlockSize: 1024, Workers: 4, Seed: 9}
+	base := datagen.Points(datagen.Clustered, 300, geom.NewRect(0, 0, 1000, 1000), 31)
+	queries := []string{
+		"/rangequery?file=pts&rect=0,0,1000,1000", // its count names the generation
+		"/rangequery?file=pts&rect=0,0,30,30",
+		"/knn?file=pts&point=20.5,20.5&k=9",
+	}
+
+	// Oracle bodies per generation, from a system nobody else touches.
+	oracleSys := core.New(cfg)
+	ots := httptest.NewServer(New(oracleSys, Config{CacheSize: -1, MemTierBytes: -1, Planner: PlannerMapReduce}).Handler())
+	defer ots.Close()
+	oracle := make([]map[string]int, len(queries)) // query → body → first generation answering so
+	for qi := range oracle {
+		oracle[qi] = map[string]int{}
+	}
+	for g := 0; g <= generations; g++ {
+		genCorpus(t, oracleSys, "pts", base, g)
+		for qi, q := range queries {
+			code, body, _ := fetch(t, ots.Client(), ots.URL+q)
+			if code != http.StatusOK {
+				t.Fatalf("oracle generation %d %s: status %d: %.80q", g, q, code, body)
+			}
+			if _, seen := oracle[qi][string(body)]; !seen {
+				oracle[qi][string(body)] = g
+			}
+		}
+	}
+	if len(oracle[0]) != generations+1 {
+		t.Fatalf("the full-range query tells %d of %d generations apart", len(oracle[0]), generations+1)
+	}
+
+	sys := core.New(cfg)
+	genCorpus(t, sys, "pts", base, 0)
+	ts := httptest.NewServer(New(sys, Config{CacheSize: -1}).Handler())
+	defer ts.Close()
+	stop := make(chan struct{})
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	engines := []string{PlannerLocal, PlannerSharded, PlannerMapReduce}
+	for _, engine := range engines {
+		wg.Add(1)
+		go func(engine string) {
+			defer wg.Done()
+			last := make([]int, len(queries))
+			for {
+				for qi, q := range queries {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp, err := ts.Client().Get(ts.URL + q + "&engine=" + engine)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					g, known := oracle[qi][string(body)]
+					if err != nil || resp.StatusCode != http.StatusOK || !known {
+						t.Errorf("%s %s: status %d (%v), body is no generation's: %.120q", engine, q, resp.StatusCode, err, body)
+						return
+					}
+					if g < last[qi] {
+						t.Errorf("%s %s: generation %d answered after generation %d", engine, q, g, last[qi])
+						return
+					}
+					last[qi] = g
+					answered.Add(1)
+				}
+			}
+		}(engine)
+	}
+	// The clients never pause; the writer lets a few answers through
+	// between publications so every generation meets requests in flight.
+	for g := 1; g <= generations && !t.Failed(); g++ {
+		genCorpus(t, sys, "pts", base, g)
+		for seen := answered.Load(); answered.Load() < seen+int64(len(engines)) && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestGenerationHeapMissingTierless: what has no handle keeps its old

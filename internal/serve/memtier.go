@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"spatialhadoop/internal/core"
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/obs"
 	"spatialhadoop/internal/ops"
@@ -18,10 +19,10 @@ import (
 // under a byte budget with LRU eviction, plus one handle per file — the
 // newest generation's opened index, splits and spatial bitmap filter
 // (tierSource), resolved once instead of per request. Everything is keyed
-// by (file, DFS mutation epoch): a write to the file mints a new epoch, so
-// stale pinned data can never answer a fresh query even if the eager
-// invalidation signal (the DFS epoch hook) were lost. The hook just frees
-// the memory sooner.
+// by (file, DFS epoch): each published generation of the file has its own
+// epoch, so stale pinned data can never answer a fresh query even if the
+// eager invalidation signal (the DFS epoch hook) were lost. The hook just
+// frees the memory sooner.
 type MemTier struct {
 	budget int64
 	reg    *obs.Registry
@@ -65,35 +66,39 @@ func tierKey(file string, epoch int64, partition string) string {
 	return file + "@" + strconv.FormatInt(epoch, 10) + "|" + partition
 }
 
-// Source returns the handle of one file generation — the opened index and
+// Source returns the handle of the generation f — the decoded index and
 // splits the plan binds to, and the ops.LocalSource the local executors pin
-// through — resolving it with open on the generation's first request. The
-// bitmap filter is created from the master index then and refined as
-// partitions get pinned. (nil, nil) means a heap file. A handle is kept
-// only while the file still is at the epoch the request read, and never
-// displaces a newer generation's.
-func (t *MemTier) Source(file string, epoch int64, open func(string) (*core.IndexedFile, error)) (*tierSource, error) {
-	t.mu.Lock()
-	src := t.gens[file]
-	t.mu.Unlock()
-	if src != nil && src.epoch == epoch {
-		return src, nil
+// through — building it on the generation's first request. The bitmap
+// filter is created from the master index then and refined as partitions
+// get pinned. (nil, nil) means a heap file. A handle never displaces a
+// newer generation's: a request still holding an older one gets a private
+// handle, as does every request when the tier is disabled (t == nil: no
+// filter either, and no epoch hook that could retire a kept handle).
+func (t *MemTier) Source(f *dfs.File) (*tierSource, error) {
+	if t != nil {
+		t.mu.Lock()
+		src := t.gens[f.Name]
+		t.mu.Unlock()
+		if src != nil && src.f == f {
+			return src, nil
+		}
 	}
 	// Build outside the lock (index decode, O(cells) bitmap fills), then
 	// publish.
-	f, err := open(file)
-	if err != nil || f.Index == nil {
+	opened, err := core.OpenFile(f)
+	if err != nil || opened.Index == nil {
 		return nil, err
 	}
-	src = &tierSource{t: t, file: file, epoch: epoch, idx: ops.NewIndexed(f), sf: sindex.NewSFilter(f.Index, 0)}
-	if f.File.Epoch() != epoch {
+	src := &tierSource{t: t, f: f, idx: ops.NewIndexed(opened)}
+	if t == nil {
 		return src, nil
 	}
+	src.sf = sindex.NewSFilter(opened.Index, 0)
 	t.mu.Lock()
-	switch cur := t.gens[file]; {
-	case cur == nil || cur.epoch < epoch:
-		t.gens[file] = src
-	case cur.epoch == epoch:
+	switch cur := t.gens[f.Name]; {
+	case cur == nil || cur.f.Epoch() < f.Epoch():
+		t.gens[f.Name] = src
+	case cur.f == f:
 		src = cur // lost the race: share the winner's filter
 	}
 	t.mu.Unlock()
@@ -202,7 +207,7 @@ func (t *MemTier) DropStale(file string, epoch int64) {
 			dropped++
 		}
 	}
-	if g := t.gens[file]; g != nil && g.epoch < epoch {
+	if g := t.gens[file]; g != nil && g.f.Epoch() < epoch {
 		delete(t.gens, file)
 	}
 	t.mu.Unlock()
@@ -231,11 +236,10 @@ func (t *MemTier) Stats() (partitions int, bytes int64) {
 // over (idx, sf) and pins through (ops.LocalSource). A server without a
 // memory tier builds one per request, with no tier and no filter.
 type tierSource struct {
-	t     *MemTier
-	file  string
-	epoch int64
-	idx   *ops.Indexed
-	sf    *sindex.SFilter
+	t   *MemTier
+	f   *dfs.File
+	idx *ops.Indexed
+	sf  *sindex.SFilter
 }
 
 // Pin returns the split's partition from the tier — cached, deduplicated
@@ -245,7 +249,7 @@ func (src *tierSource) Pin(sp *mapreduce.Split) (*ops.LocalPartition, error) {
 	if src.t == nil {
 		return ops.PinSplit(sp)
 	}
-	return src.t.pin(src.file, src.epoch, src.sf, sp)
+	return src.t.pin(src.f.Name, src.f.Epoch(), src.sf, sp)
 }
 
 func (src *tierSource) Filter() *sindex.SFilter { return src.sf }

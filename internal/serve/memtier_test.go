@@ -107,28 +107,33 @@ func TestMemTierEpochInvalidation(t *testing.T) {
 
 // TestMemTierEvictionEpochInterleaving races concurrent query waves (under
 // a budget small enough to force eviction churn and with concurrent direct
-// invalidations) against serial epoch bumps between waves. Every response
-// of every wave must match that epoch's MapReduce oracle. Run under -race
-// this exercises pin/evict/invalidate interleavings end to end.
+// invalidations) against a replacement of the queried file in the middle of
+// each wave. Every response must match, whole, the MapReduce oracle of the
+// generation the wave began with or of the one it publishes, and once the
+// wave is over only the new one. Run under -race this exercises
+// pin/evict/invalidate/publish interleavings end to end.
 func TestMemTierEvictionEpochInterleaving(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 1024, Workers: 4, Seed: 9})
 	area := geom.NewRect(0, 0, 1000, 1000)
 	base := datagen.Points(datagen.Clustered, 900, area, 31)
-	load := func(extra int) {
+	load := func(extra int) error {
 		pts := append([]geom.Point{}, base...)
 		for i := 0; i < extra; i++ {
 			pts = append(pts, geom.Pt(float64(i)+0.25, float64(i)+0.75))
 		}
-		if _, err := sys.LoadPoints("pts", pts, sindex.QuadTree); err != nil {
-			t.Fatal(err)
-		}
+		_, err := sys.LoadPoints("pts", pts, sindex.QuadTree)
+		return err
 	}
-	load(0)
+	if err := load(0); err != nil {
+		t.Fatal(err)
+	}
 
+	// The oracle: tier off (so it never takes the epoch hook), forced jobs.
+	ots := httptest.NewServer(New(sys, Config{CacheSize: -1, MemTierBytes: -1, Planner: PlannerMapReduce, MaxInFlight: 4, QueueDepth: 1024, JobDeadline: 30 * time.Second}).Handler())
+	defer ots.Close()
 	srv := New(sys, Config{CacheSize: -1, MemTierBytes: 8 << 10, Planner: PlannerLocal, MaxInFlight: 4, QueueDepth: 1024, JobDeadline: 30 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	// The oracle server is built per epoch below; tier off, forced jobs.
 	queries := []string{
 		"/rangequery?file=pts&rect=0,0,400,400",
 		"/rangequery?file=pts&rect=600,600,1000,1000",
@@ -137,10 +142,7 @@ func TestMemTierEvictionEpochInterleaving(t *testing.T) {
 		"/knn?file=pts&point=100,900&k=12",
 		"/knn?file=pts&point=0.5,0.5&k=7",
 	}
-
-	for wave := 0; wave < 3; wave++ {
-		oracleSrv := New(sys, Config{CacheSize: -1, MemTierBytes: -1, Planner: PlannerMapReduce, MaxInFlight: 4, QueueDepth: 1024, JobDeadline: 30 * time.Second})
-		ots := httptest.NewServer(oracleSrv.Handler())
+	oracleNow := func(wave int) map[string][]byte {
 		oracle := make(map[string][]byte, len(queries))
 		for _, q := range queries {
 			code, body, _ := fetch(t, ots.Client(), ots.URL+q)
@@ -149,14 +151,19 @@ func TestMemTierEvictionEpochInterleaving(t *testing.T) {
 			}
 			oracle[q] = body
 		}
-		ots.Close()
-		// The oracle server installed its (no-op) view of the epoch hook;
-		// rebind the tier server's hook for the next mutation.
-		sys.FS().SetEpochHook(func(name string, _ int64) { srv.mt.Invalidate(name) })
+		return oracle
+	}
 
+	before := oracleNow(0)
+	for wave := 0; wave < 3; wave++ {
 		const repeats = 4
+		type answer struct {
+			q    string
+			body []byte
+		}
 		var wg sync.WaitGroup
-		errs := make(chan error, len(queries)*repeats)
+		errs := make(chan error, len(queries)*repeats+1)
+		answers := make(chan answer, len(queries)*repeats)
 		for rep := 0; rep < repeats; rep++ {
 			for _, q := range queries {
 				wg.Add(1)
@@ -167,14 +174,12 @@ func TestMemTierEvictionEpochInterleaving(t *testing.T) {
 						errs <- errf("wave %d %s: status %d", wave, q, code)
 						return
 					}
-					if !bytes.Equal(body, oracle[q]) {
-						errs <- errf("wave %d %s: body != oracle", wave, q)
-					}
+					answers <- answer{q, body}
 				}(q)
 			}
 		}
 		// Concurrent direct invalidations stress pin-vs-drop interleaving
-		// (the epoch itself is unchanged, so answers are unaffected).
+		// (they change no epoch, so answers are unaffected).
 		for i := 0; i < 8; i++ {
 			wg.Add(1)
 			go func() {
@@ -182,20 +187,36 @@ func TestMemTierEvictionEpochInterleaving(t *testing.T) {
 				srv.mt.Invalidate("pts")
 			}()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := load(wave + 1); err != nil {
+				errs <- err
+			}
+		}()
 		wg.Wait()
 		close(errs)
+		close(answers)
 		for err := range errs {
 			t.Error(err)
+		}
+		after := oracleNow(wave + 1)
+		for a := range answers {
+			if !bytes.Equal(a.body, before[a.q]) && !bytes.Equal(a.body, after[a.q]) {
+				t.Errorf("wave %d %s: body is neither generation's oracle", wave, a.q)
+			}
+		}
+		// Whatever the replaced generation left pinned cannot answer for
+		// the new one.
+		for _, q := range queries {
+			if code, body, _ := fetch(t, ts.Client(), ts.URL+q); code != http.StatusOK || !bytes.Equal(body, after[q]) {
+				t.Errorf("wave %d %s after the replacement: status %d, body != oracle", wave, q, code)
+			}
 		}
 		if t.Failed() {
 			t.FailNow()
 		}
-		// Serial epoch bump between waves (the DFS has a single-writer
-		// model): the hook must leave the tier empty.
-		load(wave + 1)
-		if parts, _ := srv.mt.Stats(); parts != 0 {
-			t.Fatalf("wave %d: %d partitions survived the epoch bump", wave, parts)
-		}
+		before = after
 	}
 }
 

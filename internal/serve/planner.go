@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/ops"
@@ -59,8 +60,8 @@ type execMeta struct {
 // planRange decides the engine for a range query under the given planner
 // mode (the per-request engine override or Config.Planner). A non-nil
 // source means local execution through it; nil means MapReduce.
-func (s *Server) planRange(mode, file string, epoch int64, rect geom.Rect) *tierSource {
-	src := s.localSource(mode, file, epoch)
+func (s *Server) planRange(mode string, f *dfs.File, rect geom.Rect) *tierSource {
+	src := s.localSource(mode, f)
 	if src == nil || mode == PlannerLocal {
 		return src
 	}
@@ -72,7 +73,7 @@ func (s *Server) planRange(mode, file string, epoch int64, rect geom.Rect) *tier
 	estRecords := 0.0
 	for _, sp := range kept {
 		estRecords += float64(sp.NumRecords()) * src.sf.EstimateFraction(sp.Partition, rect)
-		if s.mt.Pinned(file, epoch, sp.Partition) {
+		if s.mt.Pinned(f.Name, f.Epoch(), sp.Partition) {
 			pinned++
 		}
 	}
@@ -84,27 +85,11 @@ func (s *Server) planRange(mode, file string, epoch int64, rect geom.Rect) *tier
 
 // localSource returns the file generation's handle for local execution, or
 // nil when that is impossible (tier disabled, planner forced to MapReduce,
-// file missing or unindexed).
-func (s *Server) localSource(mode, file string, epoch int64) *tierSource {
+// file unindexed).
+func (s *Server) localSource(mode string, f *dfs.File) *tierSource {
 	if s.mt == nil || mode == PlannerMapReduce {
 		return nil
 	}
-	src, _ := s.generation(file, epoch)
+	src, _ := s.mt.Source(f)
 	return src
-}
-
-// generation resolves one file generation — opened index, splits, bitmap
-// filter — for the engines that plan themselves: once per generation
-// through the memory tier, per request without one (a handle must never
-// outlive its epoch, and only the tier hears the DFS epoch hook). (nil,
-// nil) means a heap file.
-func (s *Server) generation(file string, epoch int64) (*tierSource, error) {
-	if s.mt != nil {
-		return s.mt.Source(file, epoch, s.sys.Open)
-	}
-	f, err := s.sys.Open(file)
-	if err != nil || f.Index == nil {
-		return nil, err
-	}
-	return &tierSource{file: file, epoch: epoch, idx: ops.NewIndexed(f)}, nil
 }

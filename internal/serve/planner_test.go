@@ -202,11 +202,14 @@ func TestShardedCancelled(t *testing.T) {
 	srv := New(sys, Config{CacheSize: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	epoch := sys.FS().FileEpoch("pts1")
-	if _, _, err := srv.shardedRange(ctx, "pts1", "0,0,10000,10000", epoch, geom.NewRect(0, 0, 10000, 10000)); !errors.Is(err, context.Canceled) {
+	f, err := sys.FS().Open("pts1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.shardedRange(ctx, f, "0,0,10000,10000", geom.NewRect(0, 0, 10000, 10000)); !errors.Is(err, context.Canceled) {
 		t.Errorf("shardedRange err = %v, want context.Canceled", err)
 	}
-	if _, _, err := srv.shardedKNN(ctx, "pts1", epoch, geom.Pt(5000, 5000), 5); !errors.Is(err, context.Canceled) {
+	if _, _, err := srv.shardedKNN(ctx, f, geom.Pt(5000, 5000), 5); !errors.Is(err, context.Canceled) {
 		t.Errorf("shardedKNN err = %v, want context.Canceled", err)
 	}
 	snap := srv.Metrics().Snapshot()

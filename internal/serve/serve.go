@@ -130,10 +130,10 @@ func New(sys *core.System, cfg Config) *Server {
 	}
 	if cfg.MemTierBytes > 0 {
 		s.mt = NewMemTier(cfg.MemTierBytes, reg)
-		// Eager invalidation: any DFS mutation of a file drops its pinned
+		// Eager invalidation: replacing or deleting a file drops its pinned
 		// partitions immediately. Epoch-keyed lookups are the correctness
 		// backstop (a stale pin can never serve a fresh epoch); the hook
-		// just releases the memory at mutation time. Last server on a
+		// just releases the memory at publication time. Last server on a
 		// shared system wins the single hook slot, which is fine for the
 		// same reason.
 		sys.FS().SetEpochHook(func(name string, _ int64) { s.mt.Invalidate(name) })
@@ -631,21 +631,26 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	canon := canonicalRect(rect)
-	epoch := s.sys.FS().FileEpoch(file)
+	// The request binds to one generation here: cache key, plan, tier keys
+	// and wire epoch all come from this handle.
+	f, err := s.sys.FS().Open(file)
+	if err != nil {
+		return err
+	}
 	// The engine never enters the key: all engines produce byte-identical
 	// bodies, so a forced-engine request may safely hit a body another
 	// engine cached.
-	key := fmt.Sprintf("range|%s@%d|%s", file, epoch, canon)
+	key := fmt.Sprintf("range|%s@%d|%s", file, f.Epoch(), canon)
 	return s.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, *execMeta, error) {
 		if mode == PlannerSharded {
 			// A heap file has no partitions to scatter: meta stays nil and
 			// the query falls through to MapReduce (planRange below returns
 			// nil for unindexed files).
-			if body, meta, err := s.shardedRange(ctx, file, canon, epoch, rect); err != nil || meta != nil {
+			if body, meta, err := s.shardedRange(ctx, f, canon, rect); err != nil || meta != nil {
 				return body, meta, err
 			}
 		}
-		if src := s.planRange(mode, file, epoch, rect); src != nil {
+		if src := s.planRange(mode, f, rect); src != nil {
 			matches, stats, err := ops.LocalRangeMatchesCtx(ctx, s.sys, src.idx, src, rect)
 			if err != nil {
 				return nil, nil, err
@@ -693,8 +698,11 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	canonPt := fnum(q.X) + "," + fnum(q.Y)
-	epoch := s.sys.FS().FileEpoch(file)
-	key := fmt.Sprintf("knn|%s@%d|%s|%d", file, epoch, canonPt, k)
+	f, err := s.sys.FS().Open(file) // one generation per request, as in handleRange
+	if err != nil {
+		return err
+	}
+	key := fmt.Sprintf("knn|%s@%d|%s|%d", file, f.Epoch(), canonPt, k)
 	return s.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, *execMeta, error) {
 		var (
 			pts  []geom.Point
@@ -702,7 +710,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 		)
 		if mode == PlannerSharded {
 			var err error
-			if pts, meta, err = s.shardedKNN(ctx, file, epoch, q, k); err != nil {
+			if pts, meta, err = s.shardedKNN(ctx, f, q, k); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -710,7 +718,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 			// The kNN protocol is selective by construction (one partition,
 			// then only the correctness circle), so any indexed file runs
 			// locally when the tier is on.
-			if src := s.localSource(mode, file, epoch); src != nil {
+			if src := s.localSource(mode, f); src != nil {
 				lpts, stats, err := ops.LocalKNNPointsCtx(ctx, s.sys, src.idx, src, q, k)
 				if err != nil {
 					return nil, nil, err

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/ops"
@@ -111,7 +112,7 @@ type shardCall struct {
 // cancelled is never released — an abandoned call may still decode into it.
 var rangeReplies = sync.Pool{New: func() any { return new(mapreduce.ExecRangeReply) }}
 
-func (sq *shardQuery) rangeCall(file string, epoch int64, rect geom.Rect) shardCall {
+func (sq *shardQuery) rangeCall(rect geom.Rect) shardCall {
 	return shardCall{
 		remote: func(ctx context.Context, addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
 			// gob omits zero-valued fields, so anything left in a reused
@@ -119,7 +120,7 @@ func (sq *shardQuery) rangeCall(file string, epoch int64, rect geom.Rect) shardC
 			reply := rangeReplies.Get().(*mapreduce.ExecRangeReply)
 			reply.Keys, reply.Frag, reply.Records = reply.Keys[:0], reply.Frag[:0], 0
 			err := sq.m.Peers().Call(ctx, addr, mapreduce.ShardService+".ExecRange",
-				mapreduce.ExecRangeArgs{File: file, Epoch: epoch, Meta: meta, Query: rect}, reply)
+				mapreduce.ExecRangeArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: meta, Query: rect}, reply)
 			return shardFrag{stream: reply, records: reply.Records, matches: len(reply.Keys) / 2}, err
 		},
 		local: func(part *ops.LocalPartition) (shardFrag, error) {
@@ -129,12 +130,12 @@ func (sq *shardQuery) rangeCall(file string, epoch int64, rect geom.Rect) shardC
 	}
 }
 
-func (sq *shardQuery) knnCall(file string, epoch int64, q geom.Point, k int) shardCall {
+func (sq *shardQuery) knnCall(q geom.Point, k int) shardCall {
 	return shardCall{
 		remote: func(ctx context.Context, addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
 			var reply mapreduce.ExecKNNReply
 			err := sq.m.Peers().Call(ctx, addr, mapreduce.ShardService+".ExecKNN",
-				mapreduce.ExecKNNArgs{File: file, Epoch: epoch, Meta: meta, Q: q, K: k}, &reply)
+				mapreduce.ExecKNNArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: meta, Q: q, K: k}, &reply)
 			return shardFrag{cands: reply.Cands, records: reply.Records, matches: len(reply.Cands)}, err
 		},
 		local: func(part *ops.LocalPartition) (shardFrag, error) {
@@ -154,11 +155,11 @@ type shardQuery struct {
 	stats shardStats
 }
 
-// newShardQuery binds the plan to the file generation. A nil query (with
-// nil error) means the file is a heap — no partitions to scatter — and the
-// caller should fall through to MapReduce.
-func (s *Server) newShardQuery(file string, epoch int64) (*shardQuery, error) {
-	gen, err := s.generation(file, epoch)
+// newShardQuery binds the plan to the generation the request opened. A nil
+// query (with nil error) means the file is a heap — no partitions to
+// scatter — and the caller should fall through to MapReduce.
+func (s *Server) newShardQuery(f *dfs.File) (*shardQuery, error) {
+	gen, err := s.mt.Source(f) // per request when the tier is off
 	if gen == nil {
 		return nil, err
 	}
@@ -251,8 +252,8 @@ func (sq *shardQuery) done() *execMeta {
 // shardedRange executes a range query with the sharded engine and renders
 // its body (canon is the rect's canonical text). A nil execMeta (with nil
 // error) means heap file.
-func (s *Server) shardedRange(ctx context.Context, file, canon string, epoch int64, rect geom.Rect) ([]byte, *execMeta, error) {
-	sq, err := s.newShardQuery(file, epoch)
+func (s *Server) shardedRange(ctx context.Context, f *dfs.File, canon string, rect geom.Rect) ([]byte, *execMeta, error) {
+	sq, err := s.newShardQuery(f)
 	if sq == nil {
 		return nil, nil, err
 	}
@@ -260,11 +261,11 @@ func (s *Server) shardedRange(ctx context.Context, file, canon string, epoch int
 	if err != nil {
 		return nil, nil, err
 	}
-	frags, err := sq.scatter(ctx, kept, sq.rangeCall(file, epoch, rect))
+	frags, err := sq.scatter(ctx, kept, sq.rangeCall(rect))
 	if err != nil {
 		return nil, nil, err
 	}
-	body := encodeRangeBodyStreams(file, canon, frags)
+	body := encodeRangeBodyStreams(f.Name, canon, frags)
 	for _, f := range frags {
 		rangeReplies.Put(f.stream)
 	}
@@ -273,12 +274,12 @@ func (s *Server) shardedRange(ctx context.Context, file, canon string, epoch int
 
 // shardedKNN executes a kNN query with the sharded engine: each round of
 // the plan is one scatter. A nil execMeta (with nil error) means heap file.
-func (s *Server) shardedKNN(ctx context.Context, file string, epoch int64, q geom.Point, k int) ([]geom.Point, *execMeta, error) {
-	sq, err := s.newShardQuery(file, epoch)
+func (s *Server) shardedKNN(ctx context.Context, f *dfs.File, q geom.Point, k int) ([]geom.Point, *execMeta, error) {
+	sq, err := s.newShardQuery(f)
 	if sq == nil {
 		return nil, nil, err
 	}
-	call := sq.knnCall(file, epoch, q, k)
+	call := sq.knnCall(q, k)
 	pts, err := sq.plan.KNN(ctx, q, k, func(ctx context.Context, kept []*mapreduce.Split) ([]ops.KNNCandidate, error) {
 		frags, err := sq.scatter(ctx, kept, call)
 		var cands []ops.KNNCandidate

@@ -209,30 +209,37 @@ func TestCacheKeyEngineless(t *testing.T) {
 }
 
 // TestShardedEpochInterleaving races waves of concurrent sharded queries
-// — scattering to worker tiers — against serial epoch bumps between
-// waves. Every response of every wave must match that epoch's
-// MapReduce-engine oracle byte for byte; under -race this exercises the
+// — scattering to worker tiers — against a replacement of the queried file
+// in the middle of each wave. Every response must match, byte for byte,
+// the MapReduce-engine oracle of the generation the wave began with or of
+// the one it publishes; under -race this exercises the
 // pin/exec/heartbeat-drop interleavings across process-simulated workers.
 func TestShardedEpochInterleaving(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 1024, Workers: 4, Seed: 9})
 	area := geom.NewRect(0, 0, 1000, 1000)
 	base := datagen.Points(datagen.Clustered, 600, area, 31)
-	load := func(extra int) {
+	load := func(extra int) error {
 		pts := append([]geom.Point{}, base...)
 		for i := 0; i < extra; i++ {
 			pts = append(pts, geom.Pt(float64(i)+0.25, float64(i)+0.75))
 		}
-		if _, err := sys.LoadPoints("pts", pts, sindex.STR); err != nil {
-			t.Fatal(err)
-		}
+		_, err := sys.LoadPoints("pts", pts, sindex.STR)
+		return err
 	}
-	load(0)
+	if err := load(0); err != nil {
+		t.Fatal(err)
+	}
 	_, stop := startServeWorkers(t, sys, 2)
 	defer stop()
 
 	srv := serve.New(sys, serve.Config{CacheSize: -1, Planner: serve.PlannerSharded, MaxInFlight: 4, QueueDepth: 1024, JobDeadline: 30 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// The oracle: tier off, forced MapReduce, same system. With the tier
+	// off it installs no epoch hook, so it cannot steal the sharded
+	// server's invalidation path.
+	ots := httptest.NewServer(serve.New(sys, serve.Config{CacheSize: -1, MemTierBytes: -1, Planner: serve.PlannerMapReduce, MaxInFlight: 4, QueueDepth: 1024, JobDeadline: 30 * time.Second}).Handler())
+	defer ots.Close()
 
 	queries := []string{
 		"/rangequery?file=pts&rect=0,0,400,400",
@@ -240,20 +247,19 @@ func TestShardedEpochInterleaving(t *testing.T) {
 		"/rangequery?file=pts&rect=0,600,400,1000",
 		"/knn?file=pts&point=500,500&k=7",
 	}
-	for wave := 0; wave < 3; wave++ {
-		// Per-epoch oracle: tier off, forced MapReduce, same system. With
-		// the tier off the oracle installs no epoch hook, so it cannot
-		// steal the sharded server's invalidation path.
-		ots := httptest.NewServer(serve.New(sys, serve.Config{CacheSize: -1, MemTierBytes: -1, Planner: serve.PlannerMapReduce, MaxInFlight: 4, QueueDepth: 1024, JobDeadline: 30 * time.Second}).Handler())
+	oracleNow := func() map[string]string {
 		oracle := map[string]string{}
 		for _, q := range queries {
 			oracle[q] = getBody(t, ots.URL+q)
 		}
-		ots.Close()
-
+		return oracle
+	}
+	before := oracleNow()
+	for wave := 0; wave < 3; wave++ {
 		const repeats = 4
 		var wg sync.WaitGroup
-		errs := make(chan error, len(queries)*repeats)
+		errs := make(chan error, len(queries)*repeats+1)
+		answers := make(chan [2]string, len(queries)*repeats)
 		for r := 0; r < repeats; r++ {
 			for _, q := range queries {
 				wg.Add(1)
@@ -266,25 +272,37 @@ func TestShardedEpochInterleaving(t *testing.T) {
 					}
 					defer resp.Body.Close()
 					body, err := io.ReadAll(resp.Body)
-					if err != nil {
-						errs <- err
+					if err != nil || resp.StatusCode != http.StatusOK {
+						errs <- fmt.Errorf("wave %d %s: status %d, %v", wave, q, resp.StatusCode, err)
 						return
 					}
-					if string(body) != oracle[q] {
-						errs <- fmt.Errorf("wave: %s diverged from oracle", q)
-					}
+					answers <- [2]string{q, string(body)}
 				}(q)
 			}
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := load(wave + 1); err != nil {
+				errs <- err
+			}
+		}()
 		wg.Wait()
 		close(errs)
+		close(answers)
 		for err := range errs {
 			t.Error(err)
+		}
+		after := oracleNow()
+		for a := range answers {
+			if q, body := a[0], a[1]; body != before[q] && body != after[q] {
+				t.Errorf("wave %d: %s diverged from both generations' oracles", wave, q)
+			}
 		}
 		if t.Failed() {
 			t.FailNow()
 		}
-		load(wave + 1)
+		before = after
 	}
 }
 
