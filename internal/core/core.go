@@ -129,7 +129,14 @@ type IndexedFile struct {
 // written in input order and split into blocks with no spatial awareness —
 // the default Hadoop loader of the paper's "Hadoop" algorithm variants.
 func (s *System) LoadPointsHeap(name string, pts []geom.Point) error {
-	return s.fs.WriteFile(name, geomio.EncodePoints(pts))
+	w, err := s.fs.Create(name)
+	if err != nil {
+		return err
+	}
+	for _, p := range pts {
+		w.WritePoint(geomio.EncodePoint(p))
+	}
+	return w.Close()
 }
 
 // LoadRegionsHeap stores regions as a heap file.
@@ -190,7 +197,7 @@ func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (
 		byCell[c] = append(byCell[c], recs[i])
 		gi.Cells[c].Content = gi.Cells[c].Content.ExpandPoint(p)
 	}
-	return s.writeIndexed(name, gi, byCell)
+	return s.writeIndexed(name, gi, byCell, (*dfs.Writer).WritePoint)
 }
 
 // LoadRegions spatially partitions and stores regions. With a disjoint
@@ -224,7 +231,7 @@ func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Techni
 			gi.Cells[c].Content = gi.Cells[c].Content.Union(b)
 		}
 	}
-	return s.writeIndexed(name, gi, byCell)
+	return s.writeIndexed(name, gi, byCell, (*dfs.Writer).WriteRecord)
 }
 
 // recordBuild registers one global index construction with the metrics.
@@ -252,11 +259,12 @@ func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]string) {
 	s.metrics.SetGauge(GaugePartitionImbalance, ps.Imbalance())
 }
 
-// writeIndexed writes the partitioned records and the master index. Queries
-// meet the previous generation until Close publishes this one; the writer is
-// created only here, after partitioning, so the two overlap in memory for
-// the write loop alone.
-func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]string) (*IndexedFile, error) {
+// writeIndexed writes the partitioned records — through write, which is
+// WritePoint when every record is geomio.EncodePoint of a point — and the
+// master index. Queries meet the previous generation until Close publishes
+// this one; the writer is created only here, after partitioning, so the two
+// overlap in memory for the write loop alone.
+func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]string, write func(*dfs.Writer, string)) (*IndexedFile, error) {
 	s.recordFill(gi, byCell)
 	w, err := s.fs.CreateOrReplace(name)
 	if err != nil {
@@ -268,7 +276,7 @@ func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]st
 		}
 		w.SetPartition(gi.Cells[ci].Key())
 		for _, r := range cellRecs {
-			w.WriteRecord(r)
+			write(w, r)
 		}
 		byCell[ci] = nil // written: free it while the replaced generation is still live
 	}

@@ -271,3 +271,40 @@ func TestLocalIndexDiesWithItsBlock(t *testing.T) {
 	}
 	t.Fatal("a replaced file's block with a built local index is still reachable")
 }
+
+// loadAllocBytes is what LoadPoints and LoadPointsHeap allocate per point
+// on uniform points in a million-unit square — the measurement below.
+func loadAllocBytes(t *testing.T, n int, load func(sys *System, pts []geom.Point)) float64 {
+	t.Helper()
+	pts := datagen.Points(datagen.Uniform, n, geom.NewRect(0, 0, 1e6, 1e6), 17)
+	sys := New(Config{BlockSize: 64 << 10, Workers: 4, Seed: 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	load(sys, pts)
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestLoadPointsAllocs pins the loaders' allocation per point: the point
+// mark costs the loader nothing — one per-cell slice of records, as before
+// the mark existed — and each record is one allocation. The limits are the
+// loaders' cost before blocks had a point mark (226 and 138 B/point) less
+// what the one-allocation EncodePoint saved; a second per-cell slice, or
+// an EncodePoint back at three allocations, breaks them.
+func TestLoadPointsAllocs(t *testing.T) {
+	const n = 40000
+	indexed := loadAllocBytes(t, n, func(sys *System, pts []geom.Point) {
+		if _, err := sys.LoadPoints("pts", pts, sindex.STRPlus); err != nil {
+			t.Fatal(err)
+		}
+	})
+	heap := loadAllocBytes(t, n, func(sys *System, pts []geom.Point) {
+		if err := sys.LoadPointsHeap("pts", pts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("LoadPoints %.1f B/point, LoadPointsHeap %.1f B/point", indexed, heap)
+	if indexed > 215 || heap > 135 {
+		t.Errorf("LoadPoints allocates %.1f B/point (limit 215), LoadPointsHeap %.1f (limit 135)", indexed, heap)
+	}
+}

@@ -6,11 +6,14 @@ import (
 	"hash/crc32"
 	"slices"
 	"sync"
+
+	"spatialhadoop/internal/geom"
 )
 
 // Block integrity: every block carries a CRC32 (IEEE) checksum over its
 // records, computed once when the block is sealed (when the writer cuts
-// to the next block, changes partition, or closes the file) — mirroring
+// to the next block, changes partition, or closes the file; when a worker
+// opens it from a replica frame) — mirroring
 // HDFS, which checksums blocks on write and verifies them on read. Read
 // paths verify through VerifyCached, which recomputes at most once per
 // block (the same amortization as the decode cache), so a block scanned
@@ -79,9 +82,34 @@ func checksumRecords(records []string) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, buf[:n])
 }
 
-// seal stamps the block's checksum; the writer calls it exactly once,
-// after the last record lands in the block.
-func (b *Block) seal() { b.crc = checksumRecords(b.records) }
+// checksumColumn is checksumRecords for a column block: the CRC32 over
+// the points as a column frame lays them out — X then Y of each point as
+// little-endian IEEE-754 bits — staged through the same pooled chunk,
+// which holds a whole number of points.
+func checksumColumn(pts []geom.Point) uint32 {
+	buf := crcChunks.Get().(*crcChunk)
+	defer crcChunks.Put(buf)
+	var crc uint32
+	for len(pts) > 0 {
+		n := min(len(pts), len(buf)/pointSize)
+		putColumn(buf[:n*pointSize], pts[:n])
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:n*pointSize])
+		pts = pts[n:]
+	}
+	return crc
+}
+
+// checksum computes the block's checksum over whichever form it holds.
+func (b *Block) checksum() uint32 {
+	if b.column {
+		return checksumColumn(b.col)
+	}
+	return checksumRecords(b.records)
+}
+
+// seal stamps the block's checksum; whoever builds the block calls it
+// exactly once, after the last record lands in it.
+func (b *Block) seal() { b.crc = b.checksum() }
 
 // Checksum returns the checksum stored when the block was sealed.
 func (b *Block) Checksum() uint32 { return b.crc }
@@ -89,7 +117,7 @@ func (b *Block) Checksum() uint32 { return b.crc }
 // Verify recomputes the block's checksum and compares it against the
 // stored value, returning a *ChecksumError on mismatch.
 func (b *Block) Verify() error {
-	if got := checksumRecords(b.records); got != b.crc {
+	if got := b.checksum(); got != b.crc {
 		return &ChecksumError{Block: b.ID, Want: b.crc, Got: got}
 	}
 	return nil

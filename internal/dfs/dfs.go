@@ -5,6 +5,13 @@
 // sequence of fixed-capacity blocks, each block lives on a data node, and
 // one map task is scheduled per block (or per indexed partition).
 //
+// A block is text records or a point column. Every block a Writer builds
+// holds text; one whose records all came through WritePoint carries a mark
+// saying the text is nothing but points, and such a block crosses the data
+// plane as a column of coordinates (frame.go). The block a worker opens
+// from a column frame holds only the points, behind the same accessors:
+// Points is the column, Record and Records format text on demand.
+//
 // Files may carry a "master" attachment, mirroring SpatialHadoop's _master
 // index file that describes the spatial partitioning of the data blocks.
 //
@@ -19,7 +26,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"spatialhadoop/internal/geom"
@@ -45,8 +54,8 @@ type Config struct {
 // BlockID identifies a block within the file system.
 type BlockID int64
 
-// Block is one storage unit: a run of text records, at most BlockSize
-// bytes, hosted by a data node.
+// Block is one storage unit: a run of records, at most BlockSize bytes of
+// text, hosted by a data node.
 type Block struct {
 	ID BlockID
 	// Node is the data node hosting the block.
@@ -59,8 +68,19 @@ type Block struct {
 
 	records []string
 
-	// crc is the CRC32 checksum stamped when the writer sealed the block
-	// (see checksum.go).
+	// points marks a text block every record of which was written through
+	// Writer.WritePoint: each record is geomio.EncodePoint of the point it
+	// parses to, so the points alone reproduce the text. Only the writer
+	// sets it; a copy made any other way (CorruptBlock) is unmarked.
+	points bool
+
+	// column marks a block opened from a column frame, whose data is col
+	// and which holds no text until Records formats it.
+	column bool
+	col    []geom.Point
+
+	// crc is the CRC32 checksum stamped when the block was sealed — over
+	// the text as laid out on disk, or over a column's bytes (checksum.go).
 	crc uint32
 
 	// cache holds lazily decoded views of the records (parsed points, an
@@ -72,6 +92,9 @@ type Block struct {
 // blockCache holds the decoded views over a block's records, each built
 // at most once under its own sync.Once.
 type blockCache struct {
+	recsOnce sync.Once
+	recs     []string
+
 	ptsOnce sync.Once
 	pts     []geom.Point
 	ptsErr  error
@@ -88,20 +111,65 @@ type blockCache struct {
 	verifyErr  error
 }
 
-// Records returns the records stored in the block. The returned slice must
-// not be modified.
-func (b *Block) Records() []string { return b.records }
+// Records returns the records stored in the block, for callers that want
+// all of them. A column block formats its text on the first call, at most
+// once, into one arena the records share; a caller after a few records of
+// such a block asks Record for them. The returned slice must not be
+// modified.
+func (b *Block) Records() []string {
+	if !b.column {
+		return b.records
+	}
+	c := &b.cache
+	c.recsOnce.Do(func() {
+		var arena strings.Builder
+		// Bytes counts a newline per record; the frame decoder bounded it.
+		arena.Grow(max(0, int(b.Bytes)-len(b.col)))
+		ends := make([]int, len(b.col))
+		var buf [geomio.MaxPointLen]byte
+		for i, p := range b.col {
+			arena.Write(geomio.AppendPoint(buf[:0], p))
+			ends[i] = arena.Len()
+		}
+		text, start := arena.String(), 0
+		c.recs = make([]string, len(ends))
+		for i, end := range ends {
+			c.recs[i], start = text[start:end], end
+		}
+	})
+	return c.recs
+}
+
+// Record returns record i. For a column block it is formatted on the spot
+// — geomio.EncodePoint of point i, which is the stored text by what the
+// writer's mark means — so a probe that matched three points of a block
+// pays for three records, not for the block.
+func (b *Block) Record(i int) string {
+	if b.column {
+		return geomio.EncodePoint(b.col[i])
+	}
+	return b.records[i]
+}
 
 // NumRecords returns the number of records in the block.
-func (b *Block) NumRecords() int { return len(b.records) }
+func (b *Block) NumRecords() int {
+	if b.column {
+		return len(b.col)
+	}
+	return len(b.records)
+}
 
-// Points returns the block's records decoded as points, parsing them at
-// most once per block lifetime (SpatialHadoop re-reads the same blocks
-// across map attempts and across the jobs of a pipeline; the text parse is
-// the dominant per-visit cost). The returned slice is shared between all
+// Points returns the block's records as points. A column block's points
+// are its data: nothing is parsed. A text block parses at most once per
+// block lifetime (SpatialHadoop re-reads the same blocks across map
+// attempts and across the jobs of a pipeline; the text parse is the
+// dominant per-visit cost). The returned slice is shared between all
 // callers and must not be modified — every geometry kernel copies before
 // sorting.
 func (b *Block) Points() ([]geom.Point, error) {
+	if b.column {
+		return b.col, nil
+	}
 	c := &b.cache
 	c.ptsOnce.Do(func() { c.pts, c.ptsErr = geomio.DecodePoints(b.records) })
 	return c.pts, c.ptsErr
@@ -114,7 +182,7 @@ func (b *Block) Points() ([]geom.Point, error) {
 // treated as read-only.
 func (b *Block) Payload(build func(records []string) (any, error)) (any, error) {
 	c := &b.cache
-	c.payloadOnce.Do(func() { c.payload, c.payloadErr = build(b.records) })
+	c.payloadOnce.Do(func() { c.payload, c.payloadErr = build(b.Records()) })
 	return c.payload, c.payloadErr
 }
 
@@ -333,21 +401,46 @@ func (fs *FileSystem) CreateOrReplace(name string) (*Writer, error) {
 // partition key, cutting (and sealing) the current block. The spatial
 // file loader calls it once per partition.
 func (w *Writer) SetPartition(key string) {
-	if w.cur != nil {
-		w.cur.seal()
-	}
+	w.sealCur()
 	w.cur = nil
 	w.partition = key
 }
 
+// sealCur seals the block being written, if any. A block lives as long as
+// its file, so what append over-allocated for its records is first given
+// back when it is more than an eighth of them.
+func (w *Writer) sealCur() {
+	b := w.cur
+	if b == nil {
+		return
+	}
+	if cap(b.records)-len(b.records) > len(b.records)/8 {
+		b.records = slices.Clone(b.records)
+	}
+	b.seal()
+}
+
 // WriteRecord appends one text record.
-func (w *Writer) WriteRecord(rec string) {
+func (w *Writer) WriteRecord(rec string) { w.write(rec, false) }
+
+// WritePoint appends one point record: rec must be geomio.EncodePoint of
+// a point, which is what the spatial loaders hold. It stores the same text
+// WriteRecord would; the difference is the mark. A block that received
+// nothing but WritePoint calls is known to be points in their one
+// spelling, and ships to workers as a coordinate column instead of text
+// (frame.go). One WriteRecord into the block and it is a text block.
+func (w *Writer) WritePoint(rec string) { w.write(rec, true) }
+
+func (w *Writer) write(rec string, point bool) {
 	if w.closed {
 		panic("dfs: write on closed writer")
 	}
 	sz := int64(len(rec)) + 1 // newline accounting
 	if w.cur == nil || w.cur.Bytes+sz > w.fs.cfg.BlockSize && w.cur.Bytes > 0 {
 		w.cut()
+	}
+	if !point {
+		w.cur.points = false
 	}
 	w.cur.records = append(w.cur.records, rec)
 	w.cur.Bytes += sz
@@ -358,9 +451,7 @@ func (w *Writer) WriteRecord(rec string) {
 // cut seals the current block and starts a new one on the next data node
 // (round-robin placement).
 func (w *Writer) cut() {
-	if w.cur != nil {
-		w.cur.seal()
-	}
+	w.sealCur()
 	fs := w.fs
 	fs.mu.Lock()
 	id := fs.nextBlock
@@ -368,7 +459,8 @@ func (w *Writer) cut() {
 	node := fs.nextNode
 	fs.nextNode = (fs.nextNode + 1) % fs.cfg.DataNodes
 	fs.mu.Unlock()
-	b := &Block{ID: id, Node: node, Partition: w.partition}
+	// Marked until a WriteRecord says otherwise; a write always follows.
+	b := &Block{ID: id, Node: node, Partition: w.partition, points: true}
 	w.cur = b
 	w.file.Blocks = append(w.file.Blocks, b)
 }
@@ -381,9 +473,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.cur != nil {
-		w.cur.seal()
-	}
+	w.sealCur()
 	fs := w.fs
 	fs.mu.Lock()
 	if _, ok := fs.files[w.file.Name]; ok && !w.replace {
@@ -474,7 +564,7 @@ func (fs *FileSystem) ReadAllCtx(ctx context.Context, name string) ([]string, er
 			}
 			return nil, fmt.Errorf("dfs: %s: %w", name, err)
 		}
-		out = append(out, b.records...)
+		out = append(out, b.Records()...)
 	}
 	return out, nil
 }

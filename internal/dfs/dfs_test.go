@@ -211,3 +211,33 @@ func TestRoundRobinPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestSealedBlocksGiveBackSlack: a block outlives its writer by the life
+// of the file, so the capacity append left over its records is returned at
+// seal — for full blocks, the short last block and a partition's only
+// block alike.
+func TestSealedBlocksGiveBackSlack(t *testing.T) {
+	fs := New(Config{BlockSize: 4 << 10, DataNodes: 2})
+	w, err := fs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if i == 2900 {
+			w.SetPartition("tail")
+		}
+		w.WriteRecord(fmt.Sprintf("record-%04d", i))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("f")
+	if err != nil || len(f.Blocks) < 5 {
+		t.Fatalf("Open = %v, %v; want several blocks", f, err)
+	}
+	for i, b := range f.Blocks {
+		if n, c := len(b.records), cap(b.records); c-n > n/8 {
+			t.Errorf("block %d keeps room for %d records and holds %d", i, c, n)
+		}
+	}
+}

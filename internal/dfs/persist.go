@@ -38,7 +38,7 @@ func (fs *FileSystem) SaveDir(dir string) error {
 		var meta strings.Builder
 		for _, b := range f.Blocks {
 			fmt.Fprintf(&meta, "%s|%d|%d\n", url.PathEscape(b.Partition), b.NumRecords(), b.Node)
-			for _, rec := range b.records {
+			for _, rec := range b.Records() {
 				if strings.ContainsRune(rec, '\n') {
 					data.Close()
 					return fmt.Errorf("dfs: record with newline cannot be persisted (file %s)", name)

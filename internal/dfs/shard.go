@@ -46,11 +46,18 @@ func (e *TornShardError) Transient() bool { return true }
 // SealShard wraps a shard payload in its integrity frame.
 func SealShard(payload []byte) []byte {
 	out := make([]byte, shardHeaderSize+len(payload))
-	copy(out[:4], shardMagic[:])
-	binary.LittleEndian.PutUint64(out[4:12], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(out[12:16], crc32.ChecksumIEEE(payload))
 	copy(out[shardHeaderSize:], payload)
+	sealFrame(out)
 	return out
+}
+
+// sealFrame stamps the header of a frame built in place: everything past
+// the first shardHeaderSize bytes is the payload.
+func sealFrame(frame []byte) {
+	payload := frame[shardHeaderSize:]
+	copy(frame[:4], shardMagic[:])
+	binary.LittleEndian.PutUint64(frame[4:12], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(frame[12:16], crc32.ChecksumIEEE(payload))
 }
 
 // UnsealShard verifies a shard frame and returns its payload, or a
@@ -97,12 +104,11 @@ func PeekShardFrame(buf []byte) (int, error) {
 	return shardHeaderSize + int(n), nil
 }
 
-// NewBlockFromRecords builds a sealed, checksummed block holding the given
-// records — the worker-side constructor for splits shipped over RPC. The
-// records arrive per block so a reconstructed split iterates in exactly
-// the order the in-process path would, and sealing here means the worker's
-// checksum scrub covers shipped blocks too. The block carries no ID or
-// data-node placement; it exists only for the duration of one task attempt.
+// NewBlockFromRecords builds a sealed, checksummed text block holding the
+// given records, outside any file — what a text frame opens as
+// (DecodeBlockFrame), sealed so the reader's checksum scrub covers shipped
+// blocks too. The block carries no ID or data-node placement and no point
+// mark, whatever its records look like.
 func NewBlockFromRecords(partition string, records []string) *Block {
 	b := &Block{Partition: partition, records: records}
 	for _, r := range records {

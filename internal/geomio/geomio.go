@@ -13,9 +13,25 @@ import (
 	"spatialhadoop/internal/geom"
 )
 
-// EncodePoint formats p as "x,y".
+// MaxPointLen is the longest "x,y": two 24-byte floats (sign, 17 digits,
+// point, e±308) and the comma.
+const MaxPointLen = 2*24 + 1
+
+// AppendPoint appends p as "x,y" to dst, each coordinate in the shortest
+// form that ParseFloat reads back to the same bits ('g', -1): typical
+// coordinates take far fewer than 17 digits, which roughly halves both the
+// format and the re-parse cost on the record hot path.
+func AppendPoint(dst []byte, p geom.Point) []byte {
+	dst = strconv.AppendFloat(dst, p.X, 'g', -1, 64)
+	dst = append(dst, ',')
+	return strconv.AppendFloat(dst, p.Y, 'g', -1, 64)
+}
+
+// EncodePoint formats p as "x,y": both floats into a stack buffer, one
+// allocation for the string.
 func EncodePoint(p geom.Point) string {
-	return formatF(p.X) + "," + formatF(p.Y)
+	var buf [MaxPointLen]byte
+	return string(AppendPoint(buf[:0], p))
 }
 
 // DecodePoint parses a point encoded by EncodePoint.
@@ -115,15 +131,19 @@ func DecodeSegments(recs []string) ([]geom.Segment, error) {
 // EncodeRegion formats a region as '|'-separated rings of space-separated
 // vertices.
 func EncodeRegion(rg geom.Region) string {
-	rings := make([]string, 0, len(rg.Rings))
-	for _, ring := range rg.Rings {
-		pts := make([]string, len(ring.Vertices))
-		for i, p := range ring.Vertices {
-			pts[i] = EncodePoint(p)
+	var buf []byte
+	for ri, ring := range rg.Rings {
+		if ri > 0 {
+			buf = append(buf, '|')
 		}
-		rings = append(rings, strings.Join(pts, " "))
+		for i, p := range ring.Vertices {
+			if i > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = AppendPoint(buf, p)
+		}
 	}
-	return strings.Join(rings, "|")
+	return string(buf)
 }
 
 // DecodeRegion parses a region encoded by EncodeRegion.
@@ -169,7 +189,10 @@ func DecodePolygon(s string) (geom.Polygon, error) {
 
 // EncodeRect formats r as "minx,miny,maxx,maxy".
 func EncodeRect(r geom.Rect) string {
-	return fmt.Sprintf("%s,%s,%s,%s", formatF(r.MinX), formatF(r.MinY), formatF(r.MaxX), formatF(r.MaxY))
+	var buf [2*MaxPointLen + 1]byte
+	b := AppendPoint(buf[:0], geom.Point{X: r.MinX, Y: r.MinY})
+	b = append(b, ',')
+	return string(AppendPoint(b, geom.Point{X: r.MaxX, Y: r.MaxY}))
 }
 
 // DecodeRect parses a rectangle encoded by EncodeRect.
@@ -188,9 +211,3 @@ func DecodeRect(s string) (geom.Rect, error) {
 	}
 	return geom.Rect{MinX: v[0], MinY: v[1], MaxX: v[2], MaxY: v[3]}, nil
 }
-
-// formatF formats with the shortest round-trip representation ('g', -1):
-// ParseFloat recovers the exact bits, like the old fixed 17-digit form,
-// but typical coordinates encode in far fewer digits, which roughly halves
-// both the format and the re-parse cost on the record hot path.
-func formatF(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

@@ -3,6 +3,7 @@ package geomio
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -122,5 +123,65 @@ func TestPolygonRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodePolygon(""); err == nil {
 		t.Error("expected error for empty polygon")
+	}
+}
+
+// encoded keeps the compiler from dropping a measured EncodePoint call.
+var encoded string
+
+// TestAppendPointMatchesFormatFloat pins the one-allocation encoders to
+// the definition they replaced — FormatFloat('g', -1) per coordinate,
+// joined — on every kind of float64 a record can hold.
+func TestAppendPointMatchesFormatFloat(t *testing.T) {
+	ff := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	vals := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308, // subnormals
+		math.MaxFloat64, -math.MaxFloat64, // the 24-byte forms
+		1e21, 1e20, 1e-7, 1e-4, 1e-5, -1e21, // where 'g' switches to an exponent
+		0.1, 1.0 / 3, 123456.789, 0.30000000000000004,
+	}
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 10000; i++ {
+		switch i % 3 {
+		case 0:
+			vals = append(vals, rng.Float64()*1e6)
+		case 1:
+			vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+		default:
+			vals = append(vals, math.Float64frombits(rng.Uint64()))
+		}
+	}
+	for i, x := range vals {
+		y := vals[(i*7+3)%len(vals)]
+		p := geom.Point{X: x, Y: y}
+		want := ff(x) + "," + ff(y)
+		if got := EncodePoint(p); got != want {
+			t.Fatalf("EncodePoint(%v) = %q, want %q", p, got, want)
+		}
+		if got := string(AppendPoint([]byte("pre "), p)); got != "pre "+want {
+			t.Fatalf("AppendPoint(%v) = %q, want %q", p, got, "pre "+want)
+		}
+		if len(want) > MaxPointLen {
+			t.Fatalf("%q is %d bytes, MaxPointLen is %d", want, len(want), MaxPointLen)
+		}
+		r := geom.Rect{MinX: x, MinY: y, MaxX: y, MaxY: x}
+		if got, want := EncodeRect(r), ff(x)+","+ff(y)+","+ff(y)+","+ff(x); got != want {
+			t.Fatalf("EncodeRect(%v) = %q, want %q", r, got, want)
+		}
+	}
+	// A region is its vertices' points joined by ' ' within a ring and '|'
+	// between rings, empty rings included.
+	rg := geom.Region{Rings: []geom.Polygon{
+		{Vertices: []geom.Point{{X: vals[0], Y: vals[1]}, {X: vals[2], Y: vals[5]}, {X: 1e21, Y: 1e-7}}},
+		{},
+		{Vertices: []geom.Point{{X: 0.1, Y: -2.5}}},
+	}}
+	want := ff(vals[0]) + "," + ff(vals[1]) + " " + ff(vals[2]) + "," + ff(vals[5]) + " 1e+21,1e-07||0.1,-2.5"
+	if got := EncodeRegion(rg); got != want {
+		t.Fatalf("EncodeRegion = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { encoded = EncodePoint(geom.Point{X: 123456.789, Y: -0.30000000000000004}) }); allocs != 1 {
+		t.Errorf("EncodePoint allocates %v times per call, want 1", allocs)
 	}
 }

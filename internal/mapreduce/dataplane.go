@@ -102,10 +102,8 @@ func (p *dataPlane) ensureBlock(b *dfs.Block) {
 	if len(targets) == 0 {
 		return // replication 0: the master serves the block
 	}
-	frame, err := EncodeBlockFrame(b.Records())
-	if err != nil {
-		return // unencodable records never happen; leave the block master-served
-	}
+	// One-shot: a point block's column is parsed here, once, and not kept.
+	frame := dfs.EncodeBlockFrame(b, false)
 	for _, id := range targets {
 		if p.pushTo(id, b.ID, frame) {
 			p.mu.Lock()
@@ -194,7 +192,9 @@ func (p *dataPlane) blockRefs(s *Split) []WireBlockRef {
 }
 
 // readFrame seals one registered block for the master's ReadBlock — the
-// source for a worker that reached no replica.
+// source for a worker that reached no replica, and at replication 0 of
+// every map attempt: the rung repeats, so a point block is parsed once,
+// through its Points cache, and not per read.
 func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, error) {
 	p.mu.Lock()
 	pb := p.blocks[id]
@@ -202,7 +202,7 @@ func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, error) {
 	if pb == nil {
 		return nil, fmt.Errorf("mapreduce: master holds no block %d", id)
 	}
-	return EncodeBlockFrame(pb.block.Records())
+	return dfs.EncodeBlockFrame(pb.block, true), nil
 }
 
 // onWorkerLost re-replicates every block the dead worker held onto
@@ -244,10 +244,7 @@ func (p *dataPlane) onWorkerLost(workerID int64) {
 				continue
 			}
 			if frame == nil {
-				var err error
-				if frame, err = EncodeBlockFrame(b.Records()); err != nil {
-					break
-				}
+				frame = dfs.EncodeBlockFrame(b, false) // one-shot, as in ensureBlock
 			}
 			if p.pushTo(id, b.ID, frame) {
 				p.mu.Lock()

@@ -2,9 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"fmt"
 	"time"
 
 	"spatialhadoop/internal/dfs"
@@ -319,7 +317,7 @@ type ReadBlockArgs struct {
 	ID int64
 }
 
-// ReadBlockReply carries the sealed block frame (see EncodeBlockFrame);
+// ReadBlockReply carries the sealed block frame (dfs.EncodeBlockFrame);
 // the reader unseals and decodes it, so a torn replica is detected at the
 // consumer and the read falls through to the next source.
 type ReadBlockReply struct {
@@ -394,92 +392,4 @@ type WireKNNCandidate struct {
 type ExecKNNReply struct {
 	Cands   []WireKNNCandidate
 	Records int64
-}
-
-// A block frame is one dfs.SealShard frame — the CRC frame of spill
-// streams, so a replica torn by a dying worker is detected exactly like a
-// torn spill — whose payload is flat:
-//
-//	uvarint  record count n
-//	uvarint  × n  record byte lengths, in record order
-//	bytes    the records' text, concatenated (the arena)
-//
-// Varints are minimal-length, the table holds exactly n entries and the
-// lengths sum to exactly the arena, so a block has one encoding and an
-// accepted frame re-encodes to the same bytes. There is one frame shape
-// and no version field: replicas live in a worker's scratch directory and
-// never outlast the binary that wrote them.
-
-// EncodeBlockFrame seals a block's records for replica push and for the
-// master's ReadBlock.
-func EncodeBlockFrame(records []string) ([]byte, error) {
-	arena := 0
-	for _, r := range records {
-		arena += len(r)
-	}
-	payload := make([]byte, 0, binary.MaxVarintLen64+2*len(records)+arena)
-	payload = binary.AppendUvarint(payload, uint64(len(records)))
-	for _, r := range records {
-		payload = binary.AppendUvarint(payload, uint64(len(r)))
-	}
-	for _, r := range records {
-		payload = append(payload, r...)
-	}
-	return dfs.SealShard(payload), nil
-}
-
-// DecodeBlockFrame verifies a replica frame and returns its records: one
-// CRC pass over the frame, one copy of the arena into a string, and the
-// records as substrings of it, so no more than two copies of the block
-// (the frame and the arena) are alive at once. Everything wrong with a
-// frame — a failed seal, a count or length that is not a minimal varint
-// or overruns the payload, lengths that do not add up to the arena — is a
-// *dfs.TornShardError, which is transient: the reader falls through to
-// the next replica holder.
-func DecodeBlockFrame(frame []byte) ([]string, error) {
-	payload, err := dfs.UnsealShard(frame)
-	if err != nil {
-		return nil, err
-	}
-	count, payload, ok := cutUvarint(payload)
-	// Every table entry takes at least a byte, which bounds the count by
-	// the bytes actually present before anything is allocated from it.
-	if !ok || count > uint64(len(payload)) {
-		return nil, &dfs.TornShardError{Reason: "block frame: bad record count"}
-	}
-	// First pass: walk the length table, checking each entry against the
-	// bytes left, to find where the arena starts and that it is exactly as
-	// long as the table says.
-	table := payload
-	var sum uint64
-	for i := uint64(0); i < count; i++ {
-		var n uint64
-		n, payload, ok = cutUvarint(payload)
-		if room := uint64(len(payload)); !ok || sum > room || n > room-sum {
-			return nil, &dfs.TornShardError{Reason: fmt.Sprintf("block frame: bad length of record %d", i)}
-		}
-		sum += n
-	}
-	if sum != uint64(len(payload)) {
-		return nil, &dfs.TornShardError{Reason: fmt.Sprintf("block frame: record lengths total %d bytes, arena holds %d", sum, len(payload))}
-	}
-	// Second pass: the table is known good; cut the arena along it.
-	arena := string(payload)
-	records := make([]string, count)
-	for i := range records {
-		n, w := binary.Uvarint(table)
-		table = table[w:]
-		records[i], arena = arena[:n], arena[n:]
-	}
-	return records, nil
-}
-
-// cutUvarint splits one minimal-length uvarint off the front of b. A
-// truncated, overlong or zero-padded encoding is not ok.
-func cutUvarint(b []byte) (v uint64, rest []byte, ok bool) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || n > 1 && b[n-1] == 0 {
-		return 0, nil, false
-	}
-	return v, b[n:], true
 }

@@ -18,8 +18,8 @@ import (
 // reference to how it was found, which is what keeps raw job output
 // byte-identical across engines.
 type blockProbe interface {
-	// rangeIDs returns, in ascending order, the ids (indexes into
-	// b.Records()) of the block's points inside query, boundary inclusive.
+	// rangeIDs returns, in ascending order, the ids (b.Record's argument)
+	// of the block's points inside query, boundary inclusive.
 	rangeIDs(b *dfs.Block, query geom.Rect) ([]int, error)
 	// nearest returns the block's k nearest records to q plus every further
 	// one at exactly the k-th distance, in no particular order. Only
@@ -45,11 +45,10 @@ func (indexProbe) nearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, er
 	if err != nil {
 		return nil, err
 	}
-	recs := b.Records()
 	nbs := idx.NearestWithTies(q, k)
 	out := make([]KNNCandidate, len(nbs))
 	for i, nb := range nbs {
-		out[i] = KNNCandidate{Dist: nb.Dist, Rec: recs[nb.Entry.ID]}
+		out[i] = KNNCandidate{Dist: nb.Dist, Rec: b.Record(nb.Entry.ID)}
 	}
 	return out, nil
 }
@@ -76,40 +75,50 @@ func (scanProbe) nearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, err
 	if err != nil || k <= 0 {
 		return nil, err
 	}
-	recs := b.Records()
-	// Nominees at or inside the running k-th distance collect in cands;
-	// whenever twice the useful number has piled up they are cut back to
-	// the k nearest plus ties, which tightens the bound for the rest.
+	// Nominees at or inside the running k-th distance collect in noms, by
+	// id; whenever twice the useful number has piled up they are cut back
+	// to the k nearest plus ties, which tightens the bound for the rest.
+	// Only the survivors' records are ever asked for.
 	bound := math.Inf(1)
 	limit := 2 * min(k, len(pts))
-	var cands []KNNCandidate
+	var noms []nominee
 	for i, p := range pts {
 		// The index ranks a point entry by this same expression.
 		d := (geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}).MinDistPoint(q)
 		if d <= bound {
-			cands = append(cands, KNNCandidate{Dist: d, Rec: recs[i]})
-			if len(cands) > limit {
-				cands, bound = nearestWithTies(cands, k)
-				limit = max(limit, 2*len(cands)) // a large tie group must not re-sort per point
+			noms = append(noms, nominee{dist: d, id: i})
+			if len(noms) > limit {
+				noms, bound = nearestWithTies(noms, k)
+				limit = max(limit, 2*len(noms)) // a large tie group must not re-sort per point
 			}
 		}
 	}
-	cands, _ = nearestWithTies(cands, k)
+	noms, _ = nearestWithTies(noms, k)
+	cands := make([]KNNCandidate, len(noms))
+	for i, n := range noms {
+		cands[i] = KNNCandidate{Dist: n.dist, Rec: b.Record(n.id)}
+	}
 	return cands, nil
 }
 
-// nearestWithTies cuts cands down to the k nearest plus every candidate
-// tied with the k-th, and returns that k-th distance (+Inf while fewer
-// than k are known, so nothing is excluded yet).
-func nearestWithTies(cands []KNNCandidate, k int) ([]KNNCandidate, float64) {
-	if len(cands) <= k {
-		return cands, math.Inf(1)
+// nominee is one scanned point still in the running for the k nearest.
+type nominee struct {
+	dist float64
+	id   int
+}
+
+// nearestWithTies cuts noms down to the k nearest plus every nominee tied
+// with the k-th, and returns that k-th distance (+Inf while fewer than k
+// are known, so nothing is excluded yet).
+func nearestWithTies(noms []nominee, k int) ([]nominee, float64) {
+	if len(noms) <= k {
+		return noms, math.Inf(1)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Dist < cands[j].Dist })
-	kth := cands[k-1].Dist
+	sort.Slice(noms, func(i, j int) bool { return noms[i].dist < noms[j].dist })
+	kth := noms[k-1].dist
 	n := k
-	for n < len(cands) && cands[n].Dist == kth {
+	for n < len(noms) && noms[n].dist == kth {
 		n++
 	}
-	return cands[:n], kth
+	return noms[:n], kth
 }

@@ -13,14 +13,39 @@ import (
 	"spatialhadoop/internal/geomio"
 )
 
-// pointsBlock builds a sealed block over the points' text records, the way
-// a worker does from a replica frame.
-func pointsBlock(pts []geom.Point) *dfs.Block {
-	recs := make([]string, len(pts))
-	for i, p := range pts {
-		recs[i] = geomio.EncodePoint(p)
+// pointsBlocks builds the two blocks a worker can open over the same
+// points: a text block, as from a text frame, and a column block, as from
+// the frame of a block written through WritePoint.
+func pointsBlocks(t *testing.T, pts []geom.Point) map[string]*dfs.Block {
+	t.Helper()
+	recs := geomio.EncodePoints(pts)
+	blocks := map[string]*dfs.Block{"text": dfs.NewBlockFromRecords("p", recs)}
+	if len(pts) == 0 {
+		return blocks // a writer cuts no block for no records
 	}
-	return dfs.NewBlockFromRecords("p", recs)
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 30, DataNodes: 1})
+	w, err := fs.Create("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		w.WritePoint(r)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := dfs.EncodeBlockFrame(f.Blocks[0], false)
+	if payload, _ := dfs.UnsealShard(frame); payload[0] != dfs.FrameColumn {
+		t.Fatalf("a WritePoint block travels as %q, want a column", payload[0])
+	}
+	if blocks["column"], err = dfs.DecodeBlockFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	return blocks
 }
 
 // latticePoints draws n points from a coarse lattice, so duplicates, points
@@ -79,37 +104,39 @@ func TestScanProbeMatchesIndexProbeRange(t *testing.T) {
 		queries = append(queries, geom.NewRect(x, y, x+float64(rng.Intn(6)), y+float64(rng.Intn(6))))
 	}
 	for name, pts := range blocks {
-		b := pointsBlock(pts)
-		matched := 0
-		for _, q := range queries {
-			want, err := indexProbe{}.rangeIDs(b, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := scanProbe{}.rangeIDs(b, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sort.IntsAreSorted(want) || !sort.IntsAreSorted(got) {
-				t.Fatalf("%s, query %v: ids out of order: index %v, scan %v", name, q, want, got)
-			}
-			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, query %v: scan found ids %v, index %v", name, q, got, want)
-			}
-			// And both are right: the definition, spelled out.
-			n := 0
-			for _, p := range pts {
-				if p.X >= q.MinX && p.X <= q.MaxX && p.Y >= q.MinY && p.Y <= q.MaxY {
-					n++
+		for shape, b := range pointsBlocks(t, pts) {
+			name := name + ", " + shape + " block"
+			matched := 0
+			for _, q := range queries {
+				want, err := indexProbe{}.rangeIDs(b, q)
+				if err != nil {
+					t.Fatal(err)
 				}
+				got, err := scanProbe{}.rangeIDs(b, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sort.IntsAreSorted(want) || !sort.IntsAreSorted(got) {
+					t.Fatalf("%s, query %v: ids out of order: index %v, scan %v", name, q, want, got)
+				}
+				if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, query %v: scan found ids %v, index %v", name, q, got, want)
+				}
+				// And both are right: the definition, spelled out.
+				n := 0
+				for _, p := range pts {
+					if p.X >= q.MinX && p.X <= q.MaxX && p.Y >= q.MinY && p.Y <= q.MaxY {
+						n++
+					}
+				}
+				if n != len(want) {
+					t.Fatalf("%s, query %v: %d ids, %d points inside", name, q, len(want), n)
+				}
+				matched += n
 			}
-			if n != len(want) {
-				t.Fatalf("%s, query %v: %d ids, %d points inside", name, q, len(want), n)
+			if len(pts) > 0 && matched == 0 {
+				t.Fatalf("%s: no query matched anything; the case tests nothing", name)
 			}
-			matched += n
-		}
-		if len(pts) > 0 && matched == 0 {
-			t.Fatalf("%s: no query matched anything; the case tests nothing", name)
 		}
 	}
 }
@@ -167,36 +194,41 @@ func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
 	}
 	queries := []geom.Point{geom.Pt(10, 10), geom.Pt(7, 7), geom.Pt(0, 0), geom.Pt(7.5, 7.5), geom.Pt(-3, 40), geom.Pt(1e6, -1e6)}
 	for name, pts := range blocks {
-		b := pointsBlock(pts)
-		ks := []int{-1, 0, 1, 2, 3, 5, 8, 17, 63, 64, 65, len(pts) - 1, len(pts), len(pts) + 1, 10 * len(pts)}
-		for _, q := range queries {
-			// The definition: sort all distances; the k-th one is the cut.
-			all := make([]float64, len(pts))
-			for i, p := range pts {
-				all[i] = math.Hypot(p.X-q.X, p.Y-q.Y)
-			}
-			sort.Float64s(all)
-			for _, k := range ks {
-				want, err := indexProbe{}.nearest(b, q, k)
-				if err != nil {
-					t.Fatal(err)
+		shapes := pointsBlocks(t, pts)
+		for shape, b := range shapes {
+			name := name + ", " + shape + " block"
+			ks := []int{-1, 0, 1, 2, 3, 5, 8, 17, 63, 64, 65, len(pts) - 1, len(pts), len(pts) + 1, 10 * len(pts)}
+			for _, q := range queries {
+				// The definition: sort all distances; the k-th one is the cut.
+				all := make([]float64, len(pts))
+				for i, p := range pts {
+					all[i] = math.Hypot(p.X-q.X, p.Y-q.Y)
 				}
-				got, err := scanProbe{}.nearest(b, q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g, w := candidateSet(got), candidateSet(want); len(g) != len(w) || len(w) > 0 && !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s, q=%v k=%d: scan nominates %d, index %d:\n scan  %v\n index %v", name, q, k, len(g), len(w), g, w)
-				}
-				n := 0
-				if k > 0 && len(all) > 0 {
-					kth := all[min(k, len(all))-1]
-					for n < len(all) && all[n] <= kth {
-						n++
+				sort.Float64s(all)
+				for _, k := range ks {
+					// The reference is always the text block's index, so the
+					// column's records are held to the text's.
+					want, err := indexProbe{}.nearest(shapes["text"], q, k)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if len(got) != n {
-					t.Fatalf("%s, q=%v k=%d: %d nominations, want the %d at or inside the k-th distance", name, q, k, len(got), n)
+					got, err := scanProbe{}.nearest(b, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := candidateSet(got), candidateSet(want); len(g) != len(w) || len(w) > 0 && !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s, q=%v k=%d: scan nominates %d, index %d:\n scan  %v\n index %v", name, q, k, len(g), len(w), g, w)
+					}
+					n := 0
+					if k > 0 && len(all) > 0 {
+						kth := all[min(k, len(all))-1]
+						for n < len(all) && all[n] <= kth {
+							n++
+						}
+					}
+					if len(got) != n {
+						t.Fatalf("%s, q=%v k=%d: %d nominations, want the %d at or inside the k-th distance", name, q, k, len(got), n)
+					}
 				}
 			}
 		}

@@ -41,11 +41,13 @@ func rangePointsMap(query geom.Rect, probe blockProbe) mapreduce.MapFunc {
 				return err
 			}
 			ctx.Inc(CounterRangeBlocksScanned, 1)
-			recs := b.Records()
+			if len(ids) == 0 {
+				continue // a counter that never ticked stays out of the report
+			}
+			ctx.Inc(CounterRangeMatches, int64(len(ids)))
+			countPartitionMatches(ctx, split, int64(len(ids)))
 			for _, id := range ids {
-				ctx.Inc(CounterRangeMatches, 1)
-				countPartitionMatches(ctx, split, 1)
-				ctx.Write(recs[id])
+				ctx.Write(b.Record(id))
 			}
 		}
 		return nil
@@ -62,8 +64,10 @@ func knnMap(q geom.Point, k int, probe blockProbe) mapreduce.MapFunc {
 			if err != nil {
 				return err
 			}
+			if len(cands) > 0 {
+				countPartitionMatches(ctx, split, int64(len(cands)))
+			}
 			for _, c := range cands {
-				countPartitionMatches(ctx, split, 1)
 				ctx.Emit("k", encodeCandidate(c))
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/mapreduce"
 )
 
@@ -133,10 +134,7 @@ func (s *censusShards) FetchChunk(args mapreduce.FetchChunkArgs, reply *mapreduc
 // the peer sees one.
 func TestWorkerConnectionCensus(t *testing.T) {
 	records := []string{"a", "b", "c"}
-	block, err := mapreduce.EncodeBlockFrame(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	block := dfs.EncodeBlockFrame(dfs.NewBlockFromRecords("", records), false)
 	var pairs []mapreduce.Pair
 	for _, r := range records {
 		pairs = append(pairs, mapreduce.Pair{Key: "k", Value: r})

@@ -13,6 +13,7 @@ package worker
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/rpc"
 	"os"
@@ -405,11 +406,11 @@ func (w *Worker) assembleSplit(meta *mapreduce.WireSplitMeta) (*mapreduce.Split,
 	s := &mapreduce.Split{Partition: meta.Partition, MBR: meta.MBR, ContentMBR: meta.ContentMBR, Tag: meta.Tag}
 	var st readStats
 	for _, ref := range meta.Blocks {
-		records, local, err := w.readBlock(ref)
+		b, local, err := w.readBlock(ref)
 		if err != nil {
 			return nil, readStats{}, err
 		}
-		b := dfs.NewBlockFromRecords(ref.Partition, records)
+		b.Partition = ref.Partition
 		if ref.Extra {
 			s.Extra = append(s.Extra, b)
 		} else {
@@ -426,17 +427,15 @@ func (w *Worker) assembleSplit(meta *mapreduce.WireSplitMeta) (*mapreduce.Split,
 	return s, st, nil
 }
 
-// readBlock reads one block's records through the locality chain: own
-// replica file, peer holders, master. The bool result reports whether
-// the read was local. A block no rung can produce fails the read
-// transiently — the scheduler retries the attempt.
-func (w *Worker) readBlock(ref mapreduce.WireBlockRef) ([]string, bool, error) {
-	if frame, err := os.ReadFile(w.replicaPath(ref.ID)); err == nil {
-		if records, err := mapreduce.DecodeBlockFrame(frame); err == nil {
-			return records, true, nil
-		}
-		// A torn replica is not fatal — fall through to a remote copy.
+// readBlock opens one block through the locality chain: own replica
+// file, peer holders, master. The bool result reports whether the read
+// was local. A block no rung can produce fails the read transiently — the
+// scheduler retries the attempt.
+func (w *Worker) readBlock(ref mapreduce.WireBlockRef) (*dfs.Block, bool, error) {
+	if b, err := readReplica(w.replicaPath(ref.ID)); err == nil {
+		return b, true, nil
 	}
+	// A missing or torn replica is not fatal — fall through to a remote copy.
 	// The remote rungs in order: peer holders, then the master.
 	var err error
 	for _, addr := range append(slices.Clip(ref.Holders), w.cfg.Master) {
@@ -447,12 +446,37 @@ func (w *Worker) readBlock(ref mapreduce.WireBlockRef) ([]string, bool, error) {
 		if err = w.peers.Call(w.ctx, addr, mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &reply); err != nil {
 			continue
 		}
-		var records []string
-		if records, err = mapreduce.DecodeBlockFrame(reply.Frame); err == nil {
-			return records, false, nil
+		var b *dfs.Block
+		if b, err = dfs.DecodeBlockFrame(reply.Frame); err == nil {
+			return b, false, nil
 		}
 	}
 	return nil, false, fault.Transient(fmt.Errorf("worker: block %d unreadable on every rung: %w", ref.ID, err))
+}
+
+// replicaBufs recycles the buffers replica files are read into: a map
+// attempt reads every block of its split, and the block a frame opens as
+// keeps none of the frame's bytes.
+var replicaBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readReplica opens the block in one replica file.
+func readReplica(path string) (*dfs.Block, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf := replicaBufs.Get().(*[]byte)
+	defer replicaBufs.Put(buf)
+	*buf = slices.Grow((*buf)[:0], int(fi.Size()))[:fi.Size()]
+	if _, err := io.ReadFull(f, *buf); err != nil {
+		return nil, err
+	}
+	return dfs.DecodeBlockFrame(*buf)
 }
 
 // spillPath lays the spill directory out as job<J>/m<task>.a<attempt>.r<reducer>.
@@ -562,7 +586,7 @@ func (s *shardServer) FetchChunk(args mapreduce.FetchChunkArgs, reply *mapreduce
 // layer. The frame is verified before it is accepted: a replica store
 // never holds bytes it cannot later vouch for.
 func (s *shardServer) PushBlock(args mapreduce.PushBlockArgs, reply *mapreduce.PushBlockReply) error {
-	if _, err := mapreduce.DecodeBlockFrame(args.Frame); err != nil {
+	if _, err := dfs.DecodeBlockFrame(args.Frame); err != nil {
 		return err
 	}
 	return s.w.writeReplica(args.ID, args.Frame)
