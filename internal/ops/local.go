@@ -1,15 +1,15 @@
 package ops
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
-	"spatialhadoop/internal/rtree"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -21,7 +21,7 @@ import (
 // partitions (LocalPartition) supplied by a LocalSource instead of from
 // scheduled map tasks, searched in split order on the calling goroutine.
 
-// LocalPartition is one partition's records decoded and indexed in memory:
+// LocalPartition is one partition's records decoded and sorted in memory:
 // the unit the serving layer's memory tier pins, evicts, and invalidates.
 type LocalPartition struct {
 	// Key is the partition key (Cell.Key()).
@@ -30,8 +30,10 @@ type LocalPartition struct {
 	// order; Recs the corresponding record texts, index-aligned with Pts.
 	Pts  []geom.Point
 	Recs []string
-	// Tree indexes Pts; entry IDs are indices into Pts/Recs.
-	Tree *rtree.Tree
+	// Tree is the local index: Pts itself, probed as the sorted column it
+	// is; ids are indices into Pts/Recs. (The name is the one the frozen
+	// benchmark harness compiles against.)
+	Tree SortedPoints
 	// Frag holds every point's pre-encoded JSON object ({"x":..,"y":..},
 	// exactly as encoding/json renders it); point i's fragment is
 	// Frag[FragOff[i]:FragOff[i+1]]. Because Pts is sorted canonically,
@@ -41,64 +43,59 @@ type LocalPartition struct {
 	// has no JSON encoding (NaN/Inf); consumers must then fall back.
 	Frag    []byte
 	FragOff []int32
-	// Bytes estimates the pinned footprint for the memory tier's budget.
+	// Bytes is the pinned footprint the memory tier budgets by: what the
+	// slices above hold.
 	Bytes int64
 }
 
 // PinSplit decodes a split's blocks into a memory-resident partition:
-// points and records jointly sorted into canonical (X, then Y) order, an
-// R-tree over the sorted points, and per-point response fragments.
+// points and records jointly sorted into canonical (X, then Y) order — the
+// order is the local index — and per-point response fragments.
 func PinSplit(sp *mapreduce.Split) (*LocalPartition, error) {
-	var (
-		pts  []geom.Point
-		recs []string
-	)
+	type pair struct {
+		pt  geom.Point
+		rec string
+	}
+	var pairs []pair
 	for _, b := range sp.Blocks {
-		bp, err := b.Points()
+		pts, err := b.Points()
 		if err != nil {
 			return nil, err
 		}
-		pts = append(pts, bp...)
-		recs = append(recs, b.Records()...)
-	}
-	if len(pts) != len(recs) {
-		return nil, fmt.Errorf("ops: partition %q: %d points vs %d records", sp.Partition, len(pts), len(recs))
-	}
-	// Canonical order. The (pt, rec) pairing is preserved, so kNN's
-	// (dist, record) candidate comparator is unaffected; equal points may
-	// land in either order, which no consumer can observe.
-	perm := make([]int, len(pts))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		a, b := pts[perm[i]], pts[perm[j]]
-		if a.X != b.X {
-			return a.X < b.X
+		recs := b.Records()
+		if len(pts) != len(recs) {
+			return nil, fmt.Errorf("ops: partition %q: %d points vs %d records", sp.Partition, len(pts), len(recs))
 		}
-		return a.Y < b.Y
+		pairs = slices.Grow(pairs, len(pts))
+		for i, p := range pts {
+			pairs = append(pairs, pair{p, recs[i]})
+		}
+	}
+	// Canonical order, and a total one: cmp.Compare puts a NaN first where
+	// < would leave it unordered and break the probes' binary search. The
+	// (pt, rec) pairing is preserved, so kNN's (dist, record) candidate
+	// comparator is unaffected; equal points may land in either order,
+	// which no consumer can observe.
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(a.pt.X, b.pt.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pt.Y, b.pt.Y)
 	})
-	sortedPts := make([]geom.Point, len(pts))
-	sortedRecs := make([]string, len(recs))
-	for i, p := range perm {
-		sortedPts[i] = pts[p]
-		sortedRecs[i] = recs[p]
-	}
-	pts, recs = sortedPts, sortedRecs
-
-	frag, off := buildFragments(pts)
+	pts, recs := make([]geom.Point, len(pairs)), make([]string, len(pairs))
 	var bytes int64
-	for _, r := range recs {
-		bytes += int64(len(r))
+	for i, p := range pairs {
+		pts[i], recs[i] = p.pt, p.rec
+		bytes += int64(len(p.rec))
 	}
-	// Points (2 floats), record headers, ~3 words per tree entry, and the
-	// fragment arena.
-	bytes += int64(len(pts))*(16+16+48) + int64(len(frag)) + int64(4*len(off))
+	frag, off := buildFragments(pts)
+	// Points (2 floats), record headers, and the fragment arena.
+	bytes += int64(len(pts))*(16+16) + int64(cap(frag)) + int64(4*len(off))
 	return &LocalPartition{
 		Key:     sp.Partition,
 		Pts:     pts,
 		Recs:    recs,
-		Tree:    rtree.BulkPoints(pts, rtree.DefaultFanout),
+		Tree:    pts,
 		Frag:    frag,
 		FragOff: off,
 		Bytes:   bytes,
@@ -163,10 +160,11 @@ func localIndexed(sys *core.System, file string) (*Indexed, error) {
 }
 
 // LocalMatch is one partition's contribution to a range query: the pinned
-// partition plus the matched entry IDs in ascending order. Because pinned
-// points are canonically sorted, ascending IDs mean each partition's
-// matches stream out already in (X, then Y) order — a response is a k-way
-// merge of these streams, no global sort.
+// partition plus the matched entry IDs, ascending as the slab scan finds
+// them and allocated once, to fit. Because pinned points are canonically
+// sorted, ascending IDs mean each partition's matches stream out already
+// in (X, then Y) order — a response is a k-way merge of these streams, no
+// sort anywhere.
 type LocalMatch struct {
 	Part *LocalPartition
 	IDs  []int
@@ -199,7 +197,7 @@ func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, f *Indexed, src
 		if err != nil {
 			return nil, nil, err
 		}
-		ids := partitionRangeIDs(part, query, nil)
+		ids := part.Tree.Search(query, nil)
 		plan.Searched(sp, len(part.Recs), len(ids))
 		if len(ids) > 0 {
 			out = append(out, LocalMatch{Part: part, IDs: ids})

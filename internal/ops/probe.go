@@ -1,7 +1,9 @@
 package ops
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"spatialhadoop/internal/dfs"
@@ -11,10 +13,11 @@ import (
 // blockProbe answers the query jobs' two per-block questions. It has
 // exactly two implementations, chosen by whether the block outlives the
 // probe: a local index is used where it persists — the master's blocks
-// keep theirs (indexProbe), as the serving tier's pinned partitions do —
-// and a one-shot read scans (scanProbe): a worker's block is decoded for
-// one map attempt and dropped, so a tree bulk-loaded over it would be
-// probed once and thrown away. Both sides define their answer without
+// keep theirs (indexProbe) — and a one-shot read scans (scanProbe): a
+// worker's block is decoded for one map attempt and dropped, so a tree
+// bulk-loaded over it would be probed once and thrown away. (A pinned
+// partition is neither: it is held sorted and probed as SortedPoints, with
+// scanProbe's tie rule.) Both sides define their answer without
 // reference to how it was found, which is what keeps raw job output
 // byte-identical across engines.
 type blockProbe interface {
@@ -75,25 +78,12 @@ func (scanProbe) nearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, err
 	if err != nil || k <= 0 {
 		return nil, err
 	}
-	// Nominees at or inside the running k-th distance collect in noms, by
-	// id; whenever twice the useful number has piled up they are cut back
-	// to the k nearest plus ties, which tightens the bound for the rest.
-	// Only the survivors' records are ever asked for.
-	bound := math.Inf(1)
-	limit := 2 * min(k, len(pts))
-	var noms []nominee
+	c := newNominees(k, len(pts))
 	for i, p := range pts {
-		// The index ranks a point entry by this same expression.
-		d := (geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}).MinDistPoint(q)
-		if d <= bound {
-			noms = append(noms, nominee{dist: d, id: i})
-			if len(noms) > limit {
-				noms, bound = nearestWithTies(noms, k)
-				limit = max(limit, 2*len(noms)) // a large tie group must not re-sort per point
-			}
-		}
+		c.offer(p, q, i)
 	}
-	noms, _ = nearestWithTies(noms, k)
+	// Only the survivors' records are ever asked for.
+	noms := c.nearestWithTies()
 	cands := make([]KNNCandidate, len(noms))
 	for i, n := range noms {
 		cands[i] = KNNCandidate{Dist: n.dist, Rec: b.Record(n.id)}
@@ -107,18 +97,50 @@ type nominee struct {
 	id   int
 }
 
-// nearestWithTies cuts noms down to the k nearest plus every nominee tied
-// with the k-th, and returns that k-th distance (+Inf while fewer than k
-// are known, so nothing is excluded yet).
-func nearestWithTies(noms []nominee, k int) ([]nominee, float64) {
-	if len(noms) <= k {
-		return noms, math.Inf(1)
+// nominees is the one tie rule of every probe that scans points: those
+// offered at or inside the running k-th distance collect by id, and
+// whenever twice the useful number has piled up they are cut back to the k
+// nearest plus ties, which tightens bound for the rest.
+type nominees struct {
+	k, limit int
+	bound    float64 // the running k-th distance; +Inf until k are known
+	noms     []nominee
+}
+
+func newNominees(k, n int) nominees {
+	limit := 2 * min(k, n)
+	return nominees{k: k, limit: limit, bound: math.Inf(1), noms: make([]nominee, 0, limit+1)}
+}
+
+// offer nominates p, the scanned point with this id, for the k nearest to q.
+func (c *nominees) offer(p, q geom.Point, id int) {
+	if math.Abs(p.Y-q.Y) > c.bound {
+		return // the distance is no less: spare the hypotenuse
 	}
-	sort.Slice(noms, func(i, j int) bool { return noms[i].dist < noms[j].dist })
-	kth := noms[k-1].dist
-	n := k
-	for n < len(noms) && noms[n].dist == kth {
-		n++
+	// The index ranks a point entry by this same expression.
+	d := (geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}).MinDistPoint(q)
+	if d <= c.bound {
+		c.noms = append(c.noms, nominee{dist: d, id: id})
+		if len(c.noms) > c.limit {
+			c.nearestWithTies()
+			c.limit = max(c.limit, 2*len(c.noms)) // a large tie group must not re-sort per point
+		}
 	}
-	return noms[:n], kth
+}
+
+// nearestWithTies cuts the nominees down to the k nearest plus every one
+// tied with the k-th, whose distance becomes the bound (it stays +Inf while
+// fewer than k are known, so nothing is excluded yet), and returns them, in
+// no particular order.
+func (c *nominees) nearestWithTies() []nominee {
+	if len(c.noms) > c.k {
+		slices.SortFunc(c.noms, func(a, b nominee) int { return cmp.Compare(a.dist, b.dist) })
+		c.bound = c.noms[c.k-1].dist
+		n := c.k
+		for n < len(c.noms) && c.noms[n].dist == c.bound {
+			n++
+		}
+		c.noms = c.noms[:n]
+	}
+	return c.noms
 }

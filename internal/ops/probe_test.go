@@ -48,6 +48,26 @@ func pointsBlocks(t *testing.T, pts []geom.Point) map[string]*dfs.Block {
 	return blocks
 }
 
+// ringPoints returns 64 points all at distance 5 from (10,10), in four
+// octant images: exact ties, whichever rank k falls on.
+func ringPoints() []geom.Point {
+	ring := make([]geom.Point, 64)
+	for i := range ring {
+		dx, dy := 3.0, 4.0
+		if i&1 != 0 {
+			dx, dy = dy, dx
+		}
+		if i&2 != 0 {
+			dx = -dx
+		}
+		if i&4 != 0 {
+			dy = -dy
+		}
+		ring[i] = geom.Point{X: 10 + dx, Y: 10 + dy}
+	}
+	return ring
+}
+
 // latticePoints draws n points from a coarse lattice, so duplicates, points
 // on a query edge and exactly tied distances are the rule, not a fluke.
 func latticePoints(rng *rand.Rand, n, side int) []geom.Point {
@@ -159,20 +179,7 @@ func candidateSet(cands []KNNCandidate) []string {
 // straddling k and with every point equidistant.
 func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ring := make([]geom.Point, 64) // all at distance 5 from (10,10), in four octant images
-	for i := range ring {
-		dx, dy := 3.0, 4.0
-		if i&1 != 0 {
-			dx, dy = dy, dx
-		}
-		if i&2 != 0 {
-			dx = -dx
-		}
-		if i&4 != 0 {
-			dy = -dy
-		}
-		ring[i] = geom.Point{X: 10 + dx, Y: 10 + dy}
-	}
+	ring := ringPoints()
 	uniform := make([]geom.Point, 900)
 	for i := range uniform {
 		uniform[i] = geom.Point{X: rng.Float64()*2e6 - 1e6, Y: rng.Float64()*2e6 - 1e6}

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"slices"
 	"sync"
 
 	"spatialhadoop/internal/geom"
@@ -12,15 +11,6 @@ import (
 // one pinned partition, wherever it is pinned — on the request goroutine
 // (local engine), on a worker holding a replica, or on the master at the
 // bottom of the sharded engine's fallback ladder.
-
-// partitionRangeIDs appends to buf the entry IDs of the partition's points
-// inside query, ascending. Pinned points are canonically sorted, so
-// ascending IDs stream out in (X, then Y) order.
-func partitionRangeIDs(part *LocalPartition, query geom.Rect, buf []int) []int {
-	ids := part.Tree.Search(query, buf)
-	slices.Sort(ids)
-	return ids
-}
 
 // RangeFragment is one partition's sorted match stream — merge keys plus
 // the points' JSON objects; it is the wire type.
@@ -39,7 +29,7 @@ var idScratch = sync.Pool{New: func() any { return new([]int) }}
 func PartitionRangePoints(part *LocalPartition, query geom.Rect) (out RangeFragment, err error) {
 	out.Records = int64(len(part.Recs))
 	scratch := idScratch.Get().(*[]int)
-	ids := partitionRangeIDs(part, query, (*scratch)[:0])
+	ids := part.Tree.Search(query, (*scratch)[:0])
 	if len(ids) > 0 {
 		size := 48 * len(ids)
 		if part.Frag != nil {
@@ -68,13 +58,13 @@ func PartitionRangePoints(part *LocalPartition, query geom.Rect) (out RangeFragm
 }
 
 // PartitionKNNCandidates returns the partition's k nearest candidates for
-// q: tie-complete from the R-tree (NearestWithTies), then canonically
-// sorted and truncated to k.
+// q: tie-complete from the expanding slab (NearestWithTies), then
+// canonically sorted and truncated to k.
 func PartitionKNNCandidates(part *LocalPartition, q geom.Point, k int) []KNNCandidate {
-	nbs := part.Tree.NearestWithTies(q, k)
-	out := make([]KNNCandidate, len(nbs))
-	for i, nb := range nbs {
-		out[i] = KNNCandidate{Dist: nb.Dist, Rec: part.Recs[nb.Entry.ID]}
+	noms := part.Tree.NearestWithTies(q, k)
+	out := make([]KNNCandidate, len(noms))
+	for i, n := range noms {
+		out[i] = KNNCandidate{Dist: n.dist, Rec: part.Recs[n.id]}
 	}
 	return sortCandidates(out, k)
 }

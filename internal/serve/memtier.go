@@ -15,7 +15,8 @@ import (
 )
 
 // MemTier is the serving layer's memory-resident read tier: partitions
-// pinned as decoded points + per-partition R-trees (ops.LocalPartition),
+// pinned as decoded points in sorted order, which is their index
+// (ops.LocalPartition),
 // under a byte budget with LRU eviction, plus one handle per file — the
 // newest generation's opened index, splits and spatial bitmap filter
 // (tierSource), resolved once instead of per request. Everything is keyed

@@ -13,7 +13,7 @@ import (
 // partition into its memory tier — assembled from its own replica store,
 // peer holders, or the master, exactly like a map task's input — and
 // runs the query plan's per-partition step (ops/shard.go) against the
-// pinned R-tree. The step's result is the wire reply, unconverted: a
+// pinned partition's sorted points. The step's result is the wire reply, unconverted: a
 // range fragment ships as a finished piece of the response body (the
 // matches' pin-time JSON objects plus their merge keys), a kNN fragment as
 // (dist, record) candidates; the master only merges.
