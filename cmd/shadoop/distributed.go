@@ -15,7 +15,7 @@ import (
 
 // This file wires the distributed runtime into the CLI: "shadoop worker"
 // runs a worker process, and the -master-listen flag family turns the
-// batch driver (or "shadoop serve") into a master that executes eligible
+// batch driver (or "shadoop serve") into a master that executes
 // jobs on registered workers instead of in process.
 
 // masterFlags bundles the master-runtime flags shared by the batch driver
@@ -34,7 +34,7 @@ type masterFlags struct {
 // registerMasterFlags adds the -master-* flags to fs.
 func registerMasterFlags(fs *flag.FlagSet) *masterFlags {
 	return &masterFlags{
-		listen:      fs.String("master-listen", "", "start a master runtime on this address (e.g. 127.0.0.1:7070); eligible jobs run on registered workers"),
+		listen:      fs.String("master-listen", "", "start a master runtime on this address (e.g. 127.0.0.1:7070); jobs run on registered workers"),
 		minWorkers:  fs.Int("min-workers", 0, "wait for this many live workers before running (requires -master-listen)"),
 		workersWait: fs.Duration("workers-wait", 30*time.Second, "how long to wait for -min-workers"),
 		heartbeat:   fs.Duration("heartbeat", 100*time.Millisecond, "worker heartbeat interval"),

@@ -73,15 +73,9 @@ func main() {
 		input     = flag.String("input", "", "points file from datagen (generated when empty)")
 		polygons  = flag.String("polygons", "", "polygon file for union/join")
 		polygons2 = flag.String("polygons2", "", "second polygon file for join")
-		dist      = flag.String("dist", "clustered", "distribution for generated points")
-		n         = flag.Int("n", 200000, "generated dataset size")
-		indexName = flag.String("index", "str+", "grid|str|str+|quadtree|kdtree|zcurve|hilbert|heap")
-		workers   = flag.Int("workers", 25, "simulated cluster size")
-		blockSize = flag.Int64("blocksize", 256<<10, "block size in bytes")
 		rectStr   = flag.String("rect", "", "range query rectangle minx,miny,maxx,maxy")
 		pointStr  = flag.String("point", "", "kNN query point x,y")
 		k         = flag.Int("k", 10, "kNN k")
-		seed      = flag.Int64("seed", 1, "seed for generated data")
 		out       = flag.String("out", "", "output file for -op plot (default plot.png)")
 		traceFile = flag.String("trace", "", "write the job trace as Chrome trace_event JSON to this file")
 		traceJSL  = flag.String("tracejsonl", "", "write the job trace as JSONL spans to this file")
@@ -89,17 +83,18 @@ func main() {
 		chaosEv   = flag.String("chaos-events", "", "write the injected fault events as JSONL to this file")
 	)
 	chaosPlan := fault.PlanFlags(flag.CommandLine)
+	df := registerDatasetFlags(flag.CommandLine)
 	mf := registerMasterFlags(flag.CommandLine)
 	flag.Parse()
 
-	sys := core.New(core.Config{Workers: *workers, BlockSize: *blockSize, Seed: *seed, Fault: chaosPlan()})
+	sys := df.system(chaosPlan())
 
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "shadoop:", err)
 		os.Exit(1)
 	}
 
-	// -master-listen turns this driver into a master: eligible jobs run on
+	// -master-listen turns this driver into a master: jobs run on
 	// registered worker processes instead of in-process goroutines.
 	master, err := mf.start(sys)
 	if err != nil {
@@ -146,17 +141,17 @@ func main() {
 		"voronoi": true, "delaunay": true, "ann": true, "plot": true,
 	}
 	if needsPoints[*op] {
-		pts, err := loadOrGeneratePoints(*input, *dist, *n, *seed)
+		pts, err := loadOrGeneratePoints(*input, *df.dist, *df.n, *df.seed)
 		if err != nil {
 			fatal(err)
 		}
-		if *indexName == "heap" {
+		if *df.index == "heap" {
 			if err := sys.LoadPointsHeap("pts", pts); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("loaded %d points as a heap file\n", len(pts))
 		} else {
-			tech, err := sindex.ParseTechnique(*indexName)
+			tech, err := sindex.ParseTechnique(*df.index)
 			if err != nil {
 				fatal(err)
 			}
@@ -266,11 +261,11 @@ func main() {
 		fmt.Printf("  pruning: %d sites in, %d carried after local, %d after V-merge\n",
 			stats.Sites, stats.CarriedAfterLocal, stats.CarriedAfterVMerge)
 	case "union", "union-enhanced":
-		regs, err := loadPolygonFile(*polygons, *n, *seed)
+		regs, err := loadPolygonFile(*polygons, *df.n, *df.seed)
 		if err != nil {
 			fatal(err)
 		}
-		tech, err := sindex.ParseTechnique(orDefault(*indexName, "grid"))
+		tech, err := sindex.ParseTechnique(orDefault(*df.index, "grid"))
 		if err != nil {
 			fatal(err)
 		}
@@ -293,15 +288,15 @@ func main() {
 			report(fmt.Sprintf("union -> %d rings", len(region.Rings)), rep, time.Since(start))
 		}
 	case "join":
-		a, err := loadPolygonFile(*polygons, *n, *seed)
+		a, err := loadPolygonFile(*polygons, *df.n, *df.seed)
 		if err != nil {
 			fatal(err)
 		}
-		b, err := loadPolygonFile(*polygons2, *n/2, *seed+1)
+		b, err := loadPolygonFile(*polygons2, *df.n/2, *df.seed+1)
 		if err != nil {
 			fatal(err)
 		}
-		tech, err := sindex.ParseTechnique(orDefault(*indexName, "str+"))
+		tech, err := sindex.ParseTechnique(orDefault(*df.index, "str+"))
 		if err != nil {
 			fatal(err)
 		}
@@ -369,6 +364,34 @@ func printSystemMetrics(w io.Writer, sys *core.System) {
 	for _, n := range hists {
 		fmt.Fprintf(w, "  %-28s %s\n", n, snap.Histograms[n])
 	}
+}
+
+// datasetFlags bundles the dataset and cluster-size flags shared by the
+// batch driver and the serve subcommand.
+type datasetFlags struct {
+	n         *int
+	dist      *string
+	index     *string
+	workers   *int
+	blockSize *int64
+	seed      *int64
+}
+
+// registerDatasetFlags adds the dataset flags to fs.
+func registerDatasetFlags(fs *flag.FlagSet) *datasetFlags {
+	return &datasetFlags{
+		n:         fs.Int("n", 200000, "generated dataset size"),
+		dist:      fs.String("dist", "clustered", "distribution for generated points"),
+		index:     fs.String("index", "str+", "grid|str|str+|quadtree|kdtree|zcurve|hilbert (heap: batch driver only)"),
+		workers:   fs.Int("workers", 25, "simulated cluster size"),
+		blockSize: fs.Int64("blocksize", 256<<10, "block size in bytes"),
+		seed:      fs.Int64("seed", 1, "seed for generated data"),
+	}
+}
+
+// system builds the System the flags describe.
+func (df *datasetFlags) system(plan fault.Plan) *core.System {
+	return core.New(core.Config{Workers: *df.workers, BlockSize: *df.blockSize, Seed: *df.seed, Fault: plan})
 }
 
 // loadOrGeneratePoints reads "x,y" lines from path, or generates points.

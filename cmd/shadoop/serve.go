@@ -13,8 +13,8 @@ import (
 	"syscall"
 	"time"
 
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/fault"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/serve"
 	"spatialhadoop/internal/sindex"
@@ -40,12 +40,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
 		addr        = fs.String("addr", ":8080", "HTTP listen address")
-		n           = fs.Int("n", 200000, "generated dataset size")
-		dist        = fs.String("dist", "clustered", "distribution for generated points")
-		indexName   = fs.String("index", "str+", "grid|str|str+|quadtree|kdtree|zcurve|hilbert")
-		workers     = fs.Int("workers", 25, "simulated cluster size")
-		blockSize   = fs.Int64("blocksize", 256<<10, "block size in bytes")
-		seed        = fs.Int64("seed", 1, "seed for generated data")
 		cacheSize   = fs.Int("cache", 256, "result cache entries (negative disables)")
 		maxInFlight = fs.Int("max-inflight", 4, "jobs executing concurrently")
 		queueDepth  = fs.Int("queue", 64, "jobs that may wait for a run slot")
@@ -56,6 +50,7 @@ func runServe(args []string) error {
 		accessLog   = fs.String("accesslog", "", "append one JSON line per request to this file (- for stdout)")
 		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off when empty")
 	)
+	df := registerDatasetFlags(fs)
 	mf := registerMasterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,7 +59,7 @@ func runServe(args []string) error {
 		return fmt.Errorf("serve: unknown engine %q (want auto, local, mapreduce or sharded)", *planner)
 	}
 
-	sys := core.New(core.Config{Workers: *workers, BlockSize: *blockSize, Seed: *seed})
+	sys := df.system(fault.Plan{})
 
 	// -master-listen lets the query server execute MapReduce-planned
 	// queries on registered worker processes; its shadoop_mr_* metric
@@ -79,15 +74,15 @@ func runServe(args []string) error {
 		defer mf.finish(master)
 	}
 
-	d, err := datagen.ParseDistribution(*dist)
+	d, err := datagen.ParseDistribution(*df.dist)
 	if err != nil {
 		return err
 	}
-	tech, err := sindex.ParseTechnique(*indexName)
+	tech, err := sindex.ParseTechnique(*df.index)
 	if err != nil {
 		return err
 	}
-	pts := datagen.Points(d, *n, datagen.DefaultArea, *seed)
+	pts := datagen.Points(d, *df.n, datagen.DefaultArea, *df.seed)
 	start := time.Now()
 	f, err := sys.LoadPoints("pts", pts, tech)
 	if err != nil {
@@ -103,10 +98,10 @@ func runServe(args []string) error {
 		}
 		return out
 	}
-	if _, err := sys.LoadRegions("a", toRegions(datagen.Tessellation(8, 8, datagen.DefaultArea, *seed+1)), tech); err != nil {
+	if _, err := sys.LoadRegions("a", toRegions(datagen.Tessellation(8, 8, datagen.DefaultArea, *df.seed+1)), tech); err != nil {
 		return err
 	}
-	if _, err := sys.LoadRegions("b", toRegions(datagen.Tessellation(7, 7, datagen.DefaultArea, *seed+2)), tech); err != nil {
+	if _, err := sys.LoadRegions("b", toRegions(datagen.Tessellation(7, 7, datagen.DefaultArea, *df.seed+2)), tech); err != nil {
 		return err
 	}
 

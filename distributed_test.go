@@ -10,11 +10,14 @@
 package spatialhadoop_test
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
@@ -30,8 +33,8 @@ import (
 )
 
 // TestMain reroutes the re-executed test binary into worker mode. The
-// ops package is imported above, so the worker process has the job kinds
-// (range-points, knn, spatial-join) registered.
+// package's tests import ops and cg, so the worker process has every job
+// kind registered.
 func TestMain(m *testing.M) {
 	if os.Getenv("SHADOOP_WORKER_MAIN") == "1" {
 		w, err := worker.Start(worker.Config{
@@ -581,5 +584,81 @@ func TestDistributedHeapRangeAndTiedKNN(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.knnCounters, want.knnCounters) {
 		t.Fatalf("kNN counters diverged:\n distributed: %v\n in-process:  %v", got.knnCounters, want.knnCounters)
+	}
+}
+
+// TestDistributedBinary drives the real cmd/shadoop binary: a
+// reduce-bearing operation whose map needs broadcast Conf (-op
+// hull-enhanced ships every partition's content MBR) runs under
+// -master-listen on two `shadoop worker` processes and must print what the
+// same command prints in process, with the metrics summary showing that
+// tasks really were dispatched.
+func TestDistributedBinary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-process e2e is not -short")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "shadoop")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/shadoop").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/shadoop: %v\n%s", err, out)
+	}
+	opArgs := []string{"-op", "hull-enhanced", "-n", "20000", "-index", "str+", "-metrics"}
+	// resultLine is the driver's one-line answer with its wall time cut out.
+	resultLine := func(out []byte) string {
+		m := regexp.MustCompile(`(?m)^(enhanced convex hull -> \d+ vertices): \S+ wall(;.*)$`).FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("no result line in:\n%s", out)
+		}
+		return string(m[1]) + string(m[2])
+	}
+	want, err := exec.Command(bin, opArgs...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("in-process run: %v\n%s", err, want)
+	}
+	if regexp.MustCompile(`mr\.tasks\.dispatched`).Match(want) {
+		t.Fatalf("the in-process run reports dispatched tasks:\n%s", want)
+	}
+
+	// A free port for the master: the workers must be told it up front.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	driver := exec.Command(bin, append(opArgs, "-master-listen", addr, "-min-workers", "2", "-workers-wait", "30s", "-replication", "2")...)
+	var got bytes.Buffer
+	driver.Stdout, driver.Stderr = &got, &got
+	if err := driver.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer driver.Process.Kill()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if c, err := net.Dial("tcp", addr); err == nil {
+			c.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the master never listened on %s:\n%s", addr, got.Bytes())
+		}
+	}
+	for i := 0; i < 2; i++ {
+		w := exec.Command(bin, "worker", "-master", addr, "-dir", filepath.Join(dir, fmt.Sprint("spill-", i)))
+		w.Stderr = os.Stderr
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Wait()
+		defer w.Process.Kill()
+	}
+	if err := driver.Wait(); err != nil {
+		t.Fatalf("distributed run: %v\n%s", err, got.Bytes())
+	}
+	if g, w := resultLine(got.Bytes()), resultLine(want); g != w {
+		t.Errorf("distributed run printed\n  %s\nin-process run printed\n  %s", g, w)
+	}
+	m := regexp.MustCompile(`mr\.tasks\.dispatched\s+(\d+)`).FindSubmatch(got.Bytes())
+	if m == nil || string(m[1]) == "0" {
+		t.Errorf("the metrics summary shows no dispatched task; the job ran in process:\n%s", got.Bytes())
 	}
 }

@@ -83,69 +83,8 @@ func DelaunaySHadoop(sys *core.System, file string) ([]Triangle, *mapreduce.Repo
 	out := file + ".delaunay.out"
 	job := &mapreduce.Job{
 		Name:   "delaunay",
+		Kind:   "delaunay",
 		Splits: f.Splits(),
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			if len(pts) == 0 {
-				return nil
-			}
-			vd := voronoi.New(pts)
-			safe, _ := vd.SafeSitesFrontier(split.MBR)
-			for _, t := range vd.Triangles() {
-				if safe[t[0]] && safe[t[1]] && safe[t[2]] {
-					ctx.Write(encodeTriangle(canonicalTriangle(
-						vd.Site(t[0]), vd.Site(t[1]), vd.Site(t[2]))))
-					ctx.Inc(CounterFlushedEarly, 1)
-				}
-			}
-			n := emitCarried(vd, safe, make([]bool, len(safe)), func(sup bool, site geom.Point) {
-				prefix := vdCarryN
-				if sup {
-					prefix = vdCarryS
-				}
-				ctx.Emit("1", prefix+geomio.EncodePoint(site))
-			})
-			ctx.Inc(CounterIntermediatePoints, int64(n))
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			var sites []geom.Point
-			var carriedN []bool
-			for _, v := range values {
-				switch {
-				case strings.HasPrefix(v, vdCarryN):
-					p, err := geomio.DecodePoint(strings.TrimPrefix(v, vdCarryN))
-					if err != nil {
-						return err
-					}
-					sites = append(sites, p)
-					carriedN = append(carriedN, true)
-				case strings.HasPrefix(v, vdCarryS):
-					p, err := geomio.DecodePoint(strings.TrimPrefix(v, vdCarryS))
-					if err != nil {
-						return err
-					}
-					sites = append(sites, p)
-					carriedN = append(carriedN, false)
-				default:
-					return fmt.Errorf("cg: bad carried delaunay record %q", v)
-				}
-			}
-			if len(sites) < 3 {
-				return nil
-			}
-			vd := voronoi.New(sites)
-			for _, t := range vd.Triangles() {
-				if carriedN[t[0]] || carriedN[t[1]] || carriedN[t[2]] {
-					ctx.Write(encodeTriangle(canonicalTriangle(
-						vd.Site(t[0]), vd.Site(t[1]), vd.Site(t[2]))))
-				}
-			}
-			return nil
-		},
 		Output: out,
 	}
 	rep, err := sys.Cluster().Run(job)
@@ -165,4 +104,48 @@ func DelaunaySHadoop(sys *core.System, file string) ([]Triangle, *mapreduce.Repo
 		tris = append(tris, t)
 	}
 	return tris, rep, nil
+}
+
+// delaunayMap flushes the partition's all-safe triangles and carries the
+// non-safe sites with their neighbours.
+func delaunayMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	pts, err := split.Points()
+	if err != nil {
+		return err
+	}
+	if len(pts) == 0 {
+		return nil
+	}
+	vd := voronoi.New(pts)
+	safe, _ := vd.SafeSitesFrontier(split.MBR)
+	for _, t := range vd.Triangles() {
+		if safe[t[0]] && safe[t[1]] && safe[t[2]] {
+			ctx.Write(encodeTriangle(canonicalTriangle(
+				vd.Site(t[0]), vd.Site(t[1]), vd.Site(t[2]))))
+			ctx.Inc(CounterFlushedEarly, 1)
+		}
+	}
+	n := emitCarried(vd, safe, make([]bool, len(safe)), func(rec string) { ctx.Emit("1", rec) })
+	ctx.Inc(CounterIntermediatePoints, int64(n))
+	return nil
+}
+
+// delaunayReduce triangulates the carried sites and emits the triangles
+// with a non-safe vertex.
+func delaunayReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	sites, support, err := decodeCarried(values)
+	if err != nil {
+		return err
+	}
+	if len(sites) < 3 {
+		return nil
+	}
+	vd := voronoi.New(sites)
+	for _, t := range vd.Triangles() {
+		if !support[t[0]] || !support[t[1]] || !support[t[2]] {
+			ctx.Write(encodeTriangle(canonicalTriangle(
+				vd.Site(t[0]), vd.Site(t[1]), vd.Site(t[2]))))
+		}
+	}
+	return nil
 }

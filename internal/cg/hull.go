@@ -62,48 +62,6 @@ func skylineFilterQuad(splits []*mapreduce.Split, quad geom.Quadrant) []*mapredu
 	return selected
 }
 
-// hullJob is the shared Hadoop/SpatialHadoop convex hull job (Algorithm 5):
-// local hulls in map/combine, the global hull in one reducer.
-func hullJob(name string, splits []*mapreduce.Split, filter mapreduce.FilterFunc, out string) *mapreduce.Job {
-	return &mapreduce.Job{
-		Name:   name,
-		Splits: splits,
-		Filter: filter,
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.ConvexHull(pts) {
-				ctx.Emit("1", geomio.EncodePoint(p))
-				ctx.Inc(CounterIntermediatePoints, 1)
-			}
-			return nil
-		},
-		Combine: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			pts, err := geomio.DecodePoints(values)
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.ConvexHull(pts) {
-				ctx.Emit(key, geomio.EncodePoint(p))
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			pts, err := geomio.DecodePoints(values)
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.ConvexHull(pts) {
-				ctx.Write(geomio.EncodePoint(p))
-			}
-			return nil
-		},
-		Output: out,
-	}
-}
-
 // ConvexHullHadoop computes the hull of a heap points file (paper §7.1).
 func ConvexHullHadoop(sys *core.System, file string) ([]geom.Point, *mapreduce.Report, error) {
 	return runHull(sys, file, nil)
@@ -121,7 +79,9 @@ func runHull(sys *core.System, file string, filter mapreduce.FilterFunc) ([]geom
 		return nil, nil, err
 	}
 	out := file + ".hull.out"
-	rep, err := sys.Cluster().Run(hullJob("convexhull", f.Splits(), filter, out))
+	rep, err := sys.Cluster().Run(&mapreduce.Job{
+		Name: "convexhull", Kind: "convexhull", Splits: f.Splits(), Filter: filter, Output: out,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -265,49 +225,9 @@ func ConvexHullEnhanced(sys *core.System, file string) ([]geom.Point, *mapreduce
 	out := file + ".hull-enh.out"
 	job := &mapreduce.Job{
 		Name:   "convexhull-enhanced",
+		Kind:   "convexhull-enhanced",
 		Splits: splits,
-		Conf:   map[string]string{"mbrs": strings.Join(mbrs, ";"), "self": ""},
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			boxes, err := decodeRects(ctx.Config("mbrs"))
-			if err != nil {
-				return err
-			}
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			hull := geom.ConvexHull(pts)
-			self := contentOf(split)
-			for i, t := range hull {
-				arcs := make([]arc, 0, len(boxes)+1)
-				if a, ok := ownBlockedArc(hull, i); ok {
-					arcs = append(arcs, a)
-				}
-				for _, b := range boxes {
-					if b.IsEmpty() || b == self {
-						continue
-					}
-					if a, ok := boxAheadArc(t, b); ok {
-						arcs = append(arcs, a)
-					}
-				}
-				if !arcsCoverCircle(arcs) {
-					ctx.Emit("1", geomio.EncodePoint(t))
-					ctx.Inc(CounterIntermediatePoints, 1)
-				}
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			pts, err := geomio.DecodePoints(values)
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.ConvexHull(pts) {
-				ctx.Write(geomio.EncodePoint(p))
-			}
-			return nil
-		},
+		Conf:   map[string]string{confMBRs: strings.Join(mbrs, ";")},
 		Output: out,
 	}
 	rep, err := sys.Cluster().Run(job)
@@ -319,6 +239,38 @@ func ConvexHullEnhanced(sys *core.System, file string) ([]geom.Point, *mapreduce
 		return nil, nil, err
 	}
 	return geom.ConvexHull(pts), rep, nil
+}
+
+// hullEnhancedMap is the enhanced hull's map body: boxes are every
+// partition's content MBR, the split's own among them.
+func hullEnhancedMap(boxes []geom.Rect) mapreduce.MapFunc {
+	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+		pts, err := split.Points()
+		if err != nil {
+			return err
+		}
+		hull := geom.ConvexHull(pts)
+		self := contentOf(split)
+		for i, t := range hull {
+			arcs := make([]arc, 0, len(boxes)+1)
+			if a, ok := ownBlockedArc(hull, i); ok {
+				arcs = append(arcs, a)
+			}
+			for _, b := range boxes {
+				if b.IsEmpty() || b == self {
+					continue
+				}
+				if a, ok := boxAheadArc(t, b); ok {
+					arcs = append(arcs, a)
+				}
+			}
+			if !arcsCoverCircle(arcs) {
+				ctx.Emit("1", geomio.EncodePoint(t))
+				ctx.Inc(CounterIntermediatePoints, 1)
+			}
+		}
+		return nil
+	}
 }
 
 func decodeRects(s string) ([]geom.Rect, error) {

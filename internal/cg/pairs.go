@@ -32,60 +32,57 @@ func ClosestPairSHadoop(sys *core.System, file string) (geom.PointPair, *mapredu
 		return geom.PointPair{}, nil, errNotDisjoint("closestpair", file)
 	}
 	out := file + ".closest.out"
-	job := &mapreduce.Job{
-		Name:   "closestpair",
-		Splits: f.Splits(),
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			pair, ok := geom.ClosestPair(pts)
-			if !ok {
-				// 0 or 1 point: everything is a candidate.
-				for _, p := range pts {
-					ctx.Emit("1", geomio.EncodePoint(p))
-					ctx.Inc(CounterIntermediatePoints, 1)
-				}
-				return nil
-			}
-			ctx.Emit("1", geomio.EncodePoint(pair.P))
-			ctx.Emit("1", geomio.EncodePoint(pair.Q))
-			ctx.Inc(CounterIntermediatePoints, 2)
-			// Forward only points within delta of the boundary (paper Fig.
-			// 19): any point deeper inside is closer to pair.P/pair.Q's
-			// distance within its own cell than to any foreign point.
-			inner := split.MBR.Inner(pair.Dist)
-			for _, p := range pts {
-				if p.Equal(pair.P) || p.Equal(pair.Q) {
-					continue
-				}
-				if !inner.StrictlyContainsPoint(p) {
-					ctx.Emit("1", geomio.EncodePoint(p))
-					ctx.Inc(CounterIntermediatePoints, 1)
-				}
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			pts, err := geomio.DecodePoints(values)
-			if err != nil {
-				return err
-			}
-			pair, ok := geom.ClosestPair(pts)
-			if !ok {
-				return nil
-			}
-			ctx.Write(geomio.EncodePoint(pair.P) + " " + geomio.EncodePoint(pair.Q))
-			return nil
-		},
-		Output: out,
-	}
-	rep, err := sys.Cluster().Run(job)
+	rep, err := sys.Cluster().Run(&mapreduce.Job{Name: "closestpair", Kind: "closestpair", Splits: f.Splits(), Output: out})
 	if err != nil {
 		return geom.PointPair{}, nil, err
 	}
 	return readPairOutput(sys, out, rep)
+}
+
+func closestPairMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	pts, err := split.Points()
+	if err != nil {
+		return err
+	}
+	pair, ok := geom.ClosestPair(pts)
+	if !ok {
+		// 0 or 1 point: everything is a candidate.
+		for _, p := range pts {
+			ctx.Emit("1", geomio.EncodePoint(p))
+			ctx.Inc(CounterIntermediatePoints, 1)
+		}
+		return nil
+	}
+	ctx.Emit("1", geomio.EncodePoint(pair.P))
+	ctx.Emit("1", geomio.EncodePoint(pair.Q))
+	ctx.Inc(CounterIntermediatePoints, 2)
+	// Forward only points within delta of the boundary (paper Fig.
+	// 19): any point deeper inside is closer to pair.P/pair.Q's
+	// distance within its own cell than to any foreign point.
+	inner := split.MBR.Inner(pair.Dist)
+	for _, p := range pts {
+		if p.Equal(pair.P) || p.Equal(pair.Q) {
+			continue
+		}
+		if !inner.StrictlyContainsPoint(p) {
+			ctx.Emit("1", geomio.EncodePoint(p))
+			ctx.Inc(CounterIntermediatePoints, 1)
+		}
+	}
+	return nil
+}
+
+func closestPairReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	pts, err := geomio.DecodePoints(values)
+	if err != nil {
+		return err
+	}
+	pair, ok := geom.ClosestPair(pts)
+	if !ok {
+		return nil
+	}
+	ctx.Write(geomio.EncodePoint(pair.P) + " " + geomio.EncodePoint(pair.Q))
+	return nil
 }
 
 // FarthestPairSingle is the single-machine baseline: convex hull plus
@@ -108,39 +105,28 @@ func FarthestPairHadoop(sys *core.System, file string) (geom.PointPair, *mapredu
 		return geom.PointPair{}, nil, err
 	}
 	out := file + ".farthest.out"
-	job := &mapreduce.Job{
-		Name:   "farthestpair-hadoop",
-		Splits: f.Splits(),
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.ConvexHull(pts) {
-				ctx.Emit("1", geomio.EncodePoint(p))
-				ctx.Inc(CounterIntermediatePoints, 1)
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			pts, err := geomio.DecodePoints(values)
-			if err != nil {
-				return err
-			}
-			if len(pts) < 2 {
-				return nil
-			}
-			p, q, _ := geom.FarthestPair(pts)
-			ctx.Write(geomio.EncodePoint(p) + " " + geomio.EncodePoint(q))
-			return nil
-		},
-		Output: out,
-	}
-	rep, err := sys.Cluster().Run(job)
+	rep, err := sys.Cluster().Run(&mapreduce.Job{
+		Name: "farthestpair-hadoop", Kind: "farthestpair-hadoop", Splits: f.Splits(), Output: out,
+	})
 	if err != nil {
 		return geom.PointPair{}, nil, err
 	}
 	return readPairOutput(sys, out, rep)
+}
+
+// farthestHullsReduce runs rotating calipers over the collected local
+// hull points (the map is the convex hull kind's).
+func farthestHullsReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	pts, err := geomio.DecodePoints(values)
+	if err != nil {
+		return err
+	}
+	if len(pts) < 2 {
+		return nil
+	}
+	p, q, _ := geom.FarthestPair(pts)
+	ctx.Write(geomio.EncodePoint(p) + " " + geomio.EncodePoint(q))
+	return nil
 }
 
 // FarthestPairFilter implements the two-pass pair pruning of paper §8.2:
@@ -201,50 +187,49 @@ func FarthestPairSHadoop(sys *core.System, file string) (geom.PointPair, *mapred
 		return geom.PointPair{}, nil, errNotIndexed("farthestpair", file)
 	}
 	out := file + ".farthest.out"
-	job := &mapreduce.Job{
-		Name:   "farthestpair",
-		Splits: f.Splits(),
-		Filter: FarthestPairFilter,
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			extra, err := split.ExtraPoints()
-			if err != nil {
-				return err
-			}
-			pts = append(pts, extra...)
-			if len(pts) < 2 {
-				return nil
-			}
-			p, q, _ := geom.FarthestPair(pts)
-			ctx.Emit("1", geomio.EncodePoint(p)+" "+geomio.EncodePoint(q))
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			best := geom.PointPair{Dist: -1}
-			for _, v := range values {
-				pair, err := decodePair(v)
-				if err != nil {
-					return err
-				}
-				if pair.Dist > best.Dist {
-					best = pair
-				}
-			}
-			if best.Dist >= 0 {
-				ctx.Write(geomio.EncodePoint(best.P) + " " + geomio.EncodePoint(best.Q))
-			}
-			return nil
-		},
-		Output: out,
-	}
-	rep, err := sys.Cluster().Run(job)
+	rep, err := sys.Cluster().Run(&mapreduce.Job{
+		Name: "farthestpair", Kind: "farthestpair", Splits: f.Splits(), Filter: FarthestPairFilter, Output: out,
+	})
 	if err != nil {
 		return geom.PointPair{}, nil, err
 	}
 	return readPairOutput(sys, out, rep)
+}
+
+// farthestPairMap solves one candidate pair of partitions.
+func farthestPairMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	pts, err := split.Points()
+	if err != nil {
+		return err
+	}
+	extra, err := split.ExtraPoints()
+	if err != nil {
+		return err
+	}
+	pts = append(pts, extra...)
+	if len(pts) < 2 {
+		return nil
+	}
+	p, q, _ := geom.FarthestPair(pts)
+	ctx.Emit("1", geomio.EncodePoint(p)+" "+geomio.EncodePoint(q))
+	return nil
+}
+
+func farthestPairReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	best := geom.PointPair{Dist: -1}
+	for _, v := range values {
+		pair, err := decodePair(v)
+		if err != nil {
+			return err
+		}
+		if pair.Dist > best.Dist {
+			best = pair
+		}
+	}
+	if best.Dist >= 0 {
+		ctx.Write(geomio.EncodePoint(best.P) + " " + geomio.EncodePoint(best.Q))
+	}
+	return nil
 }
 
 func decodePair(s string) (geom.PointPair, error) {

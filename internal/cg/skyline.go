@@ -43,50 +43,6 @@ func SkylineFilter(splits []*mapreduce.Split) []*mapreduce.Split {
 	return selected
 }
 
-// skylineJob is the shared map/combine/reduce of the Hadoop and
-// SpatialHadoop skyline algorithms (Algorithm 4): local skylines in the
-// map/combine, global skyline in a single reducer.
-func skylineJob(name string, splits []*mapreduce.Split, filter mapreduce.FilterFunc, out string) *mapreduce.Job {
-	localSky := func(ctx *mapreduce.TaskContext, key string, values []string) error {
-		pts, err := geomio.DecodePoints(values)
-		if err != nil {
-			return err
-		}
-		for _, p := range geom.Skyline(pts) {
-			ctx.Emit(key, geomio.EncodePoint(p))
-		}
-		return nil
-	}
-	return &mapreduce.Job{
-		Name:   name,
-		Splits: splits,
-		Filter: filter,
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.Skyline(pts) {
-				ctx.Emit("1", geomio.EncodePoint(p))
-				ctx.Inc(CounterIntermediatePoints, 1)
-			}
-			return nil
-		},
-		Combine: localSky,
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			pts, err := geomio.DecodePoints(values)
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.Skyline(pts) {
-				ctx.Write(geomio.EncodePoint(p))
-			}
-			return nil
-		},
-		Output: out,
-	}
-}
-
 // SkylineHadoop computes the skyline of a heap points file (paper §6.1):
 // every block is processed; local skylines meet in one reducer.
 func SkylineHadoop(sys *core.System, file string) ([]geom.Point, *mapreduce.Report, error) {
@@ -110,7 +66,9 @@ func runSkyline(sys *core.System, file string, filtered bool) ([]geom.Point, *ma
 		filter = SkylineFilter
 	}
 	out := file + ".skyline.out"
-	rep, err := sys.Cluster().Run(skylineJob("skyline", f.Splits(), filter, out))
+	rep, err := sys.Cluster().Run(&mapreduce.Job{
+		Name: "skyline", Kind: "skyline", Splits: f.Splits(), Filter: filter, Output: out,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -195,41 +153,16 @@ func SkylineOutputSensitive(sys *core.System, file string, reduceComm bool) ([]g
 		skyEnc[i] = geomio.EncodePoint(p)
 	}
 	out := file + ".skyline-os.out"
+	conf := map[string]string{confSky: strings.Join(skyEnc, " ")}
+	if reduceComm {
+		conf[confSkyReduceComm] = "1"
+	}
 	job := &mapreduce.Job{
 		Name:   "skyline-os",
+		Kind:   "skyline-os",
 		Splits: splits,
 		Filter: SkylineFilter,
-		Conf:   map[string]string{"sky": strings.Join(skyEnc, " ")},
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			skyPts, err := geomio.DecodePoints(strings.Fields(ctx.Config("sky")))
-			if err != nil {
-				return err
-			}
-			if reduceComm {
-				skyPts = ReduceSKYForCell(skyPts, contentOf(split))
-				ctx.Inc("cg.sky.points.shipped", int64(len(skyPts)))
-			} else {
-				ctx.Inc("cg.sky.points.shipped", int64(len(skyPts)))
-			}
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			for _, p := range geom.Skyline(pts) {
-				dominated := false
-				for _, s := range skyPts {
-					if s.Dominates(p) {
-						dominated = true
-						break
-					}
-				}
-				if !dominated {
-					ctx.Write(geomio.EncodePoint(p))
-					ctx.Inc(CounterFlushedEarly, 1)
-				}
-			}
-			return nil
-		},
+		Conf:   conf,
 		Output: out,
 	}
 	rep, err := sys.Cluster().Run(job)
@@ -241,4 +174,35 @@ func SkylineOutputSensitive(sys *core.System, file string, reduceComm bool) ([]g
 		return nil, nil, err
 	}
 	return sortPoints(pts), rep, nil
+}
+
+// skylineOSMap is the output-sensitive skyline's map body: a partition
+// writes the points of its local skyline that no point of the broadcast
+// dominance power set dominates.
+func skylineOSMap(sky []geom.Point, reduceComm bool) mapreduce.MapFunc {
+	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+		skyPts := sky
+		if reduceComm {
+			skyPts = ReduceSKYForCell(sky, contentOf(split))
+		}
+		ctx.Inc("cg.sky.points.shipped", int64(len(skyPts)))
+		pts, err := split.Points()
+		if err != nil {
+			return err
+		}
+		for _, p := range geom.Skyline(pts) {
+			dominated := false
+			for _, s := range skyPts {
+				if s.Dominates(p) {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				ctx.Write(geomio.EncodePoint(p))
+				ctx.Inc(CounterFlushedEarly, 1)
+			}
+		}
+		return nil
+	}
 }

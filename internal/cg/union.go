@@ -92,38 +92,34 @@ func regionsTouch(a, b geom.Region) bool {
 	return false
 }
 
-// unionJob is the shared Hadoop/SpatialHadoop union job (Algorithm 1):
-// the map computes the local union of its split and emits each resulting
-// region with a constant key; the single reducer unions the local results.
-func unionJob(name string, splits []*mapreduce.Split, out string) *mapreduce.Job {
-	return &mapreduce.Job{
-		Name:   name,
-		Splits: splits,
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			regions, err := decodeRegions(split.Records())
-			if err != nil {
-				return err
-			}
-			groups, _ := unionGroups(regions)
-			for _, g := range groups {
-				ctx.Emit("1", geomio.EncodeRegion(g))
-				ctx.Inc(CounterIntermediatePoints, int64(g.VertexCount()))
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			regions, err := decodeRegions(values)
-			if err != nil {
-				return err
-			}
-			groups, _ := unionGroups(regions)
-			for _, g := range groups {
-				ctx.Write(geomio.EncodeRegion(g))
-			}
-			return nil
-		},
-		Output: out,
+// The "union" kind is the shared Hadoop/SpatialHadoop union job (Algorithm
+// 1): the map computes the local union of its split and emits each
+// resulting region with a constant key; the single reducer unions the
+// local results.
+
+func unionMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	regions, err := decodeRegions(split.Records())
+	if err != nil {
+		return err
 	}
+	groups, _ := unionGroups(regions)
+	for _, g := range groups {
+		ctx.Emit("1", geomio.EncodeRegion(g))
+		ctx.Inc(CounterIntermediatePoints, int64(g.VertexCount()))
+	}
+	return nil
+}
+
+func unionReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	regions, err := decodeRegions(values)
+	if err != nil {
+		return err
+	}
+	groups, _ := unionGroups(regions)
+	for _, g := range groups {
+		ctx.Write(geomio.EncodeRegion(g))
+	}
+	return nil
 }
 
 // UnionHadoop computes the polygon union of a heap region file (paper
@@ -146,7 +142,7 @@ func runUnion(sys *core.System, file string) (geom.Region, *mapreduce.Report, er
 		return geom.Region{}, nil, err
 	}
 	out := file + ".union.out"
-	rep, err := sys.Cluster().Run(unionJob("union", f.Splits(), out))
+	rep, err := sys.Cluster().Run(&mapreduce.Job{Name: "union", Kind: "union", Splits: f.Splits(), Output: out})
 	if err != nil {
 		return geom.Region{}, nil, err
 	}
@@ -178,20 +174,8 @@ func UnionEnhanced(sys *core.System, file string) ([]geom.Segment, *mapreduce.Re
 	out := file + ".union-enh.out"
 	job := &mapreduce.Job{
 		Name:   "union-enhanced",
+		Kind:   "union-enhanced",
 		Splits: f.Splits(),
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			regions, err := decodeRegions(split.Records())
-			if err != nil {
-				return err
-			}
-			_, segs := unionGrouped(regions)
-			clipped := geom.ClipBoundaryToRect(segs, split.MBR)
-			for _, s := range clipped {
-				ctx.Write(geomio.EncodeSegment(s))
-				ctx.Inc(CounterFlushedEarly, 1)
-			}
-			return nil
-		},
 		Output: out,
 	}
 	rep, err := sys.Cluster().Run(job)
@@ -207,6 +191,22 @@ func UnionEnhanced(sys *core.System, file string) ([]geom.Segment, *mapreduce.Re
 		return nil, nil, err
 	}
 	return geom.CanonicalizeSegments(segs), rep, nil
+}
+
+// unionEnhancedMap unions the split locally and writes the part of the
+// boundary inside the partition.
+func unionEnhancedMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	regions, err := decodeRegions(split.Records())
+	if err != nil {
+		return err
+	}
+	_, segs := unionGrouped(regions)
+	clipped := geom.ClipBoundaryToRect(segs, split.MBR)
+	for _, s := range clipped {
+		ctx.Write(geomio.EncodeSegment(s))
+		ctx.Inc(CounterFlushedEarly, 1)
+	}
+	return nil
 }
 
 func decodeRegions(recs []string) ([]geom.Region, error) {

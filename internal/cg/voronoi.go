@@ -46,6 +46,33 @@ const (
 	vdCarryS      = "C|S|" // carried support, region already emitted
 )
 
+// encodeCarried serializes one carried site; support marks a site whose
+// region is already emitted and which travels only for its position.
+func encodeCarried(support bool, site geom.Point) string {
+	if support {
+		return vdCarryS + geomio.EncodePoint(site)
+	}
+	return vdCarryN + geomio.EncodePoint(site)
+}
+
+// decodeCarried parses carried-site records into the sites and, beside
+// each, whether it is support.
+func decodeCarried(recs []string) (sites []geom.Point, support []bool, err error) {
+	sites, support = make([]geom.Point, len(recs)), make([]bool, len(recs))
+	for i, rec := range recs {
+		body, ok := strings.CutPrefix(rec, vdCarryN)
+		if !ok {
+			if body, support[i] = strings.CutPrefix(rec, vdCarryS); !support[i] {
+				return nil, nil, fmt.Errorf("cg: bad carried site record %q", rec)
+			}
+		}
+		if sites[i], err = geomio.DecodePoint(body); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sites, support, nil
+}
+
 func encodeSiteRegion(site geom.Point, region geom.Polygon) string {
 	return vdFinalPrefix + geomio.EncodePoint(site) + "|" +
 		geomio.EncodeRegion(geom.RegionOf(region))
@@ -77,7 +104,7 @@ func decodeSiteRegion(rec string) (SiteRegion, error) {
 // sites whose regions are already final but whose positions the next merge
 // needs to reconstruct boundary geometry). alreadyEmitted marks sites
 // whose regions have been flushed at this or a previous level.
-func emitCarried(vd *voronoi.Diagram, safe []bool, alreadyEmitted []bool, emit func(flagSupport bool, site geom.Point)) (carried int) {
+func emitCarried(vd *voronoi.Diagram, safe []bool, alreadyEmitted []bool, emit func(rec string)) (carried int) {
 	support := make([]bool, vd.NumSites())
 	for i := range safe {
 		if safe[i] {
@@ -92,10 +119,10 @@ func emitCarried(vd *voronoi.Diagram, safe []bool, alreadyEmitted []bool, emit f
 	for i := range safe {
 		switch {
 		case !safe[i] && !alreadyEmitted[i]:
-			emit(false, vd.Site(i))
+			emit(encodeCarried(false, vd.Site(i)))
 			carried++
 		case support[i]:
-			emit(true, vd.Site(i))
+			emit(encodeCarried(true, vd.Site(i)))
 			carried++
 		}
 	}
@@ -125,100 +152,11 @@ func VoronoiSHadoop(sys *core.System, file string) ([]SiteRegion, *mapreduce.Rep
 	out := file + ".voronoi.out"
 	job := &mapreduce.Job{
 		Name:        "voronoi",
+		Kind:        "voronoi",
 		Splits:      f.Splits(),
 		NumReducers: sys.Cluster().Workers(),
-		Conf: map[string]string{
-			"space": geomio.EncodeRect(space),
-		},
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			if len(pts) == 0 {
-				return nil
-			}
-			vd := voronoi.New(pts)
-			safe, _ := vd.SafeSitesFrontier(split.MBR)
-			for i, ok := range safe {
-				if ok {
-					ctx.Write(encodeSiteRegion(vd.Site(i), vd.Region(i, split.MBR)))
-					ctx.Inc(CounterFlushedEarly, 1)
-				}
-			}
-			// Column key: the x-range of the partition; grid and STR+
-			// cells of one column share it exactly.
-			col := strconv.FormatFloat(split.MBR.MinX, 'g', 17, 64) + "," +
-				strconv.FormatFloat(split.MBR.MaxX, 'g', 17, 64)
-			n := emitCarried(vd, safe, make([]bool, len(safe)), func(sup bool, site geom.Point) {
-				prefix := vdCarryN
-				if sup {
-					prefix = vdCarryS
-				}
-				ctx.Emit(col, prefix+geomio.EncodePoint(site))
-			})
-			ctx.Inc(CounterIntermediatePoints, int64(n))
-			ctx.Inc("cg.vd.carried.local", int64(n))
-			return nil
-		},
-		// V-merge: one group per column.
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			space, err := geomio.DecodeRect(ctx.Config("space"))
-			if err != nil {
-				return err
-			}
-			parts := strings.SplitN(key, ",", 2)
-			minX, err1 := strconv.ParseFloat(parts[0], 64)
-			maxX, err2 := strconv.ParseFloat(parts[1], 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("cg: bad voronoi column key %q", key)
-			}
-			strip := geom.Rect{MinX: minX, MinY: space.MinY, MaxX: maxX, MaxY: space.MaxY}
-
-			sites := make([]geom.Point, 0, len(values))
-			preEmitted := make([]bool, 0, len(values))
-			for _, v := range values {
-				switch {
-				case strings.HasPrefix(v, vdCarryN):
-					p, err := geomio.DecodePoint(strings.TrimPrefix(v, vdCarryN))
-					if err != nil {
-						return err
-					}
-					sites = append(sites, p)
-					preEmitted = append(preEmitted, false)
-				case strings.HasPrefix(v, vdCarryS):
-					p, err := geomio.DecodePoint(strings.TrimPrefix(v, vdCarryS))
-					if err != nil {
-						return err
-					}
-					sites = append(sites, p)
-					preEmitted = append(preEmitted, true)
-				default:
-					return fmt.Errorf("cg: bad carried voronoi record %q", v)
-				}
-			}
-			if len(sites) == 0 {
-				return nil
-			}
-			vd := voronoi.New(sites)
-			safe, _ := vd.SafeSitesFrontier(strip)
-			for i := range sites {
-				if safe[i] && !preEmitted[i] {
-					ctx.Write(encodeSiteRegion(vd.Site(i), vd.Region(i, strip)))
-					ctx.Inc(CounterFlushedEarly, 1)
-				}
-			}
-			n := emitCarried(vd, safe, preEmitted, func(sup bool, site geom.Point) {
-				prefix := vdCarryN
-				if sup {
-					prefix = vdCarryS
-				}
-				ctx.Write(prefix + geomio.EncodePoint(site))
-			})
-			ctx.Inc("cg.vd.carried.vmerge", int64(n))
-			return nil
-		},
-		Output: out,
+		Conf:        map[string]string{confSpace: geomio.EncodeRect(space)},
+		Output:      out,
 	}
 	rep, err := sys.Cluster().Run(job)
 	if err != nil {
@@ -233,33 +171,21 @@ func VoronoiSHadoop(sys *core.System, file string) ([]SiteRegion, *mapreduce.Rep
 		return nil, nil, nil, err
 	}
 	var regions []SiteRegion
-	var carried []geom.Point
-	var carriedEmitted []bool
+	var carriedRecs []string
 	for _, rec := range recs {
-		switch {
-		case strings.HasPrefix(rec, vdFinalPrefix):
-			sr, err := decodeSiteRegion(rec)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			regions = append(regions, sr)
-		case strings.HasPrefix(rec, vdCarryN):
-			p, err := geomio.DecodePoint(strings.TrimPrefix(rec, vdCarryN))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			carried = append(carried, p)
-			carriedEmitted = append(carriedEmitted, false)
-		case strings.HasPrefix(rec, vdCarryS):
-			p, err := geomio.DecodePoint(strings.TrimPrefix(rec, vdCarryS))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			carried = append(carried, p)
-			carriedEmitted = append(carriedEmitted, true)
-		default:
-			return nil, nil, nil, fmt.Errorf("cg: bad voronoi output record %q", rec)
+		if !strings.HasPrefix(rec, vdFinalPrefix) {
+			carriedRecs = append(carriedRecs, rec)
+			continue
 		}
+		sr, err := decodeSiteRegion(rec)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		regions = append(regions, sr)
+	}
+	carried, carriedEmitted, err := decodeCarried(carriedRecs)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if len(carried) > 0 {
 		vd := voronoi.New(carried)
@@ -293,45 +219,11 @@ func VoronoiHadoop(sys *core.System, file string, space geom.Rect) ([]SiteRegion
 	out := file + ".voronoi-hadoop.out"
 	job := &mapreduce.Job{
 		Name:        "voronoi-hadoop",
+		Kind:        "voronoi-hadoop",
 		Splits:      f.Splits(),
 		NumReducers: strips,
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			w := space.Width() / float64(strips)
-			for _, p := range pts {
-				s := int((p.X - space.MinX) / w)
-				if s < 0 {
-					s = 0
-				}
-				if s >= strips {
-					s = strips - 1
-				}
-				ctx.Emit(strconv.Itoa(s), geomio.EncodePoint(p))
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			pts, err := geomio.DecodePoints(values)
-			if err != nil {
-				return err
-			}
-			if len(pts) == 0 {
-				return nil
-			}
-			// The strip diagram is built in parallel, but without disjoint
-			// partition metadata no region can be proven final: every site
-			// is forwarded to the single-machine merge.
-			voronoi.NewDelaunay(pts)
-			for _, p := range pts {
-				ctx.Write(vdCarryN + geomio.EncodePoint(p))
-				ctx.Inc(CounterIntermediatePoints, 1)
-			}
-			return nil
-		},
-		Output: out,
+		Conf:        map[string]string{confSpace: geomio.EncodeRect(space), confStrips: strconv.Itoa(strips)},
+		Output:      out,
 	}
 	rep, err := sys.Cluster().Run(job)
 	if err != nil {
@@ -341,13 +233,113 @@ func VoronoiHadoop(sys *core.System, file string, space geom.Rect) ([]SiteRegion
 	if err != nil {
 		return nil, nil, err
 	}
-	sites := make([]geom.Point, 0, len(recs))
-	for _, rec := range recs {
-		p, err := geomio.DecodePoint(strings.TrimPrefix(rec, vdCarryN))
-		if err != nil {
-			return nil, nil, err
-		}
-		sites = append(sites, p)
+	sites, _, err := decodeCarried(recs)
+	if err != nil {
+		return nil, nil, err
 	}
 	return VoronoiSingle(sites, space), rep, nil
+}
+
+// voronoiMap builds the partition's local diagram, flushes its safe regions
+// and carries the rest to its column's V-merge.
+func voronoiMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	pts, err := split.Points()
+	if err != nil {
+		return err
+	}
+	if len(pts) == 0 {
+		return nil
+	}
+	vd := voronoi.New(pts)
+	safe, _ := vd.SafeSitesFrontier(split.MBR)
+	for i, ok := range safe {
+		if ok {
+			ctx.Write(encodeSiteRegion(vd.Site(i), vd.Region(i, split.MBR)))
+			ctx.Inc(CounterFlushedEarly, 1)
+		}
+	}
+	// Column key: the x-range of the partition; grid and STR+
+	// cells of one column share it exactly.
+	col := strconv.FormatFloat(split.MBR.MinX, 'g', 17, 64) + "," +
+		strconv.FormatFloat(split.MBR.MaxX, 'g', 17, 64)
+	n := emitCarried(vd, safe, make([]bool, len(safe)), func(rec string) { ctx.Emit(col, rec) })
+	ctx.Inc(CounterIntermediatePoints, int64(n))
+	ctx.Inc("cg.vd.carried.local", int64(n))
+	return nil
+}
+
+// voronoiVMerge merges one column of partitions: one group per column.
+func voronoiVMerge(ctx *mapreduce.TaskContext, key string, values []string) error {
+	space, err := geomio.DecodeRect(ctx.Config(confSpace))
+	if err != nil {
+		return err
+	}
+	parts := strings.SplitN(key, ",", 2)
+	minX, err1 := strconv.ParseFloat(parts[0], 64)
+	maxX, err2 := strconv.ParseFloat(parts[1], 64)
+	if err1 != nil || err2 != nil {
+		return fmt.Errorf("cg: bad voronoi column key %q", key)
+	}
+	strip := geom.Rect{MinX: minX, MinY: space.MinY, MaxX: maxX, MaxY: space.MaxY}
+
+	sites, preEmitted, err := decodeCarried(values)
+	if err != nil {
+		return err
+	}
+	if len(sites) == 0 {
+		return nil
+	}
+	vd := voronoi.New(sites)
+	safe, _ := vd.SafeSitesFrontier(strip)
+	for i := range sites {
+		if safe[i] && !preEmitted[i] {
+			ctx.Write(encodeSiteRegion(vd.Site(i), vd.Region(i, strip)))
+			ctx.Inc(CounterFlushedEarly, 1)
+		}
+	}
+	n := emitCarried(vd, safe, preEmitted, ctx.Write)
+	ctx.Inc("cg.vd.carried.vmerge", int64(n))
+	return nil
+}
+
+// voronoiStripMap range-partitions the points into vertical strips of space.
+func voronoiStripMap(space geom.Rect, strips int) mapreduce.MapFunc {
+	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+		pts, err := split.Points()
+		if err != nil {
+			return err
+		}
+		w := space.Width() / float64(strips)
+		for _, p := range pts {
+			s := int((p.X - space.MinX) / w)
+			if s < 0 {
+				s = 0
+			}
+			if s >= strips {
+				s = strips - 1
+			}
+			ctx.Emit(strconv.Itoa(s), geomio.EncodePoint(p))
+		}
+		return nil
+	}
+}
+
+// voronoiStripReduce builds one strip's diagram.
+func voronoiStripReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	pts, err := geomio.DecodePoints(values)
+	if err != nil {
+		return err
+	}
+	if len(pts) == 0 {
+		return nil
+	}
+	// The strip diagram is built in parallel, but without disjoint
+	// partition metadata no region can be proven final: every site
+	// is forwarded to the single-machine merge.
+	voronoi.NewDelaunay(pts)
+	for _, p := range pts {
+		ctx.Write(encodeCarried(false, p))
+		ctx.Inc(CounterIntermediatePoints, 1)
+	}
+	return nil
 }

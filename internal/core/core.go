@@ -40,8 +40,6 @@ type Config struct {
 	// Workers is the number of concurrent worker slots, i.e. the cluster
 	// size (default 25, matching the paper's deployment).
 	Workers int
-	// SampleSize caps the loader's partitioning sample (default 10000).
-	SampleSize int
 	// Seed drives sampling; loads are deterministic given a seed.
 	Seed int64
 	// Fault is the seeded chaos plan installed on the cluster (a disabled
@@ -72,9 +70,6 @@ func New(cfg Config) *System {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 25
 	}
-	if cfg.SampleSize <= 0 {
-		cfg.SampleSize = 10000
-	}
 	fs := dfs.New(dfs.Config{BlockSize: cfg.BlockSize, DataNodes: cfg.Workers})
 	return NewWithFS(cfg, fs)
 }
@@ -85,9 +80,6 @@ func New(cfg Config) *System {
 func NewWithFS(cfg Config, fs *dfs.FileSystem) *System {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 25
-	}
-	if cfg.SampleSize <= 0 {
-		cfg.SampleSize = 10000
 	}
 	reg := obs.NewRegistry()
 	fs.SetMetrics(reg)
@@ -161,11 +153,12 @@ func (s *System) numCells(totalBytes int64) int {
 
 // samplePoints draws a bounded random sample for index construction.
 func (s *System) samplePoints(pts []geom.Point) []geom.Point {
-	if len(pts) <= s.cfg.SampleSize {
+	const sampleSize = 10000
+	if len(pts) <= sampleSize {
 		return pts
 	}
 	rng := rand.New(rand.NewSource(s.cfg.Seed + 1))
-	sample := make([]geom.Point, s.cfg.SampleSize)
+	sample := make([]geom.Point, sampleSize)
 	for i := range sample {
 		sample[i] = pts[rng.Intn(len(pts))]
 	}

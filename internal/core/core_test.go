@@ -148,30 +148,6 @@ func TestLoadRegionsReplication(t *testing.T) {
 	}
 }
 
-func TestLocalIndexCaching(t *testing.T) {
-	pts := datagen.Points(datagen.Uniform, 1000, geom.NewRect(0, 0, 100, 100), 11)
-	sys := New(Config{BlockSize: 4 << 10, Workers: 2, Seed: 1})
-	f, err := sys.LoadPoints("pts", pts, sindex.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := f.File.Blocks[0]
-	t1, err := b.LocalIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := b.LocalIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Error("local index not cached")
-	}
-	if t1.Len() != b.NumRecords() {
-		t.Errorf("index holds %d entries, block has %d", t1.Len(), b.NumRecords())
-	}
-}
-
 // TestPersistedSystemRoundTrip saves a system with an indexed file to disk
 // and reloads it; the reopened file must keep its index and records.
 func TestPersistedSystemRoundTrip(t *testing.T) {
@@ -234,10 +210,10 @@ func TestReadBackPointsAndRegions(t *testing.T) {
 	}
 }
 
-// TestLocalIndexDiesWithItsBlock: a block's local index is memoised on the
-// block, not in a table the System keeps, so replacing a file releases the
-// old blocks with their records, decoded points and trees.
-func TestLocalIndexDiesWithItsBlock(t *testing.T) {
+// TestDecodedViewsDieWithTheirBlock: a block's decoded views are memoised
+// on the block, not in a table the System keeps, so replacing a file
+// releases the old blocks with their records and decoded points.
+func TestDecodedViewsDieWithTheirBlock(t *testing.T) {
 	pts := datagen.Points(datagen.Uniform, 1000, geom.NewRect(0, 0, 100, 100), 11)
 	sys := New(Config{BlockSize: 4 << 10, Workers: 2, Seed: 1})
 	defer runtime.KeepAlive(sys) // the block must go while its System lives on
@@ -248,7 +224,7 @@ func TestLocalIndexDiesWithItsBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := f.File.Blocks[0]
-		if _, err := b.LocalIndex(); err != nil {
+		if _, err := b.Points(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(b, func(*dfs.Block) { close(collected) })
@@ -269,7 +245,7 @@ func TestLocalIndexDiesWithItsBlock(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("a replaced file's block with a built local index is still reachable")
+	t.Fatal("a replaced file's block with decoded points is still reachable")
 }
 
 // loadAllocBytes is what LoadPoints and LoadPointsHeap allocate per point

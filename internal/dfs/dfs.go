@@ -34,7 +34,6 @@ import (
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/obs"
-	"spatialhadoop/internal/rtree"
 )
 
 // DefaultBlockSize is the default block capacity in bytes. The paper uses
@@ -102,10 +101,6 @@ type blockCache struct {
 	payloadOnce sync.Once
 	payload     any
 	payloadErr  error
-
-	idxOnce sync.Once
-	idx     *rtree.Tree
-	idxErr  error
 
 	verifyOnce sync.Once
 	verifyErr  error
@@ -184,22 +179,6 @@ func (b *Block) Payload(build func(records []string) (any, error)) (any, error) 
 	c := &b.cache
 	c.payloadOnce.Do(func() { c.payload, c.payloadErr = build(b.Records()) })
 	return c.payload, c.payloadErr
-}
-
-// LocalIndex returns the R-tree local index over the block's points,
-// bulk-loaded on first use — the local index SpatialHadoop persists beside
-// each block. It lives in the block's cache beside the decoded points it
-// is built from and dies with the block when its file is replaced or
-// deleted.
-func (b *Block) LocalIndex() (*rtree.Tree, error) {
-	c := &b.cache
-	c.idxOnce.Do(func() {
-		var pts []geom.Point
-		if pts, c.idxErr = b.Points(); c.idxErr == nil {
-			c.idx = rtree.BulkPoints(pts, rtree.DefaultFanout)
-		}
-	})
-	return c.idx, c.idxErr
 }
 
 // File is the name-node metadata for one generation of a file: what one

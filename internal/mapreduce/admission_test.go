@@ -16,9 +16,11 @@ import (
 // sleepJob writes its input through to output, holding each map task open
 // for d so concurrent tasks overlap observably.
 func sleepJob(name, output string, d time.Duration, running, high *atomic.Int64) *Job {
-	return &Job{
-		Name:  name,
-		Input: []string{"in"},
+	return closureJob(Job{
+		Name:   name,
+		Input:  []string{"in"},
+		Output: output,
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			if running != nil {
 				n := running.Add(1)
@@ -36,8 +38,7 @@ func sleepJob(name, output string, d time.Duration, running, high *atomic.Int64)
 			}
 			return nil
 		},
-		Output: output,
-	}
+	})
 }
 
 func writeInput(t *testing.T, fs *dfs.FileSystem, n int) {
@@ -128,9 +129,11 @@ func TestSlotPoolHighWaterProperty(t *testing.T) {
 // gateJob blocks its (single) map task until gate closes, so tests can
 // hold a run slot open deliberately.
 func gateJob(output string, gate chan struct{}) *Job {
-	return &Job{
-		Name:  "gated",
-		Input: []string{"in"},
+	return closureJob(Job{
+		Name:   "gated",
+		Input:  []string{"in"},
+		Output: output,
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			<-gate
 			for _, r := range split.Records() {
@@ -138,8 +141,7 @@ func gateJob(output string, gate chan struct{}) *Job {
 			}
 			return nil
 		},
-		Output: output,
-	}
+	})
 }
 
 // waitStats polls AdmissionStats until cond holds or the deadline passes.

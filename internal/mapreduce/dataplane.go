@@ -64,10 +64,14 @@ type dataPlane struct {
 	blocks map[dfs.BlockID]*planeBlock
 }
 
-func newDataPlane(m *Master, replication int, seed int64) *dataPlane {
+// placementSeed seeds rendezvous replica placement: fixed, so a replayed
+// run places identically.
+const placementSeed = 1
+
+func newDataPlane(m *Master, replication int) *dataPlane {
 	return &dataPlane{
 		m:      m,
-		policy: dfs.ReplicaPolicy{Seed: seed, Factor: replication},
+		policy: dfs.ReplicaPolicy{Seed: placementSeed, Factor: replication},
 		blocks: make(map[dfs.BlockID]*planeBlock),
 	}
 }

@@ -56,9 +56,12 @@ func TestReducerCountInvariance(t *testing.T) {
 	}
 	fs.WriteFile("in", recs)
 	run := func(numRed int) []string {
-		job := &Job{
-			Name:  "group",
-			Input: []string{"in"},
+		job := closureJob(Job{
+			Name:        "group",
+			Input:       []string{"in"},
+			NumReducers: numRed,
+			Output:      "out" + strconv.Itoa(numRed),
+		}, KindFuncs{
 			Map: func(ctx *TaskContext, split *Split) error {
 				for _, r := range split.Records() {
 					ctx.Emit(r, "1")
@@ -69,9 +72,7 @@ func TestReducerCountInvariance(t *testing.T) {
 				ctx.Write(key + "=" + strconv.Itoa(len(values)))
 				return nil
 			},
-			NumReducers: numRed,
-			Output:      "out" + strconv.Itoa(numRed),
-		}
+		})
 		if _, err := c.Run(job); err != nil {
 			t.Fatal(err)
 		}

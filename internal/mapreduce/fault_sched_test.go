@@ -24,19 +24,18 @@ func fastPolicy() fault.RetryPolicy {
 	return p
 }
 
-// identityJob writes every input record straight to the output.
-func identityJob(name string) *Job {
-	return &Job{
-		Name:  name,
-		Input: []string{"in"},
-		Map: func(ctx *TaskContext, split *Split) error {
-			for _, r := range split.Records() {
-				ctx.Write(r)
-			}
-			return nil
-		},
-		Output: "out",
+// identityMap writes every input record straight to the output.
+func identityMap(ctx *TaskContext, split *Split) error {
+	for _, r := range split.Records() {
+		ctx.Write(r)
 	}
+	return nil
+}
+
+// identityJob runs m (identityMap, or a test's wrapper of it) from "in"
+// to "out".
+func identityJob(name string, m MapFunc) *Job {
+	return closureJob(Job{Name: name, Input: []string{"in"}, Output: "out"}, KindFuncs{Map: m})
 }
 
 // TestDeadlineCancellation: an attempt that outlives the per-task
@@ -51,14 +50,12 @@ func TestDeadlineCancellation(t *testing.T) {
 	c.SetRetryPolicy(pol)
 
 	var calls int64
-	job := identityJob("deadline")
-	inner := job.Map
-	job.Map = func(ctx *TaskContext, split *Split) error {
+	job := identityJob("deadline", func(ctx *TaskContext, split *Split) error {
 		if atomic.AddInt64(&calls, 1) == 1 {
 			time.Sleep(200 * time.Millisecond) // first attempt blows the deadline
 		}
-		return inner(ctx, split)
-	}
+		return identityMap(ctx, split)
+	})
 	rep, err := c.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -89,10 +86,8 @@ func TestSpeculativeDuplicateSuppression(t *testing.T) {
 	pol.SpeculativeFactor = 2
 	c.SetRetryPolicy(pol)
 
-	job := identityJob("straggler")
-	inner := job.Map
 	var straggled int64
-	job.Map = func(ctx *TaskContext, split *Split) error {
+	job := identityJob("straggler", func(ctx *TaskContext, split *Split) error {
 		// The primary attempt of exactly one task straggles; its
 		// speculative duplicate (attempt in the disjoint high range)
 		// returns promptly.
@@ -100,8 +95,8 @@ func TestSpeculativeDuplicateSuppression(t *testing.T) {
 			atomic.AddInt64(&straggled, 1)
 			time.Sleep(150 * time.Millisecond)
 		}
-		return inner(ctx, split)
-	}
+		return identityMap(ctx, split)
+	})
 	rep, err := c.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +157,7 @@ func TestCommitRetries(t *testing.T) {
 	// so only the commit step draws from it.
 	c.SetFault(fault.Plan{Seed: seed, ReduceFailRate: 0.6})
 
-	rep, err := c.Run(identityJob("commit-retry"))
+	rep, err := c.Run(identityJob("commit-retry", identityMap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +214,7 @@ func TestCommitBackoffHonoursCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunCtx(ctx, identityJob("commit-cancel"))
+		_, err := c.RunCtx(ctx, identityJob("commit-cancel", identityMap))
 		done <- err
 	}()
 	// The injector logs the commit attempt's drawn failure; the backoff
@@ -262,8 +257,8 @@ func TestReissueBackoffHonoursClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	job := identityJob("reissue-close")
-	rj := &runningJob{job: job, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: 1}
+	job := identityJob("reissue-close", identityMap)
+	rj := &runningJob{job: job, kf: KindFuncs{Map: identityMap}, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: 1}
 	splits, err := c.MakeSplits(job.Input)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +309,7 @@ func TestChecksumFailureFailsJob(t *testing.T) {
 	pol.Speculation = false
 	c.SetRetryPolicy(pol)
 
-	_, err := c.Run(identityJob("corrupt"))
+	_, err := c.Run(identityJob("corrupt", identityMap))
 	if err == nil {
 		t.Fatal("job over a corrupted block must fail")
 	}
@@ -344,7 +339,7 @@ func TestInjectedCorruptReadHeals(t *testing.T) {
 	c.SetRetryPolicy(fastPolicy())
 	c.SetFault(fault.Plan{Seed: seed, CorruptBlockRate: 0.5})
 
-	rep, err := c.Run(identityJob("healing-read"))
+	rep, err := c.Run(identityJob("healing-read", identityMap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +376,7 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	c.SetRetryPolicy(pol)
 	c.SetFault(fault.Plan{Seed: seed, PermanentFailRate: 0.9})
 
-	rep, err := c.Run(identityJob("permanent"))
+	rep, err := c.Run(identityJob("permanent", identityMap))
 	if err == nil {
 		t.Fatal("permanent failure must fail the job")
 	}
@@ -411,9 +406,12 @@ func TestAllSpansFinishedUnderChaos(t *testing.T) {
 	c.SetRetryPolicy(fastPolicy())
 	c.SetFault(fault.Plan{Seed: 11, MapFailRate: 0.3, ReduceFailRate: 0.2, StragglerRate: 0.1, CorruptBlockRate: 0.1})
 
-	rep, err := c.Run(&Job{
-		Name:  "chaotic",
-		Input: []string{"in"},
+	rep, err := c.Run(closureJob(Job{
+		Name:        "chaotic",
+		Input:       []string{"in"},
+		NumReducers: 3,
+		Output:      "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
 				ctx.Emit(r[:2], r)
@@ -424,9 +422,7 @@ func TestAllSpansFinishedUnderChaos(t *testing.T) {
 			ctx.Write(fmt.Sprintf("%s=%d", key, len(values)))
 			return nil
 		},
-		NumReducers: 3,
-		Output:      "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

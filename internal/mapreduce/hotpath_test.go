@@ -62,9 +62,12 @@ func TestShuffleCountersSingleSource(t *testing.T) {
 		recs = append(recs, fmt.Sprintf("w%02d", i%9))
 	}
 	c.FS().WriteFile("in", recs)
-	rep, err := c.Run(&Job{
-		Name:  "counted",
-		Input: []string{"in"},
+	rep, err := c.Run(closureJob(Job{
+		Name:        "counted",
+		Input:       []string{"in"},
+		NumReducers: 4,
+		Output:      "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
 				ctx.Emit(r, "1")
@@ -75,9 +78,7 @@ func TestShuffleCountersSingleSource(t *testing.T) {
 			ctx.Write(key + "=" + strconv.Itoa(len(values)))
 			return nil
 		},
-		NumReducers: 4,
-		Output:      "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +123,12 @@ func TestMapSideShuffleGrouping(t *testing.T) {
 	c.FS().WriteFile("in", recs)
 	for _, numRed := range []int{1, 4, 16} {
 		out := "out" + strconv.Itoa(numRed)
-		rep, err := c.Run(&Job{
-			Name:  "grouping",
-			Input: []string{"in"},
+		rep, err := c.Run(closureJob(Job{
+			Name:        "grouping",
+			Input:       []string{"in"},
+			NumReducers: numRed,
+			Output:      out,
+		}, KindFuncs{
 			Map: func(ctx *TaskContext, split *Split) error {
 				for _, r := range split.Records() {
 					ctx.Emit(r, "1")
@@ -147,9 +151,7 @@ func TestMapSideShuffleGrouping(t *testing.T) {
 				ctx.Write(key + "=" + strconv.Itoa(total))
 				return nil
 			},
-			NumReducers: numRed,
-			Output:      out,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,9 +196,11 @@ func TestRetriedAttemptObservesDecodeCache(t *testing.T) {
 	}
 	var decodes atomic.Int64
 	job := func(out string) *Job {
-		return &Job{
-			Name:  "sum-x",
-			Input: []string{"pts"},
+		return closureJob(Job{
+			Name:   "sum-x",
+			Input:  []string{"pts"},
+			Output: out,
+		}, KindFuncs{
 			Map: func(ctx *TaskContext, split *Split) error {
 				// Points() goes through each block's decode cache; the
 				// payload hook counts how many times a block is built, so
@@ -220,8 +224,7 @@ func TestRetriedAttemptObservesDecodeCache(t *testing.T) {
 				ctx.Write(strconv.FormatFloat(sum, 'g', -1, 64))
 				return nil
 			},
-			Output: out,
-		}
+		})
 	}
 
 	clean := newTestCluster(t, 256, 4)

@@ -16,6 +16,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -155,7 +156,7 @@ type Pair struct {
 // and direct final output (the "early flush" channel used by the pruning
 // steps of the enhanced algorithms).
 type TaskContext struct {
-	job     *runningJob
+	conf    map[string]string
 	split   *Split // nil in reduce tasks
 	metrics *obs.TaskMetrics
 	out     []string
@@ -219,28 +220,16 @@ func (c *TaskContext) Write(record string) {
 // Inc adds delta to a named job counter. The increment lands in the task's
 // local buffer (no locks) and becomes visible in the job metrics only when
 // the attempt succeeds, so retried attempts never double-count.
-func (c *TaskContext) Inc(name string, delta int64) {
-	if c.metrics != nil {
-		c.metrics.Inc(name, delta)
-		return
-	}
-	c.job.reg.Inc(name, delta)
-}
+func (c *TaskContext) Inc(name string, delta int64) { c.metrics.Inc(name, delta) }
 
 // Observe records one observation into a named job histogram, buffered
 // like Inc.
-func (c *TaskContext) Observe(name string, v float64) {
-	if c.metrics != nil {
-		c.metrics.Observe(name, v)
-		return
-	}
-	c.job.reg.Observe(name, v)
-}
+func (c *TaskContext) Observe(name string, v float64) { c.metrics.Observe(name, v) }
 
 // Config returns the job configuration value for key ("" when absent).
 // It models Hadoop's job configuration broadcast: small values (such as the
 // serialized global dominance-power set) are shipped to every task.
-func (c *TaskContext) Config(key string) string { return c.job.job.Conf[key] }
+func (c *TaskContext) Config(key string) string { return c.conf[key] }
 
 // MapFunc processes one split. It may Emit intermediate pairs and/or Write
 // final output directly.
@@ -255,14 +244,13 @@ type ReduceFunc func(ctx *TaskContext, key string, values []string) error
 // answer.
 type FilterFunc func(splits []*Split) []*Split
 
-// Job describes one MapReduce job.
+// Job describes one MapReduce job: a registered kind plus its
+// configuration. It carries no task code — whoever executes an attempt,
+// this process or a worker, builds the kind's functions from Kind and Conf.
 type Job struct {
 	Name string
-	// Kind optionally names a registered job kind (see RegisterKind).
-	// Functions are Go closures and cannot ship over RPC, so only jobs
-	// carrying a Kind are eligible for remote execution on worker
-	// processes: both sides rebuild Map/Combine/Reduce from the kind's
-	// builder and Conf. Jobs without a Kind always run in process.
+	// Kind names the registered job kind (see RegisterKind) whose map,
+	// combine and reduce functions the job runs. Required.
 	Kind string
 	// Input files (already stored in the cluster's file system).
 	Input []string
@@ -271,20 +259,16 @@ type Job struct {
 	// builds splits carrying partition MBRs from the file's global index.
 	Splits []*Split
 	// Filter optionally prunes/shapes splits (requires indexed input to be
-	// useful). Nil means all splits are processed.
+	// useful). Nil means all splits are processed. It is planning, not task
+	// code: it runs on the master only.
 	Filter FilterFunc
-	// Map is required.
-	Map MapFunc
-	// Combine optionally pre-aggregates map output per task.
-	Combine ReduceFunc
-	// Reduce is optional; a map-only job writes only direct output.
-	Reduce ReduceFunc
 	// NumReducers defaults to 1 (the single-reducer merge bottleneck the
 	// paper's enhanced algorithms eliminate).
 	NumReducers int
 	// Output is the output file name (required).
 	Output string
-	// Conf carries broadcast configuration values.
+	// Conf carries broadcast configuration values: the only state, besides
+	// the split, a task sees.
 	Conf map[string]string
 }
 
@@ -486,7 +470,9 @@ func (c *Cluster) RetryPolicy() fault.RetryPolicy {
 }
 
 type runningJob struct {
-	job   *Job
+	job *Job
+	// kf is the job kind's functions, built once at Run.
+	kf    KindFuncs
 	reg   *obs.Registry
 	trace *obs.Trace
 	// nshards is the effective reducer count; map tasks bucket their
@@ -506,6 +492,18 @@ func (c *Cluster) Run(job *Job) (*Report, error) {
 // ErrOverloaded when the queue is full, or run under the configured
 // per-job deadline.
 func (c *Cluster) RunCtx(ctx context.Context, job *Job) (*Report, error) {
+	// A kind nobody registered (or whose conf does not parse) fails here,
+	// before the job queues for admission.
+	kf, err := BuildKind(job.Kind, job.Conf)
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+	}
+	if kf.Map == nil {
+		return nil, fmt.Errorf("mapreduce: job %q: kind %q has no map function", job.Name, job.Kind)
+	}
+	if job.Output == "" {
+		return nil, fmt.Errorf("mapreduce: job %q has no output file", job.Name)
+	}
 	if a := c.admission(); a != nil {
 		// queue.wait covers the admission gate: on a loaded cluster this is
 		// where a request trace shows the job sitting behind other jobs.
@@ -522,7 +520,7 @@ func (c *Cluster) RunCtx(ctx context.Context, job *Job) (*Report, error) {
 			defer cancel()
 		}
 	}
-	return c.runJob(ctx, job)
+	return c.runJob(ctx, job, kf)
 }
 
 // jobRun is the state one admitted job threads through its phases: plan
@@ -559,19 +557,13 @@ type mapResult struct {
 
 // runJob executes one admitted job: it drives the phases and assembles
 // the report.
-func (c *Cluster) runJob(ctx context.Context, job *Job) (*Report, error) {
-	if job.Map == nil {
-		return nil, fmt.Errorf("mapreduce: job %q has no map function", job.Name)
-	}
-	if job.Output == "" {
-		return nil, fmt.Errorf("mapreduce: job %q has no output file", job.Name)
-	}
+func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, error) {
 	start := time.Now()
 	numRed := job.NumReducers
 	if numRed <= 0 {
 		numRed = 1
 	}
-	rj := &runningJob{job: job, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: numRed}
+	rj := &runningJob{job: job, kf: kf, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: numRed}
 	// When the context carries a request trace (serving path), mirror the
 	// job into it: a "job" span parents per-phase spans, which in turn
 	// parent the scheduler's slot.wait spans. Batch callers carry no trace
@@ -748,7 +740,7 @@ func (j *jobRun) reducePhase(ctx context.Context) error {
 	rj, numRed := j.rj, j.rj.nshards
 	j.reduceOut = make([][]string, numRed)
 	j.reduceDur = make([]time.Duration, numRed)
-	if rj.job.Reduce == nil {
+	if rj.kf.Reduce == nil {
 		return nil
 	}
 	redCtx, redSpan := obs.StartSpan(ctx, "phase.reduce")
@@ -856,11 +848,11 @@ type runner interface {
 }
 
 // newRunner picks the job's runner: the worker pool when a master runtime
-// is up with live workers and the job carries a registered kind (its
-// functions can be rebuilt remotely), this process otherwise.
+// is up with live workers, this process otherwise. Both build the job's
+// functions from its kind, so either can run any job.
 func (c *Cluster) newRunner(ctx context.Context, rj *runningJob, splits []*Split, root int64) runner {
 	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
-	if m := c.Master(); m != nil && m.LiveWorkers() > 0 && HasKind(rj.job.Kind) {
+	if m := c.Master(); m != nil && m.LiveWorkers() > 0 {
 		return startRemote(ctx, m, local, root)
 	}
 	return local
@@ -882,8 +874,11 @@ type localRunner struct {
 // the emitted shards.
 func (l *localRunner) execMap(task, attempt int) (attemptResult, [][]Pair, error) {
 	split := l.splits[task]
-	shards, out, tm, err := runMapAttempt(l.rj, split, attempt)
+	shards, out, tm, err := ExecMapAttempt(l.rj.kf, l.rj.job.Conf, split, l.rj.nshards, attempt)
 	if err != nil {
+		if errors.Is(err, dfs.ErrChecksum) {
+			l.rj.reg.Inc(CounterChecksumFailures, 1)
+		}
 		return attemptResult{}, nil, err
 	}
 	pairs, bytes := ShardTotals(shards)
@@ -929,7 +924,7 @@ func (l *localRunner) shuffle() {
 
 // execReduce runs one reduce attempt over grouped values.
 func (l *localRunner) execReduce(groups map[string][]string, attempt int) (attemptResult, error) {
-	out, valuesIn, tm, err := runReduceAttempt(l.rj, groups, attempt)
+	out, valuesIn, tm, err := ExecReduceAttempt(l.rj.kf, l.rj.job.Conf, groups, attempt)
 	return attemptResult{out: out, recordsIn: valuesIn, tm: tm}, err
 }
 
@@ -939,36 +934,37 @@ func (l *localRunner) reduceAttempt(ri, attempt int) (attemptResult, error) {
 
 func (l *localRunner) close() {}
 
-// runMapAttempt executes one map attempt, applying the combiner to its
-// output, and returns the task's emitted pairs bucketed by reducer shard.
+// ExecMapAttempt executes one map attempt of a job kind's functions under
+// the job's conf, applying the combiner to its output, and returns the
+// task's emitted pairs bucketed by reducer shard plus its direct output.
 // The attempt's metrics stay in the returned TaskMetrics buffer; the
 // caller merges it into the job registry only on success, so a failed
 // attempt's counts (including the combiner re-run) are discarded with it.
 // Block checksums are verified before any record is decoded; a mismatch
-// fails the attempt with the retryable dfs checksum error. It is a free
-// function of the runningJob (not a Cluster method) because remote
-// workers run it too, against a runningJob rebuilt from the job kind.
-func runMapAttempt(rj *runningJob, split *Split, attempt int) ([][]Pair, []string, *obs.TaskMetrics, error) {
+// fails the attempt with the retryable dfs checksum error. It is the one
+// map attempt body: the in-process runner and a worker both call it, with
+// functions both built from the same kind, so their shards and output are
+// byte-identical by construction.
+func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards, attempt int) ([][]Pair, []string, *obs.TaskMetrics, error) {
 	for _, group := range [][]*dfs.Block{split.Blocks, split.Extra} {
 		for _, b := range group {
 			if err := b.VerifyCached(); err != nil {
-				rj.reg.Inc(CounterChecksumFailures, 1)
 				return nil, nil, nil, err
 			}
 		}
 	}
 	tm := obs.NewTaskMetrics()
-	ctx := &TaskContext{job: rj, split: split, metrics: tm, nshards: rj.nshards, attempt: attempt}
+	ctx := &TaskContext{conf: conf, split: split, metrics: tm, nshards: nshards, attempt: attempt}
 	tm.Inc(CounterMapRecordsIn, int64(split.NumRecords()))
-	if err := rj.job.Map(ctx, split); err != nil {
+	if err := kf.Map(ctx, split); err != nil {
 		return nil, nil, nil, err
 	}
 	shards := ctx.shards
-	if rj.job.Combine != nil && ctx.numEmitted() > 0 {
+	if kf.Combine != nil && ctx.numEmitted() > 0 {
 		// Combine shard by shard: all occurrences of a key live in one
 		// shard, so per-shard grouping sees every value of the key, and the
 		// combiner's own emits re-bucket to the same shard.
-		cctx := &TaskContext{job: rj, split: split, metrics: tm, nshards: rj.nshards, attempt: attempt}
+		cctx := &TaskContext{conf: conf, split: split, metrics: tm, nshards: nshards, attempt: attempt}
 		for _, shard := range shards {
 			if len(shard) == 0 {
 				continue
@@ -982,7 +978,7 @@ func runMapAttempt(rj *runningJob, split *Split, attempt int) ([][]Pair, []strin
 				grouped[p.Key] = append(grouped[p.Key], p.Value)
 			}
 			for _, k := range order {
-				if err := rj.job.Combine(cctx, k, grouped[k]); err != nil {
+				if err := kf.Combine(cctx, k, grouped[k]); err != nil {
 					return nil, nil, nil, err
 				}
 			}

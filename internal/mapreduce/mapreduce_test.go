@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spatialhadoop/internal/dfs"
@@ -18,11 +19,20 @@ func newTestCluster(t *testing.T, blockSize int64, workers int) *Cluster {
 	return NewCluster(fs, workers)
 }
 
-// wordCountJob is the canonical MapReduce smoke test.
-func wordCountJob(output string) *Job {
-	return &Job{
-		Name:  "wordcount",
-		Input: []string{"text"},
+var closureKinds atomic.Int64
+
+// closureJob is this package's adapter from test closures to the one job
+// shape: it registers a uniquely named kind whose builder returns kf and
+// returns the job with that Kind.
+func closureJob(job Job, kf KindFuncs) *Job {
+	job.Kind = fmt.Sprintf("test-closure-%d", closureKinds.Add(1))
+	RegisterKind(job.Kind, func(map[string]string) (KindFuncs, error) { return kf, nil })
+	return &job
+}
+
+// wordCount is the canonical MapReduce smoke test.
+func wordCount() KindFuncs {
+	return KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, rec := range split.Records() {
 				for _, w := range strings.Fields(rec) {
@@ -47,9 +57,11 @@ func wordCountJob(output string) *Job {
 			ctx.Write(fmt.Sprintf("%s\t%d", key, sum))
 			return nil
 		},
-		NumReducers: 3,
-		Output:      "out",
 	}
+}
+
+func wordCountJob(output string) *Job {
+	return closureJob(Job{Name: "wordcount", Input: []string{"text"}, NumReducers: 3, Output: output}, wordCount())
 }
 
 func writeText(t *testing.T, c *Cluster) {
@@ -101,10 +113,9 @@ func TestCombinerReducesShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := wordCountJob("out2")
-	job.Combine = nil
-	job.Output = "out2"
-	withoutCombiner, err := c.Run(job)
+	noCombine := wordCount()
+	noCombine.Combine = nil
+	withoutCombiner, err := c.Run(closureJob(Job{Name: "wordcount", Input: []string{"text"}, NumReducers: 3, Output: "out2"}, noCombine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +136,18 @@ func TestCombinerReducesShuffle(t *testing.T) {
 func TestMapOnlyJobDirectOutput(t *testing.T) {
 	c := newTestCluster(t, 64, 2)
 	c.FS().WriteFile("in", []string{"a", "b", "c", "d", "e", "f", "g", "h"})
-	_, err := c.Run(&Job{
-		Name:  "identity",
-		Input: []string{"in"},
+	_, err := c.Run(closureJob(Job{
+		Name:   "identity",
+		Input:  []string{"in"},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
 				ctx.Write("out:" + r)
 			}
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +164,21 @@ func TestFilterPrunesSplits(t *testing.T) {
 		recs = append(recs, fmt.Sprintf("%012d", i))
 	}
 	c.FS().WriteFile("in", recs)
-	rep, err := c.Run(&Job{
+	rep, err := c.Run(closureJob(Job{
 		Name:  "filtered",
 		Input: []string{"in"},
 		Filter: func(splits []*Split) []*Split {
 			return splits[:2]
 		},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for range split.Records() {
 				ctx.Inc("seen", 1)
 			}
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +197,16 @@ func TestExplicitSplitsAndTags(t *testing.T) {
 	splits := []*Split{
 		{Partition: "p0", MBR: geom.NewRect(0, 0, 1, 1), Blocks: f.Blocks, Tag: "hello"},
 	}
-	_, err := c.Run(&Job{
+	_, err := c.Run(closureJob(Job{
 		Name:   "tagged",
 		Splits: splits,
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			ctx.Write(split.Tag + ":" + split.Partition)
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,16 +219,17 @@ func TestExplicitSplitsAndTags(t *testing.T) {
 func TestConfBroadcast(t *testing.T) {
 	c := newTestCluster(t, 1024, 2)
 	c.FS().WriteFile("in", []string{"r"})
-	_, err := c.Run(&Job{
-		Name:  "conf",
-		Input: []string{"in"},
-		Conf:  map[string]string{"sky": "value42"},
+	_, err := c.Run(closureJob(Job{
+		Name:   "conf",
+		Input:  []string{"in"},
+		Conf:   map[string]string{"sky": "value42"},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			ctx.Write(ctx.Config("sky"))
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +249,18 @@ func TestFailureInjectionRetries(t *testing.T) {
 	}
 	c.FS().WriteFile("in", recs)
 	c.SetFault(fault.Plan{FailEveryKth: 3}) // every third attempt dies once
-	rep, err := c.Run(&Job{
-		Name:  "flaky",
-		Input: []string{"in"},
+	rep, err := c.Run(closureJob(Job{
+		Name:   "flaky",
+		Input:  []string{"in"},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
 				ctx.Write(r)
 			}
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,18 +281,23 @@ func TestFailureInjectionRetries(t *testing.T) {
 
 func TestJobValidation(t *testing.T) {
 	c := newTestCluster(t, 64, 1)
-	if _, err := c.Run(&Job{Name: "nomap", Output: "o"}); err == nil {
+	// A kind nobody registered fails at Run with an error naming it.
+	if _, err := c.Run(&Job{Name: "nokind", Kind: "no-such-kind", Output: "o"}); err == nil || !strings.Contains(err.Error(), `"no-such-kind"`) {
+		t.Errorf("unregistered kind: err = %v, want one naming the kind", err)
+	}
+	if _, err := c.Run(closureJob(Job{Name: "nomap", Output: "o"}, KindFuncs{})); err == nil {
 		t.Error("expected error for missing map")
 	}
-	if _, err := c.Run(&Job{Name: "noout", Map: func(*TaskContext, *Split) error { return nil }}); err == nil {
+	if _, err := c.Run(closureJob(Job{Name: "noout"}, KindFuncs{Map: func(*TaskContext, *Split) error { return nil }})); err == nil {
 		t.Error("expected error for missing output")
 	}
-	if _, err := c.Run(&Job{
+	if _, err := c.Run(closureJob(Job{
 		Name:   "badinput",
 		Input:  []string{"missing"},
-		Map:    func(*TaskContext, *Split) error { return nil },
 		Output: "o",
-	}); err == nil {
+	}, KindFuncs{
+		Map: func(*TaskContext, *Split) error { return nil },
+	})); err == nil {
 		t.Error("expected error for missing input")
 	}
 }
@@ -284,14 +305,15 @@ func TestJobValidation(t *testing.T) {
 func TestMapErrorPropagates(t *testing.T) {
 	c := newTestCluster(t, 64, 2)
 	c.FS().WriteFile("in", []string{"x"})
-	_, err := c.Run(&Job{
-		Name:  "maperr",
-		Input: []string{"in"},
+	_, err := c.Run(closureJob(Job{
+		Name:   "maperr",
+		Input:  []string{"in"},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			return fmt.Errorf("boom")
 		},
-		Output: "out",
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("err = %v", err)
 	}

@@ -63,8 +63,6 @@ type MasterOptions struct {
 	// master waits before declaring a worker dead (default 10x heartbeat).
 	HeartbeatEvery time.Duration
 	Lease          time.Duration
-	// PollWait bounds a GetTask long-poll (default HeartbeatEvery).
-	PollWait time.Duration
 	// Metrics, when set, receives the worker lifecycle counters/gauges —
 	// pass the system registry so a serving process exports them.
 	Metrics *obs.Registry
@@ -85,9 +83,6 @@ type MasterOptions struct {
 	// locally or peer-to-peer instead of from the master. Zero (the
 	// default) places no replicas: every block is read from the master.
 	Replication int
-	// PlacementSeed seeds rendezvous replica placement (default 1), so
-	// a replayed run places identically.
-	PlacementSeed int64
 }
 
 func (o MasterOptions) withDefaults() MasterOptions {
@@ -99,12 +94,6 @@ func (o MasterOptions) withDefaults() MasterOptions {
 	}
 	if o.Lease <= 0 {
 		o.Lease = 10 * o.HeartbeatEvery
-	}
-	if o.PollWait <= 0 {
-		o.PollWait = o.HeartbeatEvery
-	}
-	if o.PlacementSeed == 0 {
-		o.PlacementSeed = 1
 	}
 	return o
 }
@@ -229,9 +218,9 @@ type Master struct {
 const maxPending = 4096
 
 // StartMaster starts a master runtime listening for worker registrations.
-// Jobs submitted to the cluster while at least one worker is live (and
-// whose Kind is registered) execute on the workers; with none, execution
-// falls back in process — the zero-config default.
+// Jobs submitted to the cluster while at least one worker is live execute
+// on the workers; with none they execute in process — the zero-config
+// default, and what a job falls back to if its last worker dies mid-run.
 func (c *Cluster) StartMaster(opts MasterOptions) (*Master, error) {
 	opts = opts.withDefaults()
 	ln, err := net.Listen("tcp", opts.Addr)
@@ -251,7 +240,7 @@ func (c *Cluster) StartMaster(opts MasterOptions) (*Master, error) {
 		peers:      NewPeers(),
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
-	m.plane = newDataPlane(m, opts.Replication, opts.PlacementSeed)
+	m.plane = newDataPlane(m, opts.Replication)
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(MasterService, &masterService{m: m}); err != nil {
 		ln.Close()
@@ -712,7 +701,8 @@ func (s *masterService) GetTask(args GetTaskArgs, reply *TaskAssignment) error {
 		reply.Phase = TaskNone
 		return nil
 	}
-	deadline := time.NewTimer(m.opts.PollWait)
+	// A long-poll lasts one heartbeat interval: the poll doubles as one.
+	deadline := time.NewTimer(m.opts.HeartbeatEvery)
 	defer deadline.Stop()
 	for {
 		m.mu.Lock()

@@ -32,9 +32,11 @@ func TestRetryDoesNotDoubleCountCounters(t *testing.T) {
 	// exhaust a task's budget under concurrent-job scheduling). Seed 3
 	// yields 12 retries across these 30 tasks with none exhausting.
 	c.SetFault(fault.Plan{MapFailRate: 0.3, Seed: 3})
-	rep, err := c.Run(&Job{
-		Name:  "flaky-counters",
-		Input: []string{"in"},
+	rep, err := c.Run(closureJob(Job{
+		Name:   "flaky-counters",
+		Input:  []string{"in"},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
 				ctx.Inc("user.mapped", 1)
@@ -53,8 +55,7 @@ func TestRetryDoesNotDoubleCountCounters(t *testing.T) {
 			}
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,17 +164,18 @@ func TestRetriedAttemptsAppearInTrace(t *testing.T) {
 	}
 	c.FS().WriteFile("in", recs)
 	c.SetFault(fault.Plan{FailEveryKth: 3})
-	rep, err := c.Run(&Job{
-		Name:  "flaky-trace",
-		Input: []string{"in"},
+	rep, err := c.Run(closureJob(Job{
+		Name:   "flaky-trace",
+		Input:  []string{"in"},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
 				ctx.Write(r)
 			}
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestMakeSplitsUsesMasterIndexMBR(t *testing.T) {
 	// A Filter on the default split path (Input, no explicit Splits) must
 	// see the real MBRs and be able to prune.
 	query := geom.NewRect(6, 4, 7, 6) // inside cell c1 only
-	rep, err := c.Run(&Job{
+	rep, err := c.Run(closureJob(Job{
 		Name:  "filtered-indexed",
 		Input: []string{"indexed"},
 		Filter: func(splits []*Split) []*Split {
@@ -290,14 +292,15 @@ func TestMakeSplitsUsesMasterIndexMBR(t *testing.T) {
 			}
 			return keep
 		},
+		Output: "out",
+	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
 				ctx.Write(r)
 			}
 			return nil
 		},
-		Output: "out",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +340,14 @@ func TestGaugeFilterPruneRatio(t *testing.T) {
 		recs = append(recs, fmt.Sprintf("%012d", i))
 	}
 	c.FS().WriteFile("in", recs)
-	rep, err := c.Run(&Job{
+	rep, err := c.Run(closureJob(Job{
 		Name:   "pruned",
 		Input:  []string{"in"},
 		Filter: func(splits []*Split) []*Split { return splits[:1] },
-		Map:    func(ctx *TaskContext, split *Split) error { return nil },
 		Output: "out",
-	})
+	}, KindFuncs{
+		Map: func(ctx *TaskContext, split *Split) error { return nil },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

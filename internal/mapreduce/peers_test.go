@@ -292,7 +292,7 @@ func scriptedRun(t *testing.T, c *Cluster, m *Master, input string) *remoteRun {
 	if err := c.FS().WriteFile(input, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	job := identityJob("scripted")
+	job := identityJob("scripted", identityMap)
 	job.Input = []string{input}
 	rj := &runningJob{job: job, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: 1}
 	splits, err := c.MakeSplits(job.Input)

@@ -10,19 +10,23 @@ import (
 	"spatialhadoop/internal/obs"
 )
 
-// Job kinds. Map/reduce functions are Go closures and cannot ship over
-// RPC, so a job that may run on remote workers carries a Kind name; both
-// sides rebuild the job's functions from the kind's registered builder
-// and the job's Conf (which, like Hadoop's job configuration, is the only
-// state broadcast to tasks). Jobs without a Kind — or with one no builder
-// was registered for — always run in process.
+// Job kinds. A job is a registered kind plus its Conf: functions are Go
+// closures and cannot ship over RPC, so whoever executes an attempt — the
+// master's in-process runner or a worker — builds the job's functions from
+// the kind's registered builder and the job's Conf (which, like Hadoop's
+// job configuration, is the only state broadcast to tasks). Master and
+// workers are one binary with one registry, so any of them runs any job,
+// and Run rejects a job whose Kind nobody registered.
 
 // KindFuncs is the set of task-side functions a kind builder produces.
 // The Filter hook is master-only and never rebuilt remotely.
 type KindFuncs struct {
-	Map     MapFunc
+	// Map is required.
+	Map MapFunc
+	// Combine optionally pre-aggregates map output per task.
 	Combine ReduceFunc
-	Reduce  ReduceFunc
+	// Reduce is optional; a map-only job writes only direct output.
+	Reduce ReduceFunc
 }
 
 // KindBuilder rebuilds a job kind's functions from its configuration.
@@ -46,15 +50,7 @@ func RegisterKind(name string, b KindBuilder) {
 	kinds[name] = b
 }
 
-// HasKind reports whether a builder is registered for the kind.
-func HasKind(name string) bool {
-	kindsMu.RLock()
-	defer kindsMu.RUnlock()
-	_, ok := kinds[name]
-	return ok
-}
-
-// BuildKind rebuilds a kind's functions from conf.
+// BuildKind builds a kind's functions from conf.
 func BuildKind(name string, conf map[string]string) (KindFuncs, error) {
 	kindsMu.RLock()
 	b, ok := kinds[name]
@@ -63,42 +59,6 @@ func BuildKind(name string, conf map[string]string) (KindFuncs, error) {
 		return KindFuncs{}, fmt.Errorf("mapreduce: unknown job kind %q", name)
 	}
 	return b(conf)
-}
-
-// remoteJob builds the minimal runningJob a worker-side attempt executes
-// under: the kind's functions, the shipped conf, and a throwaway registry
-// (worker-side attempts report their metrics through the TaskMetrics
-// buffer they return, never through a registry).
-func remoteJob(kf KindFuncs, name string, conf map[string]string, nshards int) *runningJob {
-	return &runningJob{
-		job: &Job{
-			Name:    name,
-			Map:     kf.Map,
-			Combine: kf.Combine,
-			Reduce:  kf.Reduce,
-			Conf:    conf,
-		},
-		reg:     obs.NewRegistry(),
-		trace:   obs.NewTrace(name),
-		nshards: nshards,
-	}
-}
-
-// ExecMapAttempt runs one map attempt of a registered job kind against a
-// reconstructed split — the worker-side map execution path. It is the
-// exact code path of an in-process attempt (checksum verification, map,
-// combiner, per-shard bucketing), so the returned shards and direct
-// output are byte-identical to what the master would have produced.
-func ExecMapAttempt(kf KindFuncs, jobName string, conf map[string]string, split *Split, nshards, attempt int) (shards [][]Pair, out []string, tm *obs.TaskMetrics, err error) {
-	return runMapAttempt(remoteJob(kf, jobName, conf, nshards), split, attempt)
-}
-
-// ExecReduceAttempt runs one reduce attempt of a registered job kind over
-// the fetched-and-grouped shard pairs — the worker-side reduce execution
-// path, sharing the in-process attempt body (sorted key order, group
-// counter, partition-records observation).
-func ExecReduceAttempt(kf KindFuncs, jobName string, conf map[string]string, groups map[string][]string, attempt int) (out []string, valuesIn int64, tm *obs.TaskMetrics, err error) {
-	return runReduceAttempt(remoteJob(kf, jobName, conf, 1), groups, attempt)
 }
 
 // GroupShards merges fetched map shards into reduce groups, in map-task
@@ -123,11 +83,11 @@ func MergePairs(g map[string][]string, pairs []Pair) {
 	}
 }
 
-// runReduceAttempt executes one reduce attempt over grouped values: keys
-// in sorted order, one CounterReduceGroups tick per key, and the
-// partition-records observation — shared verbatim by the in-process
-// scheduler and remote workers.
-func runReduceAttempt(rj *runningJob, groups map[string][]string, attempt int) (out []string, valuesIn int64, tm *obs.TaskMetrics, err error) {
+// ExecReduceAttempt executes one reduce attempt of a job kind's functions
+// over grouped values: keys in sorted order, one CounterReduceGroups tick
+// per key, and the partition-records observation — the one reduce attempt
+// body, called by the in-process runner and by workers alike.
+func ExecReduceAttempt(kf KindFuncs, conf map[string]string, groups map[string][]string, attempt int) (out []string, valuesIn int64, tm *obs.TaskMetrics, err error) {
 	keys := make([]string, 0, len(groups))
 	for k, vs := range groups {
 		keys = append(keys, k)
@@ -135,10 +95,10 @@ func runReduceAttempt(rj *runningJob, groups map[string][]string, attempt int) (
 	}
 	sort.Strings(keys)
 	tm = obs.NewTaskMetrics()
-	rctx := &TaskContext{job: rj, metrics: tm, attempt: attempt}
+	rctx := &TaskContext{conf: conf, metrics: tm, attempt: attempt}
 	for _, k := range keys {
 		tm.Inc(CounterReduceGroups, 1)
-		if err := rj.job.Reduce(rctx, k, groups[k]); err != nil {
+		if err := kf.Reduce(rctx, k, groups[k]); err != nil {
 			return nil, 0, nil, err
 		}
 	}

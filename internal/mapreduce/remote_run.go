@@ -123,7 +123,7 @@ func (r *remoteRun) sources() []ShardSource {
 func (r *remoteRun) send(d *dispatch) (dispatchResult, error) {
 	rj := r.local.rj
 	d.jobID, d.jobKind, d.conf, d.nshards = r.id, rj.job.Kind, rj.job.Conf, rj.nshards
-	if rj.job.Reduce == nil {
+	if rj.kf.Reduce == nil {
 		d.nshards = 0 // map-only: no reducer will fetch a shard, so the worker spills none
 	}
 	d.resultCh = make(chan dispatchResult, 1)
@@ -236,7 +236,7 @@ func (r *remoteRun) fetchShard(src ShardSource, reduce int) ([]Pair, error) {
 // on the dead worker. Map-only jobs skip it: their direct output is
 // already on the master and their shards are never fetched.
 func (r *remoteRun) onWorkerLost(workerID int64) {
-	if r.local.rj.job.Reduce == nil || r.ctx.Err() != nil {
+	if r.local.rj.kf.Reduce == nil || r.ctx.Err() != nil {
 		return
 	}
 	r.mu.Lock()

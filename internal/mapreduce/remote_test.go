@@ -72,25 +72,14 @@ func init() {
 // mapOnlyJob is a registered-kind job without a Reduce: every record goes
 // upper-cased straight to the output.
 func mapOnlyJob() *mapreduce.Job {
-	kf, err := mapreduce.BuildKind("test-upper", nil)
-	if err != nil {
-		panic(err)
-	}
-	return &mapreduce.Job{Name: "upper", Kind: "test-upper", Input: []string{"text"}, Map: kf.Map, Output: "out"}
+	return &mapreduce.Job{Name: "upper", Kind: "test-upper", Input: []string{"text"}, Output: "out"}
 }
 
 func kindWordCountJob() *mapreduce.Job {
-	kf, err := mapreduce.BuildKind("test-wordcount", nil)
-	if err != nil {
-		panic(err)
-	}
 	return &mapreduce.Job{
 		Name:        "wordcount",
 		Kind:        "test-wordcount",
 		Input:       []string{"text"},
-		Map:         kf.Map,
-		Combine:     kf.Combine,
-		Reduce:      kf.Reduce,
 		NumReducers: 3,
 		Output:      "out",
 	}

@@ -9,6 +9,7 @@ import (
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
+	"spatialhadoop/internal/rtree"
 )
 
 // ANNResult pairs a point with its nearest neighbour.
@@ -35,34 +36,7 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 
 	// ---- Round 1: local nearest neighbours, finalize interior points ----
 	out1 := file + ".ann.r1"
-	job1 := &mapreduce.Job{
-		Name:   "ann-local",
-		Splits: splits,
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			for i, p := range pts {
-				best, ok := localNN(split, p)
-				// The uncertainty radius: a foreign point can be closer
-				// only if the current best circle leaves the partition.
-				if ok && split.MBR.Buffer(-best.Dist).ContainsPoint(p) {
-					ctx.Write("F|" + encodeANN(ANNResult{Point: p, Neighbor: best.P, Dist: best.Dist}))
-					ctx.Inc("ann.final.round1", 1)
-					continue
-				}
-				rec := ANNResult{Point: p, Dist: -1}
-				if ok {
-					rec.Neighbor, rec.Dist = best.P, best.Dist
-				}
-				ctx.Write("U|" + split.Partition + "|" + encodeANN(rec))
-				_ = i
-			}
-			return nil
-		},
-		Output: out1,
-	}
+	job1 := &mapreduce.Job{Name: "ann-local", Kind: "ann-local", Splits: splits, Output: out1}
 	rep1, err := sys.Cluster().Run(job1)
 	if err != nil {
 		return nil, nil, err
@@ -126,6 +100,7 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 	out2 := file + ".ann.r2"
 	job2 := &mapreduce.Job{
 		Name:   "ann-probe",
+		Kind:   "ann-probe",
 		Splits: splits,
 		Conf:   conf,
 		Filter: func(in []*mapreduce.Split) []*mapreduce.Split {
@@ -136,40 +111,6 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 				}
 			}
 			return keep
-		},
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			probes := ctx.Config(split.Partition)
-			if probes == "" {
-				return nil
-			}
-			for _, enc := range strings.Split(probes, ";") {
-				r, err := decodeANN(enc)
-				if err != nil {
-					return err
-				}
-				if best, ok := localNN(split, r.Point); ok {
-					ctx.Emit(geomio.EncodePoint(r.Point), encodeANN(ANNResult{
-						Point: r.Point, Neighbor: best.P, Dist: best.Dist,
-					}))
-				}
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			best := ANNResult{Dist: -1}
-			for _, v := range values {
-				r, err := decodeANN(v)
-				if err != nil {
-					return err
-				}
-				if best.Dist < 0 || (r.Dist >= 0 && r.Dist < best.Dist) {
-					best = r
-				}
-			}
-			if best.Dist >= 0 {
-				ctx.Write(encodeANN(best))
-			}
-			return nil
 		},
 		NumReducers: sys.Cluster().Workers(),
 		Output:      out2,
@@ -202,34 +143,102 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 	return final, rep2, nil
 }
 
-// localNN finds the nearest point to p among the split's records,
-// excluding p itself (one coincident duplicate still counts as a
-// neighbour at distance zero).
-func localNN(split *mapreduce.Split, p geom.Point) (geom.PointPair, bool) {
-	bestD := -1.0
-	var bestP geom.Point
-	selfSkipped := false
-	for _, b := range split.Blocks {
-		idx, err := b.LocalIndex()
+// splitIndex bulk-loads one R-tree over the split's points. ANN is the one
+// operation that probes a split once per point rather than once per
+// attempt — the case an index is for.
+func splitIndex(split *mapreduce.Split) (*rtree.Tree, []geom.Point, error) {
+	pts, err := split.Points()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rtree.BulkPoints(pts, rtree.DefaultFanout), pts, nil
+}
+
+// annLocalMap is round one's map body: answer each point within its own
+// partition and finalize those whose nearest-neighbour circle stays inside.
+func annLocalMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	idx, pts, err := splitIndex(split)
+	if err != nil {
+		return err
+	}
+	for _, p := range pts {
+		best, ok := localNN(idx, pts, p)
+		// The uncertainty radius: a foreign point can be closer
+		// only if the current best circle leaves the partition.
+		if ok && split.MBR.Buffer(-best.Dist).ContainsPoint(p) {
+			ctx.Write("F|" + encodeANN(ANNResult{Point: p, Neighbor: best.P, Dist: best.Dist}))
+			ctx.Inc("ann.final.round1", 1)
+			continue
+		}
+		rec := ANNResult{Point: p, Dist: -1}
+		if ok {
+			rec.Neighbor, rec.Dist = best.P, best.Dist
+		}
+		ctx.Write("U|" + split.Partition + "|" + encodeANN(rec))
+	}
+	return nil
+}
+
+// annProbeMap is round two's map body: the uncertain points routed to this
+// partition arrive in Conf under its key; each is answered here.
+func annProbeMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	probes := ctx.Config(split.Partition)
+	if probes == "" {
+		return nil
+	}
+	idx, pts, err := splitIndex(split)
+	if err != nil {
+		return err
+	}
+	for _, enc := range strings.Split(probes, ";") {
+		r, err := decodeANN(enc)
 		if err != nil {
-			return geom.PointPair{}, false
+			return err
 		}
-		recs := b.Records()
-		for _, nb := range idx.Nearest(p, 2) {
-			q := geomio.MustDecodePoint(recs[nb.Entry.ID])
-			if q.Equal(p) && !selfSkipped {
-				selfSkipped = true
-				continue
-			}
-			if bestD < 0 || nb.Dist < bestD {
-				bestD, bestP = nb.Dist, q
-			}
+		if best, ok := localNN(idx, pts, r.Point); ok {
+			ctx.Emit(geomio.EncodePoint(r.Point), encodeANN(ANNResult{
+				Point: r.Point, Neighbor: best.P, Dist: best.Dist,
+			}))
 		}
 	}
-	if bestD < 0 {
-		return geom.PointPair{}, false
+	return nil
+}
+
+// annProbeReduce keeps, per uncertain point, the nearest foreign answer.
+func annProbeReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	best := ANNResult{Dist: -1}
+	for _, v := range values {
+		r, err := decodeANN(v)
+		if err != nil {
+			return err
+		}
+		if best.Dist < 0 || (r.Dist >= 0 && r.Dist < best.Dist) {
+			best = r
+		}
 	}
-	return geom.PointPair{P: bestP, Q: p, Dist: bestD}, true
+	if best.Dist >= 0 {
+		ctx.Write(encodeANN(best))
+	}
+	return nil
+}
+
+// localNN finds the nearest point to p among pts, the points idx was
+// loaded over, excluding p itself (one coincident duplicate still counts
+// as a neighbour at distance zero).
+func localNN(idx *rtree.Tree, pts []geom.Point, p geom.Point) (geom.PointPair, bool) {
+	best := geom.PointPair{Q: p, Dist: -1}
+	selfSkipped := false
+	for _, nb := range idx.Nearest(p, 2) {
+		q := pts[nb.Entry.ID]
+		if q.Equal(p) && !selfSkipped {
+			selfSkipped = true
+			continue
+		}
+		if best.Dist < 0 || nb.Dist < best.Dist {
+			best.P, best.Dist = q, nb.Dist
+		}
+	}
+	return best, best.Dist >= 0
 }
 
 func encodeANN(r ANNResult) string {

@@ -51,15 +51,6 @@ func SpatialJoinIndexedCtx(ctx context.Context, sys *core.System, left, right, o
 	if err != nil {
 		return nil, nil, err
 	}
-	lDisjoint := lf.Index != nil && lf.Index.Disjoint()
-	rDisjoint := rf.Index != nil && rf.Index.Disjoint()
-	var lSpace, rSpace geom.Rect
-	if lDisjoint {
-		lSpace = lf.Index.Space
-	}
-	if rDisjoint {
-		rSpace = rf.Index.Space
-	}
 	lsplits := lf.Splits()
 	rsplits := rf.Splits()
 
@@ -88,21 +79,20 @@ func SpatialJoinIndexedCtx(ctx context.Context, sys *core.System, left, right, o
 		}
 	}
 
+	// A side's space is set iff its index is disjoint: the reference-point
+	// rule applies to that side, within that space.
 	conf := map[string]string{}
-	if lDisjoint {
-		conf[confJoinLDisjoint] = "1"
-		conf[confJoinLSpace] = geomio.EncodeRect(lSpace)
+	if lf.Index != nil && lf.Index.Disjoint() {
+		conf[confJoinLSpace] = geomio.EncodeRect(lf.Index.Space)
 	}
-	if rDisjoint {
-		conf[confJoinRDisjoint] = "1"
-		conf[confJoinRSpace] = geomio.EncodeRect(rSpace)
+	if rf.Index != nil && rf.Index.Disjoint() {
+		conf[confJoinRSpace] = geomio.EncodeRect(rf.Index.Space)
 	}
 	job := &mapreduce.Job{
 		Name:   "spatial-join",
 		Kind:   "spatial-join",
 		Conf:   conf,
 		Splits: pairs,
-		Map:    indexedJoinMap(lDisjoint, rDisjoint, lSpace, rSpace),
 		Output: out,
 	}
 	rep, err := sys.Cluster().RunCtx(ctx, job)
@@ -137,30 +127,6 @@ func SpatialJoinPBSM(sys *core.System, left, right string, gridSide int) ([]Join
 		return nil, nil, nil
 	}
 	space = space.Buffer(1e-9 * (1 + space.Width() + space.Height()))
-	cw := space.Width() / float64(gridSide)
-	ch := space.Height() / float64(gridSide)
-
-	cellOf := func(ix, iy int) geom.Rect {
-		return geom.Rect{
-			MinX: space.MinX + float64(ix)*cw,
-			MinY: space.MinY + float64(iy)*ch,
-			MaxX: space.MinX + float64(ix+1)*cw,
-			MaxY: space.MinY + float64(iy)*ch + ch,
-		}
-	}
-	cellsFor := func(b geom.Rect) []string {
-		x0 := clampi(int((b.MinX-space.MinX)/cw), gridSide)
-		x1 := clampi(int((b.MaxX-space.MinX)/cw), gridSide)
-		y0 := clampi(int((b.MinY-space.MinY)/ch), gridSide)
-		y1 := clampi(int((b.MaxY-space.MinY)/ch), gridSide)
-		var keys []string
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				keys = append(keys, cellKey(x, y))
-			}
-		}
-		return keys
-	}
 
 	// One split per block, tagged with the side it came from.
 	var splits []*mapreduce.Split
@@ -180,38 +146,13 @@ func SpatialJoinPBSM(sys *core.System, left, right string, gridSide int) ([]Join
 
 	out := left + ".pbsmjoin.out"
 	job := &mapreduce.Job{
-		Name:   "pbsm-join",
-		Splits: splits,
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			for _, rec := range split.Records() {
-				rg, err := geomio.DecodeRegion(rec)
-				if err != nil {
-					return err
-				}
-				for _, key := range cellsFor(rg.Bounds()) {
-					ctx.Emit(key, split.Tag+rec)
-				}
-			}
-			return nil
+		Name: "pbsm-join",
+		Kind: "pbsm-join",
+		Conf: map[string]string{
+			confPBSMSide:  strconv.Itoa(gridSide),
+			confPBSMSpace: geomio.EncodeRect(space),
 		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			ix, iy := parseCellKey(key)
-			cell := cellOf(ix, iy)
-			var lrecs, rrecs []string
-			for _, v := range values {
-				if strings.HasPrefix(v, "L") {
-					lrecs = append(lrecs, v[1:])
-				} else {
-					rrecs = append(rrecs, v[1:])
-				}
-			}
-			return planeSweepJoin(lrecs, rrecs, func(lrec, rrec string, overlap geom.Rect) {
-				ref := geom.Point{X: overlap.MinX, Y: overlap.MinY}
-				if ownsRef(cell, space, ref) {
-					ctx.Write(lrec + "\t" + rrec)
-				}
-			})
-		},
+		Splits:      splits,
 		NumReducers: sys.Cluster().Workers(),
 		Output:      out,
 	}
@@ -220,6 +161,76 @@ func SpatialJoinPBSM(sys *core.System, left, right string, gridSide int) ([]Join
 		return nil, nil, err
 	}
 	return readJoinOutput(context.Background(), sys, out, rep)
+}
+
+// pbsmGrid is PBSM's uniform grid over the joint data space.
+type pbsmGrid struct {
+	space  geom.Rect
+	side   int
+	cw, ch float64
+}
+
+func newPBSMGrid(space geom.Rect, side int) pbsmGrid {
+	return pbsmGrid{space: space, side: side, cw: space.Width() / float64(side), ch: space.Height() / float64(side)}
+}
+
+func (g pbsmGrid) cellOf(ix, iy int) geom.Rect {
+	return geom.Rect{
+		MinX: g.space.MinX + float64(ix)*g.cw,
+		MinY: g.space.MinY + float64(iy)*g.ch,
+		MaxX: g.space.MinX + float64(ix+1)*g.cw,
+		MaxY: g.space.MinY + float64(iy)*g.ch + g.ch,
+	}
+}
+
+func (g pbsmGrid) cellsFor(b geom.Rect) []string {
+	x0 := clampi(int((b.MinX-g.space.MinX)/g.cw), g.side)
+	x1 := clampi(int((b.MaxX-g.space.MinX)/g.cw), g.side)
+	y0 := clampi(int((b.MinY-g.space.MinY)/g.ch), g.side)
+	y1 := clampi(int((b.MaxY-g.space.MinY)/g.ch), g.side)
+	var keys []string
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			keys = append(keys, cellKey(x, y))
+		}
+	}
+	return keys
+}
+
+// mapSplit replicates each record of the split to the grid cells its MBR
+// overlaps, prefixed with the side (the split's Tag) it came from.
+func (g pbsmGrid) mapSplit(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+	for _, rec := range split.Records() {
+		rg, err := geomio.DecodeRegion(rec)
+		if err != nil {
+			return err
+		}
+		for _, key := range g.cellsFor(rg.Bounds()) {
+			ctx.Emit(key, split.Tag+rec)
+		}
+	}
+	return nil
+}
+
+// reduceCell joins one grid cell, keeping a match only in the cell that
+// owns its reference point.
+func (g pbsmGrid) reduceCell(ctx *mapreduce.TaskContext, key string, values []string) error {
+	ix, iy := parseCellKey(key)
+	cell := g.cellOf(ix, iy)
+	var lrecs, rrecs []string
+	for _, v := range values {
+		if strings.HasPrefix(v, "L") {
+			lrecs = append(lrecs, v[1:])
+		} else {
+			rrecs = append(rrecs, v[1:])
+		}
+	}
+	return planeSweepJoin(lrecs, rrecs, func(lrec, rrec string, overlap geom.Rect) {
+		ref := geom.Point{X: overlap.MinX, Y: overlap.MinY}
+		if ownsRef(cell, g.space, ref) {
+			ctx.Write(lrec + "\t" + rrec)
+		}
+	})
 }
 
 // planeSweepJoin reports every pair of regions with intersecting MBRs via

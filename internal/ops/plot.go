@@ -14,6 +14,7 @@ import (
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
 )
 
@@ -76,49 +77,21 @@ func PlotCtx(ctx context.Context, sys *core.System, file string, cfg PlotConfig)
 	if out == "" {
 		out = file + ".plot.out"
 	}
+	reducers := sys.Cluster().Workers()
 	job := &mapreduce.Job{
-		Name:   "plot",
+		Name: "plot",
+		Kind: "plot",
+		Conf: map[string]string{
+			confPlotExtent:   geomio.EncodeRect(extent),
+			confPlotWidth:    strconv.Itoa(cfg.Width),
+			confPlotHeight:   strconv.Itoa(cfg.Height),
+			confPlotReducers: strconv.Itoa(reducers),
+		},
 		Splits: f.Splits(),
 		Filter: withHeat(sys, file, func(splits []*mapreduce.Split) []*mapreduce.Split {
 			return RangeCandidates(splits, nil, extent).Kept
 		}),
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			// Render the partition into a sparse partial raster and ship
-			// the non-zero pixels, mirroring HadoopViz's partial images.
-			local := make(map[int]uint32)
-			pts, err := split.Points()
-			if err != nil {
-				return err
-			}
-			for _, p := range pts {
-				px, py, ok := rasterize(p, extent, cfg.Width, cfg.Height)
-				if !ok {
-					continue
-				}
-				local[py*cfg.Width+px]++
-			}
-			for pix, c := range local {
-				ctx.Emit(fmt.Sprintf("%d", pix%sysReducers(sys)), fmt.Sprintf("%d:%d", pix, c))
-			}
-			ctx.Inc("plot.partial.pixels", int64(len(local)))
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values []string) error {
-			// Composite: sum the partial counts per pixel.
-			sums := make(map[int]uint32)
-			for _, v := range values {
-				pix, c, err := parsePixelCount(v)
-				if err != nil {
-					return err
-				}
-				sums[pix] += c
-			}
-			for pix, c := range sums {
-				ctx.Write(fmt.Sprintf("%d:%d", pix, c))
-			}
-			return nil
-		},
-		NumReducers: sysReducers(sys),
+		NumReducers: reducers,
 		Output:      out,
 	}
 	rep, err := sys.Cluster().RunCtx(ctx, job)
@@ -157,12 +130,45 @@ func PlotCtx(ctx context.Context, sys *core.System, file string, cfg PlotConfig)
 	return img, rep, nil
 }
 
-func sysReducers(sys *core.System) int {
-	w := sys.Cluster().Workers()
-	if w < 1 {
-		return 1
+// plotMap is the plot job's map body: render the partition into a sparse
+// partial raster and ship the non-zero pixels, mirroring HadoopViz's
+// partial images, spread over the reducers by pixel.
+func plotMap(extent geom.Rect, width, height, reducers int) mapreduce.MapFunc {
+	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+		local := make(map[int]uint32)
+		pts, err := split.Points()
+		if err != nil {
+			return err
+		}
+		for _, p := range pts {
+			px, py, ok := rasterize(p, extent, width, height)
+			if !ok {
+				continue
+			}
+			local[py*width+px]++
+		}
+		for pix, c := range local {
+			ctx.Emit(strconv.Itoa(pix%reducers), fmt.Sprintf("%d:%d", pix, c))
+		}
+		ctx.Inc("plot.partial.pixels", int64(len(local)))
+		return nil
 	}
-	return w
+}
+
+// plotReduce composites: it sums the partial counts per pixel.
+func plotReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
+	sums := make(map[int]uint32)
+	for _, v := range values {
+		pix, c, err := parsePixelCount(v)
+		if err != nil {
+			return err
+		}
+		sums[pix] += c
+	}
+	for pix, c := range sums {
+		ctx.Write(fmt.Sprintf("%d:%d", pix, c))
+	}
+	return nil
 }
 
 // rasterize maps a world point to pixel coordinates (y axis flipped so

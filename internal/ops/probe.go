@@ -4,62 +4,24 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 )
 
-// blockProbe answers the query jobs' two per-block questions. It has
-// exactly two implementations, chosen by whether the block outlives the
-// probe: a local index is used where it persists — the master's blocks
-// keep theirs (indexProbe) — and a one-shot read scans (scanProbe): a
-// worker's block is decoded for one map attempt and dropped, so a tree
-// bulk-loaded over it would be probed once and thrown away. (A pinned
-// partition is neither: it is held sorted and probed as SortedPoints, with
-// scanProbe's tie rule.) Both sides define their answer without
-// reference to how it was found, which is what keeps raw job output
-// byte-identical across engines.
-type blockProbe interface {
-	// rangeIDs returns, in ascending order, the ids (b.Record's argument)
-	// of the block's points inside query, boundary inclusive.
-	rangeIDs(b *dfs.Block, query geom.Rect) ([]int, error)
-	// nearest returns the block's k nearest records to q plus every further
-	// one at exactly the k-th distance, in no particular order. Only
-	// finite coordinates are pinned: a NaN distance has no rank.
-	nearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error)
-}
+// The query jobs ask a block two questions, and both are answered by
+// reading its points once, front to back: a map attempt probes a block
+// once, so a tree bulk-loaded over it would be probed once and thrown away
+// (measured on the master, where blocks persist, a memoised per-block
+// R-tree bought no throughput and cost 59 MiB; DESIGN.md § Job kinds). A
+// pinned partition is held sorted and probed as SortedPoints, with the
+// same tie rule. Either way the answer is defined without reference to
+// how it was found, which is what keeps raw job output byte-identical
+// across engines.
 
-// indexProbe probes the block's memoised R-tree.
-type indexProbe struct{}
-
-func (indexProbe) rangeIDs(b *dfs.Block, query geom.Rect) ([]int, error) {
-	idx, err := b.LocalIndex()
-	if err != nil {
-		return nil, err
-	}
-	ids := idx.Search(query, nil)
-	sort.Ints(ids) // Search reports in tree order
-	return ids, nil
-}
-
-func (indexProbe) nearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error) {
-	idx, err := b.LocalIndex()
-	if err != nil {
-		return nil, err
-	}
-	nbs := idx.NearestWithTies(q, k)
-	out := make([]KNNCandidate, len(nbs))
-	for i, nb := range nbs {
-		out[i] = KNNCandidate{Dist: nb.Dist, Rec: b.Record(nb.Entry.ID)}
-	}
-	return out, nil
-}
-
-// scanProbe reads the block's points once, front to back.
-type scanProbe struct{}
-
-func (scanProbe) rangeIDs(b *dfs.Block, query geom.Rect) ([]int, error) {
+// blockRangeIDs returns, in ascending order, the ids (b.Record's argument)
+// of the block's points inside query, boundary inclusive.
+func blockRangeIDs(b *dfs.Block, query geom.Rect) ([]int, error) {
 	pts, err := b.Points()
 	if err != nil {
 		return nil, err
@@ -73,7 +35,10 @@ func (scanProbe) rangeIDs(b *dfs.Block, query geom.Rect) ([]int, error) {
 	return ids, nil
 }
 
-func (scanProbe) nearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error) {
+// blockNearest returns the block's k nearest records to q plus every
+// further one at exactly the k-th distance, in no particular order. Only
+// finite coordinates are pinned: a NaN distance has no rank.
+func blockNearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error) {
 	pts, err := b.Points()
 	if err != nil || k <= 0 {
 		return nil, err
@@ -117,7 +82,7 @@ func (c *nominees) offer(p, q geom.Point, id int) {
 	if math.Abs(p.Y-q.Y) > c.bound {
 		return // the distance is no less: spare the hypotenuse
 	}
-	// The index ranks a point entry by this same expression.
+	// rtree, the test oracle, ranks a point entry by this same expression.
 	d := (geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}).MinDistPoint(q)
 	if d <= c.bound {
 		c.noms = append(c.noms, nominee{dist: d, id: id})

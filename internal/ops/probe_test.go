@@ -11,7 +11,19 @@ import (
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
+	"spatialhadoop/internal/rtree"
 )
+
+// blockTree is the oracle the block scans are held to: an R-tree
+// bulk-loaded over the block, asked the same two questions.
+func blockTree(t *testing.T, b *dfs.Block) *rtree.Tree {
+	t.Helper()
+	pts, err := b.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rtree.BulkPoints(pts, rtree.DefaultFanout)
+}
 
 // pointsBlocks builds the two blocks a worker can open over the same
 // points: a text block, as from a text frame, and a column block, as from
@@ -78,8 +90,8 @@ func latticePoints(rng *rand.Rand, n, side int) []geom.Point {
 	return pts
 }
 
-// TestScanProbeMatchesIndexProbeRange: both probes report the same record
-// ids in the same (ascending) order, on blocks that hold every awkward
+// TestScanProbeMatchesIndexProbeRange: the block scan and the R-tree report
+// the same record ids in the same (ascending) order, on blocks that hold every awkward
 // coordinate a points file can: duplicates, points on the query's edge,
 // both zeros, both infinities and NaN.
 func TestScanProbeMatchesIndexProbeRange(t *testing.T) {
@@ -127,12 +139,11 @@ func TestScanProbeMatchesIndexProbeRange(t *testing.T) {
 		for shape, b := range pointsBlocks(t, pts) {
 			name := name + ", " + shape + " block"
 			matched := 0
+			tree := blockTree(t, b)
 			for _, q := range queries {
-				want, err := indexProbe{}.rangeIDs(b, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := scanProbe{}.rangeIDs(b, q)
+				want := tree.Search(q, nil)
+				sort.Ints(want) // Search reports in tree order
+				got, err := blockRangeIDs(b, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,8 +184,8 @@ func candidateSet(cands []KNNCandidate) []string {
 	return out
 }
 
-// TestScanProbeMatchesIndexProbeKNN: on finite coordinates both probes
-// nominate bit-equal (distance, record) sets — the k nearest plus every
+// TestScanProbeMatchesIndexProbeKNN: on finite coordinates the block scan
+// and the R-tree nominate bit-equal (distance, record) sets — the k nearest plus every
 // tie at the k-th distance — for k from 0 to beyond the block, with ties
 // straddling k and with every point equidistant.
 func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
@@ -202,6 +213,10 @@ func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
 	queries := []geom.Point{geom.Pt(10, 10), geom.Pt(7, 7), geom.Pt(0, 0), geom.Pt(7.5, 7.5), geom.Pt(-3, 40), geom.Pt(1e6, -1e6)}
 	for name, pts := range blocks {
 		shapes := pointsBlocks(t, pts)
+		// The reference is always the text block's tree, so the column's
+		// records are held to the text's.
+		text := shapes["text"]
+		tree := blockTree(t, text)
 		for shape, b := range shapes {
 			name := name + ", " + shape + " block"
 			ks := []int{-1, 0, 1, 2, 3, 5, 8, 17, 63, 64, 65, len(pts) - 1, len(pts), len(pts) + 1, 10 * len(pts)}
@@ -213,13 +228,11 @@ func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
 				}
 				sort.Float64s(all)
 				for _, k := range ks {
-					// The reference is always the text block's index, so the
-					// column's records are held to the text's.
-					want, err := indexProbe{}.nearest(shapes["text"], q, k)
-					if err != nil {
-						t.Fatal(err)
+					var want []KNNCandidate
+					for _, nb := range tree.NearestWithTies(q, k) {
+						want = append(want, KNNCandidate{Dist: nb.Dist, Rec: text.Record(nb.Entry.ID)})
 					}
-					got, err := scanProbe{}.nearest(b, q, k)
+					got, err := blockNearest(b, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,7 +2,7 @@
 // SIGMOD'14 system paper): range queries, k-nearest-neighbour queries and
 // distributed spatial join. Each operation follows the same shape as the
 // computational geometry suite: a filter step prunes partitions using the
-// global index, and map tasks process the survivors with local indexes.
+// global index, and map tasks process the survivors.
 package ops
 
 import (
@@ -21,7 +21,7 @@ import (
 // Counter names reported by the operations; like every TaskContext
 // counter they are buffered per task and merged once at task end.
 const (
-	// CounterRangeBlocksScanned counts blocks whose local index was probed.
+	// CounterRangeBlocksScanned counts blocks a range map task scanned.
 	CounterRangeBlocksScanned = "ops.range.blocks.scanned"
 	// CounterRangeMatches counts records matching the query predicate.
 	CounterRangeMatches = "ops.range.matches"
@@ -35,8 +35,8 @@ const (
 
 // RangeQueryPoints returns all points of the (indexed or heap) file that
 // lie inside query. With an indexed file, the filter step prunes every
-// partition whose boundary misses the query, and map tasks use the local
-// R-tree indexes; with a heap file every block is scanned.
+// partition whose boundary misses the query, and map tasks scan the
+// survivors; with a heap file every block is scanned.
 func RangeQueryPoints(sys *core.System, file string, query geom.Rect) ([]geom.Point, *mapreduce.Report, error) {
 	return RangeQueryPointsTo(sys, file, query, file+".range.out")
 }
@@ -65,9 +65,6 @@ func RangeQueryPointsCtx(ctx context.Context, sys *core.System, file string, que
 		Filter: withHeat(sys, file, func(splits []*mapreduce.Split) []*mapreduce.Split {
 			return RangeCandidates(splits, nil, query).Kept
 		}),
-		// Same body a worker rebuilds from the kind, probing each block's
-		// persisted local index where the worker scans.
-		Map:    rangePointsMap(query, indexProbe{}),
 		Output: out,
 	}
 	rep, err := sys.Cluster().RunCtx(ctx, job)
@@ -92,42 +89,18 @@ func RangeQueryRegions(sys *core.System, file string, query geom.Rect) ([]geom.R
 	if err != nil {
 		return nil, nil, err
 	}
-	disjoint := f.Index != nil && f.Index.Disjoint()
-	var space geom.Rect
-	if disjoint {
-		space = f.Index.Space
+	conf := map[string]string{confRangeQuery: geomio.EncodeRect(query)}
+	if f.Index != nil && f.Index.Disjoint() {
+		conf[confRangeSpace] = geomio.EncodeRect(f.Index.Space)
 	}
 	out := file + ".range.out"
 	job := &mapreduce.Job{
 		Name:   "range-regions",
+		Kind:   "range-regions",
+		Conf:   conf,
 		Splits: f.Splits(),
 		Filter: func(splits []*mapreduce.Split) []*mapreduce.Split {
 			return RangeCandidates(splits, nil, query).Kept
-		},
-		Map: func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-			for _, blk := range split.Blocks {
-				regs, err := BlockRegions(blk)
-				if err != nil {
-					return err
-				}
-				recs := blk.Records()
-				for i, rg := range regs {
-					b := rg.Bounds()
-					if !b.Intersects(query) {
-						continue
-					}
-					if disjoint {
-						ref := geom.Point{X: b.Intersect(query).MinX, Y: b.Intersect(query).MinY}
-						if !ownsRef(split.MBR, space, ref) {
-							ctx.Inc(CounterDedupDropped, 1)
-							continue
-						}
-					}
-					ctx.Inc(CounterRangeMatches, 1)
-					ctx.Write(recs[i])
-				}
-			}
-			return nil
 		},
 		Output: out,
 	}
@@ -140,6 +113,37 @@ func RangeQueryRegions(sys *core.System, file string, query geom.Rect) ([]geom.R
 		return nil, nil, err
 	}
 	return regs, rep, nil
+}
+
+// rangeRegionsMap is the map body of the range-regions job; with a
+// disjoint index a replicated region is reported by the one partition
+// that owns the reference point, space being the index's.
+func rangeRegionsMap(query geom.Rect, disjoint bool, space geom.Rect) mapreduce.MapFunc {
+	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
+		for _, blk := range split.Blocks {
+			regs, err := BlockRegions(blk)
+			if err != nil {
+				return err
+			}
+			recs := blk.Records()
+			for i, rg := range regs {
+				b := rg.Bounds()
+				if !b.Intersects(query) {
+					continue
+				}
+				if disjoint {
+					ref := geom.Point{X: b.Intersect(query).MinX, Y: b.Intersect(query).MinY}
+					if !ownsRef(split.MBR, space, ref) {
+						ctx.Inc(CounterDedupDropped, 1)
+						continue
+					}
+				}
+				ctx.Inc(CounterRangeMatches, 1)
+				ctx.Write(recs[i])
+			}
+		}
+		return nil
+	}
 }
 
 // BlockRegions returns the block's records decoded as regions, cached in
@@ -236,8 +240,6 @@ func KNNCtx(ctx context.Context, sys *core.System, file string, q geom.Point, k 
 			},
 			Splits: splits,
 			Filter: withHeat(sys, file, func([]*mapreduce.Split) []*mapreduce.Split { return sel.Kept }),
-			Map:    knnMap(q, k, indexProbe{}),
-			Reduce: knnReduce(k),
 			Output: out,
 		}
 		var err error

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"cmp"
 	"strconv"
 	"strings"
 
@@ -9,34 +10,69 @@ import (
 	"spatialhadoop/internal/mapreduce"
 )
 
-// This file makes the core query operations runnable on remote worker
-// processes. A worker cannot receive Go closures, so each operation's
-// task-side functions are built from a registered job kind plus the job's
-// Conf (the broadcast configuration); the in-process path shares the same
-// builders, with one difference: how a block is probed (probe.go). The
-// master's blocks persist and carry a memoised R-tree; a worker, which has
-// no System and drops its input with the attempt, scans the block once.
-// Both probes return the same ids in the same order and the same
-// tie-complete kNN nominations, so the two paths produce byte-identical
-// output.
+// This file registers the operations layer's job kinds. A job carries no
+// task code: each operation's task-side functions are built from its
+// registered kind plus the job's Conf (the broadcast configuration), by
+// whoever executes the attempt — the master in process or a worker — so
+// the two run the same functions by construction. What a map body needs
+// beyond Conf it reads off its split (Partition, MBR, Tag), which ships
+// with the records.
 
-// Conf keys broadcast to remote tasks.
+// Conf keys broadcast to tasks.
 const (
-	confRangeQuery    = "ops.range.query"
-	confKNNQ          = "ops.knn.q"
-	confKNNK          = "ops.knn.k"
-	confJoinLDisjoint = "ops.join.ldisjoint"
-	confJoinRDisjoint = "ops.join.rdisjoint"
-	confJoinLSpace    = "ops.join.lspace"
-	confJoinRSpace    = "ops.join.rspace"
+	confRangeQuery   = "ops.range.query"
+	confRangeSpace   = "ops.range.space" // set iff the file's index is disjoint
+	confKNNQ         = "ops.knn.q"
+	confKNNK         = "ops.knn.k"
+	confJoinLSpace   = "ops.join.lspace" // a side's space is set iff its index is disjoint
+	confJoinRSpace   = "ops.join.rspace"
+	confPBSMSide     = "ops.pbsm.side"
+	confPBSMSpace    = "ops.pbsm.space"
+	confPlotExtent   = "ops.plot.extent"
+	confPlotWidth    = "ops.plot.width"
+	confPlotHeight   = "ops.plot.height"
+	confPlotReducers = "ops.plot.reducers"
 )
 
+// confReader decodes a kind's parameters from its Conf; the first value
+// that does not parse becomes err, the builder's error.
+type confReader struct {
+	conf map[string]string
+	err  error
+}
+
+func (c *confReader) rect(key string) geom.Rect {
+	r, err := geomio.DecodeRect(c.conf[key])
+	c.err = cmp.Or(c.err, err)
+	return r
+}
+
+// optRect is rect for a key that may be unset: the zero Rect then.
+func (c *confReader) optRect(key string) geom.Rect {
+	if c.conf[key] == "" {
+		return geom.Rect{}
+	}
+	return c.rect(key)
+}
+
+func (c *confReader) point(key string) geom.Point {
+	p, err := geomio.DecodePoint(c.conf[key])
+	c.err = cmp.Or(c.err, err)
+	return p
+}
+
+func (c *confReader) int(key string) int {
+	n, err := strconv.Atoi(c.conf[key])
+	c.err = cmp.Or(c.err, err)
+	return n
+}
+
 // rangePointsMap is the map body of the range-points job.
-func rangePointsMap(query geom.Rect, probe blockProbe) mapreduce.MapFunc {
+func rangePointsMap(query geom.Rect) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		countPartitionRecords(ctx, split)
 		for _, b := range split.Blocks {
-			ids, err := probe.rangeIDs(b, query)
+			ids, err := blockRangeIDs(b, query)
 			if err != nil {
 				return err
 			}
@@ -56,11 +92,11 @@ func rangePointsMap(query geom.Rect, probe blockProbe) mapreduce.MapFunc {
 
 // knnMap is the map body of one kNN round: each block nominates its k
 // nearest (with ties), shuffled under a single key.
-func knnMap(q geom.Point, k int, probe blockProbe) mapreduce.MapFunc {
+func knnMap(q geom.Point, k int) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		countPartitionRecords(ctx, split)
 		for _, b := range split.Blocks {
-			cands, err := probe.nearest(b, q, k)
+			cands, err := blockNearest(b, q, k)
 			if err != nil {
 				return err
 			}
@@ -140,39 +176,39 @@ func indexedJoinMap(lDisjoint, rDisjoint bool, lSpace, rSpace geom.Rect) mapredu
 }
 
 func init() {
-	mapreduce.RegisterKind("range-points", func(conf map[string]string) (mapreduce.KindFuncs, error) {
-		query, err := geomio.DecodeRect(conf[confRangeQuery])
-		if err != nil {
-			return mapreduce.KindFuncs{}, err
-		}
-		return mapreduce.KindFuncs{Map: rangePointsMap(query, scanProbe{})}, nil
+	register := func(kind string, build func(c *confReader) mapreduce.KindFuncs) {
+		mapreduce.RegisterKind(kind, func(conf map[string]string) (mapreduce.KindFuncs, error) {
+			c := &confReader{conf: conf}
+			return build(c), c.err
+		})
+	}
+	register("range-points", func(c *confReader) mapreduce.KindFuncs {
+		return mapreduce.KindFuncs{Map: rangePointsMap(c.rect(confRangeQuery))}
 	})
-	mapreduce.RegisterKind("knn", func(conf map[string]string) (mapreduce.KindFuncs, error) {
-		q, err := geomio.DecodePoint(conf[confKNNQ])
-		if err != nil {
-			return mapreduce.KindFuncs{}, err
-		}
-		k, err := strconv.Atoi(conf[confKNNK])
-		if err != nil {
-			return mapreduce.KindFuncs{}, err
-		}
-		return mapreduce.KindFuncs{Map: knnMap(q, k, scanProbe{}), Reduce: knnReduce(k)}, nil
+	register("range-regions", func(c *confReader) mapreduce.KindFuncs {
+		return mapreduce.KindFuncs{Map: rangeRegionsMap(c.rect(confRangeQuery), c.conf[confRangeSpace] != "", c.optRect(confRangeSpace))}
 	})
-	mapreduce.RegisterKind("spatial-join", func(conf map[string]string) (mapreduce.KindFuncs, error) {
-		var lSpace, rSpace geom.Rect
-		var err error
-		if s := conf[confJoinLSpace]; s != "" {
-			if lSpace, err = geomio.DecodeRect(s); err != nil {
-				return mapreduce.KindFuncs{}, err
-			}
-		}
-		if s := conf[confJoinRSpace]; s != "" {
-			if rSpace, err = geomio.DecodeRect(s); err != nil {
-				return mapreduce.KindFuncs{}, err
-			}
-		}
+	register("knn", func(c *confReader) mapreduce.KindFuncs {
+		q, k := c.point(confKNNQ), c.int(confKNNK)
+		return mapreduce.KindFuncs{Map: knnMap(q, k), Reduce: knnReduce(k)}
+	})
+	register("spatial-join", func(c *confReader) mapreduce.KindFuncs {
+		return mapreduce.KindFuncs{Map: indexedJoinMap(
+			c.conf[confJoinLSpace] != "", c.conf[confJoinRSpace] != "",
+			c.optRect(confJoinLSpace), c.optRect(confJoinRSpace))}
+	})
+	register("pbsm-join", func(c *confReader) mapreduce.KindFuncs {
+		g := newPBSMGrid(c.rect(confPBSMSpace), c.int(confPBSMSide))
+		return mapreduce.KindFuncs{Map: g.mapSplit, Reduce: g.reduceCell}
+	})
+	register("ann-local", func(*confReader) mapreduce.KindFuncs { return mapreduce.KindFuncs{Map: annLocalMap} })
+	register("ann-probe", func(*confReader) mapreduce.KindFuncs {
+		return mapreduce.KindFuncs{Map: annProbeMap, Reduce: annProbeReduce}
+	})
+	register("plot", func(c *confReader) mapreduce.KindFuncs {
 		return mapreduce.KindFuncs{
-			Map: indexedJoinMap(conf[confJoinLDisjoint] == "1", conf[confJoinRDisjoint] == "1", lSpace, rSpace),
-		}, nil
+			Map:    plotMap(c.rect(confPlotExtent), c.int(confPlotWidth), c.int(confPlotHeight), c.int(confPlotReducers)),
+			Reduce: plotReduce,
+		}
 	})
 }

@@ -22,9 +22,9 @@ type Engine int
 const (
 	// EngineInProcess runs jobs on the in-process scheduler.
 	EngineInProcess Engine = iota
-	// EngineRemote runs jobs on an in-test master/worker pool (jobs whose
-	// kinds are not registered for remote execution still fall back in
-	// process — identically, which the checks verify).
+	// EngineRemote runs jobs on an in-test master/worker pool — every job:
+	// a job is a registered kind plus its configuration, which any worker
+	// builds its functions from.
 	EngineRemote
 	// EngineSharded is EngineRemote with serve-capable workers: the pool
 	// additionally answers the serving layer's sharded scatter calls, so a

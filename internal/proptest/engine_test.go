@@ -5,19 +5,31 @@
 package proptest_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"spatialhadoop/internal/cg"
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/geomio"
+	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/ops"
 	"spatialhadoop/internal/proptest"
 	"spatialhadoop/internal/sindex"
 )
 
-// remoteOps are the operations whose job kinds execute on workers; the
-// rest fall back in process under the remote engine (covered by
-// TestEngineRemoteDifferential picking them up identically is trivial).
-var remoteOps = []string{"range", "knn", "join"}
+// remoteOps is every job-running entry of CheckOrder (the serve-* checks
+// drive the serving layer, not jobs): a job is a registered kind plus its
+// configuration, so all of them execute on the workers.
+var remoteOps = func() []string {
+	var ops []string
+	for _, op := range proptest.CheckOrder {
+		if !strings.HasPrefix(op, "serve-") {
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}()
 
 // TestEngineRemoteDifferential: the full differential checks — the same
 // oracles the in-process matrix runs against — under the remote engine,
@@ -25,7 +37,7 @@ var remoteOps = []string{"range", "knn", "join"}
 func TestEngineRemoteDifferential(t *testing.T) {
 	// No t.Parallel here: CloseEngines is process-global, so concurrent
 	// remote-engine checks would tear down each other's runtimes
-	// mid-check (and the jobs would silently fall back in process).
+	// mid-check (and the jobs would silently run in process).
 	for _, op := range remoteOps {
 		op := op
 		t.Run(op, func(t *testing.T) {
@@ -43,49 +55,89 @@ func TestEngineRemoteDifferential(t *testing.T) {
 }
 
 // canonCase runs one case's workload on its own engine and returns the
-// canonical byte encoding of every answer, concatenated.
+// canonical byte encoding of every answer, concatenated. The case's
+// technique must be disjoint (ann and closest-pair refuse otherwise).
 func canonCase(t *testing.T, c proptest.Case) string {
 	t.Helper()
 	defer proptest.CloseEngines()
 	sys := c.System()
 	var outs []string
+	add := func(out string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", c.Op, err)
+		}
+		outs = append(outs, out)
+	}
+	load := func(name string, regions []geom.Region) {
+		t.Helper()
+		if _, err := sys.LoadRegions(name, regions, c.Tech); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Pts != nil {
+		if _, err := sys.LoadPoints("pts", c.Pts, c.Tech); err != nil {
+			t.Fatal(err)
+		}
+	}
 	switch c.Op {
 	case "range":
-		if _, err := sys.LoadPoints("pts", c.Pts, c.Tech); err != nil {
-			t.Fatal(err)
-		}
 		for _, q := range c.Queries {
 			got, _, err := ops.RangeQueryPoints(sys, "pts", q)
-			if err != nil {
-				t.Fatal(err)
+			add(proptest.CanonPoints(got), err)
+		}
+	case "range-regions":
+		load("regs", c.Left)
+		for _, q := range c.Queries {
+			got, _, err := ops.RangeQueryRegions(sys, "regs", q)
+			recs := make([]string, len(got))
+			for i, rg := range got {
+				recs[i] = geomio.EncodeRegion(rg)
 			}
-			outs = append(outs, proptest.CanonPoints(got))
+			add(proptest.CanonStrings(recs), err)
 		}
 	case "knn":
-		if _, err := sys.LoadPoints("pts", c.Pts, c.Tech); err != nil {
-			t.Fatal(err)
-		}
 		for _, kq := range c.KNNs {
 			got, _, err := ops.KNN(sys, "pts", kq.Q, kq.K)
+			add(proptest.CanonPoints(got), err)
+		}
+	case "join":
+		load("left", c.Left)
+		load("right", c.Right)
+		got, _, err := ops.SpatialJoinIndexed(sys, "left", "right")
+		add(proptest.CanonStrings(proptest.CanonJoinPairs(got)), err)
+	case "ann":
+		got, _, err := ops.AllNearestNeighbors(sys, "pts")
+		add(fmt.Sprint(got), err)
+	case "plot":
+		for _, extent := range c.Extents {
+			img, _, err := ops.Plot(sys, "pts", ops.PlotConfig{Width: c.Width, Height: c.Height, Extent: extent})
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs = append(outs, proptest.CanonPoints(got))
+			add(string(img.Pix), nil)
 		}
-	case "join":
-		if _, err := sys.LoadRegions("left", c.Left, c.Tech); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.LoadRegions("right", c.Right, c.Tech); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := ops.SpatialJoinIndexed(sys, "left", "right")
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, proptest.CanonStrings(proptest.CanonJoinPairs(got)))
+	case "skyline":
+		got, _, err := cg.SkylineSHadoop(sys, "pts")
+		add(proptest.CanonPoints(got), err)
+	case "hull":
+		got, _, err := cg.ConvexHullSHadoop(sys, "pts")
+		add(proptest.CanonPoints(got), err)
+	case "closest-pair":
+		got, _, err := cg.ClosestPairSHadoop(sys, "pts")
+		add(fmt.Sprint(got), err)
+	case "farthest-pair":
+		got, _, err := cg.FarthestPairSHadoop(sys, "pts")
+		add(fmt.Sprint(got), err)
+	case "union":
+		load("regs", c.Left)
+		got, _, err := cg.UnionSHadoop(sys, "regs")
+		add(geomio.EncodeRegion(got), err)
 	default:
 		t.Fatalf("canonCase: unsupported op %s", c.Op)
+	}
+	if c.Engine == proptest.EngineRemote && sys.Metrics().Counter(mapreduce.MetricTasksDispatched) == 0 {
+		t.Fatalf("%s under the remote engine dispatched no task to a worker", c.Op)
 	}
 	return strings.Join(outs, "\x00")
 }
@@ -113,36 +165,17 @@ func TestEngineRemoteMatchesInProcess(t *testing.T) {
 // TestEngineRemoteWorkerIndependence: the answer must not depend on the
 // remote pool size — 1, 2 and 3 workers give the same bytes.
 func TestEngineRemoteWorkerIndependence(t *testing.T) {
-	pts := proptest.GenPoints(proptest.ShapeUniform, 130, 41)
-	query := geom.NewRect(50, 200, 800, 900)
-	cases := []struct {
-		op    string
-		canon func(remoteWorkers int) (string, error)
-	}{
-		{"range", func(n int) (string, error) {
-			sys := proptest.NewSystem(proptest.DefaultWorkers)
-			defer proptest.StartRemoteRuntime(sys, n)()
-			if _, err := sys.LoadPoints("pts", pts, sindex.STR); err != nil {
-				return "", err
-			}
-			got, _, err := ops.RangeQueryPoints(sys, "pts", query)
-			return proptest.CanonPoints(got), err
-		}},
-		{"knn", func(n int) (string, error) {
-			sys := proptest.NewSystem(proptest.DefaultWorkers)
-			defer proptest.StartRemoteRuntime(sys, n)()
-			if _, err := sys.LoadPoints("pts", pts, sindex.QuadTree); err != nil {
-				return "", err
-			}
-			got, _, err := ops.KNN(sys, "pts", geom.Pt(400, 400), 7)
-			return proptest.CanonPoints(got), err
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.op, func(t *testing.T) {
-			t.Parallel()
-			if msg := proptest.InvariantRemoteWorkerIndependent(tc.op, tc.canon); msg != "" {
+	// Sequential for the same CloseEngines reason as the differential.
+	for _, op := range remoteOps {
+		op := op
+		t.Run(op, func(t *testing.T) {
+			c := proptest.GenCase(op, sindex.Grid, proptest.ShapeUniform, 41)
+			c.Engine = proptest.EngineRemote
+			msg := proptest.InvariantRemoteWorkerIndependent(op, func(n int) (string, error) {
+				c.RemoteWorkers = n
+				return canonCase(t, c), nil
+			})
+			if msg != "" {
 				t.Error(msg)
 			}
 		})

@@ -42,9 +42,6 @@ type Config struct {
 	QueueDepth int
 	// JobDeadline bounds each admitted job's run time (0 = none).
 	JobDeadline time.Duration
-	// TraceRingSize bounds the in-memory ring of recent request traces
-	// served by /debug/trace/{id} (default 256).
-	TraceRingSize int
 	// AccessLog, when non-nil, receives one JSON line per request (trace
 	// ID, method, op, status, latency, cache state, bytes). Writes are
 	// serialized; rotation is the caller's concern.
@@ -74,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.TraceRingSize <= 0 {
-		c.TraceRingSize = 256
 	}
 	if c.MemTierBytes == 0 {
 		c.MemTierBytes = 64 << 20
@@ -115,6 +109,10 @@ type Server struct {
 // exact quantile gauges are computed over.
 const latencyWindowSize = 2048
 
+// traceRingSize bounds the in-memory ring of recent request traces served
+// by /debug/trace/{id}.
+const traceRingSize = 256
+
 // New creates a Server over a running System and installs the admission
 // controller on its cluster.
 func New(sys *core.System, cfg Config) *Server {
@@ -125,7 +123,7 @@ func New(sys *core.System, cfg Config) *Server {
 		cfg:   cfg,
 		cache: NewCache(cfg.CacheSize, reg),
 		reg:   reg,
-		ring:  obs.NewTraceRing(cfg.TraceRingSize),
+		ring:  obs.NewTraceRing(traceRingSize),
 		wins:  make(map[string]*obs.SampleWindow),
 	}
 	if cfg.MemTierBytes > 0 {

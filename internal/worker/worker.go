@@ -315,7 +315,7 @@ func (w *Worker) runMap(id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDon
 	if err != nil {
 		return fail(&res, err) // permanent: the worker cannot run this kind
 	}
-	shards, out, tm, err := mapreduce.ExecMapAttempt(kf, t.JobKind, t.Conf, split, t.NumShards, t.Attempt)
+	shards, out, tm, err := mapreduce.ExecMapAttempt(kf, t.Conf, split, t.NumShards, t.Attempt)
 	if err != nil {
 		return fail(&res, err)
 	}
@@ -382,7 +382,7 @@ func (w *Worker) runReduce(id int64, t *mapreduce.TaskAssignment) mapreduce.Task
 		res.LostMaps = lost
 		return fail(&res, fault.Transientf("worker: reduce %d lost shards of %d map task(s)", t.Task, len(lost)))
 	}
-	out, valuesIn, tm, err := mapreduce.ExecReduceAttempt(kf, t.JobKind, t.Conf, groups, t.Attempt)
+	out, valuesIn, tm, err := mapreduce.ExecReduceAttempt(kf, t.Conf, groups, t.Attempt)
 	if err != nil {
 		return fail(&res, err)
 	}
