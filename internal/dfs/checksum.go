@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/wirefmt"
 )
 
 // Block integrity: every block carries a CRC32 (IEEE) checksum over its
@@ -83,17 +84,18 @@ func checksumRecords(records []string) uint32 {
 }
 
 // checksumColumn is checksumRecords for a column block: the CRC32 over
-// the points as a column frame lays them out — X then Y of each point as
-// little-endian IEEE-754 bits — staged through the same pooled chunk,
-// which holds a whole number of points.
+// the points as a column frame lays them out (wirefmt's Points), staged
+// through the same pooled chunk, which holds a whole number of points.
 func checksumColumn(pts []geom.Point) uint32 {
 	buf := crcChunks.Get().(*crcChunk)
 	defer crcChunks.Put(buf)
 	var crc uint32
+	var c wirefmt.Codec
 	for len(pts) > 0 {
 		n := min(len(pts), len(buf)/pointSize)
-		putColumn(buf[:n*pointSize], pts[:n])
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:n*pointSize])
+		c.Encode(buf[:0])
+		c.Points(pts[:n])
+		crc = crc32.Update(crc, crc32.IEEETable, c.Encoded())
 		pts = pts[n:]
 	}
 	return crc

@@ -2,12 +2,11 @@ package dfs
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"math"
 
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
+	"spatialhadoop/internal/wirefmt"
 )
 
 // Block frames: how a block crosses the data plane — pushed to a worker's
@@ -24,17 +23,15 @@ import (
 //	       16 B × n X then Y of each point, little-endian IEEE-754 bits
 //	'T'  text, for every other block (regions, job outputs):
 //	       uvarint  record count n
-//	       uvarint  × n  record byte lengths, in record order
-//	       bytes    the records' text, concatenated (the arena)
+//	       n ×      uvarint record length, then the record
 //
 // A column point takes 16 bytes where its text takes about 39 on the wire
 // and two ParseFloat calls at the reader, per map attempt; the reader of a
-// column parses nothing. Varints are minimal-length, a text table holds
-// exactly n entries whose lengths sum to exactly the arena, a column holds
-// exactly 16·n bytes, so a block has one encoding and an accepted frame
-// re-encodes to the same bytes. There is no version field: replicas live
-// in a worker's scratch directory and never outlast the binary that wrote
-// them.
+// column parses nothing. The payload is laid out and checked by
+// internal/wirefmt, the layout of RPC bodies too (blockFrame.wire), so a
+// block has one encoding and an accepted frame re-encodes to the same
+// bytes. There is no version field: replicas live in a worker's scratch
+// directory and never outlast the binary that wrote them.
 const (
 	FrameColumn byte = 'P'
 	FrameText   byte = 'T'
@@ -48,12 +45,25 @@ const pointSize = 16
 // Bytes, per point.
 const minPointBytes, maxPointBytes = 4, geomio.MaxPointLen + 1
 
-// putColumn lays pts out as column bytes; dst holds exactly pointSize
-// bytes per point.
-func putColumn(dst []byte, pts []geom.Point) {
-	for i, p := range pts {
-		binary.LittleEndian.PutUint64(dst[i*pointSize:], math.Float64bits(p.X))
-		binary.LittleEndian.PutUint64(dst[i*pointSize+8:], math.Float64bits(p.Y))
+// blockFrame is a frame's payload: the tag, then the fields of its shape.
+type blockFrame struct {
+	tag     byte
+	pts     []geom.Point // column
+	bytes   uint64       // column: the block's Bytes
+	records []string     // text
+}
+
+func (f *blockFrame) wire(c *wirefmt.Codec) {
+	c.Byte(&f.tag)
+	switch f.tag {
+	case FrameColumn:
+		wirefmt.Len(c, &f.pts, pointSize)
+		c.Uvarint(&f.bytes)
+		c.Points(f.pts)
+	case FrameText:
+		c.Strings(&f.records)
+	default:
+		c.Fail("unknown shape tag %#x", f.tag)
 	}
 }
 
@@ -68,7 +78,7 @@ func putColumn(dst []byte, pts []geom.Point) {
 func EncodeBlockFrame(b *Block, keep bool) []byte {
 	switch {
 	case b.column:
-		return encodeColumn(b.col, b.Bytes)
+		return sealBlockFrame(blockFrame{tag: FrameColumn, pts: b.col, bytes: uint64(b.Bytes)})
 	case b.points:
 		var pts []geom.Point
 		var err error
@@ -78,38 +88,23 @@ func EncodeBlockFrame(b *Block, keep bool) []byte {
 			pts, err = geomio.DecodePoints(b.records)
 		}
 		if err == nil {
-			return encodeColumn(pts, b.Bytes)
+			return sealBlockFrame(blockFrame{tag: FrameColumn, pts: pts, bytes: uint64(b.Bytes)})
 		}
 	}
-	return encodeText(b.records)
+	return sealBlockFrame(blockFrame{tag: FrameText, records: b.records})
 }
 
-func encodeColumn(pts []geom.Point, bytes int64) []byte {
-	frame := make([]byte, shardHeaderSize, shardHeaderSize+1+2*binary.MaxVarintLen64+pointSize*len(pts))
-	frame = append(frame, FrameColumn)
-	frame = binary.AppendUvarint(frame, uint64(len(pts)))
-	frame = binary.AppendUvarint(frame, uint64(bytes))
-	col := len(frame)
-	frame = frame[:col+pointSize*len(pts)]
-	putColumn(frame[col:], pts)
-	sealFrame(frame)
-	return frame
-}
-
-func encodeText(records []string) []byte {
-	arena := 0
-	for _, r := range records {
-		arena += len(r)
+// sealBlockFrame lays f out behind room for the seal and stamps it, so
+// the payload is written once.
+func sealBlockFrame(f blockFrame) []byte {
+	size := 1 + 2*binary.MaxVarintLen64 + pointSize*len(f.pts) + 2*len(f.records)
+	for _, r := range f.records {
+		size += len(r)
 	}
-	frame := make([]byte, shardHeaderSize, shardHeaderSize+1+binary.MaxVarintLen64+2*len(records)+arena)
-	frame = append(frame, FrameText)
-	frame = binary.AppendUvarint(frame, uint64(len(records)))
-	for _, r := range records {
-		frame = binary.AppendUvarint(frame, uint64(len(r)))
-	}
-	for _, r := range records {
-		frame = append(frame, r...)
-	}
+	var c wirefmt.Codec
+	c.Encode(make([]byte, shardHeaderSize, shardHeaderSize+size))
+	f.wire(&c)
+	frame := c.Encoded()
 	sealFrame(frame)
 	return frame
 }
@@ -119,93 +114,33 @@ func encodeText(records []string) []byte {
 // the split descriptor). A column frame opens as a column block: one CRC
 // pass over the frame, one over the column for the block's own seal, and
 // the points copied out. A text frame opens as a text block whose records
-// are substrings of one copy of the arena. Either way nothing returned
+// are substrings of one copy of the payload. Either way nothing returned
 // aliases the frame, so the caller may reuse its buffer. Everything wrong
-// with a frame — a failed seal, an unknown tag, a count or length that is
-// not a minimal varint or overruns the payload, sizes that do not add up
-// — is a *TornShardError, which is transient: the reader falls through to
-// the next replica holder.
+// with a frame — a failed seal, an unknown tag, a layout wirefmt rejects,
+// a column claiming a text size its points cannot have — is a
+// *TornShardError, which is transient: the reader falls through to the
+// next replica holder.
 func DecodeBlockFrame(frame []byte) (*Block, error) {
 	payload, err := UnsealShard(frame)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) == 0 {
-		return nil, &TornShardError{Reason: "block frame: no shape tag"}
+	var f blockFrame
+	var c wirefmt.Codec
+	c.Decode(payload)
+	f.wire(&c)
+	// A reader may size a buffer from Bytes, so it is held to the count.
+	if n := uint64(len(f.pts)); f.bytes < minPointBytes*n || f.bytes > maxPointBytes*n {
+		c.Fail("%d text bytes claimed for %d points", f.bytes, n)
 	}
-	switch payload[0] {
-	case FrameColumn:
-		return decodeColumn(payload[1:])
-	case FrameText:
-		return decodeText(payload[1:])
+	if err := c.Done(); err != nil {
+		return nil, &TornShardError{Reason: "block frame: " + err.Error()}
 	}
-	return nil, &TornShardError{Reason: fmt.Sprintf("block frame: unknown shape tag %#x", payload[0])}
-}
-
-func decodeColumn(payload []byte) (*Block, error) {
-	count, payload, ok := cutUvarint(payload)
-	if !ok {
-		return nil, &TornShardError{Reason: "block frame: bad point count"}
+	if f.tag == FrameText {
+		return NewBlockFromRecords("", f.records), nil
 	}
-	bytes, payload, ok := cutUvarint(payload)
-	// The count is checked against the bytes actually present before
-	// anything is allocated from it, and the claimed text size against the
-	// count, so a reader may size a buffer from Bytes.
-	if !ok || count != uint64(len(payload)/pointSize) || len(payload)%pointSize != 0 {
-		return nil, &TornShardError{Reason: fmt.Sprintf("block frame: %d column bytes for %d points", len(payload), count)}
-	}
-	if bytes < minPointBytes*count || bytes > maxPointBytes*count {
-		return nil, &TornShardError{Reason: fmt.Sprintf("block frame: %d text bytes claimed for %d points", bytes, count)}
-	}
-	col := make([]geom.Point, count)
-	for i := range col {
-		col[i].X = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*pointSize:]))
-		col[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*pointSize+8:]))
-	}
-	// The seal checksumColumn would compute, taken from the bytes in hand.
-	return &Block{Bytes: int64(bytes), column: true, col: col, crc: crc32.ChecksumIEEE(payload)}, nil
-}
-
-func decodeText(payload []byte) (*Block, error) {
-	count, payload, ok := cutUvarint(payload)
-	// Every table entry takes at least a byte, which bounds the count by
-	// the bytes actually present before anything is allocated from it.
-	if !ok || count > uint64(len(payload)) {
-		return nil, &TornShardError{Reason: "block frame: bad record count"}
-	}
-	// First pass: walk the length table, checking each entry against the
-	// bytes left, to find where the arena starts and that it is exactly as
-	// long as the table says.
-	table := payload
-	var sum uint64
-	for i := uint64(0); i < count; i++ {
-		var n uint64
-		n, payload, ok = cutUvarint(payload)
-		if room := uint64(len(payload)); !ok || sum > room || n > room-sum {
-			return nil, &TornShardError{Reason: fmt.Sprintf("block frame: bad length of record %d", i)}
-		}
-		sum += n
-	}
-	if sum != uint64(len(payload)) {
-		return nil, &TornShardError{Reason: fmt.Sprintf("block frame: record lengths total %d bytes, arena holds %d", sum, len(payload))}
-	}
-	// Second pass: the table is known good; cut the arena along it.
-	arena := string(payload)
-	records := make([]string, count)
-	for i := range records {
-		n, w := binary.Uvarint(table)
-		table = table[w:]
-		records[i], arena = arena[:n], arena[n:]
-	}
-	return NewBlockFromRecords("", records), nil
-}
-
-// cutUvarint splits one minimal-length uvarint off the front of b. A
-// truncated, overlong or zero-padded encoding is not ok.
-func cutUvarint(b []byte) (v uint64, rest []byte, ok bool) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || n > 1 && b[n-1] == 0 {
-		return 0, nil, false
-	}
-	return v, b[n:], true
+	// The seal checksumColumn would compute, taken from the bytes in hand:
+	// an accepted column is the payload's tail.
+	column := payload[len(payload)-pointSize*len(f.pts):]
+	return &Block{Bytes: int64(f.bytes), column: true, col: f.pts, crc: crc32.ChecksumIEEE(column)}, nil
 }

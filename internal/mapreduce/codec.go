@@ -6,11 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/rpc"
 	"slices"
 
-	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/wirefmt"
 )
 
 // The wire codec: how every RPC message crosses a connection. net/rpc
@@ -26,17 +25,16 @@ import (
 //	bytes    the body: the args or reply in its layout, empty on an
 //	         error response
 //
-// A body's layout is its type's appendWire/decodeWire pair (wire.go), in
-// the style of dfs/frame.go: minimal uvarints, zig-zag varints for signed
-// integers, fixed-width little-endian IEEE-754 bits for floats, a count
-// before every slice or map that decoding checks against the bytes present
-// before allocating from it, map entries in key order, no trailing bytes.
-// So a message has one encoding, and an accepted body re-encodes to the
-// same bytes. A value with no layout fails its call; it is never sent any
-// other way. There is no version field: both ends are the same binary.
+// A body's layout is its type's wire method (wire.go), run by
+// internal/wirefmt under the rules block frames and spill batches follow
+// too: so a message has one encoding, and an accepted body re-encodes to
+// the same bytes. The header's varints, the length prefix included, follow
+// the same rules. A value with no layout fails its call; it is never sent
+// any other way. There is no version field: both ends are the same binary.
 //
-// Each connection keeps its read and write buffers for its life. A frame
-// longer than maxFrameBytes is damage, not data: the read fails, net/rpc
+// Each connection keeps its read and write buffers, and a codec for each
+// direction, for its life. A frame longer than maxFrameBytes, or a length
+// prefix that is not minimal, is damage, not data: the read fails, net/rpc
 // fails the connection, and Peers evicts it.
 
 // wirePreamble opens a codec connection. A gob stream — net/rpc's default
@@ -52,10 +50,9 @@ const maxFrameBytes = 1 << 30
 // that arrived: a length prefix alone never sizes an allocation.
 const frameReadStep = 1 << 20
 
-// wireEncoder and wireDecoder are a message's layout. Args travel by
-// value, so appendWire has a value receiver; decodeWire sets every field.
-type wireEncoder interface{ appendWire([]byte) []byte }
-type wireDecoder interface{ decodeWire([]byte) error }
+// wireMessage is a message's layout: its fields, named once, in order.
+// The method has a pointer receiver, so args cross Peers.Call as pointers.
+type wireMessage interface{ wire(*wirefmt.Codec) }
 
 // errNoLayout fails a call whose args or reply has no wire layout.
 func errNoLayout(v any) error {
@@ -65,48 +62,52 @@ func errNoLayout(v any) error {
 // checkLayout fails a call before anything is sent when its args or reply
 // cannot cross the wire.
 func checkLayout(args, reply any) error {
-	if _, ok := args.(wireEncoder); !ok {
-		return errNoLayout(args)
-	}
-	if _, ok := reply.(wireDecoder); !ok {
-		return errNoLayout(reply)
+	for _, v := range [...]any{args, reply} {
+		if _, ok := v.(wireMessage); !ok {
+			return errNoLayout(v)
+		}
 	}
 	return nil
 }
 
 // wireConn is one end of a codec connection. net/rpc reads a frame's
-// header and then its body from one goroutine, and serialises writes, so
-// each buffer has one user at a time.
+// header and then its body from one goroutine, and serialises writes on
+// another, so each side keeps its own buffer and codec, with one user at a
+// time.
 type wireConn struct {
 	rwc  io.ReadWriteCloser
 	r    *bufio.Reader
-	rbuf []byte // the last frame read
-	body []byte // its body, until decoded
+	rbuf []byte        // the last frame read
+	in   wirefmt.Codec // decoding it; its body waits here for decodeBody
 	wbuf []byte
+	out  wirefmt.Codec
 }
 
 // writeFrame lays out one frame in the write buffer — the length last, in
 // the room left for it in front — and writes it with one Write.
-func (c *wireConn) writeFrame(seq uint64, s string, body wireEncoder) error {
-	w := wireWriter(append(c.wbuf[:0], make([]byte, binary.MaxVarintLen64)...))
-	w.uvarint(seq)
-	w.string(s)
+func (c *wireConn) writeFrame(seq uint64, s string, body wireMessage) error {
+	c.out.Encode(append(c.wbuf[:0], make([]byte, binary.MaxVarintLen64)...))
+	c.out.Uvarint(&seq)
+	c.out.String(&s)
 	if body != nil {
-		w = wireWriter(body.appendWire(w))
+		body.wire(&c.out)
 	}
+	w := c.out.Encoded()
 	c.wbuf = w
-	var head [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(head[:], uint64(len(w)-binary.MaxVarintLen64))
-	start := binary.MaxVarintLen64 - n
-	copy(w[start:], head[:n])
+	n := uint64(len(w) - binary.MaxVarintLen64)
+	c.out.Encode(w[:0]) // the length lands at the front of the room, then moves to its end
+	c.out.Uvarint(&n)
+	head := len(c.out.Encoded())
+	start := binary.MaxVarintLen64 - head
+	copy(w[start:], w[:head])
 	_, err := c.rwc.Write(w[start:])
 	return err
 }
 
 // readFrame reads one frame and returns its header; the body waits in the
-// read buffer for decodeBody.
+// read codec for decodeBody.
 func (c *wireConn) readFrame() (seq uint64, s string, err error) {
-	n, err := binary.ReadUvarint(c.r)
+	n, err := wirefmt.ReadUvarint(c.r)
 	if err != nil {
 		return 0, "", err
 	}
@@ -126,28 +127,27 @@ func (c *wireConn) readFrame() (seq uint64, s string, err error) {
 		buf = buf[:len(buf)+step]
 	}
 	c.rbuf = buf
-	r := wireReader{b: buf}
-	seq, s = r.uvarint(), r.string()
-	if r.err != nil {
-		return 0, "", r.err
+	c.in.Decode(buf)
+	c.in.Uvarint(&seq)
+	c.in.String(&s)
+	if err := c.in.Err(); err != nil {
+		return 0, "", err
 	}
-	c.body = r.b
 	return seq, s, nil
 }
 
 // decodeBody decodes the last frame's body into v. net/rpc passes nil to
 // discard a body nobody waits for.
 func (c *wireConn) decodeBody(v any) error {
-	body := c.body
-	c.body = nil
 	if v == nil {
 		return nil
 	}
-	m, ok := v.(wireDecoder)
+	m, ok := v.(wireMessage)
 	if !ok {
 		return errNoLayout(v)
 	}
-	return m.decodeWire(body)
+	m.wire(&c.in)
+	return c.in.Done()
 }
 
 func (c *wireConn) Close() error { return c.rwc.Close() }
@@ -156,7 +156,7 @@ func (c *wireConn) Close() error { return c.rwc.Close() }
 type clientCodec struct{ wireConn }
 
 func (c *clientCodec) WriteRequest(r *rpc.Request, args any) error {
-	m, ok := args.(wireEncoder)
+	m, ok := args.(wireMessage)
 	if !ok {
 		return errNoLayout(args)
 	}
@@ -187,206 +187,9 @@ func (c *serverCodec) WriteResponse(r *rpc.Response, reply any) error {
 	if r.Error != "" {
 		return c.writeFrame(r.Seq, r.Error, nil)
 	}
-	m, ok := reply.(wireEncoder)
+	m, ok := reply.(wireMessage)
 	if !ok {
 		return c.writeFrame(r.Seq, errNoLayout(reply).Error(), nil)
 	}
 	return c.writeFrame(r.Seq, "", m)
-}
-
-// wireWriter appends a body's fields in order.
-type wireWriter []byte
-
-func (w *wireWriter) uvarint(v uint64) { *w = binary.AppendUvarint(*w, v) }
-func (w *wireWriter) int64(v int64)    { *w = binary.AppendVarint(*w, v) }
-func (w *wireWriter) int(v int)        { w.int64(int64(v)) }
-
-func (w *wireWriter) bool(v bool) {
-	if v {
-		*w = append(*w, 1)
-	} else {
-		*w = append(*w, 0)
-	}
-}
-
-func (w *wireWriter) float(v float64) {
-	*w = binary.LittleEndian.AppendUint64(*w, math.Float64bits(v))
-}
-
-func (w *wireWriter) bytes(p []byte) {
-	w.uvarint(uint64(len(p)))
-	*w = append(*w, p...)
-}
-
-func (w *wireWriter) string(s string) {
-	w.uvarint(uint64(len(s)))
-	*w = append(*w, s...)
-}
-
-// floats lays out a count, then 8 bytes a value.
-func (w *wireWriter) floats(vs []float64) {
-	w.uvarint(uint64(len(vs)))
-	b := slices.Grow(*w, 8*len(vs))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	*w = b
-}
-
-func (w *wireWriter) strings(ss []string) {
-	w.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		w.string(s)
-	}
-}
-
-func (w *wireWriter) rect(r geom.Rect) {
-	w.float(r.MinX)
-	w.float(r.MinY)
-	w.float(r.MaxX)
-	w.float(r.MaxY)
-}
-
-// wireReader cuts a body's fields off its front, in order. The first
-// malformed field sets err and empties the reader, so every later field
-// reads as its zero value: a decoder reads its fields unconditionally and
-// checks once, at done.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("mapreduce: malformed wire body: "+format, args...)
-	}
-	r.b = nil
-}
-
-// done is the decoder's one check: no field was malformed and no byte is
-// left over.
-func (r *wireReader) done() error {
-	if r.err == nil && len(r.b) > 0 {
-		r.fail("%d trailing bytes", len(r.b))
-	}
-	return r.err
-}
-
-// uvarint cuts a minimal-length uvarint: a truncated, overlong or
-// zero-padded one is malformed.
-func (r *wireReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || n > 1 && r.b[n-1] == 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) int64() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1) // zig-zag, as binary.AppendVarint
-}
-
-func (r *wireReader) int() int {
-	v := r.int64()
-	if int64(int(v)) != v {
-		r.fail("%d overflows int", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *wireReader) bool() bool {
-	if len(r.b) == 0 || r.b[0] > 1 {
-		r.fail("bad bool")
-		return false
-	}
-	v := r.b[0] == 1
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) float() float64 {
-	if len(r.b) < 8 {
-		r.fail("float cut short")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-// count cuts the count of a slice or map whose entries take at least
-// minSize bytes each, and rejects it unless that many fit in what is left.
-func (r *wireReader) count(minSize int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/minSize) {
-		r.fail("count %d beyond the %d bytes left", n, len(r.b))
-		return 0
-	}
-	return int(n)
-}
-
-// cut takes the next n bytes, n already checked against len(r.b).
-func (r *wireReader) cut(n int) []byte {
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-// bytes reads a byte string into dst's capacity.
-func (r *wireReader) bytes(dst []byte) []byte {
-	return append(dst[:0], r.cut(r.count(1))...)
-}
-
-func (r *wireReader) string() string { return string(r.cut(r.count(1))) }
-
-// floats reads a float slice into dst's capacity.
-func (r *wireReader) floats(dst []float64) []float64 {
-	n := r.count(8)
-	dst = slices.Grow(dst[:0], n)[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
-	}
-	r.b = r.b[8*n:]
-	return dst
-}
-
-// strings reads a string slice, its text in one allocation.
-func (r *wireReader) strings() []string {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	r.spanStrings(n, func(i int, s string) { out[i] = s })
-	return out
-}
-
-// spanStrings reads n strings and hands them to set in order, each a
-// substring of one copy of the bytes they span — a list costs one
-// allocation for its text however long it is.
-func (r *wireReader) spanStrings(n int, set func(i int, s string)) {
-	span := r.b
-	for i := 0; i < n; i++ {
-		r.cut(r.count(1))
-	}
-	if r.err != nil {
-		return
-	}
-	span = span[:len(span)-len(r.b)]
-	arena := string(span)
-	walk := wireReader{b: span}
-	for i := 0; i < n; i++ {
-		l := walk.count(1)
-		off := len(span) - len(walk.b)
-		set(i, arena[off:off+l])
-		walk.b = walk.b[l:]
-	}
-}
-
-func (r *wireReader) rect() geom.Rect {
-	return geom.Rect{MinX: r.float(), MinY: r.float(), MaxX: r.float(), MaxY: r.float()}
 }

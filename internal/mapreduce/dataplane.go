@@ -127,7 +127,7 @@ func (p *dataPlane) pushTo(workerID int64, id dfs.BlockID, frame []byte) bool {
 		return false
 	}
 	args := PushBlockArgs{ID: int64(id), Frame: frame}
-	if err := p.m.peers.Call(p.m.ctx, addr, ShardService+".PushBlock", args, &PushBlockReply{}); err != nil {
+	if err := p.m.peers.Call(p.m.ctx, addr, ShardService+".PushBlock", &args, &PushBlockReply{}); err != nil {
 		return false
 	}
 	if r := p.m.opts.Metrics; r != nil {

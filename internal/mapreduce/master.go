@@ -339,7 +339,7 @@ func (m *Master) dropJob(jobID int64) {
 	for addr := range addrs {
 		go func(addr string) {
 			defer m.drops.Done()
-			_ = m.peers.Call(m.ctx, addr, ShardService+".DropJob", DropJobArgs{JobID: jobID}, &DropJobReply{}) // best-effort
+			_ = m.peers.Call(m.ctx, addr, ShardService+".DropJob", &DropJobArgs{JobID: jobID}, &DropJobReply{}) // best-effort
 		}(addr)
 	}
 }

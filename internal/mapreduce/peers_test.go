@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spatialhadoop/internal/obs"
+	"spatialhadoop/internal/wirefmt"
 )
 
 // countingListener counts the connections it accepts and can kill them,
@@ -66,17 +67,10 @@ func (l *countingListener) killConns() {
 // requires): one string, laid out as the wire codec lays out every string.
 type PeerMsg string
 
-func (m PeerMsg) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.string(string(m))
-	return w
-}
+func (m *PeerMsg) wire(c *wirefmt.Codec) { c.String((*string)(m)) }
 
-func (m *PeerMsg) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	*m = PeerMsg(r.string())
-	return r.done()
-}
+// peerMsg is a PeerMsg as call args cross: by pointer.
+func peerMsg(s string) *PeerMsg { return (*PeerMsg)(&s) }
 
 // scriptedPeer is an RPC service whose method Do echoes its argument,
 // except "hold", which parks in the handler until released, and "reject",
@@ -146,7 +140,7 @@ func TestPeersSharedFirstDial(t *testing.T) {
 			<-start
 			var reply PeerMsg
 			arg := PeerMsg(fmt.Sprint(i))
-			err := p.Call(context.Background(), ln.addr(), "Peer.Do", arg, &reply)
+			err := p.Call(context.Background(), ln.addr(), "Peer.Do", &arg, &reply)
 			if err == nil && reply != "echo:"+arg {
 				err = fmt.Errorf("reply %q to %q", reply, arg)
 			}
@@ -175,7 +169,7 @@ func TestPeersEvictsOnlyOnTransportError(t *testing.T) {
 	held := make(chan error, 1)
 	go func() {
 		var reply PeerMsg
-		err := p.Call(ctx, ln.addr(), "Peer.Do", PeerMsg("hold"), &reply)
+		err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("hold"), &reply)
 		if err == nil && reply != "echo:hold" {
 			err = fmt.Errorf("reply %q", reply)
 		}
@@ -184,7 +178,7 @@ func TestPeersEvictsOnlyOnTransportError(t *testing.T) {
 	<-svc.held // the first call is inside the handler, on the shared client
 
 	var reply PeerMsg
-	err := p.Call(ctx, ln.addr(), "Peer.Do", PeerMsg("reject"), &reply)
+	err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("reject"), &reply)
 	if !errors.As(err, new(rpc.ServerError)) {
 		t.Fatalf("rejected call: err = %v, want the handler's rpc.ServerError", err)
 	}
@@ -192,7 +186,7 @@ func TestPeersEvictsOnlyOnTransportError(t *testing.T) {
 	if err := <-held; err != nil {
 		t.Errorf("the in-flight call on the same connection failed: %v", err)
 	}
-	if err := p.Call(ctx, ln.addr(), "Peer.Do", PeerMsg("again"), &reply); err != nil || reply != "echo:again" {
+	if err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("again"), &reply); err != nil || reply != "echo:again" {
 		t.Fatalf("call after a handler error = %q, %v", reply, err)
 	}
 	if n := ln.accepted.Load(); n != 1 {
@@ -202,9 +196,9 @@ func TestPeersEvictsOnlyOnTransportError(t *testing.T) {
 	// A transport failure evicts, so the next call redials.
 	ln.killConns()
 	waitUntil(t, "the killed connection to fail a call", func() bool {
-		return p.Call(ctx, ln.addr(), "Peer.Do", PeerMsg("probe"), &reply) != nil
+		return p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("probe"), &reply) != nil
 	})
-	if err := p.Call(ctx, ln.addr(), "Peer.Do", PeerMsg("fresh"), &reply); err != nil || reply != "echo:fresh" {
+	if err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("fresh"), &reply); err != nil || reply != "echo:fresh" {
 		t.Fatalf("call after a transport error = %q, %v; want a redial", reply, err)
 	}
 	if n := ln.accepted.Load(); n != 2 {
@@ -215,7 +209,7 @@ func TestPeersEvictsOnlyOnTransportError(t *testing.T) {
 	dead := listenCounting(t)
 	dead.Close()
 	for i := 0; i < 2; i++ {
-		if err := p.Call(ctx, dead.addr(), "Peer.Do", PeerMsg("x"), &reply); err == nil {
+		if err := p.Call(ctx, dead.addr(), "Peer.Do", peerMsg("x"), &reply); err == nil {
 			t.Fatal("call to a closed listener succeeded")
 		}
 	}
@@ -228,13 +222,13 @@ func TestPeersCancelReturnsAtOnce(t *testing.T) {
 	p, svc, ln := startScriptedPeer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	hung := make(chan error, 1)
-	go func() { hung <- p.Call(ctx, ln.addr(), "Peer.Do", PeerMsg("hold"), new(PeerMsg)) }()
+	go func() { hung <- p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("hold"), new(PeerMsg)) }()
 	<-svc.held
 
 	other := make(chan error, 1)
 	go func() {
 		var reply PeerMsg
-		err := p.Call(context.Background(), ln.addr(), "Peer.Do", PeerMsg("hold"), &reply)
+		err := p.Call(context.Background(), ln.addr(), "Peer.Do", peerMsg("hold"), &reply)
 		if err == nil && reply != "echo:hold" {
 			err = fmt.Errorf("reply %q", reply)
 		}
@@ -255,7 +249,7 @@ func TestPeersCancelReturnsAtOnce(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled call never returned")
 	}
-	if err := p.Call(ctx, ln.addr(), "Peer.Do", PeerMsg("late"), new(PeerMsg)); !errors.Is(err, context.Canceled) {
+	if err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("late"), new(PeerMsg)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("call under an ended context = %v, want context.Canceled", err)
 	}
 
@@ -272,7 +266,7 @@ func TestPeersCancelReturnsAtOnce(t *testing.T) {
 func TestPeersClose(t *testing.T) {
 	p, svc, ln := startScriptedPeer(t)
 	hung := make(chan error, 1)
-	go func() { hung <- p.Call(context.Background(), ln.addr(), "Peer.Do", PeerMsg("hold"), new(PeerMsg)) }()
+	go func() { hung <- p.Call(context.Background(), ln.addr(), "Peer.Do", peerMsg("hold"), new(PeerMsg)) }()
 	<-svc.held
 	p.Close()
 	select {
@@ -283,7 +277,7 @@ func TestPeersClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close left a call in flight")
 	}
-	if err := p.Call(context.Background(), ln.addr(), "Peer.Do", PeerMsg("x"), new(PeerMsg)); !errors.Is(err, errPeersClosed) {
+	if err := p.Call(context.Background(), ln.addr(), "Peer.Do", peerMsg("x"), new(PeerMsg)); !errors.Is(err, errPeersClosed) {
 		t.Fatalf("call after Close = %v, want errPeersClosed", err)
 	}
 	p.Close() // idempotent

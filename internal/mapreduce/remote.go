@@ -134,7 +134,7 @@ func StreamShardFrom(ctx context.Context, peers *Peers, addr string, jobID int64
 			JobID: jobID, Task: task, Attempt: attempt, Reduce: reduce,
 			Offset: offset, MaxBytes: ShuffleChunkBytes,
 		}
-		if err := peers.Call(ctx, addr, ShardService+".FetchChunk", args, &reply); err != nil {
+		if err := peers.Call(ctx, addr, ShardService+".FetchChunk", &args, &reply); err != nil {
 			return err
 		}
 		pairs, err := st.Feed(reply.Data)

@@ -1,25 +1,26 @@
 package mapreduce
 
 import (
-	"slices"
 	"time"
 
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/obs"
+	"spatialhadoop/internal/wirefmt"
 )
 
 // This file is the wire protocol between the master runtime and worker
-// processes (net/rpc over TCP, each message in the hand-written layout
-// beside its struct — codec.go has the frame). The protocol is pull-based,
-// like Hadoop's: workers register, heartbeat, long-poll for task
-// assignments, read their split's input blocks (from their own replica
-// store, a peer worker, or the master — in that order), execute, spill
-// intermediate shards locally, and report completion. Reducers stream
-// map shards in chunks directly from the worker that produced them — or
-// from the master, for attempts that ran in process — over the same
-// Shards.FetchChunk call on either side, merging frames as they arrive
-// instead of waiting for a whole shard to transfer.
+// processes (net/rpc over TCP; codec.go has the frame). A message's layout
+// is its wire method, beside its struct: its fields, each named once, in
+// order, which internal/wirefmt writes or reads as the codec's direction
+// says. The protocol is pull-based, like Hadoop's: workers register,
+// heartbeat, long-poll for task assignments, read their split's input
+// blocks (from their own replica store, a peer worker, or the master — in
+// that order), execute, spill intermediate shards locally, and report
+// completion. Reducers stream map shards in chunks directly from the
+// worker that produced them — or from the master, for attempts that ran in
+// process — over the same Shards.FetchChunk call on either side, merging
+// frames as they arrive instead of waiting for a whole shard to transfer.
 
 // RPC service names registered on the master and worker RPC servers.
 const (
@@ -55,18 +56,10 @@ type RegisterArgs struct {
 	CanServe bool
 }
 
-func (a RegisterArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.string(a.Addr)
-	w.int(a.PID)
-	w.bool(a.CanServe)
-	return w
-}
-
-func (a *RegisterArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.Addr, a.PID, a.CanServe = r.string(), r.int(), r.bool()
-	return r.done()
+func (a *RegisterArgs) wire(c *wirefmt.Codec) {
+	c.String(&a.Addr)
+	c.Int(&a.PID)
+	c.Bool(&a.CanServe)
 }
 
 // RegisterReply assigns the worker its identity and lease terms.
@@ -79,18 +72,10 @@ type RegisterReply struct {
 	Lease          time.Duration
 }
 
-func (a RegisterReply) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.WorkerID)
-	w.int64(int64(a.HeartbeatEvery))
-	w.int64(int64(a.Lease))
-	return w
-}
-
-func (a *RegisterReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.WorkerID, a.HeartbeatEvery, a.Lease = r.int64(), time.Duration(r.int64()), time.Duration(r.int64())
-	return r.done()
+func (a *RegisterReply) wire(c *wirefmt.Codec) {
+	c.Int64(&a.WorkerID)
+	c.Int64((*int64)(&a.HeartbeatEvery))
+	c.Int64((*int64)(&a.Lease))
 }
 
 // HeartbeatArgs renews a worker's lease.
@@ -98,16 +83,8 @@ type HeartbeatArgs struct {
 	WorkerID int64
 }
 
-func (a HeartbeatArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.WorkerID)
-	return w
-}
-
-func (a *HeartbeatArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.WorkerID = r.int64()
-	return r.done()
+func (a *HeartbeatArgs) wire(c *wirefmt.Codec) {
+	c.Int64(&a.WorkerID)
 }
 
 // HeartbeatReply acknowledges a heartbeat. OK is false when the master no
@@ -124,17 +101,9 @@ type HeartbeatReply struct {
 	Epochs map[string]int64
 }
 
-func (a HeartbeatReply) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.bool(a.OK)
-	writeMap(&w, a.Epochs, (*wireWriter).int64)
-	return w
-}
-
-func (a *HeartbeatReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.OK, a.Epochs = r.bool(), readMap(&r, (*wireReader).int64)
-	return r.done()
+func (a *HeartbeatReply) wire(c *wirefmt.Codec) {
+	c.Bool(&a.OK)
+	wirefmt.Map(c, &a.Epochs, 2, (*wirefmt.Codec).Int64)
 }
 
 // GetTaskArgs long-polls for a task assignment. A GetTask call also
@@ -143,16 +112,8 @@ type GetTaskArgs struct {
 	WorkerID int64
 }
 
-func (a GetTaskArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.WorkerID)
-	return w
-}
-
-func (a *GetTaskArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.WorkerID = r.int64()
-	return r.done()
+func (a *GetTaskArgs) wire(c *wirefmt.Codec) {
+	c.Int64(&a.WorkerID)
 }
 
 // ShardSource tells a reducer where to fetch one map task's shard: the
@@ -189,35 +150,21 @@ type TaskAssignment struct {
 	Meta *WireSplitMeta
 }
 
-func (a TaskAssignment) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.DispatchID)
-	w.string(a.Phase)
-	w.int64(a.JobID)
-	w.int(a.Task)
-	w.int(a.Attempt)
-	w.string(a.JobKind)
-	writeMap(&w, a.Conf, (*wireWriter).string)
-	w.int(a.NumShards)
-	writeSlice(&w, a.Sources, func(w *wireWriter, s ShardSource) {
-		w.int(s.Task)
-		w.int(s.Attempt)
-		w.string(s.Addr)
+func (a *TaskAssignment) wire(c *wirefmt.Codec) {
+	c.Int64(&a.DispatchID)
+	c.String(&a.Phase)
+	c.Int64(&a.JobID)
+	c.Int(&a.Task)
+	c.Int(&a.Attempt)
+	c.String(&a.JobKind)
+	wirefmt.Map(c, &a.Conf, 2, (*wirefmt.Codec).String)
+	c.Int(&a.NumShards)
+	wirefmt.Slice(c, &a.Sources, 3, func(c *wirefmt.Codec, s *ShardSource) {
+		c.Int(&s.Task)
+		c.Int(&s.Attempt)
+		c.String(&s.Addr)
 	})
-	writeMeta(&w, a.Meta)
-	return w
-}
-
-func (a *TaskAssignment) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.DispatchID, a.Phase, a.JobID, a.Task, a.Attempt, a.JobKind = r.int64(), r.string(), r.int64(), r.int(), r.int(), r.string()
-	a.Conf = readMap(&r, (*wireReader).string)
-	a.NumShards = r.int()
-	a.Sources = readSlice(&r, 3, func(r *wireReader) ShardSource {
-		return ShardSource{Task: r.int(), Attempt: r.int(), Addr: r.string()}
-	})
-	a.Meta = readMeta(&r)
-	return r.done()
+	wireMeta(c, &a.Meta)
 }
 
 // WireBlockRef names one block of a split and where its replicas live.
@@ -243,35 +190,33 @@ type WireSplitMeta struct {
 	Blocks     []WireBlockRef
 }
 
-// writeMeta lays out a split descriptor behind a presence byte: a call
-// without one is a different call (an error at the worker), not an empty
-// split.
-func writeMeta(w *wireWriter, m *WireSplitMeta) {
-	w.bool(m != nil)
-	if m == nil {
-		return
-	}
-	w.string(m.Partition)
-	w.rect(m.MBR)
-	w.rect(m.ContentMBR)
-	w.string(m.Tag)
-	writeSlice(w, m.Blocks, func(w *wireWriter, ref WireBlockRef) {
-		w.int64(ref.ID)
-		w.string(ref.Partition)
-		w.bool(ref.Extra)
-		w.strings(ref.Holders)
+func (m *WireSplitMeta) wire(c *wirefmt.Codec) {
+	c.String(&m.Partition)
+	c.Rect(&m.MBR)
+	c.Rect(&m.ContentMBR)
+	c.String(&m.Tag)
+	wirefmt.Slice(c, &m.Blocks, 4, func(c *wirefmt.Codec, r *WireBlockRef) {
+		c.Int64(&r.ID)
+		c.String(&r.Partition)
+		c.Bool(&r.Extra)
+		c.Strings(&r.Holders)
 	})
 }
 
-func readMeta(r *wireReader) *WireSplitMeta {
-	if !r.bool() {
-		return nil
+// wireMeta runs a split descriptor behind a presence byte: a call without
+// one is a different call (an error at the worker), not an empty split.
+// Decoding a present one allocates it afresh.
+func wireMeta(c *wirefmt.Codec, m **WireSplitMeta) {
+	present := *m != nil
+	c.Bool(&present)
+	if c.Decoding() {
+		*m = nil
+		if present {
+			*m = new(WireSplitMeta)
+		}
 	}
-	return &WireSplitMeta{
-		Partition: r.string(), MBR: r.rect(), ContentMBR: r.rect(), Tag: r.string(),
-		Blocks: readSlice(r, 4, func(r *wireReader) WireBlockRef {
-			return WireBlockRef{ID: r.int64(), Partition: r.string(), Extra: r.bool(), Holders: r.strings()}
-		}),
+	if present {
+		(*m).wire(c)
 	}
 }
 
@@ -314,38 +259,24 @@ type TaskDoneArgs struct {
 	RemoteBytes int64
 }
 
-func (a TaskDoneArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.WorkerID)
-	w.int64(a.DispatchID)
-	w.string(a.Err)
-	w.bool(a.Transient)
-	writeSlice(&w, a.LostMaps, (*wireWriter).int)
-	w.strings(a.Out)
-	writeMap(&w, a.Metrics.Counters, (*wireWriter).int64)
-	writeMap(&w, a.Metrics.Observations, (*wireWriter).floats)
-	for _, v := range [...]int64{a.RecordsIn, a.Pairs, a.Bytes, a.LocalReads, a.LocalBytes, a.RemoteReads, a.RemoteBytes} {
-		w.int64(v)
+func (a *TaskDoneArgs) wire(c *wirefmt.Codec) {
+	c.Int64(&a.WorkerID)
+	c.Int64(&a.DispatchID)
+	c.String(&a.Err)
+	c.Bool(&a.Transient)
+	wirefmt.Slice(c, &a.LostMaps, 1, (*wirefmt.Codec).Int)
+	c.Strings(&a.Out)
+	wirefmt.Map(c, &a.Metrics.Counters, 2, (*wirefmt.Codec).Int64)
+	wirefmt.Map(c, &a.Metrics.Observations, 2, (*wirefmt.Codec).Floats)
+	for _, v := range [...]*int64{&a.RecordsIn, &a.Pairs, &a.Bytes, &a.LocalReads, &a.LocalBytes, &a.RemoteReads, &a.RemoteBytes} {
+		c.Int64(v)
 	}
-	return w
-}
-
-func (a *TaskDoneArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.WorkerID, a.DispatchID, a.Err, a.Transient = r.int64(), r.int64(), r.string(), r.bool()
-	a.LostMaps, a.Out = readSlice(&r, 1, (*wireReader).int), r.strings()
-	a.Metrics.Counters = readMap(&r, (*wireReader).int64)
-	a.Metrics.Observations = readMap(&r, func(r *wireReader) []float64 { return r.floats(nil) })
-	a.RecordsIn, a.Pairs, a.Bytes = r.int64(), r.int64(), r.int64()
-	a.LocalReads, a.LocalBytes, a.RemoteReads, a.RemoteBytes = r.int64(), r.int64(), r.int64(), r.int64()
-	return r.done()
 }
 
 // TaskDoneReply acknowledges a completion report.
 type TaskDoneReply struct{}
 
-func (TaskDoneReply) appendWire(b []byte) []byte { return b }
-func (*TaskDoneReply) decodeWire(b []byte) error { return emptyBody(b) }
+func (*TaskDoneReply) wire(*wirefmt.Codec) {}
 
 // FetchChunkArgs requests one chunk of a map task's spill stream for one
 // reducer. Offset is a byte offset into the stream; MaxBytes bounds the
@@ -359,21 +290,13 @@ type FetchChunkArgs struct {
 	MaxBytes int
 }
 
-func (a FetchChunkArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.JobID)
-	w.int(a.Task)
-	w.int(a.Attempt)
-	w.int(a.Reduce)
-	w.int64(a.Offset)
-	w.int(a.MaxBytes)
-	return w
-}
-
-func (a *FetchChunkArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.JobID, a.Task, a.Attempt, a.Reduce, a.Offset, a.MaxBytes = r.int64(), r.int(), r.int(), r.int(), r.int64(), r.int()
-	return r.done()
+func (a *FetchChunkArgs) wire(c *wirefmt.Codec) {
+	c.Int64(&a.JobID)
+	c.Int(&a.Task)
+	c.Int(&a.Attempt)
+	c.Int(&a.Reduce)
+	c.Int64(&a.Offset)
+	c.Int(&a.MaxBytes)
 }
 
 // FetchChunkReply carries one chunk of spill-stream bytes. EOF marks the
@@ -385,17 +308,9 @@ type FetchChunkReply struct {
 	EOF  bool
 }
 
-func (a FetchChunkReply) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.bytes(a.Data)
-	w.bool(a.EOF)
-	return w
-}
-
-func (a *FetchChunkReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.Data, a.EOF = r.bytes(nil), r.bool()
-	return r.done()
+func (a *FetchChunkReply) wire(c *wirefmt.Codec) {
+	c.Bytes(&a.Data)
+	c.Bool(&a.EOF)
 }
 
 // ShuffleChunkBytes is the chunk size reducers stream spill shards with.
@@ -414,50 +329,48 @@ const shardBatchPairs = 512
 // every complete frame before the stream finishes transferring, and a
 // stream cut anywhere — mid-frame or between frames — fails verification
 // (torn frame, or missing end-of-stream marker). A frame's payload is its
-// batch's pair layout:
-//
-//	uvarint  pair count n, at least 1
-//	n ×      uvarint key length, key, uvarint value length, value
+// batch (pairBatch).
 func EncodeShard(pairs []Pair) []byte {
-	var out, batch []byte
+	var out []byte
+	var c wirefmt.Codec
 	for len(pairs) > 0 {
-		n := min(shardBatchPairs, len(pairs))
-		batch = appendPairs(batch[:0], pairs[:n])
-		out = append(out, dfs.SealShard(batch)...)
-		pairs = pairs[n:]
+		batch := pairs[:min(shardBatchPairs, len(pairs))]
+		c.Encode(c.Encoded()[:0])
+		pairBatch(&c, &batch)
+		out = append(out, dfs.SealShard(c.Encoded())...)
+		pairs = pairs[len(batch):]
 	}
 	return append(out, dfs.SealShard(nil)...)
 }
 
-// appendPairs appends one batch's pair layout.
-func appendPairs(b []byte, pairs []Pair) []byte {
-	w := wireWriter(b)
-	w.uvarint(uint64(len(pairs)))
-	for _, p := range pairs {
-		w.string(p.Key)
-		w.string(p.Value)
-	}
-	return w
+// pairBatch runs one batch's pair layout:
+//
+//	uvarint  pair count n, at least 1
+//	n ×      uvarint key length, key, uvarint value length, value
+//
+// Decoding makes every key and value a substring of one copy of the
+// payload.
+func pairBatch(c *wirefmt.Codec, pairs *[]Pair) {
+	wirefmt.Len(c, pairs, 2)
+	c.Spans(2*len(*pairs), func(i int) *string {
+		if i%2 == 0 {
+			return &(*pairs)[i/2].Key
+		}
+		return &(*pairs)[i/2].Value
+	})
 }
 
-// decodePairs opens one batch's pair layout, every key and value a
-// substring of one copy of the payload. A layout that disagrees with
-// itself behind a valid seal is a torn frame, as in dfs/frame.go.
+// decodePairs opens one batch. A layout that disagrees with itself behind
+// a valid seal is a torn frame, as in dfs/frame.go.
 func decodePairs(payload []byte) ([]Pair, error) {
-	r := wireReader{b: payload}
-	n := r.count(2)
-	if n == 0 {
-		r.fail("empty pair batch")
+	var c wirefmt.Codec
+	c.Decode(payload)
+	var pairs []Pair
+	pairBatch(&c, &pairs)
+	if len(pairs) == 0 {
+		c.Fail("empty pair batch")
 	}
-	pairs := make([]Pair, n)
-	r.spanStrings(2*n, func(i int, s string) {
-		if i%2 == 0 {
-			pairs[i/2].Key = s
-		} else {
-			pairs[i/2].Value = s
-		}
-	})
-	if err := r.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return nil, &dfs.TornShardError{Reason: err.Error()}
 	}
 	return pairs, nil
@@ -537,16 +450,8 @@ type ReadBlockArgs struct {
 	ID int64
 }
 
-func (a ReadBlockArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.ID)
-	return w
-}
-
-func (a *ReadBlockArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.ID = r.int64()
-	return r.done()
+func (a *ReadBlockArgs) wire(c *wirefmt.Codec) {
+	c.Int64(&a.ID)
 }
 
 // ReadBlockReply carries the sealed block frame (dfs.EncodeBlockFrame);
@@ -556,16 +461,8 @@ type ReadBlockReply struct {
 	Frame []byte
 }
 
-func (a ReadBlockReply) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.bytes(a.Frame)
-	return w
-}
-
-func (a *ReadBlockReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.Frame = r.bytes(nil)
-	return r.done()
+func (a *ReadBlockReply) wire(c *wirefmt.Codec) {
+	c.Bytes(&a.Frame)
 }
 
 // PushBlockArgs installs one sealed block replica on a worker — the
@@ -575,24 +472,15 @@ type PushBlockArgs struct {
 	Frame []byte
 }
 
-func (a PushBlockArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.ID)
-	w.bytes(a.Frame)
-	return w
-}
-
-func (a *PushBlockArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.ID, a.Frame = r.int64(), r.bytes(nil)
-	return r.done()
+func (a *PushBlockArgs) wire(c *wirefmt.Codec) {
+	c.Int64(&a.ID)
+	c.Bytes(&a.Frame)
 }
 
 // PushBlockReply acknowledges a replica installation.
 type PushBlockReply struct{}
 
-func (PushBlockReply) appendWire(b []byte) []byte { return b }
-func (*PushBlockReply) decodeWire(b []byte) error { return emptyBody(b) }
+func (*PushBlockReply) wire(*wirefmt.Codec) {}
 
 // DropJobArgs tells a worker a job ended; the worker garbage-collects
 // the job's spill directory.
@@ -600,23 +488,14 @@ type DropJobArgs struct {
 	JobID int64
 }
 
-func (a DropJobArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.int64(a.JobID)
-	return w
-}
-
-func (a *DropJobArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.JobID = r.int64()
-	return r.done()
+func (a *DropJobArgs) wire(c *wirefmt.Codec) {
+	c.Int64(&a.JobID)
 }
 
 // DropJobReply acknowledges spill GC.
 type DropJobReply struct{}
 
-func (DropJobReply) appendWire(b []byte) []byte { return b }
-func (*DropJobReply) decodeWire(b []byte) error { return emptyBody(b) }
+func (*DropJobReply) wire(*wirefmt.Codec) {}
 
 // ExecRangeArgs asks a serving worker for one partition's fragment of a
 // range query. Meta describes the split (with replica holders) so the
@@ -630,19 +509,11 @@ type ExecRangeArgs struct {
 	Query geom.Rect
 }
 
-func (a ExecRangeArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.string(a.File)
-	w.int64(a.Epoch)
-	writeMeta(&w, a.Meta)
-	w.rect(a.Query)
-	return w
-}
-
-func (a *ExecRangeArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.File, a.Epoch, a.Meta, a.Query = r.string(), r.int64(), readMeta(&r), r.rect()
-	return r.done()
+func (a *ExecRangeArgs) wire(c *wirefmt.Codec) {
+	c.String(&a.File)
+	c.Int64(&a.Epoch)
+	wireMeta(c, &a.Meta)
+	c.Rect(&a.Query)
 }
 
 // ExecRangeReply carries the partition's matches as one sorted stream, the
@@ -660,18 +531,10 @@ type ExecRangeReply struct {
 	Records int64
 }
 
-func (a ExecRangeReply) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.floats(a.Keys)
-	w.bytes(a.Frag)
-	w.int64(a.Records)
-	return w
-}
-
-func (a *ExecRangeReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.Keys, a.Frag, a.Records = r.floats(a.Keys), r.bytes(a.Frag), r.int64()
-	return r.done()
+func (a *ExecRangeReply) wire(c *wirefmt.Codec) {
+	c.Floats(&a.Keys)
+	c.Bytes(&a.Frag)
+	c.Int64(&a.Records)
 }
 
 // ExecKNNArgs asks a serving worker for one partition's tie-complete
@@ -686,22 +549,13 @@ type ExecKNNArgs struct {
 	K     int
 }
 
-func (a ExecKNNArgs) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.string(a.File)
-	w.int64(a.Epoch)
-	writeMeta(&w, a.Meta)
-	w.float(a.Q.X)
-	w.float(a.Q.Y)
-	w.int(a.K)
-	return w
-}
-
-func (a *ExecKNNArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.File, a.Epoch, a.Meta = r.string(), r.int64(), readMeta(&r)
-	a.Q, a.K = geom.Point{X: r.float(), Y: r.float()}, r.int()
-	return r.done()
+func (a *ExecKNNArgs) wire(c *wirefmt.Codec) {
+	c.String(&a.File)
+	c.Int64(&a.Epoch)
+	wireMeta(c, &a.Meta)
+	c.Float(&a.Q.X)
+	c.Float(&a.Q.Y)
+	c.Int(&a.K)
 }
 
 // WireKNNCandidate is one (dist, record) candidate on the wire.
@@ -719,91 +573,11 @@ type ExecKNNReply struct {
 	Records int64
 }
 
-func (a ExecKNNReply) appendWire(b []byte) []byte {
-	w := wireWriter(b)
-	w.uvarint(uint64(len(a.Cands)))
-	for _, c := range a.Cands {
-		w.float(c.Dist)
+func (a *ExecKNNReply) wire(c *wirefmt.Codec) {
+	wirefmt.Len(c, &a.Cands, 9)
+	for i := range a.Cands {
+		c.Float(&a.Cands[i].Dist)
 	}
-	for _, c := range a.Cands {
-		w.string(c.Rec)
-	}
-	w.int64(a.Records)
-	return w
-}
-
-func (a *ExecKNNReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.Cands = nil
-	if n := r.count(9); n > 0 {
-		a.Cands = make([]WireKNNCandidate, n)
-		for i := range a.Cands {
-			a.Cands[i].Dist = r.float()
-		}
-		r.spanStrings(n, func(i int, s string) { a.Cands[i].Rec = s })
-	}
-	a.Records = r.int64()
-	return r.done()
-}
-
-// writeMap lays out a map as its count and then its entries in key order,
-// so a map has one encoding.
-func writeMap[V any](w *wireWriter, m map[string]V, value func(*wireWriter, V)) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	w.uvarint(uint64(len(m)))
-	for _, k := range keys {
-		w.string(k)
-		value(w, m[k])
-	}
-}
-
-// writeSlice lays out a slice as its count and then its elements.
-func writeSlice[T any](w *wireWriter, vs []T, elem func(*wireWriter, T)) {
-	w.uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		elem(w, v)
-	}
-}
-
-// readSlice reads what writeSlice wrote, each element at least minSize
-// bytes.
-func readSlice[T any](r *wireReader, minSize int, elem func(*wireReader) T) []T {
-	n := r.count(minSize)
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = elem(r)
-	}
-	return out
-}
-
-// readMap reads what writeMap wrote. Keys must ascend strictly: any other
-// order, or a repeated key, would re-encode differently.
-func readMap[V any](r *wireReader, value func(*wireReader) V) map[string]V {
-	n := r.count(2) // every key and every value takes at least a byte
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]V, n)
-	prev := ""
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.string()
-		if i > 0 && k <= prev {
-			r.fail("map key %q after %q", k, prev)
-		}
-		m[k], prev = value(r), k
-	}
-	return m
-}
-
-// emptyBody is the decoder of a message with no fields.
-func emptyBody(b []byte) error {
-	r := wireReader{b: b}
-	return r.done()
+	c.Spans(len(a.Cands), func(i int) *string { return &a.Cands[i].Rec })
+	c.Int64(&a.Records)
 }

@@ -100,7 +100,7 @@ func TestCancelledScatterStops(t *testing.T) {
 	defer stopHolder()
 	go mapreduce.ServeRPC(holderCtx, ln, rs)
 	reg := mapreduce.RegisterArgs{Addr: ln.Addr().String(), CanServe: true}
-	if err := m.Peers().Call(context.Background(), m.Addr(), mapreduce.MasterService+".Register", reg, &mapreduce.RegisterReply{}); err != nil {
+	if err := m.Peers().Call(context.Background(), m.Addr(), mapreduce.MasterService+".Register", &reg, &mapreduce.RegisterReply{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -117,7 +117,7 @@ func (sq *shardQuery) rangeCall(rect geom.Rect) shardCall {
 		remote: func(ctx context.Context, addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
 			reply := rangeReplies.Get().(*mapreduce.ExecRangeReply)
 			err := sq.m.Peers().Call(ctx, addr, mapreduce.ShardService+".ExecRange",
-				mapreduce.ExecRangeArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: meta, Query: rect}, reply)
+				&mapreduce.ExecRangeArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: meta, Query: rect}, reply)
 			return shardFrag{stream: reply, records: reply.Records, matches: len(reply.Keys) / 2}, err
 		},
 		local: func(part *ops.LocalPartition) (shardFrag, error) {
@@ -132,7 +132,7 @@ func (sq *shardQuery) knnCall(q geom.Point, k int) shardCall {
 		remote: func(ctx context.Context, addr string, meta *mapreduce.WireSplitMeta) (shardFrag, error) {
 			var reply mapreduce.ExecKNNReply
 			err := sq.m.Peers().Call(ctx, addr, mapreduce.ShardService+".ExecKNN",
-				mapreduce.ExecKNNArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: meta, Q: q, K: k}, &reply)
+				&mapreduce.ExecKNNArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: meta, Q: q, K: k}, &reply)
 			return shardFrag{cands: reply.Cands, records: reply.Records, matches: len(reply.Cands)}, err
 		},
 		local: func(part *ops.LocalPartition) (shardFrag, error) {

@@ -105,8 +105,9 @@ func TestBlockLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	install(peer, 1)
-	// Block 3's own replica is cut inside its length table and sealed
-	// again: the CRC holds, only the layout check can tell.
+	// Block 3's own replica is cut three bytes in — past its tag and into
+	// its record list — and sealed again: the CRC holds, only the layout
+	// check can tell.
 	install(w, 3)
 	install(peer, 3)
 	whole, err := os.ReadFile(w.replicaPath(int64(blocks[3].ID)))
@@ -115,7 +116,7 @@ func TestBlockLadder(t *testing.T) {
 	}
 	payload, err := dfs.UnsealShard(whole)
 	if err != nil || blocks[3].NumRecords() < 3 {
-		t.Fatalf("block 3: unseal = %v, %d records; want a table of >= 3 lengths", err, blocks[3].NumRecords())
+		t.Fatalf("block 3: unseal = %v, %d records; want >= 3 records to cut into", err, blocks[3].NumRecords())
 	}
 	if err := os.WriteFile(w.replicaPath(int64(blocks[3].ID)), dfs.SealShard(payload[:3]), 0o644); err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestBlockLadder(t *testing.T) {
 			primary: []int{0}, local: []int{0}},
 		{name: "torn own replica falls to a peer", refs: []mapreduce.WireBlockRef{ref(1, false, w.Addr(), peer.Addr())},
 			primary: []int{1}, remote: []int{1}},
-		{name: "own replica cut inside its length table falls to a peer", refs: []mapreduce.WireBlockRef{ref(3, false, w.Addr(), peer.Addr())},
+		{name: "own replica cut inside its records falls to a peer", refs: []mapreduce.WireBlockRef{ref(3, false, w.Addr(), peer.Addr())},
 			primary: []int{3}, remote: []int{3}},
 		{name: "dead peer falls to the master", refs: []mapreduce.WireBlockRef{ref(2, false, deadPeer)},
 			primary: []int{2}, remote: []int{2}, fromMaster: true},

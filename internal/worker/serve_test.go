@@ -91,7 +91,7 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 		meta := m.ServeMeta(sp)
 
 		var rr mapreduce.ExecRangeReply
-		if err := call(server, "ExecRange", mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}, &rr); err != nil {
+		if err := call(server, "ExecRange", &mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}, &rr); err != nil {
 			t.Fatalf("%s ExecRange: %v", sp.Partition, err)
 		}
 		want, err := ops.PartitionRangePoints(part, query)
@@ -122,7 +122,7 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 		}
 
 		var kr mapreduce.ExecKNNReply
-		if err := call(server, "ExecKNN", mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Meta: meta, Q: q, K: k}, &kr); err != nil {
+		if err := call(server, "ExecKNN", &mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Meta: meta, Q: q, K: k}, &kr); err != nil {
 			t.Fatalf("%s ExecKNN: %v", sp.Partition, err)
 		}
 		if want := ops.PartitionKNNCandidates(part, q, k); kr.Records != int64(len(part.Recs)) || !reflect.DeepEqual(kr.Cands, want) {
@@ -137,16 +137,16 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 	meta := m.ServeMeta(splits[0])
 	for name, call := range map[string]func() error{
 		"nil Meta range": func() error {
-			return call(server, "ExecRange", mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Query: query}, &mapreduce.ExecRangeReply{})
+			return call(server, "ExecRange", &mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Query: query}, &mapreduce.ExecRangeReply{})
 		},
 		"nil Meta knn": func() error {
-			return call(server, "ExecKNN", mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Q: q, K: k}, &mapreduce.ExecKNNReply{})
+			return call(server, "ExecKNN", &mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Q: q, K: k}, &mapreduce.ExecKNNReply{})
 		},
 		"non-serve worker range": func() error {
-			return call(plain, "ExecRange", mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}, &mapreduce.ExecRangeReply{})
+			return call(plain, "ExecRange", &mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}, &mapreduce.ExecRangeReply{})
 		},
 		"non-serve worker knn": func() error {
-			return call(plain, "ExecKNN", mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Meta: meta, Q: q, K: k}, &mapreduce.ExecKNNReply{})
+			return call(plain, "ExecKNN", &mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Meta: meta, Q: q, K: k}, &mapreduce.ExecKNNReply{})
 		},
 	} {
 		if err := call(); err == nil {
@@ -178,7 +178,7 @@ func TestGobClientMatchesPeers(t *testing.T) {
 		meta := m.ServeMeta(sp)
 		args := mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}
 		var viaPeers, viaGob mapreduce.ExecRangeReply
-		if err := call(server, "ExecRange", args, &viaPeers); err != nil {
+		if err := call(server, "ExecRange", &args, &viaPeers); err != nil {
 			t.Fatalf("%s ExecRange over Peers: %v", sp.Partition, err)
 		}
 		if err := gobClient.Call(mapreduce.ShardService+".ExecRange", args, &viaGob); err != nil {
@@ -192,7 +192,7 @@ func TestGobClientMatchesPeers(t *testing.T) {
 
 		for _, ref := range meta.Blocks {
 			var blockPeers, blockGob mapreduce.ReadBlockReply
-			if err := call(server, "ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &blockPeers); err != nil {
+			if err := call(server, "ReadBlock", &mapreduce.ReadBlockArgs{ID: ref.ID}, &blockPeers); err != nil {
 				t.Fatalf("block %d ReadBlock over Peers: %v", ref.ID, err)
 			}
 			if err := gobClient.Call(mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &blockGob); err != nil {

@@ -191,7 +191,7 @@ func (w *Worker) register() error {
 	}
 	var reply mapreduce.RegisterReply
 	args := mapreduce.RegisterArgs{Addr: w.Addr(), PID: pid, CanServe: w.cfg.ServeTasks}
-	if err := w.callMaster("Register", args, &reply); err != nil {
+	if err := w.callMaster("Register", &args, &reply); err != nil {
 		return err
 	}
 	if reply.HeartbeatEvery <= 0 {
@@ -246,7 +246,7 @@ func (w *Worker) heartbeatLoop() {
 			return
 		}
 		var reply mapreduce.HeartbeatReply
-		err := w.callMaster("Heartbeat", mapreduce.HeartbeatArgs{WorkerID: id}, &reply)
+		err := w.callMaster("Heartbeat", &mapreduce.HeartbeatArgs{WorkerID: id}, &reply)
 		if err != nil || !reply.OK {
 			w.reconnect()
 			continue
@@ -270,7 +270,7 @@ func (w *Worker) executorLoop() {
 	for w.ctx.Err() == nil {
 		id, _ := w.session()
 		var t mapreduce.TaskAssignment
-		if err := w.callMaster("GetTask", mapreduce.GetTaskArgs{WorkerID: id}, &t); err != nil {
+		if err := w.callMaster("GetTask", &mapreduce.GetTaskArgs{WorkerID: id}, &t); err != nil {
 			// The heartbeat loop owns reconnection; just back off.
 			w.sleep(10 * time.Millisecond)
 			continue
@@ -284,7 +284,7 @@ func (w *Worker) executorLoop() {
 		default:
 			continue
 		}
-		_ = w.callMaster("TaskDone", res, &mapreduce.TaskDoneReply{})
+		_ = w.callMaster("TaskDone", &res, &mapreduce.TaskDoneReply{})
 	}
 }
 
@@ -439,7 +439,7 @@ func (w *Worker) readBlock(ref mapreduce.WireBlockRef) (*dfs.Block, bool, error)
 			continue
 		}
 		var reply mapreduce.ReadBlockReply
-		if err = w.peers.Call(w.ctx, addr, mapreduce.ShardService+".ReadBlock", mapreduce.ReadBlockArgs{ID: ref.ID}, &reply); err != nil {
+		if err = w.peers.Call(w.ctx, addr, mapreduce.ShardService+".ReadBlock", &mapreduce.ReadBlockArgs{ID: ref.ID}, &reply); err != nil {
 			continue
 		}
 		var b *dfs.Block
