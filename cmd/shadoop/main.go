@@ -108,13 +108,13 @@ func main() {
 			what, wall.Round(time.Millisecond), rep.Splits, rep.SplitsTotal,
 			rep.Counters[mapreduce.CounterShuffleBytes], rep.OutputCount)
 		if *traceFile != "" && rep.Trace != nil {
-			if err := writeTrace(*traceFile, rep.Trace.WriteChromeTrace); err != nil {
+			if err := writeTrace(*traceFile, rep.Trace.Snapshot().WriteChromeTrace); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("trace: wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceFile)
 		}
 		if *traceJSL != "" && rep.Trace != nil {
-			if err := writeTrace(*traceJSL, rep.Trace.WriteJSONL); err != nil {
+			if err := writeTrace(*traceJSL, rep.Trace.Snapshot().WriteJSONL); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("trace: wrote %s\n", *traceJSL)

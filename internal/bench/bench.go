@@ -182,7 +182,7 @@ func persistObs(cfg Config, name string, rep *mapreduce.Report) {
 		fail(err)
 		return
 	}
-	if err := rep.Trace.WriteJSONL(tf); err == nil {
+	if err := rep.Trace.Snapshot().WriteJSONL(tf); err == nil {
 		err = tf.Close()
 		if err != nil {
 			fail(err)

@@ -5,13 +5,15 @@
 // Filter hook, which plays the role of the SpatialFileSplitter: it sees
 // the global index of the input and decides which splits become map tasks.
 //
-// Every job run is observed: an obs.Trace records one span per map
-// attempt, shuffle, reduce partition and commit, and an obs.Registry
-// collects counters, gauges and histograms. Tasks buffer their metrics in
-// task-local obs.TaskMetrics and the runtime merges a buffer into the
-// registry only when the attempt succeeds, so hot paths take no locks per
-// emitted value and retried attempts are never double-counted. The Report
-// returned by Run embeds the trace and a metrics snapshot.
+// Every job run is observed. It records into the obs.Trace its context
+// carries (a request's, or one of its own for a batch job) a job span, one
+// span per phase and, per map or reduce task, a slot.wait and one span per
+// attempt; an obs.Registry collects counters, gauges and histograms. Tasks
+// buffer their metrics in task-local obs.TaskMetrics and the runtime
+// merges a buffer into the registry only when the attempt succeeds, so hot
+// paths take no locks per emitted value and retried attempts are never
+// double-counted. The Report returned by Run embeds the trace and a
+// metrics snapshot.
 package mapreduce
 
 import (
@@ -354,8 +356,10 @@ type Report struct {
 	// Metrics is the job's full metrics snapshot (Counters above is its
 	// counter section, kept for compatibility).
 	Metrics *obs.Snapshot
-	// Trace is the job's span log: one span per map attempt, shuffle,
-	// reduce partition and commit, under a single job root span.
+	// Trace is the job's trace: the request's whole tree when the job ran
+	// under one, else the job's own (queue.wait, then the job span with one
+	// span per phase and, under map and reduce, each task's slot.wait and
+	// attempts).
 	Trace *obs.Trace
 }
 
@@ -472,9 +476,8 @@ func (c *Cluster) RetryPolicy() fault.RetryPolicy {
 type runningJob struct {
 	job *Job
 	// kf is the job kind's functions, built once at Run.
-	kf    KindFuncs
-	reg   *obs.Registry
-	trace *obs.Trace
+	kf  KindFuncs
+	reg *obs.Registry
 	// nshards is the effective reducer count; map tasks bucket their
 	// emitted pairs into this many shards.
 	nshards int
@@ -504,9 +507,12 @@ func (c *Cluster) RunCtx(ctx context.Context, job *Job) (*Report, error) {
 	if job.Output == "" {
 		return nil, fmt.Errorf("mapreduce: job %q has no output file", job.Name)
 	}
+	if obs.TraceFrom(ctx) == nil {
+		ctx = obs.ContextWithTrace(ctx, obs.NewJobTrace(obs.NewTraceID()))
+	}
 	if a := c.admission(); a != nil {
 		// queue.wait covers the admission gate: on a loaded cluster this is
-		// where a request trace shows the job sitting behind other jobs.
+		// where a trace shows the job sitting behind other jobs.
 		_, qs := obs.StartSpan(ctx, "queue.wait")
 		release, err := a.enter(ctx)
 		qs.End()
@@ -528,11 +534,10 @@ func (c *Cluster) RunCtx(ctx context.Context, job *Job) (*Report, error) {
 // attempt seam) to execute attempts and does the bookkeeping itself, so
 // counters, histograms and spans are written once for both runners.
 type jobRun struct {
-	c    *Cluster
-	rj   *runningJob
-	pol  fault.RetryPolicy
-	root *obs.Span
-	run  runner
+	c   *Cluster
+	rj  *runningJob
+	pol fault.RetryPolicy
+	run runner
 
 	splits []*Split
 	total  int // splits before filtering
@@ -563,25 +568,21 @@ func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, 
 	if numRed <= 0 {
 		numRed = 1
 	}
-	rj := &runningJob{job: job, kf: kf, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: numRed}
-	// When the context carries a request trace (serving path), mirror the
-	// job into it: a "job" span parents per-phase spans, which in turn
-	// parent the scheduler's slot.wait spans. Batch callers carry no trace
-	// and all of these are free no-ops.
-	ctx, jspan := obs.StartSpan(ctx, "job")
-	jspan.SetAttr("name", job.Name)
-	defer jspan.End()
+	rj := &runningJob{job: job, kf: kf, reg: obs.NewRegistry(), nshards: numRed}
+	// The job span parents one span per phase, which in turn parent the
+	// scheduler's slot.wait and attempt spans.
+	ctx, root := obs.StartSpan(ctx, "job")
+	root.Phase, root.Task = obs.PhaseJob, -1
+	root.SetAttr("name", job.Name)
 	j := &jobRun{c: c, rj: rj, pol: c.RetryPolicy()}
-	j.root = rj.trace.Start(job.Name, obs.PhaseJob, 0, -1)
-	rep := &Report{Job: job.Name, ReduceTasks: numRed, OutputFile: job.Output, WorkersUsed: c.workers, Trace: rj.trace}
+	rep := &Report{Job: job.Name, ReduceTasks: numRed, OutputFile: job.Output, WorkersUsed: c.workers, Trace: obs.TraceFrom(ctx)}
 	if err := j.phases(ctx, rep); err != nil {
-		// The root span is finished on every error path so traces never
-		// leak open spans.
-		j.root.Finish(obs.OutcomeFailed)
+		root.Outcome = obs.OutcomeFailed
+		root.End()
 		return nil, err
 	}
-	j.root.RecordsOut = j.outCount
-	j.root.Finish(obs.OutcomeOK)
+	root.RecordsOut, root.Outcome = j.outCount, obs.OutcomeOK
+	root.End()
 
 	rep.Splits, rep.SplitsTotal, rep.MapTasks = len(j.splits), j.total, len(j.splits)
 	rep.OutputCount = j.outCount
@@ -605,7 +606,7 @@ func (j *jobRun) phases(ctx context.Context, rep *Report) error {
 	if err := j.plan(ctx); err != nil {
 		return err
 	}
-	j.run = j.c.newRunner(ctx, j.rj, j.splits, j.root.ID)
+	j.run = j.c.newRunner(ctx, j.rj, j.splits)
 	defer j.run.close()
 	for _, ph := range []struct {
 		wall *time.Duration
@@ -639,15 +640,10 @@ func (j *jobRun) plan(ctx context.Context) error {
 	j.total = len(splits)
 	reg.Inc(CounterSplitsTotal, int64(j.total))
 	if job.Filter != nil {
-		fspan := j.rj.trace.Start("filter", obs.PhaseFilter, j.root.ID, -1)
-		fspan.RecordsIn = int64(j.total)
-		_, frs := obs.StartSpan(ctx, "phase.filter")
+		_, span := startPhase(ctx, obs.PhaseFilter)
 		splits = job.Filter(splits)
-		frs.SetAttr("splits_in", fmt.Sprint(j.total))
-		frs.SetAttr("splits_out", fmt.Sprint(len(splits)))
-		frs.End()
-		fspan.RecordsOut = int64(len(splits))
-		fspan.Finish(obs.OutcomeOK)
+		span.RecordsIn, span.RecordsOut = int64(j.total), int64(len(splits))
+		span.End()
 		reg.Inc(CounterSplitsFiltered, int64(j.total-len(splits)))
 	}
 	reg.Inc(CounterSplitsMapped, int64(len(splits)))
@@ -663,10 +659,9 @@ func (j *jobRun) plan(ctx context.Context) error {
 // here, once, whichever runner executed the attempt.
 func (j *jobRun) mapPhase(ctx context.Context) error {
 	rj := j.rj
-	mapCtx, mapSpan := obs.StartSpan(ctx, "phase.map")
-	mapSpan.SetAttr("tasks", fmt.Sprint(len(j.splits)))
+	mapCtx, mapSpan := startPhase(ctx, obs.PhaseMap)
 	j.maps = make([]mapResult, len(j.splits))
-	ms := newSched(j.c, rj, obs.PhaseMap, j.root.ID, j.pol, CounterRetryMap)
+	ms := newSched(j.c, rj, obs.PhaseMap, j.pol, CounterRetryMap)
 	for i, split := range j.splits {
 		var blk *dfs.Block
 		if len(split.Blocks) > 0 {
@@ -716,21 +711,26 @@ func firstErr(errs []error, job, phase string) error {
 	return nil
 }
 
+// startPhase opens a phase's one span. It carries Task -1, so it never
+// passes for a task attempt.
+func startPhase(ctx context.Context, phase string) (context.Context, *obs.Span) {
+	ctx, span := obs.StartSpan(ctx, "phase."+phase)
+	span.Phase, span.Task = phase, -1
+	return ctx, span
+}
+
 // shufflePhase makes the winning map shards reachable by the reducers
 // (the runner's business) and records the job-wide shuffle totals — the
 // per-task sums already merged into the task counters, not a second walk
 // over every pair.
 func (j *jobRun) shufflePhase(ctx context.Context) error {
-	_, shReq := obs.StartSpan(ctx, "phase.shuffle")
-	shSpan := j.rj.trace.Start("shuffle", obs.PhaseShuffle, j.root.ID, -1)
+	_, span := startPhase(ctx, obs.PhaseShuffle)
 	j.run.shuffle()
 	for _, r := range j.maps {
-		shSpan.RecordsIn += r.pairs
-		shSpan.Bytes += r.bytes
+		span.RecordsIn += r.pairs
+		span.Bytes += r.bytes
 	}
-	shSpan.Finish(obs.OutcomeOK)
-	shReq.SetAttr("bytes", fmt.Sprint(shSpan.Bytes))
-	shReq.End()
+	span.End()
 	return nil
 }
 
@@ -743,9 +743,8 @@ func (j *jobRun) reducePhase(ctx context.Context) error {
 	if rj.kf.Reduce == nil {
 		return nil
 	}
-	redCtx, redSpan := obs.StartSpan(ctx, "phase.reduce")
-	redSpan.SetAttr("tasks", fmt.Sprint(numRed))
-	rs := newSched(j.c, rj, obs.PhaseReduce, j.root.ID, j.pol, CounterRetryReduce)
+	redCtx, redSpan := startPhase(ctx, obs.PhaseReduce)
+	rs := newSched(j.c, rj, obs.PhaseReduce, j.pol, CounterRetryReduce)
 	for ri := 0; ri < numRed; ri++ {
 		rs.addTask(ri, fmt.Sprintf("reduce-%d", ri), "", nil, func(attempt int) (attemptOut, error) {
 			res, err := j.run.reduceAttempt(ri, attempt)
@@ -774,21 +773,21 @@ func (j *jobRun) reducePhase(ctx context.Context) error {
 // scratch and publishes it on Close, so a retried commit publishes one
 // complete file or none.
 func (j *jobRun) commitPhase(ctx context.Context) error {
-	_, commitReq := obs.StartSpan(ctx, "phase.commit")
-	defer commitReq.End()
+	ctx, span := startPhase(ctx, obs.PhaseCommit)
+	defer span.End()
 	var directOut []string
 	for _, r := range j.maps {
 		directOut = append(directOut, r.out...)
 	}
-	cs := newSched(j.c, j.rj, obs.PhaseCommit, j.root.ID, j.pol, CounterRetryCommit)
-	err := cs.retry(ctx, newSchedTask(0, "commit", ""), func(span *obs.Span, _ int, _ fault.Decision) error {
+	cs := newSched(j.c, j.rj, obs.PhaseCommit, j.pol, CounterRetryCommit)
+	err := cs.retry(ctx, newSchedTask(0, "commit", ""), func(attempt *obs.Span, _ int, _ fault.Decision) error {
 		n, err := j.c.writeOutput(j.rj.job, directOut, j.reduceOut)
 		if err != nil {
 			return err
 		}
 		j.outCount = n
-		span.RecordsOut = n
-		span.Finish(obs.OutcomeOK)
+		attempt.RecordsOut = n
+		endAs(attempt, obs.OutcomeOK)
 		return nil
 	})
 	if err != nil {
@@ -850,10 +849,10 @@ type runner interface {
 // newRunner picks the job's runner: the worker pool when a master runtime
 // is up with live workers, this process otherwise. Both build the job's
 // functions from its kind, so either can run any job.
-func (c *Cluster) newRunner(ctx context.Context, rj *runningJob, splits []*Split, root int64) runner {
+func (c *Cluster) newRunner(ctx context.Context, rj *runningJob, splits []*Split) runner {
 	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
 	if m := c.Master(); m != nil && m.LiveWorkers() > 0 {
-		return startRemote(ctx, m, local, root)
+		return startRemote(ctx, m, local)
 	}
 	return local
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -11,12 +12,20 @@ import (
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/fault"
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/obs"
 )
 
 func newTestCluster(t *testing.T, blockSize int64, workers int) *Cluster {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: blockSize, DataNodes: workers})
 	return NewCluster(fs, workers)
+}
+
+// jobContext is the context RunCtx gives a batch job: one carrying a job
+// trace, which the scheduler's spans need. Tests that start a run without
+// RunCtx use it.
+func jobContext() context.Context {
+	return obs.ContextWithTrace(context.Background(), obs.NewJobTrace("test"))
 }
 
 var closureKinds atomic.Int64

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -73,11 +74,11 @@ func TestRetryDoesNotDoubleCountCounters(t *testing.T) {
 	}
 }
 
-// TestTraceSpansPerPhase runs a full map+reduce+commit job and checks the
-// exported trace: the Chrome trace_event JSON is structurally valid, the
-// JSONL round-trips, and there is at least one span per map task, the
-// shuffle, each reduce partition and the commit, all parented on the job
-// root span.
+// TestTraceSpansPerPhase runs a full map+reduce+commit job and checks its
+// trace is one tree: the job span, each phase's span exactly once under
+// it, and under the map and reduce phases one slot.wait per task and one
+// attempt span per task (fault-free). The Chrome trace_event export
+// validates and the JSONL round-trips.
 func TestTraceSpansPerPhase(t *testing.T) {
 	c := newTestCluster(t, 256, 4)
 	writeText(t, c)
@@ -88,10 +89,11 @@ func TestTraceSpansPerPhase(t *testing.T) {
 	if rep.Trace == nil || rep.Metrics == nil {
 		t.Fatal("report is missing trace/metrics")
 	}
+	snap := rep.Trace.Snapshot()
 
 	// Chrome trace export validates structurally.
 	var chrome bytes.Buffer
-	if err := rep.Trace.WriteChromeTrace(&chrome); err != nil {
+	if err := snap.WriteChromeTrace(&chrome); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateChromeTrace(chrome.Bytes()); err != nil {
@@ -100,56 +102,121 @@ func TestTraceSpansPerPhase(t *testing.T) {
 
 	// JSONL round-trip preserves span count and links.
 	var jsonl bytes.Buffer
-	if err := rep.Trace.WriteJSONL(&jsonl); err != nil {
+	if err := snap.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := obs.ParseJSONL(jsonl.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != len(rep.Trace.Spans()) {
-		t.Fatalf("round-trip span count = %d, want %d", len(spans), len(rep.Trace.Spans()))
+	if len(spans) != len(snap.Spans) {
+		t.Fatalf("round-trip span count = %d, want %d", len(spans), len(snap.Spans))
 	}
 
-	byPhase := map[string]int{}
-	var rootID int64
+	byID := map[int64]obs.Span{}
+	names := map[string]int{}
 	for _, s := range spans {
-		byPhase[s.Phase]++
-		if s.Phase == obs.PhaseJob {
-			rootID = s.ID
+		byID[s.ID] = s
+		names[s.Name]++
+		if s.DurUS == 0 {
+			t.Errorf("span %s never ended", s.Name)
 		}
 	}
-	if byPhase[obs.PhaseJob] != 1 {
-		t.Fatalf("job spans = %d, want 1", byPhase[obs.PhaseJob])
+	for _, name := range []string{"job", "phase.map", "phase.shuffle", "phase.reduce", "phase.commit"} {
+		if names[name] != 1 {
+			t.Errorf("%s spans = %d, want exactly 1 (have %v)", name, names[name], names)
+		}
 	}
-	if byPhase[obs.PhaseMap] != rep.MapTasks {
-		t.Errorf("map spans = %d, want %d", byPhase[obs.PhaseMap], rep.MapTasks)
+	if names["phase.filter"] != 0 {
+		t.Errorf("a job without a filter opened phase.filter")
 	}
-	if byPhase[obs.PhaseShuffle] != 1 {
-		t.Errorf("shuffle spans = %d, want 1", byPhase[obs.PhaseShuffle])
-	}
-	if byPhase[obs.PhaseReduce] != rep.ReduceTasks {
-		t.Errorf("reduce spans = %d, want %d", byPhase[obs.PhaseReduce], rep.ReduceTasks)
-	}
-	if byPhase[obs.PhaseCommit] != 1 {
-		t.Errorf("commit spans = %d, want 1", byPhase[obs.PhaseCommit])
-	}
+	parentName := func(s obs.Span) string { return byID[s.Parent].Name }
+	attempts := map[string]int{}
 	for _, s := range spans {
-		if s.Phase == obs.PhaseJob {
-			continue
+		switch {
+		case s.Name == "job":
+			if s.Phase != obs.PhaseJob || s.Outcome != obs.OutcomeOK {
+				t.Errorf("job span = %+v", s)
+			}
+		case strings.HasPrefix(s.Name, "phase."):
+			if s.Phase == "" || s.Task != -1 || s.IsTaskAttempt() || parentName(s) != "job" {
+				t.Errorf("phase span %s: phase %q task %d under %q", s.Name, s.Phase, s.Task, parentName(s))
+			}
+		case s.Name == "slot.wait":
+			if s.Phase != "" || s.IsTaskAttempt() || !strings.HasPrefix(parentName(s), "phase.") {
+				t.Errorf("slot.wait passes for a task or sits under %q", parentName(s))
+			}
+		case s.IsTaskAttempt():
+			attempts[s.Phase]++
+			if want := "phase." + s.Phase; parentName(s) != want || s.Outcome != obs.OutcomeOK {
+				t.Errorf("attempt %s under %q outcome %q, want under %s and ok", s.Name, parentName(s), s.Outcome, want)
+			}
 		}
-		if s.Parent != rootID {
-			t.Errorf("span %s (%s) parent = %d, want root %d", s.Name, s.Phase, s.Parent, rootID)
-		}
-		if s.Outcome != obs.OutcomeOK {
-			t.Errorf("span %s outcome = %q", s.Name, s.Outcome)
-		}
+	}
+	if attempts[obs.PhaseMap] != rep.MapTasks || attempts[obs.PhaseReduce] != rep.ReduceTasks {
+		t.Errorf("attempts = %v, want %d map and %d reduce", attempts, rep.MapTasks, rep.ReduceTasks)
+	}
+	if names["slot.wait"] != rep.MapTasks+rep.ReduceTasks {
+		t.Errorf("slot.wait spans = %d, want one per task (%d)", names["slot.wait"], rep.MapTasks+rep.ReduceTasks)
 	}
 
 	// The per-phase histograms exist in the snapshot.
 	for _, h := range []string{HistMapTaskDurationUS, HistReduceTaskDurationUS} {
 		if rep.Metrics.Histograms[h].Count == 0 {
 			t.Errorf("histogram %s is empty", h)
+		}
+	}
+}
+
+// TestTraceCapRule: a batch job keeps every span of its own trace, so one
+// with more attempts than MaxReqSpans is complete; the same job under a
+// request trace hits the cap, and what the request keeps is still a tree.
+func TestTraceCapRule(t *testing.T) {
+	const records = obs.MaxReqSpans + 40
+	c := newTestCluster(t, 16, 4)
+	var recs []string
+	for i := 0; i < records; i++ {
+		recs = append(recs, fmt.Sprintf("%012d", i))
+	}
+	c.FS().WriteFile("in", recs)
+	c.SetRetryPolicy(fastPolicy())
+	c.SetFault(fault.Plan{MapFailRate: 0.1, Seed: 5})
+
+	rep, err := c.Run(identityJob("many-tasks", identityMap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := rep.Trace.Snapshot()
+	attempts := 0
+	for i := range snap.Spans {
+		if snap.Spans[i].IsTaskAttempt() {
+			attempts++
+		}
+	}
+	retries := int(rep.Counters[CounterTaskRetries])
+	if rep.MapTasks <= obs.MaxReqSpans || retries == 0 {
+		t.Fatalf("setup: %d tasks, %d retries; want > %d tasks and some retries", rep.MapTasks, retries, obs.MaxReqSpans)
+	}
+	if attempts != rep.MapTasks+retries || snap.Dropped != 0 {
+		t.Errorf("batch trace: %d attempts, dropped %d; want %d + %d attempts, none dropped",
+			attempts, snap.Dropped, rep.MapTasks, retries)
+	}
+
+	req := obs.NewTrace("req")
+	if _, err := c.RunCtx(obs.ContextWithTrace(context.Background(), req), identityJob("many-tasks-req", identityMap)); err != nil {
+		t.Fatal(err)
+	}
+	rsnap := req.Snapshot()
+	if rsnap.Dropped == 0 || len(rsnap.Spans) != obs.MaxReqSpans {
+		t.Errorf("request trace kept %d spans, dropped %d; want the cap %d and some dropped", len(rsnap.Spans), rsnap.Dropped, obs.MaxReqSpans)
+	}
+	ids := map[int64]bool{}
+	for _, s := range rsnap.Spans {
+		ids[s.ID] = true
+	}
+	for _, s := range rsnap.Spans {
+		if s.Parent != 0 && !ids[s.Parent] {
+			t.Errorf("span %q has dangling parent %d", s.Name, s.Parent)
 		}
 	}
 }
@@ -181,7 +248,7 @@ func TestRetriedAttemptsAppearInTrace(t *testing.T) {
 	}
 	var retrySpans, okMapSpans int64
 	for _, s := range rep.Trace.Spans() {
-		if s.Phase != obs.PhaseMap {
+		if !s.IsTaskAttempt() {
 			continue
 		}
 		switch s.Outcome {
@@ -327,6 +394,17 @@ func TestWriteSummary(t *testing.T) {
 	for _, want := range []string{"phase", "map", "shuffle", "reduce", "commit", "slowest tasks", "histograms:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
+		}
+	}
+	// The trace holds phase and slot.wait spans beside the attempts; only
+	// attempts may be listed as tasks.
+	names := rep.Trace.Snapshot().SpanNames()
+	if names["phase.map"] == 0 || names["slot.wait"] == 0 {
+		t.Fatalf("trace lacks phase/slot.wait spans: %v", names)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "phase.") || strings.Contains(line, "slot.wait") {
+			t.Errorf("summary lists a non-attempt span as a task: %q", line)
 		}
 	}
 }

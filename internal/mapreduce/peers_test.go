@@ -310,13 +310,13 @@ func scriptedRun(t *testing.T, c *Cluster, m *Master, input string) *remoteRun {
 	}
 	job := identityJob("scripted", identityMap)
 	job.Input = []string{input}
-	rj := &runningJob{job: job, reg: obs.NewRegistry(), trace: obs.NewTrace(job.Name), nshards: 1}
+	rj := &runningJob{job: job, reg: obs.NewRegistry(), nshards: 1}
 	splits, err := c.MakeSplits(job.Input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
-	return startRemote(context.Background(), m, local, 0)
+	return startRemote(jobContext(), m, local)
 }
 
 // TestMasterConnectionCensus: the master's connections are bounded by its

@@ -22,7 +22,6 @@ type remoteRun struct {
 	m     *Master
 	local *localRunner
 	id    int64
-	root  int64
 	// ctx ends when the job's context does or the run closes; recovery
 	// work (re-issues, their backoffs) stops with it.
 	ctx    context.Context
@@ -54,9 +53,9 @@ type reissueCall struct {
 
 // startRemote registers a pool run with the master, replicating the job's
 // input blocks first so locality-aware assignment has holders to match.
-func startRemote(ctx context.Context, m *Master, local *localRunner, root int64) *remoteRun {
+func startRemote(ctx context.Context, m *Master, local *localRunner) *remoteRun {
 	r := &remoteRun{
-		m: m, local: local, root: root,
+		m: m, local: local,
 		locs:         make([]shardLoc, len(local.splits)),
 		masterShards: make(map[shardKey][]byte),
 		reissue:      make(map[int]*reissueCall),
@@ -298,7 +297,7 @@ func (r *remoteRun) ensureShards(task int) error {
 // and merging the re-run would double-count it.
 func (r *remoteRun) reissueMap(task int) error {
 	rj := r.local.rj
-	s := newSched(r.m.c, rj, obs.PhaseMap, r.root, r.m.c.RetryPolicy(), "")
+	s := newSched(r.m.c, rj, obs.PhaseMap, r.m.c.RetryPolicy(), "")
 	s.in = nil // a re-issue draws no fate of its own; it keeps the seed for its backoff jitter
 	ts := newSchedTask(task, fmt.Sprintf("map-%d", task), r.local.splits[task].Partition)
 	ts.nextAttempt = func() int {
@@ -316,7 +315,7 @@ func (r *remoteRun) reissueMap(task int) error {
 		span.RecordsIn = res.recordsIn
 		span.RecordsOut = res.pairs + int64(len(res.out))
 		span.Bytes = res.bytes
-		span.Finish(obs.OutcomeReissue)
+		endAs(span, obs.OutcomeReissue)
 		rj.reg.Inc(CounterReissuedMaps, 1)
 		r.m.flog.Append(fault.Event{Phase: TaskMap, Task: task, Attempt: attempt, Kind: "reissue"})
 		return nil

@@ -103,7 +103,6 @@ type sched struct {
 	c     *Cluster
 	rj    *runningJob
 	phase string // obs.PhaseMap, PhaseReduce or PhaseCommit
-	root  int64
 	pol   fault.RetryPolicy
 	// in draws every attempt's injected fate (nil: none); seed is the chaos
 	// seed behind the backoff jitter (0 without a plan).
@@ -123,9 +122,9 @@ type sched struct {
 }
 
 // newSched creates a scheduler for one phase.
-func newSched(c *Cluster, rj *runningJob, phase string, root int64, pol fault.RetryPolicy, retryCounter string) *sched {
+func newSched(c *Cluster, rj *runningJob, phase string, pol fault.RetryPolicy, retryCounter string) *sched {
 	s := &sched{
-		c: c, rj: rj, phase: phase, root: root, pol: pol, retryCounter: retryCounter,
+		c: c, rj: rj, phase: phase, pol: pol, retryCounter: retryCounter,
 		in:   c.Injector(),
 		stop: make(chan struct{}),
 	}
@@ -196,10 +195,10 @@ func (s *sched) runAll(ctx context.Context) []error {
 		go func(ts *schedTask) {
 			defer wg.Done()
 			// slot.wait shows, per task, how long the attempt sat behind the
-			// cluster-wide slot pool before executing (no-op without a
-			// request trace on the context).
+			// cluster-wide slot pool before executing. It names its task
+			// but carries no phase, so it never passes for an attempt.
 			_, ss := obs.StartSpan(ctx, "slot.wait")
-			ss.SetAttr("task", ts.name)
+			ss.Task = ts.idx
 			err := s.c.slots.Acquire(ctx)
 			ss.End()
 			if err != nil {
@@ -274,7 +273,7 @@ func (s *sched) scanStragglers(ctx context.Context) {
 			defer s.helpers.Done()
 			defer s.c.slots.Release()
 			defer close(ts.specDone)
-			span := s.startSpan(ts, specAttempt, true)
+			span := s.startSpan(ctx, ts, specAttempt, true)
 			d, err := s.inject(ts, specAttempt)
 			if err == nil {
 				err = s.attempt(ctx, ts, span, specAttempt, true, d)
@@ -282,23 +281,27 @@ func (s *sched) scanStragglers(ctx context.Context) {
 			if err != nil {
 				// A failed duplicate is abandoned, never retried: the
 				// primary attempt still owns the task.
-				span.Finish(obs.OutcomeFailed)
+				endAs(span, obs.OutcomeFailed)
 			}
 		}(ts)
 	}
 }
 
-// startSpan opens the trace span for one attempt.
-func (s *sched) startSpan(ts *schedTask, attempt int, spec bool) *obs.Span {
-	task := ts.idx
+// startSpan opens the span of one attempt under the phase's span.
+func (s *sched) startSpan(ctx context.Context, ts *schedTask, attempt int, spec bool) *obs.Span {
+	_, span := obs.StartSpan(ctx, ts.name)
+	span.Phase, span.Task = s.phase, ts.idx
 	if s.phase == obs.PhaseCommit {
-		task = -1 // the commit step is not task-scoped
+		span.Task = -1 // the commit step is not task-scoped
 	}
-	span := s.rj.trace.Start(ts.name, s.phase, s.root, task)
-	span.Partition = ts.partition
-	span.Attempt = attempt
-	span.Speculative = spec
+	span.Partition, span.Attempt, span.Speculative = ts.partition, attempt, spec
 	return span
+}
+
+// endAs records an attempt's outcome and ends its span.
+func endAs(span *obs.Span, outcome string) {
+	span.Outcome = outcome
+	span.End()
 }
 
 // inject draws an attempt's seeded fate. Injected transient and permanent
@@ -332,7 +335,7 @@ func (s *sched) retry(ctx context.Context, ts *schedTask, body func(span *obs.Sp
 		if ts.nextAttempt != nil {
 			attempt = ts.nextAttempt()
 		}
-		span := s.startSpan(ts, attempt, false)
+		span := s.startSpan(ctx, ts, attempt, false)
 		d, err := s.inject(ts, attempt)
 		if err == nil {
 			err = body(span, attempt, d)
@@ -341,7 +344,7 @@ func (s *sched) retry(ctx context.Context, ts *schedTask, body func(span *obs.Sp
 			return nil
 		}
 		if !s.pol.ShouldRetry(err, try) || ctx.Err() != nil {
-			span.Finish(obs.OutcomeFailed)
+			endAs(span, obs.OutcomeFailed)
 			// If a speculative duplicate is still in flight it may yet save
 			// the task; wait for it before declaring failure.
 			ts.mu.Lock()
@@ -356,9 +359,9 @@ func (s *sched) retry(ctx context.Context, ts *schedTask, body func(span *obs.Sp
 			return err
 		}
 		if s.retryCounter == "" {
-			span.Finish(obs.OutcomeFailed)
+			endAs(span, obs.OutcomeFailed)
 		} else {
-			span.Finish(obs.OutcomeRetry)
+			endAs(span, obs.OutcomeRetry)
 			s.rj.reg.Inc(CounterTaskRetries, 1)
 			s.rj.reg.Inc(s.retryCounter, 1)
 		}
@@ -429,14 +432,14 @@ func (s *sched) attempt(ctx context.Context, ts *schedTask, span *obs.Span, atte
 	span.RecordsOut = out.recordsOut
 	span.Bytes = out.bytes
 	if !ts.markWon() {
-		span.Finish(obs.OutcomeDuplicate)
+		endAs(span, obs.OutcomeDuplicate)
 		s.rj.reg.Inc(CounterSpecSuppressed, 1)
 		return nil
 	}
 	dur := time.Since(start)
 	out.apply(dur)
 	s.recordDuration(dur)
-	span.Finish(obs.OutcomeOK)
+	endAs(span, obs.OutcomeOK)
 	if spec {
 		s.rj.reg.Inc(CounterSpecWon, 1)
 	}

@@ -42,8 +42,9 @@ func (r *Report) WriteSummary(w io.Writer) {
 	writeFaultTable(w, r)
 
 	if r.Trace != nil {
-		writeSlowestTasks(w, r.Trace, 5)
-		writeSkewedPartitions(w, r.Trace, 5)
+		tasks := okTasks(r.Trace.Spans())
+		writeSlowestTasks(w, tasks, 5)
+		writeSkewedPartitions(w, tasks, 5)
 	}
 	if r.Metrics != nil && len(r.Metrics.Histograms) > 0 {
 		names := make([]string, 0, len(r.Metrics.Histograms))
@@ -102,14 +103,21 @@ func writeFaultTable(w io.Writer, r *Report) {
 	}
 }
 
-// writeSlowestTasks prints the top-n slowest successful task spans.
-func writeSlowestTasks(w io.Writer, tr *obs.Trace, n int) {
-	var tasks []*obs.Span
-	for _, s := range tr.Spans() {
-		if (s.Phase == obs.PhaseMap || s.Phase == obs.PhaseReduce) && s.Outcome == obs.OutcomeOK {
-			tasks = append(tasks, s)
+// okTasks returns the task attempts that won or finished cleanly: the
+// task invariant (obs.Span.IsTaskAttempt) keeps phase and slot.wait spans
+// out of every per-task view.
+func okTasks(spans []obs.Span) []obs.Span {
+	var tasks []obs.Span
+	for i := range spans {
+		if s := &spans[i]; s.IsTaskAttempt() && s.Outcome == obs.OutcomeOK {
+			tasks = append(tasks, *s)
 		}
 	}
+	return tasks
+}
+
+// writeSlowestTasks prints the top-n slowest successful task attempts.
+func writeSlowestTasks(w io.Writer, tasks []obs.Span, n int) {
 	if len(tasks) == 0 {
 		return
 	}
@@ -131,22 +139,16 @@ func writeSlowestTasks(w io.Writer, tr *obs.Trace, n int) {
 // writeSkewedPartitions prints the reduce partitions (or, for map-only
 // jobs, the map tasks) with the highest record counts relative to the
 // phase mean — the skew view the LPT simulation is sensitive to.
-func writeSkewedPartitions(w io.Writer, tr *obs.Trace, n int) {
+func writeSkewedPartitions(w io.Writer, tasks []obs.Span, n int) {
+	byPhase := map[string][]obs.Span{}
+	for _, s := range tasks {
+		byPhase[s.Phase] = append(byPhase[s.Phase], s)
+	}
 	phase := obs.PhaseReduce
-	var spans []*obs.Span
-	for _, s := range tr.Spans() {
-		if s.Phase == phase && s.Outcome == obs.OutcomeOK {
-			spans = append(spans, s)
-		}
-	}
-	if len(spans) == 0 {
+	if len(byPhase[phase]) == 0 {
 		phase = obs.PhaseMap
-		for _, s := range tr.Spans() {
-			if s.Phase == phase && s.Outcome == obs.OutcomeOK {
-				spans = append(spans, s)
-			}
-		}
 	}
+	spans := byPhase[phase]
 	if len(spans) < 2 {
 		return
 	}

@@ -1,11 +1,11 @@
 // Package obs is the observability substrate of the runtime: a metrics
 // registry (counters, gauges, log-scale histograms), per-task metric
-// buffers that are merged into the registry once per task, and a
-// structured job trace with one span per map attempt, shuffle, reduce
-// partition and commit. Traces export as JSONL and as Chrome trace_event
-// JSON (loadable in chrome://tracing or Perfetto); metrics export as a
-// point-in-time Snapshot that Report embeds and the benchmark harness
-// persists next to timings.
+// buffers that are merged into the registry once per task, and one span
+// model: a context-carried span tree that a request and a job share, with
+// a job's phase, task and outcome as typed span fields. Traces export as
+// JSONL and as Chrome trace_event JSON (loadable in chrome://tracing or
+// Perfetto); metrics export as a point-in-time Snapshot that Report
+// embeds and the benchmark harness persists next to timings.
 //
 // Naming scheme: metric and span names are dot-separated lowercase paths,
 // "<layer>.<object>.<aspect>", e.g. "map.records.in", "dfs.blocks.read",

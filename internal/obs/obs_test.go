@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -111,63 +110,5 @@ func TestRegistryConcurrentMerge(t *testing.T) {
 	}
 	if h := r.Snapshot().Histograms["v"]; h.Count != 3200 {
 		t.Errorf("v count = %d", h.Count)
-	}
-}
-
-func TestTraceJSONLRoundTrip(t *testing.T) {
-	tr := NewTrace("test-job")
-	root := tr.Start("job", PhaseJob, 0, -1)
-	m := tr.Start("map-0", PhaseMap, root.ID, 0)
-	m.Partition = "c3"
-	m.RecordsIn = 10
-	m.RecordsOut = 4
-	m.Bytes = 123
-	m.Finish(OutcomeOK)
-	s := tr.Start("shuffle", PhaseShuffle, root.ID, -1)
-	s.Finish(OutcomeOK)
-	root.Finish(OutcomeOK)
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	spans, err := ParseJSONL(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
-	}
-	if spans[1].Parent != spans[0].ID || spans[1].Phase != PhaseMap {
-		t.Errorf("map span links wrong: %+v", spans[1])
-	}
-	if spans[1].Partition != "c3" || spans[1].RecordsIn != 10 || spans[1].Bytes != 123 {
-		t.Errorf("map span payload lost: %+v", spans[1])
-	}
-	if spans[1].Outcome != OutcomeOK || spans[1].DurUS < 1 {
-		t.Errorf("map span timing/outcome: %+v", spans[1])
-	}
-}
-
-func TestChromeTraceExportValidates(t *testing.T) {
-	tr := NewTrace("test-job")
-	root := tr.Start("job", PhaseJob, 0, -1)
-	for i := 0; i < 3; i++ {
-		sp := tr.Start("map", PhaseMap, root.ID, i)
-		sp.Finish(OutcomeOK)
-	}
-	root.Finish(OutcomeOK)
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChromeTrace([]byte("{}")); err == nil {
-		t.Error("empty trace should not validate")
-	}
-	if err := ValidateChromeTrace([]byte("not json")); err == nil {
-		t.Error("garbage should not validate")
 	}
 }

@@ -98,6 +98,37 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("span %q has dangling parent %d", sp.Name, sp.Parent)
 		}
 	}
+	// The job is a subtree of the request: its map attempts carry phase,
+	// task and outcome and sit under phase.map, under job.
+	byID := map[int64]obs.Span{}
+	for _, sp := range snap.Spans {
+		byID[sp.ID] = sp
+	}
+	attempts := 0
+	for _, sp := range snap.Spans {
+		if !sp.IsTaskAttempt() || sp.Phase != obs.PhaseMap {
+			continue
+		}
+		attempts++
+		phase := byID[sp.Parent]
+		if phase.Name != "phase.map" || byID[phase.Parent].Name != "job" {
+			t.Errorf("map attempt %s sits under %q under %q, want phase.map under job",
+				sp.Name, phase.Name, byID[phase.Parent].Name)
+		}
+		if sp.Outcome != obs.OutcomeOK {
+			t.Errorf("map attempt %s outcome %q, want ok", sp.Name, sp.Outcome)
+		}
+	}
+	if attempts == 0 {
+		t.Error("request trace holds no map attempt span")
+	}
+	var chrome bytes.Buffer
+	if err := snap.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateChromeTrace(chrome.Bytes()); err != nil {
+		t.Errorf("chrome export of the request trace: %v", err)
+	}
 
 	// A cache hit runs no job: its trace has a hit probe and no exec span.
 	resp2, _ := getWithTrace(t, ts, "/rangequery?file=pts1&rect=1000,1000,6000,6000")

@@ -240,7 +240,7 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 func (s *Server) handle(name string, fn func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		tr := obs.NewReqTrace(obs.NewTraceID())
+		tr := obs.NewTrace(obs.NewTraceID())
 		ctx := obs.ContextWithTrace(r.Context(), tr)
 		ctx, root := obs.StartSpan(ctx, "request")
 		root.SetAttr("method", r.Method)
