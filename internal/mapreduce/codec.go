@@ -180,9 +180,15 @@ func (c *serverCodec) ReadRequestHeader(r *rpc.Request) (err error) {
 
 func (c *serverCodec) ReadRequestBody(args any) error { return c.decodeBody(args) }
 
+// releaser is a pooled reply (ExecRangeReply): its handler wrote into
+// recycled capacity, which goes back once the reply is on the wire.
+type releaser interface{ Release() }
+
 // WriteResponse sends the reply, or the handler's error. A reply type with
 // no layout is the handler's error too: net/rpc drops a failed write, and
-// the caller would wait for an answer that never comes.
+// the caller would wait for an answer that never comes. A pooled reply is
+// released once its frame is written — net/rpc never touches a reply after
+// this call — and never on an error response or a failed write.
 func (c *serverCodec) WriteResponse(r *rpc.Response, reply any) error {
 	if r.Error != "" {
 		return c.writeFrame(r.Seq, r.Error, nil)
@@ -191,5 +197,9 @@ func (c *serverCodec) WriteResponse(r *rpc.Response, reply any) error {
 	if !ok {
 		return c.writeFrame(r.Seq, errNoLayout(reply).Error(), nil)
 	}
-	return c.writeFrame(r.Seq, "", m)
+	err := c.writeFrame(r.Seq, "", m)
+	if rel, ok := reply.(releaser); ok && err == nil {
+		rel.Release()
+	}
+	return err
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"sync"
 	"time"
 
 	"spatialhadoop/internal/dfs"
@@ -497,54 +498,96 @@ type DropJobReply struct{}
 
 func (*DropJobReply) wire(*wirefmt.Codec) {}
 
-// ExecRangeArgs asks a serving worker for one partition's fragment of a
-// range query. Meta describes the split (with replica holders) so the
-// worker can assemble it from its local replica store, falling through to
-// peers and the master exactly like a map task; Epoch keys the worker's
-// pinned tier so a rewrite can never be answered from a stale pin.
+// wireMore runs the split descriptors an exec call names after its first:
+// a count, then each one behind wireMeta's presence byte. An absent one is
+// malformed — a call names partitions, never holes.
+func wireMore(c *wirefmt.Codec, more *[]*WireSplitMeta) {
+	wirefmt.Slice(c, more, 1, func(c *wirefmt.Codec, m **WireSplitMeta) {
+		wireMeta(c, m)
+		if c.Decoding() && *m == nil {
+			c.Fail("absent split descriptor")
+		}
+	})
+}
+
+// ExecRangeArgs asks a serving worker for its partitions' fragment of a
+// range query: Meta, then every descriptor in More, each describing a
+// split (with replica holders) so the worker can assemble it from its
+// local replica store, falling through to peers and the master exactly
+// like a map task; Epoch keys the worker's pinned tier so a rewrite can
+// never be answered from a stale pin. Keys asks for the merge keys: the
+// master wants them only when it merges the reply with another stream.
 type ExecRangeArgs struct {
 	File  string
 	Epoch int64
 	Meta  *WireSplitMeta
+	More  []*WireSplitMeta
 	Query geom.Rect
+	Keys  bool
 }
 
 func (a *ExecRangeArgs) wire(c *wirefmt.Codec) {
 	c.String(&a.File)
 	c.Int64(&a.Epoch)
 	wireMeta(c, &a.Meta)
+	wireMore(c, &a.More)
 	c.Rect(&a.Query)
+	c.Bool(&a.Keys)
 }
 
-// ExecRangeReply carries the partition's matches as one sorted stream, the
-// only shape a range fragment takes on the wire: Keys holds the merge keys
-// x0,y0,x1,y1,… in canonical (X, then Y) order, Frag the same points' JSON
-// objects ({"x":..,"y":..} as encoding/json renders them, copied from the
-// pin-time arena) comma-joined — an object ends at its first '}', so no
-// offset table ships. Records is the partition's record count (the master
-// mirrors the local engine's hotness and stats accounting with it).
-// Decoding reuses Keys' and Frag's capacity, so a pooled reply allocates
-// only to grow.
+// ExecRangeReply carries the named partitions' matches merged into one
+// sorted stream, the only shape a range fragment takes on the wire: Frag
+// holds the points' JSON objects ({"x":..,"y":..} as encoding/json renders
+// them, copied from the pin-time arena) comma-joined in canonical (X, then
+// Y) order — an object ends at its first '}', so no offset table ships —
+// and Keys, when the call asked for them, the merge keys x0,y0,x1,y1,… of
+// the same points. Counts holds two numbers per named partition, in call
+// order: its record count and its match count (the master mirrors the
+// local engine's hotness and stats accounting with them). Decoding reuses
+// Keys' and Frag's capacity, so a pooled reply allocates only to grow.
 type ExecRangeReply struct {
-	Keys    []float64
-	Frag    []byte
-	Records int64
+	Keys   []float64
+	Frag   []byte
+	Counts []int64
 }
 
 func (a *ExecRangeReply) wire(c *wirefmt.Codec) {
 	c.Floats(&a.Keys)
 	c.Bytes(&a.Frag)
-	c.Int64(&a.Records)
+	c.Int64s(&a.Counts)
 }
 
-// ExecKNNArgs asks a serving worker for one partition's tie-complete
-// k-nearest candidate set — the per-worker half of the two-round kNN
-// protocol. The master merges candidate sets from all consulted shards
-// with the canonical (dist, record) comparator.
+// rangeReplies recycles range replies, on both ends of ExecRange. The
+// master takes one per call to decode into and releases it once the body
+// that copies from it is encoded; it never releases the reply of a call
+// that failed or was cancelled — an abandoned call may still decode into
+// it. A worker writes its answer into the capacity of one and the server
+// codec releases it once the response frame is written (net/rpc never
+// touches a reply after sending it).
+var rangeReplies = sync.Pool{New: func() any { return new(ExecRangeReply) }}
+
+// NewExecRangeReply takes a reply from the pool, its slices emptied but
+// keeping their capacity.
+func NewExecRangeReply() *ExecRangeReply {
+	r := rangeReplies.Get().(*ExecRangeReply)
+	r.Keys, r.Frag, r.Counts = r.Keys[:0], r.Frag[:0], r.Counts[:0]
+	return r
+}
+
+// Release returns the reply to the pool. Nothing may read or write it
+// afterwards.
+func (a *ExecRangeReply) Release() { rangeReplies.Put(a) }
+
+// ExecKNNArgs asks a serving worker for the tie-complete k-nearest
+// candidate set of each partition it names (Meta, then More) — the
+// per-worker half of the two-round kNN protocol. The master merges
+// candidate sets from all consulted shards with the canonical (dist,
+// record) comparator.
 type ExecKNNArgs struct {
 	File  string
 	Epoch int64
 	Meta  *WireSplitMeta
+	More  []*WireSplitMeta
 	Q     geom.Point
 	K     int
 }
@@ -553,6 +596,7 @@ func (a *ExecKNNArgs) wire(c *wirefmt.Codec) {
 	c.String(&a.File)
 	c.Int64(&a.Epoch)
 	wireMeta(c, &a.Meta)
+	wireMore(c, &a.More)
 	c.Float(&a.Q.X)
 	c.Float(&a.Q.Y)
 	c.Int(&a.K)
@@ -564,13 +608,15 @@ type WireKNNCandidate struct {
 	Rec  string
 }
 
-// ExecKNNReply carries the partition's candidate set (already sorted and
-// truncated to k by the worker) plus its record count. The candidates
-// travel as columns — every distance, then every record — so the records
-// decode as substrings of one copy.
+// ExecKNNReply carries the named partitions' candidate sets (each already
+// sorted and truncated to k by the worker), concatenated in call order,
+// plus Counts: two numbers per named partition, its record count and how
+// many candidates it contributed. The candidates travel as columns — every
+// distance, then every record — so the records decode as substrings of one
+// copy.
 type ExecKNNReply struct {
-	Cands   []WireKNNCandidate
-	Records int64
+	Cands  []WireKNNCandidate
+	Counts []int64
 }
 
 func (a *ExecKNNReply) wire(c *wirefmt.Codec) {
@@ -579,5 +625,5 @@ func (a *ExecKNNReply) wire(c *wirefmt.Codec) {
 		c.Float(&a.Cands[i].Dist)
 	}
 	c.Spans(len(a.Cands), func(i int) *string { return &a.Cands[i].Rec })
-	c.Int64(&a.Records)
+	c.Int64s(&a.Counts)
 }

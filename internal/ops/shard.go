@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"slices"
 	"sync"
 
 	"spatialhadoop/internal/geom"
@@ -8,53 +9,141 @@ import (
 )
 
 // The per-partition step of the query plan: what a driver computes from
-// one pinned partition, wherever it is pinned — on the request goroutine
-// (local engine), on a worker holding a replica, or on the master at the
+// pinned partitions, wherever they are pinned — on the request goroutine
+// (local engine), on a worker holding replicas, or on the master at the
 // bottom of the sharded engine's fallback ladder.
 
-// RangeFragment is one partition's sorted match stream — merge keys plus
-// the points' JSON objects; it is the wire type.
+// RangeFragment is a sorted match stream — the points' JSON objects plus,
+// when asked for, their merge keys — and per-partition counts; it is the
+// wire type.
 type RangeFragment = mapreduce.ExecRangeReply
 
-// idScratch pools PartitionRangePoints' ID buffers: the IDs die once the
-// stream is built.
+// idScratch pools RangeStream's ID buffers: the IDs die once the stream is
+// built.
 var idScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // PartitionRangePoints returns the pinned partition's points inside query
-// as one sorted stream: what a serving worker ships and what the master
-// computes itself at the bottom of the fallback ladder. The objects are
-// copied out of the pin-time fragment arena; a partition without one
-// formats its matches into the same shape, failing like encoding/json on a
-// coordinate JSON cannot carry.
+// as one sorted stream with its merge keys: what the master computes
+// itself at the bottom of the fallback ladder. It fails like encoding/json
+// on a coordinate JSON cannot carry (see AppendMatches).
 func PartitionRangePoints(part *LocalPartition, query geom.Rect) (out RangeFragment, err error) {
-	out.Records = int64(len(part.Recs))
+	err = RangeStream(&out, []*LocalPartition{part}, query, true)
+	return out, err
+}
+
+// RangeStream writes into out — emptied first, keeping its capacity — the
+// points of parts inside query, merged into one sorted stream (with merge
+// keys when keys is set), and two counts per part, in order: its record
+// count and its match count. It is what a serving worker answers an exec
+// call naming several partitions with.
+func RangeStream(out *RangeFragment, parts []*LocalPartition, query geom.Rect, keys bool) error {
+	out.Keys, out.Frag, out.Counts = out.Keys[:0], out.Frag[:0], out.Counts[:0]
 	scratch := idScratch.Get().(*[]int)
-	ids := part.Tree.Search(query, (*scratch)[:0])
-	if len(ids) > 0 {
-		size := 48 * len(ids)
-		if part.Frag != nil {
-			size = len(ids) - 1 // commas
-			for _, id := range ids {
-				size += int(part.FragOff[id+1] - part.FragOff[id])
-			}
-		}
-		out.Keys, out.Frag = make([]float64, 0, 2*len(ids)), make([]byte, 0, size)
-	}
-	for i, id := range ids {
-		p := part.Pts[id]
-		out.Keys = append(out.Keys, p.X, p.Y)
-		if i > 0 {
-			out.Frag = append(out.Frag, ',')
-		}
-		if part.Frag != nil {
-			out.Frag = append(out.Frag, part.Frag[part.FragOff[id]:part.FragOff[id+1]]...)
-		} else if out.Frag, err = AppendPointJSON(out.Frag, p); err != nil {
-			break
-		}
+	defer idScratch.Put(scratch)
+	ids := (*scratch)[:0]
+	for _, part := range parts {
+		from := len(ids)
+		ids = part.Tree.Search(query, ids)
+		out.Counts = append(out.Counts, int64(len(part.Recs)), int64(len(ids)-from))
 	}
 	*scratch = ids
-	idScratch.Put(scratch)
-	return out, err
+	var stack [4]LocalMatch
+	matches := stack[:0]
+	for i, from := 0, 0; i < len(parts); i++ {
+		to := from + int(out.Counts[2*i+1])
+		if to > from {
+			matches = append(matches, LocalMatch{Part: parts[i], IDs: ids[from:to]})
+		}
+		from = to
+	}
+	var keyDst *[]float64
+	if keys {
+		keyDst = &out.Keys
+	}
+	var err error
+	out.Frag, err = AppendMatches(out.Frag, keyDst, matches)
+	return err
+}
+
+// MatchesSize returns how many points matches hold and the byte size of
+// their objects comma-joined: exact from the pin-time arenas, an estimate
+// for a partition without one.
+func MatchesSize(matches []LocalMatch) (n, size int) {
+	for _, m := range matches {
+		n += len(m.IDs)
+		if m.Part.Frag == nil {
+			size += 48 * len(m.IDs)
+			continue
+		}
+		for _, id := range m.IDs {
+			size += int(m.Part.FragOff[id+1] - m.Part.FragOff[id])
+		}
+	}
+	if n > 0 {
+		size += n - 1 // commas
+	}
+	return n, size
+}
+
+// AppendMatches appends to b the inside of a response's points array for
+// matches: a k-way merge by (X, then Y) whose point objects are copied from
+// the partitions' pin-time arenas, comma-joined (a partition without an
+// arena formats its matches, failing like encoding/json on NaN/Inf). When
+// keys is not nil, each point's merge keys x, y are appended to *keys in
+// the same order. This is the one merge of pinned matches: the local
+// engine's body, a worker's stream and the single-partition step all run
+// it, so their bytes agree by construction.
+func AppendMatches(b []byte, keys *[]float64, matches []LocalMatch) ([]byte, error) {
+	n, size := MatchesSize(matches)
+	b = slices.Grow(b, size)
+	var ks []float64
+	if keys != nil {
+		ks = slices.Grow(*keys, 2*n)
+	}
+	// heads[i] indexes matches[i].IDs; a linear min-scan per emit (a query
+	// keeps a handful of partitions).
+	var stack [8]int
+	heads := stack[:0]
+	if len(matches) > len(stack) {
+		heads = make([]int, 0, len(matches))
+	}
+	heads = heads[:len(matches)]
+	var err error
+	for i := 0; i < n; i++ {
+		best := 0
+		if len(matches) > 1 {
+			best = -1
+			var bp geom.Point
+			for j, m := range matches {
+				if heads[j] == len(m.IDs) {
+					continue
+				}
+				p := m.Part.Pts[m.IDs[heads[j]]]
+				if best < 0 || p.X < bp.X || (p.X == bp.X && p.Y < bp.Y) {
+					best, bp = j, p
+				}
+			}
+		}
+		m := matches[best]
+		id := m.IDs[heads[best]]
+		heads[best]++
+		if i > 0 {
+			b = append(b, ',')
+		}
+		p := m.Part.Pts[id]
+		if keys != nil {
+			ks = append(ks, p.X, p.Y)
+		}
+		if m.Part.Frag != nil {
+			b = append(b, m.Part.Frag[m.Part.FragOff[id]:m.Part.FragOff[id+1]]...)
+		} else if b, err = AppendPointJSON(b, p); err != nil {
+			return nil, err
+		}
+	}
+	if keys != nil {
+		*keys = ks
+	}
+	return b, nil
 }
 
 // PartitionKNNCandidates returns the partition's k nearest candidates for

@@ -24,6 +24,7 @@ import (
 // otherwise — so once released it is a live holder the ladder steps past.
 type hungHolder struct {
 	hang    atomic.Bool
+	named   atomic.Int64  // partitions the last call named
 	held    chan struct{} // one token per parked call
 	release chan struct{}
 }
@@ -33,6 +34,7 @@ func (h *hungHolder) PushBlock(args mapreduce.PushBlockArgs, reply *mapreduce.Pu
 }
 
 func (h *hungHolder) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
+	h.named.Store(int64(1 + len(args.More)))
 	if h.hang.Load() {
 		h.held <- struct{}{}
 		<-h.release
@@ -54,8 +56,9 @@ func (l *countedListener) Accept() (net.Conn, error) {
 	return conn, err
 }
 
-// TestCancelledScatterStops: a request cancelled mid-scatter returns at
-// once with its context's error. Its calls failed because the request
+// TestCancelledScatterStops: a request cancelled mid-scatter — blocked on
+// a call naming several partitions — returns at once with its context's
+// error. Its calls failed because the request
 // ended, not because a holder died: the ladder must not walk on — no RPC
 // error is counted and nothing is pinned on the master for a response
 // nobody will read. The connection the abandoned calls hang on stays good:
@@ -108,7 +111,10 @@ func TestCancelledScatterStops(t *testing.T) {
 	defer cancel()
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() { done <- serve(ctx, query) }()
-	<-holder.held // a fragment is parked on the holder
+	<-holder.held // a call is parked on the holder
+	if n := holder.named.Load(); n < 2 {
+		t.Fatalf("the parked call names %d partitions, want a batched call", n)
+	}
 	partitions, bytes := srv.mt.Stats()
 	cancel()
 	cancelled := time.Now()

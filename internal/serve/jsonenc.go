@@ -85,63 +85,25 @@ func encodeRangeBody(file, rect string, pts []geom.Point) ([]byte, error) {
 }
 
 // encodeRangeBodyMatches renders a rangeResponse body directly from
-// per-partition sorted match streams: a k-way merge by (X, then Y) whose
-// point objects are copied from the partitions' pre-encoded fragments
-// instead of re-formatting floats (a partition without fragments formats
-// its matches, failing like encoding/json on NaN/Inf). Byte-identical to
-// sorting the matched points and calling encodeRangeBody (pinned by a
-// differential test).
-func encodeRangeBodyMatches(file, rect string, matches []ops.LocalMatch) (b []byte, err error) {
-	total := 0
-	payload := 0 // exact points-array byte size, from the fragment offsets
-	for _, m := range matches {
-		total += len(m.IDs)
-		for _, id := range m.IDs {
-			if m.Part.Frag == nil {
-				payload += 48 * len(m.IDs)
-				break
-			}
-			payload += int(m.Part.FragOff[id+1] - m.Part.FragOff[id])
-		}
-	}
-	b = newRangeBody(file, rect, total, payload+total)
-	// heads[i] indexes matches[i].IDs; linear min-scan per emit (the
-	// planner caps local execution at a handful of partitions).
-	heads := make([]int, len(matches))
-	for n := 0; n < total; n++ {
-		best := -1
-		var bp geom.Point
-		for i, m := range matches {
-			if heads[i] == len(m.IDs) {
-				continue
-			}
-			p := m.Part.Pts[m.IDs[heads[i]]]
-			if best < 0 || p.X < bp.X || (p.X == bp.X && p.Y < bp.Y) {
-				best, bp = i, p
-			}
-		}
-		m := matches[best]
-		id := m.IDs[heads[best]]
-		heads[best]++
-		if n > 0 {
-			b = append(b, ',')
-		}
-		if m.Part.Frag != nil {
-			b = append(b, m.Part.Frag[m.Part.FragOff[id]:m.Part.FragOff[id+1]]...)
-		} else if b, err = ops.AppendPointJSON(b, bp); err != nil {
-			return nil, err
-		}
+// per-partition sorted match streams through ops.AppendMatches, the one
+// merge of pinned matches. Byte-identical to sorting the matched points
+// and calling encodeRangeBody (pinned by a differential test).
+func encodeRangeBodyMatches(file, rect string, matches []ops.LocalMatch) ([]byte, error) {
+	total, payload := ops.MatchesSize(matches)
+	b, err := ops.AppendMatches(newRangeBody(file, rect, total, payload), nil, matches)
+	if err != nil {
+		return nil, err
 	}
 	return append(b, "]}\n"...), nil
 }
 
 // encodeRangeBodyStreams renders a rangeResponse body from the sharded
-// engine's fragments: the same k-way merge by (X, then Y), over the
-// streams' shipped keys, copying each point's finished object out of its
-// stream's Frag (an object ends at its first '}'; a comma separates it
-// from the next). Once a single stream is left its remainder is one copy,
-// so a one-partition answer never looks inside Frag. The body is sized
-// from the fragment byte counts.
+// engine's streams. A lone non-empty stream is copied whole — it may have
+// shipped without keys. Two or more are k-way merged by (X, then Y) over
+// their keys, copying each point's finished object out of its stream's
+// Frag (an object ends at its first '}'; a comma separates it from the
+// next); once a single stream is left its remainder is one copy. The body
+// is sized from the streams' byte counts.
 func encodeRangeBodyStreams(file, rect string, frags []shardFrag) []byte {
 	total, payload, live := 0, 0, 0
 	for _, f := range frags {
@@ -152,6 +114,12 @@ func encodeRangeBodyStreams(file, rect string, frags []shardFrag) []byte {
 		}
 	}
 	b := newRangeBody(file, rect, total, payload)
+	if live == 1 {
+		for _, f := range frags {
+			b = append(b, f.stream.Frag...) // the empty ones add nothing
+		}
+		return append(b, "]}\n"...)
+	}
 	key := make([]int, 2*len(frags)) // per stream: next key index, then Frag offset
 	off := key[len(frags):]
 	for sep := false; live > 0; sep = true {

@@ -155,9 +155,10 @@ func pinHeap(t *testing.T, sys *core.System, name string, pts []geom.Point) *ops
 }
 
 // checkRangeBodies renders one range answer over pinned partitions every
-// way the server can — the sharded engine's stream merge, the local
-// engine's fragment merge, the sort-then-format slow path — and requires
-// each to equal encoding/json over the mirror struct.
+// way the server can — the sharded engine's gather over per-partition
+// streams, over a lone keyless worker stream and over two keyed ones, the
+// local engine's merge, the sort-then-format slow path — and requires each
+// to equal encoding/json over the mirror struct.
 func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q geom.Rect) {
 	t.Helper()
 	canon := canonicalRect(q)
@@ -181,12 +182,28 @@ func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(st.Records) != len(part.Recs) || len(st.Keys) != 2*len(ids) {
-			t.Fatalf("rect %s: stream of %d keys over %d records, want %d over %d", canon, len(st.Keys), st.Records, 2*len(ids), len(part.Recs))
+		if want := []int64{int64(len(part.Recs)), int64(len(ids))}; !slices.Equal(st.Counts, want) || len(st.Keys) != 2*len(ids) {
+			t.Fatalf("rect %s: stream of %d keys counted %v, want %d keys counted %v", canon, len(st.Keys), st.Counts, 2*len(ids), want)
 		}
-		streams = append(streams, shardFrag{stream: &st, matches: len(st.Keys) / 2})
+		streams = append(streams, shardFrag{stream: &st, counts: st.Counts, matches: len(st.Keys) / 2})
 	}
 	out := map[string][]byte{"streams": encodeRangeBodyStreams(file, canon, streams)}
+	// What workers ship: a call's partitions merged into one stream — a
+	// lone one keyless and copied whole, two merged again over their keys.
+	workerStream := func(parts []*ops.LocalPartition, keys bool) shardFrag {
+		st := new(ops.RangeFragment)
+		if err := ops.RangeStream(st, parts, q, keys); err != nil {
+			t.Fatal(err)
+		}
+		f := shardFrag{stream: st, counts: st.Counts}
+		if err := f.check(len(parts), keys); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	half := len(parts) / 2
+	out["lone"] = encodeRangeBodyStreams(file, canon, []shardFrag{workerStream(parts, false)})
+	out["halves"] = encodeRangeBodyStreams(file, canon, []shardFrag{workerStream(parts[:half], true), workerStream(parts[half:], true)})
 	var err error
 	if out["matches"], err = encodeRangeBodyMatches(file, canon, matches); err != nil {
 		t.Fatal(err)

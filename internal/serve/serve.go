@@ -385,10 +385,13 @@ type explainJSON struct {
 	ReduceUS          int64  `json:"reduce_us"`
 	CommitUS          int64  `json:"commit_us"`
 	// Sharded-engine scatter/gather accounting (zero for other engines):
-	// fan-out counts partitions scattered (both kNN rounds), remote/local
-	// split the fragments by executor, and the fallback fields count
-	// fragments rerouted after a holder was lost mid-query.
+	// fan-out counts partitions scattered and calls the exec calls that
+	// carried them, one per rendezvous-first holder (both over both kNN
+	// rounds), remote/local split the partitions by executor, and the
+	// fallback fields count partitions rerouted after a holder was lost
+	// mid-query.
 	ShardFanout        int `json:"shard_fanout"`
+	ShardCalls         int `json:"shard_calls"`
 	ShardRemote        int `json:"shard_remote"`
 	ShardLocal         int `json:"shard_local"`
 	ShardFallbackPeer  int `json:"shard_fallback_peer"`
@@ -409,6 +412,7 @@ func buildExplain(traceID, cache string, meta *execMeta) explainJSON {
 		e.SFilterSkips = st.SFilterSkips
 		if sh := meta.shard; sh != nil {
 			e.ShardFanout = sh.fanout
+			e.ShardCalls = sh.calls
 			e.ShardRemote = sh.remote
 			e.ShardLocal = sh.localExec
 			e.ShardFallbackPeer = sh.fallbackPeer

@@ -76,19 +76,28 @@ func tierPartitions(workers []*worker.Worker) int {
 
 func getBody(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url)
+	body, err := getBodyErr(url)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return body
+}
+
+// getBodyErr is getBody for a goroutine other than the test's.
+func getBodyErr(url string) (string, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return "", err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, body)
+		return "", fmt.Errorf("GET %s: %d %s", url, resp.StatusCode, body)
 	}
-	return string(body)
+	return string(body), nil
 }
 
 // TestShardedEpochInvalidation: a rewrite of a file whose partitions are
@@ -364,12 +373,17 @@ func TestExplainAgreesAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestShardedReplyReuse: the master decodes range fragments into pooled
-// replies, so decoding must set every field — a reply that carried a
-// large fragment and is reused for one with no match must not keep the
-// large one's keys or bytes. Alternating a whole-file query, a query that
-// scatters to a partition and matches nothing there, and a medium one,
-// every body must equal the MapReduce engine's byte for byte.
+// TestShardedReplyReuse: range replies come from one pool on both ends —
+// the master decodes into them, each worker writes its stream into one
+// and its server codec releases it once sent — so decoding and writing
+// must set every field: a reply that carried a large stream with merge
+// keys and is reused for a keyless one, or for one with no match, must
+// not keep the large one's keys or bytes. The whole-file query calls both
+// workers (two streams, merged over keys), the sliver one worker (a lone
+// stream, keyless) and matches nothing, the medium one lands in between.
+// Two clients run them in opposite orders, so replies cross between
+// queries, workers and ends of the call; every body must equal the
+// MapReduce engine's byte for byte.
 func TestShardedReplyReuse(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 2048, Workers: 4, Seed: 7})
 	pts := datagen.Points(datagen.Uniform, 1200, geom.NewRect(0, 0, 1000, 1000), 5)
@@ -397,25 +411,54 @@ func TestShardedReplyReuse(t *testing.T) {
 	if !strings.Contains(want[1], `"count":0,`) {
 		t.Fatalf("the sliver query matched points: %.120q", want[1])
 	}
-	var explain struct {
+	type explain struct {
 		Explain struct {
 			Scanned int `json:"partitions_scanned"`
 			Remote  int `json:"shard_remote"`
+			Calls   int `json:"shard_calls"`
 		} `json:"explain"`
 	}
-	if err := json.Unmarshal([]byte(getBody(t, ts.URL+queries[1]+"&engine=sharded&explain=1")), &explain); err != nil {
-		t.Fatal(err)
+	var whole, sliver explain
+	for q, e := range map[string]*explain{queries[0]: &whole, queries[1]: &sliver} {
+		if err := json.Unmarshal([]byte(getBody(t, ts.URL+q+"&engine=sharded&explain=1")), e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if explain.Explain.Scanned == 0 || explain.Explain.Remote == 0 {
-		t.Fatalf("the sliver query scattered nothing (%+v): no empty fragment crosses the wire", explain.Explain)
+	if whole.Explain.Calls != 2 {
+		t.Fatalf("the whole-file query made %d calls, want one to each worker (%+v)", whole.Explain.Calls, whole.Explain)
+	}
+	if sliver.Explain.Scanned == 0 || sliver.Explain.Remote == 0 || sliver.Explain.Calls != 1 {
+		t.Fatalf("the sliver query is not one call to one worker (%+v): no empty lone stream crosses the wire", sliver.Explain)
 	}
 	// sync.Pool may drop a reply at any time (and does, randomly, under
 	// -race): enough rounds that reuse is certain.
-	for round := 0; round < 12; round++ {
-		for i, q := range queries {
-			if got := getBody(t, ts.URL+q+"&engine=sharded"); got != want[i] {
-				t.Fatalf("round %d %s: sharded body diverges from the mapreduce engine's\n got %.160q\nwant %.160q", round, q, got, want[i])
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for client := 0; client < 2; client++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 12; round++ {
+				for j := range queries {
+					i := j
+					if client == 1 {
+						i = len(queries) - 1 - j
+					}
+					got, err := getBodyErr(ts.URL + queries[i] + "&engine=sharded")
+					if err == nil && got != want[i] {
+						err = fmt.Errorf("sharded body diverges from the mapreduce engine's\n got %.160q\nwant %.160q", got, want[i])
+					}
+					if err != nil {
+						errs <- fmt.Errorf("client %d round %d %s: %v", client, round, queries[i], err)
+						return
+					}
+				}
 			}
-		}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

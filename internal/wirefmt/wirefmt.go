@@ -247,6 +247,18 @@ func (c *Codec) Floats(vs *[]float64) {
 	*vs = dst
 }
 
+// Int64s runs a count, then each value as an Int64; decoding fills *vs's
+// capacity.
+func (c *Codec) Int64s(vs *[]int64) {
+	n := c.count(len(*vs), 1)
+	if c.dec {
+		*vs = slices.Grow((*vs)[:0], n)[:n]
+	}
+	for i := range *vs {
+		c.Int64(&(*vs)[i])
+	}
+}
+
 // Points runs pts as a column, X then Y of each point in 8 bytes each,
 // behind no count: the caller runs one (Len) and decoding has sized pts
 // from it.

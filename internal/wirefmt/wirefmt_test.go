@@ -116,6 +116,7 @@ func TestRoundTrip(t *testing.T) {
 	check(t, "String", (*Codec).String, same, "", "a", "\xff\x00", strings.Repeat("s", 300))
 	check(t, "Bytes", (*Codec).Bytes, nilIfEmpty, nil, []byte{}, []byte{0}, bytes.Repeat([]byte{1, 0xff}, 5000))
 	check(t, "Floats", (*Codec).Floats, nilIfEmpty, nil, []float64{}, odd)
+	check(t, "Int64s", (*Codec).Int64s, nilIfEmpty, nil, []int64{}, []int64{0, -1, math.MaxInt64, math.MinInt64})
 	check(t, "Strings", (*Codec).Strings, nilIfEmpty, nil, []string{}, []string{""}, []string{"a", "", "\xff", strings.Repeat("r", 300)})
 	ints := func(c *Codec, s *[]int) { Slice(c, s, 1, (*Codec).Int) }
 	check(t, "Slice", ints, nilIfEmpty, nil, []int{}, []int{0, -3, 1 << 40})
@@ -162,25 +163,27 @@ func TestLayout(t *testing.T) {
 	}
 }
 
-// TestCapacityReuse: a []byte or []float64 decodes into the destination's
-// own capacity — a pooled reply allocates only to grow — and shares
-// nothing with the input.
+// TestCapacityReuse: a []byte, []float64 or []int64 decodes into the
+// destination's own capacity — a pooled reply allocates only to grow — and
+// shares nothing with the input.
 func TestCapacityReuse(t *testing.T) {
 	var c Codec
-	keys, frag := []float64{1, 2, 3}, []byte("abc")
+	keys, frag, counts := []float64{1, 2, 3}, []byte("abc"), []int64{4, -5}
 	c.Encode(nil)
 	c.Floats(&keys)
+	c.Int64s(&counts)
 	c.Bytes(&frag)
 	body := c.Encoded()
-	dstKeys, dstFrag := make([]float64, 0, 8), make([]byte, 0, 8)
+	dstKeys, dstFrag, dstCounts := make([]float64, 0, 8), make([]byte, 0, 8), make([]int64, 0, 8)
 	c.Decode(body)
 	c.Floats(&dstKeys)
+	c.Int64s(&dstCounts)
 	c.Bytes(&dstFrag)
 	if err := c.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if cap(dstKeys) != 8 || cap(dstFrag) != 8 || !reflect.DeepEqual(dstKeys, keys) || string(dstFrag) != "abc" {
-		t.Fatalf("decoded %v (cap %d), %q (cap %d)", dstKeys, cap(dstKeys), dstFrag, cap(dstFrag))
+	if cap(dstKeys) != 8 || cap(dstFrag) != 8 || cap(dstCounts) != 8 || !reflect.DeepEqual(dstKeys, keys) || string(dstFrag) != "abc" || !reflect.DeepEqual(dstCounts, counts) {
+		t.Fatalf("decoded %v (cap %d), %q (cap %d), %v (cap %d)", dstKeys, cap(dstKeys), dstFrag, cap(dstFrag), dstCounts, cap(dstCounts))
 	}
 	body[len(body)-1] = 'X'
 	if string(dstFrag) != "abc" {

@@ -8,15 +8,17 @@ import (
 )
 
 // Query-executor role: a worker started with Config.ServeTasks answers
-// the master's sharded-serving scatter calls. Each call names one
-// partition (with its replica-aware descriptor); the worker pins the
-// partition into its memory tier — assembled from its own replica store,
-// peer holders, or the master, exactly like a map task's input — and
-// runs the query plan's per-partition step (ops/shard.go) against the
-// pinned partition's sorted points. The step's result is the wire reply, unconverted: a
-// range fragment ships as a finished piece of the response body (the
-// matches' pin-time JSON objects plus their merge keys), a kNN fragment as
-// (dist, record) candidates; the master only merges.
+// the master's sharded-serving scatter calls. Each call names the
+// partitions whose rendezvous-first holder this worker is (with their
+// replica-aware descriptors); the worker pins each into its memory tier —
+// assembled from its own replica store, peer holders, or the master,
+// exactly like a map task's input — and runs the query plan's step
+// (ops/shard.go) against the pinned partitions' sorted points. The step's
+// result is the wire reply, unconverted: a range answer ships as a
+// finished piece of the response body (the matches' pin-time JSON objects,
+// merged across the named partitions, plus their merge keys when the
+// master will merge again), a kNN answer as each partition's (dist,
+// record) candidates; the master only merges.
 
 // pinServePartition resolves one exec call to a pinned partition.
 func (w *Worker) pinServePartition(file string, epoch int64, meta *mapreduce.WireSplitMeta) (*ops.LocalPartition, error) {
@@ -45,25 +47,42 @@ func (w *Worker) ServeTierStats() (partitions int, bytes int64) {
 	return w.tier.Stats()
 }
 
-// ExecRange answers one partition's fragment of a sharded range query:
-// the pinned partition's matches as one sorted stream.
-func (s *shardServer) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
-	part, err := s.w.pinServePartition(args.File, args.Epoch, args.Meta)
-	if err != nil {
-		return err
+// pinAll pins every partition a call names: Meta, then More.
+func (w *Worker) pinAll(file string, epoch int64, meta *mapreduce.WireSplitMeta, more []*mapreduce.WireSplitMeta) ([]*ops.LocalPartition, error) {
+	parts := make([]*ops.LocalPartition, 0, 1+len(more))
+	for _, m := range append([]*mapreduce.WireSplitMeta{meta}, more...) {
+		part, err := w.pinServePartition(file, epoch, m)
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, part)
 	}
-	*reply, err = ops.PartitionRangePoints(part, args.Query)
-	return err
+	return parts, nil
 }
 
-// ExecKNN answers one partition's fragment of a sharded kNN round: its
-// canonically sorted k nearest candidates.
-func (s *shardServer) ExecKNN(args mapreduce.ExecKNNArgs, reply *mapreduce.ExecKNNReply) error {
-	part, err := s.w.pinServePartition(args.File, args.Epoch, args.Meta)
+// ExecRange answers a sharded range query's call: the named partitions'
+// matches merged into one sorted stream, written into the capacity of a
+// pooled reply that the server codec releases once it is sent.
+func (s *shardServer) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
+	parts, err := s.w.pinAll(args.File, args.Epoch, args.Meta, args.More)
 	if err != nil {
 		return err
 	}
-	reply.Cands = ops.PartitionKNNCandidates(part, args.Q, args.K)
-	reply.Records = int64(len(part.Recs))
+	*reply = *mapreduce.NewExecRangeReply()
+	return ops.RangeStream(reply, parts, args.Query, args.Keys)
+}
+
+// ExecKNN answers a sharded kNN round's call: each named partition's
+// canonically sorted k nearest candidates, concatenated.
+func (s *shardServer) ExecKNN(args mapreduce.ExecKNNArgs, reply *mapreduce.ExecKNNReply) error {
+	parts, err := s.w.pinAll(args.File, args.Epoch, args.Meta, args.More)
+	if err != nil {
+		return err
+	}
+	for _, part := range parts {
+		cands := ops.PartitionKNNCandidates(part, args.Q, args.K)
+		reply.Cands = append(reply.Cands, cands...)
+		reply.Counts = append(reply.Counts, int64(len(part.Recs)), int64(len(cands)))
+	}
 	return nil
 }

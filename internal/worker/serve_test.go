@@ -91,16 +91,16 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 		meta := m.ServeMeta(sp)
 
 		var rr mapreduce.ExecRangeReply
-		if err := call(server, "ExecRange", &mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}, &rr); err != nil {
+		if err := call(server, "ExecRange", &mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query, Keys: true}, &rr); err != nil {
 			t.Fatalf("%s ExecRange: %v", sp.Partition, err)
 		}
 		want, err := ops.PartitionRangePoints(part, query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rr.Records != int64(len(part.Recs)) || !slices.Equal(rr.Keys, want.Keys) || !bytes.Equal(rr.Frag, want.Frag) {
-			t.Errorf("%s ExecRange: %d keys, %d bytes of %d records, want %d, %d of %d",
-				sp.Partition, len(rr.Keys), len(rr.Frag), rr.Records, len(want.Keys), len(want.Frag), len(part.Recs))
+		if !slices.Equal(rr.Counts, want.Counts) || !slices.Equal(rr.Keys, want.Keys) || !bytes.Equal(rr.Frag, want.Frag) {
+			t.Errorf("%s ExecRange: %d keys, %d bytes counted %v, want %d, %d counted %v",
+				sp.Partition, len(rr.Keys), len(rr.Frag), rr.Counts, len(want.Keys), len(want.Frag), want.Counts)
 		}
 		var keys []float64
 		var objs []string
@@ -125,8 +125,9 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 		if err := call(server, "ExecKNN", &mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Meta: meta, Q: q, K: k}, &kr); err != nil {
 			t.Fatalf("%s ExecKNN: %v", sp.Partition, err)
 		}
-		if want := ops.PartitionKNNCandidates(part, q, k); kr.Records != int64(len(part.Recs)) || !reflect.DeepEqual(kr.Cands, want) {
-			t.Errorf("%s ExecKNN: %v, want %v", sp.Partition, kr.Cands, want)
+		kwant := ops.PartitionKNNCandidates(part, q, k)
+		if !reflect.DeepEqual(kr.Cands, kwant) || !slices.Equal(kr.Counts, []int64{int64(len(part.Recs)), int64(len(kwant))}) {
+			t.Errorf("%s ExecKNN: %v counted %v, want %v of %d records", sp.Partition, kr.Cands, kr.Counts, kwant, len(part.Recs))
 		}
 	}
 
@@ -152,6 +153,77 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 		if err := call(); err == nil {
 			t.Errorf("%s: got a reply, want an error", name)
 		}
+	}
+}
+
+// TestExecBatchedMatchesMerge: one exec call naming several partitions
+// answers what the plan's steps over the same partitions pinned on the
+// master give — a range call the one merge of their matches (with keys
+// only when asked, and the same bytes either way), a kNN call each
+// partition's candidates concatenated in call order — with two counts per
+// named partition. A call naming a hole fails like one without a Meta.
+func TestExecBatchedMatchesMerge(t *testing.T) {
+	sys, f, m, server, _ := startExecWorkers(t)
+	call := shardCaller(t)
+	splits := f.Splits()
+	m.EnsureServeReplicas(splits)
+	epoch := sys.FS().FileEpoch("pts")
+	query, q, k := geom.NewRect(150, 150, 800, 700), geom.Pt(480, 510), 9
+	for _, named := range [][]*mapreduce.Split{splits[:1], splits[:3], splits} {
+		var metas []*mapreduce.WireSplitMeta
+		var matches []ops.LocalMatch
+		var counts []int64
+		var cands []ops.KNNCandidate
+		var kcounts []int64
+		for _, sp := range named {
+			part, err := ops.PinSplit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metas = append(metas, m.ServeMeta(sp))
+			ids := part.Tree.Search(query, nil)
+			if len(ids) > 0 {
+				matches = append(matches, ops.LocalMatch{Part: part, IDs: ids})
+			}
+			counts = append(counts, int64(len(part.Recs)), int64(len(ids)))
+			pc := ops.PartitionKNNCandidates(part, q, k)
+			cands = append(cands, pc...)
+			kcounts = append(kcounts, int64(len(part.Recs)), int64(len(pc)))
+		}
+		var wantKeys []float64
+		wantFrag, err := ops.AppendMatches(nil, &wantKeys, matches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantFrag) == 0 {
+			t.Fatalf("%d partitions: the query matched nothing, the check is vacuous", len(named))
+		}
+		for _, keys := range []bool{false, true} {
+			var rr mapreduce.ExecRangeReply
+			args := mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: metas[0], More: metas[1:], Query: query, Keys: keys}
+			if err := call(server, "ExecRange", &args, &rr); err != nil {
+				t.Fatalf("%d partitions: ExecRange: %v", len(named), err)
+			}
+			want := wantKeys
+			if !keys {
+				want = nil
+			}
+			if !bytes.Equal(rr.Frag, wantFrag) || !slices.Equal(rr.Keys, want) || !slices.Equal(rr.Counts, counts) {
+				t.Errorf("%d partitions, keys %v: %d keys, %d bytes counted %v; want %d, %d counted %v",
+					len(named), keys, len(rr.Keys), len(rr.Frag), rr.Counts, len(want), len(wantFrag), counts)
+			}
+		}
+		var kr mapreduce.ExecKNNReply
+		if err := call(server, "ExecKNN", &mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Meta: metas[0], More: metas[1:], Q: q, K: k}, &kr); err != nil {
+			t.Fatalf("%d partitions: ExecKNN: %v", len(named), err)
+		}
+		if !reflect.DeepEqual(kr.Cands, cands) || !slices.Equal(kr.Counts, kcounts) {
+			t.Errorf("%d partitions: ExecKNN counted %v, want %v", len(named), kr.Counts, kcounts)
+		}
+	}
+	hole := &mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: m.ServeMeta(splits[0]), More: []*mapreduce.WireSplitMeta{nil}, Query: query}
+	if err := call(server, "ExecRange", hole, &mapreduce.ExecRangeReply{}); err == nil {
+		t.Error("a call naming an absent partition got a reply")
 	}
 }
 
@@ -184,11 +256,11 @@ func TestGobClientMatchesPeers(t *testing.T) {
 		if err := gobClient.Call(mapreduce.ShardService+".ExecRange", args, &viaGob); err != nil {
 			t.Fatalf("%s ExecRange over rpc.Dial: %v", sp.Partition, err)
 		}
-		if viaPeers.Records != viaGob.Records || !slices.Equal(viaPeers.Keys, viaGob.Keys) || !bytes.Equal(viaPeers.Frag, viaGob.Frag) {
-			t.Errorf("%s ExecRange: rpc.Dial got %d keys, %d bytes of %d records; Peers %d, %d of %d", sp.Partition,
-				len(viaGob.Keys), len(viaGob.Frag), viaGob.Records, len(viaPeers.Keys), len(viaPeers.Frag), viaPeers.Records)
+		if !slices.Equal(viaPeers.Counts, viaGob.Counts) || !slices.Equal(viaPeers.Keys, viaGob.Keys) || !bytes.Equal(viaPeers.Frag, viaGob.Frag) {
+			t.Errorf("%s ExecRange: rpc.Dial got %d keys, %d bytes counted %v; Peers %d, %d counted %v", sp.Partition,
+				len(viaGob.Keys), len(viaGob.Frag), viaGob.Counts, len(viaPeers.Keys), len(viaPeers.Frag), viaPeers.Counts)
 		}
-		matched += len(viaPeers.Keys) / 2
+		matched += len(viaPeers.Frag)
 
 		for _, ref := range meta.Blocks {
 			var blockPeers, blockGob mapreduce.ReadBlockReply
