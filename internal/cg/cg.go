@@ -20,7 +20,7 @@ package cg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -133,7 +133,7 @@ func errNotDisjoint(op, file string) error {
 
 // sortPoints sorts points canonically in place and returns the slice.
 func sortPoints(pts []geom.Point) []geom.Point {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
+	slices.SortFunc(pts, geom.Point.Compare)
 	return pts
 }
 

@@ -2,7 +2,6 @@ package cg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"spatialhadoop/internal/core"
@@ -20,7 +19,7 @@ type Triangle struct {
 // canonicalTriangle orders the vertices so equal triangles compare equal.
 func canonicalTriangle(a, b, c geom.Point) Triangle {
 	v := []geom.Point{a, b, c}
-	sort.Slice(v, func(i, j int) bool { return v[i].Less(v[j]) })
+	geom.SortPointsXY(v) // three points: an insertion sort, as sort.Slice's
 	return Triangle{A: v[0], B: v[1], C: v[2]}
 }
 

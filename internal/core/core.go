@@ -133,11 +133,14 @@ func (s *System) LoadPointsHeap(name string, pts []geom.Point) error {
 
 // LoadRegionsHeap stores regions as a heap file.
 func (s *System) LoadRegionsHeap(name string, regions []geom.Region) error {
-	recs := make([]string, len(regions))
-	for i, rg := range regions {
-		recs[i] = geomio.EncodeRegion(rg)
+	w, err := s.fs.Create(name)
+	if err != nil {
+		return err
 	}
-	return s.fs.WriteFile(name, recs)
+	for _, rg := range regions {
+		w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
+	}
+	return w.Close()
 }
 
 // numCells returns the target partition count for a payload of the given
@@ -184,13 +187,13 @@ func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (
 	gi := sindex.Build(t, s.samplePoints(pts), space, s.numCells(totalBytes))
 	s.recordBuild(time.Since(buildStart), gi)
 
-	byCell := make([][]string, len(gi.Cells))
+	byCell := make([][]int, len(gi.Cells))
 	for i, p := range pts {
 		c := gi.AssignPoint(p)
-		byCell[c] = append(byCell[c], recs[i])
+		byCell[c] = append(byCell[c], i)
 		gi.Cells[c].Content = gi.Cells[c].Content.ExpandPoint(p)
 	}
-	return s.writeIndexed(name, gi, byCell, (*dfs.Writer).WritePoint)
+	return s.writeIndexed(name, gi, recs, byCell, func(w *dfs.Writer, i int) { w.WritePoint(recs[i]) })
 }
 
 // LoadRegions spatially partitions and stores regions. With a disjoint
@@ -198,15 +201,16 @@ func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (
 // (paper §2.3); consumers deduplicate with the reference-point rule.
 func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Technique) (*IndexedFile, error) {
 	recs := make([]string, len(regions))
+	bounds := make([]geom.Rect, len(regions))
 	centers := make([]geom.Point, len(regions))
 	var totalBytes int64
 	space := geom.EmptyRect()
 	for i, rg := range regions {
 		recs[i] = geomio.EncodeRegion(rg)
 		totalBytes += int64(len(recs[i])) + 1
-		b := rg.Bounds()
-		centers[i] = b.Center()
-		space = space.Union(b)
+		bounds[i] = rg.Bounds()
+		centers[i] = bounds[i].Center()
+		space = space.Union(bounds[i])
 	}
 	if space.IsEmpty() {
 		space = geom.NewRect(0, 0, 1, 1)
@@ -216,15 +220,14 @@ func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Techni
 	gi := sindex.Build(t, s.samplePoints(centers), space, s.numCells(totalBytes))
 	s.recordBuild(time.Since(buildStart), gi)
 
-	byCell := make([][]string, len(gi.Cells))
-	for i, rg := range regions {
-		b := rg.Bounds()
+	byCell := make([][]int, len(gi.Cells))
+	for i, b := range bounds {
 		for _, c := range gi.AssignRect(b) {
-			byCell[c] = append(byCell[c], recs[i])
+			byCell[c] = append(byCell[c], i)
 			gi.Cells[c].Content = gi.Cells[c].Content.Union(b)
 		}
 	}
-	return s.writeIndexed(name, gi, byCell, (*dfs.Writer).WriteRecord)
+	return s.writeIndexed(name, gi, recs, byCell, func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) })
 }
 
 // recordBuild registers one global index construction with the metrics.
@@ -234,13 +237,13 @@ func (s *System) recordBuild(d time.Duration, gi *sindex.GlobalIndex) {
 }
 
 // recordFill registers the post-assignment partition fill statistics.
-func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]string) {
+func (s *System) recordFill(gi *sindex.GlobalIndex, recs []string, byCell [][]int) {
 	perRecs := make([]int, len(byCell))
 	perBytes := make([]int64, len(byCell))
 	for i, cellRecs := range byCell {
 		perRecs[i] = len(cellRecs)
 		for _, r := range cellRecs {
-			perBytes[i] += int64(len(r)) + 1
+			perBytes[i] += int64(len(recs[r])) + 1
 		}
 		if len(cellRecs) > 0 {
 			s.metrics.Observe(MetricPartitionFill, float64(len(cellRecs)))
@@ -252,13 +255,14 @@ func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]string) {
 	s.metrics.SetGauge(GaugePartitionImbalance, ps.Imbalance())
 }
 
-// writeIndexed writes the partitioned records — through write, which is
-// WritePoint when every record is geomio.EncodePoint of a point — and the
-// master index. Queries meet the previous generation until Close publishes
-// this one; the writer is created only here, after partitioning, so the two
-// overlap in memory for the write loop alone.
-func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]string, write func(*dfs.Writer, string)) (*IndexedFile, error) {
-	s.recordFill(gi, byCell)
+// writeIndexed writes the partitioned records — byCell holds indices into
+// recs, and write(w, i) writes record i through the loader's typed call
+// (WritePoint, WriteRegion) — and the master index. Queries meet the
+// previous generation until Close publishes this one; the writer is
+// created only here, after partitioning, so the two overlap in memory for
+// the write loop alone.
+func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, recs []string, byCell [][]int, write func(w *dfs.Writer, i int)) (*IndexedFile, error) {
+	s.recordFill(gi, recs, byCell)
 	w, err := s.fs.CreateOrReplace(name)
 	if err != nil {
 		return nil, err
@@ -268,8 +272,8 @@ func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]st
 			continue
 		}
 		w.SetPartition(gi.Cells[ci].Key())
-		for _, r := range cellRecs {
-			write(w, r)
+		for _, i := range cellRecs {
+			write(w, i)
 		}
 		byCell[ci] = nil // written: free it while the replaced generation is still live
 	}

@@ -2,8 +2,8 @@ package dfs
 
 import (
 	"errors"
-	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"spatialhadoop/internal/geom"
@@ -155,49 +155,64 @@ func TestBlockPointsError(t *testing.T) {
 	}
 }
 
-// TestBlockPayloadCachedAndInvalidated: a block's payload is built once
-// for the block's lifetime; the only way its records change is a
-// replacement, whose blocks are new and build their own.
-func TestBlockPayloadCachedAndInvalidated(t *testing.T) {
+// TestBlockBoundsCachedAndInvalidated: an unmarked block's MBRs are parsed
+// once for the block's lifetime, and later calls allocate nothing; the only
+// way its records change is a replacement, whose blocks are new and parse
+// their own.
+func TestBlockBoundsCachedAndInvalidated(t *testing.T) {
 	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
-	if err := fs.WriteFile("f", []string{"a", "b"}); err != nil {
+	if err := fs.WriteFile("f", []string{"0,0 2,1", "5,5"}); err != nil {
 		t.Fatal(err)
 	}
 	f, _ := fs.Open("f")
 	b := f.Blocks[0]
+	want := []geom.Rect{geom.NewRect(0, 0, 2, 1), geom.NewRect(5, 5, 5, 5)}
 
-	builds := 0
-	build := func(recs []string) (any, error) {
-		builds++
-		return fmt.Sprintf("decoded:%d", len(recs)), nil
+	// Racing first calls share one parse.
+	firsts := make([]*geom.Rect, 8)
+	var wg sync.WaitGroup
+	for i := range firsts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rects, err := b.Bounds(); err == nil && slices.Equal(rects, want) {
+				firsts[i] = &rects[0]
+			}
+		}()
 	}
-	for i := 0; i < 3; i++ {
-		v, err := b.Payload(build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != "decoded:2" {
-			t.Fatalf("payload = %v", v)
+	wg.Wait()
+	for i, p := range firsts {
+		if p == nil || p != firsts[0] {
+			t.Fatalf("call %d got %p, call 0 %p: want one shared parse of %v", i, p, firsts[0], want)
 		}
 	}
-	if builds != 1 {
-		t.Fatalf("payload built %d times, want 1", builds)
+	if n := testing.AllocsPerRun(20, func() { b.Bounds() }); n != 0 {
+		t.Fatalf("a cached Bounds allocates %v times, want 0", n)
 	}
 
 	w, _ := fs.CreateOrReplace("f")
-	for _, rec := range []string{"a", "b", "c"} {
+	for _, rec := range []string{"1,1", "2,2", "3,3"} {
 		w.WriteRecord(rec)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	nf, _ := fs.Open("f")
-	if v, err := nf.Blocks[0].Payload(build); err != nil || v != "decoded:3" || builds != 2 {
-		t.Fatalf("replacement payload = %v, %v after %d builds, want decoded:3 on the second", v, err, builds)
+	if rects, err := nf.Blocks[0].Bounds(); err != nil || len(rects) != 3 || rects[2] != geom.NewRect(3, 3, 3, 3) {
+		t.Fatalf("replacement bounds = %v, %v; want the three new points", rects, err)
 	}
-	// The replaced generation still answers whoever holds it.
-	if v, _ := b.Payload(build); v != "decoded:2" || builds != 2 {
-		t.Fatalf("held generation payload = %v after %d builds, want the cached decoded:2", v, builds)
+	// The replaced generation still answers whoever holds it, from its cache.
+	if rects, _ := b.Bounds(); &rects[0] != firsts[0] {
+		t.Fatal("the held generation parsed its bounds again")
+	}
+	if err := fs.WriteFile("bad", []string{"0,0 x,1"}); err != nil {
+		t.Fatal(err)
+	}
+	bad, _ := fs.Open("bad")
+	for i := 0; i < 2; i++ {
+		if _, err := bad.Blocks[0].Bounds(); err == nil {
+			t.Fatalf("call %d: Bounds of a malformed region did not error", i)
+		}
 	}
 }
 

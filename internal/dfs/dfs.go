@@ -10,7 +10,10 @@
 // saying the text is nothing but points, and such a block crosses the data
 // plane as a column of coordinates (frame.go). The block a worker opens
 // from a column frame holds only the points, behind the same accessors:
-// Points is the column, Record and Records format text on demand.
+// Points is the column, Record and Records format text on demand. One
+// whose records all came through WriteRegion is marked as regions and
+// holds each record's MBR beside its text, so Bounds parses nothing, here
+// or on the worker the rects travel to.
 //
 // Files may carry a "master" attachment, mirroring SpatialHadoop's _master
 // index file that describes the spatial partitioning of the data blocks.
@@ -67,11 +70,10 @@ type Block struct {
 
 	records []string
 
-	// points marks a text block every record of which was written through
-	// Writer.WritePoint: each record is geomio.EncodePoint of the point it
-	// parses to, so the points alone reproduce the text. Only the writer
-	// sets it; a copy made any other way (CorruptBlock) is unmarked.
-	points bool
+	// mark and a region-marked block's rects are the writer's alone; a
+	// copy made any other way (CorruptBlock) is unmarked.
+	mark  blockMark
+	rects []geom.Rect
 
 	// column marks a block opened from a column frame, whose data is col
 	// and which holds no text until Records formats it.
@@ -82,11 +84,23 @@ type Block struct {
 	// the text as laid out on disk, or over a column's bytes (checksum.go).
 	crc uint32
 
-	// cache holds lazily decoded views of the records (parsed points, an
-	// operation-chosen payload). A block reachable by readers never
-	// changes, so the views live exactly as long as the block.
+	// cache holds lazily decoded views of the records (parsed points,
+	// parsed MBRs). A block reachable by readers never changes, so the
+	// views live exactly as long as the block.
 	cache blockCache
 }
+
+// blockMark is what a block's writer promised about its text: every
+// record came through WritePoint (each is geomio.EncodePoint of the point
+// it parses to, so the points alone reproduce the text), or every one
+// through WriteRegion (rects[i] is the MBR record i parses to).
+type blockMark uint8
+
+const (
+	unmarked blockMark = iota
+	pointMark
+	regionMark
+)
 
 // blockCache holds the decoded views over a block's records, each built
 // at most once under its own sync.Once.
@@ -98,9 +112,9 @@ type blockCache struct {
 	pts     []geom.Point
 	ptsErr  error
 
-	payloadOnce sync.Once
-	payload     any
-	payloadErr  error
+	boundsOnce sync.Once
+	bounds     []geom.Rect
+	boundsErr  error
 
 	verifyOnce sync.Once
 	verifyErr  error
@@ -170,15 +184,31 @@ func (b *Block) Points() ([]geom.Point, error) {
 	return c.pts, c.ptsErr
 }
 
-// Payload returns the block's decoded payload, building it with build on
-// first use and caching it for the block's lifetime — the generic slot for
-// non-point record types (regions, segments). All callers of a block must
-// agree on the payload type; the returned value is shared and must be
-// treated as read-only.
-func (b *Block) Payload(build func(records []string) (any, error)) (any, error) {
+// Bounds returns the MBR of each record, index-aligned with Records, for
+// callers that need only MBRs (the join's sweep, region range filters). A
+// region-marked block's rects are what its writer computed: nothing is
+// parsed. Any other block parses its records as regions at most once per
+// block lifetime, by the Points rule. The returned slice is shared and
+// must not be modified.
+func (b *Block) Bounds() ([]geom.Rect, error) {
+	if b.mark == regionMark {
+		return b.rects, nil
+	}
 	c := &b.cache
-	c.payloadOnce.Do(func() { c.payload, c.payloadErr = build(b.Records()) })
-	return c.payload, c.payloadErr
+	c.boundsOnce.Do(func() { c.bounds, c.boundsErr = decodeBounds(b.Records()) })
+	return c.bounds, c.boundsErr
+}
+
+func decodeBounds(recs []string) ([]geom.Rect, error) {
+	out := make([]geom.Rect, len(recs))
+	for i, r := range recs {
+		rg, err := geomio.DecodeRegion(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = rg.Bounds()
+	}
+	return out, nil
 }
 
 // File is the name-node metadata for one generation of a file: what one
@@ -396,21 +426,31 @@ func (w *Writer) sealCur() {
 	if cap(b.records)-len(b.records) > len(b.records)/8 {
 		b.records = slices.Clone(b.records)
 	}
+	if cap(b.rects)-len(b.rects) > len(b.rects)/8 {
+		b.rects = slices.Clone(b.rects)
+	}
 	b.seal()
 }
 
 // WriteRecord appends one text record.
-func (w *Writer) WriteRecord(rec string) { w.write(rec, false) }
+func (w *Writer) WriteRecord(rec string) { w.write(rec, unmarked, geom.Rect{}) }
 
 // WritePoint appends one point record: rec must be geomio.EncodePoint of
 // a point, which is what the spatial loaders hold. It stores the same text
 // WriteRecord would; the difference is the mark. A block that received
 // nothing but WritePoint calls is known to be points in their one
 // spelling, and ships to workers as a coordinate column instead of text
-// (frame.go). One WriteRecord into the block and it is a text block.
-func (w *Writer) WritePoint(rec string) { w.write(rec, true) }
+// (frame.go). One other write into the block and it is a text block.
+func (w *Writer) WritePoint(rec string) { w.write(rec, pointMark, geom.Rect{}) }
 
-func (w *Writer) write(rec string, point bool) {
+// WriteRegion appends one region record: rec must be geomio.EncodeRegion
+// of a region and mbr its Bounds. It stores the same text WriteRecord
+// would and keeps mbr beside it: a block of nothing but WriteRegion calls
+// answers Bounds without a parse and ships its rects with its text
+// (frame.go). One other write into the block and it is a text block.
+func (w *Writer) WriteRegion(rec string, mbr geom.Rect) { w.write(rec, regionMark, mbr) }
+
+func (w *Writer) write(rec string, m blockMark, mbr geom.Rect) {
 	if w.closed {
 		panic("dfs: write on closed writer")
 	}
@@ -418,11 +458,18 @@ func (w *Writer) write(rec string, point bool) {
 	if w.cur == nil || w.cur.Bytes+sz > w.fs.cfg.BlockSize && w.cur.Bytes > 0 {
 		w.cut()
 	}
-	if !point {
-		w.cur.points = false
+	b := w.cur
+	switch {
+	case len(b.records) == 0:
+		b.mark = m // the first write names the block's mark
+	case b.mark != m:
+		b.mark, b.rects = unmarked, nil
 	}
-	w.cur.records = append(w.cur.records, rec)
-	w.cur.Bytes += sz
+	if b.mark == regionMark {
+		b.rects = append(b.rects, mbr)
+	}
+	b.records = append(b.records, rec)
+	b.Bytes += sz
 	w.file.Bytes += sz
 	w.file.Records++
 }
@@ -438,8 +485,8 @@ func (w *Writer) cut() {
 	node := fs.nextNode
 	fs.nextNode = (fs.nextNode + 1) % fs.cfg.DataNodes
 	fs.mu.Unlock()
-	// Marked until a WriteRecord says otherwise; a write always follows.
-	b := &Block{ID: id, Node: node, Partition: w.partition, points: true}
+	// A write always follows, and sets the block's mark.
+	b := &Block{ID: id, Node: node, Partition: w.partition}
 	w.cur = b
 	w.file.Blocks = append(w.file.Blocks, b)
 }

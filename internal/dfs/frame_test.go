@@ -46,18 +46,27 @@ func awkwardPoints(seed int64, n int) []geom.Point {
 // WritePoint or WriteRecord as point(i) says, and returns the block.
 func writeBlock(t *testing.T, recs []string, point func(i int) bool) *Block {
 	t.Helper()
+	return oneBlock(t, func(w *Writer) {
+		for i, r := range recs {
+			if point(i) {
+				w.WritePoint(r)
+			} else {
+				w.WriteRecord(r)
+			}
+		}
+	})
+}
+
+// oneBlock runs write against a fresh file of one block and returns the
+// block.
+func oneBlock(t *testing.T, write func(w *Writer)) *Block {
+	t.Helper()
 	fs := New(Config{BlockSize: 1 << 30, DataNodes: 1})
 	w, err := fs.Create("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range recs {
-		if point(i) {
-			w.WritePoint(r)
-		} else {
-			w.WriteRecord(r)
-		}
-	}
+	write(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,5 +235,161 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 	}
 	if got := tags(loaded); slices.Contains(got, FrameColumn) {
 		t.Errorf("a LoadDir'd file has tags %q, want all text", got)
+	}
+}
+
+// awkwardRegions is a seeded region set holding what a region file can:
+// −0 and subnormal vertices, several rings, an empty ring among others, a
+// lone vertex and a region of no rings at all.
+func awkwardRegions(seed int64, n int) []geom.Region {
+	rng := rand.New(rand.NewSource(seed))
+	negZero := math.Copysign(0, -1)
+	ring := func(k int) geom.Polygon {
+		pg := geom.Polygon{Vertices: make([]geom.Point, k)}
+		for i := range pg.Vertices {
+			pg.Vertices[i] = geom.Point{X: rng.NormFloat64() * 1e3, Y: rng.Float64() - 0.5}
+		}
+		return pg
+	}
+	regs := make([]geom.Region, n)
+	for i := range regs {
+		switch rng.Intn(6) {
+		case 0:
+			regs[i] = geom.RegionOf(geom.Polygon{Vertices: []geom.Point{{X: negZero, Y: 0}, {X: 0, Y: negZero}, {X: 5e-324, Y: negZero}}})
+		case 1:
+			regs[i] = geom.Region{Rings: []geom.Polygon{ring(4), {}, ring(3)}}
+		case 2:
+			regs[i] = geom.RegionOf(ring(1))
+		case 3:
+			regs[i] = geom.Region{Rings: []geom.Polygon{{}}}
+		default:
+			regs[i] = geom.Region{Rings: []geom.Polygon{ring(3 + rng.Intn(5)), ring(3)}}
+		}
+	}
+	return regs
+}
+
+func sameRects(a, b []geom.Rect) bool {
+	bits := func(r geom.Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.MinX), math.Float64bits(r.MinY), math.Float64bits(r.MaxX), math.Float64bits(r.MaxY)}
+	}
+	return slices.EqualFunc(a, b, func(p, q geom.Rect) bool { return bits(p) == bits(q) })
+}
+
+// TestRegionMarkOnlyFromWriteRegion: a block that received nothing but
+// WriteRegion ships its rects with its text and answers Bounds without a
+// parse, on the master and wherever its frame opens; its own CRC is the
+// text's. One WriteRecord or WritePoint into it, a CorruptBlock copy or a
+// LoadDir'd file is text, and still answers Bounds — the same rects, bit
+// for bit — by parsing.
+func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
+	regs := awkwardRegions(5, 60)
+	recs := make([]string, len(regs))
+	want := make([]geom.Rect, len(regs))
+	for i, rg := range regs {
+		recs[i], want[i] = geomio.EncodeRegion(rg), rg.Bounds()
+	}
+	region := func(w *Writer, i int) { w.WriteRegion(recs[i], want[i]) }
+	except := func(at int, other func(w *Writer, rec string)) func(w *Writer, i int) {
+		return func(w *Writer, i int) {
+			if i == at {
+				other(w, recs[i])
+			} else {
+				region(w, i)
+			}
+		}
+	}
+	for name, tc := range map[string]struct {
+		write func(w *Writer, i int)
+		want  byte
+	}{
+		"WriteRegion only":       {region, FrameRegions},
+		"one WriteRecord, first": {except(0, (*Writer).WriteRecord), FrameText},
+		"one WriteRecord, last":  {except(len(recs)-1, (*Writer).WriteRecord), FrameText},
+		"one WritePoint":         {except(len(recs)/2, (*Writer).WritePoint), FrameText},
+	} {
+		b := oneBlock(t, func(w *Writer) {
+			for i := range recs {
+				tc.write(w, i)
+			}
+		})
+		frame := EncodeBlockFrame(b, false)
+		if tag := frameTag(t, frame); tag != tc.want {
+			t.Fatalf("%s: frame tag %q, want %q", name, tag, tc.want)
+		}
+		opened, err := DecodeBlockFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for side, blk := range map[string]*Block{"written": b, "opened": opened} {
+			if got, err := blk.Bounds(); err != nil || !sameRects(got, want) {
+				t.Fatalf("%s, %s: Bounds differ from the regions' (%v)", name, side, err)
+			}
+			if !slices.Equal(blk.Records(), recs) || blk.Bytes != b.Bytes || blk.Checksum() != b.Checksum() || blk.VerifyCached() != nil {
+				t.Fatalf("%s, %s: text, size or CRC differ from the writer's", name, side)
+			}
+			if n := testing.AllocsPerRun(10, func() { blk.Bounds() }); tc.want == FrameRegions && n != 0 {
+				t.Fatalf("%s, %s: Bounds of a region-marked block allocates %v times", name, side, n)
+			}
+		}
+		if again := EncodeBlockFrame(opened, false); !slices.Equal(again, frame) {
+			t.Fatalf("%s: the opened block re-encodes to a different frame", name)
+		}
+	}
+
+	fs := New(Config{BlockSize: 512, DataNodes: 2})
+	w, _ := fs.Create("regs")
+	for i := range recs {
+		region(w, i)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(fs *FileSystem, wantTag byte) {
+		t.Helper()
+		f, err := fs.Open("regs")
+		if err != nil || len(f.Blocks) < 3 {
+			t.Fatalf("Open = %v, %v; want several blocks", f, err)
+		}
+		var all []geom.Rect
+		for i, b := range f.Blocks {
+			if tag := frameTag(t, EncodeBlockFrame(b, false)); tag != wantTag {
+				t.Errorf("block %d ships as %q, want %q", i, tag, wantTag)
+			}
+			rects, err := b.Bounds()
+			if err != nil || b.VerifyCached() != nil {
+				t.Fatalf("block %d: %v, or it fails its checksum", i, err)
+			}
+			all = append(all, rects...)
+		}
+		if !sameRects(all, want) {
+			t.Error("the file's Bounds differ from the regions'")
+		}
+	}
+	check(fs, FrameRegions)
+	dir := t.TempDir()
+	if err := fs.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDir(dir, Config{BlockSize: 512, DataNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(loaded, FrameText)
+
+	if err := fs.CorruptBlock("regs", 1); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Open("regs")
+	bad := f.Blocks[1]
+	var cerr *ChecksumError
+	if err := bad.VerifyCached(); !errors.As(err, &cerr) {
+		t.Fatalf("VerifyCached of the corrupt copy = %v, want a *ChecksumError", err)
+	}
+	if tag := frameTag(t, EncodeBlockFrame(bad, false)); tag != FrameText || bad.rects != nil {
+		t.Fatalf("the corrupt copy ships as %q, holding %d rects; want unmarked text", tag, len(bad.rects))
+	}
+	if tag := frameTag(t, EncodeBlockFrame(f.Blocks[2], false)); tag != FrameRegions {
+		t.Fatalf("an untouched block beside the corrupt one ships as %q", tag)
 	}
 }

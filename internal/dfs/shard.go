@@ -107,8 +107,8 @@ func PeekShardFrame(buf []byte) (int, error) {
 // NewBlockFromRecords builds a sealed, checksummed text block holding the
 // given records, outside any file — what a text frame opens as
 // (DecodeBlockFrame), sealed so the reader's checksum scrub covers shipped
-// blocks too. The block carries no ID or data-node placement and no point
-// mark, whatever its records look like.
+// blocks too. The block carries no ID or data-node placement and no mark,
+// whatever its records look like.
 func NewBlockFromRecords(partition string, records []string) *Block {
 	b := &Block{Partition: partition, records: records}
 	for _, r := range records {

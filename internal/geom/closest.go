@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -22,7 +23,7 @@ func ClosestPair(pts []Point) (PointPair, bool) {
 	}
 	px := make([]Point, len(pts))
 	copy(px, pts)
-	sort.Slice(px, func(i, j int) bool { return px[i].Less(px[j]) })
+	slices.SortFunc(px, Point.Compare)
 	py := make([]Point, len(px))
 	copy(py, px)
 	sort.Slice(py, func(i, j int) bool { return py[i].Y < py[j].Y })

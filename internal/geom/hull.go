@@ -1,6 +1,6 @@
 package geom
 
-import "sort"
+import "slices"
 
 // ConvexHull returns the convex hull of pts using Andrew's monotone chain
 // algorithm (paper §7). The result is in counter-clockwise order with no
@@ -14,7 +14,7 @@ func ConvexHull(pts []Point) []Point {
 	}
 	sorted := make([]Point, len(pts))
 	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	slices.SortFunc(sorted, Point.Compare)
 	// Deduplicate.
 	uniq := sorted[:1]
 	for _, p := range sorted[1:] {

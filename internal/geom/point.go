@@ -59,6 +59,20 @@ func (p Point) Less(q Point) bool {
 	return p.Y < q.Y
 }
 
+// Compare orders p and q as Less does, for slices.SortFunc, which then
+// gives the permutation sort.Slice gives with Less (one algorithm), NaN
+// and ±0 included, without reflective swaps. SortPointsXY may order
+// points that compare equal, or NaN, differently.
+func (p Point) Compare(q Point) int {
+	switch {
+	case p.Less(q):
+		return -1
+	case q.Less(p):
+		return 1
+	}
+	return 0
+}
+
 // Dominates reports whether p dominates q in the skyline (max-max) sense:
 // every coordinate of p is >= the corresponding coordinate of q with strict
 // inequality in at least one.

@@ -1,6 +1,6 @@
 package geom
 
-import "sort"
+import "slices"
 
 // Skyline returns the max-max skyline of pts: the points not dominated by
 // any other point, where p dominates q when p.X >= q.X and p.Y >= q.Y with
@@ -58,7 +58,7 @@ func SkylineQuadrant(pts []Point, quad Quadrant) []Point {
 		// transform is an involution, so it maps results back.
 		sky[i] = quad.transform(p)
 	}
-	sort.Slice(sky, func(i, j int) bool { return sky[i].Less(sky[j]) })
+	slices.SortFunc(sky, Point.Compare)
 	return sky
 }
 
@@ -68,7 +68,7 @@ func SkylineQuadrant(pts []Point, quad Quadrant) []Point {
 func skylineMaxMax(pts []Point) []Point {
 	sorted := make([]Point, len(pts))
 	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	slices.SortFunc(sorted, Point.Compare)
 
 	var sky []Point
 	bestY := 0.0
@@ -112,7 +112,7 @@ func SkylineBrute(pts []Point) []Point {
 			sky = append(sky, p)
 		}
 	}
-	sort.Slice(sky, func(i, j int) bool { return sky[i].Less(sky[j]) })
+	slices.SortFunc(sky, Point.Compare)
 	return sky
 }
 

@@ -1,8 +1,10 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -64,5 +66,42 @@ func TestSortPointsXYMatchesGenericSort(t *testing.T) {
 	SortPointsXY(again)
 	if !slices.Equal(again, asc) {
 		t.Fatal("already-sorted input perturbed")
+	}
+}
+
+// TestCompareSortsAsSortSlice: the point sorts of the geometry kernels went
+// from sort.Slice with Less to slices.SortFunc with Compare, and answer
+// exactly as before: same permutation, bit for bit, on inputs full of what
+// breaks a strict order — NaN, ±0, infinities, duplicates — at every size
+// the two sorts' insertion, quicksort and pattern-breaking paths take.
+// SortPointsXY, another algorithm, need not agree on them.
+func TestCompareSortsAsSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	odd := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
+	coord := func() float64 {
+		if rng.Intn(3) == 0 {
+			return odd[rng.Intn(len(odd))]
+		}
+		return float64(rng.Intn(8))
+	}
+	bits := func(p []Point) []uint64 {
+		out := make([]uint64, 0, 2*len(p))
+		for _, q := range p {
+			out = append(out, math.Float64bits(q.X), math.Float64bits(q.Y))
+		}
+		return out
+	}
+	for trial := 0; trial < 3000; trial++ {
+		pts := make([]Point, rng.Intn(300))
+		for i := range pts {
+			pts[i] = Point{coord(), coord()}
+		}
+		want := slices.Clone(pts)
+		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+		got := slices.Clone(pts)
+		slices.SortFunc(got, Point.Compare)
+		if !slices.Equal(bits(got), bits(want)) {
+			t.Fatalf("trial %d (%d points): slices.SortFunc(Compare) differs from sort.Slice(Less)", trial, len(pts))
+		}
 	}
 }

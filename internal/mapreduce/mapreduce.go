@@ -85,23 +85,6 @@ func (s *Split) Records() []string {
 	return out
 }
 
-// ExtraRecords returns the records of the secondary block group, sharing
-// the block's slice for single-block groups like Records.
-func (s *Split) ExtraRecords() []string {
-	if len(s.Extra) == 1 {
-		return s.Extra[0].Records()
-	}
-	n := 0
-	for _, b := range s.Extra {
-		n += b.NumRecords()
-	}
-	out := make([]string, 0, n)
-	for _, b := range s.Extra {
-		out = append(out, b.Records()...)
-	}
-	return out
-}
-
 // Points returns the records of the primary block group decoded as points,
 // served from each block's decode cache: a block is parsed once per file
 // lifetime, not once per map attempt, so retried attempts and multi-job

@@ -41,7 +41,7 @@ func uvarints(vs ...uint64) []byte {
 	return b
 }
 
-var textTag, columnTag = []byte{dfs.FrameText}, []byte{dfs.FrameColumn}
+var textTag, columnTag, regionsTag = []byte{dfs.FrameText}, []byte{dfs.FrameColumn}, []byte{dfs.FrameRegions}
 
 // str lays s out as every string is: its length, then its bytes.
 func str(s string) []byte { return append(uvarints(uint64(len(s))), s...) }
@@ -72,6 +72,31 @@ func columnFrame(t testing.TB, pts []geom.Point) []byte {
 	frame := dfs.EncodeBlockFrame(f.Blocks[0], false)
 	if payload, err := dfs.UnsealShard(frame); err != nil || payload[0] != dfs.FrameColumn {
 		t.Fatalf("a WritePoint block sealed as %q (%v), want a column", payload[:1], err)
+	}
+	return frame
+}
+
+// regionsFrame is the frame of a block written through WriteRegion alone.
+func regionsFrame(t testing.TB, regs []geom.Region) []byte {
+	t.Helper()
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 30, DataNodes: 1})
+	w, err := fs.Create("regs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rg := range regs {
+		w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("regs")
+	if err != nil || len(f.Blocks) != 1 {
+		t.Fatalf("Open = %v, %v; want one block", f, err)
+	}
+	frame := dfs.EncodeBlockFrame(f.Blocks[0], false)
+	if payload, err := dfs.UnsealShard(frame); err != nil || payload[0] != dfs.FrameRegions {
+		t.Fatalf("a WriteRegion block sealed as %q (%v), want regions", payload[:1], err)
 	}
 	return frame
 }
@@ -128,6 +153,25 @@ func TestBlockFrameRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	for name, regs := range map[string][]geom.Region{
+		"one ring":     {geom.RegionOf(geom.Polygon{Vertices: []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 1, Y: 3}}})},
+		"no rings":     {{}},
+		"rings and -0": {{Rings: []geom.Polygon{{Vertices: []geom.Point{{X: math.Copysign(0, -1), Y: 1}}}, {}, {Vertices: []geom.Point{{X: 5, Y: -2}, {X: 4, Y: 3}}}}}},
+	} {
+		got, err := dfs.DecodeBlockFrame(regionsFrame(t, regs))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		rects, err := got.Bounds()
+		if err != nil || len(rects) != len(regs) || got.NumRecords() != len(regs) {
+			t.Fatalf("%s: %d rects back (%v), %d in", name, len(rects), err, len(regs))
+		}
+		for i, rg := range regs {
+			if want := geomio.EncodeRegion(rg); got.Record(i) != want || rects[i] != rg.Bounds() {
+				t.Fatalf("%s: record %d = %q, %v; want %q, %v", name, i, got.Record(i), rects[i], want, rg.Bounds())
+			}
+		}
+	}
 }
 
 // TestBlockFrameRejectsMalformedLayout: every way a payload can disagree
@@ -137,6 +181,13 @@ func TestBlockFrameRoundTrip(t *testing.T) {
 func TestBlockFrameRejectsMalformedLayout(t *testing.T) {
 	good := textFrame([]string{"ab", "c"})
 	goodCol := columnFrame(t, []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}})
+	goodReg := regionsFrame(t, []geom.Region{geom.RegionOf(geom.Polygon{Vertices: []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}})})
+	rect := le64(1, 2, 3, 4)
+	flip := func(frame []byte, i int) []byte {
+		out := bytes.Clone(frame)
+		out[i] ^= 1
+		return out
+	}
 	var gobbed bytes.Buffer // the frame shape before both of these
 	if err := gob.NewEncoder(&gobbed).Encode([]string{"ab", "c"}); err != nil {
 		t.Fatal(err)
@@ -179,8 +230,26 @@ func TestBlockFrameRejectsMalformedLayout(t *testing.T) {
 		"column: truncated frame":           goodCol[:len(goodCol)-1],
 		"column: flipped coordinate bit":    append(append([]byte(nil), goodCol[:len(goodCol)-1]...), goodCol[len(goodCol)-1]^1),
 		"column: text layout under its tag": blockFrameOf(columnTag, uvarints(2), str("ab"), str("c")),
+
+		"regions: tag alone":                 blockFrameOf(regionsTag),
+		"regions: count not minimal":         blockFrameOf(regionsTag, []byte{0x81, 0x00}, rect, uvarints(1), str("1,2")),
+		"regions: count beyond the payload":  blockFrameOf(regionsTag, uvarints(1<<60), rect, uvarints(1), str("1,2")),
+		"regions: rect cut short":            blockFrameOf(regionsTag, uvarints(1), rect[:31]),
+		"regions: no string list":            blockFrameOf(regionsTag, uvarints(1), rect),
+		"regions: string list cut short":     blockFrameOf(regionsTag, uvarints(1), rect, uvarints(1, 3), []byte("1,")),
+		"regions: fewer records than rects":  blockFrameOf(regionsTag, uvarints(2), rect, rect, uvarints(1), str("1,2")),
+		"regions: more records than rects":   blockFrameOf(regionsTag, uvarints(1), rect, uvarints(2), str("1,2"), str("3,4")),
+		"regions: trailing byte":             blockFrameOf(regionsTag, uvarints(1), rect, uvarints(1), str("1,2"), []byte{0}),
+		"regions: bytes after an empty one":  blockFrameOf(regionsTag, uvarints(0, 0), []byte{0}),
+		"regions: text layout under its tag": blockFrameOf(regionsTag, uvarints(2), str("ab"), str("c")),
+		"regions: truncated frame":           goodReg[:len(goodReg)-1],
+		"regions: flipped rect bit":          flip(goodReg, 16+2), // past the seal's 16 B, the tag and the count
 	} {
-		b, err := dfs.DecodeBlockFrame(frame)
+		var b *dfs.Block
+		var err error
+		if n := allocBytes(20, func() { b, err = dfs.DecodeBlockFrame(frame) }); n > 4<<10 {
+			t.Errorf("%s: a rejected frame allocated %d bytes", name, n)
+		}
 		var torn *dfs.TornShardError
 		if !errors.As(err, &torn) || !fault.IsTransient(err) {
 			t.Errorf("%s: DecodeBlockFrame = %v, %v; want a transient *dfs.TornShardError", name, b, err)
@@ -188,8 +257,9 @@ func TestBlockFrameRejectsMalformedLayout(t *testing.T) {
 	}
 	// The smallest frames there are: no records, no points.
 	for name, frame := range map[string][]byte{
-		"empty text":   blockFrameOf(textTag, uvarints(0)),
-		"empty column": blockFrameOf(columnTag, uvarints(0, 0)),
+		"empty text":    blockFrameOf(textTag, uvarints(0)),
+		"empty column":  blockFrameOf(columnTag, uvarints(0, 0)),
+		"empty regions": blockFrameOf(regionsTag, uvarints(0, 0)),
 	} {
 		if b, err := dfs.DecodeBlockFrame(frame); err != nil || b.NumRecords() != 0 || len(b.Records()) != 0 {
 			t.Errorf("%s: DecodeBlockFrame = %v, %v; want an empty block", name, b, err)
@@ -257,7 +327,7 @@ func TestShardPairsRejectMalformedLayout(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBlockFrame: for both shapes the decoder never panics, rejects
+// FuzzDecodeBlockFrame: for every shape the decoder never panics, rejects
 // only with the torn-shard error the read ladder understands, sizes
 // nothing from a number the frame merely claims, and accepts a frame only
 // if it is the one encoding of its block.
@@ -282,6 +352,15 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 	f.Add(blockFrameOf(columnTag, uvarints(1<<60, 1<<62), le64(1, 2)))
 	f.Add(blockFrameOf(columnTag, uvarints(1, 4), le64(1, 2), []byte{0}))
 	f.Add(blockFrameOf([]byte{'Q'}, uvarints(1, 4), le64(1, 2)))
+	for _, regs := range [][]geom.Region{
+		{geom.RegionOf(geom.Polygon{Vertices: []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}, {X: 0, Y: 5}}})},
+		{{}, {Rings: []geom.Polygon{{Vertices: []geom.Point{{X: math.Copysign(0, -1), Y: 1}}}, {}, {Vertices: []geom.Point{{X: 2, Y: 2}, {X: 4, Y: 3}}}}}},
+	} {
+		frame := regionsFrame(f, regs)
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+	}
+	f.Add(blockFrameOf(regionsTag, uvarints(2), le64(1, 2, 3, 4, 5, 6, 7, 8), uvarints(1), str("1,2")))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		b, err := dfs.DecodeBlockFrame(frame)
 		if err != nil {
@@ -317,8 +396,11 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 		for _, r := range b.Records() {
 			text += int64(len(r)) + 1
 		}
-		if payload, _ := dfs.UnsealShard(frame); payload[0] == dfs.FrameText && text != b.Bytes {
+		if payload, _ := dfs.UnsealShard(frame); payload[0] != dfs.FrameColumn && text != b.Bytes {
 			t.Fatalf("text block of %d bytes says Bytes = %d", text, b.Bytes)
+		}
+		if rects, err := b.Bounds(); err == nil && len(rects) != b.NumRecords() {
+			t.Fatalf("%d rects for %d records", len(rects), b.NumRecords())
 		}
 		if len(b.Records()) != b.NumRecords() {
 			t.Fatalf("%d records, NumRecords %d", len(b.Records()), b.NumRecords())

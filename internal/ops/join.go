@@ -2,7 +2,8 @@ package ops
 
 import (
 	"context"
-	"sort"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -111,24 +112,10 @@ func SpatialJoinPBSM(sys *core.System, left, right string, gridSide int) ([]Join
 	if gridSide < 1 {
 		gridSide = 8
 	}
-	// Compute the joint data space (one scan; in Hadoop this is a cheap
+	// One split per block, tagged with the side it came from; the joint
+	// data space is the union of the blocks' MBRs (in Hadoop a cheap
 	// pre-pass or catalogue statistic).
 	space := geom.EmptyRect()
-	for _, name := range []string{left, right} {
-		regs, err := sys.ReadRegions(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, rg := range regs {
-			space = space.Union(rg.Bounds())
-		}
-	}
-	if space.IsEmpty() {
-		return nil, nil, nil
-	}
-	space = space.Buffer(1e-9 * (1 + space.Width() + space.Height()))
-
-	// One split per block, tagged with the side it came from.
 	var splits []*mapreduce.Split
 	for _, spec := range []struct{ name, side string }{{left, "L"}, {right, "R"}} {
 		f, err := sys.FS().Open(spec.name)
@@ -136,6 +123,16 @@ func SpatialJoinPBSM(sys *core.System, left, right string, gridSide int) ([]Join
 			return nil, nil, err
 		}
 		for _, b := range f.Blocks {
+			if err := b.VerifyCached(); err != nil {
+				return nil, nil, fmt.Errorf("ops: %s: %w", spec.name, err)
+			}
+			rects, err := b.Bounds()
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, r := range rects {
+				space = space.Union(r)
+			}
 			splits = append(splits, &mapreduce.Split{
 				MBR:    geom.WorldRect(),
 				Blocks: []*dfs.Block{b},
@@ -143,6 +140,10 @@ func SpatialJoinPBSM(sys *core.System, left, right string, gridSide int) ([]Join
 			})
 		}
 	}
+	if space.IsEmpty() {
+		return nil, nil, nil
+	}
+	space = space.Buffer(1e-9 * (1 + space.Width() + space.Height()))
 
 	out := left + ".pbsmjoin.out"
 	job := &mapreduce.Job{
@@ -200,13 +201,15 @@ func (g pbsmGrid) cellsFor(b geom.Rect) []string {
 // mapSplit replicates each record of the split to the grid cells its MBR
 // overlaps, prefixed with the side (the split's Tag) it came from.
 func (g pbsmGrid) mapSplit(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-	for _, rec := range split.Records() {
-		rg, err := geomio.DecodeRegion(rec)
+	for _, b := range split.Blocks {
+		rects, err := b.Bounds()
 		if err != nil {
 			return err
 		}
-		for _, key := range g.cellsFor(rg.Bounds()) {
-			ctx.Emit(key, split.Tag+rec)
+		for i, r := range rects {
+			for _, key := range g.cellsFor(r) {
+				ctx.Emit(key, split.Tag+b.Record(i))
+			}
 		}
 	}
 	return nil
@@ -217,49 +220,68 @@ func (g pbsmGrid) mapSplit(ctx *mapreduce.TaskContext, split *mapreduce.Split) e
 func (g pbsmGrid) reduceCell(ctx *mapreduce.TaskContext, key string, values []string) error {
 	ix, iy := parseCellKey(key)
 	cell := g.cellOf(ix, iy)
-	var lrecs, rrecs []string
+	// The shuffle carries text: the one place the join parses regions.
+	var ls, rs []joinItem
 	for _, v := range values {
+		rg, err := geomio.DecodeRegion(v[1:])
+		if err != nil {
+			return err
+		}
+		it := joinItem{rec: v[1:], b: rg.Bounds()}
 		if strings.HasPrefix(v, "L") {
-			lrecs = append(lrecs, v[1:])
+			ls = append(ls, it)
 		} else {
-			rrecs = append(rrecs, v[1:])
+			rs = append(rs, it)
 		}
 	}
-	return planeSweepJoin(lrecs, rrecs, func(lrec, rrec string, overlap geom.Rect) {
+	planeSweepJoin(ls, rs, func(lrec, rrec string, overlap geom.Rect) {
 		ref := geom.Point{X: overlap.MinX, Y: overlap.MinY}
 		if ownsRef(cell, g.space, ref) {
 			ctx.Write(lrec + "\t" + rrec)
 		}
 	})
+	return nil
 }
 
-// planeSweepJoin reports every pair of regions with intersecting MBRs via
-// a sweep over x.
-func planeSweepJoin(lrecs, rrecs []string, report func(lrec, rrec string, overlap geom.Rect)) error {
-	type item struct {
-		rec string
-		b   geom.Rect
+// joinItem is one record of a join input and its MBR.
+type joinItem struct {
+	rec string
+	b   geom.Rect
+}
+
+// blockItems pairs the records of blocks with the MBRs the blocks hold.
+func blockItems(blocks []*dfs.Block) ([]joinItem, error) {
+	n := 0
+	for _, b := range blocks {
+		n += b.NumRecords()
 	}
-	parse := func(recs []string) ([]item, error) {
-		out := make([]item, len(recs))
-		for i, r := range recs {
-			rg, err := geomio.DecodeRegion(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = item{rec: r, b: rg.Bounds()}
+	out := make([]joinItem, 0, n)
+	for _, b := range blocks {
+		rects, err := b.Bounds()
+		if err != nil {
+			return nil, err
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].b.MinX < out[j].b.MinX })
-		return out, nil
+		for i, r := range rects {
+			out = append(out, joinItem{rec: b.Record(i), b: r})
+		}
 	}
-	ls, err := parse(lrecs)
-	if err != nil {
-		return err
+	return out, nil
+}
+
+// planeSweepJoin reports every pair of items with intersecting MBRs via a
+// sweep over x. It sorts both inputs in place by MinX.
+func planeSweepJoin(ls, rs []joinItem, report func(lrec, rrec string, overlap geom.Rect)) {
+	byMinX := func(a, b joinItem) int {
+		switch {
+		case a.b.MinX < b.b.MinX:
+			return -1
+		case a.b.MinX > b.b.MinX:
+			return 1
+		}
+		return 0
 	}
-	rs, err := parse(rrecs)
-	if err != nil {
-		return err
-	}
+	slices.SortFunc(ls, byMinX)
+	slices.SortFunc(rs, byMinX)
 	i, j := 0, 0
 	for i < len(ls) && j < len(rs) {
 		if ls[i].b.MinX <= rs[j].b.MinX {
@@ -278,7 +300,6 @@ func planeSweepJoin(lrecs, rrecs []string, report func(lrec, rrec string, overla
 			j++
 		}
 	}
-	return nil
 }
 
 func readJoinOutput(ctx context.Context, sys *core.System, out string, rep *mapreduce.Report) ([]JoinPair, *mapreduce.Report, error) {

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"spatialhadoop/internal/core"
-	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
@@ -121,13 +120,11 @@ func RangeQueryRegions(sys *core.System, file string, query geom.Rect) ([]geom.R
 func rangeRegionsMap(query geom.Rect, disjoint bool, space geom.Rect) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		for _, blk := range split.Blocks {
-			regs, err := BlockRegions(blk)
+			rects, err := blk.Bounds()
 			if err != nil {
 				return err
 			}
-			recs := blk.Records()
-			for i, rg := range regs {
-				b := rg.Bounds()
+			for i, b := range rects {
 				if !b.Intersects(query) {
 					continue
 				}
@@ -139,33 +136,11 @@ func rangeRegionsMap(query geom.Rect, disjoint bool, space geom.Rect) mapreduce.
 					}
 				}
 				ctx.Inc(CounterRangeMatches, 1)
-				ctx.Write(recs[i])
+				ctx.Write(blk.Record(i))
 			}
 		}
 		return nil
 	}
-}
-
-// BlockRegions returns the block's records decoded as regions, cached in
-// the block's generic decoded-payload slot: each region block is parsed
-// once per file lifetime instead of once per map attempt. The returned
-// slice is shared and must not be modified.
-func BlockRegions(b *dfs.Block) ([]geom.Region, error) {
-	v, err := b.Payload(func(recs []string) (any, error) {
-		out := make([]geom.Region, len(recs))
-		for i, r := range recs {
-			rg, err := geomio.DecodeRegion(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = rg
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]geom.Region), nil
 }
 
 // ownsRef reports whether cell owns the reference point under the

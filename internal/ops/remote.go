@@ -149,17 +149,24 @@ func parseJoinTag(tag string) (left, right geom.Rect, err error) {
 }
 
 // indexedJoinMap is the map body of the indexed spatial join: plane-sweep
-// the pair split's two block groups, deduplicating replicated matches
-// with the reference-point rule on each disjoint side.
+// the pair split's two block groups over the MBRs their blocks hold,
+// deduplicating replicated matches with the reference-point rule on each
+// disjoint side.
 func indexedJoinMap(lDisjoint, rDisjoint bool, lSpace, rSpace geom.Rect) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		lBound, rBound, err := parseJoinTag(split.Tag)
 		if err != nil {
 			return err
 		}
-		lrecs := split.Records()
-		rrecs := split.ExtraRecords()
-		return planeSweepJoin(lrecs, rrecs, func(lrec, rrec string, overlap geom.Rect) {
+		ls, err := blockItems(split.Blocks)
+		if err != nil {
+			return err
+		}
+		rs, err := blockItems(split.Extra)
+		if err != nil {
+			return err
+		}
+		planeSweepJoin(ls, rs, func(lrec, rrec string, overlap geom.Rect) {
 			ctx.Inc(CounterJoinCandidates, 1)
 			ref := geom.Point{X: overlap.MinX, Y: overlap.MinY}
 			if lDisjoint && !ownsRef(lBound, lSpace, ref) {
@@ -172,6 +179,7 @@ func indexedJoinMap(lDisjoint, rDisjoint bool, lSpace, rSpace geom.Rect) mapredu
 			}
 			ctx.Write(lrec + "\t" + rrec)
 		})
+		return nil
 	}
 }
 

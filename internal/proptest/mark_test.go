@@ -1,10 +1,12 @@
 package proptest
 
 import (
+	"math"
 	"testing"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/dfs"
+	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/ops"
 )
@@ -52,6 +54,74 @@ func TestPointMarkMeansCanonicalText(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRegionMarkMeansItsBounds: the region mark is a promise about text —
+// a marked block's rect i is, bit for bit, the MBR its record i parses to
+// — and it is what lets the join sweep and the region filters skip the
+// parse. Checked on every block of every generated region file, indexed
+// under every technique and heap, with −0 vertices, multi-ring regions
+// and empty rings among the generated ones; again on each block opened
+// from its frame; and a range job's output, which holds region text,
+// carries no mark.
+func TestRegionMarkMeansItsBounds(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	bits := func(r geom.Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.MinX), math.Float64bits(r.MinY), math.Float64bits(r.MaxX), math.Float64bits(r.MaxY)}
+	}
+	check := func(name string, b *dfs.Block, want byte) {
+		t.Helper()
+		frame := dfs.EncodeBlockFrame(b, false)
+		payload, err := dfs.UnsealShard(frame)
+		if err != nil || payload[0] != want {
+			t.Fatalf("%s: block %d travels as %q (%v), want %q", name, b.ID, payload[:1], err, want)
+		}
+		opened, err := dfs.DecodeBlockFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, blk := range []*dfs.Block{b, opened} {
+			rects, err := blk.Bounds()
+			if err != nil || len(rects) != blk.NumRecords() {
+				t.Fatalf("%s: block %d: %d rects for %d records (%v)", name, b.ID, len(rects), blk.NumRecords(), err)
+			}
+			for i, r := range rects {
+				rg, err := geomio.DecodeRegion(blk.Record(i))
+				if err != nil || bits(r) != bits(rg.Bounds()) {
+					t.Fatalf("%s: block %d record %q holds rect %v, parses to %v (%v)", name, b.ID, blk.Record(i), r, rg.Bounds(), err)
+				}
+			}
+		}
+	}
+	for ti, tech := range Techniques {
+		seed := int64(ti + 1)
+		regs := GenRegions(120, seed)
+		for i := 0; i+1 < len(regs); i += 7 {
+			regs[i] = geom.Region{Rings: []geom.Polygon{regs[i].Rings[0], {}, regs[i+1].Rings[0]}}
+		}
+		regs = append(regs,
+			geom.RegionOf(geom.Polygon{Vertices: []geom.Point{{X: negZero, Y: 0}, {X: 0, Y: negZero}, {X: 0.5, Y: negZero}}}),
+			geom.Region{Rings: []geom.Polygon{{Vertices: []geom.Point{{X: 3, Y: negZero}}}, {}}})
+		sys := core.New(core.Config{BlockSize: 1 << 10, Workers: 4, Seed: seed})
+		if _, err := sys.LoadRegions("regs", regs, tech); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadRegionsHeap("heap", regs); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ops.RangeQueryRegions(sys, "regs", Space); err != nil {
+			t.Fatal(err)
+		}
+		for file, want := range map[string]byte{"regs": dfs.FrameRegions, "heap": dfs.FrameRegions, "regs.range.out": dfs.FrameText} {
+			f, err := sys.FS().Open(file)
+			if err != nil || f.Records < int64(len(regs)) {
+				t.Fatalf("%v: %s: %v, %v", tech, file, f, err)
+			}
+			for _, b := range f.Blocks {
+				check(tech.String()+"/"+file, b, want)
 			}
 		}
 	}

@@ -233,7 +233,7 @@ func TestBlockLadder(t *testing.T) {
 		if want := (readStats{remoteReads: 4, remoteBytes: blocks[0].Bytes + blocks[1].Bytes + blocks[2].Bytes + blocks[4].Bytes}); st != want {
 			t.Errorf("readStats = %+v, want %+v", st, want)
 		}
-		if !reflect.DeepEqual(sp.Records(), whole.Records()) || !reflect.DeepEqual(sp.ExtraRecords(), whole.ExtraRecords()) {
+		if !reflect.DeepEqual(sp.Records(), whole.Records()) || !reflect.DeepEqual(sp.Extra[0].Records(), whole.Extra[0].Records()) {
 			t.Error("assembled split differs from the master's")
 		}
 	})

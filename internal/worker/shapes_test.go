@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,11 +20,13 @@ import (
 
 // TestReplicaFrameShapes: which shape a replica takes is decided by what
 // its block is. After a range job over a LoadPoints file, a kNN job over a
-// LoadPointsHeap file and a join of two region files on a replicating
-// pool, every replica of a point block on every worker's disk is a column
-// frame and every replica of a region block — and of the range job's own
-// output, which a second job reads as input — a text frame; and the jobs
-// answer as the in-process cluster does.
+// LoadPointsHeap file, an indexed join of two LoadRegions files and a PBSM
+// join of a LoadRegionsHeap file with the same regions stored through
+// WriteFile, on a replicating pool: every replica of a point block on
+// every worker's disk is a column frame, every replica of a loaded region
+// block a regions frame, and every replica of the WriteFile input — and of
+// the range job's own output, which a second job reads as input — a text
+// frame; and the jobs answer as the in-process cluster does.
 func TestReplicaFrameShapes(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
 	query, q, k := geom.NewRect(100, 100, 800, 700), geom.Pt(400, 600), 9
@@ -44,6 +47,19 @@ func TestReplicaFrameShapes(t *testing.T) {
 			if _, err := sys.LoadRegions(name, regs, sindex.STR); err != nil {
 				t.Fatal(err)
 			}
+			if name == "a" {
+				if err := sys.LoadRegionsHeap("heap-a", regs); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			recs := make([]string, len(regs))
+			for j, rg := range regs {
+				recs[j] = geomio.EncodeRegion(rg)
+			}
+			if err := sys.FS().WriteFile("text-b", recs); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return sys
 	}
@@ -62,6 +78,10 @@ func TestReplicaFrameShapes(t *testing.T) {
 			func() (*mapreduce.Report, error) { _, rep, err := ops.KNN(sys, "heap", q, k); return rep, err },
 			func() (*mapreduce.Report, error) {
 				_, rep, err := ops.SpatialJoinIndexed(sys, "a", "b")
+				return rep, err
+			},
+			func() (*mapreduce.Report, error) {
+				_, rep, err := ops.SpatialJoinPBSM(sys, "heap-a", "text-b", 3)
 				return rep, err
 			},
 		} {
@@ -113,7 +133,8 @@ func TestReplicaFrameShapes(t *testing.T) {
 
 	for file, shape := range map[string]byte{
 		"pts": dfs.FrameColumn, "heap": dfs.FrameColumn,
-		"a": dfs.FrameText, "b": dfs.FrameText, "pts.range.out": dfs.FrameText,
+		"a": dfs.FrameRegions, "b": dfs.FrameRegions, "heap-a": dfs.FrameRegions,
+		"text-b": dfs.FrameText, "pts.range.out": dfs.FrameText,
 	} {
 		f, err := sys.FS().Open(file)
 		if err != nil {
@@ -146,6 +167,12 @@ func TestReplicaFrameShapes(t *testing.T) {
 				for i, rec := range b.Records() {
 					if opened.Record(i) != rec {
 						t.Fatalf("%s block %d in %s: record %d = %q, want %q", file, b.ID, dir, i, opened.Record(i), rec)
+					}
+				}
+				if shape == dfs.FrameRegions {
+					want, _ := b.Bounds()
+					if got, err := opened.Bounds(); err != nil || !slices.Equal(got, want) {
+						t.Fatalf("%s block %d in %s: the replica's rects differ from the master's (%v)", file, b.ID, dir, err)
 					}
 				}
 			}
