@@ -351,13 +351,10 @@ func (s *System) ReadPoints(name string) ([]geom.Point, error) {
 }
 
 // ReadPointsCtx is ReadPoints under a context, so a request trace on the
-// context records the underlying DFS read as a span.
+// context records the underlying DFS read as a span. A column block — a
+// range job's matches — is read as the points it holds, with no parse.
 func (s *System) ReadPointsCtx(ctx context.Context, name string) ([]geom.Point, error) {
-	recs, err := s.fs.ReadAllCtx(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return geomio.DecodePoints(recs)
+	return s.fs.ReadPointsCtx(ctx, name)
 }
 
 // ReadRegions decodes every region record of a file.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"sync"
 
@@ -176,7 +177,8 @@ func (fs *FileSystem) Scrub() []ScrubIssue {
 // CorruptBlock models a data node damaging block i of the named file:
 // it publishes, under a fresh epoch, a generation identical to the
 // current one except that block i is a copy — same BlockID, placement and
-// stored checksum — with one byte of one record flipped. It is the
+// stored checksum — with one byte of one record flipped, or for a column
+// block one bit of its first point's X. It is the
 // corruption hook used by fault injection and integrity tests. The
 // generation it replaced, and any reader still holding it, is untouched;
 // everyone who opens the file afterwards sees the damage.
@@ -191,14 +193,20 @@ func (fs *FileSystem) CorruptBlock(name string, i int) error {
 		return fmt.Errorf("dfs: %s has no block %d", name, i)
 	}
 	b := f.Blocks[i]
+	bad := &Block{ID: b.ID, Node: b.Node, Partition: b.Partition, Bytes: b.Bytes, crc: b.crc}
 	ri := slices.IndexFunc(b.records, func(rec string) bool { return rec != "" })
-	if ri < 0 {
+	switch {
+	case b.column && len(b.col) > 0:
+		bad.column, bad.col = true, slices.Clone(b.col)
+		bad.col[0].X = math.Float64frombits(math.Float64bits(bad.col[0].X) ^ 1)
+	case ri >= 0:
+		bad.records = slices.Clone(b.records)
+		buf := []byte(bad.records[ri])
+		buf[0] ^= 0x20 // flip one bit of the first byte
+		bad.records[ri] = string(buf)
+	default:
 		return fmt.Errorf("dfs: %s block %d has no corruptible record", name, i)
 	}
-	bad := &Block{ID: b.ID, Node: b.Node, Partition: b.Partition, Bytes: b.Bytes, records: slices.Clone(b.records), crc: b.crc}
-	buf := []byte(bad.records[ri])
-	buf[0] ^= 0x20 // flip one bit of the first byte
-	bad.records[ri] = string(buf)
 	next := &File{Name: name, Blocks: slices.Clone(f.Blocks), Bytes: f.Bytes, Records: f.Records, Master: f.Master}
 	next.Blocks[i] = bad
 	fs.publish(name, next)

@@ -5,15 +5,17 @@
 // sequence of fixed-capacity blocks, each block lives on a data node, and
 // one map task is scheduled per block (or per indexed partition).
 //
-// A block is text records or a point column. Every block a Writer builds
-// holds text; one whose records all came through WritePoint carries a mark
-// saying the text is nothing but points, and such a block crosses the data
-// plane as a column of coordinates (frame.go). The block a worker opens
-// from a column frame holds only the points, behind the same accessors:
-// Points is the column, Record and Records format text on demand. One
-// whose records all came through WriteRegion is marked as regions and
-// holds each record's MBR beside its text, so Bounds parses nothing, here
-// or on the worker the rects travel to.
+// A block is text records or a point column. A block a Writer builds from
+// text holds it; one whose records all came through WritePoint carries a
+// mark saying the text is nothing but points, and such a block crosses the
+// data plane as a column of coordinates (frame.go). The block a worker
+// opens from a column frame holds only the points, behind the same
+// accessors: Points is the column, Record and Records format text on
+// demand — and so does a block a Writer fills with points selected from a
+// block that holds them (WriteSelected), a job's range matches. One whose
+// records all came through WriteRegion is marked as regions and holds each
+// record's MBR beside its text, so Bounds parses nothing, here or on the
+// worker the rects travel to.
 //
 // Files may carry a "master" attachment, mirroring SpatialHadoop's _master
 // index file that describes the spatial partitioning of the data blocks.
@@ -75,8 +77,9 @@ type Block struct {
 	mark  blockMark
 	rects []geom.Rect
 
-	// column marks a block opened from a column frame, whose data is col
-	// and which holds no text until Records formats it.
+	// column marks a block opened from a column frame or written by
+	// WriteSelected from points, whose data is col and which holds no text
+	// until Records formats it.
 	column bool
 	col    []geom.Point
 
@@ -183,6 +186,10 @@ func (b *Block) Points() ([]geom.Point, error) {
 	c.ptsOnce.Do(func() { c.pts, c.ptsErr = geomio.DecodePoints(b.records) })
 	return c.pts, c.ptsErr
 }
+
+// HoldsPoints reports whether the block's records are points in their one
+// spelling, so Points reproduces its text: a column, or point-marked text.
+func (b *Block) HoldsPoints() bool { return b.column || b.mark == pointMark }
 
 // Bounds returns the MBR of each record, index-aligned with Records, for
 // callers that need only MBRs (the join's sweep, region range filters). A
@@ -429,6 +436,9 @@ func (w *Writer) sealCur() {
 	if cap(b.rects)-len(b.rects) > len(b.rects)/8 {
 		b.rects = slices.Clone(b.rects)
 	}
+	if cap(b.col)-len(b.col) > len(b.col)/8 {
+		b.col = slices.Clone(b.col)
+	}
 	b.seal()
 }
 
@@ -450,15 +460,32 @@ func (w *Writer) WritePoint(rec string) { w.write(rec, pointMark, geom.Rect{}) }
 // (frame.go). One other write into the block and it is a text block.
 func (w *Writer) WriteRegion(rec string, mbr geom.Rect) { w.write(rec, regionMark, mbr) }
 
+// WriteSelected appends records ids of src, in that order: what a map
+// task selected from its input instead of copying it out. When src holds
+// points and pts are theirs (pts[k] is record ids[k]'s point), the records
+// land in column blocks and no text is stored; Bytes still grows by each
+// record's text size, so blocks are cut where writing the text would cut
+// them. Otherwise the records are src's own strings, under src's mark (and
+// rects). Text and column records never share a block: switching cuts.
+func (w *Writer) WriteSelected(src *Block, ids []int, pts []geom.Point) {
+	if src.HoldsPoints() && len(pts) == len(ids) {
+		for k, id := range ids {
+			b := w.next(len(src.Record(id)), true)
+			b.col = append(b.col, pts[k])
+		}
+		return
+	}
+	for _, id := range ids {
+		var mbr geom.Rect
+		if src.mark == regionMark {
+			mbr = src.rects[id]
+		}
+		w.write(src.Record(id), src.mark, mbr)
+	}
+}
+
 func (w *Writer) write(rec string, m blockMark, mbr geom.Rect) {
-	if w.closed {
-		panic("dfs: write on closed writer")
-	}
-	sz := int64(len(rec)) + 1 // newline accounting
-	if w.cur == nil || w.cur.Bytes+sz > w.fs.cfg.BlockSize && w.cur.Bytes > 0 {
-		w.cut()
-	}
-	b := w.cur
+	b := w.next(len(rec), false)
 	switch {
 	case len(b.records) == 0:
 		b.mark = m // the first write names the block's mark
@@ -469,9 +496,23 @@ func (w *Writer) write(rec string, m blockMark, mbr geom.Rect) {
 		b.rects = append(b.rects, mbr)
 	}
 	b.records = append(b.records, rec)
-	b.Bytes += sz
+}
+
+// next accounts one record of size text bytes and returns the block it
+// goes to, cutting when the current one is full or holds the other form.
+func (w *Writer) next(size int, column bool) *Block {
+	if w.closed {
+		panic("dfs: write on closed writer")
+	}
+	sz := int64(size) + 1 // newline accounting
+	if b := w.cur; b == nil || b.Bytes+sz > w.fs.cfg.BlockSize && b.Bytes > 0 || b.column != column {
+		w.cut()
+		w.cur.column = column
+	}
+	w.cur.Bytes += sz
 	w.file.Bytes += sz
 	w.file.Records++
+	return w.cur
 }
 
 // cut seals the current block and starts a new one on the next data node
@@ -569,6 +610,28 @@ func (fs *FileSystem) ReadAll(name string) ([]string, error) {
 // through the Sink indirection; only tracing couples dfs to obs, which
 // is a leaf package.
 func (fs *FileSystem) ReadAllCtx(ctx context.Context, name string) ([]string, error) {
+	return readFile(fs, ctx, name, func(out []string, b *Block) ([]string, error) {
+		return append(out, b.Records()...), nil
+	})
+}
+
+// ReadPointsCtx is ReadAllCtx for a file of points, parsed: a column
+// block's points are taken as they are, and a text block is parsed
+// without keeping the parse on the block — a whole-file read is one-shot
+// work and must not leave a decoded copy resident.
+func (fs *FileSystem) ReadPointsCtx(ctx context.Context, name string) ([]geom.Point, error) {
+	return readFile(fs, ctx, name, func(out []geom.Point, b *Block) ([]geom.Point, error) {
+		if b.column {
+			return append(out, b.col...), nil
+		}
+		pts, err := geomio.DecodePoints(b.records)
+		return append(out, pts...), err
+	})
+}
+
+// readFile is one whole-file read under its "dfs.read" span and read
+// metrics: each block, verified, is appended to the result in order.
+func readFile[T any](fs *FileSystem, ctx context.Context, name string, appendBlock func([]T, *Block) ([]T, error)) ([]T, error) {
 	_, span := obs.StartSpan(ctx, "dfs.read")
 	defer span.End()
 	span.SetAttr("file", name)
@@ -582,7 +645,7 @@ func (fs *FileSystem) ReadAllCtx(ctx context.Context, name string) ([]string, er
 		s.Inc(MetricBlocksRead, int64(len(f.Blocks)))
 		s.Inc(MetricRecordsRead, f.Records)
 	}
-	out := make([]string, 0, f.Records)
+	out := make([]T, 0, f.Records)
 	for _, b := range f.Blocks {
 		if err := b.VerifyCached(); err != nil {
 			if s := fs.sink(); s != nil {
@@ -590,7 +653,9 @@ func (fs *FileSystem) ReadAllCtx(ctx context.Context, name string) ([]string, er
 			}
 			return nil, fmt.Errorf("dfs: %s: %w", name, err)
 		}
-		out = append(out, b.Records()...)
+		if out, err = appendBlock(out, b); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

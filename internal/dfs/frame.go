@@ -17,7 +17,9 @@ import (
 // block, not a choice of the sender:
 //
 //	'P'  point column, for a block the writer marked as nothing but points
-//	     (Writer.WritePoint) or one opened from such a frame:
+//	     (Writer.WritePoint), one it wrote as a column of selected points
+//	     (Writer.WriteSelected, a range job's matches) or one opened from
+//	     such a frame:
 //	       uvarint  point count n
 //	       uvarint  the block's Bytes (its text size, newline per record)
 //	       16 B × n X then Y of each point, little-endian IEEE-754 bits
@@ -26,7 +28,7 @@ import (
 //	       uvarint  rect count n
 //	       32 B × n each record's MBR, wirefmt's Rect
 //	       then the records as the text shape lays them out, n of them
-//	'T'  text, for every other block (job outputs, copies):
+//	'T'  text, for every other block (join and CG outputs, copies):
 //	       uvarint  record count n
 //	       n ×      uvarint record length, then the record
 //

@@ -145,6 +145,7 @@ type TaskContext struct {
 	split   *Split // nil in reduce tasks
 	metrics *obs.TaskMetrics
 	out     []string
+	sel     []Selection // direct output given as selections
 	// shards is the map-side partitioned shuffle output: emitted pairs are
 	// bucketed by reducer as they are produced, so the master-side shuffle
 	// only concatenates per-reducer runs instead of hashing every pair in
@@ -200,6 +201,59 @@ func (c *TaskContext) numEmitted() int {
 // succeeds, so task retries do not duplicate output.
 func (c *TaskContext) Write(record string) {
 	c.out = append(c.out, record)
+}
+
+// WriteSelected writes records ids of the split's block-th block, in that
+// order (ids ascend), to the job output like Write — but as a selection,
+// not as text: the master writes the records from its own copy of the
+// block, so an attempt formats nothing it only passes on. When the block
+// holds points, the selection carries theirs, and the output stores them
+// as a column. An attempt either Writes or selects: both fail it.
+func (c *TaskContext) WriteSelected(block int, ids []int) {
+	if len(ids) > 0 {
+		c.sel = append(c.sel, Selection{Block: block, IDs: ids})
+	}
+}
+
+// Selection is direct output given as records of one block of a map
+// task's split (TaskContext.WriteSelected).
+type Selection struct {
+	// Block is the block's ordinal in Split.Blocks.
+	Block int
+	// IDs are the selected records, ascending.
+	IDs []int
+	// Pts are the records' points, when the block holds points; else none.
+	Pts []geom.Point
+}
+
+// source returns the block s selects from in split, checking that s fits
+// it: the block exists, the ids ascend within it, and the points are one
+// per id or none.
+func (s *Selection) source(split *Split) (*dfs.Block, error) {
+	if s.Block < 0 || s.Block >= len(split.Blocks) {
+		return nil, fmt.Errorf("mapreduce: selection from block %d outside the split", s.Block)
+	}
+	b := split.Blocks[s.Block]
+	if len(s.Pts) != 0 && len(s.Pts) != len(s.IDs) {
+		return nil, fmt.Errorf("mapreduce: selection of %d records carries %d points", len(s.IDs), len(s.Pts))
+	}
+	prev := -1
+	for _, id := range s.IDs {
+		if id <= prev || id >= b.NumRecords() {
+			return nil, fmt.Errorf("mapreduce: selection of record %d after %d from a block of %d", id, prev, b.NumRecords())
+		}
+		prev = id
+	}
+	return b, nil
+}
+
+// selected is how many records sel names.
+func selected(sel []Selection) int64 {
+	n := 0
+	for _, s := range sel {
+		n += len(s.IDs)
+	}
+	return int64(n)
 }
 
 // Inc adds delta to a named job counter. The increment lands in the task's
@@ -535,6 +589,7 @@ type jobRun struct {
 
 type mapResult struct {
 	out []string
+	sel []Selection
 	// pairs/bytes are the task's shuffle totals, computed once per attempt
 	// and reused by both the task counters and the shuffle span, so the two
 	// never disagree.
@@ -665,7 +720,7 @@ func (j *jobRun) mapPhase(ctx context.Context) error {
 			tm.Observe(HistMapTaskShuffleBytes, float64(res.bytes))
 			return attemptOut{
 				recordsIn:  res.recordsIn,
-				recordsOut: res.pairs + int64(len(res.out)),
+				recordsOut: res.pairs + int64(len(res.out)) + selected(res.sel),
 				bytes:      res.bytes,
 				apply: func(dur time.Duration) {
 					tm.Observe(HistMapTaskDurationUS, float64(dur.Microseconds()))
@@ -674,7 +729,7 @@ func (j *jobRun) mapPhase(ctx context.Context) error {
 					// reducers read exactly one attempt's shards, whichever
 					// attempt won.
 					res.publish()
-					j.maps[i] = mapResult{out: res.out, pairs: res.pairs, bytes: res.bytes, dur: dur}
+					j.maps[i] = mapResult{out: res.out, sel: res.sel, pairs: res.pairs, bytes: res.bytes, dur: dur}
 				},
 			}, nil
 		})
@@ -758,13 +813,9 @@ func (j *jobRun) reducePhase(ctx context.Context) error {
 func (j *jobRun) commitPhase(ctx context.Context) error {
 	ctx, span := startPhase(ctx, obs.PhaseCommit)
 	defer span.End()
-	var directOut []string
-	for _, r := range j.maps {
-		directOut = append(directOut, r.out...)
-	}
 	cs := newSched(j.c, j.rj, obs.PhaseCommit, j.pol, CounterRetryCommit)
 	err := cs.retry(ctx, newSchedTask(0, "commit", ""), func(attempt *obs.Span, _ int, _ fault.Decision) error {
-		n, err := j.c.writeOutput(j.rj.job, directOut, j.reduceOut)
+		n, err := j.writeOutput()
 		if err != nil {
 			return err
 		}
@@ -782,17 +833,30 @@ func (j *jobRun) commitPhase(ctx context.Context) error {
 
 // writeOutput is one attempt of the commit step: it writes the buffered
 // map/reduce output to a new generation of the output file, publishes it
-// and returns the record count.
-func (c *Cluster) writeOutput(job *Job, directOut []string, reduceOut [][]string) (int64, error) {
-	w, err := c.fs.CreateOrReplace(job.Output)
+// and returns the record count. A map task's selections are resolved
+// against the master's own split, so the records written are its copies;
+// one that does not fit the split publishes nothing.
+func (j *jobRun) writeOutput() (int64, error) {
+	w, err := j.c.fs.CreateOrReplace(j.rj.job.Output)
 	if err != nil {
 		return 0, err
 	}
-	n := len(directOut)
-	for _, rec := range directOut {
-		w.WriteRecord(rec)
+	n := 0
+	for task, r := range j.maps {
+		n += len(r.out)
+		for _, rec := range r.out {
+			w.WriteRecord(rec)
+		}
+		for _, s := range r.sel {
+			src, err := s.source(j.splits[task])
+			if err != nil {
+				return 0, fmt.Errorf("mapreduce: map task %d: %w", task, err)
+			}
+			n += len(s.IDs)
+			w.WriteSelected(src, s.IDs, s.Pts)
+		}
 	}
-	for _, part := range reduceOut {
+	for _, part := range j.reduceOut {
 		n += len(part)
 		for _, rec := range part {
 			w.WriteRecord(rec)
@@ -806,8 +870,10 @@ func (c *Cluster) writeOutput(job *Job, directOut []string, reduceOut [][]string
 // runner executed it.
 type attemptResult struct {
 	// out is a map attempt's direct (early-flush) output, or a reduce
-	// attempt's partition output.
+	// attempt's partition output; sel is a map attempt's direct output
+	// given as selections.
 	out []string
+	sel []Selection
 	// pairs/bytes are a map attempt's shuffle totals.
 	pairs, bytes int64
 	// recordsIn is the attempt's input record (map) or value (reduce) count.
@@ -856,7 +922,7 @@ type localRunner struct {
 // the emitted shards.
 func (l *localRunner) execMap(task, attempt int) (attemptResult, [][]Pair, error) {
 	split := l.splits[task]
-	shards, out, tm, err := ExecMapAttempt(l.rj.kf, l.rj.job.Conf, split, l.rj.nshards, attempt)
+	shards, out, sel, tm, err := ExecMapAttempt(l.rj.kf, l.rj.job.Conf, split, l.rj.nshards, attempt)
 	if err != nil {
 		if errors.Is(err, dfs.ErrChecksum) {
 			l.rj.reg.Inc(CounterChecksumFailures, 1)
@@ -864,7 +930,7 @@ func (l *localRunner) execMap(task, attempt int) (attemptResult, [][]Pair, error
 		return attemptResult{}, nil, err
 	}
 	pairs, bytes := ShardTotals(shards)
-	return attemptResult{out: out, pairs: pairs, bytes: bytes, recordsIn: int64(split.NumRecords()), tm: tm}, shards, nil
+	return attemptResult{out: out, sel: sel, pairs: pairs, bytes: bytes, recordsIn: int64(split.NumRecords()), tm: tm}, shards, nil
 }
 
 func (l *localRunner) mapAttempt(task, attempt int) (attemptResult, error) {
@@ -918,7 +984,8 @@ func (l *localRunner) close() {}
 
 // ExecMapAttempt executes one map attempt of a job kind's functions under
 // the job's conf, applying the combiner to its output, and returns the
-// task's emitted pairs bucketed by reducer shard plus its direct output.
+// task's emitted pairs bucketed by reducer shard plus its direct output,
+// written or selected.
 // The attempt's metrics stay in the returned TaskMetrics buffer; the
 // caller merges it into the job registry only on success, so a failed
 // attempt's counts (including the combiner re-run) are discarded with it.
@@ -927,11 +994,11 @@ func (l *localRunner) close() {}
 // map attempt body: the in-process runner and a worker both call it, with
 // functions both built from the same kind, so their shards and output are
 // byte-identical by construction.
-func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards, attempt int) ([][]Pair, []string, *obs.TaskMetrics, error) {
+func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards, attempt int) ([][]Pair, []string, []Selection, *obs.TaskMetrics, error) {
 	for _, group := range [][]*dfs.Block{split.Blocks, split.Extra} {
 		for _, b := range group {
 			if err := b.VerifyCached(); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, nil, nil, err
 			}
 		}
 	}
@@ -939,7 +1006,7 @@ func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards,
 	ctx := &TaskContext{conf: conf, split: split, metrics: tm, nshards: nshards, attempt: attempt}
 	tm.Inc(CounterMapRecordsIn, int64(split.NumRecords()))
 	if err := kf.Map(ctx, split); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	shards := ctx.shards
 	if kf.Combine != nil && ctx.numEmitted() > 0 {
@@ -961,20 +1028,42 @@ func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards,
 			}
 			for _, k := range order {
 				if err := kf.Combine(cctx, k, grouped[k]); err != nil {
-					return nil, nil, nil, err
+					return nil, nil, nil, nil, err
 				}
 			}
 		}
 		// Direct writes from the combiner join the map task's output.
 		ctx.out = append(ctx.out, cctx.out...)
+		ctx.sel = append(ctx.sel, cctx.sel...)
 		shards = cctx.shards
+	}
+	if len(ctx.out) > 0 && len(ctx.sel) > 0 {
+		return nil, nil, nil, nil, errors.New("mapreduce: a map attempt both wrote and selected its output")
+	}
+	// Every selection must fit the split — the wire carries only ascending
+	// ids — and one from a block that holds points carries them.
+	for i := range ctx.sel {
+		s := &ctx.sel[i]
+		b, err := s.source(split)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		if !b.HoldsPoints() {
+			continue
+		}
+		if all, err := b.Points(); err == nil {
+			s.Pts = make([]geom.Point, len(s.IDs))
+			for k, id := range s.IDs {
+				s.Pts[k] = all[id]
+			}
+		}
 	}
 	emitted := 0
 	for _, shard := range shards {
 		emitted += len(shard)
 	}
 	tm.Inc(CounterMapRecordsOut, int64(emitted))
-	return shards, ctx.out, tm, nil
+	return shards, ctx.out, ctx.sel, tm, nil
 }
 
 // partitionOf hashes a key to a reducer index with an inlined FNV-1a loop.

@@ -115,6 +115,7 @@ type dispatchResult struct {
 	workerAddr string
 
 	out       []string
+	sel       []Selection
 	metrics   obs.TaskMetricsWire
 	recordsIn int64
 	pairs     int64
@@ -792,6 +793,7 @@ func (s *masterService) TaskDone(args TaskDoneArgs, reply *TaskDoneReply) error 
 		workerID:   args.WorkerID,
 		workerAddr: addr,
 		out:        args.Out,
+		sel:        args.Selected,
 		metrics:    args.Metrics,
 		recordsIn:  args.RecordsIn,
 		pairs:      args.Pairs,

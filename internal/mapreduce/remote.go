@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -101,6 +102,9 @@ func ExecReduceAttempt(kf KindFuncs, conf map[string]string, groups map[string][
 		if err := kf.Reduce(rctx, k, groups[k]); err != nil {
 			return nil, 0, nil, err
 		}
+	}
+	if len(rctx.sel) > 0 {
+		return nil, 0, nil, errors.New("mapreduce: a reduce attempt selected output; it has no split to select from")
 	}
 	tm.Observe(HistReducePartRecords, float64(valuesIn))
 	return rctx.out, valuesIn, tm, nil

@@ -165,7 +165,7 @@ func (r *remoteRun) mapAttempt(task, attempt int) (attemptResult, error) {
 		return attemptResult{}, err
 	}
 	return attemptResult{
-		out: res.out, pairs: res.pairs, bytes: res.bytes,
+		out: res.out, sel: res.sel, pairs: res.pairs, bytes: res.bytes,
 		recordsIn: res.recordsIn, tm: obs.ImportTaskMetrics(res.metrics),
 		publish: func() {
 			r.setLoc(task, shardLoc{addr: res.workerAddr, attempt: attempt, worker: res.workerID})

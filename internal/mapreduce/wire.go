@@ -236,8 +236,11 @@ type TaskDoneArgs struct {
 	LostMaps  []int
 
 	// Out is the attempt's direct (early-flush) output for map tasks, or
-	// the reduce partition's output for reduce tasks.
-	Out []string
+	// the reduce partition's output for reduce tasks. Selected is a map
+	// attempt's direct output given as records of its split's blocks: the
+	// master writes them from its own copies, and no text crosses.
+	Out      []string
+	Selected []Selection
 	// Metrics is the attempt's task-local counter/observation buffer; the
 	// master merges it through the win gate exactly like an in-process
 	// attempt's buffer.
@@ -272,6 +275,34 @@ func (a *TaskDoneArgs) wire(c *wirefmt.Codec) {
 	for _, v := range [...]*int64{&a.RecordsIn, &a.Pairs, &a.Bytes, &a.LocalReads, &a.LocalBytes, &a.RemoteReads, &a.RemoteBytes} {
 		c.Int64(v)
 	}
+	wirefmt.Slice(c, &a.Selected, 3, func(c *wirefmt.Codec, s *Selection) { s.wire(c) })
+}
+
+// wire lays a selection out as its block ordinal, its ids delta-coded —
+// each the gap to the one before, the first's to -1, so a run of
+// neighbours takes a byte an id and a gap of 0 (ids not ascending) is
+// malformed — then its points, one per id or none, as a column.
+func (s *Selection) wire(c *wirefmt.Codec) {
+	c.Int(&s.Block)
+	wirefmt.Len(c, &s.IDs, 1)
+	prev := -1
+	for i := range s.IDs {
+		gap := uint64(s.IDs[i] - prev)
+		c.Uvarint(&gap)
+		if c.Decoding() {
+			if s.IDs[i] = prev + int(gap); s.IDs[i] <= prev { // a zero gap, or past MaxInt
+				c.Fail("selected id gap %d after id %d", gap, prev)
+				return
+			}
+		}
+		prev = s.IDs[i]
+	}
+	wirefmt.Len(c, &s.Pts, 16)
+	if n := len(s.Pts); n != 0 && n != len(s.IDs) {
+		c.Fail("%d points for %d selected ids", n, len(s.IDs))
+		return
+	}
+	c.Points(s.Pts)
 }
 
 // TaskDoneReply acknowledges a completion report.

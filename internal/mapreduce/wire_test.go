@@ -462,7 +462,12 @@ func wireSamples() []wireMessage {
 			Sources: []ShardSource{{Task: 1, Attempt: 2, Addr: "127.0.0.1:1"}, {}}, Meta: &WireSplitMeta{},
 		},
 		&TaskDoneArgs{},
-		&TaskDoneArgs{LostMaps: []int{}, Out: []string{}, Metrics: obs.TaskMetricsWire{Counters: map[string]int64{}, Observations: map[string][]float64{}}},
+		&TaskDoneArgs{LostMaps: []int{}, Out: []string{}, Selected: []Selection{}, Metrics: obs.TaskMetricsWire{Counters: map[string]int64{}, Observations: map[string][]float64{}}},
+		&TaskDoneArgs{Selected: []Selection{
+			{Block: 2, IDs: []int{0, 1, 2, 300, 1 << 40}, Pts: []geom.Point{{X: odd[0], Y: odd[1]}, {X: odd[2], Y: odd[3]}, {X: 1, Y: 2}, {}, {X: odd[5], Y: odd[6]}}},
+			{Block: -1, IDs: []int{math.MaxInt - 1}},
+			{IDs: []int{}, Pts: []geom.Point{}},
+		}},
 		&TaskDoneArgs{
 			WorkerID: 1, DispatchID: math.MaxInt64, Err: "boom", Transient: true, LostMaps: []int{0, -3, 1 << 40},
 			Out: []string{"", "1,2", "\xff\xfe", strings.Repeat("r", 300)},
@@ -660,6 +665,8 @@ func TestWireRejectsMalformed(t *testing.T) {
 	// the ones a message's own shape makes.
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	noMeta := []byte{0}
+	// done is a TaskDoneArgs body up to its selections: every field zero.
+	done := cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
 	for name, tc := range map[string]struct {
 		msg  wireMessage
 		body []byte
@@ -677,6 +684,12 @@ func TestWireRejectsMalformed(t *testing.T) {
 		"lost maps count beyond":          {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(1<<20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))},
 		"out count beyond":                {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 1<<20, 0, 0, 0, 0, 0, 0, 0, 0, 0))},
 		"observation values beyond":       {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 1), str("h"), uvarints(1<<20), le64(1), uvarints(0, 0, 0, 0, 0, 0, 0))},
+		"selections count beyond":         {new(TaskDoneArgs), cat(done, uvarints(1<<20, 0, 0, 0))},
+		"selected ids count beyond":       {new(TaskDoneArgs), cat(done, uvarints(1, 0, 1<<20, 1, 2, 0))},
+		"selected ids not ascending":      {new(TaskDoneArgs), cat(done, uvarints(1, 0, 3, 1, 1, 0, 0))},
+		"selected id beyond an int":       {new(TaskDoneArgs), cat(done, uvarints(1, 0, 2, 1, math.MaxUint64, 0))},
+		"selected points not one per id":  {new(TaskDoneArgs), cat(done, uvarints(1, 0, 2, 1, 1, 1), le64(0, 0))},
+		"selected points count beyond":    {new(TaskDoneArgs), cat(done, uvarints(1, 0, 1, 1, 1<<20), le64(0, 0))},
 	} {
 		var err error
 		if n := allocBytes(20, func() { _, err = decodeAs(tc.msg, tc.body) }); n > 4<<10 {

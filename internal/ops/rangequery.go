@@ -119,11 +119,12 @@ func RangeQueryRegions(sys *core.System, file string, query geom.Rect) ([]geom.R
 // that owns the reference point, space being the index's.
 func rangeRegionsMap(query geom.Rect, disjoint bool, space geom.Rect) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-		for _, blk := range split.Blocks {
+		for bi, blk := range split.Blocks {
 			rects, err := blk.Bounds()
 			if err != nil {
 				return err
 			}
+			var ids []int
 			for i, b := range rects {
 				if !b.Intersects(query) {
 					continue
@@ -136,8 +137,9 @@ func rangeRegionsMap(query geom.Rect, disjoint bool, space geom.Rect) mapreduce.
 					}
 				}
 				ctx.Inc(CounterRangeMatches, 1)
-				ctx.Write(blk.Record(i))
+				ids = append(ids, i)
 			}
+			ctx.WriteSelected(bi, ids)
 		}
 		return nil
 	}

@@ -71,7 +71,7 @@ func (c *confReader) int(key string) int {
 func rangePointsMap(query geom.Rect) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		countPartitionRecords(ctx, split)
-		for _, b := range split.Blocks {
+		for bi, b := range split.Blocks {
 			ids, err := blockRangeIDs(b, query)
 			if err != nil {
 				return err
@@ -82,9 +82,7 @@ func rangePointsMap(query geom.Rect) mapreduce.MapFunc {
 			}
 			ctx.Inc(CounterRangeMatches, int64(len(ids)))
 			countPartitionMatches(ctx, split, int64(len(ids)))
-			for _, id := range ids {
-				ctx.Write(b.Record(id))
-			}
+			ctx.WriteSelected(bi, ids)
 		}
 		return nil
 	}

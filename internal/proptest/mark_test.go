@@ -15,8 +15,9 @@ import (
 // — a marked block's every record is geomio.EncodePoint of the point it
 // parses to — and it is what lets a worker format a record from a column
 // and get the stored bytes. Checked on every block of every generated
-// point file, indexed and heap, under every technique and shape; and a
-// job's own output, which holds the same text, carries no mark.
+// point file, indexed and heap, under every technique and shape; and on
+// a range job's output, a column of the points it selected, which formats
+// the records it selected byte for byte.
 func TestPointMarkMeansCanonicalText(t *testing.T) {
 	tag := func(b *dfs.Block) byte {
 		payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b, false))
@@ -39,7 +40,7 @@ func TestPointMarkMeansCanonicalText(t *testing.T) {
 			if _, _, err := ops.RangeQueryPoints(sys, "pts", Space); err != nil {
 				t.Fatal(err)
 			}
-			for file, want := range map[string]byte{"pts": dfs.FrameColumn, "heap": dfs.FrameColumn, "pts.range.out": dfs.FrameText} {
+			for file, want := range map[string]byte{"pts": dfs.FrameColumn, "heap": dfs.FrameColumn, "pts.range.out": dfs.FrameColumn} {
 				f, err := sys.FS().Open(file)
 				if err != nil || f.Records != int64(len(pts)) {
 					t.Fatalf("%v/%v: %s: %v, %v", shape, tech, file, f, err)
@@ -55,6 +56,29 @@ func TestPointMarkMeansCanonicalText(t *testing.T) {
 					}
 				}
 			}
+			in, err := sys.Open("pts")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var selected []string
+			for _, sp := range in.Splits() {
+				for _, b := range sp.Blocks {
+					selected = append(selected, b.Records()...)
+				}
+			}
+			out, err := sys.FS().Open("pts.range.out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := 0
+			for _, b := range out.Blocks {
+				for _, rec := range b.Records() {
+					if rec != selected[k] {
+						t.Fatalf("%v/%v: output record %d is %q, selected %q", shape, tech, k, rec, selected[k])
+					}
+					k++
+				}
+			}
 		}
 	}
 }
@@ -65,8 +89,8 @@ func TestPointMarkMeansCanonicalText(t *testing.T) {
 // parse. Checked on every block of every generated region file, indexed
 // under every technique and heap, with −0 vertices, multi-ring regions
 // and empty rings among the generated ones; again on each block opened
-// from its frame; and a range job's output, which holds region text,
-// carries no mark.
+// from its frame; and on a range job's output, whose records are the
+// selected regions' own text and rects.
 func TestRegionMarkMeansItsBounds(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	bits := func(r geom.Rect) [4]uint64 {
@@ -115,7 +139,7 @@ func TestRegionMarkMeansItsBounds(t *testing.T) {
 		if _, _, err := ops.RangeQueryRegions(sys, "regs", Space); err != nil {
 			t.Fatal(err)
 		}
-		for file, want := range map[string]byte{"regs": dfs.FrameRegions, "heap": dfs.FrameRegions, "regs.range.out": dfs.FrameText} {
+		for file, want := range map[string]byte{"regs": dfs.FrameRegions, "heap": dfs.FrameRegions, "regs.range.out": dfs.FrameRegions} {
 			f, err := sys.FS().Open(file)
 			if err != nil || f.Records < int64(len(regs)) {
 				t.Fatalf("%v: %s: %v, %v", tech, file, f, err)

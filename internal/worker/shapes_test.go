@@ -20,13 +20,15 @@ import (
 
 // TestReplicaFrameShapes: which shape a replica takes is decided by what
 // its block is. After a range job over a LoadPoints file, a kNN job over a
-// LoadPointsHeap file, an indexed join of two LoadRegions files and a PBSM
+// LoadPointsHeap file, an indexed join of two LoadRegions files, a PBSM
 // join of a LoadRegionsHeap file with the same regions stored through
-// WriteFile, on a replicating pool: every replica of a point block on
-// every worker's disk is a column frame, every replica of a loaded region
-// block a regions frame, and every replica of the WriteFile input — and of
-// the range job's own output, which a second job reads as input — a text
-// frame; and the jobs answer as the in-process cluster does.
+// WriteFile and a region range job, on a replicating pool: every replica
+// of a point block on every worker's disk is a column frame — the range
+// job's own output too, which a second job reads as input — every replica
+// of a loaded region block a regions frame, and every replica of the
+// WriteFile input a text frame; the jobs answer as the in-process cluster
+// does; and the outputs take the shape of what their jobs selected —
+// range matches of points a column, of regions regions — or text.
 func TestReplicaFrameShapes(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
 	query, q, k := geom.NewRect(100, 100, 800, 700), geom.Pt(400, 600), 9
@@ -63,9 +65,9 @@ func TestReplicaFrameShapes(t *testing.T) {
 		}
 		return sys
 	}
-	// run returns each job's raw output; the second range job reads the
-	// first one's output file.
-	run := func(sys *core.System) (out [][]string) {
+	// run returns each job's raw output and output file; the second range
+	// job reads the first one's output file.
+	run := func(sys *core.System) (out [][]string, files []string) {
 		for _, job := range []func() (*mapreduce.Report, error){
 			func() (*mapreduce.Report, error) {
 				_, rep, err := ops.RangeQueryPoints(sys, "pts", query)
@@ -84,6 +86,10 @@ func TestReplicaFrameShapes(t *testing.T) {
 				_, rep, err := ops.SpatialJoinPBSM(sys, "heap-a", "text-b", 3)
 				return rep, err
 			},
+			func() (*mapreduce.Report, error) {
+				_, rep, err := ops.RangeQueryRegions(sys, "a", query)
+				return rep, err
+			},
 		} {
 			rep, err := job()
 			if err != nil {
@@ -93,11 +99,11 @@ func TestReplicaFrameShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, recs)
+			out, files = append(out, recs), append(files, rep.OutputFile)
 		}
-		return out
+		return out, files
 	}
-	want := run(load())
+	want, _ := run(load())
 
 	sys := load()
 	m, err := sys.Cluster().StartMaster(mapreduce.MasterOptions{HeartbeatEvery: 5 * time.Millisecond, Lease: time.Second, Replication: 2})
@@ -119,7 +125,7 @@ func TestReplicaFrameShapes(t *testing.T) {
 			t.Fatal("workers never registered")
 		}
 	}
-	got := run(sys)
+	got, outputs := run(sys)
 	for i := range want {
 		if len(want[i]) == 0 || len(got[i]) != len(want[i]) {
 			t.Fatalf("job %d: %d records on the pool, %d in process (want some)", i, len(got[i]), len(want[i]))
@@ -134,7 +140,7 @@ func TestReplicaFrameShapes(t *testing.T) {
 	for file, shape := range map[string]byte{
 		"pts": dfs.FrameColumn, "heap": dfs.FrameColumn,
 		"a": dfs.FrameRegions, "b": dfs.FrameRegions, "heap-a": dfs.FrameRegions,
-		"text-b": dfs.FrameText, "pts.range.out": dfs.FrameText,
+		"text-b": dfs.FrameText, "pts.range.out": dfs.FrameColumn,
 	} {
 		f, err := sys.FS().Open(file)
 		if err != nil {
@@ -185,13 +191,42 @@ func TestReplicaFrameShapes(t *testing.T) {
 			t.Errorf("%s: no replica of any of its %d blocks on any worker's disk", file, len(f.Blocks))
 		}
 	}
-	// The job output looks like points and parses like points; it is text
-	// because no WritePoint wrote it.
-	recs, err := sys.FS().ReadAll("pts.range.out")
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("range output: %d records, %v", len(recs), err)
-	}
-	if p, err := geomio.DecodePoint(recs[0]); err != nil || geomio.EncodePoint(p) != recs[0] {
-		t.Fatalf("range output record %q is not a point in its one spelling (%v)", recs[0], err)
+	// Each output is shaped by what its job selected, and a column output
+	// formats, byte for byte, the records its job selected: those inside
+	// the query, in split order, of the file it read.
+	for i, shape := range []byte{dfs.FrameColumn, dfs.FrameColumn, dfs.FrameText, dfs.FrameText, dfs.FrameText, dfs.FrameRegions} {
+		f, err := sys.FS().Open(outputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range f.Blocks {
+			if payload, _ := dfs.UnsealShard(dfs.EncodeBlockFrame(b, false)); payload[0] != shape {
+				t.Errorf("job %d: output block %d is a %q frame, want %q", i, b.ID, payload[0], shape)
+			}
+		}
+		if shape != dfs.FrameColumn {
+			continue
+		}
+		in, err := sys.Open([]string{"pts", "pts.range.out"}[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var matches []string
+		for _, sp := range in.Splits() {
+			for _, b := range sp.Blocks {
+				for _, rec := range b.Records() {
+					if p, err := geomio.DecodePoint(rec); err == nil && query.ContainsPoint(p) {
+						matches = append(matches, rec)
+					}
+				}
+			}
+		}
+		var recs []string
+		for _, b := range f.Blocks {
+			recs = append(recs, b.Records()...)
+		}
+		if !slices.Equal(recs, matches) {
+			t.Errorf("job %d: output column formats %d records, not the %d it selected", i, len(recs), len(matches))
+		}
 	}
 }

@@ -315,7 +315,7 @@ func (w *Worker) runMap(id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDon
 	if err != nil {
 		return fail(&res, err) // permanent: the worker cannot run this kind
 	}
-	shards, out, tm, err := mapreduce.ExecMapAttempt(kf, t.Conf, split, t.NumShards, t.Attempt)
+	shards, out, sel, tm, err := mapreduce.ExecMapAttempt(kf, t.Conf, split, t.NumShards, t.Attempt)
 	if err != nil {
 		return fail(&res, err)
 	}
@@ -332,7 +332,7 @@ func (w *Worker) runMap(id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDon
 		}
 	}
 	pairs, bytes := mapreduce.ShardTotals(shards)
-	res.Out = out
+	res.Out, res.Selected = out, sel
 	res.Metrics = tm.Export()
 	res.RecordsIn = int64(split.NumRecords())
 	res.Pairs = pairs
