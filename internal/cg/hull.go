@@ -2,7 +2,7 @@ package cg
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"spatialhadoop/internal/core"
@@ -164,6 +164,21 @@ func ownBlockedArc(hull []geom.Point, i int) (arc, bool) {
 	return arc{from: n2, to: n1}, true
 }
 
+// interval is an arc of directions unrolled onto the line, from a to b.
+type interval struct{ a, b float64 }
+
+// compareIntervals orders intervals by start; it is < 0 exactly when
+// x.a < y.a.
+func compareIntervals(x, y interval) int {
+	switch {
+	case x.a < y.a:
+		return -1
+	case y.a < x.a:
+		return 1
+	}
+	return 0
+}
+
 // arcsCoverCircle reports whether the union of the arcs covers the entire
 // direction circle. Coverage is decided with a small slack so that keeping
 // a vertex (returning false) is favoured near ties — discarding is the
@@ -174,16 +189,15 @@ func arcsCoverCircle(arcs []arc) bool {
 	}
 	const eps = 1e-12
 	// Unroll wrapping arcs into [0, 4π).
-	type iv struct{ a, b float64 }
-	var ivs []iv
+	var ivs []interval
 	for _, c := range arcs {
 		a, b := c.from, c.to
 		if b < a {
 			b += 2 * math.Pi
 		}
-		ivs = append(ivs, iv{a, b}, iv{a + 2*math.Pi, b + 2*math.Pi})
+		ivs = append(ivs, interval{a, b}, interval{a + 2*math.Pi, b + 2*math.Pi})
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].a < ivs[j].a })
+	slices.SortFunc(ivs, compareIntervals)
 	// Sweep from the start of the first arc; the circle is covered iff we
 	// can chain arcs across a full 2π span.
 	start := ivs[0].a

@@ -7,9 +7,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"spatialhadoop/internal/dfs"
@@ -170,9 +175,19 @@ func (s *System) samplePoints(pts []geom.Point) []geom.Point {
 
 // LoadPoints spatially partitions and stores points with the given
 // technique, writing the global index as the file's master attachment.
-// This is SpatialHadoop's indexed file loader.
+// This is SpatialHadoop's indexed file loader. Each cell is written in
+// its local order, (X, then Y) as cmp.Compare orders them with ties in
+// input order: the order ops.PinSplit and the CG local steps sort into,
+// so their sorts meet a sorted run. Cells are sorted, and the text
+// encoded, in parallel; the file is the same whatever GOMAXPROCS is.
 func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (*IndexedFile, error) {
-	recs := geomio.EncodePoints(pts)
+	recs := make([]string, len(pts))
+	const chunk = 4096
+	parallel((len(pts)+chunk-1)/chunk, func(c int) {
+		for i := c * chunk; i < min(len(pts), (c+1)*chunk); i++ {
+			recs[i] = geomio.EncodePoint(pts[i])
+		}
+	})
 	var totalBytes int64
 	for _, r := range recs {
 		totalBytes += int64(len(r)) + 1
@@ -193,12 +208,16 @@ func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (
 		byCell[c] = append(byCell[c], i)
 		gi.Cells[c].Content = gi.Cells[c].Content.ExpandPoint(p)
 	}
+	order := byPoint(pts)
+	parallel(len(byCell), func(c int) { slices.SortFunc(byCell[c], order) })
 	return s.writeIndexed(name, gi, recs, byCell, func(w *dfs.Writer, i int) { w.WritePoint(recs[i]) })
 }
 
 // LoadRegions spatially partitions and stores regions. With a disjoint
 // technique, regions overlapping several cells are replicated to each
-// (paper §2.3); consumers deduplicate with the reference-point rule.
+// (paper §2.3); consumers deduplicate with the reference-point rule. Each
+// cell is written in the join's plane-sweep order, by MBR MinX with ties
+// in input order, sorted as LoadPoints sorts.
 func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Technique) (*IndexedFile, error) {
 	recs := make([]string, len(regions))
 	bounds := make([]geom.Rect, len(regions))
@@ -227,7 +246,51 @@ func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Techni
 			gi.Cells[c].Content = gi.Cells[c].Content.Union(b)
 		}
 	}
+	order := byMinX(bounds)
+	parallel(len(byCell), func(c int) { slices.SortFunc(byCell[c], order) })
 	return s.writeIndexed(name, gi, recs, byCell, func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) })
+}
+
+// byPoint orders record indices by their points, (X, then Y) as
+// cmp.Compare orders them (NaN first), ties by index.
+func byPoint(pts []geom.Point) func(a, b int) int {
+	return func(a, b int) int {
+		if c := cmp.Compare(pts[a].X, pts[b].X); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(pts[a].Y, pts[b].Y); c != 0 {
+			return c
+		}
+		return a - b
+	}
+}
+
+// byMinX orders record indices by their MBRs' MinX, ties by index.
+func byMinX(bounds []geom.Rect) func(a, b int) int {
+	return func(a, b int) int {
+		if c := cmp.Compare(bounds[a].MinX, bounds[b].MinX); c != 0 {
+			return c
+		}
+		return a - b
+	}
+}
+
+// parallel calls do(i) for every i in [0, n), from up to GOMAXPROCS
+// goroutines that each take the next unclaimed i, and returns when all
+// calls have.
+func parallel(n int, do func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // recordBuild registers one global index construction with the metrics.

@@ -1,0 +1,327 @@
+package core
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+
+	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/dfs"
+	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/geomio"
+	"spatialhadoop/internal/sindex"
+)
+
+// orderPoints is clustered points laced with what breaks a careless order:
+// duplicates of earlier points, points on x = ±0 (which cmp.Compare ties
+// but whose text differs, so the index tie-break shows) and, with nan,
+// NaN coordinates. With nan, the grid and curve techniques build a single
+// cell, hence the runs without.
+func orderPoints(n int, seed int64, nan bool) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := datagen.Points(datagen.Clustered, n, geom.NewRect(-500, -500, 500, 500), seed)
+	negZero := math.Copysign(0, -1)
+	for i := range pts {
+		switch rng.Intn(40) {
+		case 0:
+			if nan {
+				pts[i].X = math.NaN()
+			}
+		case 1:
+			if nan {
+				pts[i].Y = math.NaN()
+			}
+		case 2:
+			pts[i] = geom.Pt(negZero, float64(rng.Intn(4)))
+		case 3:
+			pts[i] = geom.Pt(0, float64(rng.Intn(4)))
+		case 4, 5, 6:
+			pts[i] = pts[rng.Intn(i+1)]
+		}
+	}
+	return pts
+}
+
+// orderRegions is a tessellation plus random polygons, some touching
+// x = ±0, with duplicates, so several regions share a MinX.
+func orderRegions(seed int64) []geom.Region {
+	area := geom.NewRect(-500, -500, 500, 500)
+	polys := append(datagen.Tessellation(24, 24, area, seed), datagen.RandomPolygons(400, 6, 20, area, seed)...)
+	polys = append(polys, geom.Poly(geom.Pt(0, 0), geom.Pt(3, 0), geom.Pt(0, 3)), geom.Poly(geom.Pt(math.Copysign(0, -1), 5), geom.Pt(4, 5), geom.Pt(0, 9)))
+	rng := rand.New(rand.NewSource(seed))
+	regions := make([]geom.Region, 0, len(polys)+len(polys)/10)
+	for _, pg := range polys {
+		regions = append(regions, geom.RegionOf(pg))
+		if rng.Intn(10) == 0 {
+			regions = append(regions, regions[rng.Intn(len(regions))])
+		}
+	}
+	return regions
+}
+
+// inputOrderPoints is LoadPoints' partitioning written out the way the
+// loader did before cells were sorted: the same sample, index and
+// assignment, each cell's records in input order.
+func inputOrderPoints(sys *System, pts []geom.Point, t sindex.Technique) (*sindex.GlobalIndex, [][]int) {
+	var totalBytes int64
+	for _, p := range pts {
+		totalBytes += int64(len(geomio.EncodePoint(p))) + 1
+	}
+	space := geom.RectOf(pts)
+	if space.IsEmpty() {
+		space = geom.NewRect(0, 0, 1, 1)
+	}
+	space = space.Buffer(1e-9 * (1 + space.Width() + space.Height()))
+	gi := sindex.Build(t, sys.samplePoints(pts), space, sys.numCells(totalBytes))
+	cells := make([][]int, len(gi.Cells))
+	for i, p := range pts {
+		c := gi.AssignPoint(p)
+		cells[c] = append(cells[c], i)
+		gi.Cells[c].Content = gi.Cells[c].Content.ExpandPoint(p)
+	}
+	return gi, cells
+}
+
+// inputOrderRegions is inputOrderPoints for LoadRegions.
+func inputOrderRegions(sys *System, regions []geom.Region, t sindex.Technique) (*sindex.GlobalIndex, [][]int) {
+	var totalBytes int64
+	centers := make([]geom.Point, len(regions))
+	space := geom.EmptyRect()
+	for i, rg := range regions {
+		totalBytes += int64(len(geomio.EncodeRegion(rg))) + 1
+		centers[i] = rg.Bounds().Center()
+		space = space.Union(rg.Bounds())
+	}
+	if space.IsEmpty() {
+		space = geom.NewRect(0, 0, 1, 1)
+	}
+	space = space.Buffer(1e-9 * (1 + space.Width() + space.Height()))
+	gi := sindex.Build(t, sys.samplePoints(centers), space, sys.numCells(totalBytes))
+	cells := make([][]int, len(gi.Cells))
+	for i, rg := range regions {
+		for _, c := range gi.AssignRect(rg.Bounds()) {
+			cells[c] = append(cells[c], i)
+			gi.Cells[c].Content = gi.Cells[c].Content.Union(rg.Bounds())
+		}
+	}
+	return gi, cells
+}
+
+// loadCase is one loaded file and what it must equal: the input-order
+// partitioning (gi, cells), the records, how the loader writes record i,
+// and the cell order (less, over record indices, without the index
+// tie-break).
+type loadCase struct {
+	f     *IndexedFile
+	gi    *sindex.GlobalIndex
+	cells [][]int
+	recs  []string
+	write func(w *dfs.Writer, i int)
+	less  func(a, b int) bool
+}
+
+// check compares the loaded file with the input-order loop: the master
+// index, Bytes and Records equal; each cell holds the loop's records,
+// sorted by less with ties in input order, as one run of consecutive
+// blocks; and the blocks equal those the loop writes when each cell is
+// first sorted serially.
+func (lc loadCase) check(t *testing.T) {
+	t.Helper()
+	f := lc.f.File
+	if !bytes.Equal(f.Master, lc.gi.Encode()) {
+		t.Fatal("master index differs from the input-order loop's")
+	}
+	ref := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+	w, err := ref.FS().Create("ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBytes, wantRecords int64
+	next := 0 // the block the next cell starts at
+	for c, cell := range lc.cells {
+		if len(cell) == 0 {
+			continue
+		}
+		want := slices.Clone(cell)
+		sort.SliceStable(want, func(i, j int) bool { return lc.less(want[i], want[j]) })
+		var got []string
+		key := lc.gi.Cells[c].Key()
+		for ; next < len(f.Blocks) && f.Blocks[next].Partition == key; next++ {
+			got = append(got, f.Blocks[next].Records()...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cell %s: %d records in its run of blocks, the input-order loop put %d there", key, len(got), len(want))
+		}
+		w.SetPartition(key)
+		for k, i := range want {
+			if got[k] != lc.recs[i] {
+				t.Fatalf("cell %s: record %d is %q, want %q (input record %d)", key, k, got[k], lc.recs[i], i)
+			}
+			lc.write(w, i)
+			wantBytes += int64(len(lc.recs[i])) + 1
+			wantRecords++
+		}
+	}
+	if next != len(f.Blocks) {
+		t.Fatalf("%d blocks, %d of them in runs of their cells", len(f.Blocks), next)
+	}
+	if f.Bytes != wantBytes || f.Records != wantRecords {
+		t.Fatalf("file holds %d bytes and %d records, the input-order loop %d and %d", f.Bytes, f.Records, wantBytes, wantRecords)
+	}
+	w.SetMaster(lc.gi.Encode())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := ref.FS().Open("ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBlocks(t, f, rf)
+}
+
+// sameBlocks fails unless a and b have the same blocks, frame for frame,
+// and the same master index.
+func sameBlocks(t *testing.T, a, b *dfs.File) {
+	t.Helper()
+	if len(a.Blocks) != len(b.Blocks) || a.Bytes != b.Bytes || a.Records != b.Records || !bytes.Equal(a.Master, b.Master) {
+		t.Fatalf("files differ: %d vs %d blocks, %d vs %d bytes, %d vs %d records, or the master index",
+			len(a.Blocks), len(b.Blocks), a.Bytes, b.Bytes, a.Records, b.Records)
+	}
+	for i, x := range a.Blocks {
+		y := b.Blocks[i]
+		if x.ID != y.ID || x.Node != y.Node || x.Partition != y.Partition || x.Bytes != y.Bytes ||
+			!bytes.Equal(dfs.EncodeBlockFrame(x, false), dfs.EncodeBlockFrame(y, false)) {
+			t.Fatalf("block %d differs: %v/%d/%s/%d vs %v/%d/%s/%d or its frame",
+				i, x.ID, x.Node, x.Partition, x.Bytes, y.ID, y.Node, y.Partition, y.Bytes)
+		}
+	}
+}
+
+// pointLess is the point cell order: (X, then Y) as cmp.Compare orders
+// them, NaN first.
+func pointLess(pts []geom.Point) func(a, b int) bool {
+	return func(a, b int) bool {
+		if c := cmp.Compare(pts[a].X, pts[b].X); c != 0 {
+			return c < 0
+		}
+		return cmp.Less(pts[a].Y, pts[b].Y)
+	}
+}
+
+// TestLoadPointsWritesCellsInLocalOrder: for every technique, each point
+// cell is the input-order loop's records in (X, Y) order, read across its
+// blocks, and everything else about the file is what that loop wrote.
+func TestLoadPointsWritesCellsInLocalOrder(t *testing.T) {
+	for _, tech := range loadTechniques {
+		for _, nan := range []bool{false, true} {
+			pts := orderPoints(6000, 3, nan)
+			recs := geomio.EncodePoints(pts)
+			t.Run(fmt.Sprintf("%v/nan=%v", tech, nan), func(t *testing.T) {
+				sys := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+				f, err := sys.LoadPoints("pts", pts, tech)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gi, cells := inputOrderPoints(New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}), pts, tech)
+				lc := loadCase{f: f, gi: gi, cells: cells, recs: recs, less: pointLess(pts),
+					write: func(w *dfs.Writer, i int) { w.WritePoint(recs[i]) }}
+				lc.check(t)
+				for _, sp := range f.Splits() {
+					got, err := geomio.DecodePoints(sp.Records())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.IsSortedFunc(got, func(a, b geom.Point) int {
+						if c := cmp.Compare(a.X, b.X); c != 0 {
+							return c
+						}
+						return cmp.Compare(a.Y, b.Y)
+					}) {
+						t.Fatalf("partition %s is not in cmp.Compare (X, Y) order across its %d blocks", sp.Partition, len(sp.Blocks))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLoadRegionsWritesCellsInLocalOrder: under Grid (replicating) and
+// STR+, each region cell is the input-order loop's records in MBR MinX
+// order, ties in input order.
+func TestLoadRegionsWritesCellsInLocalOrder(t *testing.T) {
+	regions := orderRegions(5)
+	recs := make([]string, len(regions))
+	bounds := make([]geom.Rect, len(regions))
+	for i, rg := range regions {
+		recs[i], bounds[i] = geomio.EncodeRegion(rg), rg.Bounds()
+	}
+	for _, tech := range []sindex.Technique{sindex.Grid, sindex.STRPlus} {
+		t.Run(tech.String(), func(t *testing.T) {
+			sys := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+			f, err := sys.LoadRegions("regs", regions, tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gi, cells := inputOrderRegions(New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}), regions, tech)
+			lc := loadCase{f: f, gi: gi, cells: cells, recs: recs,
+				less:  func(a, b int) bool { return cmp.Less(bounds[a].MinX, bounds[b].MinX) },
+				write: func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) }}
+			lc.check(t)
+			for _, sp := range f.Splits() {
+				var minX []float64
+				for _, b := range sp.Blocks {
+					rects, err := b.Bounds()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range rects {
+						minX = append(minX, r.MinX)
+					}
+				}
+				if !slices.IsSorted(minX) {
+					t.Fatalf("partition %s is not in MinX order across its %d blocks", sp.Partition, len(sp.Blocks))
+				}
+			}
+		})
+	}
+}
+
+// TestLoadIsTheSameAtAnyParallelism: the cells are sorted and the text
+// encoded on up to GOMAXPROCS goroutines; the file — records, blocks and
+// master index — is byte-identical at 1 and at 4.
+func TestLoadIsTheSameAtAnyParallelism(t *testing.T) {
+	pts := orderPoints(6000, 7, true)
+	regions := orderRegions(9)
+	load := func(procs int, tech sindex.Technique) (*System, *System) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ps := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+		if _, err := ps.LoadPoints("f", pts, tech); err != nil {
+			t.Fatal(err)
+		}
+		rs := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+		if _, err := rs.LoadRegions("f", regions, tech); err != nil {
+			t.Fatal(err)
+		}
+		return ps, rs
+	}
+	for _, tech := range loadTechniques {
+		p1, r1 := load(1, tech)
+		p4, r4 := load(4, tech)
+		for _, s := range [][2]*System{{p1, p4}, {r1, r4}} {
+			a, errA := s[0].FS().ReadAll("f")
+			b, errB := s[1].FS().ReadAll("f")
+			if errA != nil || errB != nil || !slices.Equal(a, b) {
+				t.Fatalf("%v: ReadAll differs between GOMAXPROCS 1 and 4 (%v, %v)", tech, errA, errB)
+			}
+			fa, _ := s[0].FS().Open("f")
+			fb, _ := s[1].FS().Open("f")
+			sameBlocks(t, fa, fb)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // PointPair is a pair of points together with their distance.
@@ -21,20 +20,20 @@ func ClosestPair(pts []Point) (PointPair, bool) {
 	if len(pts) < 2 {
 		return PointPair{}, false
 	}
-	px := make([]Point, len(pts))
+	buf := make([]Point, 2*len(pts))
+	px, tmp := buf[:len(pts)], buf[len(pts):]
 	copy(px, pts)
 	slices.SortFunc(px, Point.Compare)
-	py := make([]Point, len(px))
-	copy(py, px)
-	sort.Slice(py, func(i, j int) bool { return py[i].Y < py[j].Y })
-	p, q, d2 := closestRec(px, py)
+	p, q, d2 := closestRec(px, tmp)
 	return PointPair{P: p, Q: q, Dist: math.Sqrt(d2)}, true
 }
 
-// closestRec computes the closest pair of px (sorted canonically by x) using
-// py (the same multiset sorted by y). It returns the pair and the squared
-// distance.
-func closestRec(px, py []Point) (Point, Point, float64) {
+// closestRec computes the closest pair of px, which arrives sorted
+// canonically by x and leaves sorted by y: each level merges its halves'
+// y-orders, as merge sort does, instead of sorting by y up front. tmp is
+// scratch of px's length, first for the merge and then for the strip. It
+// returns the pair and the squared distance.
+func closestRec(px, tmp []Point) (Point, Point, float64) {
 	n := len(px)
 	if n <= 3 {
 		best := math.Inf(1)
@@ -46,37 +45,41 @@ func closestRec(px, py []Point) (Point, Point, float64) {
 				}
 			}
 		}
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && px[j].Y < px[j-1].Y; j-- {
+				px[j], px[j-1] = px[j-1], px[j]
+			}
+		}
 		return a, b, best
 	}
+	// The halves split the canonical order, so points sharing the dividing
+	// x coordinate land consistently.
 	mid := n / 2
-	midPt := px[mid]
-
-	// Partition py into the two halves, preserving y order. Points are
-	// routed by the same canonical order used to split px so that points
-	// sharing the pivot's x coordinate land consistently.
-	ly := make([]Point, 0, mid)
-	ry := make([]Point, 0, n-mid)
-	for _, p := range py {
-		if p.Less(midPt) {
-			ly = append(ly, p)
-		} else {
-			ry = append(ry, p)
-		}
-	}
-
-	la, lb, ld := closestRec(px[:mid], ly)
-	ra, rb, rd := closestRec(px[mid:], ry)
+	midX := px[mid].X
+	la, lb, ld := closestRec(px[:mid], tmp[:mid])
+	ra, rb, rd := closestRec(px[mid:], tmp[mid:])
 
 	a, b, best := la, lb, ld
 	if rd < best {
 		a, b, best = ra, rb, rd
 	}
 
+	// Merge the halves' y-orders, the left first among equal ys.
+	l, r := px[:mid], px[mid:]
+	for k := range tmp {
+		if len(r) == 0 || len(l) > 0 && !(r[0].Y < l[0].Y) {
+			tmp[k], l = l[0], l[1:]
+		} else {
+			tmp[k], r = r[0], r[1:]
+		}
+	}
+	copy(px, tmp)
+
 	// Strip: points within sqrt(best) of the dividing line, in y order.
 	limit := math.Sqrt(best)
-	strip := make([]Point, 0, 32)
-	for _, p := range py {
-		if math.Abs(p.X-midPt.X) < limit {
+	strip := tmp[:0]
+	for _, p := range px {
+		if math.Abs(p.X-midX) < limit {
 			strip = append(strip, p)
 		}
 	}

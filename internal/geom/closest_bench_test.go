@@ -1,0 +1,18 @@
+package geom_test
+
+import (
+	"testing"
+
+	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/geom"
+)
+
+// BenchmarkClosestPair times the kernel on 14 000 clustered points, about
+// one partition of the benchmark's job corpus, in input order.
+func BenchmarkClosestPair(b *testing.B) {
+	pts := datagen.Points(datagen.Clustered, 14000, geom.NewRect(0, 0, 1e6, 1e6), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		geom.ClosestPair(pts)
+	}
+}

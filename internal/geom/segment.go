@@ -3,7 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Segment is a line segment between two endpoints.
@@ -123,6 +123,23 @@ func clamp01(v float64) float64 {
 	return v
 }
 
+// cut is a point of a segment at parameter t along it.
+type cut struct {
+	t float64
+	p Point
+}
+
+// compareCuts orders cuts by t; it is < 0 exactly when a.t < b.t.
+func compareCuts(a, b cut) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case b.t < a.t:
+		return 1
+	}
+	return 0
+}
+
 // SplitAt returns s cut into sub-segments at the given points. Points not
 // on the segment are ignored; the result is ordered from A to B and
 // degenerate pieces are dropped.
@@ -132,10 +149,6 @@ func (s Segment) SplitAt(pts []Point) []Segment {
 	}
 	d := s.B.Sub(s.A)
 	dd := d.Dot(d)
-	type cut struct {
-		t float64
-		p Point
-	}
 	cuts := make([]cut, 0, len(pts)+2)
 	cuts = append(cuts, cut{0, s.A}, cut{1, s.B})
 	for _, p := range pts {
@@ -148,7 +161,7 @@ func (s Segment) SplitAt(pts []Point) []Segment {
 		}
 		cuts = append(cuts, cut{clamp01(t), p})
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].t < cuts[j].t })
+	slices.SortFunc(cuts, compareCuts)
 	out := make([]Segment, 0, len(cuts)-1)
 	for i := 1; i < len(cuts); i++ {
 		seg := Segment{A: cuts[i-1].p, B: cuts[i].p}

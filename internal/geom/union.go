@@ -2,7 +2,7 @@ package geom
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Region is a plane region bounded by one or more rings interpreted with
@@ -255,15 +255,16 @@ func dedupeSegments(segs []Segment) []Segment {
 		seen[s] = true
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return segLess(out[i], out[j]) })
+	slices.SortFunc(out, compareSegs)
 	return out
 }
 
-func segLess(a, b Segment) bool {
+// compareSegs orders segments by A, then B, with Point.Compare.
+func compareSegs(a, b Segment) int {
 	if !a.A.Equal(b.A) {
-		return a.A.Less(b.A)
+		return a.A.Compare(b.A)
 	}
-	return a.B.Less(b.B)
+	return a.B.Compare(b.B)
 }
 
 // StitchRings assembles boundary segments into closed rings. Every vertex
