@@ -95,7 +95,9 @@ func TestOperationsSurviveTaskFailures(t *testing.T) {
 	if _, err := sys.LoadPoints("pts", pts, sindex.Grid); err != nil {
 		t.Fatal(err)
 	}
-	sys.Cluster().SetFault(fault.Plan{FailEveryKth: 4}) // every 4th task attempt dies once
+	// A quarter of the map attempts die once, seeded: the same attempts in
+	// every run.
+	sys.Cluster().SetFault(fault.Plan{Seed: 4, MapFailRate: 0.25})
 
 	sky, _, err := cg.SkylineOutputSensitive(sys, "pts", true)
 	if err != nil {
@@ -128,6 +130,9 @@ func TestOperationsSurviveTaskFailures(t *testing.T) {
 	wantCP, _ := cg.ClosestPairSingle(pts)
 	if math.Abs(cp.Dist-wantCP.Dist) > 1e-9 {
 		t.Fatalf("closest pair under failures: %g, want %g", cp.Dist, wantCP.Dist)
+	}
+	if len(sys.Cluster().Injector().Events()) == 0 {
+		t.Fatal("no attempt was injected; the test exercised no failure")
 	}
 }
 

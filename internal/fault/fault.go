@@ -87,18 +87,12 @@ type Plan struct {
 	// cap). Chaos rows typically set 1: kill exactly one real process at
 	// the first seeded decision point reached.
 	KillBudget int `json:"kill_budget,omitempty"`
-
-	// FailEveryKth is the counter-based mode: every k-th map attempt
-	// (counted across the injector's lifetime) fails once with a
-	// transient error. It composes with the rate-based fields above.
-	FailEveryKth int `json:"fail_every_kth,omitempty"`
 }
 
 // Enabled reports whether the plan injects anything at all.
 func (p Plan) Enabled() bool {
 	return p.MapFailRate > 0 || p.ReduceFailRate > 0 || p.PermanentFailRate > 0 ||
-		p.StragglerRate > 0 || p.CorruptBlockRate > 0 || p.FailEveryKth > 0 ||
-		p.WorkerKillRate > 0
+		p.StragglerRate > 0 || p.CorruptBlockRate > 0 || p.WorkerKillRate > 0
 }
 
 // Kind classifies an injection decision.
@@ -155,14 +149,12 @@ type Event struct {
 
 // Injector makes seeded injection decisions for task attempts. It is safe
 // for concurrent use; its decisions depend only on the plan and the
-// attempt coordinates, never on invocation order (the legacy every-k-th
-// counter mode is the sole, documented exception).
+// attempt coordinates, never on invocation order.
 type Injector struct {
 	plan Plan
 
 	mu     sync.Mutex
-	kth    int64 // legacy mode attempt counter
-	kills  int   // workers killed so far, against KillBudget
+	kills  int // workers killed so far, against KillBudget
 	events []Event
 }
 
@@ -217,41 +209,30 @@ func Uniform(seed int64, phase string, task, attempt int) float64 {
 // attempt numbers retries from 0 (speculative attempts use a disjoint
 // attempt range so they draw independent fates).
 func (in *Injector) Decide(phase string, task, attempt int) Decision {
-	if in == nil {
+	if in == nil || in.plan.rateSum(phase) == 0 {
 		return Decision{}
 	}
-	d := Decision{}
-	if in.plan.FailEveryKth > 0 && phase == PhaseMap {
-		in.mu.Lock()
-		in.kth++
-		n := in.kth
-		in.mu.Unlock()
-		if n%int64(in.plan.FailEveryKth) == 0 {
-			d = Decision{Kind: KindTransient}
-		}
+	u := Uniform(in.plan.Seed, phase, task, attempt)
+	failRate := in.plan.MapFailRate
+	corruptRate := in.plan.CorruptBlockRate
+	if phase != PhaseMap {
+		failRate = in.plan.ReduceFailRate
+		corruptRate = 0 // block reads happen in map tasks only
 	}
-	if d.Kind == KindNone && in.plan.rateSum(phase) > 0 {
-		u := Uniform(in.plan.Seed, phase, task, attempt)
-		failRate := in.plan.MapFailRate
-		corruptRate := in.plan.CorruptBlockRate
-		if phase != PhaseMap {
-			failRate = in.plan.ReduceFailRate
-			corruptRate = 0 // block reads happen in map tasks only
+	d := Decision{}
+	switch {
+	case u < failRate:
+		d = Decision{Kind: KindTransient}
+	case u < failRate+in.plan.PermanentFailRate:
+		d = Decision{Kind: KindPermanent}
+	case u < failRate+in.plan.PermanentFailRate+corruptRate:
+		d = Decision{Kind: KindCorrupt}
+	case u < failRate+in.plan.PermanentFailRate+corruptRate+in.plan.StragglerRate:
+		slow := in.plan.StragglerSlowdown
+		if slow <= 1 {
+			slow = 2
 		}
-		switch {
-		case u < failRate:
-			d = Decision{Kind: KindTransient}
-		case u < failRate+in.plan.PermanentFailRate:
-			d = Decision{Kind: KindPermanent}
-		case u < failRate+in.plan.PermanentFailRate+corruptRate:
-			d = Decision{Kind: KindCorrupt}
-		case u < failRate+in.plan.PermanentFailRate+corruptRate+in.plan.StragglerRate:
-			slow := in.plan.StragglerSlowdown
-			if slow <= 1 {
-				slow = 2
-			}
-			d = Decision{Kind: KindStraggle, Slowdown: slow}
-		}
+		d = Decision{Kind: KindStraggle, Slowdown: slow}
 	}
 	if d.Kind != KindNone {
 		in.mu.Lock()

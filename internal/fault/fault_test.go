@@ -130,34 +130,6 @@ func TestUniformDistribution(t *testing.T) {
 	}
 }
 
-// TestEveryKthMode pins the FailEveryKth semantics: every k-th
-// map attempt fails once, counted across the injector's lifetime.
-func TestEveryKthMode(t *testing.T) {
-	in := NewInjector(Plan{FailEveryKth: 3})
-	var kinds []Kind
-	for i := 0; i < 9; i++ {
-		kinds = append(kinds, in.Decide(PhaseMap, i, 0).Kind)
-	}
-	for i, k := range kinds {
-		want := KindNone
-		if (i+1)%3 == 0 {
-			want = KindTransient
-		}
-		if k != want {
-			t.Errorf("attempt %d: kind = %v, want %v", i, k, want)
-		}
-	}
-	// Reduce attempts do not consume the counter.
-	in2 := NewInjector(Plan{FailEveryKth: 2})
-	in2.Decide(PhaseReduce, 0, 0)
-	if in2.Decide(PhaseMap, 0, 0).Kind != KindNone {
-		t.Error("reduce decide consumed the every-kth counter")
-	}
-	if in2.Decide(PhaseMap, 1, 0).Kind != KindTransient {
-		t.Error("second map attempt should fail with k=2")
-	}
-}
-
 // TestBackoffDeterministicAndCapped checks the backoff schedule: seeded
 // jitter is reproducible, the ramp is exponential, and the cap holds.
 func TestBackoffDeterministicAndCapped(t *testing.T) {

@@ -456,10 +456,14 @@ func TestRetryPolicyRoundTrip(t *testing.T) {
 	if got := c.RetryPolicy(); got != pol {
 		t.Errorf("RetryPolicy = %+v, want %+v", got, pol)
 	}
-	c.SetFault(fault.Plan{FailEveryKth: 3})
+	plan := fault.Plan{Seed: 3, MapFailRate: 1}
+	c.SetFault(plan)
 	in := c.Injector()
-	if in == nil || in.Plan().FailEveryKth != 3 {
-		t.Fatalf("SetFault(FailEveryKth: 3) installed %+v", in.Plan())
+	if in == nil || in.Plan() != plan {
+		t.Fatalf("SetFault(%+v) installed %+v", plan, in.Plan())
+	}
+	if d := in.Decide(fault.PhaseMap, 0, 0); d.Kind != fault.KindTransient || len(in.Events()) != 1 {
+		t.Fatalf("installed plan decided %+v with events %v, want one injected transient", d, in.Events())
 	}
 	c.SetFault(fault.Plan{})
 	if c.Injector() != nil {

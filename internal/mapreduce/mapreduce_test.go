@@ -257,7 +257,7 @@ func TestFailureInjectionRetries(t *testing.T) {
 		recs = append(recs, fmt.Sprintf("%012d", i))
 	}
 	c.FS().WriteFile("in", recs)
-	c.SetFault(fault.Plan{FailEveryKth: 3}) // every third attempt dies once
+	c.SetFault(fault.Plan{Seed: 3, MapFailRate: 0.3}) // seeded: the same attempts die in every run
 	rep, err := c.Run(closureJob(Job{
 		Name:   "flaky",
 		Input:  []string{"in"},
@@ -273,8 +273,8 @@ func TestFailureInjectionRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Counters[CounterTaskRetries] == 0 {
-		t.Error("expected some retries")
+	if rep.Counters[CounterTaskRetries] == 0 || len(c.Injector().Events()) == 0 {
+		t.Error("expected some injected failures and retries")
 	}
 	out, _ := c.FS().ReadAll("out")
 	if len(out) != 30 {

@@ -230,7 +230,7 @@ func TestRetriedAttemptsAppearInTrace(t *testing.T) {
 		recs = append(recs, fmt.Sprintf("%012d", i))
 	}
 	c.FS().WriteFile("in", recs)
-	c.SetFault(fault.Plan{FailEveryKth: 3})
+	c.SetFault(fault.Plan{Seed: 3, MapFailRate: 0.3})
 	rep, err := c.Run(closureJob(Job{
 		Name:   "flaky-trace",
 		Input:  []string{"in"},
@@ -257,6 +257,9 @@ func TestRetriedAttemptsAppearInTrace(t *testing.T) {
 		case obs.OutcomeOK:
 			okMapSpans++
 		}
+	}
+	if retrySpans == 0 || len(c.Injector().Events()) == 0 {
+		t.Error("no attempt was injected; the trace shows no retry")
 	}
 	if retrySpans != rep.Counters[CounterTaskRetries] {
 		t.Errorf("retry spans = %d, counter = %d", retrySpans, rep.Counters[CounterTaskRetries])

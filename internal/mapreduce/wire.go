@@ -613,7 +613,7 @@ func (a *ExecRangeReply) Release() { rangeReplies.Put(a) }
 // candidate set of each partition it names (Meta, then More) — the
 // per-worker half of the two-round kNN protocol. The master merges
 // candidate sets from all consulted shards with the canonical (dist,
-// record) comparator.
+// point) comparator.
 type ExecKNNArgs struct {
 	File  string
 	Epoch int64
@@ -633,28 +633,30 @@ func (a *ExecKNNArgs) wire(c *wirefmt.Codec) {
 	c.Int(&a.K)
 }
 
-// WireKNNCandidate is one (dist, record) candidate on the wire.
+// WireKNNCandidate is one (dist, point) candidate on the wire.
 type WireKNNCandidate struct {
 	Dist float64
-	Rec  string
+	P    geom.Point
 }
 
 // ExecKNNReply carries the named partitions' candidate sets (each already
 // sorted and truncated to k by the worker), concatenated in call order,
 // plus Counts: two numbers per named partition, its record count and how
 // many candidates it contributed. The candidates travel as columns — every
-// distance, then every record — so the records decode as substrings of one
-// copy.
+// distance, then every point.
 type ExecKNNReply struct {
 	Cands  []WireKNNCandidate
 	Counts []int64
 }
 
 func (a *ExecKNNReply) wire(c *wirefmt.Codec) {
-	wirefmt.Len(c, &a.Cands, 9)
+	wirefmt.Len(c, &a.Cands, 24)
 	for i := range a.Cands {
 		c.Float(&a.Cands[i].Dist)
 	}
-	c.Spans(len(a.Cands), func(i int) *string { return &a.Cands[i].Rec })
+	for i := range a.Cands {
+		c.Float(&a.Cands[i].P.X)
+		c.Float(&a.Cands[i].P.Y)
+	}
 	c.Int64s(&a.Counts)
 }

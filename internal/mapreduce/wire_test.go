@@ -502,7 +502,11 @@ func wireSamples() []wireMessage {
 		&ExecKNNArgs{File: "pts", Epoch: -2, Meta: meta, Q: geom.Point{X: math.NaN(), Y: math.Inf(-1)}, K: 7},
 		&ExecKNNReply{},
 		&ExecKNNReply{Cands: []WireKNNCandidate{}},
-		&ExecKNNReply{Cands: []WireKNNCandidate{{Dist: math.Inf(1), Rec: "1,2"}, {Dist: math.NaN(), Rec: ""}, {Rec: "\xff"}}, Counts: []int64{2, 3}},
+		&ExecKNNReply{Cands: []WireKNNCandidate{
+			{Dist: math.Inf(1), P: geom.Point{X: 1, Y: 2}},
+			{Dist: math.NaN(), P: geom.Point{X: math.Copysign(0, -1), Y: 0}},
+			{P: geom.Point{X: math.NaN(), Y: math.Inf(-1)}},
+		}, Counts: []int64{2, 3}},
 		// Calls naming 1, 2 and 4 partitions (Meta, then 0, 1 and 3 More
 		// entries), with and without merge keys, and their answers' counts.
 		&ExecRangeArgs{File: "pts", Epoch: 3, Meta: meta, More: []*WireSplitMeta{}, Query: geom.Rect{MaxX: 1, MaxY: 1}, Keys: true},
@@ -512,7 +516,7 @@ func wireSamples() []wireMessage {
 		&ExecRangeReply{Keys: []float64{1, 2}, Frag: []byte(`{"x":1,"y":2}`), Counts: []int64{}},
 		&ExecKNNArgs{File: "pts", Meta: meta, More: []*WireSplitMeta{{Tag: "x"}}, K: 1},
 		&ExecKNNArgs{File: "pts", Meta: meta, More: []*WireSplitMeta{meta, meta, {}}, K: 3},
-		&ExecKNNReply{Cands: []WireKNNCandidate{{Dist: 1, Rec: "a"}}, Counts: []int64{5, 0, 6, 1, -1, 0, 0, 0}},
+		&ExecKNNReply{Cands: []WireKNNCandidate{{Dist: 1, P: geom.Point{X: 0, Y: math.Copysign(0, -1)}}}, Counts: []int64{5, 0, 6, 1, -1, 0, 0, 0}},
 	}
 }
 
@@ -674,11 +678,11 @@ func TestWireRejectsMalformed(t *testing.T) {
 		"Meta presence beyond 1":          {new(ExecRangeArgs), cat(str("f"), uvarints(0), []byte{2}, le64(0, 0, 0, 0))},
 		"blocks count beyond the payload": {new(ExecRangeArgs), cat(str("f"), uvarints(0), []byte{1}, str("p"), le64(0, 0, 0, 0, 0, 0, 0, 0), str(""), uvarints(1<<20), le64(0, 0, 0, 0))},
 		"holders count beyond":            {new(ExecKNNArgs), cat(str("f"), uvarints(0), []byte{1}, str("p"), le64(0, 0, 0, 0, 0, 0, 0, 0), str(""), uvarints(1, 0), str(""), []byte{0}, uvarints(1<<20), le64(0, 0), uvarints(0))},
-		"candidates count beyond":         {new(ExecKNNReply), cat(uvarints(1<<20), le64(1), str("r"), uvarints(0))},
+		"candidates count beyond":         {new(ExecKNNReply), cat(uvarints(1<<20), le64(1, 2, 3), uvarints(0))},
 		"More count beyond":               {new(ExecRangeArgs), cat(str("f"), uvarints(0), noMeta, uvarints(1<<20), []byte{1}, str("p"), le64(0, 0, 0, 0, 0, 0, 0, 0), str(""), uvarints(0), le64(0, 0, 0, 0), []byte{0})},
 		"More element absent":             {new(ExecKNNArgs), cat(str("f"), uvarints(0), noMeta, uvarints(1), noMeta, le64(0, 0), uvarints(0))},
 		"counts beyond":                   {new(ExecRangeReply), cat(uvarints(0, 0, 1<<20, 0))},
-		"candidate record missing":        {new(ExecKNNReply), cat(uvarints(1), le64(1), uvarints(0))},
+		"candidate point cut short":       {new(ExecKNNReply), cat(uvarints(1), le64(1, 2), uvarints(0))},
 		"epochs count beyond":             {new(HeartbeatReply), cat([]byte{1}, uvarints(1<<20), str("a"), uvarints(1))},
 		"sources count beyond":            {new(TaskAssignment), cat(uvarints(0), str(""), uvarints(0, 0, 0), str(""), uvarints(0, 0, 1<<20), noMeta)},
 		"lost maps count beyond":          {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(1<<20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))},

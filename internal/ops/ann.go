@@ -9,7 +9,6 @@ import (
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
-	"spatialhadoop/internal/rtree"
 )
 
 // ANNResult pairs a point with its nearest neighbour.
@@ -132,7 +131,7 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 		foreign[r.Point] = r
 	}
 	for _, r := range uncertain {
-		if fr, ok := foreign[r.Point]; ok && (r.Dist < 0 || fr.Dist < r.Dist) {
+		if fr, ok := foreign[r.Point]; ok && (r.Dist < 0 || nearer(fr, r)) {
 			r = fr
 		}
 		if r.Dist >= 0 {
@@ -143,29 +142,19 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 	return final, rep2, nil
 }
 
-// splitIndex bulk-loads one R-tree over the split's points. ANN is the one
-// operation that probes a split once per point rather than once per
-// attempt — the case an index is for.
-func splitIndex(split *mapreduce.Split) (*rtree.Tree, []geom.Point, error) {
-	pts, err := split.Points()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rtree.BulkPoints(pts, rtree.DefaultFanout), pts, nil
-}
-
 // annLocalMap is round one's map body: answer each point within its own
 // partition and finalize those whose nearest-neighbour circle stays inside.
 func annLocalMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-	idx, pts, err := splitIndex(split)
+	pts, err := sortedPoints(split.Blocks)
 	if err != nil {
 		return err
 	}
 	for _, p := range pts {
-		best, ok := localNN(idx, pts, p)
-		// The uncertainty radius: a foreign point can be closer
-		// only if the current best circle leaves the partition.
-		if ok && split.MBR.Buffer(-best.Dist).ContainsPoint(p) {
+		best, ok := localNN(pts, p)
+		// The uncertainty radius: a foreign point can be closer, or tie
+		// and rank first, only if the best circle reaches past the
+		// partition or onto a max edge, which the next cell owns.
+		if ok && split.MBR.Buffer(-best.Dist).ContainsPointExclusive(p) {
 			ctx.Write("F|" + encodeANN(ANNResult{Point: p, Neighbor: best.P, Dist: best.Dist}))
 			ctx.Inc("ann.final.round1", 1)
 			continue
@@ -186,7 +175,7 @@ func annProbeMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 	if probes == "" {
 		return nil
 	}
-	idx, pts, err := splitIndex(split)
+	pts, err := sortedPoints(split.Blocks)
 	if err != nil {
 		return err
 	}
@@ -195,7 +184,7 @@ func annProbeMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		if err != nil {
 			return err
 		}
-		if best, ok := localNN(idx, pts, r.Point); ok {
+		if best, ok := localNN(pts, r.Point); ok {
 			ctx.Emit(geomio.EncodePoint(r.Point), encodeANN(ANNResult{
 				Point: r.Point, Neighbor: best.P, Dist: best.Dist,
 			}))
@@ -212,7 +201,7 @@ func annProbeReduce(ctx *mapreduce.TaskContext, key string, values []string) err
 		if err != nil {
 			return err
 		}
-		if best.Dist < 0 || (r.Dist >= 0 && r.Dist < best.Dist) {
+		if best.Dist < 0 || (r.Dist >= 0 && nearer(r, best)) {
 			best = r
 		}
 	}
@@ -222,23 +211,28 @@ func annProbeReduce(ctx *mapreduce.TaskContext, key string, values []string) err
 	return nil
 }
 
-// localNN finds the nearest point to p among pts, the points idx was
-// loaded over, excluding p itself (one coincident duplicate still counts
-// as a neighbour at distance zero).
-func localNN(idx *rtree.Tree, pts []geom.Point, p geom.Point) (geom.PointPair, bool) {
-	best := geom.PointPair{Q: p, Dist: -1}
+// localNN finds the nearest point to p in pts other than p itself (one
+// coincident copy is skipped; another still counts, at distance zero),
+// ties broken by the kNN candidate order.
+func localNN(pts SortedPoints, p geom.Point) (best KNNCandidate, ok bool) {
 	selfSkipped := false
-	for _, nb := range idx.Nearest(p, 2) {
-		q := pts[nb.Entry.ID]
-		if q.Equal(p) && !selfSkipped {
+	for _, n := range pts.NearestWithTies(p, 2) {
+		c := KNNCandidate{Dist: n.dist, P: pts[n.id]}
+		if c.P.Equal(p) && !selfSkipped {
 			selfSkipped = true
 			continue
 		}
-		if best.Dist < 0 || nb.Dist < best.Dist {
-			best.P, best.Dist = q, nb.Dist
+		if !ok || compareCandidates(c, best) < 0 {
+			best, ok = c, true
 		}
 	}
-	return best, best.Dist >= 0
+	return best, ok
+}
+
+// nearer orders two answers for one point as their neighbours rank as kNN
+// candidates.
+func nearer(a, b ANNResult) bool {
+	return compareCandidates(KNNCandidate{Dist: a.Dist, P: a.Neighbor}, KNNCandidate{Dist: b.Dist, P: b.Neighbor}) < 0
 }
 
 func encodeANN(r ANNResult) string {

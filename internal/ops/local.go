@@ -1,10 +1,8 @@
 package ops
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
@@ -21,17 +19,16 @@ import (
 // partitions (LocalPartition) supplied by a LocalSource instead of from
 // scheduled map tasks, searched in split order on the calling goroutine.
 
-// LocalPartition is one partition's records decoded and sorted in memory:
+// LocalPartition is one partition's points decoded and sorted in memory:
 // the unit the serving layer's memory tier pins, evicts, and invalidates.
 type LocalPartition struct {
 	// Key is the partition key (Cell.Key()).
 	Key string
 	// Pts holds the partition's decoded points in canonical (X, then Y)
-	// order; Recs the corresponding record texts, index-aligned with Pts.
-	Pts  []geom.Point
-	Recs []string
+	// order.
+	Pts []geom.Point
 	// Tree is the local index: Pts itself, probed as the sorted column it
-	// is; ids are indices into Pts/Recs. (The name is the one the frozen
+	// is; ids are indices into Pts. (The name is the one the frozen
 	// benchmark harness compiles against.)
 	Tree SortedPoints
 	// Frag holds every point's pre-encoded JSON object ({"x":..,"y":..},
@@ -48,57 +45,22 @@ type LocalPartition struct {
 	Bytes int64
 }
 
-// PinSplit decodes a split's blocks into a memory-resident partition:
-// points and records jointly sorted into canonical (X, then Y) order — the
-// order is the local index — and per-point response fragments.
+// PinSplit decodes a split's blocks into a memory-resident partition: its
+// points in canonical order (sortedPoints) — the order is the local index —
+// and per-point response fragments.
 func PinSplit(sp *mapreduce.Split) (*LocalPartition, error) {
-	type pair struct {
-		pt  geom.Point
-		rec string
-	}
-	var pairs []pair
-	for _, b := range sp.Blocks {
-		pts, err := b.Points()
-		if err != nil {
-			return nil, err
-		}
-		recs := b.Records()
-		if len(pts) != len(recs) {
-			return nil, fmt.Errorf("ops: partition %q: %d points vs %d records", sp.Partition, len(pts), len(recs))
-		}
-		pairs = slices.Grow(pairs, len(pts))
-		for i, p := range pts {
-			pairs = append(pairs, pair{p, recs[i]})
-		}
-	}
-	// Canonical order, and a total one: cmp.Compare puts a NaN first where
-	// < would leave it unordered and break the probes' binary search. The
-	// (pt, rec) pairing is preserved, so kNN's (dist, record) candidate
-	// comparator is unaffected; equal points may land in either order,
-	// which no consumer can observe.
-	slices.SortFunc(pairs, func(a, b pair) int {
-		if c := cmp.Compare(a.pt.X, b.pt.X); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pt.Y, b.pt.Y)
-	})
-	pts, recs := make([]geom.Point, len(pairs)), make([]string, len(pairs))
-	var bytes int64
-	for i, p := range pairs {
-		pts[i], recs[i] = p.pt, p.rec
-		bytes += int64(len(p.rec))
+	pts, err := sortedPoints(sp.Blocks)
+	if err != nil {
+		return nil, err
 	}
 	frag, off := buildFragments(pts)
-	// Points (2 floats), record headers, and the fragment arena.
-	bytes += int64(len(pts))*(16+16) + int64(cap(frag)) + int64(4*len(off))
 	return &LocalPartition{
 		Key:     sp.Partition,
 		Pts:     pts,
-		Recs:    recs,
 		Tree:    pts,
 		Frag:    frag,
 		FragOff: off,
-		Bytes:   bytes,
+		Bytes:   16*int64(len(pts)) + int64(cap(frag)) + int64(4*len(off)),
 	}, nil
 }
 
@@ -198,7 +160,7 @@ func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, f *Indexed, src
 			return nil, nil, err
 		}
 		ids := part.Tree.Search(query, nil)
-		plan.Searched(sp, len(part.Recs), len(ids))
+		plan.Searched(sp, len(part.Pts), len(ids))
 		if len(ids) > 0 {
 			out = append(out, LocalMatch{Part: part, IDs: ids})
 		}
@@ -228,7 +190,7 @@ func LocalKNNPointsCtx(ctx context.Context, sys *core.System, f *Indexed, src Lo
 				return nil, err
 			}
 			frag := PartitionKNNCandidates(part, q, k)
-			plan.Searched(sp, len(part.Recs), len(frag))
+			plan.Searched(sp, len(part.Pts), len(frag))
 			cands = append(cands, frag...)
 		}
 		return cands, nil

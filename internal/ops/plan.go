@@ -1,12 +1,13 @@
 package ops
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"math"
+	"slices"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
-	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
 )
@@ -62,27 +63,31 @@ func RangeCandidates(splits []*mapreduce.Split, sf *sindex.SFilter, query geom.R
 	})
 }
 
-// KNNCandidate is a point record with its distance to the query point —
-// the form candidates take in the kNN shuffle, between serving shards (it
-// is the wire type) and in the plan's merge.
+// KNNCandidate is a point with its distance to the query point — the form
+// candidates take in the kNN shuffle, between serving shards (it is the
+// wire type) and in the plan's merge.
 type KNNCandidate = mapreduce.WireKNNCandidate
 
 // LessKNNCandidate is the canonical kNN candidate order: nearer first, ties
-// by record text. Every candidate set — per partition, per reduce, per
-// round — is sorted with it before truncating to k, so the chosen top k
-// never depends on which R-tree shape or which engine produced it.
-func LessKNNCandidate(a, b KNNCandidate) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.Rec < b.Rec
+// by point — cmp.Compare on X, then on Y — and last by the coordinates'
+// bit patterns, so -0 and +0, or two NaN payloads, never tie and the order
+// is total. Every candidate set — per partition, per reduce, per round —
+// is sorted with it before truncating to k, so the chosen top k and their
+// order never depend on which engine or which scan produced them.
+func LessKNNCandidate(a, b KNNCandidate) bool { return compareCandidates(a, b) < 0 }
+
+func compareCandidates(a, b KNNCandidate) int {
+	bits := func(v float64) int64 { return int64(math.Float64bits(v)) }
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist),
+		cmp.Compare(a.P.X, b.P.X), cmp.Compare(a.P.Y, b.P.Y),
+		cmp.Compare(bits(a.P.X), bits(b.P.X)), cmp.Compare(bits(a.P.Y), bits(b.P.Y)))
 }
 
 // sortCandidates sorts canonically and truncates to k. Truncating a
 // partition's set before the merge is safe: a candidate outside its own
 // partition's top k can never be in the merged top k.
 func sortCandidates(cands []KNNCandidate, k int) []KNNCandidate {
-	sort.Slice(cands, func(i, j int) bool { return LessKNNCandidate(cands[i], cands[j]) })
+	slices.SortFunc(cands, compareCandidates)
 	if len(cands) > k {
 		cands = cands[:max(k, 0)]
 	}
@@ -154,9 +159,7 @@ func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, sf *
 	}
 	pts := make([]geom.Point, len(cands))
 	for i, c := range cands {
-		if pts[i], err = geomio.DecodePoint(c.Rec); err != nil {
-			return nil, err
-		}
+		pts[i] = c.P
 	}
 	return pts, nil
 }

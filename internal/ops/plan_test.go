@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spatialhadoop/internal/geom"
-	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
 )
@@ -73,7 +72,7 @@ func (d *fakeDriver) fetch(_ context.Context, kept []*mapreduce.Split) ([]KNNCan
 		keys = append(keys, sp.Partition)
 		pts := d.fx.pts[sp.Partition]
 		for _, p := range pts {
-			cands = append(cands, KNNCandidate{Dist: math.Hypot(p.X-d.q.X, p.Y-d.q.Y), Rec: geomio.EncodePoint(p)})
+			cands = append(cands, KNNCandidate{Dist: math.Hypot(p.X-d.q.X, p.Y-d.q.Y), P: p})
 		}
 		d.plan.Searched(sp, len(pts), len(pts))
 	}
@@ -82,19 +81,18 @@ func (d *fakeDriver) fetch(_ context.Context, kept []*mapreduce.Split) ([]KNNCan
 }
 
 // bruteKNN is the oracle: the k nearest over every point, in the canonical
-// (dist, record) order.
+// (dist, point) order.
 func (fx *planFixture) bruteKNN(q geom.Point, k int) []geom.Point {
 	var all []KNNCandidate
 	for _, pts := range fx.pts {
 		for _, p := range pts {
-			all = append(all, KNNCandidate{Dist: math.Hypot(p.X-q.X, p.Y-q.Y), Rec: geomio.EncodePoint(p)})
+			all = append(all, KNNCandidate{Dist: math.Hypot(p.X-q.X, p.Y-q.Y), P: p})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return LessKNNCandidate(all[i], all[j]) })
 	out := []geom.Point{}
 	for _, c := range all[:min(k, len(all))] {
-		p, _ := geomio.DecodePoint(c.Rec)
-		out = append(out, p)
+		out = append(out, c.P)
 	}
 	return out
 }

@@ -35,7 +35,7 @@ func blockRangeIDs(b *dfs.Block, query geom.Rect) ([]int, error) {
 	return ids, nil
 }
 
-// blockNearest returns the block's k nearest records to q plus every
+// blockNearest returns the block's k nearest points to q plus every
 // further one at exactly the k-th distance, in no particular order. Only
 // finite coordinates are pinned: a NaN distance has no rank.
 func blockNearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error) {
@@ -47,11 +47,10 @@ func blockNearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error) {
 	for i, p := range pts {
 		c.offer(p, q, i)
 	}
-	// Only the survivors' records are ever asked for.
 	noms := c.nearestWithTies()
 	cands := make([]KNNCandidate, len(noms))
 	for i, n := range noms {
-		cands[i] = KNNCandidate{Dist: n.dist, Rec: b.Record(n.id)}
+		cands[i] = KNNCandidate{Dist: n.dist, P: pts[n.id]}
 	}
 	return cands, nil
 }

@@ -172,20 +172,20 @@ func TestScanProbeMatchesIndexProbeRange(t *testing.T) {
 	}
 }
 
-// candidateSet renders nominations as sorted (distance bits, record)
-// strings: equal sets compare equal, and a distance that differs in its
-// last bit does not.
+// candidateSet renders nominations as sorted (distance, x, y) bit
+// strings: equal sets compare equal, and a distance or coordinate that
+// differs in its last bit does not.
 func candidateSet(cands []KNNCandidate) []string {
 	out := make([]string, len(cands))
 	for i, c := range cands {
-		out[i] = fmt.Sprintf("%016x/%s", math.Float64bits(c.Dist), c.Rec)
+		out[i] = fmt.Sprintf("%016x/%016x/%016x", math.Float64bits(c.Dist), math.Float64bits(c.P.X), math.Float64bits(c.P.Y))
 	}
 	sort.Strings(out)
 	return out
 }
 
 // TestScanProbeMatchesIndexProbeKNN: on finite coordinates the block scan
-// and the R-tree nominate bit-equal (distance, record) sets — the k nearest plus every
+// and the R-tree nominate bit-equal (distance, point) sets — the k nearest plus every
 // tie at the k-th distance — for k from 0 to beyond the block, with ties
 // straddling k and with every point equidistant.
 func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
@@ -214,9 +214,13 @@ func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
 	for name, pts := range blocks {
 		shapes := pointsBlocks(t, pts)
 		// The reference is always the text block's tree, so the column's
-		// records are held to the text's.
+		// points are held to the ones parsed from the text.
 		text := shapes["text"]
 		tree := blockTree(t, text)
+		textPts, err := text.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for shape, b := range shapes {
 			name := name + ", " + shape + " block"
 			ks := []int{-1, 0, 1, 2, 3, 5, 8, 17, 63, 64, 65, len(pts) - 1, len(pts), len(pts) + 1, 10 * len(pts)}
@@ -230,7 +234,7 @@ func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
 				for _, k := range ks {
 					var want []KNNCandidate
 					for _, nb := range tree.NearestWithTies(q, k) {
-						want = append(want, KNNCandidate{Dist: nb.Dist, Rec: text.Record(nb.Entry.ID)})
+						want = append(want, KNNCandidate{Dist: nb.Dist, P: textPts[nb.Entry.ID]})
 					}
 					got, err := blockNearest(b, q, k)
 					if err != nil {

@@ -161,20 +161,22 @@ func ownsRef(cell, space geom.Rect, p geom.Point) bool {
 	return xOK && yOK
 }
 
+// encodeCandidate is a candidate's shuffle text, "dist;x,y", exact both ways.
 func encodeCandidate(c KNNCandidate) string {
-	return strconv.FormatFloat(c.Dist, 'g', 17, 64) + ";" + c.Rec
+	return strconv.FormatFloat(c.Dist, 'g', 17, 64) + ";" + geomio.EncodePoint(c.P)
 }
 
 func decodeCandidate(s string) (KNNCandidate, error) {
-	i := strings.IndexByte(s, ';')
-	if i < 0 {
+	d, pt, ok := strings.Cut(s, ";")
+	if !ok {
 		return KNNCandidate{}, fmt.Errorf("ops: bad knn candidate %q", s)
 	}
-	d, err := strconv.ParseFloat(s[:i], 64)
+	dist, err := strconv.ParseFloat(d, 64)
 	if err != nil {
 		return KNNCandidate{}, err
 	}
-	return KNNCandidate{Dist: d, Rec: s[i+1:]}, nil
+	p, err := geomio.DecodePoint(pt)
+	return KNNCandidate{Dist: dist, P: p}, err
 }
 
 // KNN returns the k nearest points to q in the file, with the two-round

@@ -44,7 +44,7 @@ func RangeStream(out *RangeFragment, parts []*LocalPartition, query geom.Rect, k
 	for _, part := range parts {
 		from := len(ids)
 		ids = part.Tree.Search(query, ids)
-		out.Counts = append(out.Counts, int64(len(part.Recs)), int64(len(ids)-from))
+		out.Counts = append(out.Counts, int64(len(part.Pts)), int64(len(ids)-from))
 	}
 	*scratch = ids
 	var stack [4]LocalMatch
@@ -153,7 +153,7 @@ func PartitionKNNCandidates(part *LocalPartition, q geom.Point, k int) []KNNCand
 	noms := part.Tree.NearestWithTies(q, k)
 	out := make([]KNNCandidate, len(noms))
 	for i, n := range noms {
-		out[i] = KNNCandidate{Dist: n.dist, Rec: part.Recs[n.id]}
+		out[i] = KNNCandidate{Dist: n.dist, P: part.Pts[n.id]}
 	}
 	return sortCandidates(out, k)
 }

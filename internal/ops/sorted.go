@@ -1,20 +1,43 @@
 package ops
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 )
 
-// SortedPoints is a pinned partition's local index: a view — no copy, no
-// second structure — over its points in canonical (X, then Y) order, whose
+// SortedPoints is a partition's local index — a pinned partition's, or an
+// ANN map attempt's: a view — no copy, no second structure — over its
+// points in canonical (X, then Y) order, whose
 // ids are indices into that order. A probe reads the slab of points whose
 // X can matter and nothing else, so its worst case is the partition, which
-// the block size bounds. Points with a NaN X sort first (PinSplit), where
+// the block size bounds. Points with a NaN X sort first (sortedPoints), where
 // no comparison below is true of them: they match no range and rank in no
 // kNN.
 type SortedPoints []geom.Point
+
+// sortedPoints copies the blocks' points into one column — a block's own
+// column is shared — and sorts it into canonical order, a total one:
+// cmp.Compare puts a NaN first where < would leave it unordered and break
+// the binary searches below. Equal points may land in either order, which
+// no consumer can observe: a kNN candidate is its point.
+func sortedPoints(blocks []*dfs.Block) (SortedPoints, error) {
+	cols := make([][]geom.Point, len(blocks))
+	for i, b := range blocks {
+		var err error
+		if cols[i], err = b.Points(); err != nil {
+			return nil, err
+		}
+	}
+	pts := slices.Concat(cols...)
+	slices.SortFunc(pts, func(a, b geom.Point) int {
+		return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
+	})
+	return pts, nil
+}
 
 // Search appends to dst, ascending, the ids of the points inside query,
 // boundary inclusive (Rect.ContainsPoint): two binary searches cut the slab

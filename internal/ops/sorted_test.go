@@ -30,8 +30,8 @@ func pinPoints(t testing.TB, pts []geom.Point) *LocalPartition {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(part.Pts) != len(pts) || len(part.Recs) != len(pts) || len(part.Tree) != len(pts) {
-		t.Fatalf("pinned %d points, %d records, %d indexed, want %d", len(part.Pts), len(part.Recs), len(part.Tree), len(pts))
+	if len(part.Pts) != len(pts) || len(part.Tree) != len(pts) {
+		t.Fatalf("pinned %d points, %d indexed, want %d", len(part.Pts), len(part.Tree), len(pts))
 	}
 	return part
 }
@@ -295,11 +295,7 @@ func TestPinnedBytesIsWhatIsHeld(t *testing.T) {
 		}
 		part := pinPoints(t, pts)
 		held := int64(cap(part.Pts))*int64(unsafe.Sizeof(geom.Point{})) +
-			int64(cap(part.Recs))*int64(unsafe.Sizeof("")) +
 			int64(cap(part.Frag)) + int64(cap(part.FragOff))*int64(unsafe.Sizeof(int32(0)))
-		for _, r := range part.Recs {
-			held += int64(len(r))
-		}
 		if unsafe.SliceData(part.Tree) != unsafe.SliceData(part.Pts) {
 			t.Fatalf("%s: the index is a copy of the points, not a view", name)
 		}

@@ -182,7 +182,7 @@ func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []int64{int64(len(part.Recs)), int64(len(ids))}; !slices.Equal(st.Counts, want) || len(st.Keys) != 2*len(ids) {
+		if want := []int64{int64(len(part.Pts)), int64(len(ids))}; !slices.Equal(st.Counts, want) || len(st.Keys) != 2*len(ids) {
 			t.Fatalf("rect %s: stream of %d keys counted %v, want %d keys counted %v", canon, len(st.Keys), st.Counts, 2*len(ids), want)
 		}
 		streams = append(streams, shardFrag{stream: &st, counts: st.Counts, matches: len(st.Keys) / 2})

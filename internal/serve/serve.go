@@ -745,25 +745,6 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 		for i, p := range pts {
 			nbs[i] = neighborJSON{X: p.X, Y: p.Y, Dist: math.Hypot(p.X-q.X, p.Y-q.Y)}
 		}
-		// (dist, x, y) order makes distance ties deterministic, which the
-		// byte-level oracle comparison requires.
-		slices.SortFunc(nbs, func(a, b neighborJSON) int {
-			switch {
-			case a.Dist < b.Dist:
-				return -1
-			case a.Dist > b.Dist:
-				return 1
-			case a.X < b.X:
-				return -1
-			case a.X > b.X:
-				return 1
-			case a.Y < b.Y:
-				return -1
-			case a.Y > b.Y:
-				return 1
-			}
-			return 0
-		})
 		body, err := encodeKNNBody(file, canonPt, k, nbs)
 		return body, meta, err
 	})

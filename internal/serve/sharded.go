@@ -161,7 +161,7 @@ func (sq *shardQuery) knnCall(q geom.Point, k int) shardCall {
 		},
 		local: func(part *ops.LocalPartition) (shardFrag, error) {
 			cands := ops.PartitionKNNCandidates(part, q, k)
-			return shardFrag{cands: cands, counts: []int64{int64(len(part.Recs)), int64(len(cands))}}, nil
+			return shardFrag{cands: cands, counts: []int64{int64(len(part.Pts)), int64(len(cands))}}, nil
 		},
 	}
 }

@@ -82,7 +82,7 @@ func (s *shardServer) ExecKNN(args mapreduce.ExecKNNArgs, reply *mapreduce.ExecK
 	for _, part := range parts {
 		cands := ops.PartitionKNNCandidates(part, args.Q, args.K)
 		reply.Cands = append(reply.Cands, cands...)
-		reply.Counts = append(reply.Counts, int64(len(part.Recs)), int64(len(cands)))
+		reply.Counts = append(reply.Counts, int64(len(part.Pts)), int64(len(cands)))
 	}
 	return nil
 }

@@ -126,8 +126,8 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 			t.Fatalf("%s ExecKNN: %v", sp.Partition, err)
 		}
 		kwant := ops.PartitionKNNCandidates(part, q, k)
-		if !reflect.DeepEqual(kr.Cands, kwant) || !slices.Equal(kr.Counts, []int64{int64(len(part.Recs)), int64(len(kwant))}) {
-			t.Errorf("%s ExecKNN: %v counted %v, want %v of %d records", sp.Partition, kr.Cands, kr.Counts, kwant, len(part.Recs))
+		if !reflect.DeepEqual(kr.Cands, kwant) || !slices.Equal(kr.Counts, []int64{int64(len(part.Pts)), int64(len(kwant))}) {
+			t.Errorf("%s ExecKNN: %v counted %v, want %v of %d points", sp.Partition, kr.Cands, kr.Counts, kwant, len(part.Pts))
 		}
 	}
 
@@ -185,10 +185,10 @@ func TestExecBatchedMatchesMerge(t *testing.T) {
 			if len(ids) > 0 {
 				matches = append(matches, ops.LocalMatch{Part: part, IDs: ids})
 			}
-			counts = append(counts, int64(len(part.Recs)), int64(len(ids)))
+			counts = append(counts, int64(len(part.Pts)), int64(len(ids)))
 			pc := ops.PartitionKNNCandidates(part, q, k)
 			cands = append(cands, pc...)
-			kcounts = append(kcounts, int64(len(part.Recs)), int64(len(pc)))
+			kcounts = append(kcounts, int64(len(part.Pts)), int64(len(pc)))
 		}
 		var wantKeys []float64
 		wantFrag, err := ops.AppendMatches(nil, &wantKeys, matches)
