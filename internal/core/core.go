@@ -125,15 +125,32 @@ type IndexedFile struct {
 // LoadPointsHeap stores points as a heap (non-indexed) file: records are
 // written in input order and split into blocks with no spatial awareness —
 // the default Hadoop loader of the paper's "Hadoop" algorithm variants.
+// The text lengths the blocks are cut by are measured in parallel.
 func (s *System) LoadPointsHeap(name string, pts []geom.Point) error {
 	w, err := s.fs.Create(name)
 	if err != nil {
 		return err
 	}
-	for _, p := range pts {
-		w.WritePoint(geomio.EncodePoint(p))
+	lens := pointTextLens(pts)
+	for i, p := range pts {
+		w.WritePoint(p, int(lens[i]))
 	}
 	return w.Close()
+}
+
+// pointTextLens measures each point's text, len(geomio.EncodePoint(p)),
+// which is what WritePoint counts a point as, on up to GOMAXPROCS
+// goroutines.
+func pointTextLens(pts []geom.Point) []uint8 {
+	lens := make([]uint8, len(pts))
+	const chunk = 4096
+	parallel((len(pts)+chunk-1)/chunk, func(c int) {
+		var buf [geomio.MaxPointLen]byte
+		for i := c * chunk; i < min(len(pts), (c+1)*chunk); i++ {
+			lens[i] = uint8(len(geomio.AppendPoint(buf[:0], pts[i])))
+		}
+	})
+	return lens
 }
 
 // LoadRegionsHeap stores regions as a heap file.
@@ -178,19 +195,15 @@ func (s *System) samplePoints(pts []geom.Point) []geom.Point {
 // This is SpatialHadoop's indexed file loader. Each cell is written in
 // its local order, (X, then Y) as cmp.Compare orders them with ties in
 // input order: the order ops.PinSplit and the CG local steps sort into,
-// so their sorts meet a sorted run. Cells are sorted, and the text
-// encoded, in parallel; the file is the same whatever GOMAXPROCS is.
+// so their sorts meet a sorted run. The points are stored as points;
+// their text lengths, which size the partitions and cut the blocks, are
+// measured, and the cells sorted, in parallel; the file is the same
+// whatever GOMAXPROCS is.
 func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (*IndexedFile, error) {
-	recs := make([]string, len(pts))
-	const chunk = 4096
-	parallel((len(pts)+chunk-1)/chunk, func(c int) {
-		for i := c * chunk; i < min(len(pts), (c+1)*chunk); i++ {
-			recs[i] = geomio.EncodePoint(pts[i])
-		}
-	})
+	lens := pointTextLens(pts)
 	var totalBytes int64
-	for _, r := range recs {
-		totalBytes += int64(len(r)) + 1
+	for _, n := range lens {
+		totalBytes += int64(n) + 1
 	}
 	space := geom.RectOf(pts)
 	if space.IsEmpty() {
@@ -210,7 +223,8 @@ func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (
 	}
 	order := byPoint(pts)
 	parallel(len(byCell), func(c int) { slices.SortFunc(byCell[c], order) })
-	return s.writeIndexed(name, gi, recs, byCell, func(w *dfs.Writer, i int) { w.WritePoint(recs[i]) })
+	return s.writeIndexed(name, gi, byCell, func(i int) int { return int(lens[i]) },
+		func(w *dfs.Writer, i int) { w.WritePoint(pts[i], int(lens[i])) })
 }
 
 // LoadRegions spatially partitions and stores regions. With a disjoint
@@ -248,7 +262,8 @@ func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Techni
 	}
 	order := byMinX(bounds)
 	parallel(len(byCell), func(c int) { slices.SortFunc(byCell[c], order) })
-	return s.writeIndexed(name, gi, recs, byCell, func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) })
+	return s.writeIndexed(name, gi, byCell, func(i int) int { return len(recs[i]) },
+		func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) })
 }
 
 // byPoint orders record indices by their points, (X, then Y) as
@@ -299,14 +314,15 @@ func (s *System) recordBuild(d time.Duration, gi *sindex.GlobalIndex) {
 	s.metrics.Inc(MetricPartitionsCreated, int64(len(gi.Cells)))
 }
 
-// recordFill registers the post-assignment partition fill statistics.
-func (s *System) recordFill(gi *sindex.GlobalIndex, recs []string, byCell [][]int) {
+// recordFill registers the post-assignment partition fill statistics;
+// textLen(i) is the size of record i's text.
+func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]int, textLen func(i int) int) {
 	perRecs := make([]int, len(byCell))
 	perBytes := make([]int64, len(byCell))
 	for i, cellRecs := range byCell {
 		perRecs[i] = len(cellRecs)
 		for _, r := range cellRecs {
-			perBytes[i] += int64(len(recs[r])) + 1
+			perBytes[i] += int64(textLen(r)) + 1
 		}
 		if len(cellRecs) > 0 {
 			s.metrics.Observe(MetricPartitionFill, float64(len(cellRecs)))
@@ -318,14 +334,15 @@ func (s *System) recordFill(gi *sindex.GlobalIndex, recs []string, byCell [][]in
 	s.metrics.SetGauge(GaugePartitionImbalance, ps.Imbalance())
 }
 
-// writeIndexed writes the partitioned records — byCell holds indices into
-// recs, and write(w, i) writes record i through the loader's typed call
-// (WritePoint, WriteRegion) — and the master index. Queries meet the
+// writeIndexed writes the partitioned records — byCell holds record
+// indices, textLen(i) is the size of record i's text and write(w, i)
+// writes record i through the loader's typed call (WritePoint,
+// WriteRegion) — and the master index. Queries meet the
 // previous generation until Close publishes this one; the writer is
 // created only here, after partitioning, so the two overlap in memory for
 // the write loop alone.
-func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, recs []string, byCell [][]int, write func(w *dfs.Writer, i int)) (*IndexedFile, error) {
-	s.recordFill(gi, recs, byCell)
+func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]int, textLen func(i int) int, write func(w *dfs.Writer, i int)) (*IndexedFile, error) {
+	s.recordFill(gi, byCell, textLen)
 	w, err := s.fs.CreateOrReplace(name)
 	if err != nil {
 		return nil, err

@@ -261,12 +261,11 @@ func loadAllocBytes(t *testing.T, n int, load func(sys *System, pts []geom.Point
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
-// TestLoadPointsAllocs pins the loaders' allocation per point: the point
-// mark costs the loader nothing — one per-cell slice of records, as before
-// the mark existed — and each record is one allocation. The limits are the
-// loaders' cost before blocks had a point mark (226 and 138 B/point) less
-// what the one-allocation EncodePoint saved; a second per-cell slice, or
-// an EncodePoint back at three allocations, breaks them.
+// TestLoadPointsAllocs pins the loaders' allocation per point: a point is
+// stored as a point, its text measured and never formatted into a string.
+// When the limits were set the loaders allocated 103 and 90 B/point,
+// against 170 and 122 when they stored text; a string per point, or a
+// second per-cell slice, breaks them.
 func TestLoadPointsAllocs(t *testing.T) {
 	const n = 40000
 	indexed := loadAllocBytes(t, n, func(sys *System, pts []geom.Point) {
@@ -280,7 +279,7 @@ func TestLoadPointsAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("LoadPoints %.1f B/point, LoadPointsHeap %.1f B/point", indexed, heap)
-	if indexed > 215 || heap > 135 {
-		t.Errorf("LoadPoints allocates %.1f B/point (limit 215), LoadPointsHeap %.1f (limit 135)", indexed, heap)
+	if indexed > 135 || heap > 115 {
+		t.Errorf("LoadPoints allocates %.1f B/point (limit 135), LoadPointsHeap %.1f (limit 115)", indexed, heap)
 	}
 }

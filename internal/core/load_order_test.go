@@ -113,11 +113,12 @@ func inputOrderRegions(sys *System, regions []geom.Region, t sindex.Technique) (
 	return gi, cells
 }
 
-// loadCase is one loaded file and what it must equal: the input-order
-// partitioning (gi, cells), the records, how the loader writes record i,
-// and the cell order (less, over record indices, without the index
-// tie-break).
+// loadCase is one loaded file, the system holding it, and what it must
+// equal: the input-order partitioning (gi, cells), the records, how the
+// reference writes record i, and the cell order (less, over record
+// indices, without the index tie-break).
 type loadCase struct {
+	sys   *System
 	f     *IndexedFile
 	gi    *sindex.GlobalIndex
 	cells [][]int
@@ -129,9 +130,9 @@ type loadCase struct {
 // check compares the loaded file with the input-order loop: the master
 // index, Bytes and Records equal; each cell holds the loop's records,
 // sorted by less with ties in input order, as one run of consecutive
-// blocks; and the blocks equal those the loop writes when each cell is
-// first sorted serially.
-func (lc loadCase) check(t *testing.T) {
+// blocks; and the blocks and per-node bytes equal those the loop writes
+// when each cell is first sorted serially. It returns the loop's file.
+func (lc loadCase) check(t *testing.T) *dfs.File {
 	t.Helper()
 	f := lc.f.File
 	if !bytes.Equal(f.Master, lc.gi.Encode()) {
@@ -182,12 +183,17 @@ func (lc loadCase) check(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBlocks(t, f, rf)
+	sameLayout(t, f, rf)
+	if !slices.Equal(lc.sys.FS().NodeBytes(), ref.FS().NodeBytes()) {
+		t.Fatalf("bytes per node %v, the input-order loop's %v", lc.sys.FS().NodeBytes(), ref.FS().NodeBytes())
+	}
+	return rf
 }
 
-// sameBlocks fails unless a and b have the same blocks, frame for frame,
-// and the same master index.
-func sameBlocks(t *testing.T, a, b *dfs.File) {
+// sameLayout fails unless a and b have the same blocks — each block's ID,
+// node, partition, Bytes and records — and the same Bytes, Records and
+// master index.
+func sameLayout(t *testing.T, a, b *dfs.File) {
 	t.Helper()
 	if len(a.Blocks) != len(b.Blocks) || a.Bytes != b.Bytes || a.Records != b.Records || !bytes.Equal(a.Master, b.Master) {
 		t.Fatalf("files differ: %d vs %d blocks, %d vs %d bytes, %d vs %d records, or the master index",
@@ -196,9 +202,30 @@ func sameBlocks(t *testing.T, a, b *dfs.File) {
 	for i, x := range a.Blocks {
 		y := b.Blocks[i]
 		if x.ID != y.ID || x.Node != y.Node || x.Partition != y.Partition || x.Bytes != y.Bytes ||
-			!bytes.Equal(dfs.EncodeBlockFrame(x, false), dfs.EncodeBlockFrame(y, false)) {
-			t.Fatalf("block %d differs: %v/%d/%s/%d vs %v/%d/%s/%d or its frame",
-				i, x.ID, x.Node, x.Partition, x.Bytes, y.ID, y.Node, y.Partition, y.Bytes)
+			x.NumRecords() != y.NumRecords() || !slices.Equal(x.Records(), y.Records()) {
+			t.Fatalf("block %d differs: %v/%d/%s/%d/%d vs %v/%d/%s/%d/%d or its records", i,
+				x.ID, x.Node, x.Partition, x.Bytes, x.NumRecords(), y.ID, y.Node, y.Partition, y.Bytes, y.NumRecords())
+		}
+	}
+}
+
+// sameBlocks is sameLayout, frame for frame.
+func sameBlocks(t *testing.T, a, b *dfs.File) {
+	t.Helper()
+	sameLayout(t, a, b)
+	for i, x := range a.Blocks {
+		if !bytes.Equal(dfs.EncodeBlockFrame(x), dfs.EncodeBlockFrame(b.Blocks[i])) {
+			t.Fatalf("block %d ships as a different frame", i)
+		}
+	}
+}
+
+// shipsAs fails unless every block of f ships in the frame shape tag.
+func shipsAs(t *testing.T, f *dfs.File, tag byte) {
+	t.Helper()
+	for i, b := range f.Blocks {
+		if payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b)); err != nil || payload[0] != tag {
+			t.Fatalf("block %d ships as %q (%v), want %q", i, payload[:1], err, tag)
 		}
 	}
 }
@@ -216,22 +243,43 @@ func pointLess(pts []geom.Point) func(a, b int) bool {
 
 // TestLoadPointsWritesCellsInLocalOrder: for every technique, each point
 // cell is the input-order loop's records in (X, Y) order, read across its
-// blocks, and everything else about the file is what that loop wrote.
+// blocks, and the file's layout is what that loop's text write lays out:
+// the points are stored as a column, cut where their text is cut. The heap
+// loader's file has the layout of its records written as text in input
+// order.
 func TestLoadPointsWritesCellsInLocalOrder(t *testing.T) {
-	for _, tech := range loadTechniques {
-		for _, nan := range []bool{false, true} {
-			pts := orderPoints(6000, 3, nan)
-			recs := geomio.EncodePoints(pts)
+	cfg := Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}
+	for _, nan := range []bool{false, true} {
+		pts := orderPoints(6000, 3, nan)
+		recs := geomio.EncodePoints(pts)
+		t.Run(fmt.Sprintf("heap/nan=%v", nan), func(t *testing.T) {
+			sys, ref := New(cfg), New(cfg)
+			if err := sys.LoadPointsHeap("pts", pts); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.FS().WriteFile("pts", recs); err != nil {
+				t.Fatal(err)
+			}
+			f, _ := sys.FS().Open("pts")
+			rf, _ := ref.FS().Open("pts")
+			sameLayout(t, f, rf)
+			shipsAs(t, f, dfs.FrameColumn)
+			if !slices.Equal(sys.FS().NodeBytes(), ref.FS().NodeBytes()) {
+				t.Fatalf("bytes per node %v, the text write's %v", sys.FS().NodeBytes(), ref.FS().NodeBytes())
+			}
+		})
+		for _, tech := range loadTechniques {
 			t.Run(fmt.Sprintf("%v/nan=%v", tech, nan), func(t *testing.T) {
-				sys := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+				sys := New(cfg)
 				f, err := sys.LoadPoints("pts", pts, tech)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gi, cells := inputOrderPoints(New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}), pts, tech)
-				lc := loadCase{f: f, gi: gi, cells: cells, recs: recs, less: pointLess(pts),
-					write: func(w *dfs.Writer, i int) { w.WritePoint(recs[i]) }}
+				gi, cells := inputOrderPoints(New(cfg), pts, tech)
+				lc := loadCase{sys: sys, f: f, gi: gi, cells: cells, recs: recs, less: pointLess(pts),
+					write: func(w *dfs.Writer, i int) { w.WriteRecord(recs[i]) }}
 				lc.check(t)
+				shipsAs(t, f.File, dfs.FrameColumn)
 				for _, sp := range f.Splits() {
 					got, err := geomio.DecodePoints(sp.Records())
 					if err != nil {
@@ -269,10 +317,10 @@ func TestLoadRegionsWritesCellsInLocalOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			gi, cells := inputOrderRegions(New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}), regions, tech)
-			lc := loadCase{f: f, gi: gi, cells: cells, recs: recs,
+			lc := loadCase{sys: sys, f: f, gi: gi, cells: cells, recs: recs,
 				less:  func(a, b int) bool { return cmp.Less(bounds[a].MinX, bounds[b].MinX) },
 				write: func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) }}
-			lc.check(t)
+			sameBlocks(t, f.File, lc.check(t))
 			for _, sp := range f.Splits() {
 				var minX []float64
 				for _, b := range sp.Blocks {
@@ -292,28 +340,32 @@ func TestLoadRegionsWritesCellsInLocalOrder(t *testing.T) {
 	}
 }
 
-// TestLoadIsTheSameAtAnyParallelism: the cells are sorted and the text
-// encoded on up to GOMAXPROCS goroutines; the file — records, blocks and
-// master index — is byte-identical at 1 and at 4.
+// TestLoadIsTheSameAtAnyParallelism: the cells are sorted and the point
+// text lengths measured on up to GOMAXPROCS goroutines, by the indexed
+// loaders and the heap loader; the file — records, blocks and master
+// index — is byte-identical at 1 and at 4.
 func TestLoadIsTheSameAtAnyParallelism(t *testing.T) {
 	pts := orderPoints(6000, 7, true)
 	regions := orderRegions(9)
-	load := func(procs int, tech sindex.Technique) (*System, *System) {
+	cfg := Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}
+	load := func(procs int, tech sindex.Technique) (*System, *System, *System) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		ps := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+		ps, rs, hs := New(cfg), New(cfg), New(cfg)
 		if _, err := ps.LoadPoints("f", pts, tech); err != nil {
 			t.Fatal(err)
 		}
-		rs := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
 		if _, err := rs.LoadRegions("f", regions, tech); err != nil {
 			t.Fatal(err)
 		}
-		return ps, rs
+		if err := hs.LoadPointsHeap("f", pts); err != nil {
+			t.Fatal(err)
+		}
+		return ps, rs, hs
 	}
 	for _, tech := range loadTechniques {
-		p1, r1 := load(1, tech)
-		p4, r4 := load(4, tech)
-		for _, s := range [][2]*System{{p1, p4}, {r1, r4}} {
+		p1, r1, h1 := load(1, tech)
+		p4, r4, h4 := load(4, tech)
+		for _, s := range [][2]*System{{p1, p4}, {r1, r4}, {h1, h4}} {
 			a, errA := s[0].FS().ReadAll("f")
 			b, errB := s[1].FS().ReadAll("f")
 			if errA != nil || errB != nil || !slices.Equal(a, b) {

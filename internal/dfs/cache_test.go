@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
@@ -257,6 +258,54 @@ func BenchmarkBlockPointsCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := blk.Points(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestColumnRecordsKeepNothing: a point block formats its text for
+// whoever asks and keeps none of it. After SaveDir and two ReadAlls of a
+// file written through WritePoint, no block holds text, the two reads
+// share no memory, and both are the records a text write of the same
+// points stores.
+func TestColumnRecordsKeepNothing(t *testing.T) {
+	pts := awkwardPoints(6, 600)
+	recs := geomio.EncodePoints(pts)
+	fs := New(Config{BlockSize: 1 << 10, DataNodes: 3})
+	w, err := fs.Create("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		w.WritePoint(p, len(recs[i]))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("text", recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SaveDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fs.ReadAll("text")
+	if err != nil || !slices.Equal(want, recs) {
+		t.Fatalf("the text write reads back as other records (%v)", err)
+	}
+	first, err1 := fs.ReadAll("pts")
+	second, err2 := fs.ReadAll("pts")
+	if err1 != nil || err2 != nil || !slices.Equal(first, want) || !slices.Equal(second, want) {
+		t.Fatalf("ReadAll of the point file differs from the text write's records (%v, %v)", err1, err2)
+	}
+	if unsafe.StringData(first[0]) == unsafe.StringData(second[0]) {
+		t.Fatal("two reads of a point file share their text")
+	}
+	f, _ := fs.Open("pts")
+	if len(f.Blocks) < 3 {
+		t.Fatalf("%d blocks, want several", len(f.Blocks))
+	}
+	for i, b := range f.Blocks {
+		if !b.column || b.records != nil || b.cache.bounds != nil {
+			t.Fatalf("block %d holds text after SaveDir and two reads", i)
 		}
 	}
 }

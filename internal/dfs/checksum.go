@@ -197,7 +197,7 @@ func (fs *FileSystem) CorruptBlock(name string, i int) error {
 	ri := slices.IndexFunc(b.records, func(rec string) bool { return rec != "" })
 	switch {
 	case b.column && len(b.col) > 0:
-		bad.column, bad.col = true, slices.Clone(b.col)
+		bad.column, bad.col, bad.lens = true, slices.Clone(b.col), b.lens
 		bad.col[0].X = math.Float64frombits(math.Float64bits(bad.col[0].X) ^ 1)
 	case ri >= 0:
 		bad.records = slices.Clone(b.records)

@@ -5,15 +5,14 @@
 // sequence of fixed-capacity blocks, each block lives on a data node, and
 // one map task is scheduled per block (or per indexed partition).
 //
-// A block is text records or a point column. A block a Writer builds from
-// text holds it; one whose records all came through WritePoint carries a
-// mark saying the text is nothing but points, and such a block crosses the
-// data plane as a column of coordinates (frame.go). The block a worker
-// opens from a column frame holds only the points, behind the same
-// accessors: Points is the column, Record and Records format text on
-// demand — and so does a block a Writer fills with points selected from a
-// block that holds them (WriteSelected), a job's range matches. One whose
-// records all came through WriteRegion is marked as regions and holds each
+// A block is text records or a point column. A Writer stores what
+// WritePoint hands it as points, 16 bytes each, and what WriteRecord hands
+// it as text; the two never share a block. A point block — a loaded points
+// file, a job's range matches (WriteSelected), the block a worker opens
+// from a column frame (frame.go) — answers Points with its column and
+// formats Record and Records on demand. Text is what a caller asks for and
+// what arrives as text (LoadDir, WriteFile, job outputs). A block whose
+// records all came through WriteRegion is region-marked and holds each
 // record's MBR beside its text, so Bounds parses nothing, here or on the
 // worker the rects travel to.
 //
@@ -72,16 +71,18 @@ type Block struct {
 
 	records []string
 
-	// mark and a region-marked block's rects are the writer's alone; a
+	// regions marks a block of nothing but WriteRegion calls, rects[i]
+	// being the MBR record i parses to. The mark is the writer's alone; a
 	// copy made any other way (CorruptBlock) is unmarked.
-	mark  blockMark
-	rects []geom.Rect
+	regions bool
+	rects   []geom.Rect
 
-	// column marks a block opened from a column frame or written by
-	// WriteSelected from points, whose data is col and which holds no text
-	// until Records formats it.
+	// column marks a block of points: col is its data, and it holds no
+	// text. lens[i] is the size of record i's text, as its writer measured
+	// it; a column opened from a frame carries none.
 	column bool
 	col    []geom.Point
+	lens   []uint8
 
 	// crc is the CRC32 checksum stamped when the block was sealed — over
 	// the text as laid out on disk, or over a column's bytes (checksum.go).
@@ -93,24 +94,9 @@ type Block struct {
 	cache blockCache
 }
 
-// blockMark is what a block's writer promised about its text: every
-// record came through WritePoint (each is geomio.EncodePoint of the point
-// it parses to, so the points alone reproduce the text), or every one
-// through WriteRegion (rects[i] is the MBR record i parses to).
-type blockMark uint8
-
-const (
-	unmarked blockMark = iota
-	pointMark
-	regionMark
-)
-
 // blockCache holds the decoded views over a block's records, each built
 // at most once under its own sync.Once.
 type blockCache struct {
-	recsOnce sync.Once
-	recs     []string
-
 	ptsOnce sync.Once
 	pts     []geom.Point
 	ptsErr  error
@@ -124,38 +110,36 @@ type blockCache struct {
 }
 
 // Records returns the records stored in the block, for callers that want
-// all of them. A column block formats its text on the first call, at most
-// once, into one arena the records share; a caller after a few records of
-// such a block asks Record for them. The returned slice must not be
-// modified.
+// all of them. A column block formats its text anew on every call, into
+// one arena the records share, and keeps none of it: whoever asks for a
+// block's text (SaveDir, ReadAll) holds it only as long as they need it. A
+// caller after a few records of such a block asks Record for them. The
+// returned slice must not be modified.
 func (b *Block) Records() []string {
 	if !b.column {
 		return b.records
 	}
-	c := &b.cache
-	c.recsOnce.Do(func() {
-		var arena strings.Builder
-		// Bytes counts a newline per record; the frame decoder bounded it.
-		arena.Grow(max(0, int(b.Bytes)-len(b.col)))
-		ends := make([]int, len(b.col))
-		var buf [geomio.MaxPointLen]byte
-		for i, p := range b.col {
-			arena.Write(geomio.AppendPoint(buf[:0], p))
-			ends[i] = arena.Len()
-		}
-		text, start := arena.String(), 0
-		c.recs = make([]string, len(ends))
-		for i, end := range ends {
-			c.recs[i], start = text[start:end], end
-		}
-	})
-	return c.recs
+	var arena strings.Builder
+	// Bytes counts a newline per record; the frame decoder bounded it.
+	arena.Grow(max(0, int(b.Bytes)-len(b.col)))
+	ends := make([]int, len(b.col))
+	var buf [geomio.MaxPointLen]byte
+	for i, p := range b.col {
+		arena.Write(geomio.AppendPoint(buf[:0], p))
+		ends[i] = arena.Len()
+	}
+	text, start := arena.String(), 0
+	recs := make([]string, len(ends))
+	for i, end := range ends {
+		recs[i], start = text[start:end], end
+	}
+	return recs
 }
 
 // Record returns record i. For a column block it is formatted on the spot
-// — geomio.EncodePoint of point i, which is the stored text by what the
-// writer's mark means — so a probe that matched three points of a block
-// pays for three records, not for the block.
+// — geomio.EncodePoint of point i, a point's one spelling — so a probe
+// that matched three points of a block pays for three records, not for
+// the block.
 func (b *Block) Record(i int) string {
 	if b.column {
 		return geomio.EncodePoint(b.col[i])
@@ -187,10 +171,6 @@ func (b *Block) Points() ([]geom.Point, error) {
 	return c.pts, c.ptsErr
 }
 
-// HoldsPoints reports whether the block's records are points in their one
-// spelling, so Points reproduces its text: a column, or point-marked text.
-func (b *Block) HoldsPoints() bool { return b.column || b.mark == pointMark }
-
 // Bounds returns the MBR of each record, index-aligned with Records, for
 // callers that need only MBRs (the join's sweep, region range filters). A
 // region-marked block's rects are what its writer computed: nothing is
@@ -198,7 +178,7 @@ func (b *Block) HoldsPoints() bool { return b.column || b.mark == pointMark }
 // block lifetime, by the Points rule. The returned slice is shared and
 // must not be modified.
 func (b *Block) Bounds() ([]geom.Rect, error) {
-	if b.mark == regionMark {
+	if b.regions {
 		return b.rects, nil
 	}
 	c := &b.cache
@@ -439,60 +419,70 @@ func (w *Writer) sealCur() {
 	if cap(b.col)-len(b.col) > len(b.col)/8 {
 		b.col = slices.Clone(b.col)
 	}
+	if cap(b.lens)-len(b.lens) > len(b.lens)/8 {
+		b.lens = slices.Clone(b.lens)
+	}
 	b.seal()
 }
 
 // WriteRecord appends one text record.
-func (w *Writer) WriteRecord(rec string) { w.write(rec, unmarked, geom.Rect{}) }
+func (w *Writer) WriteRecord(rec string) { w.write(rec, false, geom.Rect{}) }
 
-// WritePoint appends one point record: rec must be geomio.EncodePoint of
-// a point, which is what the spatial loaders hold. It stores the same text
-// WriteRecord would; the difference is the mark. A block that received
-// nothing but WritePoint calls is known to be points in their one
-// spelling, and ships to workers as a coordinate column instead of text
-// (frame.go). One other write into the block and it is a text block.
-func (w *Writer) WritePoint(rec string) { w.write(rec, pointMark, geom.Rect{}) }
+// WritePoint appends one point record, stored as the point: 16 bytes and
+// one for textLen, which must be len(geomio.EncodePoint(p)), the size of
+// the text the record reads as. Blocks are counted and cut by that size,
+// so a file of points has the blocks, Bytes and placement its text would
+// have; the caller passes it in because the loaders measure it in
+// parallel, ahead of the write loop. A block of points ships to workers
+// as a coordinate column (frame.go). Text and points never share a block:
+// switching cuts.
+func (w *Writer) WritePoint(p geom.Point, textLen int) {
+	if textLen+1 < minPointBytes || textLen+1 > maxPointBytes {
+		panic(fmt.Sprintf("dfs: %d bytes of text for a point", textLen))
+	}
+	b := w.next(textLen, true)
+	b.col = append(b.col, p)
+	b.lens = append(b.lens, uint8(textLen))
+}
 
 // WriteRegion appends one region record: rec must be geomio.EncodeRegion
 // of a region and mbr its Bounds. It stores the same text WriteRecord
 // would and keeps mbr beside it: a block of nothing but WriteRegion calls
 // answers Bounds without a parse and ships its rects with its text
 // (frame.go). One other write into the block and it is a text block.
-func (w *Writer) WriteRegion(rec string, mbr geom.Rect) { w.write(rec, regionMark, mbr) }
+func (w *Writer) WriteRegion(rec string, mbr geom.Rect) { w.write(rec, true, mbr) }
 
-// WriteSelected appends records ids of src, in that order: what a map
-// task selected from its input instead of copying it out. When src holds
-// points and pts are theirs (pts[k] is record ids[k]'s point), the records
-// land in column blocks and no text is stored; Bytes still grows by each
-// record's text size, so blocks are cut where writing the text would cut
-// them. Otherwise the records are src's own strings, under src's mark (and
-// rects). Text and column records never share a block: switching cuts.
-func (w *Writer) WriteSelected(src *Block, ids []int, pts []geom.Point) {
-	if src.HoldsPoints() && len(pts) == len(ids) {
-		for k, id := range ids {
-			b := w.next(len(src.Record(id)), true)
-			b.col = append(b.col, pts[k])
+// WriteSelected appends records ids of src, a block of this file system,
+// in that order: what a map task selected from its input instead of
+// copying it out. A point block's records are written as points, with the
+// text sizes src's writer measured, so they are cut where their text would
+// be cut. Otherwise the records are src's own strings, region-marked (with
+// their rects) when src is.
+func (w *Writer) WriteSelected(src *Block, ids []int) {
+	if src.column {
+		for _, id := range ids {
+			w.WritePoint(src.col[id], int(src.lens[id]))
 		}
 		return
 	}
 	for _, id := range ids {
 		var mbr geom.Rect
-		if src.mark == regionMark {
+		if src.regions {
 			mbr = src.rects[id]
 		}
-		w.write(src.Record(id), src.mark, mbr)
+		w.write(src.records[id], src.regions, mbr)
 	}
 }
 
-func (w *Writer) write(rec string, m blockMark, mbr geom.Rect) {
+func (w *Writer) write(rec string, region bool, mbr geom.Rect) {
 	b := w.next(len(rec), false)
 	switch {
 	case len(b.records) == 0:
-		b.mark = m // the first write names the block's mark
-	case b.mark != m:
-		b.mark, b.rects = unmarked, nil
+		b.regions = region // the first write names the block's mark
+	case b.regions != region:
+		b.regions, b.rects = false, nil
 	}
-	if b.mark == regionMark {
+	if b.regions {
 		b.rects = append(b.rects, mbr)
 	}
 	b.records = append(b.records, rec)
@@ -526,7 +516,7 @@ func (w *Writer) cut() {
 	node := fs.nextNode
 	fs.nextNode = (fs.nextNode + 1) % fs.cfg.DataNodes
 	fs.mu.Unlock()
-	// A write always follows, and sets the block's mark.
+	// A write always follows, and sets the block's form.
 	b := &Block{ID: id, Node: node, Partition: w.partition}
 	w.cur = b
 	w.file.Blocks = append(w.file.Blocks, b)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"spatialhadoop/internal/geom"
 )
 
 func TestCreateWriteRead(t *testing.T) {
@@ -238,6 +240,20 @@ func TestSealedBlocksGiveBackSlack(t *testing.T) {
 	for i, b := range f.Blocks {
 		if n, c := len(b.records), cap(b.records); c-n > n/8 {
 			t.Errorf("block %d keeps room for %d records and holds %d", i, c, n)
+		}
+	}
+
+	w, _ = fs.Create("pts")
+	for i := 0; i < 3000; i++ {
+		w.WritePoint(geom.Point{X: float64(i), Y: 1}, len(fmt.Sprint(i))+2)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, _ = fs.Open("pts")
+	for i, b := range f.Blocks {
+		if n := len(b.col); cap(b.col)-n > n/8 || cap(b.lens)-n > n/8 || len(b.lens) != n {
+			t.Errorf("point block %d keeps room for %d points and %d lengths and holds %d", i, cap(b.col), cap(b.lens), n)
 		}
 	}
 }

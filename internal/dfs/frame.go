@@ -16,10 +16,9 @@ import (
 // with a tag naming one of three shapes. Which one is a property of the
 // block, not a choice of the sender:
 //
-//	'P'  point column, for a block the writer marked as nothing but points
-//	     (Writer.WritePoint), one it wrote as a column of selected points
-//	     (Writer.WriteSelected, a range job's matches) or one opened from
-//	     such a frame:
+//	'P'  point column, for a block of points (Writer.WritePoint: a loaded
+//	     points file, a range job's matches) or one opened from such a
+//	     frame:
 //	       uvarint  point count n
 //	       uvarint  the block's Bytes (its text size, newline per record)
 //	       16 B × n X then Y of each point, little-endian IEEE-754 bits
@@ -85,31 +84,15 @@ func (f *blockFrame) wire(c *wirefmt.Codec) {
 	}
 }
 
-// EncodeBlockFrame seals b for the data plane in the shape b calls for.
-// A marked block's column is what its text parses to. keep says whether
-// that parse goes through the block's Points cache: a replica push is
-// one-shot work — once per block — and must not leave a decoded copy of
-// the file system resident on the master, while the master's ReadBlock is
-// asked for the same block again by every map attempt that reaches no
-// replica, and parses once. A marked block whose text does not parse was
-// written in breach of WritePoint's contract and ships as the text it is.
-func EncodeBlockFrame(b *Block, keep bool) []byte {
+// EncodeBlockFrame seals b for the data plane in the shape b calls for: a
+// column because b is one, regions because b is region-marked, text
+// otherwise. Nothing is parsed or formatted.
+func EncodeBlockFrame(b *Block) []byte {
 	switch {
 	case b.column:
 		return sealBlockFrame(blockFrame{tag: FrameColumn, pts: b.col, bytes: uint64(b.Bytes)})
-	case b.mark == regionMark:
+	case b.regions:
 		return sealBlockFrame(blockFrame{tag: FrameRegions, rects: b.rects, records: b.records})
-	case b.mark == pointMark:
-		var pts []geom.Point
-		var err error
-		if keep {
-			pts, err = b.Points()
-		} else {
-			pts, err = geomio.DecodePoints(b.records)
-		}
-		if err == nil {
-			return sealBlockFrame(blockFrame{tag: FrameColumn, pts: pts, bytes: uint64(b.Bytes)})
-		}
 	}
 	return sealBlockFrame(blockFrame{tag: FrameText, records: b.records})
 }
@@ -160,7 +143,7 @@ func DecodeBlockFrame(frame []byte) (*Block, error) {
 	if f.tag != FrameColumn {
 		b := NewBlockFromRecords("", f.records)
 		if f.tag == FrameRegions {
-			b.mark, b.rects = regionMark, f.rects
+			b.regions, b.rects = true, f.rects
 		}
 		return b, nil
 	}

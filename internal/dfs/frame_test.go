@@ -42,17 +42,24 @@ func awkwardPoints(seed int64, n int) []geom.Point {
 	return pts
 }
 
-// writeBlock writes records into one block of a fresh file, each through
-// WritePoint or WriteRecord as point(i) says, and returns the block.
-func writeBlock(t *testing.T, recs []string, point func(i int) bool) *Block {
+// pointBlock writes pts into one block of a fresh file through
+// WritePoint and returns the block.
+func pointBlock(t *testing.T, pts []geom.Point) *Block {
 	t.Helper()
 	return oneBlock(t, func(w *Writer) {
-		for i, r := range recs {
-			if point(i) {
-				w.WritePoint(r)
-			} else {
-				w.WriteRecord(r)
-			}
+		for _, p := range pts {
+			w.WritePoint(p, len(geomio.EncodePoint(p)))
+		}
+	})
+}
+
+// textBlock writes recs into one block of a fresh file through
+// WriteRecord and returns the block.
+func textBlock(t *testing.T, recs []string) *Block {
+	t.Helper()
+	return oneBlock(t, func(w *Writer) {
+		for _, r := range recs {
+			w.WriteRecord(r)
 		}
 	})
 }
@@ -99,11 +106,8 @@ func sameBits(a, b []geom.Point) bool {
 func TestColumnFrameEqualsText(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		pts := awkwardPoints(seed, 1+int(seed)*97)
-		src := writeBlock(t, geomio.EncodePoints(pts), func(int) bool { return true })
-		frame := EncodeBlockFrame(src, false)
-		if src.cache.pts != nil {
-			t.Fatal("a one-shot encode left decoded points on the block")
-		}
+		src := pointBlock(t, pts)
+		frame := EncodeBlockFrame(src)
 		n := len(pts)
 		header := shardHeaderSize + 1 + len(binary.AppendUvarint(nil, uint64(n))) + len(binary.AppendUvarint(nil, uint64(src.Bytes)))
 		if tag := frameTag(t, frame); tag != FrameColumn || len(frame) != header+pointSize*n {
@@ -113,7 +117,7 @@ func TestColumnFrameEqualsText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		text, err := DecodeBlockFrame(EncodeBlockFrame(NewBlockFromRecords("", src.Records()), false))
+		text, err := DecodeBlockFrame(EncodeBlockFrame(NewBlockFromRecords("", src.Records())))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,15 +144,11 @@ func TestColumnFrameEqualsText(t *testing.T) {
 				t.Fatalf("seed %d, %s: %v", seed, name, err)
 			}
 		}
-		if tag := frameTag(t, EncodeBlockFrame(text, false)); tag != FrameText {
+		if tag := frameTag(t, EncodeBlockFrame(text)); tag != FrameText {
 			t.Fatalf("seed %d: a block opened from text re-encodes as %q", seed, tag)
 		}
-		if again := EncodeBlockFrame(col, false); !slices.Equal(again, frame) {
+		if again := EncodeBlockFrame(col); !slices.Equal(again, frame) {
 			t.Fatalf("seed %d: the column block re-encodes to a different frame", seed)
-		}
-		// The repeatable rung parses through the cache and seals the same bytes.
-		if kept := EncodeBlockFrame(src, true); !slices.Equal(kept, frame) || src.cache.pts == nil {
-			t.Fatalf("seed %d: the keeping encode differs, or kept nothing", seed)
 		}
 
 		// The block's own seal covers the column: one flipped bit of one
@@ -168,36 +168,31 @@ func TestColumnFrameEqualsText(t *testing.T) {
 	}
 }
 
-// TestPointMarkOnlyFromWritePoint: the mark is the writer's alone. One
-// plain WriteRecord into a block, a CorruptBlock copy, a file that went
-// through SaveDir/LoadDir and a block built outside a file all ship as
-// text, however much their records look like points; and a marked block
-// whose text breaks WritePoint's contract ships as the text it is.
+// TestPointMarkOnlyFromWritePoint: only WritePoint stores points. A block
+// of WriteRecord calls, a file that went through SaveDir/LoadDir and a
+// block built outside a file all ship as text, however much their records
+// look like points; a CorruptBlock copy of a point block is a point block
+// that fails its checksum.
 func TestPointMarkOnlyFromWritePoint(t *testing.T) {
-	recs := geomio.EncodePoints(awkwardPoints(3, 50))
-	all := func(int) bool { return true }
+	pts := awkwardPoints(3, 50)
+	recs := geomio.EncodePoints(pts)
 	for name, tc := range map[string]struct {
 		block *Block
 		want  byte
 	}{
-		"WritePoint only":           {writeBlock(t, recs, all), FrameColumn},
-		"WriteRecord only":          {writeBlock(t, recs, func(int) bool { return false }), FrameText},
-		"one WriteRecord, first":    {writeBlock(t, recs, func(i int) bool { return i != 0 }), FrameText},
-		"one WriteRecord, last":     {writeBlock(t, recs, func(i int) bool { return i != len(recs)-1 }), FrameText},
-		"outside a file":            {NewBlockFromRecords("p", recs), FrameText},
-		"WritePoint of a non-point": {writeBlock(t, []string{"1,2", "not a point"}, all), FrameText},
+		"WritePoint only":  {pointBlock(t, pts), FrameColumn},
+		"WriteRecord only": {textBlock(t, recs), FrameText},
+		"outside a file":   {NewBlockFromRecords("p", recs), FrameText},
 	} {
-		for _, keep := range []bool{false, true} {
-			if tag := frameTag(t, EncodeBlockFrame(tc.block, keep)); tag != tc.want {
-				t.Errorf("%s (keep=%v): frame tag %q, want %q", name, keep, tag, tc.want)
-			}
+		if tag := frameTag(t, EncodeBlockFrame(tc.block)); tag != tc.want {
+			t.Errorf("%s: frame tag %q, want %q", name, tag, tc.want)
 		}
 	}
 
 	fs := New(Config{BlockSize: 256, DataNodes: 2})
 	w, _ := fs.Create("pts")
-	for _, r := range recs {
-		w.WritePoint(r)
+	for i, p := range pts {
+		w.WritePoint(p, len(recs[i]))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -208,7 +203,7 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range f.Blocks {
-			out = append(out, frameTag(t, EncodeBlockFrame(b, false)))
+			out = append(out, frameTag(t, EncodeBlockFrame(b)))
 		}
 		return out
 	}
@@ -219,11 +214,11 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 	if err := fs.CorruptBlock("pts", 1); err != nil {
 		t.Fatal(err)
 	}
-	after := tags(fs)
-	for i, tag := range after {
-		if want := before[i]; i == 1 && tag != FrameText || i != 1 && tag != want {
-			t.Errorf("after CorruptBlock(1): block %d ships as %q", i, tag)
-		}
+	if after := tags(fs); !slices.Equal(after, before) {
+		t.Errorf("after CorruptBlock(1) the blocks ship as %q, were %q", after, before)
+	}
+	if f, _ := fs.Open("pts"); !errors.Is(f.Blocks[1].VerifyCached(), ErrChecksum) || f.Blocks[0].VerifyCached() != nil {
+		t.Error("after CorruptBlock(1) block 1 verifies, or block 0 does not")
 	}
 	dir := t.TempDir()
 	if err := fs.SaveDir(dir); err != nil {
@@ -235,6 +230,33 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 	}
 	if got := tags(loaded); slices.Contains(got, FrameColumn) {
 		t.Errorf("a LoadDir'd file has tags %q, want all text", got)
+	}
+}
+
+// TestWritePointRejectsImpossibleTextLen: a point's text is 3 to
+// geomio.MaxPointLen bytes, what a column frame may claim; WritePoint
+// refuses any other length rather than store a block no reader accepts.
+func TestWritePointRejectsImpossibleTextLen(t *testing.T) {
+	fs := New(Config{DataNodes: 1})
+	w, _ := fs.Create("pts")
+	for _, n := range []int{-1, 0, 2, geomio.MaxPointLen + 1, 256 + 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WritePoint with %d bytes of text did not panic", n)
+				}
+			}()
+			w.WritePoint(geom.Point{}, n)
+		}()
+	}
+	w.WritePoint(geom.Point{}, 3)
+	w.WritePoint(geom.Point{}, geomio.MaxPointLen)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Open("pts")
+	if b, err := DecodeBlockFrame(EncodeBlockFrame(f.Blocks[0])); err != nil || b.NumRecords() != 2 || f.Records != 2 {
+		t.Fatalf("the two possible lengths: %v, %d records", err, f.Records)
 	}
 }
 
@@ -279,9 +301,10 @@ func sameRects(a, b []geom.Rect) bool {
 // TestRegionMarkOnlyFromWriteRegion: a block that received nothing but
 // WriteRegion ships its rects with its text and answers Bounds without a
 // parse, on the master and wherever its frame opens; its own CRC is the
-// text's. One WriteRecord or WritePoint into it, a CorruptBlock copy or a
-// LoadDir'd file is text, and still answers Bounds — the same rects, bit
-// for bit — by parsing.
+// text's. One WriteRecord into it, a CorruptBlock copy or a LoadDir'd
+// file is text, and still answers Bounds — the same rects, bit for bit —
+// by parsing. One WritePoint into it cuts: the point is a block of its
+// own and the region blocks either side keep their mark.
 func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 	regs := awkwardRegions(5, 60)
 	recs := make([]string, len(regs))
@@ -306,14 +329,13 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 		"WriteRegion only":       {region, FrameRegions},
 		"one WriteRecord, first": {except(0, (*Writer).WriteRecord), FrameText},
 		"one WriteRecord, last":  {except(len(recs)-1, (*Writer).WriteRecord), FrameText},
-		"one WritePoint":         {except(len(recs)/2, (*Writer).WritePoint), FrameText},
 	} {
 		b := oneBlock(t, func(w *Writer) {
 			for i := range recs {
 				tc.write(w, i)
 			}
 		})
-		frame := EncodeBlockFrame(b, false)
+		frame := EncodeBlockFrame(b)
 		if tag := frameTag(t, frame); tag != tc.want {
 			t.Fatalf("%s: frame tag %q, want %q", name, tag, tc.want)
 		}
@@ -332,8 +354,51 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 				t.Fatalf("%s, %s: Bounds of a region-marked block allocates %v times", name, side, n)
 			}
 		}
-		if again := EncodeBlockFrame(opened, false); !slices.Equal(again, frame) {
+		if again := EncodeBlockFrame(opened); !slices.Equal(again, frame) {
 			t.Fatalf("%s: the opened block re-encodes to a different frame", name)
+		}
+	}
+
+	// One WritePoint among WriteRegion calls cuts on both sides of the
+	// point; the region blocks keep their mark and their rects.
+	mid := len(recs) / 2
+	pt := geom.Point{X: 0.25, Y: 1.5}
+	one := New(Config{BlockSize: 1 << 30, DataNodes: 1})
+	ow, _ := one.Create("mixed")
+	for i := range mid {
+		region(ow, i)
+	}
+	ow.WritePoint(pt, len(geomio.EncodePoint(pt)))
+	for i := mid; i < len(recs); i++ {
+		region(ow, i)
+	}
+	if err := ow.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mf, _ := one.Open("mixed")
+	if len(mf.Blocks) != 3 {
+		t.Fatalf("one WritePoint among regions: %d blocks, want 3", len(mf.Blocks))
+	}
+	var tags []byte
+	for _, b := range mf.Blocks {
+		tags = append(tags, frameTag(t, EncodeBlockFrame(b)))
+	}
+	if want := []byte{FrameRegions, FrameColumn, FrameRegions}; !slices.Equal(tags, want) {
+		t.Fatalf("one WritePoint among regions: blocks ship as %q, want %q", tags, want)
+	}
+	if got := mf.Blocks[1].Records(); !slices.Equal(got, []string{geomio.EncodePoint(pt)}) {
+		t.Fatalf("one WritePoint among regions: the point block holds %q", got)
+	}
+	for i, part := range [][2]int{{0, mid}, {mid, len(recs)}} {
+		b := mf.Blocks[2*i]
+		if got, err := b.Bounds(); err != nil || !sameRects(got, want[part[0]:part[1]]) {
+			t.Fatalf("one WritePoint among regions, block %d: Bounds differ from the regions' (%v)", 2*i, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { b.Bounds() }); n != 0 {
+			t.Fatalf("one WritePoint among regions, block %d: Bounds allocates %v times", 2*i, n)
+		}
+		if !slices.Equal(b.Records(), recs[part[0]:part[1]]) || b.VerifyCached() != nil {
+			t.Fatalf("one WritePoint among regions, block %d: text differs or fails its checksum", 2*i)
 		}
 	}
 
@@ -353,7 +418,7 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 		}
 		var all []geom.Rect
 		for i, b := range f.Blocks {
-			if tag := frameTag(t, EncodeBlockFrame(b, false)); tag != wantTag {
+			if tag := frameTag(t, EncodeBlockFrame(b)); tag != wantTag {
 				t.Errorf("block %d ships as %q, want %q", i, tag, wantTag)
 			}
 			rects, err := b.Bounds()
@@ -386,10 +451,10 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 	if err := bad.VerifyCached(); !errors.As(err, &cerr) {
 		t.Fatalf("VerifyCached of the corrupt copy = %v, want a *ChecksumError", err)
 	}
-	if tag := frameTag(t, EncodeBlockFrame(bad, false)); tag != FrameText || bad.rects != nil {
+	if tag := frameTag(t, EncodeBlockFrame(bad)); tag != FrameText || bad.rects != nil {
 		t.Fatalf("the corrupt copy ships as %q, holding %d rects; want unmarked text", tag, len(bad.rects))
 	}
-	if tag := frameTag(t, EncodeBlockFrame(f.Blocks[2], false)); tag != FrameRegions {
+	if tag := frameTag(t, EncodeBlockFrame(f.Blocks[2])); tag != FrameRegions {
 		t.Fatalf("an untouched block beside the corrupt one ships as %q", tag)
 	}
 }

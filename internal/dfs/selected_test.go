@@ -11,20 +11,16 @@ import (
 	"spatialhadoop/internal/geomio"
 )
 
-// TestWriteSelectedCutsLikeText: records selected from a point block, with
-// their points, land in column blocks cut where writing their text would
-// cut them — the same boundaries, Bytes and Records — which ship as
-// columns and format back to the source text byte for byte; without their
-// points they are the source's strings; a region block's selection keeps
-// its text, mark and rects; and a switch between text and column writes
-// cuts a block.
+// TestWriteSelectedCutsLikeText: records selected from a point block land
+// in column blocks cut where writing their text would cut them — the same
+// boundaries, Bytes and Records — which ship as columns and format back to
+// the source text byte for byte; a selection from a text block stays text;
+// a region block's selection keeps its text, mark and rects; and a switch
+// between text and column writes cuts a block.
 func TestWriteSelectedCutsLikeText(t *testing.T) {
-	recs := geomio.EncodePoints(awkwardPoints(11, 400))
-	src := writeBlock(t, recs, func(int) bool { return true })
-	all, err := src.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := awkwardPoints(11, 400)
+	recs := geomio.EncodePoints(all)
+	src := pointBlock(t, all)
 	var ids []int
 	var pts []geom.Point
 	for i := range recs {
@@ -50,8 +46,8 @@ func TestWriteSelectedCutsLikeText(t *testing.T) {
 		return f
 	}
 	col := file("col", func(w *Writer) {
-		w.WriteSelected(src, ids[:50], pts[:50])
-		w.WriteSelected(src, ids[50:], pts[50:])
+		w.WriteSelected(src, ids[:50])
+		w.WriteSelected(src, ids[50:])
 	})
 	text := file("text", func(w *Writer) {
 		for _, id := range ids {
@@ -68,7 +64,7 @@ func TestWriteSelectedCutsLikeText(t *testing.T) {
 			t.Fatalf("block %d: column %v, %d bytes, records equal %v; text block %d bytes",
 				i, b.column, b.Bytes, slices.Equal(b.Records(), tb.Records()), tb.Bytes)
 		}
-		if tag := frameTag(t, EncodeBlockFrame(b, false)); tag != FrameColumn {
+		if tag := frameTag(t, EncodeBlockFrame(b)); tag != FrameColumn {
 			t.Fatalf("block %d ships as %q", i, tag)
 		}
 		if err := b.Verify(); err != nil {
@@ -85,15 +81,16 @@ func TestWriteSelectedCutsLikeText(t *testing.T) {
 
 	mixed := file("mixed", func(w *Writer) {
 		w.WriteRecord("a")
-		w.WriteSelected(src, ids[:2], pts[:2])
+		w.WriteSelected(src, ids[:2])
 		w.WriteRecord("b")
 	})
 	if n := len(mixed.Blocks); n != 3 || mixed.Blocks[0].column || !mixed.Blocks[1].column || mixed.Blocks[2].column {
 		t.Fatalf("text, selection, text: %d blocks", n)
 	}
-	bare := file("bare", func(w *Writer) { w.WriteSelected(src, ids[:5], nil) })
-	if b := bare.Blocks[0]; b.column || b.mark != pointMark || !slices.Equal(b.Records(), []string{recs[0], recs[2], recs[3], recs[5], recs[6]}) {
-		t.Fatalf("a selection without points: column %v, mark %v, records %q", b.column, b.mark, b.Records())
+	fromText := file("from text", func(w *Writer) { w.WriteSelected(textBlock(t, recs), ids[:5]) })
+	if b := fromText.Blocks[0]; b.column || b.regions || frameTag(t, EncodeBlockFrame(b)) != FrameText ||
+		!slices.Equal(b.Records(), []string{recs[0], recs[2], recs[3], recs[5], recs[6]}) {
+		t.Fatalf("a selection from a text block: column %v, regions %v, records %q", b.column, b.regions, b.Records())
 	}
 
 	regs := awkwardRegions(4, 20)
@@ -102,13 +99,13 @@ func TestWriteSelectedCutsLikeText(t *testing.T) {
 			w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
 		}
 	})
-	rf := file("regs", func(w *Writer) { w.WriteSelected(rsrc, []int{0, 7, 19}, nil) })
+	rf := file("regs", func(w *Writer) { w.WriteSelected(rsrc, []int{0, 7, 19}) })
 	var rects []geom.Rect
 	var rrecs []string
 	for _, b := range rf.Blocks {
 		r, err := b.Bounds()
-		if err != nil || frameTag(t, EncodeBlockFrame(b, false)) != FrameRegions {
-			t.Fatalf("a region selection's block %d ships as %q (%v)", b.ID, frameTag(t, EncodeBlockFrame(b, false)), err)
+		if err != nil || frameTag(t, EncodeBlockFrame(b)) != FrameRegions {
+			t.Fatalf("a region selection's block %d ships as %q (%v)", b.ID, frameTag(t, EncodeBlockFrame(b)), err)
 		}
 		rects, rrecs = append(rects, r...), append(rrecs, b.Records()...)
 	}
@@ -122,12 +119,11 @@ func TestWriteSelectedCutsLikeText(t *testing.T) {
 // column — one coordinate bit, the stored checksum kept — and the read
 // paths then see the mismatch.
 func TestCorruptColumnBlock(t *testing.T) {
-	recs := geomio.EncodePoints(awkwardPoints(2, 60))
-	src := writeBlock(t, recs, func(int) bool { return true })
-	pts, _ := src.Points()
+	pts := awkwardPoints(2, 60)
+	src := pointBlock(t, pts)
 	fs := New(Config{BlockSize: 256, DataNodes: 2})
 	w, _ := fs.Create("col")
-	w.WriteSelected(src, []int{0, 1, 2, 3, 4, 5}, pts[:6])
+	w.WriteSelected(src, []int{0, 1, 2, 3, 4, 5})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

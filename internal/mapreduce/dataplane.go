@@ -106,8 +106,7 @@ func (p *dataPlane) ensureBlock(b *dfs.Block) {
 	if len(targets) == 0 {
 		return // replication 0: the master serves the block
 	}
-	// One-shot: a point block's column is parsed here, once, and not kept.
-	frame := dfs.EncodeBlockFrame(b, false)
+	frame := dfs.EncodeBlockFrame(b)
 	for _, id := range targets {
 		if p.pushTo(id, b.ID, frame) {
 			p.mu.Lock()
@@ -197,8 +196,7 @@ func (p *dataPlane) blockRefs(s *Split) []WireBlockRef {
 
 // readFrame seals one registered block for the master's ReadBlock — the
 // source for a worker that reached no replica, and at replication 0 of
-// every map attempt: the rung repeats, so a point block is parsed once,
-// through its Points cache, and not per read.
+// every map attempt.
 func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, error) {
 	p.mu.Lock()
 	pb := p.blocks[id]
@@ -206,7 +204,7 @@ func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, error) {
 	if pb == nil {
 		return nil, fmt.Errorf("mapreduce: master holds no block %d", id)
 	}
-	return dfs.EncodeBlockFrame(pb.block, true), nil
+	return dfs.EncodeBlockFrame(pb.block), nil
 }
 
 // onWorkerLost re-replicates every block the dead worker held onto
@@ -248,7 +246,7 @@ func (p *dataPlane) onWorkerLost(workerID int64) {
 				continue
 			}
 			if frame == nil {
-				frame = dfs.EncodeBlockFrame(b, false) // one-shot, as in ensureBlock
+				frame = dfs.EncodeBlockFrame(b)
 			}
 			if p.pushTo(id, b.ID, frame) {
 				p.mu.Lock()

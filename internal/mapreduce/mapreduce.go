@@ -206,9 +206,9 @@ func (c *TaskContext) Write(record string) {
 // WriteSelected writes records ids of the split's block-th block, in that
 // order (ids ascend), to the job output like Write — but as a selection,
 // not as text: the master writes the records from its own copy of the
-// block, so an attempt formats nothing it only passes on. When the block
-// holds points, the selection carries theirs, and the output stores them
-// as a column. An attempt either Writes or selects: both fail it.
+// block, so an attempt formats nothing it only passes on, and a selection
+// from a point block is stored as points. An attempt either Writes or
+// selects: both fail it.
 func (c *TaskContext) WriteSelected(block int, ids []int) {
 	if len(ids) > 0 {
 		c.sel = append(c.sel, Selection{Block: block, IDs: ids})
@@ -222,21 +222,15 @@ type Selection struct {
 	Block int
 	// IDs are the selected records, ascending.
 	IDs []int
-	// Pts are the records' points, when the block holds points; else none.
-	Pts []geom.Point
 }
 
 // source returns the block s selects from in split, checking that s fits
-// it: the block exists, the ids ascend within it, and the points are one
-// per id or none.
+// it: the block exists and the ids ascend within it.
 func (s *Selection) source(split *Split) (*dfs.Block, error) {
 	if s.Block < 0 || s.Block >= len(split.Blocks) {
 		return nil, fmt.Errorf("mapreduce: selection from block %d outside the split", s.Block)
 	}
 	b := split.Blocks[s.Block]
-	if len(s.Pts) != 0 && len(s.Pts) != len(s.IDs) {
-		return nil, fmt.Errorf("mapreduce: selection of %d records carries %d points", len(s.IDs), len(s.Pts))
-	}
 	prev := -1
 	for _, id := range s.IDs {
 		if id <= prev || id >= b.NumRecords() {
@@ -853,7 +847,7 @@ func (j *jobRun) writeOutput() (int64, error) {
 				return 0, fmt.Errorf("mapreduce: map task %d: %w", task, err)
 			}
 			n += len(s.IDs)
-			w.WriteSelected(src, s.IDs, s.Pts)
+			w.WriteSelected(src, s.IDs)
 		}
 	}
 	for _, part := range j.reduceOut {
@@ -1040,22 +1034,11 @@ func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards,
 	if len(ctx.out) > 0 && len(ctx.sel) > 0 {
 		return nil, nil, nil, nil, errors.New("mapreduce: a map attempt both wrote and selected its output")
 	}
-	// Every selection must fit the split — the wire carries only ascending
-	// ids — and one from a block that holds points carries them.
-	for i := range ctx.sel {
-		s := &ctx.sel[i]
-		b, err := s.source(split)
-		if err != nil {
+	// Every selection must fit the split: the wire carries only ascending
+	// ids.
+	for _, s := range ctx.sel {
+		if _, err := s.source(split); err != nil {
 			return nil, nil, nil, nil, err
-		}
-		if !b.HoldsPoints() {
-			continue
-		}
-		if all, err := b.Points(); err == nil {
-			s.Pts = make([]geom.Point, len(s.IDs))
-			for k, id := range s.IDs {
-				s.Pts[k] = all[id]
-			}
 		}
 	}
 	emitted := 0

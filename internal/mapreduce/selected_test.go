@@ -7,7 +7,6 @@ import (
 
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/fault"
-	"spatialhadoop/internal/geom"
 )
 
 // TestWriteSelectedOutput: a map-only job that selects records writes the
@@ -85,14 +84,12 @@ func TestWriteSelectedOutput(t *testing.T) {
 
 // TestSelectionSource: a selection is resolved only against a block it
 // fits — the ordinal inside the split, ids ascending below the block's
-// record count, points one per id or none.
+// record count.
 func TestSelectionSource(t *testing.T) {
 	b := dfs.NewBlockFromRecords("", []string{"1,1", "2,2", "3,3"})
 	split := &Split{Blocks: []*dfs.Block{b}}
-	two := []geom.Point{{X: 1, Y: 1}, {X: 3, Y: 3}}
 	for _, s := range []Selection{
 		{IDs: []int{0, 2}},
-		{IDs: []int{0, 2}, Pts: two},
 		{IDs: nil},
 	} {
 		if got, err := s.source(split); err != nil || got != b {
@@ -106,8 +103,6 @@ func TestSelectionSource(t *testing.T) {
 		{IDs: []int{3}},
 		{IDs: []int{1, 1}},
 		{IDs: []int{2, 1}},
-		{IDs: []int{0}, Pts: two},
-		{IDs: []int{0, 1, 2}, Pts: two},
 	} {
 		if _, err := s.source(split); err == nil {
 			t.Errorf("%+v: accepted", s)

@@ -275,13 +275,13 @@ func (a *TaskDoneArgs) wire(c *wirefmt.Codec) {
 	for _, v := range [...]*int64{&a.RecordsIn, &a.Pairs, &a.Bytes, &a.LocalReads, &a.LocalBytes, &a.RemoteReads, &a.RemoteBytes} {
 		c.Int64(v)
 	}
-	wirefmt.Slice(c, &a.Selected, 3, func(c *wirefmt.Codec, s *Selection) { s.wire(c) })
+	wirefmt.Slice(c, &a.Selected, 2, func(c *wirefmt.Codec, s *Selection) { s.wire(c) })
 }
 
-// wire lays a selection out as its block ordinal, its ids delta-coded —
-// each the gap to the one before, the first's to -1, so a run of
-// neighbours takes a byte an id and a gap of 0 (ids not ascending) is
-// malformed — then its points, one per id or none, as a column.
+// wire lays a selection out as its block ordinal, then its ids
+// delta-coded: each the gap to the one before, the first's to -1, so a run
+// of neighbours takes a byte an id and a gap of 0 (ids not ascending) is
+// malformed.
 func (s *Selection) wire(c *wirefmt.Codec) {
 	c.Int(&s.Block)
 	wirefmt.Len(c, &s.IDs, 1)
@@ -297,12 +297,6 @@ func (s *Selection) wire(c *wirefmt.Codec) {
 		}
 		prev = s.IDs[i]
 	}
-	wirefmt.Len(c, &s.Pts, 16)
-	if n := len(s.Pts); n != 0 && n != len(s.IDs) {
-		c.Fail("%d points for %d selected ids", n, len(s.IDs))
-		return
-	}
-	c.Points(s.Pts)
 }
 
 // TaskDoneReply acknowledges a completion report.

@@ -48,7 +48,7 @@ func str(s string) []byte { return append(uvarints(uint64(len(s))), s...) }
 
 // textFrame is the frame of a block that never saw WritePoint.
 func textFrame(recs []string) []byte {
-	return dfs.EncodeBlockFrame(dfs.NewBlockFromRecords("", recs), false)
+	return dfs.EncodeBlockFrame(dfs.NewBlockFromRecords("", recs))
 }
 
 // columnFrame is the frame of a block written through WritePoint alone.
@@ -60,7 +60,7 @@ func columnFrame(t testing.TB, pts []geom.Point) []byte {
 		t.Fatal(err)
 	}
 	for _, p := range pts {
-		w.WritePoint(geomio.EncodePoint(p))
+		w.WritePoint(p, len(geomio.EncodePoint(p)))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func columnFrame(t testing.TB, pts []geom.Point) []byte {
 	if err != nil || len(f.Blocks) != 1 {
 		t.Fatalf("Open = %v, %v; want one block", f, err)
 	}
-	frame := dfs.EncodeBlockFrame(f.Blocks[0], false)
+	frame := dfs.EncodeBlockFrame(f.Blocks[0])
 	if payload, err := dfs.UnsealShard(frame); err != nil || payload[0] != dfs.FrameColumn {
 		t.Fatalf("a WritePoint block sealed as %q (%v), want a column", payload[:1], err)
 	}
@@ -94,7 +94,7 @@ func regionsFrame(t testing.TB, regs []geom.Region) []byte {
 	if err != nil || len(f.Blocks) != 1 {
 		t.Fatalf("Open = %v, %v; want one block", f, err)
 	}
-	frame := dfs.EncodeBlockFrame(f.Blocks[0], false)
+	frame := dfs.EncodeBlockFrame(f.Blocks[0])
 	if payload, err := dfs.UnsealShard(frame); err != nil || payload[0] != dfs.FrameRegions {
 		t.Fatalf("a WriteRegion block sealed as %q (%v), want regions", payload[:1], err)
 	}
@@ -387,7 +387,7 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 		if err := b.Verify(); err != nil {
 			t.Fatalf("the opened block does not verify: %v", err)
 		}
-		if again := dfs.EncodeBlockFrame(b, false); !bytes.Equal(again, frame) {
+		if again := dfs.EncodeBlockFrame(b); !bytes.Equal(again, frame) {
 			t.Fatalf("accepted frame %x re-encodes to %x", frame, again)
 		}
 		// What the frame says of its block's text holds up when the text
@@ -464,9 +464,10 @@ func wireSamples() []wireMessage {
 		&TaskDoneArgs{},
 		&TaskDoneArgs{LostMaps: []int{}, Out: []string{}, Selected: []Selection{}, Metrics: obs.TaskMetricsWire{Counters: map[string]int64{}, Observations: map[string][]float64{}}},
 		&TaskDoneArgs{Selected: []Selection{
-			{Block: 2, IDs: []int{0, 1, 2, 300, 1 << 40}, Pts: []geom.Point{{X: odd[0], Y: odd[1]}, {X: odd[2], Y: odd[3]}, {X: 1, Y: 2}, {}, {X: odd[5], Y: odd[6]}}},
+			{Block: 2, IDs: []int{0, 1, 2, 300, 1 << 40}},
 			{Block: -1, IDs: []int{math.MaxInt - 1}},
-			{IDs: []int{}, Pts: []geom.Point{}},
+			{IDs: []int{}},
+			{Block: 1 << 20, IDs: []int{0}},
 		}},
 		&TaskDoneArgs{
 			WorkerID: 1, DispatchID: math.MaxInt64, Err: "boom", Transient: true, LostMaps: []int{0, -3, 1 << 40},
@@ -689,11 +690,10 @@ func TestWireRejectsMalformed(t *testing.T) {
 		"out count beyond":                {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 1<<20, 0, 0, 0, 0, 0, 0, 0, 0, 0))},
 		"observation values beyond":       {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 1), str("h"), uvarints(1<<20), le64(1), uvarints(0, 0, 0, 0, 0, 0, 0))},
 		"selections count beyond":         {new(TaskDoneArgs), cat(done, uvarints(1<<20, 0, 0, 0))},
-		"selected ids count beyond":       {new(TaskDoneArgs), cat(done, uvarints(1, 0, 1<<20, 1, 2, 0))},
-		"selected ids not ascending":      {new(TaskDoneArgs), cat(done, uvarints(1, 0, 3, 1, 1, 0, 0))},
-		"selected id beyond an int":       {new(TaskDoneArgs), cat(done, uvarints(1, 0, 2, 1, math.MaxUint64, 0))},
-		"selected points not one per id":  {new(TaskDoneArgs), cat(done, uvarints(1, 0, 2, 1, 1, 1), le64(0, 0))},
-		"selected points count beyond":    {new(TaskDoneArgs), cat(done, uvarints(1, 0, 1, 1, 1<<20), le64(0, 0))},
+		"selected ids count beyond":       {new(TaskDoneArgs), cat(done, uvarints(1, 0, 1<<20, 1, 2))},
+		"selected ids not ascending":      {new(TaskDoneArgs), cat(done, uvarints(1, 0, 3, 1, 1, 0))},
+		"selected id beyond an int":       {new(TaskDoneArgs), cat(done, uvarints(1, 0, 2, 1, math.MaxUint64))},
+		"selections cut short":            {new(TaskDoneArgs), cat(done, uvarints(2, 0, 1, 1))},
 	} {
 		var err error
 		if n := allocBytes(20, func() { _, err = decodeAs(tc.msg, tc.body) }); n > 4<<10 {

@@ -40,8 +40,8 @@ func pointsBlocks(t *testing.T, pts []geom.Point) map[string]*dfs.Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		w.WritePoint(r)
+	for i, p := range pts {
+		w.WritePoint(p, len(recs[i]))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func pointsBlocks(t *testing.T, pts []geom.Point) map[string]*dfs.Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := dfs.EncodeBlockFrame(f.Blocks[0], false)
+	frame := dfs.EncodeBlockFrame(f.Blocks[0])
 	if payload, _ := dfs.UnsealShard(frame); payload[0] != dfs.FrameColumn {
 		t.Fatalf("a WritePoint block travels as %q, want a column", payload[0])
 	}

@@ -1,6 +1,7 @@
 package pigeon
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -33,7 +34,8 @@ const (
 // for indexed datasets, the name of the backing file in the system FS.
 type Value struct {
 	Kind Kind
-	// Records are the encoded rows (geomio formats).
+	// Records are the encoded rows (geomio formats); nil for a GENERATEd
+	// relation, whose rows are its File's, formatted when asked for.
 	Records []string
 	// File is the DFS file name for indexed/loaded datasets ("" for
 	// in-memory query results).
@@ -96,6 +98,17 @@ func (in *Interp) lookup(st Statement, i int) (Value, error) {
 		return Value{}, fmt.Errorf("pigeon: line %d: undefined variable %q", st.Line, st.Args[i])
 	}
 	return v, nil
+}
+
+// lookupRecords is lookup plus the value's rows: its Records, or, for a
+// GENERATEd relation, its file's text.
+func (in *Interp) lookupRecords(st Statement, i int) (Value, []string, error) {
+	v, err := in.lookup(st, i)
+	if err != nil || v.Records != nil || v.File == "" {
+		return v, v.Records, err
+	}
+	recs, err := in.sys.FS().ReadAll(v.File)
+	return v, recs, err
 }
 
 // needNumbers fetches st.Numbers with arity checking.
@@ -211,18 +224,17 @@ func (in *Interp) runGenerate(st Statement) error {
 		seed = int64(nums[1])
 	}
 	pts := datagen.Points(dist, n, datagen.DefaultArea, seed)
-	recs := geomio.EncodePoints(pts)
 	file := in.fresh("gen")
-	if err := in.sys.FS().WriteFile(file, recs); err != nil {
+	if err := in.sys.LoadPointsHeap(file, pts); err != nil {
 		return err
 	}
-	in.vars[st.Target] = Value{Kind: KindPoints, Records: recs, File: file}
+	in.vars[st.Target] = Value{Kind: KindPoints, File: file}
 	return nil
 }
 
 // runIndex: v = INDEX <var> BY 'technique';
 func (in *Interp) runIndex(st Statement) error {
-	src, err := in.lookup(st, 0)
+	src, recs, err := in.lookupRecords(st, 0)
 	if err != nil {
 		return err
 	}
@@ -236,7 +248,12 @@ func (in *Interp) runIndex(st Statement) error {
 	file := in.fresh("idx")
 	switch src.Kind {
 	case KindPoints:
-		pts, err := geomio.DecodePoints(src.Records)
+		var pts []geom.Point
+		if src.Records == nil {
+			pts, err = in.sys.FS().ReadPointsCtx(context.Background(), src.File)
+		} else {
+			pts, err = geomio.DecodePoints(recs)
+		}
 		if err != nil {
 			return err
 		}
@@ -244,8 +261,8 @@ func (in *Interp) runIndex(st Statement) error {
 			return err
 		}
 	case KindRegions:
-		regions := make([]geom.Region, len(src.Records))
-		for i, r := range src.Records {
+		regions := make([]geom.Region, len(recs))
+		for i, r := range recs {
 			rg, err := geomio.DecodeRegion(r)
 			if err != nil {
 				return err
@@ -258,7 +275,7 @@ func (in *Interp) runIndex(st Statement) error {
 	default:
 		return fmt.Errorf("pigeon: line %d: cannot index a %s value", st.Line, src.Kind)
 	}
-	in.vars[st.Target] = Value{Kind: src.Kind, Records: src.Records, File: file, Indexed: true}
+	in.vars[st.Target] = Value{Kind: src.Kind, Records: recs, File: file, Indexed: true}
 	return nil
 }
 
@@ -563,18 +580,18 @@ func (in *Interp) runPlot(st Statement) error {
 
 // runDump: DUMP <var> [LIMIT(n)];
 func (in *Interp) runDump(st Statement) error {
-	src, err := in.lookup(st, 0)
+	src, recs, err := in.lookupRecords(st, 0)
 	if err != nil {
 		return err
 	}
-	limit := len(src.Records)
+	limit := len(recs)
 	if len(st.Numbers) > 0 {
 		limit = int(st.Numbers[0])
 	}
-	fmt.Fprintf(in.out, "%s (%s, %d records):\n", st.Args[0], src.Kind, len(src.Records))
-	for i, r := range src.Records {
+	fmt.Fprintf(in.out, "%s (%s, %d records):\n", st.Args[0], src.Kind, len(recs))
+	for i, r := range recs {
 		if i >= limit {
-			fmt.Fprintf(in.out, "  ... %d more\n", len(src.Records)-limit)
+			fmt.Fprintf(in.out, "  ... %d more\n", len(recs)-limit)
 			break
 		}
 		fmt.Fprintf(in.out, "  %s\n", r)
@@ -584,12 +601,12 @@ func (in *Interp) runDump(st Statement) error {
 
 // runDescribe: DESCRIBE <var>;
 func (in *Interp) runDescribe(st Statement) error {
-	src, err := in.lookup(st, 0)
+	src, recs, err := in.lookupRecords(st, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(in.out, "%s: kind=%s records=%d indexed=%v",
-		st.Args[0], src.Kind, len(src.Records), src.Indexed)
+		st.Args[0], src.Kind, len(recs), src.Indexed)
 	if src.File != "" {
 		if f, err := in.sys.Open(src.File); err == nil {
 			fmt.Fprintf(in.out, " blocks=%d", len(f.File.Blocks))
@@ -604,12 +621,12 @@ func (in *Interp) runDescribe(st Statement) error {
 
 // runStore: STORE <var> INTO 'path';
 func (in *Interp) runStore(st Statement) error {
-	src, err := in.lookup(st, 0)
+	_, recs, err := in.lookupRecords(st, 0)
 	if err != nil {
 		return err
 	}
 	if len(st.Strings) != 1 {
 		return fmt.Errorf("pigeon: line %d: STORE needs a quoted path", st.Line)
 	}
-	return os.WriteFile(st.Strings[0], []byte(strings.Join(src.Records, "\n")+"\n"), 0o644)
+	return os.WriteFile(st.Strings[0], []byte(strings.Join(recs, "\n")+"\n"), 0o644)
 }

@@ -3,12 +3,14 @@ package pigeon
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"spatialhadoop/internal/cg"
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 )
@@ -97,12 +99,44 @@ func TestEndToEndScript(t *testing.T) {
 		cp  = CLOSESTPAIR idx;
 		DUMP sky;
 		DUMP nn LIMIT(2);
+		DUMP pts LIMIT(2);
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Verify against direct computation.
 	gen := datagen.Points(datagen.Clustered, 5000, datagen.DefaultArea, 9)
+	// A generated relation is stored as points, in the blocks its text
+	// would take, keeps no text of its own, and reads, dumps and indexes
+	// as that text.
+	recs := geomio.EncodePoints(gen)
+	pts, _ := in.Var("pts")
+	f, err := in.sys.FS().Open(pts.File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textFS := core.New(core.Config{BlockSize: 8 << 10, Workers: 4, Seed: 1}).FS()
+	if err := textFS.WriteFile("text", recs); err != nil {
+		t.Fatal(err)
+	}
+	tf, _ := textFS.Open("text")
+	if len(f.Blocks) != len(tf.Blocks) || f.Bytes != tf.Bytes || len(f.Blocks) < 2 {
+		t.Fatalf("GENERATE stored %d blocks of %d bytes; its text takes %d of %d", len(f.Blocks), f.Bytes, len(tf.Blocks), tf.Bytes)
+	}
+	for i, b := range f.Blocks {
+		if payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b)); err != nil || payload[0] != dfs.FrameColumn || b.Bytes != tf.Blocks[i].Bytes {
+			t.Fatalf("generated block %d ships as %q (%v), %d bytes", i, payload[:1], err, b.Bytes)
+		}
+	}
+	if got, err := in.sys.FS().ReadAll(pts.File); err != nil || !slices.Equal(got, recs) || pts.Records != nil {
+		t.Fatalf("the generated file reads as other text (%v), or its value holds %d records of text", err, len(pts.Records))
+	}
+	if idx, _ := in.Var("idx"); !slices.Equal(idx.Records, recs) {
+		t.Error("the index of a generated relation holds other records than its text")
+	}
+	if want := fmt.Sprintf("pts (points, 5000 records):\n  %s\n  %s\n  ... 4998 more\n", recs[0], recs[1]); !strings.HasSuffix(out.String(), want) {
+		t.Errorf("DUMP pts printed %q, want %q", out.String()[strings.LastIndex(out.String(), "pts ("):], want)
+	}
 	sky, _ := in.Var("sky")
 	if len(sky.Records) != len(cg.SkylineSingle(gen)) {
 		t.Errorf("skyline size %d, want %d", len(sky.Records), len(cg.SkylineSingle(gen)))

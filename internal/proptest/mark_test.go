@@ -11,16 +11,16 @@ import (
 	"spatialhadoop/internal/ops"
 )
 
-// TestPointMarkMeansCanonicalText: the point mark is a promise about text
-// — a marked block's every record is geomio.EncodePoint of the point it
-// parses to — and it is what lets a worker format a record from a column
-// and get the stored bytes. Checked on every block of every generated
-// point file, indexed and heap, under every technique and shape; and on
-// a range job's output, a column of the points it selected, which formats
-// the records it selected byte for byte.
+// TestPointMarkMeansCanonicalText: a point block's text is its points in
+// their one spelling — every record is geomio.EncodePoint of the point it
+// parses to — so a worker formatting a record from a column gets the
+// master's bytes. Checked on every block of every generated point file,
+// indexed and heap, under every technique and shape, each a column; and
+// on a range job's output, a column of the points it selected, which
+// formats the records it selected byte for byte.
 func TestPointMarkMeansCanonicalText(t *testing.T) {
 	tag := func(b *dfs.Block) byte {
-		payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b, false))
+		payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestRegionMarkMeansItsBounds(t *testing.T) {
 	}
 	check := func(name string, b *dfs.Block, want byte) {
 		t.Helper()
-		frame := dfs.EncodeBlockFrame(b, false)
+		frame := dfs.EncodeBlockFrame(b)
 		payload, err := dfs.UnsealShard(frame)
 		if err != nil || payload[0] != want {
 			t.Fatalf("%s: block %d travels as %q (%v), want %q", name, b.ID, payload[:1], err, want)

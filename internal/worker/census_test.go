@@ -134,7 +134,7 @@ func (s *censusShards) FetchChunk(args mapreduce.FetchChunkArgs, reply *mapreduc
 // the peer sees one.
 func TestWorkerConnectionCensus(t *testing.T) {
 	records := []string{"a", "b", "c"}
-	block := dfs.EncodeBlockFrame(dfs.NewBlockFromRecords("", records), false)
+	block := dfs.EncodeBlockFrame(dfs.NewBlockFromRecords("", records))
 	var pairs []mapreduce.Pair
 	for _, r := range records {
 		pairs = append(pairs, mapreduce.Pair{Key: "k", Value: r})

@@ -67,7 +67,7 @@ func TestJoinAnswersTheSameEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(f.Blocks[0], false))
+		payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(f.Blocks[0]))
 		if err != nil {
 			t.Fatal(err)
 		}

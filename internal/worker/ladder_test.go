@@ -40,7 +40,8 @@ func TestBlockLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		pw.WritePoint(geomio.EncodePoint(geom.Point{X: float64(i) / 8, Y: -1e6 / float64(i+1)}))
+		p := geom.Point{X: float64(i) / 8, Y: -1e6 / float64(i+1)}
+		pw.WritePoint(p, len(geomio.EncodePoint(p)))
 	}
 	if err := pw.Close(); err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestBlockLadder(t *testing.T) {
 		ptSplits[0].Blocks[0], ptSplits[1].Blocks[0], ptSplits[2].Blocks[0]}
 	// shape is the tag of the frame a block travels in.
 	shape := func(b *dfs.Block) byte {
-		payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b, false))
+		payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestBlockLadder(t *testing.T) {
 		return mapreduce.WireBlockRef{ID: int64(blocks[i].ID), Extra: extra, Holders: holders}
 	}
 	install := func(on *Worker, i int) {
-		if err := on.writeReplica(int64(blocks[i].ID), dfs.EncodeBlockFrame(blocks[i], false)); err != nil {
+		if err := on.writeReplica(int64(blocks[i].ID), dfs.EncodeBlockFrame(blocks[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -200,7 +200,7 @@ func TestReplicaFrameShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range f.Blocks {
-			if payload, _ := dfs.UnsealShard(dfs.EncodeBlockFrame(b, false)); payload[0] != shape {
+			if payload, _ := dfs.UnsealShard(dfs.EncodeBlockFrame(b)); payload[0] != shape {
 				t.Errorf("job %d: output block %d is a %q frame, want %q", i, b.ID, payload[0], shape)
 			}
 		}
