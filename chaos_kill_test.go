@@ -36,8 +36,9 @@ type killMode struct {
 func killModes() []killMode {
 	return []killMode{
 		{name: "during-map", op: "rangequery", phase: mapreduce.TaskMap},
-		{name: "during-shuffle-fetch", op: "knn", phase: mapreduce.TaskReduce, holder: true},
-		{name: "during-reduce", op: "knn", phase: mapreduce.TaskReduce},
+		// Skyline keeps a single-reducer merge; kNN, a selection job, has none.
+		{name: "during-shuffle-fetch", op: "skyline", phase: mapreduce.TaskReduce, holder: true},
+		{name: "during-reduce", op: "skyline", phase: mapreduce.TaskReduce},
 		// Replication 1 makes the victim the *sole* holder of its blocks:
 		// the re-issued map must fall back to master reads and the plane
 		// must re-replicate the lost blocks onto the survivor.

@@ -470,7 +470,7 @@ func (c *Cluster) Workers() int { return c.workers }
 
 // SetFault installs a seeded fault plan driving the injector for all
 // subsequent jobs. A disabled (zero) plan clears injection. The injector
-// is replaced wholesale, resetting its event log and legacy counter.
+// is replaced wholesale, resetting its event log.
 func (c *Cluster) SetFault(p fault.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

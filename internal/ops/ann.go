@@ -2,7 +2,7 @@ package ops
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"spatialhadoop/internal/core"
@@ -111,8 +111,7 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 			}
 			return keep
 		},
-		NumReducers: sys.Cluster().Workers(),
-		Output:      out2,
+		Output: out2,
 	}
 	rep2, err := sys.Cluster().Run(job2)
 	if err != nil {
@@ -128,7 +127,9 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 		if err != nil {
 			return nil, nil, err
 		}
-		foreign[r.Point] = r
+		if fr, ok := foreign[r.Point]; !ok || nearer(r, fr) {
+			foreign[r.Point] = r
+		}
 	}
 	for _, r := range uncertain {
 		if fr, ok := foreign[r.Point]; ok && (r.Dist < 0 || nearer(fr, r)) {
@@ -169,7 +170,8 @@ func annLocalMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 }
 
 // annProbeMap is round two's map body: the uncertain points routed to this
-// partition arrive in Conf under its key; each is answered here.
+// partition arrive in Conf under its key; each is answered here, and the
+// master keeps the nearest answer per point.
 func annProbeMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 	probes := ctx.Config(split.Partition)
 	if probes == "" {
@@ -185,28 +187,8 @@ func annProbeMap(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 			return err
 		}
 		if best, ok := localNN(pts, r.Point); ok {
-			ctx.Emit(geomio.EncodePoint(r.Point), encodeANN(ANNResult{
-				Point: r.Point, Neighbor: best.P, Dist: best.Dist,
-			}))
+			ctx.Write(encodeANN(ANNResult{Point: r.Point, Neighbor: best.P, Dist: best.Dist}))
 		}
-	}
-	return nil
-}
-
-// annProbeReduce keeps, per uncertain point, the nearest foreign answer.
-func annProbeReduce(ctx *mapreduce.TaskContext, key string, values []string) error {
-	best := ANNResult{Dist: -1}
-	for _, v := range values {
-		r, err := decodeANN(v)
-		if err != nil {
-			return err
-		}
-		if best.Dist < 0 || (r.Dist >= 0 && nearer(r, best)) {
-			best = r
-		}
-	}
-	if best.Dist >= 0 {
-		ctx.Write(encodeANN(best))
 	}
 	return nil
 }
@@ -261,5 +243,5 @@ func decodeANN(s string) (ANNResult, error) {
 }
 
 func sortANN(rs []ANNResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Point.Less(rs[j].Point) })
+	slices.SortFunc(rs, func(a, b ANNResult) int { return a.Point.Compare(b.Point) })
 }

@@ -1,13 +1,20 @@
 package ops
 
 import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
+	"spatialhadoop/internal/mapreduce"
+	"spatialhadoop/internal/obs"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -155,6 +162,109 @@ func TestKNNMatchesLinearScan(t *testing.T) {
 		for i, p := range got {
 			if d := p.Dist(tc.q) - dists[i]; d > 1e-9 || d < -1e-9 {
 				t.Fatalf("q=%v k=%d: neighbour %d dist %g, want %g", tc.q, tc.k, i, p.Dist(tc.q), dists[i])
+			}
+		}
+	}
+}
+
+// TestKNNSelectsPerBlockAndMergesInPlan: a kNN round is a map-only
+// selection job — no shuffle, no reduce, its output the kept blocks'
+// candidates as a point column — and the plan's one merge still answers
+// exactly, here with the tie group at the k-th distance spread over many
+// small blocks of a heap file (two rounds: the home split, then all).
+func TestKNNSelectsPerBlockAndMergesInPlan(t *testing.T) {
+	q := geom.Pt(100, 100)
+	var pts []geom.Point
+	for _, o := range [][2]float64{{1, 0}, {0, -2}, {-1, -1}} { // inside the ring
+		pts = append(pts, geom.Pt(q.X+o[0], q.Y+o[1]))
+	}
+	ring := map[geom.Point]bool{} // every point at distance exactly 5
+	for _, o := range [][2]float64{{3, 4}, {4, 3}, {5, 0}, {0, 5}} {
+		for _, sx := range []float64{-1, 1} {
+			for _, sy := range []float64{-1, 1} {
+				p := geom.Pt(q.X+sx*o[0], q.Y+sy*o[1])
+				if !ring[p] {
+					ring[p] = true
+					pts = append(pts, p)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for len(pts) < 400 {
+		if p := geom.Pt(rng.Float64()*200, rng.Float64()*200); p.Dist(q) > 20 {
+			pts = append(pts, p)
+		}
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+
+	sys := core.New(core.Config{BlockSize: 256, Workers: 4, Seed: 1})
+	if err := sys.LoadPointsHeap("heap", pts); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.FS().Open("heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringBlocks := 0
+	for _, b := range f.Blocks {
+		bp, err := b.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(bp, func(p geom.Point) bool { return ring[p] }) {
+			ringBlocks++
+		}
+	}
+	if ringBlocks < 3 {
+		t.Fatalf("the tie group spans %d blocks, want several", ringBlocks)
+	}
+
+	all := make([]KNNCandidate, len(pts))
+	for i, p := range pts {
+		all[i] = KNNCandidate{Dist: math.Hypot(p.X-q.X, p.Y-q.Y), P: p}
+	}
+	slices.SortFunc(all, compareCandidates)
+	for _, k := range []int{4, 8, 14, 15} {
+		tr := obs.NewJobTrace("knn")
+		got, rep, err := KNNCtx(obs.ContextWithTrace(context.Background(), tr), sys, "heap", q, k, "heap.knn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != k {
+			t.Fatalf("k=%d: %d neighbours", k, len(got))
+		}
+		for i, p := range got {
+			if w := all[i].P; math.Float64bits(p.X) != math.Float64bits(w.X) || math.Float64bits(p.Y) != math.Float64bits(w.Y) {
+				t.Fatalf("k=%d: neighbour %d is %v, want %v", k, i, p, w)
+			}
+		}
+		if n := rep.Counters[mapreduce.CounterShuffleBytes]; n != 0 {
+			t.Errorf("k=%d: final round shuffled %d bytes", k, n)
+		}
+		jobs := 0
+		for _, sp := range tr.Spans() {
+			switch {
+			case sp.Name == "job":
+				jobs++
+			case sp.Phase == obs.PhaseReduce:
+				t.Errorf("k=%d: a round ran a reduce span %q", k, sp.Name)
+			case sp.Name == "phase."+obs.PhaseShuffle && sp.Bytes != 0:
+				t.Errorf("k=%d: a round shuffled %d bytes", k, sp.Bytes)
+			}
+		}
+		if jobs != 2 {
+			t.Errorf("k=%d: %d rounds ran, want 2", k, jobs)
+		}
+		for _, out := range []string{"heap.knn.r1", "heap.knn.r2"} {
+			of, err := sys.FS().Open(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range of.Blocks {
+				if payload, _ := dfs.UnsealShard(dfs.EncodeBlockFrame(b)); payload[0] != dfs.FrameColumn {
+					t.Errorf("k=%d: %s block %d is a %q frame, want a column", k, out, b.ID, payload[0])
+				}
 			}
 		}
 	}

@@ -64,18 +64,16 @@ func RangeCandidates(splits []*mapreduce.Split, sf *sindex.SFilter, query geom.R
 }
 
 // KNNCandidate is a point with its distance to the query point — the form
-// candidates take in the kNN shuffle, between serving shards (it is the
-// wire type) and in the plan's merge.
+// candidates take between serving shards (it is the wire type) and in the
+// plan's merge.
 type KNNCandidate = mapreduce.WireKNNCandidate
 
-// LessKNNCandidate is the canonical kNN candidate order: nearer first, ties
-// by point — cmp.Compare on X, then on Y — and last by the coordinates'
-// bit patterns, so -0 and +0, or two NaN payloads, never tie and the order
-// is total. Every candidate set — per partition, per reduce, per round —
+// compareCandidates is the canonical kNN candidate order: nearer first,
+// ties by point — cmp.Compare on X, then on Y — and last by the
+// coordinates' bit patterns, so -0 and +0, or two NaN payloads, never tie
+// and the order is total. Every candidate set — per partition, per round —
 // is sorted with it before truncating to k, so the chosen top k and their
 // order never depend on which engine or which scan produced them.
-func LessKNNCandidate(a, b KNNCandidate) bool { return compareCandidates(a, b) < 0 }
-
 func compareCandidates(a, b KNNCandidate) int {
 	bits := func(v float64) int64 { return int64(math.Float64bits(v)) }
 	return cmp.Or(cmp.Compare(a.Dist, b.Dist),

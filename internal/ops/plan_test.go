@@ -5,7 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"spatialhadoop/internal/geom"
@@ -89,7 +89,7 @@ func (fx *planFixture) bruteKNN(q geom.Point, k int) []geom.Point {
 			all = append(all, KNNCandidate{Dist: math.Hypot(p.X-q.X, p.Y-q.Y), P: p})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return LessKNNCandidate(all[i], all[j]) })
+	slices.SortFunc(all, compareCandidates)
 	out := []geom.Point{}
 	for _, c := range all[:min(k, len(all))] {
 		out = append(out, c.P)

@@ -35,10 +35,10 @@ func blockRangeIDs(b *dfs.Block, query geom.Rect) ([]int, error) {
 	return ids, nil
 }
 
-// blockNearest returns the block's k nearest points to q plus every
-// further one at exactly the k-th distance, in no particular order. Only
-// finite coordinates are pinned: a NaN distance has no rank.
-func blockNearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error) {
+// blockNearest returns, ascending, the ids (b.Record's argument) of the
+// block's k nearest points to q plus every further one at exactly the k-th
+// distance. Only finite coordinates are pinned: a NaN distance has no rank.
+func blockNearest(b *dfs.Block, q geom.Point, k int) ([]int, error) {
 	pts, err := b.Points()
 	if err != nil || k <= 0 {
 		return nil, err
@@ -48,11 +48,20 @@ func blockNearest(b *dfs.Block, q geom.Point, k int) ([]KNNCandidate, error) {
 		c.offer(p, q, i)
 	}
 	noms := c.nearestWithTies()
-	cands := make([]KNNCandidate, len(noms))
+	ids := make([]int, len(noms))
 	for i, n := range noms {
-		cands[i] = KNNCandidate{Dist: n.dist, P: pts[n.id]}
+		ids[i] = n.id
 	}
-	return cands, nil
+	slices.Sort(ids)
+	return ids, nil
+}
+
+// pointDist is a kNN candidate's distance to q, the one expression every
+// probe and the master rank points by (rtree, the test oracle, ranks a
+// point entry by it too), so a distance is bit-identical wherever it is
+// computed.
+func pointDist(p, q geom.Point) float64 {
+	return (geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}).MinDistPoint(q)
 }
 
 // nominee is one scanned point still in the running for the k nearest.
@@ -81,9 +90,7 @@ func (c *nominees) offer(p, q geom.Point, id int) {
 	if math.Abs(p.Y-q.Y) > c.bound {
 		return // the distance is no less: spare the hypotenuse
 	}
-	// rtree, the test oracle, ranks a point entry by this same expression.
-	d := (geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}).MinDistPoint(q)
-	if d <= c.bound {
+	if d := pointDist(p, q); d <= c.bound {
 		c.noms = append(c.noms, nominee{dist: d, id: id})
 		if len(c.noms) > c.limit {
 			c.nearestWithTies()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -236,9 +237,16 @@ func TestScanProbeMatchesIndexProbeKNN(t *testing.T) {
 					for _, nb := range tree.NearestWithTies(q, k) {
 						want = append(want, KNNCandidate{Dist: nb.Dist, P: textPts[nb.Entry.ID]})
 					}
-					got, err := blockNearest(b, q, k)
+					ids, err := blockNearest(b, q, k)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if !slices.IsSorted(ids) {
+						t.Fatalf("%s, q=%v k=%d: ids %v do not ascend", name, q, k, ids)
+					}
+					got := make([]KNNCandidate, len(ids))
+					for i, id := range ids {
+						got[i] = KNNCandidate{Dist: pointDist(textPts[id], q), P: textPts[id]}
 					}
 					if g, w := candidateSet(got), candidateSet(want); len(g) != len(w) || len(w) > 0 && !reflect.DeepEqual(g, w) {
 						t.Fatalf("%s, q=%v k=%d: scan nominates %d, index %d:\n scan  %v\n index %v", name, q, k, len(g), len(w), g, w)

@@ -7,9 +7,7 @@ package ops
 
 import (
 	"context"
-	"fmt"
 	"strconv"
-	"strings"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
@@ -161,24 +159,6 @@ func ownsRef(cell, space geom.Rect, p geom.Point) bool {
 	return xOK && yOK
 }
 
-// encodeCandidate is a candidate's shuffle text, "dist;x,y", exact both ways.
-func encodeCandidate(c KNNCandidate) string {
-	return strconv.FormatFloat(c.Dist, 'g', 17, 64) + ";" + geomio.EncodePoint(c.P)
-}
-
-func decodeCandidate(s string) (KNNCandidate, error) {
-	d, pt, ok := strings.Cut(s, ";")
-	if !ok {
-		return KNNCandidate{}, fmt.Errorf("ops: bad knn candidate %q", s)
-	}
-	dist, err := strconv.ParseFloat(d, 64)
-	if err != nil {
-		return KNNCandidate{}, err
-	}
-	p, err := geomio.DecodePoint(pt)
-	return KNNCandidate{Dist: dist, P: p}, err
-}
-
 // KNN returns the k nearest points to q in the file, with the two-round
 // protocol of SpatialHadoop (planKNN), one MapReduce job per round. The
 // returned report is from the final round.
@@ -187,8 +167,9 @@ func KNN(sys *core.System, file string, q geom.Point, k int) ([]geom.Point, *map
 }
 
 // KNNTo is KNN writing its round outputs to outPrefix+".r1" and
-// outPrefix+".r2". Concurrent kNN queries over the same file must use
-// distinct prefixes.
+// outPrefix+".r2", point columns holding each kept block's tie-complete
+// candidates (not the global k: the plan merges them on the master).
+// Concurrent kNN queries over the same file must use distinct prefixes.
 func KNNTo(sys *core.System, file string, q geom.Point, k int, outPrefix string) ([]geom.Point, *mapreduce.Report, error) {
 	return KNNCtx(context.Background(), sys, file, q, k, outPrefix)
 }
@@ -226,15 +207,13 @@ func KNNCtx(ctx context.Context, sys *core.System, file string, q geom.Point, k 
 			return nil, err
 		}
 		foldPartitionHeat(sys, file, rep)
-		recs, err := sys.FS().ReadAllCtx(ctx, out)
+		pts, err := sys.ReadPointsCtx(ctx, out)
 		if err != nil {
 			return nil, err
 		}
-		cands := make([]KNNCandidate, len(recs))
-		for i, r := range recs {
-			if cands[i], err = decodeCandidate(r); err != nil {
-				return nil, err
-			}
+		cands := make([]KNNCandidate, len(pts))
+		for i, p := range pts {
+			cands[i] = KNNCandidate{Dist: pointDist(p, q), P: p}
 		}
 		return cands, nil
 	})

@@ -88,40 +88,20 @@ func rangePointsMap(query geom.Rect) mapreduce.MapFunc {
 	}
 }
 
-// knnMap is the map body of one kNN round: each block nominates its k
-// nearest (with ties), shuffled under a single key.
+// knnMap is the map body of one kNN round, a selection: each block
+// selects its k nearest (with ties), and the plan merges them on the master.
 func knnMap(q geom.Point, k int) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		countPartitionRecords(ctx, split)
-		for _, b := range split.Blocks {
-			cands, err := blockNearest(b, q, k)
+		for bi, b := range split.Blocks {
+			ids, err := blockNearest(b, q, k)
 			if err != nil {
 				return err
 			}
-			if len(cands) > 0 {
-				countPartitionMatches(ctx, split, int64(len(cands)))
+			if len(ids) > 0 {
+				countPartitionMatches(ctx, split, int64(len(ids)))
 			}
-			for _, c := range cands {
-				ctx.Emit("k", encodeCandidate(c))
-			}
-		}
-		return nil
-	}
-}
-
-// knnReduce merges the candidate set down to the k nearest, in the
-// canonical candidate order.
-func knnReduce(k int) mapreduce.ReduceFunc {
-	return func(ctx *mapreduce.TaskContext, key string, values []string) error {
-		cands := make([]KNNCandidate, len(values))
-		for i, v := range values {
-			var err error
-			if cands[i], err = decodeCandidate(v); err != nil {
-				return err
-			}
-		}
-		for _, c := range sortCandidates(cands, k) {
-			ctx.Write(encodeCandidate(c))
+			ctx.WriteSelected(bi, ids)
 		}
 		return nil
 	}
@@ -195,8 +175,7 @@ func init() {
 		return mapreduce.KindFuncs{Map: rangeRegionsMap(c.rect(confRangeQuery), c.conf[confRangeSpace] != "", c.optRect(confRangeSpace))}
 	})
 	register("knn", func(c *confReader) mapreduce.KindFuncs {
-		q, k := c.point(confKNNQ), c.int(confKNNK)
-		return mapreduce.KindFuncs{Map: knnMap(q, k), Reduce: knnReduce(k)}
+		return mapreduce.KindFuncs{Map: knnMap(c.point(confKNNQ), c.int(confKNNK))}
 	})
 	register("spatial-join", func(c *confReader) mapreduce.KindFuncs {
 		return mapreduce.KindFuncs{Map: indexedJoinMap(
@@ -208,9 +187,7 @@ func init() {
 		return mapreduce.KindFuncs{Map: g.mapSplit, Reduce: g.reduceCell}
 	})
 	register("ann-local", func(*confReader) mapreduce.KindFuncs { return mapreduce.KindFuncs{Map: annLocalMap} })
-	register("ann-probe", func(*confReader) mapreduce.KindFuncs {
-		return mapreduce.KindFuncs{Map: annProbeMap, Reduce: annProbeReduce}
-	})
+	register("ann-probe", func(*confReader) mapreduce.KindFuncs { return mapreduce.KindFuncs{Map: annProbeMap} })
 	register("plot", func(c *confReader) mapreduce.KindFuncs {
 		return mapreduce.KindFuncs{
 			Map:    plotMap(c.rect(confPlotExtent), c.int(confPlotWidth), c.int(confPlotHeight), c.int(confPlotReducers)),

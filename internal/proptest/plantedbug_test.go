@@ -70,7 +70,7 @@ func plantedBugs() []plantedBug {
 			maxSeeds: 8,
 		},
 		{
-			// An off-by-one in the kNN reducer's truncation (keeping k-1
+			// An off-by-one in the kNN plan's truncation to k (keeping k-1
 			// candidates).
 			name: "knn-truncate-offbyone",
 			gen: func(seed int64) proptest.Case {

@@ -18,7 +18,7 @@ import (
 // finished piece of the response body (the matches' pin-time JSON objects,
 // merged across the named partitions, plus their merge keys when the
 // master will merge again), a kNN answer as each partition's (dist,
-// record) candidates; the master only merges.
+// point) candidates; the master only merges.
 
 // pinServePartition resolves one exec call to a pinned partition.
 func (w *Worker) pinServePartition(file string, epoch int64, meta *mapreduce.WireSplitMeta) (*ops.LocalPartition, error) {
