@@ -2,19 +2,17 @@
 // system, the MapReduce runtime and the spatial index layer together. It
 // provides the spatial file loaders (heap and indexed), the spatial file
 // splitter that turns an indexed file into MBR-carrying splits for the
-// filter functions, the spatial record reader with cached local (R-tree)
-// indexes, and pruning statistics.
+// filter functions, and pruning statistics. An indexed loader writes each
+// partition in its local order — points by (X, Y), regions by MBR MinX —
+// which is the local index the query layers read: a pinned point
+// partition is its sorted column, and the join sweeps regions in MinX
+// order.
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"spatialhadoop/internal/dfs"
@@ -131,26 +129,11 @@ func (s *System) LoadPointsHeap(name string, pts []geom.Point) error {
 	if err != nil {
 		return err
 	}
-	lens := pointTextLens(pts)
+	lens, _, _ := measurePoints(pts)
 	for i, p := range pts {
 		w.WritePoint(p, int(lens[i]))
 	}
 	return w.Close()
-}
-
-// pointTextLens measures each point's text, len(geomio.EncodePoint(p)),
-// which is what WritePoint counts a point as, on up to GOMAXPROCS
-// goroutines.
-func pointTextLens(pts []geom.Point) []uint8 {
-	lens := make([]uint8, len(pts))
-	const chunk = 4096
-	parallel((len(pts)+chunk-1)/chunk, func(c int) {
-		var buf [geomio.MaxPointLen]byte
-		for i := c * chunk; i < min(len(pts), (c+1)*chunk); i++ {
-			lens[i] = uint8(len(geomio.AppendPoint(buf[:0], pts[i])))
-		}
-	})
-	return lens
 }
 
 // LoadRegionsHeap stores regions as a heap file.
@@ -197,15 +180,11 @@ func (s *System) samplePoints(pts []geom.Point) []geom.Point {
 // input order: the order ops.PinSplit and the CG local steps sort into,
 // so their sorts meet a sorted run. The points are stored as points;
 // their text lengths, which size the partitions and cut the blocks, are
-// measured, and the cells sorted, in parallel; the file is the same
-// whatever GOMAXPROCS is.
+// measured, the points assigned and laid out by cell, and the cells
+// radix-sorted, all in parallel (cells.go); the file is the same whatever
+// GOMAXPROCS is.
 func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (*IndexedFile, error) {
-	lens := pointTextLens(pts)
-	var totalBytes int64
-	for _, n := range lens {
-		totalBytes += int64(n) + 1
-	}
-	space := geom.RectOf(pts)
+	lens, totalBytes, space := measurePoints(pts)
 	if space.IsEmpty() {
 		space = geom.NewRect(0, 0, 1, 1)
 	}
@@ -215,36 +194,42 @@ func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (
 	gi := sindex.Build(t, s.samplePoints(pts), space, s.numCells(totalBytes))
 	s.recordBuild(time.Since(buildStart), gi)
 
-	byCell := make([][]int, len(gi.Cells))
-	for i, p := range pts {
-		c := gi.AssignPoint(p)
-		byCell[c] = append(byCell[c], i)
-		gi.Cells[c].Content = gi.Cells[c].Content.ExpandPoint(p)
-	}
-	order := byPoint(pts)
-	parallel(len(byCell), func(c int) { slices.SortFunc(byCell[c], order) })
-	return s.writeIndexed(name, gi, byCell, func(i int) int { return int(lens[i]) },
-		func(w *dfs.Writer, i int) { w.WritePoint(pts[i], int(lens[i])) })
+	byCell := groupByCell(len(pts), len(gi.Cells), func(i int, dst []int32) []int32 {
+		return append(dst, int32(gi.AssignPoint(pts[i])))
+	})
+	parallel(len(byCell), func(sb *sortBufs, c int) {
+		content := gi.Cells[c].Content
+		for _, i := range byCell[c] {
+			content = content.ExpandPoint(pts[i])
+		}
+		gi.Cells[c].Content = content
+		sortPointCell(byCell[c], pts, sb)
+	})
+	return s.writeIndexed(name, gi, byCell, func(i int32) int { return int(lens[i]) },
+		func(w *dfs.Writer, i int32) { w.WritePoint(pts[i], int(lens[i])) })
 }
 
 // LoadRegions spatially partitions and stores regions. With a disjoint
 // technique, regions overlapping several cells are replicated to each
 // (paper §2.3); consumers deduplicate with the reference-point rule. Each
 // cell is written in the join's plane-sweep order, by MBR MinX with ties
-// in input order, sorted as LoadPoints sorts.
+// in input order, laid out and sorted in parallel as LoadPoints does.
 func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Technique) (*IndexedFile, error) {
 	recs := make([]string, len(regions))
 	bounds := make([]geom.Rect, len(regions))
 	centers := make([]geom.Point, len(regions))
-	var totalBytes int64
-	space := geom.EmptyRect()
-	for i, rg := range regions {
-		recs[i] = geomio.EncodeRegion(rg)
-		totalBytes += int64(len(recs[i])) + 1
-		bounds[i] = rg.Bounds()
-		centers[i] = bounds[i].Center()
-		space = space.Union(bounds[i])
-	}
+	totalBytes, space := measureChunks(len(regions), func(lo, hi int) (int64, geom.Rect) {
+		var total int64
+		mbr := geom.EmptyRect()
+		for i := lo; i < hi; i++ {
+			recs[i] = geomio.EncodeRegion(regions[i])
+			total += int64(len(recs[i])) + 1
+			bounds[i] = regions[i].Bounds()
+			centers[i] = bounds[i].Center()
+			mbr = mbr.Union(bounds[i])
+		}
+		return total, mbr
+	})
 	if space.IsEmpty() {
 		space = geom.NewRect(0, 0, 1, 1)
 	}
@@ -253,59 +238,22 @@ func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Techni
 	gi := sindex.Build(t, s.samplePoints(centers), space, s.numCells(totalBytes))
 	s.recordBuild(time.Since(buildStart), gi)
 
-	byCell := make([][]int, len(gi.Cells))
-	for i, b := range bounds {
-		for _, c := range gi.AssignRect(b) {
-			byCell[c] = append(byCell[c], i)
-			gi.Cells[c].Content = gi.Cells[c].Content.Union(b)
+	byCell := groupByCell(len(regions), len(gi.Cells), func(i int, dst []int32) []int32 {
+		for _, c := range gi.AssignRect(bounds[i]) {
+			dst = append(dst, int32(c))
 		}
-	}
-	order := byMinX(bounds)
-	parallel(len(byCell), func(c int) { slices.SortFunc(byCell[c], order) })
-	return s.writeIndexed(name, gi, byCell, func(i int) int { return len(recs[i]) },
-		func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) })
-}
-
-// byPoint orders record indices by their points, (X, then Y) as
-// cmp.Compare orders them (NaN first), ties by index.
-func byPoint(pts []geom.Point) func(a, b int) int {
-	return func(a, b int) int {
-		if c := cmp.Compare(pts[a].X, pts[b].X); c != 0 {
-			return c
+		return dst
+	})
+	parallel(len(byCell), func(sb *sortBufs, c int) {
+		content := gi.Cells[c].Content
+		for _, i := range byCell[c] {
+			content = content.Union(bounds[i])
 		}
-		if c := cmp.Compare(pts[a].Y, pts[b].Y); c != 0 {
-			return c
-		}
-		return a - b
-	}
-}
-
-// byMinX orders record indices by their MBRs' MinX, ties by index.
-func byMinX(bounds []geom.Rect) func(a, b int) int {
-	return func(a, b int) int {
-		if c := cmp.Compare(bounds[a].MinX, bounds[b].MinX); c != 0 {
-			return c
-		}
-		return a - b
-	}
-}
-
-// parallel calls do(i) for every i in [0, n), from up to GOMAXPROCS
-// goroutines that each take the next unclaimed i, and returns when all
-// calls have.
-func parallel(n int, do func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(n, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				do(i)
-			}
-		}()
-	}
-	wg.Wait()
+		gi.Cells[c].Content = content
+		sortRegionCell(byCell[c], bounds, sb)
+	})
+	return s.writeIndexed(name, gi, byCell, func(i int32) int { return len(recs[i]) },
+		func(w *dfs.Writer, i int32) { w.WriteRegion(recs[i], bounds[i]) })
 }
 
 // recordBuild registers one global index construction with the metrics.
@@ -316,7 +264,7 @@ func (s *System) recordBuild(d time.Duration, gi *sindex.GlobalIndex) {
 
 // recordFill registers the post-assignment partition fill statistics;
 // textLen(i) is the size of record i's text.
-func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]int, textLen func(i int) int) {
+func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]int32, textLen func(i int32) int) {
 	perRecs := make([]int, len(byCell))
 	perBytes := make([]int64, len(byCell))
 	for i, cellRecs := range byCell {
@@ -341,7 +289,7 @@ func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]int, textLen func
 // previous generation until Close publishes this one; the writer is
 // created only here, after partitioning, so the two overlap in memory for
 // the write loop alone.
-func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]int, textLen func(i int) int, write func(w *dfs.Writer, i int)) (*IndexedFile, error) {
+func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]int32, textLen func(i int32) int, write func(w *dfs.Writer, i int32)) (*IndexedFile, error) {
 	s.recordFill(gi, byCell, textLen)
 	w, err := s.fs.CreateOrReplace(name)
 	if err != nil {
@@ -355,7 +303,6 @@ func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]in
 		for _, i := range cellRecs {
 			write(w, i)
 		}
-		byCell[ci] = nil // written: free it while the replaced generation is still live
 	}
 	w.SetMaster(gi.Encode())
 	if err := w.Close(); err != nil {

@@ -263,9 +263,9 @@ func loadAllocBytes(t *testing.T, n int, load func(sys *System, pts []geom.Point
 
 // TestLoadPointsAllocs pins the loaders' allocation per point: a point is
 // stored as a point, its text measured and never formatted into a string.
-// When the limits were set the loaders allocated 103 and 90 B/point,
-// against 170 and 122 when they stored text; a string per point, or a
-// second per-cell slice, breaks them.
+// The loaders allocate 95 and 90 B/point (103 and 90 before the cells
+// were laid out in one flat int32 array, 170 and 122 when they stored
+// text); a string per point, or a second per-cell slice, breaks them.
 func TestLoadPointsAllocs(t *testing.T) {
 	const n = 40000
 	indexed := loadAllocBytes(t, n, func(sys *System, pts []geom.Point) {

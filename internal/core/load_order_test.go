@@ -340,40 +340,74 @@ func TestLoadRegionsWritesCellsInLocalOrder(t *testing.T) {
 	}
 }
 
-// TestLoadIsTheSameAtAnyParallelism: the cells are sorted and the point
-// text lengths measured on up to GOMAXPROCS goroutines, by the indexed
-// loaders and the heap loader; the file — records, blocks and master
-// index — is byte-identical at 1 and at 4.
+// TestLoadIsTheSameAtAnyParallelism: the points and regions are measured,
+// assigned and laid out by cell in chunks of loadChunk records, and the
+// cells sorted, on up to GOMAXPROCS goroutines, by the indexed loaders and
+// the heap loader; the file — records, blocks and master index — is
+// byte-identical at 1 and at 4. Besides the mixed input, the cases sit on
+// the chunk boundary (k·loadChunk records and one either side), leave
+// cells empty in some chunks (points in X order, so each chunk covers a
+// band of X), and put every point in one cell spread over several chunks.
 func TestLoadIsTheSameAtAnyParallelism(t *testing.T) {
-	pts := orderPoints(6000, 7, true)
-	regions := orderRegions(9)
 	cfg := Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}
-	load := func(procs int, tech sindex.Technique) (*System, *System, *System) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		ps, rs, hs := New(cfg), New(cfg), New(cfg)
-		if _, err := ps.LoadPoints("f", pts, tech); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rs.LoadRegions("f", regions, tech); err != nil {
-			t.Fatal(err)
-		}
-		if err := hs.LoadPointsHeap("f", pts); err != nil {
-			t.Fatal(err)
-		}
-		return ps, rs, hs
+	// wide keeps the chunk-boundary cases to tens of cells: assigning
+	// thousands of regions to hundreds is what the time would go on.
+	wide := Config{BlockSize: 32 << 10, Workers: 4, Seed: 1}
+	tiles := orderRegions(9)
+	for len(tiles) < 2*loadChunk+1 {
+		tiles = append(tiles, tiles...)
 	}
-	for _, tech := range loadTechniques {
-		p1, r1, h1 := load(1, tech)
-		p4, r4, h4 := load(4, tech)
-		for _, s := range [][2]*System{{p1, p4}, {r1, r4}, {h1, h4}} {
-			a, errA := s[0].FS().ReadAll("f")
-			b, errB := s[1].FS().ReadAll("f")
-			if errA != nil || errB != nil || !slices.Equal(a, b) {
-				t.Fatalf("%v: ReadAll differs between GOMAXPROCS 1 and 4 (%v, %v)", tech, errA, errB)
+	banded := orderPoints(2*loadChunk+3, 17, true)
+	slices.SortStableFunc(banded, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+	cases := []struct {
+		name    string
+		pts     []geom.Point
+		regions []geom.Region
+		cfg     Config
+	}{
+		{"mixed", orderPoints(6000, 7, true), orderRegions(9), cfg},
+		{"chunk-1", orderPoints(2*loadChunk-1, 21, true), tiles[:2*loadChunk-1], wide},
+		{"chunk", orderPoints(2*loadChunk, 22, true), tiles[:2*loadChunk], wide},
+		{"chunk+1", orderPoints(2*loadChunk+1, 23, true), tiles[:2*loadChunk+1], wide},
+		{"banded", banded, orderRegions(9), cfg},
+		{"one-cell", orderPoints(2*loadChunk+5, 24, false), orderRegions(9), Config{BlockSize: 64 << 20, Workers: 4, Seed: 1}},
+	}
+	for _, tc := range cases {
+		load := func(procs int, tech sindex.Technique) (*System, *System, *System) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ps, rs, hs := New(tc.cfg), New(tc.cfg), New(tc.cfg)
+			if _, err := ps.LoadPoints("f", tc.pts, tech); err != nil {
+				t.Fatal(err)
 			}
-			fa, _ := s[0].FS().Open("f")
-			fb, _ := s[1].FS().Open("f")
-			sameBlocks(t, fa, fb)
+			if _, err := rs.LoadRegions("f", tc.regions, tech); err != nil {
+				t.Fatal(err)
+			}
+			if err := hs.LoadPointsHeap("f", tc.pts); err != nil {
+				t.Fatal(err)
+			}
+			return ps, rs, hs
+		}
+		for _, tech := range loadTechniques {
+			p1, r1, h1 := load(1, tech)
+			p4, r4, h4 := load(4, tech)
+			for _, s := range [][2]*System{{p1, p4}, {r1, r4}, {h1, h4}} {
+				a, errA := s[0].FS().ReadAll("f")
+				b, errB := s[1].FS().ReadAll("f")
+				if errA != nil || errB != nil || !slices.Equal(a, b) {
+					t.Fatalf("%s/%v: ReadAll differs between GOMAXPROCS 1 and 4 (%v, %v)", tc.name, tech, errA, errB)
+				}
+				fa, _ := s[0].FS().Open("f")
+				fb, _ := s[1].FS().Open("f")
+				sameBlocks(t, fa, fb)
+			}
+			if tc.name == "one-cell" {
+				f, _ := p1.FS().Open("f")
+				for _, b := range f.Blocks {
+					if b.Partition != f.Blocks[0].Partition {
+						t.Fatalf("%v: the one-cell case wrote partitions %s and %s", tech, f.Blocks[0].Partition, b.Partition)
+					}
+				}
+			}
 		}
 	}
 }
