@@ -54,17 +54,17 @@ func measureChunks(n int, measure func(lo, hi int) (int64, geom.Rect)) (total in
 	return total, mbr
 }
 
-// measurePoints measures each point's text length, len(geomio.EncodePoint(p)),
-// which is what WritePoint counts a point as, and in the same pass the
-// points' total text bytes and MBR.
+// measurePoints measures each point's text length, geomio.PointLen(p) —
+// len(geomio.EncodePoint(p)) without spelling it — which is what
+// WritePoint counts a point as, and in the same pass the points' total
+// text bytes and MBR.
 func measurePoints(pts []geom.Point) (lens []uint8, total int64, mbr geom.Rect) {
 	lens = make([]uint8, len(pts))
 	total, mbr = measureChunks(len(pts), func(lo, hi int) (int64, geom.Rect) {
-		var buf [geomio.MaxPointLen]byte
 		var t int64
 		r := geom.EmptyRect()
 		for i := lo; i < hi; i++ {
-			n := len(geomio.AppendPoint(buf[:0], pts[i]))
+			n := geomio.PointLen(pts[i])
 			lens[i] = uint8(n)
 			t += int64(n) + 1
 			r = r.ExpandPoint(pts[i])

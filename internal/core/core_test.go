@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -281,5 +282,54 @@ func TestLoadPointsAllocs(t *testing.T) {
 	t.Logf("LoadPoints %.1f B/point, LoadPointsHeap %.1f B/point", indexed, heap)
 	if indexed > 135 || heap > 115 {
 		t.Errorf("LoadPoints allocates %.1f B/point (limit 135), LoadPointsHeap %.1f (limit 115)", indexed, heap)
+	}
+}
+
+// TestBlockBytesAreTheirText: the loaders cut blocks by geomio.PointLen, a
+// length computed without spelling the point, so each block's Bytes must
+// be its records' text, a newline each. The coordinates sit where 'g'
+// switches notation and at its edges — the places a length that drifted
+// from the text would show — in every pairing, across many small blocks.
+func TestBlockBytesAreTheirText(t *testing.T) {
+	coords := []float64{
+		1e-5, 1e-4, 9.9999e-5, 999999.9999999999, 1e6, 123456.7, 1e21, 1e20,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+		-1e-5, 0.1, 7, 1234567.5, 5e-324 * 3, 2.5e-310, 1e300, -1e-300,
+	}
+	var pts []geom.Point
+	for _, x := range coords {
+		for _, y := range coords {
+			pts = append(pts, geom.Point{X: x, Y: y})
+		}
+	}
+	sys := New(Config{BlockSize: 256, Workers: 2, Seed: 1})
+	if err := sys.LoadPointsHeap("heap", pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.LoadPoints("indexed", pts, sindex.STRPlus); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"heap", "indexed"} {
+		f, err := sys.FS().Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Blocks) < 10 {
+			t.Fatalf("%s: %d blocks, want many", name, len(f.Blocks))
+		}
+		var records int
+		for _, b := range f.Blocks {
+			var text int64
+			for i := range b.NumRecords() {
+				text += int64(len(b.Record(i))) + 1
+			}
+			if b.Bytes != text {
+				t.Fatalf("%s: block %v has Bytes %d, its records are %d bytes of text", name, b.ID, b.Bytes, text)
+			}
+			records += b.NumRecords()
+		}
+		if records != len(pts) {
+			t.Fatalf("%s: %d records, want %d", name, records, len(pts))
+		}
 	}
 }

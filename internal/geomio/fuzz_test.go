@@ -1,6 +1,7 @@
 package geomio
 
 import (
+	"math"
 	"testing"
 )
 
@@ -62,5 +63,19 @@ func FuzzDecodeSegment(f *testing.F) {
 		if _, err := DecodeSegment(EncodeSegment(seg)); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
+	})
+}
+
+// FuzzFloatSpellings compares every spelling of a float64's raw bits —
+// AppendPoint's text, PointLen and AppendJSONFloat — with strconv's.
+func FuzzFloatSpellings(f *testing.F) {
+	for _, v := range []float64{0, 1, 0.1, 1e-5, 1e-4, 999999.9999999999, 1e6, 1e21, 1e-7,
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+		0x1p-1022, math.Inf(-1), math.NaN()} {
+		f.Add(math.Float64bits(v))
+	}
+	var sp spellings
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		sp.check(t, math.Float64frombits(bits))
 	})
 }

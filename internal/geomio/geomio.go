@@ -18,14 +18,18 @@ import (
 const MaxPointLen = 2*24 + 1
 
 // AppendPoint appends p as "x,y" to dst, each coordinate in the shortest
-// form that ParseFloat reads back to the same bits ('g', -1): typical
-// coordinates take far fewer than 17 digits, which roughly halves both the
-// format and the re-parse cost on the record hot path.
+// form that ParseFloat reads back to the same bits, spelled as
+// strconv.AppendFloat(dst, f, 'g', -1, 64) does: typical coordinates take
+// far fewer than 17 digits, which roughly halves both the format and the
+// re-parse cost on the record hot path.
 func AppendPoint(dst []byte, p geom.Point) []byte {
-	dst = strconv.AppendFloat(dst, p.X, 'g', -1, 64)
+	dst = appendG(dst, p.X)
 	dst = append(dst, ',')
-	return strconv.AppendFloat(dst, p.Y, 'g', -1, 64)
+	return appendG(dst, p.Y)
 }
+
+// PointLen is len(AppendPoint(nil, p)), computed without writing it.
+func PointLen(p geom.Point) int { return gLen(p.X) + 1 + gLen(p.Y) }
 
 // EncodePoint formats p as "x,y": both floats into a stack buffer, one
 // allocation for the string.

@@ -139,6 +139,7 @@ func TestAppendPointMatchesFormatFloat(t *testing.T) {
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308, // subnormals
 		math.MaxFloat64, -math.MaxFloat64, // the 24-byte forms
 		1e21, 1e20, 1e-7, 1e-4, 1e-5, -1e21, // where 'g' switches to an exponent
+		1e6, 999999.9999999999, 1e5, 123456.5, 1234567.5, 0.0001234,
 		0.1, 1.0 / 3, 123456.789, 0.30000000000000004,
 	}
 	rng := rand.New(rand.NewSource(22))
@@ -161,6 +162,9 @@ func TestAppendPointMatchesFormatFloat(t *testing.T) {
 		}
 		if got := string(AppendPoint([]byte("pre "), p)); got != "pre "+want {
 			t.Fatalf("AppendPoint(%v) = %q, want %q", p, got, "pre "+want)
+		}
+		if got := PointLen(p); got != len(want) {
+			t.Fatalf("PointLen(%v) = %d, want len(%q) = %d", p, got, want, len(want))
 		}
 		if len(want) > MaxPointLen {
 			t.Fatalf("%q is %d bytes, MaxPointLen is %d", want, len(want), MaxPointLen)

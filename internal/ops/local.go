@@ -53,7 +53,11 @@ func PinSplit(sp *mapreduce.Split) (*LocalPartition, error) {
 	if err != nil {
 		return nil, err
 	}
-	frag, off := buildFragments(pts)
+	var text int64
+	for _, b := range sp.Blocks {
+		text += b.Bytes
+	}
+	frag, off := buildFragments(pts, text)
 	return &LocalPartition{
 		Key:     sp.Partition,
 		Pts:     pts,
@@ -64,12 +68,14 @@ func PinSplit(sp *mapreduce.Split) (*LocalPartition, error) {
 	}, nil
 }
 
-// buildFragments pre-encodes each point's JSON object. A point that
-// encoding/json would reject (NaN/Inf) disables fragments for the whole
-// partition ((nil, nil)); range encoding then falls back to the
-// marshal-equivalent slow path.
-func buildFragments(pts []geom.Point) ([]byte, []int32) {
-	frag := make([]byte, 0, 24*len(pts))
+// buildFragments pre-encodes each point's JSON object. The points' text,
+// text bytes with a newline each, sizes the arena: a point's object is
+// its "x,y\n" plus nine bytes of {"x":,"y":}, exactly so unless a
+// coordinate takes an exponent. A point that encoding/json would reject
+// (NaN/Inf) disables fragments for the whole partition ((nil, nil));
+// range encoding then falls back to the marshal-equivalent slow path.
+func buildFragments(pts []geom.Point, text int64) ([]byte, []int32) {
+	frag := make([]byte, 0, text+9*int64(len(pts)))
 	off := make([]int32, len(pts)+1)
 	var err error
 	for i, p := range pts {

@@ -44,13 +44,6 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendJSONFloat appends f exactly as encoding/json renders a float64
-// (see geomio.AppendJSONFloat, shared with the pinned-partition fragment
-// builder).
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	return geomio.AppendJSONFloat(b, f)
-}
-
 // newRangeBody starts a rangeResponse body — everything up to the first
 // point object — in a buffer with room for points more bytes and the
 // closing. The three range encoders below differ only in where the point
@@ -166,15 +159,15 @@ func encodeKNNBody(file, point string, k int, nbs []neighborJSON) ([]byte, error
 			b = append(b, ',')
 		}
 		b = append(b, `{"x":`...)
-		if b, err = appendJSONFloat(b, n.X); err != nil {
+		if b, err = geomio.AppendJSONFloat(b, n.X); err != nil {
 			return nil, err
 		}
 		b = append(b, `,"y":`...)
-		if b, err = appendJSONFloat(b, n.Y); err != nil {
+		if b, err = geomio.AppendJSONFloat(b, n.Y); err != nil {
 			return nil, err
 		}
 		b = append(b, `,"dist":`...)
-		if b, err = appendJSONFloat(b, n.Dist); err != nil {
+		if b, err = geomio.AppendJSONFloat(b, n.Dist); err != nil {
 			return nil, err
 		}
 		b = append(b, '}')

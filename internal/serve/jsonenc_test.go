@@ -7,10 +7,12 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/ops"
 )
 
@@ -39,15 +41,28 @@ type knnResponse struct {
 // TestAppendJSONFloatMatchesEncodingJSON: the hand-rolled float encoder
 // must agree with encoding/json bit for bit across magnitude regimes —
 // the cache stores bodies, so any divergence would surface as a phantom
-// miss or a broken oracle comparison.
+// miss or a broken oracle comparison. The same values, as a point, must
+// measure (geomio.PointLen) what their text spells.
 func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
-	fixed := []float64{
+	vals := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.125, 123.456, -9999.875,
 		1e-6, 9.999e-7, 1e-7, -1e-7, 1e20, 1e21, -2.5e21, 1e300, -1e-300,
 		math.MaxFloat64, math.SmallestNonzeroFloat64,
 	}
+	// Every power of two and of ten, with their one-ulp neighbours.
+	for e := -1074; e <= 1023; e++ {
+		vals = append(vals, math.Ldexp(1, e))
+	}
+	for k := -323; k <= 308; k++ {
+		vals = append(vals, math.Pow(10, float64(k)))
+	}
+	for _, f := range slices.Clone(vals) {
+		vals = append(vals, math.Nextafter(f, 0), -f)
+		if f != math.MaxFloat64 { // whose next is +Inf
+			vals = append(vals, math.Nextafter(f, math.Inf(1)))
+		}
+	}
 	rng := rand.New(rand.NewSource(42))
-	vals := fixed
 	for i := 0; i < 10_000; i++ {
 		f := math.Float64frombits(rng.Uint64())
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -64,7 +79,7 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendJSONFloat(nil, f)
+		got, err := geomio.AppendJSONFloat(nil, f)
 		if err != nil {
 			t.Fatalf("%v (bits %x): %v", f, math.Float64bits(f), err)
 		}
@@ -72,11 +87,15 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("float %v (bits %x): encoder %q, encoding/json %q",
 				f, math.Float64bits(f), got, want)
 		}
+		p := geom.Point{X: f, Y: -f}
+		if n, text := geomio.PointLen(p), strconv.FormatFloat(f, 'g', -1, 64)+","+strconv.FormatFloat(-f, 'g', -1, 64); n != len(text) {
+			t.Fatalf("PointLen(%v) = %d, its text %q is %d bytes", p, n, text, len(text))
+		}
 	}
-	if _, err := appendJSONFloat(nil, math.Inf(1)); err == nil {
+	if _, err := geomio.AppendJSONFloat(nil, math.Inf(1)); err == nil {
 		t.Error("encoding +Inf should error like encoding/json")
 	}
-	if _, err := appendJSONFloat(nil, math.NaN()); err == nil {
+	if _, err := geomio.AppendJSONFloat(nil, math.NaN()); err == nil {
 		t.Error("encoding NaN should error like encoding/json")
 	}
 }
@@ -97,7 +116,7 @@ func TestEncodeBodiesMatchEncodingJSON(t *testing.T) {
 	for _, file := range files {
 		for _, n := range []int{0, 1, 7, 300} {
 			pts := randPts(n)
-			rect := canonicalRect(geom.NewRect(0, 0, 1000, 1000))
+			rect := geomio.EncodeRect(geom.NewRect(0, 0, 1000, 1000))
 			want := rangeResponse{File: file, Rect: rect, Count: len(pts), Points: make([]pointJSON, len(pts))}
 			for i, p := range pts {
 				want.Points[i] = pointJSON{X: p.X, Y: p.Y}
@@ -161,7 +180,7 @@ func pinHeap(t *testing.T, sys *core.System, name string, pts []geom.Point) *ops
 // to equal encoding/json over the mirror struct.
 func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q geom.Rect) {
 	t.Helper()
-	canon := canonicalRect(q)
+	canon := geomio.EncodeRect(q)
 	var (
 		matches []ops.LocalMatch
 		streams []shardFrag
@@ -333,7 +352,7 @@ func TestRangeStreamUnencodable(t *testing.T) {
 	if _, err := ops.PartitionRangePoints(part, all); err == nil {
 		t.Error("streaming a +Inf match succeeded")
 	}
-	if _, err := encodeRangeBodyMatches("inf", canonicalRect(all), []ops.LocalMatch{{Part: part, IDs: []int{0, 1}}}); err == nil {
+	if _, err := encodeRangeBodyMatches("inf", geomio.EncodeRect(all), []ops.LocalMatch{{Part: part, IDs: []int{0, 1}}}); err == nil {
 		t.Error("merging a +Inf match succeeded")
 	}
 	checkRangeBodies(t, "inf", []*ops.LocalPartition{part}, geom.NewRect(0, 0, 3, 3))

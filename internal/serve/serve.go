@@ -21,6 +21,7 @@ import (
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/obs"
 	"spatialhadoop/internal/ops"
@@ -545,15 +546,6 @@ func (s *Server) tempOut(file string) string {
 	return fmt.Sprintf("%s.serve.%d", file, s.reqID.Add(1))
 }
 
-func fnum(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// canonicalRect renders a rect as its normalized min-corner/max-corner
-// form, so every corner ordering of the same rectangle maps to the same
-// cache key.
-func canonicalRect(r geom.Rect) string {
-	return fnum(r.MinX) + "," + fnum(r.MinY) + "," + fnum(r.MaxX) + "," + fnum(r.MaxY)
-}
-
 // parseRect parses "x1,y1,x2,y2" accepting any pair of opposite corners.
 func parseRect(s string) (geom.Rect, error) {
 	var v [4]float64
@@ -632,7 +624,9 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	canon := canonicalRect(rect)
+	// parseRect normalized the corners, so every ordering of the same
+	// rectangle spells one cache key.
+	canon := geomio.EncodeRect(rect)
 	// The request binds to one generation here: cache key, plan, tier keys
 	// and wire epoch all come from this handle.
 	f, err := s.sys.FS().Open(file)
@@ -699,7 +693,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	canonPt := fnum(q.X) + "," + fnum(q.Y)
+	canonPt := geomio.EncodePoint(q)
 	f, err := s.sys.FS().Open(file) // one generation per request, as in handleRange
 	if err != nil {
 		return err
