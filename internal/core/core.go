@@ -74,16 +74,6 @@ func New(cfg Config) *System {
 		cfg.Workers = 25
 	}
 	fs := dfs.New(dfs.Config{BlockSize: cfg.BlockSize, DataNodes: cfg.Workers})
-	return NewWithFS(cfg, fs)
-}
-
-// NewWithFS creates a System over an existing file system — typically one
-// reloaded with dfs.LoadDir. Indexed files keep their master attachments,
-// so reopened files prune exactly as before.
-func NewWithFS(cfg Config, fs *dfs.FileSystem) *System {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 25
-	}
 	reg := obs.NewRegistry()
 	fs.SetMetrics(reg)
 	sys := &System{

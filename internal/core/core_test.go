@@ -149,41 +149,6 @@ func TestLoadRegionsReplication(t *testing.T) {
 	}
 }
 
-// TestPersistedSystemRoundTrip saves a system with an indexed file to disk
-// and reloads it; the reopened file must keep its index and records.
-func TestPersistedSystemRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	pts := datagen.Points(datagen.Clustered, 2000, geom.NewRect(0, 0, 1000, 1000), 17)
-	sys := New(Config{BlockSize: 8 << 10, Workers: 4, Seed: 1})
-	f1, err := sys.LoadPoints("pts", pts, sindex.QuadTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.FS().SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	fs2, err := dfs.LoadDir(dir, dfs.Config{BlockSize: 8 << 10, DataNodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys2 := NewWithFS(Config{BlockSize: 8 << 10, Workers: 4, Seed: 1}, fs2)
-	f2, err := sys2.Open("pts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.Index == nil || len(f2.Index.Cells) != len(f1.Index.Cells) {
-		t.Fatal("index lost through persistence")
-	}
-	got, err := sys2.ReadPoints("pts")
-	if err != nil || len(got) != len(pts) {
-		t.Fatalf("reloaded %d points, want %d (%v)", len(got), len(pts), err)
-	}
-	if len(f2.Splits()) != len(f1.Splits()) {
-		t.Errorf("splits differ after reload: %d vs %d", len(f2.Splits()), len(f1.Splits()))
-	}
-}
-
 func TestOpenMissingFile(t *testing.T) {
 	sys := New(Config{})
 	if _, err := sys.Open("nope"); err == nil {

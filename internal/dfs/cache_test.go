@@ -26,42 +26,164 @@ func writePoints(t *testing.T, fs *FileSystem, name string, n int) []geom.Point 
 	return pts
 }
 
-func TestBlockPointsCached(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
-	want := writePoints(t, fs, "pts", 50)
-	f, err := fs.Open("pts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Blocks) != 1 {
-		t.Fatalf("blocks = %d, want 1", len(f.Blocks))
-	}
-	b := f.Blocks[0]
-	first, err := b.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != len(want) {
-		t.Fatalf("decoded %d points, want %d", len(first), len(want))
-	}
-	for i, p := range first {
-		if p != want[i] {
-			t.Fatalf("point %d = %v, want %v", i, p, want[i])
+// viewCase is one block and the view of it a test asks for.
+type viewCase struct {
+	name   string
+	block  *Block
+	recs   []string
+	points bool // ask Points (and check Bounds too); else Bounds only
+	stored bool // the view asked for is the writer's: shared, 0 allocations
+}
+
+// checkBlockViews: a block keeps no decoded view. Each case's view, asked
+// by 8 racing callers, equals geomio's parse of its records; a stored view
+// is the one array its writer kept, for no allocation, and any other is a
+// fresh parse per call, sharing nothing between calls.
+func checkBlockViews(t *testing.T, cases []viewCase) {
+	t.Helper()
+	for _, c := range cases {
+		b := c.block
+		var wantBounds []geom.Rect
+		for _, r := range c.recs {
+			rg, err := geomio.DecodeRegion(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBounds = append(wantBounds, rg.Bounds())
 		}
-	}
-	second, err := b.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cache must serve the identical backing array, not a re-parse.
-	if &first[0] != &second[0] {
-		t.Error("second Points() call re-decoded instead of hitting the cache")
+		view := func() (any, unsafe.Pointer, error) {
+			if c.points {
+				got, err := b.Points()
+				return got, unsafe.Pointer(unsafe.SliceData(got)), err
+			}
+			got, err := b.Bounds()
+			return got, unsafe.Pointer(unsafe.SliceData(got)), err
+		}
+		matches := func(got any) bool {
+			if c.points {
+				want, err := geomio.DecodePoints(c.recs)
+				return err == nil && sameBits(got.([]geom.Point), want)
+			}
+			return sameRects(got.([]geom.Rect), wantBounds)
+		}
+		var arrays [8]unsafe.Pointer
+		var wg sync.WaitGroup
+		for i := range arrays {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, data, err := view(); err == nil && matches(got) {
+					arrays[i] = data
+				}
+			}()
+		}
+		wg.Wait()
+		for i, data := range arrays {
+			switch {
+			case data == nil:
+				t.Fatalf("%s: call %d answered other than geomio's parse of its records", c.name, i)
+			case c.stored && data != arrays[0]:
+				t.Fatalf("%s: calls 0 and %d got different arrays; want the writer's", c.name, i)
+			case !c.stored && i > 0 && data == arrays[i-1]:
+				t.Fatalf("%s: calls %d and %d share an array; want a parse per call", c.name, i-1, i)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() { b.Bounds() })
+		if c.points {
+			allocs = testing.AllocsPerRun(5, func() { b.Points() })
+		}
+		if c.stored != (allocs == 0) {
+			t.Errorf("%s: a call allocates %v times", c.name, allocs)
+		}
+		if c.points {
+			if got, err := b.Bounds(); err != nil || !sameRects(got, wantBounds) {
+				t.Errorf("%s: Bounds = %v, want each point's rect", c.name, err)
+			}
+		}
 	}
 }
 
-// TestBlockPointsInvalidatedOnWrite: no decoded view can go stale,
-// because no block is decoded while it is written. Until Close the file
-// cannot be opened; after it every block decodes all of its records.
+// TestBlockPointsCached: the only points a block keeps are its writer's. A
+// text block — written by WriteRecord, or built outside a file as a worker
+// opens a text frame — parses its records on every Points call; a column
+// block returns the points WritePoint stored, the same slice every time.
+func TestBlockPointsCached(t *testing.T) {
+	pts := awkwardPoints(7, 300)
+	ptRecs := geomio.EncodePoints(pts)
+	checkBlockViews(t, []viewCase{
+		{"text points", textBlock(t, ptRecs), ptRecs, true, false},
+		{"text points outside a file", NewBlockFromRecords("p", ptRecs), ptRecs, true, false},
+		{"column points", pointBlock(t, pts), ptRecs, true, true},
+	})
+}
+
+// TestBlockBoundsCachedAndInvalidated: the only rects a block keeps are
+// its writer's. A text block parses its regions on every Bounds call, and
+// malformed text errors on every call; a region-marked block returns the
+// MBRs WriteRegion stored. Replacing the file gives the new block the new
+// writer's rects and leaves a held old block its own.
+func TestBlockBoundsCachedAndInvalidated(t *testing.T) {
+	regs := awkwardRegions(8, 120)
+	regRecs := make([]string, len(regs))
+	for i, rg := range regs {
+		regRecs[i] = geomio.EncodeRegion(rg)
+	}
+	regionBlock := oneBlock(t, func(w *Writer) {
+		for i, rg := range regs {
+			w.WriteRegion(regRecs[i], rg.Bounds())
+		}
+	})
+	checkBlockViews(t, []viewCase{
+		{"text regions", textBlock(t, regRecs), regRecs, false, false},
+		{"marked regions", regionBlock, regRecs, false, true},
+	})
+
+	for name, b := range map[string]*Block{"point": textBlock(t, []string{"not-a-point"}), "region": textBlock(t, []string{"0,0 x,1"})} {
+		for i := 0; i < 2; i++ {
+			if _, err := b.Bounds(); err == nil {
+				t.Fatalf("%s: call %d: Bounds of a malformed record did not error", name, i)
+			}
+		}
+	}
+
+	fs := New(Config{BlockSize: 1 << 30, DataNodes: 1})
+	write := func(regs []geom.Region) *Block {
+		w, err := fs.CreateOrReplace("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rg := range regs {
+			w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("r")
+		if err != nil || len(f.Blocks) != 1 {
+			t.Fatalf("Open = %v, %v; want one block", f, err)
+		}
+		return f.Blocks[0]
+	}
+	mbrs := func(regs []geom.Region) []geom.Rect {
+		var out []geom.Rect
+		for _, rg := range regs {
+			out = append(out, rg.Bounds())
+		}
+		return out
+	}
+	old := write(regs[:10])
+	replaced := write(regs[10:25])
+	if got, err := replaced.Bounds(); err != nil || !sameRects(got, mbrs(regs[10:25])) {
+		t.Errorf("replaced block: Bounds = %v, %v; want the new regions' MBRs", got, err)
+	}
+	if got, err := old.Bounds(); err != nil || !sameRects(got, mbrs(regs[:10])) {
+		t.Errorf("held old block: Bounds = %v, %v; want its own regions' MBRs", got, err)
+	}
+}
+
+// TestBlockPointsInvalidatedOnWrite: no block is read while it is
+// written. Until Close the file cannot be opened; after it every block
+// decodes all of its records.
 func TestBlockPointsInvalidatedOnWrite(t *testing.T) {
 	fs := New(Config{BlockSize: 64, DataNodes: 2})
 	w, err := fs.Create("pts")
@@ -150,123 +272,38 @@ func TestBlockPointsError(t *testing.T) {
 	if _, err := f.Blocks[0].Points(); err == nil {
 		t.Fatal("Points on malformed records did not error")
 	}
-	// The error is cached too: the second call must also report it.
+	// Nothing is kept, the error neither: the second call parses again.
 	if _, err := f.Blocks[0].Points(); err == nil {
-		t.Fatal("cached Points error was lost")
+		t.Fatal("a second Points of malformed records did not error")
 	}
 }
 
-// TestBlockBoundsCachedAndInvalidated: an unmarked block's MBRs are parsed
-// once for the block's lifetime, and later calls allocate nothing; the only
-// way its records change is a replacement, whose blocks are new and parse
-// their own.
-func TestBlockBoundsCachedAndInvalidated(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
-	if err := fs.WriteFile("f", []string{"0,0 2,1", "5,5"}); err != nil {
-		t.Fatal(err)
+// BenchmarkBlockPoints times Points of a 4096-point block: a text block
+// parses on every call, a column block hands out its data.
+func BenchmarkBlockPoints(b *testing.B) {
+	pts := make([]geom.Point, 4096)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(i) * 1.25, Y: float64(i) * 3.5}
 	}
-	f, _ := fs.Open("f")
-	b := f.Blocks[0]
-	want := []geom.Rect{geom.NewRect(0, 0, 2, 1), geom.NewRect(5, 5, 5, 5)}
-
-	// Racing first calls share one parse.
-	firsts := make([]*geom.Rect, 8)
-	var wg sync.WaitGroup
-	for i := range firsts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if rects, err := b.Bounds(); err == nil && slices.Equal(rects, want) {
-				firsts[i] = &rects[0]
+	for name, blk := range map[string]*Block{
+		"text":   NewBlockFromRecords("", geomio.EncodePoints(pts)),
+		"column": pointBlock(b, pts),
+	} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := blk.Points(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}()
-	}
-	wg.Wait()
-	for i, p := range firsts {
-		if p == nil || p != firsts[0] {
-			t.Fatalf("call %d got %p, call 0 %p: want one shared parse of %v", i, p, firsts[0], want)
-		}
-	}
-	if n := testing.AllocsPerRun(20, func() { b.Bounds() }); n != 0 {
-		t.Fatalf("a cached Bounds allocates %v times, want 0", n)
-	}
-
-	w, _ := fs.CreateOrReplace("f")
-	for _, rec := range []string{"1,1", "2,2", "3,3"} {
-		w.WriteRecord(rec)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	nf, _ := fs.Open("f")
-	if rects, err := nf.Blocks[0].Bounds(); err != nil || len(rects) != 3 || rects[2] != geom.NewRect(3, 3, 3, 3) {
-		t.Fatalf("replacement bounds = %v, %v; want the three new points", rects, err)
-	}
-	// The replaced generation still answers whoever holds it, from its cache.
-	if rects, _ := b.Bounds(); &rects[0] != firsts[0] {
-		t.Fatal("the held generation parsed its bounds again")
-	}
-	if err := fs.WriteFile("bad", []string{"0,0 x,1"}); err != nil {
-		t.Fatal(err)
-	}
-	bad, _ := fs.Open("bad")
-	for i := 0; i < 2; i++ {
-		if _, err := bad.Blocks[0].Bounds(); err == nil {
-			t.Fatalf("call %d: Bounds of a malformed region did not error", i)
-		}
-	}
-}
-
-func BenchmarkBlockPointsUncached(b *testing.B) {
-	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
-	pts := make([]geom.Point, 4096)
-	recs := make([]string, len(pts))
-	for i := range pts {
-		pts[i] = geom.Point{X: float64(i) * 1.25, Y: float64(i) * 3.5}
-		recs[i] = geomio.EncodePoint(pts[i])
-	}
-	if err := fs.WriteFile("pts", recs); err != nil {
-		b.Fatal(err)
-	}
-	f, _ := fs.Open("pts")
-	blk := f.Blocks[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := geomio.DecodePoints(blk.Records()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBlockPointsCached(b *testing.B) {
-	fs := New(Config{BlockSize: 1 << 20, DataNodes: 2})
-	pts := make([]geom.Point, 4096)
-	recs := make([]string, len(pts))
-	for i := range pts {
-		pts[i] = geom.Point{X: float64(i) * 1.25, Y: float64(i) * 3.5}
-		recs[i] = geomio.EncodePoint(pts[i])
-	}
-	if err := fs.WriteFile("pts", recs); err != nil {
-		b.Fatal(err)
-	}
-	f, _ := fs.Open("pts")
-	blk := f.Blocks[0]
-	if _, err := blk.Points(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := blk.Points(); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
 // TestColumnRecordsKeepNothing: a point block formats its text for
-// whoever asks and keeps none of it. After SaveDir and two ReadAlls of a
-// file written through WritePoint, no block holds text, the two reads
-// share no memory, and both are the records a text write of the same
-// points stores.
+// whoever asks and keeps none of it. After two ReadAlls, a Bounds and a
+// text frame of each block of a file written through WritePoint, no block
+// holds text or rects, the two reads share no memory, and both are the
+// records a text write of the same points stores.
 func TestColumnRecordsKeepNothing(t *testing.T) {
 	pts := awkwardPoints(6, 600)
 	recs := geomio.EncodePoints(pts)
@@ -282,9 +319,6 @@ func TestColumnRecordsKeepNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := fs.WriteFile("text", recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.SaveDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fs.ReadAll("text")
@@ -304,8 +338,12 @@ func TestColumnRecordsKeepNothing(t *testing.T) {
 		t.Fatalf("%d blocks, want several", len(f.Blocks))
 	}
 	for i, b := range f.Blocks {
-		if !b.column || b.records != nil || b.cache.bounds != nil {
-			t.Fatalf("block %d holds text after SaveDir and two reads", i)
+		if _, err := b.Bounds(); err != nil {
+			t.Fatal(err)
+		}
+		EncodeBlockFrame(b)
+		if !b.column || b.records != nil || b.rects != nil {
+			t.Fatalf("block %d holds text or rects after it was read", i)
 		}
 	}
 }

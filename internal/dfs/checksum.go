@@ -18,12 +18,11 @@ import (
 // opens it from a replica frame) — mirroring
 // HDFS, which checksums blocks on write and verifies them on read. Read
 // paths verify through VerifyCached, which recomputes at most once per
-// block (the same amortization as the decode cache), so a block scanned
-// by many jobs pays the CRC pass once. Only sealed blocks are ever
-// reachable: a file is published whole, by its writer's Close. A mismatch
-// surfaces as a *ChecksumError wrapping ErrChecksum; the error is
-// transient in the fault-classification sense because in a replicated DFS
-// a re-read can be served by a healthy replica.
+// block, so a block scanned by many jobs pays the CRC pass once. Only
+// sealed blocks are ever reachable: a file is published whole, by its
+// writer's Close. A mismatch surfaces as a *ChecksumError wrapping
+// ErrChecksum; the error is transient in the fault-classification sense
+// because in a replicated DFS a re-read can be served by a healthy replica.
 
 // ErrChecksum is the sentinel wrapped by every block checksum mismatch.
 var ErrChecksum = errors.New("dfs: block checksum mismatch")
@@ -126,13 +125,12 @@ func (b *Block) Verify() error {
 	return nil
 }
 
-// VerifyCached is Verify amortized to one recompute per block: the result
-// is cached alongside the decoded views, so repeated reads (map attempts,
-// retries, multi-job pipelines) skip the CRC pass entirely.
+// VerifyCached is Verify amortized to one recompute per block: the
+// verdict is the one thing a block keeps about itself, so repeated reads
+// (map attempts, retries, multi-job pipelines) skip the CRC pass entirely.
 func (b *Block) VerifyCached() error {
-	c := &b.cache
-	c.verifyOnce.Do(func() { c.verifyErr = b.Verify() })
-	return c.verifyErr
+	b.verifyOnce.Do(func() { b.verifyErr = b.Verify() })
+	return b.verifyErr
 }
 
 // ScrubIssue reports one corrupt block found by Scrub.

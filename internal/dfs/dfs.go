@@ -11,10 +11,11 @@
 // file, a job's range matches (WriteSelected), the block a worker opens
 // from a column frame (frame.go) — answers Points with its column and
 // formats Record and Records on demand. Text is what a caller asks for and
-// what arrives as text (LoadDir, WriteFile, job outputs). A block whose
-// records all came through WriteRegion is region-marked and holds each
-// record's MBR beside its text, so Bounds parses nothing, here or on the
-// worker the rects travel to.
+// what a job writes as text (skyline, hull, pair and join outputs). A
+// block whose records all came through WriteRegion is region-marked and
+// holds each record's MBR beside its text, so Bounds parses nothing, here
+// or on the worker the rects travel to. A block keeps no decoded view: a
+// text block parses on every Points or Bounds call.
 //
 // Files may carry a "master" attachment, mirroring SpatialHadoop's _master
 // index file that describes the spatial partitioning of the data blocks.
@@ -88,23 +89,8 @@ type Block struct {
 	// the text as laid out on disk, or over a column's bytes (checksum.go).
 	crc uint32
 
-	// cache holds lazily decoded views of the records (parsed points,
-	// parsed MBRs). A block reachable by readers never changes, so the
-	// views live exactly as long as the block.
-	cache blockCache
-}
-
-// blockCache holds the decoded views over a block's records, each built
-// at most once under its own sync.Once.
-type blockCache struct {
-	ptsOnce sync.Once
-	pts     []geom.Point
-	ptsErr  error
-
-	boundsOnce sync.Once
-	bounds     []geom.Rect
-	boundsErr  error
-
+	// verifyOnce runs the one checksum pass VerifyCached amortizes; a
+	// block reachable by readers never changes, so its verdict is final.
 	verifyOnce sync.Once
 	verifyErr  error
 }
@@ -112,7 +98,7 @@ type blockCache struct {
 // Records returns the records stored in the block, for callers that want
 // all of them. A column block formats its text anew on every call, into
 // one arena the records share, and keeps none of it: whoever asks for a
-// block's text (SaveDir, ReadAll) holds it only as long as they need it. A
+// block's text (ReadAll, a text frame) holds it only as long as they need it. A
 // caller after a few records of such a block asks Record for them. The
 // returned slice must not be modified.
 func (b *Block) Records() []string {
@@ -156,34 +142,27 @@ func (b *Block) NumRecords() int {
 }
 
 // Points returns the block's records as points. A column block's points
-// are its data: nothing is parsed. A text block parses at most once per
-// block lifetime (SpatialHadoop re-reads the same blocks across map
-// attempts and across the jobs of a pipeline; the text parse is the
-// dominant per-visit cost). The returned slice is shared between all
+// are its data: nothing is parsed, and the slice is shared between all
 // callers and must not be modified — every geometry kernel copies before
-// sorting.
+// sorting. A text block parses its records on every call and keeps
+// nothing: the points a file's writer knew are stored as a column.
 func (b *Block) Points() ([]geom.Point, error) {
 	if b.column {
 		return b.col, nil
 	}
-	c := &b.cache
-	c.ptsOnce.Do(func() { c.pts, c.ptsErr = geomio.DecodePoints(b.records) })
-	return c.pts, c.ptsErr
+	return geomio.DecodePoints(b.records)
 }
 
 // Bounds returns the MBR of each record, index-aligned with Records, for
 // callers that need only MBRs (the join's sweep, region range filters). A
 // region-marked block's rects are what its writer computed: nothing is
-// parsed. Any other block parses its records as regions at most once per
-// block lifetime, by the Points rule. The returned slice is shared and
-// must not be modified.
+// parsed, and the slice is shared and must not be modified. Any other
+// block parses its records as regions on every call, by the Points rule.
 func (b *Block) Bounds() ([]geom.Rect, error) {
 	if b.regions {
 		return b.rects, nil
 	}
-	c := &b.cache
-	c.boundsOnce.Do(func() { c.bounds, c.boundsErr = decodeBounds(b.Records()) })
-	return c.bounds, c.boundsErr
+	return decodeBounds(b.Records())
 }
 
 func decodeBounds(recs []string) ([]geom.Rect, error) {
@@ -605,16 +584,11 @@ func (fs *FileSystem) ReadAllCtx(ctx context.Context, name string) ([]string, er
 	})
 }
 
-// ReadPointsCtx is ReadAllCtx for a file of points, parsed: a column
-// block's points are taken as they are, and a text block is parsed
-// without keeping the parse on the block — a whole-file read is one-shot
-// work and must not leave a decoded copy resident.
+// ReadPointsCtx is ReadAllCtx for a file of points, as Points reads each
+// block.
 func (fs *FileSystem) ReadPointsCtx(ctx context.Context, name string) ([]geom.Point, error) {
 	return readFile(fs, ctx, name, func(out []geom.Point, b *Block) ([]geom.Point, error) {
-		if b.column {
-			return append(out, b.col...), nil
-		}
-		pts, err := geomio.DecodePoints(b.records)
+		pts, err := b.Points()
 		return append(out, pts...), err
 	})
 }
@@ -650,7 +624,9 @@ func readFile[T any](fs *FileSystem, ctx context.Context, name string, appendBlo
 	return out, nil
 }
 
-// WriteFile creates a file from records in one call.
+// WriteFile creates a file of text records in one call. A loader stores
+// what it decoded instead (core's LoadPointsHeap, LoadRegionsHeap): this
+// is for records that are only text, and for tests that need a text file.
 func (fs *FileSystem) WriteFile(name string, records []string) error {
 	w, err := fs.Create(name)
 	if err != nil {

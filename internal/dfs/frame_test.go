@@ -44,7 +44,7 @@ func awkwardPoints(seed int64, n int) []geom.Point {
 
 // pointBlock writes pts into one block of a fresh file through
 // WritePoint and returns the block.
-func pointBlock(t *testing.T, pts []geom.Point) *Block {
+func pointBlock(t testing.TB, pts []geom.Point) *Block {
 	t.Helper()
 	return oneBlock(t, func(w *Writer) {
 		for _, p := range pts {
@@ -55,7 +55,7 @@ func pointBlock(t *testing.T, pts []geom.Point) *Block {
 
 // textBlock writes recs into one block of a fresh file through
 // WriteRecord and returns the block.
-func textBlock(t *testing.T, recs []string) *Block {
+func textBlock(t testing.TB, recs []string) *Block {
 	t.Helper()
 	return oneBlock(t, func(w *Writer) {
 		for _, r := range recs {
@@ -66,7 +66,7 @@ func textBlock(t *testing.T, recs []string) *Block {
 
 // oneBlock runs write against a fresh file of one block and returns the
 // block.
-func oneBlock(t *testing.T, write func(w *Writer)) *Block {
+func oneBlock(t testing.TB, write func(w *Writer)) *Block {
 	t.Helper()
 	fs := New(Config{BlockSize: 1 << 30, DataNodes: 1})
 	w, err := fs.Create("f")
@@ -169,10 +169,10 @@ func TestColumnFrameEqualsText(t *testing.T) {
 }
 
 // TestPointMarkOnlyFromWritePoint: only WritePoint stores points. A block
-// of WriteRecord calls, a file that went through SaveDir/LoadDir and a
-// block built outside a file all ship as text, however much their records
-// look like points; a CorruptBlock copy of a point block is a point block
-// that fails its checksum.
+// of WriteRecord calls, a file written by WriteFile and a block built
+// outside a file all ship as text, however much their records look like
+// points; a CorruptBlock copy of a point block is a point block that fails
+// its checksum.
 func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 	pts := awkwardPoints(3, 50)
 	recs := geomio.EncodePoints(pts)
@@ -220,16 +220,12 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 	if f, _ := fs.Open("pts"); !errors.Is(f.Blocks[1].VerifyCached(), ErrChecksum) || f.Blocks[0].VerifyCached() != nil {
 		t.Error("after CorruptBlock(1) block 1 verifies, or block 0 does not")
 	}
-	dir := t.TempDir()
-	if err := fs.SaveDir(dir); err != nil {
+	text := New(Config{BlockSize: 256, DataNodes: 2})
+	if err := text.WriteFile("pts", recs); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDir(dir, Config{BlockSize: 256, DataNodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tags(loaded); slices.Contains(got, FrameColumn) {
-		t.Errorf("a LoadDir'd file has tags %q, want all text", got)
+	if got := tags(text); len(got) != len(before) || slices.Contains(got, FrameColumn) {
+		t.Errorf("a WriteFile of the same points has tags %q, want %d text blocks", got, len(before))
 	}
 }
 
@@ -301,9 +297,9 @@ func sameRects(a, b []geom.Rect) bool {
 // TestRegionMarkOnlyFromWriteRegion: a block that received nothing but
 // WriteRegion ships its rects with its text and answers Bounds without a
 // parse, on the master and wherever its frame opens; its own CRC is the
-// text's. One WriteRecord into it, a CorruptBlock copy or a LoadDir'd
-// file is text, and still answers Bounds — the same rects, bit for bit —
-// by parsing. One WritePoint into it cuts: the point is a block of its
+// text's. One WriteRecord into it, a CorruptBlock copy or a WriteFile of
+// the same records is text, and still answers Bounds — the same rects,
+// bit for bit — by parsing. One WritePoint into it cuts: the point is a block of its
 // own and the region blocks either side keep their mark.
 func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 	regs := awkwardRegions(5, 60)
@@ -432,15 +428,11 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 		}
 	}
 	check(fs, FrameRegions)
-	dir := t.TempDir()
-	if err := fs.SaveDir(dir); err != nil {
+	text := New(Config{BlockSize: 512, DataNodes: 2})
+	if err := text.WriteFile("regs", recs); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDir(dir, Config{BlockSize: 512, DataNodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(loaded, FrameText)
+	check(text, FrameText)
 
 	if err := fs.CorruptBlock("regs", 1); err != nil {
 		t.Fatal(err)

@@ -180,23 +180,27 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// TestRetriedAttemptObservesDecodeCache is the regression test for the
-// decoded-block cache under retries: with injected failures, the retried
-// attempts re-run the map function, but each block's records must be
-// parsed exactly once — the retry hits the cache — and the output must be
-// identical to a failure-free run.
+// TestRetriedAttemptObservesDecodeCache is the regression test for point
+// blocks under retries: with injected failures, the retried attempts re-run
+// the map function, but a block written by WritePoint is its points, so
+// no attempt parses anything — every Points call hands out the one column
+// — and the output must be identical to a failure-free run.
 func TestRetriedAttemptObservesDecodeCache(t *testing.T) {
 	buildInput := func(c *Cluster) {
-		var recs []string
-		for i := 0; i < 64; i++ {
-			recs = append(recs, geomio.EncodePoint(geom.Pt(float64(i), float64(i%7))))
+		w, err := c.FS().Create("pts")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := c.FS().WriteFile("pts", recs); err != nil {
+		for i := 0; i < 64; i++ {
+			p := geom.Pt(float64(i), float64(i%7))
+			w.WritePoint(p, len(geomio.EncodePoint(p)))
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Each block's first Points() names the array its decode built; a
-	// later attempt that gets another array decoded the block again.
+	// Each block's first Points() names its array; a later attempt that
+	// gets another array parsed the block.
 	var decoded sync.Map // block ID → &pts[0]
 	var decodes, redecodes atomic.Int64
 	job := func(out string) *Job {

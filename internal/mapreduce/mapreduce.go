@@ -67,9 +67,10 @@ func (s *Split) Cover() geom.Rect {
 	return s.MBR.Union(s.ContentMBR)
 }
 
-// Records returns all records of the primary block group. For single-block
-// splits the block's record slice is returned directly (no copy); it must
-// not be modified.
+// Records returns all records of the primary block group, as each
+// block's Records gives them: a text block's own slice (a single-block
+// split returns it uncopied, and it must not be modified), a column
+// block's text formatted anew on every call.
 func (s *Split) Records() []string {
 	if len(s.Blocks) == 1 {
 		return s.Blocks[0].Records()
@@ -85,12 +86,11 @@ func (s *Split) Records() []string {
 	return out
 }
 
-// Points returns the records of the primary block group decoded as points,
-// served from each block's decode cache: a block is parsed once per file
-// lifetime, not once per map attempt, so retried attempts and multi-job
-// pipelines (index build → query → query) skip the strconv hot path
-// entirely. The returned slice is shared for single-block splits and must
-// not be modified.
+// Points returns the records of the primary block group as points, as
+// each block's Points gives them: a column block's are its data, so
+// retried attempts and multi-job pipelines (index build → query → query)
+// parse nothing, and a text block's are parsed on every call. The returned
+// slice is shared for a single column block and must not be modified.
 func (s *Split) Points() ([]geom.Point, error) {
 	return blocksPoints(s.Blocks)
 }

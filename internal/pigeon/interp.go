@@ -185,20 +185,30 @@ func (in *Interp) runLoad(st Statement) error {
 			recs = append(recs, l)
 		}
 	}
-	// Validate eagerly so errors point at the LOAD statement.
+	// Decode eagerly, so errors point at the LOAD statement, and store what
+	// was decoded: the file holds points as a column and regions with their
+	// MBRs, spelled canonically, while the variable keeps the input's
+	// spelling for DUMP and STORE.
+	var pts []geom.Point
+	var regions []geom.Region
 	if kind == KindPoints {
-		if _, err := geomio.DecodePoints(recs); err != nil {
-			return fmt.Errorf("pigeon: line %d: %v", st.Line, err)
-		}
+		pts, err = geomio.DecodePoints(recs)
 	} else {
-		for _, r := range recs {
-			if _, err := geomio.DecodeRegion(r); err != nil {
-				return fmt.Errorf("pigeon: line %d: %v", st.Line, err)
-			}
+		regions = make([]geom.Region, len(recs))
+		for i := 0; i < len(recs) && err == nil; i++ {
+			regions[i], err = geomio.DecodeRegion(recs[i])
 		}
 	}
+	if err != nil {
+		return fmt.Errorf("pigeon: line %d: %v", st.Line, err)
+	}
 	file := in.fresh("load")
-	if err := in.sys.FS().WriteFile(file, recs); err != nil {
+	if kind == KindPoints {
+		err = in.sys.LoadPointsHeap(file, pts)
+	} else {
+		err = in.sys.LoadRegionsHeap(file, regions)
+	}
+	if err != nil {
 		return err
 	}
 	in.vars[st.Target] = Value{Kind: kind, Records: recs, File: file}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -309,5 +310,106 @@ func TestRuntimeErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("Exec(%q): expected error", src)
 		}
+	}
+}
+
+// TestLoadStoresWhatItDecoded: LOAD stores what it parsed. A points file's
+// blocks are columns and a regions file's blocks are region-marked, whose
+// Bounds allocate nothing; the file reads back in the canonical spelling,
+// every block is as large as that text, and the variable keeps the
+// input's spelling for DUMP and STORE. An empty input loads as an empty
+// relation.
+func TestLoadStoresWhatItDecoded(t *testing.T) {
+	gen := datagen.Points(datagen.Uniform, 1500, geom.NewRect(0, 0, 1000, 1000), 4)
+	var ptsIn, ptsCanon []string
+	for _, p := range gen {
+		// A trailing zero, spaces around the record: spellings the loader
+		// accepts and the file does not keep.
+		ptsIn = append(ptsIn, " "+strconv.FormatFloat(p.X, 'f', 4, 64)+"0,"+strconv.FormatFloat(p.Y, 'f', -1, 64)+" ")
+	}
+	ptsIn = append(ptsIn, "1.50,2")
+	polys := datagen.Tessellation(8, 8, geom.NewRect(0, 0, 1000, 1000), 5)
+	var regsIn, regsCanon []string
+	for _, pg := range polys {
+		rec := geomio.EncodePolygon(pg)
+		regsIn = append(regsIn, strings.ReplaceAll(rec, " ", "  "))
+		regsCanon = append(regsCanon, rec)
+	}
+	dir := t.TempDir()
+	files := map[string]string{"pts.txt": strings.Join(ptsIn, "\n"), "regs.txt": strings.Join(regsIn, "\n"), "empty.txt": "\n\n"}
+	in, out := newInterp(t)
+	in.ReadFile = func(path string) ([]byte, error) { return []byte(files[path]), nil }
+	err := in.Exec(`
+		p = LOAD 'pts.txt' AS POINTS;
+		r = LOAD 'regs.txt' AS REGIONS;
+		e = LOAD 'empty.txt' AS POINTS;
+		DUMP e;
+		STORE p INTO '` + dir + `/p.txt';
+		DUMP p LIMIT(0);
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ptsIn {
+		p, err := geomio.DecodePoint(strings.TrimSpace(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptsCanon = append(ptsCanon, geomio.EncodePoint(p))
+	}
+	if ptsCanon[len(ptsCanon)-1] != "1.5,2" || ptsCanon[0] == strings.TrimSpace(ptsIn[0]) {
+		t.Fatalf("the input spellings are canonical already: %q, %q", ptsIn[0], ptsIn[len(ptsIn)-1])
+	}
+
+	for _, c := range []struct {
+		name  string
+		tag   byte
+		canon []string
+	}{{"p", dfs.FrameColumn, ptsCanon}, {"r", dfs.FrameRegions, regsCanon}} {
+		v, _ := in.Var(c.name)
+		f, err := in.sys.FS().Open(v.File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "p" && len(f.Blocks) < 2 {
+			t.Fatalf("%s: %d blocks, want several", c.name, len(f.Blocks))
+		}
+		for i, b := range f.Blocks {
+			if payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b)); err != nil || payload[0] != c.tag {
+				t.Fatalf("%s: block %d ships as %q (%v), want %q", c.name, i, payload[:1], err, c.tag)
+			}
+			var size int64
+			for j := range b.NumRecords() {
+				size += int64(len(b.Record(j))) + 1
+			}
+			if b.Bytes != size {
+				t.Errorf("%s: block %d is %d bytes, its text %d", c.name, i, b.Bytes, size)
+			}
+			if c.tag == dfs.FrameRegions {
+				if n := testing.AllocsPerRun(10, func() { b.Bounds() }); n != 0 {
+					t.Errorf("%s: block %d's Bounds allocates %v times, want 0", c.name, i, n)
+				}
+			}
+		}
+		if got, err := in.sys.FS().ReadAll(v.File); err != nil || !slices.Equal(got, c.canon) {
+			t.Errorf("%s: the file reads as other text than the canonical spelling (%v)", c.name, err)
+		}
+		var trimmed []string
+		for _, s := range map[string][]string{"p": ptsIn, "r": regsIn}[c.name] {
+			trimmed = append(trimmed, strings.TrimSpace(s))
+		}
+		if !slices.Equal(v.Records, trimmed) {
+			t.Errorf("%s: the variable holds other records than the input's", c.name)
+		}
+	}
+	stored, err := os.ReadFile(dir + "/p.txt")
+	if err != nil || !strings.HasSuffix(string(stored), "\n1.50,2\n") {
+		t.Errorf("STORE wrote %q... (%v), want the input's spelling", stored[max(0, len(stored)-20):], err)
+	}
+	if want := "e (points, 0 records):\np (points, 1501 records):\n  ... 1501 more\n"; out.String() != want {
+		t.Errorf("DUMP printed %q, want %q", out.String(), want)
+	}
+	if e, _ := in.Var("e"); e.File == "" || !in.sys.FS().Exists(e.File) {
+		t.Error("an empty LOAD stored no file")
 	}
 }

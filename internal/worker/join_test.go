@@ -52,8 +52,8 @@ func TestJoinAnswersTheSameEverywhere(t *testing.T) {
 		}
 		return sys
 	}
-	join := func(sys *core.System) (raw []string, pairs []string) {
-		got, rep, err := ops.SpatialJoinIndexed(sys, "a", "b")
+	join := func(sys *core.System, left, right string) (raw []string, pairs []string) {
+		got, rep, err := ops.SpatialJoinIndexed(sys, left, right)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestJoinAnswersTheSameEverywhere(t *testing.T) {
 	if tag(sys, "a") != dfs.FrameRegions || tag(sys, "heap-b") != dfs.FrameRegions || tag(sys, "text-a") != dfs.FrameText {
 		t.Fatal("the loaded files do not cover both sides of the region mark")
 	}
-	wantRaw, want := join(sys)
+	wantRaw, want := join(sys, "a", "b")
 	if len(want) == 0 {
 		t.Fatal("the tessellations joined to nothing")
 	}
@@ -102,28 +102,39 @@ func TestJoinAnswersTheSameEverywhere(t *testing.T) {
 		}
 	}
 
-	// An indexed copy that went through SaveDir/LoadDir keeps its
-	// partitions and loses the mark.
-	dir := t.TempDir()
-	if err := sys.FS().SaveDir(dir); err != nil {
-		t.Fatal(err)
+	// An indexed copy written as text, partitions and master kept, is
+	// unmarked and joins to the same output file.
+	for _, side := range []string{"a", "b"} {
+		f, err := sys.FS().Open(side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sys.FS().Create("idx-text-" + side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range f.Blocks {
+			w.SetPartition(b.Partition)
+			for _, rec := range b.Records() {
+				w.WriteRecord(rec)
+			}
+		}
+		w.SetMaster(f.Master)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fs, err := dfs.LoadDir(dir, dfs.Config{BlockSize: 1024, DataNodes: 4})
-	if err != nil {
-		t.Fatal(err)
+	if tag(sys, "idx-text-a") != dfs.FrameText {
+		t.Fatal("a region file written as text is marked")
 	}
-	reloaded := core.NewWithFS(core.Config{Workers: 4, Seed: 3}, fs)
-	if tag(reloaded, "a") != dfs.FrameText {
-		t.Fatal("a LoadDir'd region file is still marked")
-	}
-	if raw, _ := join(reloaded); !slices.Equal(raw, wantRaw) {
+	if raw, _ := join(sys, "idx-text-a", "idx-text-b"); !slices.Equal(raw, wantRaw) {
 		t.Error("the indexed join of text copies writes a different output file")
 	}
 	wantRange := rangeSet(t, sys, "a", query)
 	for _, c := range []struct {
 		sys  *core.System
 		file string
-	}{{reloaded, "a"}, {sys, "heap-a"}, {sys, "text-a"}} {
+	}{{sys, "idx-text-a"}, {sys, "heap-a"}, {sys, "text-a"}} {
 		if got := rangeSet(t, c.sys, c.file, query); !slices.Equal(got, wantRange) {
 			t.Errorf("range over %s: %d regions, want %d", c.file, len(got), len(wantRange))
 		}
@@ -148,7 +159,7 @@ func TestJoinAnswersTheSameEverywhere(t *testing.T) {
 				t.Fatal("workers never registered")
 			}
 		}
-		raw, _ := join(sys)
+		raw, _ := join(sys, "a", "b")
 		m.Stop()
 		if !slices.Equal(raw, wantRaw) {
 			t.Errorf("replication %d: the pool's join output differs from the in-process one", replication)
