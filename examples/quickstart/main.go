@@ -27,7 +27,7 @@ func main() {
 
 	// Load them as an STR+-partitioned file. The loader samples the data,
 	// computes partition boundaries, routes every record, and stores the
-	// global index in the file's master attachment.
+	// global index with the file (File.Index).
 	file, err := sys.LoadPoints("cities", points, sindex.STRPlus)
 	if err != nil {
 		log.Fatal(err)

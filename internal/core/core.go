@@ -11,7 +11,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -103,7 +102,7 @@ func (s *System) Cluster() *mapreduce.Cluster { return s.cluster }
 func (s *System) Hotness() *sindex.Hotness { return s.hot }
 
 // IndexedFile is an open spatially-indexed file: the data blocks plus the
-// decoded global index.
+// global index its loader built (nil for a heap file), shared, read-only.
 type IndexedFile struct {
 	Name  string
 	File  *dfs.File
@@ -164,7 +163,7 @@ func (s *System) samplePoints(pts []geom.Point) []geom.Point {
 }
 
 // LoadPoints spatially partitions and stores points with the given
-// technique, writing the global index as the file's master attachment.
+// technique, attaching the global index to the file (dfs.File.Index).
 // This is SpatialHadoop's indexed file loader. Each cell is written in
 // its local order, (X, then Y) as cmp.Compare orders them with ties in
 // input order: the order ops.PinSplit and the CG local steps sort into,
@@ -275,7 +274,7 @@ func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]int32, textLen fu
 // writeIndexed writes the partitioned records — byCell holds record
 // indices, textLen(i) is the size of record i's text and write(w, i)
 // writes record i through the loader's typed call (WritePoint,
-// WriteRegion) — and the master index. Queries meet the
+// WriteRegion) — and attaches the global index. Queries meet the
 // previous generation until Close publishes this one; the writer is
 // created only here, after partitioning, so the two overlap in memory for
 // the write loop alone.
@@ -294,73 +293,26 @@ func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]in
 			write(w, i)
 		}
 	}
-	w.SetMaster(gi.Encode())
+	w.SetIndex(gi)
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
 	return s.Open(name)
 }
 
-// Open opens an indexed file, decoding its master index. Opening a heap
-// file returns an IndexedFile with a nil Index.
+// Open opens a file: its published generation and the global index its
+// loader attached, nil for a heap file. It fails only on a missing file.
 func (s *System) Open(name string) (*IndexedFile, error) {
 	f, err := s.fs.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	return OpenFile(f)
+	return &IndexedFile{Name: f.Name, File: f, Index: f.Index}, nil
 }
 
-// OpenFile is Open over a generation the caller already holds, for callers
-// that must plan, key and read one and the same generation.
-func OpenFile(f *dfs.File) (*IndexedFile, error) {
-	out := &IndexedFile{Name: f.Name, File: f}
-	if len(f.Master) > 0 {
-		gi, err := sindex.Decode(f.Master)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", f.Name, err)
-		}
-		out.Index = gi
-	}
-	return out, nil
-}
-
-// Splits is the spatial file splitter: it returns one split per partition
-// of an indexed file, carrying the partition boundary and the minimal
-// content MBR so that filter functions can prune without reading records.
-// For heap files it degrades to one split per block with no spatial
-// metadata, matching plain Hadoop.
-func (f *IndexedFile) Splits() []*mapreduce.Split {
-	if f.Index == nil {
-		var splits []*mapreduce.Split
-		for _, b := range f.File.Blocks {
-			splits = append(splits, &mapreduce.Split{
-				MBR:        geom.WorldRect(),
-				ContentMBR: geom.EmptyRect(),
-				Blocks:     []*dfs.Block{b},
-			})
-		}
-		return splits
-	}
-	byKey := make(map[string][]*dfs.Block)
-	for _, b := range f.File.Blocks {
-		byKey[b.Partition] = append(byKey[b.Partition], b)
-	}
-	var splits []*mapreduce.Split
-	for _, cell := range f.Index.Cells {
-		blocks := byKey[cell.Key()]
-		if len(blocks) == 0 {
-			continue
-		}
-		splits = append(splits, &mapreduce.Split{
-			Partition:  cell.Key(),
-			MBR:        cell.Boundary,
-			ContentMBR: cell.Content,
-			Blocks:     blocks,
-		})
-	}
-	return splits
-}
+// Splits returns the file's default splits (mapreduce.SplitsOf): one per
+// partition of an indexed file, one per block of a heap file.
+func (f *IndexedFile) Splits() []*mapreduce.Split { return mapreduce.SplitsOf(f.File) }
 
 // ReadPoints decodes every point record of a file.
 func (s *System) ReadPoints(name string) ([]geom.Point, error) {

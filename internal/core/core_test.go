@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
+	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -94,27 +97,172 @@ func TestSplitsCoverAllBlocks(t *testing.T) {
 	}
 }
 
-// TestMasterFileRoundTrip checks the index survives the master-file
-// encoding when a file is reopened.
+// TestMasterFileRoundTrip: the global index a loader builds travels with
+// its file as that very value. Every Open returns the index LoadPoints or
+// LoadRegions returned, pointer-equal, and so does the generation
+// CorruptBlock publishes in its place.
 func TestMasterFileRoundTrip(t *testing.T) {
-	pts := datagen.Points(datagen.Gaussian, 2000, geom.NewRect(0, 0, 500, 500), 7)
+	area := geom.NewRect(0, 0, 500, 500)
 	sys := New(Config{BlockSize: 4 << 10, Workers: 2, Seed: 1})
-	f1, err := sys.LoadPoints("pts", pts, sindex.STRPlus)
+	pf, err := sys.LoadPoints("pts", datagen.Points(datagen.Gaussian, 2000, area, 7), sindex.STRPlus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := sys.Open("pts")
+	polys := datagen.RandomPolygons(200, 5, 40, area, 9)
+	regions := make([]geom.Region, len(polys))
+	for i, pg := range polys {
+		regions[i] = geom.RegionOf(pg)
+	}
+	rf, err := sys.LoadRegions("regs", regions, sindex.Grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f1.Index.Cells) != len(f2.Index.Cells) {
-		t.Fatal("cells differ after reopen")
-	}
-	for i := range f1.Index.Cells {
-		if f1.Index.Cells[i] != f2.Index.Cells[i] {
-			t.Fatalf("cell %d differs after reopen", i)
+	for _, loaded := range []*IndexedFile{pf, rf} {
+		if loaded.Index == nil || loaded.Index != loaded.File.Index {
+			t.Fatalf("%s: the loader returned index %p, its file carries %p", loaded.Name, loaded.Index, loaded.File.Index)
+		}
+		f, err := sys.Open(loaded.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.File != loaded.File || f.Index != loaded.Index {
+			t.Fatalf("%s: Open returned index %p of generation %d, the loader's is %p of %d",
+				loaded.Name, f.Index, f.File.Epoch(), loaded.Index, loaded.File.Epoch())
+		}
+		if err := sys.FS().CorruptBlock(loaded.Name, 0); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := sys.Open(loaded.Name); err != nil || c.File == loaded.File || c.Index != loaded.Index {
+			t.Fatalf("%s: the corrupted generation's index is %v (%v), want the loader's %p", loaded.Name, c, err, loaded.Index)
 		}
 	}
+}
+
+// cellSplits is the splitter as a walk over the index: one split per cell
+// that has blocks, in cell order, with the cell's boundary and content
+// MBR and its blocks in file order.
+func cellSplits(f *dfs.File) []*mapreduce.Split {
+	var splits []*mapreduce.Split
+	for _, cell := range f.Index.Cells {
+		s := &mapreduce.Split{Partition: cell.Key(), MBR: cell.Boundary, ContentMBR: cell.Content}
+		for _, b := range f.Blocks {
+			if b.Partition == cell.Key() {
+				s.Blocks = append(s.Blocks, b)
+			}
+		}
+		if len(s.Blocks) > 0 {
+			splits = append(splits, s)
+		}
+	}
+	return splits
+}
+
+// sameSplits fails unless got and want agree split for split on the
+// partition, the MBR, the content MBR and the blocks in order.
+func sameSplits(t *testing.T, what string, got, want []*mapreduce.Split) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d splits, want %d", what, len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Partition != w.Partition || g.MBR != w.MBR || g.ContentMBR != w.ContentMBR || !slices.Equal(g.Blocks, w.Blocks) {
+			t.Fatalf("%s: split %d is %s %v %v with %d blocks, want %s %v %v with %d",
+				what, i, g.Partition, g.MBR, g.ContentMBR, len(g.Blocks), w.Partition, w.MBR, w.ContentMBR, len(w.Blocks))
+		}
+	}
+}
+
+// TestOneSplitter: IndexedFile.Splits and Cluster.MakeSplits are one
+// splitter. For every technique, over points and regions, both give the
+// index's cell walk; over a heap file both give one split per block with
+// the world MBR and an empty content MBR.
+func TestOneSplitter(t *testing.T) {
+	area := geom.NewRect(0, 0, 1000, 1000)
+	pts := datagen.Points(datagen.Clustered, 4000, area, 5)
+	polys := datagen.RandomPolygons(300, 5, 40, area, 9)
+	regions := make([]geom.Region, len(polys))
+	for i, pg := range polys {
+		regions[i] = geom.RegionOf(pg)
+	}
+	sys := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
+	both := func(name string) ([]*mapreduce.Split, []*mapreduce.Split, *IndexedFile) {
+		t.Helper()
+		f, err := sys.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		made, err := sys.Cluster().MakeSplits([]string{name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Splits(), made, f
+	}
+	for _, tech := range loadTechniques {
+		if _, err := sys.LoadPoints("pts", pts, tech); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.LoadRegions("regs", regions, tech); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"pts", "regs"} {
+			splits, made, f := both(name)
+			want := cellSplits(f.File)
+			if len(want) < 2 {
+				t.Fatalf("%v %s: %d partitions, too few to tell an order", tech, name, len(want))
+			}
+			sameSplits(t, fmt.Sprint(tech, " ", name, " Splits"), splits, want)
+			sameSplits(t, fmt.Sprint(tech, " ", name, " MakeSplits"), made, want)
+		}
+	}
+	if err := sys.LoadPointsHeap("heap", pts); err != nil {
+		t.Fatal(err)
+	}
+	splits, made, f := both("heap")
+	var want []*mapreduce.Split
+	for _, b := range f.File.Blocks {
+		want = append(want, &mapreduce.Split{MBR: geom.WorldRect(), ContentMBR: geom.EmptyRect(), Blocks: []*dfs.Block{b}})
+	}
+	if len(want) < 2 {
+		t.Fatalf("heap file of %d blocks, too few to tell an order", len(want))
+	}
+	sameSplits(t, "heap Splits", splits, want)
+	sameSplits(t, "heap MakeSplits", made, want)
+}
+
+// TestSplitsKeepUnindexedPartition: a block whose partition key has no
+// cell in the file's index still yields a split, with the world MBR and
+// an empty content MBR, from both IndexedFile.Splits and MakeSplits. The
+// splitter never drops a block.
+func TestSplitsKeepUnindexedPartition(t *testing.T) {
+	sys := New(Config{BlockSize: 1 << 10, Workers: 2, Seed: 1})
+	cell := sindex.Cell{ID: 0, Boundary: geom.NewRect(0, 0, 5, 5), Content: geom.NewRect(1, 1, 2, 2)}
+	w, err := sys.FS().Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetPartition("c0")
+	w.WriteRecord("1,1")
+	w.SetPartition("c7")
+	w.WriteRecord("7,7")
+	w.SetIndex(&sindex.GlobalIndex{Technique: sindex.Grid, Space: geom.NewRect(0, 0, 10, 10), Cells: []sindex.Cell{cell}})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []*mapreduce.Split{
+		{Partition: "c0", MBR: cell.Boundary, ContentMBR: cell.Content, Blocks: f.File.Blocks[:1]},
+		{Partition: "c7", MBR: geom.WorldRect(), ContentMBR: geom.EmptyRect(), Blocks: f.File.Blocks[1:]},
+	}
+	sameSplits(t, "Splits", f.Splits(), want)
+	made, err := sys.Cluster().MakeSplits([]string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSplits(t, "MakeSplits", made, want)
 }
 
 // TestLoadRegionsReplication checks region loading with a disjoint

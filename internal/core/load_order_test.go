@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -127,16 +128,16 @@ type loadCase struct {
 	less  func(a, b int) bool
 }
 
-// check compares the loaded file with the input-order loop: the master
-// index, Bytes and Records equal; each cell holds the loop's records,
+// check compares the loaded file with the input-order loop: the global
+// index (sameIndex), Bytes and Records equal; each cell holds the loop's records,
 // sorted by less with ties in input order, as one run of consecutive
 // blocks; and the blocks and per-node bytes equal those the loop writes
 // when each cell is first sorted serially. It returns the loop's file.
 func (lc loadCase) check(t *testing.T) *dfs.File {
 	t.Helper()
 	f := lc.f.File
-	if !bytes.Equal(f.Master, lc.gi.Encode()) {
-		t.Fatal("master index differs from the input-order loop's")
+	if !sameIndex(f.Index, lc.gi) {
+		t.Fatal("global index differs from the input-order loop's")
 	}
 	ref := New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1})
 	w, err := ref.FS().Create("ref")
@@ -175,7 +176,7 @@ func (lc loadCase) check(t *testing.T) *dfs.File {
 	if f.Bytes != wantBytes || f.Records != wantRecords {
 		t.Fatalf("file holds %d bytes and %d records, the input-order loop %d and %d", f.Bytes, f.Records, wantBytes, wantRecords)
 	}
-	w.SetMaster(lc.gi.Encode())
+	w.SetIndex(lc.gi)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,11 @@ func (lc loadCase) check(t *testing.T) *dfs.File {
 
 // sameLayout fails unless a and b have the same blocks — each block's ID,
 // node, partition, Bytes and records — and the same Bytes, Records and
-// master index.
+// global index (sameIndex).
 func sameLayout(t *testing.T, a, b *dfs.File) {
 	t.Helper()
-	if len(a.Blocks) != len(b.Blocks) || a.Bytes != b.Bytes || a.Records != b.Records || !bytes.Equal(a.Master, b.Master) {
-		t.Fatalf("files differ: %d vs %d blocks, %d vs %d bytes, %d vs %d records, or the master index",
+	if len(a.Blocks) != len(b.Blocks) || a.Bytes != b.Bytes || a.Records != b.Records || !sameIndex(a.Index, b.Index) {
+		t.Fatalf("files differ: %d vs %d blocks, %d vs %d bytes, %d vs %d records, or the global index",
 			len(a.Blocks), len(b.Blocks), a.Bytes, b.Bytes, a.Records, b.Records)
 	}
 	for i, x := range a.Blocks {
@@ -207,6 +208,47 @@ func sameLayout(t *testing.T, a, b *dfs.File) {
 				x.ID, x.Node, x.Partition, x.Bytes, x.NumRecords(), y.ID, y.Node, y.Partition, y.Bytes, y.NumRecords())
 		}
 	}
+}
+
+// sameIndex reports whether a and b are the same global index field by
+// field, the curve resolution included: floats compare by their bits, so
+// −0 is not +0 and a NaN equals only its own payload.
+func sameIndex(a, b *sindex.GlobalIndex) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return sameBits(reflect.ValueOf(*a), reflect.ValueOf(*b))
+}
+
+// sameBits is sameIndex's walk over one value; a kind it does not know
+// panics, so a new field's type cannot slip past the comparison.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Int:
+		return a.Int() == b.Int()
+	case reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	panic(fmt.Sprintf("sameBits: a %v field", a.Type()))
 }
 
 // sameBlocks is sameLayout, frame for frame.
@@ -343,8 +385,8 @@ func TestLoadRegionsWritesCellsInLocalOrder(t *testing.T) {
 // TestLoadIsTheSameAtAnyParallelism: the points and regions are measured,
 // assigned and laid out by cell in chunks of loadChunk records, and the
 // cells sorted, on up to GOMAXPROCS goroutines, by the indexed loaders and
-// the heap loader; the file — records, blocks and master index — is
-// byte-identical at 1 and at 4. Besides the mixed input, the cases sit on
+// the heap loader; the file — records, blocks and global index — is
+// identical at 1 and at 4, bytes and float bits alike. Besides the mixed input, the cases sit on
 // the chunk boundary (k·loadChunk records and one either side), leave
 // cells empty in some chunks (points in X order, so each chunk covers a
 // band of X), and put every point in one cell spread over several chunks.

@@ -174,7 +174,7 @@ func (fs *FileSystem) Scrub() []ScrubIssue {
 
 // CorruptBlock models a data node damaging block i of the named file:
 // it publishes, under a fresh epoch, a generation identical to the
-// current one except that block i is a copy — same BlockID, placement and
+// current one, global index shared, except that block i is a copy — same BlockID, placement and
 // stored checksum — with one byte of one record flipped, or for a column
 // block one bit of its first point's X. It is the
 // corruption hook used by fault injection and integrity tests. The
@@ -205,7 +205,7 @@ func (fs *FileSystem) CorruptBlock(name string, i int) error {
 	default:
 		return fmt.Errorf("dfs: %s block %d has no corruptible record", name, i)
 	}
-	next := &File{Name: name, Blocks: slices.Clone(f.Blocks), Bytes: f.Bytes, Records: f.Records, Master: f.Master}
+	next := &File{Name: name, Blocks: slices.Clone(f.Blocks), Bytes: f.Bytes, Records: f.Records, Index: f.Index}
 	next.Blocks[i] = bad
 	fs.publish(name, next)
 	return nil

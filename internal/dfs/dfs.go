@@ -17,8 +17,9 @@
 // or on the worker the rects travel to. A block keeps no decoded view: a
 // text block parses on every Points or Bounds call.
 //
-// Files may carry a "master" attachment, mirroring SpatialHadoop's _master
-// index file that describes the spatial partitioning of the data blocks.
+// An indexed file carries the global index its loader built (File.Index),
+// SpatialHadoop's _master file kept as the value it is: the splitter and
+// the planners read it where it lies, and nothing encodes or parses it.
 //
 // Like an HDFS file, a file is written once: a Writer builds a generation
 // nobody else can reach, and Close publishes it — over a missing name, or
@@ -39,6 +40,7 @@ import (
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/obs"
+	"spatialhadoop/internal/sindex"
 )
 
 // DefaultBlockSize is the default block capacity in bytes. The paper uses
@@ -185,9 +187,10 @@ type File struct {
 	Blocks  []*Block
 	Bytes   int64
 	Records int64
-	// Master is an opaque attachment for index metadata (SpatialHadoop's
-	// _master file). The spatial layer serializes its global index here.
-	Master []byte
+	// Index is the global index the loader partitioned the blocks by
+	// (SpatialHadoop's _master file), nil for a heap file. It is read-only
+	// once published, and every generation CorruptBlock derives shares it.
+	Index *sindex.GlobalIndex
 
 	// epoch is the value of the file system's monotone clock when this
 	// generation was published. Because the clock is global, a file that
@@ -526,8 +529,9 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// SetMaster attaches index metadata to the file being written.
-func (w *Writer) SetMaster(master []byte) { w.file.Master = master }
+// SetIndex attaches the global index to the file being written. The
+// caller hands it over: nothing may change it afterwards.
+func (w *Writer) SetIndex(gi *sindex.GlobalIndex) { w.file.Index = gi }
 
 // Open returns the file's published generation.
 func (fs *FileSystem) Open(name string) (*File, error) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/sindex"
 )
 
 func TestCreateWriteRead(t *testing.T) {
@@ -114,11 +115,18 @@ func TestMasterAttachment(t *testing.T) {
 	fs := New(Config{})
 	w, _ := fs.Create("f")
 	w.WriteRecord("data")
-	w.SetMaster([]byte("index-bytes"))
+	gi := &sindex.GlobalIndex{Technique: sindex.Grid, Space: geom.NewRect(0, 0, 1, 1)}
+	w.SetIndex(gi)
 	w.Close()
 	f, _ := fs.Open("f")
-	if string(f.Master) != "index-bytes" {
-		t.Errorf("master = %q", f.Master)
+	if f.Index != gi {
+		t.Errorf("index = %+v, want the writer's %p", f.Index, gi)
+	}
+	if err := fs.CorruptBlock("f", 0); err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := fs.Open("f"); g == f || g.Index != gi {
+		t.Errorf("the corrupted generation's index = %p, want the writer's %p", g.Index, gi)
 	}
 }
 

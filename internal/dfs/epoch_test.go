@@ -1,6 +1,10 @@
 package dfs
 
-import "testing"
+import (
+	"testing"
+
+	"spatialhadoop/internal/sindex"
+)
 
 // TestFileEpochMonotone: a name's epoch changes exactly when a generation
 // is published — create, replace, delete + create, the corruption hook —
@@ -18,7 +22,7 @@ func TestFileEpochMonotone(t *testing.T) {
 		}
 		w.WriteRecord("a")
 		w.WriteRecord("b")
-		w.SetMaster([]byte("idx"))
+		w.SetIndex(&sindex.GlobalIndex{})
 		if got := fs.FileEpoch("f"); got != before {
 			t.Fatalf("epoch moved from %d to %d before Close", before, got)
 		}
@@ -124,7 +128,7 @@ func TestEpochHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.WriteRecord("a")
-	w.SetMaster([]byte("idx"))
+	w.SetIndex(&sindex.GlobalIndex{})
 	expect("building", 0)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/sindex"
 )
 
 // TestCreateCollision: Create fails fast against a published name, and an
@@ -180,9 +183,9 @@ func TestNodeBytesFollowPublishedFiles(t *testing.T) {
 
 // TestReplaceWhileQuery: readers open a file while it is replaced a
 // thousand times. Whatever generation an Open returns is whole — totals,
-// master and blocks agree and every block verifies — and generations are
-// seen in publication order. Cycle c publishes c%60+1 records and a master
-// naming c.
+// index and blocks agree and every block verifies — and generations are
+// seen in publication order. Cycle c publishes c%60+1 records and an index
+// whose Space.MinX names c.
 func TestReplaceWhileQuery(t *testing.T) {
 	fs := New(Config{BlockSize: 64, DataNodes: 3})
 	replace := func(c int) {
@@ -193,7 +196,7 @@ func TestReplaceWhileQuery(t *testing.T) {
 			}
 			w.WriteRecord(fmt.Sprintf("cycle-%d-rec-%d", c, i))
 		}
-		w.SetMaster([]byte(fmt.Sprint(c)))
+		w.SetIndex(&sindex.GlobalIndex{Space: geom.Rect{MinX: float64(c)}})
 		if err := w.Close(); err != nil {
 			t.Error(err)
 		}
@@ -217,10 +220,9 @@ func TestReplaceWhileQuery(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				var c int
-				fmt.Sscan(string(f.Master), &c)
+				c := int(f.Index.Space.MinX)
 				if int64(c%60+1) != f.Records || c < last {
-					t.Errorf("opened cycle %d after %d with %d records, master %q", c, last, f.Records, f.Master)
+					t.Errorf("opened cycle %d after %d with %d records, index space %v", c, last, f.Records, f.Index.Space)
 					return
 				}
 				last = c

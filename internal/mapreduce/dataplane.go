@@ -92,6 +92,9 @@ func (p *dataPlane) ensureReplicated(splits []*Split) {
 }
 
 // ensureBlock places and pushes one block if the plane has never seen it.
+// A block that fails its checksum is registered but never sealed into a
+// frame: it gets no replica, and readFrame reports its error to whoever
+// asks for it.
 func (p *dataPlane) ensureBlock(b *dfs.Block) {
 	p.mu.Lock()
 	if _, ok := p.blocks[b.ID]; ok {
@@ -102,6 +105,9 @@ func (p *dataPlane) ensureBlock(b *dfs.Block) {
 	p.blocks[b.ID] = pb
 	p.mu.Unlock()
 
+	if b.VerifyCached() != nil {
+		return
+	}
 	targets := p.policy.Place(dfs.PlacementGroup(b.Partition, b.ID), p.m.liveWorkerIDs())
 	if len(targets) == 0 {
 		return // replication 0: the master serves the block
@@ -196,13 +202,18 @@ func (p *dataPlane) blockRefs(s *Split) []WireBlockRef {
 
 // readFrame seals one registered block for the master's ReadBlock — the
 // source for a worker that reached no replica, and at replication 0 of
-// every map attempt.
+// every map attempt. A frame's checksum is computed from its bytes when
+// it is opened, so a block is verified before it is sealed, and a corrupt
+// one is refused with the dfs checksum error.
 func (p *dataPlane) readFrame(id dfs.BlockID) ([]byte, error) {
 	p.mu.Lock()
 	pb := p.blocks[id]
 	p.mu.Unlock()
 	if pb == nil {
 		return nil, fmt.Errorf("mapreduce: master holds no block %d", id)
+	}
+	if err := pb.block.VerifyCached(); err != nil {
+		return nil, err
 	}
 	return dfs.EncodeBlockFrame(pb.block), nil
 }

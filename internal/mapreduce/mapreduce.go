@@ -27,7 +27,6 @@ import (
 	"spatialhadoop/internal/fault"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/obs"
-	"spatialhadoop/internal/sindex"
 )
 
 // Split is the unit of work handed to one map task. For heap files a split
@@ -1067,11 +1066,8 @@ func partitionOf(key string, n int) int {
 	return int(h % uint32(n))
 }
 
-// MakeSplits builds the default (unfiltered) splits for the input files:
-// one split per partition for indexed files, one split per block for heap
-// files. When a file carries a master index attachment, each partition
-// split gets the real cell boundary and content MBR from the global index,
-// so filter functions can prune even on the default split path.
+// MakeSplits builds the default (unfiltered) splits of the input files,
+// each file's as SplitsOf gives them.
 func (c *Cluster) MakeSplits(inputs []string) ([]*Split, error) {
 	var splits []*Split
 	for _, name := range inputs {
@@ -1079,37 +1075,38 @@ func (c *Cluster) MakeSplits(inputs []string) ([]*Split, error) {
 		if err != nil {
 			return nil, err
 		}
-		var gi *sindex.GlobalIndex
-		if len(f.Master) > 0 {
-			if g, derr := sindex.Decode(f.Master); derr == nil {
-				gi = g
-			}
-		}
-		byPart := make(map[string][]*dfs.Block)
-		var order []string
-		for _, b := range f.Blocks {
-			if _, ok := byPart[b.Partition]; !ok {
-				order = append(order, b.Partition)
-			}
-			byPart[b.Partition] = append(byPart[b.Partition], b)
-		}
-		if len(order) == 1 && order[0] == "" {
-			// Heap file: one split per block.
-			for _, b := range f.Blocks {
-				splits = append(splits, &Split{MBR: geom.WorldRect(), Blocks: []*dfs.Block{b}})
-			}
-			continue
-		}
-		for _, key := range order {
-			s := &Split{Partition: key, MBR: geom.WorldRect(), Blocks: byPart[key]}
-			if gi != nil {
-				if cell, ok := gi.CellByKey(key); ok {
-					s.MBR = cell.Boundary
-					s.ContentMBR = cell.Content
-				}
-			}
-			splits = append(splits, s)
-		}
+		splits = append(splits, SplitsOf(f)...)
 	}
 	return splits, nil
+}
+
+// SplitsOf is the spatial file splitter. An indexed file gives one split
+// per partition, in the order its blocks first name them (the index's cell
+// order for every loader-written file), each carrying its cell's boundary
+// and minimal content MBR so filter functions can prune without reading
+// records; a partition the index has no cell for gets the world MBR and
+// an empty content MBR, like a heap block. A heap file degrades to one
+// split per block with no spatial metadata, matching plain Hadoop.
+func SplitsOf(f *dfs.File) []*Split {
+	var splits []*Split
+	if f.Index == nil {
+		for _, b := range f.Blocks {
+			splits = append(splits, &Split{MBR: geom.WorldRect(), ContentMBR: geom.EmptyRect(), Blocks: []*dfs.Block{b}})
+		}
+		return splits
+	}
+	byKey := make(map[string]*Split)
+	for _, b := range f.Blocks {
+		if s := byKey[b.Partition]; s != nil {
+			s.Blocks = append(s.Blocks, b)
+			continue
+		}
+		s := &Split{Partition: b.Partition, MBR: geom.WorldRect(), ContentMBR: geom.EmptyRect(), Blocks: []*dfs.Block{b}}
+		if cell, ok := f.Index.CellByKey(b.Partition); ok {
+			s.MBR, s.ContentMBR = cell.Boundary, cell.Content
+		}
+		byKey[b.Partition] = s
+		splits = append(splits, s)
+	}
+	return splits
 }

@@ -297,9 +297,9 @@ func TestSimulatedParallelEdgeCases(t *testing.T) {
 }
 
 // TestMakeSplitsUsesMasterIndexMBR checks that default splits of an
-// indexed file carry the real partition boundaries from the master index
-// (not the world rectangle), so a Filter on the default split path can
-// prune.
+// indexed file carry the real partition boundaries from the file's global
+// index (not the world rectangle), so a Filter on the default split path
+// can prune.
 func TestMakeSplitsUsesMasterIndexMBR(t *testing.T) {
 	c := newTestCluster(t, 1024, 2)
 	gi := &sindex.GlobalIndex{
@@ -318,7 +318,7 @@ func TestMakeSplitsUsesMasterIndexMBR(t *testing.T) {
 	w.WriteRecord("left")
 	w.SetPartition("c1")
 	w.WriteRecord("right")
-	w.SetMaster(gi.Encode())
+	w.SetIndex(gi)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestMakeSplitsUsesMasterIndexMBR(t *testing.T) {
 			t.Fatalf("split has unknown partition %q", s.Partition)
 		}
 		if s.MBR == world {
-			t.Errorf("split %s MBR is the world rect; master index boundary was discarded", s.Partition)
+			t.Errorf("split %s MBR is the world rect; index boundary was discarded", s.Partition)
 		}
 		if s.MBR != cell.Boundary {
 			t.Errorf("split %s MBR = %+v, want cell boundary %+v", s.Partition, s.MBR, cell.Boundary)

@@ -328,6 +328,45 @@ func TestRemoteByteIdentity(t *testing.T) {
 	}
 }
 
+// TestCorruptBlockNeverSealed: a block damaged before any job showed it
+// to the data plane fails its checksum where the master would seal it.
+// The plane pushes no replica of it, the master's ReadBlock refuses it,
+// and the pool job fails as the in-process one does, instead of
+// answering from a frame whose checksum was computed from damaged bytes.
+func TestCorruptBlockNeverSealed(t *testing.T) {
+	for _, replication := range []int{0, 1} {
+		t.Run(fmt.Sprint("replication-", replication), func(t *testing.T) {
+			c, m, _ := startDistributedRepl(t, 2, obs.NewRegistry(), replication)
+			writeDistText(t, c)
+			if err := c.FS().CorruptBlock("text", 0); err != nil {
+				t.Fatal(err)
+			}
+			f, err := c.FS().Open("text")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(kindWordCountJob()); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("pool job over a corrupt block: %v, want a checksum mismatch", err)
+			}
+			if c.FS().Exists("out") {
+				t.Error("the failed job published its output")
+			}
+			pushed := 0
+			for _, e := range m.FaultLog().Events() {
+				if e.Kind == "replicate" && e.Task == int(f.Blocks[0].ID) {
+					t.Errorf("the corrupt block was pushed to worker %d", e.Worker)
+				}
+				if e.Kind == "replicate" {
+					pushed++
+				}
+			}
+			if (pushed > 0) != (replication > 0) {
+				t.Errorf("%d replicas pushed at replication %d", pushed, replication)
+			}
+		})
+	}
+}
+
 // TestMasterStopLeavesNoGoroutines: every job's close broadcasts DropJob
 // to the workers in the background; Master.Stop must wait those calls
 // out, so that after 20 jobs and a teardown the process is back at its

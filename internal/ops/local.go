@@ -47,15 +47,20 @@ type LocalPartition struct {
 
 // PinSplit decodes a split's blocks into a memory-resident partition: its
 // points in canonical order (sortedPoints) — the order is the local index —
-// and per-point response fragments.
+// and per-point response fragments. Every block is verified first, as a
+// map attempt verifies its input: a corrupt block fails the pin with the
+// dfs checksum error.
 func PinSplit(sp *mapreduce.Split) (*LocalPartition, error) {
+	var text int64
+	for _, b := range sp.Blocks {
+		if err := b.VerifyCached(); err != nil {
+			return nil, err
+		}
+		text += b.Bytes
+	}
 	pts, err := sortedPoints(sp.Blocks)
 	if err != nil {
 		return nil, err
-	}
-	var text int64
-	for _, b := range sp.Blocks {
-		text += b.Bytes
 	}
 	frag, off := buildFragments(pts, text)
 	return &LocalPartition{
@@ -124,7 +129,7 @@ func localIndexed(sys *core.System, file string) (*Indexed, error) {
 	if f.Index == nil {
 		return nil, fmt.Errorf("ops: local execution needs an indexed file, %q is a heap", file)
 	}
-	return NewIndexed(f), nil
+	return NewIndexed(f.File), nil
 }
 
 // LocalMatch is one partition's contribution to a range query: the pinned

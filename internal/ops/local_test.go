@@ -1,11 +1,13 @@
 package ops
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
@@ -177,6 +179,32 @@ func TestLocalKNNMatchesMapReduce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCorruptPartitionFailsBothEngines: after CorruptBlock, a query over
+// the damaged partition fails with the dfs checksum error on the local
+// engine (PinSplit verifies what it pins) exactly as the MapReduce job
+// does, instead of answering from the damaged block.
+func TestCorruptPartitionFailsBothEngines(t *testing.T) {
+	area := geom.NewRect(0, 0, 1000, 1000)
+	sys := newSys()
+	f, err := sys.LoadPoints("pts", localPoints(3000, area, 11), sindex.STRPlus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.FS().CorruptBlock("pts", 0); err != nil {
+		t.Fatal(err)
+	}
+	src := &testSource{sf: sindex.NewSFilter(f.Index, 0)}
+	if _, _, err := LocalRangeMatches(sys, "pts", src, area); !errors.Is(err, dfs.ErrChecksum) {
+		t.Errorf("local range over a corrupt partition: %v, want dfs.ErrChecksum", err)
+	}
+	if _, _, err := LocalKNNPoints(sys, "pts", &testSource{}, geom.Pt(500, 500), 3000); !errors.Is(err, dfs.ErrChecksum) {
+		t.Errorf("local knn over a corrupt partition: %v, want dfs.ErrChecksum", err)
+	}
+	if _, _, err := RangeQueryPoints(sys, "pts", area); !errors.Is(err, dfs.ErrChecksum) {
+		t.Errorf("range job over a corrupt partition: %v, want dfs.ErrChecksum", err)
 	}
 }
 

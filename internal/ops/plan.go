@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"spatialhadoop/internal/core"
+	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
@@ -192,19 +193,20 @@ type Plan struct {
 }
 
 // Indexed is an indexed file opened for planning: its name, its partition
-// splits and whether the index tiles space disjointly. Opening decodes the
-// index text and groups the blocks into splits, so a caller answering many
-// queries over one file generation resolves it once (the serving layer
-// keys it by DFS epoch) and binds a Plan per query. Read-only once built.
+// splits and whether the index tiles space disjointly. Opening groups the
+// blocks into splits, so a caller answering many queries over one file
+// generation resolves it once (the serving layer keys it by DFS epoch) and
+// binds a Plan per query. Read-only once built.
 type Indexed struct {
 	Name     string
 	Splits   []*mapreduce.Split
 	Disjoint bool
 }
 
-// NewIndexed resolves an open indexed file (f.Index must be set).
-func NewIndexed(f *core.IndexedFile) *Indexed {
-	return &Indexed{Name: f.Name, Splits: f.Splits(), Disjoint: f.Index.Disjoint()}
+// NewIndexed resolves one generation of an indexed file (f.Index must be
+// set).
+func NewIndexed(f *dfs.File) *Indexed {
+	return &Indexed{Name: f.Name, Splits: mapreduce.SplitsOf(f), Disjoint: f.Index.Disjoint()}
 }
 
 // NewPlan plans one query over f. sf is the file generation's bitmap

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/obs"
@@ -67,34 +66,32 @@ func tierKey(file string, epoch int64, partition string) string {
 	return file + "@" + strconv.FormatInt(epoch, 10) + "|" + partition
 }
 
-// Source returns the handle of the generation f — the decoded index and
-// splits the plan binds to, and the ops.LocalSource the local executors pin
-// through — building it on the generation's first request. The bitmap
-// filter is created from the master index then and refined as partitions
-// get pinned. (nil, nil) means a heap file. A handle never displaces a
+// Source returns the handle of the generation f — the splits the plan
+// binds to, and the ops.LocalSource the local executors pin through —
+// building it on the generation's first request. The bitmap filter is
+// created from the file's global index then and refined as partitions get
+// pinned. nil means a heap file. A handle never displaces a
 // newer generation's: a request still holding an older one gets a private
 // handle, as does every request when the tier is disabled (t == nil: no
 // filter either, and no epoch hook that could retire a kept handle).
-func (t *MemTier) Source(f *dfs.File) (*tierSource, error) {
+func (t *MemTier) Source(f *dfs.File) *tierSource {
+	if f.Index == nil {
+		return nil
+	}
 	if t != nil {
 		t.mu.Lock()
 		src := t.gens[f.Name]
 		t.mu.Unlock()
 		if src != nil && src.f == f {
-			return src, nil
+			return src
 		}
 	}
-	// Build outside the lock (index decode, O(cells) bitmap fills), then
-	// publish.
-	opened, err := core.OpenFile(f)
-	if err != nil || opened.Index == nil {
-		return nil, err
-	}
-	src := &tierSource{t: t, f: f, idx: ops.NewIndexed(opened)}
+	// Build outside the lock (splits, O(cells) bitmap fills), then publish.
+	src := &tierSource{t: t, f: f, idx: ops.NewIndexed(f)}
 	if t == nil {
-		return src, nil
+		return src
 	}
-	src.sf = sindex.NewSFilter(opened.Index, 0)
+	src.sf = sindex.NewSFilter(f.Index, 0)
 	t.mu.Lock()
 	switch cur := t.gens[f.Name]; {
 	case cur == nil || cur.f.Epoch() < f.Epoch():
@@ -103,7 +100,7 @@ func (t *MemTier) Source(f *dfs.File) (*tierSource, error) {
 		src = cur // lost the race: share the winner's filter
 	}
 	t.mu.Unlock()
-	return src, nil
+	return src
 }
 
 // pin returns the partition's memory-resident form, loading and refining

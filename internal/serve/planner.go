@@ -90,6 +90,5 @@ func (s *Server) localSource(mode string, f *dfs.File) *tierSource {
 	if s.mt == nil || mode == PlannerMapReduce {
 		return nil
 	}
-	src, _ := s.mt.Source(f)
-	return src
+	return s.mt.Source(f)
 }

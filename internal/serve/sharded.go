@@ -177,14 +177,14 @@ type shardQuery struct {
 }
 
 // newShardQuery binds the plan to the generation the request opened. A nil
-// query (with nil error) means the file is a heap — no partitions to
-// scatter — and the caller should fall through to MapReduce.
-func (s *Server) newShardQuery(f *dfs.File) (*shardQuery, error) {
-	gen, err := s.mt.Source(f) // per request when the tier is off
+// query means the file is a heap — no partitions to scatter — and the
+// caller should fall through to MapReduce.
+func (s *Server) newShardQuery(f *dfs.File) *shardQuery {
+	gen := s.mt.Source(f) // per request when the tier is off
 	if gen == nil {
-		return nil, err
+		return nil
 	}
-	return &shardQuery{s: s, m: s.masterForServe(), gen: gen, plan: ops.NewPlan(s.sys, gen.idx, gen.sf)}, nil
+	return &shardQuery{s: s, m: s.masterForServe(), gen: gen, plan: ops.NewPlan(s.sys, gen.idx, gen.sf)}
 }
 
 // ask makes one exec call naming metas and validates the answer. A
@@ -362,9 +362,9 @@ func (sq *shardQuery) done() *execMeta {
 // its body (canon is the rect's canonical text). A nil execMeta (with nil
 // error) means heap file.
 func (s *Server) shardedRange(ctx context.Context, f *dfs.File, canon string, rect geom.Rect) ([]byte, *execMeta, error) {
-	sq, err := s.newShardQuery(f)
+	sq := s.newShardQuery(f)
 	if sq == nil {
-		return nil, nil, err
+		return nil, nil, nil
 	}
 	kept, err := sq.plan.Range(ctx, rect)
 	if err != nil {
@@ -384,9 +384,9 @@ func (s *Server) shardedRange(ctx context.Context, f *dfs.File, canon string, re
 // shardedKNN executes a kNN query with the sharded engine: each round of
 // the plan is one scatter. A nil execMeta (with nil error) means heap file.
 func (s *Server) shardedKNN(ctx context.Context, f *dfs.File, q geom.Point, k int) ([]geom.Point, *execMeta, error) {
-	sq, err := s.newShardQuery(f)
+	sq := s.newShardQuery(f)
 	if sq == nil {
-		return nil, nil, err
+		return nil, nil, nil
 	}
 	call := sq.knnCall(q, k)
 	pts, err := sq.plan.KNN(ctx, q, k, func(ctx context.Context, kept []*mapreduce.Split) ([]ops.KNNCandidate, error) {

@@ -16,7 +16,7 @@ import (
 // probes.
 //
 // A partition's bitmap starts conservative — the grid cells covered by the
-// partition's minimal content MBR, available from the master index alone —
+// partition's minimal content MBR, available from the global index alone —
 // and is refined to the exact occupancy of the decoded points when the
 // partition is pinned into the memory tier.
 type SFilter struct {

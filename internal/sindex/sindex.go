@@ -1,9 +1,9 @@
 // Package sindex implements SpatialHadoop's global index layer: the
 // spatial partitioning techniques of paper Table 1 (uniform grid, STR,
 // STR+, Quad-tree, K-d tree, Z-curve, Hilbert curve), the partition
-// metadata (cells with boundaries), record-to-cell assignment with
-// replication for disjoint techniques, and the master-file serialization
-// that persists the global index next to the data blocks.
+// metadata (cells with boundaries) and record-to-cell assignment with
+// replication for disjoint techniques. The loader's index travels with
+// the file it built (dfs.File.Index) as a value; it is never serialized.
 package sindex
 
 import (
@@ -246,91 +246,3 @@ func clampf(f float64) float64 {
 	}
 	return f
 }
-
-// Encode serializes the index into the master-file format: one header line
-// followed by one line per cell.
-func (gi *GlobalIndex) Encode() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%d\n", gi.Technique, encodeRect(gi.Space), gi.curveRes)
-	for _, c := range gi.Cells {
-		fmt.Fprintf(&b, "%d|%s|%s|%d|%d\n",
-			c.ID, encodeRect(c.Boundary), encodeRect(c.Content), c.CurveLo, c.CurveHi)
-	}
-	return []byte(b.String())
-}
-
-// Decode parses a master file produced by Encode.
-func Decode(master []byte) (*GlobalIndex, error) {
-	lines := strings.Split(strings.TrimSpace(string(master)), "\n")
-	if len(lines) < 1 {
-		return nil, fmt.Errorf("sindex: empty master file")
-	}
-	head := strings.Split(lines[0], "|")
-	if len(head) != 3 {
-		return nil, fmt.Errorf("sindex: bad master header %q", lines[0])
-	}
-	tech, err := ParseTechnique(head[0])
-	if err != nil {
-		return nil, err
-	}
-	space, err := decodeRect(head[1])
-	if err != nil {
-		return nil, err
-	}
-	res, err := strconv.ParseUint(head[2], 10, 32)
-	if err != nil {
-		return nil, fmt.Errorf("sindex: bad curve resolution %q", head[2])
-	}
-	gi := &GlobalIndex{Technique: tech, Space: space, curveRes: uint32(res)}
-	for _, line := range lines[1:] {
-		parts := strings.Split(line, "|")
-		if len(parts) != 5 {
-			return nil, fmt.Errorf("sindex: bad cell line %q", line)
-		}
-		id, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("sindex: bad cell id %q", parts[0])
-		}
-		mbr, err := decodeRect(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		content, err := decodeRect(parts[2])
-		if err != nil {
-			return nil, err
-		}
-		lo, err := strconv.ParseUint(parts[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sindex: bad curve lo %q", parts[3])
-		}
-		hi, err := strconv.ParseUint(parts[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sindex: bad curve hi %q", parts[4])
-		}
-		gi.Cells = append(gi.Cells, Cell{ID: id, Boundary: mbr, Content: content, CurveLo: lo, CurveHi: hi})
-	}
-	return gi, nil
-}
-
-func encodeRect(r geom.Rect) string {
-	return fmt.Sprintf("%s,%s,%s,%s",
-		formatFloat(r.MinX), formatFloat(r.MinY), formatFloat(r.MaxX), formatFloat(r.MaxY))
-}
-
-func decodeRect(s string) (geom.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return geom.Rect{}, fmt.Errorf("sindex: bad rect %q", s)
-	}
-	var vals [4]float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return geom.Rect{}, fmt.Errorf("sindex: bad rect coordinate %q", p)
-		}
-		vals[i] = v
-	}
-	return geom.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}, nil
-}
-
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', 17, 64) }

@@ -160,35 +160,6 @@ func TestReplication(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	space := geom.NewRect(0, 0, 1e6, 1e6)
-	sample := datagen.Points(datagen.Gaussian, 3000, space, 8)
-	for _, tech := range allTechniques {
-		gi := Build(tech, sample, space, 20)
-		for i := range gi.Cells {
-			gi.Cells[i].Content = geom.NewRect(float64(i), 0, float64(i)+1, 1)
-		}
-		got, err := Decode(gi.Encode())
-		if err != nil {
-			t.Fatalf("%v: decode: %v", tech, err)
-		}
-		if got.Technique != gi.Technique || len(got.Cells) != len(gi.Cells) {
-			t.Fatalf("%v: round trip mismatch", tech)
-		}
-		for i := range gi.Cells {
-			if got.Cells[i] != gi.Cells[i] {
-				t.Fatalf("%v: cell %d mismatch: %+v vs %+v", tech, i, got.Cells[i], gi.Cells[i])
-			}
-		}
-		// Round-tripped index must route identically.
-		for _, p := range datagen.Points(datagen.Uniform, 500, space, 77) {
-			if gi.AssignPoint(p) != got.AssignPoint(p) {
-				t.Fatalf("%v: assignment differs after round trip", tech)
-			}
-		}
-	}
-}
-
 // TestSkewBalance verifies skew-handling claims of Table 1: on clustered
 // data, adaptive techniques produce far better balanced partitions than the
 // uniform grid.

@@ -102,7 +102,7 @@ func TestJoinAnswersTheSameEverywhere(t *testing.T) {
 		}
 	}
 
-	// An indexed copy written as text, partitions and master kept, is
+	// An indexed copy written as text, partitions and index kept, is
 	// unmarked and joins to the same output file.
 	for _, side := range []string{"a", "b"} {
 		f, err := sys.FS().Open(side)
@@ -119,7 +119,7 @@ func TestJoinAnswersTheSameEverywhere(t *testing.T) {
 				w.WriteRecord(rec)
 			}
 		}
-		w.SetMaster(f.Master)
+		w.SetIndex(f.Index)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
