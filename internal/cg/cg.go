@@ -151,21 +151,6 @@ const (
 	CounterFlushedEarly = "cg.flushed.early"
 )
 
-// FilterIntersecting returns a filter keeping splits whose record cover
-// (boundary united with content MBR) intersects r. The union matters for
-// overlapping techniques, whose sample-derived boundaries under-cover.
-func FilterIntersecting(r geom.Rect) mapreduce.FilterFunc {
-	return func(splits []*mapreduce.Split) []*mapreduce.Split {
-		var keep []*mapreduce.Split
-		for _, s := range splits {
-			if s.Cover().Intersects(r) {
-				keep = append(keep, s)
-			}
-		}
-		return keep
-	}
-}
-
 // contentOf returns the split's minimal content MBR, falling back to the
 // partition boundary when the loader did not record one.
 func contentOf(s *mapreduce.Split) geom.Rect {

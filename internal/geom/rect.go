@@ -197,17 +197,6 @@ func (r Rect) MinDistPoint(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// MaxDistPoint returns the maximum distance from p to any point of r.
-func (r Rect) MaxDistPoint(p Point) float64 {
-	best := 0.0
-	for _, c := range r.Corners() {
-		if d := p.Dist(c); d > best {
-			best = d
-		}
-	}
-	return best
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g]x[%g,%g]", r.MinX, r.MaxX, r.MinY, r.MaxY)

@@ -38,11 +38,6 @@ func (q Quadrant) transform(p Point) Point {
 	}
 }
 
-// DominatesIn reports whether a dominates b in quadrant q.
-func (q Quadrant) DominatesIn(a, b Point) bool {
-	return q.transform(a).Dominates(q.transform(b))
-}
-
 // SkylineQuadrant returns the skyline of pts in the given quadrant, sorted
 // by increasing x.
 func SkylineQuadrant(pts []Point, quad Quadrant) []Point {

@@ -55,17 +55,6 @@ func DecodePoint(s string) (geom.Point, error) {
 	return geom.Point{X: x, Y: y}, nil
 }
 
-// MustDecodePoint is DecodePoint for records known to be well-formed
-// (produced by this package); it panics on corruption, which indicates a
-// runtime bug rather than bad user input.
-func MustDecodePoint(s string) geom.Point {
-	p, err := DecodePoint(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // EncodePoints encodes a batch of points, one record each.
 func EncodePoints(pts []geom.Point) []string {
 	out := make([]string, len(pts))

@@ -2,7 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"spatialhadoop/internal/dfs"
@@ -142,33 +142,11 @@ func (p *dataPlane) pushTo(workerID int64, id dfs.BlockID, frame []byte) bool {
 }
 
 // holdersFor returns the ids of every worker holding a replica of some
-// block of the split — the dispatch queue's locality set.
+// block of the split, sorted by id — the dispatch queue's locality set.
 func (p *dataPlane) holdersFor(s *Split) []int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	set := map[int64]bool{}
-	collect := func(b *dfs.Block) {
-		if pb := p.blocks[b.ID]; pb != nil {
-			for _, id := range pb.holders {
-				set[id] = true
-			}
-		}
-	}
-	for _, b := range s.Blocks {
-		collect(b)
-	}
-	for _, b := range s.Extra {
-		collect(b)
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int64, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	ids := p.serveHolderIDs(s)
+	slices.Sort(ids)
+	return ids
 }
 
 // blockRefs builds the per-block replica directory shipped in a map

@@ -374,6 +374,10 @@ type Report struct {
 	OutputFile  string
 	OutputCount int64
 	WorkersUsed int
+	// MapSelected counts, per map task in the order of the filtered
+	// splits, the records its winning attempt selected as direct output;
+	// a job whose maps only select has them sum to OutputCount.
+	MapSelected []int64
 
 	// MapWorkSum/MapTaskMax aggregate the CPU time of the individual map
 	// tasks (successful attempts only); ReduceWorkSum/ReduceTaskMax do the
@@ -617,7 +621,9 @@ func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, 
 
 	rep.Splits, rep.SplitsTotal, rep.MapTasks = len(j.splits), j.total, len(j.splits)
 	rep.OutputCount = j.outCount
-	for _, r := range j.maps {
+	rep.MapSelected = make([]int64, len(j.maps))
+	for i, r := range j.maps {
+		rep.MapSelected[i] = selected(r.sel)
 		rep.MapWorkSum += r.dur
 		rep.MapTaskMax = max(rep.MapTaskMax, r.dur)
 	}

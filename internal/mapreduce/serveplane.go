@@ -55,9 +55,9 @@ func (m *Master) ServeHolders(s *Split) []string {
 
 // serveHolderIDs returns the split's replica holders in placement order:
 // the first block's push order (rendezvous rank among the workers live at
-// placement time) leads, holders of further blocks append. Unlike
-// holdersFor — which sorts by id for the locality set — order matters
-// here: the rendezvous-first holder is the scatter target.
+// placement time) leads, holders of further blocks append. Order matters
+// here — the rendezvous-first holder is the scatter target — and holdersFor
+// re-sorts its result by id for the locality set.
 func (p *dataPlane) serveHolderIDs(s *Split) []int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -20,7 +20,8 @@ import (
 // canonical order. The engines — a MapReduce job, the in-memory local
 // executor, the sharded scatter/gather — are drivers that only fetch the
 // fragments of the partitions the plan kept, so they agree on every answer
-// by construction.
+// by construction, and report what they searched back to the plan, which
+// alone keeps the query's explain stats and partition heat.
 
 // Selection is one filter step's outcome: the splits to search, in split
 // order, and how the bitmap probes went.
@@ -163,9 +164,8 @@ func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, sf *
 	return pts, nil
 }
 
-// LocalStats describes one execution by an engine that searches partitions
-// itself (local, sharded), for explain output. Mirroring the MapReduce
-// report, the partition counts describe the final round (so
+// LocalStats describes one execution of a plan, whichever engine drove it,
+// for explain output. The partition counts describe the final round (so
 // consulted+pruned == total); sFilter counts accumulate across rounds.
 type LocalStats struct {
 	// PartitionsTotal/Consulted/Pruned partition the final round's splits:
@@ -179,11 +179,10 @@ type LocalStats struct {
 	Rounds int
 }
 
-// Plan is the query plan bound to one indexed file for the engines that
-// search partitions themselves: it runs the filter steps and rounds above
-// and keeps the per-query bookkeeping — Stats and the system's
-// hot-partition telemetry — that the MapReduce driver gets from its job
-// (withHeat in the filter phase, task counters folded after the run).
+// Plan is the query plan bound to one file for every engine: it runs the
+// filter steps and rounds above and keeps the per-query bookkeeping —
+// Stats and the system's hot-partition telemetry. A driver reports each
+// partition it searched through Searched.
 type Plan struct {
 	Stats LocalStats
 
@@ -192,21 +191,38 @@ type Plan struct {
 	hot *sindex.Hotness
 }
 
-// Indexed is an indexed file opened for planning: its name, its partition
-// splits and whether the index tiles space disjointly. Opening groups the
-// blocks into splits, so a caller answering many queries over one file
+// Indexed is a file opened for planning: its name, its splits and whether
+// its index tiles space disjointly. A heap file plans as a non-disjoint
+// index whose splits, one per block, all cover everything. Opening groups
+// the blocks into splits, so a caller answering many queries over one file
 // generation resolves it once (the serving layer keys it by DFS epoch) and
 // binds a Plan per query. Read-only once built.
 type Indexed struct {
 	Name     string
 	Splits   []*mapreduce.Split
 	Disjoint bool
+	// Space is the index's space; empty for a heap file.
+	Space geom.Rect
 }
 
-// NewIndexed resolves one generation of an indexed file (f.Index must be
-// set).
+// NewIndexed resolves one generation of a file, indexed or heap.
 func NewIndexed(f *dfs.File) *Indexed {
-	return &Indexed{Name: f.Name, Splits: mapreduce.SplitsOf(f), Disjoint: f.Index.Disjoint()}
+	idx := &Indexed{Name: f.Name, Splits: mapreduce.SplitsOf(f), Space: geom.EmptyRect()}
+	if f.Index != nil {
+		idx.Disjoint, idx.Space = f.Index.Disjoint(), f.Index.Space
+	}
+	return idx
+}
+
+// planFile binds a plan without a bitmap filter to the current generation
+// of file, indexed or heap: the job drivers' plan for a caller that names
+// the file.
+func planFile(sys *core.System, file string) (*Plan, error) {
+	f, err := sys.FS().Open(file)
+	if err != nil {
+		return nil, err
+	}
+	return NewPlan(sys, NewIndexed(f), nil), nil
 }
 
 // NewPlan plans one query over f. sf is the file generation's bitmap
@@ -216,7 +232,7 @@ func NewPlan(sys *core.System, f *Indexed, sf *sindex.SFilter) *Plan {
 }
 
 // filtered records one round's filter step: its scan/prune decisions feed
-// the hotness aggregator exactly once per round, as withHeat does per job.
+// the hotness aggregator exactly once per round.
 func (p *Plan) filtered(sel Selection) {
 	p.Stats.Rounds++
 	p.Stats.PartitionsTotal = len(p.f.Splits)
@@ -227,12 +243,44 @@ func (p *Plan) filtered(sel Selection) {
 	recordFilterHeat(p.hot, p.f.Name, p.f.Splits, sel.Kept)
 }
 
+// recordFilterHeat counts one filter step: a scan for every kept split, a
+// prune for every other. kept must be a subsequence of splits, which is
+// what every pruning filter returns. Heap splits (no partition key) are
+// not heat-tracked.
+func recordFilterHeat(hot *sindex.Hotness, file string, splits, kept []*mapreduce.Split) {
+	for _, s := range splits {
+		if len(kept) > 0 && kept[0] == s {
+			hot.RecordScan(file, s.Partition)
+			kept = kept[1:]
+		} else {
+			hot.RecordPrune(file, s.Partition)
+		}
+	}
+}
+
 // Searched records one kept partition's fragment: the records it holds and
 // how many of them the search returned. Drivers call it once per fragment,
 // from the goroutine that gathers them.
 func (p *Plan) Searched(sp *mapreduce.Split, records, matches int) {
 	p.hot.AddRecords(p.f.Name, sp.Partition, int64(records))
 	p.hot.AddMatches(p.f.Name, sp.Partition, int64(matches))
+}
+
+// runJob is the MapReduce driver's half of one filter step: it runs job
+// over the plan's splits with kept, the step's outcome, as its filter
+// phase, so the job report's split counts are the plan's.
+func (p *Plan) runJob(ctx context.Context, sys *core.System, job *mapreduce.Job, kept []*mapreduce.Split) (*mapreduce.Report, error) {
+	job.Splits = p.f.Splits
+	job.Filter = func([]*mapreduce.Split) []*mapreduce.Split { return kept }
+	return sys.Cluster().RunCtx(ctx, job)
+}
+
+// jobSearched reports every partition a selecting job searched, with the
+// records its map task's winning attempt selected.
+func (p *Plan) jobSearched(kept []*mapreduce.Split, rep *mapreduce.Report) {
+	for i, sp := range kept {
+		p.Searched(sp, sp.NumRecords(), int(rep.MapSelected[i]))
+	}
 }
 
 // Range runs a range query's filter step and returns the partitions the

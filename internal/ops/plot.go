@@ -38,30 +38,29 @@ type PlotConfig struct {
 // intensity by point density. The returned image is ready for PNG
 // encoding; EncodePlotPNG wraps that.
 func Plot(sys *core.System, file string, cfg PlotConfig) (*image.Gray, *mapreduce.Report, error) {
-	return PlotCtx(context.Background(), sys, file, cfg)
+	plan, err := planFile(sys, file)
+	if err != nil {
+		return nil, nil, err
+	}
+	return PlotCtx(context.Background(), sys, plan, cfg)
 }
 
-// PlotCtx is Plot under a context: the job runs through RunCtx
-// (admission, cancellation, request-trace spans), and the plot's
-// partition accesses feed the system's hot-partition telemetry (filter
-// decisions only — a plot has no match predicate).
-func PlotCtx(ctx context.Context, sys *core.System, file string, cfg PlotConfig) (*image.Gray, *mapreduce.Report, error) {
+// PlotCtx is Plot driven by a bound plan and under a context: the plan's
+// filter step over the extent picks the partitions, and the job runs
+// through RunCtx (admission, cancellation, request-trace spans). Only the
+// filter decisions feed the plan's partition heat: a plot has no match
+// predicate.
+func PlotCtx(ctx context.Context, sys *core.System, plan *Plan, cfg PlotConfig) (*image.Gray, *mapreduce.Report, error) {
 	if cfg.Width <= 0 {
 		cfg.Width = 512
 	}
 	if cfg.Height <= 0 {
 		cfg.Height = 512
 	}
-	f, err := sys.Open(file)
-	if err != nil {
-		return nil, nil, err
-	}
 	extent := cfg.Extent
 	if extent.IsEmpty() || extent.Area() == 0 {
-		if f.Index != nil {
-			extent = f.Index.Space
-		} else {
-			pts, err := sys.ReadPointsCtx(ctx, file)
+		if extent = plan.f.Space; extent.IsEmpty() {
+			pts, err := sys.ReadPointsCtx(ctx, plan.f.Name)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -75,10 +74,14 @@ func PlotCtx(ctx context.Context, sys *core.System, file string, cfg PlotConfig)
 	counts := make([]uint32, cfg.Width*cfg.Height)
 	out := cfg.Out
 	if out == "" {
-		out = file + ".plot.out"
+		out = plan.f.Name + ".plot.out"
+	}
+	kept, err := plan.Range(ctx, extent)
+	if err != nil {
+		return nil, nil, err
 	}
 	reducers := sys.Cluster().Workers()
-	job := &mapreduce.Job{
+	rep, err := plan.runJob(ctx, sys, &mapreduce.Job{
 		Name: "plot",
 		Kind: "plot",
 		Conf: map[string]string{
@@ -87,14 +90,9 @@ func PlotCtx(ctx context.Context, sys *core.System, file string, cfg PlotConfig)
 			confPlotHeight:   strconv.Itoa(cfg.Height),
 			confPlotReducers: strconv.Itoa(reducers),
 		},
-		Splits: f.Splits(),
-		Filter: withHeat(sys, file, func(splits []*mapreduce.Split) []*mapreduce.Split {
-			return RangeCandidates(splits, nil, extent).Kept
-		}),
 		NumReducers: reducers,
 		Output:      out,
-	}
-	rep, err := sys.Cluster().RunCtx(ctx, job)
+	}, kept)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -43,32 +43,32 @@ func RangeQueryPoints(sys *core.System, file string, query geom.Rect) ([]geom.Po
 // output names (the serving layer allocates one per request); the default
 // shared name is only safe for one query at a time.
 func RangeQueryPointsTo(sys *core.System, file string, query geom.Rect, out string) ([]geom.Point, *mapreduce.Report, error) {
-	return RangeQueryPointsCtx(context.Background(), sys, file, query, out)
-}
-
-// RangeQueryPointsCtx is RangeQueryPointsTo under a context: the job runs
-// through RunCtx (admission, cancellation, request-trace spans), and the
-// query's partition accesses feed the system's hot-partition telemetry.
-func RangeQueryPointsCtx(ctx context.Context, sys *core.System, file string, query geom.Rect, out string) ([]geom.Point, *mapreduce.Report, error) {
-	f, err := sys.Open(file)
+	plan, err := planFile(sys, file)
 	if err != nil {
 		return nil, nil, err
 	}
-	job := &mapreduce.Job{
+	return RangeQueryPointsCtx(context.Background(), sys, plan, query, out)
+}
+
+// RangeQueryPointsCtx is RangeQueryPointsTo driven by a bound plan and
+// under a context: the plan's filter step picks the partitions, the job
+// runs through RunCtx (admission, cancellation, request-trace spans), and
+// every partition it searched is reported to the plan.
+func RangeQueryPointsCtx(ctx context.Context, sys *core.System, plan *Plan, query geom.Rect, out string) ([]geom.Point, *mapreduce.Report, error) {
+	kept, err := plan.Range(ctx, query)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := plan.runJob(ctx, sys, &mapreduce.Job{
 		Name:   "range-points",
 		Kind:   "range-points",
 		Conf:   map[string]string{confRangeQuery: geomio.EncodeRect(query)},
-		Splits: f.Splits(),
-		Filter: withHeat(sys, file, func(splits []*mapreduce.Split) []*mapreduce.Split {
-			return RangeCandidates(splits, nil, query).Kept
-		}),
 		Output: out,
-	}
-	rep, err := sys.Cluster().RunCtx(ctx, job)
+	}, kept)
 	if err != nil {
 		return nil, nil, err
 	}
-	foldPartitionHeat(sys, file, rep)
+	plan.jobSearched(kept, rep)
 	pts, err := sys.ReadPointsCtx(ctx, out)
 	if err != nil {
 		return nil, nil, err
@@ -171,42 +171,35 @@ func KNN(sys *core.System, file string, q geom.Point, k int) ([]geom.Point, *map
 // candidates (not the global k: the plan merges them on the master).
 // Concurrent kNN queries over the same file must use distinct prefixes.
 func KNNTo(sys *core.System, file string, q geom.Point, k int, outPrefix string) ([]geom.Point, *mapreduce.Report, error) {
-	return KNNCtx(context.Background(), sys, file, q, k, outPrefix)
-}
-
-// KNNCtx is KNNTo under a context: both rounds run through RunCtx
-// (admission, cancellation, request-trace spans) and feed the system's
-// hot-partition telemetry. A heap file plans like an indexed one whose
-// splits all cover everything: no pruning information, no bitmap filter.
-func KNNCtx(ctx context.Context, sys *core.System, file string, q geom.Point, k int, outPrefix string) ([]geom.Point, *mapreduce.Report, error) {
-	f, err := sys.Open(file)
+	plan, err := planFile(sys, file)
 	if err != nil {
 		return nil, nil, err
 	}
-	splits := f.Splits()
-	var (
-		rep    *mapreduce.Report
-		rounds int
-	)
-	pts, err := planKNN(ctx, splits, f.Index != nil && f.Index.Disjoint(), nil, q, k, func(ctx context.Context, sel Selection) ([]KNNCandidate, error) {
-		rounds++
-		out := outPrefix + ".r" + strconv.Itoa(rounds)
-		job := &mapreduce.Job{
+	return KNNCtx(context.Background(), sys, plan, q, k, outPrefix)
+}
+
+// KNNCtx is KNNTo driven by a bound plan and under a context: each round
+// the plan keeps runs as one job through RunCtx (admission, cancellation,
+// request-trace spans), and every partition it searched is reported to
+// the plan.
+func KNNCtx(ctx context.Context, sys *core.System, plan *Plan, q geom.Point, k int, outPrefix string) ([]geom.Point, *mapreduce.Report, error) {
+	var rep *mapreduce.Report
+	pts, err := plan.KNN(ctx, q, k, func(ctx context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error) {
+		out := outPrefix + ".r" + strconv.Itoa(plan.Stats.Rounds)
+		var err error
+		rep, err = plan.runJob(ctx, sys, &mapreduce.Job{
 			Name: "knn",
 			Kind: "knn",
 			Conf: map[string]string{
 				confKNNQ: geomio.EncodePoint(q),
 				confKNNK: strconv.Itoa(k),
 			},
-			Splits: splits,
-			Filter: withHeat(sys, file, func([]*mapreduce.Split) []*mapreduce.Split { return sel.Kept }),
 			Output: out,
-		}
-		var err error
-		if rep, err = sys.Cluster().RunCtx(ctx, job); err != nil {
+		}, kept)
+		if err != nil {
 			return nil, err
 		}
-		foldPartitionHeat(sys, file, rep)
+		plan.jobSearched(kept, rep)
 		pts, err := sys.ReadPointsCtx(ctx, out)
 		if err != nil {
 			return nil, err

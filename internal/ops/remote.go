@@ -70,7 +70,6 @@ func (c *confReader) int(key string) int {
 // rangePointsMap is the map body of the range-points job.
 func rangePointsMap(query geom.Rect) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-		countPartitionRecords(ctx, split)
 		for bi, b := range split.Blocks {
 			ids, err := blockRangeIDs(b, query)
 			if err != nil {
@@ -81,7 +80,6 @@ func rangePointsMap(query geom.Rect) mapreduce.MapFunc {
 				continue // a counter that never ticked stays out of the report
 			}
 			ctx.Inc(CounterRangeMatches, int64(len(ids)))
-			countPartitionMatches(ctx, split, int64(len(ids)))
 			ctx.WriteSelected(bi, ids)
 		}
 		return nil
@@ -92,14 +90,10 @@ func rangePointsMap(query geom.Rect) mapreduce.MapFunc {
 // selects its k nearest (with ties), and the plan merges them on the master.
 func knnMap(q geom.Point, k int) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
-		countPartitionRecords(ctx, split)
 		for bi, b := range split.Blocks {
 			ids, err := blockNearest(b, q, k)
 			if err != nil {
 				return err
-			}
-			if len(ids) > 0 {
-				countPartitionMatches(ctx, split, int64(len(ids)))
 			}
 			ctx.WriteSelected(bi, ids)
 		}

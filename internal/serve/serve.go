@@ -366,9 +366,12 @@ func writeError(w http.ResponseWriter, err error) {
 // explainJSON is the execution report `?explain=1` inlines into JSON
 // responses. Engine names who built the body ("local", "mapreduce", or
 // "cache" when no engine ran); execution fields are zero on cache hits.
-// For the local engine, partitions_scanned counts the partitions actually
-// consulted and the sfilter fields report bitmap-filter pruning; the
-// MapReduce job fields (shuffle, retries, phase times) stay zero.
+// The partition and sfilter fields are the query plan's, whichever engine
+// drove it (zero for a join, which plans none): partitions_scanned counts
+// the partitions the final round searched, and the sfilter fields report
+// bitmap-filter pruning, which only the local and sharded engines apply.
+// The MapReduce job fields (shuffle, retries, phase times) stay zero for
+// the other engines.
 type explainJSON struct {
 	TraceID           string `json:"trace_id"`
 	Cache             string `json:"cache"`
@@ -405,29 +408,25 @@ func buildExplain(traceID, cache string, meta *execMeta) explainJSON {
 		return e
 	}
 	e.Engine = meta.engine
-	if st := meta.local; st != nil {
+	if st := meta.stats; st != nil {
 		e.PartitionsTotal = st.PartitionsTotal
 		e.PartitionsScanned = st.PartitionsConsulted
 		e.PartitionsPruned = st.PartitionsPruned
 		e.SFilterHits = st.SFilterHits
 		e.SFilterSkips = st.SFilterSkips
-		if sh := meta.shard; sh != nil {
-			e.ShardFanout = sh.fanout
-			e.ShardCalls = sh.calls
-			e.ShardRemote = sh.remote
-			e.ShardLocal = sh.localExec
-			e.ShardFallbackPeer = sh.fallbackPeer
-			e.ShardFallbackLocal = sh.fallbackLocal
-		}
-		return e
+	}
+	if sh := meta.shard; sh != nil {
+		e.ShardFanout = sh.fanout
+		e.ShardCalls = sh.calls
+		e.ShardRemote = sh.remote
+		e.ShardLocal = sh.localExec
+		e.ShardFallbackPeer = sh.fallbackPeer
+		e.ShardFallbackLocal = sh.fallbackLocal
 	}
 	rep := meta.rep
 	if rep == nil {
 		return e
 	}
-	e.PartitionsTotal = rep.SplitsTotal
-	e.PartitionsScanned = rep.Splits
-	e.PartitionsPruned = rep.SplitsTotal - rep.Splits
 	e.ShuffleBytes = rep.Counters[mapreduce.CounterShuffleBytes]
 	e.Retries = rep.Counters[mapreduce.CounterTaskRetries]
 	e.Speculative = rep.Counters[mapreduce.CounterSpecLaunched]
@@ -655,18 +654,19 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 			// Merge the partitions' sorted streams, copying pre-encoded
 			// fragments — no global sort, no float formatting.
 			body, err := encodeRangeBodyMatches(file, canon, matches)
-			return body, &execMeta{engine: PlannerLocal, local: stats}, err
+			return body, &execMeta{engine: PlannerLocal, stats: stats}, err
 		}
 		out := s.tempOut(file)
 		defer s.sys.FS().Delete(out)
-		pts, rep, err := ops.RangeQueryPointsCtx(ctx, s.sys, file, rect, out)
+		plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
+		pts, rep, err := ops.RangeQueryPointsCtx(ctx, s.sys, plan, rect, out)
 		if err != nil {
 			return nil, nil, err
 		}
 		s.reg.Inc("serve.planner.mapreduce", 1)
 		geom.SortPointsXY(pts)
 		body, err := encodeRangeBody(file, canon, pts)
-		return body, &execMeta{engine: PlannerMapReduce, rep: rep}, err
+		return body, &execMeta{engine: PlannerMapReduce, stats: &plan.Stats, rep: rep}, err
 	})
 }
 
@@ -720,19 +720,20 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 					return nil, nil, err
 				}
 				s.reg.Inc("serve.planner.local", 1)
-				pts, meta = lpts, &execMeta{engine: PlannerLocal, local: stats}
+				pts, meta = lpts, &execMeta{engine: PlannerLocal, stats: stats}
 			} else {
 				prefix := s.tempOut(file)
 				defer func() {
 					s.sys.FS().Delete(prefix + ".r1")
 					s.sys.FS().Delete(prefix + ".r2")
 				}()
-				mpts, rep, err := ops.KNNCtx(ctx, s.sys, file, q, k, prefix)
+				plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
+				mpts, rep, err := ops.KNNCtx(ctx, s.sys, plan, q, k, prefix)
 				if err != nil {
 					return nil, nil, err
 				}
 				s.reg.Inc("serve.planner.mapreduce", 1)
-				pts, meta = mpts, &execMeta{engine: PlannerMapReduce, rep: rep}
+				pts, meta = mpts, &execMeta{engine: PlannerMapReduce, stats: &plan.Stats, rep: rep}
 			}
 		}
 		nbs := make([]neighborJSON, len(pts))
@@ -808,14 +809,19 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) error {
 	}
 	key := fmt.Sprintf("plot|%s@%d|%dx%d", file, s.sys.FS().FileEpoch(file), width, height)
 	return s.respond(w, r, key, "image/png", func(ctx context.Context) ([]byte, *execMeta, error) {
+		f, err := s.sys.FS().Open(file)
+		if err != nil {
+			return nil, nil, err
+		}
 		out := s.tempOut(file)
 		defer s.sys.FS().Delete(out)
-		img, rep, err := ops.PlotCtx(ctx, s.sys, file, ops.PlotConfig{Width: width, Height: height, Out: out})
+		plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
+		img, rep, err := ops.PlotCtx(ctx, s.sys, plan, ops.PlotConfig{Width: width, Height: height, Out: out})
 		if err != nil {
 			return nil, nil, err
 		}
 		body, err := ops.EncodePlotPNG(img)
-		return body, &execMeta{engine: PlannerMapReduce, rep: rep}, err
+		return body, &execMeta{engine: PlannerMapReduce, stats: &plan.Stats, rep: rep}, err
 	})
 }
 

@@ -355,7 +355,7 @@ func (sq *shardQuery) done() *execMeta {
 	if sh.fallbackLocal > 0 {
 		reg.Inc("serve.shard.fallback.local", int64(sh.fallbackLocal))
 	}
-	return &execMeta{engine: PlannerSharded, local: &sq.plan.Stats, shard: sh}
+	return &execMeta{engine: PlannerSharded, stats: &sq.plan.Stats, shard: sh}
 }
 
 // shardedRange executes a range query with the sharded engine and renders

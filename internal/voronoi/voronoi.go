@@ -186,12 +186,6 @@ func (vd *Diagram) SafeSitesFrontier(part geom.Rect) (safe []bool, ruleApplicati
 	return safe, ruleApplications
 }
 
-// RegionArea returns the area of site i's region clipped to clip; a test
-// and reporting convenience.
-func (vd *Diagram) RegionArea(i int, clip geom.Rect) float64 {
-	return vd.Region(i, clip).Area()
-}
-
 // BruteRegion computes site i's region clipped to clip by intersecting
 // half-planes against every other site — the O(n) oracle used by the
 // differential tests.
