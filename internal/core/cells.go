@@ -56,7 +56,7 @@ func measureChunks(n int, measure func(lo, hi int) (int64, geom.Rect)) (total in
 
 // measurePoints measures each point's text length, geomio.PointLen(p) —
 // len(geomio.EncodePoint(p)) without spelling it — which is what
-// WritePoint counts a point as, and in the same pass the points' total
+// WritePoints counts a point as, and in the same pass the points' total
 // text bytes and MBR.
 func measurePoints(pts []geom.Point) (lens []uint8, total int64, mbr geom.Rect) {
 	lens = make([]uint8, len(pts))
@@ -78,10 +78,12 @@ func measurePoints(pts []geom.Point) (lens []uint8, total int64, mbr geom.Rect) 
 // assign(i, dst) appends to dst the cells record i goes to — one for a
 // point, every overlapping cell for a region a disjoint technique
 // replicates. byCell[c], a subslice of the flat array, holds cell c's
-// records in input order. Records are assigned and scattered in parallel
-// chunks; prefix sums over the per-chunk per-cell counts, cell-major then
-// chunk, give each chunk its own slots in every cell.
-func groupByCell(n, numCells int, assign func(i int, dst []int32) []int32) [][]int32 {
+// records in input order, and starts[c] is where it starts in the flat
+// array (starts[numCells] is its length); largest is the longest cell.
+// Records are assigned and scattered in parallel chunks; prefix sums over
+// the per-chunk per-cell counts, cell-major then chunk, give each chunk
+// its own slots in every cell.
+func groupByCell(n, numCells int, assign func(i int, dst []int32) []int32) (byCell [][]int32, starts []int, largest int) {
 	_, chunks := chunking(n)
 	// placed holds the chunks' placements in record order, one slot per
 	// record; a chunk that replicates outgrows its slots onto the heap.
@@ -106,15 +108,15 @@ func groupByCell(n, numCells int, assign func(i int, dst []int32) []int32) [][]i
 		byChunk[k] = dst
 	})
 	// counts becomes each chunk's next slot in each cell.
-	starts := make([]int32, numCells+1)
+	starts = make([]int, numCells+1)
 	var at int32
 	for c := range numCells {
-		starts[c] = at
+		starts[c] = int(at)
 		for k := range chunks {
 			at, counts[k*numCells+c] = at+counts[k*numCells+c], at
 		}
 	}
-	starts[numCells] = at
+	starts[numCells] = int(at)
 	flat := make([]int32, at)
 	forChunks(n, func(k, lo, _ int) {
 		next := counts[k*numCells : (k+1)*numCells]
@@ -130,11 +132,12 @@ func groupByCell(n, numCells int, assign func(i int, dst []int32) []int32) [][]i
 			i++
 		}
 	})
-	byCell := make([][]int32, numCells)
+	byCell = make([][]int32, numCells)
 	for c := range byCell {
 		byCell[c] = flat[starts[c]:starts[c+1]:starts[c+1]]
+		largest = max(largest, len(byCell[c]))
 	}
-	return byCell
+	return byCell, starts, largest
 }
 
 // keyed is a record index and its sort key.
@@ -200,7 +203,8 @@ func radixSort(a, buf []keyed) (sorted, spare []keyed) {
 	return a, buf
 }
 
-// sortBufs is one goroutine's radix-sort scratch, reused cell after cell.
+// sortBufs is one goroutine's radix-sort scratch, reused cell after cell;
+// a loader first gets the largest cell's length, so it allocates once.
 type sortBufs struct{ a, b []keyed }
 
 // get returns two scratch slices of length n.

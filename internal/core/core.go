@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"time"
 
 	"spatialhadoop/internal/dfs"
@@ -112,28 +113,31 @@ type IndexedFile struct {
 // LoadPointsHeap stores points as a heap (non-indexed) file: records are
 // written in input order and split into blocks with no spatial awareness —
 // the default Hadoop loader of the paper's "Hadoop" algorithm variants.
-// The text lengths the blocks are cut by are measured in parallel.
+// The text lengths the blocks are cut by are measured in parallel, and
+// the points written as one run of a copy of pts: the blocks are views of
+// the run, and must not alias the caller's slice.
 func (s *System) LoadPointsHeap(name string, pts []geom.Point) error {
 	w, err := s.fs.Create(name)
 	if err != nil {
 		return err
 	}
 	lens, _, _ := measurePoints(pts)
-	for i, p := range pts {
-		w.WritePoint(p, int(lens[i]))
-	}
+	w.WritePoints(slices.Clone(pts), lens)
 	return w.Close()
 }
 
-// LoadRegionsHeap stores regions as a heap file.
+// LoadRegionsHeap stores regions as a heap file, one run of their text
+// and MBRs in input order.
 func (s *System) LoadRegionsHeap(name string, regions []geom.Region) error {
 	w, err := s.fs.Create(name)
 	if err != nil {
 		return err
 	}
-	for _, rg := range regions {
-		w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
+	recs, rects := make([]string, len(regions)), make([]geom.Rect, len(regions))
+	for i, rg := range regions {
+		recs[i], rects[i] = geomio.EncodeRegion(rg), rg.Bounds()
 	}
+	w.WriteRegions(recs, rects)
 	return w.Close()
 }
 
@@ -169,8 +173,10 @@ func (s *System) samplePoints(pts []geom.Point) []geom.Point {
 // input order: the order ops.PinSplit and the CG local steps sort into,
 // so their sorts meet a sorted run. The points are stored as points;
 // their text lengths, which size the partitions and cut the blocks, are
-// measured, the points assigned and laid out by cell, and the cells
-// radix-sorted, all in parallel (cells.go); the file is the same whatever
+// measured, the points assigned and laid out by cell, and each cell
+// radix-sorted and gathered into one cell-ordered column, all in
+// parallel (cells.go); each cell is then written as one run of that
+// column, its blocks views of it. The file is the same whatever
 // GOMAXPROCS is.
 func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (*IndexedFile, error) {
 	lens, totalBytes, space := measurePoints(pts)
@@ -183,26 +189,31 @@ func (s *System) LoadPoints(name string, pts []geom.Point, t sindex.Technique) (
 	gi := sindex.Build(t, s.samplePoints(pts), space, s.numCells(totalBytes))
 	s.recordBuild(time.Since(buildStart), gi)
 
-	byCell := groupByCell(len(pts), len(gi.Cells), func(i int, dst []int32) []int32 {
+	byCell, starts, largest := groupByCell(len(pts), len(gi.Cells), func(i int, dst []int32) []int32 {
 		return append(dst, int32(gi.AssignPoint(pts[i])))
 	})
+	col, colLens, cellBytes := make([]geom.Point, len(pts)), make([]uint8, len(pts)), make([]int64, len(byCell))
 	parallel(len(byCell), func(sb *sortBufs, c int) {
-		content := gi.Cells[c].Content
-		for _, i := range byCell[c] {
-			content = content.ExpandPoint(pts[i])
-		}
-		gi.Cells[c].Content = content
+		sb.get(largest) // sizes the scratch once, to the largest cell
 		sortPointCell(byCell[c], pts, sb)
+		content, bytes := gi.Cells[c].Content, int64(0)
+		for k, i := range byCell[c] {
+			col[starts[c]+k], colLens[starts[c]+k] = pts[i], lens[i]
+			content, bytes = content.ExpandPoint(pts[i]), bytes+int64(lens[i])+1
+		}
+		gi.Cells[c].Content, cellBytes[c] = content, bytes
 	})
-	return s.writeIndexed(name, gi, byCell, func(i int32) int { return int(lens[i]) },
-		func(w *dfs.Writer, i int32) { w.WritePoint(pts[i], int(lens[i])) })
+	return s.writeIndexed(name, gi, starts, cellBytes, func(w *dfs.Writer, lo, hi int) {
+		w.WritePoints(col[lo:hi], colLens[lo:hi])
+	})
 }
 
 // LoadRegions spatially partitions and stores regions. With a disjoint
 // technique, regions overlapping several cells are replicated to each
 // (paper §2.3); consumers deduplicate with the reference-point rule. Each
 // cell is written in the join's plane-sweep order, by MBR MinX with ties
-// in input order, laid out and sorted in parallel as LoadPoints does.
+// in input order, laid out, sorted and gathered in parallel as LoadPoints
+// does, and written as one run of text and MBRs.
 func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Technique) (*IndexedFile, error) {
 	recs := make([]string, len(regions))
 	bounds := make([]geom.Rect, len(regions))
@@ -227,22 +238,27 @@ func (s *System) LoadRegions(name string, regions []geom.Region, t sindex.Techni
 	gi := sindex.Build(t, s.samplePoints(centers), space, s.numCells(totalBytes))
 	s.recordBuild(time.Since(buildStart), gi)
 
-	byCell := groupByCell(len(regions), len(gi.Cells), func(i int, dst []int32) []int32 {
+	byCell, starts, largest := groupByCell(len(regions), len(gi.Cells), func(i int, dst []int32) []int32 {
 		for _, c := range gi.AssignRect(bounds[i]) {
 			dst = append(dst, int32(c))
 		}
 		return dst
 	})
+	n := starts[len(byCell)] // a replicated region is placed once per cell
+	cellRecs, cellRects, cellBytes := make([]string, n), make([]geom.Rect, n), make([]int64, len(byCell))
 	parallel(len(byCell), func(sb *sortBufs, c int) {
-		content := gi.Cells[c].Content
-		for _, i := range byCell[c] {
-			content = content.Union(bounds[i])
-		}
-		gi.Cells[c].Content = content
+		sb.get(largest) // sizes the scratch once, to the largest cell
 		sortRegionCell(byCell[c], bounds, sb)
+		content, bytes := gi.Cells[c].Content, int64(0)
+		for k, i := range byCell[c] {
+			cellRecs[starts[c]+k], cellRects[starts[c]+k] = recs[i], bounds[i]
+			content, bytes = content.Union(bounds[i]), bytes+int64(len(recs[i]))+1
+		}
+		gi.Cells[c].Content, cellBytes[c] = content, bytes
 	})
-	return s.writeIndexed(name, gi, byCell, func(i int32) int { return len(recs[i]) },
-		func(w *dfs.Writer, i int32) { w.WriteRegion(recs[i], bounds[i]) })
+	return s.writeIndexed(name, gi, starts, cellBytes, func(w *dfs.Writer, lo, hi int) {
+		w.WriteRegions(cellRecs[lo:hi], cellRects[lo:hi])
+	})
 }
 
 // recordBuild registers one global index construction with the metrics.
@@ -251,46 +267,31 @@ func (s *System) recordBuild(d time.Duration, gi *sindex.GlobalIndex) {
 	s.metrics.Inc(MetricPartitionsCreated, int64(len(gi.Cells)))
 }
 
-// recordFill registers the post-assignment partition fill statistics;
-// textLen(i) is the size of record i's text.
-func (s *System) recordFill(gi *sindex.GlobalIndex, byCell [][]int32, textLen func(i int32) int) {
-	perRecs := make([]int, len(byCell))
-	perBytes := make([]int64, len(byCell))
-	for i, cellRecs := range byCell {
-		perRecs[i] = len(cellRecs)
-		for _, r := range cellRecs {
-			perBytes[i] += int64(textLen(r)) + 1
-		}
-		if len(cellRecs) > 0 {
-			s.metrics.Observe(MetricPartitionFill, float64(len(cellRecs)))
+// writeIndexed registers the partition fill statistics, writes the
+// partitioned records — cell c is records [starts[c], starts[c+1]) of the
+// cell-ordered layout, cellBytes[c] bytes of text, and write(w, lo, hi)
+// writes records [lo, hi) as one run (WritePoints, WriteRegions) — and
+// attaches the global index. Queries meet the previous generation until
+// Close publishes this one.
+func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, starts []int, cellBytes []int64, write func(w *dfs.Writer, lo, hi int)) (*IndexedFile, error) {
+	perRecs := make([]int, len(cellBytes))
+	for c := range perRecs {
+		if perRecs[c] = starts[c+1] - starts[c]; perRecs[c] > 0 {
+			s.metrics.Observe(MetricPartitionFill, float64(perRecs[c]))
 		}
 	}
-	ps := gi.Stats(perRecs, perBytes, s.fs.BlockSize())
+	ps := gi.Stats(perRecs, cellBytes, s.fs.BlockSize())
 	s.metrics.Inc(MetricPartitionsEmpty, int64(ps.Empty))
 	s.metrics.Inc(MetricPartitionOverflow, int64(ps.Overflowing))
 	s.metrics.SetGauge(GaugePartitionImbalance, ps.Imbalance())
-}
-
-// writeIndexed writes the partitioned records — byCell holds record
-// indices, textLen(i) is the size of record i's text and write(w, i)
-// writes record i through the loader's typed call (WritePoint,
-// WriteRegion) — and attaches the global index. Queries meet the
-// previous generation until Close publishes this one; the writer is
-// created only here, after partitioning, so the two overlap in memory for
-// the write loop alone.
-func (s *System) writeIndexed(name string, gi *sindex.GlobalIndex, byCell [][]int32, textLen func(i int32) int, write func(w *dfs.Writer, i int32)) (*IndexedFile, error) {
-	s.recordFill(gi, byCell, textLen)
 	w, err := s.fs.CreateOrReplace(name)
 	if err != nil {
 		return nil, err
 	}
-	for ci, cellRecs := range byCell {
-		if len(cellRecs) == 0 {
-			continue
-		}
-		w.SetPartition(gi.Cells[ci].Key())
-		for _, i := range cellRecs {
-			write(w, i)
+	for c, n := range perRecs {
+		if n > 0 {
+			w.SetPartition(gi.Cells[c].Key())
+			write(w, starts[c], starts[c+1])
 		}
 	}
 	w.SetIndex(gi)

@@ -376,10 +376,13 @@ func loadAllocBytes(t *testing.T, n int, load func(sys *System, pts []geom.Point
 }
 
 // TestLoadPointsAllocs pins the loaders' allocation per point: a point is
-// stored as a point, its text measured and never formatted into a string.
-// The loaders allocate 95 and 90 B/point (103 and 90 before the cells
-// were laid out in one flat int32 array, 170 and 122 when they stored
-// text); a string per point, or a second per-cell slice, breaks them.
+// stored as a point, its text measured and never formatted into a string,
+// and each cell (or the heap file) written as one run whose blocks are
+// views of it. The loaders allocate 42 and 17.5 B/point (95 and 90 when
+// the writer appended point by point and trimmed each block at seal, 103
+// and 90 before the cells were laid out in one flat int32 array, 170 and
+// 122 when they stored text); per-point appends, a string per point, or a
+// second per-cell slice break them.
 func TestLoadPointsAllocs(t *testing.T) {
 	const n = 40000
 	indexed := loadAllocBytes(t, n, func(sys *System, pts []geom.Point) {
@@ -393,8 +396,8 @@ func TestLoadPointsAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("LoadPoints %.1f B/point, LoadPointsHeap %.1f B/point", indexed, heap)
-	if indexed > 135 || heap > 115 {
-		t.Errorf("LoadPoints allocates %.1f B/point (limit 135), LoadPointsHeap %.1f (limit 115)", indexed, heap)
+	if indexed > 49 || heap > 20 {
+		t.Errorf("LoadPoints allocates %.1f B/point (limit 49), LoadPointsHeap %.1f (limit 20)", indexed, heap)
 	}
 }
 

@@ -361,7 +361,7 @@ func TestLoadRegionsWritesCellsInLocalOrder(t *testing.T) {
 			gi, cells := inputOrderRegions(New(Config{BlockSize: 2 << 10, Workers: 4, Seed: 1}), regions, tech)
 			lc := loadCase{sys: sys, f: f, gi: gi, cells: cells, recs: recs,
 				less:  func(a, b int) bool { return cmp.Less(bounds[a].MinX, bounds[b].MinX) },
-				write: func(w *dfs.Writer, i int) { w.WriteRegion(recs[i], bounds[i]) }}
+				write: func(w *dfs.Writer, i int) { w.WriteRegions(recs[i:i+1], bounds[i:i+1]) }}
 			sameBlocks(t, f.File, lc.check(t))
 			for _, sp := range f.Splits() {
 				var minX []float64

@@ -106,7 +106,7 @@ func checkBlockViews(t *testing.T, cases []viewCase) {
 // TestBlockPointsCached: the only points a block keeps are its writer's. A
 // text block — written by WriteRecord, or built outside a file as a worker
 // opens a text frame — parses its records on every Points call; a column
-// block returns the points WritePoint stored, the same slice every time.
+// block returns the points WritePoints stored, the same slice every time.
 func TestBlockPointsCached(t *testing.T) {
 	pts := awkwardPoints(7, 300)
 	ptRecs := geomio.EncodePoints(pts)
@@ -120,7 +120,7 @@ func TestBlockPointsCached(t *testing.T) {
 // TestBlockBoundsCachedAndInvalidated: the only rects a block keeps are
 // its writer's. A text block parses its regions on every Bounds call, and
 // malformed text errors on every call; a region-marked block returns the
-// MBRs WriteRegion stored. Replacing the file gives the new block the new
+// MBRs WriteRegions stored. Replacing the file gives the new block the new
 // writer's rects and leaves a held old block its own.
 func TestBlockBoundsCachedAndInvalidated(t *testing.T) {
 	regs := awkwardRegions(8, 120)
@@ -129,9 +129,11 @@ func TestBlockBoundsCachedAndInvalidated(t *testing.T) {
 		regRecs[i] = geomio.EncodeRegion(rg)
 	}
 	regionBlock := oneBlock(t, func(w *Writer) {
+		rects := make([]geom.Rect, len(regs))
 		for i, rg := range regs {
-			w.WriteRegion(regRecs[i], rg.Bounds())
+			rects[i] = rg.Bounds()
 		}
+		w.WriteRegions(slices.Clone(regRecs), rects)
 	})
 	checkBlockViews(t, []viewCase{
 		{"text regions", textBlock(t, regRecs), regRecs, false, false},
@@ -152,9 +154,11 @@ func TestBlockBoundsCachedAndInvalidated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rg := range regs {
-			w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
+		recs, rects := make([]string, len(regs)), make([]geom.Rect, len(regs))
+		for i, rg := range regs {
+			recs[i], rects[i] = geomio.EncodeRegion(rg), rg.Bounds()
 		}
+		w.WriteRegions(recs, rects)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +305,7 @@ func BenchmarkBlockPoints(b *testing.B) {
 
 // TestColumnRecordsKeepNothing: a point block formats its text for
 // whoever asks and keeps none of it. After two ReadAlls, a Bounds and a
-// text frame of each block of a file written through WritePoint, no block
+// text frame of each block of a file written through WritePoints, no block
 // holds text or rects, the two reads share no memory, and both are the
 // records a text write of the same points stores.
 func TestColumnRecordsKeepNothing(t *testing.T) {
@@ -312,9 +316,7 @@ func TestColumnRecordsKeepNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range pts {
-		w.WritePoint(p, len(recs[i]))
-	}
+	w.WritePoints(pts, pointLens(pts))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

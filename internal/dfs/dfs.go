@@ -5,17 +5,21 @@
 // sequence of fixed-capacity blocks, each block lives on a data node, and
 // one map task is scheduled per block (or per indexed partition).
 //
-// A block is text records or a point column. A Writer stores what
-// WritePoint hands it as points, 16 bytes each, and what WriteRecord hands
+// A block is text records or a point column. A Writer stores the runs
+// WritePoints hands it as points, 16 bytes each, and what WriteRecord hands
 // it as text; the two never share a block. A point block — a loaded points
 // file, a job's range matches (WriteSelected), the block a worker opens
 // from a column frame (frame.go) — answers Points with its column and
 // formats Record and Records on demand. Text is what a caller asks for and
 // what a job writes as text (skyline, hull, pair and join outputs). A
-// block whose records all came through WriteRegion is region-marked and
+// block whose records all came in WriteRegions runs is region-marked and
 // holds each record's MBR beside its text, so Bounds parses nothing, here
 // or on the worker the rects travel to. A block keeps no decoded view: a
 // text block parses on every Points or Bounds call.
+//
+// A run's blocks hold views of the caller's arrays, so one file's blocks
+// may share one: nothing changes a sealed block's column in place, and
+// CorruptBlock damages a copy.
 //
 // An indexed file carries the global index its loader built (File.Index),
 // SpatialHadoop's _master file kept as the value it is: the splitter and
@@ -74,9 +78,9 @@ type Block struct {
 
 	records []string
 
-	// regions marks a block of nothing but WriteRegion calls, rects[i]
-	// being the MBR record i parses to. The mark is the writer's alone; a
-	// copy made any other way (CorruptBlock) is unmarked.
+	// regions marks a block of nothing but region runs (WriteRegions),
+	// rects[i] being the MBR record i parses to. The mark is the writer's
+	// alone; a copy made any other way (CorruptBlock) is unmarked.
 	regions bool
 	rects   []geom.Rect
 
@@ -356,6 +360,7 @@ type Writer struct {
 	partition string
 	cur       *Block
 	closed    bool
+	sel       []selection // deferred by WriteSelected
 }
 
 // Create returns a writer for a new file. It fails fast with ErrExists
@@ -379,6 +384,7 @@ func (fs *FileSystem) CreateOrReplace(name string) (*Writer, error) {
 // partition key, cutting (and sealing) the current block. The spatial
 // file loader calls it once per partition.
 func (w *Writer) SetPartition(key string) {
+	w.flushSelected()
 	w.sealCur()
 	w.cur = nil
 	w.partition = key
@@ -386,7 +392,7 @@ func (w *Writer) SetPartition(key string) {
 
 // sealCur seals the block being written, if any. A block lives as long as
 // its file, so what append over-allocated for its records is first given
-// back when it is more than an eighth of them.
+// back when it is more than an eighth of them; runs are cut to length.
 func (w *Writer) sealCur() {
 	b := w.cur
 	if b == nil {
@@ -395,79 +401,126 @@ func (w *Writer) sealCur() {
 	if cap(b.records)-len(b.records) > len(b.records)/8 {
 		b.records = slices.Clone(b.records)
 	}
-	if cap(b.rects)-len(b.rects) > len(b.rects)/8 {
-		b.rects = slices.Clone(b.rects)
-	}
-	if cap(b.col)-len(b.col) > len(b.col)/8 {
-		b.col = slices.Clone(b.col)
-	}
-	if cap(b.lens)-len(b.lens) > len(b.lens)/8 {
-		b.lens = slices.Clone(b.lens)
-	}
 	b.seal()
 }
 
-// WriteRecord appends one text record.
-func (w *Writer) WriteRecord(rec string) { w.write(rec, false, geom.Rect{}) }
-
-// WritePoint appends one point record, stored as the point: 16 bytes and
-// one for textLen, which must be len(geomio.EncodePoint(p)), the size of
-// the text the record reads as. Blocks are counted and cut by that size,
-// so a file of points has the blocks, Bytes and placement its text would
-// have; the caller passes it in because the loaders measure it in
-// parallel, ahead of the write loop. A block of points ships to workers
-// as a coordinate column (frame.go). Text and points never share a block:
-// switching cuts.
-func (w *Writer) WritePoint(p geom.Point, textLen int) {
-	if textLen+1 < minPointBytes || textLen+1 > maxPointBytes {
-		panic(fmt.Sprintf("dfs: %d bytes of text for a point", textLen))
-	}
-	b := w.next(textLen, true)
-	b.col = append(b.col, p)
-	b.lens = append(b.lens, uint8(textLen))
+// WriteRecord appends one text record; a region block it lands in turns
+// to text, and a point block is cut.
+func (w *Writer) WriteRecord(rec string) {
+	w.flushSelected()
+	b := w.next(len(rec), false)
+	b.regions, b.rects = false, nil
+	b.records = append(b.records, rec)
 }
 
-// WriteRegion appends one region record: rec must be geomio.EncodeRegion
-// of a region and mbr its Bounds. It stores the same text WriteRecord
-// would and keeps mbr beside it: a block of nothing but WriteRegion calls
-// answers Bounds without a parse and ships its rects with its text
-// (frame.go). One other write into the block and it is a text block.
-func (w *Writer) WriteRegion(rec string, mbr geom.Rect) { w.write(rec, true, mbr) }
+// WritePoints appends a run of points, stored as points: 16 bytes each
+// and one for lens[i] = len(geomio.EncodePoint(pts[i])), which the
+// loaders measure in parallel. Blocks are cut by those text sizes, so a
+// file of points has its text's blocks, Bytes and placement. Each block's
+// column and lengths are views of pts and lens: the caller hands both
+// over. A point block ships as a column (frame.go); text and points never
+// share a block.
+func (w *Writer) WritePoints(pts []geom.Point, lens []uint8) {
+	for _, n := range lens { // all checked before anything is written
+		if int(n)+1 < minPointBytes || int(n)+1 > maxPointBytes || len(lens) != len(pts) {
+			panic(fmt.Sprintf("dfs: %d points, %d text lengths, one of %d bytes", len(pts), len(lens), n))
+		}
+	}
+	w.flushSelected()
+	for i, j := 0, 0; i < len(pts); i = j {
+		b := w.next(int(lens[i]), true)
+		for j = i + 1; j < len(pts) && w.grow(b, int(lens[j])); j++ {
+		}
+		b.col, b.lens = extend(b.col, pts[i:j]), extend(b.lens, lens[i:j])
+	}
+}
+
+// WriteRegions appends a run of regions: recs[i] is geomio.EncodeRegion
+// of one and rects[i] its Bounds, kept beside the text and cut from the
+// run as WritePoints cuts. A block of nothing but region runs answers
+// Bounds and ships its rects without a parse (frame.go); any other write
+// into it makes it text.
+func (w *Writer) WriteRegions(recs []string, rects []geom.Rect) {
+	if len(rects) != len(recs) {
+		panic(fmt.Sprintf("dfs: %d regions with %d rects", len(recs), len(rects)))
+	}
+	w.flushSelected()
+	for i, j := 0, 0; i < len(recs); i = j {
+		b := w.next(len(recs[i]), false)
+		b.regions = b.regions || len(b.records) == 0 // the first write names the mark
+		for j = i + 1; j < len(recs) && w.grow(b, len(recs[j])); j++ {
+		}
+		b.records = extend(b.records, recs[i:j])
+		if b.regions {
+			b.rects = extend(b.rects, rects[i:j])
+		}
+	}
+}
+
+// extend returns col followed by run with no room to grow: run itself
+// when col is empty, else an exact-size copy of both. So one file's
+// blocks may share a run's array, and nothing appends to one in place.
+func extend[T any](col, run []T) []T {
+	if len(col) == 0 {
+		return run[:len(run):len(run)]
+	}
+	return append(append(make([]T, 0, len(col)+len(run)), col...), run...)
+}
+
+// selection is records ids of block src, deferred by WriteSelected.
+type selection struct {
+	src *Block
+	ids []int
+}
 
 // WriteSelected appends records ids of src, a block of this file system,
 // in that order: what a map task selected from its input instead of
-// copying it out. A point block's records are written as points, with the
-// text sizes src's writer measured, so they are cut where their text would
-// be cut. Otherwise the records are src's own strings, region-marked (with
-// their rects) when src is.
+// copying it out. A text block's records are written as its strings. A
+// point block's are deferred, and each maximal sequence of them written
+// as one run, allocated at its final size, with the text sizes src's
+// writer measured, so they are cut where their text would be; a region
+// block's likewise keep their text, mark and rects.
 func (w *Writer) WriteSelected(src *Block, ids []int) {
-	if src.column {
+	if !src.column && !src.regions {
 		for _, id := range ids {
-			w.WritePoint(src.col[id], int(src.lens[id]))
+			w.WriteRecord(src.records[id])
 		}
 		return
 	}
-	for _, id := range ids {
-		var mbr geom.Rect
-		if src.regions {
-			mbr = src.rects[id]
-		}
-		w.write(src.records[id], src.regions, mbr)
+	if len(w.sel) > 0 && w.sel[0].src.column != src.column {
+		w.flushSelected()
 	}
+	w.sel = append(w.sel, selection{src, ids})
 }
 
-func (w *Writer) write(rec string, region bool, mbr geom.Rect) {
-	b := w.next(len(rec), false)
-	switch {
-	case len(b.records) == 0:
-		b.regions = region // the first write names the block's mark
-	case b.regions != region:
-		b.regions, b.rects = false, nil
+// flushSelected writes the deferred selections as one run; every other
+// write, SetPartition and Close call it first.
+func (w *Writer) flushSelected() {
+	sel, n := w.sel, 0
+	if len(sel) == 0 {
+		return
 	}
-	if b.regions {
-		b.rects = append(b.rects, mbr)
+	w.sel = nil
+	for _, s := range sel {
+		n += len(s.ids)
 	}
-	b.records = append(b.records, rec)
+	if sel[0].src.column {
+		pts, lens := make([]geom.Point, 0, n), make([]uint8, 0, n)
+		for _, s := range sel {
+			for _, id := range s.ids {
+				pts, lens = append(pts, s.src.col[id]), append(lens, s.src.lens[id])
+			}
+		}
+		w.WritePoints(pts, lens)
+		return
+	}
+	recs, rects := make([]string, 0, n), make([]geom.Rect, 0, n)
+	for _, s := range sel {
+		for _, id := range s.ids {
+			recs, rects = append(recs, s.src.records[id]), append(rects, s.src.rects[id])
+		}
+	}
+	w.WriteRegions(recs, rects)
 }
 
 // next accounts one record of size text bytes and returns the block it
@@ -476,15 +529,25 @@ func (w *Writer) next(size int, column bool) *Block {
 	if w.closed {
 		panic("dfs: write on closed writer")
 	}
-	sz := int64(size) + 1 // newline accounting
-	if b := w.cur; b == nil || b.Bytes+sz > w.fs.cfg.BlockSize && b.Bytes > 0 || b.column != column {
+	if b := w.cur; b == nil || b.column != column || !w.grow(b, size) {
 		w.cut()
 		w.cur.column = column
+		w.grow(w.cur, size)
 	}
-	w.cur.Bytes += sz
+	return w.cur
+}
+
+// grow accounts one more record of size text bytes to b, the current
+// block, unless that takes b, holding some, past BlockSize.
+func (w *Writer) grow(b *Block, size int) bool {
+	sz := int64(size) + 1 // newline accounting
+	if b.Bytes > 0 && b.Bytes+sz > w.fs.cfg.BlockSize {
+		return false
+	}
+	b.Bytes += sz
 	w.file.Bytes += sz
 	w.file.Records++
-	return w.cur
+	return true
 }
 
 // cut seals the current block and starts a new one on the next data node
@@ -511,6 +574,7 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
+	w.flushSelected()
 	w.closed = true
 	w.sealCur()
 	fs := w.fs

@@ -225,7 +225,8 @@ func TestRoundRobinPlacement(t *testing.T) {
 // TestSealedBlocksGiveBackSlack: a block outlives its writer by the life
 // of the file, so the capacity append left over its records is returned at
 // seal — for full blocks, the short last block and a partition's only
-// block alike.
+// block alike. A point run's blocks are cut from it to their exact length
+// and keep none.
 func TestSealedBlocksGiveBackSlack(t *testing.T) {
 	fs := New(Config{BlockSize: 4 << 10, DataNodes: 2})
 	w, err := fs.Create("f")
@@ -252,15 +253,17 @@ func TestSealedBlocksGiveBackSlack(t *testing.T) {
 	}
 
 	w, _ = fs.Create("pts")
-	for i := 0; i < 3000; i++ {
-		w.WritePoint(geom.Point{X: float64(i), Y: 1}, len(fmt.Sprint(i))+2)
+	pts, lens := make([]geom.Point, 3000), make([]uint8, 3000)
+	for i := range pts {
+		pts[i], lens[i] = geom.Point{X: float64(i), Y: 1}, uint8(len(fmt.Sprint(i))+2)
 	}
+	w.WritePoints(pts, lens)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	f, _ = fs.Open("pts")
 	for i, b := range f.Blocks {
-		if n := len(b.col); cap(b.col)-n > n/8 || cap(b.lens)-n > n/8 || len(b.lens) != n {
+		if n := len(b.col); cap(b.col) != n || cap(b.lens) != n || len(b.lens) != n {
 			t.Errorf("point block %d keeps room for %d points and %d lengths and holds %d", i, cap(b.col), cap(b.lens), n)
 		}
 	}

@@ -16,14 +16,14 @@ import (
 // with a tag naming one of three shapes. Which one is a property of the
 // block, not a choice of the sender:
 //
-//	'P'  point column, for a block of points (Writer.WritePoint: a loaded
+//	'P'  point column, for a block of points (Writer.WritePoints: a loaded
 //	     points file, a range job's matches) or one opened from such a
 //	     frame:
 //	       uvarint  point count n
 //	       uvarint  the block's Bytes (its text size, newline per record)
 //	       16 B × n X then Y of each point, little-endian IEEE-754 bits
 //	'R'  regions, for a block the writer marked as nothing but regions
-//	     (Writer.WriteRegion) or one opened from such a frame:
+//	     (Writer.WriteRegions) or one opened from such a frame:
 //	       uvarint  rect count n
 //	       32 B × n each record's MBR, wirefmt's Rect
 //	       then the records as the text shape lays them out, n of them

@@ -42,15 +42,20 @@ func awkwardPoints(seed int64, n int) []geom.Point {
 	return pts
 }
 
-// pointBlock writes pts into one block of a fresh file through
-// WritePoint and returns the block.
+// pointBlock writes a copy of pts into one block of a fresh file through
+// WritePoints and returns the block.
 func pointBlock(t testing.TB, pts []geom.Point) *Block {
 	t.Helper()
-	return oneBlock(t, func(w *Writer) {
-		for _, p := range pts {
-			w.WritePoint(p, len(geomio.EncodePoint(p)))
-		}
-	})
+	return oneBlock(t, func(w *Writer) { w.WritePoints(slices.Clone(pts), pointLens(pts)) })
+}
+
+// pointLens returns each point's text length, as WritePoints takes them.
+func pointLens(pts []geom.Point) []uint8 {
+	lens := make([]uint8, len(pts))
+	for i, p := range pts {
+		lens[i] = uint8(len(geomio.EncodePoint(p)))
+	}
+	return lens
 }
 
 // textBlock writes recs into one block of a fresh file through
@@ -100,7 +105,7 @@ func sameBits(a, b []geom.Point) bool {
 	})
 }
 
-// TestColumnFrameEqualsText: a block written through WritePoint crosses
+// TestColumnFrameEqualsText: a block written through WritePoints crosses
 // the data plane as header + 16·n bytes and opens as a block no accessor
 // can tell from the writer's, or from the same records shipped as text.
 func TestColumnFrameEqualsText(t *testing.T) {
@@ -168,19 +173,20 @@ func TestColumnFrameEqualsText(t *testing.T) {
 	}
 }
 
-// TestPointMarkOnlyFromWritePoint: only WritePoint stores points. A block
-// of WriteRecord calls, a file written by WriteFile and a block built
-// outside a file all ship as text, however much their records look like
-// points; a CorruptBlock copy of a point block is a point block that fails
-// its checksum.
-func TestPointMarkOnlyFromWritePoint(t *testing.T) {
+// TestPointMarkOnlyFromWritePoints: only WritePoints stores points. A
+// block of WriteRecord calls, a file written by WriteFile and a block
+// built outside a file all ship as text, however much their records look
+// like points; a CorruptBlock copy of a point block is a point block that
+// fails its checksum, and the file's other blocks, cut from the same run,
+// still pass theirs.
+func TestPointMarkOnlyFromWritePoints(t *testing.T) {
 	pts := awkwardPoints(3, 50)
 	recs := geomio.EncodePoints(pts)
 	for name, tc := range map[string]struct {
 		block *Block
 		want  byte
 	}{
-		"WritePoint only":  {pointBlock(t, pts), FrameColumn},
+		"WritePoints only": {pointBlock(t, pts), FrameColumn},
 		"WriteRecord only": {textBlock(t, recs), FrameText},
 		"outside a file":   {NewBlockFromRecords("p", recs), FrameText},
 	} {
@@ -191,9 +197,7 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 
 	fs := New(Config{BlockSize: 256, DataNodes: 2})
 	w, _ := fs.Create("pts")
-	for i, p := range pts {
-		w.WritePoint(p, len(recs[i]))
-	}
+	w.WritePoints(slices.Clone(pts), pointLens(pts))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +213,7 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 	}
 	before := tags(fs)
 	if len(before) < 3 || slices.Contains(before, FrameText) {
-		t.Fatalf("a WritePoint file of several blocks has tags %q, want all columns", before)
+		t.Fatalf("a WritePoints file of several blocks has tags %q, want all columns", before)
 	}
 	if err := fs.CorruptBlock("pts", 1); err != nil {
 		t.Fatal(err)
@@ -217,8 +221,14 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 	if after := tags(fs); !slices.Equal(after, before) {
 		t.Errorf("after CorruptBlock(1) the blocks ship as %q, were %q", after, before)
 	}
-	if f, _ := fs.Open("pts"); !errors.Is(f.Blocks[1].VerifyCached(), ErrChecksum) || f.Blocks[0].VerifyCached() != nil {
-		t.Error("after CorruptBlock(1) block 1 verifies, or block 0 does not")
+	f, _ := fs.Open("pts")
+	if !errors.Is(f.Blocks[1].VerifyCached(), ErrChecksum) {
+		t.Error("after CorruptBlock(1) block 1 verifies")
+	}
+	for i, b := range f.Blocks {
+		if err := b.Verify(); i != 1 && err != nil {
+			t.Errorf("after CorruptBlock(1) block %d fails: %v", i, err)
+		}
 	}
 	text := New(Config{BlockSize: 256, DataNodes: 2})
 	if err := text.WriteFile("pts", recs); err != nil {
@@ -230,23 +240,23 @@ func TestPointMarkOnlyFromWritePoint(t *testing.T) {
 }
 
 // TestWritePointRejectsImpossibleTextLen: a point's text is 3 to
-// geomio.MaxPointLen bytes, what a column frame may claim; WritePoint
-// refuses any other length rather than store a block no reader accepts.
+// geomio.MaxPointLen bytes, what a column frame may claim; WritePoints
+// refuses a run holding any other length, or a length short of a point,
+// rather than store a block no reader accepts, and writes none of it.
 func TestWritePointRejectsImpossibleTextLen(t *testing.T) {
 	fs := New(Config{DataNodes: 1})
 	w, _ := fs.Create("pts")
-	for _, n := range []int{-1, 0, 2, geomio.MaxPointLen + 1, 256 + 3} {
+	for _, lens := range [][]uint8{{0}, {2}, {geomio.MaxPointLen + 1}, {255}, {3, 2}, {3}, nil} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("WritePoint with %d bytes of text did not panic", n)
+					t.Errorf("WritePoints of 2 points with text lengths %v did not panic", lens)
 				}
 			}()
-			w.WritePoint(geom.Point{}, n)
+			w.WritePoints(make([]geom.Point, 2), lens)
 		}()
 	}
-	w.WritePoint(geom.Point{}, 3)
-	w.WritePoint(geom.Point{}, geomio.MaxPointLen)
+	w.WritePoints(make([]geom.Point, 2), []uint8{3, geomio.MaxPointLen})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,21 +304,21 @@ func sameRects(a, b []geom.Rect) bool {
 	return slices.EqualFunc(a, b, func(p, q geom.Rect) bool { return bits(p) == bits(q) })
 }
 
-// TestRegionMarkOnlyFromWriteRegion: a block that received nothing but
-// WriteRegion ships its rects with its text and answers Bounds without a
+// TestRegionMarkOnlyFromWriteRegions: a block that received nothing but
+// region runs ships its rects with its text and answers Bounds without a
 // parse, on the master and wherever its frame opens; its own CRC is the
 // text's. One WriteRecord into it, a CorruptBlock copy or a WriteFile of
 // the same records is text, and still answers Bounds — the same rects,
-// bit for bit — by parsing. One WritePoint into it cuts: the point is a block of its
-// own and the region blocks either side keep their mark.
-func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
+// bit for bit — by parsing. One point run into it cuts: the point is a
+// block of its own and the region blocks either side keep their mark.
+func TestRegionMarkOnlyFromWriteRegions(t *testing.T) {
 	regs := awkwardRegions(5, 60)
 	recs := make([]string, len(regs))
 	want := make([]geom.Rect, len(regs))
 	for i, rg := range regs {
 		recs[i], want[i] = geomio.EncodeRegion(rg), rg.Bounds()
 	}
-	region := func(w *Writer, i int) { w.WriteRegion(recs[i], want[i]) }
+	region := func(w *Writer, i int) { w.WriteRegions(recs[i:i+1], want[i:i+1]) }
 	except := func(at int, other func(w *Writer, rec string)) func(w *Writer, i int) {
 		return func(w *Writer, i int) {
 			if i == at {
@@ -322,7 +332,7 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 		write func(w *Writer, i int)
 		want  byte
 	}{
-		"WriteRegion only":       {region, FrameRegions},
+		"WriteRegions only":      {region, FrameRegions},
 		"one WriteRecord, first": {except(0, (*Writer).WriteRecord), FrameText},
 		"one WriteRecord, last":  {except(len(recs)-1, (*Writer).WriteRecord), FrameText},
 	} {
@@ -355,8 +365,8 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 		}
 	}
 
-	// One WritePoint among WriteRegion calls cuts on both sides of the
-	// point; the region blocks keep their mark and their rects.
+	// One point run among region runs cuts on both sides of the point;
+	// the region blocks keep their mark and their rects.
 	mid := len(recs) / 2
 	pt := geom.Point{X: 0.25, Y: 1.5}
 	one := New(Config{BlockSize: 1 << 30, DataNodes: 1})
@@ -364,7 +374,7 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 	for i := range mid {
 		region(ow, i)
 	}
-	ow.WritePoint(pt, len(geomio.EncodePoint(pt)))
+	ow.WritePoints([]geom.Point{pt}, pointLens([]geom.Point{pt}))
 	for i := mid; i < len(recs); i++ {
 		region(ow, i)
 	}
@@ -373,36 +383,34 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 	}
 	mf, _ := one.Open("mixed")
 	if len(mf.Blocks) != 3 {
-		t.Fatalf("one WritePoint among regions: %d blocks, want 3", len(mf.Blocks))
+		t.Fatalf("one point run among regions: %d blocks, want 3", len(mf.Blocks))
 	}
 	var tags []byte
 	for _, b := range mf.Blocks {
 		tags = append(tags, frameTag(t, EncodeBlockFrame(b)))
 	}
 	if want := []byte{FrameRegions, FrameColumn, FrameRegions}; !slices.Equal(tags, want) {
-		t.Fatalf("one WritePoint among regions: blocks ship as %q, want %q", tags, want)
+		t.Fatalf("one point run among regions: blocks ship as %q, want %q", tags, want)
 	}
 	if got := mf.Blocks[1].Records(); !slices.Equal(got, []string{geomio.EncodePoint(pt)}) {
-		t.Fatalf("one WritePoint among regions: the point block holds %q", got)
+		t.Fatalf("one point run among regions: the point block holds %q", got)
 	}
 	for i, part := range [][2]int{{0, mid}, {mid, len(recs)}} {
 		b := mf.Blocks[2*i]
 		if got, err := b.Bounds(); err != nil || !sameRects(got, want[part[0]:part[1]]) {
-			t.Fatalf("one WritePoint among regions, block %d: Bounds differ from the regions' (%v)", 2*i, err)
+			t.Fatalf("one point run among regions, block %d: Bounds differ from the regions' (%v)", 2*i, err)
 		}
 		if n := testing.AllocsPerRun(10, func() { b.Bounds() }); n != 0 {
-			t.Fatalf("one WritePoint among regions, block %d: Bounds allocates %v times", 2*i, n)
+			t.Fatalf("one point run among regions, block %d: Bounds allocates %v times", 2*i, n)
 		}
 		if !slices.Equal(b.Records(), recs[part[0]:part[1]]) || b.VerifyCached() != nil {
-			t.Fatalf("one WritePoint among regions, block %d: text differs or fails its checksum", 2*i)
+			t.Fatalf("one point run among regions, block %d: text differs or fails its checksum", 2*i)
 		}
 	}
 
 	fs := New(Config{BlockSize: 512, DataNodes: 2})
 	w, _ := fs.Create("regs")
-	for i := range recs {
-		region(w, i)
-	}
+	w.WriteRegions(slices.Clone(recs), slices.Clone(want))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -448,5 +456,10 @@ func TestRegionMarkOnlyFromWriteRegion(t *testing.T) {
 	}
 	if tag := frameTag(t, EncodeBlockFrame(f.Blocks[2])); tag != FrameRegions {
 		t.Fatalf("an untouched block beside the corrupt one ships as %q", tag)
+	}
+	for i, b := range f.Blocks {
+		if err := b.Verify(); i != 1 && err != nil {
+			t.Errorf("after CorruptBlock(1) block %d fails: %v", i, err)
+		}
 	}
 }

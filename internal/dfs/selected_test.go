@@ -96,7 +96,7 @@ func TestWriteSelectedCutsLikeText(t *testing.T) {
 	regs := awkwardRegions(4, 20)
 	rsrc := oneBlock(t, func(w *Writer) {
 		for _, rg := range regs {
-			w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
+			w.WriteRegions([]string{geomio.EncodeRegion(rg)}, []geom.Rect{rg.Bounds()})
 		}
 	})
 	rf := file("regs", func(w *Writer) { w.WriteSelected(rsrc, []int{0, 7, 19}) })

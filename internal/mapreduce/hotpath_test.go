@@ -182,7 +182,7 @@ func boolToInt(b bool) int {
 
 // TestRetriedAttemptObservesDecodeCache is the regression test for point
 // blocks under retries: with injected failures, the retried attempts re-run
-// the map function, but a block written by WritePoint is its points, so
+// the map function, but a block written by WritePoints is its points, so
 // no attempt parses anything — every Points call hands out the one column
 // — and the output must be identical to a failure-free run.
 func TestRetriedAttemptObservesDecodeCache(t *testing.T) {
@@ -191,10 +191,12 @@ func TestRetriedAttemptObservesDecodeCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 64; i++ {
-			p := geom.Pt(float64(i), float64(i%7))
-			w.WritePoint(p, len(geomio.EncodePoint(p)))
+		pts, lens := make([]geom.Point, 64), make([]uint8, 64)
+		for i := range pts {
+			pts[i] = geom.Pt(float64(i), float64(i%7))
+			lens[i] = uint8(len(geomio.EncodePoint(pts[i])))
 		}
+		w.WritePoints(pts, lens)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,15 @@
 package mapreduce
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/fault"
+	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/geomio"
 )
 
 // TestWriteSelectedOutput: a map-only job that selects records writes the
@@ -78,6 +81,95 @@ func TestWriteSelectedOutput(t *testing.T) {
 		}
 		if c.FS().Exists("bad") {
 			t.Errorf("%s: the failed job published its output", name)
+		}
+	}
+}
+
+// TestSelectedOutputCutsLikeText: the map tasks over a small-block input
+// of several column blocks each select from their block, and the commit
+// writes all their matches as one run of points. The output's block boundaries, Bytes, Records and
+// record order are those of a WriteRecord of the selected text in task
+// order, its blocks ship as columns, and their CRCs are those of the same
+// points written one at a time.
+func TestSelectedOutputCutsLikeText(t *testing.T) {
+	const blockSize = 512
+	c := newTestCluster(t, blockSize, 3)
+	rng := rand.New(rand.NewSource(41))
+	pts, lens := make([]geom.Point, 600), make([]uint8, 600)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.NormFloat64()*1e3, float64(i)/7)
+		lens[i] = uint8(len(geomio.EncodePoint(pts[i])))
+	}
+	w, err := c.FS().Create("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WritePoints(pts, lens)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A heap file is one split, and one map task, per block.
+	keep := func(i int) bool { return i%3 != 1 }
+	rep, err := c.Run(closureJob(Job{Name: "thirds", Input: []string{"in"}, Output: "out"}, KindFuncs{
+		Map: func(ctx *TaskContext, split *Split) error {
+			for bi, b := range split.Blocks {
+				var ids []int
+				for i := range b.NumRecords() {
+					if keep(i) {
+						ids = append(ids, i)
+					}
+				}
+				ctx.WriteSelected(bi, ids)
+			}
+			return nil
+		},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _ := c.FS().Open("in")
+	out, _ := c.FS().Open("out")
+	if len(in.Blocks) < 4 || rep.SplitsTotal < 2 {
+		t.Fatalf("%d input blocks in %d splits, want several of each", len(in.Blocks), rep.SplitsTotal)
+	}
+
+	ref := dfs.New(dfs.Config{BlockSize: blockSize, DataNodes: 3})
+	tw, _ := ref.Create("text")
+	pw, _ := ref.Create("points")
+	for _, sp := range SplitsOf(in) {
+		for _, b := range sp.Blocks {
+			col, _ := b.Points()
+			for i := range b.NumRecords() {
+				if keep(i) {
+					rec := b.Record(i)
+					tw.WriteRecord(rec)
+					pw.WritePoints([]geom.Point{col[i]}, []uint8{uint8(len(rec))})
+				}
+			}
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	text, _ := ref.Open("text")
+	one, _ := ref.Open("points")
+	if out.Bytes != text.Bytes || out.Records != text.Records || len(out.Blocks) != len(text.Blocks) || len(out.Blocks) < 3 {
+		t.Fatalf("output: %d bytes, %d records, %d blocks; the text write %d, %d, %d",
+			out.Bytes, out.Records, len(out.Blocks), text.Bytes, text.Records, len(text.Blocks))
+	}
+	for i, b := range out.Blocks {
+		tb := text.Blocks[i]
+		if b.Bytes != tb.Bytes || !slices.Equal(b.Records(), tb.Records()) {
+			t.Fatalf("output block %d: %d bytes, %d records; the text write's %d, %d", i, b.Bytes, b.NumRecords(), tb.Bytes, tb.NumRecords())
+		}
+		if payload, err := dfs.UnsealShard(dfs.EncodeBlockFrame(b)); err != nil || payload[0] != dfs.FrameColumn {
+			t.Fatalf("output block %d ships as %q (%v), want a column", i, payload[:1], err)
+		}
+		if b.Checksum() != one.Blocks[i].Checksum() || b.Verify() != nil {
+			t.Fatalf("output block %d: CRC %08x, the point-by-point write's %08x", i, b.Checksum(), one.Blocks[i].Checksum())
 		}
 	}
 }

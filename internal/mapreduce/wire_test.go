@@ -46,12 +46,12 @@ var textTag, columnTag, regionsTag = []byte{dfs.FrameText}, []byte{dfs.FrameColu
 // str lays s out as every string is: its length, then its bytes.
 func str(s string) []byte { return append(uvarints(uint64(len(s))), s...) }
 
-// textFrame is the frame of a block that never saw WritePoint.
+// textFrame is the frame of a block that never saw WritePoints.
 func textFrame(recs []string) []byte {
 	return dfs.EncodeBlockFrame(dfs.NewBlockFromRecords("", recs))
 }
 
-// columnFrame is the frame of a block written through WritePoint alone.
+// columnFrame is the frame of a block written through WritePoints alone.
 func columnFrame(t testing.TB, pts []geom.Point) []byte {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 30, DataNodes: 1})
@@ -59,9 +59,11 @@ func columnFrame(t testing.TB, pts []geom.Point) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pts {
-		w.WritePoint(p, len(geomio.EncodePoint(p)))
+	lens := make([]uint8, len(pts))
+	for i, p := range pts {
+		lens[i] = uint8(len(geomio.EncodePoint(p)))
 	}
+	w.WritePoints(pts, lens)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +73,12 @@ func columnFrame(t testing.TB, pts []geom.Point) []byte {
 	}
 	frame := dfs.EncodeBlockFrame(f.Blocks[0])
 	if payload, err := dfs.UnsealShard(frame); err != nil || payload[0] != dfs.FrameColumn {
-		t.Fatalf("a WritePoint block sealed as %q (%v), want a column", payload[:1], err)
+		t.Fatalf("a WritePoints block sealed as %q (%v), want a column", payload[:1], err)
 	}
 	return frame
 }
 
-// regionsFrame is the frame of a block written through WriteRegion alone.
+// regionsFrame is the frame of a block written through WriteRegions alone.
 func regionsFrame(t testing.TB, regs []geom.Region) []byte {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 30, DataNodes: 1})
@@ -84,9 +86,11 @@ func regionsFrame(t testing.TB, regs []geom.Region) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rg := range regs {
-		w.WriteRegion(geomio.EncodeRegion(rg), rg.Bounds())
+	recs, rects := make([]string, len(regs)), make([]geom.Rect, len(regs))
+	for i, rg := range regs {
+		recs[i], rects[i] = geomio.EncodeRegion(rg), rg.Bounds()
 	}
+	w.WriteRegions(recs, rects)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +100,7 @@ func regionsFrame(t testing.TB, regs []geom.Region) []byte {
 	}
 	frame := dfs.EncodeBlockFrame(f.Blocks[0])
 	if payload, err := dfs.UnsealShard(frame); err != nil || payload[0] != dfs.FrameRegions {
-		t.Fatalf("a WriteRegion block sealed as %q (%v), want regions", payload[:1], err)
+		t.Fatalf("a WriteRegions block sealed as %q (%v), want regions", payload[:1], err)
 	}
 	return frame
 }

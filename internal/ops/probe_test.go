@@ -28,7 +28,7 @@ func blockTree(t *testing.T, b *dfs.Block) *rtree.Tree {
 
 // pointsBlocks builds the two blocks a worker can open over the same
 // points: a text block, as from a text frame, and a column block, as from
-// the frame of a block written through WritePoint.
+// the frame of a block written through WritePoints.
 func pointsBlocks(t *testing.T, pts []geom.Point) map[string]*dfs.Block {
 	t.Helper()
 	recs := geomio.EncodePoints(pts)
@@ -41,9 +41,11 @@ func pointsBlocks(t *testing.T, pts []geom.Point) map[string]*dfs.Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range pts {
-		w.WritePoint(p, len(recs[i]))
+	lens := make([]uint8, len(pts))
+	for i := range pts {
+		lens[i] = uint8(len(recs[i]))
 	}
+	w.WritePoints(pts, lens)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func pointsBlocks(t *testing.T, pts []geom.Point) map[string]*dfs.Block {
 	}
 	frame := dfs.EncodeBlockFrame(f.Blocks[0])
 	if payload, _ := dfs.UnsealShard(frame); payload[0] != dfs.FrameColumn {
-		t.Fatalf("a WritePoint block travels as %q, want a column", payload[0])
+		t.Fatalf("a WritePoints block travels as %q, want a column", payload[0])
 	}
 	if blocks["column"], err = dfs.DecodeBlockFrame(frame); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 // block no rung produces failing transiently by name, and the assembled
 // split keeping the descriptor's block order and Extra grouping — for both
 // frame shapes: blocks 0–3 are text, blocks 4–6 were written through
-// WritePoint and travel as columns. The master runs at replication 0, so
+// WritePoints and travel as columns. The master runs at replication 0, so
 // the test places every replica itself and the master's egress counter
 // tells which rung served a read.
 func TestBlockLadder(t *testing.T) {
@@ -39,10 +39,12 @@ func TestBlockLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
-		p := geom.Point{X: float64(i) / 8, Y: -1e6 / float64(i+1)}
-		pw.WritePoint(p, len(geomio.EncodePoint(p)))
+	pts, lens := make([]geom.Point, 40), make([]uint8, 40)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(i) / 8, Y: -1e6 / float64(i+1)}
+		lens[i] = uint8(len(geomio.EncodePoint(pts[i])))
 	}
+	pw.WritePoints(pts, lens)
 	if err := pw.Close(); err != nil {
 		t.Fatal(err)
 	}
