@@ -11,13 +11,12 @@ import (
 	"spatialhadoop/internal/sindex"
 )
 
-// Local executors: the serving layer's in-memory fast path for range and
-// kNN queries over indexed files. They are drivers of the query plan
-// (plan.go), so a query answered locally is byte-identical to one answered
-// by a job and the planner is free to route per request. What differs is
-// the execution substrate: records come from pinned memory-resident
-// partitions (LocalPartition) supplied by a LocalSource instead of from
-// scheduled map tasks, searched in split order on the calling goroutine.
+// Pinned partitions: the memory-resident form a serving executor — a
+// worker, or the master answering the partitions no worker holds — runs the
+// query plan's per-partition step (shard.go) against. Records come from
+// partitions pinned by the caller's tier instead of from scheduled map
+// tasks, so a query answered from pins is byte-identical to one answered by
+// a job and the planner is free to route per request.
 
 // LocalPartition is one partition's points decoded and sorted in memory:
 // the unit the serving layer's memory tier pins, evicts, and invalidates.
@@ -107,19 +106,24 @@ func AppendPointJSON(b []byte, p geom.Point) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// LocalSource supplies the executors with pinned partitions and the
-// per-file spatial bitmap filter. The serving layer's memory tier is the
-// production implementation.
+// LocalSource supplies the local wrappers below with pinned partitions and
+// the per-file spatial bitmap filter.
 type LocalSource interface {
 	// Pin returns the memory-resident form of a split's partition,
 	// loading it if necessary.
 	Pin(sp *mapreduce.Split) (*LocalPartition, error)
 	// Filter returns the file's partition bitmap filter, or nil when none
-	// is maintained (executors then prune on Cover geometry alone).
+	// is maintained (the plan then prunes on Cover geometry alone).
 	Filter() *sindex.SFilter
 }
 
-// localIndexed opens the file for the local executors, which rely on
+// LocalRangeMatches and LocalKNNPoints run the plan's filter and the
+// per-partition search over every kept partition pinned through src, on
+// the calling goroutine, opening the file per call. They serve the
+// benchmark harness's micro-levels and this package's tests; the serving
+// layer runs the plan through its scatter (RangeStream, KNNSets).
+
+// localIndexed opens the file for the local wrappers, which rely on
 // per-partition splits and partition keys and so require a global index.
 func localIndexed(sys *core.System, file string) (*Indexed, error) {
 	f, err := sys.Open(file)
@@ -134,36 +138,26 @@ func localIndexed(sys *core.System, file string) (*Indexed, error) {
 
 // LocalMatch is one partition's contribution to a range query: the pinned
 // partition plus the matched entry IDs, ascending as the slab scan finds
-// them and allocated once, to fit. Because pinned points are canonically
-// sorted, ascending IDs mean each partition's matches stream out already
-// in (X, then Y) order — a response is a k-way merge of these streams, no
-// sort anywhere.
+// them. Because pinned points are canonically sorted, ascending IDs mean
+// each partition's matches stream out already in (X, then Y) order — a
+// stream is a k-way merge of these, no sort anywhere (RangeStream).
 type LocalMatch struct {
 	Part *LocalPartition
 	IDs  []int
 }
 
-// LocalRangeMatches answers a range query from pinned partitions,
-// byte-equivalent to RangeQueryPoints: the same filter step plus bitmap
-// pruning, and exactly one owner per point record (the loader assigns each
-// point to a single cell), so no dedup is needed. Partitions with no
-// matches are omitted.
+// LocalRangeMatches answers a range query from pinned partitions: the
+// matches of each kept partition, its IDs allocated once, to fit — the
+// points RangeQueryPoints finds, as exactly one owner per point record
+// holds them (the loader assigns each point to a single cell). Partitions
+// with no matches are omitted.
 func LocalRangeMatches(sys *core.System, file string, src LocalSource, query geom.Rect) ([]LocalMatch, *LocalStats, error) {
 	f, err := localIndexed(sys, file)
 	if err != nil {
 		return nil, nil, err
 	}
-	return LocalRangeMatchesCtx(context.Background(), sys, f, src, query)
-}
-
-// LocalRangeMatchesCtx is LocalRangeMatches over an already opened file and
-// under a context: a cancelled request pins nothing.
-func LocalRangeMatchesCtx(ctx context.Context, sys *core.System, f *Indexed, src LocalSource, query geom.Rect) ([]LocalMatch, *LocalStats, error) {
 	plan := NewPlan(sys, f, src.Filter())
-	kept, err := plan.Range(ctx, query)
-	if err != nil {
-		return nil, nil, err
-	}
+	kept, _ := plan.Range(context.Background(), query) // fails only on a context's end
 	var out []LocalMatch
 	for _, sp := range kept {
 		part, err := src.Pin(sp)
@@ -186,14 +180,8 @@ func LocalKNNPoints(sys *core.System, file string, src LocalSource, q geom.Point
 	if err != nil {
 		return nil, nil, err
 	}
-	return LocalKNNPointsCtx(context.Background(), sys, f, src, q, k)
-}
-
-// LocalKNNPointsCtx is LocalKNNPoints over an already opened file and under
-// a context, checked before each round.
-func LocalKNNPointsCtx(ctx context.Context, sys *core.System, f *Indexed, src LocalSource, q geom.Point, k int) ([]geom.Point, *LocalStats, error) {
 	plan := NewPlan(sys, f, src.Filter())
-	pts, err := plan.KNN(ctx, q, k, func(_ context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error) {
+	pts, err := plan.KNN(context.Background(), q, k, func(_ context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error) {
 		var cands []KNNCandidate
 		for _, sp := range kept {
 			part, err := src.Pin(sp)

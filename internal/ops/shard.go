@@ -8,10 +8,11 @@ import (
 	"spatialhadoop/internal/mapreduce"
 )
 
-// The per-partition step of the query plan: what a driver computes from
-// pinned partitions, wherever they are pinned — on the request goroutine
-// (local engine), on a worker holding replicas, or on the master at the
-// bottom of the sharded engine's fallback ladder.
+// The per-partition step of the query plan: what a serving executor
+// computes from pinned partitions, wherever they are pinned — on a worker
+// holding replicas, or on the master for the partitions no worker holds
+// (all of them under the local engine). Both run the same two functions,
+// RangeStream and KNNSets, so their answers agree by construction.
 
 // RangeFragment is a sorted match stream — the points' JSON objects plus,
 // when asked for, their merge keys — and per-partition counts; it is the
@@ -23,9 +24,9 @@ type RangeFragment = mapreduce.ExecRangeReply
 var idScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // PartitionRangePoints returns the pinned partition's points inside query
-// as one sorted stream with its merge keys: what the master computes
-// itself at the bottom of the fallback ladder. It fails like encoding/json
-// on a coordinate JSON cannot carry (see AppendMatches).
+// as one sorted stream with its merge keys: RangeStream over one
+// partition, kept for the benchmark harness's micro-levels. It fails like
+// encoding/json on a coordinate JSON cannot carry (see appendMatches).
 func PartitionRangePoints(part *LocalPartition, query geom.Rect) (out RangeFragment, err error) {
 	err = RangeStream(&out, []*LocalPartition{part}, query, true)
 	return out, err
@@ -34,8 +35,8 @@ func PartitionRangePoints(part *LocalPartition, query geom.Rect) (out RangeFragm
 // RangeStream writes into out — emptied first, keeping its capacity — the
 // points of parts inside query, merged into one sorted stream (with merge
 // keys when keys is set), and two counts per part, in order: its record
-// count and its match count. It is what a serving worker answers an exec
-// call naming several partitions with.
+// count and its match count. It is what a serving executor answers a range
+// call with, a worker's over the wire and the master's in process.
 func RangeStream(out *RangeFragment, parts []*LocalPartition, query geom.Rect, keys bool) error {
 	out.Keys, out.Frag, out.Counts = out.Keys[:0], out.Frag[:0], out.Counts[:0]
 	scratch := idScratch.Get().(*[]int)
@@ -61,14 +62,14 @@ func RangeStream(out *RangeFragment, parts []*LocalPartition, query geom.Rect, k
 		keyDst = &out.Keys
 	}
 	var err error
-	out.Frag, err = AppendMatches(out.Frag, keyDst, matches)
+	out.Frag, err = appendMatches(out.Frag, keyDst, matches)
 	return err
 }
 
-// MatchesSize returns how many points matches hold and the byte size of
+// matchesSize returns how many points matches hold and the byte size of
 // their objects comma-joined: exact from the pin-time arenas, an estimate
 // for a partition without one.
-func MatchesSize(matches []LocalMatch) (n, size int) {
+func matchesSize(matches []LocalMatch) (n, size int) {
 	for _, m := range matches {
 		n += len(m.IDs)
 		if m.Part.Frag == nil {
@@ -85,16 +86,15 @@ func MatchesSize(matches []LocalMatch) (n, size int) {
 	return n, size
 }
 
-// AppendMatches appends to b the inside of a response's points array for
+// appendMatches appends to b the inside of a response's points array for
 // matches: a k-way merge by (X, then Y) whose point objects are copied from
 // the partitions' pin-time arenas, comma-joined (a partition without an
 // arena formats its matches, failing like encoding/json on NaN/Inf). When
 // keys is not nil, each point's merge keys x, y are appended to *keys in
-// the same order. This is the one merge of pinned matches: the local
-// engine's body, a worker's stream and the single-partition step all run
-// it, so their bytes agree by construction.
-func AppendMatches(b []byte, keys *[]float64, matches []LocalMatch) ([]byte, error) {
-	n, size := MatchesSize(matches)
+// the same order. This is the one merge of pinned matches: RangeStream is
+// its only caller, so every executor's bytes agree by construction.
+func appendMatches(b []byte, keys *[]float64, matches []LocalMatch) ([]byte, error) {
+	n, size := matchesSize(matches)
 	b = slices.Grow(b, size)
 	var ks []float64
 	if keys != nil {
@@ -156,4 +156,16 @@ func PartitionKNNCandidates(part *LocalPartition, q geom.Point, k int) []KNNCand
 		out[i] = KNNCandidate{Dist: n.dist, P: part.Pts[n.id]}
 	}
 	return sortCandidates(out, k)
+}
+
+// KNNSets appends to out each part's PartitionKNNCandidates for q,
+// concatenated in order, and two counts per part: its record count and its
+// candidate count. It is what a serving executor answers a kNN round's
+// call with, a worker's over the wire and the master's in process.
+func KNNSets(out *mapreduce.ExecKNNReply, parts []*LocalPartition, q geom.Point, k int) {
+	for _, part := range parts {
+		cands := PartitionKNNCandidates(part, q, k)
+		out.Cands = append(out.Cands, cands...)
+		out.Counts = append(out.Counts, int64(len(part.Pts)), int64(len(cands)))
+	}
 }

@@ -46,7 +46,7 @@ func appendJSONString(b []byte, s string) []byte {
 
 // newRangeBody starts a rangeResponse body — everything up to the first
 // point object — in a buffer with room for points more bytes and the
-// closing. The three range encoders below differ only in where the point
+// closing. The two range encoders below differ only in where the point
 // objects come from.
 func newRangeBody(file, rect string, count, points int) []byte {
 	b := make([]byte, 0, 80+len(file)+len(rect)+points)
@@ -77,26 +77,14 @@ func encodeRangeBody(file, rect string, pts []geom.Point) ([]byte, error) {
 	return append(b, "]}\n"...), nil
 }
 
-// encodeRangeBodyMatches renders a rangeResponse body directly from
-// per-partition sorted match streams through ops.AppendMatches, the one
-// merge of pinned matches. Byte-identical to sorting the matched points
-// and calling encodeRangeBody (pinned by a differential test).
-func encodeRangeBodyMatches(file, rect string, matches []ops.LocalMatch) ([]byte, error) {
-	total, payload := ops.MatchesSize(matches)
-	b, err := ops.AppendMatches(newRangeBody(file, rect, total, payload), nil, matches)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, "]}\n"...), nil
-}
-
-// encodeRangeBodyStreams renders a rangeResponse body from the sharded
-// engine's streams. A lone non-empty stream is copied whole — it may have
-// shipped without keys. Two or more are k-way merged by (X, then Y) over
-// their keys, copying each point's finished object out of its stream's
-// Frag (an object ends at its first '}'; a comma separates it from the
-// next); once a single stream is left its remainder is one copy. The body
-// is sized from the streams' byte counts.
+// encodeRangeBodyStreams renders a rangeResponse body from the serving
+// executor's streams, the local and sharded engines' alike. A lone
+// non-empty stream is copied whole — it may have shipped without keys. Two
+// or more are k-way merged by (X, then Y) over their keys, copying each
+// point's finished object out of its stream's Frag (an object ends at its
+// first '}'; a comma separates it from the next); once a single stream is
+// left its remainder is one copy. The body is sized from the streams' byte
+// counts.
 func encodeRangeBodyStreams(file, rect string, frags []shardFrag) []byte {
 	total, payload, live := 0, 0, 0
 	for _, f := range frags {

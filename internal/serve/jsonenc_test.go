@@ -174,24 +174,20 @@ func pinHeap(t *testing.T, sys *core.System, name string, pts []geom.Point) *ops
 }
 
 // checkRangeBodies renders one range answer over pinned partitions every
-// way the server can — the sharded engine's gather over per-partition
-// streams, over a lone keyless worker stream and over two keyed ones, the
-// local engine's merge, the sort-then-format slow path — and requires each
-// to equal encoding/json over the mirror struct.
+// way the server can — the executor's gather over per-partition streams,
+// over a lone keyless stream (one holder, the master's call under the
+// local engine) and over two keyed ones, the sort-then-format slow path —
+// and requires each to equal encoding/json over the mirror struct.
 func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q geom.Rect) {
 	t.Helper()
 	canon := geomio.EncodeRect(q)
 	var (
-		matches []ops.LocalMatch
 		streams []shardFrag
 		pts     []geom.Point
 	)
 	for _, part := range parts {
 		ids := part.Tree.Search(q, nil)
 		slices.Sort(ids)
-		if len(ids) > 0 {
-			matches = append(matches, ops.LocalMatch{Part: part, IDs: ids})
-		}
 		for _, id := range ids {
 			pts = append(pts, part.Pts[id])
 		}
@@ -224,9 +220,6 @@ func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q 
 	out["lone"] = encodeRangeBodyStreams(file, canon, []shardFrag{workerStream(parts, false)})
 	out["halves"] = encodeRangeBodyStreams(file, canon, []shardFrag{workerStream(parts[:half], true), workerStream(parts[half:], true)})
 	var err error
-	if out["matches"], err = encodeRangeBodyMatches(file, canon, matches); err != nil {
-		t.Fatal(err)
-	}
 	geom.SortPointsXY(pts)
 	if out["sorted"], err = encodeRangeBody(file, canon, pts); err != nil {
 		t.Fatal(err)
@@ -246,8 +239,8 @@ func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q 
 }
 
 // TestEncodeRangeBodyMatchesMergesIdentically pins both fragment-merge
-// fast paths — the local engine's (LocalMatch IDs into the arena) and the
-// sharded engine's (shipped streams) — to the sort-then-encode slow path
+// fast paths — a holder's (RangeStream, matched IDs into the arena) and
+// the gather's (streams from every holder) — to the sort-then-encode slow path
 // and to encoding/json over real pinned partitions: for every query,
 // merging the partitions' pre-encoded sorted streams must produce the
 // same bytes as materializing, globally sorting and float-formatting the
@@ -340,7 +333,7 @@ func TestEncodeRangeBodyStreamsRandomized(t *testing.T) {
 }
 
 // TestRangeStreamUnencodable: a partition without a fragment arena holds a
-// coordinate JSON cannot carry; matching it fails both merges the way
+// coordinate JSON cannot carry; matching it fails the stream the way
 // encoding/json fails the slow path, and not matching it costs nothing.
 func TestRangeStreamUnencodable(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 1 << 20, Workers: 2, Seed: 1})
@@ -351,9 +344,6 @@ func TestRangeStreamUnencodable(t *testing.T) {
 	all := geom.NewRect(0, 0, 3, math.Inf(1))
 	if _, err := ops.PartitionRangePoints(part, all); err == nil {
 		t.Error("streaming a +Inf match succeeded")
-	}
-	if _, err := encodeRangeBodyMatches("inf", geomio.EncodeRect(all), []ops.LocalMatch{{Part: part, IDs: []int{0, 1}}}); err == nil {
-		t.Error("merging a +Inf match succeeded")
 	}
 	checkRangeBodies(t, "inf", []*ops.LocalPartition{part}, geom.NewRect(0, 0, 3, 3))
 }

@@ -67,7 +67,7 @@ func tierKey(file string, epoch int64, partition string) string {
 }
 
 // Source returns the handle of the generation f — the splits the plan
-// binds to, and the ops.LocalSource the local executors pin through —
+// binds to, and the tier the master's executor call pins through —
 // building it on the generation's first request. The bitmap filter is
 // created from the file's global index then and refined as partitions get
 // pinned. nil means a heap file. A handle never displaces a
@@ -231,8 +231,8 @@ func (t *MemTier) Stats() (partitions int, bytes int64) {
 }
 
 // tierSource is one file generation resolved once: what a query plans
-// over (idx, sf) and pins through (ops.LocalSource). A server without a
-// memory tier builds one per request, with no tier and no filter.
+// over (idx, sf) and pins through (Pin). A server without a memory tier
+// builds one per request, with no tier and no filter.
 type tierSource struct {
 	t   *MemTier
 	f   *dfs.File
@@ -249,7 +249,3 @@ func (src *tierSource) Pin(sp *mapreduce.Split) (*ops.LocalPartition, error) {
 	}
 	return src.t.pin(src.f.Name, src.f.Epoch(), src.sf, sp)
 }
-
-func (src *tierSource) Filter() *sindex.SFilter { return src.sf }
-
-var _ ops.LocalSource = (*tierSource)(nil)

@@ -10,19 +10,23 @@ import (
 // Planner modes for Config.Planner.
 const (
 	// PlannerAuto routes each query from index statistics and estimated
-	// selectivity: selective queries over few partitions run in-process
-	// against the memory tier, everything else runs as a MapReduce job.
+	// selectivity: selective queries over few partitions run on the local
+	// engine, everything else runs as a MapReduce job.
 	PlannerAuto = "auto"
-	// PlannerLocal forces the in-memory engine (MapReduce still serves
-	// heap files and the operations with no local engine).
+	// PlannerLocal forces the local engine: the serving executor
+	// (sharded.go) with the master as the only holder, answering every
+	// kept partition from its memory tier in one in-process call.
+	// MapReduce still serves heap files, a server without a memory tier,
+	// and the operations with no executor.
 	PlannerLocal = "local"
 	// PlannerMapReduce forces the MapReduce engine.
 	PlannerMapReduce = "mapreduce"
-	// PlannerSharded scatters candidate partitions to the workers holding
-	// their replicas (rendezvous-first, then any holder, then master-local
-	// execution) and gathers the sorted fragments into the same canonical
-	// body the local engine builds. Heap files — which have no partitions
-	// to scatter — fall through to MapReduce.
+	// PlannerSharded runs the same executor with the workers as holders:
+	// each kept partition goes to the worker holding its replica
+	// (rendezvous-first, then any holder, then the master), one call per
+	// holder, and the gather merges the sorted fragments into the same
+	// canonical body. Heap files — which have no partitions to scatter —
+	// fall through to MapReduce.
 	PlannerSharded = "sharded"
 )
 
@@ -58,38 +62,57 @@ type execMeta struct {
 	shard  *shardStats
 }
 
-// planRange decides the engine for a range query under the given planner
-// mode (the per-request engine override or Config.Planner). A non-nil
-// source means local execution through it; nil means MapReduce.
-func (s *Server) planRange(mode string, f *dfs.File, rect geom.Rect) *tierSource {
-	src := s.localSource(mode, f)
-	if src == nil || mode == PlannerLocal {
-		return src
+// planQuery binds a query on the serving executor under the planner mode
+// (the per-request engine override or Config.Planner), or returns nil for
+// MapReduce: the sharded engine for any indexed file, and otherwise the
+// local engine — auto's first choice — for an indexed file while the
+// memory tier is on. A heap file has no partitions to scatter. The kNN
+// protocol is selective by construction (one partition, then only the
+// correctness circle), so a kNN query takes this answer as it is.
+func (s *Server) planQuery(mode string, f *dfs.File) *shardQuery {
+	engine := PlannerLocal
+	if mode == PlannerSharded {
+		engine = PlannerSharded
+	} else if mode == PlannerMapReduce || s.mt == nil {
+		return nil
 	}
-	kept := ops.RangeCandidates(src.idx.Splits, src.sf, rect).Kept
+	gen := s.mt.Source(f) // per request when the tier is off
+	if gen == nil {
+		return nil
+	}
+	sq := &shardQuery{s: s, engine: engine, gen: gen, plan: ops.NewPlan(s.sys, gen.idx, gen.sf)}
+	if engine == PlannerSharded {
+		// The cluster's master runtime (nil when serving in process), with
+		// the heartbeat epoch feed kept installed so serving workers drop
+		// pins that DFS rewrites obsoleted.
+		if sq.m = s.sys.Cluster().Master(); sq.m != nil {
+			sq.m.SetEpochSource(s.sys.FS().Epochs)
+		}
+	}
+	return sq
+}
+
+// planRange decides the engine for a range query as planQuery does,
+// except that auto keeps the local engine only for a selective query.
+func (s *Server) planRange(mode string, f *dfs.File, rect geom.Rect) *shardQuery {
+	sq := s.planQuery(mode, f)
+	if sq == nil || sq.engine == PlannerSharded || mode == PlannerLocal {
+		return sq
+	}
+	kept := ops.RangeCandidates(sq.gen.idx.Splits, sq.gen.sf, rect).Kept
 	if len(kept) > plannerLocalMaxParts {
 		return nil
 	}
 	pinned := 0
 	estRecords := 0.0
 	for _, sp := range kept {
-		estRecords += float64(sp.NumRecords()) * src.sf.EstimateFraction(sp.Partition, rect)
+		estRecords += float64(sp.NumRecords()) * sq.gen.sf.EstimateFraction(sp.Partition, rect)
 		if s.mt.Pinned(f.Name, f.Epoch(), sp.Partition) {
 			pinned++
 		}
 	}
 	if estRecords <= plannerLocalMaxRecords || pinned == len(kept) {
-		return src
+		return sq
 	}
 	return nil
-}
-
-// localSource returns the file generation's handle for local execution, or
-// nil when that is impossible (tier disabled, planner forced to MapReduce,
-// file unindexed).
-func (s *Server) localSource(mode string, f *dfs.File) *tierSource {
-	if s.mt == nil || mode == PlannerMapReduce {
-		return nil
-	}
-	return s.mt.Source(f)
 }

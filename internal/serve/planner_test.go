@@ -206,10 +206,10 @@ func TestShardedCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.shardedRange(ctx, f, "0,0,10000,10000", geom.NewRect(0, 0, 10000, 10000)); !errors.Is(err, context.Canceled) {
+	if _, _, err := srv.planQuery(PlannerSharded, f).execRange(ctx, "0,0,10000,10000", geom.NewRect(0, 0, 10000, 10000)); !errors.Is(err, context.Canceled) {
 		t.Errorf("shardedRange err = %v, want context.Canceled", err)
 	}
-	if _, _, err := srv.shardedKNN(ctx, f, geom.Pt(5000, 5000), 5); !errors.Is(err, context.Canceled) {
+	if _, _, err := srv.planQuery(PlannerSharded, f).execKNN(ctx, geom.Pt(5000, 5000), 5); !errors.Is(err, context.Canceled) {
 		t.Errorf("shardedKNN err = %v, want context.Canceled", err)
 	}
 	snap := srv.Metrics().Snapshot()

@@ -364,8 +364,9 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 // explainJSON is the execution report `?explain=1` inlines into JSON
-// responses. Engine names who built the body ("local", "mapreduce", or
-// "cache" when no engine ran); execution fields are zero on cache hits.
+// responses. Engine names who built the body ("local", "mapreduce",
+// "sharded", or "cache" when no engine ran); execution fields are zero on
+// cache hits.
 // The partition and sfilter fields are the query plan's, whichever engine
 // drove it (zero for a join, which plans none): partitions_scanned counts
 // the partitions the final round searched, and the sfilter fields report
@@ -637,24 +638,10 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 	// engine cached.
 	key := fmt.Sprintf("range|%s@%d|%s", file, f.Epoch(), canon)
 	return s.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, *execMeta, error) {
-		if mode == PlannerSharded {
-			// A heap file has no partitions to scatter: meta stays nil and
-			// the query falls through to MapReduce (planRange below returns
-			// nil for unindexed files).
-			if body, meta, err := s.shardedRange(ctx, f, canon, rect); err != nil || meta != nil {
-				return body, meta, err
-			}
-		}
-		if src := s.planRange(mode, f, rect); src != nil {
-			matches, stats, err := ops.LocalRangeMatchesCtx(ctx, s.sys, src.idx, src, rect)
-			if err != nil {
-				return nil, nil, err
-			}
-			s.reg.Inc("serve.planner.local", 1)
-			// Merge the partitions' sorted streams, copying pre-encoded
-			// fragments — no global sort, no float formatting.
-			body, err := encodeRangeBodyMatches(file, canon, matches)
-			return body, &execMeta{engine: PlannerLocal, stats: stats}, err
+		// A heap file has no partitions to scatter: planRange returns nil
+		// and the query falls through to MapReduce.
+		if sq := s.planRange(mode, f, rect); sq != nil {
+			return sq.execRange(ctx, canon, rect)
 		}
 		out := s.tempOut(file)
 		defer s.sys.FS().Delete(out)
@@ -704,37 +691,24 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 			pts  []geom.Point
 			meta *execMeta
 		)
-		if mode == PlannerSharded {
+		if sq := s.planQuery(mode, f); sq != nil {
 			var err error
-			if pts, meta, err = s.shardedKNN(ctx, f, q, k); err != nil {
+			if pts, meta, err = sq.execKNN(ctx, q, k); err != nil {
 				return nil, nil, err
 			}
-		}
-		if meta == nil {
-			// The kNN protocol is selective by construction (one partition,
-			// then only the correctness circle), so any indexed file runs
-			// locally when the tier is on.
-			if src := s.localSource(mode, f); src != nil {
-				lpts, stats, err := ops.LocalKNNPointsCtx(ctx, s.sys, src.idx, src, q, k)
-				if err != nil {
-					return nil, nil, err
-				}
-				s.reg.Inc("serve.planner.local", 1)
-				pts, meta = lpts, &execMeta{engine: PlannerLocal, stats: stats}
-			} else {
-				prefix := s.tempOut(file)
-				defer func() {
-					s.sys.FS().Delete(prefix + ".r1")
-					s.sys.FS().Delete(prefix + ".r2")
-				}()
-				plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
-				mpts, rep, err := ops.KNNCtx(ctx, s.sys, plan, q, k, prefix)
-				if err != nil {
-					return nil, nil, err
-				}
-				s.reg.Inc("serve.planner.mapreduce", 1)
-				pts, meta = mpts, &execMeta{engine: PlannerMapReduce, stats: &plan.Stats, rep: rep}
+		} else {
+			prefix := s.tempOut(file)
+			defer func() {
+				s.sys.FS().Delete(prefix + ".r1")
+				s.sys.FS().Delete(prefix + ".r2")
+			}()
+			plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
+			mpts, rep, err := ops.KNNCtx(ctx, s.sys, plan, q, k, prefix)
+			if err != nil {
+				return nil, nil, err
 			}
+			s.reg.Inc("serve.planner.mapreduce", 1)
+			pts, meta = mpts, &execMeta{engine: PlannerMapReduce, stats: &plan.Stats, rep: rep}
 		}
 		nbs := make([]neighborJSON, len(pts))
 		for i, p := range pts {

@@ -6,30 +6,33 @@ import (
 	"sync"
 	"time"
 
-	"spatialhadoop/internal/dfs"
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/ops"
 )
 
-// The sharded engine: the master stays a thin router. It runs the query
-// plan (ops.Plan — the same filter steps, rounds and merge as the local
-// engine) and, as the plan's driver, sends one exec call to each worker
-// that is the rendezvous-first replica holder of a kept partition, naming
-// all of them; a partition whose call fails falls back down its own
-// ladder — remaining replica holders, then pin-and-execute on the master.
-// Workers answer from per-worker memory tiers keyed by (file, epoch,
-// partition) with the plan's step, so the body is byte-identical to the
-// local and MapReduce engines. A range answer arrives as a finished piece
-// of the body — the matches' pin-time JSON objects, merged on the worker —
+// The serving executor, one driver of the query plan for the local and
+// sharded engines. The master runs the plan (ops.Plan — filter steps,
+// rounds and merge) and, as its driver, asks each holder of a kept
+// partition for the plan's per-partition step over every partition it
+// leads: one exec call to each worker that is a partition's
+// rendezvous-first replica holder, and one in-process call for the
+// partitions with no remote holder, which the master answers from its own
+// memory tier. The local engine is this executor with no master runtime,
+// so the master is its only holder. A partition whose call fails falls
+// back down its own ladder — remaining replica holders, then the master's
+// call over that partition alone. Every holder runs the same step
+// (ops.RangeStream, ops.KNNSets), so the body is byte-identical across
+// engines by construction. A range answer arrives as a finished piece of
+// the body — the matches' pin-time JSON objects, merged by the holder —
 // and the gather copies a lone stream whole, or k-way merges two or more
 // over their merge keys, copying bytes (encodeRangeBodyStreams).
 
-// shardStats is one sharded query's scatter/gather accounting, surfaced
-// through ?explain=1 and the serve.shard.* metric families.
+// shardStats is one query's scatter/gather accounting, surfaced through
+// ?explain=1 and the serve.shard.* metric families by the sharded engine.
 type shardStats struct {
 	fanout        int // partitions scattered (both kNN rounds summed)
-	calls         int // exec calls scattered, one per rendezvous-first holder (both rounds summed)
+	calls         int // exec calls to workers, one per rendezvous-first holder (both rounds summed)
 	remote        int // partitions answered by a worker executor
 	localExec     int // partitions executed on the master
 	fallbackPeer  int // remote answers that skipped >=1 dead holder
@@ -86,22 +89,11 @@ func (sh *shardStats) tally(f *shardFrag) {
 
 // shardTarget is one candidate partition's routing: its fallback ladder
 // of holder addresses (placement order) and the replica-aware descriptor
-// shipped with the exec call. Empty holders means master-local execution
+// shipped with the exec call. Empty holders means the master answers it
 // (no master runtime, replication 0, or no serve-capable holders).
 type shardTarget struct {
 	holders []string
 	meta    *mapreduce.WireSplitMeta
-}
-
-// masterForServe resolves the cluster's master runtime (nil when serving
-// in process) and keeps the heartbeat epoch feed installed so serving
-// workers drop pins that DFS rewrites obsoleted.
-func (s *Server) masterForServe() *mapreduce.Master {
-	m := s.sys.Cluster().Master()
-	if m != nil {
-		m.SetEpochSource(s.sys.FS().Epochs)
-	}
-	return m
 }
 
 // scatterTargets plans the routing for the candidate partitions: replicas
@@ -125,17 +117,18 @@ func (s *Server) scatterTargets(m *mapreduce.Master, cand []*mapreduce.Split) []
 	return out
 }
 
-// shardCall is the per-query half of the ladder: how to ask a holder for
-// the fragment of the partitions metas name, and the same step over one
-// master-side pin.
+// shardCall is the per-query half of an exec call: how to ask a holder
+// for the step over the partitions metas name, and the same step over
+// partitions pinned on the master.
 type shardCall struct {
 	remote func(ctx context.Context, addr string, metas []*mapreduce.WireSplitMeta, keys bool) (shardFrag, error)
-	local  func(part *ops.LocalPartition) (shardFrag, error)
+	local  func(parts []*ops.LocalPartition, keys bool) (shardFrag, error)
 }
 
-// rangeCall decodes each call's stream into a reply from the shared pool
-// (mapreduce.NewExecRangeReply), released by shardedRange once the body
-// that copies from it is encoded.
+// rangeCall answers each call into a reply from the shared pool
+// (mapreduce.NewExecRangeReply) — a worker's decoded, the master's written
+// in process — released by execRange once the body that copies from it is
+// encoded.
 func (sq *shardQuery) rangeCall(rect geom.Rect) shardCall {
 	return shardCall{
 		remote: func(ctx context.Context, addr string, metas []*mapreduce.WireSplitMeta, keys bool) (shardFrag, error) {
@@ -144,9 +137,10 @@ func (sq *shardQuery) rangeCall(rect geom.Rect) shardCall {
 				&mapreduce.ExecRangeArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: metas[0], More: metas[1:], Query: rect, Keys: keys}, reply)
 			return shardFrag{stream: reply, counts: reply.Counts}, err
 		},
-		local: func(part *ops.LocalPartition) (shardFrag, error) {
-			stream, err := ops.PartitionRangePoints(part, rect)
-			return shardFrag{stream: &stream, counts: stream.Counts}, err
+		local: func(parts []*ops.LocalPartition, keys bool) (shardFrag, error) {
+			reply := mapreduce.NewExecRangeReply()
+			err := ops.RangeStream(reply, parts, rect, keys)
+			return shardFrag{stream: reply, counts: reply.Counts}, err
 		},
 	}
 }
@@ -159,32 +153,24 @@ func (sq *shardQuery) knnCall(q geom.Point, k int) shardCall {
 				&mapreduce.ExecKNNArgs{File: sq.gen.f.Name, Epoch: sq.gen.f.Epoch(), Meta: metas[0], More: metas[1:], Q: q, K: k}, &reply)
 			return shardFrag{cands: reply.Cands, counts: reply.Counts}, err
 		},
-		local: func(part *ops.LocalPartition) (shardFrag, error) {
-			cands := ops.PartitionKNNCandidates(part, q, k)
-			return shardFrag{cands: cands, counts: []int64{int64(len(part.Pts)), int64(len(cands))}}, nil
+		local: func(parts []*ops.LocalPartition, _ bool) (shardFrag, error) {
+			var reply mapreduce.ExecKNNReply
+			ops.KNNSets(&reply, parts, q, k)
+			return shardFrag{cands: reply.Cands, counts: reply.Counts}, nil
 		},
 	}
 }
 
-// shardQuery is one sharded query: the plan it drives, where its
-// fragments come from, and its scatter accounting.
+// shardQuery is one query on the serving executor: the engine it reports
+// as, the plan it drives, where its fragments come from, and its scatter
+// accounting.
 type shardQuery struct {
-	s     *Server
-	m     *mapreduce.Master
-	gen   *tierSource
-	plan  *ops.Plan
-	stats shardStats
-}
-
-// newShardQuery binds the plan to the generation the request opened. A nil
-// query means the file is a heap — no partitions to scatter — and the
-// caller should fall through to MapReduce.
-func (s *Server) newShardQuery(f *dfs.File) *shardQuery {
-	gen := s.mt.Source(f) // per request when the tier is off
-	if gen == nil {
-		return nil
-	}
-	return &shardQuery{s: s, m: s.masterForServe(), gen: gen, plan: ops.NewPlan(s.sys, gen.idx, gen.sf)}
+	s      *Server
+	engine string            // PlannerLocal or PlannerSharded
+	m      *mapreduce.Master // nil under the local engine, or when serving in process
+	gen    *tierSource
+	plan   *ops.Plan
+	stats  shardStats
 }
 
 // ask makes one exec call naming metas and validates the answer. A
@@ -209,93 +195,115 @@ func (sq *shardQuery) ask(ctx context.Context, addr string, metas []*mapreduce.W
 	return frag, nil
 }
 
-// fragment obtains one partition's fragment down the ladder: each holder
-// in placement order from the from-th, then master-local execution. The
-// ladder always asks for keys: its answer is merged with others. A
-// cancelled request stops where it is and pins nothing on the master.
-func (sq *shardQuery) fragment(ctx context.Context, tgt shardTarget, sp *mapreduce.Split, from int, call shardCall) (shardFrag, error) {
-	for hi := from; hi < len(tgt.holders); hi++ {
-		frag, err := sq.ask(ctx, tgt.holders[hi], []*mapreduce.WireSplitMeta{tgt.meta}, true, call)
+// master is the master's own call: it pins the kept partitions idx names
+// through the generation's tier — concurrently, so cold loads overlap as
+// workers' calls do — and runs the step over them in process, with no
+// codec. Under the sharded engine each pin's time is a
+// serve.shard.latency_us sample on the local path.
+func (sq *shardQuery) master(kept []*mapreduce.Split, idx []int, keys bool, call shardCall) (shardFrag, error) {
+	parts := make([]*ops.LocalPartition, len(idx))
+	errs := make([]error, len(idx))
+	pin := func(j int) {
+		start := time.Now()
+		parts[j], errs[j] = sq.gen.Pin(kept[idx[j]])
+		if errs[j] == nil && sq.engine == PlannerSharded {
+			sq.s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "local")
+		}
+	}
+	var wg sync.WaitGroup
+	for j := 1; j < len(idx); j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pin(j)
+		}()
+	}
+	pin(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return shardFrag{}, err
+		}
+	}
+	frag, err := call.local(parts, keys)
+	if err == nil {
+		err = frag.check(len(idx), keys)
+	}
+	return frag, err
+}
+
+// fallback obtains the fragment of partition i, whose call failed, down
+// its ladder: each remaining holder in placement order, then the master's
+// call over it alone. The ladder always asks for keys: its answer is
+// merged with others. A cancelled request stops where it is and pins
+// nothing on the master.
+func (sq *shardQuery) fallback(ctx context.Context, tgt shardTarget, kept []*mapreduce.Split, i int, call shardCall) (shardFrag, error) {
+	for _, addr := range tgt.holders[1:] {
+		frag, err := sq.ask(ctx, addr, []*mapreduce.WireSplitMeta{tgt.meta}, true, call)
 		if ctx.Err() != nil {
 			return shardFrag{}, ctx.Err()
 		}
 		if err == nil {
-			frag.fellBack = hi > 0
+			frag.fellBack = true
 			return frag, nil
 		}
 	}
-	start := time.Now()
-	part, err := sq.gen.Pin(sp)
-	if err != nil {
-		return shardFrag{}, err
-	}
-	sq.s.reg.ObserveLabeled("serve.shard.latency_us", float64(time.Since(start).Microseconds()), "path", "local")
-	frag, err := call.local(part)
-	if err == nil {
-		err = frag.check(1, true)
-	}
-	frag.fellBack = len(tgt.holders) > 0
+	frag, err := sq.master(kept, []int{i}, true, call)
+	frag.fellBack = true
 	return frag, err
 }
 
 // byHolder groups the candidate partitions' indices, in split order, by
-// rendezvous-first holder: one group per exec call. A partition without
-// holders is a group of its own, executed on the master. A partition is
-// never routed to a holder other than its first to share a call: that
-// would pin it on a second worker.
-func byHolder(targets []shardTarget) [][]int {
-	var groups [][]int
+// rendezvous-first holder: one group per exec call to a worker, and
+// apart, the partitions without holders, which the master answers. A
+// partition is never routed to a holder other than its first to share a
+// call: that would pin it on a second worker.
+func byHolder(targets []shardTarget) (calls [][]int, master []int) {
 	for i, tgt := range targets {
-		g := len(groups)
-		if len(tgt.holders) > 0 {
-			for j, other := range groups {
-				if h := targets[other[0]].holders; len(h) > 0 && h[0] == tgt.holders[0] {
-					g = j
-					break
-				}
+		if len(tgt.holders) == 0 {
+			master = append(master, i)
+			continue
+		}
+		g := len(calls)
+		for j, other := range calls {
+			if targets[other[0]].holders[0] == tgt.holders[0] {
+				g = j
+				break
 			}
 		}
-		if g == len(groups) {
-			groups = append(groups, nil)
+		if g == len(calls) {
+			calls = append(calls, nil)
 		}
-		groups[g] = append(groups[g], i)
+		calls[g] = append(calls[g], i)
 	}
-	return groups
+	return calls, master
 }
 
 // scatter obtains the fragments of the plan's kept partitions: one exec
-// call per rendezvous-first holder, naming every partition it leads, and a
-// ladder of its own for each partition without holders. A call that fails
-// sends each of its partitions down its own ladder from the next holder.
-// The calls ask for merge keys only when the gather will merge: when there
-// are two streams or more. Every partition is reported to the plan with
-// its counts. A cancelled request launches nothing.
+// call per rendezvous-first holder, naming every partition it leads, and
+// one call on the master, made on the calling goroutine while the others
+// are in flight, for the partitions without holders. A worker's call that
+// fails sends each of its partitions down its own ladder from the next
+// holder. The calls ask for merge keys only when the gather will merge:
+// when there are two calls or more, the master's included. Every
+// partition is reported to the plan with its counts. A cancelled request
+// launches nothing.
 func (sq *shardQuery) scatter(ctx context.Context, kept []*mapreduce.Split, call shardCall) ([]shardFrag, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sq.stats.fanout += len(kept)
 	targets := sq.s.scatterTargets(sq.m, kept)
-	groups := byHolder(targets)
-	keys := len(groups) > 1
+	calls, master := byHolder(targets)
+	sq.stats.calls += len(calls)
+	keys := len(calls) > 1 || len(calls) == 1 && master != nil
 	// One slot per partition: an answer sits in the slot of the first
 	// partition it covers.
 	frags := make([]shardFrag, len(kept))
 	errs := make([]error, len(kept))
 	var wg sync.WaitGroup
-	ladder := func(parts []int, from int) {
-		defer wg.Done()
-		i := parts[0]
-		frags[i], errs[i] = sq.fragment(ctx, targets[i], kept[i], from, call)
-		frags[i].parts = parts
-	}
-	for _, g := range groups {
+	for _, g := range calls {
 		wg.Add(1)
-		if len(targets[g[0]].holders) == 0 {
-			go ladder(g, 0)
-			continue
-		}
-		sq.stats.calls++
 		go func() {
 			defer wg.Done()
 			metas := make([]*mapreduce.WireSplitMeta, len(g))
@@ -310,12 +318,20 @@ func (sq *shardQuery) scatter(ctx context.Context, kept []*mapreduce.Split, call
 				frag.parts = g
 				frags[g[0]] = frag
 			default:
-				for j := range g {
+				for _, i := range g {
 					wg.Add(1)
-					go ladder(g[j:j+1], 1)
+					go func() {
+						defer wg.Done()
+						frags[i], errs[i] = sq.fallback(ctx, targets[i], kept, i, call)
+						frags[i].parts = []int{i}
+					}()
 				}
 			}
 		}()
+	}
+	if master != nil {
+		frags[master[0]], errs[master[0]] = sq.master(kept, master, keys, call)
+		frags[master[0]].parts = master
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -336,10 +352,16 @@ func (sq *shardQuery) scatter(ctx context.Context, kept []*mapreduce.Split, call
 	return out, nil
 }
 
-// done publishes the query's scatter accounting and describes the
-// execution.
+// done publishes the query's accounting and describes the execution. The
+// local engine reports only its planner counter and the plan's stats: its
+// one holder is the master, so there is no scatter to account for.
 func (sq *shardQuery) done() *execMeta {
+	meta := &execMeta{engine: sq.engine, stats: &sq.plan.Stats}
 	reg, sh := sq.s.reg, &sq.stats
+	if sq.engine == PlannerLocal {
+		reg.Inc("serve.planner.local", 1)
+		return meta
+	}
 	reg.Inc("serve.planner.sharded", 1)
 	reg.Observe("serve.shard.fanout", float64(sh.fanout))
 	reg.Observe("serve.shard.calls", float64(sh.calls))
@@ -355,17 +377,13 @@ func (sq *shardQuery) done() *execMeta {
 	if sh.fallbackLocal > 0 {
 		reg.Inc("serve.shard.fallback.local", int64(sh.fallbackLocal))
 	}
-	return &execMeta{engine: PlannerSharded, stats: &sq.plan.Stats, shard: sh}
+	meta.shard = sh
+	return meta
 }
 
-// shardedRange executes a range query with the sharded engine and renders
-// its body (canon is the rect's canonical text). A nil execMeta (with nil
-// error) means heap file.
-func (s *Server) shardedRange(ctx context.Context, f *dfs.File, canon string, rect geom.Rect) ([]byte, *execMeta, error) {
-	sq := s.newShardQuery(f)
-	if sq == nil {
-		return nil, nil, nil
-	}
+// execRange executes a range query and renders its body (canon is the
+// rect's canonical text).
+func (sq *shardQuery) execRange(ctx context.Context, canon string, rect geom.Rect) ([]byte, *execMeta, error) {
 	kept, err := sq.plan.Range(ctx, rect)
 	if err != nil {
 		return nil, nil, err
@@ -374,20 +392,15 @@ func (s *Server) shardedRange(ctx context.Context, f *dfs.File, canon string, re
 	if err != nil {
 		return nil, nil, err
 	}
-	body := encodeRangeBodyStreams(f.Name, canon, frags)
+	body := encodeRangeBodyStreams(sq.gen.f.Name, canon, frags)
 	for _, f := range frags {
 		f.stream.Release()
 	}
 	return body, sq.done(), nil
 }
 
-// shardedKNN executes a kNN query with the sharded engine: each round of
-// the plan is one scatter. A nil execMeta (with nil error) means heap file.
-func (s *Server) shardedKNN(ctx context.Context, f *dfs.File, q geom.Point, k int) ([]geom.Point, *execMeta, error) {
-	sq := s.newShardQuery(f)
-	if sq == nil {
-		return nil, nil, nil
-	}
+// execKNN executes a kNN query: each round of the plan is one scatter.
+func (sq *shardQuery) execKNN(ctx context.Context, q geom.Point, k int) ([]geom.Point, *execMeta, error) {
 	call := sq.knnCall(q, k)
 	pts, err := sq.plan.KNN(ctx, q, k, func(ctx context.Context, kept []*mapreduce.Split) ([]ops.KNNCandidate, error) {
 		frags, err := sq.scatter(ctx, kept, call)

@@ -381,9 +381,10 @@ func TestExplainAgreesAcrossEngines(t *testing.T) {
 // not keep the large one's keys or bytes. The whole-file query calls both
 // workers (two streams, merged over keys), the sliver one worker (a lone
 // stream, keyless) and matches nothing, the medium one lands in between.
-// Two clients run them in opposite orders, so replies cross between
-// queries, workers and ends of the call; every body must equal the
-// MapReduce engine's byte for byte.
+// Two sharded clients run them in opposite orders, and a third runs them
+// on the local engine, so replies cross between queries, workers, ends of
+// the call and the master's own call; every body must equal the MapReduce
+// engine's byte for byte.
 func TestShardedReplyReuse(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 2048, Workers: 4, Seed: 7})
 	pts := datagen.Points(datagen.Uniform, 1200, geom.NewRect(0, 0, 1000, 1000), 5)
@@ -431,10 +432,12 @@ func TestShardedReplyReuse(t *testing.T) {
 		t.Fatalf("the sliver query is not one call to one worker (%+v): no empty lone stream crosses the wire", sliver.Explain)
 	}
 	// sync.Pool may drop a reply at any time (and does, randomly, under
-	// -race): enough rounds that reuse is certain.
+	// -race): enough rounds that reuse is certain. The third client runs
+	// the local engine, whose master call writes into the same pool, so
+	// the master's in-process replies and the workers' cross.
 	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for client := 0; client < 2; client++ {
+	errs := make(chan error, 3)
+	for client, engine := range []string{"sharded", "sharded", "local"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -444,9 +447,9 @@ func TestShardedReplyReuse(t *testing.T) {
 					if client == 1 {
 						i = len(queries) - 1 - j
 					}
-					got, err := getBodyErr(ts.URL + queries[i] + "&engine=sharded")
+					got, err := getBodyErr(ts.URL + queries[i] + "&engine=" + engine)
 					if err == nil && got != want[i] {
-						err = fmt.Errorf("sharded body diverges from the mapreduce engine's\n got %.160q\nwant %.160q", got, want[i])
+						err = fmt.Errorf("%s body diverges from the mapreduce engine's\n got %.160q\nwant %.160q", engine, got, want[i])
 					}
 					if err != nil {
 						errs <- fmt.Errorf("client %d round %d %s: %v", client, round, queries[i], err)

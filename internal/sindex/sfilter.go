@@ -31,8 +31,7 @@ type SFilter struct {
 // sfilterBits is one partition's occupancy bitmap.
 type sfilterBits struct {
 	words []uint64
-	set   int  // population count, maintained on Set
-	exact bool // true once refined from decoded records
+	set   int // population count, maintained on Set
 }
 
 // DefaultSFilterRes is the per-axis bitmap resolution: 64×64 bits = 512
@@ -107,7 +106,7 @@ func (f *SFilter) setRect(b *sfilterBits, r geom.Rect) {
 // occupancy of its decoded points. The memory tier calls this when it pins
 // a partition, so repeated queries prune with record-level precision.
 func (f *SFilter) Refine(partition string, pts []geom.Point) {
-	b := &sfilterBits{words: make([]uint64, (f.res*f.res+63)/64), exact: true}
+	b := &sfilterBits{words: make([]uint64, (f.res*f.res+63)/64)}
 	for _, p := range pts {
 		b.setBit(f.row(p.Y)*f.res + f.col(p.X))
 	}
@@ -168,24 +167,4 @@ func (f *SFilter) EstimateFraction(partition string, q geom.Rect) float64 {
 		}
 	}
 	return float64(in) / float64(b.set)
-}
-
-// Exact reports whether the partition's bitmap has been refined from
-// decoded records.
-func (f *SFilter) Exact(partition string) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	b, ok := f.parts[partition]
-	return ok && b.exact
-}
-
-// Bytes returns the filter's approximate memory footprint.
-func (f *SFilter) Bytes() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var n int64
-	for _, b := range f.parts {
-		n += int64(len(b.words)) * 8
-	}
-	return n
 }

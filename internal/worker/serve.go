@@ -79,10 +79,6 @@ func (s *shardServer) ExecKNN(args mapreduce.ExecKNNArgs, reply *mapreduce.ExecK
 	if err != nil {
 		return err
 	}
-	for _, part := range parts {
-		cands := ops.PartitionKNNCandidates(part, args.Q, args.K)
-		reply.Cands = append(reply.Cands, cands...)
-		reply.Counts = append(reply.Counts, int64(len(part.Pts)), int64(len(cands)))
-	}
+	ops.KNNSets(reply, parts, args.Q, args.K)
 	return nil
 }

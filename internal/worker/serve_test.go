@@ -157,11 +157,11 @@ func TestExecMatchesPartitionStep(t *testing.T) {
 }
 
 // TestExecBatchedMatchesMerge: one exec call naming several partitions
-// answers what the plan's steps over the same partitions pinned on the
-// master give — a range call the one merge of their matches (with keys
-// only when asked, and the same bytes either way), a kNN call each
-// partition's candidates concatenated in call order — with two counts per
-// named partition. A call naming a hole fails like one without a Meta.
+// answers what the same partitions pinned on the master give — a range
+// call their matches in canonical order as encoding/json renders them
+// (with keys only when asked, and the same bytes either way), a kNN call
+// each partition's candidates concatenated in call order — with two counts
+// per named partition. A call naming a hole fails like one without a Meta.
 func TestExecBatchedMatchesMerge(t *testing.T) {
 	sys, f, m, server, _ := startExecWorkers(t)
 	call := shardCaller(t)
@@ -171,7 +171,7 @@ func TestExecBatchedMatchesMerge(t *testing.T) {
 	query, q, k := geom.NewRect(150, 150, 800, 700), geom.Pt(480, 510), 9
 	for _, named := range [][]*mapreduce.Split{splits[:1], splits[:3], splits} {
 		var metas []*mapreduce.WireSplitMeta
-		var matches []ops.LocalMatch
+		var matched []geom.Point
 		var counts []int64
 		var cands []ops.KNNCandidate
 		var kcounts []int64
@@ -182,19 +182,28 @@ func TestExecBatchedMatchesMerge(t *testing.T) {
 			}
 			metas = append(metas, m.ServeMeta(sp))
 			ids := part.Tree.Search(query, nil)
-			if len(ids) > 0 {
-				matches = append(matches, ops.LocalMatch{Part: part, IDs: ids})
+			for _, id := range ids {
+				matched = append(matched, part.Pts[id])
 			}
 			counts = append(counts, int64(len(part.Pts)), int64(len(ids)))
 			pc := ops.PartitionKNNCandidates(part, q, k)
 			cands = append(cands, pc...)
 			kcounts = append(kcounts, int64(len(part.Pts)), int64(len(pc)))
 		}
+		geom.SortPointsXY(matched)
 		var wantKeys []float64
-		wantFrag, err := ops.AppendMatches(nil, &wantKeys, matches)
-		if err != nil {
-			t.Fatal(err)
+		objs := make([]string, len(matched))
+		for i, p := range matched {
+			obj, err := json.Marshal(struct {
+				X float64 `json:"x"`
+				Y float64 `json:"y"`
+			}{p.X, p.Y})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantKeys, objs[i] = append(wantKeys, p.X, p.Y), string(obj)
 		}
+		wantFrag := []byte(strings.Join(objs, ","))
 		if len(wantFrag) == 0 {
 			t.Fatalf("%d partitions: the query matched nothing, the check is vacuous", len(named))
 		}
