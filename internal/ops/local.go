@@ -8,7 +8,6 @@ import (
 	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/geomio"
 	"spatialhadoop/internal/mapreduce"
-	"spatialhadoop/internal/sindex"
 )
 
 // Pinned partitions: the memory-resident form a serving executor — a
@@ -106,15 +105,11 @@ func AppendPointJSON(b []byte, p geom.Point) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// LocalSource supplies the local wrappers below with pinned partitions and
-// the per-file spatial bitmap filter.
+// LocalSource supplies the local wrappers below with pinned partitions.
 type LocalSource interface {
 	// Pin returns the memory-resident form of a split's partition,
 	// loading it if necessary.
 	Pin(sp *mapreduce.Split) (*LocalPartition, error)
-	// Filter returns the file's partition bitmap filter, or nil when none
-	// is maintained (the plan then prunes on Cover geometry alone).
-	Filter() *sindex.SFilter
 }
 
 // LocalRangeMatches and LocalKNNPoints run the plan's filter and the
@@ -156,7 +151,7 @@ func LocalRangeMatches(sys *core.System, file string, src LocalSource, query geo
 	if err != nil {
 		return nil, nil, err
 	}
-	plan := NewPlan(sys, f, src.Filter())
+	plan := NewPlan(sys, f)
 	kept, _ := plan.Range(context.Background(), query) // fails only on a context's end
 	var out []LocalMatch
 	for _, sp := range kept {
@@ -180,7 +175,7 @@ func LocalKNNPoints(sys *core.System, file string, src LocalSource, q geom.Point
 	if err != nil {
 		return nil, nil, err
 	}
-	plan := NewPlan(sys, f, src.Filter())
+	plan := NewPlan(sys, f)
 	pts, err := plan.KNN(context.Background(), q, k, func(_ context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error) {
 		var cands []KNNCandidate
 		for _, sp := range kept {

@@ -16,7 +16,6 @@ import (
 // testSource is a LocalSource pinning on demand with no budget: what the
 // serving layer's memory tier does, minus eviction.
 type testSource struct {
-	sf   *sindex.SFilter
 	pins map[string]*LocalPartition
 }
 
@@ -32,14 +31,8 @@ func (s *testSource) Pin(sp *mapreduce.Split) (*LocalPartition, error) {
 		s.pins = map[string]*LocalPartition{}
 	}
 	s.pins[sp.Partition] = p
-	// Refine the bitmap exactly as the memory tier does on pin.
-	if s.sf != nil {
-		s.sf.Refine(p.Key, p.Pts)
-	}
 	return p, nil
 }
-
-func (s *testSource) Filter() *sindex.SFilter { return s.sf }
 
 var localTechniques = []sindex.Technique{
 	sindex.Grid, sindex.STR, sindex.STRPlus, sindex.QuadTree,
@@ -70,11 +63,10 @@ func TestLocalRangeMatchesMapReduce(t *testing.T) {
 	}
 	for _, tech := range localTechniques {
 		sys := newSys()
-		f, err := sys.LoadPoints("pts", pts, tech)
-		if err != nil {
+		if _, err := sys.LoadPoints("pts", pts, tech); err != nil {
 			t.Fatal(err)
 		}
-		src := &testSource{sf: sindex.NewSFilter(f.Index, 0)}
+		src := &testSource{}
 		for qi, q := range queries {
 			want, _, err := RangeQueryPointsTo(sys, "pts", q, fmt.Sprintf("pts.rq.%d", qi))
 			if err != nil {
@@ -91,7 +83,7 @@ func TestLocalRangeMatchesMapReduce(t *testing.T) {
 				t.Fatalf("%v: stats don't partition the splits: %+v", tech, stats)
 			}
 		}
-		// Repeat after all partitions are pinned (bitmaps now exact).
+		// Repeat with the partitions pinned by the first pass.
 		for qi, q := range queries {
 			want, _, err := RangeQueryPointsTo(sys, "pts", q, fmt.Sprintf("pts.rq2.%d", qi))
 			if err != nil {
@@ -151,11 +143,10 @@ func TestLocalKNNMatchesMapReduce(t *testing.T) {
 	ks := []int{0, 1, 3, 17, len(pts), len(pts) + 9}
 	for _, tech := range localTechniques {
 		sys := newSys()
-		f, err := sys.LoadPoints("pts", pts, tech)
-		if err != nil {
+		if _, err := sys.LoadPoints("pts", pts, tech); err != nil {
 			t.Fatal(err)
 		}
-		src := &testSource{sf: sindex.NewSFilter(f.Index, 0)}
+		src := &testSource{}
 		for si, q := range sites {
 			for _, k := range ks {
 				want, _, err := KNNTo(sys, "pts", q, k, fmt.Sprintf("pts.knn.%d.%d", si, k))
@@ -189,14 +180,13 @@ func TestLocalKNNMatchesMapReduce(t *testing.T) {
 func TestCorruptPartitionFailsBothEngines(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
 	sys := newSys()
-	f, err := sys.LoadPoints("pts", localPoints(3000, area, 11), sindex.STRPlus)
-	if err != nil {
+	if _, err := sys.LoadPoints("pts", localPoints(3000, area, 11), sindex.STRPlus); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.FS().CorruptBlock("pts", 0); err != nil {
 		t.Fatal(err)
 	}
-	src := &testSource{sf: sindex.NewSFilter(f.Index, 0)}
+	src := &testSource{}
 	if _, _, err := LocalRangeMatches(sys, "pts", src, area); !errors.Is(err, dfs.ErrChecksum) {
 		t.Errorf("local range over a corrupt partition: %v, want dfs.ErrChecksum", err)
 	}

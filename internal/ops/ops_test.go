@@ -227,7 +227,7 @@ func TestKNNSelectsPerBlockAndMergesInPlan(t *testing.T) {
 	slices.SortFunc(all, compareCandidates)
 	for _, k := range []int{4, 8, 14, 15} {
 		tr := obs.NewJobTrace("knn")
-		got, rep, err := KNNCtx(obs.ContextWithTrace(context.Background(), tr), sys, NewPlan(sys, NewIndexed(f), nil), q, k, "heap.knn")
+		got, rep, err := KNNCtx(obs.ContextWithTrace(context.Background(), tr), sys, NewPlan(sys, NewIndexed(f)), q, k, "heap.knn")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,54 +15,26 @@ import (
 
 // The query plan. A point range or kNN query over a two-level index is one
 // plan whichever engine answers it: a filter step chooses the partitions
-// to search (Split.Cover geometry, then the optional bitmap filter), kNN
-// decides between one round and two, and candidates merge under one
-// canonical order. The engines — a MapReduce job, the in-memory local
-// executor, the sharded scatter/gather — are drivers that only fetch the
-// fragments of the partitions the plan kept, so they agree on every answer
-// by construction, and report what they searched back to the plan, which
+// to search by their Split.Cover geometry, kNN decides between one round
+// and two, and candidates merge under one canonical order. The engines —
+// a MapReduce job, the in-memory local executor, the sharded
+// scatter/gather — are drivers that only fetch the fragments of the
+// partitions the plan kept, so they agree on every answer by
+// construction, and report what they searched back to the plan, which
 // alone keeps the query's explain stats and partition heat.
 
-// Selection is one filter step's outcome: the splits to search, in split
-// order, and how the bitmap probes went.
-type Selection struct {
-	Kept []*mapreduce.Split
-	// SFilterHits counts bitmap probes that passed; SFilterSkips counts
-	// partitions the bitmap proved empty although their cover is in reach
-	// (pruning the geometry test alone would have missed).
-	SFilterHits  int
-	SFilterSkips int
-}
-
-// selectSplits keeps the splits whose cover is in reach and, when a bitmap
-// filter is maintained, whose bitmap may hold a record inside probe.
-func selectSplits(splits []*mapreduce.Split, sf *sindex.SFilter, probe geom.Rect, inReach func(*mapreduce.Split) bool) Selection {
-	var sel Selection
-	for _, sp := range splits {
-		if !inReach(sp) {
-			continue
-		}
-		if sf != nil {
-			if !sf.MayIntersect(sp.Partition, probe) {
-				sel.SFilterSkips++
-				continue
-			}
-			sel.SFilterHits++
-		}
-		sel.Kept = append(sel.Kept, sp)
-	}
-	return sel
-}
-
 // RangeCandidates is the filter step of a range query: every split that may
-// hold a record intersecting query. It tests Cover, not MBR: overlapping
-// techniques hold records (a point routed later, a region assigned by
-// least enlargement) outside their sample-derived boundary. sf, the
-// bitmap filter of a points file, may be nil (geometry pruning only).
-func RangeCandidates(splits []*mapreduce.Split, sf *sindex.SFilter, query geom.Rect) Selection {
-	return selectSplits(splits, sf, query, func(sp *mapreduce.Split) bool {
-		return sp.Cover().Intersects(query)
-	})
+// hold a record intersecting query, in split order. It tests Cover, not
+// MBR: overlapping techniques hold records (a point routed later, a region
+// assigned by least enlargement) outside their sample-derived boundary.
+func RangeCandidates(splits []*mapreduce.Split, query geom.Rect) []*mapreduce.Split {
+	var kept []*mapreduce.Split
+	for _, sp := range splits {
+		if sp.Cover().Intersects(query) {
+			kept = append(kept, sp)
+		}
+	}
+	return kept
 }
 
 // KNNCandidate is a point with its distance to the query point — the form
@@ -100,13 +72,13 @@ func sortCandidates(cands []KNNCandidate, k int) []KNNCandidate {
 // correctness circle reaches. round is the driver's half: the
 // tie-complete k-nearest candidates of every kept split, in any order.
 // The context is checked before each round.
-func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, sf *sindex.SFilter, q geom.Point, k int,
-	round func(context.Context, Selection) ([]KNNCandidate, error)) ([]geom.Point, error) {
-	run := func(sel Selection) ([]KNNCandidate, error) {
+func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, q geom.Point, k int,
+	round func(context.Context, []*mapreduce.Split) ([]KNNCandidate, error)) ([]geom.Point, error) {
+	run := func(kept []*mapreduce.Split) ([]KNNCandidate, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cands, err := round(ctx, sel)
+		cands, err := round(ctx, kept)
 		return sortCandidates(cands, k), err
 	}
 
@@ -122,7 +94,7 @@ func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, sf *
 	if home != nil {
 		first = []*mapreduce.Split{home}
 	}
-	cands, err := run(Selection{Kept: first})
+	cands, err := run(first)
 	if err != nil {
 		return nil, err
 	}
@@ -143,15 +115,15 @@ func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, sf *
 	final := k < 1 || len(first) == len(splits) ||
 		(len(cands) == k && disjoint && home.MBR.ContainsRect(circle))
 	if !final {
-		// Round 2: every partition within radius of q. The bitmap probe
-		// rectangle is the circle's bounding box: a record within radius
-		// of q lies inside it, so an empty bitmap range proves the
-		// partition contributes nothing.
-		second := Selection{Kept: splits}
+		// Round 2: every partition within radius of q.
+		second := splits
 		if radius > 0 {
-			second = selectSplits(splits, sf, circle, func(sp *mapreduce.Split) bool {
-				return sp.Cover().MinDistPoint(q) <= radius
-			})
+			second = nil
+			for _, sp := range splits {
+				if sp.Cover().MinDistPoint(q) <= radius {
+					second = append(second, sp)
+				}
+			}
 		}
 		if cands, err = run(second); err != nil {
 			return nil, err
@@ -166,15 +138,13 @@ func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, sf *
 
 // LocalStats describes one execution of a plan, whichever engine drove it,
 // for explain output. The partition counts describe the final round (so
-// consulted+pruned == total); sFilter counts accumulate across rounds.
+// consulted+pruned == total).
 type LocalStats struct {
 	// PartitionsTotal/Consulted/Pruned partition the final round's splits:
-	// every split was either searched or pruned (by geometry or filter).
+	// every split was either searched or pruned by its cover.
 	PartitionsTotal     int
 	PartitionsConsulted int
 	PartitionsPruned    int
-	SFilterHits         int
-	SFilterSkips        int
 	// Rounds is 1 or 2 (kNN protocol); always 1 for range.
 	Rounds int
 }
@@ -187,7 +157,6 @@ type Plan struct {
 	Stats LocalStats
 
 	f   *Indexed
-	sf  *sindex.SFilter
 	hot *sindex.Hotness
 }
 
@@ -214,33 +183,29 @@ func NewIndexed(f *dfs.File) *Indexed {
 	return idx
 }
 
-// planFile binds a plan without a bitmap filter to the current generation
-// of file, indexed or heap: the job drivers' plan for a caller that names
-// the file.
+// planFile binds a plan to the current generation of file, indexed or
+// heap: the job drivers' plan for a caller that names the file.
 func planFile(sys *core.System, file string) (*Plan, error) {
 	f, err := sys.FS().Open(file)
 	if err != nil {
 		return nil, err
 	}
-	return NewPlan(sys, NewIndexed(f), nil), nil
+	return NewPlan(sys, NewIndexed(f)), nil
 }
 
-// NewPlan plans one query over f. sf is the file generation's bitmap
-// filter, or nil when none is kept.
-func NewPlan(sys *core.System, f *Indexed, sf *sindex.SFilter) *Plan {
-	return &Plan{f: f, sf: sf, hot: sys.Hotness()}
+// NewPlan plans one query over f.
+func NewPlan(sys *core.System, f *Indexed) *Plan {
+	return &Plan{f: f, hot: sys.Hotness()}
 }
 
 // filtered records one round's filter step: its scan/prune decisions feed
 // the hotness aggregator exactly once per round.
-func (p *Plan) filtered(sel Selection) {
+func (p *Plan) filtered(kept []*mapreduce.Split) {
 	p.Stats.Rounds++
 	p.Stats.PartitionsTotal = len(p.f.Splits)
-	p.Stats.PartitionsConsulted = len(sel.Kept)
-	p.Stats.PartitionsPruned = len(p.f.Splits) - len(sel.Kept)
-	p.Stats.SFilterHits += sel.SFilterHits
-	p.Stats.SFilterSkips += sel.SFilterSkips
-	recordFilterHeat(p.hot, p.f.Name, p.f.Splits, sel.Kept)
+	p.Stats.PartitionsConsulted = len(kept)
+	p.Stats.PartitionsPruned = len(p.f.Splits) - len(kept)
+	recordFilterHeat(p.hot, p.f.Name, p.f.Splits, kept)
 }
 
 // recordFilterHeat counts one filter step: a scan for every kept split, a
@@ -289,16 +254,16 @@ func (p *Plan) Range(ctx context.Context, query geom.Rect) ([]*mapreduce.Split, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sel := RangeCandidates(p.f.Splits, p.sf, query)
-	p.filtered(sel)
-	return sel.Kept, nil
+	kept := RangeCandidates(p.f.Splits, query)
+	p.filtered(kept)
+	return kept, nil
 }
 
 // KNN runs the kNN protocol; fetch returns the PartitionKNNCandidates of
 // every kept partition (reporting each through Searched), in any order.
 func (p *Plan) KNN(ctx context.Context, q geom.Point, k int, fetch func(ctx context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error)) ([]geom.Point, error) {
-	return planKNN(ctx, p.f.Splits, p.f.Disjoint, p.sf, q, k, func(ctx context.Context, sel Selection) ([]KNNCandidate, error) {
-		p.filtered(sel)
-		return fetch(ctx, sel.Kept)
+	return planKNN(ctx, p.f.Splits, p.f.Disjoint, q, k, func(ctx context.Context, kept []*mapreduce.Split) ([]KNNCandidate, error) {
+		p.filtered(kept)
+		return fetch(ctx, kept)
 	})
 }

@@ -20,7 +20,6 @@ import (
 type planFixture struct {
 	splits []*mapreduce.Split
 	pts    map[string][]geom.Point
-	gi     *sindex.GlobalIndex
 }
 
 func newPlanFixture() *planFixture {
@@ -31,28 +30,15 @@ func newPlanFixture() *planFixture {
 			"c2": {geom.Pt(10, 55), geom.Pt(20, 90)},
 			"c3": {geom.Pt(60, 60), geom.Pt(90, 90)},
 		},
-		gi: &sindex.GlobalIndex{Space: geom.NewRect(0, 0, 100, 100)},
 	}
 	for i, mbr := range []geom.Rect{
 		geom.NewRect(0, 0, 50, 50), geom.NewRect(50, 0, 100, 50),
 		geom.NewRect(0, 50, 50, 100), geom.NewRect(50, 50, 100, 100),
 	} {
 		cell := sindex.Cell{ID: i, Boundary: mbr}
-		cell.Content = geom.RectOf(fx.pts[cell.Key()])
-		fx.gi.Cells = append(fx.gi.Cells, cell)
-		fx.splits = append(fx.splits, &mapreduce.Split{Partition: cell.Key(), MBR: mbr, ContentMBR: cell.Content})
+		fx.splits = append(fx.splits, &mapreduce.Split{Partition: cell.Key(), MBR: mbr, ContentMBR: geom.RectOf(fx.pts[cell.Key()])})
 	}
 	return fx
-}
-
-// exactFilter is the bitmap filter with every partition refined, as after
-// the memory tier pinned the whole file.
-func (fx *planFixture) exactFilter() *sindex.SFilter {
-	sf := sindex.NewSFilter(fx.gi, 0)
-	for key, pts := range fx.pts {
-		sf.Refine(key, pts)
-	}
-	return sf
 }
 
 // fakeDriver answers each kept partition with all of its points as
@@ -102,43 +88,42 @@ func TestPlanKNNRounds(t *testing.T) {
 	cases := []struct {
 		name     string
 		disjoint bool
-		filter   bool
 		q        geom.Point
 		k        int
 		rounds   [][]string // partitions each round fetched
 		stats    LocalStats
 	}{
 		{
-			name: "disjoint partition owns the circle: one round", disjoint: true, filter: true,
+			name: "disjoint partition owns the circle: one round", disjoint: true,
 			q: geom.Pt(11, 10), k: 2,
 			rounds: [][]string{{"c0"}},
 			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, Rounds: 1},
 		},
 		{
-			name: "overlapping technique forces round 2", disjoint: false, filter: true,
+			name: "overlapping technique forces round 2", disjoint: false,
 			q: geom.Pt(11, 10), k: 2,
 			rounds: [][]string{{"c0"}, {"c0"}},
-			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, SFilterHits: 1, Rounds: 2},
+			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, Rounds: 2},
 		},
 		{
-			name: "q outside every cover: round 1 is everything, no round 2", disjoint: true, filter: true,
+			name: "q outside every cover: round 1 is everything, no round 2", disjoint: true,
 			q: geom.Pt(-10, -10), k: 3,
 			rounds: [][]string{all},
 			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 4, Rounds: 1},
 		},
 		{
-			name: "k >= n: radius 0 round 2 keeps everything unprobed", disjoint: true, filter: true,
+			name: "k >= n: radius 0 round 2 keeps everything unprobed", disjoint: true,
 			q: geom.Pt(11, 10), k: 12,
 			rounds: [][]string{{"c0"}, all},
 			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 4, Rounds: 2},
 		},
 		{
-			// The circle (radius 33.5 around (44,25)) reaches all four
-			// covers, but the bitmaps prove c1 and c3 empty inside it.
-			name: "sFilter skips counted once", disjoint: true, filter: true,
-			q: geom.Pt(44, 25), k: 2,
-			rounds: [][]string{{"c0"}, {"c0", "c2"}},
-			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 2, PartitionsPruned: 2, SFilterHits: 2, SFilterSkips: 2, Rounds: 2},
+			// The circle (radius 30 around (44,10)) reaches c1's cover
+			// but stops 40 short of c2's and c3's.
+			name: "round 2 prunes covers outside the circle", disjoint: true,
+			q: geom.Pt(44, 10), k: 2,
+			rounds: [][]string{{"c0"}, {"c0", "c1"}},
+			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 2, PartitionsPruned: 2, Rounds: 2},
 		},
 		{
 			name: "no bitmap filter: geometry alone keeps the circle's reach", disjoint: true,
@@ -147,7 +132,7 @@ func TestPlanKNNRounds(t *testing.T) {
 			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 4, Rounds: 2},
 		},
 		{
-			name: "k = 0", disjoint: true, filter: true,
+			name: "k = 0", disjoint: true,
 			q: geom.Pt(11, 10), k: 0,
 			rounds: [][]string{{"c0"}},
 			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, Rounds: 1},
@@ -158,9 +143,6 @@ func TestPlanKNNRounds(t *testing.T) {
 			fx := newPlanFixture()
 			hot := sindex.NewHotness()
 			plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits, Disjoint: tc.disjoint}, hot: hot}
-			if tc.filter {
-				plan.sf = fx.exactFilter()
-			}
 			drv := &fakeDriver{fx: fx, plan: plan, q: tc.q}
 			got, err := plan.KNN(context.Background(), tc.q, tc.k, drv.fetch)
 			if err != nil {
@@ -191,32 +173,26 @@ func TestPlanKNNRounds(t *testing.T) {
 	}
 }
 
-// TestPlanRangeCandidates: the range filter step prunes on cover geometry,
-// then on the bitmap, counting each skipped partition once.
+// TestPlanRangeCandidates: the range filter step keeps the splits whose
+// cover meets the query, in split order, and the plan counts the rest as
+// pruned.
 func TestPlanRangeCandidates(t *testing.T) {
 	fx := newPlanFixture()
-	keys := func(sel Selection) []string {
-		var out []string
-		for _, sp := range sel.Kept {
-			out = append(out, sp.Partition)
-		}
-		return out
-	}
-	// The query reaches c0 and c1, but c1's records sit at x >= 90.
+	var keys []string
+	// The query reaches c0's and c1's covers only.
 	query := geom.NewRect(40, 20, 70, 30)
-	if sel := RangeCandidates(fx.splits, nil, query); !reflect.DeepEqual(keys(sel), []string{"c0", "c1"}) || sel.SFilterHits+sel.SFilterSkips != 0 {
-		t.Errorf("geometry only: kept %v, %+v", keys(sel), sel)
+	for _, sp := range RangeCandidates(fx.splits, query) {
+		keys = append(keys, sp.Partition)
 	}
-	sel := RangeCandidates(fx.splits, fx.exactFilter(), query)
-	if !reflect.DeepEqual(keys(sel), []string{"c0"}) || sel.SFilterHits != 1 || sel.SFilterSkips != 1 {
-		t.Errorf("with bitmap: kept %v, hits %d skips %d", keys(sel), sel.SFilterHits, sel.SFilterSkips)
+	if !reflect.DeepEqual(keys, []string{"c0", "c1"}) {
+		t.Errorf("kept %v, want [c0 c1]", keys)
 	}
 
-	plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits}, sf: fx.exactFilter(), hot: sindex.NewHotness()}
+	plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits}, hot: sindex.NewHotness()}
 	if _, err := plan.Range(context.Background(), query); err != nil {
 		t.Fatal(err)
 	}
-	if want := (LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, SFilterHits: 1, SFilterSkips: 1, Rounds: 1}); plan.Stats != want {
+	if want := (LocalStats{PartitionsTotal: 4, PartitionsConsulted: 2, PartitionsPruned: 2, Rounds: 1}); plan.Stats != want {
 		t.Errorf("range stats = %+v, want %+v", plan.Stats, want)
 	}
 }

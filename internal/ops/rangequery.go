@@ -97,7 +97,7 @@ func RangeQueryRegions(sys *core.System, file string, query geom.Rect) ([]geom.R
 		Conf:   conf,
 		Splits: f.Splits(),
 		Filter: func(splits []*mapreduce.Split) []*mapreduce.Split {
-			return RangeCandidates(splits, nil, query).Kept
+			return RangeCandidates(splits, query)
 		},
 		Output: out,
 	}

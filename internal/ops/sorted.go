@@ -42,27 +42,17 @@ func sortedPoints(blocks []*dfs.Block) (SortedPoints, error) {
 // Search appends to dst, ascending, the ids of the points inside query,
 // boundary inclusive (Rect.ContainsPoint): two binary searches cut the slab
 // MinX <= X <= MaxX, and a scan of it keeps the points whose Y is inside.
-// The slab bounds the matches, so dst is sized once: a caller's buffer is
-// grown to hold the slab and stays as large for its next use; a caller
-// with none gets exactly what the matches need, from a counting pass.
+// The slab bounds the matches, so dst is sized once: it is grown to hold
+// the slab and stays as large for its next use.
 func (s SortedPoints) Search(query geom.Rect, dst []int) []int {
 	lo := sort.Search(len(s), func(i int) bool { return s[i].X >= query.MinX })
 	slab := s[lo:]
 	slab = slab[:sort.Search(len(slab), func(i int) bool { return !(slab[i].X <= query.MaxX) })]
 	n := len(dst)
-	end := n + len(slab)
-	if cap(dst) == 0 {
-		end = 0
-		for _, p := range slab {
-			end += within(p.Y, query.MinY, query.MaxY)
-		}
-		dst = make([]int, end)
-	} else {
-		dst = slices.Grow(dst, len(slab))[:end]
-	}
+	dst = slices.Grow(dst, len(slab))[:n+len(slab)]
 	// The store is unconditional and the test an addition: with the slab
 	// in X order its Ys are in none, and a branch on them mispredicts.
-	for i := 0; i < len(slab) && n < end; i++ {
+	for i := range slab {
 		dst[n] = lo + i
 		n += within(slab[i].Y, query.MinY, query.MaxY)
 	}

@@ -18,7 +18,7 @@ import (
 // CheckServePlanner is the metamorphic planner-path-independence
 // invariant of the serving layer: for every range and kNN request in the
 // workload, a server forced onto the local in-memory engine (pinned
-// R-trees + sFilter) must answer byte-identically — status and body — to
+// partitions) must answer byte-identically — status and body — to
 // a server forced onto full MapReduce over the same loaded system. The
 // planner's engine choice is an optimization and must never be
 // observable in the response. Error requests (k = 0 and the like) are

@@ -10,14 +10,12 @@ import (
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/obs"
 	"spatialhadoop/internal/ops"
-	"spatialhadoop/internal/sindex"
 )
 
 // MemTier is the serving layer's memory-resident read tier: partitions
 // pinned as decoded points in sorted order, which is their index
-// (ops.LocalPartition),
-// under a byte budget with LRU eviction, plus one handle per file — the
-// newest generation's opened index, splits and spatial bitmap filter
+// (ops.LocalPartition), under a byte budget with LRU eviction, plus one
+// handle per file — the newest generation's opened index and splits
 // (tierSource), resolved once instead of per request. Everything is keyed
 // by (file, DFS epoch): each published generation of the file has its own
 // epoch, so stale pinned data can never answer a fresh query even if the
@@ -68,12 +66,10 @@ func tierKey(file string, epoch int64, partition string) string {
 
 // Source returns the handle of the generation f — the splits the plan
 // binds to, and the tier the master's executor call pins through —
-// building it on the generation's first request. The bitmap filter is
-// created from the file's global index then and refined as partitions get
-// pinned. nil means a heap file. A handle never displaces a
-// newer generation's: a request still holding an older one gets a private
-// handle, as does every request when the tier is disabled (t == nil: no
-// filter either, and no epoch hook that could retire a kept handle).
+// building it on the generation's first request. nil means a heap file.
+// A handle never displaces a newer generation's: a request still holding
+// an older one gets a private handle, as does every request when the tier
+// is disabled (t == nil: no epoch hook that could retire a kept handle).
 func (t *MemTier) Source(f *dfs.File) *tierSource {
 	if f.Index == nil {
 		return nil
@@ -86,27 +82,27 @@ func (t *MemTier) Source(f *dfs.File) *tierSource {
 			return src
 		}
 	}
-	// Build outside the lock (splits, O(cells) bitmap fills), then publish.
+	// Build outside the lock (the splits), then publish.
 	src := &tierSource{t: t, f: f, idx: ops.NewIndexed(f)}
 	if t == nil {
 		return src
 	}
-	src.sf = sindex.NewSFilter(f.Index, 0)
 	t.mu.Lock()
 	switch cur := t.gens[f.Name]; {
 	case cur == nil || cur.f.Epoch() < f.Epoch():
 		t.gens[f.Name] = src
 	case cur.f == f:
-		src = cur // lost the race: share the winner's filter
+		src = cur // lost the race: share the winner's handle
 	}
 	t.mu.Unlock()
 	return src
 }
 
-// pin returns the partition's memory-resident form, loading and refining
-// the bitmap filter on a miss, deduplicating concurrent loads, and
-// evicting least-recently-used partitions past the byte budget.
-func (t *MemTier) pin(file string, epoch int64, sf *sindex.SFilter, sp *mapreduce.Split) (*ops.LocalPartition, error) {
+// PinPartition returns the partition's memory-resident form, loading it
+// on a miss, deduplicating concurrent loads, and evicting
+// least-recently-used partitions past the byte budget. The master's
+// executor call pins through it (tierSource.Pin), and so does a worker's.
+func (t *MemTier) PinPartition(file string, epoch int64, sp *mapreduce.Split) (*ops.LocalPartition, error) {
 	key := tierKey(file, epoch, sp.Partition)
 	t.mu.Lock()
 	if el, ok := t.entries[key]; ok {
@@ -129,13 +125,6 @@ func (t *MemTier) pin(file string, epoch int64, sf *sindex.SFilter, sp *mapreduc
 
 	t.reg.Inc("serve.memtier.misses", 1)
 	part, err := ops.PinSplit(sp)
-	if err == nil && sf != nil {
-		// Exact bitmap for the pinned generation: later queries prune at
-		// record precision. (Worker executors pin without a filter — the
-		// master already pruned; bitmap soundness means skipping it can
-		// only scan more, never change bytes.)
-		sf.Refine(part.Key, part.Pts)
-	}
 
 	t.mu.Lock()
 	delete(t.pending, key)
@@ -185,12 +174,6 @@ func (t *MemTier) Lookup(file string, epoch int64, partition string) (*ops.Local
 	return el.Value.(*tierEntry).part, true
 }
 
-// PinPartition pins a split without a bitmap filter: the worker
-// executor's entry point, where pruning already happened on the master.
-func (t *MemTier) PinPartition(file string, epoch int64, sp *mapreduce.Split) (*ops.LocalPartition, error) {
-	return t.pin(file, epoch, nil, sp)
-}
-
 // DropStale drops every pinned partition and handle of the file whose
 // epoch is older than epoch — the heartbeat-driven half of cross-worker
 // invalidation (the master's heartbeat reply carries current epochs).
@@ -231,21 +214,19 @@ func (t *MemTier) Stats() (partitions int, bytes int64) {
 }
 
 // tierSource is one file generation resolved once: what a query plans
-// over (idx, sf) and pins through (Pin). A server without a memory tier
-// builds one per request, with no tier and no filter.
+// over (idx) and pins through (Pin). A server without a memory tier
+// builds one per request, with no tier.
 type tierSource struct {
 	t   *MemTier
 	f   *dfs.File
 	idx *ops.Indexed
-	sf  *sindex.SFilter
 }
 
-// Pin returns the split's partition from the tier — cached, deduplicated
-// and refining the bitmap filter on a miss — or decodes it per call when
-// there is no tier.
+// Pin returns the split's partition from the tier — cached and
+// deduplicated — or decodes it per call when there is no tier.
 func (src *tierSource) Pin(sp *mapreduce.Split) (*ops.LocalPartition, error) {
 	if src.t == nil {
 		return ops.PinSplit(sp)
 	}
-	return src.t.pin(src.f.Name, src.f.Epoch(), src.sf, sp)
+	return src.t.PinPartition(src.f.Name, src.f.Epoch(), sp)
 }

@@ -25,8 +25,6 @@ type planExplain struct {
 	PartitionsTotal   int    `json:"partitions_total"`
 	PartitionsScanned int    `json:"partitions_scanned"`
 	PartitionsPruned  int    `json:"partitions_pruned"`
-	SFilterHits       int    `json:"sfilter_hits"`
-	SFilterSkips      int    `json:"sfilter_skips"`
 }
 
 // engineRun is what one engine left behind after the query sequence,
@@ -130,13 +128,12 @@ func byPartition(rep heatReport, file string) map[string]sindex.PartitionHeat {
 // One range/kNN sequence over an indexed and a heap file, sent through
 // each engine, must leave:
 //   - explain fields that add up: scanned + pruned = total, the heap file
-//     searched whole by MapReduce, and MapReduce scanning what the bitmap
-//     filter let the other engines scan plus what it skipped;
+//     searched whole by MapReduce, and every engine scanning what
+//     MapReduce scans;
 //   - after the range queries, per-partition heat that is the definitional
 //     one (a scan per query whose rectangle reaches the partition's cover,
 //     all its records read per scan, the points inside the rectangle
-//     matched) and so the same for every engine — the rectangles leave no
-//     partition to the bitmap filter alone;
+//     matched) and so the same for every engine;
 //   - after kNN rounds and a plot of each file, pinned file totals, with
 //     no heat for the heap file (its splits carry no partition key).
 func TestPlanHeatAcrossEngines(t *testing.T) {
@@ -160,7 +157,7 @@ func TestPlanHeatAcrossEngines(t *testing.T) {
 				t.Errorf("%s request %d on the heap file: explain %+v, want MapReduce over all %d blocks", engine, i, e, run.heapBlocks)
 			case !heap && (e.Engine != engine || e.PartitionsTotal != len(run.splits)):
 				t.Errorf("%s request %d: explain %+v, want engine %s over %d partitions", engine, i, e, engine, len(run.splits))
-			case e.PartitionsTotal != want.PartitionsTotal || e.PartitionsScanned+e.SFilterSkips != want.PartitionsScanned:
+			case e.PartitionsTotal != want.PartitionsTotal || e.PartitionsScanned != want.PartitionsScanned:
 				t.Errorf("%s request %d: explain %+v, MapReduce's %+v", engine, i, e, want)
 			}
 		}

@@ -40,11 +40,11 @@ func ValidPlanner(mode string) bool {
 }
 
 // Planner auto-mode thresholds: a range query runs locally when, after
-// cover + bitmap pruning, at most plannerLocalMaxParts partitions remain
-// and the estimated records touched (per-partition record count × bitmap
-// selectivity) stay under plannerLocalMaxRecords — i.e. when scheduling a
-// job would cost more than the scan itself. Already-pinned candidate sets
-// waive the record bound: the data is memory-resident either way.
+// cover pruning, at most plannerLocalMaxParts partitions remain and the
+// estimated records touched (estimateRecords) stay under
+// plannerLocalMaxRecords — i.e. when scheduling a job would cost more than
+// the scan itself. Already-pinned candidate sets waive the record bound:
+// the data is memory-resident either way.
 const (
 	plannerLocalMaxParts   = 8
 	plannerLocalMaxRecords = 8192
@@ -80,7 +80,7 @@ func (s *Server) planQuery(mode string, f *dfs.File) *shardQuery {
 	if gen == nil {
 		return nil
 	}
-	sq := &shardQuery{s: s, engine: engine, gen: gen, plan: ops.NewPlan(s.sys, gen.idx, gen.sf)}
+	sq := &shardQuery{s: s, engine: engine, gen: gen, plan: ops.NewPlan(s.sys, gen.idx)}
 	if engine == PlannerSharded {
 		// The cluster's master runtime (nil when serving in process), with
 		// the heartbeat epoch feed kept installed so serving workers drop
@@ -99,14 +99,14 @@ func (s *Server) planRange(mode string, f *dfs.File, rect geom.Rect) *shardQuery
 	if sq == nil || sq.engine == PlannerSharded || mode == PlannerLocal {
 		return sq
 	}
-	kept := ops.RangeCandidates(sq.gen.idx.Splits, sq.gen.sf, rect).Kept
+	kept := ops.RangeCandidates(sq.gen.idx.Splits, rect)
 	if len(kept) > plannerLocalMaxParts {
 		return nil
 	}
 	pinned := 0
 	estRecords := 0.0
 	for _, sp := range kept {
-		estRecords += float64(sp.NumRecords()) * sq.gen.sf.EstimateFraction(sp.Partition, rect)
+		estRecords += estimateRecords(sp, rect)
 		if s.mt.Pinned(f.Name, f.Epoch(), sp.Partition) {
 			pinned++
 		}
@@ -115,4 +115,21 @@ func (s *Server) planRange(mode string, f *dfs.File, rect geom.Rect) *shardQuery
 		return sq
 	}
 	return nil
+}
+
+// estimateRecords is how many of sp's records a range query over rect
+// touches, assuming they spread evenly over the split's content MBR: its
+// record count times the share of the content MBR that rect covers. It is
+// 0 when rect misses the content MBR, which holds every record, and the
+// whole partition when the content MBR is unknown or has no area.
+func estimateRecords(sp *mapreduce.Split, rect geom.Rect) float64 {
+	c := sp.ContentMBR
+	if !c.IsEmpty() && !c.Intersects(rect) {
+		return 0
+	}
+	n := float64(sp.NumRecords())
+	if a := c.Area(); a > 0 {
+		return n * c.Intersect(rect).Area() / a
+	}
+	return n
 }

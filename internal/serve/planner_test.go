@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/mapreduce"
+	"spatialhadoop/internal/ops"
+	"spatialhadoop/internal/sindex"
 )
 
 // TestPlannerForcedModes: the three planner modes must return
@@ -65,6 +70,67 @@ func TestPlannerForcedModes(t *testing.T) {
 		if engines[PlannerAuto] != q.autoEngine {
 			t.Errorf("%s: auto planner served by %q, want %q", q.path, engines[PlannerAuto], q.autoEngine)
 		}
+	}
+}
+
+// TestPlannerRecordEstimate: auto's records term scales a split's record
+// count by the share of its content MBR the window covers — 0 for a
+// window that misses it, the whole split when the content MBR has no area
+// or is unknown — and a window over unpinned partitions that crosses
+// plannerLocalMaxRecords goes to MapReduce until they are pinned.
+func TestPlannerRecordEstimate(t *testing.T) {
+	sys := core.New(core.Config{BlockSize: 128 << 10, Workers: 2, Seed: 7})
+	area := geom.NewRect(0, 0, 10_000, 10_000)
+	if _, err := sys.LoadPoints("pts", datagen.Points(datagen.Uniform, 20_000, area, 5), sindex.STRPlus); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.FS().Open("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits := mapreduce.SplitsOf(f)
+	sp := *splits[0]
+	n, c := float64(sp.NumRecords()), sp.ContentMBR
+	left := geom.Rect{MinX: c.MinX - 1, MinY: c.MinY - 1, MaxX: (c.MinX + c.MaxX) / 2, MaxY: c.MaxY + 1}
+	for _, tc := range []struct {
+		name    string
+		content geom.Rect
+		rect    geom.Rect
+		want    float64
+	}{
+		{"window misses the content MBR", c, geom.NewRect(c.MaxX+1, c.MinY, c.MaxX+2, c.MaxY), 0},
+		{"window covers its left half", c, left, n / 2},
+		{"window covers all of it", c, area, n},
+		{"zero-area content MBR", geom.Rect{MinX: c.MinX, MinY: c.MinY, MaxX: c.MaxX, MaxY: c.MinY}, left, n},
+		{"zero-area content MBR missed", geom.Rect{MinX: c.MinX, MinY: c.MinY, MaxX: c.MaxX, MaxY: c.MinY}, geom.NewRect(c.MinX, c.MinY+1, c.MaxX, c.MaxY), 0},
+		{"unknown content MBR", geom.EmptyRect(), left, n},
+	} {
+		sp.ContentMBR = tc.content
+		if got := estimateRecords(&sp, tc.rect); math.Abs(got-tc.want) > 1e-9*n {
+			t.Errorf("%s: estimate %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// The whole space reaches few partitions but all 20 000 records.
+	if kept := ops.RangeCandidates(splits, area); len(kept) > plannerLocalMaxParts {
+		t.Fatalf("whole space keeps %d partitions, want at most %d", len(kept), plannerLocalMaxParts)
+	}
+	srv := New(sys, Config{CacheSize: -1})
+	small := geom.NewRect(4000, 4000, 4500, 4500)
+	if sq := srv.planRange(PlannerAuto, f, small); sq == nil || sq.engine != PlannerLocal {
+		t.Errorf("a window of ~50 estimated records left the local engine")
+	}
+	if sq := srv.planRange(PlannerAuto, f, area); sq != nil {
+		t.Errorf("a window of %d estimated records on unpinned partitions stayed on the %s engine", 20_000, sq.engine)
+	}
+	// Pinned partitions waive the record bound.
+	for _, sp := range splits {
+		if _, err := srv.mt.Source(f).Pin(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sq := srv.planRange(PlannerAuto, f, area); sq == nil || sq.engine != PlannerLocal {
+		t.Errorf("the same window over pinned partitions left the local engine")
 	}
 }
 

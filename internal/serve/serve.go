@@ -367,12 +367,10 @@ func writeError(w http.ResponseWriter, err error) {
 // responses. Engine names who built the body ("local", "mapreduce",
 // "sharded", or "cache" when no engine ran); execution fields are zero on
 // cache hits.
-// The partition and sfilter fields are the query plan's, whichever engine
-// drove it (zero for a join, which plans none): partitions_scanned counts
-// the partitions the final round searched, and the sfilter fields report
-// bitmap-filter pruning, which only the local and sharded engines apply.
-// The MapReduce job fields (shuffle, retries, phase times) stay zero for
-// the other engines.
+// The partition fields are the query plan's, whichever engine drove it
+// (zero for a join, which plans none): partitions_scanned counts the
+// partitions the final round searched. The MapReduce job fields (shuffle,
+// retries, phase times) stay zero for the other engines.
 type explainJSON struct {
 	TraceID           string `json:"trace_id"`
 	Cache             string `json:"cache"`
@@ -380,8 +378,6 @@ type explainJSON struct {
 	PartitionsTotal   int    `json:"partitions_total"`
 	PartitionsScanned int    `json:"partitions_scanned"`
 	PartitionsPruned  int    `json:"partitions_pruned"`
-	SFilterHits       int    `json:"sfilter_hits"`
-	SFilterSkips      int    `json:"sfilter_skips"`
 	ShuffleBytes      int64  `json:"shuffle_bytes"`
 	Retries           int64  `json:"retries"`
 	Speculative       int64  `json:"speculative"`
@@ -413,8 +409,6 @@ func buildExplain(traceID, cache string, meta *execMeta) explainJSON {
 		e.PartitionsTotal = st.PartitionsTotal
 		e.PartitionsScanned = st.PartitionsConsulted
 		e.PartitionsPruned = st.PartitionsPruned
-		e.SFilterHits = st.SFilterHits
-		e.SFilterSkips = st.SFilterSkips
 	}
 	if sh := meta.shard; sh != nil {
 		e.ShardFanout = sh.fanout
@@ -645,7 +639,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 		}
 		out := s.tempOut(file)
 		defer s.sys.FS().Delete(out)
-		plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
+		plan := ops.NewPlan(s.sys, ops.NewIndexed(f))
 		pts, rep, err := ops.RangeQueryPointsCtx(ctx, s.sys, plan, rect, out)
 		if err != nil {
 			return nil, nil, err
@@ -702,7 +696,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 				s.sys.FS().Delete(prefix + ".r1")
 				s.sys.FS().Delete(prefix + ".r2")
 			}()
-			plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
+			plan := ops.NewPlan(s.sys, ops.NewIndexed(f))
 			mpts, rep, err := ops.KNNCtx(ctx, s.sys, plan, q, k, prefix)
 			if err != nil {
 				return nil, nil, err
@@ -789,7 +783,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) error {
 		}
 		out := s.tempOut(file)
 		defer s.sys.FS().Delete(out)
-		plan := ops.NewPlan(s.sys, ops.NewIndexed(f), nil)
+		plan := ops.NewPlan(s.sys, ops.NewIndexed(f))
 		img, rep, err := ops.PlotCtx(ctx, s.sys, plan, ops.PlotConfig{Width: width, Height: height, Out: out})
 		if err != nil {
 			return nil, nil, err

@@ -315,11 +315,9 @@ func TestShardedEpochInterleaving(t *testing.T) {
 	}
 }
 
-// TestExplainAgreesAcrossEngines: the local and sharded engines drive the
-// same plan, so on one server — one bitmap filter — they report the same
-// partition and sFilter accounting for the same query, including a kNN
-// over an overlapping index (STR), which always needs round 2 and probes
-// the bitmaps there.
+// TestExplainAgreesAcrossEngines: every engine drives the same plan, so
+// they report the same partition accounting for the same query, including
+// a kNN over an overlapping index (STR), which always needs round 2.
 func TestExplainAgreesAcrossEngines(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 2048, Workers: 4, Seed: 7})
 	area := geom.NewRect(0, 0, 1000, 1000)
@@ -337,8 +335,6 @@ func TestExplainAgreesAcrossEngines(t *testing.T) {
 		PartitionsTotal   int    `json:"partitions_total"`
 		PartitionsScanned int    `json:"partitions_scanned"`
 		PartitionsPruned  int    `json:"partitions_pruned"`
-		SFilterHits       int    `json:"sfilter_hits"`
-		SFilterSkips      int    `json:"sfilter_skips"`
 	}
 	run := func(path, engine string) explain {
 		var body struct {
@@ -358,17 +354,14 @@ func TestExplainAgreesAcrossEngines(t *testing.T) {
 		"/rangequery?file=pts&rect=300,300,420,380",
 		"/knn?file=pts&point=500,500&k=25",
 	} {
-		// The first local run pins the partitions it searches, which
-		// refines their bitmaps; the second sees the settled filter the
-		// sharded run (which pins on workers, not the master) also sees.
-		run(path, serve.PlannerLocal)
 		local := run(path, serve.PlannerLocal)
 		sharded := run(path, serve.PlannerSharded)
-		if local != sharded {
-			t.Errorf("%s:\n  local   %+v\n  sharded %+v", path, local, sharded)
+		mr := run(path, serve.PlannerMapReduce)
+		if local != sharded || local != mr {
+			t.Errorf("%s:\n  local     %+v\n  sharded   %+v\n  mapreduce %+v", path, local, sharded, mr)
 		}
-		if local.SFilterHits == 0 || local.PartitionsScanned+local.PartitionsPruned != local.PartitionsTotal {
-			t.Errorf("%s: explain %+v: want bitmap probes and scanned+pruned == total", path, local)
+		if local.PartitionsScanned+local.PartitionsPruned != local.PartitionsTotal {
+			t.Errorf("%s: explain %+v: want scanned+pruned == total", path, local)
 		}
 	}
 }
@@ -397,8 +390,7 @@ func TestShardedReplyReuse(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A sliver beside a point: inside its partition, finer than any bitmap
-	// cell, holding nothing.
+	// A sliver beside a point: inside its partition, holding nothing.
 	x, y := pts[0].X+0.001, pts[0].Y+0.001
 	queries := []string{
 		"/rangequery?file=pts&rect=0,0,1000,1000",

@@ -6,19 +6,23 @@ import (
 	"spatialhadoop/internal/geom"
 )
 
-// SFilter is the serving layer's spatial bitmap filter (the "sFilter" of
-// LocationSpark): one compact occupancy bitmap per partition over a fixed
-// res×res grid of the indexed space, consulted before any block or pinned
-// R-tree is touched. A probe can return a false positive (the partition is
-// then searched and contributes nothing) but never a false negative:
-// build and probe discretize coordinates with the same floor arithmetic,
-// so any cell holding a record sets every bit a query covering that record
-// probes.
+// SFilter is a spatial bitmap filter (the "sFilter" of LocationSpark): one
+// compact occupancy bitmap per partition over a fixed res×res grid of the
+// indexed space. A probe can return a false positive but never a false
+// negative: build and probe discretize coordinates with the same floor
+// arithmetic, so any cell holding a record sets every bit a query covering
+// that record probes.
 //
 // A partition's bitmap starts conservative — the grid cells covered by the
 // partition's minimal content MBR, available from the global index alone —
-// and is refined to the exact occupancy of the decoded points when the
-// partition is pinned into the memory tier.
+// and Refine makes it the exact occupancy of the decoded points.
+//
+// No query path consults it: a query is pruned by its partitions' covers
+// alone. On clustered corpora of 100 000 and 400 000 points the refined
+// bitmaps skipped at most 1.6 % of the partitions the covers kept, and
+// the local search took as long with them as without. NewSFilter, Refine
+// and MayIntersect stay because the benchmark harness's micro-levels
+// still time a probe.
 type SFilter struct {
 	space  geom.Rect
 	res    int
@@ -31,7 +35,6 @@ type SFilter struct {
 // sfilterBits is one partition's occupancy bitmap.
 type sfilterBits struct {
 	words []uint64
-	set   int // population count, maintained on Set
 }
 
 // DefaultSFilterRes is the per-axis bitmap resolution: 64×64 bits = 512
@@ -81,13 +84,7 @@ func clampIdx(v float64, res int) int {
 	return i
 }
 
-func (b *sfilterBits) setBit(i int) {
-	w, m := i/64, uint64(1)<<(i%64)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
-		b.set++
-	}
-}
+func (b *sfilterBits) setBit(i int) { b.words[i/64] |= uint64(1) << (i % 64) }
 
 func (b *sfilterBits) bit(i int) bool { return b.words[i/64]&(uint64(1)<<(i%64)) != 0 }
 
@@ -103,8 +100,7 @@ func (f *SFilter) setRect(b *sfilterBits, r geom.Rect) {
 }
 
 // Refine replaces a partition's conservative bitmap with the exact
-// occupancy of its decoded points. The memory tier calls this when it pins
-// a partition, so repeated queries prune with record-level precision.
+// occupancy of its decoded points.
 func (f *SFilter) Refine(partition string, pts []geom.Point) {
 	b := &sfilterBits{words: make([]uint64, (f.res*f.res+63)/64)}
 	for _, p := range pts {
@@ -139,32 +135,4 @@ func (f *SFilter) MayIntersect(partition string, q geom.Rect) bool {
 		}
 	}
 	return false
-}
-
-// EstimateFraction estimates the fraction of the partition's records that
-// fall inside q as (occupied bits within q's grid range) / (occupied bits
-// total). It is the planner's selectivity signal: multiplied by the
-// partition's record count it approximates the records a local search
-// would touch. Unknown or empty partitions answer 1 (no information).
-func (f *SFilter) EstimateFraction(partition string, q geom.Rect) float64 {
-	f.mu.RLock()
-	b, ok := f.parts[partition]
-	f.mu.RUnlock()
-	if !ok || b.set == 0 {
-		return 1
-	}
-	if !q.Intersects(f.space) {
-		return 0
-	}
-	c0, c1 := f.col(q.MinX), f.col(q.MaxX)
-	r0, r1 := f.row(q.MinY), f.row(q.MaxY)
-	in := 0
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			if b.bit(row*f.res + col) {
-				in++
-			}
-		}
-	}
-	return float64(in) / float64(b.set)
 }

@@ -66,9 +66,6 @@ func TestSFilterSound(t *testing.T) {
 					if any && !f.MayIntersect(part, q) {
 						t.Fatalf("%v/%s: %s filter false negative for %s q=%v", tech, stage, stage, part, q)
 					}
-					if fr := f.EstimateFraction(part, q); fr < 0 || fr > 1 {
-						t.Fatalf("%v: EstimateFraction = %v out of [0,1]", tech, fr)
-					}
 				}
 			}
 		}
@@ -82,7 +79,7 @@ func TestSFilterSound(t *testing.T) {
 }
 
 // TestSFilterPrunes: after refinement a query far away from a partition's
-// records must be pruned, and a far-off query estimates fraction 0.
+// records must be pruned.
 func TestSFilterPrunes(t *testing.T) {
 	_, byPart, f := buildSFilterFixture(t, STRPlus, 3)
 	for part, pts := range byPart {
@@ -99,9 +96,6 @@ func TestSFilterPrunes(t *testing.T) {
 		if f.MayIntersect(part, far) {
 			t.Errorf("query outside the space not pruned for %s", part)
 		}
-		if fr := f.EstimateFraction(part, far); fr != 0 {
-			t.Errorf("EstimateFraction outside space = %v, want 0", fr)
-		}
 	}
 }
 
@@ -111,8 +105,5 @@ func TestSFilterUnknownPartition(t *testing.T) {
 	_, _, f := buildSFilterFixture(t, Grid, 9)
 	if !f.MayIntersect("c9999", geom.NewRect(0, 0, 10, 10)) {
 		t.Error("unknown partition must answer MayIntersect=true")
-	}
-	if fr := f.EstimateFraction("c9999", geom.NewRect(0, 0, 10, 10)); fr != 1 {
-		t.Errorf("unknown partition EstimateFraction = %v, want 1", fr)
 	}
 }

@@ -77,7 +77,7 @@ func TestRangeAnswersTheSameEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sp := range ops.RangeCandidates(f.Splits(), nil, q).Kept {
+		for _, sp := range ops.RangeCandidates(f.Splits(), q) {
 			for _, b := range sp.Blocks {
 				pts, err := b.Points()
 				if err != nil {
