@@ -150,12 +150,3 @@ const (
 	// pruning step, bypassing the merge.
 	CounterFlushedEarly = "cg.flushed.early"
 )
-
-// contentOf returns the split's minimal content MBR, falling back to the
-// partition boundary when the loader did not record one.
-func contentOf(s *mapreduce.Split) geom.Rect {
-	if !s.ContentMBR.IsEmpty() {
-		return s.ContentMBR
-	}
-	return s.MBR
-}

@@ -113,7 +113,7 @@ func TestReduceSKYKeepsDominancePower(t *testing.T) {
 	splits := f.Splits()
 	sky := DominancePowerSet(splits)
 	for _, s := range splits {
-		cell := contentOf(s)
+		cell := s.Cover()
 		reduced := ReduceSKYForCell(sky, cell)
 		if len(reduced) > 4 {
 			t.Fatalf("reduced SKY has %d points, theorem allows at most 4", len(reduced))

@@ -37,31 +37,6 @@ func HullFilter(splits []*mapreduce.Split) []*mapreduce.Split {
 	return out
 }
 
-// skylineFilterQuad is SkylineFilter generalized to a quadrant.
-func skylineFilterQuad(splits []*mapreduce.Split, quad geom.Quadrant) []*mapreduce.Split {
-	var selected []*mapreduce.Split
-	for _, c := range splits {
-		dominated := false
-		for _, s := range selected {
-			if geom.RectDominatedByQuad(contentOf(c), contentOf(s), quad) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		keep := selected[:0]
-		for _, s := range selected {
-			if !geom.RectDominatedByQuad(contentOf(s), contentOf(c), quad) {
-				keep = append(keep, s)
-			}
-		}
-		selected = append(keep, c)
-	}
-	return selected
-}
-
 // ConvexHullHadoop computes the hull of a heap points file (paper §7.1).
 func ConvexHullHadoop(sys *core.System, file string) ([]geom.Point, *mapreduce.Report, error) {
 	return runHull(sys, file, nil)
@@ -234,7 +209,7 @@ func ConvexHullEnhanced(sys *core.System, file string) ([]geom.Point, *mapreduce
 	// Broadcast all partition content MBRs.
 	var mbrs []string
 	for _, s := range splits {
-		mbrs = append(mbrs, geomio.EncodeRect(contentOf(s)))
+		mbrs = append(mbrs, geomio.EncodeRect(s.Cover()))
 	}
 	out := file + ".hull-enh.out"
 	job := &mapreduce.Job{
@@ -264,7 +239,7 @@ func hullEnhancedMap(boxes []geom.Rect) mapreduce.MapFunc {
 			return err
 		}
 		hull := geom.ConvexHull(pts)
-		self := contentOf(split)
+		self := split.Cover()
 		for i, t := range hull {
 			arcs := make([]arc, 0, len(boxes)+1)
 			if a, ok := ownBlockedArc(hull, i); ok {

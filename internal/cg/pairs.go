@@ -142,10 +142,10 @@ func FarthestPairFilter(splits []*mapreduce.Split) []*mapreduce.Split {
 			if i == j {
 				// A single minimal MBR guarantees a pair at least as far
 				// apart as its longer side (points on opposite edges).
-				c := contentOf(splits[i])
+				c := splits[i].Cover()
 				lb = math.Max(c.Width(), c.Height())
 			} else {
-				lb = contentOf(splits[i]).FarthestPairLowerBound(contentOf(splits[j]))
+				lb = splits[i].Cover().FarthestPairLowerBound(splits[j].Cover())
 			}
 			if lb > glb {
 				glb = lb
@@ -155,14 +155,14 @@ func FarthestPairFilter(splits []*mapreduce.Split) []*mapreduce.Split {
 	var out []*mapreduce.Split
 	for i := 0; i < len(splits); i++ {
 		for j := i; j < len(splits); j++ {
-			ub := contentOf(splits[i]).MaxDist(contentOf(splits[j]))
+			ub := splits[i].Cover().MaxDist(splits[j].Cover())
 			if ub < glb {
 				continue
 			}
 			s := &mapreduce.Split{
 				Partition:  splits[i].Partition + "*" + splits[j].Partition,
 				MBR:        splits[i].MBR.Union(splits[j].MBR),
-				ContentMBR: contentOf(splits[i]).Union(contentOf(splits[j])),
+				ContentMBR: splits[i].Cover().Union(splits[j].Cover()),
 				Blocks:     splits[i].Blocks,
 			}
 			if j != i {

@@ -19,11 +19,17 @@ func SkylineSingle(pts []geom.Point) []geom.Point {
 // 4, lines 3–11): a cell is pruned when another cell's guaranteed points
 // dominate its entire content MBR. It returns the surviving splits.
 func SkylineFilter(splits []*mapreduce.Split) []*mapreduce.Split {
+	return skylineFilterQuad(splits, geom.QuadMaxMax)
+}
+
+// skylineFilterQuad is SkylineFilter in any quadrant: the convex hull
+// filter runs it in all four.
+func skylineFilterQuad(splits []*mapreduce.Split, quad geom.Quadrant) []*mapreduce.Split {
 	var selected []*mapreduce.Split
 	for _, c := range splits {
 		dominated := false
 		for _, s := range selected {
-			if geom.RectDominatedBy(contentOf(c), contentOf(s)) {
+			if geom.RectDominatedByQuad(c.Cover(), s.Cover(), quad) {
 				dominated = true
 				break
 			}
@@ -34,7 +40,7 @@ func SkylineFilter(splits []*mapreduce.Split) []*mapreduce.Split {
 		// Remove previously selected cells now dominated by c.
 		keep := selected[:0]
 		for _, s := range selected {
-			if !geom.RectDominatedBy(contentOf(s), contentOf(c)) {
+			if !geom.RectDominatedByQuad(s.Cover(), c.Cover(), quad) {
 				keep = append(keep, s)
 			}
 		}
@@ -86,7 +92,7 @@ func runSkyline(sys *core.System, file string, filtered bool) ([]geom.Point, *ma
 func DominancePowerSet(splits []*mapreduce.Split) []geom.Point {
 	var corners []geom.Point
 	for _, s := range splits {
-		c := contentOf(s)
+		c := s.Cover()
 		if c.IsEmpty() {
 			continue
 		}
@@ -183,7 +189,7 @@ func skylineOSMap(sky []geom.Point, reduceComm bool) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, split *mapreduce.Split) error {
 		skyPts := sky
 		if reduceComm {
-			skyPts = ReduceSKYForCell(sky, contentOf(split))
+			skyPts = ReduceSKYForCell(sky, split.Cover())
 		}
 		ctx.Inc("cg.sky.points.shipped", int64(len(skyPts)))
 		pts, err := split.Points()

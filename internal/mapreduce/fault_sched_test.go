@@ -123,15 +123,27 @@ func TestSpeculativeDuplicateSuppression(t *testing.T) {
 			t.Fatalf("record %d = %q", i, r)
 		}
 	}
-	// The suppressed attempt must appear in the trace as a duplicate.
-	dups := 0
+	// The suppressed attempt must appear in the trace as a duplicate, and
+	// each launched duplicate leaves exactly one attempt span beside the
+	// tasks' own.
+	dups, attempts, specSpans := 0, 0, 0
 	for _, s := range rep.Trace.Spans() {
 		if s.Outcome == obs.OutcomeDuplicate {
 			dups++
 		}
+		if s.IsTaskAttempt() {
+			attempts++
+			if s.Speculative {
+				specSpans++
+			}
+		}
 	}
 	if dups == 0 {
 		t.Error("no span finished with the duplicate outcome")
+	}
+	spec := int(rep.Counters[CounterSpecLaunched])
+	if specSpans != spec || attempts != rep.MapTasks+spec {
+		t.Errorf("%d attempt spans, %d speculative; want %d tasks + %d speculative", attempts, specSpans, rep.MapTasks, spec)
 	}
 }
 

@@ -40,9 +40,9 @@ type Split struct {
 	// whole-file MBR, which conveys no pruning information — exactly the
 	// situation of plain Hadoop.
 	MBR geom.Rect
-	// ContentMBR is the minimal MBR of the split's records (set by the
-	// spatial layer for indexed files; empty otherwise). Dominance filters
-	// consult it because minimality guarantees records on every edge.
+	// ContentMBR is the minimal MBR of the split's records, a record on
+	// every edge (dominance filters rely on it): set by the spatial layer
+	// for indexed files, empty otherwise. Filters read it through Cover.
 	ContentMBR geom.Rect
 	// Blocks are the data blocks of the split.
 	Blocks []*dfs.Block
@@ -53,17 +53,17 @@ type Split struct {
 	Tag string
 }
 
-// Cover returns a rectangle guaranteed to contain every record of the
-// split: the partition boundary united with the content MBR. Overlapping
-// techniques derive the boundary from the loader's sample, so records
-// routed to the partition later may lie outside MBR; pruning filters must
-// test Cover. Replication dedup must NOT use it — the reference-point rule
-// needs the boundary tiling (MBR) of disjoint techniques.
+// Cover is the split's record bound, the rectangle every filter step
+// tests: the content MBR, which the loader grows over each record it
+// places (a region's full bounds), else the partition boundary. An
+// overlapping technique's boundary comes from the loader's sample and
+// need not hold its records. Replication dedup must NOT use Cover — the
+// reference-point rule needs the boundary tiling (MBR) of disjoint ones.
 func (s *Split) Cover() geom.Rect {
 	if s.ContentMBR.IsEmpty() {
 		return s.MBR
 	}
-	return s.MBR.Union(s.ContentMBR)
+	return s.ContentMBR
 }
 
 // Records returns all records of the primary block group, as each

@@ -186,20 +186,27 @@ func TestTraceCapRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every attempt leaves one span: each task's final primary attempt,
+	// each retried one, and each speculative duplicate a loaded machine
+	// launched (whatever its outcome).
 	snap := rep.Trace.Snapshot()
-	attempts := 0
+	attempts, specSpans := 0, 0
 	for i := range snap.Spans {
 		if snap.Spans[i].IsTaskAttempt() {
 			attempts++
+			if snap.Spans[i].Speculative {
+				specSpans++
+			}
 		}
 	}
 	retries := int(rep.Counters[CounterTaskRetries])
+	spec := int(rep.Counters[CounterSpecLaunched])
 	if rep.MapTasks <= obs.MaxReqSpans || retries == 0 {
 		t.Fatalf("setup: %d tasks, %d retries; want > %d tasks and some retries", rep.MapTasks, retries, obs.MaxReqSpans)
 	}
-	if attempts != rep.MapTasks+retries || snap.Dropped != 0 {
-		t.Errorf("batch trace: %d attempts, dropped %d; want %d + %d attempts, none dropped",
-			attempts, snap.Dropped, rep.MapTasks, retries)
+	if attempts != rep.MapTasks+retries+spec || specSpans != spec || snap.Dropped != 0 {
+		t.Errorf("batch trace: %d attempts (%d speculative), dropped %d; want %d + %d + %d speculative attempts, none dropped",
+			attempts, specSpans, snap.Dropped, rep.MapTasks, retries, spec)
 	}
 
 	req := obs.NewTrace("req")

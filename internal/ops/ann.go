@@ -84,7 +84,7 @@ func AllNearestNeighbors(sys *core.System, file string) ([]ANNResult, *mapreduce
 			if s.Partition == uncertainHome[ui] {
 				continue
 			}
-			if r.Dist >= 0 && s.MBR.MinDistPoint(r.Point) > r.Dist {
+			if r.Dist >= 0 && s.Cover().MinDistPoint(r.Point) > r.Dist {
 				continue
 			}
 			route[s.Partition] = append(route[s.Partition], encodeANN(r))

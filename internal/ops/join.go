@@ -23,12 +23,12 @@ type JoinPair struct {
 
 // SpatialJoinIndexed joins two spatially indexed region files on the
 // MBR-intersects predicate (the distributed join of SpatialHadoop). The
-// filter step forms one map task per pair of partitions whose record
-// extents (content MBRs) intersect. A matching record pair can surface in
-// several pair tasks only through replication, which disjoint techniques
-// use; the reference-point rule therefore checks, for each *disjoint*
-// side, that the overlap's min corner falls in that side's partition, so
-// exactly one task reports each match.
+// plan's filter step (Plan.Join) forms one map task per pair of
+// partitions whose covers intersect. A matching record pair can surface
+// in several pair tasks only through replication, which disjoint
+// techniques use; the reference-point rule therefore checks, for each
+// *disjoint* side, that the overlap's min corner falls in that side's
+// partition, so exactly one task reports each match.
 func SpatialJoinIndexed(sys *core.System, left, right string) ([]JoinPair, *mapreduce.Report, error) {
 	return SpatialJoinIndexedTo(sys, left, right, left+".join.out")
 }
@@ -36,67 +36,42 @@ func SpatialJoinIndexed(sys *core.System, left, right string) ([]JoinPair, *mapr
 // SpatialJoinIndexedTo is SpatialJoinIndexed writing its result to the
 // given output file; concurrent joins must use distinct output names.
 func SpatialJoinIndexedTo(sys *core.System, left, right, out string) ([]JoinPair, *mapreduce.Report, error) {
-	return SpatialJoinIndexedCtx(context.Background(), sys, left, right, out)
+	plan, err := planFile(sys, left)
+	if err != nil {
+		return nil, nil, err
+	}
+	rf, err := sys.FS().Open(right)
+	if err != nil {
+		return nil, nil, err
+	}
+	return SpatialJoinIndexedCtx(context.Background(), sys, plan, NewIndexed(rf), out)
 }
 
-// SpatialJoinIndexedCtx is SpatialJoinIndexedTo under a context: the job
-// runs through RunCtx (admission, cancellation, request-trace spans).
-// Pair splits carry no single-input partition key, so the join does not
-// feed per-partition heat.
-func SpatialJoinIndexedCtx(ctx context.Context, sys *core.System, left, right, out string) ([]JoinPair, *mapreduce.Report, error) {
-	lf, err := sys.Open(left)
+// SpatialJoinIndexedCtx is SpatialJoinIndexedTo driven by a plan bound to
+// the left input and under a context: the plan's filter step pairs the
+// partitions (recording both inputs' partition heat), and the job runs
+// through RunCtx (admission, cancellation, request-trace spans).
+func SpatialJoinIndexedCtx(ctx context.Context, sys *core.System, plan *Plan, right *Indexed, out string) ([]JoinPair, *mapreduce.Report, error) {
+	pairs, err := plan.Join(ctx, right)
 	if err != nil {
 		return nil, nil, err
 	}
-	rf, err := sys.Open(right)
-	if err != nil {
-		return nil, nil, err
-	}
-	lsplits := lf.Splits()
-	rsplits := rf.Splits()
-
-	extent := func(s *mapreduce.Split) geom.Rect {
-		if !s.ContentMBR.IsEmpty() {
-			return s.ContentMBR
-		}
-		return s.MBR
-	}
-
-	var pairs []*mapreduce.Split
-	for _, ls := range lsplits {
-		for _, rs := range rsplits {
-			if !extent(ls).Intersects(extent(rs)) {
-				continue
-			}
-			pairs = append(pairs, &mapreduce.Split{
-				Partition: ls.Partition + "*" + rs.Partition,
-				MBR:       ls.MBR.Union(rs.MBR),
-				Blocks:    ls.Blocks,
-				Extra:     rs.Blocks,
-				// The per-side boundaries ride the split's Tag so they ship
-				// to remote workers with the records.
-				Tag: joinTag(ls.MBR, rs.MBR),
-			})
-		}
-	}
-
 	// A side's space is set iff its index is disjoint: the reference-point
 	// rule applies to that side, within that space.
 	conf := map[string]string{}
-	if lf.Index != nil && lf.Index.Disjoint() {
-		conf[confJoinLSpace] = geomio.EncodeRect(lf.Index.Space)
+	if plan.f.Disjoint {
+		conf[confJoinLSpace] = geomio.EncodeRect(plan.f.Space)
 	}
-	if rf.Index != nil && rf.Index.Disjoint() {
-		conf[confJoinRSpace] = geomio.EncodeRect(rf.Index.Space)
+	if right.Disjoint {
+		conf[confJoinRSpace] = geomio.EncodeRect(right.Space)
 	}
-	job := &mapreduce.Job{
+	rep, err := sys.Cluster().RunCtx(ctx, &mapreduce.Job{
 		Name:   "spatial-join",
 		Kind:   "spatial-join",
 		Conf:   conf,
 		Splits: pairs,
 		Output: out,
-	}
-	rep, err := sys.Cluster().RunCtx(ctx, job)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

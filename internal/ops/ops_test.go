@@ -126,6 +126,60 @@ func TestRangeQueryRegionsDeduplicates(t *testing.T) {
 	}
 }
 
+// TestRangeQueryRegionsPlanHeat: the region range query runs the plan's
+// filter step, so its partition heat scans exactly RangeCandidates' kept
+// set, prunes the rest, and credits each kept partition with its records
+// and the matches it reported.
+func TestRangeQueryRegionsPlanHeat(t *testing.T) {
+	area := geom.NewRect(0, 0, 400, 400)
+	polys := datagen.RandomPolygons(300, 5, 30, area, 7)
+	regions := make([]geom.Region, len(polys))
+	for i, pg := range polys {
+		regions[i] = geom.RegionOf(pg)
+	}
+	q := geom.NewRect(100, 100, 220, 200)
+	for _, tech := range []sindex.Technique{sindex.Grid, sindex.STRPlus} {
+		sys := newSys()
+		f, err := sys.LoadRegions("regs", regions, tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		splits := f.Splits()
+		kept := RangeCandidates(splits, q)
+		if len(kept) == 0 || len(kept) == len(splits) {
+			t.Fatalf("%v: setup keeps %d of %d partitions, want some pruned", tech, len(kept), len(splits))
+		}
+		got, _, err := RangeQueryRegions(sys, "regs", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]sindex.PartitionHeat{}
+		for _, sp := range splits {
+			want[sp.Partition] = sindex.PartitionHeat{Partition: sp.Partition, Prunes: 1}
+		}
+		for _, sp := range kept {
+			want[sp.Partition] = sindex.PartitionHeat{Partition: sp.Partition, Scans: 1, Records: int64(sp.NumRecords())}
+		}
+		var matches int64
+		for _, fh := range sys.Hotness().Report() {
+			if fh.File != "regs" {
+				continue
+			}
+			for _, ph := range fh.Partitions {
+				matches += ph.Matches
+				ph.Matches = 0
+				if ph != want[ph.Partition] {
+					t.Errorf("%v: partition %s heat %+v, want %+v", tech, ph.Partition, ph, want[ph.Partition])
+				}
+				delete(want, ph.Partition)
+			}
+		}
+		if len(want) != 0 || matches != int64(len(got)) {
+			t.Errorf("%v: partitions without heat %v; %d matches credited for %d results", tech, want, matches, len(got))
+		}
+	}
+}
+
 func TestKNNMatchesLinearScan(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
 	pts := datagen.Points(datagen.Clustered, 3000, area, 11)

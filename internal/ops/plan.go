@@ -13,10 +13,11 @@ import (
 	"spatialhadoop/internal/sindex"
 )
 
-// The query plan. A point range or kNN query over a two-level index is one
-// plan whichever engine answers it: a filter step chooses the partitions
-// to search by their Split.Cover geometry, kNN decides between one round
-// and two, and candidates merge under one canonical order. The engines —
+// The query plan. A range, kNN, plot or join query over a two-level index
+// is one plan whichever engine answers it: a filter step chooses the
+// partitions to search — or, for a join, the pairs of partitions — by
+// their Split.Cover, kNN decides between one round and two, and
+// candidates merge under one canonical order. The engines —
 // a MapReduce job, the in-memory local executor, the sharded
 // scatter/gather — are drivers that only fetch the fragments of the
 // partitions the plan kept, so they agree on every answer by
@@ -82,11 +83,12 @@ func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, q ge
 		return sortCandidates(cands, k), err
 	}
 
-	// Round 1: the smallest-area partition whose cover contains q, or —
-	// when q lies outside every cover — everything.
+	// Round 1: the smallest-area partition whose boundary or cover holds
+	// q (the boundary, so a q between record bounds finds its owner), or —
+	// when q lies outside all of them — everything.
 	var home *mapreduce.Split
 	for _, sp := range splits {
-		if sp.Cover().ContainsPoint(q) && (home == nil || sp.Cover().Area() < home.Cover().Area()) {
+		if r := sp.MBR.Union(sp.Cover()); r.ContainsPoint(q) && (home == nil || r.Area() < home.MBR.Union(home.Cover()).Area()) {
 			home = sp
 		}
 	}
@@ -138,14 +140,14 @@ func planKNN(ctx context.Context, splits []*mapreduce.Split, disjoint bool, q ge
 
 // LocalStats describes one execution of a plan, whichever engine drove it,
 // for explain output. The partition counts describe the final round (so
-// consulted+pruned == total).
+// consulted+pruned == total); a join's count both inputs.
 type LocalStats struct {
 	// PartitionsTotal/Consulted/Pruned partition the final round's splits:
 	// every split was either searched or pruned by its cover.
 	PartitionsTotal     int
 	PartitionsConsulted int
 	PartitionsPruned    int
-	// Rounds is 1 or 2 (kNN protocol); always 1 for range.
+	// Rounds is 1 or 2 (kNN protocol); always 1 for range and join.
 	Rounds int
 }
 
@@ -266,4 +268,42 @@ func (p *Plan) KNN(ctx context.Context, q geom.Point, k int, fetch func(ctx cont
 		p.filtered(kept)
 		return fetch(ctx, kept)
 	})
+}
+
+// Join runs a join's filter step, a join of the global indexes of the
+// plan's file (the left input) and right: one pair split per pair of
+// partitions whose covers meet, left-major in split order, carrying both
+// sides' blocks and, in its Tag, both boundaries for the reference-point
+// rule. A partition of either input is scanned if it joins some pair.
+func (p *Plan) Join(ctx context.Context, right *Indexed) ([]*mapreduce.Split, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	keptL, keptR := meeting(p.f.Splits, right.Splits), meeting(right.Splits, p.f.Splits)
+	var pairs []*mapreduce.Split
+	for _, l := range keptL {
+		for _, r := range keptR {
+			if l.Cover().Intersects(r.Cover()) {
+				pairs = append(pairs, &mapreduce.Split{Partition: l.Partition + "*" + r.Partition,
+					MBR: l.MBR.Union(r.MBR), Blocks: l.Blocks, Extra: r.Blocks, Tag: joinTag(l.MBR, r.MBR)})
+			}
+		}
+	}
+	total, kept := len(p.f.Splits)+len(right.Splits), len(keptL)+len(keptR)
+	p.Stats = LocalStats{PartitionsTotal: total, PartitionsConsulted: kept, PartitionsPruned: total - kept, Rounds: 1}
+	recordFilterHeat(p.hot, p.f.Name, p.f.Splits, keptL)
+	recordFilterHeat(p.hot, right.Name, right.Splits, keptR)
+	return pairs, nil
+}
+
+// meeting returns the splits of a whose cover meets a cover in b, in
+// split order.
+func meeting(a, b []*mapreduce.Split) []*mapreduce.Split {
+	var kept []*mapreduce.Split
+	for _, s := range a {
+		if slices.ContainsFunc(b, func(o *mapreduce.Split) bool { return s.Cover().Intersects(o.Cover()) }) {
+			kept = append(kept, s)
+		}
+	}
+	return kept
 }

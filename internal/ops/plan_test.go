@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -100,6 +101,8 @@ func TestPlanKNNRounds(t *testing.T) {
 			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, Rounds: 1},
 		},
 		{
+			// Round 2 reaches no cover but c0's: the circle (radius 1) sits
+			// in c0's content MBR.
 			name: "overlapping technique forces round 2", disjoint: false,
 			q: geom.Pt(11, 10), k: 2,
 			rounds: [][]string{{"c0"}, {"c0"}},
@@ -118,18 +121,32 @@ func TestPlanKNNRounds(t *testing.T) {
 			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 4, Rounds: 2},
 		},
 		{
-			// The circle (radius 30 around (44,10)) reaches c1's cover
-			// but stops 40 short of c2's and c3's.
+			// The circle (radius 30 around (44,10)) reaches c1's boundary
+			// 6 away, but c1's cover — its content MBR (90,25)-(95,40),
+			// which holds every record — lies 48 away, and c2's and c3's
+			// farther still.
 			name: "round 2 prunes covers outside the circle", disjoint: true,
 			q: geom.Pt(44, 10), k: 2,
-			rounds: [][]string{{"c0"}, {"c0", "c1"}},
-			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 2, PartitionsPruned: 2, Rounds: 2},
+			rounds: [][]string{{"c0"}, {"c0"}},
+			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, Rounds: 2},
 		},
 		{
+			// Radius 33.5 around (44,25) meets every boundary but no
+			// other content MBR: c1's is 46 away, c2's 38.4, c3's 38.5.
 			name: "no bitmap filter: geometry alone keeps the circle's reach", disjoint: true,
 			q: geom.Pt(44, 25), k: 2,
-			rounds: [][]string{{"c0"}, all},
-			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 4, Rounds: 2},
+			rounds: [][]string{{"c0"}, {"c0"}},
+			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, Rounds: 2},
+		},
+		{
+			// Home c1's one candidate (90,25) sets radius 30.4 around
+			// (60,20). c0's content MBR lies 15 away and holds the answer,
+			// (45,25) at 15.8, so round 2 keeps c0; c3's boundary lies 30
+			// away but its content MBR 40, so round 2 prunes it.
+			name: "round 2 keeps a neighbour whose content lies in the circle", disjoint: true,
+			q: geom.Pt(60, 20), k: 1,
+			rounds: [][]string{{"c1"}, {"c0", "c1"}},
+			stats:  LocalStats{PartitionsTotal: 4, PartitionsConsulted: 2, PartitionsPruned: 2, Rounds: 2},
 		},
 		{
 			name: "k = 0", disjoint: true,
@@ -179,20 +196,21 @@ func TestPlanKNNRounds(t *testing.T) {
 func TestPlanRangeCandidates(t *testing.T) {
 	fx := newPlanFixture()
 	var keys []string
-	// The query reaches c0's and c1's covers only.
+	// The query reaches c0's and c1's boundaries but only c0's cover:
+	// c1's content MBR starts at x = 90.
 	query := geom.NewRect(40, 20, 70, 30)
 	for _, sp := range RangeCandidates(fx.splits, query) {
 		keys = append(keys, sp.Partition)
 	}
-	if !reflect.DeepEqual(keys, []string{"c0", "c1"}) {
-		t.Errorf("kept %v, want [c0 c1]", keys)
+	if !reflect.DeepEqual(keys, []string{"c0"}) {
+		t.Errorf("kept %v, want [c0]", keys)
 	}
 
 	plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits}, hot: sindex.NewHotness()}
 	if _, err := plan.Range(context.Background(), query); err != nil {
 		t.Fatal(err)
 	}
-	if want := (LocalStats{PartitionsTotal: 4, PartitionsConsulted: 2, PartitionsPruned: 2, Rounds: 1}); plan.Stats != want {
+	if want := (LocalStats{PartitionsTotal: 4, PartitionsConsulted: 1, PartitionsPruned: 3, Rounds: 1}); plan.Stats != want {
 		t.Errorf("range stats = %+v, want %+v", plan.Stats, want)
 	}
 }
@@ -225,5 +243,54 @@ func TestPlanCancelled(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || len(drv.rounds) != 1 {
 		t.Errorf("cancel after round 1: err %v, rounds %v", err, drv.rounds)
+	}
+}
+
+// TestPlanJoin: the join's filter step pairs the partitions whose covers
+// meet — not their boundaries — left-major, and counts and heats both
+// inputs' partitions.
+func TestPlanJoin(t *testing.T) {
+	fx := newPlanFixture()
+	right := &Indexed{Name: "g"}
+	for i, r := range []struct{ mbr, content geom.Rect }{
+		// r0's boundary meets c0's and c1's, its content c0's only.
+		{geom.NewRect(40, 0, 60, 50), geom.NewRect(40, 20, 60, 30)},
+		{geom.NewRect(80, 80, 100, 100), geom.NewRect(85, 85, 99, 99)},
+		{geom.NewRect(0, 90, 10, 100), geom.NewRect(0, 95, 5, 99)},
+	} {
+		right.Splits = append(right.Splits, &mapreduce.Split{Partition: fmt.Sprintf("r%d", i), MBR: r.mbr, ContentMBR: r.content})
+	}
+	hot := sindex.NewHotness()
+	plan := &Plan{f: &Indexed{Name: "f", Splits: fx.splits}, hot: hot}
+	pairs, err := plan.Join(context.Background(), right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pairs {
+		got = append(got, p.Partition)
+	}
+	if want := []string{"c0*r0", "c3*r1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs %v, want %v", got, want)
+	}
+	l, r := fx.splits[3], right.Splits[1]
+	if p := pairs[1]; p.Tag != joinTag(l.MBR, r.MBR) || p.MBR != l.MBR.Union(r.MBR) || !slices.Equal(p.Blocks, l.Blocks) || !slices.Equal(p.Extra, r.Blocks) {
+		t.Errorf("pair %s = %+v, want both sides' blocks and boundaries", p.Partition, p)
+	}
+	if want := (LocalStats{PartitionsTotal: 7, PartitionsConsulted: 4, PartitionsPruned: 3, Rounds: 1}); plan.Stats != want {
+		t.Errorf("join stats = %+v, want %+v", plan.Stats, want)
+	}
+	heat := map[string]string{}
+	for _, fh := range hot.Report() {
+		for _, ph := range fh.Partitions {
+			heat[fh.File+"/"+ph.Partition] = fmt.Sprintf("%d/%d", ph.Scans, ph.Prunes)
+		}
+	}
+	want := map[string]string{
+		"f/c0": "1/0", "f/c1": "0/1", "f/c2": "0/1", "f/c3": "1/0",
+		"g/r0": "1/0", "g/r1": "1/0", "g/r2": "0/1",
+	}
+	if !reflect.DeepEqual(heat, want) {
+		t.Errorf("scans/prunes %v, want %v", heat, want)
 	}
 }

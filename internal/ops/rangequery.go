@@ -32,8 +32,8 @@ const (
 
 // RangeQueryPoints returns all points of the (indexed or heap) file that
 // lie inside query. With an indexed file, the filter step prunes every
-// partition whose boundary misses the query, and map tasks scan the
-// survivors; with a heap file every block is scanned.
+// partition whose cover (the bound of its records) misses the query, and
+// map tasks scan the survivors; with a heap file every block is scanned.
 func RangeQueryPoints(sys *core.System, file string, query geom.Rect) ([]geom.Point, *mapreduce.Report, error) {
 	return RangeQueryPointsTo(sys, file, query, file+".range.out")
 }
@@ -76,35 +76,37 @@ func RangeQueryPointsCtx(ctx context.Context, sys *core.System, plan *Plan, quer
 	return pts, rep, nil
 }
 
-// RangeQueryRegions returns all regions whose MBR intersects query.
-// Replicated records (disjoint partitioning) are deduplicated with the
-// reference-point rule: a region is reported only by the partition that
-// contains the top-left corner of the intersection of its MBR with the
-// query, so each match is produced exactly once.
+// RangeQueryRegions returns all regions whose MBR intersects query,
+// planned as RangeQueryPointsCtx is. Replicated records (disjoint
+// partitioning) are deduplicated with the reference-point rule: a region
+// is reported only by the partition that contains the top-left corner of
+// the intersection of its MBR with the query, so each match is produced
+// exactly once.
 func RangeQueryRegions(sys *core.System, file string, query geom.Rect) ([]geom.Region, *mapreduce.Report, error) {
-	f, err := sys.Open(file)
+	plan, err := planFile(sys, file)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := context.Background()
+	kept, err := plan.Range(ctx, query)
 	if err != nil {
 		return nil, nil, err
 	}
 	conf := map[string]string{confRangeQuery: geomio.EncodeRect(query)}
-	if f.Index != nil && f.Index.Disjoint() {
-		conf[confRangeSpace] = geomio.EncodeRect(f.Index.Space)
+	if plan.f.Disjoint {
+		conf[confRangeSpace] = geomio.EncodeRect(plan.f.Space)
 	}
 	out := file + ".range.out"
-	job := &mapreduce.Job{
+	rep, err := plan.runJob(ctx, sys, &mapreduce.Job{
 		Name:   "range-regions",
 		Kind:   "range-regions",
 		Conf:   conf,
-		Splits: f.Splits(),
-		Filter: func(splits []*mapreduce.Split) []*mapreduce.Split {
-			return RangeCandidates(splits, query)
-		},
 		Output: out,
-	}
-	rep, err := sys.Cluster().Run(job)
+	}, kept)
 	if err != nil {
 		return nil, nil, err
 	}
+	plan.jobSearched(kept, rep)
 	regs, err := sys.ReadRegions(out)
 	if err != nil {
 		return nil, nil, err

@@ -451,6 +451,78 @@ func TestPartitionsReport(t *testing.T) {
 	}
 }
 
+// TestJoinExplainAndHeat: a join is planned like every other query, so
+// /join?explain=1 reports both inputs' partitions, split into scanned and
+// pruned, and /debug/partitions shows the same decisions for each input.
+func TestJoinExplainAndHeat(t *testing.T) {
+	sys := newServeSystem(t)
+	srv := New(sys, Config{CacheSize: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := getWithTrace(t, ts, "/join?left=a&right=b&explain=1")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("join status %d body %s", resp.StatusCode, body)
+	}
+	var joined struct {
+		Count   int `json:"count"`
+		Explain struct {
+			Engine            string `json:"engine"`
+			PartitionsTotal   int    `json:"partitions_total"`
+			PartitionsScanned int    `json:"partitions_scanned"`
+			PartitionsPruned  int    `json:"partitions_pruned"`
+		} `json:"explain"`
+	}
+	if err := json.Unmarshal(body, &joined); err != nil {
+		t.Fatalf("explained join is not JSON: %v\n%s", err, body)
+	}
+	e := joined.Explain
+	parts := map[string]int{}
+	for _, name := range []string{"a", "b"} {
+		f, err := sys.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[name] = len(f.Splits())
+	}
+	if e.Engine != PlannerMapReduce || joined.Count == 0 {
+		t.Errorf("join engine %q with %d pairs, want mapreduce and some pairs", e.Engine, joined.Count)
+	}
+	if e.PartitionsTotal != parts["a"]+parts["b"] || e.PartitionsScanned == 0 || e.PartitionsScanned+e.PartitionsPruned != e.PartitionsTotal {
+		t.Errorf("explain partitions: total %d scanned %d pruned %d, want total %d+%d = scanned + pruned, some scanned",
+			e.PartitionsTotal, e.PartitionsScanned, e.PartitionsPruned, parts["a"], parts["b"])
+	}
+
+	var rep struct {
+		Files []struct {
+			File       string `json:"file"`
+			Scans      int64  `json:"scans"`
+			Prunes     int64  `json:"prunes"`
+			Partitions []struct {
+				Partition string `json:"partition"`
+			} `json:"partitions"`
+		} `json:"files"`
+	}
+	if resp, body := getWithTrace(t, ts, "/debug/partitions"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/partitions status %d", resp.StatusCode)
+	} else if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("decode partitions report: %v", err)
+	}
+	var scans, prunes int64
+	for _, fh := range rep.Files {
+		if fh.Scans == 0 || len(fh.Partitions) != parts[fh.File] || fh.Scans+fh.Prunes != int64(parts[fh.File]) {
+			t.Errorf("input %s: %d scans + %d prunes over %d partitions, want one decision for each of its %d partitions, some scanned",
+				fh.File, fh.Scans, fh.Prunes, len(fh.Partitions), parts[fh.File])
+		}
+		scans, prunes = scans+fh.Scans, prunes+fh.Prunes
+		delete(parts, fh.File)
+	}
+	if len(parts) != 0 || scans != int64(e.PartitionsScanned) || prunes != int64(e.PartitionsPruned) {
+		t.Errorf("heat: inputs %v missing, %d scans and %d prunes; explain scanned %d and pruned %d",
+			parts, scans, prunes, e.PartitionsScanned, e.PartitionsPruned)
+	}
+}
+
 // TestAccessLog checks the JSONL access log: one line per request with
 // trace ID, op, status and latency.
 func TestAccessLog(t *testing.T) {

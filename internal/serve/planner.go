@@ -52,9 +52,9 @@ const (
 
 // execMeta describes how one response body was built, for the X-Engine
 // header, the explain report, and the planner counters. stats is the query
-// plan's, whichever engine drove it (nil for a join, which plans none);
-// rep is set by the MapReduce engine and supplies only the job fields;
-// shard is set only by the sharded engine.
+// plan's, whichever engine drove it, and always set; rep is set by the
+// MapReduce engine and supplies only the job fields; shard is set only by
+// the sharded engine.
 type execMeta struct {
 	engine string // "local", "mapreduce" or "sharded"
 	stats  *ops.LocalStats

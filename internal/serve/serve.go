@@ -367,9 +367,10 @@ func writeError(w http.ResponseWriter, err error) {
 // responses. Engine names who built the body ("local", "mapreduce",
 // "sharded", or "cache" when no engine ran); execution fields are zero on
 // cache hits.
-// The partition fields are the query plan's, whichever engine drove it
-// (zero for a join, which plans none): partitions_scanned counts the
-// partitions the final round searched. The MapReduce job fields (shuffle,
+// The partition fields are the query plan's, whichever engine drove it:
+// partitions_scanned counts the partitions the final round searched (for
+// a join, those of either input that joined at least one kept pair, out
+// of both inputs' total). The MapReduce job fields (shuffle,
 // retries, phase times) stay zero for the other engines.
 type explainJSON struct {
 	TraceID           string `json:"trace_id"`
@@ -405,11 +406,9 @@ func buildExplain(traceID, cache string, meta *execMeta) explainJSON {
 		return e
 	}
 	e.Engine = meta.engine
-	if st := meta.stats; st != nil {
-		e.PartitionsTotal = st.PartitionsTotal
-		e.PartitionsScanned = st.PartitionsConsulted
-		e.PartitionsPruned = st.PartitionsPruned
-	}
+	e.PartitionsTotal = meta.stats.PartitionsTotal
+	e.PartitionsScanned = meta.stats.PartitionsConsulted
+	e.PartitionsPruned = meta.stats.PartitionsPruned
 	if sh := meta.shard; sh != nil {
 		e.ShardFanout = sh.fanout
 		e.ShardCalls = sh.calls
@@ -731,12 +730,22 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	if left == "" || right == "" {
 		return badRequest("missing left/right parameter")
 	}
-	// Both inputs' epochs key the entry: mutating either side invalidates.
-	key := fmt.Sprintf("join|%s@%d|%s@%d", left, s.sys.FS().FileEpoch(left), right, s.sys.FS().FileEpoch(right))
+	// One generation of each input per request, as in handleRange; both
+	// epochs key the entry, so mutating either side invalidates.
+	lf, err := s.sys.FS().Open(left)
+	if err != nil {
+		return err
+	}
+	rf, err := s.sys.FS().Open(right)
+	if err != nil {
+		return err
+	}
+	key := fmt.Sprintf("join|%s@%d|%s@%d", left, lf.Epoch(), right, rf.Epoch())
 	return s.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, *execMeta, error) {
 		out := s.tempOut(left)
 		defer s.sys.FS().Delete(out)
-		pairs, rep, err := ops.SpatialJoinIndexedCtx(ctx, s.sys, left, right, out)
+		plan := ops.NewPlan(s.sys, ops.NewIndexed(lf))
+		pairs, rep, err := ops.SpatialJoinIndexedCtx(ctx, s.sys, plan, ops.NewIndexed(rf), out)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -751,7 +760,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 			resp.Pairs[i] = joinPairJSON{Left: p.Left, Right: p.Right}
 		}
 		body, err := marshalBody(resp)
-		return body, &execMeta{engine: PlannerMapReduce, rep: rep}, err
+		return body, &execMeta{engine: PlannerMapReduce, stats: &plan.Stats, rep: rep}, err
 	})
 }
 
