@@ -3,11 +3,18 @@
 // of ablations). Run a single experiment with -exp fig24, everything with
 // -exp all, and list the catalogue with -list.
 //
+// Each experiment checks its EXPERIMENTS.md row over what it measured and
+// prints one "check" line per claim under its table. shbench exits
+// non-zero, naming every failed check, when a shape is broken. Claims about
+// time are checked at the defaults only; the counter claims need several
+// partitions per sweep, so a smaller -scale wants a smaller -blocksize
+// (-scale 0.1 -blocksize 16384 holds them all).
+//
 // Usage:
 //
 //	shbench -list
-//	shbench -exp fig22 -scale 0.5
-//	shbench -exp all -workers 25 > results.txt
+//	shbench -exp fig22 -scale 0.1 -blocksize 16384
+//	shbench -exp all > bench_results.txt
 //
 // Profiling and observability:
 //

@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"fmt"
+	"slices"
 
 	"spatialhadoop/internal/cg"
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
+	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
 	"spatialhadoop/internal/voronoi"
@@ -21,150 +21,124 @@ func init() {
 // runAblationSkyComm measures the communication optimization of paper
 // Appendix B: shipping the full dominance-power set SKY to every task is
 // O(|G|^2) points, while the per-cell subset SKY(c) caps it at 4 per task.
-func runAblationSkyComm(cfg Config) error {
-	t := newTable(cfg.W, "partitions", "sky-points-shipped(full)", "sky-points-shipped(reduced)", "saving%")
+func runAblationSkyComm(x *exp) error {
+	t := newTable("partitions", "tasks", "sky-points-shipped(full)", "sky-points-shipped(reduced)", "saving%")
 	for _, base := range []int{100000, 200000, 400000} {
-		n := cfg.n(base)
 		// The anti-correlated worst case: the skyline (and hence SKY) is
 		// large and the filter step cannot prune partitions.
-		pts := datagen.Points(datagen.ReverselyCorrelated, n, benchArea, cfg.Seed)
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+		pts := datagen.Points(datagen.ReverselyCorrelated, x.n(base), benchArea, x.Seed)
+		sys := x.system()
 		f, err := sys.LoadPoints("idx", pts, sindex.Grid)
 		if err != nil {
 			return err
 		}
-		var full, reduced int64
-		for _, mode := range []bool{false, true} {
-			_, rep, err := cg.SkylineOutputSensitive(sys, "idx", mode)
-			if err != nil {
-				return err
-			}
-			if mode {
-				reduced = rep.Counters["cg.sky.points.shipped"]
-			} else {
-				full = rep.Counters["cg.sky.points.shipped"]
-			}
+		full, err := runJob(x, sys, "idx", skylineOS(false))
+		if err != nil {
+			return err
 		}
-		saving := "-"
-		if full > 0 {
-			saving = fmt.Sprintf("%.1f", 100*(1-float64(reduced)/float64(full)))
+		reduced, err := runJob(x, sys, "idx", skylineOS(true))
+		if err != nil {
+			return err
 		}
-		t.add(fmt.Sprintf("%d", len(f.Index.Cells)),
-			fmt.Sprintf("%d", full), fmt.Sprintf("%d", reduced), saving)
+		nf, nr := full.Counters["cg.sky.points.shipped"], reduced.Counters["cg.sky.points.shipped"]
+		t.add(len(f.Index.Cells), reduced.MapTasks, nf, nr, 100*(1-float64(nr)/float64(nf)))
 	}
-	t.flush()
-	fmt.Fprintln(cfg.W, "\nTheorem 4 bounds the per-task broadcast at 4 points, turning the O(|G|^2)")
-	fmt.Fprintln(cfg.W, "total into O(|G|); the saving grows with the partition count.")
+	t.flush(x.W)
+	tasks, reduced := t.col("tasks"), t.col("sky-points-shipped(reduced)")
+	bounded := true
+	for i := range tasks {
+		bounded = bounded && reduced[i] <= 4*tasks[i]
+	}
+	x.check("theorem4-bound", bounded, "the reduced broadcast ships %v points, at most 4 per task (%v tasks)", reduced, tasks)
+	saving := t.col("saving%")
+	x.check("saving-grows", increasing(saving), "the saving grows with the partition count: %v%%", saving)
 	return nil
 }
 
 // runAblationFilter quantifies the filter step's contribution by running
 // the indexed skyline and hull jobs with and without it.
-func runAblationFilter(cfg Config) error {
-	n := cfg.n(200000)
-	pts := datagen.Points(datagen.Clustered, n, benchArea, cfg.Seed)
-	sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+func runAblationFilter(x *exp) error {
+	pts := datagen.Points(datagen.Clustered, x.n(200000), benchArea, x.Seed)
+	sys := x.system()
 	if _, err := sys.LoadPoints("idx", pts, sindex.STRPlus); err != nil {
 		return err
 	}
-	t := newTable(cfg.W, "operation", "filter", "time(ms)", "partitions")
-	// SkylineHadoop on the indexed file runs the identical job minus the
-	// filter function, which is exactly the ablation.
-	var rep *mapreduce.Report
-	d, err := timed(func() error {
-		var err error
-		_, rep, err = cg.SkylineHadoop(sys, "idx")
-		return err
-	})
-	if err != nil {
-		return err
+	t := newTable("operation", "time-off(ms)", "time-on(ms)", "partitions-off", "partitions-on")
+	// The Hadoop variant on the indexed file runs the identical job minus
+	// the filter function, which is exactly the ablation.
+	for _, o := range []struct {
+		name    string
+		off, on op[[]geom.Point]
+	}{
+		{"skyline", cg.SkylineHadoop, cg.SkylineSHadoop},
+		{"convexhull", cg.ConvexHullHadoop, cg.ConvexHullSHadoop},
+	} {
+		off, err := runJob(x, sys, "idx", o.off)
+		if err != nil {
+			return err
+		}
+		on, err := runJob(x, sys, "idx", o.on)
+		if err != nil {
+			return err
+		}
+		t.add(o.name, off.wall, on.wall, off.Splits, on.Splits)
 	}
-	t.add("skyline", "off", ms(d), fmt.Sprintf("%d", rep.Splits))
-	d, err = timed(func() error {
-		var err error
-		_, rep, err = cg.SkylineSHadoop(sys, "idx")
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	t.add("skyline", "on", ms(d), fmt.Sprintf("%d", rep.Splits))
-
-	d, err = timed(func() error {
-		var err error
-		_, rep, err = cg.ConvexHullHadoop(sys, "idx")
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	t.add("convexhull", "off", ms(d), fmt.Sprintf("%d", rep.Splits))
-	d, err = timed(func() error {
-		var err error
-		_, rep, err = cg.ConvexHullSHadoop(sys, "idx")
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	t.add("convexhull", "on", ms(d), fmt.Sprintf("%d", rep.Splits))
-	t.flush()
+	t.flush(x.W)
+	on, off := t.col("partitions-on"), t.col("partitions-off")
+	x.check("filter-prunes", prunes(on, off),
+		"the filter step cuts the partitions read from %v to %v, at least by half", off, on)
 	return nil
 }
 
 // runAblationVDFrontier measures how many dangerous-zone evaluations the
 // boundary-BFS optimization of §5.2 saves over testing every region.
-func runAblationVDFrontier(cfg Config) error {
-	t := newTable(cfg.W, "sites", "regions-tested(direct)", "regions-tested(frontier)", "saving%")
-	part := benchArea
+func runAblationVDFrontier(x *exp) error {
+	t := newTable("sites", "regions-tested(direct)", "regions-tested(frontier)", "saving%")
 	for _, base := range []int{20000, 40000, 80000} {
-		n := cfg.n(base)
-		pts := datagen.Points(datagen.Uniform, n, part, cfg.Seed)
-		vd := voronoi.New(pts)
-		_, apps := vd.SafeSitesFrontier(part)
-		t.add(fmt.Sprintf("%d", n), fmt.Sprintf("%d", n), fmt.Sprintf("%d", apps),
-			fmt.Sprintf("%.1f", 100*(1-float64(apps)/float64(n))))
+		n := x.n(base)
+		vd := voronoi.New(datagen.Points(datagen.Uniform, n, benchArea, x.Seed))
+		_, apps := vd.SafeSitesFrontier(benchArea)
+		t.add(n, n, apps, 100*(1-float64(apps)/float64(n)))
 	}
-	t.flush()
-	fmt.Fprintln(cfg.W, "\nThe paper reports the rule applied on only 7K of 1.4M regions; the frontier")
-	fmt.Fprintln(cfg.W, "walk touches only the boundary band, so the saving grows with density.")
+	t.flush(x.W)
+	saving := t.col("saving%")
+	x.check("saving-grows", slices.Min(saving) > 0 && increasing(saving),
+		"the frontier walk tests a falling share of the regions as density grows: saving %v%%", saving)
 	return nil
 }
 
 // runAblationPartitioner compares partitioning techniques per operation
-// (the design-space question behind Table 1).
-func runAblationPartitioner(cfg Config) error {
-	n := cfg.n(100000)
-	pts := datagen.Points(datagen.Clustered, n, benchArea, cfg.Seed)
-	t := newTable(cfg.W, "technique", "skyline(ms)", "hull(ms)", "closest(ms)")
-	for _, tech := range []sindex.Technique{sindex.Grid, sindex.STRPlus, sindex.QuadTree, sindex.KDTree} {
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+// (the design-space question behind Table 1) on skewed data. The records
+// each filtered job reads stand for its time.
+func runAblationPartitioner(x *exp) error {
+	pts := datagen.Points(datagen.Clustered, x.n(100000), benchArea, x.Seed)
+	techs := []sindex.Technique{sindex.Grid, sindex.STRPlus, sindex.QuadTree, sindex.KDTree}
+	t := newTable("technique", "skyline(ms)", "hull(ms)", "closest(ms)", "skyline-read", "hull-read")
+	for _, tech := range techs {
+		sys := x.system()
 		if _, err := sys.LoadPoints("idx", pts, tech); err != nil {
 			return err
 		}
-		dSky, err := timed(func() error {
-			_, _, err := cg.SkylineSHadoop(sys, "idx")
-			return err
-		})
+		sky, err := runJob(x, sys, "idx", cg.SkylineSHadoop)
 		if err != nil {
 			return err
 		}
-		dHull, err := timed(func() error {
-			_, _, err := cg.ConvexHullSHadoop(sys, "idx")
-			return err
-		})
+		hull, err := runJob(x, sys, "idx", cg.ConvexHullSHadoop)
 		if err != nil {
 			return err
 		}
-		dCP, err := timed(func() error {
-			_, _, err := cg.ClosestPairSHadoop(sys, "idx")
-			return err
-		})
+		cp, err := runJob(x, sys, "idx", cg.ClosestPairSHadoop)
 		if err != nil {
 			return err
 		}
-		t.add(tech.String(), ms(dSky), ms(dHull), ms(dCP))
+		t.add(tech.String(), sky.wall, hull.wall, cp.wall,
+			sky.Counters[mapreduce.CounterMapRecordsIn], hull.Counters[mapreduce.CounterMapRecordsIn])
 	}
-	t.flush()
+	t.flush(x.W)
+	grid, strPlus, quad := 0, slices.Index(techs, sindex.STRPlus), slices.Index(techs, sindex.QuadTree)
+	sky, hull := t.col("skyline-read"), t.col("hull-read")
+	x.check("skew-adaptive-read-less", sky[strPlus] < sky[grid] && sky[quad] < sky[grid] && hull[quad] < hull[grid],
+		"on clustered data the skyline reads %v records under STR+ and %v under the quadtree, fewer than grid's %v; the hull reads %v under the quadtree, fewer than grid's %v",
+		sky[strPlus], sky[quad], sky[grid], hull[quad], hull[grid])
 	return nil
 }

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"fmt"
-
 	"spatialhadoop/internal/cg"
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
-	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -15,104 +11,47 @@ func init() {
 	register("fig28", "Convex hull on SYNTH (uniform) incl. enhanced variant", runFig28)
 }
 
-func runFig27(cfg Config) error {
-	t := newTable(cfg.W, "points", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)",
+func runFig27(x *exp) error {
+	t := newTable("points", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)",
 		"hadoop-parts", "shadoop-parts", "sh-speedup")
 	for _, base := range []int{50000, 100000, 200000, 400000} {
-		n := cfg.n(base)
-		pts := datagen.Points(datagen.Clustered, n, benchArea, cfg.Seed)
-
-		dSingle, _ := timed(func() error {
-			_ = cg.ConvexHullSingle(pts)
-			return nil
-		})
-
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
-		if err := sys.LoadPointsHeap("heap", pts); err != nil {
-			return err
-		}
-		var repH *mapreduce.Report
-		dHadoop, err := timed(func() error {
-			var err error
-			_, repH, err = cg.ConvexHullHadoop(sys, "heap")
-			return err
-		})
+		n := x.n(base)
+		pts := datagen.Points(datagen.Clustered, n, benchArea, x.Seed)
+		single := clock(func() { cg.ConvexHullSingle(pts) })
+		sys := x.system()
+		h, s, err := heapVsIndex(x, sys, pts, sindex.STRPlus, cg.ConvexHullHadoop, cg.ConvexHullSHadoop)
 		if err != nil {
 			return err
 		}
-
-		if _, err := sys.LoadPoints("idx", pts, sindex.STRPlus); err != nil {
-			return err
-		}
-		var repS *mapreduce.Report
-		dSH, err := timed(func() error {
-			var err error
-			_, repS, err = cg.ConvexHullSHadoop(sys, "idx")
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		simH := simDur(dHadoop, repH, cfg.Workers)
-		simS := simDur(dSH, repS, cfg.Workers)
-		t.add(fmt.Sprintf("%d", n), ms(dSingle), ms(simH), ms(simS),
-			fmt.Sprintf("%d", repH.Splits), fmt.Sprintf("%d", repS.Splits),
-			speedup(dSingle, simS))
+		t.add(n, single, h.sim, s.sim, h.Splits, s.Splits, ratio(single, s.sim))
 	}
-	t.flush()
-	fmt.Fprintln(cfg.W, "\nShape to match Fig. 27: the four-skylines filter keeps the processed")
-	fmt.Fprintln(cfg.W, "partition count roughly constant while Hadoop reads the whole file.")
+	t.flush(x.W)
+	checkFilterSweep(x, t)
 	return nil
 }
 
-func runFig28(cfg Config) error {
-	t := newTable(cfg.W, "points", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)", "enhanced-sim(ms)", "enh-forwarded")
+func runFig28(x *exp) error {
+	t := newTable("points", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)", "enhanced-sim(ms)", "enh-forwarded")
 	for _, base := range []int{50000, 100000, 200000, 400000} {
-		n := cfg.n(base)
-		pts := datagen.Points(datagen.Uniform, n, benchArea, cfg.Seed)
-
-		dSingle, _ := timed(func() error {
-			_ = cg.ConvexHullSingle(pts)
-			return nil
-		})
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
-		if err := sys.LoadPointsHeap("heap", pts); err != nil {
-			return err
-		}
-		var repH, repS, repE *mapreduce.Report
-		dHadoop, err := timed(func() error {
-			var err error
-			_, repH, err = cg.ConvexHullHadoop(sys, "heap")
-			return err
-		})
+		n := x.n(base)
+		pts := datagen.Points(datagen.Uniform, n, benchArea, x.Seed)
+		single := clock(func() { cg.ConvexHullSingle(pts) })
+		sys := x.system()
+		h, s, err := heapVsIndex(x, sys, pts, sindex.Grid, cg.ConvexHullHadoop, cg.ConvexHullSHadoop)
 		if err != nil {
 			return err
 		}
-		if _, err := sys.LoadPoints("idx", pts, sindex.Grid); err != nil {
-			return err
-		}
-		dSH, err := timed(func() error {
-			var err error
-			_, repS, err = cg.ConvexHullSHadoop(sys, "idx")
-			return err
-		})
+		e, err := runJob(x, sys, "idx", cg.ConvexHullEnhanced)
 		if err != nil {
 			return err
 		}
-		dEnh, err := timed(func() error {
-			var err error
-			_, repE, err = cg.ConvexHullEnhanced(sys, "idx")
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		t.add(fmt.Sprintf("%d", n), ms(dSingle),
-			ms(simDur(dHadoop, repH, cfg.Workers)),
-			ms(simDur(dSH, repS, cfg.Workers)),
-			ms(simDur(dEnh, repE, cfg.Workers)),
-			fmt.Sprintf("%d", repE.Counters[cg.CounterIntermediatePoints]))
+		t.add(n, single, h.sim, s.sim, e.sim, e.Counters[cg.CounterIntermediatePoints])
 	}
-	t.flush()
+	t.flush(x.W)
+	n, fwd := t.col("points"), t.col("enh-forwarded")
+	share := func(i int) float64 { return fwd[i] / n[i] }
+	last := len(n) - 1
+	x.check("enhanced-forwards-few", share(0) < 0.1 && share(last) < share(0),
+		"the enhanced hull forwards %v points to the final hull: under a tenth of the smallest input, a smaller share of the largest", fwd)
 	return nil
 }

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"spatialhadoop/internal/cg"
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
-	"spatialhadoop/internal/mapreduce"
+	"spatialhadoop/internal/geom"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -16,106 +15,90 @@ func init() {
 	register("fig31", "Closest pair on SYNTH (uniform, Gaussian)", runFig31)
 }
 
-func runFig29(cfg Config) error {
+func runFig29(x *exp) error {
 	for _, dist := range []datagen.Distribution{
 		datagen.Clustered, datagen.Uniform, datagen.Gaussian, datagen.Circular,
 	} {
-		fmt.Fprintf(cfg.W, "\n(%s)\n", dist)
-		t := newTable(cfg.W, "points", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)", "pairs-kept")
+		fmt.Fprintf(x.W, "\n(%s)\n", dist)
+		t := newTable("points", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)", "pairs-kept", "pairs-all")
 		sizes := []int{50000, 100000, 200000}
 		if dist == datagen.Circular {
 			// The worst case: the hull holds a large share of the input, so
 			// the single-reducer Hadoop merge degrades; sizes stay smaller.
 			sizes = []int{20000, 40000, 80000}
 		}
+		same := true
 		for _, base := range sizes {
-			n := cfg.n(base)
-			pts := datagen.Points(dist, n, benchArea, cfg.Seed)
-
-			dSingle, _ := timed(func() error {
-				_, _ = cg.FarthestPairSingle(pts)
-				return nil
-			})
-			sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
-			if err := sys.LoadPointsHeap("heap", pts); err != nil {
-				return err
-			}
-			var repH, repS *mapreduce.Report
-			dHadoop, err := timed(func() error {
-				var err error
-				_, repH, err = cg.FarthestPairHadoop(sys, "heap")
-				return err
-			})
+			n := x.n(base)
+			pts := datagen.Points(dist, n, benchArea, x.Seed)
+			var fp geom.PointPair
+			single := clock(func() { fp, _ = cg.FarthestPairSingle(pts) })
+			sys := x.system()
+			h, s, err := heapVsIndex(x, sys, pts, sindex.STRPlus, cg.FarthestPairHadoop, cg.FarthestPairSHadoop)
 			if err != nil {
 				return err
 			}
-			if _, err := sys.LoadPoints("idx", pts, sindex.STRPlus); err != nil {
-				return err
-			}
-			dSH, err := timed(func() error {
-				var err error
-				_, repS, err = cg.FarthestPairSHadoop(sys, "idx")
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			t.add(fmt.Sprintf("%d", n), ms(dSingle),
-				ms(simDur(dHadoop, repH, cfg.Workers)),
-				ms(simDur(dSH, repS, cfg.Workers)),
-				fmt.Sprintf("%d/%d", repS.Splits, repS.SplitsTotal*(repS.SplitsTotal+1)/2))
+			same = same && pairDist(h.res) == pairDist(fp) && pairDist(s.res) == pairDist(fp)
+			t.add(n, single, h.sim, s.sim, s.Splits, s.SplitsTotal*(s.SplitsTotal+1)/2)
 		}
-		t.flush()
+		t.flush(x.W)
+		x.check(dist.String()+"/same-pair", same, "Hadoop and SpatialHadoop find the single machine's farthest distance at every size")
+		kept, all := t.col("pairs-kept"), t.col("pairs-all")
+		x.check(dist.String()+"/pairs-pruned", prunes(kept, all),
+			"the pair filter keeps %v of %v partition pairs, at most half at the largest input", kept, all)
 	}
-	fmt.Fprintln(cfg.W, "\nShape to match Fig. 29: on hull-friendly data the distributed versions")
-	fmt.Fprintln(cfg.W, "track the (fast) single machine; on the circular worst case the pair filter")
-	fmt.Fprintln(cfg.W, "prunes most of the O(G^2) partition pairs to keep SpatialHadoop viable.")
 	return nil
 }
 
-func runClosestSweep(cfg Config, dist datagen.Distribution, sizes []int, showPruning bool) error {
-	t := newTable(cfg.W, "points", "single(ms)", "shadoop-sim(ms)", "speedup", "intermediate")
+func runClosestSweep(x *exp, dist datagen.Distribution, sizes []int) error {
+	t := newTable("points", "single(ms)", "shadoop-sim(ms)", "speedup", "intermediate")
+	same := true
 	for _, base := range sizes {
-		n := cfg.n(base)
-		pts := datagen.Points(dist, n, benchArea, cfg.Seed)
-		dSingle, _ := timed(func() error {
-			_, _ = cg.ClosestPairSingle(pts)
-			return nil
-		})
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+		n := x.n(base)
+		pts := datagen.Points(dist, n, benchArea, x.Seed)
+		var cp geom.PointPair
+		single := clock(func() { cp, _ = cg.ClosestPairSingle(pts) })
+		sys := x.system()
 		if _, err := sys.LoadPoints("idx", pts, sindex.STRPlus); err != nil {
 			return err
 		}
-		var rep *mapreduce.Report
-		dSH, err := timed(func() error {
-			var err error
-			_, rep, err = cg.ClosestPairSHadoop(sys, "idx")
-			return err
-		})
+		s, err := runJob(x, sys, "idx", cg.ClosestPairSHadoop)
 		if err != nil {
 			return err
 		}
-		sim := simDur(dSH, rep, cfg.Workers)
-		t.add(fmt.Sprintf("%d", n), ms(dSingle), ms(sim), speedup(dSingle, sim),
-			fmt.Sprintf("%d", rep.Counters[cg.CounterIntermediatePoints]))
+		same = same && pairDist(s.res) == pairDist(cp)
+		t.add(n, single, s.sim, ratio(single, s.sim), s.Counters[cg.CounterIntermediatePoints])
 	}
-	t.flush()
-	if showPruning {
-		fmt.Fprintln(cfg.W, "\nShape to match Fig. 30b: only a vanishing fraction of the input reaches")
-		fmt.Fprintln(cfg.W, "the global closest-pair step; the delta-buffer prunes everything else.")
+	t.flush(x.W)
+	prefix := dist.String() + "/"
+	x.check(prefix+"same-pair", same, "SpatialHadoop finds the single machine's closest distance at every size")
+	n, mid := t.col("points"), t.col("intermediate")
+	few := true
+	for i := range n {
+		few = few && mid[i] < n[i]/10
+	}
+	x.check(prefix+"delta-prunes", few,
+		"the delta buffer lets %v points of %v reach the global step: under a tenth at every size", mid, n)
+	sp := t.col("speedup")
+	x.checkTime(prefix+"speedup", last(sp) >= 3,
+		"SpatialHadoop-sim beats the single machine at least 3x at the largest input: %.1fx", last(sp))
+	return nil
+}
+
+func runFig30(x *exp) error {
+	return runClosestSweep(x, datagen.Clustered, []int{50000, 100000, 200000, 400000})
+}
+
+func runFig31(x *exp) error {
+	for _, dist := range []datagen.Distribution{datagen.Uniform, datagen.Gaussian} {
+		fmt.Fprintf(x.W, "\n(%s)\n", dist)
+		if err := runClosestSweep(x, dist, []int{50000, 100000, 200000}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func runFig30(cfg Config) error {
-	return runClosestSweep(cfg, datagen.Clustered, []int{50000, 100000, 200000, 400000}, true)
-}
-
-func runFig31(cfg Config) error {
-	fmt.Fprintln(cfg.W, "\n(uniform)")
-	if err := runClosestSweep(cfg, datagen.Uniform, []int{50000, 100000, 200000}, false); err != nil {
-		return err
-	}
-	fmt.Fprintln(cfg.W, "\n(gaussian)")
-	return runClosestSweep(cfg, datagen.Gaussian, []int{50000, 100000, 200000}, false)
-}
+// pairDist recomputes a pair's distance: the kernels that find a pair may
+// round its Dist differently in the last place.
+func pairDist(p geom.PointPair) float64 { return p.P.Dist(p.Q) }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"spatialhadoop/internal/core"
@@ -18,21 +19,19 @@ func init() {
 	register("sigmod14", "SpatialHadoop system ops: range query, kNN, spatial join", runSigmod14)
 }
 
-func runTable1(cfg Config) error {
-	t := newTable(cfg.W, "technique", "disjoint", "handles-skew", "cells", "max/avg(gauss)", "replication(regions)")
-	n := cfg.n(30000)
-	pts := datagen.Points(datagen.Gaussian, n, benchArea, cfg.Seed)
-	polys := datagen.RandomPolygons(cfg.n(2000), 6, 1e6/60, benchArea, cfg.Seed)
-	regions := make([]geom.Region, len(polys))
-	for i, pg := range polys {
-		regions[i] = geom.RegionOf(pg)
-	}
-	for _, tech := range []sindex.Technique{
+func runTable1(x *exp) error {
+	t := newTable("technique", "disjoint", "handles-skew", "cells", "max/avg(gauss)", "replication(regions)")
+	n := x.n(30000)
+	pts := datagen.Points(datagen.Gaussian, n, benchArea, x.Seed)
+	regions := polygonRegions(datagen.RandomPolygons(x.n(2000), 6, 1e6/60, benchArea, x.Seed))
+	techs := []sindex.Technique{
 		sindex.Grid, sindex.STR, sindex.STRPlus, sindex.QuadTree,
 		sindex.KDTree, sindex.ZCurve, sindex.Hilbert,
-	} {
+	}
+	replicates := true
+	for _, tech := range techs {
 		info := sindex.Table1[tech]
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+		sys := x.system()
 		f, err := sys.LoadPoints("pts", pts, tech)
 		if err != nil {
 			return err
@@ -41,154 +40,153 @@ func runTable1(cfg Config) error {
 		for _, b := range f.File.Blocks {
 			counts[b.Partition] += b.NumRecords()
 		}
-		max, total := 0, 0
+		most, total := 0, 0
 		for _, c := range counts {
 			total += c
-			if c > max {
-				max = c
-			}
+			most = max(most, c)
 		}
-		imb := float64(max) / (float64(total) / float64(len(counts)))
+		imb := float64(most) / (float64(total) / float64(len(counts)))
 
 		rf, err := sys.LoadRegions("regs", regions, tech)
 		if err != nil {
 			return err
 		}
 		repl := float64(rf.File.Records) / float64(len(regions))
-
-		t.add(tech.String(),
-			fmt.Sprintf("%v", info.Disjoint),
-			fmt.Sprintf("%v", info.HandlesSkew),
-			fmt.Sprintf("%d", len(f.Index.Cells)),
-			fmt.Sprintf("%.2f", imb),
-			fmt.Sprintf("%.2fx", repl))
+		// A disjoint technique stores a region once per cell it crosses;
+		// an overlapping one stores it once.
+		replicates = replicates && info.Disjoint == (repl > 1)
+		t.add(tech.String(), info.Disjoint, info.HandlesSkew, len(f.Index.Cells), imb, repl)
 	}
-	t.flush()
-	fmt.Fprintln(cfg.W, "\nShape to match Table 1: grid is the only technique that degrades on skew")
-	fmt.Fprintln(cfg.W, "(high max/avg); disjoint techniques pay a replication factor on regions.")
+	t.flush(x.W)
+	imb := t.col("max/avg(gauss)")
+	grid, strPlus := imb[slices.Index(techs, sindex.Grid)], imb[slices.Index(techs, sindex.STRPlus)]
+	x.check("str+-balances", strPlus < grid,
+		"on Gaussian data STR+'s max/avg partition load %.2f is below grid's %.2f", strPlus, grid)
+	x.check("replication", replicates,
+		"the disjoint techniques replicate regions (%v), the overlapping ones do not", t.col("replication(regions)"))
 	return nil
 }
 
-func runFig20(cfg Config) error {
-	t := newTable(cfg.W, "distribution", "points", "mbr-coverage%", "skyline-size", "hull-size")
-	n := cfg.n(100000)
-	for _, dist := range []datagen.Distribution{
+func runFig20(x *exp) error {
+	t := newTable("distribution", "points", "mbr-coverage%", "skyline-size", "hull-size")
+	n := x.n(100000)
+	dists := []datagen.Distribution{
 		datagen.Uniform, datagen.Gaussian, datagen.Correlated,
 		datagen.ReverselyCorrelated, datagen.Circular, datagen.Clustered,
-	} {
-		pts := datagen.Points(dist, n, benchArea, cfg.Seed)
-		mbr := geom.RectOf(pts)
-		sky := geom.Skyline(pts)
-		hull := geom.ConvexHull(pts)
-		t.add(dist.String(), fmt.Sprintf("%d", len(pts)),
-			fmt.Sprintf("%.1f", 100*mbr.Area()/benchArea.Area()),
-			fmt.Sprintf("%d", len(sky)), fmt.Sprintf("%d", len(hull)))
 	}
-	t.flush()
-	fmt.Fprintln(cfg.W, "\nExpected: anticorrelated has a huge skyline (worst case), circular a huge")
-	fmt.Fprintln(cfg.W, "hull (farthest-pair worst case), correlated/Gaussian tiny skylines.")
+	for _, dist := range dists {
+		pts := datagen.Points(dist, n, benchArea, x.Seed)
+		mbr := geom.RectOf(pts)
+		t.add(dist.String(), len(pts), 100*mbr.Area()/benchArea.Area(),
+			len(geom.Skyline(pts)), len(geom.ConvexHull(pts)))
+	}
+	t.flush(x.W)
+	// Circular data puts most of its points on the skyline as well, so the
+	// skyline claim compares anti-correlated with the benign distributions:
+	// all but those two, which sit next to each other in dists.
+	sky, hull := t.col("skyline-size"), t.col("hull-size")
+	anti, circ := slices.Index(dists, datagen.ReverselyCorrelated), slices.Index(dists, datagen.Circular)
+	benign := slices.Delete(slices.Clone(sky), anti, circ+1)
+	x.check("skyline-worst-case", sky[anti] > slices.Max(benign),
+		"anti-correlated data has the largest skyline of the benign distributions: %v vs %v", sky[anti], benign)
+	x.check("hull-worst-case", hull[circ] == slices.Max(hull),
+		"circular data has the largest hull: %v of %v", hull[circ], hull)
 	return nil
 }
 
-func runSigmod14(cfg Config) error {
-	n := cfg.n(200000)
-	pts := datagen.Points(datagen.Clustered, n, benchArea, cfg.Seed)
+func runSigmod14(x *exp) error {
+	n := x.n(200000)
+	pts := datagen.Points(datagen.Clustered, n, benchArea, x.Seed)
 
-	sysHeap := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+	sysHeap := x.system()
 	if err := sysHeap.LoadPointsHeap("pts", pts); err != nil {
 		return err
 	}
-	sysIdx := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+	sysIdx := x.system()
 	if _, err := sysIdx.LoadPoints("pts", pts, sindex.STRPlus); err != nil {
 		return err
 	}
+	storages := []struct {
+		name string
+		sys  *core.System
+	}{{"heap (Hadoop)", sysHeap}, {"indexed (SHadoop)", sysIdx}}
 
-	fmt.Fprintln(cfg.W, "\n(range query, 1% of the space)")
-	t := newTable(cfg.W, "storage", "time(ms)", "partitions", "results")
+	fmt.Fprintln(x.W, "\n(range query, 1% of the space)")
+	t := newTable("storage", "time(ms)", "partitions", "results")
 	q := geom.NewRect(4e5, 4e5, 5e5, 5e5)
-	for _, tc := range []struct {
-		name string
-		sys  *core.System
-	}{{"heap (Hadoop)", sysHeap}, {"indexed (SHadoop)", sysIdx}} {
-		var nres, parts int
-		var rqRep *mapreduce.Report
-		d, err := timed(func() error {
-			res, rep, err := ops.RangeQueryPoints(tc.sys, "pts", q)
-			if rep != nil {
-				nres, parts = len(res), rep.Splits
-				rqRep = rep
-			}
-			return err
+	for _, st := range storages {
+		r, err := runJob(x, st.sys, "pts", func(sys *core.System, file string) ([]geom.Point, *mapreduce.Report, error) {
+			return ops.RangeQueryPoints(sys, file, q)
 		})
 		if err != nil {
 			return err
 		}
-		persistObs(cfg, "sigmod14-rangequery-"+strings.Fields(tc.name)[0], rqRep)
-		t.add(tc.name, ms(d), fmt.Sprintf("%d", parts), fmt.Sprintf("%d", nres))
+		persistObs(x.Config, "sigmod14-rangequery-"+strings.Fields(st.name)[0], r.Report)
+		t.add(st.name, r.wall, r.Splits, len(r.res))
 	}
-	t.flush()
+	t.flush(x.W)
+	parts, res := t.col("partitions"), t.col("results")
+	x.check("range-prunes", parts[1] <= parts[0]/2,
+		"the indexed range query reads %v of the heap's %v partitions, at most half", parts[1], parts[0])
+	x.check("range-same", res[0] == res[1], "both storages answer %v results", res)
 
-	fmt.Fprintln(cfg.W, "\n(kNN, k=20)")
-	t = newTable(cfg.W, "storage", "time(ms)")
-	for _, tc := range []struct {
-		name string
-		sys  *core.System
-	}{{"heap (Hadoop)", sysHeap}, {"indexed (SHadoop)", sysIdx}} {
-		d, err := timed(func() error {
-			_, _, err := ops.KNN(tc.sys, "pts", geom.Pt(5e5, 5e5), 20)
-			return err
+	fmt.Fprintln(x.W, "\n(kNN, k=20)")
+	t = newTable("storage", "time(ms)")
+	var knn [][]geom.Point
+	for _, st := range storages {
+		r, err := runJob(x, st.sys, "pts", func(sys *core.System, file string) ([]geom.Point, *mapreduce.Report, error) {
+			return ops.KNN(sys, file, geom.Pt(5e5, 5e5), 20)
 		})
 		if err != nil {
 			return err
 		}
-		t.add(tc.name, ms(d))
+		knn = append(knn, r.res)
+		t.add(st.name, r.wall)
 	}
-	t.flush()
+	t.flush(x.W)
+	x.check("knn-same", slices.Equal(knn[0], knn[1]), "both storages find the same %d neighbours", len(knn[1]))
 
-	fmt.Fprintln(cfg.W, "\n(spatial join)")
-	aPolys := datagen.RandomPolygons(cfg.n(1500), 5, 1e6/80, benchArea, cfg.Seed)
-	bPolys := datagen.RandomPolygons(cfg.n(1200), 4, 1e6/70, benchArea, cfg.Seed+1)
-	a := make([]geom.Region, len(aPolys))
-	for i, pg := range aPolys {
-		a[i] = geom.RegionOf(pg)
-	}
-	b := make([]geom.Region, len(bPolys))
-	for i, pg := range bPolys {
-		b[i] = geom.RegionOf(pg)
-	}
-	t = newTable(cfg.W, "strategy", "time(ms)", "pairs")
+	fmt.Fprintln(x.W, "\n(spatial join)")
+	a := polygonRegions(datagen.RandomPolygons(x.n(1500), 5, 1e6/80, benchArea, x.Seed))
+	b := polygonRegions(datagen.RandomPolygons(x.n(1200), 4, 1e6/70, benchArea, x.Seed+1))
+	t = newTable("strategy", "time(ms)", "pairs")
 	if err := sysHeap.LoadRegionsHeap("a", a); err != nil {
 		return err
 	}
 	if err := sysHeap.LoadRegionsHeap("b", b); err != nil {
 		return err
 	}
-	var npairs int
-	d, err := timed(func() error {
-		pairs, _, err := ops.SpatialJoinPBSM(sysHeap, "a", "b", 10)
-		npairs = len(pairs)
-		return err
+	pbsm, err := runJob(x, sysHeap, "a", func(sys *core.System, left string) ([]ops.JoinPair, *mapreduce.Report, error) {
+		return ops.SpatialJoinPBSM(sys, left, "b", 10)
 	})
 	if err != nil {
 		return err
 	}
-	t.add("PBSM (Hadoop)", ms(d), fmt.Sprintf("%d", npairs))
-
+	t.add("PBSM (Hadoop)", pbsm.wall, len(pbsm.res))
 	if _, err := sysIdx.LoadRegions("a", a, sindex.STRPlus); err != nil {
 		return err
 	}
 	if _, err := sysIdx.LoadRegions("b", b, sindex.STRPlus); err != nil {
 		return err
 	}
-	d, err = timed(func() error {
-		pairs, _, err := ops.SpatialJoinIndexed(sysIdx, "a", "b")
-		npairs = len(pairs)
-		return err
+	idx, err := runJob(x, sysIdx, "a", func(sys *core.System, left string) ([]ops.JoinPair, *mapreduce.Report, error) {
+		return ops.SpatialJoinIndexed(sys, left, "b")
 	})
 	if err != nil {
 		return err
 	}
-	t.add("indexed (SHadoop)", ms(d), fmt.Sprintf("%d", npairs))
-	t.flush()
+	t.add("indexed (SHadoop)", idx.wall, len(idx.res))
+	t.flush(x.W)
+	pairs := t.col("pairs")
+	x.check("join-same", pairs[0] == pairs[1], "PBSM and the indexed join find %v pairs", pairs)
 	return nil
+}
+
+// polygonRegions converts polygons to the regions the loaders store.
+func polygonRegions(polys []geom.Polygon) []geom.Region {
+	out := make([]geom.Region, len(polys))
+	for i, pg := range polys {
+		out[i] = geom.RegionOf(pg)
+	}
+	return out
 }

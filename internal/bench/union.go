@@ -3,13 +3,13 @@ package bench
 import (
 	"fmt"
 	"math"
-
-	"spatialhadoop/internal/mapreduce"
+	"slices"
+	"time"
 
 	"spatialhadoop/internal/cg"
-	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/datagen"
 	"spatialhadoop/internal/geom"
+	"spatialhadoop/internal/mapreduce"
 	"spatialhadoop/internal/sindex"
 )
 
@@ -40,83 +40,56 @@ func intSqrt(n int) int {
 	return s
 }
 
-func runFig21(cfg Config) error {
+func runFig21(x *exp) error {
 	for _, kind := range []string{"complex", "simple"} {
-		fmt.Fprintf(cfg.W, "\n(%s polygons)\n", kind)
-		t := newTable(cfg.W, "polygons", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)", "enhanced-sim(ms)",
-			"merge-verts(hadoop)", "merge-verts(shadoop)", "best-speedup")
+		fmt.Fprintf(x.W, "\n(%s polygons)\n", kind)
+		t := newTable("polygons", "single(ms)", "hadoop-sim(ms)", "shadoop-sim(ms)", "enhanced-sim(ms)",
+			"merge-verts(hadoop)", "merge-verts(shadoop)", "merged(enhanced)", "best-speedup")
 		for _, base := range []int{400, 800, 1600, 3200} {
-			n := cfg.n(base)
-			polys := unionDataset(kind, n, cfg.Seed)
-			regions := make([]geom.Region, len(polys))
-			for i, pg := range polys {
-				regions[i] = geom.RegionOf(pg)
-			}
+			polys := unionDataset(kind, x.n(base), x.Seed)
+			regions := polygonRegions(polys)
+			single := clock(func() { cg.UnionSingle(polys) })
 
-			dSingle, err := timed(func() error {
-				_, _ = cg.UnionSingle(polys)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-
-			sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+			sys := x.system()
 			if err := sys.LoadRegionsHeap("heap", regions); err != nil {
 				return err
 			}
-			var repH, repS, repE *mapreduce.Report
-			dHadoop, err := timed(func() error {
-				var err error
-				_, repH, err = cg.UnionHadoop(sys, "heap")
-				return err
-			})
+			h, err := runJob(x, sys, "heap", cg.UnionHadoop)
 			if err != nil {
 				return err
 			}
-
 			if _, err := sys.LoadRegions("str", regions, sindex.STR); err != nil {
 				return err
 			}
-			dSHadoop, err := timed(func() error {
-				var err error
-				_, repS, err = cg.UnionSHadoop(sys, "str")
-				return err
-			})
+			s, err := runJob(x, sys, "str", cg.UnionSHadoop)
 			if err != nil {
 				return err
 			}
-
 			if _, err := sys.LoadRegions("grid", regions, sindex.Grid); err != nil {
 				return err
 			}
-			dEnh, err := timed(func() error {
-				var err error
-				_, repE, err = cg.UnionEnhanced(sys, "grid")
-				return err
-			})
+			e, err := runJob(x, sys, "grid", cg.UnionEnhanced)
 			if err != nil {
 				return err
 			}
-
-			simH := simDur(dHadoop, repH, cfg.Workers)
-			simS := simDur(dSHadoop, repS, cfg.Workers)
-			simE := simDur(dEnh, repE, cfg.Workers)
-			best := simH
-			if simS < best {
-				best = simS
-			}
-			if simE < best {
-				best = simE
-			}
-			t.add(fmt.Sprintf("%d", len(polys)), ms(dSingle), ms(simH), ms(simS), ms(simE),
-				fmt.Sprintf("%d", repH.Counters[cg.CounterIntermediatePoints]),
-				fmt.Sprintf("%d", repS.Counters[cg.CounterIntermediatePoints]),
-				speedup(dSingle, best))
+			t.add(len(polys), single, h.sim, s.sim, e.sim,
+				h.Counters[cg.CounterIntermediatePoints], s.Counters[cg.CounterIntermediatePoints],
+				e.Counters[mapreduce.CounterShufflePairs], ratio(single, min(h.sim, s.sim, e.sim)))
 		}
-		t.flush()
+		t.flush(x.W)
+		if kind != "complex" {
+			continue
+		}
+		// Random placement removes few interior edges, so Hadoop's one
+		// reducer merges far more vertices than SpatialHadoop's.
+		hv, sv := t.col("merge-verts(hadoop)"), t.col("merge-verts(shadoop)")
+		x.check("merge-shrinks", prunes(sv, hv),
+			"SpatialHadoop's merge receives %v vertices: no more than Hadoop's %v, at most half at the largest input", sv, hv)
+		x.check("enhanced-map-only", slices.Max(t.col("merged(enhanced)")) == 0,
+			"the enhanced union has no merge step: its maps shuffle no record")
+		hs, es := t.col("hadoop-sim(ms)"), t.col("enhanced-sim(ms)")
+		x.checkTime("enhanced-wins", last(es) < last(hs)/2,
+			"the enhanced union's simulated time is under half Hadoop's at the largest input: %s ms vs %s ms", cell(time.Duration(last(es))), cell(time.Duration(last(hs))))
 	}
-	fmt.Fprintln(cfg.W, "\nShape to match Fig. 21: enhanced < shadoop < hadoop for large inputs;")
-	fmt.Fprintln(cfg.W, "the gap widens with size because random placement removes few interior edges.")
 	return nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"spatialhadoop/internal/cg"
 	"spatialhadoop/internal/core"
@@ -20,95 +21,77 @@ func init() {
 // runExtDelaunay benchmarks the Delaunay triangulation extension: the same
 // dangerous-zone machinery as the Voronoi operation, flushing triangles
 // whose vertices are all safe.
-func runExtDelaunay(cfg Config) error {
-	t := newTable(cfg.W, "sites", "single(ms)", "shadoop-sim(ms)", "speedup", "flushed-early%")
+func runExtDelaunay(x *exp) error {
+	t := newTable("sites", "single(ms)", "shadoop-sim(ms)", "speedup", "flushed-early%")
 	for _, base := range []int{10000, 20000, 40000, 80000} {
-		n := cfg.n(base)
-		pts := datagen.Points(datagen.Clustered, n, benchArea, cfg.Seed)
+		n := x.n(base)
+		pts := datagen.Points(datagen.Clustered, n, benchArea, x.Seed)
 		var nTris int
-		dSingle, err := timed(func() error {
-			nTris = len(cg.DelaunaySingle(pts))
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+		single := clock(func() { nTris = len(cg.DelaunaySingle(pts)) })
+		sys := x.system()
 		if _, err := sys.LoadPoints("dt", pts, sindex.STRPlus); err != nil {
 			return err
 		}
-		var rep *mapreduce.Report
-		wall, err := timed(func() error {
-			var err error
-			_, rep, err = cg.DelaunaySHadoop(sys, "dt")
-			return err
-		})
+		s, err := runJob(x, sys, "dt", cg.DelaunaySHadoop)
 		if err != nil {
 			return err
 		}
-		sim := simDur(wall, rep, cfg.Workers)
-		t.add(fmt.Sprintf("%d", n), ms(dSingle), ms(sim), speedup(dSingle, sim),
-			fmt.Sprintf("%.1f", 100*float64(rep.Counters[cg.CounterFlushedEarly])/float64(nTris)))
+		t.add(n, single, s.sim, ratio(single, s.sim),
+			100*float64(s.Counters[cg.CounterFlushedEarly])/float64(nTris))
 	}
-	t.flush()
+	t.flush(x.W)
+	flushed := t.col("flushed-early%")
+	x.check("flushes-most", slices.Min(flushed) > 50,
+		"the local step flushes most triangles as safe at every size: %v%%", flushed)
 	return nil
 }
 
 var benchArea = geom.NewRect(0, 0, 1e6, 1e6)
 
-func runVoronoiSweep(cfg Config, dist datagen.Distribution, sizes []int, showPruning bool) error {
-	t := newTable(cfg.W, "sites", "single(ms)", "shadoop-sim(ms)", "speedup", "carried-local%", "carried-vmerge%")
-	for _, base := range sizes {
-		n := cfg.n(base)
-		pts := datagen.Points(dist, n, benchArea, cfg.Seed)
-
-		dSingle, err := timed(func() error {
-			_ = cg.VoronoiSingle(pts, benchArea)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-
-		sys := core.New(core.Config{BlockSize: cfg.BlockSize, Workers: cfg.Workers, Seed: cfg.Seed, Fault: cfg.Chaos})
+func runVoronoiSweep(x *exp, dist datagen.Distribution) error {
+	t := newTable("sites", "single(ms)", "shadoop-sim(ms)", "speedup", "carried-local%", "carried-vmerge%")
+	for _, base := range []int{10000, 20000, 40000, 80000} {
+		n := x.n(base)
+		pts := datagen.Points(dist, n, benchArea, x.Seed)
+		single := clock(func() { cg.VoronoiSingle(pts, benchArea) })
+		sys := x.system()
 		if _, err := sys.LoadPoints("vd", pts, sindex.STRPlus); err != nil {
 			return err
 		}
 		var stats *cg.VoronoiStats
-		var rep *mapreduce.Report
-		wall, err := timed(func() error {
-			var err error
-			_, rep, stats, err = cg.VoronoiSHadoop(sys, "vd")
-			return err
+		s, err := runJob(x, sys, "vd", func(sys *core.System, file string) (struct{}, *mapreduce.Report, error) {
+			_, rep, st, err := cg.VoronoiSHadoop(sys, file)
+			stats = st
+			return struct{}{}, rep, err
 		})
 		if err != nil {
 			return err
 		}
-		dSH := simDur(wall, rep, cfg.Workers)
-		t.add(
-			fmt.Sprintf("%d", n),
-			ms(dSingle), ms(dSH), speedup(dSingle, dSH),
-			fmt.Sprintf("%.2f", 100*float64(stats.CarriedAfterLocal)/float64(n)),
-			fmt.Sprintf("%.2f", 100*float64(stats.CarriedAfterVMerge)/float64(n)),
-		)
+		t.add(n, single, s.sim, ratio(single, s.sim),
+			100*float64(stats.CarriedAfterLocal)/float64(n),
+			100*float64(stats.CarriedAfterVMerge)/float64(n))
 	}
-	t.flush()
-	if showPruning {
-		fmt.Fprintln(cfg.W, "\nShape to match Fig. 22b: the local VD step prunes the vast majority of")
-		fmt.Fprintln(cfg.W, "sites; the V-merge step leaves only a small boundary fraction for H-merge.")
-	}
+	t.flush(x.W)
+	prefix := dist.String() + "/"
+	local, vmerge := t.col("carried-local%"), t.col("carried-vmerge%")
+	x.check(prefix+"local-prunes", slices.Max(local) < 60,
+		"the local step carries %v%% of the sites onward: under 60%% at every size", local)
+	x.check(prefix+"vmerge-prunes", atMost(vmerge, local) && last(vmerge) < last(local),
+		"the V-merge step carries %v%%: no more than the local step at every size, less at the largest", vmerge)
+	sp := t.col("speedup")
+	x.checkTime(prefix+"speedup-grows", last(sp) >= 1.5*sp[0],
+		"the speedup over the single machine grows with size: %v", sp)
 	return nil
 }
 
-func runFig22(cfg Config) error {
-	return runVoronoiSweep(cfg, datagen.Clustered, []int{10000, 20000, 40000, 80000}, true)
-}
+func runFig22(x *exp) error { return runVoronoiSweep(x, datagen.Clustered) }
 
-func runFig23(cfg Config) error {
-	fmt.Fprintln(cfg.W, "\n(uniform)")
-	if err := runVoronoiSweep(cfg, datagen.Uniform, []int{10000, 20000, 40000, 80000}, false); err != nil {
-		return err
+func runFig23(x *exp) error {
+	for _, dist := range []datagen.Distribution{datagen.Uniform, datagen.Gaussian} {
+		fmt.Fprintf(x.W, "\n(%s)\n", dist)
+		if err := runVoronoiSweep(x, dist); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintln(cfg.W, "\n(gaussian)")
-	return runVoronoiSweep(cfg, datagen.Gaussian, []int{10000, 20000, 40000, 80000}, false)
+	return nil
 }

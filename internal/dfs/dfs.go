@@ -206,13 +206,8 @@ type File struct {
 // Epoch returns the epoch this generation was published under.
 func (f *File) Epoch() int64 { return f.epoch }
 
-// Sink receives file-system metrics. obs.Registry satisfies it; the
-// narrow interface keeps dfs free of an observability dependency.
-type Sink interface {
-	Inc(name string, delta int64)
-}
-
-// Metric names emitted by the file system when a Sink is attached.
+// Metric names emitted by the file system when a registry is attached
+// (SetMetrics).
 const (
 	MetricBlocksWritten  = "dfs.blocks.written"
 	MetricRecordsWritten = "dfs.records.written"
@@ -230,7 +225,7 @@ type FileSystem struct {
 	nextBlock BlockID
 	nextNode  int
 	nodeBytes []int64
-	metrics   Sink
+	metrics   *obs.Registry
 
 	// clock is the monotone publication clock driving file epochs: each
 	// published generation is stamped clock+1.
@@ -307,16 +302,16 @@ func (fs *FileSystem) Epochs() map[string]int64 {
 	return out
 }
 
-// SetMetrics attaches a metrics sink; the file system then reports blocks
-// and records read and written. A nil sink disables reporting.
-func (fs *FileSystem) SetMetrics(s Sink) {
+// SetMetrics attaches a metrics registry; the file system then reports
+// blocks and records read and written. A nil registry disables reporting.
+func (fs *FileSystem) SetMetrics(r *obs.Registry) {
 	fs.mu.Lock()
-	fs.metrics = s
+	fs.metrics = r
 	fs.mu.Unlock()
 }
 
-// sink returns the attached sink, or nil.
-func (fs *FileSystem) sink() Sink {
+// sink returns the attached registry, or nil.
+func (fs *FileSystem) sink() *obs.Registry {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.metrics
@@ -643,9 +638,7 @@ func (fs *FileSystem) ReadAll(name string) ([]string, error) {
 
 // ReadAllCtx is ReadAll under a context: when the context carries a
 // request trace (serving path), the read is recorded as a "dfs.read"
-// span with the file name, block and record counts. Metrics still flow
-// through the Sink indirection; only tracing couples dfs to obs, which
-// is a leaf package.
+// span with the file name, block and record counts.
 func (fs *FileSystem) ReadAllCtx(ctx context.Context, name string) ([]string, error) {
 	return readFile(fs, ctx, name, func(out []string, b *Block) ([]string, error) {
 		return append(out, b.Records()...), nil

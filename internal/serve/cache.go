@@ -1,10 +1,13 @@
 // Package serve is the concurrent query-serving layer over the
-// SpatialHadoop core: an HTTP front end whose range, kNN, join and plot
-// endpoints execute as MapReduce jobs under the cluster's shared worker
-// slot pool and job admission controller, with an LRU result cache keyed
-// by (file, DFS mutation epoch, canonicalized query) so repeated queries
-// over unchanged files skip the cluster entirely — and any mutation of an
-// input file invalidates exactly the results derived from it.
+// SpatialHadoop core: an HTTP front end whose range and kNN endpoints run
+// on the serving executor (a scatter over the partitions' holders: the
+// master's memory tier, or the serving workers) unless the planner sends
+// them to MapReduce, and whose join and plot endpoints run as MapReduce
+// jobs under the cluster's shared worker slot pool and job admission
+// controller. An LRU result cache is keyed by (file, DFS mutation epoch,
+// canonicalized query), so repeated queries over unchanged files skip
+// execution entirely, and any mutation of an input file invalidates
+// exactly the results derived from it.
 package serve
 
 import (

@@ -82,10 +82,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP query front end. Every query endpoint runs as a
-// MapReduce job under the cluster's admission controller and shared slot
-// pool, so any mix of concurrent HTTP clients is bounded by the modelled
-// cluster capacity, with overload surfacing as 429 instead of collapse.
+// Server is the HTTP query front end. Range and kNN run on the serving
+// executor unless planned to MapReduce; join, plot and MapReduce-planned
+// queries run as jobs under the cluster's admission controller and shared
+// slot pool, so their load is bounded by the modelled cluster capacity,
+// with overload surfacing as 429 instead of collapse.
 type Server struct {
 	sys      *core.System
 	cfg      Config
@@ -541,18 +542,19 @@ func (s *Server) tempOut(file string) string {
 
 // parseRect parses "x1,y1,x2,y2" accepting any pair of opposite corners.
 func parseRect(s string) (geom.Rect, error) {
+	parts := strings.SplitN(s, ",", 4)
+	if len(parts) != 4 {
+		return geom.Rect{}, badRequest("rect wants x1,y1,x2,y2, got %q", s)
+	}
 	var v [4]float64
-	i := 0
-	for _, part := range splitN(s, ',', 4) {
+	for i, part := range parts {
 		f, err := strconv.ParseFloat(part, 64)
-		if err != nil {
+		// ±Inf is an unbounded side and stays; NaN compares false with
+		// every coordinate and would answer empty under a NaN canon.
+		if err != nil || math.IsNaN(f) {
 			return geom.Rect{}, badRequest("bad rect coordinate %q", part)
 		}
 		v[i] = f
-		i++
-	}
-	if i != 4 {
-		return geom.Rect{}, badRequest("rect wants x1,y1,x2,y2, got %q", s)
 	}
 	return geom.Rect{
 		MinX: math.Min(v[0], v[2]),
@@ -562,30 +564,23 @@ func parseRect(s string) (geom.Rect, error) {
 	}, nil
 }
 
+// parsePoint accepts finite coordinates only: no partition holds a
+// non-finite point, so kNN would search them all, and JSON cannot
+// encode an infinite distance.
 func parsePoint(s string) (geom.Point, error) {
-	parts := splitN(s, ',', 2)
+	parts := strings.SplitN(s, ",", 2)
 	if len(parts) != 2 {
 		return geom.Point{}, badRequest("point wants x,y, got %q", s)
 	}
 	x, err1 := strconv.ParseFloat(parts[0], 64)
 	y, err2 := strconv.ParseFloat(parts[1], 64)
-	if err1 != nil || err2 != nil {
+	if err1 != nil || err2 != nil || !finite(x) || !finite(y) {
 		return geom.Point{}, badRequest("bad point %q", s)
 	}
 	return geom.Point{X: x, Y: y}, nil
 }
 
-func splitN(s string, sep byte, max int) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s) && len(out) < max-1; i++ {
-		if s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // --- endpoints ---
 

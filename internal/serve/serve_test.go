@@ -266,6 +266,15 @@ func TestServeErrors(t *testing.T) {
 		{"/rangequery?file=nope&rect=1,2,3,4", http.StatusNotFound},
 		{"/knn?file=pts1&point=5,5&k=0", http.StatusBadRequest},
 		{"/knn?file=pts1&point=oops&k=3", http.StatusBadRequest},
+		{"/knn?file=pts1&point=Inf,0&k=3", http.StatusBadRequest},
+		{"/knn?file=pts1&point=0,-Inf&k=3", http.StatusBadRequest},
+		{"/knn?file=pts1&point=NaN,0&k=3", http.StatusBadRequest},
+		{"/knn?file=pts1&point=NaN,NaN&k=3", http.StatusBadRequest},
+		{"/rangequery?file=pts1&rect=NaN,0,10,10", http.StatusBadRequest},
+		{"/rangequery?file=pts1&rect=0,0,10,NaN", http.StatusBadRequest},
+		// An infinite side is an unbounded window, not an error.
+		{"/rangequery?file=pts1&rect=0,0,Inf,Inf", http.StatusOK},
+		{"/rangequery?file=pts1&rect=-Inf,-Inf,Inf,Inf", http.StatusOK},
 		{"/join?left=a", http.StatusBadRequest},
 		{"/join?left=a&right=nope", http.StatusNotFound},
 		{"/plot?file=pts1&width=-3", http.StatusBadRequest},
