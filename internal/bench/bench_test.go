@@ -2,10 +2,47 @@ package bench
 
 import (
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestRegistryMatchesRecord checks the experiment registry and the
+// recorded reproduction (bench_results.txt, one section per experiment)
+// name the same set: every table/figure of the paper's evaluation is
+// registered, and nothing is registered without a recorded result.
+func TestRegistryMatchesRecord(t *testing.T) {
+	data, err := os.ReadFile("../../bench_results.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		rest, ok := strings.CutPrefix(line, "================ ")
+		if !ok {
+			continue
+		}
+		name, _, ok := strings.Cut(rest, " — ")
+		if !ok {
+			t.Errorf("malformed section header %q", line)
+			continue
+		}
+		recorded[name] = true
+	}
+	for _, e := range Experiments() {
+		if e.Title == "" || e.run == nil {
+			t.Errorf("experiment %q incomplete", e.Name)
+		}
+		if !recorded[e.Name] {
+			t.Errorf("experiment %q is registered but has no section in bench_results.txt", e.Name)
+		}
+		delete(recorded, e.Name)
+	}
+	for name := range recorded {
+		t.Errorf("bench_results.txt records %q but no such experiment is registered", name)
+	}
+}
 
 // TestShapes runs every experiment at a small configuration and fails on
 // any shape check. The blocks are small enough that every sweep spans
@@ -22,6 +59,25 @@ func TestShapes(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := Run("fig99", Config{W: io.Discard}); err == nil {
 		t.Error("expected error for unknown experiment")
+	}
+}
+
+// TestTinyExperimentRuns smoke-runs a small experiment end to end and
+// checks the table output shape and its check lines.
+func TestTinyExperimentRuns(t *testing.T) {
+	var out strings.Builder
+	cfg := Config{Scale: 0.02, Workers: 4, BlockSize: 32 << 10, Seed: 1, W: &out}
+	if err := Run("fig24", cfg); err != nil {
+		t.Fatalf("%v\n\n%s", err, out.String())
+	}
+	text := out.String()
+	for _, col := range []string{"points", "single(ms)", "shadoop-sim(ms)", "shadoop-parts", "sh-speedup", "check ok   filter-prunes:"} {
+		if !strings.Contains(text, col) {
+			t.Errorf("output missing %q", col)
+		}
+	}
+	if strings.Count(text, "\n") < 6 {
+		t.Errorf("output too short:\n%s", text)
 	}
 }
 
