@@ -38,7 +38,7 @@ func runFig29(x *exp) error {
 			if err != nil {
 				return err
 			}
-			same = same && pairDist(h.res) == pairDist(fp) && pairDist(s.res) == pairDist(fp)
+			same = same && h.res.Dist == fp.Dist && s.res.Dist == fp.Dist
 			t.add(n, single, h.sim, s.sim, s.Splits, s.SplitsTotal*(s.SplitsTotal+1)/2)
 		}
 		t.flush(x.W)
@@ -66,7 +66,7 @@ func runClosestSweep(x *exp, dist datagen.Distribution, sizes []int) error {
 		if err != nil {
 			return err
 		}
-		same = same && pairDist(s.res) == pairDist(cp)
+		same = same && s.res.Dist == cp.Dist
 		t.add(n, single, s.sim, ratio(single, s.sim), s.Counters[cg.CounterIntermediatePoints])
 	}
 	t.flush(x.W)
@@ -98,7 +98,3 @@ func runFig31(x *exp) error {
 	}
 	return nil
 }
-
-// pairDist recomputes a pair's distance: the kernels that find a pair may
-// round its Dist differently in the last place.
-func pairDist(p geom.PointPair) float64 { return p.P.Dist(p.Q) }

@@ -215,6 +215,22 @@ func TestClosestPairMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestClosestPairDistIsPointDist: every path spells a pair's distance as
+// Point.Dist, so the single-machine pair and the MapReduce one (which
+// readPairOutput measures) agree exactly. On these 5 000 uniform points
+// the divide-and-conquer's squared distance, square-rooted, came out one
+// ulp above Point.Dist's hypot.
+func TestClosestPairDistIsPointDist(t *testing.T) {
+	pts := datagen.Points(datagen.Uniform, 5000, geom.NewRect(0, 0, 1e6, 1e6), 1)
+	pair, ok := ClosestPairSingle(pts)
+	if !ok {
+		t.Fatal("no single-machine pair")
+	}
+	if want := pair.P.Dist(pair.Q); pair.Dist != want {
+		t.Errorf("ClosestPairSingle's Dist is %v, Point.Dist of its pair %v", pair.Dist, want)
+	}
+}
+
 func TestClosestPairRequiresDisjoint(t *testing.T) {
 	pts := datagen.Points(datagen.Uniform, 500, geom.NewRect(0, 0, 100, 100), 3)
 	sys := newSys(4 << 10)

@@ -108,9 +108,9 @@ func TestUnionVariantsMatchSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBoundary(t, tc.name+"/enhanced", gotE, wantSegs)
-		if rep.ReduceTasks != 1 || rep.Counters["reduce.groups"] != 0 {
-			t.Errorf("%s: enhanced union must be map-only, got %d reduce groups",
-				tc.name, rep.Counters["reduce.groups"])
+		if rep.ReduceTasks != 0 || rep.Counters["reduce.groups"] != 0 {
+			t.Errorf("%s: enhanced union must be map-only, got %d reduce tasks and %d reduce groups",
+				tc.name, rep.ReduceTasks, rep.Counters["reduce.groups"])
 		}
 	}
 }

@@ -24,8 +24,8 @@ func ClosestPair(pts []Point) (PointPair, bool) {
 	px, tmp := buf[:len(pts)], buf[len(pts):]
 	copy(px, pts)
 	slices.SortFunc(px, Point.Compare)
-	p, q, d2 := closestRec(px, tmp)
-	return PointPair{P: p, Q: q, Dist: math.Sqrt(d2)}, true
+	p, q, _ := closestRec(px, tmp)
+	return PointPair{P: p, Q: q, Dist: p.Dist(q)}, true
 }
 
 // closestRec computes the closest pair of px, which arrives sorted
@@ -109,5 +109,5 @@ func ClosestPairBrute(pts []Point) (PointPair, bool) {
 			}
 		}
 	}
-	return PointPair{P: a, Q: b, Dist: math.Sqrt(best)}, true
+	return PointPair{P: a, Q: b, Dist: a.Dist(b)}, true
 }

@@ -364,7 +364,7 @@ type Report struct {
 	Splits      int // splits after filtering
 	SplitsTotal int // splits before filtering
 	MapTasks    int
-	ReduceTasks int
+	ReduceTasks int // reduce tasks that ran: 0 for a map-only job
 	Counters    map[string]int64
 	MapTime     time.Duration
 	ShuffleTime time.Duration
@@ -373,7 +373,6 @@ type Report struct {
 	Total       time.Duration
 	OutputFile  string
 	OutputCount int64
-	WorkersUsed int
 	// MapSelected counts, per map task in the order of the filtered
 	// splits, the records its winning attempt selected as direct output;
 	// a job whose maps only select has them sum to OutputCount.
@@ -610,7 +609,7 @@ func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, 
 	root.Phase, root.Task = obs.PhaseJob, -1
 	root.SetAttr("name", job.Name)
 	j := &jobRun{c: c, rj: rj, pol: c.RetryPolicy()}
-	rep := &Report{Job: job.Name, ReduceTasks: numRed, OutputFile: job.Output, WorkersUsed: c.workers, Trace: obs.TraceFrom(ctx)}
+	rep := &Report{Job: job.Name, OutputFile: job.Output, Trace: obs.TraceFrom(ctx)}
 	if err := j.phases(ctx, rep); err != nil {
 		root.Outcome = obs.OutcomeFailed
 		root.End()
@@ -620,6 +619,7 @@ func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, 
 	root.End()
 
 	rep.Splits, rep.SplitsTotal, rep.MapTasks = len(j.splits), j.total, len(j.splits)
+	rep.ReduceTasks = len(j.reduceDur)
 	rep.OutputCount = j.outCount
 	rep.MapSelected = make([]int64, len(j.maps))
 	for i, r := range j.maps {
@@ -775,11 +775,11 @@ func (j *jobRun) shufflePhase(ctx context.Context) error {
 // job).
 func (j *jobRun) reducePhase(ctx context.Context) error {
 	rj, numRed := j.rj, j.rj.nshards
-	j.reduceOut = make([][]string, numRed)
-	j.reduceDur = make([]time.Duration, numRed)
 	if rj.kf.Reduce == nil {
 		return nil
 	}
+	j.reduceOut = make([][]string, numRed)
+	j.reduceDur = make([]time.Duration, numRed)
 	redCtx, redSpan := startPhase(ctx, obs.PhaseReduce)
 	rs := newSched(j.c, rj, obs.PhaseReduce, j.pol, CounterRetryReduce)
 	for ri := 0; ri < numRed; ri++ {

@@ -142,13 +142,17 @@ func TestCombinerReducesShuffle(t *testing.T) {
 	}
 }
 
+// TestMapOnlyJobDirectOutput: a job without a Reduce writes its maps'
+// output, and its report counts the reduce tasks that ran, which is none,
+// however many reducers it names.
 func TestMapOnlyJobDirectOutput(t *testing.T) {
 	c := newTestCluster(t, 64, 2)
 	c.FS().WriteFile("in", []string{"a", "b", "c", "d", "e", "f", "g", "h"})
-	_, err := c.Run(closureJob(Job{
-		Name:   "identity",
-		Input:  []string{"in"},
-		Output: "out",
+	rep, err := c.Run(closureJob(Job{
+		Name:        "identity",
+		Input:       []string{"in"},
+		NumReducers: 3,
+		Output:      "out",
 	}, KindFuncs{
 		Map: func(ctx *TaskContext, split *Split) error {
 			for _, r := range split.Records() {
@@ -163,6 +167,16 @@ func TestMapOnlyJobDirectOutput(t *testing.T) {
 	out, _ := c.FS().ReadAll("out")
 	if len(out) != 8 {
 		t.Fatalf("output = %v", out)
+	}
+	if rep.ReduceTasks != 0 {
+		t.Errorf("a map-only job reports %d reduce tasks, want 0", rep.ReduceTasks)
+	}
+	var sum strings.Builder
+	rep.WriteSummary(&sum)
+	for _, line := range strings.Split(sum.String(), "\n") {
+		if strings.HasPrefix(line, "reduce ") {
+			t.Errorf("a map-only job's summary has a reduce row: %q", line)
+		}
 	}
 }
 

@@ -30,7 +30,9 @@ func (r *Report) WriteSummary(w io.Writer) {
 	}
 	row("map", r.MapTime, r.MapWorkSum, r.MapTaskMax, r.MapTasks)
 	row("shuffle", r.ShuffleTime, r.ShuffleTime, r.ShuffleTime, 1)
-	row("reduce", r.ReduceTime, r.ReduceWorkSum, r.ReduceTaskMax, r.ReduceTasks)
+	if r.ReduceTasks > 0 {
+		row("reduce", r.ReduceTime, r.ReduceWorkSum, r.ReduceTaskMax, r.ReduceTasks)
+	}
 	row("commit", r.CommitTime, r.CommitTime, r.CommitTime, 1)
 
 	if r.Counters != nil {
