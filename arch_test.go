@@ -34,11 +34,12 @@ func archRules() []archRule {
 	index := "a file carries the index its loader built (dfs.File.Index is the loader's *sindex.GlobalIndex; no master text is printed or parsed)"
 	plan := "one query plan (range, kNN, plot and join jobs filter through ops.Plan on Split.Cover, the one record bound; partition heat is recorded by the plan only)"
 	serving := "one serving executor (planner=local is the scatter with the master as its only holder; the ops.Local* wrappers serve the benchmark harness only)"
+	spell := "a pinned point is spelled on first use (a range stream writes a point's object into its slot, unexported, and the one merge in internal/ops copies it; no pin-time arena)"
 	bound, filter := "a second record bound; test Split.Cover (content MBR, else boundary)", "a filter step outside the query plan; bind a plan and call Plan.Range or Plan.Join"
 	from, retired := map[string]string{}, []string(nil)
 	for step, names := range map[string]string{
 		wire: "appendWire decodeWire", span: "ReqSpan NewReqTrace", mbrs: "Payload BlockRegions", knew: "SaveDir LoadDir ptsOnce boundsOnce",
-		index: "SetMaster", serving: "encodeRangeBodyMatches LocalRangeMatchesCtx LocalKNNPointsCtx",
+		index: "SetMaster", spell: "FragOff buildFragments", serving: "encodeRangeBodyMatches LocalRangeMatchesCtx LocalKNNPointsCtx",
 		plan: "withHeat foldPartitionHeat countPartitionRecords countPartitionMatches contentOf",
 		"a point is stored as a point (a points block is a column from the writer on; no point mark vouches for point text)":                 "pointMark HoldsPoints",
 		"a column is written as a run (WritePoints and WriteRegions cut blocks as views of the caller's arrays; no per-record column write)": "WritePoint WriteRegion",
@@ -58,7 +59,6 @@ func archRules() []archRule {
 		{"rtree is a test oracle only (no non-test Go under internal/ or cmd/ imports internal/rtree; a partition is probed as its sorted points, a block is scanned)", "internal/rtree imported by non-test code; probe a partition's ops.SortedPoints (LocalPartition.Tree, or sortedPoints over a split's blocks) or scan the block (ops/probe.go) instead", `^import "spatialhadoop/internal/rtree"$`, "", "internal/rtree/, benchmark/", false, nil},
 		{span, "a second tracer; open spans with obs.StartSpan on the context", `\btrace"?\.Start\(`, "internal/, cmd/", "", false, nil},
 		{span, "internal/obs declares a second span type; record into obs.Span", `\w+Span struct\b`, "internal/obs/", "", false, nil},
-		{"one merge of pinned matches (the k-way merge that copies pin-time objects lives in internal/ops; nothing else indexes a partition's fragment offsets)", "a partition's fragment arena read outside internal/ops; stream pinned matches with ops.RangeStream", `\bFragOff\b`, "internal/, cmd/", "internal/ops/", false, nil},
 		{mbrs, "a region's MBR parsed from its text where its block holds it; ask Block.Bounds", `"spatialhadoop/internal/geomio"\.DecodeRegion\b`, "internal/ops/remote.go, internal/ops/rangequery.go", "", false, nil},
 		{"matches are selected, not formatted (a range map hands its matches to TaskContext.WriteSelected; the master writes them from its own blocks)", "a range map copies its matches' text into the output; select them with ctx.WriteSelected", `\.Write\([a-z]+\.Record\(`, "internal/ops/remote.go, internal/ops/rangequery.go", "", false, nil},
 		{knew, "text stored for a later job to parse, or a parse kept on a block; store what was decoded (LoadPointsHeap, LoadRegionsHeap, WritePoints, WriteRegions)", `\bFS\(\)\.WriteFile\(`, "internal/, cmd/, examples/", "", false, nil},

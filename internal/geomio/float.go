@@ -302,8 +302,8 @@ func gLen(f float64) int {
 // AppendJSONFloat appends f exactly as encoding/json renders a float64:
 // shortest round-trip form, 'f' format except for very large or very
 // small magnitudes, with the exponent's leading zero stripped. Both the
-// serving layer's response encoders and the pinned partitions'
-// pre-encoded point fragments rely on this producing encoding/json's
+// serving layer's response encoders and the pinned points' first-use
+// response objects rely on this producing encoding/json's
 // bytes; the equivalence is pinned by a differential test.
 func AppendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if inKernel(f) {

@@ -563,13 +563,14 @@ func (a *ExecRangeArgs) wire(c *wirefmt.Codec) {
 // ExecRangeReply carries the named partitions' matches merged into one
 // sorted stream, the only shape a range fragment takes on the wire: Frag
 // holds the points' JSON objects ({"x":..,"y":..} as encoding/json renders
-// them, copied from the pin-time arena) comma-joined in canonical (X, then
-// Y) order — an object ends at its first '}', so no offset table ships —
-// and Keys, when the call asked for them, the merge keys x0,y0,x1,y1,… of
-// the same points. Counts holds two numbers per named partition, in call
-// order: its record count and its match count (the master mirrors the
-// local engine's hotness and stats accounting with them). Decoding reuses
-// Keys' and Frag's capacity, so a pooled reply allocates only to grow.
+// them, copied from the slots a point's first response wrote) comma-joined
+// in canonical (X, then Y) order — an object ends at its first '}', so no
+// offset table ships — and Keys, when the call asked for them, the merge
+// keys x0,y0,x1,y1,… of the same points. Counts holds two numbers per named
+// partition, in call order: its record count and its match count (the
+// master mirrors the local engine's hotness and stats accounting with
+// them). Decoding reuses Keys' and Frag's capacity, so a pooled reply
+// allocates only to grow.
 type ExecRangeReply struct {
 	Keys   []float64
 	Frag   []byte

@@ -3,6 +3,8 @@ package ops
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"spatialhadoop/internal/core"
 	"spatialhadoop/internal/geom"
@@ -29,65 +31,54 @@ type LocalPartition struct {
 	// is; ids are indices into Pts. (The name is the one the frozen
 	// benchmark harness compiles against.)
 	Tree SortedPoints
-	// Frag holds every point's pre-encoded JSON object ({"x":..,"y":..},
-	// exactly as encoding/json renders it); point i's fragment is
-	// Frag[FragOff[i]:FragOff[i+1]]. Because Pts is sorted canonically,
-	// a range response can be assembled by merging partitions and copying
-	// fragments instead of re-formatting floats per query — float
-	// formatting dominated the serve CPU profile. Nil when any coordinate
-	// has no JSON encoding (NaN/Inf); consumers must then fall back.
-	Frag    []byte
-	FragOff []int32
-	// Bytes is the pinned footprint the memory tier budgets by: what the
-	// slices above hold.
+	// Bytes is the pinned footprint the memory tier budgets by: the points
+	// plus the response objects' slots and their ready bits, reserved at
+	// pin time although the slots are allocated on first use, so the
+	// footprint does not change while the partition is pinned.
 	Bytes int64
+
+	// A point's response object ({"x":..,"y":..}, exactly as encoding/json
+	// renders it) is written the first time a range stream carries the
+	// point, into its slot, and copied by every later one (spell, shard.go):
+	// a query pays for the points it returns, not for the partition it
+	// pins, and a partition that only answers kNN never formats a float.
+	// slots holds slotSize bytes per point, allocated on first use under
+	// mu; ready holds one bit per point, set with Store under mu once the
+	// point's slot is written, and read with Load by every stream.
+	mu    sync.Mutex
+	slots []byte
+	ready []atomic.Uint64
 }
+
+// slotSize is a point's slot: its object, then the object's length in the
+// last byte. A length of 0 marks a point whose object does not fit — two
+// negative 17-digit coordinates or an exponent form can take more — or has
+// no JSON encoding (NaN/Inf): such a point is formatted on every use.
+const slotSize = 48
 
 // PinSplit decodes a split's blocks into a memory-resident partition: its
 // points in canonical order (sortedPoints) — the order is the local index —
-// and per-point response fragments. Every block is verified first, as a
-// map attempt verifies its input: a corrupt block fails the pin with the
-// dfs checksum error.
+// and a ready bitmap for the response objects its range streams write.
+// Every block is verified first, as a map attempt verifies its input: a
+// corrupt block fails the pin with the dfs checksum error.
 func PinSplit(sp *mapreduce.Split) (*LocalPartition, error) {
-	var text int64
 	for _, b := range sp.Blocks {
 		if err := b.VerifyCached(); err != nil {
 			return nil, err
 		}
-		text += b.Bytes
 	}
 	pts, err := sortedPoints(sp.Blocks)
 	if err != nil {
 		return nil, err
 	}
-	frag, off := buildFragments(pts, text)
+	words := (len(pts) + 63) / 64
 	return &LocalPartition{
-		Key:     sp.Partition,
-		Pts:     pts,
-		Tree:    pts,
-		Frag:    frag,
-		FragOff: off,
-		Bytes:   16*int64(len(pts)) + int64(cap(frag)) + int64(4*len(off)),
+		Key:   sp.Partition,
+		Pts:   pts,
+		Tree:  pts,
+		Bytes: int64(len(pts))*(16+slotSize) + 8*int64(words),
+		ready: make([]atomic.Uint64, words),
 	}, nil
-}
-
-// buildFragments pre-encodes each point's JSON object. The points' text,
-// text bytes with a newline each, sizes the arena: a point's object is
-// its "x,y\n" plus nine bytes of {"x":,"y":}, exactly so unless a
-// coordinate takes an exponent. A point that encoding/json would reject
-// (NaN/Inf) disables fragments for the whole partition ((nil, nil));
-// range encoding then falls back to the marshal-equivalent slow path.
-func buildFragments(pts []geom.Point, text int64) ([]byte, []int32) {
-	frag := make([]byte, 0, text+9*int64(len(pts)))
-	off := make([]int32, len(pts)+1)
-	var err error
-	for i, p := range pts {
-		if frag, err = AppendPointJSON(frag, p); err != nil {
-			return nil, nil
-		}
-		off[i+1] = int32(len(frag))
-	}
-	return frag, off
 }
 
 // AppendPointJSON appends p's response object, {"x":..,"y":..}, exactly as

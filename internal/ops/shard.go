@@ -57,6 +57,9 @@ func RangeStream(out *RangeFragment, parts []*LocalPartition, query geom.Rect, k
 		}
 		from = to
 	}
+	for _, m := range matches {
+		m.Part.spell(m.IDs)
+	}
 	var keyDst *[]float64
 	if keys {
 		keyDst = &out.Keys
@@ -66,36 +69,82 @@ func RangeStream(out *RangeFragment, parts []*LocalPartition, query geom.Rect, k
 	return err
 }
 
-// matchesSize returns how many points matches hold and the byte size of
-// their objects comma-joined: exact from the pin-time arenas, an estimate
-// for a partition without one.
-func matchesSize(matches []LocalMatch) (n, size int) {
-	for _, m := range matches {
-		n += len(m.IDs)
-		if m.Part.Frag == nil {
-			size += 48 * len(m.IDs)
+// spell makes every point of ids, ascending, ready: one whose bit is clear
+// has its object written into its slot, the slots allocated on the
+// partition's first use. The bits are read first, so a stream whose points
+// earlier streams carried takes no lock. A writer holds mu, so each word is
+// published with a plain Store. Keep to Load and Store here: with go1.24.0
+// on amd64 the old value atomic.Uint64.Or returns is wrong — a program that
+// marks 65 536 ids with Or, on one goroutine, sees 512 first marks where a
+// CompareAndSwap loop sees them all — and a first version built on it
+// segfaulted.
+func (part *LocalPartition) spell(ids []int) {
+	if part.spelled(ids) {
+		return
+	}
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	if part.slots == nil {
+		part.slots = make([]byte, slotSize*len(part.Pts))
+	}
+	var obj [64]byte // the longest object, two 24-byte floats and 11 of framing, is 59
+	w, word, set := -1, uint64(0), uint64(0)
+	for _, id := range ids {
+		if id>>6 != w {
+			if set != 0 {
+				part.ready[w].Store(word | set)
+			}
+			w, word, set = id>>6, part.ready[id>>6].Load(), 0
+		}
+		bit := uint64(1) << (id & 63)
+		if word&bit != 0 {
 			continue
 		}
-		for _, id := range m.IDs {
-			size += int(m.Part.FragOff[id+1] - m.Part.FragOff[id])
+		if o, err := AppendPointJSON(obj[:0], part.Pts[id]); err == nil && len(o) < slotSize {
+			slot := part.slots[slotSize*id : slotSize*(id+1)]
+			slot[slotSize-1] = byte(copy(slot, o))
+		}
+		set |= bit
+	}
+	if set != 0 {
+		part.ready[w].Store(word | set)
+	}
+}
+
+// spelled reports whether every point of ids is ready.
+func (part *LocalPartition) spelled(ids []int) bool {
+	for _, id := range ids {
+		if part.ready[id>>6].Load()&(1<<(id&63)) == 0 {
+			return false
 		}
 	}
-	if n > 0 {
-		size += n - 1 // commas
-	}
-	return n, size
+	return true
+}
+
+// object returns point id's object from its slot, empty when the point is
+// formatted on every use (see slotSize). The point must be ready (spell).
+func (part *LocalPartition) object(id int) []byte {
+	slot := part.slots[slotSize*id : slotSize*(id+1)]
+	return slot[:slot[slotSize-1]]
 }
 
 // appendMatches appends to b the inside of a response's points array for
 // matches: a k-way merge by (X, then Y) whose point objects are copied from
-// the partitions' pin-time arenas, comma-joined (a partition without an
-// arena formats its matches, failing like encoding/json on NaN/Inf). When
-// keys is not nil, each point's merge keys x, y are appended to *keys in
-// the same order. This is the one merge of pinned matches: RangeStream is
-// its only caller, so every executor's bytes agree by construction.
+// the partitions' slots, comma-joined (an object that fits no slot is
+// formatted, failing like encoding/json on NaN/Inf). Every match must be
+// ready (spell). When keys is not nil, each point's merge keys x, y are
+// appended to *keys in the same order. This is the one merge of pinned
+// matches: RangeStream is its only caller, so every executor's bytes agree
+// by construction.
 func appendMatches(b []byte, keys *[]float64, matches []LocalMatch) ([]byte, error) {
-	n, size := matchesSize(matches)
-	b = slices.Grow(b, size)
+	n := 0
+	for _, m := range matches {
+		n += len(m.IDs)
+	}
+	// A slot holds at most slotSize-1 bytes of object, so with the commas
+	// n slots bound the stream, but for the objects formatted on use,
+	// which append grows for.
+	b = slices.Grow(b, n*slotSize)
 	var ks []float64
 	if keys != nil {
 		ks = slices.Grow(*keys, 2*n)
@@ -134,8 +183,8 @@ func appendMatches(b []byte, keys *[]float64, matches []LocalMatch) ([]byte, err
 		if keys != nil {
 			ks = append(ks, p.X, p.Y)
 		}
-		if m.Part.Frag != nil {
-			b = append(b, m.Part.Frag[m.Part.FragOff[id]:m.Part.FragOff[id+1]]...)
+		if o := m.Part.object(id); len(o) > 0 {
+			b = append(b, o...)
 		} else if b, err = AppendPointJSON(b, p); err != nil {
 			return nil, err
 		}

@@ -284,17 +284,38 @@ func TestSortedProbeCoordinates(t *testing.T) {
 }
 
 // TestPinnedBytesIsWhatIsHeld: Bytes, which the memory tier budgets by, is
-// within a tenth of what the partition's slices hold.
+// within a tenth of what the partition's slices hold once a range stream
+// has carried every point — the points, the response objects' slots and
+// their ready bits — and is already that at pin time, before any slot is
+// allocated: the footprint the tier charged does not grow under it.
 func TestPinnedBytesIsWhatIsHeld(t *testing.T) {
 	for name, pts := range sortedPartitions() {
 		if len(pts) < 100 {
 			continue
 		}
 		part := pinPoints(t, pts)
-		held := int64(cap(part.Pts))*int64(unsafe.Sizeof(geom.Point{})) +
-			int64(cap(part.Frag)) + int64(cap(part.FragOff))*int64(unsafe.Sizeof(int32(0)))
 		if unsafe.SliceData(part.Tree) != unsafe.SliceData(part.Pts) {
 			t.Fatalf("%s: the index is a copy of the points, not a view", name)
+		}
+		pinned := part.Bytes
+		if part.slots != nil {
+			t.Fatalf("%s: slots allocated at pin time", name)
+		}
+		var out RangeFragment
+		if err := RangeStream(&out, []*LocalPartition{part}, geom.WorldRect(), false); err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, len(part.Pts))
+		for i := range all {
+			all[i] = i
+		}
+		if !part.spelled(all) {
+			t.Fatalf("%s: a stream over the whole plane left points unready", name)
+		}
+		held := int64(cap(part.Pts))*int64(unsafe.Sizeof(geom.Point{})) +
+			int64(cap(part.slots)) + int64(cap(part.ready))*int64(unsafe.Sizeof(part.ready[0]))
+		if part.Bytes != pinned {
+			t.Fatalf("%s: Bytes moved from %d to %d across the fill", name, pinned, part.Bytes)
 		}
 		if diff := math.Abs(float64(part.Bytes-held)) / float64(held); diff > 0.10 {
 			t.Fatalf("%s: Bytes = %d, slices hold %d (%.0f%% apart)", name, part.Bytes, held, 100*diff)

@@ -106,8 +106,8 @@ func encodeRangeBodyStreams(file, rect string, frags []shardFrag) []byte {
 	for sep := false; live > 0; sep = true {
 		best := -1
 		var bx, by float64
-		for i, f := range frags {
-			if keys := f.stream.Keys[key[i]:]; len(keys) > 0 && (best < 0 || keys[0] < bx || (keys[0] == bx && keys[1] < by)) {
+		for i := range frags { // by index: ranging by value copies a shardFrag per candidate per point
+			if keys := frags[i].stream.Keys[key[i]:]; len(keys) > 0 && (best < 0 || keys[0] < bx || (keys[0] == bx && keys[1] < by)) {
 				best, bx, by = i, keys[0], keys[1]
 			}
 		}

@@ -238,60 +238,80 @@ func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q 
 	}
 }
 
-// TestEncodeRangeBodyMatchesMergesIdentically pins both fragment-merge
-// fast paths — a holder's (RangeStream, matched IDs into the arena) and
-// the gather's (streams from every holder) — to the sort-then-encode slow path
-// and to encoding/json over real pinned partitions: for every query,
-// merging the partitions' pre-encoded sorted streams must produce the
-// same bytes as materializing, globally sorting and float-formatting the
-// points.
+// fillRange streams parts over q and drops the answer: the points it
+// matches have their objects written, as a served query would leave them.
+func fillRange(t *testing.T, parts []*ops.LocalPartition, q geom.Rect) {
+	t.Helper()
+	if err := ops.RangeStream(new(ops.RangeFragment), parts, q, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEncodeRangeBodyMatchesMergesIdentically pins both merge fast paths —
+// a holder's (RangeStream, matched IDs copied from the partitions' object
+// slots) and the gather's (streams from every holder) — to the
+// sort-then-encode slow path and to encoding/json over real pinned
+// partitions, in the three states a partition's slots can be in: before
+// any query wrote one (freshly pinned for each query), after another
+// window's query wrote some, and after a whole-plane query wrote them all.
+// Merging the partitions' sorted streams must produce the same bytes as
+// materializing, globally sorting and float-formatting the points.
 func TestEncodeRangeBodyMatchesMergesIdentically(t *testing.T) {
 	sys := newServeSystem(t)
 	f, err := sys.Open("pts1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]*ops.LocalPartition, 0, len(f.Splits()))
-	for _, sp := range f.Splits() {
-		part, err := ops.PinSplit(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if part.Frag == nil {
-			t.Fatalf("partition %s: no fragments built", part.Key)
-		}
-		if !slices.IsSortedFunc(part.Pts, func(a, b geom.Point) int {
-			switch {
-			case a.X < b.X:
-				return -1
-			case a.X > b.X:
-				return 1
-			case a.Y < b.Y:
-				return -1
-			case a.Y > b.Y:
-				return 1
+	pin := func() []*ops.LocalPartition {
+		parts := make([]*ops.LocalPartition, 0, len(f.Splits()))
+		for _, sp := range f.Splits() {
+			part, err := ops.PinSplit(sp)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return 0
-		}) {
-			t.Fatalf("partition %s: pinned points not canonically sorted", part.Key)
+			if !slices.IsSortedFunc(part.Pts, func(a, b geom.Point) int {
+				switch {
+				case a.X < b.X:
+					return -1
+				case a.X > b.X:
+					return 1
+				case a.Y < b.Y:
+					return -1
+				case a.Y > b.Y:
+					return 1
+				}
+				return 0
+			}) {
+				t.Fatalf("partition %s: pinned points not canonically sorted", part.Key)
+			}
+			parts = append(parts, part)
 		}
-		parts = append(parts, part)
+		return parts
 	}
 	rng := rand.New(rand.NewSource(5))
+	window := func() geom.Rect {
+		x, y := rng.Float64()*9000, rng.Float64()*9000
+		return geom.NewRect(x, y, x+rng.Float64()*4000, y+rng.Float64()*4000)
+	}
 	rects := []geom.Rect{
 		geom.NewRect(0, 0, 10_000, 10_000), // everything: full merge
 		geom.NewRect(0, 0, 0, 0),           // nothing
 	}
 	for i := 0; i < 30; i++ {
-		x, y := rng.Float64()*9000, rng.Float64()*9000
-		rects = append(rects, geom.NewRect(x, y, x+rng.Float64()*4000, y+rng.Float64()*4000))
+		rects = append(rects, window())
 	}
+	full := pin()
+	fillRange(t, full, rects[0])
 	for _, q := range rects {
-		checkRangeBodies(t, "pts1", parts, q)
+		checkRangeBodies(t, "pts1", pin(), q)
+		partial := pin()
+		fillRange(t, partial, window())
+		checkRangeBodies(t, "pts1", partial, q)
+		checkRangeBodies(t, "pts1", full, q)
 	}
 	// A file name that needs JSON escaping takes encoding/json's escaper
 	// in every encoder.
-	checkRangeBodies(t, "a<b&\"c\"\u00e9\n", parts, rects[0])
+	checkRangeBodies(t, "a<b&\"c\"\u00e9\n", full, rects[0])
 }
 
 // TestEncodeRangeBodyStreamsRandomized drives the same four-way identity
@@ -299,8 +319,8 @@ func TestEncodeRangeBodyMatchesMergesIdentically(t *testing.T) {
 // from a small lattice, so streams tie across partitions on X and on
 // (X, Y); negative and exponent-form values (1e-7, 1e21); partitions with
 // no match (empty streams); a single partition (the whole body is one
-// copy); and a partition without a fragment arena, whose matches both
-// merges format at query time.
+// copy); and partitions whose slots no query has written, some of which
+// another window's query has, or all.
 func TestEncodeRangeBodyStreamsRandomized(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 1 << 20, Workers: 2, Seed: 1})
 	rng := rand.New(rand.NewSource(17))
@@ -313,18 +333,18 @@ func TestEncodeRangeBodyStreamsRandomized(t *testing.T) {
 				pts[j] = geom.Pt(lattice[rng.Intn(len(lattice))], lattice[rng.Intn(len(lattice))])
 			}
 			parts[i] = pinHeap(t, sys, fmt.Sprintf("t%d.p%d", trial, i), pts)
-			if parts[i].Frag == nil {
-				t.Fatal("finite points pinned without fragments")
-			}
-		}
-		if trial%3 == 0 { // a Frag-less partition among (or instead of) the others
-			parts[0].Frag, parts[0].FragOff = nil, nil
 		}
 		corner := func() float64 { return lattice[rng.Intn(len(lattice))] }
+		switch trial % 3 { // 0: no slot written before the first query
+		case 1: // some
+			fillRange(t, parts, geom.NewRect(corner(), corner(), corner(), corner()))
+		case 2: // all
+			fillRange(t, parts, geom.NewRect(-1e22, -1e22, 1e22, 1e22))
+		}
 		for _, q := range []geom.Rect{
-			geom.NewRect(-1e22, -1e22, 1e22, 1e22),
 			geom.NewRect(corner(), corner(), corner(), corner()),
 			geom.NewRect(corner(), -1e22, corner(), 1e22),
+			geom.NewRect(-1e22, -1e22, 1e22, 1e22),
 			geom.NewRect(2, 2, 2.5, 2.5), // between lattice values: every stream empty
 		} {
 			checkRangeBodies(t, "pts", parts, q)
@@ -332,18 +352,63 @@ func TestEncodeRangeBodyStreamsRandomized(t *testing.T) {
 	}
 }
 
-// TestRangeStreamUnencodable: a partition without a fragment arena holds a
-// coordinate JSON cannot carry; matching it fails the stream the way
-// encoding/json fails the slow path, and not matching it costs nothing.
+// TestRangeStreamLongObjects: a point whose object is longer than a slot
+// holds — two negative 17-digit coordinates, or two exponent forms with 17
+// digits — is formatted on every use, cold and warm, beside points that
+// fit, one of them exactly (47 bytes, one short of its slot), and every body
+// still equals encoding/json's.
+func TestRangeStreamLongObjects(t *testing.T) {
+	sys := core.New(core.Config{BlockSize: 1 << 20, Workers: 2, Seed: 1})
+	pos17 := math.Nextafter(1234.5, math.Inf(1))   // 1234.5000000000002
+	neg17 := math.Nextafter(-1234.5, math.Inf(-1)) // -1234.5000000000002
+	exp17 := math.Nextafter(-1e-300, math.Inf(-1)) // -1.0000000000000001e-300
+	big17 := math.Nextafter(2.5e21, math.Inf(1))   // 2.5000000000000004e+21
+	pts := []geom.Point{
+		geom.Pt(pos17, pos17), geom.Pt(neg17, pos17), geom.Pt(neg17, neg17), geom.Pt(exp17, exp17), geom.Pt(big17, neg17),
+		geom.Pt(neg17, 3), geom.Pt(0, 0), geom.Pt(3, exp17), geom.Pt(1, 1),
+	}
+	for i, want := range []int{47, 48, 49, 59, 52} {
+		o, err := ops.AppendPointJSON(nil, pts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(o) != want {
+			t.Fatalf("%v: a %d-byte object %s, want %d bytes", pts[i], len(o), o, want)
+		}
+	}
+	half := len(pts) / 2
+	parts := []*ops.LocalPartition{
+		pinHeap(t, sys, "long.a", pts[:half]),
+		pinHeap(t, sys, "long.b", pts[half:]),
+	}
+	all := geom.NewRect(-1e22, -1e22, 1e22, 1e22)
+	for _, q := range []geom.Rect{geom.NewRect(-2000, -2000, 0, 0), all, geom.NewRect(-2000, -2000, 0, 0), all} {
+		checkRangeBodies(t, "long", parts, q)
+	}
+}
+
+// TestRangeStreamUnencodable: a partition holding a coordinate JSON cannot
+// carry fails exactly the queries that match that point, the way
+// encoding/json fails the slow path — before its other points' objects are
+// written, after, and every time — and not matching it costs nothing.
 func TestRangeStreamUnencodable(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 1 << 20, Workers: 2, Seed: 1})
 	part := pinHeap(t, sys, "inf", []geom.Point{geom.Pt(1, 1), geom.Pt(2, math.Inf(1))})
-	if part.Frag != nil {
-		t.Fatal("a partition holding +Inf built a fragment arena")
+	all, finite := geom.NewRect(0, 0, 3, math.Inf(1)), geom.NewRect(0, 0, 3, 3)
+	if _, err := marshalBody(rangeResponse{Points: []pointJSON{{X: 2, Y: math.Inf(1)}}}); err == nil {
+		t.Fatal("encoding/json carried +Inf")
 	}
-	all := geom.NewRect(0, 0, 3, math.Inf(1))
 	if _, err := ops.PartitionRangePoints(part, all); err == nil {
-		t.Error("streaming a +Inf match succeeded")
+		t.Error("streaming a +Inf match succeeded before any object was written")
 	}
-	checkRangeBodies(t, "inf", []*ops.LocalPartition{part}, geom.NewRect(0, 0, 3, 3))
+	checkRangeBodies(t, "inf", []*ops.LocalPartition{part}, finite)
+	if _, err := ops.PartitionRangePoints(part, all); err == nil {
+		t.Error("streaming a +Inf match succeeded the second time")
+	}
+	checkRangeBodies(t, "inf", []*ops.LocalPartition{part}, finite)
+	fresh := pinHeap(t, sys, "inf2", []geom.Point{geom.Pt(1, 1), geom.Pt(2, math.Inf(1))})
+	checkRangeBodies(t, "inf", []*ops.LocalPartition{fresh}, finite)
+	if _, err := ops.PartitionRangePoints(fresh, all); err == nil {
+		t.Error("streaming a +Inf match succeeded after the finite point's object was written")
+	}
 }

@@ -24,9 +24,10 @@ import (
 // call over that partition alone. Every holder runs the same step
 // (ops.RangeStream, ops.KNNSets), so the body is byte-identical across
 // engines by construction. A range answer arrives as a finished piece of
-// the body — the matches' pin-time JSON objects, merged by the holder —
-// and the gather copies a lone stream whole, or k-way merges two or more
-// over their merge keys, copying bytes (encodeRangeBodyStreams).
+// the body — the matches' JSON objects, copied from the slots a point's
+// first response wrote, merged by the holder — and the gather copies a
+// lone stream whole, or k-way merges two or more over their merge keys,
+// copying bytes (encodeRangeBodyStreams).
 
 // shardStats is one query's scatter/gather accounting, surfaced through
 // ?explain=1 and the serve.shard.* metric families by the sharded engine.

@@ -15,10 +15,11 @@ import (
 // exactly like a map task's input — and runs the query plan's step
 // (ops/shard.go) against the pinned partitions' sorted points. The step's
 // result is the wire reply, unconverted: a range answer ships as a
-// finished piece of the response body (the matches' pin-time JSON objects,
-// merged across the named partitions, plus their merge keys when the
-// master will merge again), a kNN answer as each partition's (dist,
-// point) candidates; the master only merges.
+// finished piece of the response body (the matches' JSON objects, each
+// written the first time a response carried it, merged across the named
+// partitions, plus their merge keys when the master will merge again), a
+// kNN answer as each partition's (dist, point) candidates; the master only
+// merges.
 
 // pinServePartition resolves one exec call to a pinned partition.
 func (w *Worker) pinServePartition(file string, epoch int64, meta *mapreduce.WireSplitMeta) (*ops.LocalPartition, error) {
