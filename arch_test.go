@@ -43,6 +43,7 @@ func archRules() []archRule {
 		plan: "withHeat foldPartitionHeat countPartitionRecords countPartitionMatches contentOf",
 		"a point is stored as a point (a points block is a column from the writer on; no point mark vouches for point text)":                 "pointMark HoldsPoints",
 		"a column is written as a run (WritePoints and WriteRegions cut blocks as views of the caller's arrays; no per-record column write)": "WritePoint WriteRegion",
+		"a task is tallied once (an attempt's tallies live in its metrics buffer; a job's report is its winning tasks' rows)":                "MapWorkSum MapTaskMax ReduceWorkSum ReduceTaskMax MapSelected ShardTotals okTasks recordDuration",
 	} {
 		for _, n := range strings.Fields(names) {
 			from[n], retired = " (deleted under: "+step+")", append(retired, n)

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -592,7 +593,8 @@ func TestDistributedHeapRangeAndTiedKNN(t *testing.T) {
 // hull-enhanced ships every partition's content MBR) runs under
 // -master-listen on two `shadoop worker` processes and must print what the
 // same command prints in process, with the metrics summary showing that
-// tasks really were dispatched.
+// tasks really were dispatched and tallying them as the in-process one
+// does.
 func TestDistributedBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process e2e is not -short")
@@ -660,5 +662,25 @@ func TestDistributedBinary(t *testing.T) {
 	m := regexp.MustCompile(`mr\.tasks\.dispatched\s+(\d+)`).FindSubmatch(got.Bytes())
 	if m == nil || string(m[1]) == "0" {
 		t.Errorf("the metrics summary shows no dispatched task; the job ran in process:\n%s", got.Bytes())
+	}
+	// Shuffle pairs and bytes and records in reach the master only in each
+	// attempt's metrics buffer: both summaries print the same shuffle line
+	// and the same map and reduce task counts.
+	tallyRE := regexp.MustCompile(`(?m)^shuffle: \d+ bytes in \d+ pairs; retries: \d+; output: \d+ records$|^(map|reduce) .* \d+$`)
+	tally := func(out []byte) string {
+		var lines []string
+		for _, l := range tallyRE.FindAllString(string(out), -1) {
+			if f := strings.Fields(l); f[0] != "shuffle:" {
+				l = f[0] + " " + f[len(f)-1] // a phase row's name and task count
+			}
+			lines = append(lines, l)
+		}
+		if len(lines) != 3 {
+			t.Fatalf("want a shuffle line, a map row and a reduce row in:\n%s", out)
+		}
+		return strings.Join(lines, "\n")
+	}
+	if g, w := tally(got.Bytes()), tally(want); g != w {
+		t.Errorf("distributed summary tallies\n%s\nin-process summary tallies\n%s", g, w)
 	}
 }

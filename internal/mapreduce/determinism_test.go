@@ -5,8 +5,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialhadoop/internal/dfs"
+	"spatialhadoop/internal/obs"
 )
 
 // runWordCount runs the canonical job on a cluster with the given worker
@@ -103,7 +105,13 @@ func TestSimulatedParallelBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := rep.MapWorkSum + rep.ReduceWorkSum + rep.ShuffleTime + rep.CommitTime
+	serial, longestMap := rep.ShuffleTime+rep.CommitTime, time.Duration(0)
+	for _, row := range rep.Tasks {
+		serial += row.Dur
+		if row.Phase == obs.PhaseMap {
+			longestMap = max(longestMap, row.Dur)
+		}
+	}
 	one := rep.SimulatedParallel(1)
 	if one < serial {
 		t.Errorf("1 worker estimate %v below serial cost %v", one, serial)
@@ -114,8 +122,8 @@ func TestSimulatedParallelBounds(t *testing.T) {
 		if cur > prev {
 			t.Errorf("estimate increased with more workers: %v -> %v", prev, cur)
 		}
-		if cur < rep.MapTaskMax {
-			t.Errorf("estimate %v below longest map task %v", cur, rep.MapTaskMax)
+		if cur < longestMap {
+			t.Errorf("estimate %v below longest map task %v", cur, longestMap)
 		}
 		prev = cur
 	}

@@ -363,8 +363,10 @@ type Report struct {
 	Job         string
 	Splits      int // splits after filtering
 	SplitsTotal int // splits before filtering
-	MapTasks    int
-	ReduceTasks int // reduce tasks that ran: 0 for a map-only job
+	MapTasks    int // map rows in Tasks
+	ReduceTasks int // reduce rows in Tasks: 0 for a map-only job
+	// Counters is Metrics' counter section, the job counters the CLI, the
+	// serve layer and the benchmark harness read.
 	Counters    map[string]int64
 	MapTime     time.Duration
 	ShuffleTime time.Duration
@@ -373,21 +375,14 @@ type Report struct {
 	Total       time.Duration
 	OutputFile  string
 	OutputCount int64
-	// MapSelected counts, per map task in the order of the filtered
-	// splits, the records its winning attempt selected as direct output;
-	// a job whose maps only select has them sum to OutputCount.
-	MapSelected []int64
+	// Tasks holds one row per won task, recorded at the win gate: the map
+	// rows in the order of the filtered splits, then the reduce rows by
+	// reducer. Every per-task view (SimulatedParallel, the summary's
+	// slowest-task and skew tables) reads them, so they are exact whatever
+	// the trace kept.
+	Tasks []TaskRow
 
-	// MapWorkSum/MapTaskMax aggregate the CPU time of the individual map
-	// tasks (successful attempts only); ReduceWorkSum/ReduceTaskMax do the
-	// same for reduce tasks. They feed SimulatedParallel.
-	MapWorkSum    time.Duration
-	MapTaskMax    time.Duration
-	ReduceWorkSum time.Duration
-	ReduceTaskMax time.Duration
-
-	// Metrics is the job's full metrics snapshot (Counters above is its
-	// counter section, kept for compatibility).
+	// Metrics is the job's full metrics snapshot.
 	Metrics *obs.Snapshot
 	// Trace is the job's trace: the request's whole tree when the job ran
 	// under one, else the job's own (queue.wait, then the job span with one
@@ -396,26 +391,42 @@ type Report struct {
 	Trace *obs.Trace
 }
 
+// TaskRow is what one won task did, read from its winning attempt's
+// metrics buffer, plus the attempt's duration as the win gate saw it.
+type TaskRow struct {
+	Phase     string // obs.PhaseMap or obs.PhaseReduce
+	Task      int
+	Partition string
+	Dur       time.Duration
+	// RecordsIn is a map's input records or a reduce's input values;
+	// RecordsOut is what the task emitted, wrote and selected; Bytes is a
+	// map's shuffle bytes; Selected is a map's selected direct output.
+	RecordsIn, RecordsOut, Bytes, Selected int64
+}
+
+// work sums the durations of phase's rows and finds the longest.
+func (r *Report) work(phase string) (sum, longest time.Duration) {
+	for _, t := range r.Tasks {
+		if t.Phase == phase {
+			sum += t.Dur
+			longest = max(longest, t.Dur)
+		}
+	}
+	return sum, longest
+}
+
 // SimulatedParallel estimates the job's makespan on a cluster with the
 // given number of worker machines using the standard LPT bound per phase:
 // max(total work / workers, longest task). It lets a run on a small host
 // report what the paper's 25-node deployment would observe, modulo network
 // costs (which this runtime does not charge).
 func (r *Report) SimulatedParallel(workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
+	total := r.ShuffleTime + r.CommitTime
+	for _, phase := range []string{obs.PhaseMap, obs.PhaseReduce} {
+		sum, longest := r.work(phase)
+		total += max(sum/time.Duration(max(workers, 1)), longest)
 	}
-	phase := func(sum, max time.Duration) time.Duration {
-		ideal := sum / time.Duration(workers)
-		if max > ideal {
-			return max
-		}
-		return ideal
-	}
-	return phase(r.MapWorkSum, r.MapTaskMax) +
-		r.ShuffleTime +
-		phase(r.ReduceWorkSum, r.ReduceTaskMax) +
-		r.CommitTime
+	return total
 }
 
 // Cluster is the compute side: a file system plus a pool of worker slots.
@@ -575,23 +586,11 @@ type jobRun struct {
 	splits []*Split
 	total  int // splits before filtering
 
-	// maps holds each map task's winning attempt as the later phases need
-	// it: direct output, shuffle totals, duration.
-	maps      []mapResult
-	reduceOut [][]string
-	reduceDur []time.Duration
-	outCount  int64
-}
-
-type mapResult struct {
-	out []string
-	sel []Selection
-	// pairs/bytes are the task's shuffle totals, computed once per attempt
-	// and reused by both the task counters and the shuffle span, so the two
-	// never disagree.
-	pairs int64
-	bytes int64
-	dur   time.Duration
+	// maps and reduces hold each task's winning attempt, whose output the
+	// commit writes; rows are the won tasks' rows, the report's Tasks.
+	maps, reduces []attemptResult
+	rows          []TaskRow
+	outCount      int64
 }
 
 // runJob executes one admitted job: it drives the phases and assembles
@@ -618,19 +617,9 @@ func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, 
 	root.RecordsOut, root.Outcome = j.outCount, obs.OutcomeOK
 	root.End()
 
-	rep.Splits, rep.SplitsTotal, rep.MapTasks = len(j.splits), j.total, len(j.splits)
-	rep.ReduceTasks = len(j.reduceDur)
+	rep.Splits, rep.SplitsTotal = len(j.splits), j.total
+	rep.Tasks, rep.MapTasks, rep.ReduceTasks = j.rows, len(j.maps), len(j.reduces)
 	rep.OutputCount = j.outCount
-	rep.MapSelected = make([]int64, len(j.maps))
-	for i, r := range j.maps {
-		rep.MapSelected[i] = selected(r.sel)
-		rep.MapWorkSum += r.dur
-		rep.MapTaskMax = max(rep.MapTaskMax, r.dur)
-	}
-	for _, d := range j.reduceDur {
-		rep.ReduceWorkSum += d
-		rep.ReduceTaskMax = max(rep.ReduceTaskMax, d)
-	}
 	rep.Metrics = rj.reg.Snapshot()
 	rep.Counters = rep.Metrics.Counters
 	rep.Total = time.Since(start)
@@ -691,51 +680,22 @@ func (j *jobRun) plan(ctx context.Context) error {
 	return nil
 }
 
-// mapPhase runs one scheduled task per split. The attempt bookkeeping —
-// shuffle counters, per-task histograms, the win-gated publish — lives
-// here, once, whichever runner executed the attempt.
+// mapPhase runs one scheduled task per split. The scheduler's win gate
+// does the bookkeeping, once, whichever runner executed the attempt.
 func (j *jobRun) mapPhase(ctx context.Context) error {
-	rj := j.rj
 	mapCtx, mapSpan := startPhase(ctx, obs.PhaseMap)
-	j.maps = make([]mapResult, len(j.splits))
-	ms := newSched(j.c, rj, obs.PhaseMap, j.pol, CounterRetryMap)
-	for i, split := range j.splits {
+	ms := newSched(j.c, j.rj, obs.PhaseMap, j.pol, CounterRetryMap)
+	for _, split := range j.splits {
 		var blk *dfs.Block
 		if len(split.Blocks) > 0 {
 			blk = split.Blocks[0]
 		}
-		ms.addTask(i, fmt.Sprintf("map-%d", i), split.Partition, blk, func(attempt int) (attemptOut, error) {
-			res, err := j.run.mapAttempt(i, attempt)
-			if err != nil {
-				// The attempt's metric buffer is dropped with the attempt.
-				return attemptOut{}, err
-			}
-			// Shuffle totals are counted here, once per successful task,
-			// instead of under a registry mutex per pair.
-			tm := res.tm
-			tm.Inc(CounterShuffleBytes, res.bytes)
-			tm.Inc(CounterShufflePairs, res.pairs)
-			tm.Observe(HistMapTaskRecordsIn, float64(res.recordsIn))
-			tm.Observe(HistMapTaskShuffleBytes, float64(res.bytes))
-			return attemptOut{
-				recordsIn:  res.recordsIn,
-				recordsOut: res.pairs + int64(len(res.out)) + selected(res.sel),
-				bytes:      res.bytes,
-				apply: func(dur time.Duration) {
-					tm.Observe(HistMapTaskDurationUS, float64(dur.Microseconds()))
-					rj.reg.Merge(tm)
-					// Publishing the shards under the win gate guarantees
-					// reducers read exactly one attempt's shards, whichever
-					// attempt won.
-					res.publish()
-					j.maps[i] = mapResult{out: res.out, sel: res.sel, pairs: res.pairs, bytes: res.bytes, dur: dur}
-				},
-			}, nil
-		})
+		ms.addTask(split.Partition, blk)
 	}
-	errs := ms.runAll(mapCtx)
+	errs := ms.runAll(mapCtx, j.run.mapAttempt)
 	mapSpan.End()
-	return firstErr(errs, rj.job.Name, "map")
+	j.maps, j.rows = ms.won, append(j.rows, ms.rows...)
+	return firstErr(errs, j.rj.job.Name, "map")
 }
 
 // firstErr wraps a phase's first task error (nil when every task won).
@@ -757,16 +717,12 @@ func startPhase(ctx context.Context, phase string) (context.Context, *obs.Span) 
 }
 
 // shufflePhase makes the winning map shards reachable by the reducers
-// (the runner's business) and records the job-wide shuffle totals — the
-// per-task sums already merged into the task counters, not a second walk
-// over every pair.
+// (the runner's business) and records the job-wide shuffle totals: the
+// won map tasks' buffers, already merged into the job counters.
 func (j *jobRun) shufflePhase(ctx context.Context) error {
 	_, span := startPhase(ctx, obs.PhaseShuffle)
 	j.run.shuffle()
-	for _, r := range j.maps {
-		span.RecordsIn += r.pairs
-		span.Bytes += r.bytes
-	}
+	span.RecordsIn, span.Bytes = j.rj.reg.Counter(CounterShufflePairs), j.rj.reg.Counter(CounterShuffleBytes)
 	span.End()
 	return nil
 }
@@ -774,35 +730,18 @@ func (j *jobRun) shufflePhase(ctx context.Context) error {
 // reducePhase runs one scheduled task per reducer (none for a map-only
 // job).
 func (j *jobRun) reducePhase(ctx context.Context) error {
-	rj, numRed := j.rj, j.rj.nshards
-	if rj.kf.Reduce == nil {
+	if j.rj.kf.Reduce == nil {
 		return nil
 	}
-	j.reduceOut = make([][]string, numRed)
-	j.reduceDur = make([]time.Duration, numRed)
 	redCtx, redSpan := startPhase(ctx, obs.PhaseReduce)
-	rs := newSched(j.c, rj, obs.PhaseReduce, j.pol, CounterRetryReduce)
-	for ri := 0; ri < numRed; ri++ {
-		rs.addTask(ri, fmt.Sprintf("reduce-%d", ri), "", nil, func(attempt int) (attemptOut, error) {
-			res, err := j.run.reduceAttempt(ri, attempt)
-			if err != nil {
-				return attemptOut{}, err
-			}
-			return attemptOut{
-				recordsIn:  res.recordsIn,
-				recordsOut: int64(len(res.out)),
-				apply: func(dur time.Duration) {
-					res.tm.Observe(HistReduceTaskDurationUS, float64(dur.Microseconds()))
-					rj.reg.Merge(res.tm)
-					j.reduceOut[ri] = res.out
-					j.reduceDur[ri] = dur
-				},
-			}, nil
-		})
+	rs := newSched(j.c, j.rj, obs.PhaseReduce, j.pol, CounterRetryReduce)
+	for range j.rj.nshards {
+		rs.addTask("", nil)
 	}
-	errs := rs.runAll(redCtx)
+	errs := rs.runAll(redCtx, j.run.reduceAttempt)
 	redSpan.End()
-	return firstErr(errs, rj.job.Name, "reduce")
+	j.reduces, j.rows = rs.won, append(j.rows, rs.rows...)
+	return firstErr(errs, j.rj.job.Name, "reduce")
 }
 
 // commitPhase writes the final output, under the same retry loop as tasks
@@ -855,9 +794,9 @@ func (j *jobRun) writeOutput() (int64, error) {
 			w.WriteSelected(src, s.IDs)
 		}
 	}
-	for _, part := range j.reduceOut {
-		n += len(part)
-		for _, rec := range part {
+	for _, r := range j.reduces {
+		n += len(r.out)
+		for _, rec := range r.out {
 			w.WriteRecord(rec)
 		}
 	}
@@ -873,14 +812,25 @@ type attemptResult struct {
 	// given as selections.
 	out []string
 	sel []Selection
-	// pairs/bytes are a map attempt's shuffle totals.
-	pairs, bytes int64
-	// recordsIn is the attempt's input record (map) or value (reduce) count.
-	recordsIn int64
-	tm        *obs.TaskMetrics
-	// publish makes a map attempt's shards the ones reducers read; the
-	// phase calls it for the winning attempt only. Nil for reduce attempts.
+	// tm is the attempt's metrics buffer, the one record of what it did.
+	tm *obs.TaskMetrics
+	// publish makes a map attempt's shards the ones reducers read; the win
+	// gate calls it for the winning attempt only. Nil for reduce attempts.
 	publish func()
+}
+
+// row reads the attempt's task row from its buffer: what a map read,
+// emitted, shuffled and selected, or what a reduce read and wrote.
+func (r *attemptResult) row(phase string) TaskRow {
+	if phase == obs.PhaseReduce {
+		return TaskRow{Phase: phase, RecordsIn: int64(r.tm.Sum(HistReducePartRecords)), RecordsOut: int64(len(r.out))}
+	}
+	sel := selected(r.sel)
+	return TaskRow{
+		Phase: phase, RecordsIn: r.tm.Get(CounterMapRecordsIn),
+		RecordsOut: r.tm.Get(CounterShufflePairs) + int64(len(r.out)) + sel,
+		Bytes:      r.tm.Get(CounterShuffleBytes), Selected: sel,
+	}
 }
 
 // runner is the attempt seam: where a job's map and reduce attempts
@@ -920,16 +870,14 @@ type localRunner struct {
 // execMap runs one map attempt and returns its result (unpublished) with
 // the emitted shards.
 func (l *localRunner) execMap(task, attempt int) (attemptResult, [][]Pair, error) {
-	split := l.splits[task]
-	shards, out, sel, tm, err := ExecMapAttempt(l.rj.kf, l.rj.job.Conf, split, l.rj.nshards, attempt)
+	shards, out, sel, tm, err := ExecMapAttempt(l.rj.kf, l.rj.job.Conf, l.splits[task], l.rj.nshards, attempt)
 	if err != nil {
 		if errors.Is(err, dfs.ErrChecksum) {
 			l.rj.reg.Inc(CounterChecksumFailures, 1)
 		}
 		return attemptResult{}, nil, err
 	}
-	pairs, bytes := ShardTotals(shards)
-	return attemptResult{out: out, sel: sel, pairs: pairs, bytes: bytes, recordsIn: int64(split.NumRecords()), tm: tm}, shards, nil
+	return attemptResult{out: out, sel: sel, tm: tm}, shards, nil
 }
 
 func (l *localRunner) mapAttempt(task, attempt int) (attemptResult, error) {
@@ -971,8 +919,8 @@ func (l *localRunner) shuffle() {
 
 // execReduce runs one reduce attempt over grouped values.
 func (l *localRunner) execReduce(groups map[string][]string, attempt int) (attemptResult, error) {
-	out, valuesIn, tm, err := ExecReduceAttempt(l.rj.kf, l.rj.job.Conf, groups, attempt)
-	return attemptResult{out: out, recordsIn: valuesIn, tm: tm}, err
+	out, tm, err := ExecReduceAttempt(l.rj.kf, l.rj.job.Conf, groups, attempt)
+	return attemptResult{out: out, tm: tm}, err
 }
 
 func (l *localRunner) reduceAttempt(ri, attempt int) (attemptResult, error) {
@@ -985,9 +933,10 @@ func (l *localRunner) close() {}
 // the job's conf, applying the combiner to its output, and returns the
 // task's emitted pairs bucketed by reducer shard plus its direct output,
 // written or selected.
-// The attempt's metrics stay in the returned TaskMetrics buffer; the
-// caller merges it into the job registry only on success, so a failed
-// attempt's counts (including the combiner re-run) are discarded with it.
+// The attempt's metrics stay in the returned TaskMetrics buffer, the one
+// record of its records in, pairs emitted and shuffle bytes; the caller
+// merges it into the job registry only on success, so a failed attempt's
+// counts (including the combiner re-run) are discarded with it.
 // Block checksums are verified before any record is decoded; a mismatch
 // fails the attempt with the retryable dfs checksum error. It is the one
 // map attempt body: the in-process runner and a worker both call it, with
@@ -1003,7 +952,8 @@ func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards,
 	}
 	tm := obs.NewTaskMetrics()
 	ctx := &TaskContext{conf: conf, split: split, metrics: tm, nshards: nshards, attempt: attempt}
-	tm.Inc(CounterMapRecordsIn, int64(split.NumRecords()))
+	in := int64(split.NumRecords())
+	tm.Inc(CounterMapRecordsIn, in)
 	if err := kf.Map(ctx, split); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -1046,12 +996,27 @@ func ExecMapAttempt(kf KindFuncs, conf map[string]string, split *Split, nshards,
 			return nil, nil, nil, nil, err
 		}
 	}
-	emitted := 0
-	for _, shard := range shards {
-		emitted += len(shard)
-	}
-	tm.Inc(CounterMapRecordsOut, int64(emitted))
+	// The shuffle totals are counted here, once per attempt, instead of
+	// under a registry mutex per pair.
+	pairs, bytes := shardTotals(shards)
+	tm.Inc(CounterMapRecordsOut, pairs)
+	tm.Inc(CounterShufflePairs, pairs)
+	tm.Inc(CounterShuffleBytes, bytes)
+	tm.Observe(HistMapTaskRecordsIn, float64(in))
+	tm.Observe(HistMapTaskShuffleBytes, float64(bytes))
 	return shards, ctx.out, ctx.sel, tm, nil
+}
+
+// shardTotals sums a map attempt's shuffle output: pair count and encoded
+// key+value bytes.
+func shardTotals(shards [][]Pair) (pairs, bytes int64) {
+	for _, shard := range shards {
+		pairs += int64(len(shard))
+		for _, p := range shard {
+			bytes += int64(len(p.Key) + len(p.Value))
+		}
+	}
+	return pairs, bytes
 }
 
 // partitionOf hashes a key to a reducer index with an inlined FNV-1a loop.

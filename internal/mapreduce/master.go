@@ -114,12 +114,9 @@ type dispatchResult struct {
 	workerID   int64
 	workerAddr string
 
-	out       []string
-	sel       []Selection
-	metrics   obs.TaskMetricsWire
-	recordsIn int64
-	pairs     int64
-	bytes     int64
+	out     []string
+	sel     []Selection
+	metrics obs.TaskMetricsWire
 
 	lostMaps   []int
 	workerLost bool
@@ -795,9 +792,6 @@ func (s *masterService) TaskDone(args TaskDoneArgs, reply *TaskDoneReply) error 
 		out:        args.Out,
 		sel:        args.Selected,
 		metrics:    args.Metrics,
-		recordsIn:  args.RecordsIn,
-		pairs:      args.Pairs,
-		bytes:      args.Bytes,
 		lostMaps:   args.LostMaps,
 	}
 	if args.Err != "" {

@@ -171,6 +171,9 @@ func TestTraceSpansPerPhase(t *testing.T) {
 // TestTraceCapRule: a batch job keeps every span of its own trace, so one
 // with more attempts than MaxReqSpans is complete; the same job under a
 // request trace hits the cap, and what the request keeps is still a tree.
+// The report does not read the trace: it holds one row per task past the
+// cap, and its summary lists that job's tasks only, not those of a job
+// that ran before it under the same request.
 func TestTraceCapRule(t *testing.T) {
 	const records = obs.MaxReqSpans + 40
 	c := newTestCluster(t, 16, 4)
@@ -210,8 +213,41 @@ func TestTraceCapRule(t *testing.T) {
 	}
 
 	req := obs.NewTrace("req")
-	if _, err := c.RunCtx(obs.ContextWithTrace(context.Background(), req), identityJob("many-tasks-req", identityMap)); err != nil {
+	rctx := obs.ContextWithTrace(context.Background(), req)
+	c.FS().WriteFile("few", recs[:3])
+	if _, err := c.RunCtx(rctx, closureJob(Job{Name: "reduce-first", Input: []string{"few"}, NumReducers: 2, Output: "first"}, KindFuncs{
+		Map: func(ctx *TaskContext, split *Split) error {
+			for _, r := range split.Records() {
+				ctx.Emit(r, r)
+			}
+			return nil
+		},
+		Reduce: func(ctx *TaskContext, key string, _ []string) error {
+			ctx.Write(key)
+			return nil
+		},
+	})); err != nil {
 		t.Fatal(err)
+	}
+	rrep, err := c.RunCtx(rctx, identityJob("many-tasks-req", identityMap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written int64
+	for i, row := range rrep.Tasks {
+		if row.Phase != obs.PhaseMap || row.Task != i || row.RecordsIn != 1 {
+			t.Errorf("row %d of the request-traced job: %+v; want map task %d over 1 record", i, row, i)
+		}
+		written += row.RecordsOut
+	}
+	if len(rrep.Tasks) != rrep.MapTasks || rrep.MapTasks != records || written != rrep.OutputCount {
+		t.Errorf("request-traced job: %d rows writing %d records for %d map tasks writing %d; want %d of each",
+			len(rrep.Tasks), written, rrep.MapTasks, rrep.OutputCount, records)
+	}
+	var sum bytes.Buffer
+	rrep.WriteSummary(&sum)
+	if strings.Contains(sum.String(), "reduce") || !strings.Contains(sum.String(), "most skewed map partitions") {
+		t.Errorf("the request-traced job's summary is not its own:\n%s", sum.String())
 	}
 	rsnap := req.Snapshot()
 	if rsnap.Dropped == 0 || len(rsnap.Spans) != obs.MaxReqSpans {
@@ -277,12 +313,19 @@ func TestRetriedAttemptsAppearInTrace(t *testing.T) {
 }
 
 func TestSimulatedParallelEdgeCases(t *testing.T) {
+	rows := func(phase string, durs ...time.Duration) []TaskRow {
+		var out []TaskRow
+		for i, d := range durs {
+			out = append(out, TaskRow{Phase: phase, Task: i, Dur: d})
+		}
+		return out
+	}
 	// workers=0 must clamp to 1: the makespan is the full work sum.
 	r := &Report{
-		MapWorkSum: 10 * time.Second, MapTaskMax: 4 * time.Second,
-		ShuffleTime:   time.Second,
-		ReduceWorkSum: 2 * time.Second, ReduceTaskMax: 2 * time.Second,
-		CommitTime: time.Second,
+		Tasks: append(rows(obs.PhaseMap, 4*time.Second, 3*time.Second, 3*time.Second),
+			rows(obs.PhaseReduce, 2*time.Second)...),
+		ShuffleTime: time.Second,
+		CommitTime:  time.Second,
 	}
 	if got := r.SimulatedParallel(0); got != 14*time.Second {
 		t.Errorf("workers=0 makespan = %v, want 14s", got)
@@ -293,7 +336,7 @@ func TestSimulatedParallelEdgeCases(t *testing.T) {
 		t.Errorf("dominating-task makespan = %v", got)
 	}
 	// Empty reduce phase contributes nothing.
-	r2 := &Report{MapWorkSum: 6 * time.Second, MapTaskMax: 2 * time.Second}
+	r2 := &Report{Tasks: rows(obs.PhaseMap, 2*time.Second, 2*time.Second, 2*time.Second)}
 	if got := r2.SimulatedParallel(3); got != 2*time.Second {
 		t.Errorf("empty-phases makespan = %v, want 2s", got)
 	}

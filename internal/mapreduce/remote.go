@@ -86,13 +86,15 @@ func MergePairs(g map[string][]string, pairs []Pair) {
 
 // ExecReduceAttempt executes one reduce attempt of a job kind's functions
 // over grouped values: keys in sorted order, one CounterReduceGroups tick
-// per key, and the partition-records observation — the one reduce attempt
-// body, called by the in-process runner and by workers alike.
-func ExecReduceAttempt(kf KindFuncs, conf map[string]string, groups map[string][]string, attempt int) (out []string, valuesIn int64, tm *obs.TaskMetrics, err error) {
+// per key, and the partition-records observation (the values it read) —
+// the one reduce attempt body, called by the in-process runner and by
+// workers alike.
+func ExecReduceAttempt(kf KindFuncs, conf map[string]string, groups map[string][]string, attempt int) (out []string, tm *obs.TaskMetrics, err error) {
 	keys := make([]string, 0, len(groups))
+	valuesIn := 0
 	for k, vs := range groups {
 		keys = append(keys, k)
-		valuesIn += int64(len(vs))
+		valuesIn += len(vs)
 	}
 	sort.Strings(keys)
 	tm = obs.NewTaskMetrics()
@@ -100,27 +102,14 @@ func ExecReduceAttempt(kf KindFuncs, conf map[string]string, groups map[string][
 	for _, k := range keys {
 		tm.Inc(CounterReduceGroups, 1)
 		if err := kf.Reduce(rctx, k, groups[k]); err != nil {
-			return nil, 0, nil, err
+			return nil, nil, err
 		}
 	}
 	if len(rctx.sel) > 0 {
-		return nil, 0, nil, errors.New("mapreduce: a reduce attempt selected output; it has no split to select from")
+		return nil, nil, errors.New("mapreduce: a reduce attempt selected output; it has no split to select from")
 	}
 	tm.Observe(HistReducePartRecords, float64(valuesIn))
-	return rctx.out, valuesIn, tm, nil
-}
-
-// ShardTotals sums a map attempt's shuffle output: pair count and encoded
-// key+value bytes, the numbers behind CounterShufflePairs/Bytes. Exported
-// for the worker package, which reports them in TaskDone.
-func ShardTotals(shards [][]Pair) (pairs, bytes int64) {
-	for _, shard := range shards {
-		pairs += int64(len(shard))
-		for _, p := range shard {
-			bytes += int64(len(p.Key) + len(p.Value))
-		}
-	}
-	return pairs, bytes
+	return rctx.out, tm, nil
 }
 
 // StreamShardFrom streams one map shard from a shard server (worker or

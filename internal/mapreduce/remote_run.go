@@ -165,8 +165,7 @@ func (r *remoteRun) mapAttempt(task, attempt int) (attemptResult, error) {
 		return attemptResult{}, err
 	}
 	return attemptResult{
-		out: res.out, sel: res.sel, pairs: res.pairs, bytes: res.bytes,
-		recordsIn: res.recordsIn, tm: obs.ImportTaskMetrics(res.metrics),
+		out: res.out, sel: res.sel, tm: obs.ImportTaskMetrics(res.metrics),
 		publish: func() {
 			r.setLoc(task, shardLoc{addr: res.workerAddr, attempt: attempt, worker: res.workerID})
 		},
@@ -204,7 +203,7 @@ func (r *remoteRun) reduceAttempt(ri, attempt int) (attemptResult, error) {
 		}
 		return attemptResult{}, err
 	}
-	return attemptResult{out: res.out, recordsIn: res.recordsIn, tm: obs.ImportTaskMetrics(res.metrics)}, nil
+	return attemptResult{out: res.out, tm: obs.ImportTaskMetrics(res.metrics)}, nil
 }
 
 // fetchShard reads one map shard for the master's own (fallback) reduce:
@@ -312,9 +311,8 @@ func (r *remoteRun) reissueMap(task int) error {
 			return err
 		}
 		res.publish()
-		span.RecordsIn = res.recordsIn
-		span.RecordsOut = res.pairs + int64(len(res.out))
-		span.Bytes = res.bytes
+		row := res.row(obs.PhaseMap)
+		span.RecordsIn, span.RecordsOut, span.Bytes = row.RecordsIn, row.RecordsOut, row.Bytes
 		endAs(span, obs.OutcomeReissue)
 		rj.reg.Inc(CounterReissuedMaps, 1)
 		r.m.flog.Append(fault.Event{Phase: TaskMap, Task: task, Attempt: attempt, Kind: "reissue"})

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -276,11 +277,11 @@ func TestWorkerPoolLifecycle(t *testing.T) {
 // TestRemoteByteIdentity is the core contract of the attempt seam: the
 // same registered-kind job run in process, on a 2-worker pool at
 // replication 0 and at replication 2, and on a pool whose workers all
-// died, produces byte-identical output, identical Report.Counters maps
-// and identical histogram observation counts (the observed durations
-// differ, nothing else may) — and the pool rows genuinely ran remotely
-// (tasks were dispatched to workers). Spill files are no evidence
-// anymore — end-of-job GC removes them.
+// died, produces byte-identical output, identical Report.Counters maps,
+// identical histogram observation counts and identical task rows (the
+// observed durations differ, nothing else may) — and the pool rows
+// genuinely ran remotely (tasks were dispatched to workers). Spill files
+// are no evidence anymore — end-of-job GC removes them.
 func TestRemoteByteIdentity(t *testing.T) {
 	want, wantRep := inProcessOracle(t)
 	histCounts := func(rep *mapreduce.Report) map[string]int64 {
@@ -289,6 +290,29 @@ func TestRemoteByteIdentity(t *testing.T) {
 			out[name] = h.Count
 		}
 		return out
+	}
+	rows := func(rep *mapreduce.Report) []mapreduce.TaskRow {
+		out := slices.Clone(rep.Tasks)
+		for i := range out {
+			out[i].Dur = 0
+		}
+		return out
+	}
+	if n := len(wantRep.Tasks); n == 0 || n != wantRep.MapTasks+wantRep.ReduceTasks || wantRep.ReduceTasks == 0 {
+		t.Fatalf("oracle: %d rows for %d map and %d reduce tasks", n, wantRep.MapTasks, wantRep.ReduceTasks)
+	}
+	// The rows add up to the job counters: what the maps read and shuffled
+	// is what the counters hold, and the reducers read every shuffled pair.
+	var mapIn, shuffled, reduceIn int64
+	for _, row := range wantRep.Tasks {
+		if row.Phase == obs.PhaseMap {
+			mapIn, shuffled = mapIn+row.RecordsIn, shuffled+row.Bytes
+		} else {
+			reduceIn += row.RecordsIn
+		}
+	}
+	if c := wantRep.Counters; mapIn != c[mapreduce.CounterMapRecordsIn] || shuffled != c[mapreduce.CounterShuffleBytes] || reduceIn != c[mapreduce.CounterShufflePairs] {
+		t.Fatalf("oracle rows: %d records in, %d bytes shuffled, %d values reduced; counters %v", mapIn, shuffled, reduceIn, c)
 	}
 	for _, tc := range []struct {
 		name        string
@@ -317,6 +341,9 @@ func TestRemoteByteIdentity(t *testing.T) {
 			}
 			if got, want := histCounts(rep), histCounts(wantRep); !reflect.DeepEqual(got, want) {
 				t.Errorf("histogram observation counts diverged from the in-process run:\n got %v\nwant %v", got, want)
+			}
+			if got, want := rows(rep), rows(wantRep); !reflect.DeepEqual(got, want) {
+				t.Errorf("task rows diverged from the in-process run:\n got %+v\nwant %+v", got, want)
 			}
 			if dispatched := reg.Counter(mapreduce.MetricTasksDispatched); (dispatched > 0) == tc.loseWorkers {
 				t.Fatalf("%d tasks dispatched to workers with loseWorkers=%v", dispatched, tc.loseWorkers)

@@ -3,7 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,31 +26,19 @@ import (
 // group), so whichever attempt wins — primary, retry or speculative
 // duplicate — publishes identical output, and a chaos run's output is
 // byte-identical to a fault-free run. The win gate publishes exactly one
-// attempt's result and metrics; every other attempt finishes as a
-// suppressed duplicate.
+// attempt's result and metrics and records the task's row; every other
+// attempt finishes as a suppressed duplicate.
 
 // specAttempt is the attempt coordinate of speculative duplicates: a
 // range disjoint from primary retries, so the injector draws an
 // independent fate for the duplicate.
 const specAttempt = 1000
 
-// attemptOut is the outcome of one successful task attempt. The
-// scheduler copies the span fields itself and invokes apply for the
-// winning attempt only, so abandoned (deadline-exceeded) and duplicate
-// attempts never touch shared state.
-type attemptOut struct {
-	recordsIn  int64
-	recordsOut int64
-	bytes      int64
-	// apply publishes the attempt's result and merges its metrics; it is
-	// called at most once per task, with the winning attempt's duration.
-	apply func(dur time.Duration)
-}
-
-// attemptFn executes one attempt of a task. It must be safe to run
-// concurrently with another attempt of the same task (speculation,
-// abandoned deadline attempts).
-type attemptFn func(attempt int) (attemptOut, error)
+// attemptFn executes one attempt of a task: a runner's mapAttempt or
+// reduceAttempt. It must be safe to run concurrently with another attempt
+// of the same task (speculation, abandoned deadline attempts), and it
+// touches no shared state: only the win gate does, for the winner.
+type attemptFn func(task, attempt int) (attemptResult, error)
 
 // schedTask is the scheduler's per-task state.
 type schedTask struct {
@@ -62,7 +50,6 @@ type schedTask struct {
 	// block is a representative data block for injected corrupt-read
 	// errors (nil for reduce tasks).
 	block *dfs.Block
-	run   attemptFn
 	// nextAttempt, when set, numbers the task's attempts instead of the
 	// try ordinal (shard re-issues draw from their run's 2000+ range).
 	nextAttempt func() int
@@ -113,9 +100,13 @@ type sched struct {
 	// are not task retries: they stay uncounted and finish as failed.
 	retryCounter string
 
-	mu        sync.Mutex
-	durations []time.Duration // completed task durations, for the median
-	tasks     []*schedTask
+	tasks []*schedTask
+	run   attemptFn
+	// rows and won hold, by task, each won task's row and winning attempt;
+	// a row's Phase is set once its task has won.
+	mu   sync.Mutex
+	rows []TaskRow
+	won  []attemptResult
 
 	stop    chan struct{}
 	helpers sync.WaitGroup // monitor + speculative attempts
@@ -138,10 +129,11 @@ func newSchedTask(idx int, name, partition string) *schedTask {
 	return &schedTask{idx: idx, name: name, partition: partition, doneCh: make(chan struct{})}
 }
 
-// addTask registers a task; call before start.
-func (s *sched) addTask(idx int, name, partition string, block *dfs.Block, run attemptFn) {
-	ts := newSchedTask(idx, name, partition)
-	ts.block, ts.run = block, run
+// addTask registers the phase's next task, named after it and its index;
+// call before runAll.
+func (s *sched) addTask(partition string, block *dfs.Block) {
+	ts := newSchedTask(len(s.tasks), fmt.Sprintf("%s-%d", s.phase, len(s.tasks)), partition)
+	ts.block = block
 	s.tasks = append(s.tasks, ts)
 }
 
@@ -179,14 +171,17 @@ func (s *sched) close() {
 	s.helpers.Wait()
 }
 
-// runAll executes every registered task under the cluster's shared slot
-// pool, with the speculation monitor running alongside, and returns the
-// per-task errors (indexed by task idx). It blocks until every attempt —
-// including in-flight speculative duplicates — has finished, so callers
-// may read published results immediately after. Because the pool is
-// cluster-wide, tasks of concurrently running jobs contend for the same
-// slots instead of each job claiming a full complement.
-func (s *sched) runAll(ctx context.Context) []error {
+// runAll executes every registered task's attempts through run under the
+// cluster's shared slot pool, with the speculation monitor running
+// alongside, and returns the per-task errors (indexed by task idx). It
+// blocks until every attempt — including in-flight speculative duplicates
+// — has finished, so callers may read rows and won immediately after.
+// Because the pool is cluster-wide, tasks of concurrently running jobs
+// contend for the same slots instead of each job claiming a full
+// complement.
+func (s *sched) runAll(ctx context.Context, run attemptFn) []error {
+	s.run = run
+	s.rows, s.won = make([]TaskRow, len(s.tasks)), make([]attemptResult, len(s.tasks))
 	s.start(ctx)
 	errs := make([]error, len(s.tasks))
 	var wg sync.WaitGroup
@@ -216,25 +211,22 @@ func (s *sched) runAll(ctx context.Context) []error {
 	return errs
 }
 
-// median returns the median duration of the phase's completed tasks (0
-// when none completed yet).
+// median returns the median duration of the phase's won tasks' rows (0
+// when none has won yet).
 func (s *sched) median() time.Duration {
+	var durs []time.Duration
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.durations)
-	if n == 0 {
+	for _, r := range s.rows {
+		if r.Phase != "" {
+			durs = append(durs, r.Dur)
+		}
+	}
+	s.mu.Unlock()
+	if len(durs) == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, s.durations)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[n/2]
-}
-
-func (s *sched) recordDuration(d time.Duration) {
-	s.mu.Lock()
-	s.durations = append(s.durations, d)
-	s.mu.Unlock()
+	slices.Sort(durs)
+	return durs[len(durs)/2]
 }
 
 // scanStragglers launches one speculative duplicate for every running
@@ -382,7 +374,7 @@ func (s *sched) retry(ctx context.Context, ts *schedTask, body func(span *obs.Sp
 
 // attempt runs one map or reduce attempt of ts under its drawn fate d:
 // acts out an injected corrupt read or straggle, enforces the per-attempt
-// deadline, and publishes the result through the win gate. A nil return
+// deadline, and passes the result through the win gate. A nil return
 // means the task is decided (this attempt won, or finished as a
 // suppressed duplicate).
 func (s *sched) attempt(ctx context.Context, ts *schedTask, span *obs.Span, attempt int, spec bool, d fault.Decision) error {
@@ -424,21 +416,19 @@ func (s *sched) attempt(ctx context.Context, ts *schedTask, span *obs.Span, atte
 		}
 	}
 
-	out, err := s.exec(ctx, ts, attempt)
+	res, err := s.exec(ctx, ts, attempt)
 	if err != nil {
 		return err
 	}
-	span.RecordsIn = out.recordsIn
-	span.RecordsOut = out.recordsOut
-	span.Bytes = out.bytes
+	row := res.row(s.phase)
+	span.RecordsIn, span.RecordsOut, span.Bytes = row.RecordsIn, row.RecordsOut, row.Bytes
 	if !ts.markWon() {
 		endAs(span, obs.OutcomeDuplicate)
 		s.rj.reg.Inc(CounterSpecSuppressed, 1)
 		return nil
 	}
-	dur := time.Since(start)
-	out.apply(dur)
-	s.recordDuration(dur)
+	row.Task, row.Partition, row.Dur = ts.idx, ts.partition, time.Since(start)
+	s.win(row, res)
 	endAs(span, obs.OutcomeOK)
 	if spec {
 		s.rj.reg.Inc(CounterSpecWon, 1)
@@ -446,33 +436,53 @@ func (s *sched) attempt(ctx context.Context, ts *schedTask, span *obs.Span, atte
 	return nil
 }
 
+// win is the win gate's bookkeeping, done once per task for its winning
+// attempt: the buffer gets the phase's duration observation and is merged
+// into the job registry, a map attempt's shards are published (so reducers
+// read exactly one attempt's shards), and the task's row and result are
+// kept.
+func (s *sched) win(row TaskRow, res attemptResult) {
+	hist := HistMapTaskDurationUS
+	if s.phase == obs.PhaseReduce {
+		hist = HistReduceTaskDurationUS
+	}
+	res.tm.Observe(hist, float64(row.Dur.Microseconds()))
+	s.rj.reg.Merge(res.tm)
+	if res.publish != nil {
+		res.publish()
+	}
+	s.mu.Lock()
+	s.rows[row.Task], s.won[row.Task] = row, res
+	s.mu.Unlock()
+}
+
 // exec runs the attempt body, bounding it by the policy's per-task
 // deadline. An attempt that outlives its deadline keeps running in the
 // background but its result is dropped (it can never win), and the
 // deadline error is retryable.
-func (s *sched) exec(ctx context.Context, ts *schedTask, attempt int) (attemptOut, error) {
+func (s *sched) exec(ctx context.Context, ts *schedTask, attempt int) (attemptResult, error) {
 	if s.pol.TaskDeadline <= 0 {
-		return ts.run(attempt)
+		return s.run(ts.idx, attempt)
 	}
 	type result struct {
-		out attemptOut
+		res attemptResult
 		err error
 	}
 	ch := make(chan result, 1) // buffered: the abandoned attempt must not block
 	go func() {
-		out, err := ts.run(attempt)
-		ch <- result{out, err}
+		res, err := s.run(ts.idx, attempt)
+		ch <- result{res, err}
 	}()
 	timer := time.NewTimer(s.pol.TaskDeadline)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		return r.out, r.err
+		return r.res, r.err
 	case <-timer.C:
 		s.rj.reg.Inc(CounterDeadlineExceeded, 1)
-		return attemptOut{}, fmt.Errorf("mapreduce: %s task %d attempt %d exceeded deadline %v: %w",
+		return attemptResult{}, fmt.Errorf("mapreduce: %s task %d attempt %d exceeded deadline %v: %w",
 			s.phase, ts.idx, attempt, s.pol.TaskDeadline, context.DeadlineExceeded)
 	case <-ctx.Done():
-		return attemptOut{}, ctx.Err()
+		return attemptResult{}, ctx.Err()
 	}
 }

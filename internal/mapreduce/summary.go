@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,7 +13,8 @@ import (
 // WriteSummary renders a human-readable job summary: the per-phase time
 // table (wall time, work sum, longest task), the top-N slowest tasks, the
 // most skewed reduce partitions, the runtime gauges (filter prune ratio)
-// and the per-phase histograms. It is what `shadoop -metrics` prints.
+// and the per-phase histograms. Every per-task view reads the report's
+// rows. It is what `shadoop -metrics` prints.
 func (r *Report) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "job %q: %v total, %d/%d splits processed", r.Job, r.Total.Round(time.Microsecond), r.Splits, r.SplitsTotal)
 	if r.Metrics != nil {
@@ -28,10 +30,12 @@ func (r *Report) WriteSummary(w io.Writer) {
 			phase, wall.Round(time.Microsecond), sum.Round(time.Microsecond),
 			max.Round(time.Microsecond), tasks)
 	}
-	row("map", r.MapTime, r.MapWorkSum, r.MapTaskMax, r.MapTasks)
+	sum, longest := r.work(obs.PhaseMap)
+	row("map", r.MapTime, sum, longest, r.MapTasks)
 	row("shuffle", r.ShuffleTime, r.ShuffleTime, r.ShuffleTime, 1)
 	if r.ReduceTasks > 0 {
-		row("reduce", r.ReduceTime, r.ReduceWorkSum, r.ReduceTaskMax, r.ReduceTasks)
+		sum, longest = r.work(obs.PhaseReduce)
+		row("reduce", r.ReduceTime, sum, longest, r.ReduceTasks)
 	}
 	row("commit", r.CommitTime, r.CommitTime, r.CommitTime, 1)
 
@@ -43,11 +47,8 @@ func (r *Report) WriteSummary(w io.Writer) {
 
 	writeFaultTable(w, r)
 
-	if r.Trace != nil {
-		tasks := okTasks(r.Trace.Spans())
-		writeSlowestTasks(w, tasks, 5)
-		writeSkewedPartitions(w, tasks, 5)
-	}
+	writeSlowestTasks(w, r.Tasks, 5)
+	writeSkewedPartitions(w, r.Tasks, 5)
 	if r.Metrics != nil && len(r.Metrics.Histograms) > 0 {
 		names := make([]string, 0, len(r.Metrics.Histograms))
 		for n := range r.Metrics.Histograms {
@@ -105,74 +106,62 @@ func writeFaultTable(w io.Writer, r *Report) {
 	}
 }
 
-// okTasks returns the task attempts that won or finished cleanly: the
-// task invariant (obs.Span.IsTaskAttempt) keeps phase and slot.wait spans
-// out of every per-task view.
-func okTasks(spans []obs.Span) []obs.Span {
-	var tasks []obs.Span
-	for i := range spans {
-		if s := &spans[i]; s.IsTaskAttempt() && s.Outcome == obs.OutcomeOK {
-			tasks = append(tasks, *s)
-		}
-	}
-	return tasks
-}
-
-// writeSlowestTasks prints the top-n slowest successful task attempts.
-func writeSlowestTasks(w io.Writer, tasks []obs.Span, n int) {
-	if len(tasks) == 0 {
+// writeSlowestTasks prints the top-n slowest tasks.
+func writeSlowestTasks(w io.Writer, rows []TaskRow, n int) {
+	if len(rows) == 0 {
 		return
 	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].DurUS > tasks[j].DurUS })
+	tasks := slices.Clone(rows)
+	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Dur > tasks[j].Dur })
 	if len(tasks) > n {
 		tasks = tasks[:n]
 	}
 	fmt.Fprintf(w, "top %d slowest tasks:\n", len(tasks))
-	for _, s := range tasks {
-		part := s.Partition
+	for _, t := range tasks {
+		part := t.Partition
 		if part == "" {
 			part = "-"
 		}
 		fmt.Fprintf(w, "  %-12s partition=%-6s %8dus  in=%-8d out=%-8d bytes=%d\n",
-			s.Name, part, s.DurUS, s.RecordsIn, s.RecordsOut, s.Bytes)
+			fmt.Sprintf("%s-%d", t.Phase, t.Task), part, t.Dur.Microseconds(), t.RecordsIn, t.RecordsOut, t.Bytes)
 	}
 }
 
 // writeSkewedPartitions prints the reduce partitions (or, for map-only
 // jobs, the map tasks) with the highest record counts relative to the
 // phase mean — the skew view the LPT simulation is sensitive to.
-func writeSkewedPartitions(w io.Writer, tasks []obs.Span, n int) {
-	byPhase := map[string][]obs.Span{}
-	for _, s := range tasks {
-		byPhase[s.Phase] = append(byPhase[s.Phase], s)
+func writeSkewedPartitions(w io.Writer, rows []TaskRow, n int) {
+	byPhase := map[string][]TaskRow{}
+	for _, t := range rows {
+		byPhase[t.Phase] = append(byPhase[t.Phase], t)
 	}
 	phase := obs.PhaseReduce
 	if len(byPhase[phase]) == 0 {
 		phase = obs.PhaseMap
 	}
-	spans := byPhase[phase]
-	if len(spans) < 2 {
+	tasks := byPhase[phase]
+	if len(tasks) < 2 {
 		return
 	}
 	var total int64
-	for _, s := range spans {
-		total += s.RecordsIn
+	for _, t := range tasks {
+		total += t.RecordsIn
 	}
-	mean := float64(total) / float64(len(spans))
+	mean := float64(total) / float64(len(tasks))
 	if mean <= 0 {
 		return
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].RecordsIn > spans[j].RecordsIn })
-	if len(spans) > n {
-		spans = spans[:n]
+	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].RecordsIn > tasks[j].RecordsIn })
+	if len(tasks) > n {
+		tasks = tasks[:n]
 	}
 	fmt.Fprintf(w, "most skewed %s partitions (mean %.0f records):\n", phase, mean)
-	for _, s := range spans {
-		part := s.Partition
+	for _, t := range tasks {
+		part := t.Partition
 		if part == "" {
-			part = fmt.Sprintf("#%d", s.Task)
+			part = fmt.Sprintf("#%d", t.Task)
 		}
 		fmt.Fprintf(w, "  %-12s partition=%-6s records=%-8d %.2fx mean\n",
-			s.Name, part, s.RecordsIn, float64(s.RecordsIn)/mean)
+			fmt.Sprintf("%s-%d", t.Phase, t.Task), part, t.RecordsIn, float64(t.RecordsIn)/mean)
 	}
 }

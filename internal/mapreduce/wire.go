@@ -223,7 +223,7 @@ func wireMeta(c *wirefmt.Codec, m **WireSplitMeta) {
 
 // TaskDoneArgs reports an attempt's outcome. Exactly one of Err/"success
 // fields" is meaningful: a non-empty Err carries the failure (with its
-// transience classification), otherwise Out/Metrics/totals carry the
+// transience classification), otherwise Out/Selected/Metrics carry the
 // result. LostMaps lists map tasks whose shards a reduce attempt failed
 // to fetch (dead holder, torn spill); the master re-issues those maps and
 // the reduce attempt is retried.
@@ -241,15 +241,10 @@ type TaskDoneArgs struct {
 	// master writes them from its own copies, and no text crosses.
 	Out      []string
 	Selected []Selection
-	// Metrics is the attempt's task-local counter/observation buffer; the
-	// master merges it through the win gate exactly like an in-process
-	// attempt's buffer.
+	// Metrics is the attempt's task-local counter/observation buffer, the
+	// one record of what it read, emitted and shuffled; the master merges
+	// it through the win gate exactly like an in-process attempt's buffer.
 	Metrics obs.TaskMetricsWire
-	// RecordsIn is the attempt's input record (map) or value (reduce)
-	// count; Pairs/Bytes are a map attempt's shuffle totals.
-	RecordsIn int64
-	Pairs     int64
-	Bytes     int64
 
 	// Input-read locality of a map attempt, in block reads and record
 	// bytes: Local counts blocks served from the worker's own replica
@@ -272,7 +267,7 @@ func (a *TaskDoneArgs) wire(c *wirefmt.Codec) {
 	c.Strings(&a.Out)
 	wirefmt.Map(c, &a.Metrics.Counters, 2, (*wirefmt.Codec).Int64)
 	wirefmt.Map(c, &a.Metrics.Observations, 2, (*wirefmt.Codec).Floats)
-	for _, v := range [...]*int64{&a.RecordsIn, &a.Pairs, &a.Bytes, &a.LocalReads, &a.LocalBytes, &a.RemoteReads, &a.RemoteBytes} {
+	for _, v := range [...]*int64{&a.LocalReads, &a.LocalBytes, &a.RemoteReads, &a.RemoteBytes} {
 		c.Int64(v)
 	}
 	wirefmt.Slice(c, &a.Selected, 2, func(c *wirefmt.Codec, s *Selection) { s.wire(c) })

@@ -480,7 +480,7 @@ func wireSamples() []wireMessage {
 				Counters:     map[string]int64{"a": 1, "b": -2, "": math.MinInt64},
 				Observations: map[string][]float64{"h": odd, "e": nil, "f": {}},
 			},
-			RecordsIn: 1, Pairs: 2, Bytes: 3, LocalReads: 4, LocalBytes: 5, RemoteReads: 6, RemoteBytes: -7,
+			LocalReads: 4, LocalBytes: 5, RemoteReads: 6, RemoteBytes: -7,
 		},
 		&TaskDoneReply{},
 		&FetchChunkArgs{},
@@ -675,7 +675,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	noMeta := []byte{0}
 	// done is a TaskDoneArgs body up to its selections: every field zero.
-	done := cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+	done := cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 0, 0, 0, 0, 0))
 	for name, tc := range map[string]struct {
 		msg  wireMessage
 		body []byte
@@ -690,9 +690,9 @@ func TestWireRejectsMalformed(t *testing.T) {
 		"candidate point cut short":       {new(ExecKNNReply), cat(uvarints(1), le64(1, 2), uvarints(0))},
 		"epochs count beyond":             {new(HeartbeatReply), cat([]byte{1}, uvarints(1<<20), str("a"), uvarints(1))},
 		"sources count beyond":            {new(TaskAssignment), cat(uvarints(0), str(""), uvarints(0, 0, 0), str(""), uvarints(0, 0, 1<<20), noMeta)},
-		"lost maps count beyond":          {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(1<<20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))},
-		"out count beyond":                {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 1<<20, 0, 0, 0, 0, 0, 0, 0, 0, 0))},
-		"observation values beyond":       {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 1), str("h"), uvarints(1<<20), le64(1), uvarints(0, 0, 0, 0, 0, 0, 0))},
+		"lost maps count beyond":          {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(1<<20, 0, 0, 0, 0, 0, 0, 0))},
+		"out count beyond":                {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 1<<20, 0, 0, 0, 0, 0, 0))},
+		"observation values beyond":       {new(TaskDoneArgs), cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 1), str("h"), uvarints(1<<20), le64(1), uvarints(0, 0, 0, 0))},
 		"selections count beyond":         {new(TaskDoneArgs), cat(done, uvarints(1<<20, 0, 0, 0))},
 		"selected ids count beyond":       {new(TaskDoneArgs), cat(done, uvarints(1, 0, 1<<20, 1, 2))},
 		"selected ids not ascending":      {new(TaskDoneArgs), cat(done, uvarints(1, 0, 3, 1, 1, 0))},

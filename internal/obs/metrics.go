@@ -263,6 +263,16 @@ func (t *TaskMetrics) Observe(name string, v float64) {
 	t.observations[name] = append(t.observations[name], v)
 }
 
+// Sum returns the sum of the buffered observations of histogram name: a
+// figure the attempt observed once reads back as itself.
+func (t *TaskMetrics) Sum(name string) float64 {
+	s := 0.0
+	for _, v := range t.observations[name] {
+		s += v
+	}
+	return s
+}
+
 // TaskMetricsWire is the serializable form of a TaskMetrics buffer. Remote
 // workers execute task attempts in another process and ship the buffer
 // back over RPC; the master imports it and merges it through the same

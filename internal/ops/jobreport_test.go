@@ -32,12 +32,15 @@ func TestJobReportsCarryPlanCounts(t *testing.T) {
 				t.Errorf("%s: report holds partition counter %q", what, name)
 			}
 		}
-		if len(rep.MapSelected) != rep.MapTasks || rep.MapTasks != rep.Splits {
-			t.Errorf("%s: %d selection counts for %d map tasks over %d splits", what, len(rep.MapSelected), rep.MapTasks, rep.Splits)
+		var maps, sum int64
+		for i, row := range rep.Tasks {
+			if row.Phase == obs.PhaseMap && row.Task == i {
+				maps++
+				sum += row.Selected
+			}
 		}
-		var sum int64
-		for _, n := range rep.MapSelected {
-			sum += n
+		if maps != int64(rep.MapTasks) || rep.MapTasks != rep.Splits {
+			t.Errorf("%s: %d selection counts for %d map tasks over %d splits", what, maps, rep.MapTasks, rep.Splits)
 		}
 		if sum != rep.OutputCount {
 			t.Errorf("%s: selection counts sum to %d, output holds %d", what, sum, rep.OutputCount)

@@ -246,7 +246,7 @@ func (p *Plan) runJob(ctx context.Context, sys *core.System, job *mapreduce.Job,
 // records its map task's winning attempt selected.
 func (p *Plan) jobSearched(kept []*mapreduce.Split, rep *mapreduce.Report) {
 	for i, sp := range kept {
-		p.Searched(sp, sp.NumRecords(), int(rep.MapSelected[i]))
+		p.Searched(sp, sp.NumRecords(), int(rep.Tasks[i].Selected))
 	}
 }
 

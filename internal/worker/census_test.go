@@ -171,11 +171,13 @@ func TestWorkerConnectionCensus(t *testing.T) {
 			if res.Err != "" {
 				t.Fatalf("attempt %d failed: %s", res.DispatchID, res.Err)
 			}
-			if want := int64(len(records)); res.DispatchID%2 == 0 && (res.RecordsIn != want || fmt.Sprint(res.Out) != fmt.Sprint(records)) {
-				t.Fatalf("reduce %d: %d values in, out %v; want %v", res.DispatchID, res.RecordsIn, res.Out, records)
+			valuesIn := res.Metrics.Observations[mapreduce.HistReducePartRecords]
+			if res.DispatchID%2 == 0 && (fmt.Sprint(valuesIn) != fmt.Sprint([]float64{float64(len(records))}) || fmt.Sprint(res.Out) != fmt.Sprint(records)) {
+				t.Fatalf("reduce %d: %v values in, out %v; want [%d], %v", res.DispatchID, valuesIn, res.Out, len(records), records)
 			}
-			if res.DispatchID%2 == 1 && (res.RemoteReads != 2 || res.Pairs != 2*int64(len(records))) {
-				t.Fatalf("map %d: %d remote reads, %d pairs; want 2 reads, %d pairs", res.DispatchID, res.RemoteReads, res.Pairs, 2*len(records))
+			pairs := res.Metrics.Counters[mapreduce.CounterShufflePairs]
+			if res.DispatchID%2 == 1 && (res.RemoteReads != 2 || pairs != 2*int64(len(records))) {
+				t.Fatalf("map %d: %d remote reads, %d pairs; want 2 reads, %d pairs", res.DispatchID, res.RemoteReads, pairs, 2*len(records))
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("only %d of 20 attempts reported", i)

@@ -298,7 +298,7 @@ func fail(res *mapreduce.TaskDoneArgs, err error) mapreduce.TaskDoneArgs {
 // runMap executes one map attempt: assemble the split — from the local
 // replica store, peer holders, or the master, in that order — rebuild
 // the job kind, run the shared attempt body, spill one sealed shard
-// stream per reducer (none for a map-only job), and report totals plus
+// stream per reducer (none for a map-only job), and report the output,
 // the metrics buffer and the read path's local/remote traffic split.
 func (w *Worker) runMap(id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDoneArgs {
 	res := mapreduce.TaskDoneArgs{WorkerID: id, DispatchID: t.DispatchID}
@@ -331,12 +331,8 @@ func (w *Worker) runMap(id int64, t *mapreduce.TaskAssignment) mapreduce.TaskDon
 			return fail(&res, fault.Transient(err))
 		}
 	}
-	pairs, bytes := mapreduce.ShardTotals(shards)
 	res.Out, res.Selected = out, sel
 	res.Metrics = tm.Export()
-	res.RecordsIn = int64(split.NumRecords())
-	res.Pairs = pairs
-	res.Bytes = bytes
 	return res
 }
 
@@ -378,13 +374,11 @@ func (w *Worker) runReduce(id int64, t *mapreduce.TaskAssignment) mapreduce.Task
 		res.LostMaps = lost
 		return fail(&res, fault.Transientf("worker: reduce %d lost shards of %d map task(s)", t.Task, len(lost)))
 	}
-	out, valuesIn, tm, err := mapreduce.ExecReduceAttempt(kf, t.Conf, groups, t.Attempt)
+	out, tm, err := mapreduce.ExecReduceAttempt(kf, t.Conf, groups, t.Attempt)
 	if err != nil {
 		return fail(&res, err)
 	}
-	res.Out = out
-	res.Metrics = tm.Export()
-	res.RecordsIn = valuesIn
+	res.Out, res.Metrics = out, tm.Export()
 	return res
 }
 
