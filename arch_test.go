@@ -44,6 +44,8 @@ func archRules() []archRule {
 		"a point is stored as a point (a points block is a column from the writer on; no point mark vouches for point text)":                 "pointMark HoldsPoints",
 		"a column is written as a run (WritePoints and WriteRegions cut blocks as views of the caller's arrays; no per-record column write)": "WritePoint WriteRegion",
 		"a task is tallied once (an attempt's tallies live in its metrics buffer; a job's report is its winning tasks' rows)":                "MapWorkSum MapTaskMax ReduceWorkSum ReduceTaskMax MapSelected ShardTotals okTasks recordDuration",
+		"a pool run is remote only (when the pool empties the job restarts in process; the master holds no shards)":                          "masterShard storeMasterShards fetchShard GroupShards",
+		"one point sort (every point sort is slices.SortFunc with geom.Point.Compare)":                                                       "SortPointsXY",
 	} {
 		for _, n := range strings.Fields(names) {
 			from[n], retired = " (deleted under: "+step+")", append(retired, n)

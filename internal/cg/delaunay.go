@@ -2,6 +2,7 @@ package cg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"spatialhadoop/internal/core"
@@ -19,7 +20,7 @@ type Triangle struct {
 // canonicalTriangle orders the vertices so equal triangles compare equal.
 func canonicalTriangle(a, b, c geom.Point) Triangle {
 	v := []geom.Point{a, b, c}
-	geom.SortPointsXY(v) // three points: an insertion sort, as sort.Slice's
+	slices.SortFunc(v, geom.Point.Compare)
 	return Triangle{A: v[0], B: v[1], C: v[2]}
 }
 

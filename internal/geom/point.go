@@ -61,8 +61,7 @@ func (p Point) Less(q Point) bool {
 
 // Compare orders p and q as Less does, for slices.SortFunc, which then
 // gives the permutation sort.Slice gives with Less (one algorithm), NaN
-// and ±0 included, without reflective swaps. SortPointsXY may order
-// points that compare equal, or NaN, differently.
+// and ±0 included, without reflective swaps.
 func (p Point) Compare(q Point) int {
 	switch {
 	case p.Less(q):

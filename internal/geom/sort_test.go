@@ -8,73 +8,11 @@ import (
 	"testing"
 )
 
-// TestSortPointsXYMatchesGenericSort pins the specialized introsort to the
-// ordering of the generic comparator sort it replaced, across sizes that
-// exercise the insertion, quicksort and (via adversarial equal keys)
-// partitioning paths.
-func TestSortPointsXYMatchesGenericSort(t *testing.T) {
-	ref := func(p []Point) {
-		slices.SortFunc(p, func(a, b Point) int {
-			switch {
-			case a.X < b.X:
-				return -1
-			case a.X > b.X:
-				return 1
-			case a.Y < b.Y:
-				return -1
-			case a.Y > b.Y:
-				return 1
-			}
-			return 0
-		})
-	}
-	rng := rand.New(rand.NewSource(11))
-	gen := func(n, dup int) []Point {
-		out := make([]Point, n)
-		for i := range out {
-			if dup > 0 {
-				out[i] = Pt(float64(rng.Intn(dup)), float64(rng.Intn(dup)))
-			} else {
-				out[i] = Pt(rng.NormFloat64()*1e6, rng.Float64()*1e6)
-			}
-		}
-		return out
-	}
-	for _, n := range []int{0, 1, 2, 3, 12, 13, 100, 5000} {
-		for _, dup := range []int{0, 1, 3} {
-			a := gen(n, dup)
-			b := slices.Clone(a)
-			SortPointsXY(a)
-			ref(b)
-			if !slices.Equal(a, b) {
-				t.Fatalf("n=%d dup=%d: specialized sort diverges from reference", n, dup)
-			}
-		}
-	}
-	// Pre-sorted and reverse-sorted inputs (quicksort worst cases).
-	asc := make([]Point, 4096)
-	for i := range asc {
-		asc[i] = Pt(float64(i), float64(-i))
-	}
-	desc := slices.Clone(asc)
-	slices.Reverse(desc)
-	SortPointsXY(desc)
-	if !slices.Equal(desc, asc) {
-		t.Fatal("reverse-sorted input not restored to ascending order")
-	}
-	again := slices.Clone(asc)
-	SortPointsXY(again)
-	if !slices.Equal(again, asc) {
-		t.Fatal("already-sorted input perturbed")
-	}
-}
-
 // TestCompareSortsAsSortSlice: the point sorts of the geometry kernels went
 // from sort.Slice with Less to slices.SortFunc with Compare, and answer
 // exactly as before: same permutation, bit for bit, on inputs full of what
 // breaks a strict order — NaN, ±0, infinities, duplicates — at every size
 // the two sorts' insertion, quicksort and pattern-breaking paths take.
-// SortPointsXY, another algorithm, need not agree on them.
 func TestCompareSortsAsSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	odd := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}

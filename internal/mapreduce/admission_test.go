@@ -53,8 +53,8 @@ func writeInput(t *testing.T, fs *dfs.FileSystem, n int) {
 }
 
 // TestConcurrentJobsShareSlotPool is the oversubscription regression
-// test: before the shared pool, each racing RunCtx took its own
-// execSlots() worth of workers, so J concurrent jobs ran J*workers map
+// test: before the shared pool, each racing RunCtx took a full
+// complement of worker slots, so J concurrent jobs ran J*workers map
 // tasks at once. Now every task of every job acquires from one
 // cluster-level pool, and the observed task concurrency must never
 // exceed the cluster's worker count.

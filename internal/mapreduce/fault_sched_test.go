@@ -275,8 +275,7 @@ func TestReissueBackoffHonoursClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
-	r := startRemote(jobContext(), m, local)
+	r := startRemote(jobContext(), m, rj, splits)
 	done := make(chan error, 1)
 	go func() { done <- r.ensureShards(0) }()
 

@@ -469,12 +469,6 @@ func NewCluster(fs *dfs.FileSystem, workers int) *Cluster {
 // Slots returns the cluster's shared worker slot pool.
 func (c *Cluster) Slots() *SlotPool { return c.slots }
 
-// execSlots returns the cap on concurrently executing tasks — the shared
-// pool's capacity.
-func (c *Cluster) execSlots() int {
-	return c.slots.Cap()
-}
-
 // FS returns the cluster's file system.
 func (c *Cluster) FS() *dfs.FileSystem { return c.fs }
 
@@ -573,10 +567,10 @@ func (c *Cluster) RunCtx(ctx context.Context, job *Job) (*Report, error) {
 	return c.runJob(ctx, job, kf)
 }
 
-// jobRun is the state one admitted job threads through its phases: plan
-// → map → shuffle → reduce → commit. Every phase asks the runner (the
-// attempt seam) to execute attempts and does the bookkeeping itself, so
-// counters, histograms and spans are written once for both runners.
+// jobRun is the state one run of an admitted job threads through its
+// phases: map → shuffle → reduce → commit. Every phase asks the runner
+// (the attempt seam) to execute attempts and does the bookkeeping itself,
+// so counters, histograms and spans are written once for both runners.
 type jobRun struct {
 	c   *Cluster
 	rj  *runningJob
@@ -584,7 +578,6 @@ type jobRun struct {
 	run runner
 
 	splits []*Split
-	total  int // splits before filtering
 
 	// maps and reduces hold each task's winning attempt, whose output the
 	// commit writes; rows are the won tasks' rows, the report's Tasks.
@@ -593,23 +586,37 @@ type jobRun struct {
 	outCount      int64
 }
 
-// runJob executes one admitted job: it drives the phases and assembles
-// the report.
+// runJob executes one admitted job: it plans the job, runs its phases and
+// assembles the report. A pool run whose last worker dies fails with
+// errPoolEmpty; the job then fails over once, running again in process
+// from the same splits under a fresh jobRun, and the aborted run's
+// registry, rows and outputs are dropped with it.
 func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, error) {
 	start := time.Now()
-	numRed := job.NumReducers
-	if numRed <= 0 {
-		numRed = 1
-	}
-	rj := &runningJob{job: job, kf: kf, reg: obs.NewRegistry(), nshards: numRed}
 	// The job span parents one span per phase, which in turn parent the
 	// scheduler's slot.wait and attempt spans.
 	ctx, root := obs.StartSpan(ctx, "job")
 	root.Phase, root.Task = obs.PhaseJob, -1
 	root.SetAttr("name", job.Name)
-	j := &jobRun{c: c, rj: rj, pol: c.RetryPolicy()}
 	rep := &Report{Job: job.Name, OutputFile: job.Output, Trace: obs.TraceFrom(ctx)}
-	if err := j.phases(ctx, rep); err != nil {
+	splits, total, err := c.plan(ctx, job)
+	var j *jobRun
+	if err == nil {
+		m := c.Master()
+		j = c.newJobRun(job, kf, splits, total)
+		err = j.phases(ctx, rep, m)
+		if errors.Is(err, errPoolEmpty) {
+			m.flog.Append(fault.Event{Kind: "failover"})
+			// The restart's phases open under one failover span, so a trace
+			// shows two runs of the job rather than duplicated tasks.
+			fctx, span := obs.StartSpan(ctx, "failover")
+			span.Task = -1
+			j = c.newJobRun(job, kf, splits, total)
+			err = j.phases(fctx, rep, nil)
+			span.End()
+		}
+	}
+	if err != nil {
 		root.Outcome = obs.OutcomeFailed
 		root.End()
 		return nil, err
@@ -617,22 +624,44 @@ func (c *Cluster) runJob(ctx context.Context, job *Job, kf KindFuncs) (*Report, 
 	root.RecordsOut, root.Outcome = j.outCount, obs.OutcomeOK
 	root.End()
 
-	rep.Splits, rep.SplitsTotal = len(j.splits), j.total
+	rep.Splits, rep.SplitsTotal = len(splits), total
 	rep.Tasks, rep.MapTasks, rep.ReduceTasks = j.rows, len(j.maps), len(j.reduces)
 	rep.OutputCount = j.outCount
-	rep.Metrics = rj.reg.Snapshot()
+	rep.Metrics = j.rj.reg.Snapshot()
 	rep.Counters = rep.Metrics.Counters
 	rep.Total = time.Since(start)
 	return rep, nil
 }
 
-// phases plans the job, picks its runner and runs the four timed phases
-// in order, stopping at the first that fails.
-func (j *jobRun) phases(ctx context.Context, rep *Report) error {
-	if err := j.plan(ctx); err != nil {
-		return err
+// newJobRun starts one run of the job over its planned splits, with a
+// registry of its own that opens with the plan's counts.
+func (c *Cluster) newJobRun(job *Job, kf KindFuncs, splits []*Split, total int) *jobRun {
+	numRed := job.NumReducers
+	if numRed <= 0 {
+		numRed = 1
 	}
-	j.run = j.c.newRunner(ctx, j.rj, j.splits)
+	reg := obs.NewRegistry()
+	reg.Inc(CounterSplitsTotal, int64(total))
+	if job.Filter != nil {
+		reg.Inc(CounterSplitsFiltered, int64(total-len(splits)))
+	}
+	reg.Inc(CounterSplitsMapped, int64(len(splits)))
+	if total > 0 {
+		reg.SetGauge(GaugeFilterPruneRatio, float64(total-len(splits))/float64(total))
+	}
+	rj := &runningJob{job: job, kf: kf, reg: reg, nshards: numRed}
+	return &jobRun{c: c, rj: rj, pol: c.RetryPolicy(), splits: splits}
+}
+
+// phases picks the run's runner — the pool of m when it has a live worker
+// — and runs the four timed phases in order, stopping at the first that
+// fails.
+func (j *jobRun) phases(ctx context.Context, rep *Report, m *Master) error {
+	if m != nil && m.LiveWorkers() > 0 {
+		j.run = startRemote(ctx, m, j.rj, j.splits)
+	} else {
+		j.run = &localRunner{rj: j.rj, splits: j.splits, slots: j.c.slots, shards: make([][][]Pair, len(j.splits))}
+	}
 	defer j.run.close()
 	for _, ph := range []struct {
 		wall *time.Duration
@@ -653,31 +682,24 @@ func (j *jobRun) phases(ctx context.Context, rep *Report) error {
 }
 
 // plan derives the job's splits and runs its filter function — the
-// SpatialFileSplitter step.
-func (j *jobRun) plan(ctx context.Context) error {
-	job, reg := j.rj.job, j.rj.reg
+// SpatialFileSplitter step — returning the splits kept and the number
+// before filtering.
+func (c *Cluster) plan(ctx context.Context, job *Job) ([]*Split, int, error) {
 	splits := job.Splits
 	if splits == nil {
 		var err error
-		if splits, err = j.c.MakeSplits(job.Input); err != nil {
-			return err
+		if splits, err = c.MakeSplits(job.Input); err != nil {
+			return nil, 0, err
 		}
 	}
-	j.total = len(splits)
-	reg.Inc(CounterSplitsTotal, int64(j.total))
+	total := len(splits)
 	if job.Filter != nil {
 		_, span := startPhase(ctx, obs.PhaseFilter)
 		splits = job.Filter(splits)
-		span.RecordsIn, span.RecordsOut = int64(j.total), int64(len(splits))
+		span.RecordsIn, span.RecordsOut = int64(total), int64(len(splits))
 		span.End()
-		reg.Inc(CounterSplitsFiltered, int64(j.total-len(splits)))
 	}
-	reg.Inc(CounterSplitsMapped, int64(len(splits)))
-	if j.total > 0 {
-		reg.SetGauge(GaugeFilterPruneRatio, float64(j.total-len(splits))/float64(j.total))
-	}
-	j.splits = splits
-	return nil
+	return splits, total, nil
 }
 
 // mapPhase runs one scheduled task per split. The scheduler's win gate
@@ -833,26 +855,16 @@ func (r *attemptResult) row(phase string) TaskRow {
 	}
 }
 
-// runner is the attempt seam: where a job's map and reduce attempts
-// execute and where the shards between them live. There are exactly two:
-// localRunner (this process) and remoteRun (the worker pool).
+// runner is the attempt seam: where a job run's map and reduce attempts
+// execute and where the shards between them live. There are exactly two,
+// and neither falls back on the other: localRunner (this process) and
+// remoteRun (the worker pool).
 type runner interface {
 	mapAttempt(task, attempt int) (attemptResult, error)
 	// shuffle runs between the phases, after every map task has won.
 	shuffle()
 	reduceAttempt(ri, attempt int) (attemptResult, error)
 	close()
-}
-
-// newRunner picks the job's runner: the worker pool when a master runtime
-// is up with live workers, this process otherwise. Both build the job's
-// functions from its kind, so either can run any job.
-func (c *Cluster) newRunner(ctx context.Context, rj *runningJob, splits []*Split) runner {
-	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
-	if m := c.Master(); m != nil && m.LiveWorkers() > 0 {
-		return startRemote(ctx, m, local)
-	}
-	return local
 }
 
 // localRunner executes attempts in this process and keeps the shards in
@@ -867,26 +879,15 @@ type localRunner struct {
 	groups []map[string][]string
 }
 
-// execMap runs one map attempt and returns its result (unpublished) with
-// the emitted shards.
-func (l *localRunner) execMap(task, attempt int) (attemptResult, [][]Pair, error) {
+func (l *localRunner) mapAttempt(task, attempt int) (attemptResult, error) {
 	shards, out, sel, tm, err := ExecMapAttempt(l.rj.kf, l.rj.job.Conf, l.splits[task], l.rj.nshards, attempt)
 	if err != nil {
 		if errors.Is(err, dfs.ErrChecksum) {
 			l.rj.reg.Inc(CounterChecksumFailures, 1)
 		}
-		return attemptResult{}, nil, err
-	}
-	return attemptResult{out: out, sel: sel, tm: tm}, shards, nil
-}
-
-func (l *localRunner) mapAttempt(task, attempt int) (attemptResult, error) {
-	res, shards, err := l.execMap(task, attempt)
-	if err != nil {
 		return attemptResult{}, err
 	}
-	res.publish = func() { l.shards[task] = shards }
-	return res, nil
+	return attemptResult{out: out, sel: sel, tm: tm, publish: func() { l.shards[task] = shards }}, nil
 }
 
 // shuffle regroups the map shards by reducer. Map tasks already bucketed
@@ -917,14 +918,9 @@ func (l *localRunner) shuffle() {
 	wg.Wait()
 }
 
-// execReduce runs one reduce attempt over grouped values.
-func (l *localRunner) execReduce(groups map[string][]string, attempt int) (attemptResult, error) {
-	out, tm, err := ExecReduceAttempt(l.rj.kf, l.rj.job.Conf, groups, attempt)
-	return attemptResult{out: out, tm: tm}, err
-}
-
 func (l *localRunner) reduceAttempt(ri, attempt int) (attemptResult, error) {
-	return l.execReduce(l.groups[ri], attempt)
+	out, tm, err := ExecReduceAttempt(l.rj.kf, l.rj.job.Conf, l.groups[ri], attempt)
+	return attemptResult{out: out, tm: tm}, err
 }
 
 func (l *localRunner) close() {}

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -21,10 +22,12 @@ import (
 // worker processes under heartbeat leases, hands out task dispatches over
 // a pull queue, marks a worker dead when its lease expires (failing its
 // in-flight dispatches with a transient error so the scheduler re-issues
-// them), and serves master-held shards to reducers. It also hosts the
-// real-process chaos mode: at a seeded (phase, task, attempt) decision
-// point it SIGKILLs a live worker, so fault tolerance is exercised by
-// genuine process death rather than injected errors alone.
+// them), and serves block frames no worker replica holds. It holds no map
+// shard: a pool run whose last worker dies fails with errPoolEmpty and
+// restarts in process. It also hosts the real-process chaos mode: at a
+// seeded (phase, task, attempt) decision point it SIGKILLs a live worker,
+// so fault tolerance is exercised by genuine process death rather than
+// injected errors alone.
 
 // Worker lifecycle metric names, written to the registry passed in
 // MasterOptions (the system registry, so a serving process exports them
@@ -47,6 +50,13 @@ const (
 	// counted once); only this counter and the reissue span record it.
 	CounterReissuedMaps = "fault.reissue.map"
 )
+
+// errPoolEmpty fails a pool run's dispatches once no worker is left to
+// run them: submit returns it when no worker is live, the queue that
+// markDead drains when the last worker dies finishes with it, and so does
+// every dispatch Stop fails. It is permanent, so the scheduler does not
+// retry: the phase fails, and runJob restarts the job in process.
+var errPoolEmpty = errors.New("mapreduce: worker pool empty")
 
 // reissueAttempt is the attempt coordinate base of shard-loss re-issues:
 // disjoint from primary retries (0..) and speculative duplicates (1000..)
@@ -218,7 +228,7 @@ const maxPending = 4096
 // StartMaster starts a master runtime listening for worker registrations.
 // Jobs submitted to the cluster while at least one worker is live execute
 // on the workers; with none they execute in process — the zero-config
-// default, and what a job falls back to if its last worker dies mid-run.
+// default, and where a job restarts if its last worker dies mid-run.
 func (c *Cluster) StartMaster(opts MasterOptions) (*Master, error) {
 	opts = opts.withDefaults()
 	ln, err := net.Listen("tcp", opts.Addr)
@@ -244,7 +254,7 @@ func (c *Cluster) StartMaster(opts MasterOptions) (*Master, error) {
 		ln.Close()
 		return nil, err
 	}
-	if err := srv.RegisterName(ShardService, &masterShards{m: m}); err != nil {
+	if err := srv.RegisterName(ShardService, &masterBlocks{m: m}); err != nil {
 		ln.Close()
 		return nil, err
 	}
@@ -280,10 +290,10 @@ func (m *Master) FaultLog() *fault.Log { return m.flog }
 func (m *Master) HeartbeatLog() *fault.Log { return m.hblog }
 
 // Stop shuts the master down: the listener closes, queued and in-flight
-// dispatches fail transiently (jobs still running fall back in process),
-// the cluster reverts to in-process execution, and the master's own calls
-// in flight (DropJob broadcasts, replica pushes) are cancelled — Stop
-// waits for their goroutines, never for a worker to answer.
+// dispatches fail with errPoolEmpty (jobs still running restart in
+// process), the cluster reverts to in-process execution, and the master's
+// own calls in flight (DropJob broadcasts, replica pushes) are cancelled —
+// Stop waits for their goroutines, never for a worker to answer.
 func (m *Master) Stop() {
 	m.mu.Lock()
 	if m.closed {
@@ -305,7 +315,7 @@ func (m *Master) Stop() {
 	m.cancel()
 	m.ln.Close()
 	for _, d := range pending {
-		d.finish(dispatchResult{err: fault.Transientf("mapreduce: master stopped"), workerLost: true})
+		d.finish(dispatchResult{err: errPoolEmpty})
 	}
 	m.c.mu.Lock()
 	if m.c.master == m {
@@ -422,11 +432,12 @@ func (m *Master) leaseMonitor() {
 }
 
 // markDead declares a worker dead: its lease is revoked, its in-flight
-// dispatches fail transiently (the scheduler re-issues them), and every
-// active run is told so completed map tasks whose shards died with the
-// worker are re-run. When the last worker dies, the queue is drained so
-// waiting dispatches fall back to in-process execution instead of
-// stalling on a poll nobody makes.
+// dispatches fail transiently (the scheduler re-issues them), and, while
+// a worker is left, every active run is told so completed map tasks whose
+// shards died with the worker are re-run. When the last worker dies, the
+// queue is drained with errPoolEmpty, so waiting dispatches fail their
+// jobs over to the in-process runner instead of stalling on a poll nobody
+// makes.
 func (m *Master) markDead(ws *workerState) {
 	m.mu.Lock()
 	if !ws.live {
@@ -451,9 +462,11 @@ func (m *Master) markDead(ws *workerState) {
 		m.pending = nil
 	}
 	live := m.live
-	runs := make([]*remoteRun, 0, len(m.runs))
-	for _, r := range m.runs {
-		runs = append(runs, r)
+	var runs []*remoteRun
+	if live > 0 { // with no worker left a re-issue could only fail: the runs fail over
+		for _, r := range m.runs {
+			runs = append(runs, r)
+		}
 	}
 	m.mu.Unlock()
 
@@ -466,9 +479,8 @@ func (m *Master) markDead(ws *workerState) {
 	for _, d := range inflight {
 		d.finish(dispatchResult{err: lost, workerLost: true})
 	}
-	noWorkers := fault.Transientf("mapreduce: no live workers")
 	for _, d := range drained {
-		d.finish(dispatchResult{err: noWorkers, workerLost: true})
+		d.finish(dispatchResult{err: errPoolEmpty})
 	}
 	// Re-replicate the dead worker's blocks before the runs react, so a
 	// re-issued map already sees the restored holder set. markDead runs
@@ -481,16 +493,12 @@ func (m *Master) markDead(ws *workerState) {
 }
 
 // submit queues a dispatch for the next polling worker. It fails fast
-// (transiently) when no worker is live, so callers fall back in process.
+// with errPoolEmpty when no worker is live (Stop zeroes the count).
 func (m *Master) submit(d *dispatch) error {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return fault.Transientf("mapreduce: master stopped")
-	}
 	if m.live == 0 {
 		m.mu.Unlock()
-		return fault.Transientf("mapreduce: no live workers")
+		return errPoolEmpty
 	}
 	if len(m.pending) >= maxPending {
 		m.mu.Unlock()
@@ -565,13 +573,6 @@ func (m *Master) unregisterRun(r *remoteRun) {
 	for _, d := range pending {
 		d.finish(dispatchResult{err: fault.Transientf("mapreduce: job run ended")})
 	}
-}
-
-// run looks up an active run by job id.
-func (m *Master) run(jobID int64) *remoteRun {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.runs[jobID]
 }
 
 // renewLease stamps a sign of life from the worker.
@@ -806,39 +807,16 @@ func (s *masterService) TaskDone(args TaskDoneArgs, reply *TaskDoneReply) error 
 	return nil
 }
 
-// masterShards serves shards produced by in-process (fallback or
-// re-issued) map attempts — under the same Shards.FetchChunk contract
-// workers serve their spill files with — and block frames for workers
-// that reached no replica.
-type masterShards struct {
+// masterBlocks serves, under the Shards service, block frames for
+// workers that reached no replica.
+type masterBlocks struct {
 	m *Master
-}
-
-// FetchChunk returns one chunk of a master-held shard stream.
-func (s *masterShards) FetchChunk(args FetchChunkArgs, reply *FetchChunkReply) error {
-	r := s.m.run(args.JobID)
-	if r == nil {
-		return fmt.Errorf("mapreduce: no active run %d", args.JobID)
-	}
-	frame, ok := r.masterShard(args.Task, args.Attempt, args.Reduce)
-	if !ok {
-		return fmt.Errorf("mapreduce: master holds no shard j%d/m%d.a%d.r%d", args.JobID, args.Task, args.Attempt, args.Reduce)
-	}
-	n, eof, err := ChunkWindow(int64(len(frame)), args.Offset, args.MaxBytes)
-	if err != nil {
-		return err
-	}
-	reply.Data, reply.EOF = frame[args.Offset:args.Offset+n], eof
-	if reg := s.m.opts.Metrics; reg != nil {
-		reg.Inc(MetricMasterEgress, int64(len(reply.Data)))
-	}
-	return nil
 }
 
 // ReadBlock serves a block's sealed frame from the master — the terminal
 // rung of the worker read chain (own replica, peers, master), and at
 // replication 0 the only one.
-func (s *masterShards) ReadBlock(args ReadBlockArgs, reply *ReadBlockReply) error {
+func (s *masterBlocks) ReadBlock(args ReadBlockArgs, reply *ReadBlockReply) error {
 	frame, err := s.m.plane.readFrame(dfs.BlockID(args.ID))
 	if err != nil {
 		return err

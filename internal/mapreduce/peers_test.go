@@ -315,8 +315,7 @@ func scriptedRun(t *testing.T, c *Cluster, m *Master, input string) *remoteRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := &localRunner{rj: rj, splits: splits, slots: c.slots, shards: make([][][]Pair, len(splits))}
-	return startRemote(jobContext(), m, local)
+	return startRemote(jobContext(), m, rj, splits)
 }
 
 // TestMasterConnectionCensus: the master's connections are bounded by its

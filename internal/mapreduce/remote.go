@@ -62,22 +62,12 @@ func BuildKind(name string, conf map[string]string) (KindFuncs, error) {
 	return b(conf)
 }
 
-// GroupShards merges fetched map shards into reduce groups, in map-task
-// order — the same order the in-process shuffle concatenates per-reducer
-// runs in, so grouped value order (and therefore reduce output) is
-// identical on both paths. taskShards must be indexed by map task.
-func GroupShards(taskShards [][]Pair) map[string][]string {
-	g := make(map[string][]string)
-	for _, shard := range taskShards {
-		MergePairs(g, shard)
-	}
-	return g
-}
-
 // MergePairs folds one run of pairs into reduce groups. Streaming
 // reducers call it per decoded batch, so merge work overlaps the shard
 // transfer; feeding batches in stream order is equivalent to merging the
-// whole shard at once.
+// whole shard at once. Fed in map-task order — as the in-process shuffle
+// and a worker's reduce both do — it gives every key its values in the
+// same order, so reduce output is identical on both paths.
 func MergePairs(g map[string][]string, pairs []Pair) {
 	for _, p := range pairs {
 		g[p.Key] = append(g[p.Key], p.Value)
@@ -112,10 +102,10 @@ func ExecReduceAttempt(kf KindFuncs, conf map[string]string, groups map[string][
 	return rctx.out, tm, nil
 }
 
-// StreamShardFrom streams one map shard from a shard server (worker or
-// master) at addr in ShuffleChunkBytes chunks, invoking sink with each
-// decoded batch of pairs as its frames complete — so a reducer merges
-// while the rest of the shard is still in flight. Connection failures,
+// StreamShardFrom streams one map shard from the worker at addr in
+// ShuffleChunkBytes chunks, invoking sink with each decoded batch of pairs
+// as its frames complete — so a reducer merges while the rest of the shard
+// is still in flight. Connection failures,
 // torn frames, truncation (no end-of-stream marker) and a malformed pair
 // layout all surface as errors the caller treats as a lost shard.
 func StreamShardFrom(ctx context.Context, peers *Peers, addr string, jobID int64, task, attempt, reduce int, sink func([]Pair) error) error {

@@ -11,38 +11,33 @@ import (
 
 // remoteRun is the worker-pool runner: the per-job state of remote
 // execution. It holds the shard-location table naming the worker behind
-// each map task's winning spill, the master-held shard store for attempts
-// that ran in process (no live worker, and re-issues then), and the
-// shard-loss recovery path — a singleflight re-run of a map task whose
-// shards died with their worker, published under the reissue attempt
-// range with its metrics suppressed so the task still counts exactly
-// once. With no worker live an attempt is the in-process runner's, plus
-// "keep the shard frames on the master".
+// each map task's winning spill and the shard-loss recovery path — a
+// singleflight re-run of a map task whose shards died with their worker,
+// published under the reissue attempt range with its metrics suppressed so
+// the task still counts exactly once. Every attempt runs on a worker: when
+// the pool empties, submit fails with errPoolEmpty, the phase fails, and
+// runJob restarts the whole job in process.
 type remoteRun struct {
-	m     *Master
-	local *localRunner
-	id    int64
+	m      *Master
+	rj     *runningJob
+	splits []*Split
+	id     int64
 	// ctx ends when the job's context does or the run closes; recovery
 	// work (re-issues, their backoffs) stops with it.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu           sync.Mutex
-	locs         []shardLoc
-	masterShards map[shardKey][]byte
-	reissue      map[int]*reissueCall
-	reissueNext  int
+	mu          sync.Mutex
+	locs        []shardLoc
+	reissue     map[int]*reissueCall
+	reissueNext int
 }
 
-// shardLoc names the holder of one map task's winning shards.
+// shardLoc names the worker holding one map task's winning shards.
 type shardLoc struct {
 	addr    string
 	attempt int
-	worker  int64 // 0 when master-held
-}
-
-type shardKey struct {
-	task, attempt, reduce int
+	worker  int64
 }
 
 // reissueCall is the singleflight slot for one task's shard recovery.
@@ -53,15 +48,14 @@ type reissueCall struct {
 
 // startRemote registers a pool run with the master, replicating the job's
 // input blocks first so locality-aware assignment has holders to match.
-func startRemote(ctx context.Context, m *Master, local *localRunner) *remoteRun {
+func startRemote(ctx context.Context, m *Master, rj *runningJob, splits []*Split) *remoteRun {
 	r := &remoteRun{
-		m: m, local: local,
-		locs:         make([]shardLoc, len(local.splits)),
-		masterShards: make(map[shardKey][]byte),
-		reissue:      make(map[int]*reissueCall),
+		m: m, rj: rj, splits: splits,
+		locs:    make([]shardLoc, len(splits)),
+		reissue: make(map[int]*reissueCall),
 	}
 	r.ctx, r.cancel = context.WithCancel(ctx)
-	m.plane.ensureReplicated(local.splits)
+	m.plane.ensureReplicated(splits)
 	m.registerRun(r)
 	return r
 }
@@ -76,8 +70,8 @@ func (r *remoteRun) close() {
 }
 
 // shuffle is a no-op: map shards never pass through the master. They sit
-// spilled on the workers (or in the master shard store) and each reducer
-// fetches its shard directly from every holder.
+// spilled on the workers and each reducer fetches its shard directly from
+// every holder.
 func (r *remoteRun) shuffle() {}
 
 // setLoc records the winning attempt's shard holder for a map task.
@@ -85,24 +79,6 @@ func (r *remoteRun) setLoc(task int, loc shardLoc) {
 	r.mu.Lock()
 	r.locs[task] = loc
 	r.mu.Unlock()
-}
-
-// storeMasterShards keeps an in-process attempt's sealed shard frames so
-// reducers (remote or local) can fetch them from the master.
-func (r *remoteRun) storeMasterShards(task, attempt int, frames [][]byte) {
-	r.mu.Lock()
-	for ri, frame := range frames {
-		r.masterShards[shardKey{task, attempt, ri}] = frame
-	}
-	r.mu.Unlock()
-}
-
-// masterShard serves one master-held frame to Shards.Fetch.
-func (r *remoteRun) masterShard(task, attempt, reduce int) ([]byte, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	frame, ok := r.masterShards[shardKey{task, attempt, reduce}]
-	return frame, ok
 }
 
 // sources snapshots the shard-location table in map-task order — the
@@ -120,7 +96,7 @@ func (r *remoteRun) sources() []ShardSource {
 
 // send submits one attempt to the pool and waits for its outcome.
 func (r *remoteRun) send(d *dispatch) (dispatchResult, error) {
-	rj := r.local.rj
+	rj := r.rj
 	d.jobID, d.jobKind, d.conf, d.nshards = r.id, rj.job.Kind, rj.job.Conf, rj.nshards
 	if rj.kf.Reduce == nil {
 		d.nshards = 0 // map-only: no reducer will fetch a shard, so the worker spills none
@@ -136,26 +112,9 @@ func (r *remoteRun) send(d *dispatch) (dispatchResult, error) {
 	return res, res.err
 }
 
-// mapAttempt executes one map attempt on a worker — or, when none is live
-// (total worker loss mid-job), through the in-process runner with the
-// shards sealed into the master's store.
+// mapAttempt executes one map attempt on a worker.
 func (r *remoteRun) mapAttempt(task, attempt int) (attemptResult, error) {
-	if r.m.LiveWorkers() == 0 {
-		res, shards, err := r.local.execMap(task, attempt)
-		if err != nil {
-			return attemptResult{}, err
-		}
-		frames := make([][]byte, len(shards))
-		for ri, shard := range shards {
-			frames[ri] = EncodeShard(shard)
-		}
-		res.publish = func() {
-			r.storeMasterShards(task, attempt, frames)
-			r.setLoc(task, shardLoc{addr: r.m.Addr(), attempt: attempt})
-		}
-		return res, nil
-	}
-	split := r.local.splits[task]
+	split := r.splits[task]
 	res, err := r.send(&dispatch{
 		phase: TaskMap, task: task, attempt: attempt,
 		holders: r.m.plane.holdersFor(split),
@@ -172,31 +131,11 @@ func (r *remoteRun) mapAttempt(task, attempt int) (attemptResult, error) {
 	}, nil
 }
 
-// reduceAttempt executes one reduce attempt on a worker — or, when none
-// is live, through the in-process runner over shards the master fetches
-// itself. A fetch failure (dead holder, torn spill) triggers shard
-// recovery and fails the attempt transiently; the scheduler's retry then
-// reads the re-issued locations.
+// reduceAttempt executes one reduce attempt on a worker. A fetch failure
+// (dead holder, torn spill) triggers shard recovery and fails the attempt
+// transiently; the scheduler's retry then reads the re-issued locations.
 func (r *remoteRun) reduceAttempt(ri, attempt int) (attemptResult, error) {
-	sources := r.sources()
-	if r.m.LiveWorkers() == 0 {
-		taskShards := make([][]Pair, len(sources))
-		var lost []int
-		for i, src := range sources {
-			pairs, err := r.fetchShard(src, ri)
-			if err != nil {
-				lost = append(lost, src.Task)
-				continue
-			}
-			taskShards[i] = pairs
-		}
-		if len(lost) > 0 {
-			r.recoverMaps(lost)
-			return attemptResult{}, fault.Transientf("mapreduce: reduce %d lost shards of %d map task(s)", ri, len(lost))
-		}
-		return r.local.execReduce(GroupShards(taskShards), attempt)
-	}
-	res, err := r.send(&dispatch{phase: TaskReduce, task: ri, attempt: attempt, sources: sources})
+	res, err := r.send(&dispatch{phase: TaskReduce, task: ri, attempt: attempt, sources: r.sources()})
 	if err != nil {
 		if len(res.lostMaps) > 0 {
 			r.recoverMaps(res.lostMaps)
@@ -206,33 +145,11 @@ func (r *remoteRun) reduceAttempt(ri, attempt int) (attemptResult, error) {
 	return attemptResult{out: res.out, tm: obs.ImportTaskMetrics(res.metrics)}, nil
 }
 
-// fetchShard reads one map shard for the master's own (fallback) reduce:
-// master-held frames come straight from the store, worker-held ones over
-// Shards.Fetch.
-func (r *remoteRun) fetchShard(src ShardSource, reduce int) ([]Pair, error) {
-	if src.Addr == "" {
-		return nil, fmt.Errorf("mapreduce: map task %d has no shard location", src.Task)
-	}
-	if src.Addr == r.m.Addr() {
-		frame, ok := r.masterShard(src.Task, src.Attempt, reduce)
-		if !ok {
-			return nil, fmt.Errorf("mapreduce: master holds no shard m%d.a%d.r%d", src.Task, src.Attempt, reduce)
-		}
-		return DecodeShard(frame)
-	}
-	var all []Pair
-	err := StreamShardFrom(r.ctx, r.m.peers, src.Addr, r.id, src.Task, src.Attempt, reduce, func(batch []Pair) error {
-		all = append(all, batch...)
-		return nil
-	})
-	return all, err
-}
-
 // onWorkerLost re-runs the completed map tasks whose winning shards lived
 // on the dead worker. Map-only jobs skip it: their direct output is
 // already on the master and their shards are never fetched.
 func (r *remoteRun) onWorkerLost(workerID int64) {
-	if r.local.rj.kf.Reduce == nil || r.ctx.Err() != nil {
+	if r.rj.kf.Reduce == nil || r.ctx.Err() != nil {
 		return
 	}
 	r.mu.Lock()
@@ -295,10 +212,10 @@ func (r *remoteRun) ensureShards(task int) error {
 // dropped: the task's counters were merged when its original attempt won,
 // and merging the re-run would double-count it.
 func (r *remoteRun) reissueMap(task int) error {
-	rj := r.local.rj
+	rj := r.rj
 	s := newSched(r.m.c, rj, obs.PhaseMap, r.m.c.RetryPolicy(), "")
 	s.in = nil // a re-issue draws no fate of its own; it keeps the seed for its backoff jitter
-	ts := newSchedTask(task, fmt.Sprintf("map-%d", task), r.local.splits[task].Partition)
+	ts := newSchedTask(task, fmt.Sprintf("map-%d", task), r.splits[task].Partition)
 	ts.nextAttempt = func() int {
 		r.mu.Lock()
 		defer r.mu.Unlock()

@@ -276,12 +276,16 @@ func TestWorkerPoolLifecycle(t *testing.T) {
 
 // TestRemoteByteIdentity is the core contract of the attempt seam: the
 // same registered-kind job run in process, on a 2-worker pool at
-// replication 0 and at replication 2, and on a pool whose workers all
-// died, produces byte-identical output, identical Report.Counters maps,
-// identical histogram observation counts and identical task rows (the
-// observed durations differ, nothing else may) — and the pool rows
-// genuinely ran remotely (tasks were dispatched to workers). Spill files
-// are no evidence anymore — end-of-job GC removes them.
+// replication 0 and at replication 2, on a pool whose workers all died
+// before the job, and on a one-worker pool whose worker dies at its first
+// map or its first reduce assignment (after the maps have won on it, so
+// its shards die with it), produces byte-identical output, identical
+// Report.Counters maps, identical histogram observation counts and
+// identical task rows (the observed durations differ, nothing else may).
+// The pool rows genuinely ran remotely (tasks were dispatched to
+// workers), and exactly the runs whose pool emptied mid-job failed over,
+// once: what the aborted pool run counted never reaches the report.
+// Spill files are no evidence anymore — end-of-job GC removes them.
 func TestRemoteByteIdentity(t *testing.T) {
 	want, wantRep := inProcessOracle(t)
 	histCounts := func(rep *mapreduce.Report) map[string]int64 {
@@ -315,17 +319,25 @@ func TestRemoteByteIdentity(t *testing.T) {
 		t.Fatalf("oracle rows: %d records in, %d bytes shuffled, %d values reduced; counters %v", mapIn, shuffled, reduceIn, c)
 	}
 	for _, tc := range []struct {
-		name        string
-		replication int
-		loseWorkers bool
+		name                 string
+		workers, replication int
+		loseWorkers          bool
+		// killPhase kills the pool's worker at its first assignment of
+		// this phase ("" kills none).
+		killPhase string
 	}{
-		{"replication-0", 0, false},
-		{"replication-2", 2, false},
-		{"workers-lost", 0, true},
+		{"replication-0", 2, 0, false, ""},
+		{"replication-2", 2, 2, false, ""},
+		{"workers-lost", 2, 0, true, ""},
+		{"pool-empties-in-map", 1, 0, false, mapreduce.TaskMap},
+		{"pool-empties-in-reduce", 1, 0, false, mapreduce.TaskReduce},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			c, m, pool := startDistributedRepl(t, 2, reg, tc.replication)
+			c, m, pool := startDistributedRepl(t, tc.workers, reg, tc.replication)
+			if tc.killPhase != "" {
+				c.SetFault(fault.Plan{Seed: 1, WorkerKillRate: 1, WorkerKillPhase: tc.killPhase, KillBudget: 1})
+			}
 			writeDistText(t, c)
 			if tc.loseWorkers {
 				pool.stopAll()
@@ -348,8 +360,28 @@ func TestRemoteByteIdentity(t *testing.T) {
 			if dispatched := reg.Counter(mapreduce.MetricTasksDispatched); (dispatched > 0) == tc.loseWorkers {
 				t.Fatalf("%d tasks dispatched to workers with loseWorkers=%v", dispatched, tc.loseWorkers)
 			}
-			if replicated := countFaultEvents(m.FaultLog())["replicate"]; (replicated > 0) != (tc.replication > 0) {
-				t.Fatalf("%d replicas pushed at replication %d", replicated, tc.replication)
+			ev := countFaultEvents(m.FaultLog())
+			if (ev["replicate"] > 0) != (tc.replication > 0) {
+				t.Fatalf("%d replicas pushed at replication %d", ev["replicate"], tc.replication)
+			}
+			killed := 0
+			if tc.killPhase != "" {
+				killed = 1
+			}
+			if ev["worker-kill"] != killed || ev["failover"] != killed {
+				t.Fatalf("fault events = %v, want %d worker-kill and %d failover", ev, killed, killed)
+			}
+			for _, e := range m.FaultLog().Events() {
+				if e.Kind == "worker-kill" && e.Phase != tc.killPhase {
+					t.Fatalf("worker killed at a %s assignment, want %s", e.Phase, tc.killPhase)
+				}
+			}
+			// A pool that loses its last worker re-issues nothing: no worker
+			// is left to hold a re-run's shards.
+			for _, s := range rep.Trace.Spans() {
+				if s.Attempt >= 2000 {
+					t.Fatalf("%s attempt %d: a map was re-issued", s.Name, s.Attempt)
+				}
 			}
 		})
 	}

@@ -19,9 +19,9 @@ import (
 // blocks (from their own replica store, a peer worker, or the master — in
 // that order), execute, spill intermediate shards locally, and report
 // completion. Reducers stream map shards in chunks directly from the
-// worker that produced them — or from the master, for attempts that ran in
-// process — over the same Shards.FetchChunk call on either side, merging
-// frames as they arrive instead of waiting for a whole shard to transfer.
+// worker that produced them over Shards.FetchChunk, merging frames as they
+// arrive instead of waiting for a whole shard to transfer. Only workers
+// hold shards: the master serves none.
 
 // RPC service names registered on the master and worker RPC servers.
 const (
@@ -29,8 +29,8 @@ const (
 	MasterService = "Master"
 	// ShardService hosts the data-plane calls and is registered by both
 	// sides: workers serve their spilled shard files and block replicas,
-	// the master serves shards produced by in-process (fallback or
-	// re-issued) map attempts plus blocks no worker replica holds.
+	// the master serves (ReadBlock only) the blocks no worker replica
+	// holds.
 	ShardService = "Shards"
 )
 
@@ -118,8 +118,8 @@ func (a *GetTaskArgs) wire(c *wirefmt.Codec) {
 }
 
 // ShardSource tells a reducer where to fetch one map task's shard: the
-// shard-serving address of the worker (or master) holding the winning
-// attempt's spill.
+// shard-serving address of the worker holding the winning attempt's
+// spill.
 type ShardSource struct {
 	Task    int
 	Attempt int

@@ -220,7 +220,7 @@ func checkRangeBodies(t *testing.T, file string, parts []*ops.LocalPartition, q 
 	out["lone"] = encodeRangeBodyStreams(file, canon, []shardFrag{workerStream(parts, false)})
 	out["halves"] = encodeRangeBodyStreams(file, canon, []shardFrag{workerStream(parts[:half], true), workerStream(parts[half:], true)})
 	var err error
-	geom.SortPointsXY(pts)
+	slices.SortFunc(pts, geom.Point.Compare)
 	if out["sorted"], err = encodeRangeBody(file, canon, pts); err != nil {
 		t.Fatal(err)
 	}

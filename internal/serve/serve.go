@@ -639,7 +639,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 			return nil, nil, err
 		}
 		s.reg.Inc("serve.planner.mapreduce", 1)
-		geom.SortPointsXY(pts)
+		slices.SortFunc(pts, geom.Point.Compare)
 		body, err := encodeRangeBody(file, canon, pts)
 		return body, &execMeta{engine: PlannerMapReduce, stats: &plan.Stats, rep: rep}, err
 	})

@@ -190,7 +190,7 @@ func TestExecBatchedMatchesMerge(t *testing.T) {
 			cands = append(cands, pc...)
 			kcounts = append(kcounts, int64(len(part.Pts)), int64(len(pc)))
 		}
-		geom.SortPointsXY(matched)
+		slices.SortFunc(matched, geom.Point.Compare)
 		var wantKeys []float64
 		objs := make([]string, len(matched))
 		for i, p := range matched {
