@@ -26,7 +26,9 @@ type archRule struct {
 }
 
 func archRules() []archRule {
-	peer := "one way to reach a peer (RPC clients and codecs are plugged in internal/mapreduce/peers.go only; no gob)"
+	peer := "one way to reach a peer (every call is a Peers.Call on the call layer's own frame; net/rpc serves the benchmark harness only, in the worker's gob arm; no gob codec)"
+	calls := "one call layer (Peers and ServeRPC speak the frame themselves; a handler is a (ctx, *Args, *Reply) method in one static table)"
+	gobArm := "internal/worker/gob.go"
 	wire := "one field list per message (a layout is one wire method over internal/wirefmt; varints are read and written there only)"
 	span := "one span model (jobs and requests record into one context-carried span tree; internal/obs declares one span type)"
 	mbrs := "MBRs are read, not parsed (a region block holds its records' MBRs; the join and region range filters ask Block.Bounds)"
@@ -46,16 +48,17 @@ func archRules() []archRule {
 		"a task is tallied once (an attempt's tallies live in its metrics buffer; a job's report is its winning tasks' rows)":                "MapWorkSum MapTaskMax ReduceWorkSum ReduceTaskMax MapSelected ShardTotals okTasks recordDuration",
 		"a pool run is remote only (when the pool empties the job restarts in process; the master holds no shards)":                          "masterShard storeMasterShards fetchShard GroupShards",
 		"one point sort (every point sort is slices.SortFunc with geom.Point.Compare)":                                                       "SortPointsXY",
+		calls: "clientCodec serverCodec checkLayout errNoLayout masterService masterBlocks shardServer",
 	} {
 		for _, n := range strings.Fields(names) {
 			from[n], retired = " (deleted under: "+step+")", append(retired, n)
 		}
 	}
 	return []archRule{
-		{peer, "an RPC client outside internal/mapreduce/peers.go; use Peers.Call", `"net/rpc"\.(Dial|NewClient)|\*"net/rpc"\.Client`, "internal/, cmd/", "internal/mapreduce/peers.go", false, nil},
+		{peer, "a net/rpc client; call a peer with Peers.Call", `"net/rpc"\.(Dial|NewClient)|\*"net/rpc"\.Client`, "internal/, cmd/", gobArm, false, nil},
 		{peer, "encoding/gob imported by non-test code; give the message a layout in internal/mapreduce/wire.go", `^import "encoding/gob"$`, "internal/, cmd/", "", false, nil},
-		{peer, "an RPC connection set up outside internal/mapreduce/peers.go; use Peers.Call and ServeRPC", `ServeConn|ServeCodec|NewClientWithCodec`, "internal/, cmd/", "internal/mapreduce/peers.go", true, nil},
-		{"net/rpc stays in the files that plug it in today (a frame protocol of our own is to replace it)", "net/rpc imported by another file; call a peer with Peers.Call and serve one with ServeRPC", `^import "net/rpc"$`, "", "internal/mapreduce/peers.go, internal/mapreduce/codec.go, internal/mapreduce/master.go, internal/worker/worker.go, benchmark/", false, nil},
+		{peer, "a net/rpc connection or registration; serve a table of mapreduce.Handle methods with ServeRPC", `ServeConn|ServeCodec|NewClientWithCodec|RegisterName`, "internal/, cmd/", gobArm, true, nil},
+		{"net/rpc stays in the worker's gob arm (the benchmark harness dials workers with rpc.Dial; every other call is the call layer's)", "net/rpc imported outside internal/worker/gob.go; call a peer with Peers.Call and serve one with ServeRPC", `^import "net/rpc"$`, "", gobArm + ", benchmark/", false, nil},
 		{"one way to change the namespace (fs.files is written in dfs.go's publish only)", "fs.files assigned or deleted outside (*FileSystem).publish in internal/dfs/dfs.go", `\w+\.files\[[^]]*\] *=[^=]|delete\(\w+\.files`, "internal/dfs/", "func (fs *FileSystem) publish(", false, nil},
 		{"one place knows what a block is (block-frame codecs live in internal/dfs only; internal/wirefmt holds the rules they follow)", "a block-frame encoder or decoder outside internal/dfs; the next payload shape goes in internal/dfs/frame.go", `^func (\([^)]*\) )?\w*[Bb]lockFrame\w*\(`, "", "internal/dfs/, internal/wirefmt/", false, nil},
 		{wire, "a varint read or written outside internal/wirefmt; run it through a wirefmt.Codec, which holds the minimal-length rule", `"encoding/binary"\.(Append|Put|Read)?U?[Vv]arint\b`, "", "internal/wirefmt/", false, nil},

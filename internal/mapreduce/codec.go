@@ -6,17 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/rpc"
 	"slices"
 
 	"spatialhadoop/internal/wirefmt"
 )
 
-// The wire codec: how every RPC message crosses a connection. net/rpc
-// keeps sequencing calls, matching replies and dispatching to methods;
-// this codec replaces its default gob encoding at the two places a
-// connection starts (Peers.dial, ServeRPC). A connection opens with the
-// one byte wirePreamble, then carries frames, each written with one Write:
+// The wire codec: how every call crosses a connection. A connection opens
+// with the one byte wirePreamble, then carries frames in both directions,
+// each written with one Write:
 //
 //	uvarint  length of the rest of the frame
 //	uvarint  sequence number
@@ -25,21 +22,26 @@ import (
 //	bytes    the body: the args or reply in its layout, empty on an
 //	         error response
 //
+// A request whose method is "" is a cancel frame: it has no body and ends
+// the call with that sequence number, which gets no response. Peers.Call
+// sends one when its context ends (peers.go).
+//
 // A body's layout is its type's wire method (wire.go), run by
 // internal/wirefmt under the rules block frames and spill batches follow
 // too: so a message has one encoding, and an accepted body re-encodes to
 // the same bytes. The header's varints, the length prefix included, follow
-// the same rules. A value with no layout fails its call; it is never sent
-// any other way. There is no version field: both ends are the same binary.
+// the same rules. Only a WireMessage crosses: Peers.Call and Handle take
+// nothing else, so a value without a layout does not compile into a call.
+// There is no version field: both ends are the same binary.
 //
 // Each connection keeps its read and write buffers, and a codec for each
 // direction, for its life. A frame longer than maxFrameBytes, or a length
-// prefix that is not minimal, is damage, not data: the read fails, net/rpc
-// fails the connection, and Peers evicts it.
+// prefix that is not minimal, is damage, not data: the read fails and the
+// connection with it.
 
-// wirePreamble opens a codec connection. A gob stream — net/rpc's default
-// codec, which ServeRPC still serves — opens with a message length whose
-// first byte is 0x00–0x7F or 0xF8–0xFF, never this.
+// wirePreamble opens a codec connection. A gob stream — which the worker's
+// gob arm still serves — opens with a message length whose first byte is
+// 0x00–0x7F or 0xF8–0xFF, never this.
 const wirePreamble byte = 0xD7
 
 // maxFrameBytes bounds one frame. The largest messages are block frames,
@@ -50,32 +52,16 @@ const maxFrameBytes = 1 << 30
 // that arrived: a length prefix alone never sizes an allocation.
 const frameReadStep = 1 << 20
 
-// wireMessage is a message's layout: its fields, named once, in order.
-// The method has a pointer receiver, so args cross Peers.Call as pointers.
-type wireMessage interface{ wire(*wirefmt.Codec) }
+// WireMessage is a message's layout: its fields, named once, in order.
+// Only this package's message types (wire.go) have one. The method has a
+// pointer receiver, so messages cross as pointers.
+type WireMessage interface{ wire(*wirefmt.Codec) }
 
-// errNoLayout fails a call whose args or reply has no wire layout.
-func errNoLayout(v any) error {
-	return fmt.Errorf("mapreduce: %T has no wire layout", v)
-}
-
-// checkLayout fails a call before anything is sent when its args or reply
-// cannot cross the wire.
-func checkLayout(args, reply any) error {
-	for _, v := range [...]any{args, reply} {
-		if _, ok := v.(wireMessage); !ok {
-			return errNoLayout(v)
-		}
-	}
-	return nil
-}
-
-// wireConn is one end of a codec connection. net/rpc reads a frame's
-// header and then its body from one goroutine, and serialises writes on
-// another, so each side keeps its own buffer and codec, with one user at a
-// time.
+// wireConn is one end of a codec connection. One goroutine reads frames
+// (a connection's read loop) and writers take turns under a lock, so each
+// direction keeps its own buffer and codec, with one user at a time.
 type wireConn struct {
-	rwc  io.ReadWriteCloser
+	w    io.Writer
 	r    *bufio.Reader
 	rbuf []byte        // the last frame read
 	in   wirefmt.Codec // decoding it; its body waits here for decodeBody
@@ -85,7 +71,7 @@ type wireConn struct {
 
 // writeFrame lays out one frame in the write buffer — the length last, in
 // the room left for it in front — and writes it with one Write.
-func (c *wireConn) writeFrame(seq uint64, s string, body wireMessage) error {
+func (c *wireConn) writeFrame(seq uint64, s string, body WireMessage) error {
 	c.out.Encode(append(c.wbuf[:0], make([]byte, binary.MaxVarintLen64)...))
 	c.out.Uvarint(&seq)
 	c.out.String(&s)
@@ -100,7 +86,7 @@ func (c *wireConn) writeFrame(seq uint64, s string, body wireMessage) error {
 	head := len(c.out.Encoded())
 	start := binary.MaxVarintLen64 - head
 	copy(w[start:], w[:head])
-	_, err := c.rwc.Write(w[start:])
+	_, err := c.w.Write(w[start:])
 	return err
 }
 
@@ -136,70 +122,8 @@ func (c *wireConn) readFrame() (seq uint64, s string, err error) {
 	return seq, s, nil
 }
 
-// decodeBody decodes the last frame's body into v. net/rpc passes nil to
-// discard a body nobody waits for.
-func (c *wireConn) decodeBody(v any) error {
-	if v == nil {
-		return nil
-	}
-	m, ok := v.(wireMessage)
-	if !ok {
-		return errNoLayout(v)
-	}
+// decodeBody decodes the last frame's body into m.
+func (c *wireConn) decodeBody(m WireMessage) error {
 	m.wire(&c.in)
 	return c.in.Done()
-}
-
-func (c *wireConn) Close() error { return c.rwc.Close() }
-
-// clientCodec is the calling end; Peers.dial installs it.
-type clientCodec struct{ wireConn }
-
-func (c *clientCodec) WriteRequest(r *rpc.Request, args any) error {
-	m, ok := args.(wireMessage)
-	if !ok {
-		return errNoLayout(args)
-	}
-	return c.writeFrame(r.Seq, r.ServiceMethod, m)
-}
-
-func (c *clientCodec) ReadResponseHeader(r *rpc.Response) (err error) {
-	r.Seq, r.Error, err = c.readFrame()
-	return err
-}
-
-func (c *clientCodec) ReadResponseBody(reply any) error { return c.decodeBody(reply) }
-
-// serverCodec is the accepting end; ServeRPC installs it.
-type serverCodec struct{ wireConn }
-
-func (c *serverCodec) ReadRequestHeader(r *rpc.Request) (err error) {
-	r.Seq, r.ServiceMethod, err = c.readFrame()
-	return err
-}
-
-func (c *serverCodec) ReadRequestBody(args any) error { return c.decodeBody(args) }
-
-// releaser is a pooled reply (ExecRangeReply): its handler wrote into
-// recycled capacity, which goes back once the reply is on the wire.
-type releaser interface{ Release() }
-
-// WriteResponse sends the reply, or the handler's error. A reply type with
-// no layout is the handler's error too: net/rpc drops a failed write, and
-// the caller would wait for an answer that never comes. A pooled reply is
-// released once its frame is written — net/rpc never touches a reply after
-// this call — and never on an error response or a failed write.
-func (c *serverCodec) WriteResponse(r *rpc.Response, reply any) error {
-	if r.Error != "" {
-		return c.writeFrame(r.Seq, r.Error, nil)
-	}
-	m, ok := reply.(wireMessage)
-	if !ok {
-		return c.writeFrame(r.Seq, errNoLayout(reply).Error(), nil)
-	}
-	err := c.writeFrame(r.Seq, "", m)
-	if rel, ok := reply.(releaser); ok && err == nil {
-		rel.Release()
-	}
-	return err
 }

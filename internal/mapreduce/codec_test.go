@@ -1,18 +1,15 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
-	"net/rpc"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"spatialhadoop/internal/wirefmt"
 )
@@ -45,45 +42,13 @@ func (l *damageFirst) Accept() (net.Conn, error) {
 	return conn, err
 }
 
-// TestWireCodecFailures: what fails a call over the wire codec, and what
-// that costs the connection. A reply type the server cannot lay out is the
-// handler's error — a rpc.ServerError on a connection that stays, like any
-// other (TestPeersEvictsOnlyOnTransportError). Args or a reply with no
-// layout fail the call before anything is sent. A frame longer than the
-// limit, or a length prefix that is not the one encoding of its length, is
-// transport damage: the connection is evicted and the next call redials.
+// TestWireCodecFailures: what a damaged frame costs the connection. A
+// frame longer than the limit, or a length prefix that is not the one
+// encoding of its length, is transport damage: the connection is evicted
+// and the next call redials. (A value without a layout cannot be passed to
+// Peers.Call or Handle at all: it does not compile.)
 func TestWireCodecFailures(t *testing.T) {
 	ctx := context.Background()
-	t.Run("reply type without a layout", func(t *testing.T) {
-		p, _, ln := startScriptedPeer(t)
-		var reply PeerMsg
-		err := p.Call(ctx, ln.addr(), "Peer.Bare", peerMsg("x"), &reply)
-		if !errors.As(err, new(rpc.ServerError)) || !strings.Contains(err.Error(), "no wire layout") {
-			t.Fatalf("call to a handler whose reply has no layout = %v, want a rpc.ServerError naming it", err)
-		}
-		if err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("next"), &reply); err != nil || reply != "echo:next" {
-			t.Fatalf("call after it = %q, %v", reply, err)
-		}
-		if n := ln.accepted.Load(); n != 1 {
-			t.Fatalf("%d connections, want 1", n)
-		}
-	})
-	t.Run("args or reply without a layout", func(t *testing.T) {
-		p, _, ln := startScriptedPeer(t)
-		var reply PeerMsg
-		var bare string
-		for name, err := range map[string]error{
-			"args":  p.Call(ctx, ln.addr(), "Peer.Do", "plain", &reply),
-			"reply": p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("x"), &bare),
-		} {
-			if err == nil || errors.As(err, new(rpc.ServerError)) || !strings.Contains(err.Error(), "no wire layout") {
-				t.Errorf("%s without a layout: err = %v, want the caller's layout error", name, err)
-			}
-		}
-		if n := ln.accepted.Load(); n != 0 {
-			t.Fatalf("calls that cannot be encoded dialed %d connections", n)
-		}
-	})
 	for name, damage := range map[string]func([]byte) []byte{
 		"oversized frame": func([]byte) []byte { return binary.AppendUvarint(nil, maxFrameBytes+1) },
 		// The reply frames here are shorter than 128 bytes, so their
@@ -91,18 +56,13 @@ func TestWireCodecFailures(t *testing.T) {
 		"non-minimal length prefix": func(p []byte) []byte { return append([]byte{p[0] | 0x80, 0x00}, p[1:]...) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			svc := &scriptedPeer{held: make(chan struct{}, 1), release: make(chan struct{})}
-			srv := rpc.NewServer()
-			if err := srv.RegisterName("Peer", svc); err != nil {
-				t.Fatal(err)
-			}
 			ln := &damageFirst{countingListener: listenCounting(t), damage: damage}
-			go ServeRPC(context.Background(), ln, srv)
+			serveScripted(ln, newScriptedPeer())
 			p := NewPeers()
 			defer p.Close()
 			var reply PeerMsg
 			err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("x"), &reply)
-			if err == nil || errors.As(err, new(rpc.ServerError)) {
+			if err == nil || errors.As(err, new(ServerError)) {
 				t.Fatalf("call answered by a damaged frame = %q, %v; want a transport error", reply, err)
 			}
 			if err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("again"), &reply); err != nil || reply != "echo:again" {
@@ -112,6 +72,96 @@ func TestWireCodecFailures(t *testing.T) {
 				t.Fatalf("%d connections, want 2: the damaged one evicted, one redial", n)
 			}
 		})
+	}
+}
+
+// tapListener records, per accepted connection, the bytes read from it and
+// written to it.
+type tapListener struct {
+	*countingListener
+	mu      sync.Mutex
+	in, out []byte
+}
+
+type tapConn struct {
+	net.Conn
+	l *tapListener
+}
+
+func (c tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	c.l.in = append(c.l.in, p[:n]...)
+	c.l.mu.Unlock()
+	return n, err
+}
+
+func (c tapConn) Write(p []byte) (int, error) {
+	c.l.mu.Lock()
+	c.l.out = append(c.l.out, p...)
+	c.l.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	conn, err := l.countingListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return tapConn{conn, l}, nil
+}
+
+// TestFrameBytes pins what crosses the connection for a call, an error
+// and a cancel: the preamble, then for each frame its length, sequence
+// number (from 0), method name or error text, and body. A cancelled call
+// adds its cancel frame and gets no response.
+func TestFrameBytes(t *testing.T) {
+	ln := &tapListener{countingListener: listenCounting(t)}
+	svc := newScriptedPeer()
+	serveScripted(ln, svc)
+	t.Cleanup(svc.releaseAll)
+	p := NewPeers()
+	defer p.Close()
+	var reply PeerMsg
+	if err := p.Call(context.Background(), ln.addr(), "Peer.Do", peerMsg("hi"), &reply); err != nil || reply != "echo:hi" {
+		t.Fatalf("call = %q, %v", reply, err)
+	}
+	if err := p.Call(context.Background(), ln.addr(), "Peer.Do", peerMsg("reject"), &reply); !errors.As(err, new(ServerError)) {
+		t.Fatalf("rejected call = %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-svc.held
+		cancel()
+	}()
+	if err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("wait"), &reply); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call = %v", err)
+	}
+	<-svc.ended
+	frame := func(seq byte, s string, body string) []byte {
+		rest := append([]byte{seq, byte(len(s))}, s...)
+		rest = append(rest, body...)
+		return append([]byte{byte(len(rest))}, rest...)
+	}
+	var wantIn []byte
+	wantIn = append(wantIn, wirePreamble)
+	wantIn = append(wantIn, frame(0, "Peer.Do", "\x02hi")...)
+	wantIn = append(wantIn, frame(1, "Peer.Do", "\x06reject")...)
+	wantIn = append(wantIn, frame(2, "Peer.Do", "\x04wait")...)
+	wantIn = append(wantIn, frame(2, "", "")...) // the cancel frame: 02 02 00
+	wantOut := append(frame(0, "", "\x07echo:hi"), frame(1, "scripted: rejected", "")...)
+	waitUntil(t, "the cancel frame", func() bool {
+		ln.mu.Lock()
+		defer ln.mu.Unlock()
+		return len(ln.in) >= len(wantIn)
+	})
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if !bytes.Equal(ln.in, wantIn) {
+		t.Errorf("requests on the wire:\n got % x\nwant % x", ln.in, wantIn)
+	}
+	if !bytes.Equal(ln.out, wantOut) { // a cancelled call gets no response
+		t.Errorf("responses on the wire:\n got % x\nwant % x", ln.out, wantOut)
 	}
 }
 
@@ -148,13 +198,19 @@ func released(text string) bool {
 }
 
 // PooledService answers Get with a PooledMsg; "fail" writes into the reply
-// and then returns an error.
-type PooledService struct{}
+// and then returns an error, and "wait" writes into it and waits for its
+// call to be cancelled.
+type PooledService struct{ held chan struct{} }
 
-func (PooledService) Get(arg PeerMsg, reply *PooledMsg) error {
-	reply.Text = "pooled:" + string(arg)
-	if arg == "fail" {
+func (s PooledService) Get(ctx context.Context, arg *PeerMsg, reply *PooledMsg) error {
+	reply.Text = "pooled:" + string(*arg)
+	switch *arg {
+	case "fail":
 		return errors.New("scripted: failed after writing the reply")
+	case "wait":
+		s.held <- struct{}{}
+		<-ctx.Done()
+		return ctx.Err()
 	}
 	return nil
 }
@@ -163,10 +219,10 @@ func (PooledService) Get(arg PeerMsg, reply *PooledMsg) error {
 type recordingConn struct {
 	written []byte
 	fail    bool
+	closed  bool
 }
 
-func (c *recordingConn) Read([]byte) (int, error) { return 0, io.EOF }
-func (c *recordingConn) Close() error             { return nil }
+func (c *recordingConn) Close() error { c.closed = true; return nil }
 func (c *recordingConn) Write(p []byte) (int, error) {
 	if c.fail {
 		return 0, errors.New("scripted: write failed")
@@ -175,83 +231,72 @@ func (c *recordingConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriteResponseReleaseRules: the server codec releases a pooled reply
-// only once its frame is written — never on an error response, never when
-// the write failed — and net/rpc's gob arm never releases one.
+// TestWriteResponseReleaseRules: the server releases a pooled reply once
+// its handler has returned and the response frame, if any, is laid out —
+// after the frame is written, on an error response, on a failed write (which
+// closes the connection), and on a cancelled call, which gets no response.
 func TestWriteResponseReleaseRules(t *testing.T) {
 	t.Run("codec", func(t *testing.T) {
 		conn := &recordingConn{}
-		c := &serverCodec{wireConn{rwc: conn}}
+		sc := &serverConn{conn: conn, wc: wireConn{w: conn}}
 		atRelease := -1
 		ok := &PooledMsg{Text: "ok", onRelease: func() { atRelease = len(conn.written) }}
-		if err := c.WriteResponse(&rpc.Response{Seq: 1}, ok); err != nil {
-			t.Fatal(err)
-		}
+		sc.finish(context.Background(), 1, ok, nil)
 		if atRelease != len(conn.written) || atRelease == 0 {
 			t.Fatalf("released with %d of the frame's %d bytes written", atRelease, len(conn.written))
 		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
 		for name, tc := range map[string]struct {
-			resp *rpc.Response
+			ctx  context.Context
+			err  error
 			fail bool
 		}{
-			"error response": {&rpc.Response{Seq: 2, Error: "boom"}, false},
-			"failed write":   {&rpc.Response{Seq: 3}, true},
+			"error response": {context.Background(), errors.New("boom"), false},
+			"failed write":   {context.Background(), nil, true},
+			"cancelled call": {cancelled, nil, false},
 		} {
-			conn.fail = tc.fail
-			kept := true
-			c.WriteResponse(tc.resp, &PooledMsg{Text: name, onRelease: func() { kept = false }})
-			if !kept {
-				t.Errorf("%s: the reply was released", name)
+			conn.fail, conn.closed = tc.fail, false
+			before := len(conn.written)
+			released := false
+			sc.finish(tc.ctx, 2, &PooledMsg{Text: name, onRelease: func() { released = true }}, tc.err)
+			if !released {
+				t.Errorf("%s: the reply was kept", name)
+			}
+			if conn.closed != tc.fail {
+				t.Errorf("%s: connection closed %v, want %v", name, conn.closed, tc.fail)
+			}
+			if wrote := len(conn.written) > before; wrote != (tc.ctx == context.Background() && !tc.fail) {
+				t.Errorf("%s: a response written: %v", name, wrote)
 			}
 		}
 	})
-	t.Run("wire and gob arms", func(t *testing.T) {
+	t.Run("served calls", func(t *testing.T) {
 		pooledReleases.Lock()
 		pooledReleases.texts = nil // a rerun (-count) starts clean
 		pooledReleases.Unlock()
-		srv := rpc.NewServer()
-		if err := srv.RegisterName("Pooled", PooledService{}); err != nil {
-			t.Fatal(err)
-		}
+		svc := PooledService{held: make(chan struct{}, 1)}
 		ln := listenCounting(t)
-		go ServeRPC(context.Background(), ln, srv)
+		go ServeRPC(context.Background(), ln, map[string]Handler{"Pooled.Get": Handle(svc.Get)}, nil)
 		p := NewPeers()
 		defer p.Close()
-		gob, err := rpc.Dial("tcp", ln.addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gob.Close()
 		var reply PooledMsg
 		if err := p.Call(context.Background(), ln.addr(), "Pooled.Get", peerMsg("wire"), &reply); err != nil || reply.Text != "pooled:wire" {
 			t.Fatalf("wire call = %q, %v", reply.Text, err)
 		}
-		if err := p.Call(context.Background(), ln.addr(), "Pooled.Get", peerMsg("fail"), &reply); !errors.As(err, new(rpc.ServerError)) {
+		if err := p.Call(context.Background(), ln.addr(), "Pooled.Get", peerMsg("fail"), &reply); !errors.As(err, new(ServerError)) {
 			t.Fatalf("failing call = %v, want the handler's error", err)
 		}
-		for _, arg := range []string{"gob", "gob-after"} { // one connection: the first is fully written before the second is
-			if err := gob.Call("Pooled.Get", PeerMsg(arg), &reply); err != nil || reply.Text != "pooled:"+arg {
-				t.Fatalf("gob call = %q, %v", reply.Text, err)
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-svc.held
+			cancel()
+		}()
+		if err := p.Call(ctx, ln.addr(), "Pooled.Get", peerMsg("wait"), &reply); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call = %v", err)
 		}
-		// The same connection again: its responses are written in order,
-		// so once this one is released every earlier one has been decided.
-		if err := p.Call(context.Background(), ln.addr(), "Pooled.Get", peerMsg("last"), &reply); err != nil {
-			t.Fatal(err)
-		}
-		for deadline := time.Now().Add(5 * time.Second); !released("pooled:last"); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("the last wire reply was never released")
-			}
-		}
-		if !released("pooled:wire") {
-			t.Error("a wire reply was not released")
-		}
-		if released("pooled:fail") {
-			t.Error("the reply of an error response was released")
-		}
-		if released("pooled:gob") {
-			t.Error("the gob arm released a reply")
+		for _, text := range []string{"pooled:wire", "pooled:fail", "pooled:wait"} {
+			waitUntil(t, text+" to be released", func() bool { return released(text) })
 		}
 	})
 }

@@ -263,9 +263,9 @@ func TestReissueBackoffHonoursClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	svc := &masterService{m: m}
+	ctx := context.Background()
 	var reg RegisterReply
-	if err := svc.Register(RegisterArgs{}, &reg); err != nil {
+	if err := m.Register(ctx, &RegisterArgs{}, &reg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,7 +281,7 @@ func TestReissueBackoffHonoursClose(t *testing.T) {
 
 	var task TaskAssignment
 	for task.Phase != TaskMap {
-		if err := svc.GetTask(GetTaskArgs{WorkerID: reg.WorkerID}, &task); err != nil {
+		if err := m.GetTask(ctx, &GetTaskArgs{WorkerID: reg.WorkerID}, &task); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestReissueBackoffHonoursClose(t *testing.T) {
 		t.Fatalf("re-issue dispatched as attempt %d, want the %d+ range", task.Attempt, reissueAttempt)
 	}
 	failed := TaskDoneArgs{WorkerID: reg.WorkerID, DispatchID: task.DispatchID, Err: "scripted failure", Transient: true}
-	if err := svc.TaskDone(failed, &TaskDoneReply{}); err != nil {
+	if err := m.TaskDone(ctx, &failed, &TaskDoneReply{}); err != nil {
 		t.Fatal(err)
 	}
 	r.close()

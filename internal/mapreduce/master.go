@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"os"
 	"sort"
 	"sync"
@@ -249,16 +248,13 @@ func (c *Cluster) StartMaster(opts MasterOptions) (*Master, error) {
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.plane = newDataPlane(m, opts.Replication)
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(MasterService, &masterService{m: m}); err != nil {
-		ln.Close()
-		return nil, err
-	}
-	if err := srv.RegisterName(ShardService, &masterBlocks{m: m}); err != nil {
-		ln.Close()
-		return nil, err
-	}
-	go ServeRPC(m.ctx, ln, srv)
+	go ServeRPC(m.ctx, ln, map[string]Handler{
+		MasterService + ".Register":  Handle(m.Register),
+		MasterService + ".Heartbeat": Handle(m.Heartbeat),
+		MasterService + ".GetTask":   Handle(m.GetTask),
+		MasterService + ".TaskDone":  Handle(m.TaskDone),
+		ShardService + ".ReadBlock":  Handle(m.ReadBlock),
+	}, nil)
 	go m.leaseMonitor()
 	c.mu.Lock()
 	c.master = m
@@ -640,14 +636,9 @@ func (m *Master) maybeKill(d *dispatch, assignee *workerState) {
 	}
 }
 
-// masterService hosts the control-plane RPC calls workers make.
-type masterService struct {
-	m *Master
-}
-
-// Register admits a worker into the pool.
-func (s *masterService) Register(args RegisterArgs, reply *RegisterReply) error {
-	m := s.m
+// Register admits a worker into the pool. It and the next three methods
+// are the control-plane calls workers make (MasterService).
+func (m *Master) Register(_ context.Context, args *RegisterArgs, reply *RegisterReply) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -676,17 +667,17 @@ func (s *masterService) Register(args RegisterArgs, reply *RegisterReply) error 
 
 // Heartbeat renews the worker's lease. OK=false tells a worker the master
 // forgot it (lease expired); it must re-register.
-func (s *masterService) Heartbeat(args HeartbeatArgs, reply *HeartbeatReply) error {
-	reply.OK = s.m.renewLease(args.WorkerID)
+func (m *Master) Heartbeat(_ context.Context, args *HeartbeatArgs, reply *HeartbeatReply) error {
+	reply.OK = m.renewLease(args.WorkerID)
 	if reply.OK {
-		reply.Epochs = s.m.epochSnapshot()
+		reply.Epochs = m.epochSnapshot()
 	}
-	if s.m.opts.RecordHeartbeats {
+	if m.opts.RecordHeartbeats {
 		kind := "heartbeat"
 		if !reply.OK {
 			kind = "heartbeat-rejected"
 		}
-		s.m.hblog.Append(fault.Event{Kind: kind, Worker: args.WorkerID})
+		m.hblog.Append(fault.Event{Kind: kind, Worker: args.WorkerID})
 	}
 	return nil
 }
@@ -694,8 +685,8 @@ func (s *masterService) Heartbeat(args HeartbeatArgs, reply *HeartbeatReply) err
 // GetTask long-polls for work. The poll doubles as a heartbeat. The
 // pending list is scanned for a dispatch local to this worker (one whose
 // split replicas it holds) before falling back to the oldest dispatch.
-func (s *masterService) GetTask(args GetTaskArgs, reply *TaskAssignment) error {
-	m := s.m
+// The poll ends with its call: a poller that is gone takes nothing.
+func (m *Master) GetTask(ctx context.Context, args *GetTaskArgs, reply *TaskAssignment) error {
 	if !m.renewLease(args.WorkerID) {
 		reply.Phase = TaskNone
 		return nil
@@ -703,7 +694,7 @@ func (s *masterService) GetTask(args GetTaskArgs, reply *TaskAssignment) error {
 	// A long-poll lasts one heartbeat interval: the poll doubles as one.
 	deadline := time.NewTimer(m.opts.HeartbeatEvery)
 	defer deadline.Stop()
-	for {
+	for ctx.Err() == nil {
 		m.mu.Lock()
 		ws := m.workers[args.WorkerID]
 		if ws == nil || !ws.live {
@@ -748,18 +739,17 @@ func (s *masterService) GetTask(args GetTaskArgs, reply *TaskAssignment) error {
 		case <-deadline.C:
 			reply.Phase = TaskNone
 			return nil
-		case <-m.ctx.Done():
-			reply.Phase = TaskNone
-			return nil
+		case <-ctx.Done():
 		}
 	}
+	reply.Phase = TaskNone
+	return nil
 }
 
 // TaskDone receives an attempt's outcome and routes it to the waiting
 // dispatcher. Reports for dispatches already failed (presumed-dead
 // worker, abandoned deadline attempt, finished run) are dropped.
-func (s *masterService) TaskDone(args TaskDoneArgs, reply *TaskDoneReply) error {
-	m := s.m
+func (m *Master) TaskDone(_ context.Context, args *TaskDoneArgs, reply *TaskDoneReply) error {
 	m.renewLease(args.WorkerID)
 	m.mu.Lock()
 	d := m.dispatches[args.DispatchID]
@@ -807,22 +797,17 @@ func (s *masterService) TaskDone(args TaskDoneArgs, reply *TaskDoneReply) error 
 	return nil
 }
 
-// masterBlocks serves, under the Shards service, block frames for
-// workers that reached no replica.
-type masterBlocks struct {
-	m *Master
-}
-
-// ReadBlock serves a block's sealed frame from the master — the terminal
-// rung of the worker read chain (own replica, peers, master), and at
-// replication 0 the only one.
-func (s *masterBlocks) ReadBlock(args ReadBlockArgs, reply *ReadBlockReply) error {
-	frame, err := s.m.plane.readFrame(dfs.BlockID(args.ID))
+// ReadBlock serves, under ShardService, a block's sealed frame from the
+// master to a worker that reached no replica — the terminal rung of the
+// worker read chain (own replica, peers, master), and at replication 0 the
+// only one.
+func (m *Master) ReadBlock(_ context.Context, args *ReadBlockArgs, reply *ReadBlockReply) error {
+	frame, err := m.plane.readFrame(dfs.BlockID(args.ID))
 	if err != nil {
 		return err
 	}
 	reply.Frame = frame
-	if reg := s.m.opts.Metrics; reg != nil {
+	if reg := m.opts.Metrics; reg != nil {
 		reg.Inc(MetricMasterEgress, int64(len(frame)))
 	}
 	return nil

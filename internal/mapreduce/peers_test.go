@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,8 +63,8 @@ func (l *countingListener) killConns() {
 	l.conns = nil
 }
 
-// PeerMsg is the scripted service's message (exported, as net/rpc
-// requires): one string, laid out as the wire codec lays out every string.
+// PeerMsg is the scripted service's message: one string, laid out as the
+// wire codec lays out every string.
 type PeerMsg string
 
 func (m *PeerMsg) wire(c *wirefmt.Codec) { c.String((*string)(m)) }
@@ -72,47 +72,52 @@ func (m *PeerMsg) wire(c *wirefmt.Codec) { c.String((*string)(m)) }
 // peerMsg is a PeerMsg as call args cross: by pointer.
 func peerMsg(s string) *PeerMsg { return (*PeerMsg)(&s) }
 
-// scriptedPeer is an RPC service whose method Do echoes its argument,
-// except "hold", which parks in the handler until released, and "reject",
-// which the handler refuses.
+// scriptedPeer is a service whose method Do echoes its argument, except
+// "hold", which parks in the handler until released, "reject", which the
+// handler refuses, and "wait", which parks until the call's context ends.
 type scriptedPeer struct {
-	held    chan struct{} // one token per call parked in "hold"
+	held    chan struct{} // one token per call parked in "hold" or "wait"
 	release chan struct{}
 	opened  sync.Once
+	ended   chan error // a "wait" call's context error, once it ends
 }
 
 // releaseAll lets every parked and future "hold" through.
 func (s *scriptedPeer) releaseAll() { s.opened.Do(func() { close(s.release) }) }
 
-func (s *scriptedPeer) Do(arg PeerMsg, reply *PeerMsg) error {
-	switch arg {
+func (s *scriptedPeer) Do(ctx context.Context, arg, reply *PeerMsg) error {
+	switch *arg {
 	case "hold":
 		s.held <- struct{}{}
 		<-s.release
 	case "reject":
 		return errors.New("scripted: rejected")
+	case "wait":
+		s.held <- struct{}{}
+		<-ctx.Done()
+		s.ended <- ctx.Err()
+		return ctx.Err()
 	}
-	*reply = "echo:" + arg
+	*reply = "echo:" + *arg
 	return nil
 }
 
-// Bare answers with a reply type that has no wire layout.
-func (s *scriptedPeer) Bare(arg PeerMsg, reply *string) error {
-	*reply = string(arg)
-	return nil
+// serveScripted serves svc as "Peer" on ln.
+func serveScripted(ln net.Listener, svc *scriptedPeer) {
+	go ServeRPC(context.Background(), ln, map[string]Handler{"Peer.Do": Handle(svc.Do)}, nil)
 }
 
-// startScriptedPeer serves a scriptedPeer as "Peer" on a counting
-// listener and returns a Peers to call it through.
+func newScriptedPeer() *scriptedPeer {
+	return &scriptedPeer{held: make(chan struct{}, 64), release: make(chan struct{}), ended: make(chan error, 64)}
+}
+
+// startScriptedPeer serves a scriptedPeer on a counting listener and
+// returns a Peers to call it through.
 func startScriptedPeer(t *testing.T) (*Peers, *scriptedPeer, *countingListener) {
 	t.Helper()
-	svc := &scriptedPeer{held: make(chan struct{}, 64), release: make(chan struct{})}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Peer", svc); err != nil {
-		t.Fatal(err)
-	}
+	svc := newScriptedPeer()
 	ln := listenCounting(t)
-	go ServeRPC(context.Background(), ln, srv)
+	serveScripted(ln, svc)
 	t.Cleanup(svc.releaseAll)
 	p := NewPeers()
 	t.Cleanup(p.Close)
@@ -160,8 +165,7 @@ func TestPeersSharedFirstDial(t *testing.T) {
 
 // TestPeersEvictsOnlyOnTransportError: an error returned by the peer's
 // handler travels over a healthy connection; dropping the shared client
-// for it would fail every call in flight on that connection with
-// ErrShutdown. Only a transport failure evicts the client, and the next
+// for it would fail every call in flight on that connection. Only a transport failure evicts the client, and the next
 // call then redials.
 func TestPeersEvictsOnlyOnTransportError(t *testing.T) {
 	p, svc, ln := startScriptedPeer(t)
@@ -179,8 +183,8 @@ func TestPeersEvictsOnlyOnTransportError(t *testing.T) {
 
 	var reply PeerMsg
 	err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("reject"), &reply)
-	if !errors.As(err, new(rpc.ServerError)) {
-		t.Fatalf("rejected call: err = %v, want the handler's rpc.ServerError", err)
+	if !errors.As(err, new(ServerError)) {
+		t.Fatalf("rejected call: err = %v, want the handler's ServerError", err)
 	}
 	svc.release <- struct{}{}
 	if err := <-held; err != nil {
@@ -283,18 +287,157 @@ func TestPeersClose(t *testing.T) {
 	p.Close() // idempotent
 }
 
+// TestCallCancelEndsHandler: a call whose context ends mid-handler sends
+// the peer a cancel frame, and the handler's context ends with it; the
+// connection stays for the next call.
+func TestCallCancelEndsHandler(t *testing.T) {
+	p, svc, ln := startScriptedPeer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	called := make(chan error, 1)
+	go func() { called <- p.Call(ctx, ln.addr(), "Peer.Do", peerMsg("wait"), new(PeerMsg)) }()
+	<-svc.held
+	cancel()
+	select {
+	case err := <-svc.ended:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the handler's context ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the handler's context outlived its cancelled call by 1s")
+	}
+	if err := <-called; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call = %v, want context.Canceled", err)
+	}
+	var reply PeerMsg
+	if err := p.Call(context.Background(), ln.addr(), "Peer.Do", peerMsg("next"), &reply); err != nil || reply != "echo:next" {
+		t.Fatalf("call after the cancel = %q, %v", reply, err)
+	}
+	if n := ln.accepted.Load(); n != 1 {
+		t.Fatalf("%d connections, want 1", n)
+	}
+}
+
+// TestConnCloseEndsHandler: when the caller's connection closes, the
+// contexts of the calls running on it end.
+func TestConnCloseEndsHandler(t *testing.T) {
+	p, svc, ln := startScriptedPeer(t)
+	called := make(chan error, 1)
+	go func() { called <- p.Call(context.Background(), ln.addr(), "Peer.Do", peerMsg("wait"), new(PeerMsg)) }()
+	<-svc.held
+	p.Close()
+	select {
+	case err := <-svc.ended:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the handler's context ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the handler's context outlived its connection by 1s")
+	}
+	if err := <-called; err == nil {
+		t.Fatal("a call on the closed connection succeeded")
+	}
+}
+
+// TestCallNeverWritesReplyAfterReturn: calls cancelled at every point of
+// their round trip — before the request, while the handler runs, while the
+// response is decoded — never have their reply written once Call has
+// returned. The caller writes the reply the moment Call returns; under
+// -race a late decode into it is a reported race.
+func TestCallNeverWritesReplyAfterReturn(t *testing.T) {
+	p, _, ln := startScriptedPeer(t)
+	var answered, cancelled atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%10 != 0 { // every tenth call runs to its answer
+					time.AfterFunc(time.Duration(i%7)*40*time.Microsecond, cancel)
+				}
+				reply := new(PeerMsg)
+				err := p.Call(ctx, ln.addr(), "Peer.Do", peerMsg(fmt.Sprint(i)), reply)
+				*reply = "mine"
+				switch {
+				case err == nil:
+					answered.Add(1)
+				case errors.Is(err, context.Canceled):
+					cancelled.Add(1)
+				default:
+					t.Errorf("call %d: %v", i, err)
+				}
+				cancel()
+				if *reply != "mine" {
+					t.Errorf("call %d: the reply changed after Call returned", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if answered.Load() == 0 || cancelled.Load() == 0 {
+		t.Fatalf("%d calls answered, %d cancelled: want both", answered.Load(), cancelled.Load())
+	}
+	if n := ln.accepted.Load(); n != 1 {
+		t.Fatalf("%d connections, want 1: a cancel costs no connection", n)
+	}
+}
+
+// TestGetTaskEndsWithItsCall: a GetTask long-poll whose call ended takes
+// nothing. A dispatch submitted after it stays pending for a live poller
+// instead of waiting in the inflight set of a poll nobody reads.
+func TestGetTaskEndsWithItsCall(t *testing.T) {
+	c := newTestCluster(t, 1<<20, 4)
+	m, err := c.StartMaster(MasterOptions{HeartbeatEvery: time.Minute, Lease: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	var reg RegisterReply
+	if err := m.Register(context.Background(), &RegisterArgs{}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	polled := make(chan TaskAssignment, 1)
+	go func() {
+		var task TaskAssignment
+		m.GetTask(ctx, &GetTaskArgs{WorkerID: reg.WorkerID}, &task)
+		polled <- task
+	}()
+	time.Sleep(10 * time.Millisecond) // into the poll's wait
+	cancel()
+	select {
+	case task := <-polled:
+		if task.Phase != TaskNone {
+			t.Fatalf("the cancelled poll took a %q task", task.Phase)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the poll outlived its call by 1s")
+	}
+	d := &dispatch{phase: TaskMap, resultCh: make(chan dispatchResult, 1)}
+	if err := m.submit(d); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	pending, held := slices.Contains(m.pending, d), len(m.workers[reg.WorkerID].inflight)
+	m.mu.Unlock()
+	if !pending || held != 0 {
+		t.Fatalf("after the abandoned poll: dispatch pending %v, %d held by the worker; want pending, none held", pending, held)
+	}
+}
+
 // scriptedShards is the worker half of a scripted pool member: it accepts
 // replica pushes and job drops and counts them.
 type scriptedShards struct {
 	pushes, drops atomic.Int64
 }
 
-func (s *scriptedShards) PushBlock(args PushBlockArgs, reply *PushBlockReply) error {
+func (s *scriptedShards) PushBlock(_ context.Context, args *PushBlockArgs, reply *PushBlockReply) error {
 	s.pushes.Add(1)
 	return nil
 }
 
-func (s *scriptedShards) DropJob(args DropJobArgs, reply *DropJobReply) error {
+func (s *scriptedShards) DropJob(_ context.Context, args *DropJobArgs, reply *DropJobReply) error {
 	s.drops.Add(1)
 	return nil
 }
@@ -329,13 +472,12 @@ func TestMasterConnectionCensus(t *testing.T) {
 	}
 	defer m.Stop()
 	shards := &scriptedShards{}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(ShardService, shards); err != nil {
-		t.Fatal(err)
-	}
 	ln := listenCounting(t)
-	go ServeRPC(context.Background(), ln, srv)
-	if err := (&masterService{m: m}).Register(RegisterArgs{Addr: ln.addr()}, &RegisterReply{}); err != nil {
+	go ServeRPC(context.Background(), ln, map[string]Handler{
+		ShardService + ".PushBlock": Handle(shards.PushBlock),
+		ShardService + ".DropJob":   Handle(shards.DropJob),
+	}, nil)
+	if err := m.Register(context.Background(), &RegisterArgs{Addr: ln.addr()}, &RegisterReply{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -369,7 +511,7 @@ func TestMasterStopWithSilentWorker(t *testing.T) {
 			go io.Copy(io.Discard, conn) // swallow every request
 		}
 	}()
-	if err := (&masterService{m: m}).Register(RegisterArgs{Addr: ln.addr()}, &RegisterReply{}); err != nil {
+	if err := m.Register(context.Background(), &RegisterArgs{Addr: ln.addr()}, &RegisterReply{}); err != nil {
 		t.Fatal(err)
 	}
 	scriptedRun(t, c, m, "in").close()

@@ -429,7 +429,7 @@ func TestCorruptBlockNeverSealed(t *testing.T) {
 // TestMasterStopLeavesNoGoroutines: every job's close broadcasts DropJob
 // to the workers in the background; Master.Stop must wait those calls
 // out, so that after 20 jobs and a teardown the process is back at its
-// pre-StartMaster goroutine count (the rpc transport's per-connection
+// pre-StartMaster goroutine count (the call layer's per-connection
 // goroutines unwind asynchronously after their sockets close, hence the
 // short poll).
 func TestMasterStopLeavesNoGoroutines(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 )
 
 // This file is the wire protocol between the master runtime and worker
-// processes (net/rpc over TCP; codec.go has the frame). A message's layout
+// processes (the call layer's own frame over TCP: codec.go has the frame,
+// peers.go the calls). A message's layout
 // is its wire method, beside its struct: its fields, each named once, in
 // order, which internal/wirefmt writes or reads as the codec's direction
 // says. The protocol is pull-based, like Hadoop's: workers register,
@@ -23,11 +24,12 @@ import (
 // arrive instead of waiting for a whole shard to transfer. Only workers
 // hold shards: the master serves none.
 
-// RPC service names registered on the master and worker RPC servers.
+// Service names: a method is called as "Service.Method", the key of its
+// handler in the ServeRPC table of the master or a worker.
 const (
 	// MasterService hosts the control-plane calls workers make.
 	MasterService = "Master"
-	// ShardService hosts the data-plane calls and is registered by both
+	// ShardService hosts the data-plane calls and is served by both
 	// sides: workers serve their spilled shard files and block replicas,
 	// the master serves (ReadBlock only) the blocks no worker replica
 	// holds.
@@ -580,11 +582,11 @@ func (a *ExecRangeReply) wire(c *wirefmt.Codec) {
 
 // rangeReplies recycles range replies, on both ends of ExecRange. The
 // master takes one per call to decode into and releases it once the body
-// that copies from it is encoded; it never releases the reply of a call
-// that failed or was cancelled — an abandoned call may still decode into
-// it. A worker writes its answer into the capacity of one and the server
-// codec releases it once the response frame is written (net/rpc never
-// touches a reply after sending it).
+// that copies from it is encoded, or as soon as the call failed or was
+// cancelled: once Peers.Call has returned, nothing writes the reply. A
+// worker writes its answer into the capacity of one, and the server
+// releases it once the handler has returned and the response frame, if
+// any, is laid out.
 var rangeReplies = sync.Pool{New: func() any { return new(ExecRangeReply) }}
 
 // NewExecRangeReply takes a reply from the pool, its slices emptied but

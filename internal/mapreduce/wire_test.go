@@ -415,7 +415,7 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 // wireMessages are the args and reply of each of the ten methods, in
 // method order: Register, Heartbeat, GetTask, TaskDone, FetchChunk,
 // ReadBlock, PushBlock, DropJob, ExecRange, ExecKNN.
-var wireMessages = []wireMessage{
+var wireMessages = []WireMessage{
 	new(RegisterArgs), new(RegisterReply),
 	new(HeartbeatArgs), new(HeartbeatReply),
 	new(GetTaskArgs), new(TaskAssignment),
@@ -431,7 +431,7 @@ var wireMessages = []wireMessage{
 // wireSamples are values that exercise every message's layout: zero
 // values, nil and empty slices and maps, a nil Meta and an empty one, NaN
 // and ±Inf floats, negative and extreme integers, non-UTF-8 strings.
-func wireSamples() []wireMessage {
+func wireSamples() []WireMessage {
 	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -math.MaxFloat64, 0.1 + 0.2}
 	meta := &WireSplitMeta{
 		Partition:  "p7",
@@ -444,7 +444,7 @@ func wireSamples() []wireMessage {
 			{},
 		},
 	}
-	return []wireMessage{
+	return []WireMessage{
 		&RegisterArgs{},
 		&RegisterArgs{Addr: "127.0.0.1:7070", PID: math.MaxInt32, CanServe: true},
 		&RegisterReply{},
@@ -526,7 +526,7 @@ func wireSamples() []wireMessage {
 }
 
 // encode is m's body, appended to dst.
-func encode(dst []byte, m wireMessage) []byte {
+func encode(dst []byte, m WireMessage) []byte {
 	var c wirefmt.Codec
 	c.Encode(dst)
 	m.wire(&c)
@@ -534,7 +534,7 @@ func encode(dst []byte, m wireMessage) []byte {
 }
 
 // decodeInto decodes body into m.
-func decodeInto(m wireMessage, body []byte) error {
+func decodeInto(m WireMessage, body []byte) error {
 	var c wirefmt.Codec
 	c.Decode(body)
 	m.wire(&c)
@@ -542,8 +542,8 @@ func decodeInto(m wireMessage, body []byte) error {
 }
 
 // decodeAs decodes body as a fresh message of m's type.
-func decodeAs(m wireMessage, body []byte) (wireMessage, error) {
-	v := reflect.New(reflect.TypeOf(m).Elem()).Interface().(wireMessage)
+func decodeAs(m WireMessage, body []byte) (WireMessage, error) {
+	v := reflect.New(reflect.TypeOf(m).Elem()).Interface().(WireMessage)
 	return v, decodeInto(v, body)
 }
 
@@ -597,7 +597,7 @@ func wireEqual(a, b reflect.Value) bool {
 // range reply relies on it).
 func TestWireRoundTrip(t *testing.T) {
 	samples := wireSamples()
-	reused := map[reflect.Type]wireMessage{}
+	reused := map[reflect.Type]WireMessage{}
 	for _, in := range samples { // the last sample of each type, decoded
 		v, err := decodeAs(in, encode(nil, in))
 		if err != nil {
@@ -617,7 +617,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("%T %+v: decode into a used value: %v", in, in, err)
 			continue
 		}
-		for how, out := range map[string]wireMessage{"fresh": fresh, "used": reused[typ]} {
+		for how, out := range map[string]WireMessage{"fresh": fresh, "used": reused[typ]} {
 			if !wireEqual(reflect.ValueOf(in), reflect.ValueOf(out)) {
 				t.Errorf("%T decoded into a %s value:\n got %+v\nwant %+v", in, how, out, in)
 			}
@@ -677,7 +677,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 	// done is a TaskDoneArgs body up to its selections: every field zero.
 	done := cat(uvarints(0, 0), str(""), []byte{0}, uvarints(0, 0, 0, 0, 0, 0, 0, 0))
 	for name, tc := range map[string]struct {
-		msg  wireMessage
+		msg  WireMessage
 		body []byte
 	}{
 		"Meta presence beyond 1":          {new(ExecRangeArgs), cat(str("f"), uvarints(0), []byte{2}, le64(0, 0, 0, 0))},

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"net/http/httptest"
-	"net/rpc"
 	"testing"
 	"time"
 
@@ -111,11 +110,11 @@ type badHolder struct {
 	named    chan int
 }
 
-func (h *badHolder) PushBlock(args mapreduce.PushBlockArgs, reply *mapreduce.PushBlockReply) error {
+func (h *badHolder) PushBlock(_ context.Context, args *mapreduce.PushBlockArgs, reply *mapreduce.PushBlockReply) error {
 	return nil
 }
 
-func (h *badHolder) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
+func (h *badHolder) ExecRange(_ context.Context, args *mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
 	h.named <- 1 + len(args.More)
 	if h.miscount {
 		reply.Counts = []int64{1, 0}
@@ -146,10 +145,6 @@ func TestBatchedCallLadder(t *testing.T) {
 			defer m.Stop()
 			// The scripted holder registers first, the live worker second.
 			holder := &badHolder{miscount: miscount, named: make(chan int, 64)}
-			rs := rpc.NewServer()
-			if err := rs.RegisterName(mapreduce.ShardService, holder); err != nil {
-				t.Fatal(err)
-			}
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -157,7 +152,10 @@ func TestBatchedCallLadder(t *testing.T) {
 			defer ln.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			go mapreduce.ServeRPC(ctx, ln, rs)
+			go mapreduce.ServeRPC(ctx, ln, map[string]mapreduce.Handler{
+				mapreduce.ShardService + ".PushBlock": mapreduce.Handle(holder.PushBlock),
+				mapreduce.ShardService + ".ExecRange": mapreduce.Handle(holder.ExecRange),
+			}, nil)
 			reg := mapreduce.RegisterArgs{Addr: ln.Addr().String(), CanServe: true}
 			if err := m.Peers().Call(ctx, m.Addr(), mapreduce.MasterService+".Register", &reg, &mapreduce.RegisterReply{}); err != nil {
 				t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/rpc"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,11 +28,11 @@ type hungHolder struct {
 	release chan struct{}
 }
 
-func (h *hungHolder) PushBlock(args mapreduce.PushBlockArgs, reply *mapreduce.PushBlockReply) error {
+func (h *hungHolder) PushBlock(_ context.Context, args *mapreduce.PushBlockArgs, reply *mapreduce.PushBlockReply) error {
 	return nil
 }
 
-func (h *hungHolder) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
+func (h *hungHolder) ExecRange(_ context.Context, args *mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
 	h.named.Store(int64(1 + len(args.More)))
 	if h.hang.Load() {
 		h.held <- struct{}{}
@@ -89,10 +88,6 @@ func TestCancelledScatterStops(t *testing.T) {
 	defer m.Stop()
 	holder := &hungHolder{held: make(chan struct{}, 64), release: make(chan struct{})}
 	holder.hang.Store(true)
-	rs := rpc.NewServer()
-	if err := rs.RegisterName(mapreduce.ShardService, holder); err != nil {
-		t.Fatal(err)
-	}
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +96,10 @@ func TestCancelledScatterStops(t *testing.T) {
 	defer ln.Close()
 	holderCtx, stopHolder := context.WithCancel(context.Background())
 	defer stopHolder()
-	go mapreduce.ServeRPC(holderCtx, ln, rs)
+	go mapreduce.ServeRPC(holderCtx, ln, map[string]mapreduce.Handler{
+		mapreduce.ShardService + ".PushBlock": mapreduce.Handle(holder.PushBlock),
+		mapreduce.ShardService + ".ExecRange": mapreduce.Handle(holder.ExecRange),
+	}, nil)
 	reg := mapreduce.RegisterArgs{Addr: ln.Addr().String(), CanServe: true}
 	if err := m.Peers().Call(context.Background(), m.Addr(), mapreduce.MasterService+".Register", &reg, &mapreduce.RegisterReply{}); err != nil {
 		t.Fatal(err)

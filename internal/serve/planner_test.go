@@ -159,6 +159,38 @@ func TestPlannerHeapFallsBack(t *testing.T) {
 	}
 }
 
+// TestSingleflightAbandonedLeader: a build that fails because its
+// leader's request ended is no answer for a follower whose request is
+// live: the follower leads a fresh build and gets its body.
+func TestSingleflightAbandonedLeader(t *testing.T) {
+	var g flightGroup
+	leaderCtx, cancel := context.WithCancel(t.Context())
+	started, followerIn := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		_, _, _, err := g.do(leaderCtx, "k", func() ([]byte, *execMeta, error) {
+			close(started)
+			<-followerIn
+			time.Sleep(20 * time.Millisecond) // the follower is waiting on the leader's call
+			cancel()
+			return nil, nil, leaderCtx.Err()
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("leader: %v, want its own cancellation", err)
+		}
+	}()
+	<-started
+	close(followerIn)
+	body, _, _, err := g.do(t.Context(), "k", func() ([]byte, *execMeta, error) {
+		return []byte("rebuilt"), &execMeta{engine: PlannerLocal}, nil
+	})
+	<-leaderDone
+	if err != nil || string(body) != "rebuilt" {
+		t.Fatalf("follower of an abandoned leader: body %q, err %v; want a fresh build", body, err)
+	}
+}
+
 // TestSingleflightCoalesces: concurrent identical cold-key requests run
 // one build; followers report X-Cache=coalesced with byte-identical
 // bodies. The flightGroup is driven directly with a gated build so the

@@ -73,6 +73,14 @@ func (f *shardFrag) check(named int, keys bool) error {
 	return nil
 }
 
+// release hands a range answer's pooled reply back.
+func (f *shardFrag) release() {
+	if f.stream != nil {
+		f.stream.Release()
+		f.stream = nil
+	}
+}
+
 // tally counts one partition the answer f covers.
 func (sh *shardStats) tally(f *shardFrag) {
 	if f.remote {
@@ -129,7 +137,7 @@ type shardCall struct {
 // rangeCall answers each call into a reply from the shared pool
 // (mapreduce.NewExecRangeReply) — a worker's decoded, the master's written
 // in process — released by execRange once the body that copies from it is
-// encoded.
+// encoded, or as soon as its call fails.
 func (sq *shardQuery) rangeCall(rect geom.Rect) shardCall {
 	return shardCall{
 		remote: func(ctx context.Context, addr string, metas []*mapreduce.WireSplitMeta, keys bool) (shardFrag, error) {
@@ -177,17 +185,19 @@ type shardQuery struct {
 // ask makes one exec call naming metas and validates the answer. A
 // cancelled request reports its context's error: its call failed because
 // the request ended, not because the holder died, so no RPC error is
-// counted.
+// counted. The pooled reply of a call that failed or was cancelled goes
+// back at once: once Call has returned, nothing writes it.
 func (sq *shardQuery) ask(ctx context.Context, addr string, metas []*mapreduce.WireSplitMeta, keys bool, call shardCall) (shardFrag, error) {
 	start := time.Now()
 	frag, err := call.remote(ctx, addr, metas, keys)
-	if ctx.Err() != nil {
-		return shardFrag{}, ctx.Err()
-	}
 	if err == nil {
 		err = frag.check(len(metas), keys)
 	}
-	if err != nil {
+	if err != nil || ctx.Err() != nil {
+		frag.release()
+		if ctx.Err() != nil {
+			return shardFrag{}, ctx.Err()
+		}
 		sq.s.reg.Inc("serve.shard.rpc.errors", 1)
 		return shardFrag{}, err
 	}
@@ -337,6 +347,9 @@ func (sq *shardQuery) scatter(ctx context.Context, kept []*mapreduce.Split, call
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			for i := range frags {
+				frags[i].release()
+			}
 			return nil, err
 		}
 	}
@@ -394,8 +407,8 @@ func (sq *shardQuery) execRange(ctx context.Context, canon string, rect geom.Rec
 		return nil, nil, err
 	}
 	body := encodeRangeBodyStreams(sq.gen.f.Name, canon, frags)
-	for _, f := range frags {
-		f.stream.Release()
+	for i := range frags {
+		frags[i].release()
 	}
 	return body, sq.done(), nil
 }

@@ -7,6 +7,7 @@
 package serve_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -368,7 +369,7 @@ func TestExplainAgreesAcrossEngines(t *testing.T) {
 
 // TestShardedReplyReuse: range replies come from one pool on both ends —
 // the master decodes into them, each worker writes its stream into one
-// and its server codec releases it once sent — so decoding and writing
+// and the server releases it once answered — so decoding and writing
 // must set every field: a reply that carried a large stream with merge
 // keys and is reused for a keyless one, or for one with no match, must
 // not keep the large one's keys or bytes. The whole-file query calls both
@@ -377,7 +378,9 @@ func TestExplainAgreesAcrossEngines(t *testing.T) {
 // Two sharded clients run them in opposite orders, and a third runs them
 // on the local engine, so replies cross between queries, workers, ends of
 // the call and the master's own call; every body must equal the MapReduce
-// engine's byte for byte.
+// engine's byte for byte. A fourth client cancels its sharded requests at
+// staggered moments, so the replies of cancelled and half-answered calls
+// go back to the pool among the others.
 func TestShardedReplyReuse(t *testing.T) {
 	sys := core.New(core.Config{BlockSize: 2048, Workers: 4, Seed: 7})
 	pts := datagen.Points(datagen.Uniform, 1200, geom.NewRect(0, 0, 1000, 1000), 5)
@@ -428,7 +431,24 @@ func TestShardedReplyReuse(t *testing.T) {
 	// the local engine, whose master call writes into the same pool, so
 	// the master's in-process replies and the workers' cross.
 	var wg sync.WaitGroup
-	errs := make(chan error, 3)
+	errs := make(chan error, 4)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < 12; round++ {
+			for i, q := range queries {
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(time.Duration((round*len(queries)+i)%12)*50*time.Microsecond, cancel)
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q+"&engine=sharded", nil).WithContext(ctx))
+				cancel()
+				if rec.Code == http.StatusOK && rec.Body.String() != want[i] {
+					errs <- fmt.Errorf("cancelling client round %d %s: an answered body diverges from the mapreduce engine's", round, q)
+					return
+				}
+			}
+		}
+	}()
 	for client, engine := range []string{"sharded", "sharded", "local"} {
 		wg.Add(1)
 		go func() {

@@ -142,7 +142,7 @@ func TestRoundTrip(t *testing.T) {
 	check(t, "Points", column, nilIfEmpty, nil, []geom.Point{{X: odd[0], Y: odd[1]}, {X: odd[4], Y: odd[6]}})
 }
 
-// TestLayout pins the bytes: a decoder elsewhere (net/rpc frames, block
+// TestLayout pins the bytes: a decoder elsewhere (call frames, block
 // frames on disk) is only as good as the layout it was written against.
 func TestLayout(t *testing.T) {
 	enc := func(run func(*Codec)) []byte {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,15 +48,9 @@ func (l *countedListener) Accept() (net.Conn, error) {
 	return conn, err
 }
 
-// serveCounted serves the named services on a fresh counted listener.
-func serveCounted(t *testing.T, services map[string]any) *countedListener {
+// serveCounted serves handlers on a fresh counted listener.
+func serveCounted(t *testing.T, handlers map[string]mapreduce.Handler) *countedListener {
 	t.Helper()
-	srv := rpc.NewServer()
-	for name, svc := range services {
-		if err := srv.RegisterName(name, svc); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +59,7 @@ func serveCounted(t *testing.T, services map[string]any) *countedListener {
 	l := &countedListener{Listener: ln}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go mapreduce.ServeRPC(ctx, l, srv)
+	go mapreduce.ServeRPC(ctx, l, handlers, nil)
 	return l
 }
 
@@ -78,17 +71,17 @@ type censusMaster struct {
 	done  chan mapreduce.TaskDoneArgs
 }
 
-func (m *censusMaster) Register(args mapreduce.RegisterArgs, reply *mapreduce.RegisterReply) error {
+func (m *censusMaster) Register(_ context.Context, args *mapreduce.RegisterArgs, reply *mapreduce.RegisterReply) error {
 	reply.WorkerID, reply.HeartbeatEvery = 1, 2*time.Millisecond
 	return nil
 }
 
-func (m *censusMaster) Heartbeat(args mapreduce.HeartbeatArgs, reply *mapreduce.HeartbeatReply) error {
+func (m *censusMaster) Heartbeat(_ context.Context, args *mapreduce.HeartbeatArgs, reply *mapreduce.HeartbeatReply) error {
 	reply.OK = true
 	return nil
 }
 
-func (m *censusMaster) GetTask(args mapreduce.GetTaskArgs, reply *mapreduce.TaskAssignment) error {
+func (m *censusMaster) GetTask(_ context.Context, args *mapreduce.GetTaskArgs, reply *mapreduce.TaskAssignment) error {
 	m.mu.Lock()
 	if len(m.queue) > 0 {
 		*reply, m.queue = m.queue[0], m.queue[1:]
@@ -101,8 +94,8 @@ func (m *censusMaster) GetTask(args mapreduce.GetTaskArgs, reply *mapreduce.Task
 	return nil
 }
 
-func (m *censusMaster) TaskDone(args mapreduce.TaskDoneArgs, reply *mapreduce.TaskDoneReply) error {
-	m.done <- args
+func (m *censusMaster) TaskDone(_ context.Context, args *mapreduce.TaskDoneArgs, reply *mapreduce.TaskDoneReply) error {
+	m.done <- *args
 	return nil
 }
 
@@ -112,18 +105,25 @@ type censusShards struct {
 	block, shard []byte
 }
 
-func (s *censusShards) ReadBlock(args mapreduce.ReadBlockArgs, reply *mapreduce.ReadBlockReply) error {
+func (s *censusShards) ReadBlock(_ context.Context, args *mapreduce.ReadBlockArgs, reply *mapreduce.ReadBlockReply) error {
 	reply.Frame = s.block
 	return nil
 }
 
-func (s *censusShards) FetchChunk(args mapreduce.FetchChunkArgs, reply *mapreduce.FetchChunkReply) error {
+func (s *censusShards) FetchChunk(_ context.Context, args *mapreduce.FetchChunkArgs, reply *mapreduce.FetchChunkReply) error {
 	n, eof, err := mapreduce.ChunkWindow(int64(len(s.shard)), args.Offset, args.MaxBytes)
 	if err != nil {
 		return err
 	}
 	reply.Data, reply.EOF = s.shard[args.Offset:args.Offset+n], eof
 	return nil
+}
+
+func (s *censusShards) handlers() map[string]mapreduce.Handler {
+	return map[string]mapreduce.Handler{
+		mapreduce.ShardService + ".ReadBlock":  mapreduce.Handle(s.ReadBlock),
+		mapreduce.ShardService + ".FetchChunk": mapreduce.Handle(s.FetchChunk),
+	}
 }
 
 // TestWorkerConnectionCensus: a worker's connections are bounded by its
@@ -140,7 +140,7 @@ func TestWorkerConnectionCensus(t *testing.T) {
 		pairs = append(pairs, mapreduce.Pair{Key: "k", Value: r})
 	}
 	shards := &censusShards{block: block, shard: mapreduce.EncodeShard(pairs)}
-	peer := serveCounted(t, map[string]any{mapreduce.ShardService: shards})
+	peer := serveCounted(t, shards.handlers())
 	peerAddr := peer.Addr().String()
 
 	master := &censusMaster{done: make(chan mapreduce.TaskDoneArgs, 20)}
@@ -158,7 +158,13 @@ func TestWorkerConnectionCensus(t *testing.T) {
 				Sources: []mapreduce.ShardSource{{Task: 0, Addr: peerAddr}},
 			})
 	}
-	masterLn := serveCounted(t, map[string]any{mapreduce.MasterService: master, mapreduce.ShardService: shards})
+	masterLn := serveCounted(t, map[string]mapreduce.Handler{
+		mapreduce.MasterService + ".Register":  mapreduce.Handle(master.Register),
+		mapreduce.MasterService + ".Heartbeat": mapreduce.Handle(master.Heartbeat),
+		mapreduce.MasterService + ".GetTask":   mapreduce.Handle(master.GetTask),
+		mapreduce.MasterService + ".TaskDone":  mapreduce.Handle(master.TaskDone),
+		mapreduce.ShardService + ".ReadBlock":  mapreduce.Handle(shards.ReadBlock),
+	})
 
 	w, err := Start(Config{Master: masterLn.Addr().String(), Dir: t.TempDir(), Tasks: 2})
 	if err != nil {

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"context"
 	"fmt"
 
 	"spatialhadoop/internal/mapreduce"
@@ -48,10 +49,14 @@ func (w *Worker) ServeTierStats() (partitions int, bytes int64) {
 	return w.tier.Stats()
 }
 
-// pinAll pins every partition a call names: Meta, then More.
-func (w *Worker) pinAll(file string, epoch int64, meta *mapreduce.WireSplitMeta, more []*mapreduce.WireSplitMeta) ([]*ops.LocalPartition, error) {
+// pinAll pins every partition a call names: Meta, then More. A call whose
+// caller gave up stops before its next partition.
+func (w *Worker) pinAll(ctx context.Context, file string, epoch int64, meta *mapreduce.WireSplitMeta, more []*mapreduce.WireSplitMeta) ([]*ops.LocalPartition, error) {
 	parts := make([]*ops.LocalPartition, 0, 1+len(more))
 	for _, m := range append([]*mapreduce.WireSplitMeta{meta}, more...) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		part, err := w.pinServePartition(file, epoch, m)
 		if err != nil {
 			return nil, err
@@ -63,9 +68,9 @@ func (w *Worker) pinAll(file string, epoch int64, meta *mapreduce.WireSplitMeta,
 
 // ExecRange answers a sharded range query's call: the named partitions'
 // matches merged into one sorted stream, written into the capacity of a
-// pooled reply that the server codec releases once it is sent.
-func (s *shardServer) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
-	parts, err := s.w.pinAll(args.File, args.Epoch, args.Meta, args.More)
+// pooled reply that the server releases once the call is answered.
+func (w *Worker) ExecRange(ctx context.Context, args *mapreduce.ExecRangeArgs, reply *mapreduce.ExecRangeReply) error {
+	parts, err := w.pinAll(ctx, args.File, args.Epoch, args.Meta, args.More)
 	if err != nil {
 		return err
 	}
@@ -75,8 +80,8 @@ func (s *shardServer) ExecRange(args mapreduce.ExecRangeArgs, reply *mapreduce.E
 
 // ExecKNN answers a sharded kNN round's call: each named partition's
 // canonically sorted k nearest candidates, concatenated.
-func (s *shardServer) ExecKNN(args mapreduce.ExecKNNArgs, reply *mapreduce.ExecKNNReply) error {
-	parts, err := s.w.pinAll(args.File, args.Epoch, args.Meta, args.More)
+func (w *Worker) ExecKNN(ctx context.Context, args *mapreduce.ExecKNNArgs, reply *mapreduce.ExecKNNReply) error {
+	parts, err := w.pinAll(ctx, args.File, args.Epoch, args.Meta, args.More)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/rpc"
 	"reflect"
 	"slices"
@@ -57,10 +58,10 @@ func startExecWorkers(t *testing.T) (sys *core.System, f *core.IndexedFile, m *m
 }
 
 // shardCaller calls a worker's ShardService through a fresh Peers.
-func shardCaller(t *testing.T) func(addr, method string, args, reply any) error {
+func shardCaller(t *testing.T) func(addr, method string, args, reply mapreduce.WireMessage) error {
 	peers := mapreduce.NewPeers()
 	t.Cleanup(peers.Close)
-	return func(addr, method string, args, reply any) error {
+	return func(addr, method string, args, reply mapreduce.WireMessage) error {
 		return peers.Call(context.Background(), addr, mapreduce.ShardService+"."+method, args, reply)
 	}
 }
@@ -236,11 +237,43 @@ func TestExecBatchedMatchesMerge(t *testing.T) {
 	}
 }
 
-// TestGobClientMatchesPeers pins the one connection ServeRPC still serves
+// TestExecStopsWithItsCaller: an exec call whose caller is gone pins no
+// partition; the same call from a live caller pins every one it names.
+func TestExecStopsWithItsCaller(t *testing.T) {
+	sys, f, m, _, _ := startExecWorkers(t)
+	w, err := Start(Config{Master: m.Addr(), Dir: t.TempDir(), FakePID: 9303, ServeTasks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Stop)
+	splits := f.Splits()
+	m.EnsureServeReplicas(splits)
+	metas := make([]*mapreduce.WireSplitMeta, len(splits))
+	for i, sp := range splits {
+		metas[i] = m.ServeMeta(sp)
+	}
+	args := mapreduce.ExecRangeArgs{File: "pts", Epoch: sys.FS().FileEpoch("pts"), Meta: metas[0], More: metas[1:], Query: geom.NewRect(0, 0, 1000, 1000)}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := w.ExecRange(gone, &args, new(mapreduce.ExecRangeReply)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("exec for a caller that is gone = %v, want context.Canceled", err)
+	}
+	if n, _ := w.ServeTierStats(); n != 0 {
+		t.Fatalf("the abandoned call pinned %d partitions", n)
+	}
+	if err := w.ExecRange(context.Background(), &args, new(mapreduce.ExecRangeReply)); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := w.ServeTierStats(); n != len(metas) {
+		t.Fatalf("the live call pinned %d of %d partitions", n, len(metas))
+	}
+}
+
+// TestGobClientMatchesPeers pins the one connection a worker still serves
 // with net/rpc's default gob codec: a client that dials with rpc.Dial, as
-// the benchmark harness's worker micro-levels do, gets from a worker's
-// ExecRange and ReadBlock exactly the replies Peers gets over the wire
-// codec.
+// the benchmark harness's worker micro-levels do, gets from each of the
+// four methods that harness calls — DropJob, ReadBlock, ExecRange and
+// ExecKNN — exactly the replies Peers gets over the wire codec.
 func TestGobClientMatchesPeers(t *testing.T) {
 	sys, f, m, server, _ := startExecWorkers(t)
 	call := shardCaller(t)
@@ -250,11 +283,19 @@ func TestGobClientMatchesPeers(t *testing.T) {
 	}
 	defer gobClient.Close()
 
+	// DropJob of a job that never existed: the harness's round-trip floor.
+	if err := call(server, "DropJob", &mapreduce.DropJobArgs{JobID: -1}, &mapreduce.DropJobReply{}); err != nil {
+		t.Fatalf("DropJob over Peers: %v", err)
+	}
+	if err := gobClient.Call(mapreduce.ShardService+".DropJob", mapreduce.DropJobArgs{JobID: -1}, &mapreduce.DropJobReply{}); err != nil {
+		t.Fatalf("DropJob over rpc.Dial: %v", err)
+	}
+
 	splits := f.Splits()
 	m.EnsureServeReplicas(splits)
 	epoch := sys.FS().FileEpoch("pts")
-	query := geom.NewRect(200, 200, 700, 650)
-	matched := 0
+	query, q, k := geom.NewRect(200, 200, 700, 650), geom.Pt(480, 510), 7
+	matched, cands := 0, 0
 	for _, sp := range splits {
 		meta := m.ServeMeta(sp)
 		args := mapreduce.ExecRangeArgs{File: "pts", Epoch: epoch, Meta: meta, Query: query}
@@ -271,6 +312,20 @@ func TestGobClientMatchesPeers(t *testing.T) {
 		}
 		matched += len(viaPeers.Frag)
 
+		kargs := mapreduce.ExecKNNArgs{File: "pts", Epoch: epoch, Meta: meta, Q: q, K: k}
+		var knnPeers, knnGob mapreduce.ExecKNNReply
+		if err := call(server, "ExecKNN", &kargs, &knnPeers); err != nil {
+			t.Fatalf("%s ExecKNN over Peers: %v", sp.Partition, err)
+		}
+		if err := gobClient.Call(mapreduce.ShardService+".ExecKNN", kargs, &knnGob); err != nil {
+			t.Fatalf("%s ExecKNN over rpc.Dial: %v", sp.Partition, err)
+		}
+		if !reflect.DeepEqual(knnPeers.Cands, knnGob.Cands) || !slices.Equal(knnPeers.Counts, knnGob.Counts) {
+			t.Errorf("%s ExecKNN: rpc.Dial got %d candidates counted %v; Peers %d counted %v", sp.Partition,
+				len(knnGob.Cands), knnGob.Counts, len(knnPeers.Cands), knnPeers.Counts)
+		}
+		cands += len(knnPeers.Cands)
+
 		for _, ref := range meta.Blocks {
 			var blockPeers, blockGob mapreduce.ReadBlockReply
 			if err := call(server, "ReadBlock", &mapreduce.ReadBlockArgs{ID: ref.ID}, &blockPeers); err != nil {
@@ -284,7 +339,7 @@ func TestGobClientMatchesPeers(t *testing.T) {
 			}
 		}
 	}
-	if matched == 0 {
-		t.Fatal("the range query matched nothing: the comparison was vacuous")
+	if matched == 0 || cands == 0 {
+		t.Fatalf("the queries matched %d bytes and %d candidates: the comparison was vacuous", matched, cands)
 	}
 }

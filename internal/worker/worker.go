@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"os"
 	"path/filepath"
 	"slices"
@@ -127,13 +126,15 @@ func Start(cfg Config) (*Worker, error) {
 	if cfg.ServeTasks {
 		w.tier = serve.NewMemTier(cfg.ServeTierBytes, obs.NewRegistry())
 	}
-	srv := rpc.NewServer()
-	err = srv.RegisterName(mapreduce.ShardService, &shardServer{w: w})
-	if err == nil {
-		go mapreduce.ServeRPC(w.ctx, ln, srv)
-		err = w.register()
-	}
-	if err != nil {
+	go mapreduce.ServeRPC(w.ctx, ln, map[string]mapreduce.Handler{
+		mapreduce.ShardService + ".FetchChunk": mapreduce.Handle(w.FetchChunk),
+		mapreduce.ShardService + ".PushBlock":  mapreduce.Handle(w.PushBlock),
+		mapreduce.ShardService + ".ReadBlock":  mapreduce.Handle(w.ReadBlock),
+		mapreduce.ShardService + ".DropJob":    mapreduce.Handle(w.DropJob),
+		mapreduce.ShardService + ".ExecRange":  mapreduce.Handle(w.ExecRange),
+		mapreduce.ShardService + ".ExecKNN":    mapreduce.Handle(w.ExecKNN),
+	}, w.serveGob)
+	if err := w.register(); err != nil {
 		w.Stop()
 		return nil, err
 	}
@@ -179,7 +180,7 @@ func (w *Worker) Stop() {
 func (w *Worker) Wait() { w.wg.Wait() }
 
 // callMaster is one control-plane call to the master.
-func (w *Worker) callMaster(method string, args, reply any) error {
+func (w *Worker) callMaster(method string, args, reply mapreduce.WireMessage) error {
 	return w.peers.Call(w.ctx, w.cfg.Master, mapreduce.MasterService+"."+method, args, reply)
 }
 
@@ -540,18 +541,14 @@ func (w *Worker) readSpill(jobID int64, task, attempt, reduce int) ([]mapreduce.
 	return mapreduce.DecodeShard(frame)
 }
 
-// shardServer serves this worker's data plane: spilled shard streams to
-// reducers (chunked), block replicas to the master's push path and to
-// peer map tasks, and the end-of-job spill drop.
-type shardServer struct {
-	w *Worker
-}
-
 // FetchChunk returns one chunk of a spilled shard stream. The fetcher
 // verifies frames as they complete, so a truncated or corrupted spill
-// surfaces as a torn-shard error there.
-func (s *shardServer) FetchChunk(args mapreduce.FetchChunkArgs, reply *mapreduce.FetchChunkReply) error {
-	f, err := os.Open(s.w.spillPath(args.JobID, args.Task, args.Attempt, args.Reduce))
+// surfaces as a torn-shard error there. It and the next three methods
+// serve this worker's data plane (ShardService): spilled shard streams to
+// reducers (chunked), block replicas to the master's push path and to peer
+// map tasks, and the end-of-job spill drop.
+func (w *Worker) FetchChunk(_ context.Context, args *mapreduce.FetchChunkArgs, reply *mapreduce.FetchChunkReply) error {
+	f, err := os.Open(w.spillPath(args.JobID, args.Task, args.Attempt, args.Reduce))
 	if err != nil {
 		return err
 	}
@@ -575,17 +572,17 @@ func (s *shardServer) FetchChunk(args mapreduce.FetchChunkArgs, reply *mapreduce
 // PushBlock installs a block replica pushed by the master's placement
 // layer. The frame is verified before it is accepted: a replica store
 // never holds bytes it cannot later vouch for.
-func (s *shardServer) PushBlock(args mapreduce.PushBlockArgs, reply *mapreduce.PushBlockReply) error {
+func (w *Worker) PushBlock(_ context.Context, args *mapreduce.PushBlockArgs, reply *mapreduce.PushBlockReply) error {
 	if _, err := dfs.DecodeBlockFrame(args.Frame); err != nil {
 		return err
 	}
-	return s.w.writeReplica(args.ID, args.Frame)
+	return w.writeReplica(args.ID, args.Frame)
 }
 
 // ReadBlock serves one replica frame to a peer map task (or back to the
 // master). The reader verifies the frame.
-func (s *shardServer) ReadBlock(args mapreduce.ReadBlockArgs, reply *mapreduce.ReadBlockReply) error {
-	frame, err := os.ReadFile(s.w.replicaPath(args.ID))
+func (w *Worker) ReadBlock(_ context.Context, args *mapreduce.ReadBlockArgs, reply *mapreduce.ReadBlockReply) error {
+	frame, err := os.ReadFile(w.replicaPath(args.ID))
 	if err != nil {
 		return err
 	}
@@ -594,7 +591,7 @@ func (s *shardServer) ReadBlock(args mapreduce.ReadBlockArgs, reply *mapreduce.R
 }
 
 // DropJob garbage-collects a finished job's spill directory.
-func (s *shardServer) DropJob(args mapreduce.DropJobArgs, reply *mapreduce.DropJobReply) error {
-	s.w.dropJob(args.JobID)
+func (w *Worker) DropJob(_ context.Context, args *mapreduce.DropJobArgs, reply *mapreduce.DropJobReply) error {
+	w.dropJob(args.JobID)
 	return nil
 }
