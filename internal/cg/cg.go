@@ -140,9 +140,6 @@ func sortPoints(pts []geom.Point) []geom.Point {
 // Counter names reported by the operations, used by the benchmark harness
 // to reproduce the paper's pruning-power figures.
 const (
-	// CounterPartitionsProcessed counts map tasks actually run after the
-	// filter step (Figs. 24b and 27b).
-	CounterPartitionsProcessed = mapreduce.CounterSplitsMapped
 	// CounterIntermediatePoints counts records that survive local pruning
 	// and reach the merge step (Figs. 22b and 30b).
 	CounterIntermediatePoints = "cg.intermediate.points"

@@ -138,19 +138,24 @@ func indexedJoinMap(lDisjoint, rDisjoint bool, lSpace, rSpace geom.Rect) mapredu
 		if err != nil {
 			return err
 		}
+		var candidates, dropped int64
 		planeSweepJoin(ls, rs, func(lrec, rrec string, overlap geom.Rect) {
-			ctx.Inc(CounterJoinCandidates, 1)
+			candidates++
 			ref := geom.Point{X: overlap.MinX, Y: overlap.MinY}
-			if lDisjoint && !ownsRef(lBound, lSpace, ref) {
-				ctx.Inc(CounterDedupDropped, 1)
-				return
-			}
-			if rDisjoint && !ownsRef(rBound, rSpace, ref) {
-				ctx.Inc(CounterDedupDropped, 1)
+			if lDisjoint && !ownsRef(lBound, lSpace, ref) || rDisjoint && !ownsRef(rBound, rSpace, ref) {
+				dropped++
 				return
 			}
 			ctx.Write(lrec + "\t" + rrec)
 		})
+		// Tallied once per task; a counter that never ticked stays out of
+		// the report.
+		if candidates > 0 {
+			ctx.Inc(CounterJoinCandidates, candidates)
+		}
+		if dropped > 0 {
+			ctx.Inc(CounterDedupDropped, dropped)
+		}
 		return nil
 	}
 }

@@ -25,7 +25,6 @@ const (
 	KindRegions   Kind = "regions"
 	KindPairs     Kind = "pairs"     // join results, tab-separated
 	KindPointPair Kind = "pointpair" // closest/farthest pair
-	KindSegments  Kind = "segments"
 	KindVoronoi   Kind = "voronoi"
 	KindTriangles Kind = "triangles"
 )

@@ -112,22 +112,6 @@ func (f *Failure) Report() string {
 	return report
 }
 
-// RunMatrix runs the full op × technique sweep for one base seed, rotating
-// the dataset shape with the (op, tech) index so the shape catalogue is
-// covered across the sweep, and returns all (shrunk) failures.
-func RunMatrix(base int64) []*Failure {
-	var fails []*Failure
-	for oi := range CheckOrder {
-		for ti := range Techniques {
-			shapeIdx := (oi + ti + int(base)) % len(Shapes)
-			if f := RunCase(CaseFromSeed(CaseSeed(base, oi, ti, shapeIdx))); f != nil {
-				fails = append(fails, f)
-			}
-		}
-	}
-	return fails
-}
-
 // RunSoakRound runs the complete op × technique × shape cross product for
 // one base seed (one soak round).
 func RunSoakRound(base int64) []*Failure {
